@@ -11,15 +11,20 @@
 //! trained parameters must match `f32`-bit-for-bit across every scorer in
 //! the zoo. The graph-level half of this contract (single ops, counter
 //! deltas) lives in `tensor`'s unit tests; these tests close it end-to-end
-//! at the model level for all 13 scorers.
+//! at the model level for all 13 scorers, and then walk the incidence-score
+//! kernel's own edges for the four families whose whole scoring path it is
+//! (SpTransE, SpTorusE, SpTransC, SpTransM): embedding widths that end
+//! inside, on and past its 64-column tile, all five row scores, the paged
+//! arm against the resident one, and pool widths 1/4/8.
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::{BatchPlan, Dataset, UniformSampler};
 use sptransx::{
-    DenseTorusE, DenseTransE, DenseTransH, DenseTransR, KgeModel, SpComplEx, SpDistMult, SpRotatE,
-    SpTorusE, SpTransC, SpTransE, SpTransH, SpTransM, SpTransR, TrainConfig, Trainer,
+    DenseTorusE, DenseTransE, DenseTransH, DenseTransR, KgeModel, Norm, SpComplEx, SpDistMult,
+    SpRotatE, SpTorusE, SpTransC, SpTransE, SpTransH, SpTransM, SpTransR, TrainConfig, Trainer,
 };
-use tensor::Graph;
+use tensor::{Graph, VecStorage};
+use xparallel::PoolHandle;
 
 fn dataset() -> Dataset {
     SyntheticKgBuilder::new(70, 4).triples(400).seed(23).build()
@@ -37,17 +42,50 @@ fn config(fused: bool) -> TrainConfig {
     }
 }
 
+/// Widths around the score kernel's 64-column tile: one column, a short
+/// tile, one short of / exactly / one past a full tile, two tiles and a tail.
+const TILE_TAIL_DIMS: [usize; 6] = [1, 7, 63, 64, 65, 130];
+
 /// Epoch losses and final parameter bits of one trained run.
 fn train_run<M, F>(fused: bool, make: F) -> (Vec<u32>, Vec<Vec<u32>>)
 where
     M: KgeModel,
     F: FnOnce(&Dataset, &TrainConfig) -> M,
 {
+    train_run_with(&config(fused), PoolHandle::global(), false, make)
+}
+
+/// [`train_run`] under an explicit config and pool; with `paged` the
+/// `embeddings` table trains behind a half-size row cache (evicting and
+/// writing back every epoch) and is unpaged before the bits are read.
+fn train_run_with<M, F>(
+    cfg: &TrainConfig,
+    pool: PoolHandle,
+    paged: bool,
+    make: F,
+) -> (Vec<u32>, Vec<Vec<u32>>)
+where
+    M: KgeModel,
+    F: FnOnce(&Dataset, &TrainConfig) -> M,
+{
     let ds = dataset();
-    let cfg = config(fused);
-    let model = make(&ds, &cfg);
-    let mut trainer = Trainer::new(model, &ds, &cfg).unwrap();
+    let model = make(&ds, cfg);
+    let mut trainer = Trainer::new(model, &ds, cfg).unwrap().with_pool(pool);
+    let emb = trainer.model_mut().store().lookup("embeddings");
+    if paged {
+        let store = trainer.model_mut().store_mut();
+        let emb = emb.expect("embeddings table");
+        let (rows, cols) = store.param_shape(emb);
+        let storage = Box::new(VecStorage::new(rows, cols));
+        store.page_out(emb, storage, rows / 2).unwrap();
+    }
     let report = trainer.run().unwrap();
+    if paged {
+        let store = trainer.model_mut().store_mut();
+        let emb = emb.expect("embeddings table");
+        assert!(store.pager(emb).unwrap().stats().evictions > 0);
+        store.unpage(emb).unwrap();
+    }
     let model = trainer.into_model();
     let params = model
         .store()
@@ -165,3 +203,80 @@ fused_matches_unfused_test!(densetranse_fused_matches_unfused, DenseTransE);
 fused_matches_unfused_test!(densetoruse_fused_matches_unfused, DenseTorusE);
 fused_matches_unfused_test!(densetransr_fused_matches_unfused, DenseTransR);
 fused_matches_unfused_test!(densetransh_fused_matches_unfused, DenseTransH);
+
+/// Fused ≡ unfused training at every tile tail, and the fused arm is the
+/// same at pool widths 1, 4 and 8.
+fn assert_matches_unfused_at_tile_tails<M: KgeModel>(
+    name: &str,
+    norm: Norm,
+    from_config: fn(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+) {
+    let make = |ds: &Dataset, cfg: &TrainConfig| from_config(ds, cfg).unwrap();
+    for dim in TILE_TAIL_DIMS {
+        let cfg = |fused| TrainConfig {
+            dim,
+            norm,
+            ..config(fused)
+        };
+        let unfused = train_run_with(&cfg(false), PoolHandle::sequential(), false, make);
+        for width in [1, 4, 8] {
+            let pool = PoolHandle::global().with_width(width);
+            assert_eq!(
+                train_run_with(&cfg(true), pool, false, make),
+                unfused,
+                "{name}, dim {dim}, width {width}: fused training diverged from unfused"
+            );
+        }
+    }
+}
+
+/// The four families that train through `Graph::spmm_score` alone, under
+/// norms that between them reach all five `RowScore`s (SpTransC scores
+/// with the squared L2).
+#[test]
+fn score_kernel_matches_unfused_at_every_tile_tail_and_width() {
+    assert_matches_unfused_at_tile_tails("SpTransE/L1", Norm::L1, SpTransE::from_config);
+    assert_matches_unfused_at_tile_tails("SpTransE/L2", Norm::L2, SpTransE::from_config);
+    assert_matches_unfused_at_tile_tails("SpTorusE/L1", Norm::TorusL1, SpTorusE::from_config);
+    assert_matches_unfused_at_tile_tails("SpTorusE/L2", Norm::TorusL2, SpTorusE::from_config);
+    assert_matches_unfused_at_tile_tails("SpTransC", Norm::L2, SpTransC::from_config);
+    assert_matches_unfused_at_tile_tails("SpTransM", Norm::L1, SpTransM::from_config);
+}
+
+/// The paged arm of the kernel (operand rows resolved through the slot
+/// map, gradients scattered into cache slots) trains to the resident
+/// arm's bits, at a tile tail on each side of the tile and at every width.
+fn assert_paged_matches_resident<M: KgeModel>(
+    name: &str,
+    norm: Norm,
+    from_config: fn(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+) {
+    let make = |ds: &Dataset, cfg: &TrainConfig| from_config(ds, cfg).unwrap();
+    for dim in [7, 65] {
+        // Batches of 8 keep the working set (≤ 28 rows) under the 37-row
+        // cache of the 74-row table.
+        let cfg = TrainConfig {
+            dim,
+            norm,
+            batch_size: 8,
+            ..config(true)
+        };
+        let resident = train_run_with(&cfg, PoolHandle::sequential(), false, make);
+        for width in [1, 4, 8] {
+            let pool = PoolHandle::global().with_width(width);
+            assert_eq!(
+                train_run_with(&cfg, pool, true, make),
+                resident,
+                "{name}, dim {dim}, width {width}: paged training diverged from resident"
+            );
+        }
+    }
+}
+
+#[test]
+fn score_kernel_paged_matches_resident() {
+    assert_paged_matches_resident("SpTransE/L1", Norm::L1, SpTransE::from_config);
+    assert_paged_matches_resident("SpTransE/L2", Norm::L2, SpTransE::from_config);
+    assert_paged_matches_resident("SpTorusE/L1", Norm::TorusL1, SpTorusE::from_config);
+    assert_paged_matches_resident("SpTorusE/L2", Norm::TorusL2, SpTorusE::from_config);
+}

@@ -135,12 +135,13 @@ impl Drop for Arena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::tests::alone_in_process;
 
-    // NOTE: unit tests here avoid equality assertions on the *global*
-    // `memory::alloc_count()` — tests in this binary run concurrently, so
-    // only the arena-local hit/miss counters are race-free. The process-wide
-    // flatness guarantee is asserted by the single-test integration binary
-    // `sptransx/tests/alloc_regression.rs`.
+    // NOTE: tests in this binary run concurrently, so only the arena-local
+    // hit/miss counters are race-free; the tests that assert on the
+    // *global* byte counters run `alone_in_process`. The process-wide
+    // `memory::alloc_count()` flatness guarantee is asserted by the
+    // single-test integration binary `sptransx/tests/alloc_regression.rs`.
     #[test]
     fn hit_reuses_buffer_instead_of_allocating() {
         let mut arena = Arena::new();
@@ -182,6 +183,9 @@ mod tests {
 
     #[test]
     fn reclaimed_bytes_stay_registered_until_clear() {
+        if !alone_in_process("arena::tests::reclaimed_bytes_stay_registered_until_clear") {
+            return;
+        }
         let mut arena = Arena::new();
         let before = memory::current_bytes();
         let t = Tensor::zeros_in(&mut arena, 10, 10);
@@ -200,6 +204,9 @@ mod tests {
 
     #[test]
     fn drop_releases_held_accounting() {
+        if !alone_in_process("arena::tests::drop_releases_held_accounting") {
+            return;
+        }
         let before = memory::current_bytes();
         {
             let mut arena = Arena::new();

@@ -7,7 +7,7 @@ use sparse::spmm::{csr_spmm_acc_into_with, csr_spmm_acc_rows_into_with, csr_spmm
 use xparallel::PoolHandle;
 
 use crate::profile;
-use crate::{Arena, ParamId, ParamStore, Tensor};
+use crate::{Arena, ParamId, ParamStore, TableView, Tensor};
 
 /// Fixed chunk length for the tape's scalar reductions (losses, means).
 ///
@@ -103,59 +103,53 @@ impl RowScore {
     }
 }
 
-/// One output element of an incidence-row × dense product, replicating
-/// [`sparse::spmm`]'s `spmm_row` arithmetic (including its 1/2/3-nonzero
-/// fast-path float association) so fused kernels that recompute elements
-/// on the fly stay bit-identical to the materialized SpMM.
+/// Column tile of the fused score forward: the incidence-row product is
+/// evaluated `SCORE_TILE` elements at a time into a stack buffer, then
+/// folded into the row's accumulator strictly in column order.
+const SCORE_TILE: usize = 64;
+
+/// Elements `t0 .. t0 + x.len()` of the incidence-row × table product
+/// `A[i,:] · P`, written into `x`. Each operand row is resolved to a slice
+/// once (through the slot map when `table` is paged — the map moves bytes,
+/// never arithmetic) and the element expressions replicate
+/// [`sparse::spmm`]'s `spmm_row` exactly, 1/2/3-nonzero fast-path
+/// associations included, so fused kernels built on this stay bit-identical
+/// to the materialized SpMM. Elements are independent of each other, so
+/// the loops vectorize.
 #[inline]
-fn spmm_elem(cols: &[u32], vals: &[f32], b: &[f32], n: usize, j: usize) -> f32 {
-    match cols.len() {
-        0 => 0.0,
-        1 => vals[0] * b[cols[0] as usize * n + j],
-        2 => vals[0] * b[cols[0] as usize * n + j] + vals[1] * b[cols[1] as usize * n + j],
-        3 => {
-            vals[0] * b[cols[0] as usize * n + j]
-                + vals[1] * b[cols[1] as usize * n + j]
-                + vals[2] * b[cols[2] as usize * n + j]
+fn spmm_row_into(cols: &[u32], vals: &[f32], table: &TableView<'_>, t0: usize, x: &mut [f32]) {
+    let t1 = t0 + x.len();
+    let lane = |c: u32| &table.row(c as usize)[t0..t1];
+    match *cols {
+        [] => x.fill(0.0),
+        [c0] => {
+            let v0 = vals[0];
+            for (xj, a) in x.iter_mut().zip(lane(c0)) {
+                *xj = v0 * a;
+            }
+        }
+        [c0, c1] => {
+            let (v0, v1) = (vals[0], vals[1]);
+            for ((xj, a), b) in x.iter_mut().zip(lane(c0)).zip(lane(c1)) {
+                *xj = v0 * a + v1 * b;
+            }
+        }
+        [c0, c1, c2] => {
+            let (v0, v1, v2) = (vals[0], vals[1], vals[2]);
+            let (a, b, c) = (lane(c0), lane(c1), lane(c2));
+            for (((xj, a), b), c) in x.iter_mut().zip(a).zip(b).zip(c) {
+                *xj = v0 * a + v1 * b + v2 * c;
+            }
         }
         _ => {
             // General path: fold from 0.0 in nonzero order, exactly the
             // tiled axpy accumulation of the general SpMM kernel.
-            let mut acc = 0.0f32;
+            x.fill(0.0);
             for (v, &c) in vals.iter().zip(cols) {
-                acc += v * b[c as usize * n + j];
+                for (xj, a) in x.iter_mut().zip(lane(c)) {
+                    *xj += v * a;
+                }
             }
-            acc
-        }
-    }
-}
-
-/// [`spmm_elem`] for a paged parameter: `b` is the slot-aligned cache and
-/// `map` the row→slot translation, so the element read is
-/// `b[map[c]·n + j]` instead of `b[c·n + j]`. The fold structure (fast
-/// paths included) is byte-for-byte the same — the slot map moves bytes,
-/// never arithmetic, which is what keeps the paged arm bit-identical.
-#[inline]
-fn spmm_elem_mapped(cols: &[u32], vals: &[f32], b: &[f32], map: &[u32], n: usize, j: usize) -> f32 {
-    #[inline(always)]
-    fn at(b: &[f32], map: &[u32], c: u32, n: usize, j: usize) -> f32 {
-        b[map[c as usize] as usize * n + j]
-    }
-    match cols.len() {
-        0 => 0.0,
-        1 => vals[0] * at(b, map, cols[0], n, j),
-        2 => vals[0] * at(b, map, cols[0], n, j) + vals[1] * at(b, map, cols[1], n, j),
-        3 => {
-            vals[0] * at(b, map, cols[0], n, j)
-                + vals[1] * at(b, map, cols[1], n, j)
-                + vals[2] * at(b, map, cols[2], n, j)
-        }
-        _ => {
-            let mut acc = 0.0f32;
-            for (v, &c) in vals.iter().zip(cols) {
-                acc += v * at(b, map, c, n, j);
-            }
-            acc
         }
     }
 }
@@ -487,15 +481,19 @@ impl Graph {
     /// shape of the paper's hot path.
     ///
     /// Bit-identical to `spmm` followed by the matching norm op: each
-    /// output element is recomputed with `spmm_elem`'s exact association
-    /// and the terms are folded from `0.0` in column order, the same
-    /// arithmetic the materialized pipeline performs. When the tape's fused
-    /// flag is off this *records* that two-op pipeline instead.
+    /// batch row's operand rows are read once, a stack tile of the product
+    /// is evaluated with `spmm_row`'s exact association, and the terms are
+    /// folded from `0.0` in column order — the same arithmetic the
+    /// materialized pipeline performs. When the tape's fused flag is off
+    /// this *records* that two-op pipeline instead.
     ///
-    /// Backward (fused arm) traverses the cached transpose like the SpMM
-    /// backward, recomputing scored elements on the fly; each parameter
-    /// gradient row is owned by exactly one worker, so training stays
-    /// bit-identical at any pool width.
+    /// Backward (fused arm) is two passes. A batch-row-parallel pass
+    /// re-derives each row's product once and stores the score derivative
+    /// `g_i · score'(x_{i,j})` in one arena-recycled `m × d` buffer; then the
+    /// cached transpose is walked like the SpMM backward, each parameter
+    /// gradient row owned by exactly one worker and accumulating
+    /// `aval · dx[i, :]` in tape order, so training stays bit-identical at
+    /// any pool width.
     ///
     /// # Panics
     ///
@@ -525,29 +523,23 @@ impl Graph {
         assert_eq!(pair.forward.cols(), view.rows(), "incidence width mismatch");
         let d = view.cols();
         let m = pair.forward.rows();
-        let pd = view.data();
-        let map = view.map();
         let indptr = pair.forward.indptr();
         let indices = pair.forward.indices();
         let values = pair.forward.values();
         let mut out = Tensor::uninit_in(&mut self.arena, m, 1);
         self.pool
             .for_rows(out.as_mut_slice(), 1, 128, |first, chunk| {
+                let mut tile = [0.0f32; SCORE_TILE];
                 for (k, dst) in chunk.iter_mut().enumerate() {
                     let i = first + k;
                     let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
                     let (cols, vals) = (&indices[s..e], &values[s..e]);
                     let mut acc = 0.0f32;
-                    match map {
-                        None => {
-                            for j in 0..d {
-                                acc += score.term(spmm_elem(cols, vals, pd, d, j));
-                            }
-                        }
-                        Some(map) => {
-                            for j in 0..d {
-                                acc += score.term(spmm_elem_mapped(cols, vals, pd, map, d, j));
-                            }
+                    for t0 in (0..d).step_by(SCORE_TILE) {
+                        let x = &mut tile[..SCORE_TILE.min(d - t0)];
+                        spmm_row_into(cols, vals, &view, t0, x);
+                        for &xj in x.iter() {
+                            acc += score.term(xj);
                         }
                     }
                     *dst = score.finish(acc);
@@ -1059,43 +1051,60 @@ impl Graph {
                 let fwd = &pair.forward;
                 let tr = &pair.transpose;
                 store.touch(param, pair.touched_columns());
-                // The stored (m,1) score column feeds the L2 backward's
-                // division, exactly like the standalone norm op.
-                let nd = self.nodes[i].value.as_slice();
-                if store.is_paged(param) {
-                    // Paged arm: value/grad hold the slot-aligned cache, so
-                    // the touched-row walk runs over the rows' *slots* (the
-                    // cache-row list for `for_listed_rows`) and each slot
-                    // maps back to its absolute row for the transpose
-                    // traversal. Same per-row arithmetic, same one-worker-
-                    // per-row ownership: bit-identical to the resident arm.
-                    let (pv, grad, slots, row_of, slot_of) = store.paged_backward_parts(param);
-                    let d = pv.cols();
-                    let pd = pv.as_slice();
+                let (m, nnz) = (fwd.rows(), fwd.nnz() as u64);
+                let view = store.table(param);
+                let d = view.cols();
+                if d > 0 {
+                    // Pass 1, batch-row-parallel: `dx[i, j] = g_i ·
+                    // score'(x_{i,j})` with `x_i = A[i,:] · P` re-derived
+                    // once per row (operand rows read once) instead of
+                    // materialized by the forward. The leading `0.0 + …`
+                    // replicates the unfused pipeline's node-gradient
+                    // accumulate (which canonicalizes `-0.0` to `+0.0`),
+                    // keeping the arms bit-identical. Rows with `g_i == 0`
+                    // are not skipped: `0 · inf` must stay `NaN`.
+                    let mut dx = Tensor::uninit_in(&mut self.arena, m, d);
                     let gd = g.as_slice();
-                    let indptr = fwd.indptr();
-                    let indices = fwd.indices();
-                    let values = fwd.values();
-                    if d > 0 {
-                        let process = |e: usize, dst: &mut [f32]| {
-                            for (ti, aval) in tr.row(e) {
-                                let (s, epos) = (indptr[ti] as usize, indptr[ti + 1] as usize);
-                                let (cols, vals) = (&indices[s..epos], &values[s..epos]);
+                    // The stored (m,1) score column feeds the L2 backward's
+                    // division, exactly like the standalone norm op.
+                    let nd = self.nodes[i].value.as_slice();
+                    let (indptr, indices, values) = (fwd.indptr(), fwd.indices(), fwd.values());
+                    self.pool
+                        .for_rows(dx.as_mut_slice(), d, 64, |first, chunk| {
+                            for (k, x) in chunk.chunks_exact_mut(d).enumerate() {
+                                let ti = first + k;
+                                let (s, e) = (indptr[ti] as usize, indptr[ti + 1] as usize);
+                                spmm_row_into(&indices[s..e], &values[s..e], &view, 0, x);
                                 let gi = gd[ti];
                                 if let RowScore::L2 { eps } = score {
                                     let denom = nd[ti].max(eps);
-                                    for (j, dj) in dst.iter_mut().enumerate() {
-                                        let x = spmm_elem_mapped(cols, vals, pd, slot_of, d, j);
-                                        *dj += aval * (0.0 + gi * x / denom);
+                                    for xj in x.iter_mut() {
+                                        *xj = 0.0 + gi * *xj / denom;
                                     }
                                 } else {
-                                    for (j, dj) in dst.iter_mut().enumerate() {
-                                        let x = spmm_elem_mapped(cols, vals, pd, slot_of, d, j);
-                                        *dj += aval * (0.0 + gi * score.deriv(x));
+                                    for xj in x.iter_mut() {
+                                        *xj = 0.0 + gi * score.deriv(*xj);
                                     }
                                 }
                             }
-                        };
+                        });
+                    // Pass 2, destination-row-sharded: parameter row `e`
+                    // accumulates `aval · dx[i, :]` over its incident batch
+                    // rows in transpose order.
+                    let dxs = dx.as_slice();
+                    let scatter = |e: usize, dst: &mut [f32]| {
+                        for (ti, aval) in tr.row(e) {
+                            for (dj, x) in dst.iter_mut().zip(&dxs[ti * d..(ti + 1) * d]) {
+                                *dj += aval * x;
+                            }
+                        }
+                    };
+                    if store.is_paged(param) {
+                        // The gradient is the slot-aligned cache: walk the
+                        // touched rows' *slots* (strictly ascending, for
+                        // `for_listed_rows`) and map each back to its
+                        // absolute row for the transpose traversal.
+                        let (grad, slots, row_of) = store.paged_backward_parts(param);
                         self.pool.for_listed_rows(
                             grad.as_mut_slice(),
                             d,
@@ -1103,87 +1112,46 @@ impl Graph {
                             64,
                             |listed, first, window| {
                                 for &s in listed {
-                                    let s = s as usize;
-                                    let off = (s - first) * d;
-                                    process(row_of[s] as usize, &mut window[off..off + d]);
+                                    let off = (s as usize - first) * d;
+                                    scatter(row_of[s as usize] as usize, &mut window[off..off + d]);
                                 }
                             },
                         );
-                    }
-                    sparse::metrics::record_spmm_call();
-                    let nnz = fwd.nnz() as u64;
-                    sparse::metrics::add_flops(4 * nnz * d as u64);
-                    sparse::metrics::add_bytes(nnz * 8 + 3 * (nnz * d as u64 * 4));
-                    return;
-                }
-                let (pv, grad, rows) = store.value_grad_rows_mut(param);
-                let d = pv.cols();
-                let pd = pv.as_slice();
-                let gd = g.as_slice();
-                let indptr = fwd.indptr();
-                let indices = fwd.indices();
-                let values = fwd.values();
-                if d > 0 {
-                    // For parameter row `e`, each incident batch row `i`
-                    // contributes `aval · (g_i · score'(x_{i,j}))`, with
-                    // `x` recomputed element-by-element instead of read
-                    // from a materialized SpMM output. The leading
-                    // `0.0 + …` replicates the unfused pipeline's
-                    // node-gradient accumulate (which canonicalizes
-                    // `-0.0` to `+0.0`), keeping the arms bit-identical.
-                    let process = |e: usize, dst: &mut [f32]| {
-                        for (ti, aval) in tr.row(e) {
-                            let (s, epos) = (indptr[ti] as usize, indptr[ti + 1] as usize);
-                            let (cols, vals) = (&indices[s..epos], &values[s..epos]);
-                            let gi = gd[ti];
-                            if let RowScore::L2 { eps } = score {
-                                let denom = nd[ti].max(eps);
-                                for (j, dj) in dst.iter_mut().enumerate() {
-                                    let x = spmm_elem(cols, vals, pd, d, j);
-                                    *dj += aval * (0.0 + gi * x / denom);
-                                }
-                            } else {
-                                for (j, dj) in dst.iter_mut().enumerate() {
-                                    let x = spmm_elem(cols, vals, pd, d, j);
-                                    *dj += aval * (0.0 + gi * score.deriv(x));
-                                }
+                    } else {
+                        let (grad, rows) = store.grad_and_rows_mut(param);
+                        match rows.as_slice() {
+                            Some(rows) => self.pool.for_listed_rows(
+                                grad.as_mut_slice(),
+                                d,
+                                rows,
+                                64,
+                                |listed, first, window| {
+                                    for &e in listed {
+                                        let off = (e as usize - first) * d;
+                                        scatter(e as usize, &mut window[off..off + d]);
+                                    }
+                                },
+                            ),
+                            None => {
+                                self.pool
+                                    .for_rows(grad.as_mut_slice(), d, 64, |first, chunk| {
+                                        for (k, dst) in chunk.chunks_exact_mut(d).enumerate() {
+                                            scatter(first + k, dst);
+                                        }
+                                    })
                             }
                         }
-                    };
-                    match rows.as_slice() {
-                        Some(rows) => self.pool.for_listed_rows(
-                            grad.as_mut_slice(),
-                            d,
-                            rows,
-                            64,
-                            |listed, first, window| {
-                                for &e in listed {
-                                    let e = e as usize;
-                                    let off = (e - first) * d;
-                                    process(e, &mut window[off..off + d]);
-                                }
-                            },
-                        ),
-                        None => self
-                            .pool
-                            .for_rows(grad.as_mut_slice(), d, 64, |first, chunk| {
-                                let rows_here = chunk.len() / d;
-                                for local in 0..rows_here {
-                                    let e = first + local;
-                                    process(e, &mut chunk[local * d..(local + 1) * d]);
-                                }
-                            }),
                     }
+                    self.arena.reclaim(dx);
                 }
-                // Same traffic model as the accumulating SpMM backward
-                // (index+value per incident nonzero, one operand-lane read
-                // per pair — the recomputed rows are the cache-hot rows the
-                // forward just charged — plus the gradient read+write),
-                // with the deriv recompute folded into the flop estimate.
+                // What the two passes move: the derivative pass reads one
+                // operand lane per nonzero and writes `dx`; the scatter
+                // reads index+value and one `dx` lane per nonzero and
+                // read-modify-writes one gradient lane per nonzero.
                 sparse::metrics::record_spmm_call();
-                let nnz = fwd.nnz() as u64;
+                let lane = d as u64 * 4;
                 sparse::metrics::add_flops(4 * nnz * d as u64);
-                sparse::metrics::add_bytes(nnz * 8 + 3 * (nnz * d as u64 * 4));
+                sparse::metrics::add_bytes(nnz * 8 + 4 * nnz * lane + m as u64 * lane);
             }
             Op::Add(a, b) => {
                 self.accum(a, g, 1.0);
@@ -2255,7 +2223,7 @@ mod tests {
 
     #[test]
     fn fused_spmm_score_matches_two_nonzero_rows() {
-        // ht incidence (2 nonzeros per row) hits spmm_elem's pair fast path.
+        // ht incidence (2 nonzeros per row) hits the pair fast path.
         let data = Tensor::from_rows(&[[1.0, -0.5], [0.3, 0.8], [-1.2, 0.1]]);
         for score in ALL_SCORES {
             let run = |fused: bool| {
@@ -2276,6 +2244,185 @@ mod tests {
                 bits
             };
             assert_eq!(run(true), run(false), "ht divergence for {score:?}");
+        }
+    }
+
+    /// Entities (and stacked relation rows) of the kernel-edge tests below.
+    const EDGE_ROWS: usize = 40;
+
+    /// Deterministic `rows × d` table with values in about ±2.5, so torus
+    /// scores wrap and every sign occurs.
+    fn lcg_table(rows: usize, d: usize) -> Tensor {
+        let mut state = 0x2545_f491u32;
+        let data = (0..rows * d)
+            .map(|_| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (state >> 8) as f32 / (1u32 << 24) as f32 * 5.0 - 2.5
+            })
+            .collect();
+        Tensor::from_vec(rows, d, data)
+    }
+
+    /// `m` incidence rows of `k` nonzeros each over `EDGE_ROWS` columns;
+    /// coefficients are `±1` or, with `unit` off, a spread of magnitudes.
+    fn k_nonzero_rows(m: usize, k: usize, unit: bool) -> sparse::CsrMatrix {
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
+        for i in 0..m {
+            let mut cols: Vec<u32> = (0..k)
+                .map(|q| ((i * 7 + q * 11) % EDGE_ROWS) as u32)
+                .collect();
+            cols.sort_unstable();
+            cols.dedup();
+            assert_eq!(cols.len(), k, "stride collision");
+            for (q, c) in cols.into_iter().enumerate() {
+                let sign = if (i + q) % 2 == 0 { 1.0 } else { -1.0 };
+                indices.push(c);
+                values.push(if unit {
+                    sign
+                } else {
+                    sign * (0.25 + q as f32 * 0.5)
+                });
+            }
+        }
+        let indptr = (0..=m as u32).map(|i| i * k as u32).collect();
+        sparse::CsrMatrix::from_raw_parts(m, EDGE_ROWS, indptr, indices, values).unwrap()
+    }
+
+    /// Score, loss and parameter-gradient bits of `mean(w ⊙ spmm_score)`;
+    /// a zero weight gives its batch row `g_i == 0`.
+    fn weighted_score_bits(
+        pool: PoolHandle,
+        fused: bool,
+        score: RowScore,
+        table: &Tensor,
+        fwd: &sparse::CsrMatrix,
+        weights: &[f32],
+    ) -> Vec<u32> {
+        let (mut store, p) = store_with("emb", table.clone());
+        let mut g = Graph::with_pool(pool);
+        g.set_fused(fused);
+        let s = g.spmm_score(&store, p, Arc::new(IncidencePair::new(fwd.clone())), score);
+        let w = g.input_from_slice(weights.len(), 1, weights);
+        let ws = g.mul(s, w);
+        let loss = g.mean(ws);
+        g.backward(loss, &mut store);
+        g.value(s)
+            .as_slice()
+            .iter()
+            .chain(g.value(loss).as_slice())
+            .chain(store.grad(p).as_slice())
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn fused_spmm_score_matches_unfused_on_every_row_shape_tile_tail_and_width() {
+        // 150 batch rows: enough for the forward (128-row) and backward
+        // (64-row) chunking to split across workers.
+        let m = 150;
+        let ends = |mul: usize, add: usize| -> Vec<u32> {
+            (0..m)
+                .map(|i| ((i * mul + add) % (EDGE_ROWS - 2)) as u32)
+                .collect()
+        };
+        // `heads[i] == tails[i]` whenever `i % 19 == 0`: self-loop triples,
+        // whose merged row is one `0.0` coefficient (ht) or a `0.0` plus the
+        // relation (hrt).
+        let (heads, mut tails) = (ends(5, 3), ends(11, 1));
+        for i in (0..m).step_by(19) {
+            tails[i] = heads[i];
+        }
+        let rels: Vec<u32> = (0..m).map(|i| (i % 2) as u32).collect();
+        let shapes = [
+            ("ht", ht(EDGE_ROWS, &heads, &tails).unwrap()),
+            (
+                "hrt",
+                hrt(EDGE_ROWS - 2, 2, &heads, &rels, &tails, TailSign::Negative).unwrap(),
+            ),
+            ("1 nonzero, unit", k_nonzero_rows(m, 1, true)),
+            ("1 nonzero, scaled", k_nonzero_rows(m, 1, false)),
+            ("3 nonzeros, scaled", k_nonzero_rows(m, 3, false)),
+            ("5 nonzeros, unit", k_nonzero_rows(m, 5, true)),
+            ("5 nonzeros, scaled", k_nonzero_rows(m, 5, false)),
+        ];
+        let weights: Vec<f32> = (0..m).map(|i| (i % 4) as f32 - 1.0).collect();
+        for d in [1, 7, 63, 64, 65, 130] {
+            let table = lcg_table(EDGE_ROWS, d);
+            for (name, fwd) in &shapes {
+                for score in ALL_SCORES {
+                    let pass = |pool, fused| {
+                        weighted_score_bits(pool, fused, score, &table, fwd, &weights)
+                    };
+                    let want = pass(PoolHandle::sequential(), false);
+                    for width in [1, 4, 8] {
+                        assert_eq!(
+                            pass(PoolHandle::global().with_width(width), true),
+                            want,
+                            "{name}, d = {d}, {score:?}, width {width}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_spmm_score_keeps_non_finite_operands_and_zero_gradient_rows() {
+        // Rows 0..4 of the table are poisoned; every batch row reads one of
+        // them, and every other batch row has `g_i == 0`. NaN payloads are
+        // unspecified by IEEE 754 (and by LLVM), so NaNs compare as a class;
+        // everything else, `-0.0` and `±inf` included, compares by bits.
+        let d = 65;
+        let mut table = lcg_table(EDGE_ROWS, d);
+        for (row, poison) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0]
+            .into_iter()
+            .enumerate()
+        {
+            for j in (row..d).step_by(3) {
+                table.set(row, j, poison);
+            }
+        }
+        let m = 24;
+        let heads: Vec<u32> = (0..m).map(|i| ((i + 1) % 4) as u32).collect();
+        let tails: Vec<u32> = (0..m).map(|i| (4 + i) as u32).collect();
+        let rels: Vec<u32> = (0..m).map(|i| (i % 2) as u32).collect();
+        let fwd = hrt(EDGE_ROWS - 2, 2, &heads, &rels, &tails, TailSign::Negative).unwrap();
+        let weights: Vec<f32> = (0..m).map(|i| (i % 2) as f32).collect();
+        let classes = |bits: Vec<u32>| -> Vec<u32> {
+            bits.into_iter()
+                .map(|b| {
+                    if f32::from_bits(b).is_nan() {
+                        0x7fc0_0000
+                    } else {
+                        b
+                    }
+                })
+                .collect()
+        };
+        for score in ALL_SCORES {
+            let pass = |fused| {
+                classes(weighted_score_bits(
+                    PoolHandle::sequential(),
+                    fused,
+                    score,
+                    &table,
+                    &fwd,
+                    &weights,
+                ))
+            };
+            let fused = pass(true);
+            assert_eq!(fused, pass(false), "{score:?}");
+            if matches!(score, RowScore::L2 { .. } | RowScore::SquaredL2) {
+                // Batch row 0 has weight 0 and reads table row 1's `+inf`:
+                // its tail (table row 4, read by no other batch row) must
+                // receive `0 · inf = NaN`, not a skipped `0`.
+                let tail_grad = &fused[m + 1 + 4 * d..m + 1 + 5 * d];
+                assert!(
+                    tail_grad.iter().any(|&b| f32::from_bits(b).is_nan()),
+                    "{score:?}: a zero-gradient row was skipped"
+                );
+            }
         }
     }
 
@@ -2332,6 +2479,12 @@ mod tests {
 
     #[test]
     fn spmm_score_reports_fewer_bytes_than_materialized_pipeline() {
+        // The byte counter is process-global and sibling tests run kernels.
+        if !crate::memory::tests::alone_in_process(
+            "graph::tests::spmm_score_reports_fewer_bytes_than_materialized_pipeline",
+        ) {
+            return;
+        }
         let data = Tensor::from_rows(&[
             [0.3, -0.2, 1.1, 0.5],
             [1.5, 0.7, -0.6, -0.1],
@@ -2341,19 +2494,32 @@ mod tests {
         let pair = Arc::new(IncidencePair::new(
             hrt(3, 1, &[0, 1], &[0, 0], &[2, 0], TailSign::Negative).unwrap(),
         ));
-        let forward_bytes = |fused: bool| {
-            let (store, p) = store_with("emb", data.clone());
+        // (forward bytes, backward bytes) of one scored batch.
+        let bytes = |fused: bool| {
+            let (mut store, p) = store_with("emb", data.clone());
             let mut g = Graph::new();
             g.set_fused(fused);
             let before = sparse::metrics::snapshot();
-            let _ = g.spmm_score(&store, p, pair.clone(), RowScore::L2 { eps: 1e-9 });
-            (sparse::metrics::snapshot() - before).bytes_touched
+            let s = g.spmm_score(&store, p, pair.clone(), RowScore::L2 { eps: 1e-9 });
+            let forward = (sparse::metrics::snapshot() - before).bytes_touched;
+            let loss = g.mean(s);
+            let before = sparse::metrics::snapshot();
+            g.backward(loss, &mut store);
+            (
+                forward,
+                (sparse::metrics::snapshot() - before).bytes_touched,
+            )
         };
-        let fused = forward_bytes(true);
-        let unfused = forward_bytes(false);
+        let (fused, fused_backward) = bytes(true);
+        let (unfused, _) = bytes(false);
         assert!(
             fused < unfused,
             "fused forward must move fewer bytes ({fused} vs {unfused})"
         );
+        // What the two backward passes move, for m = 2 rows of nnz = 6
+        // nonzeros at d = 4: index+value, four 16-byte lanes per nonzero
+        // (operand read, dx read, gradient read+write) and the m × d
+        // derivative write.
+        assert_eq!(fused_backward, 6 * 8 + 4 * 6 * 16 + 2 * 16);
     }
 }

@@ -112,12 +112,44 @@ impl MemoryScope {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::Tensor;
 
+    /// Gate for tests that assert exact values of process-global counters
+    /// (the ones above, `sparse::metrics`): sibling tests allocate and run
+    /// kernels concurrently, so inside the shared test process such an
+    /// assertion races. Called first thing with the test's full path, it
+    /// re-runs the test binary with that path as an `--exact` filter, asserts
+    /// the child passed and returns `false` (the caller returns); in the
+    /// child, which sees the marker variable, it returns `true` and the
+    /// test body runs with the process to itself.
+    pub(crate) fn alone_in_process(test: &str) -> bool {
+        const MARKER: &str = "SPTX_TEST_ALONE_IN_PROCESS";
+        if std::env::var_os(MARKER).is_some() {
+            return true;
+        }
+        let exe = std::env::current_exe().expect("path of the running test binary");
+        let out = std::process::Command::new(exe)
+            .args([test, "--exact", "--test-threads=1"])
+            .env(MARKER, "1")
+            .output()
+            .expect("re-running the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        // "1 passed" guards against a stale `test` path filtering to nothing.
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{test} failed alone in its process:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        false
+    }
+
     #[test]
     fn tracks_alloc_and_free() {
+        if !alone_in_process("memory::tests::tracks_alloc_and_free") {
+            return;
+        }
         let before = current_bytes();
         let t = Tensor::zeros(100, 10);
         assert_eq!(current_bytes(), before + 100 * 10 * 4);
@@ -127,6 +159,9 @@ mod tests {
 
     #[test]
     fn peak_survives_drop() {
+        if !alone_in_process("memory::tests::peak_survives_drop") {
+            return;
+        }
         reset_peak();
         let base = current_bytes();
         {
@@ -138,6 +173,9 @@ mod tests {
 
     #[test]
     fn clone_registers_its_own_buffer() {
+        if !alone_in_process("memory::tests::clone_registers_its_own_buffer") {
+            return;
+        }
         let before = current_bytes();
         let a = Tensor::zeros(10, 10);
         let b = a.clone();

@@ -203,14 +203,12 @@ pub struct ParamStore {
     dense_grads: bool,
 }
 
-/// Read view of a parameter's table for kernels that index rows: the cache
-/// (or full-table) data plus the optional row → slot translation map.
+/// Read view of a parameter's table for kernels that read whole rows.
 ///
-/// For resident parameters `data` is the full `rows × cols` table and
-/// `map` is `None`; for paged parameters `data` is the `budget × cols`
-/// cache and `map` translates absolute rows to slots. Kernels that support
-/// paging address `data[view.slot(r) * cols ..]` — same bytes either way,
-/// so the arms are bit-identical.
+/// For resident parameters the view covers the full `rows × cols` table;
+/// for paged parameters it covers the `budget × cols` cache plus the row →
+/// slot translation map. [`TableView::row`] hands out the same bytes either
+/// way, so kernels built on it are bit-identical across the two arms.
 #[derive(Debug, Clone, Copy)]
 pub struct TableView<'a> {
     data: &'a [f32],
@@ -230,26 +228,15 @@ impl<'a> TableView<'a> {
         self.cols
     }
 
-    /// The backing data: full table (resident) or slot cache (paged).
-    pub fn data(&self) -> &'a [f32] {
-        self.data
-    }
-
-    /// The row → slot map, `None` for resident parameters.
-    pub fn map(&self) -> Option<&'a [u32]> {
-        self.map
-    }
-
-    /// Translates an absolute row index to its index within
-    /// [`TableView::data`].
+    /// Row `row` of the table as a slice, through the slot map when paged.
     ///
     /// # Panics
     ///
     /// Panics (paged parameters only) if the row is not resident — a
     /// kernel touched a row outside the paged-in working set.
     #[inline]
-    pub fn slot(&self, row: usize) -> usize {
-        match self.map {
+    pub fn row(&self, row: usize) -> &'a [f32] {
+        let slot = match self.map {
             None => row,
             Some(m) => {
                 let s = m[row];
@@ -260,7 +247,8 @@ impl<'a> TableView<'a> {
                 );
                 s as usize
             }
-        }
+        };
+        &self.data[slot * self.cols..(slot + 1) * self.cols]
     }
 }
 
@@ -725,8 +713,8 @@ impl ParamStore {
         }
     }
 
-    /// Read view of a parameter's table for row-indexing kernels: data plus
-    /// the optional row → slot map (see [`TableView`]).
+    /// Read view of a parameter's table for row-reading kernels, resident
+    /// or paged (see [`TableView`]).
     pub fn table(&self, id: ParamId) -> TableView<'_> {
         let i = id.0;
         match &self.pagers[i] {
@@ -982,31 +970,19 @@ impl ParamStore {
     }
 
     /// Backward-pass view of a paged parameter for the slot-translating
-    /// fused kernels: `(cache values, cache grads, sorted slots of the
-    /// touched rows, slot → row map, row → slot map)`. The slot list is
-    /// strictly ascending (for destination-row-sharded dispatch); its
-    /// translation is a bijection off the sorted touched set, so per-row
-    /// work — and therefore every bit — matches the resident arm.
-    pub(crate) fn paged_backward_parts(
-        &mut self,
-        id: ParamId,
-    ) -> (&Tensor, &mut Tensor, &[u32], &[u32], &[u32]) {
+    /// fused kernels: `(cache grads, sorted slots of the touched rows,
+    /// slot → row map)`. The slot list is strictly ascending (for
+    /// destination-row-sharded dispatch); its translation is a bijection
+    /// off the sorted touched set, so per-row work — and therefore every
+    /// bit — matches the resident arm.
+    pub(crate) fn paged_backward_parts(&mut self, id: ParamId) -> (&mut Tensor, &[u32], &[u32]) {
         let i = id.0;
-        {
-            let pager = self.pagers[i].as_mut().expect("parameter is paged");
-            let touched = self.touched[i]
-                .as_slice()
-                .expect("paged parameters require sparse touched sets");
-            pager.translate_sorted(touched);
-        }
-        let pager = self.pagers[i].as_ref().expect("parameter is paged");
-        (
-            &self.values[i],
-            &mut self.grads[i],
-            &pager.slot_scratch,
-            pager.row_of(),
-            pager.slot_of(),
-        )
+        let pager = self.pagers[i].as_mut().expect("parameter is paged");
+        let touched = self.touched[i]
+            .as_slice()
+            .expect("paged parameters require sparse touched sets");
+        pager.translate_sorted(touched);
+        (&mut self.grads[i], &pager.slot_scratch, pager.row_of())
     }
 }
 
