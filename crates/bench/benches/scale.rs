@@ -206,12 +206,6 @@ fn max_batch_working_set(plan: &BatchPlan, num_entities: usize) -> usize {
 /// shrinks as the cache approaches the table. In-RAM `VecStorage` backs
 /// the table so the sweep isolates pager cost from disk latency; arithmetic
 /// is bit-identical to the resident arms by the paging contract.
-///
-/// The tightest budget additionally runs a `1pct-prefetch` arm with the
-/// background I/O worker staging batch *b+1*'s working set while batch *b*
-/// trains — same epoch loop, same bytes, reads moved off the training
-/// thread (the disk-backed sync-vs-prefetch comparison lives in the
-/// `BENCH_paged.json` pass, where the pagefile makes the overlap visible).
 fn bench_paged_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale_paged");
     group.sample_size(10);
@@ -242,12 +236,7 @@ fn bench_paged_scaling(c: &mut Criterion) {
             .sum();
         let working_set = max_batch_working_set(&plan, entities);
 
-        for &(pct, prefetch, pct_label) in &[
-            (1usize, false, "1pct"),
-            (1, true, "1pct-prefetch"),
-            (10, false, "10pct"),
-            (100, false, "100pct"),
-        ] {
+        for &(pct, pct_label) in &[(1usize, "1pct"), (10, "10pct"), (100, "100pct")] {
             let mut model = SpTransE::from_config(&ds, &cfg).expect("model");
             model.attach_plan(&plan).expect("plan");
             let emb = model.embedding_param();
@@ -257,9 +246,6 @@ fn bench_paged_scaling(c: &mut Criterion) {
                 .store_mut()
                 .page_out(emb, Box::new(tensor::VecStorage::new(rows, cols)), budget)
                 .expect("page out");
-            if prefetch {
-                model.set_prefetch(true).expect("prefetch");
-            }
             let mut opt = Sgd::new(cfg.lr);
             opt.set_pool(&PoolHandle::global());
             let mut graph = Graph::new();
@@ -364,13 +350,11 @@ const PAGED_TIMED_EPOCHS: u32 = 5;
 
 /// Out-of-core JSON pass → `BENCH_paged.json`: one warm-up epoch plus a
 /// [`PAGED_TIMED_EPOCHS`]-epoch `Instant`-timed window per arm, across the
-/// budget sweep (in-RAM backing) and a disk-backed (`FileRowStorage`
-/// pagefile) sync-vs-prefetch pair at the tightest budget — the comparison
-/// the prefetch pipeline exists for. Each record carries the per-epoch
-/// time, its cost relative to the resident sparse epoch at the same table
-/// size, and the pager's prefetch counters over the timed window only
-/// (bit-identity across arms is the paging contract, enforced by the test
-/// suites; this pass only reports time).
+/// budget sweep (in-RAM backing) and two disk-backed (`FileRowStorage`
+/// pagefile) arms at the tightest budgets. Each record carries the
+/// per-epoch time and its cost relative to the resident sparse epoch at the
+/// same table size (bit-identity across arms is the paging contract,
+/// enforced by the test suites; this pass only reports time).
 fn emit_json_paged() {
     use sptransx::FileRowStorage;
     use sptx_bench::json::{write_bench_json, JsonObject};
@@ -432,17 +416,14 @@ fn emit_json_paged() {
         // tightest legal cache. The percentage budgets grow with the table
         // while the (byte-identical) batch's traffic does not, so at 1M
         // entities even 1 % already holds the whole active row range; the
-        // `ws` arms keep the eviction churn — the I/O-bound regime
-        // prefetch exists for — at every table size.
-        for &(disk, pct, prefetch, arm) in &[
-            (false, 1usize, false, "ram-1pct"),
-            (false, 1, true, "ram-1pct-prefetch"),
-            (false, 10, false, "ram-10pct"),
-            (false, 100, false, "ram-100pct"),
-            (true, 1, false, "disk-1pct"),
-            (true, 1, true, "disk-1pct-prefetch"),
-            (true, 0, false, "disk-ws"),
-            (true, 0, true, "disk-ws-prefetch"),
+        // `ws` arm keeps the eviction churn — the I/O-bound regime — at
+        // every table size.
+        for &(disk, pct, arm) in &[
+            (false, 1usize, "ram-1pct"),
+            (false, 10, "ram-10pct"),
+            (false, 100, "ram-100pct"),
+            (true, 1, "disk-1pct"),
+            (true, 0, "disk-ws"),
         ] {
             let mut model = SpTransE::from_config(&ds, &cfg).expect("model");
             model.attach_plan(&plan).expect("plan");
@@ -458,22 +439,15 @@ fn emit_json_paged() {
                 .store_mut()
                 .page_out(emb, storage, budget)
                 .expect("page out");
-            if prefetch {
-                model.set_prefetch(true).expect("prefetch");
-            }
             let mut opt = Sgd::new(cfg.lr);
             opt.set_pool(&PoolHandle::global());
             let mut graph = Graph::new();
             epoch(&mut model, &mut graph, &mut opt);
-            let warm = model.store().pager(emb).expect("paged").prefetch_stats();
-            let warm_io = model.prefetch_timing().unwrap_or_default();
             let t = std::time::Instant::now();
             for _ in 0..PAGED_TIMED_EPOCHS {
                 epoch(&mut model, &mut graph, &mut opt);
             }
             let ms = t.elapsed().as_secs_f64() * 1e3 / f64::from(PAGED_TIMED_EPOCHS);
-            let pstats = model.store().pager(emb).expect("paged").prefetch_stats();
-            let io = model.prefetch_timing().unwrap_or_default();
 
             records.push(
                 JsonObject::new()
@@ -484,15 +458,7 @@ fn emit_json_paged() {
                     .int("budget_rows", budget as u64)
                     .int("epochs_timed", u64::from(PAGED_TIMED_EPOCHS))
                     .num("ms_per_epoch", ms)
-                    .num("cost_vs_resident", ms / resident_ms)
-                    .int("prefetch_admitted", pstats.admitted - warm.admitted)
-                    .int(
-                        "prefetch_demand_loads",
-                        pstats.demand_loads - warm.demand_loads,
-                    )
-                    .int("prefetch_wasted", pstats.wasted - warm.wasted)
-                    .num("worker_read_ms", (io.0 - warm_io.0).as_secs_f64() * 1e3)
-                    .num("train_stall_ms", (io.1 - warm_io.1).as_secs_f64() * 1e3),
+                    .num("cost_vs_resident", ms / resident_ms),
             );
         }
     }

@@ -366,56 +366,6 @@ impl RowFile {
         read_floats_at(&mut self.file, &mut self.scratch, first, self.cols, out)
     }
 
-    /// Reads a strictly increasing list of row indices into `out` (exactly
-    /// `rows.len() × cols` floats, row `rows[i]` landing at `out[i*cols..]`),
-    /// coalescing every maximal run of *adjacent* indices into one seek +
-    /// one contiguous transfer. The run count — not the row count — is what
-    /// lands in [`RowFile::io_ops`], mirroring the write-side coalescing the
-    /// pager's flush already does.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::IndexOutOfBounds`] on an out-of-range row, a
-    /// non-increasing list, or a mis-sized buffer, [`Error::Io`] on read
-    /// failure.
-    pub fn read_row_list_into(&mut self, rows: &[u32], out: &mut [f32]) -> Result<()> {
-        if out.len() != rows.len() * self.cols {
-            return Err(Error::IndexOutOfBounds {
-                context: format!(
-                    "buffer holds {} floats but {} listed rows span {}",
-                    out.len(),
-                    rows.len(),
-                    rows.len() * self.cols
-                ),
-            });
-        }
-        if rows.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(Error::IndexOutOfBounds {
-                context: "row list must be strictly increasing".into(),
-            });
-        }
-        let mut i = 0;
-        while i < rows.len() {
-            // Maximal run of consecutive indices -> one transfer.
-            let mut j = i + 1;
-            while j < rows.len() && rows[j] == rows[j - 1] + 1 {
-                j += 1;
-            }
-            let first = rows[i] as usize;
-            check_row_range(self.rows, first, j - i)?;
-            self.read_ops += 1;
-            read_floats_at(
-                &mut self.file,
-                &mut self.scratch,
-                first,
-                self.cols,
-                &mut out[i * self.cols..j * self.cols],
-            )?;
-            i = j;
-        }
-        Ok(())
-    }
-
     /// Overwrites `count` rows starting at `first` with `data` (exactly
     /// `count × cols` floats).
     ///
@@ -670,60 +620,6 @@ mod tests {
         // Failed validation issues no I/O and counts nothing.
         assert!(f.read_rows_into(7, 2, &mut out).is_err());
         assert_eq!(f.io_ops(), (1, 1));
-    }
-
-    #[test]
-    fn row_list_read_coalesces_adjacent_runs() {
-        let path = temp_path("row_file_list_read.bin");
-        let mut f = RowFile::create(&path, 12, 2).unwrap();
-        for r in 0..12 {
-            f.write_rows(r, 1, &[r as f32, -(r as f32)]).unwrap();
-        }
-        let (_, writes) = f.io_ops();
-
-        // 2,3,4 | 7 | 9,10: three maximal adjacent runs -> three transfers.
-        let rows = [2u32, 3, 4, 7, 9, 10];
-        let mut out = vec![0.0f32; rows.len() * 2];
-        f.read_rows_into(0, 1, &mut out[..2]).unwrap(); // baseline: 1 op
-        let (reads_before, _) = f.io_ops();
-        f.read_row_list_into(&rows, &mut out).unwrap();
-        assert_eq!(f.io_ops(), (reads_before + 3, writes));
-        for (i, &r) in rows.iter().enumerate() {
-            assert_eq!(out[i * 2..i * 2 + 2], [r as f32, -(r as f32)]);
-        }
-
-        // One fully adjacent list is a single transfer.
-        let rows = [5u32, 6, 7, 8];
-        let mut out = vec![0.0f32; rows.len() * 2];
-        let (reads_before, _) = f.io_ops();
-        f.read_row_list_into(&rows, &mut out).unwrap();
-        assert_eq!(f.io_ops(), (reads_before + 1, writes));
-        assert_eq!(out[0], 5.0);
-        assert_eq!(out[6], 8.0);
-
-        // A fully gapped list pays one transfer per row.
-        let rows = [0u32, 2, 4, 6];
-        let mut out = vec![0.0f32; rows.len() * 2];
-        let (reads_before, _) = f.io_ops();
-        f.read_row_list_into(&rows, &mut out).unwrap();
-        assert_eq!(f.io_ops(), (reads_before + 4, writes));
-    }
-
-    #[test]
-    fn row_list_read_validates_input() {
-        let path = temp_path("row_file_list_validate.bin");
-        let mut f = RowFile::create(&path, 6, 2).unwrap();
-        let mut out = vec![0.0f32; 4];
-        // Duplicate / descending lists are rejected.
-        assert!(f.read_row_list_into(&[3, 3], &mut out).is_err());
-        assert!(f.read_row_list_into(&[4, 2], &mut out).is_err());
-        // Out-of-range row.
-        assert!(f.read_row_list_into(&[5, 6], &mut out).is_err());
-        // Mis-sized buffer.
-        assert!(f.read_row_list_into(&[0, 1, 2], &mut out).is_err());
-        // An empty list is a no-op.
-        f.read_row_list_into(&[], &mut []).unwrap();
-        assert_eq!(f.io_ops(), (0, 0));
     }
 
     #[test]

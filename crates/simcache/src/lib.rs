@@ -179,18 +179,6 @@ impl Cache {
         }
     }
 
-    /// Whether the line holding `addr` is currently resident.
-    ///
-    /// Unlike [`Cache::access`] this neither updates LRU order nor counts
-    /// toward [`CacheStats`] — it is the probe replay-based validators use
-    /// to model side channels (e.g. a pager's prefetch staging decisions)
-    /// without perturbing the simulated reference stream.
-    pub fn contains(&self, addr: u64) -> bool {
-        let line = addr / self.config.line_bytes as u64;
-        let set_idx = (line % self.sets.len() as u64) as usize;
-        self.sets[set_idx].contains(&line)
-    }
-
     /// Accumulated counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -302,23 +290,6 @@ mod tests {
         assert_eq!(c.stats().accesses(), 4);
         c.access_range(63, 2); // straddles a boundary -> 2 lines
         assert_eq!(c.stats().accesses(), 6);
-    }
-
-    #[test]
-    fn contains_probes_without_counting_or_reordering() {
-        let mut c = tiny();
-        c.access(0);
-        c.access(256); // same set as 0 (stride = sets * line = 256)
-        assert!(c.contains(0));
-        assert!(c.contains(300)); // same line as 256
-        assert!(!c.contains(512));
-        let before = c.stats();
-        // Probing 0 must not refresh its LRU position: 512 still evicts it.
-        assert!(c.contains(0));
-        assert_eq!(c.stats(), before);
-        c.access(512);
-        assert!(!c.contains(0));
-        assert!(c.contains(256));
     }
 
     #[test]

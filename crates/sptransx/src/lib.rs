@@ -50,7 +50,6 @@ mod models;
 mod paging;
 mod scorer;
 pub mod serve;
-pub mod tasks;
 mod train;
 
 pub use model::{KgeModel, Norm, OptimizerKind, SamplerKind, TrainConfig};
@@ -63,7 +62,7 @@ pub use models::sptorus::SpTorusE;
 pub use models::sptranse::SpTransE;
 pub use models::sptransh::SpTransH;
 pub use models::sptransr::SpTransR;
-pub use paging::{FileRowStorage, Prefetcher, ReadOnlyRowStorage};
+pub use paging::{FileRowStorage, ReadOnlyRowStorage};
 pub use scorer::{ComplExScorer, RotatEScorer};
 pub use train::{Breakdown, TrainReport, Trainer};
 

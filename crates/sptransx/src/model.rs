@@ -259,34 +259,6 @@ pub trait KgeModel {
         Ok(())
     }
 
-    /// Enables (or disables) background prefetch of the next batch's
-    /// working set for models whose parameters live behind
-    /// [`tensor::RowStorage`]. With prefetch on,
-    /// [`page_in_batch`](KgeModel::page_in_batch) overlaps batch *b+1*'s
-    /// reads with batch *b*'s compute via a [`crate::Prefetcher`];
-    /// prefetching moves bytes earlier, never arithmetic, so training is
-    /// bit-identical either way. Default: error when enabling (the model
-    /// has no paged parameters to prefetch).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] if the model does not support
-    /// prefetching.
-    fn set_prefetch(&mut self, on: bool) -> Result<()> {
-        if on {
-            return Err(crate::Error::config(
-                "this model does not support paged prefetch",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Cumulative `(worker_read_time, completion_stall_time)` of the
-    /// prefetch pipeline, when one is active. Default: `None`.
-    fn prefetch_timing(&self) -> Option<(std::time::Duration, std::time::Duration)> {
-        None
-    }
-
     /// Applies per-epoch parameter constraints. Default: none.
     fn end_epoch(&mut self) {}
 }

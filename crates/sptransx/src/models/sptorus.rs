@@ -11,7 +11,6 @@ use tensor::{init, Graph, ParamId, ParamStore, Var};
 
 use crate::model::{KgeModel, Norm, TrainConfig};
 use crate::models::{build_hrt_caches, HrtCache};
-use crate::paging::Prefetcher;
 use crate::scorer::{distances_to_rows, translational_scores_into, QueryDir};
 use crate::Result;
 
@@ -40,7 +39,6 @@ pub struct SpTorusE {
     dim: usize,
     norm: Norm,
     batches: Vec<HrtCache>,
-    prefetcher: Option<Prefetcher>,
 }
 
 impl SpTorusE {
@@ -71,7 +69,6 @@ impl SpTorusE {
             dim: d,
             norm,
             batches: Vec::new(),
-            prefetcher: None,
         })
     }
 
@@ -130,35 +127,10 @@ impl KgeModel for SpTorusE {
         if !self.store.is_paged(self.emb) {
             return Ok(());
         }
-        // Same pipelined protocol as SpTransE: close the in-flight
-        // hand-off, page in (admitting staged rows), then send batch
-        // b+1's working set to the I/O worker — never across the epoch
-        // edge, so end-of-epoch flushes always find the storage home.
-        if let Some(pf) = &mut self.prefetcher {
-            let pager = self.store.pager_mut(self.emb).expect("paged above");
-            pf.complete(pager)?;
-        }
         let cache = &self.batches[batch_idx];
         let lists = [cache.pos.touched_columns(), cache.neg.touched_columns()];
         self.store.page_in(self.emb, &lists)?;
-        if batch_idx + 1 < self.batches.len() {
-            if let Some(pf) = &mut self.prefetcher {
-                let next = &self.batches[batch_idx + 1];
-                let lists = [next.pos.touched_columns(), next.neg.touched_columns()];
-                let pager = self.store.pager_mut(self.emb).expect("paged above");
-                pf.issue(pager, &lists)?;
-            }
-        }
         Ok(())
-    }
-
-    fn set_prefetch(&mut self, on: bool) -> Result<()> {
-        self.prefetcher = if on { Some(Prefetcher::new()) } else { None };
-        Ok(())
-    }
-
-    fn prefetch_timing(&self) -> Option<(std::time::Duration, std::time::Duration)> {
-        self.prefetcher.as_ref().map(Prefetcher::timing)
     }
 }
 

@@ -12,7 +12,6 @@ use tensor::{Graph, ParamId, ParamStore, Var};
 
 use crate::model::{normalize_leading_rows, KgeModel, Norm, TrainConfig};
 use crate::models::{build_hrt_caches, HrtCache};
-use crate::paging::Prefetcher;
 use crate::scorer::{distances_to_rows, translational_scores_into, QueryDir};
 use crate::Result;
 
@@ -39,7 +38,6 @@ pub struct SpTransE {
     dim: usize,
     norm: Norm,
     batches: Vec<HrtCache>,
-    prefetcher: Option<Prefetcher>,
 }
 
 impl SpTransE {
@@ -64,7 +62,6 @@ impl SpTransE {
             dim: d,
             norm: config.norm,
             batches: Vec::new(),
-            prefetcher: None,
         })
     }
 
@@ -132,39 +129,13 @@ impl KgeModel for SpTransE {
         if !self.store.is_paged(self.emb) {
             return Ok(());
         }
-        // Close the previous batch's prefetch hand-off (if one is in
-        // flight) so page_in admits the staged rows instead of reading.
-        if let Some(pf) = &mut self.prefetcher {
-            let pager = self.store.pager_mut(self.emb).expect("paged above");
-            pf.complete(pager)?;
-        }
         // The batch's working set is exactly the union of the columns its
         // two cached incidence matrices touch — known before any kernel
         // runs, so every row is pinned resident for the whole step.
         let cache = &self.batches[batch_idx];
         let lists = [cache.pos.touched_columns(), cache.neg.touched_columns()];
         self.store.page_in(self.emb, &lists)?;
-        // Issue the next batch's working set to the I/O worker; it reads
-        // while this batch trains. Never across the epoch edge, so
-        // end-of-epoch flushes always find the storage home.
-        if batch_idx + 1 < self.batches.len() {
-            if let Some(pf) = &mut self.prefetcher {
-                let next = &self.batches[batch_idx + 1];
-                let lists = [next.pos.touched_columns(), next.neg.touched_columns()];
-                let pager = self.store.pager_mut(self.emb).expect("paged above");
-                pf.issue(pager, &lists)?;
-            }
-        }
         Ok(())
-    }
-
-    fn set_prefetch(&mut self, on: bool) -> Result<()> {
-        self.prefetcher = if on { Some(Prefetcher::new()) } else { None };
-        Ok(())
-    }
-
-    fn prefetch_timing(&self) -> Option<(std::time::Duration, std::time::Duration)> {
-        self.prefetcher.as_ref().map(Prefetcher::timing)
     }
 }
 

@@ -13,20 +13,12 @@
 //!
 //! Both adapters translate `kg::Error` into `std::io::Error`, the currency
 //! of the [`RowStorage`] trait.
-//!
-//! The module also hosts [`Prefetcher`], the background I/O worker that
-//! pipelines the pager's reads: while batch *b* trains, the worker reads
-//! batch *b+1*'s non-resident working set into a staging buffer, and the
-//! pager admits those bytes at the batch edge without touching the disk.
 
 use std::io;
 use std::path::Path;
-use std::sync::mpsc;
-use std::thread;
-use std::time::{Duration, Instant};
 
 use kg::stream::{EmbeddingStore, RowFile};
-use tensor::{Pager, RowStorage};
+use tensor::RowStorage;
 
 use crate::Result;
 
@@ -143,259 +135,5 @@ impl RowStorage for ReadOnlyRowStorage {
             io::ErrorKind::Unsupported,
             "embedding store opened read-only; serving never writes rows back",
         ))
-    }
-}
-
-/// A prefetch request: the lent storage plus recycled row/byte buffers.
-struct Job {
-    storage: Box<dyn RowStorage>,
-    rows: Vec<u32>,
-    buf: Vec<f32>,
-}
-
-/// The worker's reply: everything comes back, plus the read outcome.
-struct Done {
-    storage: Box<dyn RowStorage>,
-    rows: Vec<u32>,
-    buf: Vec<f32>,
-    result: io::Result<()>,
-    read_time: Duration,
-}
-
-/// Background prefetcher for the demand pager: **one** dedicated I/O worker
-/// (deliberately not a pool fan-out — paging already runs under the data-
-/// parallel driver, and nested fan-out deadlocks the fixed-size pool).
-///
-/// The protocol is a strict double-buffered hand-off around
-/// [`tensor::Pager`]'s lending API, at most one request in flight:
-///
-/// 1. [`Prefetcher::issue`] — [`Pager::begin_prefetch`] computes the next
-///    batch's non-resident working set and lends out the backing storage;
-///    both cross the channel to the worker, which reads the rows (runs of
-///    adjacent rows coalesce into single transfers) while training
-///    continues.
-/// 2. [`Prefetcher::complete`] — blocks until the worker replies (the stall
-///    is counted), then [`Pager::finish_prefetch`] returns the storage and
-///    installs the staged bytes for the next `ensure` to admit. If the read
-///    failed, [`Pager::reclaim_storage`] returns the storage before the
-///    error propagates, so the pager is never left storage-less.
-///
-/// Prefetching moves bytes earlier, never arithmetic: staged bytes only
-/// change *where* a missed row's data comes from, so hit/miss/eviction
-/// decisions — and therefore training results — are bit-identical with the
-/// prefetcher on or off.
-///
-/// Row and data buffers shuttle between the two ends and are recycled, so
-/// the steady state allocates nothing.
-#[derive(Debug)]
-pub struct Prefetcher {
-    to_worker: Option<mpsc::Sender<Job>>,
-    from_worker: mpsc::Receiver<Done>,
-    worker: Option<thread::JoinHandle<()>>,
-    pending: bool,
-    spare_rows: Vec<u32>,
-    spare_buf: Vec<f32>,
-    read_time: Duration,
-    stall_time: Duration,
-}
-
-impl Prefetcher {
-    /// Spawns the I/O worker thread.
-    pub fn new() -> Self {
-        let (to_worker, job_rx) = mpsc::channel::<Job>();
-        let (done_tx, from_worker) = mpsc::channel::<Done>();
-        let worker = thread::Builder::new()
-            .name("sptx-prefetch".into())
-            .spawn(move || {
-                while let Ok(mut job) = job_rx.recv() {
-                    let start = Instant::now();
-                    let result = job.storage.read_row_list_into(&job.rows, &mut job.buf);
-                    let done = Done {
-                        storage: job.storage,
-                        rows: job.rows,
-                        buf: job.buf,
-                        result,
-                        read_time: start.elapsed(),
-                    };
-                    if done_tx.send(done).is_err() {
-                        break; // receiver gone: shutting down
-                    }
-                }
-            })
-            .expect("spawn prefetch worker");
-        Self {
-            to_worker: Some(to_worker),
-            from_worker,
-            worker: Some(worker),
-            pending: false,
-            spare_rows: Vec::new(),
-            spare_buf: Vec::new(),
-            read_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-        }
-    }
-
-    /// Whether a request is in flight (issued but not completed).
-    pub fn pending(&self) -> bool {
-        self.pending
-    }
-
-    /// Hands the next batch's working-set lists to the worker.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Pager::begin_prefetch`] failures (storage already lent
-    /// or staged rows pending — both protocol misuse).
-    pub fn issue(&mut self, pager: &mut Pager, lists: &[&[u32]]) -> Result<()> {
-        let mut rows = std::mem::take(&mut self.spare_rows);
-        let storage = match pager.begin_prefetch(lists, &mut rows) {
-            Ok(s) => s,
-            Err(e) => {
-                self.spare_rows = rows;
-                return Err(e.into());
-            }
-        };
-        let mut buf = std::mem::take(&mut self.spare_buf);
-        buf.clear();
-        buf.resize(rows.len() * pager.cols(), 0.0);
-        self.to_worker
-            .as_ref()
-            .expect("worker channel open until drop")
-            .send(Job { storage, rows, buf })
-            .expect("prefetch worker alive");
-        self.pending = true;
-        Ok(())
-    }
-
-    /// Waits for the in-flight request (no-op when none is pending) and
-    /// closes the hand-off: storage goes home and the staged rows install
-    /// for the next `ensure` to admit. Time spent blocked here is the
-    /// pipeline's residual stall — zero when compute fully hid the read.
-    ///
-    /// # Errors
-    ///
-    /// Returns the worker's read error, after the storage has been safely
-    /// reclaimed into the pager.
-    pub fn complete(&mut self, pager: &mut Pager) -> Result<()> {
-        if !self.pending {
-            return Ok(());
-        }
-        self.pending = false;
-        let wait = Instant::now();
-        let done = self.from_worker.recv().expect("prefetch worker alive");
-        self.stall_time += wait.elapsed();
-        self.read_time += done.read_time;
-        let result = match done.result {
-            Ok(()) => pager.finish_prefetch(done.storage, &done.rows, &done.buf),
-            Err(e) => {
-                pager.reclaim_storage(done.storage);
-                Err(tensor::Error::Storage {
-                    context: format!("prefetch read failed: {e}"),
-                })
-            }
-        };
-        self.spare_rows = done.rows;
-        self.spare_buf = done.buf;
-        result?;
-        Ok(())
-    }
-
-    /// Cumulative `(worker_read_time, completion_stall_time)` — the I/O the
-    /// worker did off the training thread, and how much of it the training
-    /// thread still waited for. Their difference is the overlap won.
-    pub fn timing(&self) -> (Duration, Duration) {
-        (self.read_time, self.stall_time)
-    }
-}
-
-impl Default for Prefetcher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for Prefetcher {
-    fn drop(&mut self) {
-        // Closing the job channel ends the worker's recv loop. An in-flight
-        // reply (and the storage box inside it) drops with the receiver —
-        // only reachable when the owning model, pager and all, is being
-        // dropped too.
-        self.to_worker.take();
-        if let Some(h) = self.worker.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tensor::VecStorage;
-
-    fn seeded_storage(rows: usize, cols: usize) -> Box<dyn RowStorage> {
-        let mut s = VecStorage::new(rows, cols);
-        let mut data = vec![0.0f32; rows * cols];
-        for (i, x) in data.iter_mut().enumerate() {
-            *x = i as f32;
-        }
-        s.write_rows(0, rows, &data).unwrap();
-        Box::new(s)
-    }
-
-    #[test]
-    fn prefetcher_round_trip_stages_rows() {
-        let mut pager = Pager::new(seeded_storage(16, 2), 6);
-        let mut cache = vec![0.0f32; 6 * 2];
-        let mut pf = Prefetcher::new();
-        assert!(!pf.pending());
-        pf.issue(&mut pager, &[&[3, 4], &[9]]).unwrap();
-        assert!(pf.pending());
-        // Double-issue is protocol misuse: the storage is already lent.
-        assert!(pf.issue(&mut pager, &[&[5]]).is_err());
-        pf.complete(&mut pager).unwrap();
-        assert!(!pf.pending());
-        // Completing again is a no-op.
-        pf.complete(&mut pager).unwrap();
-        let io_before = pager.storage_io_ops();
-        pager.ensure(&[3, 4, 9], &mut cache).unwrap();
-        assert_eq!(pager.storage_io_ops(), io_before, "all misses admitted");
-        let ps = pager.prefetch_stats();
-        assert_eq!(ps.staged, 3);
-        assert_eq!(ps.admitted, 3);
-        let s = pager.slot(9);
-        assert_eq!(cache[s * 2..s * 2 + 2], [18.0, 19.0]);
-    }
-
-    #[test]
-    fn prefetcher_trains_identically_to_sync_paging() {
-        let seqs: [&[u32]; 4] = [&[0, 1, 2], &[2, 3, 10], &[0, 10, 14], &[5, 6, 7]];
-        let mut sync_pager = Pager::new(seeded_storage(16, 1), 5);
-        let mut sync_cache = vec![0.0f32; 5];
-        for s in &seqs {
-            sync_pager.ensure(s, &mut sync_cache).unwrap();
-        }
-        let mut pager = Pager::new(seeded_storage(16, 1), 5);
-        let mut cache = vec![0.0f32; 5];
-        let mut pf = Prefetcher::new();
-        for (i, s) in seqs.iter().enumerate() {
-            pf.complete(&mut pager).unwrap();
-            pager.ensure(s, &mut cache).unwrap();
-            if i + 1 < seqs.len() {
-                pf.issue(&mut pager, &[seqs[i + 1]]).unwrap();
-            }
-        }
-        assert_eq!(sync_pager.stats(), pager.stats());
-        assert_eq!(sync_cache, cache);
-        let ps = pager.prefetch_stats();
-        assert_eq!(ps.admitted + ps.demand_loads, pager.stats().misses);
-        assert_eq!(ps.admitted + ps.wasted, ps.staged);
-    }
-
-    #[test]
-    fn dropping_with_pending_request_does_not_hang() {
-        let mut pager = Pager::new(seeded_storage(8, 1), 4);
-        let mut pf = Prefetcher::new();
-        pf.issue(&mut pager, &[&[1, 2]]).unwrap();
-        drop(pf); // joins the worker; pending reply drops with the receiver
     }
 }

@@ -10,7 +10,7 @@ use tensor::optim::{Optimizer, StepLr};
 use tensor::{memory, Graph};
 use xparallel::PoolHandle;
 
-use crate::model::{KgeModel, SamplerKind, TrainConfig};
+use crate::model::{KgeModel, OptimizerKind, SamplerKind, TrainConfig};
 use crate::Result;
 
 /// Accumulated wall-clock time of the three training phases the paper
@@ -93,6 +93,10 @@ pub struct Trainer<M: KgeModel> {
     config: TrainConfig,
     num_batches: usize,
     optimizer: Box<dyn Optimizer>,
+    /// The built-in optimizer in use when it keeps dense per-row state
+    /// (Adagrad, Adam) and therefore cannot step a paged parameter; `None`
+    /// for SGD and for custom optimizers, which answer for themselves.
+    dense_row_state: Option<OptimizerKind>,
     scheduler: Option<StepLr>,
     pool: PoolHandle,
     /// One long-lived tape, [`Graph::reset`] per batch: its arena serves
@@ -159,6 +163,7 @@ impl<M: KgeModel> Trainer<M> {
             model,
             config: config.clone(),
             optimizer: config.optimizer.build(config.lr),
+            dense_row_state: (config.optimizer != OptimizerKind::Sgd).then_some(config.optimizer),
             scheduler,
             pool: PoolHandle::global(),
             graph,
@@ -189,6 +194,7 @@ impl<M: KgeModel> Trainer<M> {
     pub fn with_optimizer(mut self, optimizer: impl Optimizer + 'static) -> Self {
         self.optimizer = Box::new(optimizer);
         self.optimizer.set_pool(&self.pool);
+        self.dense_row_state = None;
         self
     }
 
@@ -210,13 +216,23 @@ impl<M: KgeModel> Trainer<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::Error::Config`] if the attached plan has no batches:
-    /// a 0-batch epoch would otherwise silently report loss 0.
+    /// Returns [`crate::Error::Config`] if the attached plan has no batches
+    /// (a 0-batch epoch would otherwise silently report loss 0), or if a
+    /// parameter is paged out while the optimizer is Adagrad or Adam (their
+    /// per-row state is a dense table the row cache cannot page).
     pub fn run_epochs(&mut self, epochs: usize) -> Result<TrainReport> {
         if self.num_batches == 0 {
             return Err(crate::Error::config(
                 "batch plan has no batches (empty training set?); refusing to report 0-batch epochs as loss 0",
             ));
+        }
+        if let Some(kind) = self
+            .dense_row_state
+            .filter(|_| self.model.store().has_paged())
+        {
+            return Err(crate::Error::config(format!(
+                "{kind:?} does not support paged parameters; use SGD with --store disk"
+            )));
         }
         let wall_start = Instant::now();
         let mem_scope = memory::MemoryScope::start();

@@ -279,39 +279,6 @@ fn steady_state_training_step_is_allocation_free_and_bit_identical() {
             trace.param_bits, resident.param_bits,
             "[paged/evict] eviction + write-back changed an embedding bit"
         );
-
-        // With background prefetch on top: the staging hand-off recycles its
-        // row/byte buffers between the training thread and the I/O worker,
-        // so the steady-state batch stays flat (the prefetcher's own
-        // buffers are not tensor allocations, and admission copies staged
-        // bytes straight into existing cache slots). Bits still match.
-        let mut model = SpTransE::from_config(&ds, &cfg).unwrap();
-        let emb = model.embedding_param();
-        model
-            .store_mut()
-            .page_out(
-                emb,
-                Box::new(tensor::VecStorage::new(rows, cols)),
-                rows / 2 + 8,
-            )
-            .unwrap();
-        model.set_prefetch(true).unwrap();
-        let trace = run_traced(model, &small_plan, &cfg, PoolHandle::sequential(), false);
-        assert!(trace.evictions > 0, "prefetch arm must still evict");
-        assert_flat_from_batch_2(
-            &trace,
-            small_batches,
-            small_uniform,
-            "SpTransE [paged/prefetch]",
-        );
-        assert_eq!(
-            trace.loss_bits, resident.loss_bits,
-            "[paged/prefetch] background prefetch changed a loss bit"
-        );
-        assert_eq!(
-            trace.param_bits, resident.param_bits,
-            "[paged/prefetch] background prefetch changed an embedding bit"
-        );
     }
 
     // The same contract holds through the public Trainer API: after a

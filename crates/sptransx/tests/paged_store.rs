@@ -17,7 +17,7 @@
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
 use sptransx::{FileRowStorage, KgeModel, OptimizerKind, SpTorusE, SpTransE, TrainConfig, Trainer};
-use tensor::{PageStats, PrefetchStats, RowStorage, VecStorage};
+use tensor::{PageStats, RowStorage, VecStorage};
 
 fn dataset() -> Dataset {
     SyntheticKgBuilder::new(200, 4)
@@ -47,9 +47,18 @@ struct Run {
     losses: Vec<f32>,
 }
 
-fn train_resident(ds: &Dataset, cfg: &TrainConfig) -> Run {
-    let model = SpTransE::from_config(ds, cfg).unwrap();
-    let emb = model.embedding_param();
+/// Fully resident training run over any model family with an `embeddings`
+/// table.
+fn train_resident_model<M: KgeModel>(
+    ds: &Dataset,
+    cfg: &TrainConfig,
+    ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+) -> Run {
+    let model = ctor(ds, cfg).unwrap();
+    let emb = model
+        .store()
+        .lookup("embeddings")
+        .expect("embeddings table");
     let mut trainer = Trainer::new(model, ds, cfg).unwrap();
     let report = trainer.run().unwrap();
     let model = trainer.into_model();
@@ -59,35 +68,53 @@ fn train_resident(ds: &Dataset, cfg: &TrainConfig) -> Run {
     }
 }
 
-/// Trains with the table paged out to `storage`, returning the run plus the
-/// pager's counters and row trace (collected before unpaging).
-fn train_paged(
+fn train_resident(ds: &Dataset, cfg: &TrainConfig) -> Run {
+    train_resident_model(ds, cfg, SpTransE::from_config)
+}
+
+/// Trains any model family with its `embeddings` table paged out to
+/// `storage`, returning the run plus the pager's counters and row trace
+/// (collected before unpaging).
+fn train_paged_model<M: KgeModel>(
     ds: &Dataset,
     cfg: &TrainConfig,
     storage: Box<dyn RowStorage>,
     budget: usize,
-) -> (Run, PageStats, Vec<u32>) {
-    let model = SpTransE::from_config(ds, cfg).unwrap();
-    let emb = model.embedding_param();
-    let mut trainer = Trainer::new(model, ds, cfg).unwrap();
+    ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+) -> sptransx::Result<(Run, PageStats, Vec<u32>)> {
+    let model = ctor(ds, cfg)?;
+    let emb = model
+        .store()
+        .lookup("embeddings")
+        .expect("embeddings table");
+    let mut trainer = Trainer::new(model, ds, cfg)?;
     let store = trainer.model_mut().store_mut();
-    store.page_out(emb, storage, budget).unwrap();
+    store.page_out(emb, storage, budget)?;
     store.pager_mut(emb).unwrap().set_tracing(true);
-    let report = trainer.run().unwrap();
+    let report = trainer.run()?;
     let store = trainer.model_mut().store_mut();
     let pager = store.pager(emb).unwrap();
     let stats = pager.stats();
     let trace = pager.trace().unwrap().to_vec();
-    store.unpage(emb).unwrap();
+    store.unpage(emb)?;
     let model = trainer.into_model();
-    (
+    Ok((
         Run {
             embeddings: model.store().value(emb).as_slice().to_vec(),
             losses: report.epoch_losses,
         },
         stats,
         trace,
-    )
+    ))
+}
+
+fn train_paged(
+    ds: &Dataset,
+    cfg: &TrainConfig,
+    storage: Box<dyn RowStorage>,
+    budget: usize,
+) -> (Run, PageStats, Vec<u32>) {
+    train_paged_model(ds, cfg, storage, budget, SpTransE::from_config).unwrap()
 }
 
 fn assert_bits_equal(a: &[f32], b: &[f32], what: &str) {
@@ -117,111 +144,14 @@ fn simcache_replay(trace: &[u32], budget: usize) -> simcache::CacheStats {
     sim.stats()
 }
 
-/// Everything a traced prefetch run leaves behind, alongside the [`Run`].
-struct PagedTrace {
-    stats: PageStats,
-    pstats: PrefetchStats,
-    trace: Vec<u32>,
-    call_lens: Vec<u32>,
-    prefetch_events: Vec<(u32, Vec<u32>)>,
-}
-
-/// Generic paged training run over any model family with an `embeddings`
-/// table, optionally with the background prefetch pipeline enabled.
-fn train_paged_model<M: KgeModel>(
-    ds: &Dataset,
-    cfg: &TrainConfig,
-    storage: Box<dyn RowStorage>,
-    budget: usize,
-    prefetch: bool,
-    ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
-) -> sptransx::Result<(Run, PagedTrace)> {
-    let model = ctor(ds, cfg)?;
-    let emb = model
-        .store()
-        .lookup("embeddings")
-        .expect("embeddings table");
-    let mut trainer = Trainer::new(model, ds, cfg)?;
-    let store = trainer.model_mut().store_mut();
-    store.page_out(emb, storage, budget)?;
-    store.pager_mut(emb).unwrap().set_tracing(true);
-    if prefetch {
-        trainer.model_mut().set_prefetch(true)?;
-    }
-    let report = trainer.run()?;
-    let store = trainer.model_mut().store_mut();
-    let pager = store.pager(emb).unwrap();
-    let paged_trace = PagedTrace {
-        stats: pager.stats(),
-        pstats: pager.prefetch_stats(),
-        trace: pager.trace().unwrap().to_vec(),
-        call_lens: pager.trace_call_lens().to_vec(),
-        prefetch_events: pager.trace_prefetch_events().to_vec(),
-    };
-    store.unpage(emb)?;
-    let model = trainer.into_model();
-    Ok((
-        Run {
-            embeddings: model.store().value(emb).as_slice().to_vec(),
-            losses: report.epoch_losses,
-        },
-        paged_trace,
-    ))
-}
-
-/// The extended simcache replay: re-derives the pager's prefetch staging
-/// decisions from the recorded request log and the simulated residency
-/// alone (via the non-mutating `contains` probe), mirroring the CLI's
-/// validation. Returns the cache stats plus
-/// `(staged, admitted, demand_loads, wasted)`.
-fn simcache_prefetch_replay(
-    t: &PagedTrace,
-    budget: usize,
-) -> (simcache::CacheStats, PrefetchStats) {
-    let mut sim = simcache::Cache::new(simcache::CacheConfig {
-        size_bytes: budget * 64,
-        line_bytes: 64,
-        ways: budget,
-    });
-    let mut out = PrefetchStats::default();
-    let mut staged: Vec<u32> = Vec::new();
-    let mut used: Vec<bool> = Vec::new();
-    let mut events = t.prefetch_events.iter().peekable();
-    let mut pos = 0usize;
-    for (call, &len) in t.call_lens.iter().enumerate() {
-        while let Some((at_call, requested)) = events.peek() {
-            if *at_call as usize != call {
-                break;
-            }
-            staged.clear();
-            staged.extend(
-                requested
-                    .iter()
-                    .copied()
-                    .filter(|&r| !sim.contains(u64::from(r) * 64)),
-            );
-            used.clear();
-            used.resize(staged.len(), false);
-            out.staged += staged.len() as u64;
-            events.next();
-        }
-        for &row in &t.trace[pos..pos + len as usize] {
-            if sim.access(u64::from(row) * 64) == simcache::Access::Miss {
-                match staged.binary_search(&row) {
-                    Ok(i) => {
-                        out.admitted += 1;
-                        used[i] = true;
-                    }
-                    Err(_) => out.demand_loads += 1,
-                }
-            }
-        }
-        pos += len as usize;
-        out.wasted += used.iter().filter(|&&u| !u).count() as u64;
-        staged.clear();
-        used.clear();
-    }
-    (sim.stats(), out)
+/// A scratch pagefile for one test (the process id keeps concurrent test
+/// binaries apart).
+fn temp_table(tag: &str, rows: usize, cols: usize) -> (std::path::PathBuf, Box<dyn RowStorage>) {
+    let dir = std::env::temp_dir().join("sptx-paged-store-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}_{}.bin", std::process::id()));
+    let storage = FileRowStorage::create(&path, rows, cols).unwrap();
+    (path, Box::new(storage))
 }
 
 #[test]
@@ -243,11 +173,8 @@ fn paged_training_is_bit_identical_to_resident_file_backend() {
     let ds = dataset();
     let cfg = config();
     let resident = train_resident(&ds, &cfg);
-    let dir = std::env::temp_dir().join("sptx-paged-store-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("table_{}.bin", std::process::id()));
-    let storage = FileRowStorage::create(&path, 204, cfg.dim).unwrap();
-    let (paged, stats, _) = train_paged(&ds, &cfg, Box::new(storage), BUDGET);
+    let (path, storage) = temp_table("table", 204, cfg.dim);
+    let (paged, stats, _) = train_paged(&ds, &cfg, storage, BUDGET);
     std::fs::remove_file(&path).ok();
     assert_eq!(paged.losses, resident.losses, "per-epoch losses diverged");
     assert_bits_equal(&paged.embeddings, &resident.embeddings, "embeddings");
@@ -345,22 +272,37 @@ fn page_out_rejects_invalid_configurations() {
 }
 
 #[test]
-#[should_panic(expected = "does not support paged parameters")]
-fn adagrad_refuses_paged_parameters() {
+fn dense_state_optimizers_refuse_paged_parameters() {
+    // Adagrad and Adam keep a dense per-row state table the row cache
+    // cannot page: the trainer returns a typed error before the first step
+    // instead of reaching the optimizers' last-resort asserts.
     let ds = dataset();
-    let cfg = TrainConfig {
-        optimizer: OptimizerKind::Adagrad,
-        ..config()
-    };
-    let model = SpTransE::from_config(&ds, &cfg).unwrap();
-    let emb = model.embedding_param();
-    let mut trainer = Trainer::new(model, &ds, &cfg).unwrap();
-    trainer
-        .model_mut()
-        .store_mut()
-        .page_out(emb, Box::new(VecStorage::new(204, cfg.dim)), BUDGET)
-        .unwrap();
-    let _ = trainer.run();
+    for optimizer in [OptimizerKind::Adagrad, OptimizerKind::Adam] {
+        let cfg = TrainConfig {
+            optimizer,
+            ..config()
+        };
+        let model = SpTransE::from_config(&ds, &cfg).unwrap();
+        let emb = model.embedding_param();
+        let mut trainer = Trainer::new(model, &ds, &cfg).unwrap();
+        trainer
+            .model_mut()
+            .store_mut()
+            .page_out(emb, Box::new(VecStorage::new(204, cfg.dim)), BUDGET)
+            .unwrap();
+        let err = trainer
+            .run()
+            .expect_err("paged parameters need a stateless optimizer");
+        assert!(
+            matches!(err, sptransx::Error::Config { .. }),
+            "{optimizer:?}: expected a configuration error, got {err:?}"
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("{optimizer:?} does not support paged parameters")),
+            "{optimizer:?}: unexpected message: {msg}"
+        );
+    }
 }
 
 #[test]
@@ -465,133 +407,102 @@ fn file_backend_coalesces_io_transfers_below_per_row_counts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn prefetch_is_bit_identical_across_paged_model_families() {
-    // `--prefetch true` ≡ `--prefetch false` ≡ resident, for both paged
-    // model families, over both storage backends. The whole suite reruns
-    // under SPTX_NUM_THREADS ∈ {1, 4} in CI, covering the thread-count leg.
-    let ds = dataset();
-    let cfg = config();
-
-    // SpTransE, in-RAM backend.
-    let resident = train_resident(&ds, &cfg);
-    let (sync, sync_t) = train_paged_model(
-        &ds,
-        &cfg,
-        Box::new(VecStorage::new(204, cfg.dim)),
-        BUDGET,
-        false,
-        SpTransE::from_config,
-    )
-    .unwrap();
-    let (pf, pf_t) = train_paged_model(
-        &ds,
-        &cfg,
-        Box::new(VecStorage::new(204, cfg.dim)),
-        BUDGET,
-        true,
-        SpTransE::from_config,
-    )
-    .unwrap();
-    assert_eq!(pf.losses, sync.losses, "transe: losses diverged");
-    assert_bits_equal(&pf.embeddings, &sync.embeddings, "transe: prefetch vs sync");
-    assert_bits_equal(
-        &pf.embeddings,
-        &resident.embeddings,
-        "transe: prefetch vs resident",
-    );
-    // Staged bytes change where data comes from, never what the cache
-    // decides: the decision stream (and therefore PageStats) is identical.
-    assert_eq!(
-        pf_t.stats, sync_t.stats,
-        "transe: prefetch changed a paging decision"
-    );
-    assert_eq!(
-        pf_t.trace, sync_t.trace,
-        "transe: prefetch changed the access trace"
-    );
-    assert!(pf_t.pstats.admitted > 0, "prefetch never admitted a row");
-    assert!(
-        pf_t.stats.evictions > 0,
-        "budget too loose to prove anything"
-    );
-
-    // SpTransE, file backend (the worker really reads from disk).
-    let dir = std::env::temp_dir().join("sptx-prefetch-store-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("pf_{}.bin", std::process::id()));
-    let storage = FileRowStorage::create(&path, 204, cfg.dim).unwrap();
-    let (pf_file, pf_file_t) = train_paged_model(
-        &ds,
-        &cfg,
-        Box::new(storage),
-        BUDGET,
-        true,
-        SpTransE::from_config,
-    )
-    .unwrap();
+/// Paged over the in-RAM and the file back end at `budget`: both must match
+/// `resident` bit for bit, agree with each other on every paging decision,
+/// and match the simcache LRU replay of their own trace. Returns the
+/// (shared) counters.
+fn assert_paged_matches_resident<M: KgeModel>(
+    what: &str,
+    ds: &Dataset,
+    cfg: &TrainConfig,
+    budget: usize,
+    resident: &Run,
+    ctor: impl Fn(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+) -> PageStats {
+    let vec = Box::new(VecStorage::new(204, cfg.dim));
+    let (in_ram, stats, trace) = train_paged_model(ds, cfg, vec, budget, &ctor).unwrap();
+    let (path, file) = temp_table(what, 204, cfg.dim);
+    let on_disk = train_paged_model(ds, cfg, file, budget, &ctor);
     std::fs::remove_file(&path).ok();
-    assert_bits_equal(
-        &pf_file.embeddings,
-        &resident.embeddings,
-        "transe/file: prefetch vs resident",
-    );
-    assert!(pf_file_t.pstats.admitted > 0);
+    let (on_disk, file_stats, file_trace) = on_disk.unwrap();
 
-    // SpTorusE (the other paged family).
-    let torus_cfg = cfg.clone();
-    let torus_resident = {
-        let model = SpTorusE::from_config(&ds, &torus_cfg).unwrap();
-        let emb = model.embedding_param();
-        let mut trainer = Trainer::new(model, &ds, &torus_cfg).unwrap();
-        let report = trainer.run().unwrap();
-        let model = trainer.into_model();
-        Run {
-            embeddings: model.store().value(emb).as_slice().to_vec(),
-            losses: report.epoch_losses,
-        }
-    };
-    let (torus_pf, torus_t) = train_paged_model(
-        &ds,
-        &torus_cfg,
-        Box::new(VecStorage::new(204, torus_cfg.dim)),
-        BUDGET,
-        true,
-        SpTorusE::from_config,
-    )
-    .unwrap();
+    assert_eq!(in_ram.losses, resident.losses, "{what}: losses diverged");
+    assert_bits_equal(
+        &in_ram.embeddings,
+        &resident.embeddings,
+        &format!("{what}: Vec-paged vs resident"),
+    );
     assert_eq!(
-        torus_pf.losses, torus_resident.losses,
-        "toruse: losses diverged"
+        on_disk.losses, resident.losses,
+        "{what}/file: losses diverged"
     );
     assert_bits_equal(
-        &torus_pf.embeddings,
-        &torus_resident.embeddings,
-        "toruse: prefetch vs resident",
+        &on_disk.embeddings,
+        &resident.embeddings,
+        &format!("{what}: File-paged vs resident"),
     );
-    assert!(torus_t.pstats.admitted > 0);
+    // The back end changes where bytes live, never what the cache decides.
+    assert_eq!(
+        file_stats, stats,
+        "{what}: back end changed a paging decision"
+    );
+    assert_eq!(
+        file_trace, trace,
+        "{what}: back end changed the access trace"
+    );
+    let sim = simcache_replay(&trace, budget);
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (sim.hits, sim.misses),
+        "{what}: counters diverge from the LRU model"
+    );
+    stats
 }
 
 #[test]
-fn prefetch_is_bit_identical_under_eviction_pressure() {
-    // Budget barely above the working set: admissions constantly trigger
-    // evictions of freshly staged-and-used rows, the hardest interleaving
-    // for the staging/write-back interaction.
+fn paged_training_is_bit_identical_across_model_families() {
+    // Paged ≡ resident for both paged model families, over both storage
+    // back ends. The whole suite reruns under SPTX_NUM_THREADS ∈ {1, 4} in
+    // CI, covering the thread-count leg.
+    let ds = dataset();
+    let cfg = config();
+    let resident = train_resident(&ds, &cfg);
+    let stats = assert_paged_matches_resident(
+        "transe",
+        &ds,
+        &cfg,
+        BUDGET,
+        &resident,
+        SpTransE::from_config,
+    );
+    assert!(stats.evictions > 0, "budget too loose to prove anything");
+
+    let resident = train_resident_model(&ds, &cfg, SpTorusE::from_config);
+    let stats = assert_paged_matches_resident(
+        "toruse",
+        &ds,
+        &cfg,
+        BUDGET,
+        &resident,
+        SpTorusE::from_config,
+    );
+    assert!(stats.evictions > 0 && stats.write_backs > 0);
+}
+
+#[test]
+fn paged_training_is_bit_identical_under_eviction_pressure() {
+    // Budget barely above the working set: nearly every miss evicts a row
+    // the previous batches just dirtied, the hardest interleaving for the
+    // write-back / reload path.
     let ds = dataset();
     let cfg = config();
     // Find the tightest budget that can pin every batch's working set (the
-    // pager hard-errors below it), then run both arms exactly there.
+    // pager hard-errors below it), then run every arm exactly there.
     let mut budget = 40;
-    let sync = loop {
-        match train_paged_model(
-            &ds,
-            &cfg,
-            Box::new(VecStorage::new(204, cfg.dim)),
-            budget,
-            false,
-            SpTransE::from_config,
-        ) {
-            Ok(run) => break run,
+    loop {
+        let vec = Box::new(VecStorage::new(204, cfg.dim));
+        match train_paged_model(&ds, &cfg, vec, budget, SpTransE::from_config) {
+            Ok(_) => break,
             Err(e) => {
                 assert!(
                     e.to_string().contains("cache budget"),
@@ -601,71 +512,18 @@ fn prefetch_is_bit_identical_under_eviction_pressure() {
                 assert!(budget <= 204, "never found a workable budget");
             }
         }
-    };
-    let (pf, pf_t) = train_paged_model(
+    }
+    let resident = train_resident(&ds, &cfg);
+    let stats = assert_paged_matches_resident(
+        "pressure",
         &ds,
         &cfg,
-        Box::new(VecStorage::new(204, cfg.dim)),
         budget,
-        true,
+        &resident,
         SpTransE::from_config,
-    )
-    .unwrap();
-    assert_eq!(pf.losses, sync.0.losses, "pressure: losses diverged");
-    assert_bits_equal(
-        &pf.embeddings,
-        &sync.0.embeddings,
-        "pressure: prefetch vs sync",
-    );
-    assert_eq!(
-        pf_t.stats, sync.1.stats,
-        "pressure: decision streams diverged"
     );
     assert!(
-        budget < BUDGET && pf_t.stats.evictions > 0,
-        "budget {budget} not tight enough: {} evictions",
-        pf_t.stats.evictions,
-    );
-    assert!(pf_t.pstats.admitted > 0);
-}
-
-#[test]
-fn prefetch_counters_match_extended_simcache_replay_exactly() {
-    let ds = dataset();
-    let cfg = config();
-    let (_, t) = train_paged_model(
-        &ds,
-        &cfg,
-        Box::new(VecStorage::new(204, cfg.dim)),
-        BUDGET,
-        true,
-        SpTransE::from_config,
-    )
-    .unwrap();
-    // Internal consistency first.
-    assert_eq!(
-        t.pstats.admitted + t.pstats.demand_loads,
-        t.stats.misses,
-        "every miss is either admitted from staging or demand-loaded"
-    );
-    assert_eq!(
-        t.pstats.admitted + t.pstats.wasted,
-        t.pstats.staged,
-        "every staged row is either consumed or wasted"
-    );
-    assert!(
-        !t.prefetch_events.is_empty(),
-        "no prefetch requests recorded"
-    );
-    // The independent model re-derives every counter from the request log.
-    let (sim_stats, sim_pstats) = simcache_prefetch_replay(&t, BUDGET);
-    assert_eq!(
-        (sim_stats.hits, sim_stats.misses),
-        (t.stats.hits, t.stats.misses),
-        "hit/miss replay diverged"
-    );
-    assert_eq!(
-        sim_pstats, t.pstats,
-        "prefetch counters diverged from the extended replay"
+        budget < BUDGET && stats.evictions > 0 && stats.write_backs > 0,
+        "budget {budget} not tight enough: {stats:?}",
     );
 }

@@ -69,7 +69,7 @@ pub mod kernels {
     pub use crate::graph::scatter_add_rows;
 }
 pub use hogwild::SharedTable;
-pub use paged::{PageStats, Pager, PrefetchStats, RowStorage, VecStorage};
+pub use paged::{PageStats, Pager, RowStorage, VecStorage};
 pub use store::{ParamId, ParamStore, RowSet, TableView};
 pub use tensor::Tensor;
 

@@ -26,24 +26,6 @@
 //! `simcache` model replaying the recorded row trace (the same
 //! first-principles validation idiom the serving layer uses for its query
 //! cache).
-//!
-//! # Prefetch staging
-//!
-//! Because a batch's working set is known a whole batch in advance, the
-//! pager supports a double-buffered hand-off: [`Pager::begin_prefetch`]
-//! lends the backing storage to a caller-owned I/O worker together with the
-//! next working set's non-resident rows, the worker reads them into a
-//! staging buffer while the current batch computes, and
-//! [`Pager::finish_prefetch`] returns the storage and installs the staged
-//! bytes. The next [`Pager::ensure`] then *admits* staged rows into their
-//! cache slots instead of reading the backing store. Staging changes only
-//! where a missed row's bytes come from — hit/miss/eviction decisions, LRU
-//! order, and [`PageStats`] are bit-identical with prefetch on or off, and
-//! a staged row is only ever copied into a slot assigned to a **miss**, so
-//! it can never clobber a dirtier resident copy (hits leave cache bytes
-//! untouched; an erroneously staged resident row is simply counted wasted).
-//! The [`PrefetchStats`] counters are themselves replay-exact against a
-//! simcache model extended with the recorded prefetch events.
 
 use crate::Tensor;
 
@@ -97,40 +79,6 @@ pub trait RowStorage: Send + std::fmt::Debug {
     /// tracking report `(0, 0)` (the default).
     fn io_ops(&self) -> (u64, u64) {
         (0, 0)
-    }
-    /// Reads a strictly increasing list of row indices into `out` (exactly
-    /// `rows.len() * cols` elements, row `rows[i]` landing at
-    /// `out[i * cols ..]`), coalescing every maximal run of *adjacent*
-    /// indices into one [`RowStorage::read_rows_into`] transfer — the
-    /// scattered-read mirror of the pager's write-side flush coalescing,
-    /// and the call a prefetch worker uses to stage a working set.
-    ///
-    /// # Errors
-    ///
-    /// A mis-sized buffer, plus whatever the per-run reads return.
-    fn read_row_list_into(&mut self, rows: &[u32], out: &mut [f32]) -> std::io::Result<()> {
-        let cols = self.cols();
-        if out.len() != rows.len() * cols {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "buffer holds {} floats but {} listed rows span {}",
-                    out.len(),
-                    rows.len(),
-                    rows.len() * cols
-                ),
-            ));
-        }
-        let mut i = 0;
-        while i < rows.len() {
-            let mut j = i + 1;
-            while j < rows.len() && rows[j] == rows[j - 1] + 1 {
-                j += 1;
-            }
-            self.read_rows_into(rows[i] as usize, j - i, &mut out[i * cols..j * cols])?;
-            i = j;
-        }
-        Ok(())
     }
 }
 
@@ -246,34 +194,6 @@ pub struct PageStats {
     pub write_backs: u64,
 }
 
-/// Prefetch-staging counters for one [`Pager`].
-///
-/// Like [`PageStats`] these are **replay-exact**: with tracing enabled, a
-/// simcache LRU replay that partitions the row trace into
-/// [`Pager::trace_call_lens`] and applies the recorded
-/// [`Pager::trace_prefetch_events`] (staging each requested row that is not
-/// resident in the model) must reproduce every field bit-for-bit.
-///
-/// Invariants on a completed run: `admitted + wasted == staged` (every
-/// staged row is eventually consumed or discarded) and
-/// `admitted + demand_loads == PageStats::misses` (every miss is served
-/// from exactly one of staging or backing storage).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefetchStats {
-    /// Rows handed to [`Pager::finish_prefetch`] (read early by a worker).
-    pub staged: u64,
-    /// Missed rows whose bytes came from the staging buffer — each one a
-    /// backing-store read moved off the batch edge.
-    pub admitted: u64,
-    /// Missed rows read synchronously from backing storage (all misses,
-    /// when prefetch is off).
-    pub demand_loads: u64,
-    /// Staged rows discarded unconsumed at the end of an [`Pager::ensure`]
-    /// call (prefetched but not part of the working set, or already
-    /// resident by admission time).
-    pub wasted: u64,
-}
-
 /// Demand pager for one parameter: a fixed budget of row slots over a
 /// [`RowStorage`] backend, with exact-LRU eviction, per-batch pinning, and
 /// dirty-row write-back.
@@ -285,14 +205,10 @@ pub struct PrefetchStats {
 /// methods take the cache buffer explicitly.
 #[derive(Debug)]
 pub struct Pager {
-    /// `None` while the backing storage is lent to a prefetch worker
-    /// ([`Pager::begin_prefetch`] .. [`Pager::finish_prefetch`]); every
-    /// method that needs storage errors cleanly in that window.
-    storage: Option<Box<dyn RowStorage>>,
-    /// Logical row count (cached so shape queries work while the storage
-    /// is lent out).
+    storage: Box<dyn RowStorage>,
+    /// Logical row count (cached from the storage).
     rows: usize,
-    /// Row width (cached for the same reason).
+    /// Row width (cached from the storage).
     cols: usize,
     /// Number of cache slots.
     budget: usize,
@@ -316,31 +232,9 @@ pub struct Pager {
     /// storage and must be written back on eviction or flush.
     dirty_slot: Vec<bool>,
     stats: PageStats,
-    pstats: PrefetchStats,
-    /// Staged (prefetched) rows awaiting admission, strictly ascending.
-    staged_rows: Vec<u32>,
-    /// Staged row bytes, `staged_rows.len() × cols`, parallel to
-    /// `staged_rows`.
-    staged_data: Vec<f32>,
-    /// Which staged rows have been admitted (the rest count as wasted when
-    /// the staging window closes).
-    staged_used: Vec<bool>,
-    /// `storage.io_ops()` snapshot taken when the storage was lent out, so
-    /// [`Pager::storage_io_ops`] stays answerable mid-prefetch.
-    io_ops_at_lend: (u64, u64),
     /// Recorded row-access trace for simcache replay (off by default; the
     /// CLI and the validation tests turn it on).
     trace: Option<Vec<u32>>,
-    /// Per-[`Pager::ensure`]-call row counts partitioning `trace` (only
-    /// recorded while tracing): the call boundaries the prefetch-aware
-    /// replay needs, because staging is consumed/wasted per call.
-    trace_call_lens: Vec<u32>,
-    /// Recorded prefetch requests (only while tracing): `(call_index,
-    /// requested union)` where `call_index` counts `ensure` calls made so
-    /// far — the replay stages the requested rows that its model holds
-    /// non-resident at that point, validating the pager's residency filter
-    /// along with the counters.
-    trace_prefetch: Vec<(u32, Vec<u32>)>,
     /// Scratch for merged working-set unions and slot translations; reused
     /// so steady-state paging is allocation-free.
     union_scratch: Vec<u32>,
@@ -363,7 +257,7 @@ impl Pager {
         let cols = storage.cols();
         let budget = budget.max(1).min(rows.max(1));
         Self {
-            storage: Some(storage),
+            storage,
             rows,
             cols,
             budget,
@@ -378,14 +272,7 @@ impl Pager {
             epoch: 0,
             dirty_slot: vec![false; budget],
             stats: PageStats::default(),
-            pstats: PrefetchStats::default(),
-            staged_rows: Vec::new(),
-            staged_data: Vec::new(),
-            staged_used: Vec::new(),
-            io_ops_at_lend: (0, 0),
             trace: None,
-            trace_call_lens: Vec::new(),
-            trace_prefetch: Vec::new(),
             union_scratch: Vec::new(),
             slot_scratch: Vec::new(),
             run_scratch: Vec::new(),
@@ -413,69 +300,24 @@ impl Pager {
         self.stats
     }
 
-    /// Prefetch-staging counter snapshot (all zeros except `demand_loads`
-    /// when prefetch is never used).
-    pub fn prefetch_stats(&self) -> PrefetchStats {
-        self.pstats
-    }
-
     /// Backing-store I/O call counters `(read_calls, write_calls)`, for
     /// backends that track them (file-backed storage does; [`VecStorage`]
     /// reports zeros). One coalesced multi-row transfer counts once, so
     /// `read_calls ≤ misses` and `write_calls ≤ write_backs` measure how
-    /// much run-coalescing saved. While the storage is lent to a prefetch
-    /// worker this reports the counts as of the hand-off.
+    /// much run-coalescing saved.
     pub fn storage_io_ops(&self) -> (u64, u64) {
-        match &self.storage {
-            Some(s) => s.io_ops(),
-            None => self.io_ops_at_lend,
-        }
+        self.storage.io_ops()
     }
 
     /// Enables or disables row-trace recording (for simcache replay).
-    /// Enabling clears any previous trace, call boundaries, and prefetch
-    /// events.
+    /// Enabling clears any previous trace.
     pub fn set_tracing(&mut self, on: bool) {
         self.trace = if on { Some(Vec::new()) } else { None };
-        self.trace_call_lens.clear();
-        self.trace_prefetch.clear();
     }
 
     /// The recorded row-access trace, if tracing is enabled.
     pub fn trace(&self) -> Option<&[u32]> {
         self.trace.as_deref()
-    }
-
-    /// Per-`ensure`-call row counts partitioning [`Pager::trace`] (empty
-    /// unless tracing is enabled).
-    pub fn trace_call_lens(&self) -> &[u32] {
-        &self.trace_call_lens
-    }
-
-    /// Recorded prefetch requests as `(ensure_call_index, requested rows)`
-    /// (empty unless tracing is enabled). The requested list is the full
-    /// working-set union *before* the pager's residency filter, so a
-    /// replay validates the filter too.
-    pub fn trace_prefetch_events(&self) -> &[(u32, Vec<u32>)] {
-        &self.trace_prefetch
-    }
-
-    /// Whether the backing storage is currently lent to a prefetch worker.
-    pub fn storage_lent(&self) -> bool {
-        self.storage.is_none()
-    }
-
-    fn backing(&mut self) -> &mut dyn RowStorage {
-        self.storage
-            .as_deref_mut()
-            .expect("backing storage present (callers check storage_lent first)")
-    }
-
-    fn lent_error() -> crate::Error {
-        storage_error(
-            "backing storage is lent to a prefetch worker; finish the prefetch hand-off first"
-                .into(),
-        )
     }
 
     /// Absolute row → slot map (one entry per logical row,
@@ -549,43 +391,18 @@ impl Pager {
     /// identical to the row-at-a-time walk — coalescing batches I/O calls,
     /// never decisions — so the simcache replay cross-check still holds.
     ///
-    /// Missed rows with staged (prefetched) bytes are *admitted* — copied
-    /// from the staging buffer instead of read from storage. Admission
-    /// changes only the byte source: slot assignment, LRU order, and
-    /// [`PageStats`] are identical with or without staging. Any staged rows
-    /// left unconsumed when this call returns are counted wasted and
-    /// discarded (the staging window is one `ensure` call).
-    ///
     /// # Errors
     ///
     /// Fails if `rows` exceeds the slot budget (the batch working set does
-    /// not fit — raise `--cache-rows`), if the storage is lent to a
-    /// prefetch worker, or on backing-store I/O errors. All are fatal to
-    /// the training run; after an error, rows of the failing run may be
-    /// mapped with unspecified cache bytes.
+    /// not fit — raise `--cache-rows`) or on backing-store I/O errors.
+    /// Both are fatal to the training run; after an error, rows of the
+    /// failing run may be mapped with unspecified cache bytes.
     pub fn ensure(&mut self, rows: &[u32], cache: &mut [f32]) -> crate::Result<()> {
-        if self.storage.is_none() {
-            return Err(Self::lent_error());
-        }
-        let result = self.ensure_inner(rows, cache);
-        // Close the staging window: whatever survived this call was
-        // prefetched in vain.
-        if !self.staged_rows.is_empty() {
-            self.pstats.wasted += self.staged_used.iter().filter(|&&u| !u).count() as u64;
-            self.staged_rows.clear();
-            self.staged_data.clear();
-            self.staged_used.clear();
-        }
-        result
-    }
-
-    fn ensure_inner(&mut self, rows: &[u32], cache: &mut [f32]) -> crate::Result<()> {
         debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must be sorted");
         let cols = self.cols;
         self.epoch += 1;
         if let Some(t) = &mut self.trace {
             t.extend_from_slice(rows);
-            self.trace_call_lens.push(rows.len() as u32);
         }
         let mut i = 0;
         while i < rows.len() {
@@ -666,9 +483,8 @@ impl Pager {
     }
 
     /// Fills the freshly assigned `slots` for the miss run starting at
-    /// `first_row`: staged rows are admitted (copied from the staging
-    /// buffer, no I/O), and each maximal sub-run of non-staged rows is one
-    /// coalesced backing-store read scattered to its slots.
+    /// `first_row` with one coalesced backing-store read, scattered to the
+    /// run's slots.
     fn fill_run(
         &mut self,
         first_row: u32,
@@ -676,56 +492,29 @@ impl Pager {
         cache: &mut [f32],
         cols: usize,
     ) -> crate::Result<()> {
-        let mut k = 0;
-        while k < slots.len() {
-            let row = first_row + k as u32;
-            if let Ok(pos) = self.staged_rows.binary_search(&row) {
-                let si = slots[k] as usize;
-                cache[si * cols..(si + 1) * cols]
-                    .copy_from_slice(&self.staged_data[pos * cols..(pos + 1) * cols]);
-                self.staged_used[pos] = true;
-                self.pstats.admitted += 1;
-                k += 1;
-                continue;
-            }
-            // Maximal sub-run of non-staged rows -> one coalesced read.
-            let mut m = k + 1;
-            while m < slots.len()
-                && self
-                    .staged_rows
-                    .binary_search(&(first_row + m as u32))
-                    .is_err()
-            {
-                m += 1;
-            }
-            let run = m - k;
-            self.pstats.demand_loads += run as u64;
-            let first = first_row as usize + k;
-            if run == 1 {
-                let si = slots[k] as usize;
-                self.backing()
-                    .read_rows_into(first, 1, &mut cache[si * cols..(si + 1) * cols])
-                    .map_err(io_error)?;
-            } else {
-                let mut staging = std::mem::take(&mut self.io_scratch);
-                staging.resize(run * cols, 0.0);
-                let res = self
-                    .backing()
-                    .read_rows_into(first, run, &mut staging)
-                    .map_err(io_error);
-                if res.is_ok() {
-                    for (q, &s) in slots[k..m].iter().enumerate() {
-                        let si = s as usize;
-                        cache[si * cols..(si + 1) * cols]
-                            .copy_from_slice(&staging[q * cols..(q + 1) * cols]);
-                    }
-                }
-                self.io_scratch = staging;
-                res?;
-            }
-            k = m;
+        let first = first_row as usize;
+        if let [s] = *slots {
+            let si = s as usize;
+            return self
+                .storage
+                .read_rows_into(first, 1, &mut cache[si * cols..(si + 1) * cols])
+                .map_err(io_error);
         }
-        Ok(())
+        let mut staging = std::mem::take(&mut self.io_scratch);
+        staging.resize(slots.len() * cols, 0.0);
+        let res = self
+            .storage
+            .read_rows_into(first, slots.len(), &mut staging)
+            .map_err(io_error);
+        if res.is_ok() {
+            for (q, &s) in slots.iter().enumerate() {
+                let si = s as usize;
+                cache[si * cols..(si + 1) * cols]
+                    .copy_from_slice(&staging[q * cols..(q + 1) * cols]);
+            }
+        }
+        self.io_scratch = staging;
+        res
     }
 
     fn evict_slot(&mut self, s: u32, cache: &mut [f32], cols: usize) -> crate::Result<()> {
@@ -733,7 +522,7 @@ impl Pager {
         let old = self.row_of[si];
         debug_assert_ne!(old, NOT_RESIDENT);
         if self.dirty_slot[si] {
-            self.backing()
+            self.storage
                 .write_rows(old as usize, 1, &cache[si * cols..(si + 1) * cols])
                 .map_err(io_error)?;
             self.stats.write_backs += 1;
@@ -758,12 +547,8 @@ impl Pager {
     ///
     /// # Errors
     ///
-    /// I/O errors from the backing store, or a storage lent to a prefetch
-    /// worker.
+    /// I/O errors from the backing store.
     pub fn flush(&mut self, cache: &[f32]) -> crate::Result<()> {
-        if self.storage.is_none() {
-            return Err(Self::lent_error());
-        }
         let cols = self.cols;
         let mut rows = std::mem::take(&mut self.union_scratch);
         rows.clear();
@@ -787,7 +572,7 @@ impl Pager {
                 let si = self.slot_of[r0 as usize] as usize;
                 self.dirty_slot[si] = false;
                 self.stats.write_backs += 1;
-                self.backing()
+                self.storage
                     .write_rows(r0 as usize, 1, &cache[si * cols..(si + 1) * cols])
                     .map_err(io_error)
             } else {
@@ -799,7 +584,7 @@ impl Pager {
                     self.dirty_slot[si] = false;
                     self.stats.write_backs += 1;
                 }
-                self.backing()
+                self.storage
                     .write_rows(r0 as usize, run, &staging[..run * cols])
                     .map_err(io_error)
             };
@@ -812,8 +597,7 @@ impl Pager {
         self.io_scratch = staging;
         self.union_scratch = rows;
         result?;
-        self.backing().flush().map_err(io_error)?;
-        Ok(())
+        self.storage.flush().map_err(io_error)
     }
 
     /// Reads the full logical table from backing storage into `out`
@@ -821,16 +605,10 @@ impl Pager {
     ///
     /// # Errors
     ///
-    /// I/O errors from the backing store, or a storage lent to a prefetch
-    /// worker.
+    /// I/O errors from the backing store.
     pub fn read_all(&mut self, out: &mut [f32]) -> crate::Result<()> {
-        if self.storage.is_none() {
-            return Err(Self::lent_error());
-        }
         let rows = self.rows;
-        self.backing()
-            .read_rows_into(0, rows, out)
-            .map_err(io_error)
+        self.storage.read_rows_into(0, rows, out).map_err(io_error)
     }
 
     /// Translates the sorted absolute `rows` into their (sorted) slot list
@@ -870,100 +648,6 @@ impl Pager {
         let result = self.ensure(&rows, cache);
         self.union_scratch = rows;
         result
-    }
-
-    /// Opens a prefetch hand-off for the next batch: merges `lists` into a
-    /// working-set union (exactly as the page-in path will when the batch
-    /// arrives), fills `rows_out` with the union's **non-resident**
-    /// rows — the ones a worker should read early — and lends out the
-    /// backing storage. No cache state changes; the pager is fully usable
-    /// for in-cache work while lent, but anything needing storage (miss
-    /// loads, write-backs, flush) errors until [`Pager::finish_prefetch`]
-    /// or [`Pager::reclaim_storage`] returns it.
-    ///
-    /// The non-resident filter is sound because residency is frozen while
-    /// the storage is out: `ensure` (the only thing that loads or evicts)
-    /// refuses to run without storage, so the staged rows stay non-resident
-    /// and their backing bytes stay current until admission.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the storage is already lent or staged rows are pending
-    /// (protocol misuse: one prefetch may be in flight at a time).
-    pub fn begin_prefetch(
-        &mut self,
-        lists: &[&[u32]],
-        rows_out: &mut Vec<u32>,
-    ) -> crate::Result<Box<dyn RowStorage>> {
-        if !self.staged_rows.is_empty() {
-            return Err(storage_error(
-                "prefetch protocol: staged rows are pending admission".into(),
-            ));
-        }
-        let storage = self.storage.take().ok_or_else(Self::lent_error)?;
-        self.io_ops_at_lend = storage.io_ops();
-        let mut rows = std::mem::take(&mut self.union_scratch);
-        rows.clear();
-        for l in lists {
-            rows.extend_from_slice(l);
-        }
-        rows.sort_unstable();
-        rows.dedup();
-        if self.trace.is_some() {
-            // Record the unfiltered request so a replay can re-derive (and
-            // thereby validate) the residency filter below.
-            self.trace_prefetch
-                .push((self.trace_call_lens.len() as u32, rows.clone()));
-        }
-        rows_out.clear();
-        rows_out.extend(
-            rows.iter()
-                .copied()
-                .filter(|&r| self.slot_of[r as usize] == NOT_RESIDENT),
-        );
-        self.union_scratch = rows;
-        Ok(storage)
-    }
-
-    /// Closes a prefetch hand-off: returns the lent storage and installs
-    /// the worker's staged rows (`rows` strictly ascending — the list
-    /// [`Pager::begin_prefetch`] produced — with `data` holding
-    /// `rows.len() × cols` floats read from storage). The next
-    /// [`Pager::ensure`] call admits them.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the storage was never lent.
-    pub fn finish_prefetch(
-        &mut self,
-        storage: Box<dyn RowStorage>,
-        rows: &[u32],
-        data: &[f32],
-    ) -> crate::Result<()> {
-        if self.storage.is_some() {
-            return Err(storage_error(
-                "prefetch protocol: storage returned twice".into(),
-            ));
-        }
-        debug_assert_eq!(data.len(), rows.len() * self.cols);
-        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
-        self.storage = Some(storage);
-        self.staged_rows.clear();
-        self.staged_rows.extend_from_slice(rows);
-        self.staged_data.clear();
-        self.staged_data.extend_from_slice(data);
-        self.staged_used.clear();
-        self.staged_used.resize(rows.len(), false);
-        self.pstats.staged += rows.len() as u64;
-        Ok(())
-    }
-
-    /// Returns lent storage without staging anything — the error-path half
-    /// of the hand-off (the worker's read failed, or the prefetch is being
-    /// abandoned at shutdown).
-    pub fn reclaim_storage(&mut self, storage: Box<dyn RowStorage>) {
-        debug_assert!(self.storage.is_none(), "storage returned twice");
-        self.storage = Some(storage);
     }
 }
 
@@ -1040,11 +724,7 @@ mod tests {
         p.ensure(&[9], &mut cache).unwrap();
         assert_eq!(p.stats().write_backs, 1);
         let mut out = [0.0; 2];
-        p.storage
-            .as_mut()
-            .unwrap()
-            .read_rows_into(1, 1, &mut out)
-            .unwrap();
+        p.storage.read_rows_into(1, 1, &mut out).unwrap();
         assert_eq!(out, [-1.0, -2.0]);
         // Reloading sees the written-back bytes.
         p.ensure(&[1], &mut cache).unwrap();
@@ -1055,11 +735,7 @@ mod tests {
         cache[s1 * 2] = 42.0;
         p.mark_slot_dirty(s1);
         p.flush(&cache).unwrap();
-        p.storage
-            .as_mut()
-            .unwrap()
-            .read_rows_into(1, 1, &mut out)
-            .unwrap();
+        p.storage.read_rows_into(1, 1, &mut out).unwrap();
         assert_eq!(out[0], 42.0);
         assert_eq!(p.slot(1), s1, "flush keeps rows resident");
     }
@@ -1192,11 +868,7 @@ mod tests {
         assert_eq!(p.stats().write_backs, 4, "counters stay per-row");
         let mut out = [0.0f32; 2];
         for r in [10usize, 11, 12, 20] {
-            p.storage
-                .as_mut()
-                .unwrap()
-                .read_rows_into(r, 1, &mut out)
-                .unwrap();
+            p.storage.read_rows_into(r, 1, &mut out).unwrap();
             assert_eq!(out, [-(r as f32), r as f32], "row {r} written back");
         }
         // A second flush has nothing dirty: no further writes.
@@ -1213,187 +885,117 @@ mod tests {
         p.ensure(&[2, 7], &mut cache).unwrap();
         p.ensure(&[1, 7], &mut cache).unwrap();
         assert_eq!(p.trace(), Some(&[2, 7, 1, 7][..]));
-        assert_eq!(p.trace_call_lens(), &[2, 2]);
     }
 
-    /// Drives one full prefetch hand-off the way a worker would, inline.
-    fn prefetch_round_trip(p: &mut Pager, lists: &[&[u32]]) -> Vec<u32> {
-        let mut rows = Vec::new();
-        let mut storage = p.begin_prefetch(lists, &mut rows).unwrap();
-        let mut data = vec![0.0f32; rows.len() * p.cols()];
-        storage.read_row_list_into(&rows, &mut data).unwrap();
-        p.finish_prefetch(storage, &rows, &data).unwrap();
-        rows
+    /// Wraps [`VecStorage`], failing the n-th (0-based) read or write call
+    /// with `EIO` — the fault the demand path must turn into an `Error`.
+    #[derive(Debug)]
+    struct FaultyStorage {
+        inner: VecStorage,
+        calls: (u64, u64),
+        fail_read: Option<u64>,
+        fail_write: Option<u64>,
     }
 
-    #[test]
-    fn staged_rows_admit_without_backend_reads() {
-        let mut p = Pager::new(CallCountingStorage::new(32, 2), 8);
-        let mut cache = vec![0.0f32; 8 * 2];
-        p.ensure(&[1, 2], &mut cache).unwrap();
-        // Stage the next working set {1, 2, 6, 7, 9}: rows 1, 2 are already
-        // resident, so only 6, 7, 9 go to the worker.
-        let staged = prefetch_round_trip(&mut p, &[&[1, 2, 6, 7], &[9]]);
-        assert_eq!(staged, vec![6, 7, 9]);
-        let reads_at_handoff = p.storage_io_ops().0;
-        p.ensure(&[1, 2, 6, 7, 9], &mut cache).unwrap();
-        assert_eq!(
-            p.storage_io_ops().0,
-            reads_at_handoff,
-            "every miss was admitted from staging; no demand reads"
-        );
-        // Bytes are the backing-store bytes.
-        for r in [6usize, 7, 9] {
-            let s = p.slot(r);
-            let want = [(r * 2) as f32, (r * 2 + 1) as f32];
-            assert_eq!(cache[s * 2..s * 2 + 2], want, "row {r} bytes");
+    impl FaultyStorage {
+        fn new(fail_read: Option<u64>, fail_write: Option<u64>) -> Box<Self> {
+            Box::new(Self {
+                inner: *counting_storage(16, 2),
+                calls: (0, 0),
+                fail_read,
+                fail_write,
+            })
         }
-        let ps = p.prefetch_stats();
-        assert_eq!(ps.staged, 3);
-        assert_eq!(ps.admitted, 3);
-        assert_eq!(ps.wasted, 0);
-        // demand_loads counts the two pre-prefetch misses only.
-        assert_eq!(ps.demand_loads, 2);
-        assert_eq!(ps.admitted + ps.demand_loads, p.stats().misses);
+
+        fn eio(what: &str) -> std::io::Error {
+            std::io::Error::other(format!("injected EIO on {what}"))
+        }
     }
 
-    #[test]
-    fn prefetch_changes_byte_source_never_decisions() {
-        // The same access sequence with and without prefetch: PageStats and
-        // final cache bytes must be identical.
-        let seqs: [&[u32]; 4] = [&[0, 1, 2, 3], &[2, 3, 8, 9], &[0, 8, 12], &[1, 9, 12]];
-        let mut plain = Pager::new(counting_storage(16, 2), 6);
-        let mut plain_cache = vec![0.0f32; 6 * 2];
-        for s in &seqs {
-            plain.ensure(s, &mut plain_cache).unwrap();
+    impl RowStorage for FaultyStorage {
+        fn rows(&self) -> usize {
+            self.inner.rows()
         }
-        let mut pf = Pager::new(counting_storage(16, 2), 6);
-        let mut pf_cache = vec![0.0f32; 6 * 2];
-        for (i, s) in seqs.iter().enumerate() {
-            if i > 0 {
-                // Prefetch this working set at the end of the previous step
-                // — here, just before, which exercises the same hand-off.
-                prefetch_round_trip(&mut pf, &[s]);
+        fn cols(&self) -> usize {
+            self.inner.cols()
+        }
+        fn read_rows_into(
+            &mut self,
+            first: usize,
+            count: usize,
+            out: &mut [f32],
+        ) -> std::io::Result<()> {
+            self.calls.0 += 1;
+            if self.fail_read == Some(self.calls.0 - 1) {
+                return Err(Self::eio("read"));
             }
-            pf.ensure(s, &mut pf_cache).unwrap();
+            self.inner.read_rows_into(first, count, out)
         }
-        assert_eq!(plain.stats(), pf.stats(), "decision stream must match");
-        assert_eq!(plain.slot_of(), pf.slot_of(), "slot assignment must match");
-        assert_eq!(plain_cache, pf_cache, "cache bytes must match");
-        let ps = pf.prefetch_stats();
-        assert_eq!(ps.admitted + ps.demand_loads, pf.stats().misses);
-        assert_eq!(ps.admitted + ps.wasted, ps.staged);
+        fn write_rows(&mut self, first: usize, count: usize, data: &[f32]) -> std::io::Result<()> {
+            self.calls.1 += 1;
+            if self.fail_write == Some(self.calls.1 - 1) {
+                return Err(Self::eio("write"));
+            }
+            self.inner.write_rows(first, count, data)
+        }
+    }
+
+    fn assert_storage_error(err: crate::Error, what: &str) {
+        match err {
+            crate::Error::Storage { context } => assert!(
+                context.contains(&format!("injected EIO on {what}")),
+                "I/O message lost: {context}"
+            ),
+            other => panic!("expected Error::Storage, got {other:?}"),
+        }
     }
 
     #[test]
-    fn unused_staged_rows_count_wasted_and_clear() {
-        let mut p = Pager::new(counting_storage(16, 1), 4);
-        let mut cache = vec![0.0f32; 4];
-        let staged = prefetch_round_trip(&mut p, &[&[5, 6, 7]]);
-        assert_eq!(staged, vec![5, 6, 7]);
-        // The batch that arrives wants something else entirely.
+    fn failed_demand_read_surfaces_as_storage_error() {
+        // Single-row and coalesced-run reads take different code paths.
+        for rows in [&[3u32][..], &[3, 4, 5]] {
+            let mut p = Pager::new(FaultyStorage::new(Some(1), None), 4);
+            let mut cache = vec![0.0f32; 4 * 2];
+            p.ensure(&[0], &mut cache).unwrap();
+            let err = p.ensure(rows, &mut cache).unwrap_err();
+            assert_storage_error(err, "read");
+            // The pager still owns its storage: flush returns, and the row
+            // that loaded before the fault is intact.
+            p.flush(&cache).unwrap();
+            let s = p.slot(0);
+            assert_eq!(cache[s * 2..s * 2 + 2], [0.0, 1.0]);
+        }
+    }
+
+    #[test]
+    fn failed_eviction_write_back_surfaces_as_storage_error() {
+        let mut p = Pager::new(FaultyStorage::new(None, Some(0)), 2);
+        let mut cache = vec![0.0f32; 2 * 2];
         p.ensure(&[1, 2], &mut cache).unwrap();
-        let ps = p.prefetch_stats();
-        assert_eq!(ps.staged, 3);
-        assert_eq!(ps.admitted, 0);
-        assert_eq!(ps.wasted, 3);
-        // The staging window closed: a later access to 5 is a demand load.
-        p.ensure(&[5], &mut cache).unwrap();
-        assert_eq!(p.prefetch_stats().wasted, 3);
-        assert_eq!(p.prefetch_stats().demand_loads, 3);
+        for r in [1usize, 2] {
+            let s = p.slot(r);
+            cache[s * 2] = -1.0;
+            p.mark_slot_dirty(s);
+        }
+        // Loading row 9 must evict dirty row 1, whose write-back fails.
+        let err = p.ensure(&[9], &mut cache).unwrap_err();
+        assert_storage_error(err, "write");
+        assert_eq!(p.stats().write_backs, 0, "a failed write is not counted");
+        // Only the first write was poisoned: the victim is still resident
+        // and dirty, so a later flush persists both rows and returns.
+        p.flush(&cache).unwrap();
+        assert_eq!(p.stats().write_backs, 2);
+        let mut out = [0.0f32; 2];
+        p.storage.read_rows_into(1, 1, &mut out).unwrap();
+        assert_eq!(out[0], -1.0);
     }
 
     #[test]
-    fn staged_row_never_clobbers_dirtier_resident_copy() {
-        let mut p = Pager::new(counting_storage(16, 2), 4);
+    fn failed_flush_write_returns_an_error_not_a_hang() {
+        let mut p = Pager::new(FaultyStorage::new(None, Some(0)), 4);
         let mut cache = vec![0.0f32; 4 * 2];
-        // Stage row 3 while it is NOT resident...
-        let staged = prefetch_round_trip(&mut p, &[&[3]]);
-        assert_eq!(staged, vec![3]);
-        // ...then (violating the usual frozen-residency protocol) make it
-        // resident and dirty before admission. ensure() must keep the
-        // dirtier cached copy: hits never touch cache bytes.
-        //
-        // (ensure consumes the staging window, so re-stage afterwards.)
-        p.ensure(&[3], &mut cache).unwrap();
-        let s = p.slot(3);
-        cache[s * 2..s * 2 + 2].copy_from_slice(&[-7.0, -8.0]);
-        p.mark_slot_dirty(s);
-        let mut rows = Vec::new();
-        let storage = p.begin_prefetch(&[&[2]], &mut rows).unwrap();
-        // Hand back a deliberately wrong staging list that includes the
-        // resident dirty row 3.
-        p.finish_prefetch(storage, &[2, 3], &[4.0, 5.0, 6.0, 7.0])
-            .unwrap();
-        p.ensure(&[2, 3], &mut cache).unwrap();
-        let s = p.slot(3);
-        assert_eq!(
-            cache[s * 2..s * 2 + 2],
-            [-7.0, -8.0],
-            "the dirty resident copy must survive admission"
-        );
-        let ps = p.prefetch_stats();
-        assert_eq!(ps.wasted, 1, "the resident row's staged copy is wasted");
-        // One admission from the first round trip, one for row 2 here.
-        assert_eq!(ps.admitted, 2, "row 2 still admits normally");
-    }
-
-    #[test]
-    fn prefetch_protocol_misuse_errors_cleanly() {
-        let mut p = Pager::new(counting_storage(8, 1), 4);
-        let mut cache = vec![0.0f32; 4];
-        let mut rows = Vec::new();
-        let storage = p.begin_prefetch(&[&[1, 2]], &mut rows).unwrap();
-        // Storage is lent: everything needing it fails instead of panicking.
-        assert!(p.begin_prefetch(&[&[3]], &mut Vec::new()).is_err());
-        assert!(p.ensure(&[1], &mut cache).is_err());
-        assert!(p.flush(&cache).is_err());
-        let mut out = vec![0.0f32; 8];
-        assert!(p.read_all(&mut out).is_err());
-        // Shape queries still answer while lent.
-        assert_eq!(p.rows(), 8);
-        assert_eq!(p.cols(), 1);
-        p.finish_prefetch(storage, &rows, &[1.0, 2.0]).unwrap();
-        // Returning a second storage is rejected.
-        let extra: Box<dyn RowStorage> = Box::new(VecStorage::new(8, 1));
-        assert!(p.finish_prefetch(extra, &[], &[]).is_err());
-        // With staged rows pending, a new hand-off is rejected.
-        assert!(p.begin_prefetch(&[&[3]], &mut Vec::new()).is_err());
-        p.ensure(&[1, 2], &mut cache).unwrap();
-        assert_eq!(p.prefetch_stats().admitted, 2);
-    }
-
-    #[test]
-    fn prefetch_trace_records_requests_and_call_boundaries() {
-        let mut p = Pager::new(counting_storage(16, 1), 4);
-        let mut cache = vec![0.0f32; 4];
-        p.set_tracing(true);
-        p.ensure(&[1, 2], &mut cache).unwrap();
-        // Request includes resident rows; the event records them unfiltered.
-        let staged = prefetch_round_trip(&mut p, &[&[2, 5], &[6]]);
-        assert_eq!(staged, vec![5, 6]);
-        p.ensure(&[2, 5, 6], &mut cache).unwrap();
-        assert_eq!(p.trace_call_lens(), &[2, 3]);
-        assert_eq!(
-            p.trace_prefetch_events(),
-            &[(1, vec![2, 5, 6])],
-            "event fires after call 0, records the unfiltered union"
-        );
-        assert_eq!(p.trace(), Some(&[1, 2, 2, 5, 6][..]));
-    }
-
-    #[test]
-    fn default_row_list_read_coalesces_adjacent_runs() {
-        let mut s = CallCountingStorage::new(16, 2);
-        let mut out = vec![0.0f32; 5 * 2];
-        // 3,4,5 | 9,10 -> two transfers.
-        s.read_row_list_into(&[3, 4, 5, 9, 10], &mut out).unwrap();
-        assert_eq!(s.io_ops(), (2, 0));
-        for (i, r) in [3usize, 4, 5, 9, 10].into_iter().enumerate() {
-            assert_eq!(out[i * 2], (r * 2) as f32, "row {r} landed at index {i}");
-        }
-        // Mis-sized buffer is rejected before any I/O.
-        assert!(s.read_row_list_into(&[0, 1], &mut out).is_err());
-        assert_eq!(s.io_ops(), (2, 0));
+        p.ensure(&[5], &mut cache).unwrap();
+        p.mark_slot_dirty(p.slot(5));
+        assert_storage_error(p.flush(&cache).unwrap_err(), "write");
     }
 }

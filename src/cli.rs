@@ -191,17 +191,6 @@ pub fn cmd_train(args: &Args) -> Result<String, CliError> {
     let out = PathBuf::from(args.str_or("out", "embeddings.bin"));
     let paged = paged_store_from_args(args, &model_name, &config, &out)?;
 
-    // `--prefetch true` pipelines the paged arm: a background I/O worker
-    // reads batch b+1's working set while batch b trains. Meaningless
-    // without a disk store to read from.
-    let prefetch: bool = args.parse_or("prefetch", false)?;
-    if prefetch && paged.is_none() {
-        return Err(CliError::Usage(
-            "--prefetch true requires --store disk (a resident store has nothing to prefetch)"
-                .into(),
-        ));
-    }
-
     // `--async true` selects the Hogwild arm; `--workers` is meaningless
     // (and therefore rejected) on the synchronous default.
     let use_async: bool = args.parse_or("async", false)?;
@@ -246,7 +235,6 @@ pub fn cmd_train(args: &Args) -> Result<String, CliError> {
             &ds,
             &config,
             paged.as_ref().map(|(p, b)| (p.as_path(), *b)),
-            prefetch,
         )
     };
     // The pagefile is scratch space for the run; keep the filesystem clean
@@ -720,26 +708,14 @@ fn page_out_embeddings<M: KgeModel>(
 /// trace through a fully-associative simcache LRU of the same budget, and
 /// renders the report lines — with the PR-6 `WARNING:` idiom on any
 /// hit-count divergence so CI can grep for it.
-///
-/// The replay is **extended to model prefetch**: the pager records each
-/// `begin_prefetch` request (the unfiltered working-set union, stamped with
-/// the access-call it precedes), and the replay re-derives the staging
-/// decisions — which requested rows were non-resident and therefore staged,
-/// which staged rows a miss then consumed, which expired unconsumed — from
-/// the simulated cache alone, via the non-mutating `Cache::contains` probe.
-/// Every prefetch counter must match this independent model exactly.
 fn unpage_and_validate<M: KgeModel>(
     trainer: &mut Trainer<M>,
     id: tensor::ParamId,
 ) -> Result<String, CliError> {
-    let timing = trainer.model().prefetch_timing();
     let store = trainer.model_mut().store_mut();
     let pager = store.pager(id).expect("paged parameter");
     let stats = pager.stats();
-    let pstats = pager.prefetch_stats();
     let trace = pager.trace().expect("tracing was enabled").to_vec();
-    let call_lens = pager.trace_call_lens().to_vec();
-    let prefetch_events = pager.trace_prefetch_events().to_vec();
     let budget = pager.budget();
     store.unpage(id).map_err(sptransx::Error::from)?;
 
@@ -748,47 +724,8 @@ fn unpage_and_validate<M: KgeModel>(
         line_bytes: 64,
         ways: budget,
     });
-    // Replayed prefetch counters, rebuilt from the request log + the
-    // simulated residency (not from the pager's own filter decisions).
-    let (mut sim_staged, mut sim_admitted, mut sim_demand, mut sim_wasted) =
-        (0u64, 0u64, 0u64, 0u64);
-    let mut staged: Vec<u32> = Vec::new();
-    let mut used: Vec<bool> = Vec::new();
-    let mut events = prefetch_events.iter().peekable();
-    let mut pos = 0usize;
-    for (call, &len) in call_lens.iter().enumerate() {
-        while let Some((at_call, requested)) = events.peek() {
-            if *at_call as usize != call {
-                break;
-            }
-            staged.clear();
-            staged.extend(
-                requested
-                    .iter()
-                    .copied()
-                    .filter(|&r| !sim.contains(u64::from(r) * 64)),
-            );
-            used.clear();
-            used.resize(staged.len(), false);
-            sim_staged += staged.len() as u64;
-            events.next();
-        }
-        for &row in &trace[pos..pos + len as usize] {
-            if sim.access(u64::from(row) * 64) == simcache::Access::Miss {
-                match staged.binary_search(&row) {
-                    Ok(i) => {
-                        sim_admitted += 1;
-                        used[i] = true;
-                    }
-                    Err(_) => sim_demand += 1,
-                }
-            }
-        }
-        pos += len as usize;
-        // The staging window closes with the call that consumed it.
-        sim_wasted += used.iter().filter(|&&u| !u).count() as u64;
-        staged.clear();
-        used.clear();
+    for &row in &trace {
+        sim.access(u64::from(row) * 64);
     }
     let sim_stats = sim.stats();
     let accesses = stats.hits + stats.misses;
@@ -808,44 +745,10 @@ fn unpage_and_validate<M: KgeModel>(
         sim_stats.hits,
         sim_stats.misses,
     );
-    if pstats.staged > 0 || timing.is_some() {
-        let admit_rate = if stats.misses > 0 {
-            100.0 * pstats.admitted as f64 / stats.misses as f64
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "\nprefetch: {} staged, {} admitted / {} demand loads / {} wasted \
-             (admit rate {admit_rate:.1}%)\n\
-             simcache prefetch replay: {sim_staged} staged / {sim_admitted} admitted / \
-             {sim_demand} demand / {sim_wasted} wasted",
-            pstats.staged, pstats.admitted, pstats.demand_loads, pstats.wasted,
-        ));
-        if let Some((read, stall)) = timing {
-            out.push_str(&format!(
-                "\nprefetch I/O: worker read {:.3}s, training stalled {:.3}s",
-                read.as_secs_f64(),
-                stall.as_secs_f64(),
-            ));
-        }
-    }
     if sim_stats.hits != stats.hits {
         out.push_str(&format!(
             "\nWARNING: simcache model predicted {} hits, cache saw {}",
             sim_stats.hits, stats.hits
-        ));
-    }
-    let sim_pstats = (sim_staged, sim_admitted, sim_demand, sim_wasted);
-    let pager_pstats = (
-        pstats.staged,
-        pstats.admitted,
-        pstats.demand_loads,
-        pstats.wasted,
-    );
-    if sim_pstats != pager_pstats {
-        out.push_str(&format!(
-            "\nWARNING: simcache prefetch model predicted {sim_pstats:?} \
-             (staged/admitted/demand/wasted), pager saw {pager_pstats:?}",
         ));
     }
     Ok(out)
@@ -856,22 +759,14 @@ fn train_dispatch(
     ds: &Dataset,
     config: &TrainConfig,
     paged: Option<(&Path, usize)>,
-    prefetch: bool,
 ) -> Result<(String, EmbeddingDump), CliError> {
     macro_rules! run {
         ($ctor:expr) => {{
             let model = $ctor?;
             let mut trainer = Trainer::new(model, ds, config)?;
-            let paged_id = match paged {
-                Some((pagefile, budget)) => {
-                    let id = page_out_embeddings(&mut trainer, pagefile, budget)?;
-                    if prefetch {
-                        trainer.model_mut().set_prefetch(true)?;
-                    }
-                    Some(id)
-                }
-                None => None,
-            };
+            let paged_id = paged
+                .map(|(pagefile, budget)| page_out_embeddings(&mut trainer, pagefile, budget))
+                .transpose()?;
             tensor::profile::reset();
             let report = trainer.run()?;
             // Snapshot kernel counters before evaluation pollutes them.
@@ -1036,12 +931,90 @@ fn apply_threads_option(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The flags each subcommand reads (`--threads` is global and not listed).
+/// `None` for an unknown subcommand, which [`run`] reports itself.
+fn known_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "generate" => &["entities", "relations", "triples", "seed", "out"],
+        "train" => &[
+            "train",
+            "valid-frac",
+            "test-frac",
+            "seed",
+            "model",
+            "out",
+            "epochs",
+            "batch-size",
+            "dim",
+            "rel-dim",
+            "lr",
+            "margin",
+            "norm",
+            "sampler",
+            "optimizer",
+            "lr-decay",
+            "dense-grads",
+            "fused",
+            "store",
+            "cache-rows",
+            "async",
+            "workers",
+        ],
+        "stats" => &["train", "valid-frac", "test-frac", "seed"],
+        "serve" => &[
+            "emb",
+            "train",
+            "norm",
+            "k",
+            "clusters",
+            "nprobe",
+            "kmeans-iters",
+            "queries",
+            "zipf",
+            "cache-size",
+            "seed",
+            "store",
+            "cache-rows",
+            "index",
+            "index-out",
+            "min-recall",
+            "max-scan-frac",
+        ],
+        "help" | "--help" | "-h" => &[],
+        _ => return None,
+    })
+}
+
+/// Rejects any `--flag` the subcommand does not read, so a typo (or a flag
+/// that no longer exists) is a loud error instead of a silently ignored
+/// default.
+fn check_known_flags(args: &Args) -> Result<(), CliError> {
+    let Some(known) = known_flags(&args.command) else {
+        return Ok(());
+    };
+    let unknown = args
+        .options
+        .keys()
+        .map(String::as_str)
+        .filter(|k| *k != "threads" && !known.contains(k))
+        .min();
+    match unknown {
+        None => Ok(()),
+        Some(flag) => Err(CliError::Usage(format!(
+            "unknown flag --{flag} for `sptx {}` (see `sptx help`)",
+            args.command
+        ))),
+    }
+}
+
 /// Dispatches a parsed command, returning the text to print.
 ///
 /// # Errors
 ///
-/// Propagates all subcommand errors.
+/// Propagates all subcommand errors; a flag the subcommand does not know is
+/// a [`CliError::Usage`] naming it.
 pub fn run(args: &Args) -> Result<String, CliError> {
+    check_known_flags(args)?;
     apply_threads_option(args)?;
     match args.command.as_str() {
         "generate" => cmd_generate(args),
@@ -1066,7 +1039,7 @@ USAGE:
                 [--optimizer sgd|adagrad|adam] [--lr-decay STEP:GAMMA]
                 [--sampler uniform|bernoulli] [--dense-grads true|false]
                 [--fused true|false] [--store ram|disk] [--cache-rows N]
-                [--prefetch true|false] [--async true] [--workers N]
+                [--async true] [--workers N]
                 [--out embeddings.bin]
   sptx stats    --train FILE.tsv
   sptx serve    --emb FILE.bin --train FILE.tsv [--norm l1|l2] [--k K]
@@ -1103,17 +1076,6 @@ moves bytes, never arithmetic — the run is bit-identical to --store ram —
 and the report's cache counters are cross-validated against a simcache LRU
 replay of the same row trace (any divergence prints a WARNING line).
 Requires --model transe|toruse with SGD, sparse gradients and fused kernels.
-
---prefetch true pipelines the disk arm: one background I/O worker reads
-batch b+1's non-resident working set while batch b trains, and the pager
-admits the staged rows at the batch edge without touching the disk.
-Prefetch moves bytes earlier, never arithmetic — the run stays bit-identical
-to --prefetch false and to --store ram at any thread count. The report adds
-a 'prefetch:' counter line (staged / admitted / demand loads / wasted), a
-'simcache prefetch replay:' line re-deriving those counters from the
-recorded request log (divergence prints a WARNING), and a 'prefetch I/O:'
-line splitting the worker's read time from the training thread's residual
-stall. Requires --store disk.
 
 serve loads the stacked embedding matrix train saves (TransE/TorusE layout;
 --norm must match training), answers top-K completion queries through an
@@ -1331,7 +1293,7 @@ mod tests {
         .unwrap())
         .unwrap();
         let train_file = dir.join("train.tsv").to_string_lossy().to_string();
-        let common = |store: &str, cache: &str, prefetch: &str, emb: &str| {
+        let common = |store: &str, cache: &str, emb: &str| {
             strs(&[
                 "train",
                 "--train",
@@ -1346,53 +1308,33 @@ mod tests {
                 store,
                 "--cache-rows",
                 cache,
-                "--prefetch",
-                prefetch,
                 "--out",
                 emb,
             ])
         };
 
         let ram_out = dir.join("emb_ram.bin").to_string_lossy().to_string();
-        let msg = run(&parse_args(&common("ram", "96", "false", &ram_out)).unwrap()).unwrap();
+        let msg = run(&parse_args(&common("ram", "96", &ram_out)).unwrap()).unwrap();
         assert!(!msg.contains("paged store:"), "{msg}");
 
         // 96 cache rows against a 154-row stacked table: evictions and
         // write-backs all run, yet the dumped embeddings must be the same
         // bytes the resident run saved.
         let disk_out = dir.join("emb_disk.bin").to_string_lossy().to_string();
-        let msg = run(&parse_args(&common("disk", "96", "false", &disk_out)).unwrap()).unwrap();
+        let msg = run(&parse_args(&common("disk", "96", &disk_out)).unwrap()).unwrap();
         assert!(msg.contains("paged store: budget 96 rows"), "{msg}");
         assert!(msg.contains("simcache LRU replay"), "{msg}");
-        assert!(!msg.contains("prefetch:"), "{msg}");
         assert!(!msg.contains("WARNING"), "cache model diverged: {msg}");
         assert!(
             !dir.join("emb_disk.bin.pagefile").exists(),
             "the pagefile must be cleaned up after training"
         );
 
-        // Third arm: same disk store, background prefetch pipelining the
-        // reads. Bytes must match both other arms; the report gains the
-        // prefetch counter lines, and the extended simcache replay must
-        // re-derive every counter (any mismatch prints a WARNING).
-        let pf_out = dir.join("emb_pf.bin").to_string_lossy().to_string();
-        let msg = run(&parse_args(&common("disk", "96", "true", &pf_out)).unwrap()).unwrap();
-        assert!(msg.contains("paged store: budget 96 rows"), "{msg}");
-        assert!(msg.contains("prefetch: "), "{msg}");
-        assert!(msg.contains("simcache prefetch replay: "), "{msg}");
-        assert!(msg.contains("prefetch I/O: "), "{msg}");
-        assert!(!msg.contains("WARNING"), "prefetch model diverged: {msg}");
-
         let ram_bytes = std::fs::read(dir.join("emb_ram.bin")).unwrap();
         let disk_bytes = std::fs::read(dir.join("emb_disk.bin")).unwrap();
-        let pf_bytes = std::fs::read(dir.join("emb_pf.bin")).unwrap();
         assert_eq!(
             ram_bytes, disk_bytes,
             "paged embeddings diverged from resident"
-        );
-        assert_eq!(
-            disk_bytes, pf_bytes,
-            "prefetched embeddings diverged from synchronous paging"
         );
     }
 
@@ -1406,8 +1348,6 @@ mod tests {
             &["--store", "disk", "--fused", "false"],
             &["--store", "disk", "--cache-rows", "0"],
             &["--store", "tape"],
-            &["--prefetch", "true"], // prefetch needs a disk store
-            &["--prefetch", "true", "--store", "ram"],
         ] {
             let mut argv = strs(&["train", "--train", "missing.tsv"]);
             argv.extend(strs(extra));
@@ -1706,6 +1646,54 @@ mod tests {
         // A generous cap is a no-op on any machine; the command still runs.
         let ok = parse_args(&strs(&["help", "--threads", "8"])).unwrap();
         assert!(run(&ok).is_ok());
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_naming_flag_and_subcommand() {
+        // One typo per subcommand; validation fires before any file is read.
+        for (argv, flag) in [
+            (&["generate", "--bogus-flag", "7"][..], "--bogus-flag"),
+            (
+                &["train", "--train", "missing.tsv", "--batchsize", "3"],
+                "--batchsize",
+            ),
+            // `--prefetch` is rejected like any flag `train` does not read.
+            (
+                &[
+                    "train",
+                    "--train",
+                    "missing.tsv",
+                    "--store",
+                    "disk",
+                    "--prefetch",
+                    "true",
+                ],
+                "--prefetch",
+            ),
+            (&["stats", "--train", "missing.tsv", "--sed", "1"], "--sed"),
+            (
+                &[
+                    "serve",
+                    "--emb",
+                    "e.bin",
+                    "--train",
+                    "t.tsv",
+                    "--n-probe",
+                    "2",
+                ],
+                "--n-probe",
+            ),
+            (&["help", "--verbose", "true"], "--verbose"),
+        ] {
+            let args = parse_args(&strs(argv)).unwrap();
+            match run(&args) {
+                Err(CliError::Usage(msg)) => {
+                    assert!(msg.contains(flag), "{msg}");
+                    assert!(msg.contains(&format!("sptx {}", argv[0])), "{msg}");
+                }
+                other => panic!("expected a usage error for {argv:?}, got {other:?}"),
+            }
+        }
     }
 
     #[test]
