@@ -1,14 +1,10 @@
-//! Ranking-throughput micro-benchmark: link-prediction evaluation before and
-//! after the batched, pool-parallel engine.
+//! Ranking-throughput micro-benchmark: link-prediction evaluation through
+//! the batched, pool-parallel engine.
 //!
-//! Three arms, measured across worker counts on a ≥10k-entity synthetic KG:
+//! Two arms, measured across worker counts on a ≥10k-entity synthetic KG:
 //!
-//! * `legacy` — a faithful copy of the pre-engine evaluation loop: one
-//!   heap-allocated `Vec` per query, sequential ranking, and one known-set
-//!   hash probe **per candidate** for filtering. This is the baseline the
-//!   engine replaces (it ignores the thread knob entirely).
-//! * `scalar-adapter` — scalar `TripleScorer` scoring through the new engine
-//!   via `ScalarBatch` (per-query allocation remains; ranking is chunked,
+//! * `scalar-adapter` — scalar `TripleScorer` scoring through the engine via
+//!   `ScalarBatch` (one heap-allocated `Vec` per query; ranking is chunked,
 //!   filter-list-based and pool-parallel).
 //! * `batched` — native `BatchScorer` scoring: per-chunk query-incidence
 //!   SpMM into reused buffers plus the pool-parallel ranking pass.
@@ -16,65 +12,18 @@
 //! Throughput is reported in ranking queries per second (2 queries — tail +
 //! head — per test triple). Note: the thread sweep (`t1`..`t8`) only
 //! differentiates on a machine with that many physical cores; on a
-//! single-core container the engine arms collapse to one schedule and only
-//! the allocation/filtering savings over `legacy` remain visible.
+//! single-core container both arms collapse to one schedule and only the
+//! per-query allocation the batched arm saves remains visible.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use kg::eval::{evaluate, evaluate_batched, EvalConfig, TripleScorer};
+use kg::eval::{evaluate, evaluate_batched, EvalConfig};
 use kg::synthetic::SyntheticKgBuilder;
-use kg::{Triple, TripleSet, TripleStore};
 use sptransx::{SpTransE, TrainConfig};
 
 const NUM_ENTITIES: usize = 10_000;
 const EVAL_TRIPLES: usize = 64;
-
-/// The pre-engine evaluation loop (scalar scoring, sequential ranking,
-/// per-candidate hash filtering), preserved verbatim as the benchmark
-/// baseline.
-fn legacy_evaluate(
-    scorer: &dyn TripleScorer,
-    test: &TripleStore,
-    known: &TripleSet,
-    config: &EvalConfig,
-) -> f64 {
-    let limit = config.max_triples.unwrap_or(test.len()).min(test.len());
-    let mut rank_sum = 0.0f64;
-    for i in 0..limit {
-        let t = test.get(i);
-        let scores = scorer.score_tails(t.head, t.rel);
-        rank_sum += legacy_rank(&scores, t.tail as usize, |cand| {
-            config.filtered
-                && cand != t.tail as usize
-                && known.contains(&Triple::new(t.head, t.rel, cand as u32))
-        });
-        let scores = scorer.score_heads(t.rel, t.tail);
-        rank_sum += legacy_rank(&scores, t.head as usize, |cand| {
-            config.filtered
-                && cand != t.head as usize
-                && known.contains(&Triple::new(cand as u32, t.rel, t.tail))
-        });
-    }
-    rank_sum
-}
-
-fn legacy_rank(scores: &[f32], target: usize, filtered: impl Fn(usize) -> bool) -> f64 {
-    let target_score = scores[target];
-    let mut better = 0usize;
-    let mut ties = 0usize;
-    for (cand, &s) in scores.iter().enumerate() {
-        if cand == target || filtered(cand) {
-            continue;
-        }
-        if s < target_score {
-            better += 1;
-        } else if s == target_score {
-            ties += 1;
-        }
-    }
-    1.0 + better as f64 + ties as f64 / 2.0
-}
 
 fn bench_ranking_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("link_prediction_eval");
@@ -101,15 +50,6 @@ fn bench_ranking_throughput(c: &mut Criterion) {
 
     for &threads in &[1usize, 2, 4, 8] {
         group.throughput(Throughput::Elements(2 * EVAL_TRIPLES as u64));
-        group.bench_with_input(
-            BenchmarkId::new("legacy", format!("t{threads}")),
-            &threads,
-            |b, &t| {
-                xparallel::with_parallelism(t, || {
-                    b.iter(|| legacy_evaluate(&model, &ds.test, &known, &eval))
-                })
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("scalar-adapter", format!("t{threads}")),
             &threads,

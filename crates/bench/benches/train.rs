@@ -2,16 +2,15 @@
 //! baseline (paper Table 1 / Figure 8 territory — this is where the paper's
 //! wall-clock goes).
 //!
-//! Three arms, swept across pool widths on a synthetic KG:
+//! Four arms, swept across pool widths on a synthetic KG:
 //!
 //! * `serial` — the whole step (forward kernels, backward closures, SGD
 //!   update) on a `PoolHandle::sequential()` tape: the pre-pool baseline.
 //!   Ignores the thread knob.
 //! * `pool-step` — the same step on a tape pinned to width `t`: row-sharded
 //!   forward/backward kernels plus the parallel optimizer update.
-//! * `data-parallel` — `train_data_parallel` with 2 replica workers sharing
-//!   the pool (includes per-iteration replica setup; sequential inner tapes,
-//!   parallelism across replicas).
+//! * `data-parallel` — `Trainer::replicated` with 2 all-reduce replicas
+//!   sharing the pool (sequential inner tapes, parallelism across replicas).
 //! * `step-alloc/{fresh-graph,arena}` — the buffer-lifecycle ablation: the
 //!   identical sequential step with a freshly allocated `Graph` (and thus
 //!   freshly `malloc`ed/zeroed tensors) per batch versus the `Trainer`'s
@@ -33,8 +32,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use kg::synthetic::SyntheticKgBuilder;
 use kg::{BatchPlan, UniformSampler};
-use sptransx::distributed::train_data_parallel;
-use sptransx::{KgeModel, SpTransE, TrainConfig, Trainer};
+use sptransx::{Combine, KgeModel, SpTransE, TrainConfig, Trainer};
 use tensor::optim::{Optimizer, Sgd};
 use tensor::Graph;
 use xparallel::PoolHandle;
@@ -118,14 +116,15 @@ fn bench_training_step(c: &mut Criterion) {
                 b.iter(|| pooled.run_epochs(1).expect("epoch"));
             },
         );
+        let mut replicated =
+            Trainer::replicated(&ds, &cfg, 2, Combine::AllReduce, SpTransE::from_config)
+                .expect("replicas");
         group.bench_with_input(
             BenchmarkId::new("data-parallel", format!("t{threads}")),
             &threads,
             |b, &t| {
                 xparallel::with_parallelism(t, || {
-                    b.iter(|| {
-                        train_data_parallel(&ds, &cfg, 2, SpTransE::from_config).expect("run")
-                    })
+                    b.iter(|| replicated.run_epochs(1).expect("epoch"))
                 })
             },
         );

@@ -6,8 +6,7 @@
 //! check: wall-clock time falls as workers are added (communication is not
 //! yet the bottleneck at this scale).
 
-use sptransx::distributed::train_data_parallel;
-use sptransx::{SpTransE, TrainConfig};
+use sptransx::{Combine::AllReduce, SpTransE, TrainConfig, Trainer};
 use sptx_bench::harness::{covid_dataset, epochs_from_env, print_table, scale_from_env, secs};
 
 fn main() {
@@ -40,9 +39,8 @@ fn main() {
         eprintln!("[table9] {w} workers ...");
         // Each worker thread runs its replica single-threaded so that worker
         // count, not kernel parallelism, is the variable being swept.
-        let report = xparallel::with_parallelism(1, || {
-            train_data_parallel(&ds, &cfg, w, SpTransE::from_config).expect("distributed training")
-        });
+        let run = || Trainer::replicated(&ds, &cfg, w, AllReduce, SpTransE::from_config)?.run();
+        let report = xparallel::with_parallelism(1, run).expect("distributed training");
         let t = report.wall.as_secs_f64();
         let speedup = baseline.get_or_insert(t);
         rows.push(vec![

@@ -16,10 +16,9 @@
 //! (negatives are pre-generated, §5.3) and reuse it — with its cached
 //! transpose for the backward SpMM — every epoch.
 //!
-//! [`Trainer`] drives any model over a [`kg::BatchPlan`] with margin-ranking
-//! loss and reports the forward/backward/step time breakdown, peak memory,
-//! and FLOP counts the paper tabulates. [`distributed`] adds the Appendix F
-//! data-parallel analog.
+//! [`Trainer`] is the one training driver — margin-ranking loss over a
+//! [`kg::BatchPlan`], one replica or several ([`Trainer::replicated`], Appendix
+//! F), the paper's time/memory/FLOP report; [`Arm::check`] says what is legal.
 //!
 //! **Place in the workspace:** the top of the model stack — it combines
 //! `kg` (data), `sparse` (incidence matrices), and `tensor` (autograd);
@@ -52,7 +51,8 @@ mod scorer;
 pub mod serve;
 mod train;
 
-pub use model::{KgeModel, Norm, OptimizerKind, SamplerKind, TrainConfig};
+pub use distributed::Combine;
+pub use model::{Arm, KgeModel, Norm, OptimizerKind, SamplerKind, TrainConfig};
 pub use models::dense::{DenseTorusE, DenseTransE, DenseTransH, DenseTransR};
 pub use models::extensions::{SpTransC, SpTransM};
 pub use models::spcomplex::SpComplEx;

@@ -3,6 +3,7 @@
 use kg::BatchPlan;
 use tensor::{Graph, ParamStore, Var};
 
+use crate::distributed::Combine;
 use crate::Result;
 
 /// Distance metric applied to the translated expression.
@@ -85,7 +86,7 @@ pub enum SamplerKind {
 }
 
 /// Optimizer selector, wired from [`TrainConfig`] through [`crate::Trainer`]
-/// and the data-parallel driver down to `sptx train --optimizer`.
+/// (one instance per replica) down to `sptx train --optimizer`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OptimizerKind {
     /// Plain SGD (the paper's optimizer, §5.3). Touched-row sparse step.
@@ -100,7 +101,7 @@ pub enum OptimizerKind {
 
 impl OptimizerKind {
     /// Instantiates the optimizer at learning rate `lr`.
-    pub fn build(self, lr: f32) -> Box<dyn tensor::optim::Optimizer> {
+    pub fn build(self, lr: f32) -> Box<dyn tensor::optim::Optimizer + Send> {
         match self {
             OptimizerKind::Sgd => Box::new(tensor::optim::Sgd::new(lr)),
             OptimizerKind::Adagrad => Box::new(tensor::optim::Adagrad::new(lr)),
@@ -203,6 +204,88 @@ impl TrainConfig {
     }
 }
 
+/// One training arm: the facts that decide whether a run is legal.
+/// [`crate::Trainer::run_epochs`] checks the arm it observes before the first
+/// batch; `sptx train` checks the arm it parsed before loading any data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Arm {
+    /// The model pages its batches in ([`KgeModel::pages`]).
+    pub pages: bool,
+    /// A parameter table is paged out to backing storage (`--store disk`).
+    pub paged: bool,
+    /// [`TrainConfig::optimizer`].
+    pub optimizer: OptimizerKind,
+    /// [`TrainConfig::dense_grads`].
+    pub dense_grads: bool,
+    /// [`TrainConfig::fused`].
+    pub fused: bool,
+    /// Replicas training (1 for [`crate::Trainer::new`]).
+    pub workers: usize,
+    /// How the replicas' updates meet; immaterial at one worker.
+    pub combine: Combine,
+}
+
+impl Arm {
+    /// The one place that knows which combinations train correctly: seven
+    /// rules, in order. Below it are only the tensor layer's last-resort
+    /// asserts.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::Error::Config`] stating the first rule the arm breaks.
+    pub fn check(&self) -> Result<()> {
+        let sgd = self.optimizer == OptimizerKind::Sgd;
+        let replicated = self.workers >= 2;
+        let racing = replicated && self.combine == Combine::Shared;
+        let rules = [
+            (
+                self.paged && !sgd,
+                "--store disk requires --optimizer sgd: Adagrad and Adam do not support paged \
+                 parameters (they keep dense per-row state the row cache cannot page)",
+            ),
+            (
+                self.paged && self.dense_grads,
+                "--store disk needs the sparse touched-row gradient path (a paged table keeps \
+                 gradients for its cached rows only); drop --dense-grads true",
+            ),
+            (
+                self.paged && !self.fused,
+                "--store disk needs the fused kernels: the unfused tape (TrainConfig::fused = \
+                 false) reads whole parameter tables, and a paged table is not in RAM",
+            ),
+            (
+                self.paged && !self.pages,
+                "--store disk supports --model transe|toruse (SpTransE, SpTorusE): the other \
+                 models' kernels are not paging-aware yet",
+            ),
+            (
+                self.paged && replicated,
+                "two or more replicas (data-parallel, or --async true workers) are incompatible \
+                 with --store disk: a row cache serves one store, and can be neither all-reduced \
+                 nor shared lock-free; train with one replica, or use --store ram",
+            ),
+            (
+                racing && !sgd,
+                "--async true with 2+ workers supports only --optimizer sgd: stateless \
+                 scaled-add updates are what make lock-free row collisions benign (a lost \
+                 increment), while adagrad/adam accumulators have read-modify-write dependencies \
+                 that corrupt state under races; use the synchronous arm for stateful optimizers",
+            ),
+            (
+                racing && self.dense_grads,
+                "--async true with 2+ workers requires sparse (touched-row) gradients: the dense \
+                 step rewrites every table row from a stale read, destroying concurrent updates \
+                 to rows this worker never touched; drop --dense-grads true or use the \
+                 synchronous arm",
+            ),
+        ];
+        match rules.iter().find(|(broken, _)| *broken) {
+            Some(&(_, why)) => Err(crate::Error::config(why)),
+            None => Ok(()),
+        }
+    }
+}
+
 /// A trainable knowledge-graph embedding model.
 ///
 /// Models own their parameters (a [`ParamStore`]) and any per-batch cached
@@ -257,6 +340,16 @@ pub trait KgeModel {
     /// backing store fails.
     fn page_in_batch(&mut self, _batch_idx: usize) -> Result<()> {
         Ok(())
+    }
+
+    /// Whether this model overrides [`page_in_batch`](KgeModel::page_in_batch)
+    /// and may therefore train with a table paged out (rule 4 of
+    /// [`Arm::check`]). Override it next to that method. Default: `false`.
+    fn pages() -> bool
+    where
+        Self: Sized,
+    {
+        false
     }
 
     /// Applies per-epoch parameter constraints. Default: none.

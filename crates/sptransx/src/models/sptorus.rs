@@ -132,6 +132,10 @@ impl KgeModel for SpTorusE {
         self.store.page_in(self.emb, &lists)?;
         Ok(())
     }
+
+    fn pages() -> bool {
+        true
+    }
 }
 
 impl TripleScorer for SpTorusE {

@@ -137,6 +137,10 @@ impl KgeModel for SpTransE {
         self.store.page_in(self.emb, &lists)?;
         Ok(())
     }
+
+    fn pages() -> bool {
+        true
+    }
 }
 
 impl TripleScorer for SpTransE {

@@ -5,12 +5,13 @@ use std::time::{Duration, Instant};
 use kg::eval::{
     evaluate, evaluate_batched, BatchScorer, EvalConfig, LinkPredictionReport, TripleScorer,
 };
-use kg::{BatchPlan, BernoulliSampler, Dataset, UniformSampler};
+use kg::{BatchPlan, BernoulliSampler, Dataset, NegativeSampler, UniformSampler};
 use tensor::optim::{Optimizer, StepLr};
 use tensor::{memory, Graph};
-use xparallel::PoolHandle;
+use xparallel::{scope_workers, PoolHandle};
 
-use crate::model::{KgeModel, OptimizerKind, SamplerKind, TrainConfig};
+use crate::distributed::{fold_dirty_rows, Combine, Reducer};
+use crate::model::{Arm, KgeModel, SamplerKind, TrainConfig};
 use crate::Result;
 
 /// Accumulated wall-clock time of the three training phases the paper
@@ -46,9 +47,9 @@ impl std::ops::Add for Breakdown {
 /// Everything measured during one training run.
 #[derive(Debug, Clone)]
 pub struct TrainReport {
-    /// Mean batch loss per epoch.
+    /// Mean batch loss per epoch (over every replica's batches).
     pub epoch_losses: Vec<f32>,
-    /// Forward/backward/step time totals.
+    /// Forward/backward/step time totals of rank 0.
     pub breakdown: Breakdown,
     /// Total wall-clock time.
     pub wall: Duration,
@@ -59,11 +60,128 @@ pub struct TrainReport {
     pub flops: u64,
     /// SpMM kernel invocations during the run.
     pub spmm_calls: u64,
+    /// Replicas that trained (1 for [`Trainer::new`]).
+    pub workers: usize,
+    /// Parameter updates applied: one per batch — under [`Combine::Shared`]
+    /// every worker's step lands in the shared tables — but one per lock-step
+    /// round under [`Combine::AllReduce`].
+    pub steps: usize,
 }
 
-/// Drives a [`KgeModel`] over a [`BatchPlan`] with margin-ranking loss and
-/// the configured optimizer ([`crate::OptimizerKind`], default SGD),
-/// recording the paper's metrics.
+/// One copy of the model with everything its step mutates: tape, optimizer,
+/// shard size and the accumulators the trainer collects. Under
+/// [`Combine::Shared`] the replicas' value tensors alias rank 0's; everything
+/// else here is private to the replica, which is what lets a schedule hand
+/// each one to its own thread.
+#[derive(Debug)]
+pub(crate) struct Replica<M> {
+    pub(crate) model: M,
+    /// One long-lived tape, [`Graph::reset`] per batch: its arena serves
+    /// every buffer of the steady-state step, so training performs zero
+    /// tensor-buffer heap allocations after the first batch.
+    graph: Graph,
+    /// One optimizer *instance per replica*, as DDP gives each rank its own:
+    /// every replica steps on the same averaged gradient, so per-replica
+    /// state (Adagrad accumulators, Adam moments) stays bit-identical. A
+    /// shared stateful optimizer would advance once per replica per round
+    /// and desynchronize them (SGD, being stateless, would mask the bug).
+    optimizer: Box<dyn Optimizer + Send>,
+    num_batches: usize,
+    loss_sum: f64,
+    loss_count: usize,
+    breakdown: Breakdown,
+    /// What this replica's last fan-out task returned (a pool task or worker
+    /// thread cannot return it directly).
+    outcome: Result<()>,
+}
+
+impl<M: KgeModel> Replica<M> {
+    fn new(mut model: M, plan: &BatchPlan, config: &TrainConfig) -> Result<Self> {
+        model.attach_plan(plan)?;
+        // The dense-gradient ablation switch: forces every touched-row sweep
+        // (zeroing, backward scatters, optimizer, all-reduce) onto its
+        // full-table path. Bit-identical to the sparse walks. The store
+        // asserts if asked to go dense while paged; that arm is
+        // `run_epochs`' to refuse (rule 2), so it is left sparse here.
+        if !(config.dense_grads && model.store().has_paged()) {
+            model.store_mut().set_dense_grads(config.dense_grads);
+        }
+        Ok(Self {
+            model,
+            graph: Graph::new(),
+            optimizer: config.optimizer.build(config.lr),
+            num_batches: plan.num_batches(),
+            loss_sum: 0.0,
+            loss_count: 0,
+            breakdown: Breakdown::default(),
+            outcome: Ok(()),
+        })
+    }
+
+    /// The paper's step up to the update: one SpMM-score forward, one
+    /// transposed-SpMM backward. Every schedule runs exactly this.
+    fn forward_backward(&mut self, batch: usize, margin: f32) -> Result<()> {
+        self.model.store_mut().zero_grads();
+        // Out-of-core models pin this batch's working set in the row cache
+        // here; fully resident models no-op.
+        self.model.page_in_batch(batch)?;
+
+        let t0 = Instant::now();
+        // Reset (not rebuild) the tape: node buffers recycle through the
+        // graph's arena, so the steady-state step never touches the
+        // allocator (see `tensor::Arena`).
+        self.graph.reset();
+        let (pos, neg) = self.model.score_batch(&mut self.graph, batch);
+        let loss = self.graph.margin_ranking_loss(pos, neg, margin);
+        self.breakdown.forward += t0.elapsed();
+        self.loss_sum += f64::from(self.graph.value(loss).get(0, 0));
+        self.loss_count += 1;
+
+        let t1 = Instant::now();
+        self.graph.backward(loss, self.model.store_mut());
+        self.breakdown.backward += t1.elapsed();
+        Ok(())
+    }
+
+    /// The row-sparse update.
+    fn step(&mut self) {
+        let t = Instant::now();
+        self.optimizer.step(self.model.store_mut());
+        self.breakdown.step += t.elapsed();
+    }
+
+    /// One pass over this replica's shard, stepping after every batch.
+    fn sweep(&mut self, margin: f32) -> Result<()> {
+        for b in 0..self.num_batches {
+            self.forward_backward(b, margin)?;
+            self.step();
+        }
+        Ok(())
+    }
+}
+
+/// Pre-generates the epoch's batches and their negatives (§5.3).
+fn build_plan(dataset: &Dataset, config: &TrainConfig) -> BatchPlan {
+    let entities = dataset.num_entities.max(2);
+    let sampler: Box<dyn NegativeSampler> = match config.sampler {
+        SamplerKind::Uniform => Box::new(UniformSampler::new(entities)),
+        SamplerKind::Bernoulli => Box::new(BernoulliSampler::fit(&dataset.train, entities)),
+    };
+    BatchPlan::build(
+        &dataset.train,
+        &dataset.all_known(),
+        sampler.as_ref(),
+        config.batch_size,
+        config.seed,
+    )
+}
+
+/// The training driver: runs [`KgeModel`] replicas over a [`BatchPlan`] with
+/// margin-ranking loss and the configured optimizer
+/// ([`crate::OptimizerKind`], default SGD), recording the paper's metrics.
+/// [`Trainer::new`] trains one replica; [`Trainer::replicated`] trains
+/// several over a sharded plan. Either way an epoch is the same step —
+/// forward, backward, row-sparse update — under one of three schedules.
 ///
 /// The gradient plumbing is **row-sparse end to end** (the touched-row
 /// contract, see `tensor::ParamStore`): per batch, zeroing, backward
@@ -89,20 +207,21 @@ pub struct TrainReport {
 /// ```
 #[derive(Debug)]
 pub struct Trainer<M: KgeModel> {
-    model: M,
+    /// In rank order; rank 0 is *the* model (all-reduce keeps the others
+    /// bit-identical to it, shared aliases their values to its).
+    replicas: Vec<Replica<M>>,
     config: TrainConfig,
-    num_batches: usize,
-    optimizer: Box<dyn Optimizer>,
-    /// The built-in optimizer in use when it keeps dense per-row state
-    /// (Adagrad, Adam) and therefore cannot step a paged parameter; `None`
-    /// for SGD and for custom optimizers, which answer for themselves.
-    dense_row_state: Option<OptimizerKind>,
+    combine: Combine,
+    /// One epoch's batches, returning the updates applied. A `fn` pointer the
+    /// constructor picks, because only [`Trainer::replicated`] knows
+    /// `M: Send`; everything else works on any model.
+    schedule: fn(&mut Self) -> Result<usize>,
     scheduler: Option<StepLr>,
     pool: PoolHandle,
-    /// One long-lived tape, [`Graph::reset`] per batch: its arena serves
-    /// every buffer of the steady-state step, so training performs zero
-    /// tensor-buffer heap allocations after the first batch.
-    graph: Graph,
+    reducer: Reducer,
+    /// The running epoch's loss, collected from the replicas.
+    loss_sum: f64,
+    loss_count: usize,
 }
 
 impl<M: KgeModel> Trainer<M> {
@@ -114,60 +233,117 @@ impl<M: KgeModel> Trainer<M> {
     /// Returns configuration or index errors from plan construction.
     pub fn new(model: M, dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
         config.validate()?;
-        let known = dataset.all_known();
-        let plan = match config.sampler {
-            SamplerKind::Uniform => {
-                let sampler = UniformSampler::new(dataset.num_entities.max(2));
-                BatchPlan::build(
-                    &dataset.train,
-                    &known,
-                    &sampler,
-                    config.batch_size,
-                    config.seed,
-                )
-            }
-            SamplerKind::Bernoulli => {
-                let sampler = BernoulliSampler::fit(&dataset.train, dataset.num_entities.max(2));
-                BatchPlan::build(
-                    &dataset.train,
-                    &known,
-                    &sampler,
-                    config.batch_size,
-                    config.seed,
-                )
-            }
-        };
-        Self::with_plan(model, plan, config)
+        Self::with_plan(model, build_plan(dataset, config), config)
     }
 
     /// Like [`Trainer::new`] but with a caller-provided plan (used by the
-    /// data-parallel driver and the benches).
+    /// benches).
     ///
     /// # Errors
     ///
     /// Returns errors from [`KgeModel::attach_plan`].
-    pub fn with_plan(mut model: M, plan: BatchPlan, config: &TrainConfig) -> Result<Self> {
+    pub fn with_plan(model: M, plan: BatchPlan, config: &TrainConfig) -> Result<Self> {
         config.validate()?;
-        model.attach_plan(&plan)?;
-        // The dense-gradient ablation switch: forces every touched-row
-        // sweep (zeroing, backward scatters, optimizer, all-reduce) onto
-        // its full-table path. Bit-identical to the sparse walks.
-        model.store_mut().set_dense_grads(config.dense_grads);
+        let alone = vec![Replica::new(model, &plan, config)?];
+        Ok(Self::assemble(
+            alone,
+            config,
+            Combine::AllReduce,
+            single_epoch,
+        ))
+    }
+
+    /// Trains `workers` replicas over one sharded plan, their updates
+    /// combined as `combine` says (see [`Combine`] for both algorithms, the
+    /// determinism each keeps, and the Hogwild safety argument).
+    ///
+    /// `make_model` is called once per worker and must construct identical
+    /// replicas (deterministic seeded init makes them bit-identical,
+    /// mirroring DDP's broadcast-from-rank-0). Afterwards
+    /// [`Trainer::model`] / [`Trainer::into_model`] give rank 0, which is
+    /// *the* trained model under either combine. With `workers == 1` this is
+    /// [`Trainer::new`] bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration, model-construction and plan-attachment
+    /// errors.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use kg::synthetic::SyntheticKgBuilder;
+    /// use sptransx::{Combine, SpTransE, TrainConfig, Trainer};
+    ///
+    /// # fn main() -> Result<(), sptransx::Error> {
+    /// let ds = SyntheticKgBuilder::new(80, 4).triples(600).seed(9).build();
+    /// let config = TrainConfig { epochs: 2, batch_size: 64, dim: 8, lr: 0.05, ..Default::default() };
+    /// for combine in [Combine::AllReduce, Combine::Shared] {
+    ///     let report =
+    ///         Trainer::replicated(&ds, &config, 2, combine, SpTransE::from_config)?.run()?;
+    ///     assert_eq!(report.workers, 2);
+    /// }
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn replicated<F>(
+        dataset: &Dataset,
+        config: &TrainConfig,
+        workers: usize,
+        combine: Combine,
+        make_model: F,
+    ) -> Result<Self>
+    where
+        M: Send,
+        F: Fn(&Dataset, &TrainConfig) -> Result<M>,
+    {
+        config.validate()?;
+        let shards = build_plan(dataset, config).shard(workers.max(1));
+        let mut replicas = Vec::with_capacity(shards.len());
+        let mut shared = None;
+        for shard in &shards {
+            let mut replica = Replica::new(make_model(dataset, config)?, shard, config)?;
+            if combine == Combine::Shared && shards.len() > 1 {
+                // Rank 0 donates its (seeded, bit-identical-across-replicas)
+                // values as the canonical shared buffers; every later
+                // replica drops its own copy and aliases them.
+                let store = replica.model.store_mut();
+                match &shared {
+                    None => shared = Some(store.share_values()?),
+                    Some(tables) => store.alias_values(tables)?,
+                }
+            }
+            replicas.push(replica);
+        }
+        let schedule = match (replicas.len(), combine) {
+            (1, _) => single_epoch,
+            (_, Combine::AllReduce) => all_reduce_epoch,
+            (_, Combine::Shared) => shared_epoch,
+        };
+        Ok(Self::assemble(replicas, config, combine, schedule))
+    }
+
+    fn assemble(
+        replicas: Vec<Replica<M>>,
+        config: &TrainConfig,
+        combine: Combine,
+        schedule: fn(&mut Self) -> Result<usize>,
+    ) -> Self {
         let scheduler = config
             .lr_schedule
             .map(|(step, gamma)| StepLr::new(config.lr, step, gamma));
-        let mut graph = Graph::new();
-        graph.set_fused(config.fused);
-        Ok(Self {
-            num_batches: plan.num_batches(),
-            model,
+        let trainer = Self {
+            replicas,
             config: config.clone(),
-            optimizer: config.optimizer.build(config.lr),
-            dense_row_state: (config.optimizer != OptimizerKind::Sgd).then_some(config.optimizer),
+            combine,
+            schedule,
             scheduler,
             pool: PoolHandle::global(),
-            graph,
-        })
+            reducer: Reducer::default(),
+            loss_sum: 0.0,
+            loss_count: 0,
+        };
+        trainer.with_pool(PoolHandle::global())
     }
 
     /// Dispatches the whole training step — forward kernels, backward
@@ -177,30 +353,46 @@ impl<M: KgeModel> Trainer<M> {
     /// so this knob trades wall-clock only: `PoolHandle::sequential()` is
     /// the serial baseline, pinned widths reproduce a wide machine's
     /// schedule on a narrow one.
+    ///
+    /// With two or more replicas the handle fans out *across* replicas and
+    /// every tape stays sequential (see [`crate::distributed`]).
     #[must_use]
     pub fn with_pool(mut self, pool: PoolHandle) -> Self {
-        self.optimizer.set_pool(&pool);
-        self.graph = Graph::with_pool(pool.clone());
-        self.graph.set_fused(self.config.fused);
+        let sequential = PoolHandle::sequential();
+        let alone = self.replicas.len() == 1;
+        let tapes = if alone { &pool } else { &sequential };
+        // All-reduce steps on the caller thread, shared on the workers'.
+        let steps = match self.combine {
+            Combine::Shared if !alone => &sequential,
+            _ => &pool,
+        };
+        for r in &mut self.replicas {
+            r.graph = Graph::with_pool(tapes.clone());
+            r.graph.set_fused(self.config.fused);
+            r.optimizer.set_pool(steps);
+        }
         self.pool = pool;
         self
     }
 
-    /// Replaces the optimizer (keeping the configured schedule, which acts
-    /// through [`tensor::optim::Optimizer::set_learning_rate`]). Prefer
-    /// [`TrainConfig::optimizer`]; this hook exists for custom
-    /// implementations.
-    #[must_use]
-    pub fn with_optimizer(mut self, optimizer: impl Optimizer + 'static) -> Self {
-        self.optimizer = Box::new(optimizer);
-        self.optimizer.set_pool(&self.pool);
-        self.dense_row_state = None;
-        self
+    /// Borrows rank 0's optimizer (e.g. to inspect the scheduled learning
+    /// rate, which every replica's optimizer shares).
+    pub fn optimizer(&self) -> &dyn Optimizer {
+        self.replicas[0].optimizer.as_ref()
     }
 
-    /// Borrows the optimizer (e.g. to inspect the scheduled learning rate).
-    pub fn optimizer(&self) -> &dyn Optimizer {
-        self.optimizer.as_ref()
+    /// The arm this trainer is about to run, as [`Trainer::run_epochs`]
+    /// observes it (paging included, which can change between runs).
+    pub fn arm(&self) -> Arm {
+        Arm {
+            pages: M::pages(),
+            paged: (self.replicas.iter()).any(|r| r.model.store().has_paged()),
+            optimizer: self.config.optimizer,
+            dense_grads: self.config.dense_grads,
+            fused: self.config.fused,
+            workers: self.replicas.len(),
+            combine: self.combine,
+        }
     }
 
     /// Runs the configured number of epochs.
@@ -216,72 +408,76 @@ impl<M: KgeModel> Trainer<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::Error::Config`] if the attached plan has no batches
-    /// (a 0-batch epoch would otherwise silently report loss 0), or if a
-    /// parameter is paged out while the optimizer is Adagrad or Adam (their
-    /// per-row state is a dense table the row cache cannot page).
+    /// Returns [`crate::Error::Config`] if [`Arm::check`] refuses the arm
+    /// this trainer is in (checked here rather than at construction because
+    /// a table can be paged out afterwards, through
+    /// [`Trainer::model_mut`]), or if the attached plan has no batches (a
+    /// 0-batch epoch would otherwise silently report loss 0); propagates
+    /// paging errors from [`KgeModel::page_in_batch`].
     pub fn run_epochs(&mut self, epochs: usize) -> Result<TrainReport> {
-        if self.num_batches == 0 {
+        self.arm().check()?;
+        if self.num_batches() == 0 {
             return Err(crate::Error::config(
                 "batch plan has no batches (empty training set?); refusing to report 0-batch epochs as loss 0",
             ));
         }
-        if let Some(kind) = self
-            .dense_row_state
-            .filter(|_| self.model.store().has_paged())
-        {
-            return Err(crate::Error::config(format!(
-                "{kind:?} does not support paged parameters; use SGD with --store disk"
-            )));
-        }
         let wall_start = Instant::now();
         let mem_scope = memory::MemoryScope::start();
         let metrics_before = sparse::metrics::snapshot();
-        let mut breakdown = Breakdown::default();
+        for r in &mut self.replicas {
+            r.breakdown = Breakdown::default();
+        }
         let mut epoch_losses = Vec::with_capacity(epochs);
+        let mut steps = 0;
 
         for epoch in 0..epochs {
             if let Some(sched) = &self.scheduler {
-                sched.apply(self.optimizer.as_mut(), epoch as u32);
+                // The same decayed rate on every replica's optimizer:
+                // identical state keeps all-reduce replicas in lock-step.
+                for r in &mut self.replicas {
+                    sched.apply(r.optimizer.as_mut(), epoch as u32);
+                }
             }
-            let mut loss_sum = 0f64;
-            for b in 0..self.num_batches {
-                self.model.store_mut().zero_grads();
-                // Out-of-core models pin this batch's working set in the
-                // row cache here; fully resident models no-op.
-                self.model.page_in_batch(b)?;
-
-                let t0 = Instant::now();
-                // Reset (not rebuild) the tape: node buffers recycle through
-                // the graph's arena, so the steady-state step never touches
-                // the allocator (see `tensor::Arena`).
-                self.graph.reset();
-                let (pos, neg) = self.model.score_batch(&mut self.graph, b);
-                let loss = self.graph.margin_ranking_loss(pos, neg, self.config.margin);
-                breakdown.forward += t0.elapsed();
-                loss_sum += f64::from(self.graph.value(loss).get(0, 0));
-
-                let t1 = Instant::now();
-                self.graph.backward(loss, self.model.store_mut());
-                breakdown.backward += t1.elapsed();
-
-                let t2 = Instant::now();
-                self.optimizer.step(self.model.store_mut());
-                breakdown.step += t2.elapsed();
+            steps += (self.schedule)(self)?;
+            self.collect_losses();
+            // Shared replicas own no values: their dirty rows were folded
+            // into rank 0 at the join, whose renormalization is the renorm.
+            let owners = match self.combine {
+                Combine::AllReduce => self.replicas.len(),
+                Combine::Shared => 1,
+            };
+            for r in &mut self.replicas[..owners] {
+                r.model.end_epoch();
             }
-            self.model.end_epoch();
-            epoch_losses.push((loss_sum / self.num_batches as f64) as f32);
+            epoch_losses.push((self.loss_sum / self.loss_count as f64) as f32);
+            (self.loss_sum, self.loss_count) = (0.0, 0);
         }
 
         let delta = sparse::metrics::snapshot() - metrics_before;
         Ok(TrainReport {
             epoch_losses,
-            breakdown,
+            breakdown: self.replicas[0].breakdown,
             wall: wall_start.elapsed(),
             peak_memory_bytes: mem_scope.peak_delta_bytes(),
             flops: delta.flops,
             spmm_calls: delta.spmm_calls,
+            workers: self.replicas.len(),
+            steps,
         })
+    }
+
+    /// Drains every replica's loss accumulators into the epoch's, in rank
+    /// order.
+    fn collect_losses(&mut self) {
+        for r in &mut self.replicas {
+            self.loss_sum += std::mem::take(&mut r.loss_sum);
+            self.loss_count += std::mem::take(&mut r.loss_count);
+        }
+    }
+
+    /// Returns the first failure a fan-out left on a replica, in rank order.
+    fn outcome(&mut self) -> Result<()> {
+        (self.replicas.iter_mut()).try_for_each(|r| std::mem::replace(&mut r.outcome, Ok(())))
     }
 
     /// Runs filtered link-prediction evaluation through the scalar
@@ -294,7 +490,7 @@ impl<M: KgeModel> Trainer<M> {
     where
         M: TripleScorer,
     {
-        evaluate(&self.model, &dataset.test, &dataset.all_known(), eval)
+        evaluate(self.model(), &dataset.test, &dataset.all_known(), eval)
     }
 
     /// Runs filtered link-prediction evaluation through the batched,
@@ -305,33 +501,82 @@ impl<M: KgeModel> Trainer<M> {
     where
         M: BatchScorer,
     {
-        evaluate_batched(&self.model, &dataset.test, &dataset.all_known(), eval)
+        evaluate_batched(self.model(), &dataset.test, &dataset.all_known(), eval)
     }
 
-    /// Borrows the persistent tape (e.g. for arena recycling statistics).
+    /// Borrows rank 0's persistent tape (e.g. for arena recycling
+    /// statistics).
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        &self.replicas[0].graph
     }
 
-    /// Borrows the model.
+    /// Borrows the model (rank 0).
     pub fn model(&self) -> &M {
-        &self.model
+        &self.replicas[0].model
     }
 
-    /// Mutably borrows the model.
+    /// Mutably borrows the model (rank 0).
     pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
+        &mut self.replicas[0].model
     }
 
-    /// Consumes the trainer, returning the trained model.
-    pub fn into_model(self) -> M {
-        self.model
+    /// Consumes the trainer, returning the trained model (rank 0).
+    pub fn into_model(mut self) -> M {
+        self.replicas.swap_remove(0).model
     }
 
-    /// The effective number of batches per epoch.
+    /// The number of batches per epoch, over all replicas.
     pub fn num_batches(&self) -> usize {
-        self.num_batches
+        self.replicas.iter().map(|r| r.num_batches).sum()
     }
+}
+
+/// One replica, on the caller thread, with the trainer's pool: a step after
+/// every batch.
+fn single_epoch<M: KgeModel>(t: &mut Trainer<M>) -> Result<usize> {
+    t.replicas[0].sweep(t.config.margin)?;
+    Ok(t.replicas[0].num_batches)
+}
+
+/// Lock-step rounds: every replica computes gradients on its own batch (one
+/// pool task each), the gradients are averaged into every replica, and each
+/// replica applies the identical step.
+fn all_reduce_epoch<M: KgeModel + Send>(t: &mut Trainer<M>) -> Result<usize> {
+    let margin = t.config.margin;
+    let sizes = || t.replicas.iter().map(|r| r.num_batches);
+    let rounds = sizes().max().unwrap_or(0);
+    let active = sizes().filter(|&n| n > 0).count().max(1) as f32;
+    for round in 0..rounds {
+        t.pool
+            .for_each_mut(&mut t.replicas, |_, r| match r.num_batches {
+                // An idle replica (more workers than batches) still holds the
+                // mean the last round broadcast; its share of this one is zero.
+                0 => r.model.store_mut().zero_grads(),
+                n => r.outcome = r.forward_backward(round % n, margin),
+            });
+        t.outcome()?;
+        // Per round, not per epoch: the epoch loss is an `f64` sum in round
+        // order, then rank order, and its bits are pinned (`kernel_golden`).
+        t.collect_losses();
+        t.reducer.all_reduce(&mut t.replicas, active);
+        for r in &mut t.replicas {
+            r.step();
+        }
+        #[cfg(debug_assertions)]
+        crate::distributed::assert_replicas_in_lockstep(&t.replicas);
+    }
+    Ok(rounds)
+}
+
+/// No rounds: every replica sweeps its shard on a dedicated thread (inline
+/// for one), stepping the shared values as it goes; the only
+/// synchronization is the join, where the dirty rows fold into rank 0.
+fn shared_epoch<M: KgeModel + Send>(t: &mut Trainer<M>) -> Result<usize> {
+    let margin = t.config.margin;
+    scope_workers(&mut t.replicas, |_, r| r.outcome = r.sweep(margin));
+    t.outcome()?;
+    fold_dirty_rows(&mut t.replicas);
+    Ok(t.num_batches())
 }
 
 #[cfg(test)]
@@ -364,7 +609,6 @@ mod tests {
         assert!(report.epoch_losses.last().unwrap() < report.epoch_losses.first().unwrap());
         assert!(report.flops > 0);
         assert!(report.spmm_calls > 0);
-        assert!(report.peak_memory_bytes > 0);
         assert!(report.breakdown.total() <= report.wall + Duration::from_millis(50));
     }
 
@@ -426,7 +670,7 @@ mod tests {
         let mut t = Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
         t.run().unwrap();
         // After 3 epochs with step=1, gamma=0.5: lr = base * 0.25.
-        assert!((t.optimizer.learning_rate() - cfg.lr * 0.25).abs() < 1e-9);
+        assert!((t.optimizer().learning_rate() - cfg.lr * 0.25).abs() < 1e-9);
     }
 
     #[test]

@@ -284,7 +284,13 @@ fn steady_state_training_step_is_allocation_free_and_bit_identical() {
     // The same contract holds through the public Trainer API: after a
     // warm-up epoch, further epochs are allocation-free end to end.
     let mut trainer = Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
-    trainer.run_epochs(1).expect("warm-up epoch");
+    let warm_up = trainer.run_epochs(1).expect("warm-up epoch");
+    // Asserted here, where the process-global peak counter has one writer;
+    // beside concurrently training sibling tests it races.
+    assert!(
+        warm_up.peak_memory_bytes > 0,
+        "the first epoch allocates the tape's buffers above the baseline"
+    );
     let before = memory::alloc_count();
     trainer.run_epochs(2).expect("steady-state epochs");
     assert_eq!(

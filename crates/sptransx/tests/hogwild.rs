@@ -2,10 +2,10 @@
 //! race-safety under forced row conflicts, and statistical agreement with
 //! the synchronous arm.
 //!
-//! The async driver is explicitly outside the bit-determinism contract at
+//! `Combine::Shared` is explicitly outside the bit-determinism contract at
 //! 2+ workers, so these tests split into two regimes:
 //!
-//! * `workers == 1` — the driver must collapse to the synchronous
+//! * `workers == 1` — the run must collapse to the synchronous
 //!   `Trainer` **bit-for-bit** (same losses, same embeddings): the single
 //!   worker runs inline on the caller thread, sweeps the identity shard in
 //!   order, and executes the exact `Trainer` step sequence.
@@ -19,8 +19,9 @@
 use kg::eval::{EvalConfig, SampleStrategy};
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
-use sptransx::distributed::train_hogwild_returning;
-use sptransx::{KgeModel, SpRotatE, SpTransE, TrainConfig, Trainer};
+use sptransx::{
+    Combine, KgeModel, SamplerKind, SpRotatE, SpTransE, TrainConfig, TrainReport, Trainer,
+};
 
 fn dataset() -> Dataset {
     SyntheticKgBuilder::new(60, 4).triples(600).seed(40).build()
@@ -34,6 +35,18 @@ fn config() -> TrainConfig {
         lr: 0.05,
         ..Default::default()
     }
+}
+
+/// A `Combine::Shared` run of `workers` replicas: its report and rank 0 (all
+/// replicas alias the same values, so after the last join it *is* the model).
+fn hogwild<M: KgeModel + Send>(
+    ds: &Dataset,
+    cfg: &TrainConfig,
+    workers: usize,
+    make: impl Fn(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+) -> (TrainReport, M) {
+    let mut trainer = Trainer::replicated(ds, cfg, workers, Combine::Shared, make).unwrap();
+    (trainer.run().unwrap(), trainer.into_model())
 }
 
 /// Losses and all final parameter tables of a model, as raw bits carriers.
@@ -65,28 +78,33 @@ fn assert_bitwise_equal(a: &(Vec<f32>, Vec<Vec<f32>>), b: &(Vec<f32>, Vec<Vec<f3
     }
 }
 
-/// Degenerate determinism: at `workers == 1` the async driver is the
-/// synchronous `Trainer` — same plan, same step sequence, inline execution —
-/// so its report and final embeddings must match bit-for-bit.
+/// Degenerate determinism: at `workers == 1` the shared arm is the
+/// synchronous `Trainer` — same plan (under either sampler), same step
+/// sequence, inline execution — so its report and final embeddings must
+/// match bit-for-bit.
 #[test]
 fn single_worker_is_bit_identical_to_synchronous_trainer() {
     let ds = dataset();
-    let cfg = config();
+    for sampler in [SamplerKind::Uniform, SamplerKind::Bernoulli] {
+        let cfg = TrainConfig {
+            sampler,
+            ..config()
+        };
+        let mut trainer =
+            Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
+        let sync_report = trainer.run().unwrap();
+        let sync_model = trainer.into_model();
 
-    let mut trainer = Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
-    let sync_report = trainer.run().unwrap();
-    let sync_model = trainer.into_model();
+        let (async_report, async_model) = hogwild(&ds, &cfg, 1, SpTransE::from_config);
 
-    let (async_report, async_model) =
-        train_hogwild_returning(&ds, &cfg, 1, SpTransE::from_config).unwrap();
-
-    assert_eq!(async_report.workers, 1);
-    assert_eq!(async_report.steps, sync_report.epoch_losses.len() * 9);
-    assert_bitwise_equal(
-        &snapshot(&sync_report.epoch_losses, &sync_model),
-        &snapshot(&async_report.epoch_losses, &async_model),
-        "SpTransE sync vs async(1)",
-    );
+        assert_eq!(async_report.workers, 1);
+        assert_eq!(async_report.steps, sync_report.epoch_losses.len() * 9);
+        assert_bitwise_equal(
+            &snapshot(&sync_report.epoch_losses, &sync_model),
+            &snapshot(&async_report.epoch_losses, &async_model),
+            &format!("SpTransE/{sampler:?} sync vs async(1)"),
+        );
+    }
 }
 
 /// Same degeneracy for a model with a nontrivial epoch hook (SpRotatE
@@ -101,8 +119,7 @@ fn single_worker_matches_trainer_for_rotate_epoch_hook() {
     let sync_report = trainer.run().unwrap();
     let sync_model = trainer.into_model();
 
-    let (async_report, async_model) =
-        train_hogwild_returning(&ds, &cfg, 1, SpRotatE::from_config).unwrap();
+    let (async_report, async_model) = hogwild(&ds, &cfg, 1, SpRotatE::from_config);
 
     assert_bitwise_equal(
         &snapshot(&sync_report.epoch_losses, &sync_model),
@@ -126,7 +143,7 @@ fn many_workers_on_tiny_vocab_stay_finite_and_learn() {
         lr: 0.02,
         ..Default::default()
     };
-    let (report, model) = train_hogwild_returning(&ds, &cfg, 8, SpTransE::from_config).unwrap();
+    let (report, model) = hogwild(&ds, &cfg, 8, SpTransE::from_config);
 
     assert_eq!(report.workers, 8);
     assert_eq!(report.epoch_losses.len(), 5);
@@ -170,7 +187,7 @@ fn four_worker_mrr_is_within_tolerance_of_sync() {
     let sync_model = trainer.into_model();
     let sync_mrr = kg::eval::evaluate_batched(&sync_model, &ds.test, &known, &eval).mrr;
 
-    let (_, async_model) = train_hogwild_returning(&ds, &cfg, 4, SpTransE::from_config).unwrap();
+    let (_, async_model) = hogwild(&ds, &cfg, 4, SpTransE::from_config);
     let async_mrr = kg::eval::evaluate_batched(&async_model, &ds.test, &known, &eval).mrr;
 
     assert!(sync_mrr > 0.0, "sync arm failed to learn (MRR {sync_mrr})");

@@ -10,13 +10,18 @@
 //! association, accumulation order or `-0.0`/`NaN` canonicalization moves a
 //! hash; a change that only moves bytes does not.
 //!
+//! The last test pins a *schedule* the same way: the all-reduce rounds of
+//! `Trainer::replicated` against hashes captured from the free-standing
+//! data-parallel driver they replaced (481f5c4), whose loss summation order
+//! and reduction arithmetic they must reproduce.
+//!
 //! The KG uses `zipf_exponent(1.0)` so the builder's only libm call is
 //! `powf(x, 1.0)` (exact); everything downstream is `+ − × ÷ √ floor`,
 //! which IEEE 754 fixes bit-for-bit, so the constants are portable.
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
-use sptransx::{KgeModel, Norm, SpTorusE, SpTransE, TrainConfig, Trainer};
+use sptransx::{Combine, KgeModel, Norm, OptimizerKind, SpTorusE, SpTransE, TrainConfig, Trainer};
 use tensor::VecStorage;
 
 const ENTITIES: usize = 800;
@@ -129,4 +134,49 @@ fn sptoruse_matches_pre_rewrite_kernel() {
         (0x986d_d099_58dc_087b, 0x785b_f907_4420_8694),
         SpTorusE::from_config,
     );
+}
+
+#[test]
+fn all_reduce_schedule_matches_pre_unification_driver() {
+    // (optimizer, workers, lock-step rounds, embedding hash, loss hash); the
+    // Adagrad rows also decay the rate every epoch, on every replica.
+    #[rustfmt::skip]
+    let golden = [
+        (OptimizerKind::Sgd, 2, 102, 0x7e04_af42_bf92_d1ae_u64, 0xbd51_7047_f53e_b170_u64),
+        (OptimizerKind::Sgd, 3, 69, 0xa458_96b1_b2f2_7856, 0x2751_8f3c_8057_05d8),
+        (OptimizerKind::Sgd, 4, 51, 0xd9fc_d427_38b3_819f, 0xab1d_abfe_f2bc_77aa),
+        (OptimizerKind::Adagrad, 2, 102, 0x6c20_dd93_b5fb_5168, 0x23d7_9ec9_7f86_67ba),
+        (OptimizerKind::Adagrad, 3, 69, 0x7bf6_1df8_4337_b2ef, 0x069b_f3df_df08_33c6),
+        (OptimizerKind::Adagrad, 4, 51, 0xb1c9_affa_17fc_3e0c, 0x2502_6524_ca9e_1515),
+    ];
+    let ds = dataset();
+    for (optimizer, workers, rounds, emb_hash, loss_hash) in golden {
+        let cfg = TrainConfig {
+            optimizer,
+            lr_schedule: (optimizer == OptimizerKind::Adagrad).then_some((1, 0.5)),
+            ..config(Norm::L2)
+        };
+        let mut trainer = Trainer::replicated(
+            &ds,
+            &cfg,
+            workers,
+            Combine::AllReduce,
+            SpTransE::from_config,
+        )
+        .unwrap();
+        let report = trainer.run().unwrap();
+        let store = trainer.model().store();
+        let values = store.value(store.lookup("embeddings").unwrap()).as_slice();
+        let got = (
+            report.steps,
+            fnv1a(values.iter().map(|x| x.to_bits())),
+            fnv1a(report.epoch_losses.iter().map(|x| x.to_bits())),
+        );
+        assert_eq!(
+            got,
+            (rounds, emb_hash, loss_hash),
+            "{optimizer:?} at {workers} workers: (rounds, embedding, loss) {got:#018x?} differ \
+             from the data-parallel driver's at 481f5c4"
+        );
+    }
 }

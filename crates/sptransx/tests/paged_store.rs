@@ -10,13 +10,13 @@
 //! 2. **Counter validation** — the pager's hit/miss counters are replayed
 //!    through an independent `simcache` fully-associative LRU model over the
 //!    same row trace and must match *exactly* (the PR-6 query-cache idiom).
-//! 3. **Failure modes** — budgets below the working set, incompatible
-//!    optimizers, and the data-parallel driver all refuse loudly instead of
-//!    silently corrupting state.
+//! 3. **Failure modes** — budgets below the working set and invalid
+//!    page-outs refuse loudly instead of silently corrupting state (which
+//!    arms may page at all is `tests/arm_soundness.rs`).
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
-use sptransx::{FileRowStorage, KgeModel, OptimizerKind, SpTorusE, SpTransE, TrainConfig, Trainer};
+use sptransx::{FileRowStorage, KgeModel, SpTorusE, SpTransE, TrainConfig, Trainer};
 use tensor::{PageStats, RowStorage, VecStorage};
 
 fn dataset() -> Dataset {
@@ -272,55 +272,6 @@ fn page_out_rejects_invalid_configurations() {
 }
 
 #[test]
-fn dense_state_optimizers_refuse_paged_parameters() {
-    // Adagrad and Adam keep a dense per-row state table the row cache
-    // cannot page: the trainer returns a typed error before the first step
-    // instead of reaching the optimizers' last-resort asserts.
-    let ds = dataset();
-    for optimizer in [OptimizerKind::Adagrad, OptimizerKind::Adam] {
-        let cfg = TrainConfig {
-            optimizer,
-            ..config()
-        };
-        let model = SpTransE::from_config(&ds, &cfg).unwrap();
-        let emb = model.embedding_param();
-        let mut trainer = Trainer::new(model, &ds, &cfg).unwrap();
-        trainer
-            .model_mut()
-            .store_mut()
-            .page_out(emb, Box::new(VecStorage::new(204, cfg.dim)), BUDGET)
-            .unwrap();
-        let err = trainer
-            .run()
-            .expect_err("paged parameters need a stateless optimizer");
-        assert!(
-            matches!(err, sptransx::Error::Config { .. }),
-            "{optimizer:?}: expected a configuration error, got {err:?}"
-        );
-        let msg = err.to_string();
-        assert!(
-            msg.contains(&format!("{optimizer:?} does not support paged parameters")),
-            "{optimizer:?}: unexpected message: {msg}"
-        );
-    }
-}
-
-#[test]
-fn data_parallel_driver_rejects_paged_models() {
-    let ds = dataset();
-    let cfg = config();
-    let err = sptransx::distributed::train_data_parallel(&ds, &cfg, 2, |ds, cfg| {
-        let mut m = SpTransE::from_config(ds, cfg)?;
-        let emb = m.embedding_param();
-        m.store_mut()
-            .page_out(emb, Box::new(VecStorage::new(204, cfg.dim)), BUDGET)?;
-        Ok(m)
-    })
-    .expect_err("paged replicas must be rejected");
-    assert!(err.to_string().contains("data-parallel"));
-}
-
-#[test]
 fn unpaged_table_round_trips_through_storage() {
     // page_out → a few batches → unpage restores a fully resident table
     // usable by the (paging-unaware) evaluation path.
@@ -332,21 +283,6 @@ fn unpaged_table_round_trips_through_storage() {
     let resident = train_resident(&ds, &cfg);
     let (paged, _, _) = train_paged(&ds, &cfg, Box::new(VecStorage::new(204, cfg.dim)), BUDGET);
     assert_bits_equal(&paged.embeddings, &resident.embeddings, "one-epoch table");
-}
-
-#[test]
-fn hogwild_driver_rejects_paged_models() {
-    let ds = dataset();
-    let cfg = config();
-    let err = sptransx::distributed::train_hogwild(&ds, &cfg, 2, |ds, cfg| {
-        let mut m = SpTransE::from_config(ds, cfg)?;
-        let emb = m.embedding_param();
-        m.store_mut()
-            .page_out(emb, Box::new(VecStorage::new(204, cfg.dim)), BUDGET)?;
-        Ok(m)
-    })
-    .expect_err("paged replicas must be rejected");
-    assert!(err.to_string().contains("asynchronous driver"));
 }
 
 #[test]

@@ -14,10 +14,9 @@
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
-use sptransx::distributed::train_data_parallel_returning;
 use sptransx::{
-    DenseTransE, DenseTransR, KgeModel, OptimizerKind, SpComplEx, SpDistMult, SpRotatE, SpTorusE,
-    SpTransE, SpTransH, SpTransR, TrainConfig, Trainer,
+    Combine, DenseTransE, DenseTransR, KgeModel, OptimizerKind, SpComplEx, SpDistMult, SpRotatE,
+    SpTorusE, SpTransE, SpTransH, SpTransR, TrainConfig, TrainReport, Trainer,
 };
 use xparallel::PoolHandle;
 
@@ -36,6 +35,13 @@ fn config(dense_grads: bool, optimizer: OptimizerKind) -> TrainConfig {
         optimizer,
         ..Default::default()
     }
+}
+
+/// An all-reduce run of `workers` SpTransE replicas: its report and rank 0.
+fn all_reduce(ds: &Dataset, cfg: &TrainConfig, workers: usize) -> (TrainReport, SpTransE) {
+    let mut trainer =
+        Trainer::replicated(ds, cfg, workers, Combine::AllReduce, SpTransE::from_config).unwrap();
+    (trainer.run().unwrap(), trainer.into_model())
 }
 
 /// Losses and final parameter bits of one run.
@@ -158,7 +164,7 @@ fn optimizer_choice_is_wired_through_the_trainer() {
     assert!((trainer.optimizer().learning_rate() - cfg.lr * 0.25).abs() < 1e-9);
 }
 
-/// The data-parallel driver shares the contract: its union all-reduce and
+/// Data-parallel replicas share the contract: their union all-reduce and
 /// per-replica sparse steps must match the dense reduction bit-for-bit.
 #[test]
 fn distributed_sparse_all_reduce_matches_dense() {
@@ -166,8 +172,7 @@ fn distributed_sparse_all_reduce_matches_dense() {
     for workers in [2usize, 3] {
         let run_mode = |dense_grads: bool| {
             let cfg = config(dense_grads, OptimizerKind::Sgd);
-            let (report, model) =
-                train_data_parallel_returning(&ds, &cfg, workers, SpTransE::from_config).unwrap();
+            let (report, model) = all_reduce(&ds, &cfg, workers);
             let emb: Vec<u32> = model
                 .store()
                 .value(model.embedding_param())
@@ -185,10 +190,10 @@ fn distributed_sparse_all_reduce_matches_dense() {
     }
 }
 
-/// Stateful optimizers in the data-parallel driver: each replica owns its
-/// optimizer instance, all replicas step on the same averaged gradient, so
-/// their state — and therefore their parameters — stay in lock-step (the
-/// driver bit-asserts this after every synchronous step in debug builds; a
+/// Stateful optimizers under all-reduce: each replica owns its optimizer
+/// instance, all replicas step on the same averaged gradient, so their
+/// state — and therefore their parameters — stay in lock-step (the trainer
+/// bit-asserts this after every lock-step round in debug builds; a
 /// single shared Adagrad/Adam would advance its accumulators once per
 /// replica per step and fail that assertion on the first step).
 #[test]
@@ -196,8 +201,7 @@ fn distributed_stateful_optimizers_keep_replicas_in_lockstep() {
     let ds = dataset();
     for optimizer in [OptimizerKind::Adagrad, OptimizerKind::Adam] {
         let cfg = config(false, optimizer);
-        let (report, _model) =
-            train_data_parallel_returning(&ds, &cfg, 3, SpTransE::from_config).unwrap();
+        let (report, _model) = all_reduce(&ds, &cfg, 3);
         assert!(
             report.epoch_losses.iter().all(|l| l.is_finite()),
             "{optimizer:?}: losses must be finite"
@@ -205,10 +209,10 @@ fn distributed_stateful_optimizers_keep_replicas_in_lockstep() {
     }
 }
 
-/// `TrainConfig::lr_schedule` must act in the distributed driver exactly as
-/// in `Trainer`: a 1-worker data-parallel run with a decay schedule matches
-/// the single-process trainer bit-for-bit (same optimizer state, same
-/// per-epoch decayed rate).
+/// `TrainConfig::lr_schedule` must act on every replica's optimizer exactly
+/// as on a lone one: a 1-worker all-reduce run with a decay schedule matches
+/// `Trainer::new` bit-for-bit (same optimizer state, same per-epoch decayed
+/// rate).
 #[test]
 fn distributed_honors_lr_schedule_like_trainer() {
     let ds = dataset();
@@ -216,8 +220,7 @@ fn distributed_honors_lr_schedule_like_trainer() {
         lr_schedule: Some((1, 0.5)),
         ..config(false, OptimizerKind::Adagrad)
     };
-    let (dist_report, dist_model) =
-        train_data_parallel_returning(&ds, &cfg, 1, SpTransE::from_config).unwrap();
+    let (dist_report, dist_model) = all_reduce(&ds, &cfg, 1);
     let mut trainer = Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
     let train_report = trainer.run().unwrap();
     let final_lr = trainer.optimizer().learning_rate();

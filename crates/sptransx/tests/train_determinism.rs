@@ -10,9 +10,9 @@
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::{BatchPlan, Dataset, Triple, TripleSet, TripleStore, UniformSampler};
-use sptransx::distributed::{train_data_parallel, train_data_parallel_returning};
 use sptransx::{
-    KgeModel, SpComplEx, SpDistMult, SpRotatE, SpTransE, SpTransH, SpTransR, TrainConfig, Trainer,
+    Combine, KgeModel, SamplerKind, SpComplEx, SpDistMult, SpRotatE, SpTransE, SpTransH, SpTransR,
+    TrainConfig, TrainReport, Trainer,
 };
 use xparallel::PoolHandle;
 
@@ -29,6 +29,13 @@ fn config() -> TrainConfig {
         lr: 0.05,
         ..Default::default()
     }
+}
+
+/// An all-reduce run of `workers` SpTransE replicas: its report and rank 0.
+fn all_reduce(ds: &Dataset, cfg: &TrainConfig, workers: usize) -> (TrainReport, SpTransE) {
+    let mut trainer =
+        Trainer::replicated(ds, cfg, workers, Combine::AllReduce, SpTransE::from_config).unwrap();
+    (trainer.run().unwrap(), trainer.into_model())
 }
 
 /// Losses and final parameters of one training run at a pinned pool width.
@@ -113,8 +120,7 @@ fn distributed_worker4_is_bit_identical_across_thread_limits() {
     let cfg = config();
     let run = |limit: usize| {
         xparallel::with_parallelism(limit, || {
-            let (report, model) =
-                train_data_parallel_returning(&ds, &cfg, 4, SpTransE::from_config).unwrap();
+            let (report, model) = all_reduce(&ds, &cfg, 4);
             let emb: Vec<u32> = model
                 .store()
                 .value(model.embedding_param())
@@ -135,38 +141,40 @@ fn distributed_worker4_is_bit_identical_across_thread_limits() {
     assert_eq!(narrow.1, wide.1, "embeddings diverged across thread limits");
 }
 
-/// A 1-worker data-parallel run degenerates to plain SGD — and because every
-/// kernel is width-invariant, it must match the `Trainer` bit-for-bit even
-/// though the two paths use different pool schedules (sequential tapes on
-/// pool tasks vs. pool-wide tapes on the caller thread).
+/// A 1-worker all-reduce run *is* the plain `Trainer`, bit for bit — with
+/// either sampler, which a replicated run builds its plan from exactly as
+/// `Trainer::new` does (`tests/hogwild.rs` has the `Combine::Shared` twin).
+/// At two workers the sampler shows in the loss bits.
 #[test]
 fn distributed_worker1_matches_trainer_bitwise() {
     let ds = dataset();
-    let cfg = config();
-    let (dist_report, dist_model) =
-        train_data_parallel_returning(&ds, &cfg, 1, SpTransE::from_config).unwrap();
-
-    let mut trainer = Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
-    let train_report = trainer.run().unwrap();
-    let trainer_model = trainer.into_model();
-
-    for (i, (a, b)) in dist_report
-        .epoch_losses
-        .iter()
-        .zip(&train_report.epoch_losses)
-        .enumerate()
-    {
-        assert_eq!(a.to_bits(), b.to_bits(), "epoch {i}: {a} vs {b}");
-    }
-    let da = dist_model.store().value(dist_model.embedding_param());
-    let db = trainer_model.store().value(trainer_model.embedding_param());
-    for (j, (a, b)) in da.as_slice().iter().zip(db.as_slice()).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "embedding element {j}: {a} vs {b}"
+    let snapshot = |report: TrainReport, model: &SpTransE| {
+        let ids = model.store().param_ids().into_iter();
+        let params = ids.map(|id| model.store().value(id).as_slice().to_vec());
+        (report.epoch_losses, params.collect())
+    };
+    let mut two_worker_losses = Vec::new();
+    for sampler in [SamplerKind::Uniform, SamplerKind::Bernoulli] {
+        let cfg = TrainConfig {
+            sampler,
+            ..config()
+        };
+        let mut trainer =
+            Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
+        let report = trainer.run().unwrap();
+        let (dist_report, dist_model) = all_reduce(&ds, &cfg, 1);
+        assert_bitwise_equal(
+            &snapshot(report, trainer.model()),
+            &snapshot(dist_report, &dist_model),
+            &format!("{sampler:?}: 1-worker all-reduce vs Trainer::new"),
         );
+        let losses = all_reduce(&ds, &cfg, 2).0.epoch_losses;
+        two_worker_losses.push(losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>());
     }
+    assert_ne!(
+        two_worker_losses[0], two_worker_losses[1],
+        "a 2-worker run must train on the configured sampler's negatives"
+    );
 }
 
 /// Repeated identical runs are bit-identical (no hidden global state).
@@ -174,9 +182,9 @@ fn distributed_worker1_matches_trainer_bitwise() {
 fn distributed_runs_are_repeatable() {
     let ds = dataset();
     let cfg = config();
-    let a = train_data_parallel(&ds, &cfg, 3, SpTransE::from_config).unwrap();
-    let b = train_data_parallel(&ds, &cfg, 3, SpTransE::from_config).unwrap();
-    let bits = |r: &sptransx::distributed::DistributedReport| {
+    let (a, _) = all_reduce(&ds, &cfg, 3);
+    let (b, _) = all_reduce(&ds, &cfg, 3);
+    let bits = |r: &TrainReport| {
         r.epoch_losses
             .iter()
             .map(|x| x.to_bits())
@@ -250,8 +258,8 @@ fn zero_batch_plan_is_a_config_error() {
         "unexpected error: {err}"
     );
 
-    // The data-parallel driver shares the contract: an empty training set
-    // is an error, not a loss-0 report.
+    // A replicated run shares the contract: an empty training set is an
+    // error, not a loss-0 report.
     let empty_ds = Dataset {
         name: "empty".into(),
         num_entities: ds.num_entities,
@@ -260,7 +268,15 @@ fn zero_batch_plan_is_a_config_error() {
         valid: std::iter::empty::<Triple>().collect(),
         test: std::iter::empty::<Triple>().collect(),
     };
-    let err = train_data_parallel(&empty_ds, &cfg, 2, SpTransE::from_config).unwrap_err();
+    let err = Trainer::replicated(
+        &empty_ds,
+        &cfg,
+        2,
+        Combine::AllReduce,
+        SpTransE::from_config,
+    )
+    .and_then(|mut t| t.run())
+    .unwrap_err();
     assert!(
         err.to_string().contains("no batches"),
         "unexpected error: {err}"

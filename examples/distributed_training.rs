@@ -9,8 +9,7 @@
 //! ```
 
 use kg::synthetic::SyntheticKgBuilder;
-use sptransx::distributed::train_data_parallel;
-use sptransx::{SpTransE, TrainConfig};
+use sptransx::{Combine::AllReduce, SpTransE, TrainConfig, Trainer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = SyntheticKgBuilder::new(6_000, 60)
@@ -40,9 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Keep each replica's kernels single-threaded so the sweep isolates
         // data parallelism from kernel parallelism.
         let report = xparallel::with_parallelism(1, || {
-            train_data_parallel(&dataset, &config, workers, |ds, cfg| {
-                SpTransE::from_config(ds, cfg)
-            })
+            Trainer::replicated(&dataset, &config, workers, AllReduce, SpTransE::from_config)?.run()
         })?;
         let t = report.wall.as_secs_f64();
         let base = *baseline.get_or_insert(t);

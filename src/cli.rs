@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use kg::eval::EvalConfig;
+use kg::eval::{BatchScorer, EvalConfig};
 use kg::stream::EmbeddingStore;
 use kg::{load_tsv, write_tsv, Dataset, Vocab};
 use sptransx::serve::{
@@ -34,8 +34,8 @@ use sptransx::serve::{
     ZipfWorkload,
 };
 use sptransx::{
-    KgeModel, Norm, OptimizerKind, SamplerKind, SpDistMult, SpTorusE, SpTransE, SpTransH, SpTransR,
-    TrainConfig, Trainer,
+    Arm, Combine, KgeModel, Norm, OptimizerKind, SamplerKind, SpDistMult, SpTorusE, SpTransE,
+    SpTransH, SpTransR, TrainConfig, Trainer,
 };
 
 /// Parsed command line: subcommand plus `--key value` options.
@@ -181,16 +181,14 @@ pub fn cmd_generate(args: &Args) -> Result<String, CliError> {
 
 /// The `train` subcommand: load a TSV, train, save embeddings + report.
 ///
+/// Everything is parsed, and the arm it adds up to checked against
+/// [`Arm::check`], before the dataset is opened.
+///
 /// # Errors
 ///
-/// Propagates I/O, parse and training errors.
+/// Propagates I/O, parse and training errors; an illegal arm is a
+/// [`CliError::Usage`].
 pub fn cmd_train(args: &Args) -> Result<String, CliError> {
-    let train_path = args.required("train")?;
-    let model_name = args.str_or("model", "transe");
-    let config = config_from_args(args)?;
-    let out = PathBuf::from(args.str_or("out", "embeddings.bin"));
-    let paged = paged_store_from_args(args, &model_name, &config, &out)?;
-
     // `--async true` selects the Hogwild arm; `--workers` is meaningless
     // (and therefore rejected) on the synchronous default.
     let use_async: bool = args.parse_or("async", false)?;
@@ -199,110 +197,44 @@ pub fn cmd_train(args: &Args) -> Result<String, CliError> {
             "--workers only applies to the asynchronous arm; add --async true".into(),
         ));
     }
-    let workers: usize = args.parse_or("workers", 4)?;
-    if use_async {
-        if workers == 0 {
-            return Err(CliError::Usage("--workers must be at least 1".into()));
-        }
-        if paged.is_some() {
-            return Err(CliError::Usage(
-                "--async true is incompatible with --store disk (workers share one resident \
-                 parameter buffer; a row cache cannot be shared lock-free)"
-                    .into(),
-            ));
-        }
-        if config.optimizer != OptimizerKind::Sgd {
-            return Err(CliError::Usage(
-                "--async true requires --optimizer sgd (stateless updates are what make \
-                 lock-free row collisions benign)"
-                    .into(),
-            ));
-        }
-        if config.dense_grads {
-            return Err(CliError::Usage(
-                "--async true needs the sparse touched-row gradient path; drop --dense-grads true"
-                    .into(),
-            ));
-        }
-    }
-
-    let (ds, _vocab) = load_dataset(Path::new(&train_path), args)?;
-    let result = if use_async {
-        train_dispatch_async(&model_name, &ds, &config, workers)
+    let (workers, combine) = if use_async {
+        (args.parse_or("workers", 4)?, Combine::Shared)
     } else {
-        train_dispatch(
-            &model_name,
-            &ds,
-            &config,
-            paged.as_ref().map(|(p, b)| (p.as_path(), *b)),
-        )
+        (1, Combine::AllReduce)
     };
-    // The pagefile is scratch space for the run; keep the filesystem clean
-    // whether training succeeded or not.
-    if let Some((pagefile, _)) = &paged {
-        std::fs::remove_file(pagefile).ok();
+    if workers == 0 {
+        return Err(CliError::Usage("--workers must be at least 1".into()));
     }
-    let (summary, emb) = result?;
-    if let Some((rows, cols, data)) = emb {
-        EmbeddingStore::write(&out, rows, cols, |r, dst| {
-            dst.copy_from_slice(&data[r * cols..(r + 1) * cols]);
-        })?;
+    let job = TrainJob {
+        args,
+        train_path: args.required("train")?,
+        config: config_from_args(args)?,
+        out: PathBuf::from(args.str_or("out", "embeddings.bin")),
+        cache_rows: cache_rows_from_args(args)?,
+        workers,
+        combine,
+    };
+    match args.str_or("model", "transe").as_str() {
+        "transe" => job.run(SpTransE::from_config),
+        "toruse" => job.run(SpTorusE::from_config),
+        "transr" => job.run(SpTransR::from_config),
+        "transh" => job.run(SpTransH::from_config),
+        "distmult" => job.run(SpDistMult::from_config),
+        other => Err(CliError::Usage(format!(
+            "unknown --model {other:?} (transe|toruse|transr|transh|distmult)"
+        ))),
     }
-    Ok(format!("{summary}\nembeddings saved to {}", out.display()))
 }
 
-/// Parses and validates `--store {ram,disk}` + `--cache-rows N` into the
-/// out-of-core paging request: `Some((pagefile, cache budget))` for disk
-/// mode, `None` for the fully resident default.
-///
-/// Disk mode pages the embedding table to `{out}.pagefile` and keeps only
-/// `--cache-rows` rows pinned in RAM; it is restricted to the combinations
-/// whose hot path is slot-translation-aware (TransE/TorusE, SGD, sparse
-/// gradients, fused kernels) so paging can move bytes without ever touching
-/// arithmetic.
-fn paged_store_from_args(
-    args: &Args,
-    model_name: &str,
-    config: &TrainConfig,
-    out: &Path,
-) -> Result<Option<(PathBuf, usize)>, CliError> {
-    let store = args.str_or("store", "ram");
-    match store.as_str() {
+/// Parses `--store {ram,disk}` + `--cache-rows N`: the row-cache budget of
+/// disk mode, `None` for the fully resident default.
+fn cache_rows_from_args(args: &Args) -> Result<Option<usize>, CliError> {
+    match args.str_or("store", "ram").as_str() {
         "ram" => Ok(None),
-        "disk" => {
-            if !matches!(model_name, "transe" | "toruse") {
-                return Err(CliError::Usage(format!(
-                    "--store disk supports --model transe|toruse, got {model_name:?} \
-                     (other models' kernels are not paging-aware yet)"
-                )));
-            }
-            if config.optimizer != OptimizerKind::Sgd {
-                return Err(CliError::Usage(
-                    "--store disk requires --optimizer sgd (Adagrad/Adam keep dense \
-                     per-row state the row cache cannot page)"
-                        .into(),
-                ));
-            }
-            if config.dense_grads {
-                return Err(CliError::Usage(
-                    "--store disk needs the sparse touched-row gradient path; \
-                     drop --dense-grads true"
-                        .into(),
-                ));
-            }
-            if !config.fused {
-                return Err(CliError::Usage(
-                    "--store disk needs the fused kernels; drop --fused false".into(),
-                ));
-            }
-            let cache_rows: usize = args.parse_or("cache-rows", 4096)?;
-            if cache_rows == 0 {
-                return Err(CliError::Usage("--cache-rows must be at least 1".into()));
-            }
-            let mut pagefile = out.as_os_str().to_owned();
-            pagefile.push(".pagefile");
-            Ok(Some((PathBuf::from(pagefile), cache_rows)))
-        }
+        "disk" => match args.parse_or("cache-rows", 4096)? {
+            0 => Err(CliError::Usage("--cache-rows must be at least 1".into())),
+            cache_rows => Ok(Some(cache_rows)),
+        },
         other => Err(CliError::Usage(format!(
             "unknown --store {other:?} (ram|disk)"
         ))),
@@ -407,22 +339,13 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     // --store disk: additionally answer every query through a row cache over
     // the on-disk embedding file (the out-of-core arm), cross-checking each
     // answer against the resident ANN arm bit for bit.
-    let mut paged_rows = match args.str_or("store", "ram").as_str() {
-        "ram" => None,
-        "disk" => {
-            let cache_rows: usize = args.parse_or("cache-rows", 4096)?;
-            if cache_rows == 0 {
-                return Err(CliError::Usage("--cache-rows must be at least 1".into()));
-            }
+    let mut paged_rows = match cache_rows_from_args(args)? {
+        None => None,
+        Some(cache_rows) => {
             let storage = sptransx::ReadOnlyRowStorage::open(&emb_path)?;
             let mut rows = sptransx::serve::PagedRows::new(Box::new(storage), cache_rows)?;
             rows.set_tracing(true);
             Some(rows)
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --store {other:?} (ram|disk)"
-            )))
         }
     };
 
@@ -650,7 +573,7 @@ fn config_from_args(args: &Args) -> Result<TrainConfig, CliError> {
         lr_schedule,
         optimizer,
         dense_grads: args.parse_or("dense-grads", false)?,
-        fused: args.parse_or("fused", true)?,
+        ..TrainConfig::default()
     })
 }
 
@@ -677,7 +600,108 @@ fn parse_lr_decay(raw: &str) -> Result<(u32, f32), CliError> {
     Ok((step, gamma))
 }
 
-type EmbeddingDump = Option<(usize, usize, Vec<f32>)>;
+/// The scratch pagefile of a `--store disk` run, removed however the run
+/// ends.
+struct Pagefile(PathBuf);
+
+impl Drop for Pagefile {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
+
+/// What `sptx train` parsed, before any file is opened.
+struct TrainJob<'a> {
+    args: &'a Args,
+    train_path: String,
+    config: TrainConfig,
+    out: PathBuf,
+    /// `--store disk`: the embedding table pages to `{out}.pagefile` behind
+    /// a row cache of this budget.
+    cache_rows: Option<usize>,
+    workers: usize,
+    combine: Combine,
+}
+
+impl TrainJob<'_> {
+    /// Checks the arm, then loads, trains, evaluates, dumps and reports.
+    /// One path for every model and every arm: the synchronous default is
+    /// the one-worker run.
+    fn run<M: KgeModel + BatchScorer + Send>(
+        &self,
+        make_model: fn(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+    ) -> Result<String, CliError> {
+        let config = &self.config;
+        let arm = Arm {
+            pages: M::pages(),
+            paged: self.cache_rows.is_some(),
+            optimizer: config.optimizer,
+            dense_grads: config.dense_grads,
+            fused: config.fused,
+            workers: self.workers,
+            combine: self.combine,
+        };
+        arm.check().map_err(|e| match e {
+            sptransx::Error::Config { context } => CliError::Usage(context),
+            other => other.into(),
+        })?;
+
+        let (ds, _vocab) = load_dataset(Path::new(&self.train_path), self.args)?;
+        let mut trainer = Trainer::replicated(&ds, config, self.workers, self.combine, make_model)?;
+        let paged = match self.cache_rows {
+            None => None,
+            Some(budget) => {
+                let mut path = self.out.as_os_str().to_owned();
+                path.push(".pagefile");
+                let pagefile = Pagefile(path.into());
+                let id = page_out_embeddings(&mut trainer, &pagefile.0, budget)?;
+                Some((id, pagefile))
+            }
+        };
+
+        tensor::profile::reset();
+        let report = trainer.run()?;
+        // Snapshot kernel counters before evaluation pollutes them.
+        let kernel_table = kernel_counter_table();
+        // Unpage (and cross-validate the cache counters) before the
+        // paging-unaware evaluation and dump paths read the table.
+        let paged_report = match &paged {
+            Some((id, _)) => unpage_and_validate(&mut trainer, *id)?,
+            None => String::new(),
+        };
+        // Batched, pool-parallel engine; strided subsampling avoids the
+        // dataset-order bias of a plain prefix truncation.
+        let eval = trainer.evaluate_batched(
+            &ds,
+            &EvalConfig {
+                max_triples: Some(500),
+                sample: kg::eval::SampleStrategy::Strided,
+                ..Default::default()
+            },
+        );
+        let m = trainer.model();
+        if let Some(id) = m.store().lookup("embeddings") {
+            let t = m.store().value(id);
+            let (cols, data) = (t.cols(), t.as_slice());
+            EmbeddingStore::write(&self.out, t.rows(), cols, |r, dst| {
+                dst.copy_from_slice(&data[r * cols..(r + 1) * cols]);
+            })?;
+        }
+        Ok(format!(
+            "{}: {} epochs, loss {:.4} -> {:.4}, wall {:.2}s, Hits@10 {:.3}, MRR {:.3}\n\
+             {}\n{kernel_table}{paged_report}\nembeddings saved to {}",
+            KgeModel::name(m),
+            report.epoch_losses.len(),
+            report.epoch_losses.first().copied().unwrap_or(0.0),
+            report.epoch_losses.last().copied().unwrap_or(0.0),
+            report.wall.as_secs_f64(),
+            eval.hits(10).unwrap_or(0.0),
+            eval.mrr,
+            arm_line(&arm),
+            self.out.display()
+        ))
+    }
+}
 
 /// Pages the trainer's `embeddings` table out to a fresh `pagefile` with a
 /// `budget`-row cache and turns row tracing on (the trace feeds the simcache
@@ -754,138 +778,23 @@ fn unpage_and_validate<M: KgeModel>(
     Ok(out)
 }
 
-fn train_dispatch(
-    model: &str,
-    ds: &Dataset,
-    config: &TrainConfig,
-    paged: Option<(&Path, usize)>,
-) -> Result<(String, EmbeddingDump), CliError> {
-    macro_rules! run {
-        ($ctor:expr) => {{
-            let model = $ctor?;
-            let mut trainer = Trainer::new(model, ds, config)?;
-            let paged_id = paged
-                .map(|(pagefile, budget)| page_out_embeddings(&mut trainer, pagefile, budget))
-                .transpose()?;
-            tensor::profile::reset();
-            let report = trainer.run()?;
-            // Snapshot kernel counters before evaluation pollutes them.
-            let kernel_table = kernel_counter_table();
-            // Unpage (and cross-validate the cache counters) before the
-            // paging-unaware evaluation and dump paths read the table.
-            let paged_report = match paged_id {
-                Some(id) => unpage_and_validate(&mut trainer, id)?,
-                None => String::new(),
-            };
-            // Batched, pool-parallel engine; strided subsampling avoids the
-            // dataset-order bias of a plain prefix truncation.
-            let eval = trainer.evaluate_batched(
-                ds,
-                &EvalConfig {
-                    max_triples: Some(500),
-                    sample: kg::eval::SampleStrategy::Strided,
-                    ..Default::default()
-                },
-            );
-            let m = trainer.model();
-            let emb_id = m.store().lookup("embeddings");
-            let emb = emb_id.map(|id| {
-                let t = m.store().value(id);
-                (t.rows(), t.cols(), t.as_slice().to_vec())
-            });
-            let summary = format!(
-                "{}: {} epochs, loss {:.4} -> {:.4}, wall {:.2}s, Hits@10 {:.3}, MRR {:.3}\n\
-                 arm: {} gradients/renorm, {} kernels\n{}{}",
-                KgeModel::name(m),
-                report.epoch_losses.len(),
-                report.epoch_losses.first().copied().unwrap_or(0.0),
-                report.epoch_losses.last().copied().unwrap_or(0.0),
-                report.wall.as_secs_f64(),
-                eval.hits(10).unwrap_or(0.0),
-                eval.mrr,
-                if config.dense_grads {
-                    "dense (--dense-grads ablation)"
-                } else {
-                    "sparse touched-row"
-                },
-                if config.fused { "fused" } else { "unfused" },
-                kernel_table,
-                paged_report,
-            );
-            Ok((summary, emb))
-        }};
-    }
-    match model {
-        "transe" => run!(SpTransE::from_config(ds, config)),
-        "toruse" => run!(SpTorusE::from_config(ds, config)),
-        "transr" => run!(SpTransR::from_config(ds, config)),
-        "transh" => run!(SpTransH::from_config(ds, config)),
-        "distmult" => run!(SpDistMult::from_config(ds, config)),
-        other => Err(CliError::Usage(format!(
-            "unknown --model {other:?} (transe|toruse|transr|transh|distmult)"
-        ))),
-    }
-}
-
-/// The `--async true` dispatch: trains through the Hogwild driver and
-/// evaluates/dumps from the returned rank-0 replica (all replicas alias the
-/// same shared values, so after the final epoch-edge join it *is* the
-/// model). The summary names the arm and its worker count so report
-/// consumers can tell a nondeterministic run from a contract run.
-fn train_dispatch_async(
-    model: &str,
-    ds: &Dataset,
-    config: &TrainConfig,
-    workers: usize,
-) -> Result<(String, EmbeddingDump), CliError> {
-    macro_rules! run_async {
-        ($ctor:expr) => {{
-            tensor::profile::reset();
-            let (report, m) =
-                sptransx::distributed::train_hogwild_returning(ds, config, workers, $ctor)?;
-            let kernel_table = kernel_counter_table();
-            let eval = kg::eval::evaluate_batched(
-                &m,
-                &ds.test,
-                &ds.all_known(),
-                &EvalConfig {
-                    max_triples: Some(500),
-                    sample: kg::eval::SampleStrategy::Strided,
-                    ..Default::default()
-                },
-            );
-            let emb = m.store().lookup("embeddings").map(|id| {
-                let t = m.store().value(id);
-                (t.rows(), t.cols(), t.as_slice().to_vec())
-            });
-            let summary = format!(
-                "{}: {} epochs, loss {:.4} -> {:.4}, wall {:.2}s, Hits@10 {:.3}, MRR {:.3}\n\
-                 arm: async hogwild ({} workers, nondeterministic), sparse touched-row \
-                 gradients/renorm, {} kernels\n{}",
-                KgeModel::name(&m),
-                report.epoch_losses.len(),
-                report.epoch_losses.first().copied().unwrap_or(0.0),
-                report.epoch_losses.last().copied().unwrap_or(0.0),
-                report.wall.as_secs_f64(),
-                eval.hits(10).unwrap_or(0.0),
-                eval.mrr,
-                report.workers,
-                if config.fused { "fused" } else { "unfused" },
-                kernel_table,
-            );
-            Ok((summary, emb))
-        }};
-    }
-    match model {
-        "transe" => run_async!(SpTransE::from_config),
-        "toruse" => run_async!(SpTorusE::from_config),
-        "transr" => run_async!(SpTransR::from_config),
-        "transh" => run_async!(SpTransH::from_config),
-        "distmult" => run_async!(SpDistMult::from_config),
-        other => Err(CliError::Usage(format!(
-            "unknown --model {other:?} (transe|toruse|transr|transh|distmult)"
-        ))),
-    }
+/// The report's `arm:` line, which names the arm that produced the numbers
+/// so report consumers can tell a nondeterministic run from a contract run.
+fn arm_line(arm: &Arm) -> String {
+    let schedule = match arm.combine {
+        Combine::Shared => format!(
+            "async hogwild ({} workers, nondeterministic), ",
+            arm.workers
+        ),
+        Combine::AllReduce => String::new(),
+    };
+    let gradients = if arm.dense_grads {
+        "dense (--dense-grads ablation)"
+    } else {
+        "sparse touched-row"
+    };
+    let kernels = if arm.fused { "fused" } else { "unfused" };
+    format!("arm: {schedule}{gradients} gradients/renorm, {kernels} kernels")
 }
 
 /// Renders the Table-5-style per-kernel counter report for the training run:
@@ -954,7 +863,6 @@ fn known_flags(command: &str) -> Option<&'static [&'static str]> {
             "optimizer",
             "lr-decay",
             "dense-grads",
-            "fused",
             "store",
             "cache-rows",
             "async",
@@ -1038,8 +946,7 @@ USAGE:
                 [--epochs E] [--dim D] [--lr LR] [--margin M] [--norm l1|l2]
                 [--optimizer sgd|adagrad|adam] [--lr-decay STEP:GAMMA]
                 [--sampler uniform|bernoulli] [--dense-grads true|false]
-                [--fused true|false] [--store ram|disk] [--cache-rows N]
-                [--async true] [--workers N]
+                [--store ram|disk] [--cache-rows N] [--async true] [--workers N]
                 [--out embeddings.bin]
   sptx stats    --train FILE.tsv
   sptx serve    --emb FILE.bin --train FILE.tsv [--norm l1|l2] [--k K]
@@ -1054,11 +961,9 @@ Any subcommand also accepts --threads N (worker-pool size; results are
 bit-identical at any N, only wall-clock changes). --dense-grads true disables
 the touched-row sparse gradient AND epoch-renormalization paths (an ablation
 switch: training is bit-identical, each batch and epoch-end sweep just walks
-whole embedding tables). --fused false disables the fused gather+distance /
-margin-loss+backward-seed kernels (also bit-identical; the unfused tape
-materializes the chunk-by-dim intermediates). The train report names which
-arm ran and prints a per-kernel calls/bytes/flops counter table. --lr-decay
-multiplies the learning rate by GAMMA every STEP epochs.
+whole embedding tables). The train report names which arm ran and prints a
+per-kernel calls/bytes/flops counter table. --lr-decay multiplies the learning
+rate by GAMMA every STEP epochs.
 
 --async true trains with the lock-free Hogwild arm: --workers N threads
 (default 4) share one set of parameter tensors and apply touched-row SGD
@@ -1216,10 +1121,6 @@ mod tests {
         assert_eq!(defaults.lr_schedule, None);
         assert!(!defaults.dense_grads);
         assert!(defaults.fused);
-
-        let unfused =
-            config_from_args(&parse_args(&strs(&["train", "--fused", "false"])).unwrap()).unwrap();
-        assert!(!unfused.fused);
 
         let bad = parse_args(&strs(&["train", "--optimizer", "lbfgs"])).unwrap();
         assert!(matches!(config_from_args(&bad), Err(CliError::Usage(_))));
