@@ -270,9 +270,30 @@ fn bench_paged_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Post-Criterion JSON pass: re-times one epoch (after one warm-up epoch)
-/// of the sparse and dense-grads arms at each table size with a plain
-/// `Instant`, and writes the records to `BENCH_scale.json` (see
+/// Epochs in the timed window of both JSON passes.
+const TIMED_EPOCHS: u32 = 5;
+
+/// Steady-state epoch time in milliseconds: two warm-up epochs, then the
+/// minimum over [`TIMED_EPOCHS`] individually timed ones. The first warm-up
+/// pays the first-touch renormalization (all rows start dirty — a full-table
+/// page-through when paged) and the arena growth; the second runs with the
+/// caches that sweep evicted refilled, so the timed epochs are the ones a
+/// long run repeats.
+fn steady_epoch_ms(mut epoch: impl FnMut()) -> f64 {
+    epoch();
+    epoch();
+    (0..TIMED_EPOCHS)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            epoch();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Post-Criterion JSON pass: re-times a steady-state epoch
+/// ([`steady_epoch_ms`]) of the sparse and dense-grads arms at each table
+/// size and writes the records to `BENCH_scale.json` (see
 /// `sptx_bench::json`) — plain numbers scripts can diff, next to
 /// Criterion's distribution estimates.
 fn emit_json() {
@@ -318,12 +339,7 @@ fn emit_json() {
                 }
                 model.end_epoch();
             };
-            // Warm-up epoch: first-touch renormalization (all rows start
-            // dirty) and arena growth happen here, not in the measurement.
-            epoch(&mut model, &mut graph, &mut opt);
-            let t = std::time::Instant::now();
-            epoch(&mut model, &mut graph, &mut opt);
-            let ms = t.elapsed().as_secs_f64() * 1e3;
+            let ms = steady_epoch_ms(|| epoch(&mut model, &mut graph, &mut opt));
 
             records.push(
                 JsonObject::new()
@@ -342,14 +358,8 @@ fn emit_json() {
     }
 }
 
-/// Epochs in the timed window of the paged JSON pass. One warm-up epoch
-/// precedes it — the first `end_epoch` renormalizes every row (all rows
-/// start dirty), a one-time full-table page-through that must not pollute
-/// steady-state numbers or counters.
-const PAGED_TIMED_EPOCHS: u32 = 5;
-
-/// Out-of-core JSON pass → `BENCH_paged.json`: one warm-up epoch plus a
-/// [`PAGED_TIMED_EPOCHS`]-epoch `Instant`-timed window per arm, across the
+/// Out-of-core JSON pass → `BENCH_paged.json`: a steady-state epoch
+/// ([`steady_epoch_ms`]) per arm, across the
 /// budget sweep (in-RAM backing) and two disk-backed (`FileRowStorage`
 /// pagefile) arms at the tightest budgets. Each record carries the
 /// per-epoch time and its cost relative to the resident sparse epoch at the
@@ -404,12 +414,7 @@ fn emit_json_paged() {
             let mut opt = Sgd::new(cfg.lr);
             opt.set_pool(&PoolHandle::global());
             let mut graph = Graph::new();
-            epoch(&mut model, &mut graph, &mut opt);
-            let t = std::time::Instant::now();
-            for _ in 0..PAGED_TIMED_EPOCHS {
-                epoch(&mut model, &mut graph, &mut opt);
-            }
-            t.elapsed().as_secs_f64() * 1e3 / f64::from(PAGED_TIMED_EPOCHS)
+            steady_epoch_ms(|| epoch(&mut model, &mut graph, &mut opt))
         };
 
         // `pct = 0` pins the budget to the batch working set itself — the
@@ -442,12 +447,7 @@ fn emit_json_paged() {
             let mut opt = Sgd::new(cfg.lr);
             opt.set_pool(&PoolHandle::global());
             let mut graph = Graph::new();
-            epoch(&mut model, &mut graph, &mut opt);
-            let t = std::time::Instant::now();
-            for _ in 0..PAGED_TIMED_EPOCHS {
-                epoch(&mut model, &mut graph, &mut opt);
-            }
-            let ms = t.elapsed().as_secs_f64() * 1e3 / f64::from(PAGED_TIMED_EPOCHS);
+            let ms = steady_epoch_ms(|| epoch(&mut model, &mut graph, &mut opt));
 
             records.push(
                 JsonObject::new()
@@ -456,7 +456,7 @@ fn emit_json_paged() {
                     .str("entities", label)
                     .int("entity_count", entities as u64)
                     .int("budget_rows", budget as u64)
-                    .int("epochs_timed", u64::from(PAGED_TIMED_EPOCHS))
+                    .int("epochs_timed", u64::from(TIMED_EPOCHS))
                     .num("ms_per_epoch", ms)
                     .num("cost_vs_resident", ms / resident_ms),
             );
