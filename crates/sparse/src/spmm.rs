@@ -195,102 +195,34 @@ fn axpy(a: f32, src: &[f32], dst: &mut [f32]) {
     }
 }
 
-/// Computes `out += A · B` **accumulating** into the caller's buffer and
-/// skipping empty rows of `A` entirely.
+/// Computes `out[r, :] += A[r, :] · B` for every row `r` of `rows`,
+/// **accumulating** into the caller's buffer on an explicit
+/// [`xparallel::PoolHandle`] — the backward-pass kernel of the pool-parallel
+/// training step.
 ///
-/// This is the backward-pass kernel: the transpose incidence matrix
-/// `Aᵀ ∈ (N+R) × M` has one row per entity/relation, most of which are
-/// untouched by any given batch — accumulation avoids materializing (and
-/// re-adding) a dense delta the size of the whole embedding table.
+/// The transpose incidence matrix `Aᵀ ∈ (N+R) × M` has one row per
+/// entity/relation, most of which no given batch touches: accumulation
+/// avoids materializing (and re-adding) a dense delta the size of the whole
+/// embedding table, and a listed row set
+/// ([`crate::incidence::IncidencePair::touched_columns`] or any superset)
+/// makes the pass `O(batch)` instead of one `indptr` probe per table row.
+/// Each visited row is owned by one worker and accumulates its nonzeros in
+/// CSR order; empty rows cost nothing; **rows outside the set are not
+/// touched at all**, so the caller must include every nonempty row of `A`
+/// or those contributions are silently dropped. A listed sweep and
+/// [`xparallel::Rows::All`] therefore leave identical bits at any width.
 ///
-/// # Panics
-///
-/// Same conditions as [`csr_spmm_into`].
-pub fn csr_spmm_acc_into(a: &CsrMatrix, b: DenseView<'_>, out: &mut [f32]) {
-    csr_spmm_acc_into_with(&xparallel::PoolHandle::global(), a, b, out);
-}
-
-/// Like [`csr_spmm_acc_into`] but dispatched on an explicit
-/// [`xparallel::PoolHandle`] — the backward-pass entry point of the
-/// pool-parallel training step.
-///
-/// # Panics
-///
-/// Same conditions as [`csr_spmm_into`].
-pub fn csr_spmm_acc_into_with(
-    pool: &xparallel::PoolHandle,
-    a: &CsrMatrix,
-    b: DenseView<'_>,
-    out: &mut [f32],
-) {
-    assert_eq!(a.cols(), b.rows(), "spmm shape mismatch");
-    let n = b.cols();
-    assert_eq!(out.len(), a.rows() * n, "output buffer has wrong length");
-    metrics::record_spmm_call();
-    let flops = if a.has_unit_coefficients() {
-        // Accumulation makes every nonzero one add.
-        a.nnz() as u64 * n as u64
-    } else {
-        2 * a.nnz() as u64 * n as u64
-    };
-    metrics::add_flops(flops);
-    // Traffic accounting mirrors csr_spmm_into_with: index+value reads per
-    // nonzero plus one gathered B row per nonzero. The accumulating output
-    // is read *and* written once per incident nonzero (2×), instead of the
-    // forward kernel's single streaming write of the whole buffer.
-    metrics::add_bytes(
-        (a.nnz() as u64 * (4 + 4))
-            + (a.nnz() as u64 * n as u64 * 4)
-            + 2 * (a.nnz() as u64 * n as u64 * 4),
-    );
-    if n == 0 || a.rows() == 0 {
-        return;
-    }
-    let bdata = b.as_slice();
-    let indptr = a.indptr();
-    let indices = a.indices();
-    let values = a.values();
-    pool.for_rows(out, n, MIN_ROWS_PER_CHUNK, |first_row, chunk| {
-        let nrows = chunk.len() / n;
-        for local in 0..nrows {
-            let i = first_row + local;
-            let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
-            if s == e {
-                continue; // untouched parameter row: no work at all
-            }
-            let dst = &mut chunk[local * n..(local + 1) * n];
-            for k in s..e {
-                let c = indices[k] as usize;
-                axpy(values[k], &bdata[c * n..(c + 1) * n], dst);
-            }
-        }
-    });
-}
-
-/// Like [`csr_spmm_acc_into_with`] but restricted to an explicit sorted list
-/// of output rows — the touched-row backward kernel.
-///
-/// `rows` must be strictly ascending indices into `A`'s rows. Only listed
-/// rows are processed (each by exactly one worker, accumulating its
-/// nonzeros in CSR order, so results are bit-identical to the dense sweep
-/// at any pool width); listed rows with no nonzeros cost nothing. **Rows
-/// outside the list are not touched at all** — the caller must guarantee
-/// every nonempty row of `A` is listed (for an incidence transpose, the
-/// [`crate::incidence::IncidencePair::touched_columns`] list or any
-/// superset of it), otherwise their contributions are silently dropped.
-///
-/// This is what makes the backward pass `O(batch)` instead of `O(N)`: the
-/// dense sweep scans every parameter row's `indptr` entry, this kernel only
-/// walks the touched list.
+/// Flops and bytes are recorded for the nonzeros of the rows actually
+/// walked (all of `A`'s whenever the set covers its nonempty rows).
 ///
 /// # Panics
 ///
 /// Same conditions as [`csr_spmm_into`], plus (debug only) an unsorted row
 /// list.
-pub fn csr_spmm_acc_rows_into_with(
+pub fn csr_spmm_acc_into_with(
     pool: &xparallel::PoolHandle,
     a: &CsrMatrix,
-    rows: &[u32],
+    rows: xparallel::Rows<'_>,
     b: DenseView<'_>,
     out: &mut [f32],
 ) {
@@ -299,40 +231,26 @@ pub fn csr_spmm_acc_rows_into_with(
     assert_eq!(out.len(), a.rows() * n, "output buffer has wrong length");
     metrics::record_spmm_call();
     let indptr = a.indptr();
-    let nnz_listed: u64 = rows
-        .iter()
-        .map(|&r| u64::from(indptr[r as usize + 1] - indptr[r as usize]))
-        .sum();
-    let flops = if a.has_unit_coefficients() {
-        nnz_listed * n as u64
-    } else {
-        2 * nnz_listed * n as u64
-    };
-    metrics::add_flops(flops);
-    // Same traffic model as the dense accumulating kernel, but only the
-    // listed rows' nonzeros move bytes.
-    metrics::add_bytes(
-        (nnz_listed * (4 + 4)) + (nnz_listed * n as u64 * 4) + 2 * (nnz_listed * n as u64 * 4),
-    );
-    if n == 0 || rows.is_empty() {
+    let mut nnz = 0u64;
+    rows.for_each(a.rows(), |r| nnz += u64::from(indptr[r + 1] - indptr[r]));
+    // Accumulation makes every ±1 nonzero one add.
+    let per_nnz = if a.has_unit_coefficients() { 1 } else { 2 };
+    metrics::add_flops(per_nnz * nnz * n as u64);
+    // Traffic accounting mirrors csr_spmm_into_with: index+value reads per
+    // nonzero plus one gathered B row per nonzero. The accumulating output
+    // is read *and* written once per incident nonzero (2×), instead of the
+    // forward kernel's single streaming write of the whole buffer.
+    metrics::add_bytes((nnz * (4 + 4)) + (nnz * n as u64 * 4) + 2 * (nnz * n as u64 * 4));
+    if n == 0 {
         return;
     }
     let bdata = b.as_slice();
     let indices = a.indices();
     let values = a.values();
-    pool.for_listed_rows(out, n, rows, MIN_ROWS_PER_CHUNK, |listed, first, window| {
-        for &r in listed {
-            let i = r as usize;
-            let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
-            if s == e {
-                continue;
-            }
-            let off = (i - first) * n;
-            let dst = &mut window[off..off + n];
-            for k in s..e {
-                let c = indices[k] as usize;
-                axpy(values[k], &bdata[c * n..(c + 1) * n], dst);
-            }
+    pool.for_row_set(out, n, rows, MIN_ROWS_PER_CHUNK, |i, dst| {
+        for k in indptr[i] as usize..indptr[i + 1] as usize {
+            let c = indices[k] as usize;
+            axpy(values[k], &bdata[c * n..(c + 1) * n], dst);
         }
     });
 }
@@ -454,6 +372,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use xparallel::{PoolHandle, Rows};
 
     fn random_csr(rng: &mut StdRng, rows: usize, cols: usize, nnz_per_row: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(rows, cols);
@@ -535,7 +454,7 @@ mod tests {
         let b = random_dense(&mut rng, 25, 9);
         // Start from a nonzero buffer; acc must add on top.
         let mut acc = vec![0.5f32; 40 * 9];
-        csr_spmm_acc_into(&a, b.view(), &mut acc);
+        csr_spmm_acc_into_with(&PoolHandle::global(), &a, Rows::All, b.view(), &mut acc);
         let want = csr_spmm(&a, &b);
         for (x, w) in acc.iter().zip(want.as_slice()) {
             assert!((x - (w + 0.5)).abs() < 1e-4, "{x} vs {}", w + 0.5);
@@ -547,45 +466,37 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(19);
         let a = random_csr(&mut rng, 120, 25, 4);
         let b = random_dense(&mut rng, 25, 9);
-        let mut dense = vec![0.25f32; 120 * 9];
-        let mut listed = dense.clone();
-        csr_spmm_acc_into(&a, b.view(), &mut dense);
-        let rows = a.occupied_rows();
-        csr_spmm_acc_rows_into_with(
-            &xparallel::PoolHandle::global(),
-            &a,
-            &rows,
-            b.view(),
-            &mut listed,
-        );
-        // Bit-identical: the listed kernel performs the exact per-row
-        // accumulation of the dense sweep, skipping only empty rows.
-        for (x, y) in listed.iter().zip(&dense) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
-        }
-        // A superset list (extra empty rows) changes nothing, and unlisted
-        // rows are left alone entirely.
-        let mut superset = vec![0.25f32; 120 * 9];
+        let run = |width: usize, rows: Rows<'_>| {
+            let mut out = vec![0.25f32; 120 * 9];
+            let pool = PoolHandle::global().with_width(width);
+            csr_spmm_acc_into_with(&pool, &a, rows, b.view(), &mut out);
+            out
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let dense = run(1, Rows::All);
+        // Bit-identical: a listed sweep performs the exact per-row
+        // accumulation of the all-rows sweep, skipping only empty rows; a
+        // superset list (extra empty rows) changes nothing.
+        let occupied = a.occupied_rows();
         let all: Vec<u32> = (0..120).collect();
-        csr_spmm_acc_rows_into_with(
-            &xparallel::PoolHandle::global().with_width(5),
-            &a,
-            &all,
-            b.view(),
-            &mut superset,
-        );
-        for (x, y) in superset.iter().zip(&dense) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        for width in [1, 4, 5, 8] {
+            assert_eq!(bits(&run(width, Rows::All)), bits(&dense));
+            assert_eq!(bits(&run(width, Rows::Listed(&occupied))), bits(&dense));
+            assert_eq!(bits(&run(width, Rows::Listed(&all))), bits(&dense));
         }
-        let mut none = vec![0.25f32; 120 * 9];
-        csr_spmm_acc_rows_into_with(
-            &xparallel::PoolHandle::global(),
-            &a,
-            &[],
-            b.view(),
-            &mut none,
-        );
-        assert!(none.iter().all(|&x| x == 0.25));
+        // Unlisted rows are left alone entirely: an empty list is a no-op,
+        // and dropping one occupied row leaves exactly that row unwritten.
+        assert!(run(4, Rows::Listed(&[])).iter().all(|&x| x == 0.25));
+        let (skipped, rest) = occupied.split_first().unwrap();
+        let partial = run(4, Rows::Listed(rest));
+        for r in 0..120 {
+            let want = if r == *skipped as usize {
+                &[0.25f32; 9][..]
+            } else {
+                &dense[r * 9..(r + 1) * 9]
+            };
+            assert_eq!(bits(&partial[r * 9..(r + 1) * 9]), bits(want), "row {r}");
+        }
     }
 
     #[test]

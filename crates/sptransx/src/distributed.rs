@@ -17,7 +17,7 @@
 //! single-threaded over their shard anyway. A single replica runs on the
 //! caller thread with the trainer's own handle.
 
-use tensor::{ParamId, Tensor};
+use tensor::{ParamId, RowSet, Sweep};
 
 use crate::model::KgeModel;
 use crate::train::Replica;
@@ -63,14 +63,13 @@ pub enum Combine {
     Shared,
 }
 
-/// The long-lived buffers of the gradient all-reduce: one accumulator per
-/// parameter and one row-union list, sized on the first reduction, so the
-/// steady-state lock-step round copies bits instead of cloning tensors.
+/// The long-lived scratch of the gradient all-reduce: the parameter handles
+/// and one row-union set, so the steady-state lock-step round allocates
+/// nothing.
 #[derive(Debug, Default)]
 pub(crate) struct Reducer {
     param_ids: Vec<ParamId>,
-    acc: Vec<Tensor>,
-    union: Vec<u32>,
+    union: RowSet,
 }
 
 impl Reducer {
@@ -78,97 +77,63 @@ impl Reducer {
     /// round) and broadcasts the result, so every replica holds the same
     /// (mean) gradient — the all-reduce of DDP. A no-op below two replicas.
     ///
-    /// **Touched-row path:** when every replica's row set is sparse, the
-    /// reduction runs over the **union** of the replica sets — `O(union · d)`
-    /// per step instead of copying whole gradient tables — and each replica's
-    /// set is widened to that union (after the broadcast every replica holds
-    /// gradient exactly on the union rows). Rows outside the union are `+0.0`
-    /// on every replica, which is precisely what the dense path computes for
-    /// them, so both paths are bit-identical. Any replica in the dense state
-    /// falls the whole parameter back to the dense reduction.
+    /// The reduction runs over the **union** of the replicas' touched sets —
+    /// `O(union · d)` per step instead of whole gradient tables — and each
+    /// replica's set is widened to that union (after the broadcast every
+    /// replica holds gradient exactly on the union rows). Rows outside the
+    /// union are `+0.0` on every replica, which is precisely what reducing
+    /// them would compute, so one replica in the all-rows state (which makes
+    /// the union all rows) changes the cost of the same loop, not a bit of
+    /// its result.
     pub(crate) fn all_reduce<M: KgeModel>(&mut self, replicas: &mut [Replica<M>], active: f32) {
-        if replicas.len() < 2 {
+        let Some((rank0, rest)) = replicas.split_first_mut() else {
+            return;
+        };
+        if rest.is_empty() {
             return;
         }
-        if self.acc.is_empty() {
-            let store = replicas[0].model.store();
-            self.param_ids = store.param_ids();
-            let zeros = |&id| Tensor::zeros(store.grad(id).rows(), store.grad(id).cols());
-            self.acc = self.param_ids.iter().map(zeros).collect();
+        if self.param_ids.is_empty() {
+            self.param_ids = rank0.model.store().param_ids();
         }
         let scale = 1.0 / active;
         let union = &mut self.union;
-        for (&id, acc) in self.param_ids.iter().zip(self.acc.iter_mut()) {
+        for &id in &self.param_ids {
             union.clear();
-            let mut dense = false;
-            for r in replicas.iter() {
-                match r.model.store().touched(id).as_slice() {
-                    None => {
-                        dense = true;
-                        break;
-                    }
-                    Some(rows) => union.extend_from_slice(rows),
-                }
+            union.insert_set(rank0.model.store().touched(id));
+            for r in rest.iter() {
+                union.insert_set(r.model.store().touched(id));
             }
-            if dense {
-                // Seed the accumulator with replica 0's gradient bits (the
-                // allocation-free equivalent of cloning it).
-                acc.as_mut_slice()
-                    .copy_from_slice(replicas[0].model.store().grad(id).as_slice());
-                for other in replicas.iter().skip(1) {
-                    acc.add_scaled(other.model.store().grad(id), 1.0);
-                }
-                for x in acc.as_mut_slice() {
-                    *x *= scale;
-                }
-                for r in replicas.iter_mut() {
-                    // grad_mut marks the replica's row set dense — correct:
-                    // after a dense broadcast any row may be nonzero.
-                    let g = r.model.store_mut().grad_mut(id);
-                    g.zero_();
-                    g.add_scaled(acc, 1.0);
-                }
-                continue;
-            }
-            union.sort_unstable();
-            union.dedup();
-            let n = acc.cols();
-            if n == 0 || union.is_empty() {
-                continue;
-            }
-            // Reduce the union rows into the accumulator, element for element
-            // the same expressions as the dense path (seed-copy, `+= 1.0 · g`,
-            // `*= 1/active`), restricted to rows that can be nonzero.
-            let accd = acc.as_mut_slice();
-            let g0 = replicas[0].model.store().grad(id).as_slice();
-            for &r in union.iter() {
-                let span = r as usize * n..(r as usize + 1) * n;
-                accd[span.clone()].copy_from_slice(&g0[span]);
-            }
-            for other in replicas.iter().skip(1) {
-                let gd = other.model.store().grad(id).as_slice();
-                for &r in union.iter() {
-                    for j in r as usize * n..(r as usize + 1) * n {
-                        accd[j] += 1.0 * gd[j];
+            // Rank 0's walk reduces each union row in place — its own bits,
+            // `+= 1.0 · g` per other replica in rank order, `*= 1/active` —
+            // and the other replicas' walks copy the mean out, as
+            // `0.0 + 1.0 · mean`: the association of a zeroed gradient
+            // accumulating the mean (it canonicalizes `-0.0`), and
+            // idempotent, so rank 0 can hold the mean the others copy. Every
+            // replica's gradient becomes the mean on exactly the union rows,
+            // which its touched set now covers for the optimizer step and
+            // the next `zero_grads`.
+            let store = rank0.model.store_mut();
+            store.touch_set(id, union);
+            store.sweep_serial(id, Sweep::Grads, |row, mean, _| {
+                for other in rest.iter() {
+                    for (m, g) in mean.iter_mut().zip(other.model.store().grad(id).row(row)) {
+                        *m += 1.0 * g;
                     }
                 }
-            }
-            for &r in union.iter() {
-                for x in &mut accd[r as usize * n..(r as usize + 1) * n] {
-                    *x *= scale;
+                for m in mean.iter_mut() {
+                    *m *= scale;
+                    *m = 0.0 + 1.0 * *m;
                 }
-            }
-            // Broadcast: every replica's gradient becomes the mean on exactly
-            // the union rows, and its row set is widened to the union so the
-            // optimizer step and the next zero_grads cover them.
-            for r in replicas.iter_mut() {
-                let gd = r.model.store_mut().grad_rows_mut(id, union).as_mut_slice();
-                for &row in union.iter() {
-                    for j in row as usize * n..(row as usize + 1) * n {
-                        gd[j] = 0.0;
-                        gd[j] += 1.0 * accd[j];
+            });
+            let mean = rank0.model.store().grad(id);
+            for r in rest.iter_mut() {
+                let store = r.model.store_mut();
+                store.touch_set(id, union);
+                store.sweep_serial(id, Sweep::Grads, |row, grad, _| {
+                    for (g, m) in grad.iter_mut().zip(mean.row(row)) {
+                        *g = 0.0 + 1.0 * m;
                     }
-                }
+                });
             }
         }
     }
@@ -222,10 +187,7 @@ pub(crate) fn fold_dirty_rows<M: KgeModel>(replicas: &mut [Replica<M>]) {
     for w in rest {
         let store = w.model.store_mut();
         for id in store.param_ids() {
-            match store.dirty(id).as_slice() {
-                None => rank0.mark_all_dirty(id),
-                Some(rows) => rank0.mark_dirty(id, rows),
-            }
+            rank0.mark_dirty(id, store.dirty(id));
             store.for_dirty_rows(id, |_, _| false);
         }
     }
@@ -237,6 +199,7 @@ mod tests {
     use crate::{SpTransE, TrainConfig, TrainReport, Trainer};
     use kg::synthetic::SyntheticKgBuilder;
     use kg::Dataset;
+    use tensor::Tensor;
 
     fn dataset() -> Dataset {
         SyntheticKgBuilder::new(60, 4).triples(600).seed(40).build()
@@ -305,6 +268,57 @@ mod tests {
                 "touched-row renorm diverged from dense ablation at {workers} workers"
             );
         }
+    }
+
+    #[test]
+    fn one_all_rows_replica_reduces_like_all_sparse_and_all_dense() {
+        // Rank 1 in the all-rows state (an untracked `grad_mut` writer) makes
+        // the union all rows: the same loop then visits every row, and every
+        // gradient and post-step value bit matches the all-sparse and the
+        // all-dense reduction.
+        let (ds, cfg) = (dataset(), config());
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let run = |all_rows_ranks: &[usize]| {
+            let mut t =
+                Trainer::replicated(&ds, &cfg, 3, Combine::AllReduce, SpTransE::from_config)
+                    .unwrap();
+            let id = t.model().embedding_param();
+            let mut union = Vec::new();
+            for r in &mut t.replicas {
+                r.forward_backward(0, cfg.margin).unwrap();
+                union.extend_from_slice(r.model.store().touched(id).as_slice().unwrap());
+            }
+            union.sort_unstable();
+            union.dedup();
+            for &rank in all_rows_ranks {
+                t.replicas[rank].model.store_mut().grad_mut(id);
+            }
+            Reducer::default().all_reduce(&mut t.replicas, 3.0);
+            for r in &t.replicas {
+                let touched = r.model.store().touched(id);
+                if all_rows_ranks.is_empty() {
+                    assert_eq!(touched.as_slice(), Some(&union[..]));
+                } else {
+                    assert!(touched.is_dense());
+                }
+            }
+            let grads: Vec<_> = (t.replicas.iter())
+                .map(|r| bits(r.model.store().grad(id)))
+                .collect();
+            assert!(grads.iter().all(|g| *g == grads[0]), "broadcast mean");
+            t.replicas.iter_mut().for_each(|r| r.step());
+            let values: Vec<_> = (t.replicas.iter())
+                .map(|r| bits(r.model.store().value(id)))
+                .collect();
+            (grads, values)
+        };
+        let sparse = run(&[]);
+        assert!(
+            sparse.0[0].iter().any(|&g| g != 0),
+            "the batch has gradient"
+        );
+        assert_eq!(run(&[1]), sparse, "one all-rows replica");
+        assert_eq!(run(&[0, 1, 2]), sparse, "all replicas all-rows");
     }
 
     #[test]

@@ -124,9 +124,6 @@ impl KgeModel for SpTorusE {
     }
 
     fn page_in_batch(&mut self, batch_idx: usize) -> Result<()> {
-        if !self.store.is_paged(self.emb) {
-            return Ok(());
-        }
         let cache = &self.batches[batch_idx];
         let lists = [cache.pos.touched_columns(), cache.neg.touched_columns()];
         self.store.page_in(self.emb, &lists)?;

@@ -126,9 +126,6 @@ impl KgeModel for SpTransE {
     }
 
     fn page_in_batch(&mut self, batch_idx: usize) -> Result<()> {
-        if !self.store.is_paged(self.emb) {
-            return Ok(());
-        }
         // The batch's working set is exactly the union of the columns its
         // two cached incidence matrices touch — known before any kernel
         // runs, so every row is pinned resident for the whole step.

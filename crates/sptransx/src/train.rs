@@ -98,9 +98,9 @@ pub(crate) struct Replica<M> {
 impl<M: KgeModel> Replica<M> {
     fn new(mut model: M, plan: &BatchPlan, config: &TrainConfig) -> Result<Self> {
         model.attach_plan(plan)?;
-        // The dense-gradient ablation switch: forces every touched-row sweep
-        // (zeroing, backward scatters, optimizer, all-reduce) onto its
-        // full-table path. Bit-identical to the sparse walks. The store
+        // The dense-gradient ablation switch: puts every touched-row set in
+        // the all-rows state, so the same sweeps (zeroing, backward scatters,
+        // optimizer, all-reduce) visit the full table. Bit-identical. The store
         // asserts if asked to go dense while paged; that arm is
         // `run_epochs`' to refuse (rule 2), so it is left sparse here.
         if !(config.dense_grads && model.store().has_paged()) {
@@ -120,7 +120,7 @@ impl<M: KgeModel> Replica<M> {
 
     /// The paper's step up to the update: one SpMM-score forward, one
     /// transposed-SpMM backward. Every schedule runs exactly this.
-    fn forward_backward(&mut self, batch: usize, margin: f32) -> Result<()> {
+    pub(crate) fn forward_backward(&mut self, batch: usize, margin: f32) -> Result<()> {
         self.model.store_mut().zero_grads();
         // Out-of-core models pin this batch's working set in the row cache
         // here; fully resident models no-op.
@@ -144,7 +144,7 @@ impl<M: KgeModel> Replica<M> {
     }
 
     /// The row-sparse update.
-    fn step(&mut self) {
+    pub(crate) fn step(&mut self) {
         let t = Instant::now();
         self.optimizer.step(self.model.store_mut());
         self.breakdown.step += t.elapsed();
@@ -209,7 +209,7 @@ fn build_plan(dataset: &Dataset, config: &TrainConfig) -> BatchPlan {
 pub struct Trainer<M: KgeModel> {
     /// In rank order; rank 0 is *the* model (all-reduce keeps the others
     /// bit-identical to it, shared aliases their values to its).
-    replicas: Vec<Replica<M>>,
+    pub(crate) replicas: Vec<Replica<M>>,
     config: TrainConfig,
     combine: Combine,
     /// One epoch's batches, returning the updates applied. A `fn` pointer the
@@ -217,6 +217,9 @@ pub struct Trainer<M: KgeModel> {
     /// `M: Send`; everything else works on any model.
     schedule: fn(&mut Self) -> Result<usize>,
     scheduler: Option<StepLr>,
+    /// Epochs completed over every `run_epochs` call so far — the epoch the
+    /// LR schedule is at, so interleaved calls continue the decay.
+    epochs_done: u32,
     pool: PoolHandle,
     reducer: Reducer,
     /// The running epoch's loss, collected from the replicas.
@@ -338,6 +341,7 @@ impl<M: KgeModel> Trainer<M> {
             combine,
             schedule,
             scheduler,
+            epochs_done: 0,
             pool: PoolHandle::global(),
             reducer: Reducer::default(),
             loss_sum: 0.0,
@@ -404,7 +408,9 @@ impl<M: KgeModel> Trainer<M> {
         self.run_epochs(self.config.epochs)
     }
 
-    /// Runs exactly `epochs` epochs (callers can interleave evaluation).
+    /// Runs exactly `epochs` more epochs (callers can interleave
+    /// evaluation): the LR schedule continues from the epochs already run,
+    /// so `k` calls of one epoch train exactly as one call of `k`.
     ///
     /// # Errors
     ///
@@ -430,12 +436,12 @@ impl<M: KgeModel> Trainer<M> {
         let mut epoch_losses = Vec::with_capacity(epochs);
         let mut steps = 0;
 
-        for epoch in 0..epochs {
+        for _ in 0..epochs {
             if let Some(sched) = &self.scheduler {
                 // The same decayed rate on every replica's optimizer:
                 // identical state keeps all-reduce replicas in lock-step.
                 for r in &mut self.replicas {
-                    sched.apply(r.optimizer.as_mut(), epoch as u32);
+                    sched.apply(r.optimizer.as_mut(), self.epochs_done);
                 }
             }
             steps += (self.schedule)(self)?;
@@ -451,6 +457,7 @@ impl<M: KgeModel> Trainer<M> {
             }
             epoch_losses.push((self.loss_sum / self.loss_count as f64) as f32);
             (self.loss_sum, self.loss_count) = (0.0, 0);
+            self.epochs_done += 1;
         }
 
         let delta = sparse::metrics::snapshot() - metrics_before;
@@ -671,6 +678,41 @@ mod tests {
         t.run().unwrap();
         // After 3 epochs with step=1, gamma=0.5: lr = base * 0.25.
         assert!((t.optimizer().learning_rate() - cfg.lr * 0.25).abs() < 1e-9);
+    }
+
+    /// The schedule counts epochs over the trainer's lifetime, not per call:
+    /// three calls of one epoch are one call of three, bit for bit.
+    #[test]
+    fn lr_schedule_continues_across_run_epochs_calls() {
+        let ds = dataset();
+        let cfg = TrainConfig {
+            lr_schedule: Some((1, 0.5)),
+            epochs: 3,
+            ..fast_config()
+        };
+        let lone = || Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
+        let pair = || {
+            Trainer::replicated(&ds, &cfg, 2, Combine::AllReduce, SpTransE::from_config).unwrap()
+        };
+        let makes: [&dyn Fn() -> Trainer<SpTransE>; 2] = [&lone, &pair];
+        for make in makes {
+            let (mut whole, mut pieces) = (make(), make());
+            let want = whole.run_epochs(3).unwrap().epoch_losses;
+            let got: Vec<f32> = (0..3)
+                .flat_map(|_| pieces.run_epochs(1).unwrap().epoch_losses)
+                .collect();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want));
+            let emb = |t: &Trainer<SpTransE>| {
+                let m = t.model();
+                bits(m.store().value(m.embedding_param()).as_slice())
+            };
+            assert_eq!(emb(&pieces), emb(&whole));
+            assert_eq!(
+                pieces.optimizer().learning_rate().to_bits(),
+                (cfg.lr * 0.25).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -3,11 +3,11 @@
 use std::sync::Arc;
 
 use sparse::incidence::IncidencePair;
-use sparse::spmm::{csr_spmm_acc_into_with, csr_spmm_acc_rows_into_with, csr_spmm_into_with};
-use xparallel::PoolHandle;
+use sparse::spmm::{csr_spmm_acc_into_with, csr_spmm_into_with};
+use xparallel::{PoolHandle, Rows};
 
 use crate::profile;
-use crate::{Arena, ParamId, ParamStore, TableView, Tensor};
+use crate::{Arena, ParamId, ParamStore, Sweep, TableView, Tensor};
 
 /// Fixed chunk length for the tape's scalar reductions (losses, means).
 ///
@@ -1013,11 +1013,8 @@ impl Graph {
             Op::Gather { param, indices } => {
                 let _t = profile::scope("op::gather_backward");
                 store.touch(param, &indices);
-                let (grad, rows) = store.grad_and_rows_mut(param);
-                match rows.as_slice() {
-                    Some(rows) => scatter_add_rows_listed_with(&self.pool, grad, rows, &indices, g),
-                    None => scatter_add_rows_with(&self.pool, grad, &indices, g),
-                }
+                let (rows, grad) = store.touched_grads(param);
+                scatter_add_rows_with(&self.pool, grad, rows, &indices, g);
                 sparse::metrics::add_flops(g.len() as u64);
             }
             Op::Spmm { param, pair } => {
@@ -1025,26 +1022,12 @@ impl Graph {
                 // grad += Aᵀ · g, accumulated in place: untouched parameter
                 // rows cost nothing (Appendix G, without the dense delta).
                 // The pair's cached nonzero-column list feeds the touched-row
-                // contract, and the listed kernel walks only those rows
-                // (plus any rows other ops already touched, whose Aᵀ rows
+                // contract, and the kernel walks only the touched rows (the
+                // batch's, plus any other ops already touched, whose Aᵀ rows
                 // are empty here) instead of scanning the whole table.
                 store.touch(param, pair.touched_columns());
-                let (grad, rows) = store.grad_and_rows_mut(param);
-                match rows.as_slice() {
-                    Some(rows) => csr_spmm_acc_rows_into_with(
-                        &self.pool,
-                        &pair.transpose,
-                        rows,
-                        g.view(),
-                        grad.as_mut_slice(),
-                    ),
-                    None => csr_spmm_acc_into_with(
-                        &self.pool,
-                        &pair.transpose,
-                        g.view(),
-                        grad.as_mut_slice(),
-                    ),
-                }
+                let (rows, grad) = store.touched_grads(param);
+                csr_spmm_acc_into_with(&self.pool, &pair.transpose, rows, g.view(), grad);
             }
             Op::SpmmScore { param, pair, score } => {
                 let _t = profile::scope("op::spmm_score_backward");
@@ -1090,58 +1073,16 @@ impl Graph {
                         });
                     // Pass 2, destination-row-sharded: parameter row `e`
                     // accumulates `aval · dx[i, :]` over its incident batch
-                    // rows in transpose order.
+                    // rows in transpose order — wherever the store keeps
+                    // row `e`'s gradient.
                     let dxs = dx.as_slice();
-                    let scatter = |e: usize, dst: &mut [f32]| {
+                    store.sweep(param, Sweep::Grads, &self.pool, 64, |e, dst, _| {
                         for (ti, aval) in tr.row(e) {
                             for (dj, x) in dst.iter_mut().zip(&dxs[ti * d..(ti + 1) * d]) {
                                 *dj += aval * x;
                             }
                         }
-                    };
-                    if store.is_paged(param) {
-                        // The gradient is the slot-aligned cache: walk the
-                        // touched rows' *slots* (strictly ascending, for
-                        // `for_listed_rows`) and map each back to its
-                        // absolute row for the transpose traversal.
-                        let (grad, slots, row_of) = store.paged_backward_parts(param);
-                        self.pool.for_listed_rows(
-                            grad.as_mut_slice(),
-                            d,
-                            slots,
-                            64,
-                            |listed, first, window| {
-                                for &s in listed {
-                                    let off = (s as usize - first) * d;
-                                    scatter(row_of[s as usize] as usize, &mut window[off..off + d]);
-                                }
-                            },
-                        );
-                    } else {
-                        let (grad, rows) = store.grad_and_rows_mut(param);
-                        match rows.as_slice() {
-                            Some(rows) => self.pool.for_listed_rows(
-                                grad.as_mut_slice(),
-                                d,
-                                rows,
-                                64,
-                                |listed, first, window| {
-                                    for &e in listed {
-                                        let off = (e as usize - first) * d;
-                                        scatter(e as usize, &mut window[off..off + d]);
-                                    }
-                                },
-                            ),
-                            None => {
-                                self.pool
-                                    .for_rows(grad.as_mut_slice(), d, 64, |first, chunk| {
-                                        for (k, dst) in chunk.chunks_exact_mut(d).enumerate() {
-                                            scatter(first + k, dst);
-                                        }
-                                    })
-                            }
-                        }
-                    }
+                    });
                     self.arena.reclaim(dx);
                 }
                 // What the two passes move: the derivative pass reads one
@@ -1317,13 +1258,8 @@ impl Graph {
                 // d mats[r] += g_i ⊗ vecs[i], scattered by relation index.
                 let vv = self.value(vecs);
                 store.touch(mats, &rels);
-                let (gm, mat_rows) = store.grad_and_rows_mut(mats);
-                match mat_rows.as_slice() {
-                    Some(rows) => {
-                        scatter_add_outer_listed(&self.pool, gm, rows, &rels, g, vv, d_out, d_in)
-                    }
-                    None => scatter_add_outer(&self.pool, gm, &rels, g, vv, d_out, d_in),
-                }
+                let (rows, gm) = store.touched_grads(mats);
+                scatter_add_outer(&self.pool, gm, rows, &rels, g, vv, d_out, d_in);
                 sparse::metrics::add_flops(4 * (m * d_out * d_in) as u64);
                 self.accum(vecs, &dv, 1.0);
                 self.arena.reclaim(dv);
@@ -1439,12 +1375,12 @@ impl Graph {
                 // contributes g_i ⊙ Π_{c ≠ e} E[c]. Traverse Aᵀ so each
                 // parameter-gradient row is owned by exactly one worker.
                 store.touch(param, pair.touched_columns());
-                let (pv, grad, rows) = store.value_grad_rows_mut(param);
-                let pd = pv.as_slice();
                 let gd = g.as_slice();
                 let indptr = fwd.indptr();
                 let indices = fwd.indices();
-                let process = |e: usize, dst: &mut [f32]| {
+                // Rows touched by other ops have empty Aᵀ rows here and cost
+                // one indptr lookup.
+                store.sweep(param, Sweep::Grads, &self.pool, 64, |e, dst, values| {
                     for (i, _) in tr.row(e) {
                         let (s, epos) = (indptr[i] as usize, indptr[i + 1] as usize);
                         debug_assert_eq!(epos - s, 3);
@@ -1460,43 +1396,13 @@ impl Graph {
                             }
                         }
                         debug_assert_eq!(k, 2);
-                        let a = &pd[others[0] * d..others[0] * d + d];
-                        let b = &pd[others[1] * d..others[1] * d + d];
+                        let (a, b) = (values.row(others[0]), values.row(others[1]));
                         let gr = &gd[i * d..(i + 1) * d];
                         for j in 0..d {
                             dst[j] += gr[j] * a[j] * b[j];
                         }
                     }
-                };
-                match rows.as_slice() {
-                    // Touched-row walk: identical per-row accumulation, but
-                    // only over the rows the batch can reach (rows touched
-                    // by other ops have empty Aᵀ rows here and cost one
-                    // indptr lookup).
-                    Some(rows) => self.pool.for_listed_rows(
-                        grad.as_mut_slice(),
-                        d.max(1),
-                        rows,
-                        64,
-                        |listed, first, window| {
-                            for &e in listed {
-                                let e = e as usize;
-                                let off = (e - first) * d;
-                                process(e, &mut window[off..off + d.max(1)]);
-                            }
-                        },
-                    ),
-                    None => {
-                        self.pool
-                            .for_rows(grad.as_mut_slice(), d.max(1), 64, |first, chunk| {
-                                let rows_here = chunk.len() / d.max(1);
-                                for local in 0..rows_here {
-                                    let e = first + local;
-                                    process(e, &mut chunk[local * d..(local + 1) * d]);
-                                }
-                            })
-                    }
-                }
+                });
                 sparse::metrics::add_flops(3 * (fwd.nnz() * d) as u64);
             }
         }
@@ -1606,74 +1512,43 @@ fn rowwise_unary_backward(
 /// list and applies only the updates landing in its range, which is
 /// deterministic and lock-free.
 pub fn scatter_add_rows(dst: &mut Tensor, indices: &[u32], src: &Tensor) {
-    scatter_add_rows_with(&PoolHandle::global(), dst, indices, src);
+    debug_assert_eq!(src.cols(), dst.cols());
+    let pool = PoolHandle::global();
+    scatter_add_rows_with(&pool, dst.as_mut_slice(), Rows::All, indices, src);
 }
 
-/// Like [`scatter_add_rows`] but dispatched on an explicit pool handle.
+/// [`scatter_add_rows`] on an explicit pool handle, restricted to the
+/// destination rows in `rows` — the gather backward.
 ///
-/// Row accumulation order follows the global index scan regardless of how
-/// rows are chunked, so the result is bit-identical at any pool width.
-pub fn scatter_add_rows_with(pool: &PoolHandle, dst: &mut Tensor, indices: &[u32], src: &Tensor) {
-    let n = dst.cols();
-    debug_assert_eq!(src.cols(), n);
-    debug_assert_eq!(src.rows(), indices.len());
-    let sd = src.as_slice();
-    pool.for_rows(dst.as_mut_slice(), n.max(1), 512, |first, chunk| {
-        let rows_here = chunk.len() / n.max(1);
-        let lo = first;
-        let hi = first + rows_here;
-        for (k, &idx) in indices.iter().enumerate() {
-            let r = idx as usize;
-            if r >= lo && r < hi {
-                let dst_row = &mut chunk[(r - lo) * n..(r - lo + 1) * n];
-                let src_row = &sd[k * n..(k + 1) * n];
-                for (d, s) in dst_row.iter_mut().zip(src_row) {
-                    *d += *s;
-                }
-            }
-        }
-    });
-    sparse::metrics::add_bytes(3 * (indices.len() * n * 4) as u64);
-}
-
-/// Like [`scatter_add_rows_with`] but restricted to the sorted destination
-/// rows in `rows` — the touched-row variant of the gather backward.
-///
-/// Every index in `indices` **must** appear in `rows` (callers pass the
-/// parameter's [`crate::RowSet`], a superset of the index list by
-/// construction); listed rows that no index targets are never written.
-/// Contributions land in global index-scan order per destination row, the
-/// same order as the dense sweep, so the two are bit-identical.
-fn scatter_add_rows_listed_with(
+/// Every index in `indices` **must** be a row of the set (callers pass the
+/// parameter's touched set, a superset of the index list by construction);
+/// rows of the set that no index targets are never written. Contributions
+/// land in global index-scan order per destination row however the set is
+/// chunked, so the result is bit-identical at any pool width and for a
+/// listed or an all-rows set.
+fn scatter_add_rows_with(
     pool: &PoolHandle,
-    dst: &mut Tensor,
-    rows: &[u32],
+    dst: &mut [f32],
+    rows: Rows<'_>,
     indices: &[u32],
     src: &Tensor,
 ) {
-    let n = dst.cols();
-    debug_assert_eq!(src.cols(), n);
+    let n = src.cols();
     debug_assert_eq!(src.rows(), indices.len());
-    debug_assert!(
-        indices.iter().all(|i| rows.binary_search(i).is_ok()),
-        "every scatter index must be in the touched-row list"
-    );
-    if n == 0 || indices.is_empty() {
+    if n == 0 {
         return;
     }
     let sd = src.as_slice();
-    pool.for_listed_rows(dst.as_mut_slice(), n, rows, 128, |listed, first, window| {
-        // The window spans [listed[0], listed.last()] contiguously; any
-        // index inside that span is a listed row of *this* chunk (the list
-        // is sorted and chunks partition it), so a range test suffices.
-        let lo = listed[0];
-        let hi = *listed.last().expect("chunks are non-empty");
+    pool.for_row_windows(dst, n, rows, 128, |first, window| {
+        // The window spans its chunk's first to last row contiguously; any
+        // index inside that span is a row of *this* chunk (the set is
+        // sorted and chunks partition it), so a range test suffices.
+        let end = first + window.len() / n;
         for (k, &idx) in indices.iter().enumerate() {
-            if idx >= lo && idx <= hi {
-                let r = idx as usize - first;
-                let dst_row = &mut window[r * n..(r + 1) * n];
-                let src_row = &sd[k * n..(k + 1) * n];
-                for (d, s) in dst_row.iter_mut().zip(src_row) {
+            let r = idx as usize;
+            if r >= first && r < end {
+                let dst_row = &mut window[(r - first) * n..(r - first + 1) * n];
+                for (d, s) in dst_row.iter_mut().zip(&sd[k * n..(k + 1) * n]) {
                     *d += *s;
                 }
             }
@@ -1682,10 +1557,14 @@ fn scatter_add_rows_listed_with(
     sparse::metrics::add_bytes(3 * (indices.len() * n * 4) as u64);
 }
 
-/// `dst[rels[i]] += g_i ⊗ v_i` where `dst` is `(R, d_out*d_in)`.
+/// `dst[rels[i]] += g_i ⊗ v_i` over the relation rows in `rows`, where `dst`
+/// is `(R, d_out*d_in)`. Same preconditions and determinism argument as
+/// [`scatter_add_rows_with`].
+#[allow(clippy::too_many_arguments)]
 fn scatter_add_outer(
     pool: &PoolHandle,
-    dst: &mut Tensor,
+    dst: &mut [f32],
+    rows: Rows<'_>,
     rels: &[u32],
     g: &Tensor,
     v: &Tensor,
@@ -1693,15 +1572,16 @@ fn scatter_add_outer(
     d_in: usize,
 ) {
     let width = d_out * d_in;
-    debug_assert_eq!(dst.cols(), width);
+    if width == 0 {
+        return;
+    }
     let (gd, vd) = (g.as_slice(), v.as_slice());
-    pool.for_rows(dst.as_mut_slice(), width.max(1), 8, |first, chunk| {
-        let rows_here = chunk.len() / width.max(1);
-        let (lo, hi) = (first, first + rows_here);
+    pool.for_row_windows(dst, width, rows, 8, |first, window| {
+        let end = first + window.len() / width;
         for (i, &rel) in rels.iter().enumerate() {
             let r = rel as usize;
-            if r >= lo && r < hi {
-                let mat = &mut chunk[(r - lo) * width..(r - lo + 1) * width];
+            if r >= first && r < end {
+                let mat = &mut window[(r - first) * width..(r - first + 1) * width];
                 for o in 0..d_out {
                     let go = gd[i * d_out + o];
                     let row = &mut mat[o * d_in..(o + 1) * d_in];
@@ -1712,55 +1592,6 @@ fn scatter_add_outer(
             }
         }
     });
-}
-
-/// Touched-row variant of [`scatter_add_outer`]: only the sorted relation
-/// rows in `rows` are visited. Same preconditions and determinism argument
-/// as [`scatter_add_rows_listed_with`].
-#[allow(clippy::too_many_arguments)]
-fn scatter_add_outer_listed(
-    pool: &PoolHandle,
-    dst: &mut Tensor,
-    rows: &[u32],
-    rels: &[u32],
-    g: &Tensor,
-    v: &Tensor,
-    d_out: usize,
-    d_in: usize,
-) {
-    let width = d_out * d_in;
-    debug_assert_eq!(dst.cols(), width);
-    debug_assert!(
-        rels.iter().all(|r| rows.binary_search(r).is_ok()),
-        "every relation index must be in the touched-row list"
-    );
-    if width == 0 || rels.is_empty() {
-        return;
-    }
-    let (gd, vd) = (g.as_slice(), v.as_slice());
-    pool.for_listed_rows(
-        dst.as_mut_slice(),
-        width,
-        rows,
-        8,
-        |listed, first, window| {
-            let lo = listed[0];
-            let hi = *listed.last().expect("chunks are non-empty");
-            for (i, &rel) in rels.iter().enumerate() {
-                if rel >= lo && rel <= hi {
-                    let r = rel as usize - first;
-                    let mat = &mut window[r * width..(r + 1) * width];
-                    for o in 0..d_out {
-                        let go = gd[i * d_out + o];
-                        let row = &mut mat[o * d_in..(o + 1) * d_in];
-                        for (j, m) in row.iter_mut().enumerate() {
-                            *m += go * vd[i * d_in + j];
-                        }
-                    }
-                }
-            }
-        },
-    );
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1848,23 +1679,22 @@ fn complex_score_backward(
     let fwd = &pair.forward;
     let tr = &pair.transpose;
     store.touch(param, pair.touched_columns());
-    let (pv, grad, rows) = store.value_grad_rows_mut(param);
-    let d2 = pv.cols();
+    let d2 = store.param_shape(param).1;
     let half = d2 / 2;
-    let pd = pv.as_slice();
     let gd = g.as_slice();
     let indptr = fwd.indptr();
     let indices = fwd.indices();
     let values = fwd.values();
-    let process = |e: usize, dst: &mut [f32]| {
+    store.sweep(param, Sweep::Grads, pool, 32, |e, dst, table| {
         for (i, _) in tr.row(e) {
             let (s, epos) = (indptr[i] as usize, indptr[i + 1] as usize);
             let (a, b, t) = split_hrt_row(&indices[s..epos], &values[s..epos]);
+            let (h_row, r_row, t_row) = (table.row(a), table.row(b), table.row(t));
             let gi = gd[i];
             for j in 0..half {
-                let hv = complex_at(pd, a, j, d2);
-                let rv = complex_at(pd, b, j, d2);
-                let tv = complex_at(pd, t, j, d2);
+                let hv = complex_at(h_row, 0, j, d2);
+                let rv = complex_at(r_row, 0, j, d2);
+                let tv = complex_at(t_row, 0, j, d2);
                 // Per-component upstream direction.
                 let gz = match kernel {
                     ComplexKernel::Rotate => {
@@ -1891,29 +1721,7 @@ fn complex_score_backward(
                 dst[2 * j + 1] += gi * delta.1;
             }
         }
-    };
-    match rows.as_slice() {
-        Some(rows) => pool.for_listed_rows(
-            grad.as_mut_slice(),
-            d2.max(1),
-            rows,
-            32,
-            |listed, first, window| {
-                for &e in listed {
-                    let e = e as usize;
-                    let off = (e - first) * d2;
-                    process(e, &mut window[off..off + d2.max(1)]);
-                }
-            },
-        ),
-        None => pool.for_rows(grad.as_mut_slice(), d2.max(1), 32, |first, chunk| {
-            let rows_here = chunk.len() / d2.max(1);
-            for local in 0..rows_here {
-                let e = first + local;
-                process(e, &mut chunk[local * d2..(local + 1) * d2]);
-            }
-        }),
-    }
+    });
     sparse::metrics::add_flops(12 * (fwd.nnz() * half) as u64);
 }
 

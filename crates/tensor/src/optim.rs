@@ -7,7 +7,7 @@
 
 use xparallel::PoolHandle;
 
-use crate::{ParamStore, Tensor};
+use crate::{ParamId, ParamStore, Sweep, Tensor};
 
 /// A first-order optimizer over a [`ParamStore`].
 ///
@@ -17,13 +17,18 @@ use crate::{ParamStore, Tensor};
 ///
 /// # Touched-row contract
 ///
-/// [`ParamStore::iter_mut`] hands each parameter's [`crate::RowSet`]
-/// alongside its gradient. Optimizers whose update is a fixed point on zero
+/// A step is one [`ParamStore::sweep`] (or [`ParamStore::sweep_serial`],
+/// for bodies with state of their own) per parameter: the body gets an
+/// absolute row index, that row of the value and a view of the gradient
+/// table, and the store decides which rows that is — listed, all, or the
+/// cache slots of a paged table — and records them dirty for the epoch's
+/// renormalization. Optimizers whose update is a fixed point on zero
 /// gradients (`SGD`: `x + (−lr · 0) = x`; `Adagrad`: the accumulator and
-/// value are both unchanged by `g = 0`, bit for bit under IEEE-754) walk
-/// only the touched rows, making the step `O(batch · d)` instead of
-/// `O(N · d)`. `Adam` is **not** such a fixed point — its moments decay
-/// (`m ← β₁m`) even when `g = 0` — so it always sweeps densely; see
+/// value are both unchanged by `g = 0`, bit for bit under IEEE-754) sweep
+/// [`Sweep::Values`], the touched rows, making the step `O(batch · d)`
+/// instead of `O(N · d)`; state they keep per row is addressed by the
+/// absolute index. `Adam` is **not** such a fixed point — its moments decay
+/// (`m ← β₁m`) even when `g = 0` — so it sweeps [`Sweep::AllValues`]; see
 /// [`Adam`].
 pub trait Optimizer: std::fmt::Debug {
     /// Applies one update using the gradients currently in `store`.
@@ -89,67 +94,15 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step(&mut self, store: &mut ParamStore) {
         let lr = self.lr;
-        for (_, value, grad, rows, dirty, pager) in store.iter_mut() {
-            debug_assert_eq!(
-                value.shape(),
-                grad.shape(),
-                "value/grad shape mismatch in Sgd::step"
-            );
-            let n = value.cols();
-            if let Some(pager) = pager {
-                // Paged parameter: value/grad hold the slot-aligned cache and
-                // the touched rows are pinned resident, so the update is the
-                // same per-row `x += -lr * g` walk through the slot map. The
-                // slot translation moves bytes, never arithmetic, so this is
-                // bit-identical to the resident sparse walk.
-                let rows = rows
-                    .as_slice()
-                    .expect("paged parameters require sparse touched sets");
-                let (vd, gd) = (value.as_mut_slice(), grad.as_slice());
-                for &r in rows {
-                    let s = pager.slot(r as usize);
-                    let dst = &mut vd[s * n..(s + 1) * n];
-                    let src = &gd[s * n..(s + 1) * n];
-                    for (d, g) in dst.iter_mut().zip(src) {
-                        *d += -lr * *g;
-                    }
+        for id in (0..store.len()).map(ParamId) {
+            // Untouched rows hold exact +0.0 gradients and
+            // `x + (−lr · 0.0) = x` bit for bit, so sweeping only the
+            // touched rows reproduces the all-rows sweep exactly.
+            store.sweep(id, Sweep::Values, &self.pool, 64, |r, value, grads| {
+                for (x, g) in value.iter_mut().zip(grads.row(r)) {
+                    *x += -lr * *g;
                 }
-                dirty.insert_slice(rows);
-                continue;
-            }
-            match rows.as_slice() {
-                None => {
-                    value.add_scaled_with(&self.pool, grad, -lr);
-                    dirty.mark_all();
-                }
-                // Touched-row walk: untouched rows hold exact +0.0
-                // gradients, and `x + (−lr · 0.0) = x` bit for bit, so
-                // skipping them reproduces the dense sweep exactly.
-                Some(rows) if n > 0 => {
-                    let gd = grad.as_slice();
-                    self.pool.for_listed_rows(
-                        value.as_mut_slice(),
-                        n,
-                        rows,
-                        64,
-                        |listed, first, window| {
-                            for &r in listed {
-                                let r = r as usize;
-                                let off = (r - first) * n;
-                                let dst = &mut window[off..off + n];
-                                let src = &gd[r * n..(r + 1) * n];
-                                for (d, s) in dst.iter_mut().zip(src) {
-                                    *d += -lr * *s;
-                                }
-                            }
-                        },
-                    );
-                    // Exactly these rows were rewritten: arm the next
-                    // renormalization sweep for them, for free.
-                    dirty.insert_slice(rows);
-                }
-                Some(_) => {}
-            }
+            });
         }
     }
 
@@ -193,13 +146,13 @@ impl Adagrad {
 /// (and thereby resetting) it when its shape no longer matches the value —
 /// the guard that keeps state keyed by dense [`crate::ParamId`] index valid
 /// when parameters are registered after the optimizer's first `step`.
-fn validated_state<'a, T>(
-    slot: &'a mut Option<T>,
-    value: &Tensor,
+fn validated_state<T>(
+    slot: &mut Option<T>,
+    shape: (usize, usize),
     shape_of: impl Fn(&T) -> (usize, usize),
     fresh: impl FnOnce() -> T,
-) -> &'a mut T {
-    let stale = slot.as_ref().is_some_and(|s| shape_of(s) != value.shape());
+) -> &mut T {
+    let stale = slot.as_ref().is_some_and(|s| shape_of(s) != shape);
     if stale {
         *slot = None;
     }
@@ -209,49 +162,27 @@ fn validated_state<'a, T>(
 impl Optimizer for Adagrad {
     fn step(&mut self, store: &mut ParamStore) {
         let (lr, eps) = (self.lr, self.eps);
-        let n = store.len();
-        self.accum.resize_with(n, || None);
-        for (id, value, grad, rows, dirty, pager) in store.iter_mut() {
-            debug_assert_eq!(
-                value.shape(),
-                grad.shape(),
-                "value/grad shape mismatch in Adagrad::step"
-            );
-            // The accumulator is row-addressed `N × d` state; a paged
-            // parameter's cache slots are recycled across batches, so the
-            // accumulator would need its own paging to stay coherent.
+        self.accum.resize_with(store.len(), || None);
+        for id in (0..store.len()).map(ParamId) {
+            // The accumulator is row-addressed `N × d` state — exactly what
+            // paging a table out is meant not to keep in RAM.
             assert!(
-                pager.is_none(),
+                !store.is_paged(id),
                 "Adagrad does not support paged parameters; use SGD with --store disk"
             );
-            let acc = validated_state(&mut self.accum[id_index(id)], value, Tensor::shape, || {
-                Tensor::zeros(value.rows(), value.cols())
+            let (rows, cols) = store.param_shape(id);
+            let acc = validated_state(
+                &mut self.accum[id.index()],
+                (rows, cols),
+                Tensor::shape,
+                || Tensor::zeros(rows, cols),
+            );
+            store.sweep_serial(id, Sweep::Values, |r, value, grads| {
+                for ((x, a), g) in value.iter_mut().zip(acc.row_mut(r)).zip(grads.row(r)) {
+                    *a += g * g;
+                    *x -= lr * g / (a.sqrt() + eps);
+                }
             });
-            let cols = value.cols();
-            let (vd, gd, ad) = (value.as_mut_slice(), grad.as_slice(), acc.as_mut_slice());
-            let update = |i: usize, vd: &mut [f32], ad: &mut [f32]| {
-                let g = gd[i];
-                let a = ad[i] + g * g;
-                ad[i] = a;
-                vd[i] -= lr * g / (a.sqrt() + eps);
-            };
-            match rows.as_slice() {
-                None => {
-                    for i in 0..vd.len() {
-                        update(i, vd, ad);
-                    }
-                    dirty.mark_all();
-                }
-                Some(rows) => {
-                    for &r in rows {
-                        let r = r as usize;
-                        for i in r * cols..(r + 1) * cols {
-                            update(i, vd, ad);
-                        }
-                    }
-                    dirty.insert_slice(rows);
-                }
-            }
         }
     }
 
@@ -311,45 +242,34 @@ impl Optimizer for Adam {
         let (lr, b1, b2, eps, t) = (self.lr, self.beta1, self.beta2, self.eps, self.t);
         let bias1 = 1.0 - b1.powi(t as i32);
         let bias2 = 1.0 - b2.powi(t as i32);
-        let n = store.len();
-        self.moments.resize_with(n, || None);
-        for (id, value, grad, _rows, dirty, pager) in store.iter_mut() {
-            debug_assert_eq!(
-                value.shape(),
-                grad.shape(),
-                "value/grad shape mismatch in Adam::step"
-            );
+        self.moments.resize_with(store.len(), || None);
+        for id in (0..store.len()).map(ParamId) {
             // Adam is dense by design (moments decay everywhere), which is
             // exactly what paging out cold rows forbids.
             assert!(
-                pager.is_none(),
+                !store.is_paged(id),
                 "Adam does not support paged parameters; use SGD with --store disk"
             );
-            // Adam rewrites every element (moments decay on zero grads), so
+            let (rows, cols) = store.param_shape(id);
+            let (m, v) = validated_state(
+                &mut self.moments[id.index()],
+                (rows, cols),
+                |(m, _)| m.shape(),
+                || (Tensor::zeros(rows, cols), Tensor::zeros(rows, cols)),
+            );
+            // Every element is rewritten (moments decay on zero grads), so
             // every row goes dirty — renormalization after an Adam epoch is
             // a full sweep, matching its deliberately dense step.
-            dirty.mark_all();
-            let (m, v) = validated_state(
-                &mut self.moments[id_index(id)],
-                value,
-                |(m, _)| m.shape(),
-                || {
-                    (
-                        Tensor::zeros(value.rows(), value.cols()),
-                        Tensor::zeros(value.rows(), value.cols()),
-                    )
-                },
-            );
-            let (vd, gd) = (value.as_mut_slice(), grad.as_slice());
-            let (md, sd) = (m.as_mut_slice(), v.as_mut_slice());
-            for i in 0..vd.len() {
-                let g = gd[i];
-                md[i] = b1 * md[i] + (1.0 - b1) * g;
-                sd[i] = b2 * sd[i] + (1.0 - b2) * g * g;
-                let mhat = md[i] / bias1;
-                let vhat = sd[i] / bias2;
-                vd[i] -= lr * mhat / (vhat.sqrt() + eps);
-            }
+            store.sweep_serial(id, Sweep::AllValues, |r, value, grads| {
+                let state = m.row_mut(r).iter_mut().zip(v.row_mut(r));
+                for ((x, g), (m, s)) in value.iter_mut().zip(grads.row(r)).zip(state) {
+                    *m = b1 * *m + (1.0 - b1) * g;
+                    *s = b2 * *s + (1.0 - b2) * g * g;
+                    let mhat = *m / bias1;
+                    let vhat = *s / bias2;
+                    *x -= lr * mhat / (vhat.sqrt() + eps);
+                }
+            });
         }
     }
 
@@ -360,11 +280,6 @@ impl Optimizer for Adam {
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
-}
-
-fn id_index(id: crate::ParamId) -> usize {
-    // ParamStore hands out ids densely, so the index doubles as a state key.
-    id.index()
 }
 
 /// Multiplicative step decay: every `step_size` epochs, `lr ← lr · gamma`
@@ -496,6 +411,29 @@ mod tests {
         }
     }
 
+    /// State keyed on absolute rows of the full table is what paging a
+    /// table out is meant not to hold: both stateful optimizers refuse a
+    /// paged parameter outright (`Arm::check` refuses the arm before a
+    /// trainer gets here; this is the last resort below it).
+    #[test]
+    fn stateful_optimizers_refuse_paged_parameters() {
+        let adagrad: fn() -> Box<dyn Optimizer> = || Box::new(Adagrad::new(0.1));
+        let adam: fn() -> Box<dyn Optimizer> = || Box::new(Adam::new(0.1));
+        let runs = [
+            (adagrad, "Adagrad does not support paged parameters"),
+            (adam, "Adam does not support paged parameters"),
+        ];
+        for (make, message) in runs {
+            let mut s = ParamStore::new();
+            let p = s.add_param("p", Tensor::full(4, 2, 1.0));
+            s.page_out(p, Box::new(crate::VecStorage::new(4, 2)), 2)
+                .unwrap();
+            let step = std::panic::AssertUnwindSafe(|| make().step(&mut s));
+            let err = std::panic::catch_unwind(step).unwrap_err();
+            assert!(err.downcast::<&str>().unwrap().contains(message));
+        }
+    }
+
     /// The sparse (touched-row) step must be bit-identical to the dense
     /// sweep for SGD and Adagrad — the IEEE fixed-point argument, asserted.
     #[test]
@@ -519,9 +457,11 @@ mod tests {
                 gd.row_mut(1).fill(g);
                 gd.set(3, 0, -g);
                 // Sparse store: tracked write on rows {1, 3} only.
-                let gs = sparse_store.grad_rows_mut(ps, &[1, 3]);
-                gs.row_mut(1).fill(g);
-                gs.set(3, 0, -g);
+                sparse_store.touch(ps, &[1, 3]);
+                sparse_store.sweep_serial(ps, Sweep::Grads, |r, row, _| match r {
+                    1 => row.fill(g),
+                    _ => row[0] = -g,
+                });
                 assert!(dense_store.touched(pd).is_dense());
                 assert!(!sparse_store.touched(ps).is_dense());
                 dense_opt.step(&mut dense_store);

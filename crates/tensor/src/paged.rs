@@ -235,10 +235,12 @@ pub struct Pager {
     /// Recorded row-access trace for simcache replay (off by default; the
     /// CLI and the validation tests turn it on).
     trace: Option<Vec<u32>>,
-    /// Scratch for merged working-set unions and slot translations; reused
-    /// so steady-state paging is allocation-free.
+    /// Scratch for merged working-set unions; reused so steady-state paging
+    /// is allocation-free.
     union_scratch: Vec<u32>,
-    pub(crate) slot_scratch: Vec<u32>,
+    /// The cache slots of the row list last handed to [`Pager::translate`]
+    /// — what a sweep over those rows walks. Reused the same way.
+    pub(crate) translation: Vec<u32>,
     /// Slots assigned to the current coalesced miss run ([`Pager::ensure`]).
     run_scratch: Vec<u32>,
     /// Staging buffer for coalesced multi-row reads and write-backs (rows
@@ -274,7 +276,7 @@ impl Pager {
             stats: PageStats::default(),
             trace: None,
             union_scratch: Vec::new(),
-            slot_scratch: Vec::new(),
+            translation: Vec::new(),
             run_scratch: Vec::new(),
             io_scratch: Vec::new(),
         }
@@ -611,19 +613,30 @@ impl Pager {
         self.storage.read_rows_into(0, rows, out).map_err(io_error)
     }
 
-    /// Translates the sorted absolute `rows` into their (sorted) slot list
-    /// in `slot_scratch`. Every row must be resident.
-    pub(crate) fn translate_sorted(&mut self, rows: &[u32]) {
-        self.slot_scratch.clear();
+    /// Translates the absolute `rows` into their cache slots, in list order.
+    /// Every row must be resident, and the translation holds while they stay
+    /// pinned. Sorted ascending it is the order the destination-sharded
+    /// dispatch splits a slot-addressed buffer in — a bijection off a
+    /// duplicate-free row list, so per-row work, and therefore every bit,
+    /// matches the resident walk.
+    pub(crate) fn translate(&mut self, rows: &[u32]) {
+        self.translation.clear();
         for &r in rows {
             let s = self.slot_of[r as usize];
             assert_ne!(
                 s, NOT_RESIDENT,
                 "row {r} not resident during slot translation (touched outside the paged-in working set)"
             );
-            self.slot_scratch.push(s);
+            self.translation.push(s);
         }
-        self.slot_scratch.sort_unstable();
+    }
+
+    /// Marks the translated slots as diverged from backing storage and
+    /// forgets the translation.
+    pub(crate) fn mark_translation_dirty(&mut self) {
+        for s in self.translation.drain(..) {
+            self.dirty_slot[s as usize] = true;
+        }
     }
 
     /// Merges index lists into one sorted, deduplicated union and pages it

@@ -9,6 +9,8 @@
 //! pinned cache with LRU eviction and dirty-row write-back (see
 //! [`crate::paged`]).
 
+use xparallel::{PoolHandle, Rows};
+
 use crate::hogwild::SharedTable;
 use crate::paged::{io_error, storage_error, Pager, RowStorage};
 use crate::{Error, Result, Tensor};
@@ -32,14 +34,20 @@ impl ParamId {
 /// Two states:
 ///
 /// * **Sparse** — a sorted, deduplicated list of row indices. Maintained by
-///   [`ParamStore::touch`]; downstream sweeps (`zero_grads`, `Sgd`,
-///   `Adagrad`, `all_reduce_grads`) walk only these rows, so per-batch cost
-///   is `O(batch · d)` instead of `O(N · d)`.
+///   [`ParamStore::touch`]; every downstream sweep (`zero_grads`, the
+///   backward kernels, `Sgd`, `Adagrad`, the all-reduce) is a
+///   [`ParamStore::sweep`] over these rows, so per-batch cost is
+///   `O(batch · d)` instead of `O(N · d)`.
 /// * **Dense** — [`RowSet::mark_all`]: every row may hold gradient. This is
 ///   the fallback for writers without row structure (anything going through
 ///   [`ParamStore::grad_mut`]) and the explicit
-///   [`ParamStore::set_dense_grads`] ablation mode; all sweeps take their
-///   full-table path, which is bit-identical to the sparse walk.
+///   [`ParamStore::set_dense_grads`] ablation mode; the *same* sweeps then
+///   visit every row, which is bit-identical to the sparse walk.
+///
+/// Nothing outside the store branches on the state: consumers hand
+/// [`ParamStore::sweep`] a per-row body and the store decides which rows
+/// that means and where they live. [`RowSet::as_slice`] and
+/// [`RowSet::is_dense`] stay readable for assertions and reports.
 ///
 /// The backing vector keeps its capacity across [`RowSet::clear`], so the
 /// steady-state training step reuses it batch after batch (arena-style —
@@ -143,14 +151,114 @@ impl RowSet {
         self.rows.dedup();
     }
 
-    /// The sorted row list, or `None` in the dense state (callers take
-    /// their full-table path).
+    /// Unions `other` into the set: all rows as soon as either side is in
+    /// the dense state, the merged list otherwise.
+    pub fn insert_set(&mut self, other: &RowSet) {
+        if other.dense {
+            self.mark_all();
+        } else {
+            self.insert_slice(&other.rows);
+        }
+    }
+
+    /// The sorted row list, or `None` in the dense state — for assertions
+    /// and reports; sweeps go through [`ParamStore::sweep`].
     pub fn as_slice(&self) -> Option<&[u32]> {
         if self.dense {
             None
         } else {
             Some(&self.rows)
         }
+    }
+
+    /// The set in the currency the row-set dispatch takes.
+    fn rows(&self) -> Rows<'_> {
+        if self.dense {
+            Rows::All
+        } else {
+            Rows::Listed(&self.rows)
+        }
+    }
+}
+
+/// What a [`ParamStore::sweep`] visits: which of the parameter's two tables
+/// it rewrites, over which rows. The other table is handed to the body as a
+/// read-only [`TableView`].
+#[derive(Debug, Clone, Copy)]
+pub enum Sweep {
+    /// The touched rows of the **gradient**, with the value as the table —
+    /// what a backward kernel (or any writer that brings its own rows) runs
+    /// after [`ParamStore::touch`], and what [`ParamStore::zero_grads`] is.
+    Grads,
+    /// The touched rows of the **value**, with the gradient as the table —
+    /// the optimizer walk. The rows are recorded dirty for the next
+    /// [`ParamStore::for_dirty_rows`].
+    Values,
+    /// Every row of the **value**, whatever the touched set says, with the
+    /// gradient as the table — for updates that are not a fixed point on a
+    /// zero gradient (`Adam`). Every row is recorded dirty.
+    AllValues,
+}
+
+/// One parameter table resolved for a sweep: where its rows live.
+struct Resolved<'a> {
+    buf: &'a mut [f32],
+    /// Rows of `buf` to visit: absolute rows when resident, cache slots when
+    /// paged.
+    rows: Rows<'a>,
+    /// Slot → absolute row, when paged.
+    names: Option<&'a [u32]>,
+    other: TableView<'a>,
+}
+
+/// Decides, once, which rows of which buffer a sweep visits: `set` names
+/// absolute rows of `table` (a parameter's gradient or value, `other` being
+/// its sibling); a resident table is swept as named, a paged one through the
+/// cache slots its pager last translated (the caller's `set`, by contract —
+/// the touched set after [`ParamStore::touch`], a dirty chunk in
+/// [`ParamStore::for_dirty_rows`]), each slot reported under the absolute row
+/// it holds.
+///
+/// # Panics
+///
+/// Panics for an all-rows sweep of a paged parameter — the one assertion
+/// behind every door that could ask for it (a dense touched set,
+/// dense-gradient mode, `Adam`).
+fn resolve<'a>(
+    name: &str,
+    table: &'a mut Tensor,
+    other: &'a Tensor,
+    pager: Option<&'a Pager>,
+    set: Rows<'a>,
+) -> Resolved<'a> {
+    let (rows, names) = match (pager, set) {
+        (None, set) => (set, None),
+        (Some(p), Rows::Listed(listed)) => {
+            debug_assert_eq!(listed.len(), p.translation.len());
+            (Rows::Listed(&p.translation), Some(p.row_of()))
+        }
+        (Some(_), Rows::All) => panic!(
+            "paged parameter '{name}' cannot be swept over all rows: its tables hold only \
+             the cache's slots (a dense touched set, dense-gradient mode and Adam all need \
+             the resident table)"
+        ),
+    };
+    Resolved {
+        buf: table.as_mut_slice(),
+        rows,
+        names,
+        other: view(other, pager),
+    }
+}
+
+/// `table` (a parameter's value or gradient tensor) as a [`TableView`].
+fn view<'a>(table: &'a Tensor, pager: Option<&'a Pager>) -> TableView<'a> {
+    let (rows, cols) = pager.map_or(table.shape(), |p| (p.rows(), p.cols()));
+    TableView {
+        data: table.as_slice(),
+        rows,
+        cols,
+        map: pager.map(Pager::slot_of),
     }
 }
 
@@ -362,24 +470,12 @@ impl ParamStore {
     ///
     /// This entry point carries no row information, so it conservatively
     /// [`RowSet::mark_all`]s the parameter — the dense fallback of the
-    /// touched-row contract. Structured writers inside the crate use the
-    /// tracked accessors instead; external writers with row knowledge can
-    /// re-tighten via [`ParamStore::touch`] after a `zero_grads`.
+    /// touched-row contract. Writers with row structure
+    /// [`touch`](Self::touch) their rows and [`sweep`](Self::sweep)
+    /// [`Sweep::Grads`] instead.
     pub fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
         self.assert_resident(id);
         self.touched[id.0].mark_all();
-        &mut self.grads[id.0]
-    }
-
-    /// Mutably borrows a parameter's gradient for writes **restricted to
-    /// `rows`**, which are recorded in the touched set first — the tracked
-    /// counterpart of [`ParamStore::grad_mut`] for external writers with
-    /// row structure (e.g. the data-parallel all-reduce). Writing outside
-    /// `rows` breaks the touched-row invariant; use
-    /// [`ParamStore::grad_mut`] when the write pattern is unknown.
-    pub fn grad_rows_mut(&mut self, id: ParamId, rows: &[u32]) -> &mut Tensor {
-        self.assert_resident(id);
-        self.touch(id, rows);
         &mut self.grads[id.0]
     }
 
@@ -391,19 +487,46 @@ impl ParamStore {
     /// Records that `rows` of `id`'s gradient may now be nonzero (any
     /// order, duplicates fine). In dense-gradient mode this marks the whole
     /// parameter instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics (paged parameters only) if a touched row is not resident — a
+    /// kernel wrote outside the working set paged in for this batch.
     pub fn touch(&mut self, id: ParamId, rows: &[u32]) {
+        self.widen_touched(id.0, |set| set.insert_slice(rows));
+    }
+
+    /// [`touch`](Self::touch) for a whole set, whichever state it is in —
+    /// how the all-reduce widens every replica to the union.
+    pub fn touch_set(&mut self, id: ParamId, rows: &RowSet) {
+        self.widen_touched(id.0, |set| set.insert_set(rows));
+    }
+
+    fn widen_touched(&mut self, i: usize, insert: impl FnOnce(&mut RowSet)) {
+        let set = &mut self.touched[i];
+        let before = set.len();
         if self.dense_grads {
-            self.touched[id.0].mark_all();
+            set.mark_all();
         } else {
-            self.touched[id.0].insert_slice(rows);
+            insert(set);
+        }
+        // A paged parameter keeps the sorted cache slots of its touched rows
+        // next to the set (rows stay pinned until the set is cleared), so
+        // every sweep of the step reads one translation instead of redoing
+        // it; an all-rows set is left for `resolve` to refuse.
+        if let (Some(pager), Some(listed)) = (&mut self.pagers[i], set.as_slice()) {
+            if listed.len() != before {
+                pager.translate(listed);
+                pager.translation.sort_unstable();
+            }
         }
     }
 
     /// Forces every parameter's row set dense, now and for all future
     /// [`ParamStore::touch`] calls — the `--dense-grads` ablation mode.
     ///
-    /// Every sweep (zeroing, optimizer steps, all-reduce) then takes its
-    /// full-table path, which is **bit-identical** to the sparse walks (the
+    /// Every sweep (zeroing, backward, optimizer steps, all-reduce) then
+    /// visits every row, which is **bit-identical** to the sparse walks (the
     /// per-row arithmetic is the same and untouched rows carry exact
     /// `+0.0` gradients); only the per-batch cost changes from
     /// `O(batch · d)` to `O(N · d)`.
@@ -432,23 +555,18 @@ impl ParamStore {
         self.dense_grads
     }
 
-    /// Tracked gradient access: the mutable gradient plus the row set a
-    /// structured writer should restrict itself to (callers [`touch`]
-    /// (Self::touch) first, then walk the returned set or a subset of it).
-    pub(crate) fn grad_and_rows_mut(&mut self, id: ParamId) -> (&mut Tensor, &RowSet) {
+    /// The gradient table and its touched rows, for bulk kernels that take a
+    /// row set whole (the accumulating SpMM, the index-scan scatters on
+    /// [`PoolHandle::for_row_windows`]) instead of a per-row body. Callers
+    /// [`touch`](Self::touch) first and pass the set on unopened.
+    ///
+    /// # Panics
+    ///
+    /// Panics for paged parameters (see [`ParamStore::value`]): these
+    /// kernels address absolute rows.
+    pub fn touched_grads(&mut self, id: ParamId) -> (Rows<'_>, &mut [f32]) {
         self.assert_resident(id);
-        (&mut self.grads[id.0], &self.touched[id.0])
-    }
-
-    /// Like [`grad_and_rows_mut`](Self::grad_and_rows_mut) with the value
-    /// borrowed alongside (the fused backward kernels read it).
-    pub(crate) fn value_grad_rows_mut(&mut self, id: ParamId) -> (&Tensor, &mut Tensor, &RowSet) {
-        self.assert_resident(id);
-        (
-            &self.values[id.0],
-            &mut self.grads[id.0],
-            &self.touched[id.0],
-        )
+        (self.touched[id.0].rows(), self.grads[id.0].as_mut_slice())
     }
 
     /// Borrows a parameter's dirty-row set (rows whose value may have
@@ -457,17 +575,13 @@ impl ParamStore {
         &self.dirty[id.0]
     }
 
-    /// Records that `rows` of `id`'s **value** were rewritten (any order,
-    /// duplicates fine) — the hook optimizers use after stepping a sparse
-    /// row list, so epoch renormalization knows what to revisit.
-    pub fn mark_dirty(&mut self, id: ParamId, rows: &[u32]) {
-        self.dirty[id.0].insert_slice(rows);
-    }
-
-    /// Like [`mark_dirty`](Self::mark_dirty) but marks every row — for
-    /// writers without row structure (dense optimizer sweeps, `Adam`).
-    pub fn mark_all_dirty(&mut self, id: ParamId) {
-        self.dirty[id.0].mark_all();
+    /// Records that `rows` of `id`'s **value** were rewritten, whichever
+    /// state the set is in, so epoch renormalization knows what to revisit
+    /// — for writers outside [`ParamStore::sweep`] (which records the rows
+    /// of a value sweep itself), e.g. folding one store's dirty rows into
+    /// another's.
+    pub fn mark_dirty(&mut self, id: ParamId, rows: &RowSet) {
+        self.dirty[id.0].insert_set(rows);
     }
 
     /// Walks the dirty rows of `id`'s value, handing each `(row_index,
@@ -487,72 +601,180 @@ impl ParamStore {
     /// In forced dense-gradient mode ([`ParamStore::set_dense_grads`]) the
     /// set is re-marked dense afterwards, so the ablation arm keeps paying
     /// the full `O(N · d)` sweep every epoch.
+    ///
+    /// A paged parameter streams the same rows in the same order through its
+    /// slot cache in budget-sized chunks (each chunk's accesses hit the
+    /// pager, so they land in the trace and the hit/miss counters like any
+    /// batch access); a fresh parameter's all-rows state makes that one
+    /// `O(N · d)` page-through, paid on the first epoch only.
+    ///
+    /// # Panics
+    ///
+    /// Panics (paged parameters only) on backing-store I/O errors: this
+    /// sweep has no error channel, and a failing pagefile mid-epoch is not
+    /// recoverable.
     pub fn for_dirty_rows(&mut self, id: ParamId, mut f: impl FnMut(usize, &mut [f32]) -> bool) {
-        if self.pagers[id.0].is_some() {
-            return self.for_dirty_rows_paged(id, f);
+        let i = id.0;
+        let (num_rows, cols) = self.param_shape(id);
+        let budget = self.pagers[i].as_ref().map(Pager::budget);
+        if budget.is_some() {
+            // Eviction must never recycle a slot with stale gradient bytes
+            // or an unsaved value.
+            self.settle(i);
         }
-        let value = &mut self.values[id.0];
-        let cols = value.cols();
-        let num_rows = value.rows();
-        let dirty = &mut self.dirty[id.0];
-        if cols == 0 || num_rows == 0 {
-            dirty.clear();
-        } else {
-            let data = value.as_mut_slice();
-            if dirty.dense {
-                dirty.dense = false;
-                dirty.rows.clear();
-                for r in 0..num_rows {
-                    if f(r, &mut data[r * cols..(r + 1) * cols]) {
-                        dirty.rows.push(r as u32);
-                    }
+        let mut dirty = std::mem::take(&mut self.dirty[i]);
+        let mut kept = std::mem::take(&mut dirty.scratch);
+        kept.clear();
+        let total = match (cols, dirty.dense) {
+            (0, _) => 0,
+            (_, true) => num_rows,
+            (_, false) => dirty.rows.len(),
+        };
+        // Resident: one chunk, the whole set. Paged: what fits the cache.
+        let step = budget.unwrap_or(total).max(1);
+        let mut range = Vec::new();
+        for start in (0..total).step_by(step) {
+            let end = (start + step).min(total);
+            let chunk = match (budget, dirty.dense) {
+                (None, _) => dirty.rows(),
+                (Some(_), true) => {
+                    range.clear();
+                    range.extend(start as u32..end as u32);
+                    Rows::Listed(&range)
                 }
-            } else {
-                let mut keep = 0usize;
-                for i in 0..dirty.rows.len() {
-                    let r = dirty.rows[i] as usize;
-                    debug_assert!(r < num_rows, "dirty row {r} out of bounds");
-                    if f(r, &mut data[r * cols..(r + 1) * cols]) {
-                        dirty.rows[keep] = r as u32;
-                        keep += 1;
-                    }
+                (Some(_), false) => Rows::Listed(&dirty.rows[start..end]),
+            };
+            if let (Some(pager), Rows::Listed(chunk)) = (&mut self.pagers[i], chunk) {
+                pager
+                    .ensure(chunk, self.values[i].as_mut_slice())
+                    .expect("paged renormalization sweep failed to page rows in");
+                pager.translate(chunk);
+            }
+            let first_kept = kept.len();
+            let (values, grads, pager) = (&mut self.values[i], &self.grads[i], &self.pagers[i]);
+            let at = resolve(&self.names[i], values, grads, pager.as_ref(), chunk);
+            at.rows.walk(0, at.buf, cols, |s, row| {
+                let r = at.names.map_or(s, |n| n[s] as usize);
+                if f(r, row) {
+                    kept.push(r as u32);
                 }
-                dirty.rows.truncate(keep);
+            });
+            if let Some(pager) = &mut self.pagers[i] {
+                pager.translate(&kept[first_kept..]);
+                pager.mark_translation_dirty();
             }
         }
+        dirty.clear();
         if self.dense_grads {
             dirty.mark_all();
+        } else {
+            std::mem::swap(&mut dirty.rows, &mut kept);
+        }
+        dirty.scratch = kept;
+        self.dirty[i] = dirty;
+    }
+
+    /// Applies a sweep's bookkeeping and resolves its rows.
+    fn begin_sweep(&mut self, id: ParamId, sweep: Sweep) -> Resolved<'_> {
+        let i = id.0;
+        let (touched, dirty) = (&self.touched[i], &mut self.dirty[i]);
+        let set = match sweep {
+            Sweep::Grads => touched.rows(),
+            Sweep::Values => {
+                dirty.insert_set(touched);
+                touched.rows()
+            }
+            Sweep::AllValues => {
+                dirty.mark_all();
+                Rows::All
+            }
+        };
+        let (table, other) = match sweep {
+            Sweep::Grads => (&mut self.grads[i], &self.values[i]),
+            Sweep::Values | Sweep::AllValues => (&mut self.values[i], &self.grads[i]),
+        };
+        resolve(&self.names[i], table, other, self.pagers[i].as_ref(), set)
+    }
+
+    /// **The touched-row sweep**: runs `body(row, row_slice, table)` once for
+    /// every row `sweep` names, destination-sharded on `pool` in chunks of
+    /// at least `min_rows` rows.
+    ///
+    /// `row` is always the **absolute** row index, `row_slice` that row of
+    /// the table being rewritten, and `table` a read view of the
+    /// parameter's other table ([`TableView::row`] by absolute row) — the
+    /// gradient row an optimizer steps with, the operand rows a backward
+    /// kernel multiplies. The store alone decides what the set is (a sorted
+    /// list, every row, or a list translated to the pinned cache slots of a
+    /// paged parameter) and how it splits across workers; the body is the
+    /// same code in all three cases, each row is owned by exactly one
+    /// worker, and rows are visited in ascending buffer order, so results
+    /// are bit-identical for any state of the set and any pool width. See
+    /// [`Sweep`] for the three row sets and the bookkeeping each implies.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an all-rows sweep of a paged parameter.
+    ///
+    /// # Examples
+    ///
+    /// A custom optimizer is one sweep per parameter:
+    ///
+    /// ```
+    /// use tensor::{ParamStore, Sweep, Tensor};
+    /// use xparallel::PoolHandle;
+    ///
+    /// let mut store = ParamStore::new();
+    /// let w = store.add_param("w", Tensor::full(4, 2, 1.0));
+    /// store.touch(w, &[1, 3]);
+    /// store.sweep_serial(w, Sweep::Grads, |row, grad, _| grad.fill(row as f32 - 2.5));
+    /// for id in store.param_ids() {
+    ///     store.sweep(id, Sweep::Values, &PoolHandle::global(), 64, |row, value, grads| {
+    ///         for (x, g) in value.iter_mut().zip(grads.row(row)) {
+    ///             *x -= 0.1 * g;
+    ///         }
+    ///     });
+    /// }
+    /// assert_eq!(store.value(w).row(3), &[0.95, 0.95]);
+    /// assert_eq!(store.value(w).row(0), &[1.0, 1.0]); // never visited
+    /// ```
+    pub fn sweep<F>(
+        &mut self,
+        id: ParamId,
+        sweep: Sweep,
+        pool: &PoolHandle,
+        min_rows: usize,
+        body: F,
+    ) where
+        F: Fn(usize, &mut [f32], &TableView<'_>) + Sync,
+    {
+        let at = self.begin_sweep(id, sweep);
+        let (names, other) = (at.names, at.other);
+        if other.cols > 0 {
+            pool.for_row_set(at.buf, other.cols, at.rows, min_rows, |s, row| {
+                body(names.map_or(s, |n| n[s] as usize), row, &other)
+            });
         }
     }
 
-    /// Iterates over `(id, value, grad, touched, dirty, pager)` tuples
-    /// mutably — the optimizer hook. The touched set tells the optimizer
-    /// which rows can carry gradient (dense means "sweep everything"); the
-    /// optimizer unions the rows it actually rewrites into the dirty set so
-    /// epoch renormalization can stay sparse. A `Some` pager means value
-    /// and grad are the **slot cache**: the optimizer must address rows
-    /// through [`Pager::slot`] (only `Sgd` supports this; stateful
-    /// optimizers keyed on absolute rows refuse).
-    pub fn iter_mut(
-        &mut self,
-    ) -> impl Iterator<
-        Item = (
-            ParamId,
-            &mut Tensor,
-            &mut Tensor,
-            &RowSet,
-            &mut RowSet,
-            Option<&Pager>,
-        ),
-    > {
-        self.values
-            .iter_mut()
-            .zip(self.grads.iter_mut())
-            .zip(self.touched.iter())
-            .zip(self.dirty.iter_mut())
-            .zip(self.pagers.iter())
-            .enumerate()
-            .map(|(i, ((((v, g), r), d), p))| (ParamId(i), v, g, r, d, p.as_ref()))
+    /// [`ParamStore::sweep`] on the caller thread, for bodies that carry
+    /// state of their own (an optimizer's accumulators, a reduction buffer):
+    /// same rows, same slices, same order, `FnMut`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an all-rows sweep of a paged parameter.
+    pub fn sweep_serial<F>(&mut self, id: ParamId, sweep: Sweep, mut body: F)
+    where
+        F: FnMut(usize, &mut [f32], &TableView<'_>),
+    {
+        let at = self.begin_sweep(id, sweep);
+        let (names, other) = (at.names, at.other);
+        if other.cols > 0 {
+            at.rows.walk(0, at.buf, other.cols, |s, row| {
+                body(names.map_or(s, |n| n[s] as usize), row, &other)
+            });
+        }
     }
 
     /// Handles of all registered parameters, in registration order.
@@ -562,33 +784,32 @@ impl ParamStore {
 
     /// Zeroes gradient accumulators and resets the touched-row sets.
     ///
-    /// Sparse sets are walked row by row (`O(touched · d)`); dense sets
-    /// memset the full table. Because untouched rows are already exact
-    /// `+0.0` (the touched-row invariant), both paths leave identical bits.
+    /// One [`Sweep::Grads`] per parameter: `O(touched · d)` for a sparse
+    /// set, the full table for a dense one. Because untouched rows are
+    /// already exact `+0.0` (the touched-row invariant), both leave
+    /// identical bits.
     pub fn zero_grads(&mut self) {
         for i in 0..self.grads.len() {
-            if self.pagers[i].is_some() {
-                // The paged equivalent also marks the stepped rows' slots
-                // for write-back — the optimizer rewrote their values.
-                self.prepare_paged(i);
-                continue;
-            }
-            let (g, rows) = (&mut self.grads[i], &mut self.touched[i]);
-            match rows.as_slice() {
-                None => g.zero_(),
-                Some(listed) => {
-                    let n = g.cols();
-                    let data = g.as_mut_slice();
-                    for &r in listed {
-                        let r = r as usize;
-                        data[r * n..(r + 1) * n].fill(0.0);
-                    }
-                }
-            }
-            rows.clear();
-            if self.dense_grads {
-                rows.mark_all();
-            }
+            self.settle(i);
+        }
+    }
+
+    /// Settles parameter `i`'s last step: zeroes the gradient rows of its
+    /// touched set and resets the set. For a paged parameter (whose touched
+    /// rows are still resident — rows stay pinned until this runs) it also
+    /// marks their value slots for write-back, the optimizer having
+    /// rewritten them. Idempotent; every paged operation that can evict
+    /// calls it first, so no slot is ever recycled with stale gradient bytes
+    /// or an unsaved value.
+    fn settle(&mut self, i: usize) {
+        self.sweep_serial(ParamId(i), Sweep::Grads, |_, grad, _| grad.fill(0.0));
+        if let Some(pager) = &mut self.pagers[i] {
+            pager.mark_translation_dirty();
+        }
+        let touched = &mut self.touched[i];
+        touched.clear();
+        if self.dense_grads {
+            touched.mark_all();
         }
     }
 
@@ -716,21 +937,7 @@ impl ParamStore {
     /// Read view of a parameter's table for row-reading kernels, resident
     /// or paged (see [`TableView`]).
     pub fn table(&self, id: ParamId) -> TableView<'_> {
-        let i = id.0;
-        match &self.pagers[i] {
-            None => TableView {
-                data: self.values[i].as_slice(),
-                rows: self.values[i].rows(),
-                cols: self.values[i].cols(),
-                map: None,
-            },
-            Some(p) => TableView {
-                data: self.values[i].as_slice(),
-                rows: p.rows(),
-                cols: p.cols(),
-                map: Some(p.slot_of()),
-            },
-        }
+        view(&self.values[id.0], self.pagers[id.0].as_ref())
     }
 
     /// Moves `id`'s full table into `storage` (writing the current values
@@ -820,7 +1027,7 @@ impl ParamStore {
         if self.pagers[i].is_none() {
             return Ok(());
         }
-        self.prepare_paged(i);
+        self.settle(i);
         let pager = self.pagers[i].as_mut().expect("checked above");
         pager.ensure_union(lists, self.values[i].as_mut_slice())
     }
@@ -837,7 +1044,7 @@ impl ParamStore {
         if self.pagers[i].is_none() {
             return Ok(());
         }
-        self.prepare_paged(i);
+        self.settle(i);
         let pager = self.pagers[i].as_mut().expect("checked above");
         pager.flush(self.values[i].as_slice())
     }
@@ -856,7 +1063,7 @@ impl ParamStore {
         if self.pagers[i].is_none() {
             return Ok(());
         }
-        self.prepare_paged(i);
+        self.settle(i);
         let pager = self.pagers[i].as_mut().expect("checked above");
         pager.flush(self.values[i].as_slice())?;
         let (rows, cols) = (pager.rows(), pager.cols());
@@ -866,123 +1073,6 @@ impl ParamStore {
         self.grads[i] = Tensor::zeros(rows, cols);
         self.pagers[i] = None;
         Ok(())
-    }
-
-    /// Settles a paged parameter's previous-batch bookkeeping: zeroes the
-    /// gradient slots of the touched rows (which are still resident — rows
-    /// stay pinned until this runs), marks their value slots dirty (the
-    /// optimizer rewrote them), and clears the touched set. Idempotent;
-    /// every paged operation that can evict calls it first so no slot is
-    /// ever recycled with stale gradient bytes or an unsaved value.
-    fn prepare_paged(&mut self, i: usize) {
-        let Some(pager) = self.pagers[i].as_mut() else {
-            return;
-        };
-        let touched = &mut self.touched[i];
-        let rows = touched.as_slice().unwrap_or_else(|| {
-            panic!(
-                "paged parameter '{}' cannot use a dense touched set",
-                self.names[i]
-            )
-        });
-        let grad = &mut self.grads[i];
-        let cols = grad.cols();
-        let gd = grad.as_mut_slice();
-        for &r in rows {
-            let s = pager.slot(r as usize);
-            if cols > 0 {
-                gd[s * cols..(s + 1) * cols].fill(0.0);
-            }
-            pager.mark_slot_dirty(s);
-        }
-        touched.clear();
-    }
-
-    /// The paged arm of [`ParamStore::for_dirty_rows`]: walks the same
-    /// dirty rows in the same order with the same retention contract, but
-    /// streams them through the slot cache in budget-sized chunks (each
-    /// chunk's accesses hit the pager, so they land in the trace and the
-    /// hit/miss counters like any batch access).
-    ///
-    /// # Panics
-    ///
-    /// Panics on backing-store I/O errors (this sweep has no error channel;
-    /// a failing pagefile mid-epoch is not recoverable).
-    fn for_dirty_rows_paged(&mut self, id: ParamId, mut f: impl FnMut(usize, &mut [f32]) -> bool) {
-        let i = id.0;
-        self.prepare_paged(i);
-        let pager = self.pagers[i].as_mut().expect("paged dispatch");
-        let cols = pager.cols();
-        let num_rows = pager.rows();
-        let budget = pager.budget();
-        let dirty = &mut self.dirty[i];
-        if cols == 0 || num_rows == 0 {
-            dirty.clear();
-            return;
-        }
-        let cache = self.values[i].as_mut_slice();
-        if dirty.dense {
-            // Fresh-parameter state: every row is dirty. Stream the whole
-            // table through the cache once (this is the one O(N · d) sweep,
-            // paid on the first epoch only — retention thins it after).
-            dirty.dense = false;
-            dirty.rows.clear();
-            let mut chunk: Vec<u32> = Vec::with_capacity(budget);
-            let mut start = 0usize;
-            while start < num_rows {
-                let end = (start + budget).min(num_rows);
-                chunk.clear();
-                chunk.extend(start as u32..end as u32);
-                pager
-                    .ensure(&chunk, cache)
-                    .expect("paged renormalization sweep failed to page rows in");
-                for r in start..end {
-                    let s = pager.slot(r);
-                    if f(r, &mut cache[s * cols..(s + 1) * cols]) {
-                        pager.mark_slot_dirty(s);
-                        dirty.rows.push(r as u32);
-                    }
-                }
-                start = end;
-            }
-        } else {
-            let total = dirty.rows.len();
-            let mut keep = 0usize;
-            let mut start = 0usize;
-            while start < total {
-                let end = (start + budget).min(total);
-                pager
-                    .ensure(&dirty.rows[start..end], cache)
-                    .expect("paged renormalization sweep failed to page rows in");
-                for idx in start..end {
-                    let r = dirty.rows[idx] as usize;
-                    let s = pager.slot(r);
-                    if f(r, &mut cache[s * cols..(s + 1) * cols]) {
-                        pager.mark_slot_dirty(s);
-                        dirty.rows[keep] = r as u32;
-                        keep += 1;
-                    }
-                }
-                start = end;
-            }
-            dirty.rows.truncate(keep);
-        }
-    }
-
-    /// Backward-pass view of a paged parameter for the slot-translating
-    /// fused kernels: `(cache grads, sorted slots of the touched rows,
-    /// slot → row map)`. The slot list is strictly ascending (for
-    /// destination-row-sharded dispatch); its translation is a bijection
-    /// off the sorted touched set, so per-row work — and therefore every
-    /// bit — matches the resident arm.
-    pub(crate) fn paged_backward_parts(&mut self, id: ParamId) -> (&mut Tensor, &[u32], &[u32]) {
-        let i = id.0;
-        let pager = self.pagers[i].as_mut().expect("parameter is paged");
-        let touched = self.touched[i]
-            .as_slice()
-            .expect("paged parameters require sparse touched sets");
-        pager.translate_sorted(touched);
-        (&mut self.grads[i], &pager.slot_scratch, pager.row_of())
     }
 }
 
@@ -1066,12 +1156,8 @@ mod tests {
         let a = s.add_param("a", Tensor::zeros(4, 2));
         // Simulate a tracked writer: rows 1 and 3 carry gradient.
         s.touch(a, &[1, 3]);
-        {
-            let (g, rows) = s.grad_and_rows_mut(a);
-            assert_eq!(rows.as_slice(), Some(&[1, 3][..]));
-            g.row_mut(1).fill(2.5);
-            g.row_mut(3).fill(-1.0);
-        }
+        assert_eq!(s.touched(a).as_slice(), Some(&[1, 3][..]));
+        s.sweep_serial(a, Sweep::Grads, |r, g, _| g.fill(r as f32 - 2.0));
         s.zero_grads();
         assert!(s.grad(a).as_slice().iter().all(|&x| x.to_bits() == 0));
         assert!(s.touched(a).is_empty());
@@ -1101,7 +1187,9 @@ mod tests {
         assert_eq!(seen, vec![2, 3]);
         assert!(s.dirty(a).is_empty());
         // An optimizer marking rows re-arms the sweep for exactly those.
-        s.mark_dirty(a, &[1, 3, 1]);
+        let mut stepped = RowSet::new();
+        stepped.insert_slice(&[1, 3, 1]);
+        s.mark_dirty(a, &stepped);
         let mut seen = Vec::new();
         s.for_dirty_rows(a, |r, _| {
             seen.push(r);
@@ -1119,7 +1207,9 @@ mod tests {
         let _ = s.value_mut(a);
         assert!(s.dirty(a).is_dense(), "untracked value access goes dense");
         s.for_dirty_rows(a, |_, _| false);
-        s.mark_all_dirty(a);
+        let mut all = RowSet::new();
+        all.mark_all();
+        s.mark_dirty(a, &all);
         assert!(s.dirty(a).is_dense());
     }
 
@@ -1139,6 +1229,173 @@ mod tests {
             s.dirty(a).is_dense(),
             "ablation arm stays dense after the sweep"
         );
+    }
+
+    /// Row `r` of the test table is `[10r, 10r + 1, 10r + 2]`.
+    const SWEEP_ROWS: usize = 16;
+    const SWEEP_COLS: usize = 3;
+
+    fn sweep_fixture(paged: bool) -> (ParamStore, ParamId) {
+        let data = (0..SWEEP_ROWS * SWEEP_COLS)
+            .map(|k| (k / SWEEP_COLS * 10 + k % SWEEP_COLS) as f32)
+            .collect();
+        let mut s = ParamStore::new();
+        let p = s.add_param("p", Tensor::from_vec(SWEEP_ROWS, SWEEP_COLS, data));
+        s.for_dirty_rows(p, |_, _| false);
+        if paged {
+            // A half-size cache, churned so the slot map is a non-identity
+            // permutation by the time the set under test is paged in.
+            let storage = crate::VecStorage::new(SWEEP_ROWS, SWEEP_COLS);
+            s.page_out(p, Box::new(storage), SWEEP_ROWS / 2).unwrap();
+            s.page_in(p, &[&[8, 9, 10, 11, 12, 13, 14, 15]]).unwrap();
+            s.page_in(p, &[&[2, 13, 5]]).unwrap();
+        }
+        (s, p)
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The primitive itself: every row of the set is visited exactly once,
+    /// under its absolute index, with the bytes the table shows for it;
+    /// writes land in that row and nowhere else — for every shape of set,
+    /// pool width (0 = `sweep_serial`) and residency.
+    #[test]
+    fn sweep_visits_each_row_of_the_set_once_with_its_own_bytes() {
+        let every: Vec<u32> = (0..SWEEP_ROWS as u32).collect();
+        let sets: [(&str, Option<&[u32]>); 6] = [
+            ("empty", Some(&[])),
+            ("one row", Some(&[6])),
+            ("first and last", Some(&[0, 15])),
+            ("gappy", Some(&[1, 2, 7, 9, 14])),
+            ("every row listed", Some(&every)),
+            ("all-rows state", None),
+        ];
+        for (label, set) in sets {
+            for paged in [false, true] {
+                if paged && set.is_none_or(|rows| rows.len() > SWEEP_ROWS / 2) {
+                    continue; // refused, or larger than the cache: see below
+                }
+                for width in [0usize, 1, 4, 8] {
+                    let (mut s, p) = sweep_fixture(paged);
+                    match set {
+                        Some(rows) => {
+                            s.page_in(p, &[rows]).unwrap();
+                            s.touch(p, rows);
+                        }
+                        None => {
+                            s.grad_mut(p);
+                        }
+                    }
+                    let in_set = |r: usize| set.is_none_or(|rows| rows.contains(&(r as u32)));
+                    if let (Some(pager), Some(rows)) = (s.pager(p), set) {
+                        assert!(
+                            rows.is_empty()
+                                || rows.iter().any(|&r| pager.slot(r as usize) != r as usize),
+                            "{label}: the fixture must scramble slots"
+                        );
+                    }
+                    let shown: Vec<Vec<f32>> = (0..SWEEP_ROWS)
+                        .map(|r| match in_set(r) {
+                            true => s.table(p).row(r).to_vec(),
+                            false => Vec::new(),
+                        })
+                        .collect();
+                    let visits = std::sync::Mutex::new(Vec::new());
+                    let body = |r: usize, row: &mut [f32], grads: &TableView<'_>| {
+                        assert_eq!(bits(row), bits(&shown[r]), "{label}: row {r}'s bytes");
+                        assert_eq!(bits(grads.row(r)), [0; SWEEP_COLS], "{label}: sibling row");
+                        visits.lock().unwrap().push(r);
+                        row.fill(r as f32);
+                    };
+                    if width == 0 {
+                        s.sweep_serial(p, Sweep::Values, body);
+                    } else {
+                        let pool = PoolHandle::global().with_width(width);
+                        s.sweep(p, Sweep::Values, &pool, 1, body);
+                    }
+                    let mut visits = visits.into_inner().unwrap();
+                    visits.sort_unstable();
+                    let want: Vec<usize> = (0..SWEEP_ROWS).filter(|&r| in_set(r)).collect();
+                    assert_eq!(visits, want, "{label}, paged {paged}, width {width}");
+                    // Canary: rows outside the set keep their bits.
+                    s.unpage(p).unwrap();
+                    for r in 0..SWEEP_ROWS {
+                        let want = match in_set(r) {
+                            true => [r as f32; SWEEP_COLS],
+                            false => [0.0, 1.0, 2.0].map(|j| r as f32 * 10.0 + j),
+                        };
+                        assert_eq!(bits(s.value(p).row(r)), bits(&want), "{label}: row {r}");
+                    }
+                    // The optimizer walk recorded exactly its rows dirty.
+                    assert_eq!(s.dirty(p).as_slice(), set, "{label}: dirty rows");
+                }
+            }
+        }
+    }
+
+    /// A listed `0..N` and the all-rows state are the same sweep: identical
+    /// bits from the same body, at any width.
+    #[test]
+    fn listed_and_all_rows_sweeps_leave_identical_bits() {
+        let every: Vec<u32> = (0..SWEEP_ROWS as u32).collect();
+        let run = |dense: bool, width: usize| {
+            let (mut s, p) = sweep_fixture(false);
+            if dense {
+                s.grad_mut(p).as_mut_slice().fill(0.5);
+            } else {
+                s.touch(p, &every);
+                s.sweep_serial(p, Sweep::Grads, |_, g, _| g.fill(0.5));
+            }
+            assert_eq!(s.touched(p).is_dense(), dense);
+            let pool = PoolHandle::global().with_width(width);
+            s.sweep(p, Sweep::Values, &pool, 1, |r, value, grads| {
+                for (x, g) in value.iter_mut().zip(grads.row(r)) {
+                    *x = (*x + r as f32).sqrt() * g;
+                }
+            });
+            bits(s.value(p).as_slice())
+        };
+        let base = run(true, 1);
+        for width in [1, 4, 8] {
+            assert_eq!(run(true, width), base);
+            assert_eq!(run(false, width), base);
+        }
+    }
+
+    /// Every public door that could leave a paged parameter with an all-rows
+    /// touched set refuses at the door, so the sweep's own assertion is the
+    /// single last resort behind them.
+    #[test]
+    fn paged_parameters_refuse_every_door_to_an_all_rows_sweep() {
+        let panics = |f: &mut dyn FnMut()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+            match err.downcast::<String>() {
+                Ok(formatted) => *formatted,
+                Err(err) => err.downcast::<&str>().unwrap().to_string(),
+            }
+        };
+        let (mut s, p) = sweep_fixture(true);
+        assert!(panics(&mut || {
+            s.grad_mut(p);
+        })
+        .contains("is paged out to backing storage"));
+        assert!(panics(&mut || s.set_dense_grads(true))
+            .contains("dense-gradient mode is incompatible with paged parameters"));
+        assert!(
+            panics(&mut || s.sweep_serial(p, Sweep::AllValues, |_, _, _| ()))
+                .contains("cannot be swept over all rows")
+        );
+        assert!(!s.touched(p).is_dense() && !s.dense_grads());
+
+        let (mut dense, q) = sweep_fixture(false);
+        dense.set_dense_grads(true);
+        let storage = crate::VecStorage::new(SWEEP_ROWS, SWEEP_COLS);
+        let err = dense.page_out(q, Box::new(storage), 4).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("paged storage is incompatible with dense-gradient mode"));
     }
 
     #[test]

@@ -44,12 +44,63 @@ use parking_lot::Mutex;
 
 use crate::{
     chunk_ranges, effective_parallelism, global_pool, parallelism_limit, singleton_ranges,
-    ThreadPool, WindowSlot,
+    ThreadPool,
 };
 
-/// One-shot handoff slot for [`PoolHandle::for_listed_rows`] carrying a
-/// worker's `(listed_rows, window_first_row, window)` triple.
-type ListedWindowSlot<'a, T> = Mutex<Option<(&'a [u32], usize, &'a mut [T])>>;
+/// One-shot handoff slot carrying a worker's `(chunk_rows, window_first_row,
+/// window)` triple of a row loop.
+type RowWindowSlot<'a, T> = Mutex<Option<(Rows<'a>, usize, &'a mut [T])>>;
+
+/// Which rows of a row-major buffer a sweep visits: every row, or a strictly
+/// ascending list of them. This is the currency a row-set owner (the
+/// parameter store's touched-row sets) hands to kernels, which pass it on to
+/// [`PoolHandle::for_row_set`] / [`PoolHandle::for_row_windows`] or walk it
+/// serially with [`Rows::walk`] instead of forking on its shape themselves.
+#[derive(Clone, Copy, Debug)]
+pub enum Rows<'a> {
+    /// Every row of the buffer.
+    All,
+    /// Exactly these rows, strictly ascending.
+    Listed(&'a [u32]),
+}
+
+impl Rows<'_> {
+    /// Calls `f(row)` for every row of the set, in order; `nrows` is the
+    /// buffer height [`Rows::All`] stands for.
+    pub fn for_each(self, nrows: usize, mut f: impl FnMut(usize)) {
+        match self {
+            Rows::All => (0..nrows).for_each(f),
+            Rows::Listed(rows) => rows.iter().for_each(|&r| f(r as usize)),
+        }
+    }
+
+    /// Serial sweep: calls `body(row, row_slice)` for every row of the set
+    /// inside `window`, a row-major buffer of row width `stride` whose first
+    /// row is row `first` (pass `0` and the whole buffer for a full sweep).
+    /// Unlike the pool dispatch, a listed set only has to lie inside the
+    /// window, not be sorted.
+    pub fn walk<T>(
+        self,
+        first: usize,
+        window: &mut [T],
+        stride: usize,
+        mut body: impl FnMut(usize, &mut [T]),
+    ) {
+        match self {
+            Rows::All => {
+                for (k, row) in window.chunks_exact_mut(stride).enumerate() {
+                    body(first + k, row);
+                }
+            }
+            Rows::Listed(rows) => {
+                for &r in rows {
+                    let off = (r as usize - first) * stride;
+                    body(r as usize, &mut window[off..off + stride]);
+                }
+            }
+        }
+    }
+}
 
 /// Which pool a [`PoolHandle`] dispatches onto.
 #[derive(Clone, Debug, Default)]
@@ -173,114 +224,133 @@ impl PoolHandle {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        assert!(stride > 0, "stride must be positive");
-        assert_eq!(data.len() % stride, 0, "buffer not a whole number of rows");
-        let nrows = data.len() / stride;
-        if nrows == 0 {
-            return;
-        }
-        let ranges = chunk_ranges(nrows, min_rows.max(1), self.width());
-        if ranges.len() == 1 {
-            body(0, data);
-            return;
-        }
-        let mut windows: Vec<(usize, &mut [T])> = Vec::with_capacity(ranges.len());
-        let mut rest = data;
-        let mut consumed_rows = 0;
-        for r in &ranges {
-            let take = (r.end - consumed_rows) * stride;
-            let (head, tail) = rest.split_at_mut(take);
-            windows.push((consumed_rows, head));
-            consumed_rows = r.end;
-            rest = tail;
-        }
-        let windows: Vec<WindowSlot<T>> =
-            windows.into_iter().map(|w| Mutex::new(Some(w))).collect();
-        self.pool()
-            .scope_run(&singleton_ranges(windows.len()), &|r: Range<usize>| {
-                for i in r {
-                    let (first_row, chunk) = windows[i].lock().take().expect("window taken twice");
-                    body(first_row, chunk);
-                }
-            });
+        self.for_row_windows(data, stride, Rows::All, min_rows, body);
     }
 
-    /// Runs `body(listed_rows, window_first_row, window)` over chunks of an
-    /// explicit **sorted** row list — the sparse-sweep counterpart of
-    /// [`PoolHandle::for_rows`].
+    /// [`PoolHandle::for_rows`] over a row set: runs `body(first_row,
+    /// window)` over disjoint row-aligned windows that together cover every
+    /// row of `rows`. A [`Rows::Listed`] set is split into at most `width()`
+    /// chunks of at least `min_rows` listed rows, each handed the smallest
+    /// contiguous window covering its rows (`first_row ..=` its last listed
+    /// row, gaps included).
     ///
-    /// `rows` must be strictly ascending row indices into the row-major
-    /// buffer `data` (row width `stride`). The list is partitioned into at
-    /// most `width()` contiguous chunks of at least `min_rows` listed rows;
-    /// each chunk receives the smallest contiguous window of `data` covering
-    /// its listed rows (`window` spans rows `window_first_row ..=
-    /// listed_rows.last()`, so a listed row `r` lives at
-    /// `window[(r - window_first_row) * stride ..]`). Windows of adjacent
-    /// chunks never overlap, so each listed row is owned by exactly one
-    /// chunk and results are bit-identical at any width — the same
-    /// destination-sharding contract as `for_rows`, restricted to a subset
-    /// of rows.
-    ///
-    /// Bodies may also *read* (but should not write) the unlisted rows that
-    /// happen to fall inside their window; the touched-row gradient kernels
-    /// rely on windows covering the gaps so range tests are cheap.
+    /// A body may read the unlisted rows inside its window but should write
+    /// only rows it knows to be in the set — the index-scan scatters do so by
+    /// construction (every index they scatter to is a member), and "does
+    /// this index fall in my window" is all the membership test they need,
+    /// because windows never overlap.
     ///
     /// # Panics
     ///
     /// Panics if `stride == 0`, `data.len() % stride != 0`, or (debug only)
-    /// `rows` is not strictly ascending / indexes past the last row.
-    pub fn for_listed_rows<T, F>(
+    /// a listed set is not strictly ascending / indexes past the last row.
+    pub fn for_row_windows<T, F>(
         &self,
         data: &mut [T],
         stride: usize,
-        rows: &[u32],
+        rows: Rows<'_>,
         min_rows: usize,
         body: F,
     ) where
         T: Send,
-        F: Fn(&[u32], usize, &mut [T]) + Sync,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        self.split_rows(data, stride, rows, min_rows, |_, first, window| {
+            body(first, window)
+        });
+    }
+
+    /// Runs `body(row, row_slice)` once for every row of `rows` — the
+    /// destination-sharded sweep over a row set. Each row is owned by exactly
+    /// one chunk and visited by a serial inner loop in ascending order, so
+    /// results are bit-identical at any width and for either shape of the
+    /// set (a listed `0..n` and [`Rows::All`] visit the same rows with the
+    /// same slices).
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`PoolHandle::for_row_windows`].
+    pub fn for_row_set<T, F>(
+        &self,
+        data: &mut [T],
+        stride: usize,
+        rows: Rows<'_>,
+        min_rows: usize,
+        body: F,
+    ) where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        self.split_rows(data, stride, rows, min_rows, |chunk, first, window| {
+            chunk.walk(first, window, stride, &body)
+        });
+    }
+
+    /// The one splitter behind every row loop: cuts `rows` into chunks and
+    /// runs `body(chunk_rows, first_row, window)` on each, `window` starting
+    /// at `first_row` and ending with the chunk's last row.
+    fn split_rows<T, F>(
+        &self,
+        data: &mut [T],
+        stride: usize,
+        rows: Rows<'_>,
+        min_rows: usize,
+        body: F,
+    ) where
+        T: Send,
+        F: Fn(Rows<'_>, usize, &mut [T]) + Sync,
     {
         assert!(stride > 0, "stride must be positive");
         assert_eq!(data.len() % stride, 0, "buffer not a whole number of rows");
-        if rows.is_empty() {
+        let nrows = data.len() / stride;
+        let len = match rows {
+            Rows::All => nrows,
+            Rows::Listed(listed) => {
+                debug_assert!(
+                    listed.windows(2).all(|w| w[0] < w[1]),
+                    "row list must be strictly ascending"
+                );
+                debug_assert!(
+                    listed.last().is_none_or(|&r| (r as usize) < nrows),
+                    "row list indexes past the buffer"
+                );
+                listed.len()
+            }
+        };
+        if len == 0 {
             return;
         }
-        debug_assert!(
-            rows.windows(2).all(|w| w[0] < w[1]),
-            "row list must be strictly ascending"
-        );
-        debug_assert!(
-            (*rows.last().expect("non-empty") as usize) < data.len() / stride,
-            "row list indexes past the buffer"
-        );
-        let ranges = chunk_ranges(rows.len(), min_rows.max(1), self.width());
-        if ranges.len() == 1 {
-            let first = rows[0] as usize;
-            let end = *rows.last().expect("non-empty") as usize + 1;
-            body(rows, first, &mut data[first * stride..end * stride]);
-            return;
+        // A chunk of the set, and the rows `first..end` its window spans.
+        let chunk = |r: &Range<usize>| match rows {
+            Rows::All => (Rows::All, r.start, r.end),
+            Rows::Listed(listed) => {
+                let listed = &listed[r.clone()];
+                let last = *listed.last().expect("chunks are non-empty");
+                (Rows::Listed(listed), listed[0] as usize, last as usize + 1)
+            }
+        };
+        let ranges = chunk_ranges(len, min_rows.max(1), self.width());
+        if let [only] = &ranges[..] {
+            let (rows, first, end) = chunk(only);
+            return body(rows, first, &mut data[first * stride..end * stride]);
         }
-        let mut windows: Vec<(&[u32], usize, &mut [T])> = Vec::with_capacity(ranges.len());
+        let mut windows: Vec<RowWindowSlot<'_, T>> = Vec::with_capacity(ranges.len());
         let mut rest = data;
         let mut consumed_rows = 0usize;
         for r in &ranges {
-            let listed = &rows[r.clone()];
-            let w_first = listed[0] as usize;
-            let w_end = *listed.last().expect("chunks are non-empty") as usize + 1;
-            let (_, tail) = rest.split_at_mut((w_first - consumed_rows) * stride);
-            let (window, tail) = tail.split_at_mut((w_end - w_first) * stride);
-            windows.push((listed, w_first, window));
-            consumed_rows = w_end;
+            let (rows, first, end) = chunk(r);
+            let (_, tail) = rest.split_at_mut((first - consumed_rows) * stride);
+            let (window, tail) = tail.split_at_mut((end - first) * stride);
+            windows.push(Mutex::new(Some((rows, first, window))));
+            consumed_rows = end;
             rest = tail;
         }
-        let windows: Vec<ListedWindowSlot<'_, T>> =
-            windows.into_iter().map(|w| Mutex::new(Some(w))).collect();
         self.pool()
             .scope_run(&singleton_ranges(windows.len()), &|r: Range<usize>| {
                 for i in r {
-                    let (listed, first, window) =
+                    let (rows, first, window) =
                         windows[i].lock().take().expect("window taken twice");
-                    body(listed, first, window);
+                    body(rows, first, window);
                 }
             });
     }
@@ -426,17 +496,14 @@ mod tests {
         let rows: Vec<u32> = (0..nrows as u32).filter(|r| r % 7 == 2).collect();
         let run = |width: usize| {
             let mut data = vec![-1.0f32; stride * nrows];
-            PoolHandle::global().with_width(width).for_listed_rows(
+            PoolHandle::global().with_width(width).for_row_set(
                 &mut data,
                 stride,
-                &rows,
+                Rows::Listed(&rows),
                 1,
-                |listed, first, window| {
-                    for &r in listed {
-                        let off = (r as usize - first) * stride;
-                        for (j, v) in window[off..off + stride].iter_mut().enumerate() {
-                            *v = r as f32 + j as f32 * 0.25;
-                        }
+                |r, row| {
+                    for (j, v) in row.iter_mut().enumerate() {
+                        *v = r as f32 + j as f32 * 0.25;
                     }
                 },
             );
@@ -459,10 +526,55 @@ mod tests {
     #[test]
     fn for_listed_rows_empty_list_is_a_noop() {
         let mut data = vec![1.0f32; 12];
-        PoolHandle::global()
-            .with_width(4)
-            .for_listed_rows(&mut data, 3, &[], 1, |_, _, _| panic!("should not run"));
+        let h = PoolHandle::global().with_width(4);
+        h.for_row_set(&mut data, 3, Rows::Listed(&[]), 1, |_, _| {
+            panic!("should not run")
+        });
+        h.for_row_windows(&mut data, 3, Rows::Listed(&[]), 1, |_, _| {
+            panic!("should not run")
+        });
         assert!(data.iter().all(|&x| x == 1.0));
+    }
+
+    /// Both shapes of a row set, both faces of the dispatch: a listed `0..n`
+    /// and `All` visit the same rows with the same slices; windows are
+    /// disjoint, start at their first listed row and end with their last.
+    #[test]
+    fn row_set_shapes_agree_and_windows_cover_their_rows() {
+        let (stride, nrows) = (2, 57);
+        let every: Vec<u32> = (0..nrows as u32).collect();
+        let gappy: Vec<u32> = vec![0, 3, 4, 20, 21, 22, 40, 56];
+        for width in [1usize, 4, 8] {
+            let h = PoolHandle::global().with_width(width);
+            let sweep = |rows: Rows<'_>| {
+                let mut data: Vec<u32> = (0..(stride * nrows) as u32).collect();
+                h.for_row_set(&mut data, stride, rows, 1, |r, row| {
+                    assert_eq!(row[0] as usize, r * stride, "slice is row {r}'s");
+                    row[1] = u32::MAX - r as u32;
+                });
+                data
+            };
+            assert_eq!(sweep(Rows::All), sweep(Rows::Listed(&every)));
+            let mut seen = vec![0u8; nrows];
+            let cell = Mutex::new(&mut seen);
+            let mut data = vec![0u8; stride * nrows];
+            h.for_row_windows(&mut data, stride, Rows::Listed(&gappy), 1, |first, w| {
+                let last = first + w.len() / stride - 1;
+                assert!(gappy.contains(&(first as u32)) && gappy.contains(&(last as u32)));
+                let mut seen = cell.lock();
+                for r in first..=last {
+                    seen[r] += 1;
+                }
+            });
+            assert!(seen.iter().all(|&n| n <= 1), "windows overlap");
+            assert!(gappy.iter().all(|&r| seen[r as usize] == 1));
+        }
+        let mut order = Vec::new();
+        Rows::Listed(&gappy).for_each(nrows, |r| order.push(r as u32));
+        assert_eq!(order, gappy);
+        let mut count = 0;
+        Rows::All.for_each(nrows, |r| count += (r == count) as usize);
+        assert_eq!(count, nrows);
     }
 
     #[test]

@@ -43,7 +43,7 @@ use parking_lot::{Condvar, Mutex};
 
 mod handle;
 mod pool;
-pub use handle::PoolHandle;
+pub use handle::{PoolHandle, Rows};
 pub use pool::ThreadPool;
 
 /// Environment variable consulted for the default worker count.
@@ -177,9 +177,6 @@ where
 pub(crate) fn singleton_ranges(n: usize) -> Vec<Range<usize>> {
     (0..n).map(|i| i..i + 1).collect()
 }
-
-/// One-shot handoff slot carrying a worker's `(offset, window)` pair.
-pub(crate) type WindowSlot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
 
 /// Runs `body(first_row, rows_chunk)` over row-aligned mutable windows of a
 /// row-major buffer.
