@@ -48,6 +48,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use kg::synthetic::SyntheticKgBuilder;
 use kg::{BatchPlan, UniformSampler};
 use sptransx::{KgeModel, SpTransE, TrainConfig};
+use sptx_bench::harness::{steady_epoch_ms, TIMED_EPOCHS};
 use tensor::optim::{Optimizer, Sgd};
 use tensor::Graph;
 use xparallel::PoolHandle;
@@ -268,27 +269,6 @@ fn bench_paged_scaling(c: &mut Criterion) {
         }
     }
     group.finish();
-}
-
-/// Epochs in the timed window of both JSON passes.
-const TIMED_EPOCHS: u32 = 5;
-
-/// Steady-state epoch time in milliseconds: two warm-up epochs, then the
-/// minimum over [`TIMED_EPOCHS`] individually timed ones. The first warm-up
-/// pays the first-touch renormalization (all rows start dirty — a full-table
-/// page-through when paged) and the arena growth; the second runs with the
-/// caches that sweep evicted refilled, so the timed epochs are the ones a
-/// long run repeats.
-fn steady_epoch_ms(mut epoch: impl FnMut()) -> f64 {
-    epoch();
-    epoch();
-    (0..TIMED_EPOCHS)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            epoch();
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// Post-Criterion JSON pass: re-times a steady-state epoch

@@ -18,6 +18,12 @@
 //!   allocator traffic differs, so the gap is the allocator tax the arena
 //!   removes. Meaningful even on the 1-core container.
 //!
+//! After the Criterion arms a JSON pass (`models/{transe,transh,transr,toruse}`
+//! → `BENCH_models.json`, see `sptx_bench::json`) times a steady-state epoch
+//! of the paper's four models on the end-to-end benchmark's `train_models`
+//! shape, sequential pool: the committed per-model number that the
+//! projection-kernel and torus-score work is judged by.
+//!
 //! Throughput is positive training triples per second per epoch. The
 //! determinism contract guarantees all arms produce bit-identical losses and
 //! embeddings — only wall-clock may differ. As with `benches/eval.rs`, the
@@ -29,10 +35,11 @@
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use kg::synthetic::SyntheticKgBuilder;
-use kg::{BatchPlan, UniformSampler};
-use sptransx::{Combine, KgeModel, SpTransE, TrainConfig, Trainer};
+use kg::{BatchPlan, Dataset, UniformSampler};
+use sptransx::{Combine, KgeModel, SpTorusE, SpTransE, SpTransH, SpTransR, TrainConfig, Trainer};
+use sptx_bench::harness::{steady_epoch_ms, TIMED_EPOCHS};
 use tensor::optim::{Optimizer, Sgd};
 use tensor::Graph;
 use xparallel::PoolHandle;
@@ -132,5 +139,73 @@ fn bench_training_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// Steady-state epoch ([`steady_epoch_ms`]) of one model under the shipped
+/// `Trainer` on a sequential pool.
+fn model_epoch_ms<M: KgeModel>(model: sptransx::Result<M>, ds: &Dataset, cfg: &TrainConfig) -> f64 {
+    let mut trainer = Trainer::new(model.expect("model"), ds, cfg)
+        .expect("trainer")
+        .with_pool(PoolHandle::sequential());
+    steady_epoch_ms(|| {
+        trainer.run_epochs(1).expect("epoch");
+    })
+}
+
+/// Post-Criterion JSON pass → `BENCH_models.json`: one record per paper
+/// model on the `train_models` shape of the end-to-end benchmark (20 000
+/// entities, 100 relations, 54 000 training triples, `dim` 64, `rel_dim` 32,
+/// batches of 1024).
+fn emit_json_models() {
+    use sptx_bench::json::{write_bench_json, JsonObject};
+
+    let ds = SyntheticKgBuilder::new(20_000, 100)
+        .triples(60_000)
+        .seed(1)
+        .build();
+    let cfg = TrainConfig {
+        epochs: 1,
+        batch_size: 1024,
+        dim: 64,
+        rel_dim: 32,
+        seed: 1,
+        ..Default::default()
+    };
+    let records: Vec<JsonObject> = [
+        (
+            "models/transe",
+            model_epoch_ms(SpTransE::from_config(&ds, &cfg), &ds, &cfg),
+        ),
+        (
+            "models/transh",
+            model_epoch_ms(SpTransH::from_config(&ds, &cfg), &ds, &cfg),
+        ),
+        (
+            "models/transr",
+            model_epoch_ms(SpTransR::from_config(&ds, &cfg), &ds, &cfg),
+        ),
+        (
+            "models/toruse",
+            model_epoch_ms(SpTorusE::from_config(&ds, &cfg), &ds, &cfg),
+        ),
+    ]
+    .into_iter()
+    .map(|(arm, ms)| {
+        JsonObject::new()
+            .str("bench", "train_models_epoch")
+            .str("arm", arm)
+            .int("train_triples", ds.train.len() as u64)
+            .int("epochs_timed", u64::from(TIMED_EPOCHS))
+            .num("ms_per_epoch", ms)
+    })
+    .collect();
+    match write_bench_json("models", &records) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_models.json: {e}"),
+    }
+}
+
 criterion_group!(benches, bench_training_step);
-criterion_main!(benches);
+
+fn main() {
+    benches();
+    emit_json_models();
+}

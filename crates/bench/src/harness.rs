@@ -38,6 +38,27 @@ pub fn epochs_from_env() -> usize {
         .unwrap_or(DEFAULT_EPOCHS)
 }
 
+/// Epochs in the timed window of [`steady_epoch_ms`].
+pub const TIMED_EPOCHS: u32 = 5;
+
+/// Steady-state epoch time in milliseconds: two warm-up epochs, then the
+/// minimum over [`TIMED_EPOCHS`] individually timed ones. The first warm-up
+/// pays the first-touch renormalization (all rows start dirty — a full-table
+/// page-through when paged) and the arena growth; the second runs with the
+/// caches that sweep evicted refilled, so the timed epochs are the ones a
+/// long run repeats.
+pub fn steady_epoch_ms(mut epoch: impl FnMut()) -> f64 {
+    epoch();
+    epoch();
+    (0..TIMED_EPOCHS)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            epoch();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// The four models of the paper's headline evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {

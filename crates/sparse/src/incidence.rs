@@ -14,6 +14,9 @@
 //! * **`hrt_unsigned` form** (Appendix D): all three coefficients `+1`; the
 //!   sign carries no meaning under product semirings (DistMult), or flags
 //!   conjugation/subtraction (ComplEx, RotatE) where the tail keeps `−1`.
+//! * **`selection` form** (`S ∈ {0,1}^{M×R}`): one `+1` per row at the
+//!   triplet's relation column. Its [`IncidencePair`] is the batch grouped by
+//!   relation, which is what TransR's per-relation projection walks.
 
 use crate::{CooMatrix, CsrMatrix, Error, Result};
 
@@ -126,6 +129,48 @@ pub fn hrt(
         coo.push_unchecked(i, t, tail_coeff);
     }
     Ok(coo.to_csr())
+}
+
+/// Builds the `M × num_cols` selection matrix of an index list: row `i` holds
+/// one `+1` at column `picks[i]`, so `S · P` gathers rows of `P`.
+///
+/// The [`IncidencePair`] of a batch's relation list is that batch grouped by
+/// relation, with no further type: `forward.indices()` is the list itself,
+/// `transpose.row(r)` lists relation `r`'s batch rows in ascending order, and
+/// `touched_columns()` is the sorted list of distinct relations.
+///
+/// # Errors
+///
+/// Returns [`Error::IndexOutOfBounds`] if any pick is `≥ num_cols`.
+///
+/// # Examples
+///
+/// ```
+/// use sparse::incidence::{selection, IncidencePair};
+///
+/// let by_rel = IncidencePair::new(selection(4, &[2, 0, 2])?);
+/// assert_eq!(by_rel.forward.indices(), &[2, 0, 2]);
+/// assert_eq!(by_rel.transpose.row(2).map(|(i, _)| i).collect::<Vec<_>>(), vec![0, 2]);
+/// assert_eq!(by_rel.touched_columns(), &[0, 2]);
+/// # Ok::<(), sparse::Error>(())
+/// ```
+pub fn selection(num_cols: usize, picks: &[u32]) -> Result<CsrMatrix> {
+    let m = picks.len();
+    if let Some(row) = picks.iter().position(|&c| c as usize >= num_cols) {
+        return Err(Error::IndexOutOfBounds {
+            row,
+            col: picks[row] as usize,
+            rows: m,
+            cols: num_cols,
+        });
+    }
+    Ok(CsrMatrix::from_raw_parts_unchecked(
+        m,
+        num_cols,
+        (0..=m as u32).collect(),
+        picks.to_vec(),
+        vec![1.0; m],
+    ))
 }
 
 fn check_entity(idx: usize, num_entities: usize, row: usize) -> Result<()> {
@@ -267,6 +312,26 @@ mod tests {
         assert!(matches!(
             hrt(3, 2, &[0], &[0, 1], &[1], TailSign::Negative),
             Err(Error::ShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn selection_gathers_rows_and_validates_bounds() {
+        let p = DenseMatrix::from_rows(&[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]);
+        let s = selection(3, &[2, 0, 2]).unwrap();
+        let c = csr_spmm(&s, &p);
+        assert_eq!(
+            (c.row(0), c.row(1), c.row(2)),
+            (p.row(2), p.row(0), p.row(2))
+        );
+        assert_eq!(
+            s,
+            CsrMatrix::from_raw_parts(3, 3, vec![0, 1, 2, 3], vec![2, 0, 2], vec![1.0; 3]).unwrap()
+        );
+        assert_eq!(selection(3, &[]).unwrap().rows(), 0);
+        assert!(matches!(
+            selection(3, &[0, 3]),
+            Err(Error::IndexOutOfBounds { row: 1, col: 3, .. })
         ));
     }
 

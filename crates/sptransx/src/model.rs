@@ -1,6 +1,7 @@
 //! The shared model interface and training configuration.
 
 use kg::BatchPlan;
+use tensor::kernels::floor;
 use tensor::{Graph, ParamStore, Var};
 
 use crate::distributed::Combine;
@@ -58,7 +59,7 @@ impl Norm {
                 .iter()
                 .zip(b)
                 .map(|(x, y)| {
-                    let f = (x - y) - (x - y).floor();
+                    let f = (x - y) - floor(x - y);
                     f.min(1.0 - f)
                 })
                 .sum(),
@@ -66,7 +67,7 @@ impl Norm {
                 .iter()
                 .zip(b)
                 .map(|(x, y)| {
-                    let f = (x - y) - (x - y).floor();
+                    let f = (x - y) - floor(x - y);
                     let d = f.min(1.0 - f);
                     d * d
                 })
@@ -180,8 +181,9 @@ impl TrainConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::Error::Config`] for zero sizes or non-positive
-    /// hyperparameters.
+    /// Returns [`crate::Error::Config`] for zero sizes and for a learning
+    /// rate or margin that is out of range or not finite (`NaN` fails every
+    /// comparison, so the checks are written as what must hold).
     pub fn validate(&self) -> Result<()> {
         if self.epochs == 0 {
             return Err(crate::Error::config("epochs must be positive"));
@@ -194,11 +196,17 @@ impl TrainConfig {
                 "embedding dimensions must be positive",
             ));
         }
-        if self.lr.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(crate::Error::config("learning rate must be positive"));
+        if !(self.lr.is_finite() && self.lr > 0.0) {
+            return Err(crate::Error::config(format!(
+                "learning rate (--lr) must be positive and finite, got {}",
+                self.lr
+            )));
         }
-        if self.margin < 0.0 {
-            return Err(crate::Error::config("margin must be non-negative"));
+        if !(self.margin.is_finite() && self.margin >= 0.0) {
+            return Err(crate::Error::config(format!(
+                "margin (--margin) must be non-negative and finite, got {}",
+                self.margin
+            )));
         }
         Ok(())
     }
@@ -441,6 +449,35 @@ mod tests {
             ..Default::default()
         };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn config_validation_rejects_non_finite_hyperparameters() {
+        // `NaN < 0.0` and `inf < 0.0` are both false: a range check written
+        // as "reject what is below" lets all three through.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let lr = TrainConfig {
+                lr: bad,
+                ..Default::default()
+            };
+            let margin = TrainConfig {
+                margin: bad,
+                ..Default::default()
+            };
+            for (cfg, flag) in [(lr, "--lr"), (margin, "--margin")] {
+                match cfg.validate() {
+                    Err(crate::Error::Config { context }) => {
+                        assert!(context.contains(flag), "{flag} = {bad}: {context}")
+                    }
+                    other => panic!("{flag} = {bad} passed validation: {other:?}"),
+                }
+            }
+        }
+        let zero_margin = TrainConfig {
+            margin: 0.0,
+            ..Default::default()
+        };
+        assert!(zero_margin.validate().is_ok());
     }
 
     #[test]

@@ -19,10 +19,11 @@ use std::sync::Arc;
 
 use kg::eval::TripleScorer;
 use kg::{BatchPlan, Dataset};
+use sparse::incidence::IncidencePair;
 use tensor::{init, Graph, ParamId, ParamStore, Tensor, Var};
 
 use crate::model::{normalize_leading_rows, KgeModel, Norm, TrainConfig};
-use crate::models::{build_dense_caches, DenseCache};
+use crate::models::{build_dense_caches, build_rel_groups, DenseCache, RelGroups};
 use crate::scorer::{
     distances_to_rows, gathered_translational_scores_into, hyperplane_scores_into,
     projected_scores_into, QueryDir,
@@ -385,6 +386,7 @@ pub struct DenseTransR {
     rel_dim: usize,
     norm: Norm,
     batches: Vec<DenseCache>,
+    by_rel: Vec<RelGroups>,
 }
 
 impl DenseTransR {
@@ -417,6 +419,7 @@ impl DenseTransR {
                 other => other,
             },
             batches: Vec::new(),
+            by_rel: Vec::new(),
         })
     }
 }
@@ -435,27 +438,31 @@ impl KgeModel for DenseTransR {
     }
     fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
         self.batches = build_dense_caches(plan);
+        self.by_rel = build_rel_groups(plan, self.store.param_shape(self.mats).0)?;
         Ok(())
     }
     fn num_batches(&self) -> usize {
         self.batches.len()
     }
     fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let c = &self.batches[batch_idx];
-        let side =
-            |g: &mut Graph, heads: &Arc<Vec<u32>>, rels: &Arc<Vec<u32>>, tails: &Arc<Vec<u32>>| {
-                let h = g.gather(&self.store, self.ent, heads.clone());
-                let t = g.gather(&self.store, self.ent, tails.clone());
-                // Two projections per triple (the un-rearranged formulation).
-                let ph = g.project_rows(&self.store, self.mats, h, rels.clone(), self.rel_dim);
-                let pt = g.project_rows(&self.store, self.mats, t, rels.clone(), self.rel_dim);
-                let r = g.gather(&self.store, self.rel, rels.clone());
-                let phr = g.add(ph, r);
-                let expr = g.sub(phr, pt);
-                self.norm.apply(g, expr)
-            };
-        let pos = side(g, &c.pos_heads, &c.pos_rels, &c.pos_tails);
-        let neg = side(g, &c.neg_heads, &c.neg_rels, &c.neg_tails);
+        let (c, by_rel) = (&self.batches[batch_idx], &self.by_rel[batch_idx]);
+        let side = |g: &mut Graph,
+                    heads: &Arc<Vec<u32>>,
+                    rels: &Arc<Vec<u32>>,
+                    by_rel: &Arc<IncidencePair>,
+                    tails: &Arc<Vec<u32>>| {
+            let h = g.gather(&self.store, self.ent, heads.clone());
+            let t = g.gather(&self.store, self.ent, tails.clone());
+            // Two projections per triple (the un-rearranged formulation).
+            let ph = g.project_rows(&self.store, self.mats, h, by_rel.clone(), self.rel_dim);
+            let pt = g.project_rows(&self.store, self.mats, t, by_rel.clone(), self.rel_dim);
+            let r = g.gather(&self.store, self.rel, rels.clone());
+            let phr = g.add(ph, r);
+            let expr = g.sub(phr, pt);
+            self.norm.apply(g, expr)
+        };
+        let pos = side(g, &c.pos_heads, &c.pos_rels, &by_rel.pos, &c.pos_tails);
+        let neg = side(g, &c.neg_heads, &c.neg_rels, &by_rel.neg, &c.neg_tails);
         (pos, neg)
     }
     fn end_epoch(&mut self) {

@@ -128,6 +128,36 @@ pub(crate) fn build_ht_caches(plan: &BatchPlan, num_entities: usize) -> Result<V
     })
 }
 
+/// One batch grouped by relation, per side: the pair of the side's `m × R`
+/// relation selection matrix ([`incidence::selection`]), which is what
+/// `Graph::project_rows` walks. The built-in samplers corrupt heads and tails
+/// only, so both sides usually share one pair.
+#[derive(Debug, Clone)]
+pub(crate) struct RelGroups {
+    pub pos: Arc<IncidencePair>,
+    pub neg: Arc<IncidencePair>,
+}
+
+/// Groups every batch of a plan by relation (fanned out per batch like
+/// [`build_hrt_caches`]); the TransR models build this next to their
+/// incidence or index caches.
+pub(crate) fn build_rel_groups(plan: &BatchPlan, num_relations: usize) -> Result<Vec<RelGroups>> {
+    build_caches_parallel(plan.num_batches(), |i| {
+        let batch = plan.batch(i);
+        let group = |rels: &[u32]| -> Result<Arc<IncidencePair>> {
+            let selection = incidence::selection(num_relations, rels)?;
+            Ok(Arc::new(IncidencePair::new(selection)))
+        };
+        let pos = group(batch.pos.rels())?;
+        let neg = if batch.neg.rels() == batch.pos.rels() {
+            pos.clone()
+        } else {
+            group(batch.neg.rels())?
+        };
+        Ok(RelGroups { pos, neg })
+    })
+}
+
 /// Per-batch index arrays for the dense (gather/scatter) baselines,
 /// `Arc`-shared with the tape like [`HtCache`]'s relation lists.
 #[derive(Debug, Clone)]

@@ -6,12 +6,15 @@
 //! with one `ht` SpMM and apply **one** projection per triple, where the
 //! dense baseline projects head and tail separately (two projections).
 
+use std::sync::Arc;
+
 use kg::eval::TripleScorer;
 use kg::{BatchPlan, Dataset};
+use sparse::incidence::IncidencePair;
 use tensor::{init, Graph, ParamId, ParamStore, Var};
 
 use crate::model::{KgeModel, Norm, TrainConfig};
-use crate::models::{build_ht_caches, HtCache};
+use crate::models::{build_ht_caches, build_rel_groups, HtCache, RelGroups};
 use crate::Result;
 
 /// The SpTransX TransR model.
@@ -44,6 +47,7 @@ pub struct SpTransR {
     rel_dim: usize,
     norm: Norm,
     batches: Vec<HtCache>,
+    by_rel: Vec<RelGroups>,
 }
 
 impl SpTransR {
@@ -77,6 +81,7 @@ impl SpTransR {
                 other => other,
             },
             batches: Vec::new(),
+            by_rel: Vec::new(),
         })
     }
 
@@ -130,6 +135,7 @@ impl KgeModel for SpTransR {
 
     fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
         self.batches = build_ht_caches(plan, self.num_entities)?;
+        self.by_rel = build_rel_groups(plan, self.num_relations)?;
         Ok(())
     }
 
@@ -138,20 +144,22 @@ impl KgeModel for SpTransR {
     }
 
     fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let cache = &self.batches[batch_idx];
+        let (cache, by_rel) = (&self.batches[batch_idx], &self.by_rel[batch_idx]);
         let side = |g: &mut Graph,
-                    pair: &std::sync::Arc<sparse::incidence::IncidencePair>,
-                    rels: &std::sync::Arc<Vec<u32>>| {
-            // Mᵣ(h − t) + r, one SpMM + one projection per triple. Relation
-            // index lists are Arc-shared with the tape (no per-batch copy).
+                    pair: &Arc<IncidencePair>,
+                    by_rel: &Arc<IncidencePair>,
+                    rels: &Arc<Vec<u32>>| {
+            // Mᵣ(h − t) + r, one SpMM + one projection per triple. Incidence
+            // pairs and index lists are Arc-shared with the tape (no
+            // per-batch copy).
             let ht = g.spmm(&self.store, self.ent, pair.clone());
-            let proj = g.project_rows(&self.store, self.mats, ht, rels.clone(), self.rel_dim);
+            let proj = g.project_rows(&self.store, self.mats, ht, by_rel.clone(), self.rel_dim);
             let r = g.gather(&self.store, self.rel, rels.clone());
             let expr = g.add(proj, r);
             self.norm.apply(g, expr)
         };
-        let pos = side(g, &cache.pos, &cache.pos_rels);
-        let neg = side(g, &cache.neg, &cache.neg_rels);
+        let pos = side(g, &cache.pos, &by_rel.pos, &cache.pos_rels);
+        let neg = side(g, &cache.neg, &by_rel.neg, &cache.neg_rels);
         (pos, neg)
     }
 

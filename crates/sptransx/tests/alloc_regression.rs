@@ -17,7 +17,8 @@
 use kg::synthetic::SyntheticKgBuilder;
 use kg::{BatchPlan, Dataset, UniformSampler};
 use sptransx::{
-    KgeModel, SpDistMult, SpRotatE, SpTransE, SpTransH, SpTransM, SpTransR, TrainConfig, Trainer,
+    DenseTransR, KgeModel, SpDistMult, SpRotatE, SpTransE, SpTransH, SpTransM, SpTransR,
+    TrainConfig, Trainer,
 };
 use tensor::memory;
 use tensor::optim::{Optimizer, Sgd};
@@ -186,6 +187,7 @@ fn steady_state_training_step_is_allocation_free_and_bit_identical() {
         let transe = check_model!(SpTransE);
         check_model!(SpTransH);
         check_model!(SpTransR);
+        check_model!(DenseTransR);
         check_model!(SpDistMult);
         check_model!(SpRotatE);
         check_model!(SpTransM);
@@ -282,24 +284,36 @@ fn steady_state_training_step_is_allocation_free_and_bit_identical() {
     }
 
     // The same contract holds through the public Trainer API: after a
-    // warm-up epoch, further epochs are allocation-free end to end.
-    let mut trainer = Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
-    let warm_up = trainer.run_epochs(1).expect("warm-up epoch");
-    // Asserted here, where the process-global peak counter has one writer;
-    // beside concurrently training sibling tests it races.
-    assert!(
-        warm_up.peak_memory_bytes > 0,
-        "the first epoch allocates the tape's buffers above the baseline"
-    );
-    let before = memory::alloc_count();
-    trainer.run_epochs(2).expect("steady-state epochs");
-    assert_eq!(
-        memory::alloc_count(),
-        before,
-        "Trainer epochs after the first must not heap-allocate tensor buffers"
-    );
-    assert!(
-        trainer.graph().arena().hits() > 0,
-        "the trainer's arena should be serving buffers"
-    );
+    // warm-up epoch, further epochs are allocation-free end to end — for the
+    // fused score and for both users of the projection kernels, whose
+    // transposed-matrix scratch is drawn from the arena and returned to it
+    // inside the op.
+    macro_rules! check_trainer {
+        ($model:ty) => {{
+            let model = <$model>::from_config(&ds, &cfg).unwrap();
+            let mut trainer = Trainer::new(model, &ds, &cfg).unwrap();
+            let warm_up = trainer.run_epochs(1).expect("warm-up epoch");
+            // Asserted here, where the process-global peak counter has one
+            // writer; beside concurrently training sibling tests it races.
+            assert!(
+                warm_up.peak_memory_bytes > 0,
+                "the first epoch allocates the tape's buffers above the baseline"
+            );
+            let before = memory::alloc_count();
+            trainer.run_epochs(2).expect("steady-state epochs");
+            assert_eq!(
+                memory::alloc_count(),
+                before,
+                "{}: Trainer epochs after the first must not heap-allocate tensor buffers",
+                stringify!($model)
+            );
+            assert!(
+                trainer.graph().arena().hits() > 0,
+                "the trainer's arena should be serving buffers"
+            );
+        }};
+    }
+    check_trainer!(SpTransE);
+    check_trainer!(SpTransR);
+    check_trainer!(DenseTransR);
 }

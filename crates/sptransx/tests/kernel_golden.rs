@@ -1,14 +1,18 @@
-//! Cross-version guard for the fused incidence-score kernel.
+//! Cross-version guard for the training kernels.
 //!
 //! Every other bit-identity test in the workspace compares two arms of the
 //! *same* build (fused vs `set_fused(false)`, paged vs resident, 1 vs 4
-//! threads), so an edit that changes both arms the same way passes them
-//! all. These constants pin the arithmetic across builds: FNV-1a hashes of
-//! the final embedding bits and the epoch-loss bits of short seeded runs,
-//! captured on the commit *before* the kernel was restructured to read each
-//! operand row once (PR 15). A kernel change that alters any float
-//! association, accumulation order or `-0.0`/`NaN` canonicalization moves a
-//! hash; a change that only moves bytes does not.
+//! threads, blocked vs naive projection), so an edit that changes both arms
+//! the same way passes them all. These constants pin the arithmetic across
+//! builds: FNV-1a hashes of the final parameter bits and the epoch-loss bits
+//! of short seeded runs, captured on the commit *before* a kernel was
+//! restructured — the fused incidence-score kernel before it read each
+//! operand row once (PR 15: TransE, TorusE), the generic tape ops and the
+//! TransR projection loops before the latter were blocked by relation and
+//! the torus `floor` was replaced (9174ddb: TransH, TransR, every
+//! parameter). A kernel change that alters any float association,
+//! accumulation order or `-0.0`/`NaN` canonicalization moves a hash; a
+//! change that only moves bytes does not.
 //!
 //! The last test pins a *schedule* the same way: the all-reduce rounds of
 //! `Trainer::replicated` against hashes captured from the free-standing
@@ -16,12 +20,17 @@
 //! and reduction arithmetic they must reproduce.
 //!
 //! The KG uses `zipf_exponent(1.0)` so the builder's only libm call is
-//! `powf(x, 1.0)` (exact); everything downstream is `+ − × ÷ √ floor`,
-//! which IEEE 754 fixes bit-for-bit, so the constants are portable.
+//! `powf(x, 1.0)` (exact); everything downstream is `+ − × ÷ √` and
+//! compares, which IEEE 754 fixes bit-for-bit — `floor` included, which is
+//! neither libm's nor compiler-builtins' any more but `tensor::kernels::floor`,
+//! built from two adds and two compares — so the constants are portable.
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
-use sptransx::{Combine, KgeModel, Norm, OptimizerKind, SpTorusE, SpTransE, TrainConfig, Trainer};
+use sptransx::{
+    Combine, KgeModel, Norm, OptimizerKind, SpTorusE, SpTransE, SpTransH, SpTransR, TrainConfig,
+    Trainer,
+};
 use tensor::VecStorage;
 
 const ENTITIES: usize = 800;
@@ -134,6 +143,55 @@ fn sptoruse_matches_pre_rewrite_kernel() {
         (0x986d_d099_58dc_087b, 0x785b_f907_4420_8694),
         SpTorusE::from_config,
     );
+}
+
+/// Trains 3 epochs at `rel_dim` 12 (no multiple of a vector width, so the
+/// projection kernels' tails run) and returns `(hash of every parameter in
+/// store order, epoch-loss hash)`.
+fn run_every_param<M: KgeModel>(
+    norm: Norm,
+    ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+) -> (u64, u64) {
+    let ds = dataset();
+    let cfg = TrainConfig {
+        rel_dim: 12,
+        ..config(norm)
+    };
+    let mut trainer = Trainer::new(ctor(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
+    let report = trainer.run().unwrap();
+    let store = trainer.model().store();
+    let params = store.param_ids();
+    assert!(params.len() >= 3, "entities plus two relation tables");
+    let words = params
+        .iter()
+        .flat_map(|&id| store.value(id).as_slice())
+        .map(|x| x.to_bits());
+    (
+        fnv1a(words),
+        fnv1a(report.epoch_losses.iter().map(|x| x.to_bits())),
+    )
+}
+
+#[test]
+fn projection_models_match_pre_blocking_kernels() {
+    type Run = fn(Norm) -> (u64, u64);
+    let transh: Run = |norm| run_every_param(norm, SpTransH::from_config);
+    let transr: Run = |norm| run_every_param(norm, SpTransR::from_config);
+    #[rustfmt::skip]
+    let golden = [
+        ("SpTransH/L1", transh, Norm::L1, (0x595a_6c76_5c93_1d28_u64, 0x4229_0347_06e1_8c51_u64)),
+        ("SpTransH/L2", transh, Norm::L2, (0x9ead_4dfa_9e54_29c4, 0x2e6c_331e_0347_e79f)),
+        ("SpTransR/L1", transr, Norm::L1, (0xb9ea_4675_87b3_3497, 0xd22e_494d_1657_2629)),
+        ("SpTransR/L2", transr, Norm::L2, (0x23ea_7bbf_9bb2_f372, 0xe28e_89b5_3fb2_5f8a)),
+    ];
+    for (what, run, norm, want) in golden {
+        let got = run(norm);
+        assert_eq!(
+            got, want,
+            "{what}: (parameter, loss) hashes {got:#018x?} differ from 9174ddb's {want:#018x?} \
+             — a generic tape op's or a projection kernel's arithmetic changed"
+        );
+    }
 }
 
 #[test]

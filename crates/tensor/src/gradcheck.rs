@@ -87,7 +87,7 @@ mod tests {
     use super::*;
     use crate::init;
     use sparse::incidence::IncidencePair;
-    use sparse::incidence::{hrt, ht, TailSign};
+    use sparse::incidence::{hrt, ht, selection, TailSign};
     use std::sync::Arc;
 
     fn small_store(rows: usize, cols: usize, seed: u64) -> (ParamStore, ParamId) {
@@ -157,11 +157,12 @@ mod tests {
         let _ent = s.add_param("ent", init::uniform(4, 2, 0.9, 6));
         let _mats = s.add_param("mats", init::uniform(2, 3 * 2, 0.7, 7)); // 2 rels, 3x2 mats
         let pair = Arc::new(IncidencePair::new(ht(4, &[0, 1], &[2, 3]).unwrap()));
+        let by_rel = Arc::new(IncidencePair::new(selection(2, &[1, 0]).unwrap()));
         let build = move |g: &mut crate::Graph, store: &ParamStore| {
             let ent = store.lookup("ent").unwrap();
             let mats = store.lookup("mats").unwrap();
             let htv = g.spmm(store, ent, Arc::clone(&pair));
-            let proj = g.project_rows(store, mats, htv, vec![1, 0], 3);
+            let proj = g.project_rows(store, mats, htv, Arc::clone(&by_rel), 3);
             let n = g.squared_l2_norm_rows(proj);
             g.mean(n)
         };

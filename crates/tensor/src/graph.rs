@@ -46,23 +46,81 @@ pub enum RowScore {
     TorusL2Sq,
 }
 
+/// IEEE-exact `floor` from float adds and compares, bit-identical to
+/// [`f32::floor`] on every input (NaNs as a class).
+///
+/// At the baseline x86-64 target `f32::floor` is a call into a software
+/// `floorf`, one per element, which no loop around it can vectorize. Below
+/// `2²³` adding and subtracting `2²³` rounds `|x|` to the nearest integer
+/// (every f32 from `2²³` up already is one); with the sign restored, that is
+/// `floor(x)` or one above it.
+#[inline(always)]
+pub fn floor(x: f32) -> f32 {
+    const TWO_23: f32 = 8_388_608.0;
+    let a = x.abs();
+    let nearest = ((a + TWO_23) - TWO_23).copysign(x);
+    let fl = if nearest > x { nearest - 1.0 } else { nearest };
+    if a < TWO_23 {
+        fl
+    } else {
+        x
+    }
+}
+
+/// `min(f, 1 − f)` for `f = frac(x)` — one coordinate of the torus L1
+/// distance, shared by the standalone norm ops and the fused score.
+#[inline(always)]
+fn torus_l1_term(x: f32) -> f32 {
+    let f = x - floor(x);
+    f.min(1.0 - f)
+}
+
+#[inline(always)]
+fn torus_l2_sq_term(x: f32) -> f32 {
+    let d = torus_l1_term(x);
+    d * d
+}
+
+#[inline(always)]
+fn torus_l1_deriv(x: f32) -> f32 {
+    let f = x - floor(x);
+    if f <= 0.5 {
+        1.0
+    } else {
+        -1.0
+    }
+}
+
+#[inline(always)]
+fn torus_l2_sq_deriv(x: f32) -> f32 {
+    let f = x - floor(x);
+    if f <= 0.5 {
+        2.0 * f
+    } else {
+        -2.0 * (1.0 - f)
+    }
+}
+
+/// `x[j] = f(x[j])`. Each call site passes one closure, so each gets its own
+/// branch-free loop the compiler can vectorize.
+#[inline(always)]
+fn map_in_place(x: &mut [f32], f: impl Fn(f32) -> f32) {
+    for xj in x {
+        *xj = f(*xj);
+    }
+}
+
 impl RowScore {
-    /// Per-element forward term, matching the standalone norm op's closure
-    /// expression-for-expression.
+    /// Replaces every element by its forward term, matching the standalone
+    /// norm op's closure expression-for-expression. The variant is matched
+    /// once per tile, not once per element.
     #[inline]
-    fn term(self, x: f32) -> f32 {
+    fn terms(self, x: &mut [f32]) {
         match self {
-            RowScore::L1 => x.abs(),
-            RowScore::L2 { .. } | RowScore::SquaredL2 => x * x,
-            RowScore::TorusL1 => {
-                let f = x - x.floor();
-                f.min(1.0 - f)
-            }
-            RowScore::TorusL2Sq => {
-                let f = x - x.floor();
-                let d = f.min(1.0 - f);
-                d * d
-            }
+            RowScore::L1 => map_in_place(x, f32::abs),
+            RowScore::L2 { .. } | RowScore::SquaredL2 => map_in_place(x, |x| x * x),
+            RowScore::TorusL1 => map_in_place(x, torus_l1_term),
+            RowScore::TorusL2Sq => map_in_place(x, torus_l2_sq_term),
         }
     }
 
@@ -75,30 +133,21 @@ impl RowScore {
         }
     }
 
-    /// Per-element derivative for every variant except `L2` (whose backward
-    /// divides by the stored row norm and is handled inline).
+    /// Replaces every element `x_j` of one batch row's product by
+    /// `0.0 + g · score'(x_j)` — the node-gradient accumulate of the unfused
+    /// pipeline, `-0.0` canonicalization included. `norm` is the row's stored
+    /// score, which the `L2` backward divides by.
     #[inline]
-    fn deriv(self, x: f32) -> f32 {
+    fn derivs(self, g: f32, norm: f32, x: &mut [f32]) {
         match self {
-            RowScore::L1 => x.signum(),
-            RowScore::SquaredL2 => 2.0 * x,
-            RowScore::TorusL1 => {
-                let f = x - x.floor();
-                if f <= 0.5 {
-                    1.0
-                } else {
-                    -1.0
-                }
+            RowScore::L1 => map_in_place(x, |x| 0.0 + g * x.signum()),
+            RowScore::L2 { eps } => {
+                let denom = norm.max(eps);
+                map_in_place(x, |x| 0.0 + g * x / denom);
             }
-            RowScore::TorusL2Sq => {
-                let f = x - x.floor();
-                if f <= 0.5 {
-                    2.0 * f
-                } else {
-                    -2.0 * (1.0 - f)
-                }
-            }
-            RowScore::L2 { .. } => unreachable!("L2 backward divides by the stored norm"),
+            RowScore::SquaredL2 => map_in_place(x, |x| 0.0 + g * (2.0 * x)),
+            RowScore::TorusL1 => map_in_place(x, |x| 0.0 + g * torus_l1_deriv(x)),
+            RowScore::TorusL2Sq => map_in_place(x, |x| 0.0 + g * torus_l2_sq_deriv(x)),
         }
     }
 }
@@ -190,7 +239,7 @@ enum Op {
     ProjectRows {
         mats: ParamId,
         vecs: Var,
-        rels: Arc<Vec<u32>>,
+        by_rel: Arc<IncidencePair>,
         d_out: usize,
         d_in: usize,
     },
@@ -538,8 +587,11 @@ impl Graph {
                     for t0 in (0..d).step_by(SCORE_TILE) {
                         let x = &mut tile[..SCORE_TILE.min(d - t0)];
                         spmm_row_into(cols, vals, &view, t0, x);
+                        // Map, then fold: the map loop vectorizes, and the
+                        // fold adds the same terms in the same column order.
+                        score.terms(x);
                         for &xj in x.iter() {
-                            acc += score.term(xj);
+                            acc += xj;
                         }
                     }
                     *dst = score.finish(acc);
@@ -728,12 +780,7 @@ impl Graph {
     pub fn torus_l1_rows(&mut self, a: Var) -> Var {
         let _t = profile::scope("op::torus_l1");
         let v = row_reduce(&self.pool, &mut self.arena, &self.nodes[a.0].value, |row| {
-            row.iter()
-                .map(|&x| {
-                    let f = x - x.floor();
-                    f.min(1.0 - f)
-                })
-                .sum()
+            row.iter().map(|&x| torus_l1_term(x)).sum()
         });
         self.push(v, Op::TorusL1Rows(a))
     }
@@ -744,69 +791,82 @@ impl Graph {
     pub fn torus_l2_sq_rows(&mut self, a: Var) -> Var {
         let _t = profile::scope("op::torus_l2");
         let v = row_reduce(&self.pool, &mut self.arena, &self.nodes[a.0].value, |row| {
-            row.iter()
-                .map(|&x| {
-                    let f = x - x.floor();
-                    let d = f.min(1.0 - f);
-                    d * d
-                })
-                .sum()
+            row.iter().map(|&x| torus_l2_sq_term(x)).sum()
         });
         self.push(v, Op::TorusL2SqRows(a))
     }
 
     /// Per-row relation-specific projection (TransR):
-    /// `out[i] = M_{rels[i]} · vecs[i]`, where parameter `mats` has shape
-    /// `(R, d_out·d_in)` storing each `d_out × d_in` matrix row-major.
+    /// `out[i] = M_{r(i)} · vecs[i]`, where parameter `mats` has shape
+    /// `(R, d_out·d_in)` storing each `d_out × d_in` matrix row-major and
+    /// `by_rel` is the pair of the batch's `m × R` relation selection matrix
+    /// ([`sparse::incidence::selection`]): `r(i)` is row `i`'s one column.
+    ///
+    /// The kernels walk the batch **relation by relation** (the pair's
+    /// transpose), so each `Mᵣ` is brought into L1 once per group instead
+    /// of once per batch row, and they vectorize *across* the outputs of a
+    /// row. Every output element is still the sum of its products folded from
+    /// `0.0` in ascending inner index — what a plain dot-product loop
+    /// computes — so results do not depend on the grouping, the tiling or
+    /// the pool width. Backward accumulates `dMᵣ += Σᵢ gᵢ ⊗ vᵢ` over each
+    /// group in ascending `i`, sharded by destination relation.
     ///
     /// # Panics
     ///
-    /// Panics if shapes are inconsistent or a relation index is out of range.
+    /// Panics if shapes are inconsistent or `by_rel` is not a selection over
+    /// the parameter's rows.
     pub fn project_rows(
         &mut self,
         store: &ParamStore,
         mats: ParamId,
         vecs: Var,
-        rels: impl Into<Arc<Vec<u32>>>,
+        by_rel: Arc<IncidencePair>,
         d_out: usize,
     ) -> Var {
         let _t = profile::scope("op::project_rows");
-        let rels: Arc<Vec<u32>> = rels.into();
         let mv = store.value(mats);
         let (m, d_in) = self.value(vecs).shape();
-        assert_eq!(rels.len(), m, "one relation per row required");
+        assert_eq!(by_rel.forward.rows(), m, "one relation per row required");
+        assert_eq!(by_rel.forward.nnz(), m, "one relation per row required");
+        assert_eq!(by_rel.forward.cols(), mv.rows(), "selection width mismatch");
+        debug_assert_eq!(by_rel.forward.max_row_nnz(), usize::from(m > 0));
         assert_eq!(
             mv.cols(),
             d_out * d_in,
             "projection parameter has wrong width"
         );
         let mut out = Tensor::uninit_in(&mut self.arena, m, d_out);
+        // One `Mᵣᵀ` per chunk of batch rows, rewritten per relation group.
+        let mut mt = Tensor::uninit_in(&mut self.arena, self.pool.width(), d_out * d_in);
         let (md, vd) = (mv.as_slice(), self.nodes[vecs.0].value.as_slice());
-        let rl = &rels;
-        self.pool
-            .for_rows(out.as_mut_slice(), d_out.max(1), 32, |first, chunk| {
-                for (k, dst) in chunk.chunks_exact_mut(d_out.max(1)).enumerate() {
-                    let i = first + k;
-                    let r = rl[i] as usize;
+        self.pool.for_rows_with_scratch(
+            out.as_mut_slice(),
+            d_out.max(1),
+            32,
+            mt.as_mut_slice(),
+            |first, chunk, mt| {
+                for_each_group(&by_rel, first, first + chunk.len() / d_out, |r, rows| {
                     let mat = &md[r * d_out * d_in..(r + 1) * d_out * d_in];
-                    let vec = &vd[i * d_in..(i + 1) * d_in];
-                    for (o, d) in dst.iter_mut().enumerate() {
-                        let mrow = &mat[o * d_in..(o + 1) * d_in];
-                        let mut acc = 0.0;
-                        for j in 0..d_in {
-                            acc += mrow[j] * vec[j];
+                    for (o, mrow) in mat.chunks_exact(d_in.max(1)).enumerate() {
+                        for (j, &x) in mrow.iter().enumerate() {
+                            mt[j * d_out + o] = x;
                         }
-                        *d = acc;
                     }
-                }
-            });
+                    project_group(rows, vd, mt, first, chunk, d_out);
+                });
+            },
+        );
+        self.arena.reclaim(mt);
+        let groups = by_rel.touched_columns().len();
         sparse::metrics::add_flops(2 * (m * d_out * d_in) as u64);
+        // Each group's matrix once, each row's vector in and projection out.
+        sparse::metrics::add_bytes(4 * (groups * d_out * d_in + m * (d_in + d_out)) as u64);
         self.push(
             out,
             Op::ProjectRows {
                 mats,
                 vecs,
-                rels,
+                by_rel,
                 d_out,
                 d_in,
             },
@@ -1058,17 +1118,7 @@ impl Graph {
                                 let ti = first + k;
                                 let (s, e) = (indptr[ti] as usize, indptr[ti + 1] as usize);
                                 spmm_row_into(&indices[s..e], &values[s..e], &view, 0, x);
-                                let gi = gd[ti];
-                                if let RowScore::L2 { eps } = score {
-                                    let denom = nd[ti].max(eps);
-                                    for xj in x.iter_mut() {
-                                        *xj = 0.0 + gi * *xj / denom;
-                                    }
-                                } else {
-                                    for xj in x.iter_mut() {
-                                        *xj = 0.0 + gi * score.deriv(*xj);
-                                    }
-                                }
+                                score.derivs(gd[ti], nd[ti], x);
                             }
                         });
                     // Pass 2, destination-row-sharded: parameter row `e`
@@ -1194,14 +1244,7 @@ impl Graph {
                     &mut self.arena,
                     &self.nodes[a.0].value,
                     g,
-                    |x, _| {
-                        let f = x - x.floor();
-                        if f <= 0.5 {
-                            1.0
-                        } else {
-                            -1.0
-                        }
-                    },
+                    |x, _| torus_l1_deriv(x),
                 );
                 self.accum(a, &da, 1.0);
                 self.arena.reclaim(da);
@@ -1212,14 +1255,7 @@ impl Graph {
                     &mut self.arena,
                     &self.nodes[a.0].value,
                     g,
-                    |x, _| {
-                        let f = x - x.floor();
-                        if f <= 0.5 {
-                            2.0 * f
-                        } else {
-                            -2.0 * (1.0 - f)
-                        }
-                    },
+                    |x, _| torus_l2_sq_deriv(x),
                 );
                 self.accum(a, &da, 1.0);
                 self.arena.reclaim(da);
@@ -1227,40 +1263,42 @@ impl Graph {
             Op::ProjectRows {
                 mats,
                 vecs,
-                rels,
+                by_rel,
                 d_out,
                 d_in,
             } => {
                 let _t = profile::scope("op::project_backward");
                 let m = g.rows();
-                // d vecs[i] = M_{r}ᵀ · g_i — computed against the parameter
-                // value before its gradient is borrowed mutably.
+                let gd = g.as_slice();
+                // d vecs[i] = M_{r}ᵀ · g_i: `g_i` times `Mᵣ` as stored, so no
+                // transposed copy — computed against the parameter value
+                // before its gradient is borrowed mutably.
                 let mut dv = Tensor::uninit_in(&mut self.arena, m, d_in);
-                {
-                    let mv = store.value(mats);
-                    let (md, gd) = (mv.as_slice(), g.as_slice());
-                    self.pool
-                        .for_rows(dv.as_mut_slice(), d_in.max(1), 32, |first, chunk| {
-                            for (k, dst) in chunk.chunks_exact_mut(d_in.max(1)).enumerate() {
-                                let i = first + k;
-                                let r = rels[i] as usize;
-                                let mat = &md[r * d_out * d_in..(r + 1) * d_out * d_in];
-                                for (j, d) in dst.iter_mut().enumerate() {
-                                    let mut acc = 0.0;
-                                    for o in 0..d_out {
-                                        acc += mat[o * d_in + j] * gd[i * d_out + o];
-                                    }
-                                    *d = acc;
-                                }
-                            }
+                let md = store.value(mats).as_slice();
+                self.pool
+                    .for_rows(dv.as_mut_slice(), d_in.max(1), 32, |first, chunk| {
+                        for_each_group(&by_rel, first, first + chunk.len() / d_in, |r, rows| {
+                            let mat = &md[r * d_out * d_in..(r + 1) * d_out * d_in];
+                            project_group(rows, gd, mat, first, chunk, d_in);
                         });
-                }
-                // d mats[r] += g_i ⊗ vecs[i], scattered by relation index.
-                let vv = self.value(vecs);
-                store.touch(mats, &rels);
-                let (rows, gm) = store.touched_grads(mats);
-                scatter_add_outer(&self.pool, gm, rows, &rels, g, vv, d_out, d_in);
+                    });
+                // d mats[r] += Σ_i g_i ⊗ vecs[i] over relation r's batch rows
+                // (none, for a row some other op touched).
+                let vd = self.nodes[vecs.0].value.as_slice();
+                let groups = &by_rel.transpose;
+                store.touch(mats, by_rel.touched_columns());
+                store.sweep(mats, Sweep::Grads, &self.pool, 8, |r, dm, _| {
+                    let (s, e) = groups.row_bounds(r);
+                    add_outer_products(&groups.indices()[s..e], gd, vd, d_out, d_in, dm);
+                });
+                let groups = by_rel.touched_columns().len();
                 sparse::metrics::add_flops(4 * (m * d_out * d_in) as u64);
+                // Per group: Mᵣ read, dMᵣ read and written. Per row: `g` and
+                // `v` read by the outer product, `g` read and `dv` written by
+                // the transposed projection.
+                sparse::metrics::add_bytes(
+                    4 * (3 * groups * d_out * d_in + m * (2 * d_in + 2 * d_out)) as u64,
+                );
                 self.accum(vecs, &dv, 1.0);
                 self.arena.reclaim(dv);
             }
@@ -1557,41 +1595,130 @@ fn scatter_add_rows_with(
     sparse::metrics::add_bytes(3 * (indices.len() * n * 4) as u64);
 }
 
-/// `dst[rels[i]] += g_i ⊗ v_i` over the relation rows in `rows`, where `dst`
-/// is `(R, d_out*d_in)`. Same preconditions and determinism argument as
-/// [`scatter_add_rows_with`].
-#[allow(clippy::too_many_arguments)]
-fn scatter_add_outer(
-    pool: &PoolHandle,
-    dst: &mut [f32],
-    rows: Rows<'_>,
-    rels: &[u32],
-    g: &Tensor,
-    v: &Tensor,
+/// Outputs the projection kernels accumulate at a time: a stack array this
+/// small stays in vector registers across the whole inner loop (four SSE
+/// registers; the baseline x86-64 target has sixteen).
+const PROJ_TILE: usize = 16;
+
+/// `out[c] = Σ_p a[p] · b[p, c]` for a row-major `a.len() × out.len()` matrix
+/// `b`, every sum folded from `0.0` in ascending `p` — per element, exactly
+/// the dot-product loop `acc = 0.0; for p { acc += b[p, c] * a[p] }`. The
+/// loops are interchanged so that the `p`-th step is one contiguous row of
+/// `b` scaled by a scalar: `PROJ_TILE` independent sums advance together.
+#[inline]
+fn row_times_matrix(a: &[f32], b: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    debug_assert_eq!(b.len(), a.len() * n);
+    let full = n - n % PROJ_TILE;
+    for c0 in (0..full).step_by(PROJ_TILE) {
+        let mut acc = [0.0f32; PROJ_TILE];
+        for (&ap, brow) in a.iter().zip(b.chunks_exact(n)) {
+            let btile: &[f32; PROJ_TILE] = brow[c0..c0 + PROJ_TILE]
+                .try_into()
+                .expect("tile is PROJ_TILE wide");
+            for (s, &bv) in acc.iter_mut().zip(btile) {
+                *s += bv * ap;
+            }
+        }
+        out[c0..c0 + PROJ_TILE].copy_from_slice(&acc);
+    }
+    if full < n {
+        let tail = &mut out[full..];
+        tail.fill(0.0);
+        for (&ap, brow) in a.iter().zip(b.chunks_exact(n)) {
+            for (s, &bv) in tail.iter_mut().zip(&brow[full..]) {
+                *s += bv * ap;
+            }
+        }
+    }
+}
+
+/// Calls `body(r, rows)` for every relation `r` with batch rows inside
+/// `first..end`, `rows` being those rows in ascending order — the batch (or
+/// one worker's chunk of it) visited relation by relation, so that whatever
+/// `body` reads of relation `r` stays in L1 for the whole group.
+fn for_each_group(
+    by_rel: &IncidencePair,
+    first: usize,
+    end: usize,
+    mut body: impl FnMut(usize, &[u32]),
+) {
+    let groups = &by_rel.transpose;
+    for &r in by_rel.touched_columns() {
+        // Relation r's batch rows are ascending: cut the run inside the range.
+        let (s, e) = groups.row_bounds(r as usize);
+        let rows = &groups.indices()[s..e];
+        let rows = &rows[rows.partition_point(|&i| (i as usize) < first)..];
+        let rows = &rows[..rows.partition_point(|&i| (i as usize) < end)];
+        if !rows.is_empty() {
+            body(r as usize, rows);
+        }
+    }
+}
+
+/// `out[i − first, :] = a[i, :] · b` for each batch row `i` of one relation
+/// group, where `b` is that relation's matrix with `n` columns, the width of
+/// an `out` row: `Mᵣᵀ` for the forward projection of `v`, `Mᵣ` as stored for
+/// the backward projection of `g`.
+fn project_group(rows: &[u32], a: &[f32], b: &[f32], first: usize, out: &mut [f32], n: usize) {
+    let depth = b.len() / n;
+    for &i in rows {
+        let i = i as usize;
+        row_times_matrix(
+            &a[i * depth..(i + 1) * depth],
+            b,
+            &mut out[(i - first) * n..(i - first + 1) * n],
+        );
+    }
+}
+
+/// `dm[o, j] += Σ_i g[i, o] · v[i, j]` over the batch rows `rows` of one
+/// relation, `dm` its `d_out × d_in` gradient matrix: every element's sum
+/// continues from the stored value in the order of `rows` (ascending `i`,
+/// the order a scan over the batch meets them). A tile of `dm` is loaded
+/// once, accumulated over the whole group in registers and stored once,
+/// instead of the matrix being read and rewritten per batch row.
+fn add_outer_products(
+    rows: &[u32],
+    g: &[f32],
+    v: &[f32],
     d_out: usize,
     d_in: usize,
+    dm: &mut [f32],
 ) {
-    let width = d_out * d_in;
-    if width == 0 {
+    if rows.is_empty() || d_in == 0 {
         return;
     }
-    let (gd, vd) = (g.as_slice(), v.as_slice());
-    pool.for_row_windows(dst, width, rows, 8, |first, window| {
-        let end = first + window.len() / width;
-        for (i, &rel) in rels.iter().enumerate() {
-            let r = rel as usize;
-            if r >= first && r < end {
-                let mat = &mut window[(r - first) * width..(r - first + 1) * width];
-                for o in 0..d_out {
-                    let go = gd[i * d_out + o];
-                    let row = &mut mat[o * d_in..(o + 1) * d_in];
-                    for (j, m) in row.iter_mut().enumerate() {
-                        *m += go * vd[i * d_in + j];
-                    }
+    let full = d_in - d_in % PROJ_TILE;
+    for (o, drow) in dm.chunks_exact_mut(d_in).enumerate() {
+        for j0 in (0..full).step_by(PROJ_TILE) {
+            let tile: &mut [f32; PROJ_TILE] = (&mut drow[j0..j0 + PROJ_TILE])
+                .try_into()
+                .expect("tile is PROJ_TILE wide");
+            let mut acc = *tile;
+            for &i in rows {
+                let i = i as usize;
+                let go = g[i * d_out + o];
+                let vtile: &[f32; PROJ_TILE] = v[i * d_in + j0..i * d_in + j0 + PROJ_TILE]
+                    .try_into()
+                    .expect("tile is PROJ_TILE wide");
+                for (s, &x) in acc.iter_mut().zip(vtile) {
+                    *s += go * x;
+                }
+            }
+            *tile = acc;
+        }
+        if full < d_in {
+            for &i in rows {
+                let i = i as usize;
+                let go = g[i * d_out + o];
+                let vtail = &v[i * d_in + full..(i + 1) * d_in];
+                for (s, &x) in drow[full..].iter_mut().zip(vtail) {
+                    *s += go * x;
                 }
             }
         }
-    });
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1728,7 +1855,7 @@ fn complex_score_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparse::incidence::{hrt, ht, TailSign};
+    use sparse::incidence::{hrt, ht, selection, TailSign};
 
     fn store_with(name: &str, t: Tensor) -> (ParamStore, ParamId) {
         let mut s = ParamStore::new();
@@ -1871,10 +1998,345 @@ mod tests {
         let mats = s.add_param("m", Tensor::from_rows(&[[2.0, 3.0]]));
         let mut g = Graph::new();
         let v = g.input(Tensor::from_rows(&[[1.0, 1.0], [0.5, -1.0]]));
-        let p = g.project_rows(&s, mats, v, vec![0, 0], 1);
+        let by_rel = Arc::new(IncidencePair::new(selection(1, &[0, 0]).unwrap()));
+        let p = g.project_rows(&s, mats, v, by_rel, 1);
         assert_eq!(g.value(p).get(0, 0), 5.0);
         assert_eq!(g.value(p).get(1, 0), -2.0);
         drop(store);
+    }
+
+    /// The projection loops as they were before relation blocking, kept as
+    /// the reference the blocked kernels are compared with bit for bit: a
+    /// dot product per output element, batch rows in natural order.
+    fn naive_project(rels: &[u32], mats: &[f32], v: &[f32], d_out: usize, d_in: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; rels.len() * d_out];
+        for (i, dst) in out.chunks_exact_mut(d_out).enumerate() {
+            let r = rels[i] as usize;
+            let mat = &mats[r * d_out * d_in..(r + 1) * d_out * d_in];
+            let vec = &v[i * d_in..(i + 1) * d_in];
+            for (o, d) in dst.iter_mut().enumerate() {
+                let mrow = &mat[o * d_in..(o + 1) * d_in];
+                let mut acc = 0.0;
+                for j in 0..d_in {
+                    acc += mrow[j] * vec[j];
+                }
+                *d = acc;
+            }
+        }
+        out
+    }
+
+    /// Reference `dv[i] = Mᵣᵀ · g_i`: a strided dot product per element.
+    fn naive_project_dv(
+        rels: &[u32],
+        mats: &[f32],
+        g: &[f32],
+        d_out: usize,
+        d_in: usize,
+    ) -> Vec<f32> {
+        let mut dv = vec![0.0f32; rels.len() * d_in];
+        for (i, dst) in dv.chunks_exact_mut(d_in).enumerate() {
+            let r = rels[i] as usize;
+            let mat = &mats[r * d_out * d_in..(r + 1) * d_out * d_in];
+            for (j, d) in dst.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for o in 0..d_out {
+                    acc += mat[o * d_in + j] * g[i * d_out + o];
+                }
+                *d = acc;
+            }
+        }
+        dv
+    }
+
+    /// Reference `dm[rels[i]] += g_i ⊗ v_i`: one read-modify-write of the
+    /// relation's whole matrix per batch row, in index-scan order.
+    fn naive_add_outer(
+        rels: &[u32],
+        g: &[f32],
+        v: &[f32],
+        d_out: usize,
+        d_in: usize,
+        dm: &mut [f32],
+    ) {
+        let width = d_out * d_in;
+        for (i, &rel) in rels.iter().enumerate() {
+            let mat = &mut dm[rel as usize * width..(rel as usize + 1) * width];
+            for o in 0..d_out {
+                let go = g[i * d_out + o];
+                let row = &mut mat[o * d_in..(o + 1) * d_in];
+                for (j, m) in row.iter_mut().enumerate() {
+                    *m += go * v[i * d_in + j];
+                }
+            }
+        }
+    }
+
+    /// Bits with every NaN mapped to one pattern: NaN payloads are
+    /// unspecified by IEEE 754 (and by LLVM), everything else is exact.
+    fn nan_classes(xs: &[f32]) -> Vec<u32> {
+        xs.iter()
+            .map(|x| if x.is_nan() { 0x7fc0_0000 } else { x.to_bits() })
+            .collect()
+    }
+
+    /// `(out, dv, dM)` of `mean(w ⊙ project_rows(v))` on the tape, and the
+    /// same three from the naive loops fed the tape's own upstream gradient.
+    /// `pre` is the gradient already stored in `dM` (written through
+    /// `grad_mut`, so the parameter sweeps all rows; `None` leaves a fresh
+    /// listed set).
+    #[allow(clippy::type_complexity)]
+    fn projection_case(
+        pool: PoolHandle,
+        rels: &[u32],
+        mats: &Tensor,
+        v: &[f32],
+        w: &[f32],
+        d_out: usize,
+        pre: Option<&[f32]>,
+    ) -> ([Vec<u32>; 3], [Vec<u32>; 3]) {
+        let (m, d_in) = (rels.len(), v.len() / rels.len());
+        let (mut store, p) = store_with("mats", mats.clone());
+        let mut dm_ref = vec![0.0f32; mats.len()];
+        if let Some(pre) = pre {
+            store.grad_mut(p).as_mut_slice().copy_from_slice(pre);
+            dm_ref.copy_from_slice(pre);
+        }
+        let by_rel = Arc::new(IncidencePair::new(selection(mats.rows(), rels).unwrap()));
+        let mut g = Graph::with_pool(pool);
+        let x = g.input_from_slice(m, d_in, v);
+        let out = g.project_rows(&store, p, x, by_rel, d_out);
+        let weights = g.input_from_slice(m, d_out, w);
+        let weighted = g.mul(out, weights);
+        let loss = g.mean(weighted);
+        g.backward(loss, &mut store);
+
+        let upstream = g.grad(out).unwrap().as_slice();
+        let dv_ref: Vec<f32> = naive_project_dv(rels, mats.as_slice(), upstream, d_out, d_in)
+            .into_iter()
+            .map(|x| 0.0 + 1.0 * x) // the node-gradient accumulate
+            .collect();
+        naive_add_outer(rels, upstream, v, d_out, d_in, &mut dm_ref);
+        (
+            [
+                nan_classes(g.value(out).as_slice()),
+                nan_classes(g.grad(x).unwrap().as_slice()),
+                nan_classes(store.grad(p).as_slice()),
+            ],
+            [
+                nan_classes(&naive_project(rels, mats.as_slice(), v, d_out, d_in)),
+                nan_classes(&dv_ref),
+                nan_classes(&dm_ref),
+            ],
+        )
+    }
+
+    /// Relation lists that stress the grouping: `(name, R, rels)`.
+    fn relation_patterns(m: usize) -> Vec<(&'static str, usize, Vec<u32>)> {
+        let mut first_and_last: Vec<u32> = (0..m).map(|i| (1 + i % 5) as u32).collect();
+        (first_and_last[0], first_and_last[m - 1]) = (0, 0);
+        vec![
+            ("one relation", 3, vec![1; m]),
+            ("all distinct", m, (0..m as u32).rev().collect()),
+            (
+                "R > m, gaps between used relations",
+                3 * m + 2,
+                (0..m).map(|i| ((i * 7) % m * 3 + 1) as u32).collect(),
+            ),
+            ("one relation first and last", 6, first_and_last),
+            ("few relations, uneven groups", 4, {
+                (0..m).map(|i| (i * i % 7 % 4) as u32).collect()
+            }),
+        ]
+    }
+
+    #[test]
+    fn blocked_projection_matches_naive_loops_bitwise() {
+        // 150 batch rows: four 32-row-minimum chunks on a wide pool, so
+        // relation groups straddle chunk boundaries.
+        let m = 150;
+        for (d_out, d_in) in [(1, 1), (3, 7), (16, 16), (31, 33), (32, 64), (65, 17)] {
+            let v = lcg_table(m, d_in);
+            // Every fourth batch row has zero weight: its `g_i` is all zero.
+            let mut w = lcg_table(m, d_out);
+            for i in (0..m).step_by(4) {
+                w.row_mut(i).fill(0.0);
+            }
+            for (name, num_rels, rels) in relation_patterns(m) {
+                let mats = lcg_table(num_rels, d_out * d_in);
+                let pre = lcg_table(num_rels, d_out * d_in);
+                for pre in [None, Some(pre.as_slice())] {
+                    for width in [1, 4, 8] {
+                        let (got, want) = projection_case(
+                            PoolHandle::global().with_width(width),
+                            &rels,
+                            &mats,
+                            v.as_slice(),
+                            w.as_slice(),
+                            d_out,
+                            pre,
+                        );
+                        for (what, (got, want)) in ["forward", "dv", "dM"]
+                            .into_iter()
+                            .zip(got.iter().zip(&want))
+                        {
+                            assert_eq!(
+                                got,
+                                want,
+                                "{what}: {d_out}x{d_in}, {name}, accumulate {}, width {width}",
+                                pre.is_some()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_projection_keeps_non_finite_operands_and_zero_gradient_rows() {
+        let (m, d_out, d_in, num_rels) = (40, 19, 35, 4);
+        let rels: Vec<u32> = (0..m).map(|i| (i % num_rels) as u32).collect();
+        let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        let mut mats = lcg_table(num_rels, d_out * d_in);
+        let mut v = lcg_table(m, d_in);
+        let mut w = lcg_table(m, d_out);
+        for (q, &x) in poison.iter().enumerate() {
+            // Relation q's matrix and batch rows q, q + 4, … carry poison q
+            // at scattered places; rows ≥ 20 of `w` are zero, so `0 · inf`
+            // and `0 · NaN` reach both backward products.
+            for j in (q..d_out * d_in).step_by(11) {
+                mats.set(q, j, x);
+            }
+            for i in (q..m).step_by(8) {
+                v.set(i, (3 * i + q) % d_in, x);
+            }
+            w.set(q, q, x);
+        }
+        for i in 20..m {
+            w.row_mut(i).fill(0.0);
+        }
+        let pre = lcg_table(num_rels, d_out * d_in);
+        for width in [1, 4] {
+            let (got, want) = projection_case(
+                PoolHandle::global().with_width(width),
+                &rels,
+                &mats,
+                v.as_slice(),
+                w.as_slice(),
+                d_out,
+                Some(pre.as_slice()),
+            );
+            assert_eq!(got, want, "width {width}");
+            // A zero-gradient row times an infinite matrix entry is NaN, not
+            // a skipped zero: batch row 21 (relation 1, `+inf`) has `g = 0`.
+            let dv_row = &got[1][21 * d_in..22 * d_in];
+            assert!(dv_row.contains(&0x7fc0_0000), "zero-gradient row skipped");
+        }
+    }
+
+    #[test]
+    fn projection_ops_report_analytic_bytes() {
+        // The byte counter is process-global and sibling tests run kernels.
+        if !crate::memory::tests::alone_in_process(
+            "graph::tests::projection_ops_report_analytic_bytes",
+        ) {
+            return;
+        }
+        // 9 batch rows over 3 of 5 relations, 4 × 6 matrices.
+        let (m, d_out, d_in, groups) = (9usize, 4usize, 6usize, 3usize);
+        let rels: Vec<u32> = (0..m).map(|i| [0, 2, 4][i % 3]).collect();
+        let (mut store, p) = store_with("mats", lcg_table(5, d_out * d_in));
+        let by_rel = Arc::new(IncidencePair::new(selection(5, &rels).unwrap()));
+        let mut g = Graph::new();
+        let x = g.input(lcg_table(m, d_in));
+        let before = sparse::metrics::snapshot();
+        let out = g.project_rows(&store, p, x, by_rel, d_out);
+        let forward = sparse::metrics::snapshot() - before;
+        // Each group's matrix once; each row's vector in, projection out.
+        assert_eq!(
+            forward.bytes_touched as usize,
+            4 * (groups * d_out * d_in + m * (d_in + d_out))
+        );
+        assert_eq!(forward.flops as usize, 2 * m * d_out * d_in);
+        // Mᵣ read, dMᵣ read and written per group; `g` twice, `v` and `dv`
+        // once per row. The mean's own backward moves no counted bytes.
+        let loss = g.mean(out);
+        let before = sparse::metrics::snapshot();
+        g.backward(loss, &mut store);
+        let backward = sparse::metrics::snapshot() - before;
+        assert_eq!(
+            backward.bytes_touched as usize,
+            4 * (3 * groups * d_out * d_in + m * (2 * d_in + 2 * d_out))
+        );
+    }
+
+    /// Mantissas at the rounding edges of every binade.
+    const EDGE_MANTISSAS: [u32; 6] = [0, 1, 0x7f_ffff, 0x40_0000, 0x40_0001, 0x3f_ffff];
+
+    fn assert_floor_matches(bits: u32) {
+        let x = f32::from_bits(bits);
+        let (got, want) = (floor(x), x.floor());
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "floor({x:e}) [{bits:#010x}] = {got:e}, f32::floor gives {want:e}"
+        );
+    }
+
+    #[test]
+    fn floor_matches_f32_floor_on_edges() {
+        for sign in [0u32, 0x8000_0000] {
+            // Every exponent (zero/subnormals and inf/NaN included) at the
+            // mantissas where rounding flips.
+            for exp in 0..=0xffu32 {
+                for mant in EDGE_MANTISSAS {
+                    assert_floor_matches(sign | exp << 23 | mant);
+                }
+            }
+            // ±(2²² … 2²⁴) and their neighbours: where halves, then integers
+            // stop being representable.
+            for exp in [22, 23, 24] {
+                let edge = ((127 + exp) << 23) as u32;
+                for bits in edge - 2..=edge + 2 {
+                    assert_floor_matches(sign | bits);
+                }
+            }
+        }
+        for x in [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ] {
+            assert_floor_matches(x.to_bits());
+        }
+        assert_eq!(floor(-0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(floor(0.75).to_bits(), 0.0f32.to_bits());
+        assert_eq!(floor(-0.25), -1.0);
+    }
+
+    #[test]
+    fn floor_matches_f32_floor_on_a_strided_sweep() {
+        // 65 521 is prime, so the low bits run through every residue over
+        // the 65 551 steps that span all 2³² patterns.
+        let mut bits = 0u32;
+        loop {
+            assert_floor_matches(bits);
+            match bits.checked_add(65_521) {
+                Some(next) => bits = next,
+                None => break,
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "all 2^32 bit patterns: about 25 s in release, minutes in debug"]
+    fn floor_matches_f32_floor_on_every_bit_pattern() {
+        for bits in 0..=u32::MAX {
+            assert_floor_matches(bits);
+        }
     }
 
     #[test]

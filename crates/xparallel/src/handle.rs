@@ -48,8 +48,8 @@ use crate::{
 };
 
 /// One-shot handoff slot carrying a worker's `(chunk_rows, window_first_row,
-/// window)` triple of a row loop.
-type RowWindowSlot<'a, T> = Mutex<Option<(Rows<'a>, usize, &'a mut [T])>>;
+/// window, scratch)` share of a row loop.
+type RowWindowSlot<'a, T> = Mutex<Option<(Rows<'a>, usize, &'a mut [T], &'a mut [T])>>;
 
 /// Which rows of a row-major buffer a sweep visits: every row, or a strictly
 /// ascending list of them. This is the currency a row-set owner (the
@@ -227,6 +227,37 @@ impl PoolHandle {
         self.for_row_windows(data, stride, Rows::All, min_rows, body);
     }
 
+    /// [`PoolHandle::for_rows`] with a private scratch slice per chunk:
+    /// `body(first_row, rows_chunk, scratch_chunk)`. `scratch` is cut into
+    /// [`width()`](Self::width) equal parts (size it as a multiple of the
+    /// width) and no two chunks share one, so a kernel can stage
+    /// per-chunk state (a transposed operand, say) without allocating.
+    /// Scratch contents are unspecified on entry.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`PoolHandle::for_rows`].
+    pub fn for_rows_with_scratch<T, F>(
+        &self,
+        data: &mut [T],
+        stride: usize,
+        min_rows: usize,
+        scratch: &mut [T],
+        body: F,
+    ) where
+        T: Send,
+        F: Fn(usize, &mut [T], &mut [T]) + Sync,
+    {
+        self.split_rows(
+            data,
+            stride,
+            Rows::All,
+            min_rows,
+            scratch,
+            |_, first, window, scratch| body(first, window, scratch),
+        );
+    }
+
     /// [`PoolHandle::for_rows`] over a row set: runs `body(first_row,
     /// window)` over disjoint row-aligned windows that together cover every
     /// row of `rows`. A [`Rows::Listed`] set is split into at most `width()`
@@ -255,9 +286,14 @@ impl PoolHandle {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        self.split_rows(data, stride, rows, min_rows, |_, first, window| {
-            body(first, window)
-        });
+        self.split_rows(
+            data,
+            stride,
+            rows,
+            min_rows,
+            &mut [],
+            |_, first, window, _| body(first, window),
+        );
     }
 
     /// Runs `body(row, row_slice)` once for every row of `rows` — the
@@ -281,24 +317,32 @@ impl PoolHandle {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        self.split_rows(data, stride, rows, min_rows, |chunk, first, window| {
-            chunk.walk(first, window, stride, &body)
-        });
+        self.split_rows(
+            data,
+            stride,
+            rows,
+            min_rows,
+            &mut [],
+            |chunk, first, window, _| chunk.walk(first, window, stride, &body),
+        );
     }
 
     /// The one splitter behind every row loop: cuts `rows` into chunks and
-    /// runs `body(chunk_rows, first_row, window)` on each, `window` starting
-    /// at `first_row` and ending with the chunk's last row.
+    /// runs `body(chunk_rows, first_row, window, scratch)` on each, `window`
+    /// starting at `first_row` and ending with the chunk's last row,
+    /// `scratch` the chunk's `1 / width()` share of the scratch buffer
+    /// (empty for the loops that pass none).
     fn split_rows<T, F>(
         &self,
         data: &mut [T],
         stride: usize,
         rows: Rows<'_>,
         min_rows: usize,
+        scratch: &mut [T],
         body: F,
     ) where
         T: Send,
-        F: Fn(Rows<'_>, usize, &mut [T]) + Sync,
+        F: Fn(Rows<'_>, usize, &mut [T], &mut [T]) + Sync,
     {
         assert!(stride > 0, "stride must be positive");
         assert_eq!(data.len() % stride, 0, "buffer not a whole number of rows");
@@ -329,28 +373,34 @@ impl PoolHandle {
                 (Rows::Listed(listed), listed[0] as usize, last as usize + 1)
             }
         };
-        let ranges = chunk_ranges(len, min_rows.max(1), self.width());
+        let width = self.width();
+        let ranges = chunk_ranges(len, min_rows.max(1), width);
+        let scratch_len = scratch.len() / width;
         if let [only] = &ranges[..] {
             let (rows, first, end) = chunk(only);
-            return body(rows, first, &mut data[first * stride..end * stride]);
+            let window = &mut data[first * stride..end * stride];
+            return body(rows, first, window, &mut scratch[..scratch_len]);
         }
         let mut windows: Vec<RowWindowSlot<'_, T>> = Vec::with_capacity(ranges.len());
         let mut rest = data;
+        let mut scratch_rest = scratch;
         let mut consumed_rows = 0usize;
         for r in &ranges {
             let (rows, first, end) = chunk(r);
             let (_, tail) = rest.split_at_mut((first - consumed_rows) * stride);
             let (window, tail) = tail.split_at_mut((end - first) * stride);
-            windows.push(Mutex::new(Some((rows, first, window))));
+            let (part, scratch_tail) = scratch_rest.split_at_mut(scratch_len);
+            windows.push(Mutex::new(Some((rows, first, window, part))));
             consumed_rows = end;
             rest = tail;
+            scratch_rest = scratch_tail;
         }
         self.pool()
             .scope_run(&singleton_ranges(windows.len()), &|r: Range<usize>| {
                 for i in r {
-                    let (rows, first, window) =
+                    let (rows, first, window, scratch) =
                         windows[i].lock().take().expect("window taken twice");
-                    body(rows, first, window);
+                    body(rows, first, window, scratch);
                 }
             });
     }
@@ -467,6 +517,29 @@ mod tests {
         let base = run(1);
         for width in [2, 3, 4, 8, 16] {
             assert_eq!(run(width), base, "width {width}");
+        }
+    }
+
+    #[test]
+    fn for_rows_with_scratch_gives_each_chunk_its_own_part() {
+        // Each chunk stages its first row number in its scratch part, yields
+        // so that chunks interleave, then reads it back: a shared part would
+        // be overwritten by a neighbour.
+        let (stride, part) = (3, 7);
+        for width in [1, 2, 4, 8] {
+            let pool = PoolHandle::global().with_width(width);
+            let mut data = vec![0usize; stride * 100];
+            let mut scratch = vec![usize::MAX; part * width];
+            pool.for_rows_with_scratch(&mut data, stride, 1, &mut scratch, |first, chunk, s| {
+                assert_eq!(s.len(), part, "width {width}");
+                s.fill(first);
+                std::thread::yield_now();
+                for (k, v) in chunk.iter_mut().enumerate() {
+                    *v = s[k % part] + k / stride;
+                }
+            });
+            let want: Vec<usize> = (0..stride * 100).map(|k| k / stride).collect();
+            assert_eq!(data, want, "width {width}");
         }
     }
 

@@ -79,6 +79,15 @@ impl From<sptransx::Error> for CliError {
     }
 }
 
+/// A configuration the library refuses is the user's flags being wrong: a
+/// usage error (its message names the flags), not a failed run.
+fn config_is_usage(e: sptransx::Error) -> CliError {
+    match e {
+        sptransx::Error::Config { context } => CliError::Usage(context),
+        other => other.into(),
+    }
+}
+
 /// Splits raw arguments (without argv\[0\]) into a subcommand and options.
 ///
 /// # Errors
@@ -560,7 +569,7 @@ fn config_from_args(args: &Args) -> Result<TrainConfig, CliError> {
         None => None,
         Some(raw) => Some(parse_lr_decay(raw)?),
     };
-    Ok(TrainConfig {
+    let config = TrainConfig {
         epochs: args.parse_or("epochs", 50)?,
         batch_size: args.parse_or("batch-size", 1024)?,
         dim: args.parse_or("dim", 64)?,
@@ -574,7 +583,11 @@ fn config_from_args(args: &Args) -> Result<TrainConfig, CliError> {
         optimizer,
         dense_grads: args.parse_or("dense-grads", false)?,
         ..TrainConfig::default()
-    })
+    };
+    // `"nan".parse::<f32>()` succeeds; out-of-range and non-finite values
+    // are refused here, before any dataset is opened.
+    config.validate().map_err(config_is_usage)?;
+    Ok(config)
 }
 
 /// Parses `STEP:GAMMA` (e.g. `10:0.5`) into a step-LR schedule.
@@ -641,10 +654,7 @@ impl TrainJob<'_> {
             workers: self.workers,
             combine: self.combine,
         };
-        arm.check().map_err(|e| match e {
-            sptransx::Error::Config { context } => CliError::Usage(context),
-            other => other.into(),
-        })?;
+        arm.check().map_err(config_is_usage)?;
 
         let (ds, _vocab) = load_dataset(Path::new(&self.train_path), self.args)?;
         let mut trainer = Trainer::replicated(&ds, config, self.workers, self.combine, make_model)?;
@@ -679,9 +689,14 @@ impl TrainJob<'_> {
                 ..Default::default()
             },
         );
-        let m = trainer.model();
-        if let Some(id) = m.store().lookup("embeddings") {
-            let t = m.store().value(id);
+        // The stacked entity+relation table where the model has one (what
+        // `sptx serve` reads), else its entity table (TransH, TransR).
+        let store = trainer.model().store();
+        let table = store
+            .lookup("embeddings")
+            .or_else(|| store.lookup("entities"));
+        if let Some(id) = table {
+            let t = store.value(id);
             let (cols, data) = (t.cols(), t.as_slice());
             EmbeddingStore::write(&self.out, t.rows(), cols, |r, dst| {
                 dst.copy_from_slice(&data[r * cols..(r + 1) * cols]);
@@ -690,7 +705,7 @@ impl TrainJob<'_> {
         Ok(format!(
             "{}: {} epochs, loss {:.4} -> {:.4}, wall {:.2}s, Hits@10 {:.3}, MRR {:.3}\n\
              {}\n{kernel_table}{paged_report}\nembeddings saved to {}",
-            KgeModel::name(m),
+            KgeModel::name(trainer.model()),
             report.epoch_losses.len(),
             report.epoch_losses.first().copied().unwrap_or(0.0),
             report.epoch_losses.last().copied().unwrap_or(0.0),
@@ -1173,6 +1188,19 @@ mod tests {
         .unwrap();
         let msg = run(&train).unwrap();
         assert!(msg.contains("SpTransE"), "{msg}");
+
+        // Models without a stacked table dump their entity table: the
+        // report's "embeddings saved to" names a file that exists.
+        for (model, name) in [("transh", "SpTransH"), ("transr", "SpTransR")] {
+            let emb_out = dir.join(format!("emb_{model}.bin"));
+            let mut argv = strs(&["train", "--train", &train_file, "--model", model]);
+            argv.extend(strs(&["--epochs", "1", "--dim", "8", "--rel-dim", "3"]));
+            argv.extend(strs(&["--out", &emb_out.to_string_lossy()]));
+            let msg = run(&parse_args(&argv).unwrap()).unwrap();
+            assert!(msg.contains(name), "{msg}");
+            let bytes = std::fs::metadata(&emb_out).expect("dump exists").len();
+            assert!(bytes >= 60 * 8 * 4, "{model}: {bytes} bytes");
+        }
     }
 
     #[test]
@@ -1257,6 +1285,29 @@ mod tests {
                 matches!(run(&args), Err(CliError::Usage(_))),
                 "expected a usage error for {extra:?}"
             );
+        }
+    }
+
+    #[test]
+    fn train_rejects_non_finite_and_out_of_range_hyperparameters() {
+        // `sptx train --margin nan` used to train three epochs of NaN loss
+        // and exit 0. Validation fires before the dataset loads.
+        for (flag, value) in [
+            ("--margin", "nan"),
+            ("--margin", "inf"),
+            ("--margin", "-0.5"),
+            ("--lr", "nan"),
+            ("--lr", "inf"),
+            ("--lr", "-inf"),
+            ("--lr", "0"),
+        ] {
+            let argv = strs(&["train", "--train", "missing.tsv", flag, value]);
+            match run(&parse_args(&argv).unwrap()) {
+                Err(CliError::Usage(msg)) => {
+                    assert!(msg.contains(flag), "{flag} {value}: message {msg:?}")
+                }
+                other => panic!("{flag} {value}: expected a usage error, got {other:?}"),
+            }
         }
     }
 
