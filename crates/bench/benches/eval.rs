@@ -6,8 +6,9 @@
 //! * `scalar-adapter` — scalar `TripleScorer` scoring through the engine via
 //!   `ScalarBatch` (one heap-allocated `Vec` per query; ranking is chunked,
 //!   filter-list-based and pool-parallel).
-//! * `batched` — native `BatchScorer` scoring: per-chunk query-incidence
-//!   SpMM into reused buffers plus the pool-parallel ranking pass.
+//! * `batched` — native `BatchScorer` scoring: every query vector of a chunk
+//!   up front, one pool-parallel pass over a reused score buffer, then the
+//!   pool-parallel ranking pass.
 //!
 //! Throughput is reported in ranking queries per second (2 queries — tail +
 //! head — per test triple). Note: the thread sweep (`t1`..`t8`) only

@@ -56,8 +56,8 @@ pub trait TripleScorer {
 /// Implementations write one row of `num_entities()` scores per query into
 /// `out` (row-major, `out.len() == queries.len() * num_entities()`), reusing
 /// whatever scratch they need across the chunk instead of allocating per
-/// query. The sparse models implement this by building a per-chunk query
-/// incidence matrix and dispatching the same SpMM kernels used in training.
+/// query. The `sptransx` models form every query vector of the chunk up front
+/// and score all `(query, candidate)` elements in one pool-parallel pass.
 ///
 /// Scores follow the [`TripleScorer`] convention: distances, lower is better.
 pub trait BatchScorer {

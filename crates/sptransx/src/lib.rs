@@ -45,7 +45,7 @@
 
 pub mod distributed;
 mod model;
-mod models;
+pub mod models;
 mod paging;
 mod scorer;
 pub mod serve;
@@ -62,8 +62,9 @@ pub use models::sptorus::SpTorusE;
 pub use models::sptranse::SpTransE;
 pub use models::sptransh::SpTransH;
 pub use models::sptransr::SpTransR;
+pub use models::{Family, Model};
 pub use paging::{FileRowStorage, ReadOnlyRowStorage};
-pub use scorer::{ComplExScorer, RotatEScorer};
+pub use scorer::QueryDir;
 pub use train::{Breakdown, TrainReport, Trainer};
 
 /// Convenience alias for fallible operations in this crate.

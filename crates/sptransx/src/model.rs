@@ -24,17 +24,12 @@ pub enum Norm {
 impl Norm {
     /// Applies this norm row-wise on the tape, producing `(m, 1)` scores.
     pub fn apply(self, g: &mut Graph, expr: Var) -> Var {
-        match self {
-            Norm::L1 => g.l1_norm_rows(expr),
-            Norm::L2 => g.l2_norm_rows(expr, 1e-9),
-            Norm::TorusL1 => g.torus_l1_rows(expr),
-            Norm::TorusL2 => g.torus_l2_sq_rows(expr),
-        }
+        g.score_rows(expr, self.row_score())
     }
 
-    /// The fused-kernel row score equivalent to [`Norm::apply`] — same
-    /// variants, same `eps`, so `Graph::spmm_score` with this score is
-    /// bit-identical to `spmm` followed by `apply`.
+    /// This norm as the tape's row score, for [`Graph::score_rows`] over a
+    /// materialized expression and `Graph::spmm_score` over an incidence
+    /// SpMM alike.
     pub fn row_score(self) -> tensor::RowScore {
         match self {
             Norm::L1 => tensor::RowScore::L1,

@@ -17,99 +17,71 @@
 
 use std::sync::Arc;
 
-use kg::eval::TripleScorer;
-use kg::{BatchPlan, Dataset};
+use kg::{Batch, TripleStore};
 use sparse::incidence::IncidencePair;
-use tensor::{init, Graph, ParamId, ParamStore, Tensor, Var};
+use tensor::{Graph, ParamId, ParamStore, Tensor, Var};
 
-use crate::model::{normalize_leading_rows, KgeModel, Norm, TrainConfig};
-use crate::models::{build_dense_caches, build_rel_groups, DenseCache, RelGroups};
-use crate::scorer::{
-    distances_to_rows, gathered_translational_scores_into, hyperplane_scores_into,
-    projected_scores_into, QueryDir,
+use crate::model::normalize_leading_rows;
+use crate::models::sptransh::Hyperplanes;
+use crate::models::sptransr::Projections;
+use crate::models::{
+    both, dense_side, rel_groups, stacked_torus_init, stacked_transe_init, Cx, DenseSide, Eval,
+    Family, Geometry, Model, RankQuery, Shape,
 };
+use crate::scorer::QueryDir;
 use crate::Result;
 
-/// Implements [`kg::eval::BatchScorer`] for a dense TransE-style baseline by
-/// gathering query vectors from the split entity/relation tables and running
-/// the shared pool-parallel distance pass.
-macro_rules! impl_gathered_batch_scorer {
-    ($ty:ident) => {
-        impl kg::eval::BatchScorer for $ty {
-            fn num_entities(&self) -> usize {
-                self.num_entities
-            }
-
-            fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-                gathered_translational_scores_into(
-                    self.store.value(self.ent).as_slice(),
-                    self.store.value(self.rel).as_slice(),
-                    self.num_entities,
-                    self.dim,
-                    self.norm,
-                    queries,
-                    QueryDir::Tails,
-                    out,
-                );
-            }
-
-            fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-                gathered_translational_scores_into(
-                    self.store.value(self.ent).as_slice(),
-                    self.store.value(self.rel).as_slice(),
-                    self.num_entities,
-                    self.dim,
-                    self.norm,
-                    queries,
-                    QueryDir::Heads,
-                    out,
-                );
-            }
-        }
-    };
+/// The split `entities` `(N, d)` / `relations` `(R, d)` tables of the dense
+/// TransE and TorusE baselines, with the tape expression and the evaluation
+/// transforms the two share.
+#[derive(Debug, Clone, Copy)]
+pub struct Split {
+    /// `entities`, `(N, d)`.
+    pub ent: ParamId,
+    /// `relations`, `(R, d)`.
+    pub rel: ParamId,
 }
 
-/// Builds the stacked `(N+R) × d` init used by the sparse models, then
-/// splits it into separate entity/relation tensors so dense and sparse
-/// variants start from bit-identical parameters.
-fn split_stacked_init(
-    n: usize,
-    r: usize,
-    d: usize,
-    seed: u64,
-    normalize: bool,
-) -> (Tensor, Tensor) {
-    let stacked = if normalize {
-        crate::models::stacked_transe_init(n, r, d, seed)
-    } else {
-        let mut t = init::uniform(n + r, d, 0.5, seed);
-        for x in t.as_mut_slice() {
-            *x += 0.5;
+impl Split {
+    /// Splits the sparse models' stacked `(N + R) × d` init into the two
+    /// tables, so dense and sparse variants start from bit-identical
+    /// parameters.
+    fn register(store: &mut ParamStore, s: &Shape, stacked: Tensor) -> Self {
+        let (ent, rel) = stacked.as_slice().split_at(s.entities * s.dim);
+        Self {
+            ent: store.add_param(
+                "entities",
+                Tensor::from_vec(s.entities, s.dim, ent.to_vec()),
+            ),
+            rel: store.add_param(
+                "relations",
+                Tensor::from_vec(s.relations, s.dim, rel.to_vec()),
+            ),
         }
-        t
-    };
-    let buf = stacked.as_slice();
-    let ent = Tensor::from_vec(n, d, buf[..n * d].to_vec());
-    let rel = Tensor::from_vec(r, d, buf[n * d..].to_vec());
-    (ent, rel)
+    }
+
+    /// `h + r − t` from three gathers, under the configured norm.
+    fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &DenseSide) -> Var {
+        let h = g.gather(cx.store, self.ent, side.heads.clone());
+        let r = g.gather(cx.store, self.rel, side.rels.clone());
+        let t = g.gather(cx.store, self.ent, side.tails.clone());
+        let hr = g.add(h, r);
+        let expr = g.sub(hr, t);
+        cx.norm.apply(g, expr)
+    }
+
+    fn query(&self, ev: &Eval<'_>, dir: QueryDir, ent: usize, rel: usize, q: &mut [f32]) {
+        q.copy_from_slice(ev.row(self.ent, ent));
+        dir.translate(q, ev.row(self.rel, rel));
+    }
+
+    fn score(&self, ev: &Eval<'_>, q: &RankQuery<'_>, cand: usize) -> f32 {
+        ev.norm.distance(q.vector, ev.row(self.ent, cand))
+    }
 }
 
-macro_rules! impl_common_accessors {
-    ($ty:ident) => {
-        impl $ty {
-            /// Embedding dimension.
-            pub fn dim(&self) -> usize {
-                self.dim
-            }
-        }
-    };
-}
-
-// ---------------------------------------------------------------------------
-// Dense TransE
-// ---------------------------------------------------------------------------
-
-/// Gather/scatter TransE baseline (TorchKGE-style).
+/// Gather/scatter TransE baseline (TorchKGE-style), with bit-identical init
+/// to [`crate::SpTransE`] for the same config.
 ///
 /// # Examples
 ///
@@ -122,626 +94,233 @@ macro_rules! impl_common_accessors {
 /// assert_eq!(sptransx::KgeModel::name(&model), "TransE-dense");
 /// # Ok::<(), sptransx::Error>(())
 /// ```
+pub type DenseTransE = Model<GatherTransE>;
+
+/// [`DenseTransE`]'s family.
 #[derive(Debug)]
-pub struct DenseTransE {
-    store: ParamStore,
-    ent: ParamId,
-    rel: ParamId,
-    num_entities: usize,
-    dim: usize,
-    norm: Norm,
-    batches: Vec<DenseCache>,
-}
+pub struct GatherTransE(pub Split);
 
-impl DenseTransE {
-    /// Initializes the model (bit-identical init to [`crate::SpTransE`] for
-    /// the same config).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] for invalid hyperparameters.
-    pub fn from_config(dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
-        config.validate()?;
-        let (n, r, d) = (dataset.num_entities, dataset.num_relations, config.dim);
-        let (ent_t, rel_t) = split_stacked_init(n, r, d, config.seed, true);
-        let mut store = ParamStore::new();
-        let ent = store.add_param("entities", ent_t);
-        let rel = store.add_param("relations", rel_t);
-        Ok(Self {
+impl Family for GatherTransE {
+    const NAME: &'static str = "TransE-dense";
+    type Side = DenseSide;
+
+    fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
+        GatherTransE(Split::register(
             store,
-            ent,
-            rel,
-            num_entities: n,
-            dim: d,
-            norm: config.norm,
-            batches: Vec::new(),
-        })
+            shape,
+            stacked_transe_init(shape, seed),
+        ))
     }
 
-    fn side(
-        &self,
-        g: &mut Graph,
-        heads: &Arc<Vec<u32>>,
-        rels: &Arc<Vec<u32>>,
-        tails: &Arc<Vec<u32>>,
-    ) -> Var {
-        let h = g.gather(&self.store, self.ent, heads.clone());
-        let r = g.gather(&self.store, self.rel, rels.clone());
-        let t = g.gather(&self.store, self.ent, tails.clone());
-        let hr = g.add(h, r);
-        let expr = g.sub(hr, t);
-        self.norm.apply(g, expr)
+    fn cache(&self, _: &Shape, batch: &Batch) -> Result<[DenseSide; 2]> {
+        both(batch, |t| Ok(dense_side(t)))
+    }
+
+    fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &DenseSide) -> Var {
+        self.0.side(cx, g, side)
+    }
+
+    fn end_epoch(&self, store: &mut ParamStore, shape: &Shape) {
+        normalize_leading_rows(store, self.0.ent, shape.entities);
+    }
+
+    fn query(&self, ev: &Eval<'_>, dir: QueryDir, ent: usize, rel: usize, q: &mut [f32]) {
+        self.0.query(ev, dir, ent, rel, q);
+    }
+
+    fn score(&self, ev: &Eval<'_>, q: &RankQuery<'_>, cand: usize, _: &mut [f32]) -> f32 {
+        self.0.score(ev, q, cand)
     }
 }
 
-impl_common_accessors!(DenseTransE);
+/// Gather/scatter TorusE baseline, with bit-identical init to
+/// [`crate::SpTorusE`].
+///
+/// # Examples
+///
+/// ```
+/// use kg::synthetic::SyntheticKgBuilder;
+/// use sptransx::{DenseTorusE, Norm, TrainConfig};
+///
+/// let ds = SyntheticKgBuilder::new(40, 3).triples(200).seed(1).build();
+/// let model = DenseTorusE::from_config(&ds, &TrainConfig { dim: 8, ..Default::default() })?;
+/// assert_eq!(model.metric(), Norm::TorusL2);
+/// # Ok::<(), sptransx::Error>(())
+/// ```
+pub type DenseTorusE = Model<GatherTorusE>;
 
-impl KgeModel for DenseTransE {
-    fn name(&self) -> &'static str {
-        "TransE-dense"
-    }
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-    fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
-        self.batches = build_dense_caches(plan);
-        Ok(())
-    }
-    fn num_batches(&self) -> usize {
-        self.batches.len()
-    }
-    fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let c = &self.batches[batch_idx];
-        let pos = self.side(g, &c.pos_heads, &c.pos_rels, &c.pos_tails);
-        let neg = self.side(g, &c.neg_heads, &c.neg_rels, &c.neg_tails);
-        (pos, neg)
-    }
-    fn end_epoch(&mut self) {
-        normalize_leading_rows(&mut self.store, self.ent, self.num_entities);
-    }
-}
-
-impl TripleScorer for DenseTransE {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        let ent = self.store.value(self.ent);
-        let r = self.store.value(self.rel);
-        let query: Vec<f32> = ent
-            .row(head as usize)
-            .iter()
-            .zip(r.row(rel as usize))
-            .map(|(a, b)| a + b)
-            .collect();
-        distances_to_rows(
-            ent.as_slice(),
-            self.num_entities,
-            self.dim,
-            &query,
-            self.norm,
-        )
-    }
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        let ent = self.store.value(self.ent);
-        let r = self.store.value(self.rel);
-        let query: Vec<f32> = ent
-            .row(tail as usize)
-            .iter()
-            .zip(r.row(rel as usize))
-            .map(|(a, b)| a - b)
-            .collect();
-        distances_to_rows(
-            ent.as_slice(),
-            self.num_entities,
-            self.dim,
-            &query,
-            self.norm,
-        )
-    }
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-}
-
-impl_gathered_batch_scorer!(DenseTransE);
-
-// ---------------------------------------------------------------------------
-// Dense TorusE
-// ---------------------------------------------------------------------------
-
-/// Gather/scatter TorusE baseline.
+/// [`DenseTorusE`]'s family.
 #[derive(Debug)]
-pub struct DenseTorusE {
-    store: ParamStore,
-    ent: ParamId,
-    rel: ParamId,
-    num_entities: usize,
-    dim: usize,
-    norm: Norm,
-    batches: Vec<DenseCache>,
-}
+pub struct GatherTorusE(pub Split);
 
-impl DenseTorusE {
-    /// Initializes the model (bit-identical init to [`crate::SpTorusE`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] for invalid hyperparameters.
-    pub fn from_config(dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
-        config.validate()?;
-        let (n, r, d) = (dataset.num_entities, dataset.num_relations, config.dim);
-        let (ent_t, rel_t) = split_stacked_init(n, r, d, config.seed, false);
-        let norm = match config.norm {
-            Norm::L1 | Norm::TorusL1 => Norm::TorusL1,
-            _ => Norm::TorusL2,
-        };
-        let mut store = ParamStore::new();
-        let ent = store.add_param("entities", ent_t);
-        let rel = store.add_param("relations", rel_t);
-        Ok(Self {
+impl Family for GatherTorusE {
+    const NAME: &'static str = "TorusE-dense";
+    const GEOMETRY: Geometry = Geometry::Torus;
+    type Side = DenseSide;
+
+    fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
+        GatherTorusE(Split::register(
             store,
-            ent,
-            rel,
-            num_entities: n,
-            dim: d,
-            norm,
-            batches: Vec::new(),
-        })
+            shape,
+            stacked_torus_init(shape, seed),
+        ))
+    }
+
+    fn cache(&self, _: &Shape, batch: &Batch) -> Result<[DenseSide; 2]> {
+        both(batch, |t| Ok(dense_side(t)))
+    }
+
+    fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &DenseSide) -> Var {
+        self.0.side(cx, g, side)
+    }
+
+    fn query(&self, ev: &Eval<'_>, dir: QueryDir, ent: usize, rel: usize, q: &mut [f32]) {
+        self.0.query(ev, dir, ent, rel, q);
+    }
+
+    fn score(&self, ev: &Eval<'_>, q: &RankQuery<'_>, cand: usize, _: &mut [f32]) -> f32 {
+        self.0.score(ev, q, cand)
     }
 }
-
-impl_common_accessors!(DenseTorusE);
-
-impl KgeModel for DenseTorusE {
-    fn name(&self) -> &'static str {
-        "TorusE-dense"
-    }
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-    fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
-        self.batches = build_dense_caches(plan);
-        Ok(())
-    }
-    fn num_batches(&self) -> usize {
-        self.batches.len()
-    }
-    fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let c = &self.batches[batch_idx];
-        let side =
-            |g: &mut Graph, heads: &Arc<Vec<u32>>, rels: &Arc<Vec<u32>>, tails: &Arc<Vec<u32>>| {
-                let h = g.gather(&self.store, self.ent, heads.clone());
-                let r = g.gather(&self.store, self.rel, rels.clone());
-                let t = g.gather(&self.store, self.ent, tails.clone());
-                let hr = g.add(h, r);
-                let expr = g.sub(hr, t);
-                self.norm.apply(g, expr)
-            };
-        let pos = side(g, &c.pos_heads, &c.pos_rels, &c.pos_tails);
-        let neg = side(g, &c.neg_heads, &c.neg_rels, &c.neg_tails);
-        (pos, neg)
-    }
-}
-
-impl TripleScorer for DenseTorusE {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        let ent = self.store.value(self.ent);
-        let r = self.store.value(self.rel);
-        let query: Vec<f32> = ent
-            .row(head as usize)
-            .iter()
-            .zip(r.row(rel as usize))
-            .map(|(a, b)| a + b)
-            .collect();
-        distances_to_rows(
-            ent.as_slice(),
-            self.num_entities,
-            self.dim,
-            &query,
-            self.norm,
-        )
-    }
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        let ent = self.store.value(self.ent);
-        let r = self.store.value(self.rel);
-        let query: Vec<f32> = ent
-            .row(tail as usize)
-            .iter()
-            .zip(r.row(rel as usize))
-            .map(|(a, b)| a - b)
-            .collect();
-        distances_to_rows(
-            ent.as_slice(),
-            self.num_entities,
-            self.dim,
-            &query,
-            self.norm,
-        )
-    }
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-}
-
-impl_gathered_batch_scorer!(DenseTorusE);
-
-// ---------------------------------------------------------------------------
-// Dense TransR
-// ---------------------------------------------------------------------------
 
 /// Gather/scatter TransR baseline: projects head and tail separately, as
-/// TorchKGE does (`‖Mᵣh + r − Mᵣt‖`).
+/// TorchKGE does (`‖Mᵣh + r − Mᵣt‖`), from bit-identical init to
+/// [`crate::SpTransR`].
+///
+/// # Examples
+///
+/// ```
+/// use kg::synthetic::SyntheticKgBuilder;
+/// use sptransx::{DenseTransR, TrainConfig};
+///
+/// let ds = SyntheticKgBuilder::new(40, 3).triples(200).seed(1).build();
+/// let config = TrainConfig { dim: 8, rel_dim: 4, ..Default::default() };
+/// let model = DenseTransR::from_config(&ds, &config)?;
+/// assert_eq!(sptransx::KgeModel::name(&model), "TransR-dense");
+/// # Ok::<(), sptransx::Error>(())
+/// ```
+pub type DenseTransR = Model<GatherTransR>;
+
+/// [`DenseTransR`]'s family.
 #[derive(Debug)]
-pub struct DenseTransR {
-    store: ParamStore,
-    ent: ParamId,
-    rel: ParamId,
-    mats: ParamId,
-    num_entities: usize,
-    dim: usize,
-    rel_dim: usize,
-    norm: Norm,
-    batches: Vec<DenseCache>,
-    by_rel: Vec<RelGroups>,
-}
+pub struct GatherTransR(pub Projections);
 
-impl DenseTransR {
-    /// Initializes the model (bit-identical init to [`crate::SpTransR`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] for invalid hyperparameters.
-    pub fn from_config(dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
-        config.validate()?;
-        let (n, r) = (dataset.num_entities, dataset.num_relations);
-        let (d, k) = (config.dim, config.rel_dim);
-        let mut store = ParamStore::new();
-        let ent = store.add_param("entities", init::xavier_normalized(n, d, config.seed));
-        let rel = store.add_param(
-            "relations",
-            init::xavier_translational(r, k, config.seed + 1),
-        );
-        let mats = store.add_param("projections", init::stacked_identity(r, k, d));
-        Ok(Self {
-            store,
-            ent,
-            rel,
-            mats,
-            num_entities: n,
-            dim: d,
-            rel_dim: k,
-            norm: match config.norm {
-                Norm::TorusL1 | Norm::TorusL2 => Norm::L2,
-                other => other,
-            },
-            batches: Vec::new(),
-            by_rel: Vec::new(),
-        })
-    }
-}
+impl Family for GatherTransR {
+    const NAME: &'static str = "TransR-dense";
+    /// The gather lists and the side's triples grouped by relation.
+    type Side = (DenseSide, Arc<IncidencePair>);
 
-impl_common_accessors!(DenseTransR);
+    fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
+        GatherTransR(Projections::register(store, shape, seed))
+    }
 
-impl KgeModel for DenseTransR {
-    fn name(&self) -> &'static str {
-        "TransR-dense"
+    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[Self::Side; 2]> {
+        let [pos, neg] = both(batch, |t| Ok(dense_side(t)))?;
+        let [pos_groups, neg_groups] = rel_groups(shape, batch)?;
+        Ok([(pos, pos_groups), (neg, neg_groups)])
     }
-    fn store(&self) -> &ParamStore {
-        &self.store
+
+    fn side(&self, cx: &Cx<'_>, g: &mut Graph, (side, by_rel): &Self::Side) -> Var {
+        let (p, k) = (&self.0, cx.shape.rel_dim);
+        let h = g.gather(cx.store, p.ent, side.heads.clone());
+        let t = g.gather(cx.store, p.ent, side.tails.clone());
+        // Two projections per triple (the un-rearranged formulation).
+        let ph = g.project_rows(cx.store, p.mats, h, by_rel.clone(), k);
+        let pt = g.project_rows(cx.store, p.mats, t, by_rel.clone(), k);
+        let r = g.gather(cx.store, p.rel, side.rels.clone());
+        let phr = g.add(ph, r);
+        let expr = g.sub(phr, pt);
+        cx.norm.apply(g, expr)
     }
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
+
+    fn end_epoch(&self, store: &mut ParamStore, shape: &Shape) {
+        self.0.end_epoch(store, shape);
     }
-    fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
-        self.batches = build_dense_caches(plan);
-        self.by_rel = build_rel_groups(plan, self.store.param_shape(self.mats).0)?;
-        Ok(())
+
+    fn query_len(shape: &Shape) -> usize {
+        shape.rel_dim
     }
-    fn num_batches(&self) -> usize {
-        self.batches.len()
+
+    fn query(&self, ev: &Eval<'_>, dir: QueryDir, ent: usize, rel: usize, q: &mut [f32]) {
+        self.0.query(ev, dir, ent, rel, q);
     }
-    fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let (c, by_rel) = (&self.batches[batch_idx], &self.by_rel[batch_idx]);
-        let side = |g: &mut Graph,
-                    heads: &Arc<Vec<u32>>,
-                    rels: &Arc<Vec<u32>>,
-                    by_rel: &Arc<IncidencePair>,
-                    tails: &Arc<Vec<u32>>| {
-            let h = g.gather(&self.store, self.ent, heads.clone());
-            let t = g.gather(&self.store, self.ent, tails.clone());
-            // Two projections per triple (the un-rearranged formulation).
-            let ph = g.project_rows(&self.store, self.mats, h, by_rel.clone(), self.rel_dim);
-            let pt = g.project_rows(&self.store, self.mats, t, by_rel.clone(), self.rel_dim);
-            let r = g.gather(&self.store, self.rel, rels.clone());
-            let phr = g.add(ph, r);
-            let expr = g.sub(phr, pt);
-            self.norm.apply(g, expr)
-        };
-        let pos = side(g, &c.pos_heads, &c.pos_rels, &by_rel.pos, &c.pos_tails);
-        let neg = side(g, &c.neg_heads, &c.neg_rels, &by_rel.neg, &c.neg_tails);
-        (pos, neg)
-    }
-    fn end_epoch(&mut self) {
-        normalize_leading_rows(&mut self.store, self.ent, self.num_entities);
+
+    fn score(&self, ev: &Eval<'_>, q: &RankQuery<'_>, cand: usize, scratch: &mut [f32]) -> f32 {
+        self.0.score(ev, q, cand, scratch)
     }
 }
-
-impl DenseTransR {
-    /// Projects `vec` with relation `rel`'s matrix (evaluation helper).
-    fn project(&self, rel: usize, vec: &[f32]) -> Vec<f32> {
-        let mats = self.store.value(self.mats);
-        let mat = mats.row(rel);
-        let (k, d) = (self.rel_dim, self.dim);
-        (0..k)
-            .map(|o| {
-                mat[o * d..(o + 1) * d]
-                    .iter()
-                    .zip(vec)
-                    .map(|(m, v)| m * v)
-                    .sum()
-            })
-            .collect()
-    }
-}
-
-impl TripleScorer for DenseTransR {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        let ent = self.store.value(self.ent);
-        let r_emb = self.store.value(self.rel);
-        let ph = self.project(rel as usize, ent.row(head as usize));
-        let query: Vec<f32> = ph
-            .iter()
-            .zip(r_emb.row(rel as usize))
-            .map(|(a, b)| a + b)
-            .collect();
-        (0..self.num_entities)
-            .map(|t| {
-                let pt = self.project(rel as usize, ent.row(t));
-                self.norm.distance(&query, &pt)
-            })
-            .collect()
-    }
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        let ent = self.store.value(self.ent);
-        let r_emb = self.store.value(self.rel);
-        let pt = self.project(rel as usize, ent.row(tail as usize));
-        let query: Vec<f32> = pt
-            .iter()
-            .zip(r_emb.row(rel as usize))
-            .map(|(a, b)| a - b)
-            .collect();
-        (0..self.num_entities)
-            .map(|h| {
-                let ph = self.project(rel as usize, ent.row(h));
-                self.norm.distance(&ph, &query)
-            })
-            .collect()
-    }
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-}
-
-impl kg::eval::BatchScorer for DenseTransR {
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        projected_scores_into(
-            self.store.value(self.ent).as_slice(),
-            self.store.value(self.rel).as_slice(),
-            self.store.value(self.mats).as_slice(),
-            self.num_entities,
-            self.dim,
-            self.rel_dim,
-            self.norm,
-            queries,
-            QueryDir::Tails,
-            out,
-        );
-    }
-
-    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        projected_scores_into(
-            self.store.value(self.ent).as_slice(),
-            self.store.value(self.rel).as_slice(),
-            self.store.value(self.mats).as_slice(),
-            self.num_entities,
-            self.dim,
-            self.rel_dim,
-            self.norm,
-            queries,
-            QueryDir::Heads,
-            out,
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dense TransH
-// ---------------------------------------------------------------------------
 
 /// Gather/scatter TransH baseline: projects head and tail onto the
 /// hyperplane separately (`h⊥ + dᵣ − t⊥`), with the larger computational
-/// graph the paper attributes to baseline TransH implementations.
+/// graph the paper attributes to baseline TransH implementations, from
+/// bit-identical init to [`crate::SpTransH`].
+///
+/// # Examples
+///
+/// ```
+/// use kg::synthetic::SyntheticKgBuilder;
+/// use sptransx::{DenseTransH, TrainConfig};
+///
+/// let ds = SyntheticKgBuilder::new(40, 3).triples(200).seed(1).build();
+/// let model = DenseTransH::from_config(&ds, &TrainConfig { dim: 8, ..Default::default() })?;
+/// assert_eq!(sptransx::KgeModel::name(&model), "TransH-dense");
+/// # Ok::<(), sptransx::Error>(())
+/// ```
+pub type DenseTransH = Model<GatherTransH>;
+
+/// [`DenseTransH`]'s family.
 #[derive(Debug)]
-pub struct DenseTransH {
-    store: ParamStore,
-    ent: ParamId,
-    normals: ParamId,
-    translations: ParamId,
-    num_entities: usize,
-    num_relations: usize,
-    dim: usize,
-    norm: Norm,
-    batches: Vec<DenseCache>,
-}
+pub struct GatherTransH(pub Hyperplanes);
 
-impl DenseTransH {
-    /// Initializes the model (bit-identical init to [`crate::SpTransH`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] for invalid hyperparameters.
-    pub fn from_config(dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
-        config.validate()?;
-        let (n, r, d) = (dataset.num_entities, dataset.num_relations, config.dim);
-        let mut store = ParamStore::new();
-        let ent = store.add_param("entities", init::xavier_normalized(n, d, config.seed));
-        let normals = store.add_param("normals", init::xavier_normalized(r, d, config.seed + 1));
-        let translations = store.add_param(
-            "translations",
-            init::xavier_translational(r, d, config.seed + 2),
-        );
-        Ok(Self {
-            store,
-            ent,
-            normals,
-            translations,
-            num_entities: n,
-            num_relations: r,
-            dim: d,
-            norm: match config.norm {
-                Norm::TorusL1 | Norm::TorusL2 => Norm::L2,
-                other => other,
-            },
-            batches: Vec::new(),
-        })
-    }
-}
+impl Family for GatherTransH {
+    const NAME: &'static str = "TransH-dense";
+    type Side = DenseSide;
 
-impl_common_accessors!(DenseTransH);
-
-impl KgeModel for DenseTransH {
-    fn name(&self) -> &'static str {
-        "TransH-dense"
-    }
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-    fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
-        self.batches = build_dense_caches(plan);
-        Ok(())
-    }
-    fn num_batches(&self) -> usize {
-        self.batches.len()
-    }
-    fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let c = &self.batches[batch_idx];
-        let side =
-            |g: &mut Graph, heads: &Arc<Vec<u32>>, rels: &Arc<Vec<u32>>, tails: &Arc<Vec<u32>>| {
-                let h = g.gather(&self.store, self.ent, heads.clone());
-                let t = g.gather(&self.store, self.ent, tails.clone());
-                let w = g.gather(&self.store, self.normals, rels.clone());
-                let dr = g.gather(&self.store, self.translations, rels.clone());
-                // h⊥ = h − (wᵀh)w; t⊥ = t − (wᵀt)w — two separate projections.
-                let dot_h = g.row_dot(w, h);
-                let corr_h = g.scale_rows(w, dot_h);
-                let hp = g.sub(h, corr_h);
-                let dot_t = g.row_dot(w, t);
-                let corr_t = g.scale_rows(w, dot_t);
-                let tp = g.sub(t, corr_t);
-                let hpd = g.add(hp, dr);
-                let expr = g.sub(hpd, tp);
-                self.norm.apply(g, expr)
-            };
-        let pos = side(g, &c.pos_heads, &c.pos_rels, &c.pos_tails);
-        let neg = side(g, &c.neg_heads, &c.neg_rels, &c.neg_tails);
-        (pos, neg)
-    }
-    fn end_epoch(&mut self) {
-        normalize_leading_rows(&mut self.store, self.ent, self.num_entities);
-        normalize_leading_rows(&mut self.store, self.normals, self.num_relations);
-    }
-}
-
-impl DenseTransH {
-    /// Projects `x` onto relation `rel`'s hyperplane (evaluation helper).
-    fn project(&self, rel: usize, x: &[f32]) -> Vec<f32> {
-        let w = self.store.value(self.normals).row(rel);
-        let dot: f32 = w.iter().zip(x).map(|(a, b)| a * b).sum();
-        x.iter().zip(w).map(|(xi, wi)| xi - dot * wi).collect()
-    }
-}
-
-impl TripleScorer for DenseTransH {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        let ent = self.store.value(self.ent);
-        let dr = self.store.value(self.translations).row(rel as usize);
-        let hp = self.project(rel as usize, ent.row(head as usize));
-        let query: Vec<f32> = hp.iter().zip(dr).map(|(a, b)| a + b).collect();
-        (0..self.num_entities)
-            .map(|t| {
-                let tp = self.project(rel as usize, ent.row(t));
-                self.norm.distance(&query, &tp)
-            })
-            .collect()
-    }
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        let ent = self.store.value(self.ent);
-        let dr = self.store.value(self.translations).row(rel as usize);
-        let tp = self.project(rel as usize, ent.row(tail as usize));
-        let query: Vec<f32> = tp.iter().zip(dr).map(|(a, b)| a - b).collect();
-        (0..self.num_entities)
-            .map(|h| {
-                let hp = self.project(rel as usize, ent.row(h));
-                self.norm.distance(&hp, &query)
-            })
-            .collect()
-    }
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-}
-
-impl kg::eval::BatchScorer for DenseTransH {
-    fn num_entities(&self) -> usize {
-        self.num_entities
+    fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
+        GatherTransH(Hyperplanes::register(store, shape, seed))
     }
 
-    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        hyperplane_scores_into(
-            self.store.value(self.ent).as_slice(),
-            self.store.value(self.normals).as_slice(),
-            self.store.value(self.translations).as_slice(),
-            self.num_entities,
-            self.dim,
-            self.norm,
-            queries,
-            QueryDir::Tails,
-            out,
-        );
+    fn cache(&self, _: &Shape, batch: &Batch) -> Result<[DenseSide; 2]> {
+        both(batch, |t| Ok(dense_side(t)))
     }
 
-    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        hyperplane_scores_into(
-            self.store.value(self.ent).as_slice(),
-            self.store.value(self.normals).as_slice(),
-            self.store.value(self.translations).as_slice(),
-            self.num_entities,
-            self.dim,
-            self.norm,
-            queries,
-            QueryDir::Heads,
-            out,
-        );
+    fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &DenseSide) -> Var {
+        let p = &self.0;
+        let h = g.gather(cx.store, p.ent, side.heads.clone());
+        let t = g.gather(cx.store, p.ent, side.tails.clone());
+        let w = g.gather(cx.store, p.normals, side.rels.clone());
+        let dr = g.gather(cx.store, p.translations, side.rels.clone());
+        // h⊥ = h − (wᵀh)w; t⊥ = t − (wᵀt)w — two separate projections.
+        let dot_h = g.row_dot(w, h);
+        let corr_h = g.scale_rows(w, dot_h);
+        let hp = g.sub(h, corr_h);
+        let dot_t = g.row_dot(w, t);
+        let corr_t = g.scale_rows(w, dot_t);
+        let tp = g.sub(t, corr_t);
+        let hpd = g.add(hp, dr);
+        let expr = g.sub(hpd, tp);
+        cx.norm.apply(g, expr)
+    }
+
+    fn end_epoch(&self, store: &mut ParamStore, shape: &Shape) {
+        self.0.end_epoch(store, shape);
+    }
+
+    fn query(&self, ev: &Eval<'_>, dir: QueryDir, ent: usize, rel: usize, q: &mut [f32]) {
+        self.0.query(ev, dir, ent, rel, q);
+    }
+
+    fn score(&self, ev: &Eval<'_>, q: &RankQuery<'_>, cand: usize, scratch: &mut [f32]) -> f32 {
+        self.0.score(ev, q, cand, scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SpTorusE, SpTransE, SpTransH, SpTransR};
+    use crate::{KgeModel, SpTorusE, SpTransE, SpTransH, SpTransR, TrainConfig};
     use kg::synthetic::SyntheticKgBuilder;
-    use kg::UniformSampler;
+    use kg::{BatchPlan, Dataset, UniformSampler};
 
     fn dataset() -> Dataset {
         SyntheticKgBuilder::new(50, 5).triples(400).seed(20).build()

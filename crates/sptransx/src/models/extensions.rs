@@ -2,17 +2,20 @@
 //! Table 2): TransC and TransM. Both reuse the `hrt` expression, so each is
 //! a different *reduction* over the same single SpMM.
 
-use kg::eval::TripleScorer;
-use kg::{BatchPlan, Dataset, TripleStore};
+use kg::{Batch, TripleStore};
 use sparse::incidence::TailSign;
-use tensor::{Graph, ParamId, ParamStore, Var};
+use tensor::{Graph, ParamStore, RowScore, Var};
 
-use crate::model::{normalize_leading_rows, KgeModel, Norm, TrainConfig};
-use crate::models::{build_hrt_caches, HrtCache};
-use crate::scorer::distances_to_rows;
+use crate::model::normalize_leading_rows;
+use crate::models::{
+    both, hrt_side, stacked_transe_init, Cx, Eval, Family, Geometry, HrtSide, Model, RankQuery,
+    Shape, Stacked,
+};
+use crate::scorer::QueryDir;
 use crate::Result;
 
-/// Sparse TransC: score `‖h + r − t‖²₂` (squared Euclidean, Table 2).
+/// Sparse TransC: score `‖h + r − t‖²₂` (Table 2). Always squared
+/// Euclidean: [`crate::TrainConfig::norm`] is not read.
 ///
 /// # Examples
 ///
@@ -25,162 +28,42 @@ use crate::Result;
 /// assert_eq!(sptransx::KgeModel::name(&model), "SpTransC");
 /// # Ok::<(), sptransx::Error>(())
 /// ```
+pub type SpTransC = Model<TransC>;
+
+/// [`SpTransC`]'s family: TransE's table and constraint under the squared
+/// row score.
 #[derive(Debug)]
-pub struct SpTransC {
-    store: ParamStore,
-    emb: ParamId,
-    num_entities: usize,
-    num_relations: usize,
-    dim: usize,
-    batches: Vec<HrtCache>,
-}
+pub struct TransC(pub Stacked);
 
-impl SpTransC {
-    /// Initializes the model for a dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] for invalid hyperparameters.
-    pub fn from_config(dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
-        config.validate()?;
-        let (n, r, d) = (dataset.num_entities, dataset.num_relations, config.dim);
-        let mut store = ParamStore::new();
-        let emb = store.add_param(
-            "embeddings",
-            crate::models::stacked_transe_init(n, r, d, config.seed),
-        );
-        Ok(Self {
-            store,
-            emb,
-            num_entities: n,
-            num_relations: r,
-            dim: d,
-            batches: Vec::new(),
-        })
+impl Family for TransC {
+    const NAME: &'static str = "SpTransC";
+    const GEOMETRY: Geometry = Geometry::L2Only;
+    type Side = HrtSide;
+
+    fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
+        TransC(Stacked::register(store, stacked_transe_init(shape, seed)))
     }
 
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
+    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[HrtSide; 2]> {
+        both(batch, |t| hrt_side(shape, t, TailSign::Negative))
     }
 
-    /// Handle to the stacked embedding parameter.
-    pub fn embedding_param(&self) -> ParamId {
-        self.emb
-    }
-}
-
-impl KgeModel for SpTransC {
-    fn name(&self) -> &'static str {
-        "SpTransC"
-    }
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-    fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
-        self.batches = build_hrt_caches(
-            plan,
-            self.num_entities,
-            self.num_relations,
-            TailSign::Negative,
-        )?;
-        Ok(())
-    }
-    fn num_batches(&self) -> usize {
-        self.batches.len()
-    }
-    fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let cache = &self.batches[batch_idx];
-        let score = tensor::RowScore::SquaredL2;
-        let pos = g.spmm_score(&self.store, self.emb, cache.pos.clone(), score);
-        let neg = g.spmm_score(&self.store, self.emb, cache.neg.clone(), score);
-        (pos, neg)
-    }
-    fn end_epoch(&mut self) {
-        normalize_leading_rows(&mut self.store, self.emb, self.num_entities);
-    }
-}
-
-impl kg::eval::BatchScorer for SpTransC {
-    fn num_entities(&self) -> usize {
-        self.num_entities
+    fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {
+        g.spmm_score(cx.store, self.0.emb, side.clone(), RowScore::SquaredL2)
     }
 
-    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        let emb = self.store.value(self.emb);
-        crate::scorer::translational_scores_into(
-            emb.as_slice(),
-            self.num_entities,
-            self.num_relations,
-            self.dim,
-            Norm::L2,
-            queries,
-            crate::scorer::QueryDir::Tails,
-            out,
-        );
-        // Squared distances preserve the L2 ranking (matches the scalar map).
-        for v in out.iter_mut() {
-            *v *= *v;
-        }
+    fn end_epoch(&self, store: &mut ParamStore, shape: &Shape) {
+        normalize_leading_rows(store, self.0.emb, shape.entities);
     }
 
-    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        let emb = self.store.value(self.emb);
-        crate::scorer::translational_scores_into(
-            emb.as_slice(),
-            self.num_entities,
-            self.num_relations,
-            self.dim,
-            Norm::L2,
-            queries,
-            crate::scorer::QueryDir::Heads,
-            out,
-        );
-        for v in out.iter_mut() {
-            *v *= *v;
-        }
+    fn query(&self, ev: &Eval<'_>, dir: QueryDir, ent: usize, rel: usize, q: &mut [f32]) {
+        self.0.translated(ev, dir, ent, rel, q);
     }
-}
 
-impl TripleScorer for SpTransC {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        let emb = self.store.value(self.emb);
-        let h = emb.row(head as usize);
-        let r = emb.row(self.num_entities + rel as usize);
-        let query: Vec<f32> = h.iter().zip(r).map(|(a, b)| a + b).collect();
-        // Squared distances preserve the L2 ranking.
-        distances_to_rows(
-            emb.as_slice(),
-            self.num_entities,
-            self.dim,
-            &query,
-            Norm::L2,
-        )
-        .into_iter()
-        .map(|d| d * d)
-        .collect()
-    }
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        let emb = self.store.value(self.emb);
-        let t = emb.row(tail as usize);
-        let r = emb.row(self.num_entities + rel as usize);
-        let query: Vec<f32> = t.iter().zip(r).map(|(a, b)| a - b).collect();
-        distances_to_rows(
-            emb.as_slice(),
-            self.num_entities,
-            self.dim,
-            &query,
-            Norm::L2,
-        )
-        .into_iter()
-        .map(|d| d * d)
-        .collect()
-    }
-    fn num_entities(&self) -> usize {
-        self.num_entities
+    fn score(&self, ev: &Eval<'_>, q: &RankQuery<'_>, cand: usize, _: &mut [f32]) -> f32 {
+        // The square of the L2 distance, which preserves its ranking.
+        let d = ev.norm.distance(q.vector, self.0.entity(ev, cand));
+        d * d
     }
 }
 
@@ -188,64 +71,33 @@ impl TripleScorer for SpTransC {
 /// (Fan et al., 2014). Weights are the standard
 /// `wᵣ = 1 / log(hptᵣ + tphᵣ)` computed from the training graph — not
 /// learned — so they enter the tape as a constant column.
+///
+/// # Examples
+///
+/// ```
+/// use kg::synthetic::SyntheticKgBuilder;
+/// use sptransx::{SpTransM, TrainConfig};
+///
+/// let ds = SyntheticKgBuilder::new(40, 3).triples(200).seed(1).build();
+/// let model = SpTransM::from_config(&ds, &TrainConfig { dim: 8, ..Default::default() })?;
+/// let w = model.family().relation_weight(0);
+/// assert!(w > 0.0 && w <= 1.0);
+/// # Ok::<(), sptransx::Error>(())
+/// ```
+pub type SpTransM = Model<TransM>;
+
+/// [`SpTransM`]'s family: TransE's table and constraint, each side's fused
+/// score multiplied by its cached weight column.
 #[derive(Debug)]
-pub struct SpTransM {
-    store: ParamStore,
-    emb: ParamId,
+pub struct TransM {
+    table: Stacked,
     rel_weights: Vec<f32>,
-    num_entities: usize,
-    num_relations: usize,
-    dim: usize,
-    norm: Norm,
-    batches: Vec<HrtCache>,
-    batch_weights: Vec<(Vec<f32>, Vec<f32>)>,
 }
 
-impl SpTransM {
-    /// Initializes the model, computing relation weights from
-    /// `dataset.train`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] for invalid hyperparameters.
-    pub fn from_config(dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
-        config.validate()?;
-        let (n, r, d) = (dataset.num_entities, dataset.num_relations, config.dim);
-        let mut store = ParamStore::new();
-        let emb = store.add_param(
-            "embeddings",
-            crate::models::stacked_transe_init(n, r, d, config.seed),
-        );
-        let rel_weights = relation_weights(&dataset.train, r);
-        Ok(Self {
-            store,
-            emb,
-            rel_weights,
-            num_entities: n,
-            num_relations: r,
-            dim: d,
-            norm: match config.norm {
-                Norm::TorusL1 | Norm::TorusL2 => Norm::L2,
-                other => other,
-            },
-            batches: Vec::new(),
-            batch_weights: Vec::new(),
-        })
-    }
-
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
+impl TransM {
     /// The fixed per-relation weight `wᵣ`.
     pub fn relation_weight(&self, rel: u32) -> f32 {
         self.rel_weights.get(rel as usize).copied().unwrap_or(1.0)
-    }
-
-    /// Handle to the stacked embedding parameter.
-    pub fn embedding_param(&self) -> ParamId {
-        self.emb
     }
 }
 
@@ -278,158 +130,52 @@ fn relation_weights(train: &TripleStore, num_relations: usize) -> Vec<f32> {
         .collect()
 }
 
-impl KgeModel for SpTransM {
-    fn name(&self) -> &'static str {
-        "SpTransM"
-    }
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-    fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
-        self.batches = build_hrt_caches(
-            plan,
-            self.num_entities,
-            self.num_relations,
-            TailSign::Negative,
-        )?;
-        self.batch_weights = plan
-            .iter()
-            .map(|b| {
-                let pos = b
-                    .pos
-                    .rels()
-                    .iter()
-                    .map(|&r| self.rel_weights[r as usize])
-                    .collect();
-                let neg = b
-                    .neg
-                    .rels()
-                    .iter()
-                    .map(|&r| self.rel_weights[r as usize])
-                    .collect();
-                (pos, neg)
-            })
-            .collect();
-        Ok(())
-    }
-    fn num_batches(&self) -> usize {
-        self.batches.len()
-    }
-    fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let cache = &self.batches[batch_idx];
-        let (wp, wn) = &self.batch_weights[batch_idx];
-        let side =
-            |g: &mut Graph, pair: &std::sync::Arc<sparse::incidence::IncidencePair>, w: &[f32]| {
-                let dist = g.spmm_score(&self.store, self.emb, pair.clone(), self.norm.row_score());
-                // Arena-backed input: the weight column recurs every epoch,
-                // so no per-batch `Tensor::from_vec` allocation.
-                let weights = g.input_from_slice(w.len(), 1, w);
-                g.mul(dist, weights)
-            };
-        let pos = side(g, &cache.pos, wp);
-        let neg = side(g, &cache.neg, wn);
-        (pos, neg)
-    }
-    fn end_epoch(&mut self) {
-        normalize_leading_rows(&mut self.store, self.emb, self.num_entities);
-    }
-}
+impl Family for TransM {
+    const NAME: &'static str = "SpTransM";
+    /// The side's incidence pair and its per-triple weights.
+    type Side = (HrtSide, Vec<f32>);
 
-impl kg::eval::BatchScorer for SpTransM {
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        let emb = self.store.value(self.emb);
-        crate::scorer::translational_scores_into(
-            emb.as_slice(),
-            self.num_entities,
-            self.num_relations,
-            self.dim,
-            self.norm,
-            queries,
-            crate::scorer::QueryDir::Tails,
-            out,
-        );
-        for (row, &(_, rel)) in out.chunks_exact_mut(self.num_entities.max(1)).zip(queries) {
-            let w = self.relation_weight(rel);
-            for v in row {
-                *v *= w;
-            }
+    fn init(store: &mut ParamStore, shape: &Shape, seed: u64, train: &TripleStore) -> Self {
+        TransM {
+            table: Stacked::register(store, stacked_transe_init(shape, seed)),
+            rel_weights: relation_weights(train, shape.relations),
         }
     }
 
-    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        let emb = self.store.value(self.emb);
-        crate::scorer::translational_scores_into(
-            emb.as_slice(),
-            self.num_entities,
-            self.num_relations,
-            self.dim,
-            self.norm,
-            queries,
-            crate::scorer::QueryDir::Heads,
-            out,
-        );
-        for (row, &(rel, _)) in out.chunks_exact_mut(self.num_entities.max(1)).zip(queries) {
-            let w = self.relation_weight(rel);
-            for v in row {
-                *v *= w;
-            }
-        }
+    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[Self::Side; 2]> {
+        both(batch, |t| {
+            let weights = t.rels().iter().map(|&r| self.rel_weights[r as usize]);
+            Ok((hrt_side(shape, t, TailSign::Negative)?, weights.collect()))
+        })
     }
-}
 
-impl TripleScorer for SpTransM {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        let emb = self.store.value(self.emb);
-        let h = emb.row(head as usize);
-        let r = emb.row(self.num_entities + rel as usize);
-        let w = self.relation_weight(rel);
-        let query: Vec<f32> = h.iter().zip(r).map(|(a, b)| a + b).collect();
-        distances_to_rows(
-            emb.as_slice(),
-            self.num_entities,
-            self.dim,
-            &query,
-            self.norm,
-        )
-        .into_iter()
-        .map(|d| w * d)
-        .collect()
+    fn side(&self, cx: &Cx<'_>, g: &mut Graph, (pair, w): &Self::Side) -> Var {
+        let dist = g.spmm_score(cx.store, self.table.emb, pair.clone(), cx.norm.row_score());
+        // Arena-backed input: the weight column recurs every epoch, so no
+        // per-batch `Tensor::from_vec` allocation.
+        let weights = g.input_from_slice(w.len(), 1, w);
+        g.mul(dist, weights)
     }
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        let emb = self.store.value(self.emb);
-        let t = emb.row(tail as usize);
-        let r = emb.row(self.num_entities + rel as usize);
-        let w = self.relation_weight(rel);
-        let query: Vec<f32> = t.iter().zip(r).map(|(a, b)| a - b).collect();
-        distances_to_rows(
-            emb.as_slice(),
-            self.num_entities,
-            self.dim,
-            &query,
-            self.norm,
-        )
-        .into_iter()
-        .map(|d| w * d)
-        .collect()
+
+    fn end_epoch(&self, store: &mut ParamStore, shape: &Shape) {
+        normalize_leading_rows(store, self.table.emb, shape.entities);
     }
-    fn num_entities(&self) -> usize {
-        self.num_entities
+
+    fn query(&self, ev: &Eval<'_>, dir: QueryDir, ent: usize, rel: usize, q: &mut [f32]) {
+        self.table.translated(ev, dir, ent, rel, q);
+    }
+
+    fn score(&self, ev: &Eval<'_>, q: &RankQuery<'_>, cand: usize, _: &mut [f32]) -> f32 {
+        self.rel_weights[q.rel] * ev.norm.distance(q.vector, self.table.entity(ev, cand))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SpTransE;
+    use crate::{KgeModel, SpTransE, TrainConfig};
     use kg::synthetic::SyntheticKgBuilder;
-    use kg::UniformSampler;
+    use kg::{BatchPlan, Dataset, UniformSampler};
 
     fn setup() -> (Dataset, BatchPlan, TrainConfig) {
         let ds = SyntheticKgBuilder::new(40, 4).triples(300).seed(70).build();
@@ -474,7 +220,7 @@ mod tests {
         let (pe, _) = e.score_batch(&mut g2, 0);
         let batch = plan.batch(0);
         for i in 0..batch.len().min(10) {
-            let w = m.relation_weight(batch.pos.get(i).rel);
+            let w = m.family().relation_weight(batch.pos.get(i).rel);
             assert!(w > 0.0 && w <= 1.0, "weight {w}");
             let want = w * g2.value(pe).get(i, 0);
             assert!((g1.value(pm).get(i, 0) - want).abs() < 1e-4);

@@ -6,14 +6,13 @@
 //! semiring of Appendix D; scores are negated on the tape for the
 //! margin-ranking trainer.
 
-use kg::eval::TripleScorer;
-use kg::{BatchPlan, Dataset};
+use kg::{Batch, TripleStore};
 use sparse::incidence::TailSign;
 use sparse::Complex32;
-use tensor::{init, Graph, ParamId, ParamStore, Var};
+use tensor::{init, Graph, ParamStore, Var};
 
-use crate::model::{KgeModel, TrainConfig};
-use crate::models::{build_hrt_caches, HrtCache};
+use crate::models::{both, hrt_side, Cx, Eval, Family, HrtSide, Model, RankQuery, Shape, Stacked};
+use crate::scorer::QueryDir;
 use crate::Result;
 
 /// The semiring-SpMM ComplEx model.
@@ -32,178 +31,107 @@ use crate::Result;
 /// assert_eq!(sptransx::KgeModel::name(&model), "SpComplEx");
 /// # Ok::<(), sptransx::Error>(())
 /// ```
+pub type SpComplEx = Model<ComplEx>;
+
+/// [`SpComplEx`]'s family: one stacked table of interleaved `(re, im)`
+/// pairs, the fused complex-conjugate score negated, no constraint.
 #[derive(Debug)]
-pub struct SpComplEx {
-    store: ParamStore,
-    emb: ParamId,
-    num_entities: usize,
-    num_relations: usize,
-    half_dim: usize,
-    batches: Vec<HrtCache>,
+pub struct ComplEx(pub Stacked);
+
+/// The complex numbers of one interleaved `(re, im)` row.
+pub(crate) fn complex(row: &[f32]) -> impl Iterator<Item = Complex32> + '_ {
+    row.chunks_exact(2).map(|z| Complex32::new(z[0], z[1]))
 }
 
-impl SpComplEx {
-    /// Initializes the model for a dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] for invalid hyperparameters.
-    pub fn from_config(dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
-        config.validate()?;
-        let (n, r) = (dataset.num_entities, dataset.num_relations);
-        let half = config.dim;
-        let mut store = ParamStore::new();
-        let emb = store.add_param(
-            "embeddings",
-            init::xavier_normalized(n + r, half * 2, config.seed),
-        );
-        Ok(Self {
-            store,
-            emb,
-            num_entities: n,
-            num_relations: r,
-            half_dim: half,
-            batches: Vec::new(),
-        })
-    }
-
-    /// The complex dimension (half the parameter width).
-    pub fn half_dim(&self) -> usize {
-        self.half_dim
-    }
-
-    /// Handle to the interleaved complex embedding parameter.
-    pub fn embedding_param(&self) -> ParamId {
-        self.emb
-    }
-
-    fn complex_row(&self, row: usize) -> Vec<Complex32> {
-        Complex32::slice_from_interleaved(self.store.value(self.emb).row(row))
-    }
-
-    /// ComplEx similarity of one triple (evaluation path).
-    pub fn similarity(&self, head: u32, rel: u32, tail: u32) -> f32 {
-        let h = self.complex_row(head as usize);
-        let r = self.complex_row(self.num_entities + rel as usize);
-        let t = self.complex_row(tail as usize);
-        h.iter()
-            .zip(&r)
-            .zip(&t)
-            .map(|((&a, &b), &c)| (a * b * c.conj()).re)
-            .sum()
+/// `q = h ∘ r` for tail queries — the candidate-independent half of both
+/// complex scores. For head queries the candidate multiplies the relation
+/// *first* (`h ∘ r ∘ t̄`, `h ∘ r − t`), so nothing can be factored out without
+/// changing the float association: `q` is the tail's row, and the scores
+/// form the product per candidate.
+pub(crate) fn complex_query(
+    table: &Stacked,
+    ev: &Eval<'_>,
+    dir: QueryDir,
+    ent: usize,
+    rel: usize,
+    q: &mut [f32],
+) {
+    let e = table.entity(ev, ent);
+    match dir {
+        QueryDir::Heads => q.copy_from_slice(e),
+        QueryDir::Tails => {
+            let hr = complex(e).zip(complex(table.relation(ev, rel)));
+            for (q, (h, r)) in q.chunks_exact_mut(2).zip(hr) {
+                let z = h * r;
+                (q[0], q[1]) = (z.re, z.im);
+            }
+        }
     }
 }
 
-impl KgeModel for SpComplEx {
-    fn name(&self) -> &'static str {
-        "SpComplEx"
+impl Family for ComplEx {
+    const NAME: &'static str = "SpComplEx";
+    type Side = HrtSide;
+
+    fn init(store: &mut ParamStore, s: &Shape, seed: u64, _: &TripleStore) -> Self {
+        let emb = init::xavier_normalized(s.entities + s.relations, 2 * s.dim, seed);
+        ComplEx(Stacked::register(store, emb))
     }
 
-    fn store(&self) -> &ParamStore {
-        &self.store
+    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[HrtSide; 2]> {
+        both(batch, |t| hrt_side(shape, t, TailSign::Negative))
     }
 
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
-    fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
-        self.batches = build_hrt_caches(
-            plan,
-            self.num_entities,
-            self.num_relations,
-            TailSign::Negative,
-        )?;
-        Ok(())
-    }
-
-    fn num_batches(&self) -> usize {
-        self.batches.len()
-    }
-
-    fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let cache = &self.batches[batch_idx];
-        let pos_sim = g.complex_score(&self.store, self.emb, cache.pos.clone());
-        let neg_sim = g.complex_score(&self.store, self.emb, cache.neg.clone());
+    fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {
+        let sim = g.complex_score(cx.store, self.0.emb, side.clone());
         // Similarity -> pseudo-distance.
-        (g.scale(pos_sim, -1.0), g.scale(neg_sim, -1.0))
-    }
-}
-
-impl TripleScorer for SpComplEx {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        (0..self.num_entities as u32)
-            .map(|t| -self.similarity(head, rel, t))
-            .collect()
+        g.scale(sim, -1.0)
     }
 
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        (0..self.num_entities as u32)
-            .map(|h| -self.similarity(h, rel, tail))
-            .collect()
+    fn query_len(shape: &Shape) -> usize {
+        2 * shape.dim
     }
 
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-}
-
-impl kg::eval::BatchScorer for SpComplEx {
-    fn num_entities(&self) -> usize {
-        self.num_entities
+    fn query(&self, ev: &Eval<'_>, dir: QueryDir, ent: usize, rel: usize, q: &mut [f32]) {
+        complex_query(&self.0, ev, dir, ent, rel, q);
     }
 
-    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        use crate::scorer::{for_each_score, stacked_query_rows_semiring, QueryDir};
-        let (n, half) = (self.num_entities, self.half_dim);
-        let emb = Complex32::slice_from_interleaved(self.store.value(self.emb).as_slice());
-        // q = h ∘ r per query via the training ComplexTriple semiring kernel,
-        // then score(t) = −Σⱼ Re(qⱼ · t̄ⱼ) — the same association order as the
-        // scalar `similarity`.
-        let q = stacked_query_rows_semiring::<sparse::semiring::ComplexTriple>(
-            &emb,
-            n,
-            self.num_relations,
-            half,
-            queries,
-            QueryDir::Tails,
-        );
-        for_each_score(n, 0, out, |qi, cand, _| {
-            let qr = &q[qi * half..(qi + 1) * half];
-            let t = &emb[cand * half..(cand + 1) * half];
-            -qr.iter()
-                .zip(t)
-                .map(|(&a, &c)| (a * c.conj()).re)
-                .sum::<f32>()
-        });
-    }
-
-    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        use crate::scorer::for_each_score;
-        let (n, half) = (self.num_entities, self.half_dim);
-        let emb = Complex32::slice_from_interleaved(self.store.value(self.emb).as_slice());
-        // The candidate multiplies the relation *first* (h ∘ r ∘ t̄), so
-        // nothing per-query can be factored out without changing the float
-        // association; score each element with the scalar expression.
-        for_each_score(n, 0, out, |qi, cand, _| {
-            let (rel, tail) = queries[qi];
-            let h = &emb[cand * half..(cand + 1) * half];
-            let r = &emb[(n + rel as usize) * half..(n + rel as usize + 1) * half];
-            let t = &emb[tail as usize * half..(tail as usize + 1) * half];
-            -h.iter()
-                .zip(r)
-                .zip(t)
-                .map(|((&a, &b), &c)| (a * b * c.conj()).re)
-                .sum::<f32>()
-        });
+    /// `−Σⱼ Re(hⱼ rⱼ t̄ⱼ)`, associated `(h r) t̄` in both directions.
+    fn score(&self, ev: &Eval<'_>, q: &RankQuery<'_>, cand: usize, _: &mut [f32]) -> f32 {
+        let c = complex(self.0.entity(ev, cand));
+        let sim: f32 = match q.dir {
+            QueryDir::Tails => complex(q.vector)
+                .zip(c)
+                .map(|(hr, t)| (hr * t.conj()).re)
+                .sum(),
+            QueryDir::Heads => c
+                .zip(complex(self.0.relation(ev, q.rel)))
+                .zip(complex(q.vector))
+                .map(|((h, r), t)| (h * r * t.conj()).re)
+                .sum(),
+        };
+        -sim
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{KgeModel, TrainConfig};
+    use kg::eval::TripleScorer;
     use kg::synthetic::SyntheticKgBuilder;
-    use kg::UniformSampler;
+    use kg::{BatchPlan, Dataset, UniformSampler};
+
+    /// ComplEx similarity of one triple, from the table.
+    fn similarity(model: &SpComplEx, head: u32, rel: u32, tail: u32) -> f32 {
+        let emb = model.store().value(model.embedding_param());
+        let r = model.num_entities() + rel as usize;
+        complex(emb.row(head as usize))
+            .zip(complex(emb.row(r)))
+            .zip(complex(emb.row(tail as usize)))
+            .map(|((a, b), c)| (a * b * c.conj()).re)
+            .sum()
+    }
 
     fn setup() -> (Dataset, SpComplEx, BatchPlan) {
         let ds = SyntheticKgBuilder::new(40, 4).triples(300).seed(60).build();
@@ -227,7 +155,7 @@ mod tests {
         let batch = plan.batch(0);
         for i in 0..batch.len().min(10) {
             let t = batch.pos.get(i);
-            let want = -model.similarity(t.head, t.rel, t.tail);
+            let want = -similarity(&model, t.head, t.rel, t.tail);
             assert!((g.value(pos).get(i, 0) - want).abs() < 1e-4);
         }
     }
@@ -238,8 +166,8 @@ mod tests {
         // when embeddings have imaginary parts.
         let (_, model, plan) = setup();
         let t = plan.batch(0).pos.get(0);
-        let fwd = model.similarity(t.head, t.rel, t.tail);
-        let bwd = model.similarity(t.tail, t.rel, t.head);
+        let fwd = similarity(&model, t.head, t.rel, t.tail);
+        let bwd = similarity(&model, t.tail, t.rel, t.head);
         assert!((fwd - bwd).abs() > 1e-9, "scores unexpectedly symmetric");
     }
 
@@ -259,6 +187,33 @@ mod tests {
         let (_, model, plan) = setup();
         let t = plan.batch(0).pos.get(0);
         let tails = model.score_tails(t.head, t.rel);
-        assert!((tails[t.tail as usize] + model.similarity(t.head, t.rel, t.tail)).abs() < 1e-5);
+        assert!((tails[t.tail as usize] + similarity(&model, t.head, t.rel, t.tail)).abs() < 1e-5);
+    }
+
+    #[test]
+    fn complex_similarity_matches_manual() {
+        // h = 1+i, r = i, t = 2 - i: Re(h*r*conj(t)).
+        let ds = SyntheticKgBuilder::new(2, 1).triples(2).seed(1).build();
+        let config = TrainConfig {
+            dim: 1,
+            ..Default::default()
+        };
+        let mut model = SpComplEx::from_config(&ds, &config).unwrap();
+        let emb = model.embedding_param();
+        model
+            .store_mut()
+            .value_mut(emb)
+            .as_mut_slice()
+            .copy_from_slice(&[
+                1.0, 1.0, // e0 = h
+                2.0, -1.0, // e1 = t
+                0.0, 1.0, // r0
+            ]);
+        let h = Complex32::new(1.0, 1.0);
+        let r = Complex32::new(0.0, 1.0);
+        let t = Complex32::new(2.0, -1.0);
+        let want = (h * r * t.conj()).re;
+        assert!((model.score_tails(0, 0)[1] + want).abs() < 1e-5);
+        assert!((model.score_heads(0, 1)[0] + want).abs() < 1e-5);
     }
 }

@@ -13,13 +13,12 @@
 //! To reuse the margin-ranking trainer (which minimizes positive
 //! *distances*), scores are negated on the tape.
 
-use kg::eval::TripleScorer;
-use kg::{BatchPlan, Dataset};
+use kg::{Batch, TripleStore};
 use sparse::incidence::TailSign;
-use tensor::{init, Graph, ParamId, ParamStore, Var};
+use tensor::{init, Graph, ParamStore, Var};
 
-use crate::model::{KgeModel, TrainConfig};
-use crate::models::{build_hrt_caches, HrtCache};
+use crate::models::{both, hrt_side, Cx, Eval, Family, HrtSide, Model, RankQuery, Shape, Stacked};
+use crate::scorer::QueryDir;
 use crate::Result;
 
 /// The semiring-SpMM DistMult model.
@@ -35,162 +34,67 @@ use crate::Result;
 /// assert_eq!(sptransx::KgeModel::name(&model), "SpDistMult");
 /// # Ok::<(), sptransx::Error>(())
 /// ```
+pub type SpDistMult = Model<DistMult>;
+
+/// [`SpDistMult`]'s family: one stacked table, the `(×, ×)` semiring triple
+/// product summed per row and negated, no constraint.
 #[derive(Debug)]
-pub struct SpDistMult {
-    store: ParamStore,
-    emb: ParamId,
-    num_entities: usize,
-    num_relations: usize,
-    dim: usize,
-    batches: Vec<HrtCache>,
-}
+pub struct DistMult(pub Stacked);
 
-impl SpDistMult {
-    /// Initializes the model for a dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] for invalid hyperparameters.
-    pub fn from_config(dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
-        config.validate()?;
-        let (n, r, d) = (dataset.num_entities, dataset.num_relations, config.dim);
-        let mut store = ParamStore::new();
+impl Family for DistMult {
+    const NAME: &'static str = "SpDistMult";
+    type Side = HrtSide;
+
+    fn init(store: &mut ParamStore, s: &Shape, seed: u64, _: &TripleStore) -> Self {
         // Unit-normalized init keeps triple products in a sane range.
-        let emb = store.add_param("embeddings", init::xavier_normalized(n + r, d, config.seed));
-        Ok(Self {
-            store,
-            emb,
-            num_entities: n,
-            num_relations: r,
-            dim: d,
-            batches: Vec::new(),
-        })
+        let emb = init::xavier_normalized(s.entities + s.relations, s.dim, seed);
+        DistMult(Stacked::register(store, emb))
     }
 
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Handle to the stacked embedding parameter.
-    pub fn embedding_param(&self) -> ParamId {
-        self.emb
-    }
-
-    /// Raw (similarity) score of one triple: `Σⱼ hⱼ rⱼ tⱼ`.
-    pub fn similarity(&self, head: u32, rel: u32, tail: u32) -> f32 {
-        let emb = self.store.value(self.emb);
-        let h = emb.row(head as usize);
-        let r = emb.row(self.num_entities + rel as usize);
-        let t = emb.row(tail as usize);
-        h.iter().zip(r).zip(t).map(|((a, b), c)| a * b * c).sum()
-    }
-}
-
-impl KgeModel for SpDistMult {
-    fn name(&self) -> &'static str {
-        "SpDistMult"
-    }
-
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
-    fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
+    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[HrtSide; 2]> {
         // Positive tail sign: the (×,×) semiring ignores signs, and an
         // all-+1 matrix keeps the formulation of Appendix D literal.
-        self.batches = build_hrt_caches(
-            plan,
-            self.num_entities,
-            self.num_relations,
-            TailSign::Positive,
-        )?;
-        Ok(())
+        both(batch, |t| hrt_side(shape, t, TailSign::Positive))
     }
 
-    fn num_batches(&self) -> usize {
-        self.batches.len()
+    fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {
+        let prod = g.triple_product(cx.store, self.0.emb, side.clone());
+        let sim = g.row_sum(prod);
+        // Similarity -> pseudo-distance for the margin ranking loss.
+        g.scale(sim, -1.0)
     }
 
-    fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let cache = &self.batches[batch_idx];
-        let side = |g: &mut Graph, pair: &std::sync::Arc<sparse::incidence::IncidencePair>| {
-            let prod = g.triple_product(&self.store, self.emb, pair.clone());
-            let sim = g.row_sum(prod);
-            // Similarity -> pseudo-distance for the margin ranking loss.
-            g.scale(sim, -1.0)
-        };
-        let pos = side(g, &cache.pos);
-        let neg = side(g, &cache.neg);
-        (pos, neg)
-    }
-}
-
-impl TripleScorer for SpDistMult {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        let emb = self.store.value(self.emb);
-        let h = emb.row(head as usize);
-        let r = emb.row(self.num_entities + rel as usize);
-        let q: Vec<f32> = h.iter().zip(r).map(|(a, b)| a * b).collect();
-        (0..self.num_entities)
-            .map(|t| -q.iter().zip(emb.row(t)).map(|(a, b)| a * b).sum::<f32>())
-            .collect()
+    /// `q = h ⊙ r` for tails, `t ⊙ r` for heads: the product commutes, so
+    /// one expression serves both directions.
+    fn query(&self, ev: &Eval<'_>, _: QueryDir, ent: usize, rel: usize, q: &mut [f32]) {
+        let (e, r) = (self.0.entity(ev, ent), self.0.relation(ev, rel));
+        for ((q, a), b) in q.iter_mut().zip(e).zip(r) {
+            *q = a * b;
+        }
     }
 
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        let emb = self.store.value(self.emb);
-        let t = emb.row(tail as usize);
-        let r = emb.row(self.num_entities + rel as usize);
-        let q: Vec<f32> = t.iter().zip(r).map(|(a, b)| a * b).collect();
-        (0..self.num_entities)
-            .map(|h| -q.iter().zip(emb.row(h)).map(|(a, b)| a * b).sum::<f32>())
-            .collect()
-    }
-
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-}
-
-impl kg::eval::BatchScorer for SpDistMult {
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        crate::scorer::distmult_scores_into(
-            self.store.value(self.emb).as_slice(),
-            self.num_entities,
-            self.num_relations,
-            self.dim,
-            queries,
-            crate::scorer::QueryDir::Tails,
-            out,
-        );
-    }
-
-    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        crate::scorer::distmult_scores_into(
-            self.store.value(self.emb).as_slice(),
-            self.num_entities,
-            self.num_relations,
-            self.dim,
-            queries,
-            crate::scorer::QueryDir::Heads,
-            out,
-        );
+    fn score(&self, ev: &Eval<'_>, q: &RankQuery<'_>, cand: usize, _: &mut [f32]) -> f32 {
+        let e = self.0.entity(ev, cand);
+        -q.vector.iter().zip(e).map(|(a, b)| a * b).sum::<f32>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{KgeModel, TrainConfig};
+    use kg::eval::TripleScorer;
     use kg::synthetic::SyntheticKgBuilder;
-    use kg::UniformSampler;
+    use kg::{BatchPlan, Dataset, UniformSampler};
+
+    /// Raw (similarity) score of one triple, `Σⱼ hⱼ rⱼ tⱼ`, from the table.
+    fn similarity(model: &SpDistMult, head: u32, rel: u32, tail: u32) -> f32 {
+        let emb = model.store().value(model.embedding_param());
+        let h = emb.row(head as usize);
+        let r = emb.row(model.num_entities() + rel as usize);
+        let t = emb.row(tail as usize);
+        h.iter().zip(r).zip(t).map(|((a, b), c)| a * b * c).sum()
+    }
 
     fn setup() -> (Dataset, SpDistMult, BatchPlan) {
         let ds = SyntheticKgBuilder::new(40, 4).triples(300).seed(13).build();
@@ -214,7 +118,7 @@ mod tests {
         let batch = plan.batch(0);
         for i in 0..batch.len().min(10) {
             let t = batch.pos.get(i);
-            let want = -model.similarity(t.head, t.rel, t.tail);
+            let want = -similarity(&model, t.head, t.rel, t.tail);
             assert!((g.value(pos).get(i, 0) - want).abs() < 1e-4);
         }
     }
@@ -224,8 +128,8 @@ mod tests {
         // DistMult is symmetric in head/tail by construction.
         let (_, model, plan) = setup();
         let t = plan.batch(0).pos.get(0);
-        let a = model.similarity(t.head, t.rel, t.tail);
-        let b = model.similarity(t.tail, t.rel, t.head);
+        let a = similarity(&model, t.head, t.rel, t.tail);
+        let b = similarity(&model, t.tail, t.rel, t.head);
         assert!((a - b).abs() < 1e-5);
     }
 
@@ -245,6 +149,6 @@ mod tests {
         let (_, model, plan) = setup();
         let t = plan.batch(0).pos.get(0);
         let tails = model.score_tails(t.head, t.rel);
-        assert!((tails[t.tail as usize] + model.similarity(t.head, t.rel, t.tail)).abs() < 1e-5);
+        assert!((tails[t.tail as usize] + similarity(&model, t.head, t.rel, t.tail)).abs() < 1e-5);
     }
 }

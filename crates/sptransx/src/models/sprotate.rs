@@ -7,14 +7,14 @@
 //! the per-triple distance and backpropagates through the complex product
 //! via the cached transpose.
 
-use kg::eval::TripleScorer;
-use kg::{BatchPlan, Dataset};
+use kg::{Batch, TripleStore};
 use sparse::incidence::TailSign;
-use sparse::Complex32;
-use tensor::{init, Graph, ParamId, ParamStore, Var};
+use tensor::{init, Graph, ParamStore, Tensor, Var};
 
-use crate::model::{KgeModel, TrainConfig};
-use crate::models::{build_hrt_caches, HrtCache};
+use crate::model::UNIT_NORM_TOL;
+use crate::models::spcomplex::{complex, complex_query};
+use crate::models::{both, hrt_side, Cx, Eval, Family, HrtSide, Model, RankQuery, Shape, Stacked};
+use crate::scorer::QueryDir;
 use crate::Result;
 
 /// The semiring-SpMM RotatE model.
@@ -34,109 +34,35 @@ use crate::Result;
 /// assert_eq!(sptransx::KgeModel::name(&model), "SpRotatE");
 /// # Ok::<(), sptransx::Error>(())
 /// ```
+pub type SpRotatE = Model<RotatE>;
+
+/// [`SpRotatE`]'s family: one stacked table of interleaved `(re, im)` pairs,
+/// the fused rotate score, relations kept on the unit circle.
 #[derive(Debug)]
-pub struct SpRotatE {
-    store: ParamStore,
-    emb: ParamId,
-    num_entities: usize,
-    num_relations: usize,
-    half_dim: usize,
-    batches: Vec<HrtCache>,
-}
+pub struct RotatE(pub Stacked);
 
-impl SpRotatE {
-    /// Initializes the model for a dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] for invalid hyperparameters.
-    pub fn from_config(dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
-        config.validate()?;
-        let (n, r) = (dataset.num_entities, dataset.num_relations);
-        let half = config.dim;
+impl Family for RotatE {
+    const NAME: &'static str = "SpRotatE";
+    type Side = HrtSide;
+
+    fn init(store: &mut ParamStore, s: &Shape, seed: u64, _: &TripleStore) -> Self {
         // Entities: uniform complex; relations: unit phases.
-        let ent = init::uniform(n, half * 2, 0.5, config.seed);
-        let rel = init::unit_phases(r, half, config.seed + 1);
-        let mut data = Vec::with_capacity((n + r) * half * 2);
-        data.extend_from_slice(ent.as_slice());
-        data.extend_from_slice(rel.as_slice());
-        let mut store = ParamStore::new();
-        let emb = store.add_param(
-            "embeddings",
-            tensor::Tensor::from_vec(n + r, half * 2, data),
-        );
-        Ok(Self {
-            store,
-            emb,
-            num_entities: n,
-            num_relations: r,
-            half_dim: half,
-            batches: Vec::new(),
-        })
+        let ent = init::uniform(s.entities, 2 * s.dim, 0.5, seed);
+        let rel = init::unit_phases(s.relations, s.dim, seed + 1);
+        let data = [ent.as_slice(), rel.as_slice()].concat();
+        let emb = Tensor::from_vec(s.entities + s.relations, 2 * s.dim, data);
+        RotatE(Stacked::register(store, emb))
     }
 
-    /// The complex dimension (half the parameter width).
-    pub fn half_dim(&self) -> usize {
-        self.half_dim
+    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[HrtSide; 2]> {
+        both(batch, |t| hrt_side(shape, t, TailSign::Negative))
     }
 
-    /// Handle to the interleaved complex embedding parameter.
-    pub fn embedding_param(&self) -> ParamId {
-        self.emb
+    fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {
+        g.rotate_score(cx.store, self.0.emb, side.clone())
     }
 
-    fn complex_row(&self, row: usize) -> Vec<Complex32> {
-        Complex32::slice_from_interleaved(self.store.value(self.emb).row(row))
-    }
-
-    /// RotatE distance of one triple (evaluation path).
-    pub fn distance(&self, head: u32, rel: u32, tail: u32) -> f32 {
-        let h = self.complex_row(head as usize);
-        let r = self.complex_row(self.num_entities + rel as usize);
-        let t = self.complex_row(tail as usize);
-        h.iter()
-            .zip(&r)
-            .zip(&t)
-            .map(|((&a, &b), &c)| (a * b - c).abs())
-            .sum()
-    }
-}
-
-impl KgeModel for SpRotatE {
-    fn name(&self) -> &'static str {
-        "SpRotatE"
-    }
-
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
-    fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
-        self.batches = build_hrt_caches(
-            plan,
-            self.num_entities,
-            self.num_relations,
-            TailSign::Negative,
-        )?;
-        Ok(())
-    }
-
-    fn num_batches(&self) -> usize {
-        self.batches.len()
-    }
-
-    fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let cache = &self.batches[batch_idx];
-        let pos = g.rotate_score(&self.store, self.emb, cache.pos.clone());
-        let neg = g.rotate_score(&self.store, self.emb, cache.neg.clone());
-        (pos, neg)
-    }
-
-    fn end_epoch(&mut self) {
+    fn end_epoch(&self, store: &mut ParamStore, shape: &Shape) {
         // Re-project relation components onto the unit circle (rotations),
         // walking only dirty rows. Entity rows (index < n) are outside this
         // constraint and are dropped from the set; a relation row leaves it
@@ -144,15 +70,15 @@ impl KgeModel for SpRotatE {
         // already on the unit circle within `UNIT_NORM_TOL`, the same
         // idempotence band as `normalize_leading_rows`), so the sweep stays
         // bit-identical to the dense one.
-        let n = self.num_entities;
-        self.store.for_dirty_rows(self.emb, |row, r| {
+        let n = shape.entities;
+        store.for_dirty_rows(self.0.emb, |row, r| {
             if row < n {
                 return false;
             }
             let mut changed = false;
             for pair in r.chunks_exact_mut(2) {
                 let norm = (pair[0] * pair[0] + pair[1] * pair[1]).sqrt();
-                if norm > 1e-12 && (norm - 1.0).abs() > crate::model::UNIT_NORM_TOL {
+                if norm > 1e-12 && (norm - 1.0).abs() > UNIT_NORM_TOL {
                     let y0 = pair[0] / norm;
                     let y1 = pair[1] / norm;
                     changed |=
@@ -164,92 +90,48 @@ impl KgeModel for SpRotatE {
             changed
         });
     }
-}
 
-impl TripleScorer for SpRotatE {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        let h = self.complex_row(head as usize);
-        let r = self.complex_row(self.num_entities + rel as usize);
-        let hr: Vec<Complex32> = h.iter().zip(&r).map(|(&a, &b)| a * b).collect();
-        (0..self.num_entities)
-            .map(|t| {
-                let tv = self.complex_row(t);
-                hr.iter().zip(&tv).map(|(&a, &b)| (a - b).abs()).sum()
-            })
-            .collect()
+    fn query_len(shape: &Shape) -> usize {
+        2 * shape.dim
     }
 
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        let r = self.complex_row(self.num_entities + rel as usize);
-        let t = self.complex_row(tail as usize);
-        (0..self.num_entities)
-            .map(|h| {
-                let hv = self.complex_row(h);
-                hv.iter()
-                    .zip(&r)
-                    .zip(&t)
-                    .map(|((&a, &b), &c)| (a * b - c).abs())
-                    .sum()
-            })
-            .collect()
+    fn query(&self, ev: &Eval<'_>, dir: QueryDir, ent: usize, rel: usize, q: &mut [f32]) {
+        complex_query(&self.0, ev, dir, ent, rel, q);
     }
 
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-}
-
-impl kg::eval::BatchScorer for SpRotatE {
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        use crate::scorer::{for_each_score, stacked_query_rows_semiring, QueryDir};
-        let (n, half) = (self.num_entities, self.half_dim);
-        let emb = Complex32::slice_from_interleaved(self.store.value(self.emb).as_slice());
-        // q = h ∘ r per query via the training RotateTriple semiring kernel,
-        // then score(t) = Σⱼ |qⱼ − tⱼ| exactly as the scalar path.
-        let q = stacked_query_rows_semiring::<sparse::semiring::RotateTriple>(
-            &emb,
-            n,
-            self.num_relations,
-            half,
-            queries,
-            QueryDir::Tails,
-        );
-        for_each_score(n, 0, out, |qi, cand, _| {
-            let qr = &q[qi * half..(qi + 1) * half];
-            let t = &emb[cand * half..(cand + 1) * half];
-            qr.iter().zip(t).map(|(&a, &b)| (a - b).abs()).sum::<f32>()
-        });
-    }
-
-    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        use crate::scorer::for_each_score;
-        let (n, half) = (self.num_entities, self.half_dim);
-        let emb = Complex32::slice_from_interleaved(self.store.value(self.emb).as_slice());
-        // The rotation applies to the candidate head, so each element keeps
-        // the scalar `|h ∘ r − t|` expression.
-        for_each_score(n, 0, out, |qi, cand, _| {
-            let (rel, tail) = queries[qi];
-            let h = &emb[cand * half..(cand + 1) * half];
-            let r = &emb[(n + rel as usize) * half..(n + rel as usize + 1) * half];
-            let t = &emb[tail as usize * half..(tail as usize + 1) * half];
-            h.iter()
-                .zip(r)
-                .zip(t)
-                .map(|((&a, &b), &c)| (a * b - c).abs())
-                .sum::<f32>()
-        });
+    /// `Σⱼ |hⱼ rⱼ − tⱼ|`.
+    fn score(&self, ev: &Eval<'_>, q: &RankQuery<'_>, cand: usize, _: &mut [f32]) -> f32 {
+        let c = complex(self.0.entity(ev, cand));
+        match q.dir {
+            QueryDir::Tails => complex(q.vector).zip(c).map(|(hr, t)| (hr - t).abs()).sum(),
+            QueryDir::Heads => c
+                .zip(complex(self.0.relation(ev, q.rel)))
+                .zip(complex(q.vector))
+                .map(|((h, r), t)| (h * r - t).abs())
+                .sum(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{KgeModel, TrainConfig};
+    use kg::eval::TripleScorer;
     use kg::synthetic::SyntheticKgBuilder;
-    use kg::UniformSampler;
+    use kg::{BatchPlan, Dataset, UniformSampler};
+    use sparse::Complex32;
+
+    /// RotatE distance of one triple, from the table.
+    fn distance(model: &SpRotatE, head: u32, rel: u32, tail: u32) -> f32 {
+        let emb = model.store().value(model.embedding_param());
+        let r = model.num_entities() + rel as usize;
+        complex(emb.row(head as usize))
+            .zip(complex(emb.row(r)))
+            .zip(complex(emb.row(tail as usize)))
+            .map(|((a, b), c)| (a * b - c).abs())
+            .sum()
+    }
 
     fn setup() -> (Dataset, SpRotatE, BatchPlan) {
         let ds = SyntheticKgBuilder::new(40, 4).triples(300).seed(50).build();
@@ -285,7 +167,7 @@ mod tests {
         let batch = plan.batch(0);
         for i in 0..batch.len().min(10) {
             let t = batch.pos.get(i);
-            let want = model.distance(t.head, t.rel, t.tail);
+            let want = distance(&model, t.head, t.rel, t.tail);
             assert!((g.value(pos).get(i, 0) - want).abs() < 1e-4);
         }
     }
@@ -306,7 +188,7 @@ mod tests {
         let (_, mut model, _) = setup();
         // Force t = h ∘ r for triple (0, 0, 1).
         let emb_id = model.embedding_param();
-        let half = model.half_dim();
+        let half = model.dim();
         {
             let emb = model.store_mut().value_mut(emb_id);
             let h: Vec<f32> = emb.row(0).to_vec();
@@ -320,7 +202,7 @@ mod tests {
                 t[2 * j + 1] = prod.im;
             }
         }
-        assert!(model.distance(0, 0, 1) < 1e-5);
+        assert!(distance(&model, 0, 0, 1) < 1e-5);
         let tails = model.score_tails(0, 0);
         let best = tails
             .iter()

@@ -4,20 +4,21 @@
 //! single `hrt` SpMM) but measures it with a wraparound (torus) metric over
 //! the fractional parts of the embeddings, and applies no norm constraints.
 
-use kg::eval::{BatchScorer, TripleScorer};
-use kg::{BatchPlan, Dataset};
+use kg::{Batch, TripleStore};
 use sparse::incidence::TailSign;
-use tensor::{init, Graph, ParamId, ParamStore, Var};
+use tensor::{Graph, ParamStore, Var};
 
-use crate::model::{KgeModel, Norm, TrainConfig};
-use crate::models::{build_hrt_caches, HrtCache};
-use crate::scorer::{distances_to_rows, translational_scores_into, QueryDir};
+use crate::models::{
+    both, hrt_side, stacked_torus_init, Cx, Eval, Family, Geometry, HrtSide, Model, RankQuery,
+    Shape, Stacked, WorkingSet,
+};
+use crate::scorer::QueryDir;
 use crate::Result;
 
 /// The SpTransX TorusE model.
 ///
-/// The configured [`Norm`] is coerced to a torus metric: `L1 → TorusL1`,
-/// anything else → `TorusL2` (the paper's "L2 torus" default).
+/// The configured [`crate::Norm`] is coerced to a torus metric: `L1 →
+/// TorusL1`, `L2 → TorusL2` (the paper's "L2 torus" default).
 ///
 /// # Examples
 ///
@@ -30,184 +31,47 @@ use crate::Result;
 /// assert_eq!(sptransx::KgeModel::name(&model), "SpTorusE");
 /// # Ok::<(), sptransx::Error>(())
 /// ```
+pub type SpTorusE = Model<TorusE>;
+
+/// [`SpTorusE`]'s family: one stacked table of torus coordinates, the fused
+/// `hrt` score under a torus metric, no constraint.
 #[derive(Debug)]
-pub struct SpTorusE {
-    store: ParamStore,
-    emb: ParamId,
-    num_entities: usize,
-    num_relations: usize,
-    dim: usize,
-    norm: Norm,
-    batches: Vec<HrtCache>,
-}
+pub struct TorusE(pub Stacked);
 
-impl SpTorusE {
-    /// Initializes the model for a dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] for invalid hyperparameters.
-    pub fn from_config(dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
-        config.validate()?;
-        let (n, r, d) = (dataset.num_entities, dataset.num_relations, config.dim);
-        // Torus coordinates: uniform in [0, 1).
-        let mut emb_t = init::uniform(n + r, d, 0.5, config.seed);
-        for x in emb_t.as_mut_slice() {
-            *x += 0.5; // shift into [0, 1)
-        }
-        let norm = match config.norm {
-            Norm::L1 | Norm::TorusL1 => Norm::TorusL1,
-            _ => Norm::TorusL2,
-        };
-        let mut store = ParamStore::new();
-        let emb = store.add_param("embeddings", emb_t);
-        Ok(Self {
-            store,
-            emb,
-            num_entities: n,
-            num_relations: r,
-            dim: d,
-            norm,
-            batches: Vec::new(),
-        })
+impl Family for TorusE {
+    const NAME: &'static str = "SpTorusE";
+    const GEOMETRY: Geometry = Geometry::Torus;
+    const WORKING_SET: Option<WorkingSet<Self>> = Some(|f, side| f.0.working_set(side));
+    type Side = HrtSide;
+
+    fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
+        TorusE(Stacked::register(store, stacked_torus_init(shape, seed)))
     }
 
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
+    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[HrtSide; 2]> {
+        both(batch, |t| hrt_side(shape, t, TailSign::Negative))
     }
 
-    /// The torus metric in use.
-    pub fn metric(&self) -> Norm {
-        self.norm
+    fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {
+        g.spmm_score(cx.store, self.0.emb, side.clone(), cx.norm.row_score())
     }
 
-    /// Handle to the stacked embedding parameter.
-    pub fn embedding_param(&self) -> ParamId {
-        self.emb
-    }
-}
-
-impl KgeModel for SpTorusE {
-    fn name(&self) -> &'static str {
-        "SpTorusE"
+    fn query(&self, ev: &Eval<'_>, dir: QueryDir, ent: usize, rel: usize, q: &mut [f32]) {
+        self.0.translated(ev, dir, ent, rel, q);
     }
 
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
-    fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
-        self.batches = build_hrt_caches(
-            plan,
-            self.num_entities,
-            self.num_relations,
-            TailSign::Negative,
-        )?;
-        Ok(())
-    }
-
-    fn num_batches(&self) -> usize {
-        self.batches.len()
-    }
-
-    fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let cache = &self.batches[batch_idx];
-        let score = self.norm.row_score();
-        let pos = g.spmm_score(&self.store, self.emb, cache.pos.clone(), score);
-        let neg = g.spmm_score(&self.store, self.emb, cache.neg.clone(), score);
-        (pos, neg)
-    }
-
-    fn page_in_batch(&mut self, batch_idx: usize) -> Result<()> {
-        let cache = &self.batches[batch_idx];
-        let lists = [cache.pos.touched_columns(), cache.neg.touched_columns()];
-        self.store.page_in(self.emb, &lists)?;
-        Ok(())
-    }
-
-    fn pages() -> bool {
-        true
-    }
-}
-
-impl TripleScorer for SpTorusE {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        let emb = self.store.value(self.emb);
-        let h = emb.row(head as usize);
-        let r = emb.row(self.num_entities + rel as usize);
-        let query: Vec<f32> = h.iter().zip(r).map(|(a, b)| a + b).collect();
-        distances_to_rows(
-            emb.as_slice(),
-            self.num_entities,
-            self.dim,
-            &query,
-            self.norm,
-        )
-    }
-
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        let emb = self.store.value(self.emb);
-        let t = emb.row(tail as usize);
-        let r = emb.row(self.num_entities + rel as usize);
-        let query: Vec<f32> = t.iter().zip(r).map(|(a, b)| a - b).collect();
-        distances_to_rows(
-            emb.as_slice(),
-            self.num_entities,
-            self.dim,
-            &query,
-            self.norm,
-        )
-    }
-
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-}
-
-impl BatchScorer for SpTorusE {
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        let emb = self.store.value(self.emb);
-        translational_scores_into(
-            emb.as_slice(),
-            self.num_entities,
-            self.num_relations,
-            self.dim,
-            self.norm,
-            queries,
-            QueryDir::Tails,
-            out,
-        );
-    }
-
-    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        let emb = self.store.value(self.emb);
-        translational_scores_into(
-            emb.as_slice(),
-            self.num_entities,
-            self.num_relations,
-            self.dim,
-            self.norm,
-            queries,
-            QueryDir::Heads,
-            out,
-        );
+    fn score(&self, ev: &Eval<'_>, q: &RankQuery<'_>, cand: usize, _: &mut [f32]) -> f32 {
+        ev.norm.distance(q.vector, self.0.entity(ev, cand))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{KgeModel, Norm, TrainConfig};
+    use kg::eval::TripleScorer;
     use kg::synthetic::SyntheticKgBuilder;
-    use kg::UniformSampler;
+    use kg::{BatchPlan, UniformSampler};
 
     #[test]
     fn norm_is_coerced_to_torus() {

@@ -5,14 +5,16 @@
 //! batch's `h + r − t` expressions as a single SpMM with the `hrt` incidence
 //! matrix (§4.2.2); the backward pass is one SpMM with the cached transpose.
 
-use kg::eval::{BatchScorer, TripleScorer};
-use kg::{BatchPlan, Dataset};
+use kg::{Batch, TripleStore};
 use sparse::incidence::TailSign;
-use tensor::{Graph, ParamId, ParamStore, Var};
+use tensor::{Graph, ParamStore, Var};
 
-use crate::model::{normalize_leading_rows, KgeModel, Norm, TrainConfig};
-use crate::models::{build_hrt_caches, HrtCache};
-use crate::scorer::{distances_to_rows, translational_scores_into, QueryDir};
+use crate::model::normalize_leading_rows;
+use crate::models::{
+    both, hrt_side, stacked_transe_init, Cx, Eval, Family, HrtSide, Model, RankQuery, Shape,
+    Stacked, WorkingSet,
+};
+use crate::scorer::QueryDir;
 use crate::Result;
 
 /// The SpTransX TransE model.
@@ -29,181 +31,52 @@ use crate::Result;
 /// assert_eq!(model.dim(), 8);
 /// # Ok::<(), sptransx::Error>(())
 /// ```
+pub type SpTransE = Model<TransE>;
+
+/// [`SpTransE`]'s family: one stacked table, the fused `hrt` score under the
+/// configured norm, unit-norm entities.
 #[derive(Debug)]
-pub struct SpTransE {
-    store: ParamStore,
-    emb: ParamId,
-    num_entities: usize,
-    num_relations: usize,
-    dim: usize,
-    norm: Norm,
-    batches: Vec<HrtCache>,
-}
+pub struct TransE(pub Stacked);
 
-impl SpTransE {
-    /// Initializes the model for a dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] for invalid hyperparameters.
-    pub fn from_config(dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
-        config.validate()?;
-        let (n, r, d) = (dataset.num_entities, dataset.num_relations, config.dim);
-        // TransE normalizes entity embeddings (not relations) at init and
-        // after every epoch.
-        let emb_t = crate::models::stacked_transe_init(n, r, d, config.seed);
-        let mut store = ParamStore::new();
-        let emb = store.add_param("embeddings", emb_t);
-        Ok(Self {
-            store,
-            emb,
-            num_entities: n,
-            num_relations: r,
-            dim: d,
-            norm: config.norm,
-            batches: Vec::new(),
-        })
+impl Family for TransE {
+    const NAME: &'static str = "SpTransE";
+    const WORKING_SET: Option<WorkingSet<Self>> = Some(|f, side| f.0.working_set(side));
+    type Side = HrtSide;
+
+    fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
+        TransE(Stacked::register(store, stacked_transe_init(shape, seed)))
     }
 
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
+    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[HrtSide; 2]> {
+        both(batch, |t| hrt_side(shape, t, TailSign::Negative))
     }
 
-    /// Number of entities.
-    pub fn num_entities(&self) -> usize {
-        self.num_entities
+    fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {
+        g.spmm_score(cx.store, self.0.emb, side.clone(), cx.norm.row_score())
     }
 
-    /// Number of relations.
-    pub fn num_relations(&self) -> usize {
-        self.num_relations
+    fn end_epoch(&self, store: &mut ParamStore, shape: &Shape) {
+        // Entities (not relations) are normalized at init and after every
+        // epoch.
+        normalize_leading_rows(store, self.0.emb, shape.entities);
     }
 
-    /// Handle to the stacked `(N + R) × d` embedding parameter.
-    pub fn embedding_param(&self) -> ParamId {
-        self.emb
-    }
-}
-
-impl KgeModel for SpTransE {
-    fn name(&self) -> &'static str {
-        "SpTransE"
+    fn query(&self, ev: &Eval<'_>, dir: QueryDir, ent: usize, rel: usize, q: &mut [f32]) {
+        self.0.translated(ev, dir, ent, rel, q);
     }
 
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
-    fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
-        self.batches = build_hrt_caches(
-            plan,
-            self.num_entities,
-            self.num_relations,
-            TailSign::Negative,
-        )?;
-        Ok(())
-    }
-
-    fn num_batches(&self) -> usize {
-        self.batches.len()
-    }
-
-    fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let cache = &self.batches[batch_idx];
-        let score = self.norm.row_score();
-        let pos = g.spmm_score(&self.store, self.emb, cache.pos.clone(), score);
-        let neg = g.spmm_score(&self.store, self.emb, cache.neg.clone(), score);
-        (pos, neg)
-    }
-
-    fn end_epoch(&mut self) {
-        normalize_leading_rows(&mut self.store, self.emb, self.num_entities);
-    }
-
-    fn page_in_batch(&mut self, batch_idx: usize) -> Result<()> {
-        // The batch's working set is exactly the union of the columns its
-        // two cached incidence matrices touch — known before any kernel
-        // runs, so every row is pinned resident for the whole step.
-        let cache = &self.batches[batch_idx];
-        let lists = [cache.pos.touched_columns(), cache.neg.touched_columns()];
-        self.store.page_in(self.emb, &lists)?;
-        Ok(())
-    }
-
-    fn pages() -> bool {
-        true
-    }
-}
-
-impl TripleScorer for SpTransE {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        let emb = self.store.value(self.emb);
-        let d = self.dim;
-        let h = emb.row(head as usize);
-        let r = emb.row(self.num_entities + rel as usize);
-        let query: Vec<f32> = h.iter().zip(r).map(|(a, b)| a + b).collect();
-        distances_to_rows(emb.as_slice(), self.num_entities, d, &query, self.norm)
-    }
-
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        let emb = self.store.value(self.emb);
-        let d = self.dim;
-        let t = emb.row(tail as usize);
-        let r = emb.row(self.num_entities + rel as usize);
-        // ‖h + r − t‖ = ‖h − (t − r)‖.
-        let query: Vec<f32> = t.iter().zip(r).map(|(a, b)| a - b).collect();
-        distances_to_rows(emb.as_slice(), self.num_entities, d, &query, self.norm)
-    }
-
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-}
-
-impl BatchScorer for SpTransE {
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        let emb = self.store.value(self.emb);
-        translational_scores_into(
-            emb.as_slice(),
-            self.num_entities,
-            self.num_relations,
-            self.dim,
-            self.norm,
-            queries,
-            QueryDir::Tails,
-            out,
-        );
-    }
-
-    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        let emb = self.store.value(self.emb);
-        translational_scores_into(
-            emb.as_slice(),
-            self.num_entities,
-            self.num_relations,
-            self.dim,
-            self.norm,
-            queries,
-            QueryDir::Heads,
-            out,
-        );
+    fn score(&self, ev: &Eval<'_>, q: &RankQuery<'_>, cand: usize, _: &mut [f32]) -> f32 {
+        ev.norm.distance(q.vector, self.0.entity(ev, cand))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{KgeModel, TrainConfig};
+    use kg::eval::TripleScorer;
     use kg::synthetic::SyntheticKgBuilder;
-    use kg::UniformSampler;
+    use kg::{BatchPlan, Dataset, UniformSampler};
 
     fn setup() -> (Dataset, SpTransE, BatchPlan) {
         let ds = SyntheticKgBuilder::new(50, 4).triples(400).seed(2).build();
@@ -226,19 +99,6 @@ mod tests {
             let norm: f32 = emb.row(i).iter().map(|x| x * x).sum::<f32>().sqrt();
             assert!((norm - 1.0).abs() < 1e-5, "entity {i} norm {norm}");
         }
-    }
-
-    #[test]
-    fn score_batch_shapes() {
-        let (_, mut model, plan) = setup();
-        model.attach_plan(&plan).unwrap();
-        assert_eq!(model.num_batches(), plan.num_batches());
-        let mut g = Graph::new();
-        let (pos, neg) = model.score_batch(&mut g, 0);
-        assert_eq!(g.value(pos).shape(), (plan.batch(0).len(), 1));
-        assert_eq!(g.value(neg).shape(), (plan.batch(0).len(), 1));
-        // Distances are non-negative.
-        assert!(g.value(pos).as_slice().iter().all(|&x| x >= 0.0));
     }
 
     #[test]

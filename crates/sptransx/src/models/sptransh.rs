@@ -13,13 +13,12 @@
 //! expression reuse is why the paper reports ~11× lower GPU memory for
 //! TransH (§6.2.2).
 
-use kg::eval::{BatchScorer, TripleScorer};
-use kg::{BatchPlan, Dataset};
+use kg::{Batch, TripleStore};
 use tensor::{init, Graph, ParamId, ParamStore, Var};
 
-use crate::model::{normalize_leading_rows, KgeModel, Norm, TrainConfig};
-use crate::models::{build_ht_caches, HtCache};
-use crate::scorer::{hyperplane_scores_into, QueryDir};
+use crate::model::normalize_leading_rows;
+use crate::models::{both, ht_side, Cx, Eval, Family, HtSide, Model, RankQuery, Shape};
+use crate::scorer::QueryDir;
 use crate::Result;
 
 /// The SpTransX TransH model.
@@ -38,190 +37,129 @@ use crate::Result;
 /// assert_eq!(sptransx::KgeModel::name(&model), "SpTransH");
 /// # Ok::<(), sptransx::Error>(())
 /// ```
-#[derive(Debug)]
-pub struct SpTransH {
-    store: ParamStore,
-    ent: ParamId,
-    normals: ParamId,
-    translations: ParamId,
-    num_entities: usize,
-    num_relations: usize,
-    dim: usize,
-    norm: Norm,
-    batches: Vec<HtCache>,
+pub type SpTransH = Model<TransH>;
+
+/// The TransH parameters, shared by [`SpTransH`] and
+/// [`crate::DenseTransH`] with everything that depends on them alone: their
+/// initialization, the unit-norm constraints and the evaluation transforms.
+#[derive(Debug, Clone, Copy)]
+pub struct Hyperplanes {
+    /// `entities`, `(N, d)`.
+    pub ent: ParamId,
+    /// `normals`, `(R, d)`, unit rows.
+    pub normals: ParamId,
+    /// `translations`, `(R, d)`.
+    pub translations: ParamId,
 }
 
-impl SpTransH {
-    /// Initializes the model for a dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] for invalid hyperparameters.
-    pub fn from_config(dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
-        config.validate()?;
-        let (n, r, d) = (dataset.num_entities, dataset.num_relations, config.dim);
-        let mut store = ParamStore::new();
-        let ent = store.add_param("entities", init::xavier_normalized(n, d, config.seed));
-        let normals = store.add_param("normals", init::xavier_normalized(r, d, config.seed + 1));
-        let translations = store.add_param(
-            "translations",
-            init::xavier_translational(r, d, config.seed + 2),
-        );
-        Ok(Self {
-            store,
-            ent,
-            normals,
-            translations,
-            num_entities: n,
-            num_relations: r,
-            dim: d,
-            norm: match config.norm {
-                Norm::TorusL1 | Norm::TorusL2 => Norm::L2,
-                other => other,
-            },
-            batches: Vec::new(),
-        })
+impl Hyperplanes {
+    pub(crate) fn register(store: &mut ParamStore, s: &Shape, seed: u64) -> Self {
+        let (r, d) = (s.relations, s.dim);
+        Self {
+            ent: store.add_param("entities", init::xavier_normalized(s.entities, d, seed)),
+            normals: store.add_param("normals", init::xavier_normalized(r, d, seed + 1)),
+            translations: store
+                .add_param("translations", init::xavier_translational(r, d, seed + 2)),
+        }
     }
 
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Handles to `(entities, normals, translations)` parameters.
-    pub fn params(&self) -> (ParamId, ParamId, ParamId) {
-        (self.ent, self.normals, self.translations)
-    }
-
-    /// Projects `x` onto relation `rel`'s hyperplane (evaluation helper).
-    fn project(&self, rel: usize, x: &[f32]) -> Vec<f32> {
-        let w = self.store.value(self.normals).row(rel);
-        let dot: f32 = w.iter().zip(x).map(|(a, b)| a * b).sum();
-        x.iter().zip(w).map(|(xi, wi)| xi - dot * wi).collect()
-    }
-}
-
-impl KgeModel for SpTransH {
-    fn name(&self) -> &'static str {
-        "SpTransH"
-    }
-
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
-    fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
-        self.batches = build_ht_caches(plan, self.num_entities)?;
-        Ok(())
-    }
-
-    fn num_batches(&self) -> usize {
-        self.batches.len()
-    }
-
-    fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let cache = &self.batches[batch_idx];
-        let side = |g: &mut Graph,
-                    pair: &std::sync::Arc<sparse::incidence::IncidencePair>,
-                    rels: &std::sync::Arc<Vec<u32>>| {
-            // (h − t) + dᵣ − wᵣ(wᵣᵀ(h − t)): ht computed once and reused.
-            // Index lists are Arc-shared with the tape (no per-batch copy).
-            let ht = g.spmm(&self.store, self.ent, pair.clone());
-            let w = g.gather(&self.store, self.normals, rels.clone());
-            let dr = g.gather(&self.store, self.translations, rels.clone());
-            let dot = g.row_dot(w, ht);
-            let proj = g.scale_rows(w, dot);
-            let perp = g.sub(ht, proj);
-            let expr = g.add(perp, dr);
-            self.norm.apply(g, expr)
-        };
-        let pos = side(g, &cache.pos, &cache.pos_rels);
-        let neg = side(g, &cache.neg, &cache.neg_rels);
-        (pos, neg)
-    }
-
-    fn end_epoch(&mut self) {
-        normalize_leading_rows(&mut self.store, self.ent, self.num_entities);
+    pub(crate) fn end_epoch(&self, store: &mut ParamStore, s: &Shape) {
+        normalize_leading_rows(store, self.ent, s.entities);
         // Hyperplane normals are unit vectors by definition.
-        normalize_leading_rows(&mut self.store, self.normals, self.num_relations);
+        normalize_leading_rows(store, self.normals, s.relations);
+    }
+
+    /// `out = x⊥ = x − (wᵣᵀx)wᵣ`: `x` projected onto relation `rel`'s
+    /// hyperplane.
+    fn project(&self, ev: &Eval<'_>, rel: usize, x: &[f32], out: &mut [f32]) {
+        let w = ev.row(self.normals, rel);
+        let dot: f32 = w.iter().zip(x).map(|(a, b)| a * b).sum();
+        for ((o, xi), wi) in out.iter_mut().zip(x).zip(w) {
+            *o = xi - dot * wi;
+        }
+    }
+
+    /// `q = h⊥ + dᵣ` (tails) or `t⊥ − dᵣ` (heads).
+    pub(crate) fn query(
+        &self,
+        ev: &Eval<'_>,
+        dir: QueryDir,
+        ent: usize,
+        rel: usize,
+        q: &mut [f32],
+    ) {
+        self.project(ev, rel, ev.row(self.ent, ent), q);
+        dir.translate(q, ev.row(self.translations, rel));
+    }
+
+    /// The distance from `q` to the candidate's projection.
+    pub(crate) fn score(
+        &self,
+        ev: &Eval<'_>,
+        q: &RankQuery<'_>,
+        cand: usize,
+        scratch: &mut [f32],
+    ) -> f32 {
+        self.project(ev, q.rel, ev.row(self.ent, cand), scratch);
+        q.dir.distance(ev.norm, q.vector, scratch)
     }
 }
 
-impl TripleScorer for SpTransH {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        let ent = self.store.value(self.ent);
-        let dr = self.store.value(self.translations).row(rel as usize);
-        let hp = self.project(rel as usize, ent.row(head as usize));
-        let query: Vec<f32> = hp.iter().zip(dr).map(|(a, b)| a + b).collect();
-        (0..self.num_entities)
-            .map(|t| {
-                let tp = self.project(rel as usize, ent.row(t));
-                self.norm.distance(&query, &tp)
-            })
-            .collect()
+/// [`SpTransH`]'s family: the rearranged expression over one `ht` SpMM.
+#[derive(Debug)]
+pub struct TransH(pub Hyperplanes);
+
+impl Family for TransH {
+    const NAME: &'static str = "SpTransH";
+    type Side = HtSide;
+
+    fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
+        TransH(Hyperplanes::register(store, shape, seed))
     }
 
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        let ent = self.store.value(self.ent);
-        let dr = self.store.value(self.translations).row(rel as usize);
-        let tp = self.project(rel as usize, ent.row(tail as usize));
-        let query: Vec<f32> = tp.iter().zip(dr).map(|(a, b)| a - b).collect();
-        (0..self.num_entities)
-            .map(|h| {
-                let hp = self.project(rel as usize, ent.row(h));
-                self.norm.distance(&hp, &query)
-            })
-            .collect()
+    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[HtSide; 2]> {
+        both(batch, |t| ht_side(shape, t))
     }
 
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-}
-
-impl BatchScorer for SpTransH {
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        hyperplane_scores_into(
-            self.store.value(self.ent).as_slice(),
-            self.store.value(self.normals).as_slice(),
-            self.store.value(self.translations).as_slice(),
-            self.num_entities,
-            self.dim,
-            self.norm,
-            queries,
-            QueryDir::Tails,
-            out,
-        );
+    fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HtSide) -> Var {
+        let p = &self.0;
+        // (h − t) + dᵣ − wᵣ(wᵣᵀ(h − t)): ht computed once and reused.
+        let ht = g.spmm(cx.store, p.ent, side.pair.clone());
+        let w = g.gather(cx.store, p.normals, side.rels.clone());
+        let dr = g.gather(cx.store, p.translations, side.rels.clone());
+        let dot = g.row_dot(w, ht);
+        let proj = g.scale_rows(w, dot);
+        let perp = g.sub(ht, proj);
+        let expr = g.add(perp, dr);
+        cx.norm.apply(g, expr)
     }
 
-    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        hyperplane_scores_into(
-            self.store.value(self.ent).as_slice(),
-            self.store.value(self.normals).as_slice(),
-            self.store.value(self.translations).as_slice(),
-            self.num_entities,
-            self.dim,
-            self.norm,
-            queries,
-            QueryDir::Heads,
-            out,
-        );
+    fn end_epoch(&self, store: &mut ParamStore, shape: &Shape) {
+        self.0.end_epoch(store, shape);
+    }
+
+    fn query(&self, ev: &Eval<'_>, dir: QueryDir, ent: usize, rel: usize, q: &mut [f32]) {
+        self.0.query(ev, dir, ent, rel, q);
+    }
+
+    fn score(&self, ev: &Eval<'_>, q: &RankQuery<'_>, cand: usize, scratch: &mut [f32]) -> f32 {
+        self.0.score(ev, q, cand, scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{KgeModel, TrainConfig};
     use kg::synthetic::SyntheticKgBuilder;
-    use kg::UniformSampler;
+    use kg::{BatchPlan, Dataset, UniformSampler};
+
+    /// `x` projected onto relation `rel`'s hyperplane.
+    fn project(model: &SpTransH, rel: usize, x: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0; model.dim()];
+        model.family().0.project(&model.eval(), rel, x, &mut out);
+        out
+    }
 
     fn setup() -> (Dataset, SpTransH, BatchPlan) {
         let ds = SyntheticKgBuilder::new(40, 4).triples(300).seed(11).build();
@@ -245,13 +183,13 @@ mod tests {
         let mut g = Graph::new();
         let (pos, _) = model.score_batch(&mut g, 0);
         let batch = plan.batch(0);
-        let ent_id = model.params().0;
-        let ent = model.store().value(ent_id);
+        let params = model.family().0;
+        let ent = model.store().value(params.ent);
         for i in 0..batch.len().min(8) {
             let t = batch.pos.get(i);
-            let hp = model.project(t.rel as usize, ent.row(t.head as usize));
-            let tp = model.project(t.rel as usize, ent.row(t.tail as usize));
-            let dr = model.store().value(model.params().2).row(t.rel as usize);
+            let hp = project(&model, t.rel as usize, ent.row(t.head as usize));
+            let tp = project(&model, t.rel as usize, ent.row(t.tail as usize));
+            let dr = model.store().value(params.translations).row(t.rel as usize);
             let mut dist = 0.0f32;
             for j in 0..model.dim() {
                 let v = hp[j] + dr[j] - tp[j];
@@ -274,16 +212,16 @@ mod tests {
         let (pos, neg) = model.score_batch(&mut g, 0);
         let loss = g.margin_ranking_loss(pos, neg, 5.0);
         g.backward(loss, model.store_mut());
-        let (ent, w, d) = model.params();
-        assert!(model.store().grad(ent).frobenius_norm() > 0.0);
-        assert!(model.store().grad(w).frobenius_norm() > 0.0);
-        assert!(model.store().grad(d).frobenius_norm() > 0.0);
+        let p = model.family().0;
+        for id in [p.ent, p.normals, p.translations] {
+            assert!(model.store().grad(id).frobenius_norm() > 0.0);
+        }
     }
 
     #[test]
     fn end_epoch_normalizes_normals() {
         let (_, mut model, _) = setup();
-        let w_id = model.params().1;
+        let w_id = model.family().0.normals;
         model.store_mut().value_mut(w_id).as_mut_slice()[0] = 50.0;
         model.end_epoch();
         let w = model.store().value(w_id);
@@ -294,10 +232,9 @@ mod tests {
     #[test]
     fn projection_is_idempotent() {
         let (_, model, _) = setup();
-        let ent_id = model.params().0;
-        let x = model.store().value(ent_id).row(0).to_vec();
-        let p1 = model.project(0, &x);
-        let p2 = model.project(0, &p1);
+        let x = model.store().value(model.embedding_param()).row(0).to_vec();
+        let p1 = project(&model, 0, &x);
+        let p2 = project(&model, 0, &p1);
         for (a, b) in p1.iter().zip(&p2) {
             assert!(
                 (a - b).abs() < 1e-5,

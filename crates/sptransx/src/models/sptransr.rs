@@ -8,13 +8,13 @@
 
 use std::sync::Arc;
 
-use kg::eval::TripleScorer;
-use kg::{BatchPlan, Dataset};
+use kg::{Batch, TripleStore};
 use sparse::incidence::IncidencePair;
 use tensor::{init, Graph, ParamId, ParamStore, Var};
 
-use crate::model::{KgeModel, Norm, TrainConfig};
-use crate::models::{build_ht_caches, build_rel_groups, HtCache, RelGroups};
+use crate::model::normalize_leading_rows;
+use crate::models::{both, ht_side, rel_groups, Cx, Eval, Family, HtSide, Model, RankQuery, Shape};
+use crate::scorer::QueryDir;
 use crate::Result;
 
 /// The SpTransX TransR model.
@@ -32,225 +32,127 @@ use crate::Result;
 /// let ds = SyntheticKgBuilder::new(40, 3).triples(200).seed(1).build();
 /// let config = TrainConfig { dim: 8, rel_dim: 4, ..Default::default() };
 /// let model = SpTransR::from_config(&ds, &config)?;
-/// assert_eq!(model.rel_dim(), 4);
+/// assert_eq!(model.shape().rel_dim, 4);
 /// # Ok::<(), sptransx::Error>(())
 /// ```
+pub type SpTransR = Model<TransR>;
+
+/// The TransR parameters, shared by [`SpTransR`] and
+/// [`crate::DenseTransR`] with everything that depends on them alone: their
+/// initialization, the entity constraint and the evaluation transforms.
+#[derive(Debug, Clone, Copy)]
+pub struct Projections {
+    /// `entities`, `(N, d)`.
+    pub ent: ParamId,
+    /// `relations`, `(R, k)`.
+    pub rel: ParamId,
+    /// `projections`, `(R, k·d)`: one row-major `k × d` matrix per row.
+    pub mats: ParamId,
+}
+
+impl Projections {
+    pub(crate) fn register(store: &mut ParamStore, s: &Shape, seed: u64) -> Self {
+        let (r, d, k) = (s.relations, s.dim, s.rel_dim);
+        Self {
+            ent: store.add_param("entities", init::xavier_normalized(s.entities, d, seed)),
+            rel: store.add_param("relations", init::xavier_translational(r, k, seed + 1)),
+            mats: store.add_param("projections", init::stacked_identity(r, k, d)),
+        }
+    }
+
+    pub(crate) fn end_epoch(&self, store: &mut ParamStore, s: &Shape) {
+        normalize_leading_rows(store, self.ent, s.entities);
+    }
+
+    /// `out = Mᵣ · e`: entity `e` (length `d`) in relation `rel`'s space
+    /// (length `k`).
+    fn project(&self, ev: &Eval<'_>, rel: usize, e: usize, out: &mut [f32]) {
+        let (x, mat) = (ev.row(self.ent, e), ev.row(self.mats, rel));
+        for (o, row) in out.iter_mut().zip(mat.chunks_exact(ev.shape.dim)) {
+            *o = row.iter().zip(x).map(|(m, v)| m * v).sum();
+        }
+    }
+
+    /// `q = Mᵣh + r` (tails) or `Mᵣt − r` (heads).
+    pub(crate) fn query(
+        &self,
+        ev: &Eval<'_>,
+        dir: QueryDir,
+        ent: usize,
+        rel: usize,
+        q: &mut [f32],
+    ) {
+        self.project(ev, rel, ent, q);
+        dir.translate(q, ev.row(self.rel, rel));
+    }
+
+    /// The distance from `q` to the candidate's projection, in the
+    /// `k`-dimensional relation space.
+    pub(crate) fn score(
+        &self,
+        ev: &Eval<'_>,
+        q: &RankQuery<'_>,
+        cand: usize,
+        scratch: &mut [f32],
+    ) -> f32 {
+        self.project(ev, q.rel, cand, scratch);
+        q.dir.distance(ev.norm, q.vector, scratch)
+    }
+}
+
+/// [`SpTransR`]'s family: `Mᵣ(h − t) + r`, one `ht` SpMM and one projection
+/// per triple.
 #[derive(Debug)]
-pub struct SpTransR {
-    store: ParamStore,
-    ent: ParamId,
-    rel: ParamId,
-    mats: ParamId,
-    num_entities: usize,
-    num_relations: usize,
-    dim: usize,
-    rel_dim: usize,
-    norm: Norm,
-    batches: Vec<HtCache>,
-    by_rel: Vec<RelGroups>,
-}
+pub struct TransR(pub Projections);
 
-impl SpTransR {
-    /// Initializes the model for a dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] for invalid hyperparameters.
-    pub fn from_config(dataset: &Dataset, config: &TrainConfig) -> Result<Self> {
-        config.validate()?;
-        let (n, r) = (dataset.num_entities, dataset.num_relations);
-        let (d, k) = (config.dim, config.rel_dim);
-        let mut store = ParamStore::new();
-        let ent = store.add_param("entities", init::xavier_normalized(n, d, config.seed));
-        let rel = store.add_param(
-            "relations",
-            init::xavier_translational(r, k, config.seed + 1),
-        );
-        let mats = store.add_param("projections", init::stacked_identity(r, k, d));
-        Ok(Self {
-            store,
-            ent,
-            rel,
-            mats,
-            num_entities: n,
-            num_relations: r,
-            dim: d,
-            rel_dim: k,
-            norm: match config.norm {
-                Norm::TorusL1 | Norm::TorusL2 => Norm::L2, // torus metrics are TorusE-only
-                other => other,
-            },
-            batches: Vec::new(),
-            by_rel: Vec::new(),
-        })
+impl Family for TransR {
+    const NAME: &'static str = "SpTransR";
+    /// The `ht` side and the side's triples grouped by relation.
+    type Side = (HtSide, Arc<IncidencePair>);
+
+    fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
+        TransR(Projections::register(store, shape, seed))
     }
 
-    /// Entity embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
+    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[Self::Side; 2]> {
+        let [pos, neg] = both(batch, |t| ht_side(shape, t))?;
+        let [pos_groups, neg_groups] = rel_groups(shape, batch)?;
+        Ok([(pos, pos_groups), (neg, neg_groups)])
     }
 
-    /// Relation-space dimension.
-    pub fn rel_dim(&self) -> usize {
-        self.rel_dim
+    fn side(&self, cx: &Cx<'_>, g: &mut Graph, (side, by_rel): &Self::Side) -> Var {
+        let (p, k) = (&self.0, cx.shape.rel_dim);
+        let ht = g.spmm(cx.store, p.ent, side.pair.clone());
+        let proj = g.project_rows(cx.store, p.mats, ht, by_rel.clone(), k);
+        let r = g.gather(cx.store, p.rel, side.rels.clone());
+        let expr = g.add(proj, r);
+        cx.norm.apply(g, expr)
     }
 
-    /// Number of relations.
-    pub fn num_relations(&self) -> usize {
-        self.num_relations
+    fn end_epoch(&self, store: &mut ParamStore, shape: &Shape) {
+        self.0.end_epoch(store, shape);
     }
 
-    /// Handles to `(entities, relations, projections)` parameters.
-    pub fn params(&self) -> (ParamId, ParamId, ParamId) {
-        (self.ent, self.rel, self.mats)
+    fn query_len(shape: &Shape) -> usize {
+        shape.rel_dim
     }
 
-    /// Projects `vec` (length `d`) with relation `r`'s matrix into the
-    /// relation space (length `k`) — evaluation helper.
-    fn project(&self, rel: usize, vec: &[f32]) -> Vec<f32> {
-        let mats = self.store.value(self.mats);
-        let mat = mats.row(rel);
-        let (k, d) = (self.rel_dim, self.dim);
-        (0..k)
-            .map(|o| {
-                let row = &mat[o * d..(o + 1) * d];
-                row.iter().zip(vec).map(|(m, v)| m * v).sum()
-            })
-            .collect()
-    }
-}
-
-impl KgeModel for SpTransR {
-    fn name(&self) -> &'static str {
-        "SpTransR"
+    fn query(&self, ev: &Eval<'_>, dir: QueryDir, ent: usize, rel: usize, q: &mut [f32]) {
+        self.0.query(ev, dir, ent, rel, q);
     }
 
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
-    fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
-        self.batches = build_ht_caches(plan, self.num_entities)?;
-        self.by_rel = build_rel_groups(plan, self.num_relations)?;
-        Ok(())
-    }
-
-    fn num_batches(&self) -> usize {
-        self.batches.len()
-    }
-
-    fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
-        let (cache, by_rel) = (&self.batches[batch_idx], &self.by_rel[batch_idx]);
-        let side = |g: &mut Graph,
-                    pair: &Arc<IncidencePair>,
-                    by_rel: &Arc<IncidencePair>,
-                    rels: &Arc<Vec<u32>>| {
-            // Mᵣ(h − t) + r, one SpMM + one projection per triple. Incidence
-            // pairs and index lists are Arc-shared with the tape (no
-            // per-batch copy).
-            let ht = g.spmm(&self.store, self.ent, pair.clone());
-            let proj = g.project_rows(&self.store, self.mats, ht, by_rel.clone(), self.rel_dim);
-            let r = g.gather(&self.store, self.rel, rels.clone());
-            let expr = g.add(proj, r);
-            self.norm.apply(g, expr)
-        };
-        let pos = side(g, &cache.pos, &by_rel.pos, &cache.pos_rels);
-        let neg = side(g, &cache.neg, &by_rel.neg, &cache.neg_rels);
-        (pos, neg)
-    }
-
-    fn end_epoch(&mut self) {
-        crate::model::normalize_leading_rows(&mut self.store, self.ent, self.num_entities);
-    }
-}
-
-impl TripleScorer for SpTransR {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        let ent = self.store.value(self.ent);
-        let r_emb = self.store.value(self.rel);
-        let ph = self.project(rel as usize, ent.row(head as usize));
-        // score(t) = ‖(Mᵣh + r) − Mᵣt‖.
-        let query: Vec<f32> = ph
-            .iter()
-            .zip(r_emb.row(rel as usize))
-            .map(|(a, b)| a + b)
-            .collect();
-        (0..self.num_entities)
-            .map(|t| {
-                let pt = self.project(rel as usize, ent.row(t));
-                self.norm.distance(&query, &pt)
-            })
-            .collect()
-    }
-
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        let ent = self.store.value(self.ent);
-        let r_emb = self.store.value(self.rel);
-        let pt = self.project(rel as usize, ent.row(tail as usize));
-        // score(h) = ‖Mᵣh − (Mᵣt − r)‖.
-        let query: Vec<f32> = pt
-            .iter()
-            .zip(r_emb.row(rel as usize))
-            .map(|(a, b)| a - b)
-            .collect();
-        (0..self.num_entities)
-            .map(|h| {
-                let ph = self.project(rel as usize, ent.row(h));
-                self.norm.distance(&ph, &query)
-            })
-            .collect()
-    }
-
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-}
-
-impl kg::eval::BatchScorer for SpTransR {
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        crate::scorer::projected_scores_into(
-            self.store.value(self.ent).as_slice(),
-            self.store.value(self.rel).as_slice(),
-            self.store.value(self.mats).as_slice(),
-            self.num_entities,
-            self.dim,
-            self.rel_dim,
-            self.norm,
-            queries,
-            crate::scorer::QueryDir::Tails,
-            out,
-        );
-    }
-
-    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        crate::scorer::projected_scores_into(
-            self.store.value(self.ent).as_slice(),
-            self.store.value(self.rel).as_slice(),
-            self.store.value(self.mats).as_slice(),
-            self.num_entities,
-            self.dim,
-            self.rel_dim,
-            self.norm,
-            queries,
-            crate::scorer::QueryDir::Heads,
-            out,
-        );
+    fn score(&self, ev: &Eval<'_>, q: &RankQuery<'_>, cand: usize, scratch: &mut [f32]) -> f32 {
+        self.0.score(ev, q, cand, scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{KgeModel, TrainConfig};
+    use kg::eval::TripleScorer;
     use kg::synthetic::SyntheticKgBuilder;
-    use kg::UniformSampler;
+    use kg::{BatchPlan, Dataset, UniformSampler};
 
     fn setup() -> (Dataset, SpTransR, BatchPlan) {
         let ds = SyntheticKgBuilder::new(40, 4).triples(300).seed(6).build();
@@ -283,9 +185,9 @@ mod tests {
         let mut g = Graph::new();
         let (pos, _) = model.score_batch(&mut g, 0);
         let batch = plan.batch(0);
-        let (ent_id, rel_id, _) = model.params();
-        let ent = model.store().value(ent_id);
-        let rel = model.store().value(rel_id);
+        let params = model.family().0;
+        let ent = model.store().value(params.ent);
+        let rel = model.store().value(params.rel);
         for i in 0..batch.len().min(8) {
             let t = batch.pos.get(i);
             let mut dist = 0.0f32;
@@ -316,10 +218,10 @@ mod tests {
         let (pos, neg) = model.score_batch(&mut g, 0);
         let loss = g.margin_ranking_loss(pos, neg, 5.0); // large margin: all active
         g.backward(loss, model.store_mut());
-        let (ent, rel, mats) = model.params();
-        assert!(model.store().grad(ent).frobenius_norm() > 0.0);
-        assert!(model.store().grad(rel).frobenius_norm() > 0.0);
-        assert!(model.store().grad(mats).frobenius_norm() > 0.0);
+        let p = model.family().0;
+        for id in [p.ent, p.rel, p.mats] {
+            assert!(model.store().grad(id).frobenius_norm() > 0.0);
+        }
     }
 
     #[test]

@@ -1,63 +1,38 @@
-//! Evaluation scoring helpers and the complex-embedding scorers
-//! (ComplEx / RotatE, paper Appendix D).
+//! The two evaluation walks every scorer in this crate runs on.
 //!
-//! The second half of this module is the **batched evaluation engine**: the
-//! shared kernels behind every model's [`kg::eval::BatchScorer`]
-//! implementation. A chunk of ranking queries is turned into a 2-nonzero
-//! query incidence matrix, pushed through the same `sparse::spmm` /
-//! `sparse::semiring` kernels used in training to materialize the query
-//! vectors, and then scored against every candidate entity with one
-//! pool-parallel pass over the `(chunk × num_entities)` output buffer —
-//! replacing one heap-allocated `Vec` and one kernel dispatch *per query*
-//! with one of each *per chunk*. (The standalone ComplEx/RotatE scorers use
-//! a per-query *candidates* incidence instead — see
-//! `candidate_semiring_scores_into` for the cost trade-off.)
+//! A ranking query fixes one entity and a relation and scores every
+//! candidate entity for the open slot. What a model contributes is two
+//! closures — *form the query vector* and *score one candidate against it*
+//! (for the thirteen training models, their [`crate::Family`]'s `query` and
+//! `score` hooks; for [`crate::serve::ServeModel`], a gather and a distance).
+//! The walks are written once, here:
 //!
-//! Every helper reproduces its scalar counterpart's arithmetic
-//! operation-for-operation, so batched and scalar evaluation produce
-//! bit-identical score buffers (property-tested in
-//! `tests/batch_eval_properties.rs`).
+//! * [`scalar_scores`] — one query, one output `Vec`, candidates one at a
+//!   time on the calling thread. The reference.
+//! * [`batched_scores_into`] — a chunk of queries: every query vector up
+//!   front into one buffer, then one pool-parallel pass over the
+//!   `(chunk × num_entities)` output, replacing one heap-allocated `Vec` and
+//!   one dispatch *per query* with one of each *per chunk*.
+//!
+//! Both call the same closures with the same operands in the same order, so
+//! they produce bit-identical score buffers (property-tested in
+//! `tests/batch_eval_properties.rs`); `tests/kernel_golden.rs` pins the
+//! closures themselves across builds.
+//!
+//! [`stacked_query_rows`] builds translational query vectors through the
+//! training SpMM kernel instead (`1·h + 1·r` and `1·t + (−1)·r` are bit-equal
+//! to the gathered `h + r` and `t − r`); the serving layer's ANN probe uses it.
 
-use kg::eval::{BatchScorer, TripleScorer};
-use sparse::incidence::{hrt, TailSign};
-use sparse::semiring::{
-    semiring_spmm, semiring_spmm_into, ComplexTriple, RotateTriple, Semiring, TimesTimes,
-};
 use sparse::spmm::csr_spmm_into;
-use sparse::{Complex32, CooMatrix, CsrMatrix, DenseView};
+use sparse::{CooMatrix, CsrMatrix, DenseView};
 
 use crate::model::Norm;
-
-/// Distances from `query` to each of the first `n` rows of a row-major
-/// `buffer` with row width `d`, under `norm`. Parallelized over rows.
-pub(crate) fn distances_to_rows(
-    buffer: &[f32],
-    n: usize,
-    d: usize,
-    query: &[f32],
-    norm: Norm,
-) -> Vec<f32> {
-    debug_assert!(buffer.len() >= n * d);
-    debug_assert_eq!(query.len(), d);
-    let mut out = vec![0f32; n];
-    xparallel::parallel_for_mut(&mut out, 256, |offset, chunk| {
-        for (k, dst) in chunk.iter_mut().enumerate() {
-            let i = offset + k;
-            *dst = norm.distance(query, &buffer[i * d..(i + 1) * d]);
-        }
-    });
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Batched evaluation kernels (shared by every BatchScorer implementation)
-// ---------------------------------------------------------------------------
 
 /// Direction of a batch of ranking queries, fixing how `(u32, u32)` pairs are
 /// interpreted: tail queries are `(head, rel)`, head queries are `(rel, tail)`
 /// (matching the scalar `score_tails` / `score_heads` argument orders).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum QueryDir {
+pub enum QueryDir {
     /// Predict tails: query entity is the head, relation enters with `+1`
     /// (`q = h + r`).
     Tails,
@@ -75,6 +50,105 @@ impl QueryDir {
             QueryDir::Heads => (q.1, q.0),
         }
     }
+
+    /// Translates the entity part already in `q` by the relation vector
+    /// `r`: `q + r` for tail queries, `q − r` for head queries.
+    pub fn translate(self, q: &mut [f32], r: &[f32]) {
+        match self {
+            QueryDir::Tails => q.iter_mut().zip(r).for_each(|(q, r)| *q += r),
+            QueryDir::Heads => q.iter_mut().zip(r).for_each(|(q, r)| *q -= r),
+        }
+    }
+
+    /// Distance between query vector `q` and a projected candidate `cand` in
+    /// the operand order of the projection families' score expression:
+    /// `‖(h⊥ + r) − t⊥‖` has the query on the left for tails,
+    /// `‖h⊥ − (t⊥ − r)‖` the candidate for heads. (The unprojected families
+    /// put the query first in both directions; `kernel_golden` pins both
+    /// conventions, which only the torus metrics can tell apart.)
+    #[inline]
+    pub fn distance(self, norm: Norm, q: &[f32], cand: &[f32]) -> f32 {
+        match self {
+            QueryDir::Tails => norm.distance(q, cand),
+            QueryDir::Heads => norm.distance(cand, q),
+        }
+    }
+}
+
+/// The scalar walk: the scores of every candidate `0..n` for one query.
+///
+/// `query` fills the `k`-float query vector; `score(q, cand, scratch)` scores
+/// one candidate against it, with `k` floats of scratch for a candidate
+/// transform. Serial, no kernel dispatch: this is what the batched walk is
+/// tested against.
+pub(crate) fn scalar_scores(
+    n: usize,
+    k: usize,
+    query: impl FnOnce(&mut [f32]),
+    score: impl Fn(&[f32], usize, &mut [f32]) -> f32,
+) -> Vec<f32> {
+    let (mut q, mut scratch) = (vec![0f32; k], vec![0f32; k]);
+    query(&mut q);
+    (0..n).map(|cand| score(&q, cand, &mut scratch)).collect()
+}
+
+/// The batched walk: fills `out[qi * n + cand]` for a chunk of raw query
+/// pairs under `dir`.
+///
+/// `query(ent, rel, q)` fills one `k`-float query vector (all of them are
+/// formed before any candidate is scored); `score(rel, q, cand, scratch)`
+/// scores one candidate, with `k` floats of per-worker scratch — allocated
+/// once per worker window, not per element. The output buffer is split
+/// element-granularly across the global pool (a window may start mid-row),
+/// but the inner loop walks whole per-query runs, so the query vector is
+/// sliced once per run instead of once per candidate.
+///
+/// # Panics
+///
+/// Panics if `out.len() != queries.len() * n` or a query's entity is not
+/// below `n` (a relation out of range panics in `query`'s row lookup).
+pub(crate) fn batched_scores_into(
+    (n, k): (usize, usize),
+    queries: &[(u32, u32)],
+    dir: QueryDir,
+    out: &mut [f32],
+    query: impl Fn(usize, usize, &mut [f32]),
+    score: impl Fn(usize, &[f32], usize, &mut [f32]) -> f32 + Sync,
+) {
+    assert_eq!(
+        out.len(),
+        queries.len() * n,
+        "score buffer has wrong length"
+    );
+    if n == 0 {
+        return;
+    }
+    let mut qs = vec![0f32; queries.len() * k];
+    for (q, &raw) in qs.chunks_exact_mut(k.max(1)).zip(queries) {
+        let (ent, rel) = dir.split(raw);
+        assert!(
+            (ent as usize) < n,
+            "query entity {ent} out of range for {n} entities"
+        );
+        query(ent as usize, rel as usize, q);
+    }
+    xparallel::parallel_for_mut(out, 256, |offset, chunk| {
+        let mut scratch = vec![0f32; k];
+        let mut idx = offset;
+        let mut remaining = chunk;
+        while !remaining.is_empty() {
+            let (qi, cand0) = (idx / n, idx % n);
+            let run = (n - cand0).min(remaining.len());
+            let (cur, rest) = remaining.split_at_mut(run);
+            let q = &qs[qi * k..(qi + 1) * k];
+            let rel = dir.split(queries[qi]).1 as usize;
+            for (cand, dst) in (cand0..).zip(cur) {
+                *dst = score(rel, q, cand, &mut scratch);
+            }
+            idx += run;
+            remaining = rest;
+        }
+    });
 }
 
 /// Builds the `chunk × (N + R)` query incidence matrix over the stacked
@@ -127,658 +201,26 @@ pub(crate) fn stacked_query_rows(
     q
 }
 
-/// Like [`stacked_query_rows`] but through a product semiring
-/// ([`semiring_spmm_into`]): row `i` becomes `ent_i ⊙ rel_i` under `S`
-/// (DistMult's `h ⊙ r`, ComplEx/RotatE's complex `h ∘ r`).
-pub(crate) fn stacked_query_rows_semiring<S: Semiring>(
-    emb: &[S::Scalar],
-    num_entities: usize,
-    num_relations: usize,
-    d: usize,
-    queries: &[(u32, u32)],
-    dir: QueryDir,
-) -> Vec<S::Scalar> {
-    let a = stacked_query_incidence(num_entities, num_relations, queries, dir, 1.0);
-    let mut q = vec![S::Scalar::default(); queries.len() * d];
-    semiring_spmm_into::<S>(&a, emb, num_entities + num_relations, d, &mut q);
-    q
-}
-
-/// Scores every `(query, candidate)` element of the `chunk × n` buffer in
-/// parallel on the global pool: `out[qi * n + cand] = f(qi, cand, scratch)`.
-///
-/// `scratch` is a per-worker `f32` buffer of length `scratch_len` for models
-/// whose candidate transform needs temporary storage (TransH/TransR
-/// projections) — allocated once per worker chunk, not per element.
-pub(crate) fn for_each_score<F>(n: usize, scratch_len: usize, out: &mut [f32], f: F)
-where
-    F: Fn(usize, usize, &mut [f32]) -> f32 + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    debug_assert_eq!(out.len() % n, 0);
-    xparallel::parallel_for_mut(out, 256, |offset, chunk| {
-        let mut scratch = vec![0f32; scratch_len];
-        // Track (query, candidate) incrementally — a div/mod per element
-        // costs more than the cheap per-element score kernels.
-        let mut qi = offset / n;
-        let mut cand = offset % n;
-        for dst in chunk.iter_mut() {
-            *dst = f(qi, cand, &mut scratch);
-            cand += 1;
-            if cand == n {
-                cand = 0;
-                qi += 1;
-            }
-        }
-    });
-}
-
-/// Batched counterpart of [`distances_to_rows`]: fills
-/// `out[qi * n + cand] = norm.distance(queries[qi], emb[cand])` for the first
-/// `n` rows of `emb`, parallel over the whole chunk buffer.
-pub(crate) fn batched_distances_into(
-    queries: &[f32],
-    d: usize,
-    emb: &[f32],
-    n: usize,
-    norm: Norm,
-    out: &mut [f32],
-) {
-    debug_assert!(emb.len() >= n * d);
-    if n == 0 {
-        return;
-    }
-    debug_assert_eq!(out.len() % n, 0);
-    // Element-granular split (a worker window may start mid-row), but the
-    // inner loop walks whole per-query runs so the query row is sliced once
-    // per run instead of once per candidate.
-    xparallel::parallel_for_mut(out, 256, |offset, chunk| {
-        let mut idx = offset;
-        let mut remaining = chunk;
-        while !remaining.is_empty() {
-            let (qi, cand0) = (idx / n, idx % n);
-            let run = (n - cand0).min(remaining.len());
-            let (cur, rest) = remaining.split_at_mut(run);
-            let q = &queries[qi * d..(qi + 1) * d];
-            let mut e = cand0 * d;
-            for dst in cur {
-                *dst = norm.distance(q, &emb[e..e + d]);
-                e += d;
-            }
-            idx += run;
-            remaining = rest;
-        }
-    });
-}
-
-/// Batched scoring for the stacked translational models (TransE, TorusE and
-/// friends): query vectors via one SpMM, then pool-parallel distances.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn translational_scores_into(
-    emb: &[f32],
-    num_entities: usize,
-    num_relations: usize,
-    d: usize,
-    norm: Norm,
-    queries: &[(u32, u32)],
-    dir: QueryDir,
-    out: &mut [f32],
-) {
-    let q = stacked_query_rows(emb, num_entities, num_relations, d, queries, dir);
-    batched_distances_into(&q, d, emb, num_entities, norm, out);
-}
-
-/// Batched scoring for split-parameter translational baselines (dense TransE
-/// / TorusE): queries gathered directly from separate entity/relation tables,
-/// same parallel distance pass.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gathered_translational_scores_into(
-    ent: &[f32],
-    rel: &[f32],
-    num_entities: usize,
-    d: usize,
-    norm: Norm,
-    queries: &[(u32, u32)],
-    dir: QueryDir,
-    out: &mut [f32],
-) {
-    let mut q = vec![0f32; queries.len() * d];
-    for (row, &raw) in q.chunks_exact_mut(d.max(1)).zip(queries) {
-        let (e, r) = dir.split(raw);
-        let e_row = &ent[e as usize * d..(e as usize + 1) * d];
-        let r_row = &rel[r as usize * d..(r as usize + 1) * d];
-        match dir {
-            QueryDir::Tails => {
-                for ((dst, a), b) in row.iter_mut().zip(e_row).zip(r_row) {
-                    *dst = a + b;
-                }
-            }
-            QueryDir::Heads => {
-                for ((dst, a), b) in row.iter_mut().zip(e_row).zip(r_row) {
-                    *dst = a - b;
-                }
-            }
-        }
-    }
-    batched_distances_into(&q, d, ent, num_entities, norm, out);
-}
-
-/// Batched DistMult scoring: `q = h ⊙ r` (or `t ⊙ r`) via the
-/// [`TimesTimes`] semiring kernel, then `out = −⟨q, e⟩` per candidate.
-pub(crate) fn distmult_scores_into(
-    emb: &[f32],
-    num_entities: usize,
-    num_relations: usize,
-    d: usize,
-    queries: &[(u32, u32)],
-    dir: QueryDir,
-    out: &mut [f32],
-) {
-    let q = stacked_query_rows_semiring::<TimesTimes>(
-        emb,
-        num_entities,
-        num_relations,
-        d,
-        queries,
-        dir,
-    );
-    for_each_score(num_entities, 0, out, |qi, cand, _| {
-        let qr = &q[qi * d..(qi + 1) * d];
-        -qr.iter()
-            .zip(&emb[cand * d..(cand + 1) * d])
-            .map(|(a, b)| a * b)
-            .sum::<f32>()
-    });
-}
-
-/// Batched TransH-family scoring (shared by the sparse and dense variants —
-/// identical parameter layout): per-query hyperplane query vectors up front,
-/// then pool-parallel candidate projection + distance.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn hyperplane_scores_into(
-    ent: &[f32],
-    normals: &[f32],
-    translations: &[f32],
-    num_entities: usize,
-    d: usize,
-    norm: Norm,
-    queries: &[(u32, u32)],
-    dir: QueryDir,
-    out: &mut [f32],
-) {
-    let m = queries.len();
-    let mut qv = vec![0f32; m * d];
-    let mut rels = vec![0usize; m];
-    for (i, &raw) in queries.iter().enumerate() {
-        let (e, r) = dir.split(raw);
-        let (e, r) = (e as usize, r as usize);
-        rels[i] = r;
-        let x = &ent[e * d..(e + 1) * d];
-        let w = &normals[r * d..(r + 1) * d];
-        let dr = &translations[r * d..(r + 1) * d];
-        let dot: f32 = w.iter().zip(x).map(|(a, b)| a * b).sum();
-        let row = &mut qv[i * d..(i + 1) * d];
-        match dir {
-            QueryDir::Tails => {
-                for (((dst, xi), wi), di) in row.iter_mut().zip(x).zip(w).zip(dr) {
-                    *dst = (xi - dot * wi) + di;
-                }
-            }
-            QueryDir::Heads => {
-                for (((dst, xi), wi), di) in row.iter_mut().zip(x).zip(w).zip(dr) {
-                    *dst = (xi - dot * wi) - di;
-                }
-            }
-        }
-    }
-    for_each_score(num_entities, d, out, |qi, cand, scratch| {
-        let r = rels[qi];
-        let w = &normals[r * d..(r + 1) * d];
-        let x = &ent[cand * d..(cand + 1) * d];
-        let dot: f32 = w.iter().zip(x).map(|(a, b)| a * b).sum();
-        for ((s, xi), wi) in scratch.iter_mut().zip(x).zip(w) {
-            *s = xi - dot * wi;
-        }
-        let q = &qv[qi * d..(qi + 1) * d];
-        // Argument order mirrors the scalar scorers exactly.
-        match dir {
-            QueryDir::Tails => norm.distance(q, scratch),
-            QueryDir::Heads => norm.distance(scratch, q),
-        }
-    })
-}
-
-/// Batched TransR-family scoring (shared by the sparse and dense variants):
-/// per-query projected query vectors, then pool-parallel candidate
-/// projection + distance in the `rel_dim`-dimensional relation space.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn projected_scores_into(
-    ent: &[f32],
-    rel: &[f32],
-    mats: &[f32],
-    num_entities: usize,
-    d: usize,
-    k: usize,
-    norm: Norm,
-    queries: &[(u32, u32)],
-    dir: QueryDir,
-    out: &mut [f32],
-) {
-    let project = |r: usize, vec: &[f32], dst: &mut [f32]| {
-        let mat = &mats[r * k * d..(r + 1) * k * d];
-        for (o, s) in dst.iter_mut().enumerate() {
-            *s = mat[o * d..(o + 1) * d]
-                .iter()
-                .zip(vec)
-                .map(|(m, v)| m * v)
-                .sum();
-        }
-    };
-    let m = queries.len();
-    let mut qv = vec![0f32; m * k];
-    let mut rels = vec![0usize; m];
-    let mut proj = vec![0f32; k];
-    for (i, &raw) in queries.iter().enumerate() {
-        let (e, r) = dir.split(raw);
-        let (e, r) = (e as usize, r as usize);
-        rels[i] = r;
-        project(r, &ent[e * d..(e + 1) * d], &mut proj);
-        let r_row = &rel[r * k..(r + 1) * k];
-        let row = &mut qv[i * k..(i + 1) * k];
-        match dir {
-            QueryDir::Tails => {
-                for ((dst, a), b) in row.iter_mut().zip(&proj).zip(r_row) {
-                    *dst = a + b;
-                }
-            }
-            QueryDir::Heads => {
-                for ((dst, a), b) in row.iter_mut().zip(&proj).zip(r_row) {
-                    *dst = a - b;
-                }
-            }
-        }
-    }
-    for_each_score(num_entities, k, out, |qi, cand, scratch| {
-        let r = rels[qi];
-        project(r, &ent[cand * d..(cand + 1) * d], scratch);
-        let q = &qv[qi * k..(qi + 1) * k];
-        match dir {
-            QueryDir::Tails => norm.distance(q, scratch),
-            QueryDir::Heads => norm.distance(scratch, q),
-        }
-    })
-}
-
-/// Link-prediction scorer over **complex** embeddings with the ComplEx score
-/// `Re(⟨h, r, t̄⟩)` (similarity — negated into a distance).
-///
-/// Embeddings are interleaved `(re, im)` pairs: `2 * half_dim` floats per
-/// row, entities stacked above relations as in the `hrt` formulation. The
-/// per-triple kernel is the Appendix D semiring SpMM.
-///
-/// # Examples
-///
-/// ```
-/// use sptransx::ComplExScorer;
-/// use kg::eval::TripleScorer;
-///
-/// // 2 entities + 1 relation, complex dim 1 (2 floats per row).
-/// let emb = vec![1.0, 0.0,  0.0, 1.0,  1.0, 0.0];
-/// let scorer = ComplExScorer::new(emb, 2, 1, 1)?;
-/// let scores = scorer.score_tails(0, 0);
-/// assert_eq!(scores.len(), 2);
-/// # Ok::<(), sptransx::Error>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ComplExScorer {
-    emb: Vec<Complex32>,
-    num_entities: usize,
-    num_relations: usize,
-    half_dim: usize,
-}
-
-impl ComplExScorer {
-    /// Wraps interleaved complex embeddings of shape
-    /// `(num_entities + num_relations) × (2 * half_dim)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] if the buffer length disagrees with
-    /// the declared shape.
-    pub fn new(
-        interleaved: Vec<f32>,
-        num_entities: usize,
-        num_relations: usize,
-        half_dim: usize,
-    ) -> crate::Result<Self> {
-        let expected = (num_entities + num_relations) * half_dim * 2;
-        if interleaved.len() != expected {
-            return Err(crate::Error::config(format!(
-                "embedding buffer has {} floats, expected {expected}",
-                interleaved.len()
-            )));
-        }
-        Ok(Self {
-            emb: Complex32::slice_from_interleaved(&interleaved),
-            num_entities,
-            num_relations,
-            half_dim,
-        })
-    }
-
-    /// ComplEx similarity of one triple via the semiring SpMM kernel.
-    pub fn similarity(&self, head: u32, rel: u32, tail: u32) -> f32 {
-        let a = hrt(
-            self.num_entities,
-            self.num_relations,
-            &[head],
-            &[rel],
-            &[tail],
-            TailSign::Negative, // −1 marks the conjugated operand
-        )
-        .expect("validated indices");
-        let c = semiring_spmm::<ComplexTriple>(
-            &a,
-            &self.emb,
-            self.num_entities + self.num_relations,
-            self.half_dim,
-        );
-        c.iter().map(|z| z.re).sum()
-    }
-}
-
-impl TripleScorer for ComplExScorer {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        (0..self.num_entities as u32)
-            .map(|t| -self.similarity(head, rel, t))
-            .collect()
-    }
-
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        (0..self.num_entities as u32)
-            .map(|h| -self.similarity(h, rel, tail))
-            .collect()
-    }
-
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-}
-
-/// Batched semiring scoring over a **candidates incidence**: for each query
-/// one `N × half_dim` [`semiring_spmm_into`] dispatch (every candidate is one
-/// `hrt` row) replaces `N` single-row dispatches, reusing one scratch buffer
-/// for the whole chunk; `reduce` renders each semiring output row into a
-/// score.
-///
-/// Unlike the query-incidence kernels above, this path still builds one
-/// `3N`-nonzero incidence matrix **per query** — an `O(N)` build amortized
-/// against the `O(N · half_dim)` SpMM it feeds, kept because hand-assembling
-/// the CSR (with its duplicate-collapse and column-sort semantics) would risk
-/// the bit-identity the incidence builder guarantees.
-#[allow(clippy::too_many_arguments)]
-fn candidate_semiring_scores_into<S: Semiring<Scalar = Complex32>>(
-    emb: &[Complex32],
-    num_entities: usize,
-    num_relations: usize,
-    half_dim: usize,
-    queries: &[(u32, u32)],
-    dir: QueryDir,
-    reduce: impl Fn(&[Complex32]) -> f32,
-    out: &mut [f32],
-) {
-    let n = num_entities;
-    assert_eq!(
-        out.len(),
-        queries.len() * n,
-        "score buffer has wrong length"
-    );
-    let candidates: Vec<u32> = (0..n as u32).collect();
-    let mut scratch = vec![Complex32::default(); n * half_dim];
-    // Index buffers reused across the chunk — only the fill values change.
-    let mut fixed = vec![0u32; n];
-    let mut rels = vec![0u32; n];
-    for (row, &raw) in out.chunks_exact_mut(n.max(1)).zip(queries) {
-        let (ent, rel) = dir.split(raw);
-        fixed.fill(ent);
-        rels.fill(rel);
-        let a = match dir {
-            QueryDir::Tails => hrt(
-                n,
-                num_relations,
-                &fixed,
-                &rels,
-                &candidates,
-                TailSign::Negative,
-            ),
-            QueryDir::Heads => hrt(
-                n,
-                num_relations,
-                &candidates,
-                &rels,
-                &fixed,
-                TailSign::Negative,
-            ),
-        }
-        .expect("validated indices");
-        semiring_spmm_into::<S>(&a, emb, n + num_relations, half_dim, &mut scratch);
-        for (t, dst) in row.iter_mut().enumerate() {
-            *dst = reduce(&scratch[t * half_dim..(t + 1) * half_dim]);
-        }
-    }
-}
-
-impl BatchScorer for ComplExScorer {
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        candidate_semiring_scores_into::<ComplexTriple>(
-            &self.emb,
-            self.num_entities,
-            self.num_relations,
-            self.half_dim,
-            queries,
-            QueryDir::Tails,
-            |row| -row.iter().map(|z| z.re).sum::<f32>(),
-            out,
-        );
-    }
-
-    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        candidate_semiring_scores_into::<ComplexTriple>(
-            &self.emb,
-            self.num_entities,
-            self.num_relations,
-            self.half_dim,
-            queries,
-            QueryDir::Heads,
-            |row| -row.iter().map(|z| z.re).sum::<f32>(),
-            out,
-        );
-    }
-}
-
-/// Link-prediction scorer with the RotatE score `‖h ∘ r − t‖` over complex
-/// embeddings (distance — lower is better), computed with the Appendix D
-/// rotate semiring.
-#[derive(Debug, Clone)]
-pub struct RotatEScorer {
-    emb: Vec<Complex32>,
-    num_entities: usize,
-    num_relations: usize,
-    half_dim: usize,
-}
-
-impl RotatEScorer {
-    /// Wraps interleaved complex embeddings (same layout as
-    /// [`ComplExScorer::new`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Config`] on a shape mismatch.
-    pub fn new(
-        interleaved: Vec<f32>,
-        num_entities: usize,
-        num_relations: usize,
-        half_dim: usize,
-    ) -> crate::Result<Self> {
-        let expected = (num_entities + num_relations) * half_dim * 2;
-        if interleaved.len() != expected {
-            return Err(crate::Error::config(format!(
-                "embedding buffer has {} floats, expected {expected}",
-                interleaved.len()
-            )));
-        }
-        Ok(Self {
-            emb: Complex32::slice_from_interleaved(&interleaved),
-            num_entities,
-            num_relations,
-            half_dim,
-        })
-    }
-
-    /// RotatE distance of one triple via the semiring SpMM kernel.
-    pub fn distance(&self, head: u32, rel: u32, tail: u32) -> f32 {
-        let a = hrt(
-            self.num_entities,
-            self.num_relations,
-            &[head],
-            &[rel],
-            &[tail],
-            TailSign::Negative,
-        )
-        .expect("validated indices");
-        let c = semiring_spmm::<RotateTriple>(
-            &a,
-            &self.emb,
-            self.num_entities + self.num_relations,
-            self.half_dim,
-        );
-        c.iter().map(|z| z.abs()).sum()
-    }
-}
-
-impl TripleScorer for RotatEScorer {
-    fn score_tails(&self, head: u32, rel: u32) -> Vec<f32> {
-        (0..self.num_entities as u32)
-            .map(|t| self.distance(head, rel, t))
-            .collect()
-    }
-
-    fn score_heads(&self, rel: u32, tail: u32) -> Vec<f32> {
-        (0..self.num_entities as u32)
-            .map(|h| self.distance(h, rel, tail))
-            .collect()
-    }
-
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-}
-
-impl BatchScorer for RotatEScorer {
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        candidate_semiring_scores_into::<RotateTriple>(
-            &self.emb,
-            self.num_entities,
-            self.num_relations,
-            self.half_dim,
-            queries,
-            QueryDir::Tails,
-            |row| row.iter().map(|z| z.abs()).sum::<f32>(),
-            out,
-        );
-    }
-
-    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        candidate_semiring_scores_into::<RotateTriple>(
-            &self.emb,
-            self.num_entities,
-            self.num_relations,
-            self.half_dim,
-            queries,
-            QueryDir::Heads,
-            |row| row.iter().map(|z| z.abs()).sum::<f32>(),
-            out,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn distances_to_rows_matches_norm() {
-        let buffer = vec![0.0, 0.0, 3.0, 4.0, 1.0, 1.0];
-        let q = vec![0.0, 0.0];
-        let d = distances_to_rows(&buffer, 3, 2, &q, Norm::L2);
+        let buffer = [0.0, 0.0, 3.0, 4.0, 1.0, 1.0];
+        let scores = |norm: Norm| {
+            scalar_scores(
+                3,
+                2,
+                |q| q.fill(0.0),
+                |q, cand, _| norm.distance(q, &buffer[cand * 2..(cand + 1) * 2]),
+            )
+        };
+        let d = scores(Norm::L2);
         assert!((d[0] - 0.0).abs() < 1e-6);
         assert!((d[1] - 5.0).abs() < 1e-6);
-        let d = distances_to_rows(&buffer, 3, 2, &q, Norm::L1);
+        let d = scores(Norm::L1);
         assert!((d[2] - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn complex_scorer_validates_shape() {
-        assert!(ComplExScorer::new(vec![0.0; 5], 2, 1, 1).is_err());
-        assert!(ComplExScorer::new(vec![0.0; 6], 2, 1, 1).is_ok());
-    }
-
-    #[test]
-    fn complex_similarity_matches_manual() {
-        // h = 1+i, r = i, t = 2 - i: Re(h*r*conj(t)).
-        let emb = vec![
-            1.0, 1.0, // e0 = h
-            2.0, -1.0, // e1 = t
-            0.0, 1.0, // r0
-        ];
-        let s = ComplExScorer::new(emb, 2, 1, 1).unwrap();
-        let h = Complex32::new(1.0, 1.0);
-        let r = Complex32::new(0.0, 1.0);
-        let t = Complex32::new(2.0, -1.0);
-        let want = (h * r * t.conj()).re;
-        assert!((s.similarity(0, 0, 1) - want).abs() < 1e-5);
-    }
-
-    #[test]
-    fn batched_complex_scorers_match_scalar_bitwise() {
-        // 5 entities + 2 relations, complex dim 3: pseudo-random values.
-        let (n, r, half) = (5usize, 2usize, 3usize);
-        let emb: Vec<f32> = (0..(n + r) * half * 2)
-            .map(|i| ((i * 2654435761usize) % 1000) as f32 / 500.0 - 1.0)
-            .collect();
-        let tail_q = [(0u32, 0u32), (4, 1), (2, 0)]; // (head, rel)
-        let head_q = [(0u32, 0u32), (1, 4), (0, 2)]; // (rel, tail)
-
-        let s = ComplExScorer::new(emb.clone(), n, r, half).unwrap();
-        let mut out = vec![0f32; tail_q.len() * n];
-        s.score_tails_into(&tail_q, &mut out);
-        for (i, &(h, rel)) in tail_q.iter().enumerate() {
-            assert_eq!(&out[i * n..(i + 1) * n], s.score_tails(h, rel).as_slice());
-        }
-        s.score_heads_into(&head_q, &mut out);
-        for (i, &(rel, t)) in head_q.iter().enumerate() {
-            assert_eq!(&out[i * n..(i + 1) * n], s.score_heads(rel, t).as_slice());
-        }
-
-        let s = RotatEScorer::new(emb, n, r, half).unwrap();
-        s.score_tails_into(&tail_q, &mut out);
-        for (i, &(h, rel)) in tail_q.iter().enumerate() {
-            assert_eq!(&out[i * n..(i + 1) * n], s.score_tails(h, rel).as_slice());
-        }
-        s.score_heads_into(&head_q, &mut out);
-        for (i, &(rel, t)) in head_q.iter().enumerate() {
-            assert_eq!(&out[i * n..(i + 1) * n], s.score_heads(rel, t).as_slice());
-        }
     }
 
     #[test]
@@ -794,27 +236,43 @@ mod tests {
 
     #[test]
     fn batched_distances_match_distances_to_rows() {
-        let emb: Vec<f32> = (0..7 * 4).map(|i| (i as f32 * 0.37).sin()).collect();
-        let queries: Vec<f32> = (0..2 * 4).map(|i| (i as f32 * 0.11).cos()).collect();
+        // Two queries over 6 candidates of width 4: a worker window is free
+        // to start mid-row.
+        let emb: Vec<f32> = (0..6 * 4).map(|i| (i as f32 * 0.37).sin()).collect();
+        let row = |i: usize| &emb[i * 4..(i + 1) * 4];
         let mut out = vec![0f32; 2 * 6];
-        batched_distances_into(&queries, 4, &emb, 6, Norm::L2, &mut out);
-        for qi in 0..2 {
-            let want = distances_to_rows(&emb, 6, 4, &queries[qi * 4..(qi + 1) * 4], Norm::L2);
+        batched_scores_into(
+            (6, 4),
+            &[(5, 0), (2, 0)],
+            QueryDir::Tails,
+            &mut out,
+            |ent, _, q| q.copy_from_slice(row(ent)),
+            |_, q, cand, _| Norm::L2.distance(q, row(cand)),
+        );
+        for (qi, ent) in [5, 2].into_iter().enumerate() {
+            let want = scalar_scores(
+                6,
+                4,
+                |q| q.copy_from_slice(row(ent)),
+                |q, cand, _| Norm::L2.distance(q, row(cand)),
+            );
             assert_eq!(&out[qi * 6..(qi + 1) * 6], want.as_slice());
         }
     }
 
     #[test]
-    fn rotate_exact_rotation_scores_zero() {
-        // t = h rotated by r (unit phase) => distance 0.
-        let h = Complex32::from_phase(0.7);
-        let r = Complex32::from_phase(1.1);
-        let t = h * r;
-        let emb = vec![h.re, h.im, t.re, t.im, r.re, r.im];
-        let s = RotatEScorer::new(emb, 2, 1, 1).unwrap();
-        assert!(s.distance(0, 0, 1) < 1e-5);
-        // And the true tail ranks first.
-        let tails = s.score_tails(0, 0);
-        assert!(tails[1] < tails[0]);
+    fn translate_and_distance_follow_the_direction() {
+        let mut q = [1.0, 2.0];
+        QueryDir::Tails.translate(&mut q, &[0.5, 0.5]);
+        assert_eq!(q, [1.5, 2.5]);
+        QueryDir::Heads.translate(&mut q, &[0.5, 0.5]);
+        assert_eq!(q, [1.0, 2.0]);
+        // The torus metrics are symmetric only up to rounding; the operand
+        // order is part of the contract.
+        let (a, b) = ([0.3f32, 0.9], [0.7f32, 0.2]);
+        assert_eq!(
+            QueryDir::Heads.distance(Norm::TorusL1, &a, &b),
+            Norm::TorusL1.distance(&b, &a)
+        );
     }
 }

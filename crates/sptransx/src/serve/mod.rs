@@ -8,9 +8,9 @@
 //! of it:
 //!
 //! * [`ServeModel`] loads that matrix back and implements
-//!   [`kg::eval::BatchScorer`] through the **same** shared kernels training
-//!   evaluation uses (the scorer module's `stacked_query_rows` SpMM +
-//!   pool-parallel distance pass) — so the serving engine's exact arm is
+//!   [`kg::eval::BatchScorer`] through the **same** batched walk training
+//!   evaluation uses (the scorer module's `batched_scores_into`, with
+//!   TransE's two closures) — so the serving engine's exact arm is
 //!   bit-identical to `evaluate_batched`'s scoring by construction.
 //! * [`IvfIndex`] clusters the entity embeddings (deterministic k-means on
 //!   the shared `xparallel` pool) into inverted lists; a query probes the
@@ -42,7 +42,7 @@ use kg::eval::BatchScorer;
 use kg::stream::EmbeddingStore;
 
 use crate::model::Norm;
-use crate::scorer::{stacked_query_rows, translational_scores_into, QueryDir};
+use crate::scorer::{batched_scores_into, stacked_query_rows, QueryDir};
 use crate::{Error, Result};
 
 /// Which slot of a triple a completion query asks for.
@@ -203,35 +203,41 @@ impl ServeModel {
     }
 }
 
+impl ServeModel {
+    /// Row `i` of the stacked matrix.
+    fn row(&self, i: usize) -> &[f32] {
+        &self.emb[i * self.dim..(i + 1) * self.dim]
+    }
+
+    /// The exact arm: every candidate's distance through the batched walk
+    /// the training models evaluate on, with the gathered `h + r` / `t − r`
+    /// (bit-equal to [`ServeModel::query_vector`]'s SpMM).
+    fn scores_into(&self, dir: QueryDir, queries: &[(u32, u32)], out: &mut [f32]) {
+        batched_scores_into(
+            (self.num_entities, self.dim),
+            queries,
+            dir,
+            out,
+            |ent, rel, q| {
+                q.copy_from_slice(self.row(ent));
+                dir.translate(q, self.row(self.num_entities + rel));
+            },
+            |_, q, cand, _| self.norm.distance(q, self.row(cand)),
+        );
+    }
+}
+
 impl BatchScorer for ServeModel {
     fn num_entities(&self) -> usize {
         self.num_entities
     }
 
     fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        translational_scores_into(
-            &self.emb,
-            self.num_entities,
-            self.num_relations,
-            self.dim,
-            self.norm,
-            queries,
-            QueryDir::Tails,
-            out,
-        );
+        self.scores_into(QueryDir::Tails, queries, out);
     }
 
     fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
-        translational_scores_into(
-            &self.emb,
-            self.num_entities,
-            self.num_relations,
-            self.dim,
-            self.norm,
-            queries,
-            QueryDir::Heads,
-            out,
-        );
+        self.scores_into(QueryDir::Heads, queries, out);
     }
 }
 

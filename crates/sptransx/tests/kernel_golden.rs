@@ -14,7 +14,14 @@
 //! accumulation order or `-0.0`/`NaN` canonicalization moves a hash; a
 //! change that only moves bytes does not.
 //!
-//! The last test pins a *schedule* the same way: the all-reduce rounds of
+//! `every_model_matches_pre_skeleton_structs` pins the *model layer* the same
+//! way: all thirteen models' parameters, losses and batched score buffers
+//! against the thirteen hand-written structs and four evaluation kernels that
+//! `Model<F>` and the two walks in `scorer.rs` replaced (f6dd388). The score
+//! hash is what sees an error common to the scalar and batched walks, which
+//! share their per-family transforms and so cannot check each other.
+//!
+//! The last test pins a *schedule*: the all-reduce rounds of
 //! `Trainer::replicated` against hashes captured from the free-standing
 //! data-parallel driver they replaced (481f5c4), whose loss summation order
 //! and reduction arithmetic they must reproduce.
@@ -25,11 +32,13 @@
 //! neither libm's nor compiler-builtins' any more but `tensor::kernels::floor`,
 //! built from two adds and two compares — so the constants are portable.
 
+use kg::eval::BatchScorer;
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
 use sptransx::{
-    Combine, KgeModel, Norm, OptimizerKind, SpTorusE, SpTransE, SpTransH, SpTransR, TrainConfig,
-    Trainer,
+    Combine, DenseTorusE, DenseTransE, DenseTransH, DenseTransR, KgeModel, Norm, OptimizerKind,
+    SpComplEx, SpDistMult, SpRotatE, SpTorusE, SpTransC, SpTransE, SpTransH, SpTransM, SpTransR,
+    TrainConfig, Trainer,
 };
 use tensor::VecStorage;
 
@@ -145,13 +154,35 @@ fn sptoruse_matches_pre_rewrite_kernel() {
     );
 }
 
+/// One fixed chunk of ranking queries, `(head, rel)`; read as `(rel, tail)`
+/// with the pair swapped for the head direction.
+const QUERIES: [(u32, u32); 8] = [
+    (0, 0),
+    (17, 3),
+    (799, 7),
+    (400, 1),
+    (5, 5),
+    (123, 2),
+    (640, 6),
+    (77, 4),
+];
+
+/// Hash of the batched engine's two score buffers for [`QUERIES`].
+fn score_hash(model: &impl BatchScorer) -> u64 {
+    let mut tails = vec![0f32; QUERIES.len() * ENTITIES];
+    model.score_tails_into(&QUERIES, &mut tails);
+    let mut heads = vec![0f32; QUERIES.len() * ENTITIES];
+    model.score_heads_into(&QUERIES.map(|(e, r)| (r, e)), &mut heads);
+    fnv1a(tails.iter().chain(&heads).map(|x| x.to_bits()))
+}
+
 /// Trains 3 epochs at `rel_dim` 12 (no multiple of a vector width, so the
-/// projection kernels' tails run) and returns `(hash of every parameter in
-/// store order, epoch-loss hash)`.
-fn run_every_param<M: KgeModel>(
+/// projection kernels' tails run) and returns `[hash of every parameter in
+/// store order, epoch-loss hash, score_hash of the trained model]`.
+fn run_every_param<M: KgeModel + BatchScorer>(
     norm: Norm,
     ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
-) -> (u64, u64) {
+) -> [u64; 3] {
     let ds = dataset();
     let cfg = TrainConfig {
         rel_dim: 12,
@@ -161,20 +192,20 @@ fn run_every_param<M: KgeModel>(
     let report = trainer.run().unwrap();
     let store = trainer.model().store();
     let params = store.param_ids();
-    assert!(params.len() >= 3, "entities plus two relation tables");
     let words = params
         .iter()
         .flat_map(|&id| store.value(id).as_slice())
         .map(|x| x.to_bits());
-    (
+    [
         fnv1a(words),
         fnv1a(report.epoch_losses.iter().map(|x| x.to_bits())),
-    )
+        score_hash(trainer.model()),
+    ]
 }
 
 #[test]
 fn projection_models_match_pre_blocking_kernels() {
-    type Run = fn(Norm) -> (u64, u64);
+    type Run = fn(Norm) -> [u64; 3];
     let transh: Run = |norm| run_every_param(norm, SpTransH::from_config);
     let transr: Run = |norm| run_every_param(norm, SpTransR::from_config);
     #[rustfmt::skip]
@@ -185,13 +216,71 @@ fn projection_models_match_pre_blocking_kernels() {
         ("SpTransR/L2", transr, Norm::L2, (0x23ea_7bbf_9bb2_f372, 0xe28e_89b5_3fb2_5f8a)),
     ];
     for (what, run, norm, want) in golden {
-        let got = run(norm);
+        let [params, losses, _] = run(norm);
+        let got = (params, losses);
         assert_eq!(
             got, want,
             "{what}: (parameter, loss) hashes {got:#018x?} differ from 9174ddb's {want:#018x?} \
              — a generic tape op's or a projection kernel's arithmetic changed"
         );
     }
+}
+
+/// `SpRotatE` with its table overwritten by exact binary fractions (odd
+/// multiples of 1/128, so never zero): `init::unit_phases` calls libm's
+/// `sin`/`cos`, which IEEE 754 does not fix. The first `end_epoch` puts the
+/// relation rows back on the unit circle with `÷` and `√`.
+fn rotate_from_binary_fractions(ds: &Dataset, cfg: &TrainConfig) -> sptransx::Result<SpRotatE> {
+    let mut model = SpRotatE::from_config(ds, cfg)?;
+    let store = model.store_mut();
+    let emb = store.lookup("embeddings").unwrap();
+    for (i, x) in store.value_mut(emb).as_mut_slice().iter_mut().enumerate() {
+        *x = (2 * ((i * 37 + 11) % 63) + 1) as f32 / 128.0 - 0.5;
+    }
+    Ok(model)
+}
+
+/// Every model at `Norm::L2`: parameters, losses and the batched engine's
+/// scores, captured on f6dd388 — the last commit with thirteen hand-written
+/// model structs and per-family evaluation kernels. The scalar scorers are
+/// held to the batched ones by `batch_eval_properties`; this holds the
+/// batched ones to the old build. (`SpTransM`'s relation weights go through
+/// one f64 `ln` rounded to f32 — the only libm call behind these rows.)
+#[test]
+fn every_model_matches_pre_skeleton_structs() {
+    type Run = fn() -> [u64; 3];
+    #[rustfmt::skip]
+    let golden: [(&str, Run, [u64; 3]); 13] = [
+        ("SpTransE", || run_every_param(Norm::L2, SpTransE::from_config), [0xd913_d7ee_eccf_e669, 0x3de5_8085_6782_54a5, 0xa2d2_a87e_a5d2_d805]),
+        ("SpTorusE", || run_every_param(Norm::L2, SpTorusE::from_config), [0xbd41_9339_b443_058a, 0x5968_d23d_d1dc_d482, 0xcb27_cebb_07a6_a751]),
+        ("SpTransH", || run_every_param(Norm::L2, SpTransH::from_config), [0x9ead_4dfa_9e54_29c4, 0x2e6c_331e_0347_e79f, 0xf15b_b5cf_66b4_ae77]),
+        ("SpTransR", || run_every_param(Norm::L2, SpTransR::from_config), [0x23ea_7bbf_9bb2_f372, 0xe28e_89b5_3fb2_5f8a, 0x4bcb_cf07_038d_6914]),
+        ("SpTransC", || run_every_param(Norm::L2, SpTransC::from_config), [0x2b64_18e4_68a9_be46, 0x51b0_992d_22c2_f99c, 0xd23f_ee85_9227_80a6]),
+        ("SpTransM", || run_every_param(Norm::L2, SpTransM::from_config), [0xefd0_8446_b2a7_e71d, 0x75eb_0b08_2b05_f419, 0xe603_f0de_1b88_14ad]),
+        ("SpDistMult", || run_every_param(Norm::L2, SpDistMult::from_config), [0x2e31_6894_1660_0ac7, 0xaee0_89ca_569f_7a15, 0x6b24_0b97_449a_0c79]),
+        ("SpComplEx", || run_every_param(Norm::L2, SpComplEx::from_config), [0x81f5_58de_da9c_7dd3, 0x4efd_5da5_0fe6_b52c, 0x2159_68f5_a73e_0bf1]),
+        ("SpRotatE", || run_every_param(Norm::L2, rotate_from_binary_fractions), [0x3f53_e81d_64a7_9f07, 0xf999_f86c_8148_6785, 0xd7bc_8317_3f93_e418]),
+        ("DenseTransE", || run_every_param(Norm::L2, DenseTransE::from_config), [0xb7c8_9a6d_b261_b648, 0x3de5_8085_6782_54a5, 0x2e27_1090_c02c_c78b]),
+        ("DenseTorusE", || run_every_param(Norm::L2, DenseTorusE::from_config), [0xd7b7_e8fb_f05b_4936, 0xfa9a_7d84_02a8_5951, 0xac57_bc04_538e_86d2]),
+        ("DenseTransH", || run_every_param(Norm::L2, DenseTransH::from_config), [0x325b_df24_d577_f1b2, 0x2e6c_331e_0347_e79f, 0x10a1_8996_fab8_63b1]),
+        ("DenseTransR", || run_every_param(Norm::L2, DenseTransR::from_config), [0x70f2_1f23_c44c_31fc, 0x7dd1_d27e_f145_3087, 0x2df0_dffe_249c_66e9]),
+    ];
+    // Report every moved row at once: one edit to the skeleton moves many.
+    let moved: Vec<String> = golden
+        .iter()
+        .filter_map(|&(what, run, want)| {
+            let got = run();
+            (got != want).then(|| {
+                format!("{what}: {got:#x?}, f6dd388 had {want:#x?}").replace(['\n', ' '], "")
+            })
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "[parameter, loss, score] hashes moved — the model skeleton or the evaluation walk \
+         changed arithmetic:\n{}",
+        moved.join("\n")
+    );
 }
 
 #[test]

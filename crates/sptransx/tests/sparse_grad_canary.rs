@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use sparse::incidence::{hrt, IncidencePair, TailSign};
 use tensor::optim::{Adagrad, Optimizer, Sgd};
-use tensor::{memory, Graph, ParamStore, Tensor};
+use tensor::{memory, Graph, ParamStore, RowScore, Tensor};
 
 /// A value no training arithmetic produces: exact bits we can assert on.
 const CANARY: f32 = -1234.5678;
@@ -67,13 +67,13 @@ fn untouched_rows_keep_canary_bits_and_sparse_steps_do_not_allocate() {
         store.zero_grads();
         graph.reset();
         let pe = graph.spmm(store, emb, pos.clone());
-        let ps = graph.l2_norm_rows(pe, 1e-9);
+        let ps = graph.score_rows(pe, RowScore::L2 { eps: 1e-9 });
         // A gather rides along so the scatter-add path is exercised too.
         let ge = graph.gather(store, emb, heads.clone());
-        let gs = graph.l2_norm_rows(ge, 1e-9);
+        let gs = graph.score_rows(ge, RowScore::L2 { eps: 1e-9 });
         let extra = graph.scale(gs, 0.0);
         let ne = graph.spmm(store, emb, neg.clone());
-        let ns0 = graph.l2_norm_rows(ne, 1e-9);
+        let ns0 = graph.score_rows(ne, RowScore::L2 { eps: 1e-9 });
         let ns = graph.add(ns0, extra);
         let loss = graph.margin_ranking_loss(ps, ns, 5.0);
         graph.backward(loss, store);

@@ -85,7 +85,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::init;
+    use crate::{init, RowScore};
     use sparse::incidence::IncidencePair;
     use sparse::incidence::{hrt, ht, selection, TailSign};
     use std::sync::Arc;
@@ -101,7 +101,7 @@ mod tests {
         let (mut s, p) = small_store(5, 3, 1);
         let report = check_param(&mut s, p, 1e-3, |g, store| {
             let x = g.gather(store, store.lookup("p").unwrap(), vec![0, 2, 4, 2]);
-            let n = g.l2_norm_rows(x, 1e-9);
+            let n = g.score_rows(x, RowScore::L2 { eps: 1e-9 });
             g.mean(n)
         });
         assert!(report.passes(1e-2, 1e-2), "{report:?}");
@@ -115,7 +115,7 @@ mod tests {
         ));
         let report = check_param(&mut s, p, 1e-3, move |g, store| {
             let x = g.spmm(store, store.lookup("p").unwrap(), Arc::clone(&pair));
-            let n = g.squared_l2_norm_rows(x);
+            let n = g.score_rows(x, RowScore::SquaredL2);
             g.mean(n)
         });
         assert!(report.passes(1e-2, 1e-2), "{report:?}");
@@ -140,7 +140,7 @@ mod tests {
             let proj = g.scale_rows(wv, dot);
             let tmp = g.sub(htv, proj);
             let expr = g.add(tmp, dv);
-            let n = g.squared_l2_norm_rows(expr);
+            let n = g.score_rows(expr, RowScore::SquaredL2);
             g.mean(n)
         };
         for name in ["ent", "w", "d"] {
@@ -163,7 +163,7 @@ mod tests {
             let mats = store.lookup("mats").unwrap();
             let htv = g.spmm(store, ent, Arc::clone(&pair));
             let proj = g.project_rows(store, mats, htv, Arc::clone(&by_rel), 3);
-            let n = g.squared_l2_norm_rows(proj);
+            let n = g.score_rows(proj, RowScore::SquaredL2);
             g.mean(n)
         };
         for name in ["ent", "mats"] {
@@ -224,8 +224,8 @@ mod tests {
             let pid = store.lookup("p").unwrap();
             let pos = g.gather(store, pid, vec![0, 1, 2]);
             let neg = g.gather(store, pid, vec![3, 4, 5]);
-            let ps = g.l2_norm_rows(pos, 1e-9);
-            let ns = g.l2_norm_rows(neg, 1e-9);
+            let ps = g.score_rows(pos, RowScore::L2 { eps: 1e-9 });
+            let ns = g.score_rows(neg, RowScore::L2 { eps: 1e-9 });
             g.margin_ranking_loss(ps, ns, 0.5)
         });
         // Hinge is piecewise-linear; tolerate kinks.
@@ -238,7 +238,7 @@ mod tests {
         let report = check_param(&mut s, p, 1e-4, |g, store| {
             let pid = store.lookup("p").unwrap();
             let x = g.gather(store, pid, vec![0, 1, 2]);
-            let n = g.l1_norm_rows(x);
+            let n = g.score_rows(x, RowScore::L1);
             g.mean(n)
         });
         assert!(report.passes(5e-2, 5e-2), "L1: {report:?}");
@@ -246,7 +246,7 @@ mod tests {
         let report = check_param(&mut s, p, 1e-4, |g, store| {
             let pid = store.lookup("p").unwrap();
             let x = g.gather(store, pid, vec![0, 1, 2]);
-            let n = g.torus_l2_sq_rows(x);
+            let n = g.score_rows(x, RowScore::TorusL2Sq);
             g.mean(n)
         });
         assert!(report.passes(5e-2, 5e-2), "torus L2²: {report:?}");

@@ -20,29 +20,30 @@ const REDUCE_CHUNK: usize = 8192;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(usize);
 
-/// Per-row score applied on top of an incidence SpMM by
-/// [`Graph::spmm_score`] — the distance half of a fused
-/// gather+distance kernel.
+/// Per-row score: reduces each row of a node to a scalar
+/// ([`Graph::score_rows`]), or each row of an incidence SpMM without
+/// materializing it ([`Graph::spmm_score`], the distance half of a fused
+/// gather+distance kernel).
 ///
-/// Each variant reduces one SpMM output row to a scalar with **exactly**
-/// the float association of the corresponding standalone norm op
-/// ([`Graph::l1_norm_rows`], [`Graph::l2_norm_rows`], …), so the fused and
-/// materialized pipelines are bit-identical.
+/// Both ops run the same three functions (per-element term, per-row finish,
+/// per-element derivative) in the same order, so the fused and materialized
+/// pipelines are bit-identical by construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RowScore {
-    /// `Σ_j |x_j|` — [`Graph::l1_norm_rows`].
+    /// `Σ_j |x_j|`.
     L1,
-    /// `√(Σ_j x_j²)` — [`Graph::l2_norm_rows`]; `eps` guards the backward
-    /// division for zero rows.
+    /// `√(Σ_j x_j²)`; `eps` guards the backward division for zero rows.
     L2 {
-        /// Backward-division guard, as in [`Graph::l2_norm_rows`].
+        /// Backward-division guard: the derivative divides by
+        /// `max(score, eps)`.
         eps: f32,
     },
-    /// `Σ_j x_j²` — [`Graph::squared_l2_norm_rows`].
+    /// `Σ_j x_j²` (TransC-style scoring).
     SquaredL2,
-    /// `Σ_j min(f_j, 1−f_j)`, `f_j = frac(x_j)` — [`Graph::torus_l1_rows`].
+    /// `Σ_j min(f_j, 1−f_j)`, `f_j = frac(x_j)` — TorusE's wraparound L1.
     TorusL1,
-    /// `Σ_j min(f_j, 1−f_j)²` — [`Graph::torus_l2_sq_rows`].
+    /// `Σ_j min(f_j, 1−f_j)²` — the `l2_torus_dissimilarity` the paper's
+    /// Figure 2 profiles.
     TorusL2Sq,
 }
 
@@ -68,7 +69,7 @@ pub fn floor(x: f32) -> f32 {
 }
 
 /// `min(f, 1 − f)` for `f = frac(x)` — one coordinate of the torus L1
-/// distance, shared by the standalone norm ops and the fused score.
+/// distance.
 #[inline(always)]
 fn torus_l1_term(x: f32) -> f32 {
     let f = x - floor(x);
@@ -111,8 +112,7 @@ fn map_in_place(x: &mut [f32], f: impl Fn(f32) -> f32) {
 }
 
 impl RowScore {
-    /// Replaces every element by its forward term, matching the standalone
-    /// norm op's closure expression-for-expression. The variant is matched
+    /// Replaces every element by its forward term. The variant is matched
     /// once per tile, not once per element.
     #[inline]
     fn terms(self, x: &mut [f32]) {
@@ -121,6 +121,17 @@ impl RowScore {
             RowScore::L2 { .. } | RowScore::SquaredL2 => map_in_place(x, |x| x * x),
             RowScore::TorusL1 => map_in_place(x, torus_l1_term),
             RowScore::TorusL2Sq => map_in_place(x, torus_l2_sq_term),
+        }
+    }
+
+    /// The profile scope [`Graph::score_rows`] reports under.
+    fn op_name(self) -> &'static str {
+        match self {
+            RowScore::L1 => "op::l1_norm",
+            RowScore::L2 { .. } => "op::l2_norm",
+            RowScore::SquaredL2 => "op::sq_l2_norm",
+            RowScore::TorusL1 => "op::torus_l1",
+            RowScore::TorusL2Sq => "op::torus_l2",
         }
     }
 
@@ -133,10 +144,33 @@ impl RowScore {
         }
     }
 
-    /// Replaces every element `x_j` of one batch row's product by
-    /// `0.0 + g · score'(x_j)` — the node-gradient accumulate of the unfused
-    /// pipeline, `-0.0` canonicalization included. `norm` is the row's stored
-    /// score, which the `L2` backward divides by.
+    /// One row's score. `fill(t0, x)` writes elements `t0 .. t0 + x.len()` of
+    /// the row into the stack tile `x`; they are mapped to terms (a loop that
+    /// vectorizes) and folded from `0.0` strictly in column order.
+    #[inline(always)]
+    fn fold_row(
+        self,
+        d: usize,
+        tile: &mut [f32; SCORE_TILE],
+        fill: impl Fn(usize, &mut [f32]),
+    ) -> f32 {
+        let mut acc = 0.0f32;
+        for t0 in (0..d).step_by(SCORE_TILE) {
+            let x = &mut tile[..SCORE_TILE.min(d - t0)];
+            fill(t0, x);
+            self.terms(x);
+            for &xj in x.iter() {
+                acc += xj;
+            }
+        }
+        self.finish(acc)
+    }
+
+    /// Replaces every element `x_j` of one row by `0.0 + g · score'(x_j)`.
+    /// The leading `0.0 +` canonicalizes `-0.0` to `+0.0`, which is what
+    /// accumulating into a fresh (zeroed) node gradient does; accumulating
+    /// the result into an existing one adds the same value either way.
+    /// `norm` is the row's stored score, which the `L2` backward divides by.
     #[inline]
     fn derivs(self, g: f32, norm: f32, x: &mut [f32]) {
         match self {
@@ -228,14 +262,10 @@ enum Op {
         mat: Var,
         scale: Var,
     },
-    L1NormRows(Var),
-    L2NormRows {
+    ScoreRows {
         input: Var,
-        eps: f32,
+        score: RowScore,
     },
-    SquaredL2NormRows(Var),
-    TorusL1Rows(Var),
-    TorusL2SqRows(Var),
     ProjectRows {
         mats: ParamId,
         vecs: Var,
@@ -529,7 +559,7 @@ impl Graph {
     /// the `m × d` SpMM intermediate — the pack-indices-then-single-pass
     /// shape of the paper's hot path.
     ///
-    /// Bit-identical to `spmm` followed by the matching norm op: each
+    /// Bit-identical to `spmm` followed by [`Graph::score_rows`]: each
     /// batch row's operand rows are read once, a stack tile of the product
     /// is evaluated with `spmm_row`'s exact association, and the terms are
     /// folded from `0.0` in column order — the same arithmetic the
@@ -556,13 +586,7 @@ impl Graph {
     ) -> Var {
         if !self.fused {
             let x = self.spmm(store, param, pair);
-            return match score {
-                RowScore::L1 => self.l1_norm_rows(x),
-                RowScore::L2 { eps } => self.l2_norm_rows(x, eps),
-                RowScore::SquaredL2 => self.squared_l2_norm_rows(x),
-                RowScore::TorusL1 => self.torus_l1_rows(x),
-                RowScore::TorusL2Sq => self.torus_l2_sq_rows(x),
-            };
+            return self.score_rows(x, score);
         }
         let _t = profile::scope("op::spmm_score");
         // `table` serves both residency modes: a resident parameter reads
@@ -583,18 +607,9 @@ impl Graph {
                     let i = first + k;
                     let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
                     let (cols, vals) = (&indices[s..e], &values[s..e]);
-                    let mut acc = 0.0f32;
-                    for t0 in (0..d).step_by(SCORE_TILE) {
-                        let x = &mut tile[..SCORE_TILE.min(d - t0)];
-                        spmm_row_into(cols, vals, &view, t0, x);
-                        // Map, then fold: the map loop vectorizes, and the
-                        // fold adds the same terms in the same column order.
-                        score.terms(x);
-                        for &xj in x.iter() {
-                            acc += xj;
-                        }
-                    }
-                    *dst = score.finish(acc);
+                    *dst = score.fold_row(d, &mut tile, |t0, x| {
+                        spmm_row_into(cols, vals, &view, t0, x)
+                    });
                 }
             });
         // One SpMM's worth of reads plus the reduction's flops, but the
@@ -746,54 +761,26 @@ impl Graph {
         self.push(out, Op::ScaleRows { mat, scale })
     }
 
-    /// Per-row L1 norm: `out[i] = Σ_j |a[i,j]|`, shape `(m, 1)`.
-    pub fn l1_norm_rows(&mut self, a: Var) -> Var {
-        let _t = profile::scope("op::l1_norm");
-        let v = row_reduce(&self.pool, &mut self.arena, &self.nodes[a.0].value, |row| {
-            row.iter().map(|x| x.abs()).sum()
-        });
-        self.push(v, Op::L1NormRows(a))
-    }
-
-    /// Per-row L2 norm: `out[i] = √(Σ_j a[i,j]²)`, shape `(m, 1)`.
-    ///
-    /// `eps` guards the backward division for zero rows.
-    pub fn l2_norm_rows(&mut self, a: Var, eps: f32) -> Var {
-        let _t = profile::scope("op::l2_norm");
-        let v = row_reduce(&self.pool, &mut self.arena, &self.nodes[a.0].value, |row| {
-            row.iter().map(|x| x * x).sum::<f32>().sqrt()
-        });
-        self.push(v, Op::L2NormRows { input: a, eps })
-    }
-
-    /// Per-row squared L2 norm (TransC-style scoring), shape `(m, 1)`.
-    pub fn squared_l2_norm_rows(&mut self, a: Var) -> Var {
-        let _t = profile::scope("op::sq_l2_norm");
-        let v = row_reduce(&self.pool, &mut self.arena, &self.nodes[a.0].value, |row| {
-            row.iter().map(|x| x * x).sum()
-        });
-        self.push(v, Op::SquaredL2NormRows(a))
-    }
-
-    /// Per-row L1 torus distance: `out[i] = Σ_j min(fⱼ, 1−fⱼ)` where
-    /// `fⱼ = frac(a[i,j])` — TorusE's wraparound metric.
-    pub fn torus_l1_rows(&mut self, a: Var) -> Var {
-        let _t = profile::scope("op::torus_l1");
-        let v = row_reduce(&self.pool, &mut self.arena, &self.nodes[a.0].value, |row| {
-            row.iter().map(|&x| torus_l1_term(x)).sum()
-        });
-        self.push(v, Op::TorusL1Rows(a))
-    }
-
-    /// Per-row squared L2 torus distance: `out[i] = Σ_j min(fⱼ, 1−fⱼ)²`.
-    ///
-    /// This is the `l2_torus_dissimilarity` the paper's Figure 2 profiles.
-    pub fn torus_l2_sq_rows(&mut self, a: Var) -> Var {
-        let _t = profile::scope("op::torus_l2");
-        let v = row_reduce(&self.pool, &mut self.arena, &self.nodes[a.0].value, |row| {
-            row.iter().map(|&x| torus_l2_sq_term(x)).sum()
-        });
-        self.push(v, Op::TorusL2SqRows(a))
+    /// Per-row score: `out[i] = score(a[i, :])`, shape `(m, 1)` — the norm
+    /// on top of a materialized expression, and the second half of
+    /// [`Graph::spmm_score`]'s unfused arm.
+    pub fn score_rows(&mut self, a: Var, score: RowScore) -> Var {
+        let _t = profile::scope(score.op_name());
+        let (m, n) = self.value(a).shape();
+        let mut out = Tensor::uninit_in(&mut self.arena, m, 1);
+        let ad = self.nodes[a.0].value.as_slice();
+        self.pool
+            .for_rows(out.as_mut_slice(), 1, 256, |first, chunk| {
+                let mut tile = [0.0f32; SCORE_TILE];
+                for (k, dst) in chunk.iter_mut().enumerate() {
+                    let row = &ad[(first + k) * n..(first + k + 1) * n];
+                    *dst = score.fold_row(n, &mut tile, |t0, x| {
+                        x.copy_from_slice(&row[t0..t0 + x.len()])
+                    });
+                }
+            });
+        sparse::metrics::add_flops(2 * (m * n) as u64);
+        self.push(out, Op::ScoreRows { input: a, score })
     }
 
     /// Per-row relation-specific projection (TransR):
@@ -935,10 +922,17 @@ impl Graph {
     /// Per-row sum: `out[i] = Σ_j a[i,j]`, shape `(m, 1)`.
     pub fn row_sum(&mut self, a: Var) -> Var {
         let _t = profile::scope("op::row_sum");
-        let v = row_reduce(&self.pool, &mut self.arena, &self.nodes[a.0].value, |row| {
-            row.iter().sum()
-        });
-        self.push(v, Op::RowSum(a))
+        let (m, n) = self.value(a).shape();
+        let mut out = Tensor::uninit_in(&mut self.arena, m, 1);
+        let ad = self.nodes[a.0].value.as_slice();
+        self.pool
+            .for_rows(out.as_mut_slice(), 1, 256, |first, chunk| {
+                for (k, dst) in chunk.iter_mut().enumerate() {
+                    *dst = ad[(first + k) * n..(first + k + 1) * n].iter().sum();
+                }
+            });
+        sparse::metrics::add_flops(2 * (m * n) as u64);
+        self.push(out, Op::RowSum(a))
     }
 
     /// Semiring triple product (paper Appendix D, DistMult):
@@ -1193,18 +1187,7 @@ impl Graph {
                 self.arena.reclaim(dm);
                 self.arena.reclaim(ds);
             }
-            Op::L1NormRows(a) => {
-                let da = rowwise_unary_backward(
-                    &self.pool,
-                    &mut self.arena,
-                    &self.nodes[a.0].value,
-                    g,
-                    |x, _| x.signum(),
-                );
-                self.accum(a, &da, 1.0);
-                self.arena.reclaim(da);
-            }
-            Op::L2NormRows { input, eps } => {
+            Op::ScoreRows { input, score } => {
                 let (m, n) = self.nodes[input.0].value.shape();
                 let mut da = Tensor::uninit_in(&mut self.arena, m, n);
                 let (ad, nd, gd) = (
@@ -1214,50 +1197,20 @@ impl Graph {
                 );
                 self.pool
                     .for_rows(da.as_mut_slice(), n.max(1), 64, |first, chunk| {
-                        for (k, dst) in chunk.chunks_exact_mut(n.max(1)).enumerate() {
+                        for (k, x) in chunk.chunks_exact_mut(n.max(1)).enumerate() {
                             let r = first + k;
-                            let denom = nd[r].max(eps);
-                            let gr = gd[r];
-                            for (j, d) in dst.iter_mut().enumerate() {
-                                *d = gr * ad[r * n + j] / denom;
-                            }
+                            x.copy_from_slice(&ad[r * n..(r + 1) * n]);
+                            score.derivs(gd[r], nd[r], x);
                         }
                     });
-                sparse::metrics::add_flops(2 * (m * n) as u64);
+                // One multiply per element; `L2` also divides.
+                let per_element = if matches!(score, RowScore::L2 { .. }) {
+                    2
+                } else {
+                    1
+                };
+                sparse::metrics::add_flops(per_element * (m * n) as u64);
                 self.accum(input, &da, 1.0);
-                self.arena.reclaim(da);
-            }
-            Op::SquaredL2NormRows(a) => {
-                let da = rowwise_unary_backward(
-                    &self.pool,
-                    &mut self.arena,
-                    &self.nodes[a.0].value,
-                    g,
-                    |x, _| 2.0 * x,
-                );
-                self.accum(a, &da, 1.0);
-                self.arena.reclaim(da);
-            }
-            Op::TorusL1Rows(a) => {
-                let da = rowwise_unary_backward(
-                    &self.pool,
-                    &mut self.arena,
-                    &self.nodes[a.0].value,
-                    g,
-                    |x, _| torus_l1_deriv(x),
-                );
-                self.accum(a, &da, 1.0);
-                self.arena.reclaim(da);
-            }
-            Op::TorusL2SqRows(a) => {
-                let da = rowwise_unary_backward(
-                    &self.pool,
-                    &mut self.arena,
-                    &self.nodes[a.0].value,
-                    g,
-                    |x, _| torus_l2_sq_deriv(x),
-                );
-                self.accum(a, &da, 1.0);
                 self.arena.reclaim(da);
             }
             Op::ProjectRows {
@@ -1386,13 +1339,16 @@ impl Graph {
                 self.arena.reclaim(da);
             }
             Op::RowSum(a) => {
-                let da = rowwise_unary_backward(
-                    &self.pool,
-                    &mut self.arena,
-                    &self.nodes[a.0].value,
-                    g,
-                    |_, _| 1.0,
-                );
+                let (m, n) = self.nodes[a.0].value.shape();
+                let mut da = Tensor::uninit_in(&mut self.arena, m, n);
+                let gd = g.as_slice();
+                self.pool
+                    .for_rows(da.as_mut_slice(), n.max(1), 64, |first, chunk| {
+                        for (k, dst) in chunk.chunks_exact_mut(n.max(1)).enumerate() {
+                            dst.fill(gd[first + k]);
+                        }
+                    });
+                sparse::metrics::add_flops((m * n) as u64);
                 self.accum(a, &da, 1.0);
                 self.arena.reclaim(da);
             }
@@ -1464,26 +1420,6 @@ impl Graph {
     }
 }
 
-/// `out[i] = f(row_i)`, shape `(m, 1)`, drawn from `arena`.
-fn row_reduce(
-    pool: &PoolHandle,
-    arena: &mut Arena,
-    a: &Tensor,
-    f: impl Fn(&[f32]) -> f32 + Sync,
-) -> Tensor {
-    let (m, n) = a.shape();
-    let mut out = Tensor::uninit_in(arena, m, 1);
-    let ad = a.as_slice();
-    pool.for_rows(out.as_mut_slice(), 1, 256, |first, chunk| {
-        for (k, dst) in chunk.iter_mut().enumerate() {
-            let i = first + k;
-            *dst = f(&ad[i * n..(i + 1) * n]);
-        }
-    });
-    sparse::metrics::add_flops(2 * (m * n) as u64);
-    out
-}
-
 /// `out[i,j] = mat[i,j] * col[i]` (col is `(m,1)`), drawn from `arena`.
 fn scale_rows_tensor(pool: &PoolHandle, arena: &mut Arena, mat: &Tensor, col: &Tensor) -> Tensor {
     let (m, n) = mat.shape();
@@ -1515,30 +1451,6 @@ fn row_dot_tensor(pool: &PoolHandle, arena: &mut Arena, a: &Tensor, b: &Tensor) 
                 acc += ad[i * n + j] * bd[i * n + j];
             }
             *dst = acc;
-        }
-    });
-    out
-}
-
-/// `da[i,j] = g[i] * f(a[i,j], j)` — shared shape of the norm backwards.
-fn rowwise_unary_backward(
-    pool: &PoolHandle,
-    arena: &mut Arena,
-    a: &Tensor,
-    g: &Tensor,
-    f: impl Fn(f32, usize) -> f32 + Sync,
-) -> Tensor {
-    let (m, n) = a.shape();
-    debug_assert_eq!(g.shape(), (m, 1));
-    sparse::metrics::add_flops((m * n) as u64);
-    let mut out = Tensor::uninit_in(arena, m, n);
-    let (ad, gd) = (a.as_slice(), g.as_slice());
-    pool.for_rows(out.as_mut_slice(), n.max(1), 64, |first, chunk| {
-        for (k, dst) in chunk.chunks_exact_mut(n.max(1)).enumerate() {
-            let i = first + k;
-            for (j, d) in dst.iter_mut().enumerate() {
-                *d = gd[i] * f(ad[i * n + j], j);
-            }
         }
     });
     out
@@ -1918,7 +1830,7 @@ mod tests {
         ));
         let mut g1 = Graph::new();
         let expr1 = g1.spmm(&s1, p1, pair);
-        let n1 = g1.l2_norm_rows(expr1, 1e-9);
+        let n1 = g1.score_rows(expr1, RowScore::L2 { eps: 1e-9 });
         let l1 = g1.mean(n1);
         g1.backward(l1, &mut s1);
 
@@ -1930,7 +1842,7 @@ mod tests {
         let t = g2.gather(&s2, p2, tails.clone());
         let hr = g2.add(h, r);
         let expr2 = g2.sub(hr, t);
-        let n2 = g2.l2_norm_rows(expr2, 1e-9);
+        let n2 = g2.score_rows(expr2, RowScore::L2 { eps: 1e-9 });
         let l2 = g2.mean(n2);
         g2.backward(l2, &mut s2);
 
@@ -1982,7 +1894,7 @@ mod tests {
         let proj = g.scale_rows(wv, dot);
         let tmp = g.sub(htv, proj);
         let expr = g.add(tmp, dv);
-        let score = g.l2_norm_rows(expr, 1e-9);
+        let score = g.score_rows(expr, RowScore::L2 { eps: 1e-9 });
         let loss = g.mean(score);
         g.backward(loss, &mut store);
         assert!(store.grad(ent).frobenius_norm() > 0.0);
@@ -2343,9 +2255,9 @@ mod tests {
     fn torus_norms_are_wraparound() {
         let mut g = Graph::new();
         let x = g.input(Tensor::from_rows(&[[0.25, 1.75]])); // fracs: 0.25, 0.75
-        let l1 = g.torus_l1_rows(x);
+        let l1 = g.score_rows(x, RowScore::TorusL1);
         assert!((g.value(l1).get(0, 0) - 0.5).abs() < 1e-6); // 0.25 + 0.25
-        let l2 = g.torus_l2_sq_rows(x);
+        let l2 = g.score_rows(x, RowScore::TorusL2Sq);
         assert!((g.value(l2).get(0, 0) - 0.125).abs() < 1e-6); // 0.0625 * 2
     }
 
@@ -2375,7 +2287,7 @@ mod tests {
             hrt(3, 1, &[0, 1], &[0, 0], &[2, 0], TailSign::Negative).unwrap(),
         ));
         let expr = g.spmm(store, p, pair);
-        let n = g.l2_norm_rows(expr, 1e-9);
+        let n = g.score_rows(expr, RowScore::L2 { eps: 1e-9 });
         let loss = g.mean(n);
         g.backward(loss, store);
         (
@@ -2417,7 +2329,7 @@ mod tests {
         let (mut store, p) = store_with("emb", Tensor::from_rows(&[[1.0, 2.0], [3.0, 4.0]]));
         let mut g = Graph::new();
         let x = g.gather(&store, p, vec![0, 1, 0]);
-        let n = g.l2_norm_rows(x, 1e-9);
+        let n = g.score_rows(x, RowScore::L2 { eps: 1e-9 });
         let loss = g.mean(n);
         g.backward(loss, &mut store);
         assert!(
@@ -2707,8 +2619,8 @@ mod tests {
             g.set_fused(fused);
             let hp = g.gather(&store, p, vec![0, 1, 2]);
             let hn = g.gather(&store, p, vec![2, 0, 1]);
-            let np = g.l2_norm_rows(hp, 1e-9);
-            let nn = g.l2_norm_rows(hn, 1e-9);
+            let np = g.score_rows(hp, RowScore::L2 { eps: 1e-9 });
+            let nn = g.score_rows(hn, RowScore::L2 { eps: 1e-9 });
             let loss = g.margin_ranking_loss(np, nn, 0.5);
             g.backward(loss, &mut store);
             let bits: Vec<u32> = g

@@ -34,13 +34,13 @@
 //! Differentiate a TransE-style score through the tape:
 //!
 //! ```
-//! use tensor::{Graph, ParamStore, Tensor};
+//! use tensor::{Graph, ParamStore, RowScore, Tensor};
 //!
 //! let mut store = ParamStore::new();
 //! let emb = store.add_param("emb", Tensor::from_rows(&[[1.0, 2.0], [0.5, 0.0], [3.0, 1.0]]));
 //! let mut g = Graph::new();
 //! let rows = g.gather(&store, emb, vec![0, 2]);
-//! let norms = g.l2_norm_rows(rows, 1e-9);
+//! let norms = g.score_rows(rows, RowScore::L2 { eps: 1e-9 });
 //! let loss = g.mean(norms);
 //! g.backward(loss, &mut store);
 //! assert_eq!(store.grad(emb).rows(), 3);

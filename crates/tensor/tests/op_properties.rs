@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use sparse::incidence::{selection, IncidencePair};
-use tensor::{Graph, ParamStore, Tensor};
+use tensor::{Graph, ParamStore, RowScore, Tensor};
 use xparallel::PoolHandle;
 
 fn small_matrix() -> impl Strategy<Value = (usize, usize, Vec<f32>)> {
@@ -193,8 +193,8 @@ proptest! {
     fn norm_inequalities((m, n, data) in small_matrix()) {
         let mut g = Graph::new();
         let x = g.input(Tensor::from_vec(m, n, data));
-        let l1 = g.l1_norm_rows(x);
-        let l2 = g.l2_norm_rows(x, 1e-9);
+        let l1 = g.score_rows(x, RowScore::L1);
+        let l2 = g.score_rows(x, RowScore::L2 { eps: 1e-9 });
         for i in 0..m {
             let a = g.value(l1).get(i, 0);
             let b = g.value(l2).get(i, 0);

@@ -10,9 +10,14 @@
 
 use kg::eval::{evaluate, EvalConfig, TripleScorer};
 use kg::synthetic::SyntheticKgBuilder;
-use sptransx::{
-    ComplExScorer, RotatEScorer, SpComplEx, SpDistMult, SpRotatE, TrainConfig, Trainer,
-};
+use sptransx::{KgeModel, SpComplEx, SpDistMult, SpRotatE, TrainConfig, Trainer};
+
+/// Overwrites a model's stacked `embeddings` table.
+fn set_embeddings(model: &mut impl KgeModel, values: &[f32]) {
+    let store = model.store_mut();
+    let emb = store.lookup("embeddings").expect("a stacked-table model");
+    store.value_mut(emb).as_mut_slice().copy_from_slice(values);
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = SyntheticKgBuilder::new(300, 8)
@@ -93,16 +98,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // --- ComplEx & RotatE: complex-semiring scoring -----------------------
-    // Build complex embeddings where each relation is a pure rotation and
-    // tails are exactly rotated heads for the known triples — RotatE's
-    // geometric ideal — then check the scorers rank those tails first.
+    // Give both models a table where every row is a pure rotation (unit
+    // phases, RotatE's geometric ideal for relations) and rank with it.
     let n = dataset.num_entities;
     let r = dataset.num_relations;
-    let half_dim = 8;
-    let emb = tensor::init::unit_phases(n + r, half_dim, 99);
-
-    let rotate = RotatEScorer::new(emb.as_slice().to_vec(), n, r, half_dim)?;
-    let complex = ComplExScorer::new(emb.as_slice().to_vec(), n, r, half_dim)?;
+    let cfg = TrainConfig {
+        dim: 8,
+        ..config.clone()
+    };
+    let phases = tensor::init::unit_phases(n + r, cfg.dim, 99);
+    let mut rotate = SpRotatE::from_config(&dataset, &cfg)?;
+    let mut complex = SpComplEx::from_config(&dataset, &cfg)?;
+    set_embeddings(&mut rotate, phases.as_slice());
+    set_embeddings(&mut complex, phases.as_slice());
 
     let eval_cfg = EvalConfig {
         max_triples: Some(30),
@@ -122,18 +130,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("(random embeddings score near chance — the point is the kernel path)");
 
     // Direct kernel sanity: a tail that IS the rotated head scores ~0.
+    let toy_kg = SyntheticKgBuilder::new(2, 1).triples(2).seed(1).build();
+    let toy_cfg = TrainConfig {
+        dim: 1,
+        ..Default::default()
+    };
+    let mut toy = SpRotatE::from_config(&toy_kg, &toy_cfg)?;
     let h = sparse::Complex32::from_phase(0.3);
     let rel = sparse::Complex32::from_phase(1.2);
     let t = h * rel;
-    let mut toy = Vec::new();
-    for z in [h, t, rel] {
-        toy.push(z.re);
-        toy.push(z.im);
-    }
-    let toy_scorer = RotatEScorer::new(toy, 2, 1, 1)?;
+    set_embeddings(&mut toy, &[h.re, h.im, t.re, t.im, rel.re, rel.im]);
     println!(
         "\ntoy RotatE distance(h, r, h∘r) = {:.2e} (exact rotation scores zero)",
-        toy_scorer.score_tails(0, 0)[1]
+        toy.score_tails(0, 0)[1]
     );
     Ok(())
 }
