@@ -342,9 +342,11 @@ fn emit_json() {
 /// ([`steady_epoch_ms`]) per arm, across the
 /// budget sweep (in-RAM backing) and two disk-backed (`FileRowStorage`
 /// pagefile) arms at the tightest budgets. Each record carries the
-/// per-epoch time and its cost relative to the resident sparse epoch at the
-/// same table size (bit-identity across arms is the paging contract,
-/// enforced by the test suites; this pass only reports time).
+/// per-epoch time, its cost relative to the resident sparse epoch at the
+/// same table size, and one further epoch's exact traffic: backend
+/// `read_ops` / `write_ops` (calls, zero for the in-RAM backing, which does
+/// not count them) and the pager's `hit_rate` (bit-identity across arms is
+/// the paging contract, enforced by the test suites).
 fn emit_json_paged() {
     use sptransx::FileRowStorage;
     use sptx_bench::json::{write_bench_json, JsonObject};
@@ -428,6 +430,16 @@ fn emit_json_paged() {
             opt.set_pool(&PoolHandle::global());
             let mut graph = Graph::new();
             let ms = steady_epoch_ms(|| epoch(&mut model, &mut graph, &mut opt));
+            // One more (untimed) epoch for the exact per-epoch traffic: the
+            // pager's row counters and the backend's call counters.
+            let counters = |model: &SpTransE| {
+                let pager = model.store().pager(emb).expect("paged");
+                (pager.stats(), pager.storage_io_ops())
+            };
+            let (stats0, (reads0, writes0)) = counters(&model);
+            epoch(&mut model, &mut graph, &mut opt);
+            let (stats, (reads, writes)) = counters(&model);
+            let (hits, misses) = (stats.hits - stats0.hits, stats.misses - stats0.misses);
 
             records.push(
                 JsonObject::new()
@@ -438,7 +450,10 @@ fn emit_json_paged() {
                     .int("budget_rows", budget as u64)
                     .int("epochs_timed", u64::from(TIMED_EPOCHS))
                     .num("ms_per_epoch", ms)
-                    .num("cost_vs_resident", ms / resident_ms),
+                    .num("cost_vs_resident", ms / resident_ms)
+                    .int("read_ops", reads - reads0)
+                    .int("write_ops", writes - writes0)
+                    .num("hit_rate", hits as f64 / (hits + misses).max(1) as f64),
             );
         }
     }
