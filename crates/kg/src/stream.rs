@@ -258,7 +258,11 @@ impl EmbeddingStore {
 /// back with [`RowFile::write_rows`]. The handle is unbuffered (reads and
 /// writes interleave, so a `BufReader`'s read-ahead would go stale) and both
 /// directions reuse one byte scratch, keeping steady-state paging
-/// allocation-free.
+/// allocation-free. The scratch is **retained at the largest request** for
+/// the life of the handle, so a caller that keeps the handle moves a table
+/// in bounded chunks (as the pager's page-out and page-back do): a
+/// whole-table `write_rows(0, rows, ..)` is for one-shot tools, since it
+/// pins a second copy of the table's bytes until the file is closed.
 ///
 /// # Examples
 ///

@@ -18,6 +18,8 @@
 //!   triplet's relation column. Its [`IncidencePair`] is the batch grouped by
 //!   relation, which is what TransR's per-relation projection walks.
 
+use std::sync::Arc;
+
 use crate::{CooMatrix, CsrMatrix, Error, Result};
 
 /// Coefficient convention for the tail (and, per semiring, its meaning).
@@ -200,8 +202,10 @@ pub struct IncidencePair {
     /// Sorted, deduplicated nonzero columns of `A` — the embedding rows this
     /// batch touches. Cached once per pair (the same `O(cols)` pass the
     /// transpose construction already pays) so the backward pass and the
-    /// touched-row gradient contract never rescan the matrix.
-    touched: Vec<u32>,
+    /// touched-row gradient contract never rescan the matrix — and shared,
+    /// so a consumer that keeps the list (a paging schedule) clones a
+    /// pointer.
+    touched: Arc<[u32]>,
 }
 
 impl IncidencePair {
@@ -210,7 +214,7 @@ impl IncidencePair {
         let transpose = forward.transpose();
         // Occupied rows of Aᵀ == nonzero columns of A, read in O(cols) off
         // the transpose's indptr instead of an O(nnz log nnz) sort.
-        let touched = transpose.occupied_rows();
+        let touched = transpose.occupied_rows().into();
         Self {
             forward,
             transpose,
@@ -228,6 +232,11 @@ impl IncidencePair {
     /// this incidence matrix can touch. Consumers union it into their
     /// `RowSet`s per batch.
     pub fn touched_columns(&self) -> &[u32] {
+        &self.touched
+    }
+
+    /// [`IncidencePair::touched_columns`] as the shared list itself.
+    pub fn touched_columns_shared(&self) -> &Arc<[u32]> {
         &self.touched
     }
 }

@@ -116,8 +116,10 @@ pub struct RankQuery<'a> {
 }
 
 /// A family's paged working set: the table it pages and the rows of it one
-/// side of a batch touches ([`Family::WORKING_SET`]).
-pub type WorkingSet<F> = for<'a> fn(&'a F, &'a <F as Family>::Side) -> (ParamId, &'a [u32]);
+/// side of a batch touches ([`Family::WORKING_SET`]) — the side's own shared
+/// list, so that the whole plan's lists can be declared to the store as the
+/// table's access schedule without copying one.
+pub type WorkingSet<F> = for<'a> fn(&'a F, &'a <F as Family>::Side) -> (ParamId, &'a Arc<[u32]>);
 
 /// What distinguishes one model from another. Everything a hook does not
 /// say is [`Model`]'s.
@@ -333,6 +335,18 @@ impl<F: Family> KgeModel for Model<F> {
             .into_iter()
             .map(|s| s.expect("cache slot filled by its task"))
             .collect::<Result<_>>()?;
+        if let (Some(working_set), Some(first)) = (F::WORKING_SET, self.batches.first()) {
+            // The plan is fixed for the run, so the table's whole access
+            // schedule is known here: declare it (pointer clones), and a
+            // later page-out lays the pagefile out to match.
+            let (table, _) = working_set(&self.family, &first[0]);
+            let lists = |sides: &[F::Side; 2]| {
+                let list = |side| working_set(&self.family, side).1.clone();
+                sides.iter().map(list).collect()
+            };
+            let schedule = self.batches.iter().map(lists).collect();
+            self.store.declare_schedule(table, schedule);
+        }
         Ok(())
     }
 
@@ -438,8 +452,8 @@ impl Stacked {
 
     /// The `hrt` families' [`Family::WORKING_SET`]: the columns a side's
     /// incidence matrix touches.
-    pub(crate) fn working_set<'a>(&self, side: &'a HrtSide) -> (ParamId, &'a [u32]) {
-        (self.emb, side.touched_columns())
+    pub(crate) fn working_set<'a>(&self, side: &'a HrtSide) -> (ParamId, &'a Arc<[u32]>) {
+        (self.emb, side.touched_columns_shared())
     }
 }
 

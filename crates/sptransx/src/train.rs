@@ -419,7 +419,8 @@ impl<M: KgeModel> Trainer<M> {
     /// a table can be paged out afterwards, through
     /// [`Trainer::model_mut`]), or if the attached plan has no batches (a
     /// 0-batch epoch would otherwise silently report loss 0); propagates
-    /// paging errors from [`KgeModel::page_in_batch`].
+    /// paging errors from [`KgeModel::page_in_batch`] and from the
+    /// end-of-epoch renormalization of a paged table.
     pub fn run_epochs(&mut self, epochs: usize) -> Result<TrainReport> {
         self.arm().check()?;
         if self.num_batches() == 0 {
@@ -454,6 +455,9 @@ impl<M: KgeModel> Trainer<M> {
             };
             for r in &mut self.replicas[..owners] {
                 r.model.end_epoch();
+                // The hook has no error channel; a paged renormalization
+                // that hit a storage fault left it with the store.
+                r.model.store_mut().take_storage_error()?;
             }
             epoch_losses.push((self.loss_sum / self.loss_count as f64) as f32);
             (self.loss_sum, self.loss_count) = (0.0, 0);

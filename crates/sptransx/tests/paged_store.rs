@@ -10,13 +10,19 @@
 //! 2. **Counter validation** — the pager's hit/miss counters are replayed
 //!    through an independent `simcache` fully-associative LRU model over the
 //!    same row trace and must match *exactly* (the PR-6 query-cache idiom).
-//! 3. **Failure modes** — budgets below the working set and invalid
-//!    page-outs refuse loudly instead of silently corrupting state (which
-//!    arms may page at all is `tests/arm_soundness.rs`).
+//! 3. **Failure modes** — budgets below the working set, invalid page-outs
+//!    and a pagefile that fails mid-epoch refuse loudly instead of silently
+//!    corrupting state (which arms may page at all is
+//!    `tests/arm_soundness.rs`).
+//! 4. **Layout** — the pagefile's row order follows the batch plan; it
+//!    changes how many storage calls an epoch costs, and nothing else.
+
+use std::sync::Arc;
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
 use sptransx::{FileRowStorage, KgeModel, SpTorusE, SpTransE, TrainConfig, Trainer};
+use tensor::paged::Schedule;
 use tensor::{PageStats, RowStorage, VecStorage};
 
 fn dataset() -> Dataset {
@@ -74,13 +80,27 @@ fn train_resident(ds: &Dataset, cfg: &TrainConfig) -> Run {
 
 /// Trains any model family with its `embeddings` table paged out to
 /// `storage`, returning the run plus the pager's counters and row trace
-/// (collected before unpaging).
+/// (collected before unpaging). The pagefile is laid out by the schedule
+/// the model declared from its batch plan.
 fn train_paged_model<M: KgeModel>(
     ds: &Dataset,
     cfg: &TrainConfig,
     storage: Box<dyn RowStorage>,
     budget: usize,
     ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+) -> sptransx::Result<(Run, PageStats, Vec<u32>)> {
+    train_paged_laid_out(ds, cfg, storage, budget, ctor, None)
+}
+
+/// [`train_paged_model`], with the declared schedule replaced by `layout`
+/// if one is given.
+fn train_paged_laid_out<M: KgeModel>(
+    ds: &Dataset,
+    cfg: &TrainConfig,
+    storage: Box<dyn RowStorage>,
+    budget: usize,
+    ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+    layout: Option<Schedule>,
 ) -> sptransx::Result<(Run, PageStats, Vec<u32>)> {
     let model = ctor(ds, cfg)?;
     let emb = model
@@ -89,6 +109,9 @@ fn train_paged_model<M: KgeModel>(
         .expect("embeddings table");
     let mut trainer = Trainer::new(model, ds, cfg)?;
     let store = trainer.model_mut().store_mut();
+    if let Some(schedule) = layout {
+        store.declare_schedule(emb, schedule);
+    }
     store.page_out(emb, storage, budget)?;
     store.pager_mut(emb).unwrap().set_tracing(true);
     let report = trainer.run()?;
@@ -317,6 +340,7 @@ fn file_backend_coalesces_io_transfers_below_per_row_counts() {
     let pager = store.pager(emb).unwrap();
     let stats = pager.stats();
     let (reads, writes) = pager.storage_io_ops();
+    let row_at = pager.row_at().to_vec();
     assert!(
         stats.misses > 0 && stats.write_backs > 0,
         "budget too loose"
@@ -333,13 +357,25 @@ fn file_backend_coalesces_io_transfers_below_per_row_counts() {
     );
 
     // Unchanged bytes: the flushed file must hold exactly the table the
-    // pager reassembles, row for row.
+    // pager reassembles, row for row — in the order of the batch plan, not
+    // of the ids (file row `k` is logical row `row_at[k]`).
     store.unpage(emb).unwrap();
     let final_emb = trainer.model().store().value(emb).as_slice().to_vec();
     let mut reopened = FileRowStorage::open(&path).unwrap();
     let mut from_disk = vec![0f32; rows * cols];
     reopened.read_rows_into(0, rows, &mut from_disk).unwrap();
-    assert_bits_equal(&from_disk, &final_emb, "flushed file vs final table");
+    assert!(
+        row_at.iter().enumerate().any(|(k, &r)| k != r as usize),
+        "the plan's schedule did not reach the pagefile"
+    );
+    for (k, &r) in row_at.iter().enumerate() {
+        let r = r as usize;
+        assert_bits_equal(
+            &from_disk[k * cols..(k + 1) * cols],
+            &final_emb[r * cols..(r + 1) * cols],
+            &format!("file row {k} vs table row {r}"),
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -461,5 +497,178 @@ fn paged_training_is_bit_identical_under_eviction_pressure() {
     assert!(
         budget < BUDGET && stats.evictions > 0 && stats.write_backs > 0,
         "budget {budget} not tight enough: {stats:?}",
+    );
+}
+
+/// The schedule whose placement is exactly `order`: step `k` touches only
+/// row `order[k]`, so the signatures sort the rows into that order.
+fn layout_of(order: &[u32]) -> Schedule {
+    order.iter().map(|&r| vec![Arc::from([r])]).collect()
+}
+
+#[test]
+fn the_pagefile_layout_never_reaches_losses_embeddings_or_lru_exactness() {
+    // The plan-derived layout, the identity and a shuffle: where a row lives
+    // in the file decides which rows share a storage call, and nothing a
+    // model can see. Every layout's counters are those of a plain LRU fed its
+    // own trace, on both back ends.
+    let ds = dataset();
+    let cfg = config();
+    let resident = train_resident(&ds, &cfg);
+    let mut shuffled: Vec<u32> = (0..204).collect();
+    let mut state = 0x2545_F491u32;
+    for k in (1..shuffled.len()).rev() {
+        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        shuffled.swap(k, (state >> 8) as usize % (k + 1));
+    }
+    let layouts = [
+        ("plan", None),
+        ("identity", Some(Schedule::new())),
+        ("shuffled", Some(layout_of(&shuffled))),
+    ];
+    let mut misses = Vec::new();
+    for (what, layout) in layouts {
+        let (path, file) = temp_table(what, 204, cfg.dim);
+        let backends = [
+            ("vec", Box::new(VecStorage::new(204, cfg.dim)) as _),
+            ("file", file),
+        ];
+        for (backend, storage) in backends {
+            let what = format!("{what}/{backend}");
+            let ctor = SpTransE::from_config;
+            let (run, stats, trace) =
+                train_paged_laid_out(&ds, &cfg, storage, BUDGET, ctor, layout.clone()).unwrap();
+            assert_eq!(run.losses, resident.losses, "{what}: losses diverged");
+            assert_bits_equal(&run.embeddings, &resident.embeddings, &what);
+            let sim = simcache_replay(&trace, BUDGET);
+            assert_eq!(
+                (stats.hits, stats.misses),
+                (sim.hits, sim.misses),
+                "{what}: counters diverge from the LRU model"
+            );
+            assert!(stats.evictions > 0 && stats.write_backs > 0, "{what}");
+            misses.push(stats.misses);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+    // The order of a call's misses is the layout's, so LRU ties break
+    // differently: the counters are each exact, not all equal.
+    assert_eq!(misses[0], misses[1], "the back end changed a decision");
+}
+
+#[test]
+fn schedule_order_turns_an_epochs_rows_into_a_few_storage_calls() {
+    // A Zipf graph (a hot head every batch touches, a long tail each batch
+    // touches once) and a cache of about a batch and a half: in a steady
+    // epoch nearly every tail row is a miss and a write-back, and the
+    // schedule order moves them in runs. Exact counters, no clock.
+    let ds = SyntheticKgBuilder::new(20000, 6)
+        .triples(6000)
+        .zipf_exponent(1.0)
+        .seed(3)
+        .build();
+    let cfg = TrainConfig {
+        batch_size: 256,
+        dim: 8,
+        ..config()
+    };
+    let model = SpTransE::from_config(&ds, &cfg).unwrap();
+    let emb = model.embedding_param();
+    let mut trainer = Trainer::new(model, &ds, &cfg).unwrap();
+    let store = trainer.model_mut().store_mut();
+    let (rows, cols) = store.param_shape(emb);
+    let (path, storage) = temp_table("zipf", rows, cols);
+    store.page_out(emb, storage, 1500).unwrap();
+    trainer.run_epochs(1).unwrap();
+    let counters = |trainer: &Trainer<SpTransE>| {
+        let pager = trainer.model().store().pager(emb).unwrap();
+        (pager.stats(), pager.storage_io_ops())
+    };
+    let (before, (reads0, writes0)) = counters(&trainer);
+    trainer.run_epochs(1).unwrap();
+    let (after, (reads1, writes1)) = counters(&trainer);
+    std::fs::remove_file(&path).ok();
+    let (misses, write_backs) = (
+        after.misses - before.misses,
+        after.write_backs - before.write_backs,
+    );
+    let (reads, writes) = (reads1 - reads0, writes1 - writes0);
+    assert!(misses > 3000 && write_backs > 3000, "{after:?}: too tame");
+    assert!(
+        4 * reads < misses,
+        "{reads} read calls for {misses} misses in the second epoch"
+    );
+    assert!(
+        4 * writes < write_backs,
+        "{writes} write calls for {write_backs} write-backs in the second epoch"
+    );
+}
+
+/// A pagefile whose `fail_at`-th read (0-based) fails; reads are counted in
+/// `reads`, which outlives the storage.
+#[derive(Debug)]
+struct FailingRead {
+    inner: VecStorage,
+    reads: Arc<std::sync::atomic::AtomicU64>,
+    fail_at: u64,
+}
+
+impl RowStorage for FailingRead {
+    fn rows(&self) -> usize {
+        self.inner.rows()
+    }
+    fn cols(&self) -> usize {
+        self.inner.cols()
+    }
+    fn read_rows_into(
+        &mut self,
+        first: usize,
+        count: usize,
+        out: &mut [f32],
+    ) -> std::io::Result<()> {
+        let call = self
+            .reads
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if call == self.fail_at {
+            return Err(std::io::Error::other("injected EIO on read"));
+        }
+        self.inner.read_rows_into(first, count, out)
+    }
+    fn write_rows(&mut self, first: usize, count: usize, data: &[f32]) -> std::io::Result<()> {
+        self.inner.write_rows(first, count, data)
+    }
+}
+
+#[test]
+fn a_pagefile_fault_in_the_epoch_end_renormalization_fails_the_run() {
+    // The end-of-epoch hook has no error channel; the trainer must still
+    // return the fault, not panic and not train on. The first epoch's
+    // renormalization is a page-through of the whole table and the epoch's
+    // last phase, so the epoch's last read is inside it: count the reads of
+    // a clean epoch, then fail that one.
+    let ds = dataset();
+    let cfg = config();
+    let epoch_with_fault_at = |fail_at: u64| {
+        let reads = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let storage = FailingRead {
+            inner: VecStorage::new(204, cfg.dim),
+            reads: reads.clone(),
+            fail_at,
+        };
+        let model = SpTransE::from_config(&ds, &cfg).unwrap();
+        let emb = model.embedding_param();
+        let mut trainer = Trainer::new(model, &ds, &cfg).unwrap();
+        let store = trainer.model_mut().store_mut();
+        store.page_out(emb, Box::new(storage), BUDGET).unwrap();
+        let outcome = trainer.run_epochs(1).map(|_| ());
+        (outcome, reads.load(std::sync::atomic::Ordering::Relaxed))
+    };
+    let (clean, reads) = epoch_with_fault_at(u64::MAX);
+    clean.unwrap();
+    let (faulted, _) = epoch_with_fault_at(reads - 1);
+    let msg = faulted.expect_err("the fault must surface").to_string();
+    assert!(
+        msg.contains("renormalization sweep of 'embeddings'") && msg.contains("injected EIO"),
+        "unexpected error: {msg}"
     );
 }

@@ -12,7 +12,7 @@
 use xparallel::{PoolHandle, Rows};
 
 use crate::hogwild::SharedTable;
-use crate::paged::{io_error, storage_error, Pager, RowStorage};
+use crate::paged::{placement, storage_error, Pager, RowStorage, Schedule};
 use crate::{Error, Result, Tensor};
 
 /// Opaque handle to a parameter in a [`ParamStore`].
@@ -308,6 +308,13 @@ pub struct ParamStore {
     /// `budget × d` slot cache (slot-aligned, so one translation map serves
     /// both) while the touched/dirty row sets keep **absolute** indices.
     pagers: Vec<Option<Pager>>,
+    /// The access schedule declared for each parameter
+    /// ([`ParamStore::declare_schedule`]; empty = none), kept until
+    /// [`ParamStore::page_out`] turns it into the pagefile's row order.
+    schedules: Vec<Schedule>,
+    /// The first backing-store error of a sweep that has no error channel
+    /// ([`ParamStore::for_dirty_rows`]), held for the next fallible call.
+    latched: Option<Error>,
     dense_grads: bool,
 }
 
@@ -393,6 +400,7 @@ impl ParamStore {
         self.touched.push(rows);
         self.dirty.push(dirty);
         self.pagers.push(None);
+        self.schedules.push(Schedule::new());
         ParamId(self.values.len() - 1)
     }
 
@@ -602,17 +610,21 @@ impl ParamStore {
     /// set is re-marked dense afterwards, so the ablation arm keeps paying
     /// the full `O(N · d)` sweep every epoch.
     ///
-    /// A paged parameter streams the same rows in the same order through its
-    /// slot cache in budget-sized chunks (each chunk's accesses hit the
-    /// pager, so they land in the trace and the hit/miss counters like any
-    /// batch access); a fresh parameter's all-rows state makes that one
-    /// `O(N · d)` page-through, paid on the first epoch only.
+    /// A paged parameter streams the same rows through its slot cache in
+    /// budget-sized chunks, in **file order** — each chunk is then a few
+    /// runs of the pagefile, not a scatter over it — and each row's
+    /// normalization is independent, so no bit depends on the order. Each
+    /// chunk's accesses hit the pager, so they land in the trace and the
+    /// hit/miss counters like any batch access; a fresh parameter's all-rows
+    /// state makes that one `O(N · d)` page-through, paid on the first epoch
+    /// only.
     ///
-    /// # Panics
-    ///
-    /// Panics (paged parameters only) on backing-store I/O errors: this
-    /// sweep has no error channel, and a failing pagefile mid-epoch is not
-    /// recoverable.
+    /// This sweep has no error channel. A backing-store error (paged
+    /// parameters only) stops it with every unswept row still in the dirty
+    /// set, and is held for the next fallible call:
+    /// [`ParamStore::take_storage_error`] (what a training loop checks after
+    /// its end-of-epoch hook), [`ParamStore::page_in`],
+    /// [`ParamStore::flush_paged`] and [`ParamStore::unpage`] return it.
     pub fn for_dirty_rows(&mut self, id: ParamId, mut f: impl FnMut(usize, &mut [f32]) -> bool) {
         let i = id.0;
         let (num_rows, cols) = self.param_shape(id);
@@ -630,24 +642,33 @@ impl ParamStore {
             (_, true) => num_rows,
             (_, false) => dirty.rows.len(),
         };
+        if let Some(pager) = &self.pagers[i] {
+            pager.sort_by_position(&mut dirty.rows);
+        }
         // Resident: one chunk, the whole set. Paged: what fits the cache.
         let step = budget.unwrap_or(total).max(1);
         let mut range = Vec::new();
+        let mut unswept = None;
         for start in (0..total).step_by(step) {
             let end = (start + step).min(total);
-            let chunk = match (budget, dirty.dense) {
+            let chunk = match (&self.pagers[i], dirty.dense) {
                 (None, _) => dirty.rows(),
-                (Some(_), true) => {
+                (Some(pager), true) => {
                     range.clear();
-                    range.extend(start as u32..end as u32);
+                    range.extend_from_slice(&pager.row_at()[start..end]);
                     Rows::Listed(&range)
                 }
                 (Some(_), false) => Rows::Listed(&dirty.rows[start..end]),
             };
             if let (Some(pager), Rows::Listed(chunk)) = (&mut self.pagers[i], chunk) {
-                pager
-                    .ensure(chunk, self.values[i].as_mut_slice())
-                    .expect("paged renormalization sweep failed to page rows in");
+                if let Err(e) = pager.ensure(chunk, self.values[i].as_mut_slice()) {
+                    self.latched.get_or_insert(storage_error(format!(
+                        "renormalization sweep of '{}' stopped at row {start} of {total}: {e}",
+                        self.names[i]
+                    )));
+                    unswept = Some(start);
+                    break;
+                }
                 pager.translate(chunk);
             }
             let first_kept = kept.len();
@@ -664,14 +685,34 @@ impl ParamStore {
                 pager.mark_translation_dirty();
             }
         }
+        // A sweep cut short keeps what it did not reach: the rest of the
+        // list, or (having no list) every row — re-sweeping a settled row is
+        // a no-op by the retention contract.
+        let stays_dense = self.dense_grads || (dirty.dense && unswept.is_some());
+        if let (Some(start), false) = (unswept, dirty.dense) {
+            kept.extend_from_slice(&dirty.rows[start..]);
+        }
+        if budget.is_some() {
+            kept.sort_unstable();
+        }
         dirty.clear();
-        if self.dense_grads {
+        if stays_dense {
             dirty.mark_all();
         } else {
             std::mem::swap(&mut dirty.rows, &mut kept);
         }
         dirty.scratch = kept;
         self.dirty[i] = dirty;
+    }
+
+    /// Returns (and forgets) the backing-store error a
+    /// [`ParamStore::for_dirty_rows`] sweep stopped on, if any.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Storage`] naming the parameter and the failed operation.
+    pub fn take_storage_error(&mut self) -> Result<()> {
+        self.latched.take().map_or(Ok(()), Err)
     }
 
     /// Applies a sweep's bookkeeping and resolves its rows.
@@ -940,9 +981,21 @@ impl ParamStore {
         view(&self.values[id.0], self.pagers[id.0].as_ref())
     }
 
+    /// Declares the access schedule of `id`: for each step of the run, the
+    /// index lists that step will hand to [`ParamStore::page_in`]. It costs
+    /// a resident run nothing (the lists are shared, and nothing is computed
+    /// from them); the next [`ParamStore::page_out`] of `id` consumes it to
+    /// lay the pagefile out in schedule order (see [`crate::paged`]). A
+    /// later declaration replaces an earlier one.
+    pub fn declare_schedule(&mut self, id: ParamId, steps: Schedule) {
+        self.schedules[id.0] = steps;
+    }
+
     /// Moves `id`'s full table into `storage` (writing the current values
-    /// to it) and replaces the in-RAM tensors with a `budget × d` slot
-    /// cache. From here on, each batch must page its working set in via
+    /// to it, in the row order its declared schedule asks for — the
+    /// identity if none was declared) and replaces the in-RAM tensors with a
+    /// `budget × d` slot cache. From here on, each batch must page its
+    /// working set in via
     /// [`ParamStore::page_in`] before kernels touch the parameter, and
     /// reads/writes go through slot translation ([`ParamStore::table`],
     /// the pager-aware optimizer path). `budget` is clamped to the table's
@@ -960,7 +1013,7 @@ impl ParamStore {
     pub fn page_out(
         &mut self,
         id: ParamId,
-        mut storage: Box<dyn RowStorage>,
+        storage: Box<dyn RowStorage>,
         budget: usize,
     ) -> Result<()> {
         let i = id.0;
@@ -995,15 +1048,13 @@ impl ParamStore {
                 value.cols()
             )));
         }
-        storage
-            .write_rows(0, value.rows(), value.as_slice())
-            .map_err(io_error)?;
-        storage.flush().map_err(io_error)?;
-        let budget = budget.min(value.rows().max(1));
-        let cols = value.cols();
+        let row_at = placement(&std::mem::take(&mut self.schedules[i]), value.rows());
+        let mut pager = Pager::with_placement(storage, budget, row_at);
+        pager.write_all(value.as_slice())?;
+        let (budget, cols) = (pager.budget(), value.cols());
         self.values[i] = Tensor::zeros(budget, cols);
         self.grads[i] = Tensor::zeros(budget, cols);
-        self.pagers[i] = Some(Pager::new(storage, budget));
+        self.pagers[i] = Some(pager);
         Ok(())
     }
 
@@ -1021,12 +1072,14 @@ impl ParamStore {
     /// # Errors
     ///
     /// Fails if the union exceeds the cache budget or on backing-store I/O
-    /// errors.
+    /// errors, this call's or one a [`ParamStore::for_dirty_rows`] sweep
+    /// left behind.
     pub fn page_in(&mut self, id: ParamId, lists: &[&[u32]]) -> Result<()> {
         let i = id.0;
         if self.pagers[i].is_none() {
             return Ok(());
         }
+        self.take_storage_error()?;
         self.settle(i);
         let pager = self.pagers[i].as_mut().expect("checked above");
         pager.ensure_union(lists, self.values[i].as_mut_slice())
@@ -1038,12 +1091,14 @@ impl ParamStore {
     ///
     /// # Errors
     ///
-    /// Backing-store I/O errors.
+    /// Backing-store I/O errors, this call's or one a
+    /// [`ParamStore::for_dirty_rows`] sweep left behind.
     pub fn flush_paged(&mut self, id: ParamId) -> Result<()> {
         let i = id.0;
         if self.pagers[i].is_none() {
             return Ok(());
         }
+        self.take_storage_error()?;
         self.settle(i);
         let pager = self.pagers[i].as_mut().expect("checked above");
         pager.flush(self.values[i].as_slice())
@@ -1057,12 +1112,14 @@ impl ParamStore {
     ///
     /// # Errors
     ///
-    /// Backing-store I/O errors.
+    /// Backing-store I/O errors, this call's or one a
+    /// [`ParamStore::for_dirty_rows`] sweep left behind.
     pub fn unpage(&mut self, id: ParamId) -> Result<()> {
         let i = id.0;
         if self.pagers[i].is_none() {
             return Ok(());
         }
+        self.take_storage_error()?;
         self.settle(i);
         let pager = self.pagers[i].as_mut().expect("checked above");
         pager.flush(self.values[i].as_slice())?;
@@ -1396,6 +1453,89 @@ mod tests {
         assert!(err
             .to_string()
             .contains("paged storage is incompatible with dense-gradient mode"));
+    }
+
+    /// A 16 × 2 parameter (row `r` = `[r, r]`) paged out to a store that
+    /// fails its n-th read or write with `EIO`, behind a 4-row cache.
+    /// `page_out` itself is write 0.
+    fn faulty_fixture(fail_read: Option<u64>, fail_write: Option<u64>) -> (ParamStore, ParamId) {
+        let data = (0..32).map(|k| (k / 2) as f32).collect();
+        let mut s = ParamStore::new();
+        let p = s.add_param("p", Tensor::from_vec(16, 2, data));
+        let storage = crate::paged::tests::FaultyStorage::new(fail_read, fail_write);
+        s.page_out(p, storage, 4).unwrap();
+        (s, p)
+    }
+
+    /// Doubles rows, and reports each changed: the "normalizer" under test.
+    fn double(visited: &mut Vec<usize>) -> impl FnMut(usize, &mut [f32]) -> bool + '_ {
+        |r, row| {
+            visited.push(r);
+            row.iter_mut().for_each(|x| *x *= 2.0);
+            true
+        }
+    }
+
+    #[test]
+    fn a_storage_fault_in_the_dirty_sweep_is_an_error_at_the_next_fallible_call() {
+        use crate::paged::tests::assert_storage_error;
+        let named = |err: Error, op: &str| {
+            assert!(
+                err.to_string().contains("renormalization sweep of 'p'"),
+                "{err}"
+            );
+            assert_storage_error(err, op);
+        };
+
+        // Read fault, all-rows state: the third chunk's read (read 2) fails.
+        let (mut s, p) = faulty_fixture(Some(2), None);
+        let mut visited = Vec::new();
+        s.for_dirty_rows(p, double(&mut visited));
+        assert_eq!(visited, (0..8).collect::<Vec<_>>(), "two chunks were swept");
+        assert!(
+            s.dirty(p).is_dense(),
+            "without a list, every row stays dirty"
+        );
+        named(s.take_storage_error().unwrap_err(), "read");
+        s.take_storage_error().unwrap();
+        // The fault was one read: the sweep can be run again, and finishes.
+        visited.clear();
+        s.for_dirty_rows(p, double(&mut visited));
+        assert_eq!(visited.len(), 16);
+        assert_eq!(s.dirty(p).len(), 16);
+        s.unpage(p).unwrap();
+        for r in 0..16 {
+            let times = if r < 8 { 4.0 } else { 2.0 };
+            assert_eq!(s.value(p).row(r), [r as f32 * times; 2], "row {r}");
+        }
+
+        // Write fault, listed state: the second chunk's eviction has to save
+        // the rows the first chunk doubled (write 1), and cannot.
+        let (mut s, p) = faulty_fixture(None, Some(1));
+        s.for_dirty_rows(p, |_, _| false);
+        let mut listed = RowSet::new();
+        listed.insert_slice(&[0, 1, 2, 3, 6, 7, 8, 9, 12, 13]);
+        s.mark_dirty(p, &listed);
+        visited.clear();
+        s.for_dirty_rows(p, double(&mut visited));
+        assert_eq!(visited, [0, 1, 2, 3]);
+        // Kept: the four changed rows and the six never reached.
+        assert_eq!(s.dirty(p).as_slice(), listed.as_slice());
+        // `page_in`, `flush_paged` and `unpage` all surface it; once.
+        named(s.page_in(p, &[&[5]]).unwrap_err(), "write");
+        s.page_in(p, &[&[5]]).unwrap();
+        // Nothing was lost: the doubled rows were still resident and dirty.
+        s.unpage(p).unwrap();
+        for r in 0..16 {
+            let times = if r < 4 { 2.0 } else { 1.0 };
+            assert_eq!(s.value(p).row(r), [r as f32 * times; 2], "row {r}");
+        }
+        for surface in [ParamStore::flush_paged, ParamStore::unpage] {
+            let (mut s, p) = faulty_fixture(Some(0), None);
+            s.for_dirty_rows(p, |_, _| false);
+            named(surface(&mut s, p).unwrap_err(), "read");
+            surface(&mut s, p).unwrap();
+        }
     }
 
     #[test]

@@ -754,6 +754,7 @@ fn unpage_and_validate<M: KgeModel>(
     let store = trainer.model_mut().store_mut();
     let pager = store.pager(id).expect("paged parameter");
     let stats = pager.stats();
+    let (read_calls, write_calls) = pager.storage_io_ops();
     let trace = pager.trace().expect("tracing was enabled").to_vec();
     let budget = pager.budget();
     store.unpage(id).map_err(sptransx::Error::from)?;
@@ -775,7 +776,8 @@ fn unpage_and_validate<M: KgeModel>(
     };
     let mut out = format!(
         "\npaged store: budget {budget} rows, {} hits / {} misses / {} evictions / {} \
-         write-backs (hit rate {hit_rate:.1}%)\n\
+         write-backs / {read_calls} read calls / {write_calls} write calls \
+         (hit rate {hit_rate:.1}%)\n\
          simcache LRU replay: {} hits / {} misses",
         stats.hits,
         stats.misses,
