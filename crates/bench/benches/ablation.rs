@@ -1,8 +1,9 @@
 //! Ablations of the DESIGN.md kernel choices:
 //!
-//! 1. **Incidence fast path** (fused 2/3-nonzero rows) vs the general tiled
-//!    axpy path on the same matrix — the "specialized for incidence rows"
-//!    design decision.
+//! 1. **Incidence fast path**: `sparse::spmm::spmm_row`'s one-pass 2/3-nonzero
+//!    arms vs its general arm (zero, then `spmm_row_acc` per nonzero —
+//!    `csr_spmm_into_general` sends every row there) on the same matrix —
+//!    the "specialized for incidence rows" design decision.
 //! 2. **Thread scaling** of the SpMM kernel via the runtime parallelism cap
 //!    (the paper's CPU-vs-GPU axis; informative only on multi-core hosts).
 //! 3. **Transpose caching**: backward with the cached `Aᵀ` vs re-transposing
@@ -52,7 +53,7 @@ fn bench_fastpath_ablation(c: &mut Criterion) {
     group.bench_function("fused_incidence_rows", |bench| {
         bench.iter(|| csr_spmm_into(&a, b.view(), &mut out))
     });
-    group.bench_function("general_tiled_axpy", |bench| {
+    group.bench_function("general_zero_then_accumulate", |bench| {
         bench.iter(|| csr_spmm_into_general(&a, b.view(), &mut out))
     });
     group.finish();

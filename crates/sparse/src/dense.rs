@@ -127,26 +127,36 @@ impl DenseMatrix {
 
     /// Borrowed view of the whole matrix.
     pub fn view(&self) -> DenseView<'_> {
-        DenseView {
-            rows: self.rows,
-            cols: self.cols,
-            data: &self.data,
-        }
+        DenseView::new(self.rows, self.cols, &self.data)
     }
 }
 
-/// A borrowed row-major matrix view.
+/// A borrowed read view of a `rows × cols` table — what every row kernel
+/// reads its operand through.
 ///
-/// Kernels accept `DenseView` so callers (notably the tensor crate) can pass
-/// externally-owned buffers without copying.
+/// Two layouts, one [`DenseView::row`]:
+///
+/// * **resident** ([`DenseView::new`]) — `data` is the whole table,
+///   row-major; row `i` is `data[i * cols ..]`.
+/// * **mapped** ([`DenseView::mapped`]) — `data` is a cache of `cols`-wide
+///   slots holding only some rows (a paged parameter's working set), and a
+///   row → slot map says where each one is. `rows` stays the table's
+///   logical row count.
+///
+/// `row` hands out the same bytes either way, so a kernel built on it is
+/// bit-identical over both.
 #[derive(Debug, Clone, Copy)]
 pub struct DenseView<'a> {
     rows: usize,
     cols: usize,
     data: &'a [f32],
+    map: Option<&'a [u32]>,
 }
 
 impl<'a> DenseView<'a> {
+    /// The map entry of a row no slot holds.
+    pub const NOT_RESIDENT: u32 = u32::MAX;
+
     /// Wraps a row-major buffer.
     ///
     /// # Panics
@@ -159,10 +169,37 @@ impl<'a> DenseView<'a> {
             "buffer length {} does not match {rows}x{cols}",
             data.len()
         );
-        Self { rows, cols, data }
+        Self {
+            rows,
+            cols,
+            data,
+            map: None,
+        }
     }
 
-    /// Number of rows.
+    /// Wraps a slot cache: the table has one row per entry of `map`, and row
+    /// `i` is slot `map[i]` of `slots`, or nowhere if `map[i]` is
+    /// [`DenseView::NOT_RESIDENT`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` is not a whole number of `cols`-wide slots.
+    pub fn mapped(cols: usize, slots: &'a [f32], map: &'a [u32]) -> Self {
+        assert_eq!(
+            slots.len() % cols.max(1),
+            0,
+            "slot cache of {} floats is not a whole number of {cols}-wide slots",
+            slots.len()
+        );
+        Self {
+            rows: map.len(),
+            cols,
+            data: slots,
+            map: Some(map),
+        }
+    }
+
+    /// Number of (logical) rows.
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -172,18 +209,43 @@ impl<'a> DenseView<'a> {
         self.cols
     }
 
-    /// Underlying buffer.
-    pub fn as_slice(&self) -> &[f32] {
-        self.data
-    }
-
-    /// Borrows row `i`.
+    /// The whole table as one row-major buffer, for kernels that index it
+    /// themselves.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= rows`.
+    /// Panics for a mapped view: its buffer is addressed by slot, so there is
+    /// no row-major table to hand out — such a kernel needs the table
+    /// resident.
+    pub fn as_slice(&self) -> &'a [f32] {
+        assert!(
+            self.map.is_none(),
+            "a mapped view has no row-major buffer; read it through row()"
+        );
+        self.data
+    }
+
+    /// Borrows row `i`, through the slot map if there is one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= rows`, or (mapped views) if row `i` is not resident —
+    /// a kernel reached outside the working set paged in for this batch.
+    #[inline]
     pub fn row(&self, i: usize) -> &'a [f32] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
+        let slot = match self.map {
+            None => i,
+            Some(map) => {
+                let slot = map[i];
+                assert_ne!(
+                    slot,
+                    Self::NOT_RESIDENT,
+                    "row {i} not resident; it was outside the working set paged in for this batch"
+                );
+                slot as usize
+            }
+        };
+        &self.data[slot * self.cols..(slot + 1) * self.cols]
     }
 }
 
@@ -209,6 +271,22 @@ mod tests {
         assert_eq!(v.row(2), &[0.0, 5.5]);
         assert_eq!(v.rows(), 3);
         assert_eq!(v.cols(), 2);
+    }
+
+    #[test]
+    fn mapped_view_reads_rows_through_their_slots() {
+        // Three logical rows over a two-slot cache: row 2 in slot 0, row 0
+        // in slot 1, row 1 nowhere.
+        let slots = [1.0, 2.0, 3.0, 4.0];
+        let map = [1, DenseView::NOT_RESIDENT, 0];
+        let v = DenseView::mapped(2, &slots, &map);
+        assert_eq!((v.rows(), v.cols()), (3, 2));
+        assert_eq!(v.row(0), &[3.0, 4.0]);
+        assert_eq!(v.row(2), &[1.0, 2.0]);
+        let absent = std::panic::catch_unwind(|| v.row(1).len());
+        let msg = *absent.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("row 1 not resident"), "{msg}");
+        assert!(std::panic::catch_unwind(|| v.as_slice().len()).is_err());
     }
 
     #[test]

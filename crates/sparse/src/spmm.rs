@@ -2,26 +2,33 @@
 //!
 //! These are the workhorses of the whole reproduction: SparseTransX replaces
 //! every embedding gather (forward) and gradient scatter (backward) with one
-//! call into [`csr_spmm`] / [`csr_spmm_into`]. The kernel is:
+//! SpMM each, and this module owns the one row kernel of each:
 //!
-//! * **row-parallel** — output rows are sharded over the [`xparallel`] pool,
-//!   so no synchronization is needed on the output;
-//! * **cache-blocked** — wide dense operands are processed in column tiles of
-//!   [`COL_TILE`] floats so the accumulator row stays resident in L1;
-//! * **unrolled** — the inner axpy runs 4 accumulators wide, which is enough
-//!   for LLVM to emit packed SIMD;
-//! * **specialized for incidence rows** — rows with ≤ 3 nonzeros (every
-//!   `ht`/`hrt` incidence row) take a branch-free fused path.
+//! * [`spmm_row`] is **the** row kernel of `A · B`: one output row (or a
+//!   column tile of it) from one CSR row, the operand read through
+//!   [`DenseView::row`] so a resident table and a paged one are the same
+//!   code. Rows with ≤ 3 nonzeros — every `ht`/`hrt` incidence row — take a
+//!   branch-free fused arm; longer rows fold from `0.0` in nonzero order.
+//!   [`csr_spmm`] and its `_into`/`_with` forms, and the tape's `spmm` and
+//!   fused `spmm_score` ops in `tensor`, all call it and nothing else.
+//! * [`spmm_row_acc`] is **the** row kernel of `Aᵀ · G` (Appendix G): one
+//!   destination row accumulating `val · G[col, :]` over one CSR row of the
+//!   transpose. Both SpMM backward passes on the tape run it inside the
+//!   parameter store's touched-row sweep; it is also [`spmm_row`]'s general
+//!   arm and all of [`csr_spmm_into_general`].
 //!
-//! FLOP counts (`2 · nnz · n`) are recorded in [`crate::metrics`].
+//! The entry points around them are **row-parallel**: output rows are sharded
+//! over the [`xparallel`] pool, each computed by exactly one worker, so no
+//! synchronization is needed on the output and the bits do not depend on the
+//! pool width. Every element is an independent expression of its column, so
+//! the inner loops vectorize.
+//!
+//! Each entry point records its analytic cost in [`crate::metrics`]: for
+//! `A · B` with `n` output columns, `(nnz − rows) · n` additions when `A`
+//! holds only ±1 (an incidence matrix), `2 · nnz · n` multiply-adds
+//! otherwise.
 
 use crate::{metrics, CooMatrix, CsrMatrix, DenseMatrix, DenseView};
-
-/// Column-tile width (in `f32` lanes) for the cache-blocked kernel.
-///
-/// 1024 floats = 4 KiB per operand row slice: an accumulator tile plus the
-/// 2–3 gathered rows fit comfortably in a 32 KiB L1.
-pub const COL_TILE: usize = 1024;
 
 /// Minimum rows per parallel chunk; below this the kernel runs sequentially.
 pub const MIN_ROWS_PER_CHUNK: usize = 16;
@@ -110,154 +117,99 @@ pub fn csr_spmm_into_with(
     if n == 0 || a.rows() == 0 {
         return;
     }
-    let bdata = b.as_slice();
-    let indptr = a.indptr();
-    let indices = a.indices();
-    let values = a.values();
+    for_each_output_row(pool, a, n, out, |cols, vals, dst| {
+        spmm_row(cols, vals, &b, 0, dst)
+    });
+}
+
+/// Runs `row(cols, vals, dst)` for every CSR row of `a` and its `n`-wide row
+/// of `out`, the output rows sharded on `pool`.
+fn for_each_output_row(
+    pool: &xparallel::PoolHandle,
+    a: &CsrMatrix,
+    n: usize,
+    out: &mut [f32],
+    row: impl Fn(&[u32], &[f32], &mut [f32]) + Sync,
+) {
+    let (indptr, indices, values) = (a.indptr(), a.indices(), a.values());
     pool.for_rows(out, n, MIN_ROWS_PER_CHUNK, |first_row, chunk| {
-        let nrows = chunk.len() / n;
-        for local in 0..nrows {
+        for (local, dst) in chunk.chunks_exact_mut(n).enumerate() {
             let i = first_row + local;
             let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
-            let dst = &mut chunk[local * n..(local + 1) * n];
-            spmm_row(&indices[s..e], &values[s..e], bdata, n, dst);
+            row(&indices[s..e], &values[s..e], dst);
         }
     });
 }
 
-/// One output row: `dst = Σ val_k · B[col_k, :]`, overwriting `dst`.
-#[inline]
-fn spmm_row(cols: &[u32], vals: &[f32], b: &[f32], n: usize, dst: &mut [f32]) {
-    match cols.len() {
-        0 => dst.fill(0.0),
-        // Fast paths for incidence-matrix rows: `ht` rows have 2 nonzeros,
-        // `hrt` rows have 3. Fusing the gathers avoids re-reading `dst`.
-        2 => {
-            let r0 = &b[cols[0] as usize * n..cols[0] as usize * n + n];
-            let r1 = &b[cols[1] as usize * n..cols[1] as usize * n + n];
-            let (v0, v1) = (vals[0], vals[1]);
-            for j in 0..n {
-                dst[j] = v0 * r0[j] + v1 * r1[j];
-            }
-        }
-        3 => {
-            let r0 = &b[cols[0] as usize * n..cols[0] as usize * n + n];
-            let r1 = &b[cols[1] as usize * n..cols[1] as usize * n + n];
-            let r2 = &b[cols[2] as usize * n..cols[2] as usize * n + n];
-            let (v0, v1, v2) = (vals[0], vals[1], vals[2]);
-            for j in 0..n {
-                dst[j] = v0 * r0[j] + v1 * r1[j] + v2 * r2[j];
-            }
-        }
-        1 => {
-            let r0 = &b[cols[0] as usize * n..cols[0] as usize * n + n];
-            let v0 = vals[0];
-            for j in 0..n {
-                dst[j] = v0 * r0[j];
-            }
-        }
-        _ => {
-            // General path: zero the accumulator, then tile columns so the
-            // destination slice stays hot while we stream source rows.
-            dst.fill(0.0);
-            let mut t0 = 0;
-            while t0 < n {
-                let t1 = (t0 + COL_TILE).min(n);
-                for (k, &c) in cols.iter().enumerate() {
-                    let v = vals[k];
-                    let src = &b[c as usize * n + t0..c as usize * n + t1];
-                    axpy(v, src, &mut dst[t0..t1]);
-                }
-                t0 = t1;
-            }
-        }
-    }
-}
-
-/// `dst += a * src`, 4-way unrolled.
-#[inline]
-fn axpy(a: f32, src: &[f32], dst: &mut [f32]) {
-    // Every caller slices equal-length operands; the `min` below only
-    // exists to keep the unrolled loop panic-free and must never actually
-    // truncate (a silent truncation would mask an indexing bug upstream).
-    debug_assert_eq!(src.len(), dst.len(), "axpy operand length mismatch");
-    let n = dst.len().min(src.len());
-    let chunks = n / 4;
-    for k in 0..chunks {
-        let j = k * 4;
-        dst[j] += a * src[j];
-        dst[j + 1] += a * src[j + 1];
-        dst[j + 2] += a * src[j + 2];
-        dst[j + 3] += a * src[j + 3];
-    }
-    for j in chunks * 4..n {
-        dst[j] += a * src[j];
-    }
-}
-
-/// Computes `out[r, :] += A[r, :] · B` for every row `r` of `rows`,
-/// **accumulating** into the caller's buffer on an explicit
-/// [`xparallel::PoolHandle`] — the backward-pass kernel of the pool-parallel
-/// training step.
+/// **The row kernel of `A · B`**: elements `t0 .. t0 + x.len()` of
+/// `Σ_k vals[k] · B[cols[k], :]`, overwriting `x`. A caller that wants the
+/// whole row passes `t0 = 0` and an `x` of `B.cols()` elements; one that
+/// reduces the row as it goes (the fused score op) passes a stack tile.
 ///
-/// The transpose incidence matrix `Aᵀ ∈ (N+R) × M` has one row per
-/// entity/relation, most of which no given batch touches: accumulation
-/// avoids materializing (and re-adding) a dense delta the size of the whole
-/// embedding table, and a listed row set
-/// ([`crate::incidence::IncidencePair::touched_columns`] or any superset)
-/// makes the pass `O(batch)` instead of one `indptr` probe per table row.
-/// Each visited row is owned by one worker and accumulates its nonzeros in
-/// CSR order; empty rows cost nothing; **rows outside the set are not
-/// touched at all**, so the caller must include every nonempty row of `A`
-/// or those contributions are silently dropped. A listed sweep and
-/// [`xparallel::Rows::All`] therefore leave identical bits at any width.
-///
-/// Flops and bytes are recorded for the nonzeros of the rows actually
-/// walked (all of `A`'s whenever the set covers its nonempty rows).
+/// Each operand row is resolved to a slice once. The 1-, 2- and 3-nonzero
+/// arms evaluate `v0·a + v1·b + v2·c` left to right in one pass; longer rows
+/// fold from `0.0` in nonzero order ([`spmm_row_acc`]). That association is
+/// the contract every bit-identity test in the workspace rests on.
 ///
 /// # Panics
 ///
-/// Same conditions as [`csr_spmm_into`], plus (debug only) an unsorted row
-/// list.
-pub fn csr_spmm_acc_into_with(
-    pool: &xparallel::PoolHandle,
-    a: &CsrMatrix,
-    rows: xparallel::Rows<'_>,
-    b: DenseView<'_>,
-    out: &mut [f32],
-) {
-    assert_eq!(a.cols(), b.rows(), "spmm shape mismatch");
-    let n = b.cols();
-    assert_eq!(out.len(), a.rows() * n, "output buffer has wrong length");
-    metrics::record_spmm_call();
-    let indptr = a.indptr();
-    let mut nnz = 0u64;
-    rows.for_each(a.rows(), |r| nnz += u64::from(indptr[r + 1] - indptr[r]));
-    // Accumulation makes every ±1 nonzero one add.
-    let per_nnz = if a.has_unit_coefficients() { 1 } else { 2 };
-    metrics::add_flops(per_nnz * nnz * n as u64);
-    // Traffic accounting mirrors csr_spmm_into_with: index+value reads per
-    // nonzero plus one gathered B row per nonzero. The accumulating output
-    // is read *and* written once per incident nonzero (2×), instead of the
-    // forward kernel's single streaming write of the whole buffer.
-    metrics::add_bytes((nnz * (4 + 4)) + (nnz * n as u64 * 4) + 2 * (nnz * n as u64 * 4));
-    if n == 0 {
-        return;
-    }
-    let bdata = b.as_slice();
-    let indices = a.indices();
-    let values = a.values();
-    pool.for_row_set(out, n, rows, MIN_ROWS_PER_CHUNK, |i, dst| {
-        for k in indptr[i] as usize..indptr[i + 1] as usize {
-            let c = indices[k] as usize;
-            axpy(values[k], &bdata[c * n..(c + 1) * n], dst);
+/// Panics if a column is out of range or not resident in `b`, or the tile
+/// reaches past `b.cols()`.
+#[inline]
+pub fn spmm_row(cols: &[u32], vals: &[f32], b: &DenseView<'_>, t0: usize, x: &mut [f32]) {
+    let t1 = t0 + x.len();
+    let lane = |c: u32| &b.row(c as usize)[t0..t1];
+    match *cols {
+        [] => x.fill(0.0),
+        [c0] => {
+            let v0 = vals[0];
+            for (xj, a) in x.iter_mut().zip(lane(c0)) {
+                *xj = v0 * a;
+            }
         }
-    });
+        [c0, c1] => {
+            let (v0, v1) = (vals[0], vals[1]);
+            for ((xj, a), b) in x.iter_mut().zip(lane(c0)).zip(lane(c1)) {
+                *xj = v0 * a + v1 * b;
+            }
+        }
+        [c0, c1, c2] => {
+            let (v0, v1, v2) = (vals[0], vals[1], vals[2]);
+            let (a, b, c) = (lane(c0), lane(c1), lane(c2));
+            for (((xj, a), b), c) in x.iter_mut().zip(a).zip(b).zip(c) {
+                *xj = v0 * a + v1 * b + v2 * c;
+            }
+        }
+        _ => {
+            x.fill(0.0);
+            spmm_row_acc(cols, vals, b, t0, x);
+        }
+    }
 }
 
-/// Like [`csr_spmm_into`] but always takes the general (tiled axpy) path,
-/// skipping the 1/2/3-nonzero incidence fast paths — used by the ablation
-/// benchmarks to quantify the fast path's contribution.
+/// **The row kernel of `Aᵀ · G`**: `dst[j] += vals[k] · G[cols[k], t0 + j]`
+/// for every nonzero `k`, in order. With `cols`/`vals` one row of the
+/// transposed incidence matrix and `dst` that parameter row's gradient, this
+/// is the whole backward pass of an SpMM for one destination row: the row is
+/// owned by whoever calls this, its contributions land in CSR order, and an
+/// empty row costs nothing.
+///
+/// # Panics
+///
+/// Same conditions as [`spmm_row`].
+#[inline]
+pub fn spmm_row_acc(cols: &[u32], vals: &[f32], g: &DenseView<'_>, t0: usize, dst: &mut [f32]) {
+    let t1 = t0 + dst.len();
+    for (v, &c) in vals.iter().zip(cols) {
+        for (dj, x) in dst.iter_mut().zip(&g.row(c as usize)[t0..t1]) {
+            *dj += v * x;
+        }
+    }
+}
+
+/// Like [`csr_spmm_into`] but every row takes [`spmm_row`]'s general arm —
+/// zero, then [`spmm_row_acc`] — whatever its length: the ablation benchmarks
+/// use it to quantify what the 1/2/3-nonzero incidence arms contribute.
 ///
 /// # Panics
 ///
@@ -271,28 +223,10 @@ pub fn csr_spmm_into_general(a: &CsrMatrix, b: DenseView<'_>, out: &mut [f32]) {
     if n == 0 || a.rows() == 0 {
         return;
     }
-    let bdata = b.as_slice();
-    let indptr = a.indptr();
-    let indices = a.indices();
-    let values = a.values();
-    xparallel::parallel_for_rows(out, n, MIN_ROWS_PER_CHUNK, |first_row, chunk| {
-        let nrows = chunk.len() / n;
-        for local in 0..nrows {
-            let i = first_row + local;
-            let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
-            let dst = &mut chunk[local * n..(local + 1) * n];
-            dst.fill(0.0);
-            let mut t0 = 0;
-            while t0 < n {
-                let t1 = (t0 + COL_TILE).min(n);
-                for k in s..e {
-                    let c = indices[k] as usize;
-                    let src = &bdata[c * n + t0..c * n + t1];
-                    axpy(values[k], src, &mut dst[t0..t1]);
-                }
-                t0 = t1;
-            }
-        }
+    let pool = xparallel::PoolHandle::global();
+    for_each_output_row(&pool, a, n, out, |cols, vals, dst| {
+        dst.fill(0.0);
+        spmm_row_acc(cols, vals, &b, 0, dst);
     });
 }
 
@@ -311,11 +245,16 @@ pub fn coo_spmm<'a>(a: &CooMatrix, b: impl Into<DenseView<'a>>) -> DenseMatrix {
     metrics::record_spmm_call();
     metrics::add_flops(2 * a.nnz() as u64 * n as u64);
     let mut out = DenseMatrix::zeros(a.rows(), n);
-    let bdata = b.as_slice();
     // COO entries may hit any output row, so we shard the *entries* and give
     // each worker a private output buffer, reduced deterministically at the
     // end. This mirrors the scatter-side cost the paper attributes to
     // gather/scatter training.
+    //
+    // The shards follow the pool width, so this is the one result in the
+    // workspace whose bits depend on `SPTX_NUM_THREADS`. Fixed-size shards
+    // (`PoolHandle::map_reduce_fixed`) would end that, but a shard's partial
+    // is a whole output buffer and `nnz / 4096` of them would be alive at
+    // once — too much for a kernel kept only for comparison.
     let rows = a.row_indices();
     let cols = a.col_indices();
     let vals = a.values();
@@ -328,10 +267,13 @@ pub fn coo_spmm<'a>(a: &CooMatrix, b: impl Into<DenseView<'a>>) -> DenseMatrix {
             let mut buf = vec![0f32; total];
             for k in range {
                 let r = rows[k] as usize;
-                let c = cols[k] as usize;
-                let v = vals[k];
-                let src = &bdata[c * n..(c + 1) * n];
-                axpy(v, src, &mut buf[r * n..(r + 1) * n]);
+                spmm_row_acc(
+                    &cols[k..=k],
+                    &vals[k..=k],
+                    &b,
+                    0,
+                    &mut buf[r * n..(r + 1) * n],
+                );
             }
             buf
         },
@@ -390,6 +332,17 @@ mod tests {
         DenseMatrix::from_vec(rows, cols, data)
     }
 
+    /// `out[r, :] += A[r, :] · B` for the rows of `rows`: one [`spmm_row_acc`]
+    /// per destination row, sharded on `pool` — the shape of the tape's SpMM
+    /// backward, where the parameter store's sweep plays `for_row_set`.
+    fn acc(pool: &PoolHandle, a: &CsrMatrix, rows: Rows<'_>, b: DenseView<'_>, out: &mut [f32]) {
+        let (indptr, indices, values) = (a.indptr(), a.indices(), a.values());
+        pool.for_row_set(out, b.cols(), rows, MIN_ROWS_PER_CHUNK, |i, dst| {
+            let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
+            spmm_row_acc(&indices[s..e], &values[s..e], &b, 0, dst);
+        });
+    }
+
     fn assert_close(a: &DenseMatrix, b: &DenseMatrix, tol: f32) {
         assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
@@ -443,7 +396,7 @@ mod tests {
     fn wide_dense_exercises_tiling() {
         let mut rng = StdRng::seed_from_u64(3);
         let a = random_csr(&mut rng, 20, 40, 8);
-        let b = random_dense(&mut rng, 40, COL_TILE + 100);
+        let b = random_dense(&mut rng, 40, 1124);
         assert_close(&csr_spmm(&a, &b), &spmm_reference(&a, b.view()), 1e-3);
     }
 
@@ -453,10 +406,10 @@ mod tests {
         let a = random_csr(&mut rng, 40, 25, 4);
         let b = random_dense(&mut rng, 25, 9);
         // Start from a nonzero buffer; acc must add on top.
-        let mut acc = vec![0.5f32; 40 * 9];
-        csr_spmm_acc_into_with(&PoolHandle::global(), &a, Rows::All, b.view(), &mut acc);
+        let mut out = vec![0.5f32; 40 * 9];
+        acc(&PoolHandle::global(), &a, Rows::All, b.view(), &mut out);
         let want = csr_spmm(&a, &b);
-        for (x, w) in acc.iter().zip(want.as_slice()) {
+        for (x, w) in out.iter().zip(want.as_slice()) {
             assert!((x - (w + 0.5)).abs() < 1e-4, "{x} vs {}", w + 0.5);
         }
     }
@@ -469,7 +422,7 @@ mod tests {
         let run = |width: usize, rows: Rows<'_>| {
             let mut out = vec![0.25f32; 120 * 9];
             let pool = PoolHandle::global().with_width(width);
-            csr_spmm_acc_into_with(&pool, &a, rows, b.view(), &mut out);
+            acc(&pool, &a, rows, b.view(), &mut out);
             out
         };
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

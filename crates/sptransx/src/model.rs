@@ -220,7 +220,8 @@ pub struct Arm {
     pub optimizer: OptimizerKind,
     /// [`TrainConfig::dense_grads`].
     pub dense_grads: bool,
-    /// [`TrainConfig::fused`].
+    /// [`TrainConfig::fused`]. No rule reads it — both tapes run on every
+    /// arm — but a report names the arm that produced its numbers.
     pub fused: bool,
     /// Replicas training (1 for [`crate::Trainer::new`]).
     pub workers: usize,
@@ -229,7 +230,7 @@ pub struct Arm {
 }
 
 impl Arm {
-    /// The one place that knows which combinations train correctly: seven
+    /// The one place that knows which combinations train correctly: six
     /// rules, in order. Below it are only the tensor layer's last-resort
     /// asserts.
     ///
@@ -252,14 +253,10 @@ impl Arm {
                  gradients for its cached rows only); drop --dense-grads true",
             ),
             (
-                self.paged && !self.fused,
-                "--store disk needs the fused kernels: the unfused tape (TrainConfig::fused = \
-                 false) reads whole parameter tables, and a paged table is not in RAM",
-            ),
-            (
                 self.paged && !self.pages,
-                "--store disk supports --model transe|toruse (SpTransE, SpTorusE): the other \
-                 models' kernels are not paging-aware yet",
+                "--store disk supports --model transe|toruse|transh|transr (and SpTransC, \
+                 SpTransM): the gather baselines read whole tables by design, and \
+                 DistMult/ComplEx/RotatE still do in their semiring products",
             ),
             (
                 self.paged && replicated,
@@ -346,7 +343,7 @@ pub trait KgeModel {
     }
 
     /// Whether this model overrides [`page_in_batch`](KgeModel::page_in_batch)
-    /// and may therefore train with a table paged out (rule 4 of
+    /// and may therefore train with a table paged out (rule 3 of
     /// [`Arm::check`]). Override it next to that method. Default: `false`.
     fn pages() -> bool
     where

@@ -9,7 +9,7 @@ use tensor::{Graph, ParamStore, RowScore, Var};
 use crate::model::normalize_leading_rows;
 use crate::models::{
     both, hrt_side, stacked_transe_init, Cx, Eval, Family, Geometry, HrtSide, Model, RankQuery,
-    Shape, Stacked,
+    Shape, Stacked, WorkingSet,
 };
 use crate::scorer::QueryDir;
 use crate::Result;
@@ -38,6 +38,7 @@ pub struct TransC(pub Stacked);
 impl Family for TransC {
     const NAME: &'static str = "SpTransC";
     const GEOMETRY: Geometry = Geometry::L2Only;
+    const WORKING_SET: Option<WorkingSet<Self>> = Some(|f, side| f.0.working_set(side));
     type Side = HrtSide;
 
     fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
@@ -132,6 +133,7 @@ fn relation_weights(train: &TripleStore, num_relations: usize) -> Vec<f32> {
 
 impl Family for TransM {
     const NAME: &'static str = "SpTransM";
+    const WORKING_SET: Option<WorkingSet<Self>> = Some(|f, (pair, _)| f.table.working_set(pair));
     /// The side's incidence pair and its per-triple weights.
     type Side = (HrtSide, Vec<f32>);
 

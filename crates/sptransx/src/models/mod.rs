@@ -140,8 +140,11 @@ pub trait Family: Debug + Sized + Send + Sync + 'static {
     /// which is the sparsity premise that makes demand paging possible.
     /// [`KgeModel::pages`] and [`KgeModel::page_in_batch`] are both derived
     /// from this one declaration. Declare it only if every tape op
-    /// [`Family::side`] records reads the table through
-    /// [`ParamStore::table`].
+    /// [`Family::side`] records that reads the *paged* table reads it through
+    /// [`ParamStore::table`] — `Graph::spmm` and `Graph::spmm_score` do;
+    /// `gather`, `project_rows` and the semiring products read
+    /// [`ParamStore::value`] and do not, which is fine for the small relation
+    /// tables that stay resident beside it.
     const WORKING_SET: Option<WorkingSet<Self>> = None;
 
     /// The structure cached for one side of one batch. It is built once per
@@ -708,11 +711,10 @@ mod tests {
 
         // No model gains or loses the paged arm, and with nothing paged out
         // paging a batch in changes nothing.
-        assert_eq!(
-            M::pages(),
-            ["SpTransE", "SpTorusE"].contains(&what),
-            "{what}"
-        );
+        let pages = [
+            "SpTransE", "SpTorusE", "SpTransH", "SpTransR", "SpTransC", "SpTransM",
+        ];
+        assert_eq!(M::pages(), pages.contains(&what), "{what}");
         let before = bits(model.store());
         model.page_in_batch(0).unwrap();
         assert_eq!(bits(model.store()), before, "{what}");

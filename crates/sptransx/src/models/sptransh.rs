@@ -17,7 +17,7 @@ use kg::{Batch, TripleStore};
 use tensor::{init, Graph, ParamId, ParamStore, Var};
 
 use crate::model::normalize_leading_rows;
-use crate::models::{both, ht_side, Cx, Eval, Family, HtSide, Model, RankQuery, Shape};
+use crate::models::{both, ht_side, Cx, Eval, Family, HtSide, Model, RankQuery, Shape, WorkingSet};
 use crate::scorer::QueryDir;
 use crate::Result;
 
@@ -111,6 +111,8 @@ pub struct TransH(pub Hyperplanes);
 
 impl Family for TransH {
     const NAME: &'static str = "SpTransH";
+    const WORKING_SET: Option<WorkingSet<Self>> =
+        Some(|f, side| (f.0.ent, side.pair.touched_columns_shared()));
     type Side = HtSide;
 
     fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {

@@ -13,7 +13,9 @@ use sparse::incidence::IncidencePair;
 use tensor::{init, Graph, ParamId, ParamStore, Var};
 
 use crate::model::normalize_leading_rows;
-use crate::models::{both, ht_side, rel_groups, Cx, Eval, Family, HtSide, Model, RankQuery, Shape};
+use crate::models::{
+    both, ht_side, rel_groups, Cx, Eval, Family, HtSide, Model, RankQuery, Shape, WorkingSet,
+};
 use crate::scorer::QueryDir;
 use crate::Result;
 
@@ -107,6 +109,8 @@ pub struct TransR(pub Projections);
 
 impl Family for TransR {
     const NAME: &'static str = "SpTransR";
+    const WORKING_SET: Option<WorkingSet<Self>> =
+        Some(|f, (side, _)| (f.0.ent, side.pair.touched_columns_shared()));
     /// The `ht` side and the side's triples grouped by relation.
     type Side = (HtSide, Arc<IncidencePair>);
 

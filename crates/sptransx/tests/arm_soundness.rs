@@ -130,8 +130,7 @@ fn check_agrees_with_run_epochs_on_every_arm() {
     for rule in [
         "--store disk requires --optimizer sgd: Adagrad and Adam do not support paged parameters",
         "--store disk needs the sparse touched-row gradient path",
-        "--store disk needs the fused kernels",
-        "--store disk supports --model transe|toruse",
+        "--store disk supports --model transe|toruse|transh|transr",
         "(data-parallel, or --async true workers) are incompatible with --store disk",
         "--async true with 2+ workers supports only --optimizer sgd",
         "--async true with 2+ workers requires sparse (touched-row) gradients",

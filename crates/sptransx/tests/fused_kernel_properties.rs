@@ -15,7 +15,7 @@
 //! kernel's own edges for the four families whose whole scoring path it is
 //! (SpTransE, SpTorusE, SpTransC, SpTransM): embedding widths that end
 //! inside, on and past its 64-column tile, all five row scores, the paged
-//! arm against the resident one, and pool widths 1/4/8.
+//! arm (fused and unfused) against the resident one, and pool widths 1/4/8.
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::{BatchPlan, Dataset, UniformSampler};
@@ -243,9 +243,10 @@ fn score_kernel_matches_unfused_at_every_tile_tail_and_width() {
     assert_matches_unfused_at_tile_tails("SpTransM", Norm::L1, SpTransM::from_config);
 }
 
-/// The paged arm of the kernel (operand rows resolved through the slot
-/// map, gradients scattered into cache slots) trains to the resident
-/// arm's bits, at a tile tail on each side of the tile and at every width.
+/// The paged arm of the row kernels (operand rows resolved through the slot
+/// map, gradients accumulated into cache slots) trains to the resident
+/// arm's bits — fused, and unfused through the materialized `spmm` op — at
+/// a tile tail on each side of the tile and at every width.
 fn assert_paged_matches_resident<M: KgeModel>(
     name: &str,
     norm: Norm,
@@ -255,19 +256,25 @@ fn assert_paged_matches_resident<M: KgeModel>(
     for dim in [7, 65] {
         // Batches of 8 keep the working set (≤ 28 rows) under the 37-row
         // cache of the 74-row table.
-        let cfg = TrainConfig {
+        let cfg = |fused| TrainConfig {
             dim,
             norm,
             batch_size: 8,
-            ..config(true)
+            ..config(fused)
         };
-        let resident = train_run_with(&cfg, PoolHandle::sequential(), false, make);
-        for width in [1, 4, 8] {
+        let resident = train_run_with(&cfg(true), PoolHandle::sequential(), false, make);
+        assert_eq!(
+            train_run_with(&cfg(false), PoolHandle::sequential(), false, make),
+            resident,
+            "{name}, dim {dim}: unfused training diverged from fused"
+        );
+        for (fused, width) in [(true, 1), (true, 4), (true, 8), (false, 1), (false, 4)] {
             let pool = PoolHandle::global().with_width(width);
             assert_eq!(
-                train_run_with(&cfg, pool, true, make),
+                train_run_with(&cfg(fused), pool, true, make),
                 resident,
-                "{name}, dim {dim}, width {width}: paged training diverged from resident"
+                "{name}, dim {dim}, width {width}, fused {fused}: paged training diverged from \
+                 resident"
             );
         }
     }

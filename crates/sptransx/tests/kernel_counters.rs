@@ -1,0 +1,105 @@
+//! Cross-version guard for the SpMM kernels' *accounting*.
+//!
+//! `kernel_golden` pins what the kernels compute; this pins what they say it
+//! cost. One fixed epoch per arm, and for each the `sparse::metrics` delta
+//! plus the four SpMM rows of `tensor::profile` — the numbers behind
+//! `TrainReport::{flops, spmm_calls}`, the per-kernel table `sptx train`
+//! prints and CI diffs, and the benchmark's `sparse.*` layer metrics.
+//! Captured on 73cdeec, the last commit where the tape's forward and
+//! backward SpMM each had a second implementation with an accounting site of
+//! its own. Analytic counters depend on shapes only, so they are the same in
+//! debug and release and at any `SPTX_NUM_THREADS`.
+//!
+//! The counters are process-global: this binary holds exactly one test.
+
+use kg::synthetic::SyntheticKgBuilder;
+use kg::Dataset;
+use sptransx::{KgeModel, SpTransE, SpTransH, SpTransR, TrainConfig, Trainer};
+
+/// `[calls, bytes, flops]` of one `tensor::profile` row (zeros if the op
+/// never ran).
+type Row = [u64; 3];
+
+/// What one epoch recorded: the `sparse::metrics` delta as `[flops,
+/// bytes_touched, spmm_calls]`, then the `op::spmm`, `op::spmm_backward`,
+/// `op::spmm_score` and `op::spmm_score_backward` rows.
+type Counters = ([u64; 3], [Row; 4]);
+
+const OPS: [&str; 4] = [
+    "op::spmm",
+    "op::spmm_backward",
+    "op::spmm_score",
+    "op::spmm_score_backward",
+];
+
+fn epoch<M: KgeModel>(
+    ds: &Dataset,
+    cfg: &TrainConfig,
+    ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+) -> Counters {
+    let mut trainer = Trainer::new(ctor(ds, cfg).unwrap(), ds, cfg).unwrap();
+    tensor::profile::reset();
+    let before = sparse::metrics::snapshot();
+    trainer.run_epochs(1).unwrap();
+    let delta = sparse::metrics::snapshot() - before;
+    let report = tensor::profile::report();
+    let row = |name: &str| {
+        report
+            .iter()
+            .find(|e| e.name == name)
+            .map_or([0; 3], |e| [e.calls, e.bytes, e.flops])
+    };
+    (
+        [delta.flops, delta.bytes_touched, delta.spmm_calls],
+        OPS.map(row),
+    )
+}
+
+#[test]
+fn spmm_counters_match_pre_unification_kernels() {
+    let ds = SyntheticKgBuilder::new(800, 8)
+        .triples(2400)
+        .zipf_exponent(1.0)
+        .seed(15)
+        .build();
+    let base = TrainConfig {
+        batch_size: 32,
+        dim: 20,
+        rel_dim: 12,
+        lr: 0.05,
+        seed: 11,
+        ..Default::default()
+    };
+    let unfused = TrainConfig {
+        fused: false,
+        ..base.clone()
+    };
+    let dense = TrainConfig {
+        dense_grads: true,
+        ..base.clone()
+    };
+    let unfused_dense = TrainConfig {
+        dense_grads: true,
+        ..unfused.clone()
+    };
+    #[rustfmt::skip]
+    let golden: [(&str, Counters, Counters); 6] = [
+        ("SpTransE fused", epoch(&ds, &base, SpTransE::from_config), ([1_388_880, 5_754_240, 272], [[0; 3], [0; 3], [136, 1_157_760, 345_600], [136, 4_596_480, 1_036_800]])),
+        ("SpTransE unfused", epoch(&ds, &unfused, SpTransE::from_config), ([965_520, 4_700_160, 272], [[136, 1_486_080, 172_800], [136, 3_214_080, 259_200], [0; 3], [0; 3]])),
+        ("SpTransH", epoch(&ds, &base, SpTransH::from_config), ([2_607_120, 6_704_640, 272], [[136, 1_105_920, 86_400], [136, 2_142_720, 172_800], [0; 3], [0; 3]])),
+        ("SpTransR", epoch(&ds, &base, SpTransR::from_config), ([7_281_360, 9_976_320, 272], [[136, 1_105_920, 86_400], [136, 2_142_720, 172_800], [0; 3], [0; 3]])),
+        ("SpTransE dense_grads", epoch(&ds, &dense, SpTransE::from_config), ([1_388_880, 5_754_240, 272], [[0; 3], [0; 3], [136, 1_157_760, 345_600], [136, 4_596_480, 1_036_800]])),
+        ("SpTransE unfused dense_grads", epoch(&ds, &unfused_dense, SpTransE::from_config), ([965_520, 4_700_160, 272], [[136, 1_486_080, 172_800], [136, 3_214_080, 259_200], [0; 3], [0; 3]])),
+    ];
+    let moved: Vec<String> = golden
+        .iter()
+        .filter(|(_, got, want)| got != want)
+        .map(|(what, got, want)| format!("{what}: {got:?}, 73cdeec had {want:?}"))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "([flops, bytes, spmm_calls], [calls, bytes, flops] of {OPS:?}) moved — an SpMM op's \
+         accounting changed:\n{}",
+        moved.join("\n")
+    );
+}

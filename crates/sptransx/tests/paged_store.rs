@@ -21,7 +21,10 @@ use std::sync::Arc;
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
-use sptransx::{FileRowStorage, KgeModel, SpTorusE, SpTransE, TrainConfig, Trainer};
+use sptransx::{
+    FileRowStorage, KgeModel, SpTorusE, SpTransC, SpTransE, SpTransH, SpTransM, SpTransR,
+    TrainConfig, Trainer,
+};
 use tensor::paged::Schedule;
 use tensor::{PageStats, RowStorage, VecStorage};
 
@@ -49,27 +52,32 @@ fn config() -> TrainConfig {
 const BUDGET: usize = 96;
 
 struct Run {
+    /// Every parameter, in store order: the paged table first, then (TransH,
+    /// TransR) the relation tables that stay resident beside it.
     embeddings: Vec<f32>,
     losses: Vec<f32>,
 }
 
-/// Fully resident training run over any model family with an `embeddings`
-/// table.
+fn all_parameters(store: &tensor::ParamStore) -> Vec<f32> {
+    let table = |id| store.value(id).as_slice();
+    store
+        .param_ids()
+        .into_iter()
+        .flat_map(table)
+        .copied()
+        .collect()
+}
+
+/// Fully resident training run over any model family.
 fn train_resident_model<M: KgeModel>(
     ds: &Dataset,
     cfg: &TrainConfig,
     ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
 ) -> Run {
-    let model = ctor(ds, cfg).unwrap();
-    let emb = model
-        .store()
-        .lookup("embeddings")
-        .expect("embeddings table");
-    let mut trainer = Trainer::new(model, ds, cfg).unwrap();
+    let mut trainer = Trainer::new(ctor(ds, cfg).unwrap(), ds, cfg).unwrap();
     let report = trainer.run().unwrap();
-    let model = trainer.into_model();
     Run {
-        embeddings: model.store().value(emb).as_slice().to_vec(),
+        embeddings: all_parameters(trainer.model().store()),
         losses: report.epoch_losses,
     }
 }
@@ -78,8 +86,8 @@ fn train_resident(ds: &Dataset, cfg: &TrainConfig) -> Run {
     train_resident_model(ds, cfg, SpTransE::from_config)
 }
 
-/// Trains any model family with its `embeddings` table paged out to
-/// `storage`, returning the run plus the pager's counters and row trace
+/// Trains any model family with its first table (the stacked `embeddings`,
+/// or the `entities` of TransH/TransR) paged out to `storage`, returning the run plus the pager's counters and row trace
 /// (collected before unpaging). The pagefile is laid out by the schedule
 /// the model declared from its batch plan.
 fn train_paged_model<M: KgeModel>(
@@ -102,13 +110,9 @@ fn train_paged_laid_out<M: KgeModel>(
     ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
     layout: Option<Schedule>,
 ) -> sptransx::Result<(Run, PageStats, Vec<u32>)> {
-    let model = ctor(ds, cfg)?;
-    let emb = model
-        .store()
-        .lookup("embeddings")
-        .expect("embeddings table");
-    let mut trainer = Trainer::new(model, ds, cfg)?;
+    let mut trainer = Trainer::new(ctor(ds, cfg)?, ds, cfg)?;
     let store = trainer.model_mut().store_mut();
+    let emb = store.param_ids()[0];
     if let Some(schedule) = layout {
         store.declare_schedule(emb, schedule);
     }
@@ -120,10 +124,9 @@ fn train_paged_laid_out<M: KgeModel>(
     let stats = pager.stats();
     let trace = pager.trace().unwrap().to_vec();
     store.unpage(emb)?;
-    let model = trainer.into_model();
     Ok((
         Run {
-            embeddings: model.store().value(emb).as_slice().to_vec(),
+            embeddings: all_parameters(store),
             losses: report.epoch_losses,
         },
         stats,
@@ -391,9 +394,11 @@ fn assert_paged_matches_resident<M: KgeModel>(
     resident: &Run,
     ctor: impl Fn(&Dataset, &TrainConfig) -> sptransx::Result<M>,
 ) -> PageStats {
-    let vec = Box::new(VecStorage::new(204, cfg.dim));
+    let model = ctor(ds, cfg).unwrap();
+    let (rows, cols) = model.store().param_shape(model.store().param_ids()[0]);
+    let vec = Box::new(VecStorage::new(rows, cols));
     let (in_ram, stats, trace) = train_paged_model(ds, cfg, vec, budget, &ctor).unwrap();
-    let (path, file) = temp_table(what, 204, cfg.dim);
+    let (path, file) = temp_table(what, rows, cols);
     let on_disk = train_paged_model(ds, cfg, file, budget, &ctor);
     std::fs::remove_file(&path).ok();
     let (on_disk, file_stats, file_trace) = on_disk.unwrap();
@@ -433,32 +438,28 @@ fn assert_paged_matches_resident<M: KgeModel>(
 
 #[test]
 fn paged_training_is_bit_identical_across_model_families() {
-    // Paged ≡ resident for both paged model families, over both storage
-    // back ends. The whole suite reruns under SPTX_NUM_THREADS ∈ {1, 4} in
-    // CI, covering the thread-count leg.
-    let ds = dataset();
-    let cfg = config();
-    let resident = train_resident(&ds, &cfg);
-    let stats = assert_paged_matches_resident(
-        "transe",
-        &ds,
-        &cfg,
-        BUDGET,
-        &resident,
-        SpTransE::from_config,
-    );
-    assert!(stats.evictions > 0, "budget too loose to prove anything");
-
-    let resident = train_resident_model(&ds, &cfg, SpTorusE::from_config);
-    let stats = assert_paged_matches_resident(
-        "toruse",
-        &ds,
-        &cfg,
-        BUDGET,
-        &resident,
-        SpTorusE::from_config,
-    );
-    assert!(stats.evictions > 0 && stats.write_backs > 0);
+    // Paged ≡ resident for all six paged model families, over both storage
+    // back ends — every parameter, not only the paged table. The whole suite
+    // reruns under SPTX_NUM_THREADS ∈ {1, 4} in CI, covering the thread-count
+    // leg.
+    fn family<M: KgeModel>(
+        what: &str,
+        ctor: impl Fn(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+    ) {
+        let (ds, cfg) = (dataset(), config());
+        let resident = train_resident_model(&ds, &cfg, &ctor);
+        let stats = assert_paged_matches_resident(what, &ds, &cfg, BUDGET, &resident, &ctor);
+        assert!(
+            stats.evictions > 0 && stats.write_backs > 0,
+            "{what}: budget too loose to prove anything: {stats:?}"
+        );
+    }
+    family("transe", SpTransE::from_config);
+    family("toruse", SpTorusE::from_config);
+    family("transh", SpTransH::from_config);
+    family("transr", SpTransR::from_config);
+    family("transc", SpTransC::from_config);
+    family("transm", SpTransM::from_config);
 }
 
 #[test]

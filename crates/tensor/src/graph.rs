@@ -3,18 +3,13 @@
 use std::sync::Arc;
 
 use sparse::incidence::IncidencePair;
-use sparse::spmm::{csr_spmm_acc_into_with, csr_spmm_into_with};
+use sparse::spmm::{csr_spmm_into_with, spmm_row, spmm_row_acc};
+use sparse::{CsrMatrix, DenseView};
 use xparallel::{PoolHandle, Rows};
 
 use crate::profile;
-use crate::{Arena, ParamId, ParamStore, Sweep, TableView, Tensor};
-
-/// Fixed chunk length for the tape's scalar reductions (losses, means).
-///
-/// Boundaries depend only on the input length — never on the pool width —
-/// so the f64 fold order, and therefore the result bits, are identical at
-/// any `SPTX_NUM_THREADS`.
-const REDUCE_CHUNK: usize = 8192;
+use crate::tensor::REDUCE_CHUNK;
+use crate::{Arena, ParamId, ParamStore, Sweep, Tensor};
 
 /// Handle to a node on a [`Graph`] tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,52 +185,6 @@ impl RowScore {
 /// evaluated `SCORE_TILE` elements at a time into a stack buffer, then
 /// folded into the row's accumulator strictly in column order.
 const SCORE_TILE: usize = 64;
-
-/// Elements `t0 .. t0 + x.len()` of the incidence-row × table product
-/// `A[i,:] · P`, written into `x`. Each operand row is resolved to a slice
-/// once (through the slot map when `table` is paged — the map moves bytes,
-/// never arithmetic) and the element expressions replicate
-/// [`sparse::spmm`]'s `spmm_row` exactly, 1/2/3-nonzero fast-path
-/// associations included, so fused kernels built on this stay bit-identical
-/// to the materialized SpMM. Elements are independent of each other, so
-/// the loops vectorize.
-#[inline]
-fn spmm_row_into(cols: &[u32], vals: &[f32], table: &TableView<'_>, t0: usize, x: &mut [f32]) {
-    let t1 = t0 + x.len();
-    let lane = |c: u32| &table.row(c as usize)[t0..t1];
-    match *cols {
-        [] => x.fill(0.0),
-        [c0] => {
-            let v0 = vals[0];
-            for (xj, a) in x.iter_mut().zip(lane(c0)) {
-                *xj = v0 * a;
-            }
-        }
-        [c0, c1] => {
-            let (v0, v1) = (vals[0], vals[1]);
-            for ((xj, a), b) in x.iter_mut().zip(lane(c0)).zip(lane(c1)) {
-                *xj = v0 * a + v1 * b;
-            }
-        }
-        [c0, c1, c2] => {
-            let (v0, v1, v2) = (vals[0], vals[1], vals[2]);
-            let (a, b, c) = (lane(c0), lane(c1), lane(c2));
-            for (((xj, a), b), c) in x.iter_mut().zip(a).zip(b).zip(c) {
-                *xj = v0 * a + v1 * b + v2 * c;
-            }
-        }
-        _ => {
-            // General path: fold from 0.0 in nonzero order, exactly the
-            // tiled axpy accumulation of the general SpMM kernel.
-            x.fill(0.0);
-            for (v, &c) in vals.iter().zip(cols) {
-                for (xj, a) in x.iter_mut().zip(lane(c)) {
-                    *xj += v * a;
-                }
-            }
-        }
-    }
-}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -546,11 +495,14 @@ impl Graph {
     /// Panics if `A.cols() != P.rows()`.
     pub fn spmm(&mut self, store: &ParamStore, param: ParamId, pair: Arc<IncidencePair>) -> Var {
         let _t = profile::scope("op::spmm");
-        let p = store.value(param);
+        // `table` serves both residency modes: a resident parameter reads
+        // rows directly, a paged one reads its pinned cache through the
+        // row→slot map (every incidence column was paged in up front).
+        let table = store.table(param);
         // The kernel overwrites every output row, so the buffer can come
         // back from the arena unscrubbed (no redundant zero-fill).
-        let mut out = Tensor::uninit_in(&mut self.arena, pair.forward.rows(), p.cols());
-        csr_spmm_into_with(&self.pool, &pair.forward, p.view(), out.as_mut_slice());
+        let mut out = Tensor::uninit_in(&mut self.arena, pair.forward.rows(), table.cols());
+        csr_spmm_into_with(&self.pool, &pair.forward, table, out.as_mut_slice());
         self.push(out, Op::Spmm { param, pair })
     }
 
@@ -561,7 +513,7 @@ impl Graph {
     ///
     /// Bit-identical to `spmm` followed by [`Graph::score_rows`]: each
     /// batch row's operand rows are read once, a stack tile of the product
-    /// is evaluated with `spmm_row`'s exact association, and the terms are
+    /// is evaluated by the same [`spmm_row`] kernel, and the terms are
     /// folded from `0.0` in column order — the same arithmetic the
     /// materialized pipeline performs. When the tape's fused flag is off
     /// this *records* that two-op pipeline instead.
@@ -589,9 +541,6 @@ impl Graph {
             return self.score_rows(x, score);
         }
         let _t = profile::scope("op::spmm_score");
-        // `table` serves both residency modes: a resident parameter reads
-        // rows directly, a paged one reads its pinned cache through the
-        // row→slot map (every incidence column was paged in up front).
         let view = store.table(param);
         assert_eq!(pair.forward.cols(), view.rows(), "incidence width mismatch");
         let d = view.cols();
@@ -607,9 +556,7 @@ impl Graph {
                     let i = first + k;
                     let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
                     let (cols, vals) = (&indices[s..e], &values[s..e]);
-                    *dst = score.fold_row(d, &mut tile, |t0, x| {
-                        spmm_row_into(cols, vals, &view, t0, x)
-                    });
+                    *dst = score.fold_row(d, &mut tile, |t0, x| spmm_row(cols, vals, &view, t0, x));
                 }
             });
         // One SpMM's worth of reads plus the reduction's flops, but the
@@ -1075,13 +1022,17 @@ impl Graph {
                 let _t = profile::scope("op::spmm_backward");
                 // grad += Aᵀ · g, accumulated in place: untouched parameter
                 // rows cost nothing (Appendix G, without the dense delta).
-                // The pair's cached nonzero-column list feeds the touched-row
-                // contract, and the kernel walks only the touched rows (the
-                // batch's, plus any other ops already touched, whose Aᵀ rows
-                // are empty here) instead of scanning the whole table.
                 store.touch(param, pair.touched_columns());
-                let (rows, grad) = store.touched_grads(param);
-                csr_spmm_acc_into_with(&self.pool, &pair.transpose, rows, g.view(), grad);
+                let tr = &pair.transpose;
+                accumulate_transpose(&self.pool, store, param, tr, g.view());
+                sparse::metrics::record_spmm_call();
+                // Accumulation makes every ±1 nonzero one add. Per nonzero:
+                // index+value, one gathered row of `g`, and the gradient row
+                // read *and* written.
+                let (nnz, n) = (tr.nnz() as u64, g.cols() as u64);
+                let per_nnz = if tr.has_unit_coefficients() { 1 } else { 2 };
+                sparse::metrics::add_flops(per_nnz * nnz * n);
+                sparse::metrics::add_bytes(nnz * 8 + 3 * nnz * n * 4);
             }
             Op::SpmmScore { param, pair, score } => {
                 let _t = profile::scope("op::spmm_score_backward");
@@ -1111,22 +1062,12 @@ impl Graph {
                             for (k, x) in chunk.chunks_exact_mut(d).enumerate() {
                                 let ti = first + k;
                                 let (s, e) = (indptr[ti] as usize, indptr[ti + 1] as usize);
-                                spmm_row_into(&indices[s..e], &values[s..e], &view, 0, x);
+                                spmm_row(&indices[s..e], &values[s..e], &view, 0, x);
                                 score.derivs(gd[ti], nd[ti], x);
                             }
                         });
-                    // Pass 2, destination-row-sharded: parameter row `e`
-                    // accumulates `aval · dx[i, :]` over its incident batch
-                    // rows in transpose order — wherever the store keeps
-                    // row `e`'s gradient.
-                    let dxs = dx.as_slice();
-                    store.sweep(param, Sweep::Grads, &self.pool, 64, |e, dst, _| {
-                        for (ti, aval) in tr.row(e) {
-                            for (dj, x) in dst.iter_mut().zip(&dxs[ti * d..(ti + 1) * d]) {
-                                *dj += aval * x;
-                            }
-                        }
-                    });
+                    // Pass 2: the SpMM backward, over `dx`.
+                    accumulate_transpose(&self.pool, store, param, tr, dx.view());
                     self.arena.reclaim(dx);
                 }
                 // What the two passes move: the derivative pass reads one
@@ -1418,6 +1359,27 @@ impl Graph {
         grad.add_scaled_with(pool, delta, alpha);
         sparse::metrics::add_flops(2 * delta.len() as u64);
     }
+}
+
+/// The SpMM backward, `P.grad += Aᵀ · G` (Appendix G), for both SpMM ops:
+/// each touched parameter row `e` accumulates `aval · G[i, :]` over row `e` of
+/// the cached transpose `tr`, in CSR (= batch) order, wherever the store
+/// keeps that row's gradient — resident table or pinned cache slot. Callers
+/// [`ParamStore::touch`] the pair's columns first; a touched row that is
+/// empty in `tr` costs nothing.
+fn accumulate_transpose(
+    pool: &PoolHandle,
+    store: &mut ParamStore,
+    param: ParamId,
+    tr: &CsrMatrix,
+    g: DenseView<'_>,
+) {
+    assert_eq!(tr.cols(), g.rows(), "spmm shape mismatch");
+    let (indptr, indices, values) = (tr.indptr(), tr.indices(), tr.values());
+    store.sweep(param, Sweep::Grads, pool, 64, |e, dst, _| {
+        let (s, t) = (indptr[e] as usize, indptr[e + 1] as usize);
+        spmm_row_acc(&indices[s..t], &values[s..t], &g, 0, dst);
+    });
 }
 
 /// `out[i,j] = mat[i,j] * col[i]` (col is `(m,1)`), drawn from `arena`.

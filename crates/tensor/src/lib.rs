@@ -70,7 +70,7 @@ pub mod kernels {
 }
 pub use hogwild::SharedTable;
 pub use paged::{PageStats, Pager, RowStorage, VecStorage};
-pub use store::{ParamId, ParamStore, RowSet, Sweep, TableView};
+pub use store::{ParamId, ParamStore, RowSet, Sweep};
 pub use tensor::Tensor;
 
 /// Convenience alias for fallible tensor operations.

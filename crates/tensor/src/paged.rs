@@ -69,9 +69,10 @@ use std::sync::Arc;
 
 use crate::Tensor;
 
-/// Sentinel for "row not resident" in [`Pager`] slot maps and for list
-/// ends in the intrusive LRU links.
-pub(crate) const NOT_RESIDENT: u32 = u32::MAX;
+/// Sentinel for "row not resident" in [`Pager`] slot maps (the one
+/// [`sparse::DenseView::row`] checks) and for list ends in the intrusive LRU
+/// links.
+pub(crate) const NOT_RESIDENT: u32 = sparse::DenseView::NOT_RESIDENT;
 
 /// Random-access backing storage for a parameter's rows.
 ///

@@ -9,6 +9,7 @@
 //! pinned cache with LRU eviction and dirty-row write-back (see
 //! [`crate::paged`]).
 
+use sparse::DenseView;
 use xparallel::{PoolHandle, Rows};
 
 use crate::hogwild::SharedTable;
@@ -183,7 +184,7 @@ impl RowSet {
 
 /// What a [`ParamStore::sweep`] visits: which of the parameter's two tables
 /// it rewrites, over which rows. The other table is handed to the body as a
-/// read-only [`TableView`].
+/// read-only [`DenseView`].
 #[derive(Debug, Clone, Copy)]
 pub enum Sweep {
     /// The touched rows of the **gradient**, with the value as the table —
@@ -208,7 +209,7 @@ struct Resolved<'a> {
     rows: Rows<'a>,
     /// Slot → absolute row, when paged.
     names: Option<&'a [u32]>,
-    other: TableView<'a>,
+    other: DenseView<'a>,
 }
 
 /// Decides, once, which rows of which buffer a sweep visits: `set` names
@@ -251,14 +252,13 @@ fn resolve<'a>(
     }
 }
 
-/// `table` (a parameter's value or gradient tensor) as a [`TableView`].
-fn view<'a>(table: &'a Tensor, pager: Option<&'a Pager>) -> TableView<'a> {
-    let (rows, cols) = pager.map_or(table.shape(), |p| (p.rows(), p.cols()));
-    TableView {
-        data: table.as_slice(),
-        rows,
-        cols,
-        map: pager.map(Pager::slot_of),
+/// `table` (a parameter's value or gradient tensor) as the view kernels read
+/// rows through: the whole table when resident, its slot cache behind the
+/// pager's row → slot map when paged.
+fn view<'a>(table: &'a Tensor, pager: Option<&'a Pager>) -> DenseView<'a> {
+    match pager {
+        None => table.view(),
+        Some(p) => DenseView::mapped(p.cols(), table.as_slice(), p.slot_of()),
     }
 }
 
@@ -316,55 +316,6 @@ pub struct ParamStore {
     /// ([`ParamStore::for_dirty_rows`]), held for the next fallible call.
     latched: Option<Error>,
     dense_grads: bool,
-}
-
-/// Read view of a parameter's table for kernels that read whole rows.
-///
-/// For resident parameters the view covers the full `rows × cols` table;
-/// for paged parameters it covers the `budget × cols` cache plus the row →
-/// slot translation map. [`TableView::row`] hands out the same bytes either
-/// way, so kernels built on it are bit-identical across the two arms.
-#[derive(Debug, Clone, Copy)]
-pub struct TableView<'a> {
-    data: &'a [f32],
-    rows: usize,
-    cols: usize,
-    map: Option<&'a [u32]>,
-}
-
-impl<'a> TableView<'a> {
-    /// Logical row count of the parameter (not the cache size).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Row width.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Row `row` of the table as a slice, through the slot map when paged.
-    ///
-    /// # Panics
-    ///
-    /// Panics (paged parameters only) if the row is not resident — a
-    /// kernel touched a row outside the paged-in working set.
-    #[inline]
-    pub fn row(&self, row: usize) -> &'a [f32] {
-        let slot = match self.map {
-            None => row,
-            Some(m) => {
-                let s = m[row];
-                assert_ne!(
-                    s,
-                    crate::paged::NOT_RESIDENT,
-                    "row {row} not resident; it was outside the working set paged in for this batch"
-                );
-                s as usize
-            }
-        };
-        &self.data[slot * self.cols..(slot + 1) * self.cols]
-    }
 }
 
 impl ParamStore {
@@ -442,9 +393,10 @@ impl ParamStore {
     /// Panics for paged parameters: their value tensor holds the slot
     /// cache, not the full table, so any caller reaching for the whole
     /// matrix must [`ParamStore::unpage`] first (or use
-    /// [`ParamStore::table`] if it can translate rows). This is also the
-    /// guard that stops ops without paged support (gather/SpMM backends,
-    /// projections) from silently reading slot bytes as absolute rows.
+    /// [`ParamStore::table`] if it reads row by row). This is also the
+    /// guard that stops ops without paged support (gathers, projections,
+    /// the semiring products) from silently reading slot bytes as absolute
+    /// rows.
     pub fn value(&self, id: ParamId) -> &Tensor {
         self.assert_resident(id);
         &self.values[id.0]
@@ -563,15 +515,15 @@ impl ParamStore {
         self.dense_grads
     }
 
-    /// The gradient table and its touched rows, for bulk kernels that take a
-    /// row set whole (the accumulating SpMM, the index-scan scatters on
+    /// The gradient table and its touched rows, for a bulk kernel that takes
+    /// a row set whole (the gather baseline's index-scan scatter-add on
     /// [`PoolHandle::for_row_windows`]) instead of a per-row body. Callers
     /// [`touch`](Self::touch) first and pass the set on unopened.
     ///
     /// # Panics
     ///
-    /// Panics for paged parameters (see [`ParamStore::value`]): these
-    /// kernels address absolute rows.
+    /// Panics for paged parameters (see [`ParamStore::value`]): such a
+    /// kernel addresses absolute rows.
     pub fn touched_grads(&mut self, id: ParamId) -> (Rows<'_>, &mut [f32]) {
         self.assert_resident(id);
         (self.touched[id.0].rows(), self.grads[id.0].as_mut_slice())
@@ -743,7 +695,7 @@ impl ParamStore {
     ///
     /// `row` is always the **absolute** row index, `row_slice` that row of
     /// the table being rewritten, and `table` a read view of the
-    /// parameter's other table ([`TableView::row`] by absolute row) — the
+    /// parameter's other table ([`DenseView::row`] by absolute row) — the
     /// gradient row an optimizer steps with, the operand rows a backward
     /// kernel multiplies. The store alone decides what the set is (a sorted
     /// list, every row, or a list translated to the pinned cache slots of a
@@ -787,12 +739,12 @@ impl ParamStore {
         min_rows: usize,
         body: F,
     ) where
-        F: Fn(usize, &mut [f32], &TableView<'_>) + Sync,
+        F: Fn(usize, &mut [f32], &DenseView<'_>) + Sync,
     {
         let at = self.begin_sweep(id, sweep);
         let (names, other) = (at.names, at.other);
-        if other.cols > 0 {
-            pool.for_row_set(at.buf, other.cols, at.rows, min_rows, |s, row| {
+        if other.cols() > 0 {
+            pool.for_row_set(at.buf, other.cols(), at.rows, min_rows, |s, row| {
                 body(names.map_or(s, |n| n[s] as usize), row, &other)
             });
         }
@@ -807,12 +759,12 @@ impl ParamStore {
     /// Panics for an all-rows sweep of a paged parameter.
     pub fn sweep_serial<F>(&mut self, id: ParamId, sweep: Sweep, mut body: F)
     where
-        F: FnMut(usize, &mut [f32], &TableView<'_>),
+        F: FnMut(usize, &mut [f32], &DenseView<'_>),
     {
         let at = self.begin_sweep(id, sweep);
         let (names, other) = (at.names, at.other);
-        if other.cols > 0 {
-            at.rows.walk(0, at.buf, other.cols, |s, row| {
+        if other.cols() > 0 {
+            at.rows.walk(0, at.buf, other.cols(), |s, row| {
                 body(names.map_or(s, |n| n[s] as usize), row, &other)
             });
         }
@@ -976,8 +928,8 @@ impl ParamStore {
     }
 
     /// Read view of a parameter's table for row-reading kernels, resident
-    /// or paged (see [`TableView`]).
-    pub fn table(&self, id: ParamId) -> TableView<'_> {
+    /// or paged: [`DenseView::row`] by absolute row either way.
+    pub fn table(&self, id: ParamId) -> DenseView<'_> {
         view(&self.values[id.0], self.pagers[id.0].as_ref())
     }
 
@@ -1360,7 +1312,7 @@ mod tests {
                         })
                         .collect();
                     let visits = std::sync::Mutex::new(Vec::new());
-                    let body = |r: usize, row: &mut [f32], grads: &TableView<'_>| {
+                    let body = |r: usize, row: &mut [f32], grads: &DenseView<'_>| {
                         assert_eq!(bits(row), bits(&shown[r]), "{label}: row {r}'s bytes");
                         assert_eq!(bits(grads.row(r)), [0; SWEEP_COLS], "{label}: sibling row");
                         visits.lock().unwrap().push(r);

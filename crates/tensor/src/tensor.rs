@@ -6,6 +6,14 @@ use crate::hogwild::{SharedBuf, SharedTable};
 use crate::memory;
 use crate::Arena;
 
+/// Fixed chunk length of every scalar reduction in the crate (the tape's
+/// losses and means, [`Tensor::sum`], [`Tensor::frobenius_norm`]).
+///
+/// Boundaries depend only on the input length — never on the pool width —
+/// so the f64 fold order, and therefore the result bits, are identical at
+/// any `SPTX_NUM_THREADS`.
+pub(crate) const REDUCE_CHUNK: usize = 8192;
+
 /// The backing storage of a [`Tensor`]: exclusively owned bytes (the
 /// default), or a Hogwild-shared buffer aliased by replica tensors across
 /// threads (see [`crate::hogwild`]).
@@ -373,16 +381,24 @@ impl Tensor {
         self.buf_mut().fill(0.0);
     }
 
+    /// `Σ f(x)` over all elements in `f64`, as partial sums over fixed
+    /// [`REDUCE_CHUNK`]-element chunks folded in chunk order: the boundaries
+    /// depend on the length alone, so the result's bits are the same at any
+    /// pool width.
+    fn reduce(&self, f: impl Fn(f32) -> f64 + Sync) -> f64 {
+        let data = self.buf();
+        xparallel::PoolHandle::global().map_reduce_fixed(
+            data.len(),
+            REDUCE_CHUNK,
+            0f64,
+            |r| data[r].iter().map(|&x| f(x)).sum::<f64>(),
+            |a, b| a + b,
+        )
+    }
+
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        let data = self.buf();
-        xparallel::parallel_map_reduce(
-            data.len(),
-            8192,
-            0f64,
-            |r| data[r].iter().map(|&x| x as f64).sum::<f64>(),
-            |a, b| a + b,
-        ) as f32
+        self.reduce(f64::from) as f32
     }
 
     /// Mean of all elements (`0.0` for empty tensors).
@@ -396,20 +412,7 @@ impl Tensor {
 
     /// The Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
-        let data = self.buf();
-        (xparallel::parallel_map_reduce(
-            data.len(),
-            8192,
-            0f64,
-            |r| {
-                data[r]
-                    .iter()
-                    .map(|&x| (x as f64) * (x as f64))
-                    .sum::<f64>()
-            },
-            |a, b| a + b,
-        ))
-        .sqrt() as f32
+        self.reduce(|x| f64::from(x) * f64::from(x)).sqrt() as f32
     }
 
     /// Normalizes each row to unit L2 norm in place (rows with norm below
@@ -561,6 +564,32 @@ mod tests {
         assert_eq!(t.sum(), 10.0);
         assert_eq!(t.mean(), 2.5);
         assert!((t.frobenius_norm() - 30f32.sqrt()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn reductions_fold_fixed_chunks_in_order() {
+        // Several chunks and a tail, magnitudes spread over twelve decades so
+        // that the f64 sums round: any other chunking (one per worker, say)
+        // associates differently and moves the low bits.
+        let n = 3 * REDUCE_CHUNK + 1234;
+        let value = |i: usize| {
+            let mantissa = ((i * 2_654_435_761) % 1_000_003) as f32 / 1_000_003.0 - 0.5;
+            mantissa * 10f32.powi((i % 13) as i32 - 6)
+        };
+        let t = Tensor::from_vec(1, n, (0..n).map(value).collect());
+        let serial = |f: fn(f32) -> f64| {
+            let partial = |chunk: &[f32]| chunk.iter().map(|&x| f(x)).sum::<f64>();
+            let partials = t.as_slice().chunks(REDUCE_CHUNK).map(partial);
+            partials.fold(0f64, |a, b| a + b)
+        };
+        let one_fold: f64 = t.as_slice().iter().map(|&x| f64::from(x)).sum();
+        assert_ne!(serial(f64::from).to_bits(), one_fold.to_bits());
+        assert_eq!(t.sum().to_bits(), (serial(f64::from) as f32).to_bits());
+        let squares = serial(|x| f64::from(x) * f64::from(x));
+        assert_eq!(
+            t.frobenius_norm().to_bits(),
+            (squares.sqrt() as f32).to_bits()
+        );
     }
 
     #[test]

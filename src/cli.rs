@@ -629,8 +629,8 @@ struct TrainJob<'a> {
     train_path: String,
     config: TrainConfig,
     out: PathBuf,
-    /// `--store disk`: the embedding table pages to `{out}.pagefile` behind
-    /// a row cache of this budget.
+    /// `--store disk`: the [`embedding_table`] pages to `{out}.pagefile`
+    /// behind a row cache of this budget.
     cache_rows: Option<usize>,
     workers: usize,
     combine: Combine,
@@ -689,13 +689,8 @@ impl TrainJob<'_> {
                 ..Default::default()
             },
         );
-        // The stacked entity+relation table where the model has one (what
-        // `sptx serve` reads), else its entity table (TransH, TransR).
         let store = trainer.model().store();
-        let table = store
-            .lookup("embeddings")
-            .or_else(|| store.lookup("entities"));
-        if let Some(id) = table {
+        if let Some(id) = embedding_table(store) {
             let t = store.value(id);
             let (cols, data) = (t.cols(), t.as_slice());
             EmbeddingStore::write(&self.out, t.rows(), cols, |r, dst| {
@@ -718,7 +713,16 @@ impl TrainJob<'_> {
     }
 }
 
-/// Pages the trainer's `embeddings` table out to a fresh `pagefile` with a
+/// The table `sptx train` pages out and dumps: the stacked entity+relation
+/// `embeddings` where the model has one (what `sptx serve` reads), else its
+/// `entities` table (TransH, TransR).
+fn embedding_table(store: &tensor::ParamStore) -> Option<tensor::ParamId> {
+    store
+        .lookup("embeddings")
+        .or_else(|| store.lookup("entities"))
+}
+
+/// Pages the trainer's [`embedding_table`] out to a fresh `pagefile` with a
 /// `budget`-row cache and turns row tracing on (the trace feeds the simcache
 /// cross-validation after the run). Returns the paged [`tensor::ParamId`].
 fn page_out_embeddings<M: KgeModel>(
@@ -727,8 +731,8 @@ fn page_out_embeddings<M: KgeModel>(
     budget: usize,
 ) -> Result<tensor::ParamId, CliError> {
     let store = trainer.model_mut().store_mut();
-    let id = store.lookup("embeddings").ok_or_else(|| {
-        CliError::Usage("--store disk needs a model with an 'embeddings' table".into())
+    let id = embedding_table(store).ok_or_else(|| {
+        CliError::Usage("--store disk needs a model with an embedding table".into())
     })?;
     let (rows, cols) = store.param_shape(id);
     let storage = sptransx::FileRowStorage::create(pagefile, rows, cols)?;
@@ -997,7 +1001,8 @@ cache (LRU, dirty rows written back on eviction and at epoch end). Paging
 moves bytes, never arithmetic — the run is bit-identical to --store ram —
 and the report's cache counters are cross-validated against a simcache LRU
 replay of the same row trace (any divergence prints a WARNING line).
-Requires --model transe|toruse with SGD, sparse gradients and fused kernels.
+Requires --model transe|toruse|transh|transr (distmult still reads its whole
+table), SGD and sparse gradients.
 
 serve loads the stacked embedding matrix train saves (TransE/TorusE layout;
 --norm must match training), answers top-K completion queries through an
@@ -1224,11 +1229,13 @@ mod tests {
         .unwrap())
         .unwrap();
         let train_file = dir.join("train.tsv").to_string_lossy().to_string();
-        let common = |store: &str, cache: &str, emb: &str| {
+        let common = |model: &str, store: &str, emb: &str| {
             strs(&[
                 "train",
                 "--train",
                 &train_file,
+                "--model",
+                model,
                 "--epochs",
                 "2",
                 "--dim",
@@ -1238,35 +1245,39 @@ mod tests {
                 "--store",
                 store,
                 "--cache-rows",
-                cache,
+                "96",
                 "--out",
                 emb,
             ])
         };
 
-        let ram_out = dir.join("emb_ram.bin").to_string_lossy().to_string();
-        let msg = run(&parse_args(&common("ram", "96", &ram_out)).unwrap()).unwrap();
-        assert!(!msg.contains("paged store:"), "{msg}");
+        // The stacked `embeddings` of an hrt model, the `entities` of an ht
+        // one: either is the table the run pages and dumps.
+        for model in ["transe", "transh"] {
+            let ram_out = dir.join("emb_ram.bin").to_string_lossy().to_string();
+            let msg = run(&parse_args(&common(model, "ram", &ram_out)).unwrap()).unwrap();
+            assert!(!msg.contains("paged store:"), "{msg}");
 
-        // 96 cache rows against a 154-row stacked table: evictions and
-        // write-backs all run, yet the dumped embeddings must be the same
-        // bytes the resident run saved.
-        let disk_out = dir.join("emb_disk.bin").to_string_lossy().to_string();
-        let msg = run(&parse_args(&common("disk", "96", &disk_out)).unwrap()).unwrap();
-        assert!(msg.contains("paged store: budget 96 rows"), "{msg}");
-        assert!(msg.contains("simcache LRU replay"), "{msg}");
-        assert!(!msg.contains("WARNING"), "cache model diverged: {msg}");
-        assert!(
-            !dir.join("emb_disk.bin.pagefile").exists(),
-            "the pagefile must be cleaned up after training"
-        );
+            // 96 cache rows against a 150- or 154-row table: evictions and
+            // write-backs all run, yet the dumped embeddings must be the
+            // same bytes the resident run saved.
+            let disk_out = dir.join("emb_disk.bin").to_string_lossy().to_string();
+            let msg = run(&parse_args(&common(model, "disk", &disk_out)).unwrap()).unwrap();
+            assert!(msg.contains("paged store: budget 96 rows"), "{msg}");
+            assert!(msg.contains("simcache LRU replay"), "{msg}");
+            assert!(!msg.contains("WARNING"), "cache model diverged: {msg}");
+            assert!(
+                !dir.join("emb_disk.bin.pagefile").exists(),
+                "the pagefile must be cleaned up after training"
+            );
 
-        let ram_bytes = std::fs::read(dir.join("emb_ram.bin")).unwrap();
-        let disk_bytes = std::fs::read(dir.join("emb_disk.bin")).unwrap();
-        assert_eq!(
-            ram_bytes, disk_bytes,
-            "paged embeddings diverged from resident"
-        );
+            let ram_bytes = std::fs::read(dir.join("emb_ram.bin")).unwrap();
+            let disk_bytes = std::fs::read(dir.join("emb_disk.bin")).unwrap();
+            assert_eq!(
+                ram_bytes, disk_bytes,
+                "{model}: paged embeddings diverged from resident"
+            );
+        }
     }
 
     #[test]
@@ -1274,7 +1285,7 @@ mod tests {
         // Validation fires before the dataset loads, so no fixture needed.
         for extra in [
             &["--store", "disk", "--optimizer", "adam"][..],
-            &["--store", "disk", "--model", "transr"],
+            &["--store", "disk", "--model", "distmult"],
             &["--store", "disk", "--dense-grads", "true"],
             &["--store", "disk", "--fused", "false"],
             &["--store", "disk", "--cache-rows", "0"],
