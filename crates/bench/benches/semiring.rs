@@ -1,13 +1,14 @@
-//! Criterion micro-benchmarks of the Appendix D semiring kernels: the same
-//! incidence traversal under `(+, ×)` (TransE), `(×, ×)` (DistMult), complex
-//! conjugate product (ComplEx) and rotate (RotatE) semirings.
+//! Criterion micro-benchmarks of the Appendix D semiring score — the forward
+//! walk the training tape runs — under its three lane descriptions: `(×, ×)`
+//! (DistMult), complex conjugate product (ComplEx) and rotate (RotatE). The
+//! `(+, ×)` product of TransE is `benches/spmm.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparse::incidence::{hrt, TailSign};
-use sparse::semiring::{semiring_spmm, ComplexTriple, PlusTimes, RotateTriple, TimesTimes};
-use sparse::{Complex32, CsrMatrix};
+use sparse::semiring::{semiring_spmm, Semiring};
+use sparse::{CsrMatrix, DenseView};
 
 fn incidence(n_ent: usize, n_rel: usize, m: usize, sign: TailSign, seed: u64) -> CsrMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -36,25 +37,21 @@ fn bench_semirings(c: &mut Criterion) {
 
     let signed = incidence(n_ent, n_rel, m, TailSign::Negative, 1);
     let unsigned = incidence(n_ent, n_rel, m, TailSign::Positive, 1);
-    let real: Vec<f32> = (0..rows * d).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let cplx: Vec<Complex32> = (0..rows * d)
-        .map(|_| Complex32::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+    // `d` lanes each: the complex kinds read a table twice as wide.
+    let table: Vec<f32> = (0..rows * 2 * d)
+        .map(|_| rng.gen_range(-1.0..1.0))
         .collect();
-
-    group.bench_with_input(BenchmarkId::new("plus_times(TransE)", d), &(), |b, ()| {
-        b.iter(|| semiring_spmm::<PlusTimes>(&signed, &real, rows, d))
-    });
-    group.bench_with_input(
-        BenchmarkId::new("times_times(DistMult)", d),
-        &(),
-        |b, ()| b.iter(|| semiring_spmm::<TimesTimes>(&unsigned, &real, rows, d)),
-    );
-    group.bench_with_input(BenchmarkId::new("complex(ComplEx)", d), &(), |b, ()| {
-        b.iter(|| semiring_spmm::<ComplexTriple>(&signed, &cplx, rows, d))
-    });
-    group.bench_with_input(BenchmarkId::new("rotate(RotatE)", d), &(), |b, ()| {
-        b.iter(|| semiring_spmm::<RotateTriple>(&signed, &cplx, rows, d))
-    });
+    for (name, kind, a) in [
+        ("times_times(DistMult)", Semiring::DistMult, &unsigned),
+        ("complex(ComplEx)", Semiring::ComplEx, &signed),
+        ("rotate(RotatE)", Semiring::RotatE, &signed),
+    ] {
+        let cols = d * kind.lane_width();
+        let b = DenseView::new(rows, cols, &table[..rows * cols]);
+        group.bench_with_input(BenchmarkId::new(name, d), &(), |bench, ()| {
+            bench.iter(|| semiring_spmm(kind, a, b))
+        });
+    }
     group.finish();
 }
 

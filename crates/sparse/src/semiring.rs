@@ -1,269 +1,267 @@
-//! Semiring-generalized SpMM (paper Appendix D).
+//! Semiring scores over the `hrt` incidence matrix (paper Appendix D).
 //!
-//! TransE's `h + r − t` is a standard `(+, ×)` SpMM over the `hrt` incidence
-//! matrix. Appendix D observes that swapping the semiring operators turns the
-//! *same traversal* into the score kernels of non-translational models:
+//! TransE's `h + r − t` is the `(+, ×)` SpMM over the `hrt` incidence
+//! matrix, and that case lives in [`crate::spmm`]. Appendix D observes that
+//! swapping the operators turns the *same traversal* — walk the rows of the
+//! matrix, read the three operand rows each one names — into the scores of
+//! the non-translational models. This module is that one traversal
+//! ([`semiring_spmm_into_with`]) and the three descriptions it runs with
+//! ([`Semiring`]):
 //!
-//! * **DistMult** — `h ⊙ r ⊙ t`: both operators become multiplication
-//!   ([`TimesTimes`]).
-//! * **ComplEx** — `h ⊙ r ⊙ t̄` over complex embeddings: complex
-//!   multiplication, with the tail's `−1` coefficient flagging conjugation
-//!   ([`ComplexTriple`]).
-//! * **RotatE** — `h ⊙ r − t` over complex embeddings: multiply on `+1`
-//!   entries, subtract on `−1` entries ([`RotateTriple`]).
+//! * **DistMult** — `Σⱼ hⱼ rⱼ tⱼ`: both operators become multiplication.
+//! * **ComplEx** — `Σⱼ Re(hⱼ rⱼ t̄ⱼ)` over complex embeddings: complex
+//!   multiplication, with the tail's `−1` coefficient flagging conjugation.
+//! * **RotatE** — `Σⱼ |hⱼ rⱼ − tⱼ|` over complex embeddings: multiply on `+1`
+//!   entries, subtract on the `−1` entry.
 //!
-//! Because CSR stores row entries in column order (head/tail before the
-//! offset relation columns), accumulators must be **order-independent**:
-//! each semiring keeps whatever partial state it needs ([`Semiring::Acc`])
-//! and renders a scalar only in [`Semiring::finish`].
+//! A description is what one *lane* of a row costs and computes
+//! ([`Semiring::lane_width`], the term and its three partials); which stored
+//! entry plays which role is decided once for all three, in
+//! [`Semiring::decode`]. The training tape runs the forward walk as is and
+//! applies the same lane function along the cached transpose for the
+//! backward, so the kernel that is benchmarked is the kernel that trains.
 
-use crate::{metrics, Complex32, CsrMatrix};
+use crate::{metrics, Complex32, CsrMatrix, DenseView};
 
-/// A (generalized) semiring: how one incidence row combines gathered values.
-///
-/// Implementations are zero-sized tag types; the kernel is monomorphized per
-/// semiring. The trait is sealed in spirit — downstream models are expected
-/// to add semirings here rather than implement it externally, but it is left
-/// open for extension experiments.
-pub trait Semiring: Send + Sync + 'static {
-    /// Element type of the dense operand and the output.
-    type Scalar: Copy + Send + Sync + Default;
-    /// Accumulator carried across a row's nonzeros.
-    type Acc: Copy + Send + Sync;
-    /// Human-readable kernel name (for reports).
-    const NAME: &'static str;
-
-    /// The empty-row accumulator.
-    fn init() -> Self::Acc;
-    /// Folds one `(coefficient, value)` pair into the accumulator.
-    fn absorb(acc: Self::Acc, coeff: f32, val: Self::Scalar) -> Self::Acc;
-    /// Renders the accumulator into an output element.
-    fn finish(acc: Self::Acc) -> Self::Scalar;
+/// How one `hrt` incidence row combines its head, relation and tail rows
+/// into a score: the semiring of Appendix D, as a description of one lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Semiring {
+    /// `(×, ×)` over real lanes: `Σⱼ hⱼ rⱼ tⱼ`, a similarity. Coefficient
+    /// signs carry no meaning; the unsigned (`TailSign::Positive`) matrix
+    /// keeps Appendix D literal.
+    DistMult,
+    /// Conjugate product over interleaved `(re, im)` lanes:
+    /// `Σⱼ Re(hⱼ rⱼ t̄ⱼ)`, a similarity. Needs the signed matrix.
+    ComplEx,
+    /// Rotate over interleaved `(re, im)` lanes: `Σⱼ |hⱼ rⱼ − tⱼ|`, a
+    /// distance. Needs the signed matrix.
+    RotatE,
 }
 
-/// Standard arithmetic `(+, ×)` over `f32` — recovers ordinary SpMM.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PlusTimes;
+impl Semiring {
+    /// The three descriptions, for tests and benches that run them all.
+    pub const ALL: [Semiring; 3] = [Semiring::DistMult, Semiring::ComplEx, Semiring::RotatE];
 
-impl Semiring for PlusTimes {
-    type Scalar = f32;
-    type Acc = f32;
-    const NAME: &'static str = "plus-times";
-
-    #[inline]
-    fn init() -> f32 {
-        0.0
-    }
-    #[inline]
-    fn absorb(acc: f32, coeff: f32, val: f32) -> f32 {
-        acc + coeff * val
-    }
-    #[inline]
-    fn finish(acc: f32) -> f32 {
-        acc
-    }
-}
-
-/// Both operators are multiplication — the DistMult kernel `h ⊙ r ⊙ t`.
-///
-/// Coefficient signs are ignored; use an unsigned (`TailSign::Positive`)
-/// incidence matrix for clarity.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TimesTimes;
-
-impl Semiring for TimesTimes {
-    type Scalar = f32;
-    type Acc = f32;
-    const NAME: &'static str = "times-times";
-
-    #[inline]
-    fn init() -> f32 {
-        1.0
-    }
-    #[inline]
-    fn absorb(acc: f32, _coeff: f32, val: f32) -> f32 {
-        acc * val
-    }
-    #[inline]
-    fn finish(acc: f32) -> f32 {
-        acc
-    }
-}
-
-/// ComplEx kernel: complex product, conjugating values with negative
-/// coefficients (`h ⊙ r ⊙ t̄`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ComplexTriple;
-
-impl Semiring for ComplexTriple {
-    type Scalar = Complex32;
-    type Acc = Complex32;
-    const NAME: &'static str = "complex-conj-product";
-
-    #[inline]
-    fn init() -> Complex32 {
-        Complex32::ONE
-    }
-    #[inline]
-    fn absorb(acc: Complex32, coeff: f32, val: Complex32) -> Complex32 {
-        if coeff >= 0.0 {
-            acc * val
-        } else {
-            acc * val.conj()
+    /// Floats per lane: one real, or an interleaved `(re, im)` pair. The
+    /// operand table's width must be a multiple of it.
+    pub fn lane_width(self) -> usize {
+        match self {
+            Semiring::DistMult => 1,
+            Semiring::ComplEx | Semiring::RotatE => 2,
         }
     }
-    #[inline]
-    fn finish(acc: Complex32) -> Complex32 {
-        acc
-    }
-}
 
-/// RotatE kernel: multiply positive-coefficient values, subtract
-/// negative-coefficient values (`h ⊙ r − t`).
-///
-/// The accumulator keeps the product chain and the subtractive part
-/// separately so the fold is independent of CSR column order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RotateTriple;
-
-impl Semiring for RotateTriple {
-    type Scalar = Complex32;
-    type Acc = (Complex32, Complex32); // (product, subtrahend)
-    const NAME: &'static str = "rotate";
-
-    #[inline]
-    fn init() -> (Complex32, Complex32) {
-        (Complex32::ONE, Complex32::ZERO)
-    }
-    #[inline]
-    fn absorb(acc: (Complex32, Complex32), coeff: f32, val: Complex32) -> (Complex32, Complex32) {
-        if coeff >= 0.0 {
-            (acc.0 * val, acc.1)
-        } else {
-            (acc.0, acc.1 + val)
+    /// Flops [`Semiring::lane`] is counted as: `(forward, backward)`, the
+    /// backward per stored entry. Complex products are 6, `√` and `÷` one
+    /// each, and both passes end in an accumulate.
+    fn lane_flops(self) -> (u64, u64) {
+        match self {
+            Semiring::DistMult => (3, 3),
+            Semiring::ComplEx => (10, 10),
+            Semiring::RotatE => (13, 24),
         }
     }
+
+    /// **The lane arithmetic**, once per model: one lane's score term, and
+    /// `g · ∂term/∂operand` for the operand in `slot` (0 head, 1 relation,
+    /// 2 tail), treating `re`/`im` as independent reals.
+    ///
+    /// * DistMult: `(h·r)·t`; each partial is `(g · a) · b` over the other
+    ///   two operands in slot order.
+    /// * ComplEx, `Re(h·r·t̄)`: `∇h = r̄·t`, `∇r = h̄·t`, `∇t = h·r`.
+    /// * RotatE, `|z|` with `z = h·r − t` and `u = z/|z|`: `∇h = r̄·u`,
+    ///   `∇r = h̄·u`, `∇t = −u`.
+    ///
+    /// The operand order and association here are what `kernel_golden` pins.
+    /// Nothing is skipped for `g == 0`: `0 · inf` must stay `NaN`.
+    #[inline(always)]
+    fn lane(self, slot: usize, g: f32, [h, r, t]: [Complex32; 3]) -> (f32, Complex32) {
+        let scaled = |p: Complex32| Complex32::new(g * p.re, g * p.im);
+        let toward = |dir| {
+            scaled(if slot == 0 {
+                r.conj() * dir
+            } else {
+                h.conj() * dir
+            })
+        };
+        match self {
+            Semiring::DistMult => {
+                let (a, b, c) = (h.re, r.re, t.re);
+                let partial = match slot {
+                    0 => (g * b) * c,
+                    1 => (g * a) * c,
+                    _ => (g * a) * b,
+                };
+                ((a * b) * c, Complex32::new(partial, 0.0))
+            }
+            Semiring::ComplEx => {
+                let hr = h * r;
+                let partial = if slot == 2 { scaled(hr) } else { toward(t) };
+                (hr.re * t.re + hr.im * t.im, partial)
+            }
+            Semiring::RotatE => {
+                let z = h * r - t;
+                let norm = z.abs();
+                let guard = norm.max(1e-12);
+                let u = Complex32::new(z.re / guard, z.im / guard);
+                (norm, if slot == 2 { scaled(-u) } else { toward(u) })
+            }
+        }
+    }
+
+    /// **The row decoder**: the `[head, relation, tail]` columns of one
+    /// stored `hrt` row.
+    ///
+    /// * Three entries: the negative coefficient is the tail and the other
+    ///   two keep their (ascending) order, the entity before the relation.
+    ///   The unsigned form has no negative entry and reads in ascending
+    ///   column order — only DistMult, whose product commutes, may use it.
+    /// * Two entries: a self-loop. `hrt` merged `h == t` into one entity
+    ///   column, which is head *and* tail.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other row, and on an unsigned three-entry row under a
+    /// semiring that needs the tail marked.
     #[inline]
-    fn finish(acc: (Complex32, Complex32)) -> Complex32 {
-        acc.0 - acc.1
+    pub fn decode(self, cols: &[u32], vals: &[f32]) -> [usize; 3] {
+        let [a, b, c] = match *cols {
+            [e, r] => [e, r, e],
+            [a, b, c] => match vals.iter().position(|v| *v < 0.0) {
+                Some(0) => [b, c, a],
+                Some(1) => [a, c, b],
+                Some(_) => [a, b, c],
+                None => {
+                    assert!(
+                        self == Semiring::DistMult,
+                        "{self:?} needs the signed hrt form: no entry marks the tail"
+                    );
+                    [a, b, c]
+                }
+            },
+            _ => panic!("not an hrt row: {} stored entries", cols.len()),
+        };
+        [a as usize, b as usize, c as usize]
+    }
+
+    /// Lane `j` of the three operand rows.
+    #[inline(always)]
+    fn lanes(self, rows: [&[f32]; 3], j: usize) -> [Complex32; 3] {
+        rows.map(|x| match self {
+            Semiring::DistMult => Complex32::new(x[j], 0.0),
+            _ => Complex32::new(x[2 * j], x[2 * j + 1]),
+        })
+    }
+
+    /// **The row kernel of the forward walk**: the score of one triple from
+    /// its `[head, relation, tail]` rows, one lane at a time folded from
+    /// `0.0` in column order.
+    #[inline]
+    pub fn score_row(self, rows: [&[f32]; 3]) -> f32 {
+        let mut acc = 0.0f32;
+        for j in 0..rows[0].len() / self.lane_width() {
+            acc += self.lane(2, 0.0, self.lanes(rows, j)).0;
+        }
+        acc
+    }
+
+    /// **The row kernel of the backward walk**: `dst += g · ∂score/∂operand`
+    /// for the operand in `slot` of one triple, `dst` being that operand's
+    /// gradient row. A self-loop's entity row is the operand of slots 0 and
+    /// 2 and takes both calls.
+    #[inline]
+    pub fn grad_row_acc(self, slot: usize, g: f32, rows: [&[f32]; 3], dst: &mut [f32]) {
+        let w = self.lane_width();
+        for (j, d) in dst.chunks_exact_mut(w).enumerate() {
+            let partial = self.lane(slot, g, self.lanes(rows, j)).1;
+            for (x, p) in d.iter_mut().zip([partial.re, partial.im]) {
+                *x += p;
+            }
+        }
+    }
+
+    /// Adds one pass over incidence matrix `a` and a `d`-float-wide table to
+    /// the global counters — **the** analytic cost of the score kernel, in
+    /// the shape of the translational `spmm_score`'s. Forward: index + value
+    /// and one operand row per stored entry in, one float per row out.
+    /// Backward: per stored entry its index + value, `g_i` and the two
+    /// sibling rows in, and one gradient row read and written (RotatE's
+    /// partials also re-read the operand's own row, which is left out so
+    /// that the kinds differ in lane width and flops per lane only).
+    pub fn record_pass(self, a: &CsrMatrix, d: usize, backward: bool) {
+        let (m, nnz, row) = (a.rows() as u64, a.nnz() as u64, 4 * d as u64);
+        let lanes = (d / self.lane_width()) as u64;
+        let (forward_flops, backward_flops) = self.lane_flops();
+        metrics::record_spmm_call();
+        if backward {
+            metrics::add_flops(backward_flops * nnz * lanes);
+            metrics::add_bytes(nnz * (8 + 4 + 4 * row));
+        } else {
+            metrics::add_flops(forward_flops * m * lanes);
+            metrics::add_bytes(nnz * (8 + row) + 4 * m);
+        }
     }
 }
 
-/// Computes `C[i][j] = finish(fold_k absorb(coeff_ik, B[k][j]))` — semiring
-/// SpMM over a generic scalar type.
-///
-/// `b` is row-major with `b_rows × b_cols` elements of `S::Scalar`.
+/// Scores every row of `hrt` incidence matrix `a` against table `b` under
+/// `kind`: `out[i] = Σⱼ term(hⱼ, rⱼ, tⱼ)` over the lanes of the three rows of
+/// `b` that row `i` names.
 ///
 /// # Panics
 ///
-/// Panics if `a.cols() != b_rows` or `b.len() != b_rows * b_cols`.
+/// Panics if `a.cols() != b.rows()`, `b.cols()` is not a whole number of
+/// lanes, or a row of `a` is not an `hrt` row ([`Semiring::decode`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use sparse::semiring::{semiring_spmm, TimesTimes};
+/// use sparse::semiring::{semiring_spmm, Semiring};
 /// use sparse::incidence::{hrt, TailSign};
+/// use sparse::DenseView;
 ///
 /// // DistMult: one triple (h=0, r=0, t=1), 2 entities + 1 relation.
 /// let a = hrt(2, 1, &[0], &[0], &[1], TailSign::Positive)?;
-/// let b = vec![2.0f32, 3.0, /* t */ 5.0, 7.0, /* r */ 11.0, 13.0];
-/// let c = semiring_spmm::<TimesTimes>(&a, &b, 3, 2);
-/// assert_eq!(c, vec![2.0 * 5.0 * 11.0, 3.0 * 7.0 * 13.0]);
+/// let b = [2.0f32, 3.0, /* t */ 5.0, 7.0, /* r */ 11.0, 13.0];
+/// let c = semiring_spmm(Semiring::DistMult, &a, DenseView::new(3, 2, &b));
+/// assert_eq!(c, vec![2.0 * 5.0 * 11.0 + 3.0 * 7.0 * 13.0]);
 /// # Ok::<(), sparse::Error>(())
 /// ```
-pub fn semiring_spmm<S: Semiring>(
-    a: &CsrMatrix,
-    b: &[S::Scalar],
-    b_rows: usize,
-    b_cols: usize,
-) -> Vec<S::Scalar> {
-    semiring_spmm_with::<S>(&xparallel::PoolHandle::global(), a, b, b_rows, b_cols)
-}
-
-/// Like [`semiring_spmm`] but dispatched on an explicit
-/// [`xparallel::PoolHandle`] (the allocating counterpart of
-/// [`semiring_spmm_into_with`], mirroring the `csr_spmm` family).
-///
-/// # Panics
-///
-/// Same conditions as [`semiring_spmm_into`].
-pub fn semiring_spmm_with<S: Semiring>(
-    pool: &xparallel::PoolHandle,
-    a: &CsrMatrix,
-    b: &[S::Scalar],
-    b_rows: usize,
-    b_cols: usize,
-) -> Vec<S::Scalar> {
-    let mut out: Vec<S::Scalar> = vec![S::Scalar::default(); a.rows() * b_cols];
-    semiring_spmm_into_with::<S>(pool, a, b, b_rows, b_cols, &mut out);
+pub fn semiring_spmm(kind: Semiring, a: &CsrMatrix, b: DenseView<'_>) -> Vec<f32> {
+    let mut out = vec![0.0f32; a.rows()];
+    semiring_spmm_into_with(&xparallel::PoolHandle::global(), kind, a, b, &mut out);
     out
 }
 
-/// Like [`semiring_spmm`] but writes into a caller-provided buffer
-/// (overwritten) instead of allocating the output.
-///
-/// This is the batched-evaluation workhorse: ranking engines score chunk
-/// after chunk of queries through the same kernel and reuse one scratch
-/// buffer across all of them.
+/// [`semiring_spmm`] into a caller-provided buffer (overwritten), dispatched
+/// on an explicit [`xparallel::PoolHandle`] — the forward of the training
+/// tape's score op, which passes the store's table view so that a resident
+/// and a paged table read the same bytes.
 ///
 /// # Panics
 ///
-/// Panics if `a.cols() != b_rows`, `b.len() != b_rows * b_cols`, or
-/// `out.len() != a.rows() * b_cols`.
-pub fn semiring_spmm_into<S: Semiring>(
-    a: &CsrMatrix,
-    b: &[S::Scalar],
-    b_rows: usize,
-    b_cols: usize,
-    out: &mut [S::Scalar],
-) {
-    semiring_spmm_into_with::<S>(&xparallel::PoolHandle::global(), a, b, b_rows, b_cols, out);
-}
-
-/// Like [`semiring_spmm_into`] but dispatched on an explicit
-/// [`xparallel::PoolHandle`] — used by the training tape so semiring forward
-/// kernels follow the tape's schedule.
-///
-/// # Panics
-///
-/// Same conditions as [`semiring_spmm_into`].
-pub fn semiring_spmm_into_with<S: Semiring>(
+/// As [`semiring_spmm`], and if `out.len() != a.rows()`.
+pub fn semiring_spmm_into_with(
     pool: &xparallel::PoolHandle,
+    kind: Semiring,
     a: &CsrMatrix,
-    b: &[S::Scalar],
-    b_rows: usize,
-    b_cols: usize,
-    out: &mut [S::Scalar],
+    b: DenseView<'_>,
+    out: &mut [f32],
 ) {
-    assert_eq!(a.cols(), b_rows, "semiring spmm shape mismatch");
-    assert_eq!(b.len(), b_rows * b_cols, "dense operand has wrong length");
-    assert_eq!(
-        out.len(),
-        a.rows() * b_cols,
-        "output buffer has wrong length"
+    assert_eq!(a.cols(), b.rows(), "semiring spmm shape mismatch");
+    assert!(
+        b.cols().is_multiple_of(kind.lane_width()),
+        "{kind:?} needs a table of whole lanes, got {} columns",
+        b.cols()
     );
-    metrics::record_spmm_call();
-    metrics::add_flops(2 * a.nnz() as u64 * b_cols as u64);
-    if b_cols == 0 || a.rows() == 0 {
-        return;
-    }
-    let indptr = a.indptr();
-    let indices = a.indices();
-    let values = a.values();
-    pool.for_rows(out, b_cols, 16, |first_row, chunk| {
-        let nrows = chunk.len() / b_cols;
-        for local in 0..nrows {
-            let i = first_row + local;
-            let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
-            let dst = &mut chunk[local * b_cols..(local + 1) * b_cols];
-            for (j, d) in dst.iter_mut().enumerate() {
-                let mut acc = S::init();
-                for k in s..e {
-                    let col = indices[k] as usize;
-                    acc = S::absorb(acc, values[k], b[col * b_cols + j]);
-                }
-                *d = S::finish(acc);
-            }
+    assert_eq!(out.len(), a.rows(), "output buffer has wrong length");
+    kind.record_pass(a, b.cols(), false);
+    let (indices, values) = (a.indices(), a.values());
+    pool.for_rows(out, 1, 128, |first, chunk| {
+        for (k, dst) in chunk.iter_mut().enumerate() {
+            let (s, e) = a.row_bounds(first + k);
+            let cols = kind.decode(&indices[s..e], &values[s..e]);
+            *dst = kind.score_row(cols.map(|c| b.row(c)));
         }
     });
 }
@@ -272,42 +270,29 @@ pub fn semiring_spmm_into_with<S: Semiring>(
 mod tests {
     use super::*;
     use crate::incidence::{hrt, TailSign};
-    use crate::spmm::csr_spmm;
-    use crate::{CooMatrix, DenseMatrix};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn plus_times_matches_regular_spmm() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut coo = CooMatrix::new(20, 15);
-        for _ in 0..60 {
-            coo.push(
-                rng.gen_range(0..20),
-                rng.gen_range(0..15),
-                rng.gen_range(-1.0..1.0),
-            )
-            .unwrap();
-        }
-        let a = coo.to_csr();
-        let bdata: Vec<f32> = (0..15 * 6).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let b = DenseMatrix::from_vec(15, 6, bdata.clone());
-        let want = csr_spmm(&a, &b);
-        let got = semiring_spmm::<PlusTimes>(&a, &bdata, 15, 6);
-        for (x, y) in got.iter().zip(want.as_slice()) {
-            assert!((x - y).abs() < 1e-4);
-        }
+    /// Row `row` of a `d`-complex-wide interleaved table.
+    fn complex_row(b: &[f32], row: usize, d: usize) -> Vec<Complex32> {
+        Complex32::slice_from_interleaved(&b[row * 2 * d..(row + 1) * 2 * d])
+    }
+
+    fn random_table(rows: usize, cols: usize, seed: u64) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect()
     }
 
     #[test]
     fn into_variant_overwrites_and_matches_allocating() {
-        let mut rng = StdRng::seed_from_u64(17);
         let a = hrt(6, 2, &[0, 3, 5], &[0, 1, 0], &[1, 2, 4], TailSign::Positive).unwrap();
-        let b: Vec<f32> = (0..8 * 5).map(|_| rng.gen_range(0.5..2.0)).collect();
-        let want = semiring_spmm::<TimesTimes>(&a, &b, 8, 5);
+        let b = random_table(8, 5, 17);
+        let view = DenseView::new(8, 5, &b);
+        let want = semiring_spmm(Semiring::DistMult, &a, view);
         // Dirty buffer: the into-variant must fully overwrite it.
-        let mut out = vec![123.0f32; 3 * 5];
-        semiring_spmm_into::<TimesTimes>(&a, &b, 8, 5, &mut out);
+        let mut out = vec![123.0f32; 3];
+        let pool = xparallel::PoolHandle::sequential();
+        semiring_spmm_into_with(&pool, Semiring::DistMult, &a, view, &mut out);
         assert_eq!(out, want);
     }
 
@@ -317,94 +302,122 @@ mod tests {
         let a = hrt(3, 1, &[0], &[0], &[1], TailSign::Positive).unwrap();
         let b = vec![0.0f32; 4 * 2];
         let mut out = vec![0.0f32; 3];
-        semiring_spmm_into::<TimesTimes>(&a, &b, 4, 2, &mut out);
+        semiring_spmm_into_with(
+            &xparallel::PoolHandle::sequential(),
+            Semiring::DistMult,
+            &a,
+            DenseView::new(4, 2, &b),
+            &mut out,
+        );
     }
 
     #[test]
     fn distmult_triple_product() {
         // 3 entities, 2 relations, embedding dim 4.
-        let n = 3;
-        let r = 2;
-        let d = 4;
-        let mut rng = StdRng::seed_from_u64(1);
-        let b: Vec<f32> = (0..(n + r) * d).map(|_| rng.gen_range(0.5..2.0)).collect();
+        let (n, r, d) = (3, 2, 4);
+        let b = random_table(n + r, d, 1);
         let a = hrt(n, r, &[0, 2], &[1, 0], &[1, 1], TailSign::Positive).unwrap();
-        let c = semiring_spmm::<TimesTimes>(&a, &b, n + r, d);
+        let c = semiring_spmm(Semiring::DistMult, &a, DenseView::new(n + r, d, &b));
         for (row, (h, rel, t)) in [(0usize, 1usize, 1usize), (2, 0, 1)].iter().enumerate() {
-            for j in 0..d {
-                let want = b[h * d + j] * b[(n + rel) * d + j] * b[t * d + j];
-                assert!((c[row * d + j] - want).abs() < 1e-5);
-            }
+            let want: f32 = (0..d)
+                .map(|j| b[h * d + j] * b[(n + rel) * d + j] * b[t * d + j])
+                .sum();
+            assert!((c[row] - want).abs() < 1e-5);
         }
     }
 
     #[test]
     fn complex_conjugates_tail() {
         // 2 entities + 1 relation, complex dim 2.
-        let n = 2;
         let d = 2;
-        let b = vec![
-            Complex32::new(1.0, 1.0),
-            Complex32::new(2.0, 0.0), // h = e0
-            Complex32::new(0.5, -0.5),
-            Complex32::new(1.0, 3.0), // t = e1
-            Complex32::new(0.0, 1.0),
-            Complex32::new(1.0, 0.0), // r = r0
+        let b = [
+            1.0, 1.0, 2.0, 0.0, // h = e0
+            0.5, -0.5, 1.0, 3.0, // t = e1
+            0.0, 1.0, 1.0, 0.0, // r = r0
         ];
-        let a = hrt(n, 1, &[0], &[0], &[1], TailSign::Negative).unwrap();
-        let c = semiring_spmm::<ComplexTriple>(&a, &b, 3, d);
-        for j in 0..d {
-            let want = b[j] * b[2 * d + j] * b[d + j].conj();
-            assert!((c[j] - want).norm_sqr() < 1e-8, "{} vs {}", c[j], want);
-        }
+        let a = hrt(2, 1, &[0], &[0], &[1], TailSign::Negative).unwrap();
+        let c = semiring_spmm(Semiring::ComplEx, &a, DenseView::new(3, 2 * d, &b));
+        let (h, t, r) = (
+            complex_row(&b, 0, d),
+            complex_row(&b, 1, d),
+            complex_row(&b, 2, d),
+        );
+        let want: f32 = (0..d).map(|j| (h[j] * r[j] * t[j].conj()).re).sum();
+        assert!((c[0] - want).abs() < 1e-6, "{} vs {want}", c[0]);
+        // Unconjugated, the imaginary parts would enter with the other sign.
+        let plain: f32 = (0..d).map(|j| (h[j] * r[j] * t[j]).re).sum();
+        assert!((want - plain).abs() > 0.5);
     }
 
     #[test]
     fn rotate_is_product_minus_tail() {
-        let n = 2;
-        let d = 3;
-        let mut rng = StdRng::seed_from_u64(4);
-        let b: Vec<Complex32> = (0..(n + 1) * d)
-            .map(|_| Complex32::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
-            .collect();
+        let (n, d) = (2, 3);
+        let b = random_table(n + 1, 2 * d, 4);
         let a = hrt(n, 1, &[1], &[0], &[0], TailSign::Negative).unwrap();
-        let c = semiring_spmm::<RotateTriple>(&a, &b, n + 1, d);
-        for j in 0..d {
-            let want = b[d + j] * b[2 * d + j] - b[j]; // h=e1, r=r0, t=e0
-            assert!((c[j] - want).norm_sqr() < 1e-8);
-        }
+        let c = semiring_spmm(Semiring::RotatE, &a, DenseView::new(n + 1, 2 * d, &b));
+        // h = e1, r = r0, t = e0.
+        let (t, h, r) = (
+            complex_row(&b, 0, d),
+            complex_row(&b, 1, d),
+            complex_row(&b, 2, d),
+        );
+        let want: f32 = (0..d).map(|j| (h[j] * r[j] - t[j]).abs()).sum();
+        assert!((c[0] - want).abs() < 1e-6);
     }
 
     #[test]
     fn rotate_order_independence_with_low_tail_column() {
-        // Tail column 0 sorts before head column 1 in CSR; the accumulator
-        // must still produce h*r - t, not (1 - t) * h * r.
-        let b = vec![
-            Complex32::new(5.0, 0.0), // e0 (tail)
-            Complex32::new(2.0, 0.0), // e1 (head)
-            Complex32::new(3.0, 0.0), // r0
+        // Tail column 0 sorts before head column 1 in CSR; the decoder must
+        // still produce h*r - t, not t*r - h.
+        let b = [
+            5.0, 0.0, // e0 (tail)
+            2.0, 0.0, // e1 (head)
+            3.0, 0.0, // r0
         ];
         let a = hrt(2, 1, &[1], &[0], &[0], TailSign::Negative).unwrap();
-        let c = semiring_spmm::<RotateTriple>(&a, &b, 3, 1);
-        assert!((c[0] - Complex32::new(1.0, 0.0)).norm_sqr() < 1e-10); // 2*3-5
+        assert_eq!(Semiring::RotatE.decode(a.indices(), a.values()), [1, 2, 0]);
+        let c = semiring_spmm(Semiring::RotatE, &a, DenseView::new(3, 2, &b));
+        assert_eq!(c, [1.0]); // |2*3 - 5|
     }
 
     #[test]
-    fn empty_rows_yield_finished_identity() {
-        let a = CooMatrix::new(2, 3).to_csr();
-        let b = vec![1.0f32; 3 * 2];
-        let c = semiring_spmm::<TimesTimes>(&a, &b, 3, 2);
-        assert_eq!(c, vec![1.0; 4]); // finish(init) = 1 for product semiring
+    fn self_loop_rows_decode_the_entity_as_head_and_tail() {
+        let b = [2.0, 3.0, 5.0, 7.0, /* r0 */ 11.0, 13.0];
+        for sign in [TailSign::Positive, TailSign::Negative] {
+            let a = hrt(2, 1, &[1], &[0], &[1], sign).unwrap();
+            assert_eq!(a.nnz(), 2, "h == t merges into one stored entry");
+            assert_eq!(
+                Semiring::DistMult.decode(a.indices(), a.values()),
+                [1, 2, 1]
+            );
+            let c = semiring_spmm(Semiring::DistMult, &a, DenseView::new(3, 2, &b));
+            assert_eq!(c, [5.0 * 11.0 * 5.0 + 7.0 * 13.0 * 7.0]);
+        }
+    }
 
-        let c = semiring_spmm::<PlusTimes>(&a, &b, 3, 2);
-        assert_eq!(c, vec![0.0; 4]);
+    #[test]
+    #[should_panic(expected = "needs the signed hrt form")]
+    fn complex_kinds_reject_the_unsigned_form() {
+        let a = hrt(2, 1, &[0], &[0], &[1], TailSign::Positive).unwrap();
+        let b = [0.0f32; 6];
+        let _ = semiring_spmm(Semiring::ComplEx, &a, DenseView::new(3, 2, &b));
+    }
+
+    #[test]
+    #[should_panic(expected = "not an hrt row")]
+    fn rows_that_are_not_triples_are_rejected() {
+        let a = crate::CooMatrix::from_triplets(1, 3, vec![(0, 0, 1.0)])
+            .unwrap()
+            .to_csr();
+        let b = [0.0f32; 3];
+        let _ = semiring_spmm(Semiring::DistMult, &a, DenseView::new(3, 1, &b));
     }
 
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn shape_validation() {
-        let a = CooMatrix::new(1, 3).to_csr();
+        let a = hrt(2, 1, &[0], &[0], &[1], TailSign::Positive).unwrap();
         let b = vec![0.0f32; 4];
-        let _ = semiring_spmm::<PlusTimes>(&a, &b, 2, 2);
+        let _ = semiring_spmm(Semiring::DistMult, &a, DenseView::new(2, 2, &b));
     }
 }

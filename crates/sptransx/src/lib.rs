@@ -10,7 +10,7 @@
 //! | TorusE (torus `‖h + r − t‖`) | [`SpTorusE`] | [`DenseTorusE`] |
 //! | TransR (`‖Mᵣ(h − t) + r‖`) | [`SpTransR`] — one `ht` SpMM + 1 projection | [`DenseTransR`] — 2 gathers + 2 projections |
 //! | TransH (hyperplane) | [`SpTransH`] — one `ht` SpMM, shared sub-expressions | [`DenseTransH`] — 2 gathers + 2 projections |
-//! | DistMult (Appendix D) | [`SpDistMult`] — `(×,×)` semiring SpMM | — |
+//! | DistMult (Appendix D) | [`SpDistMult`] — `(×,×)` semiring score | — |
 //!
 //! The sparse variants build each mini-batch's incidence matrix **once**
 //! (negatives are pre-generated, §5.3) and reuse it — with its cached

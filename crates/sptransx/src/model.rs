@@ -254,9 +254,9 @@ impl Arm {
             ),
             (
                 self.paged && !self.pages,
-                "--store disk supports --model transe|toruse|transh|transr (and SpTransC, \
-                 SpTransM): the gather baselines read whole tables by design, and \
-                 DistMult/ComplEx/RotatE still do in their semiring products",
+                "--store disk supports every sparse model (--model \
+                 transe|toruse|transh|transr|distmult): the gather baselines read whole tables \
+                 by design — they are the scatter reference of the paper's Figure 1",
             ),
             (
                 self.paged && replicated,

@@ -1,15 +1,15 @@
 //! Sparse ComplEx (paper Appendix D, trainable).
 //!
 //! ComplEx scores triples with `Re(⟨h, r, t̄⟩)` over complex embeddings —
-//! a similarity (higher is better). The fused tape op
-//! [`tensor::Graph::complex_score`] computes it through the complex-conjugate
-//! semiring of Appendix D; scores are negated on the tape for the
-//! margin-ranking trainer.
+//! a similarity (higher is better). It is the incidence traversal of
+//! [`tensor::Graph::semiring_score`] under [`Semiring::ComplEx`], the
+//! complex-conjugate semiring of Appendix D; scores are negated on the tape
+//! for the margin-ranking trainer.
 
 use kg::{Batch, TripleStore};
 use sparse::incidence::TailSign;
 use sparse::Complex32;
-use tensor::{init, Graph, ParamStore, Var};
+use tensor::{init, Graph, ParamStore, Semiring, Var};
 
 use crate::models::{both, hrt_side, Cx, Eval, Family, HrtSide, Model, RankQuery, Shape, Stacked};
 use crate::scorer::QueryDir;
@@ -34,7 +34,7 @@ use crate::Result;
 pub type SpComplEx = Model<ComplEx>;
 
 /// [`SpComplEx`]'s family: one stacked table of interleaved `(re, im)`
-/// pairs, the fused complex-conjugate score negated, no constraint.
+/// pairs, the complex-conjugate semiring score negated, no constraint.
 #[derive(Debug)]
 pub struct ComplEx(pub Stacked);
 
@@ -71,6 +71,7 @@ pub(crate) fn complex_query(
 
 impl Family for ComplEx {
     const NAME: &'static str = "SpComplEx";
+    const WORKING_SET: Option<super::WorkingSet<Self>> = Some(|f, side| f.0.working_set(side));
     type Side = HrtSide;
 
     fn init(store: &mut ParamStore, s: &Shape, seed: u64, _: &TripleStore) -> Self {
@@ -83,7 +84,7 @@ impl Family for ComplEx {
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {
-        let sim = g.complex_score(cx.store, self.0.emb, side.clone());
+        let sim = g.semiring_score(cx.store, self.0.emb, side.clone(), Semiring::ComplEx);
         // Similarity -> pseudo-distance.
         g.scale(sim, -1.0)
     }

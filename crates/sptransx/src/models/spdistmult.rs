@@ -4,18 +4,15 @@
 //! `⟨h, r, t⟩ = Σⱼ hⱼ rⱼ tⱼ` — **higher is better**, unlike the
 //! translational distances. Appendix D shows the same incidence-matrix
 //! traversal computes it when the SpMM semiring is switched to `(×, ×)`;
-//! this model implements that: forward scoring runs
-//! [`sparse::semiring::semiring_spmm`] with [`sparse::semiring::TimesTimes`]
-//! over an **unsigned** `hrt` incidence matrix, and the backward pass
-//! distributes `g ⊙ (product of the other two rows)` via the cached
-//! transpose.
+//! this model is that traversal ([`tensor::Graph::semiring_score`]) under
+//! [`Semiring::DistMult`], over an **unsigned** `hrt` incidence matrix.
 //!
 //! To reuse the margin-ranking trainer (which minimizes positive
 //! *distances*), scores are negated on the tape.
 
 use kg::{Batch, TripleStore};
 use sparse::incidence::TailSign;
-use tensor::{init, Graph, ParamStore, Var};
+use tensor::{init, Graph, ParamStore, Semiring, Var};
 
 use crate::models::{both, hrt_side, Cx, Eval, Family, HrtSide, Model, RankQuery, Shape, Stacked};
 use crate::scorer::QueryDir;
@@ -36,13 +33,14 @@ use crate::Result;
 /// ```
 pub type SpDistMult = Model<DistMult>;
 
-/// [`SpDistMult`]'s family: one stacked table, the `(×, ×)` semiring triple
-/// product summed per row and negated, no constraint.
+/// [`SpDistMult`]'s family: one stacked table, the `(×, ×)` semiring score
+/// negated, no constraint.
 #[derive(Debug)]
 pub struct DistMult(pub Stacked);
 
 impl Family for DistMult {
     const NAME: &'static str = "SpDistMult";
+    const WORKING_SET: Option<super::WorkingSet<Self>> = Some(|f, side| f.0.working_set(side));
     type Side = HrtSide;
 
     fn init(store: &mut ParamStore, s: &Shape, seed: u64, _: &TripleStore) -> Self {
@@ -58,8 +56,7 @@ impl Family for DistMult {
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {
-        let prod = g.triple_product(cx.store, self.0.emb, side.clone());
-        let sim = g.row_sum(prod);
+        let sim = g.semiring_score(cx.store, self.0.emb, side.clone(), Semiring::DistMult);
         // Similarity -> pseudo-distance for the margin ranking loss.
         g.scale(sim, -1.0)
     }

@@ -3,13 +3,13 @@
 //! RotatE embeds entities and relations as complex vectors and scores
 //! `‖h ∘ r − t‖` with relations constrained to the unit circle (rotations).
 //! Appendix D maps this onto the same incidence traversal with a "rotate"
-//! semiring; here the fused tape op [`tensor::Graph::rotate_score`] computes
-//! the per-triple distance and backpropagates through the complex product
-//! via the cached transpose.
+//! semiring: [`tensor::Graph::semiring_score`] under [`Semiring::RotatE`]
+//! computes the per-triple distance and backpropagates through the complex
+//! product via the cached transpose.
 
 use kg::{Batch, TripleStore};
 use sparse::incidence::TailSign;
-use tensor::{init, Graph, ParamStore, Tensor, Var};
+use tensor::{init, Graph, ParamStore, Semiring, Tensor, Var};
 
 use crate::model::UNIT_NORM_TOL;
 use crate::models::spcomplex::{complex, complex_query};
@@ -37,12 +37,13 @@ use crate::Result;
 pub type SpRotatE = Model<RotatE>;
 
 /// [`SpRotatE`]'s family: one stacked table of interleaved `(re, im)` pairs,
-/// the fused rotate score, relations kept on the unit circle.
+/// the rotate semiring score, relations kept on the unit circle.
 #[derive(Debug)]
 pub struct RotatE(pub Stacked);
 
 impl Family for RotatE {
     const NAME: &'static str = "SpRotatE";
+    const WORKING_SET: Option<super::WorkingSet<Self>> = Some(|f, side| f.0.working_set(side));
     type Side = HrtSide;
 
     fn init(store: &mut ParamStore, s: &Shape, seed: u64, _: &TripleStore) -> Self {
@@ -59,7 +60,7 @@ impl Family for RotatE {
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {
-        g.rotate_score(cx.store, self.0.emb, side.clone())
+        g.semiring_score(cx.store, self.0.emb, side.clone(), Semiring::RotatE)
     }
 
     fn end_epoch(&self, store: &mut ParamStore, shape: &Shape) {

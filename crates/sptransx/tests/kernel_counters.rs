@@ -8,22 +8,25 @@
 //! Captured on 73cdeec, the last commit where the tape's forward and
 //! backward SpMM each had a second implementation with an accounting site of
 //! its own. Analytic counters depend on shapes only, so they are the same in
-//! debug and release and at any `SPTX_NUM_THREADS`.
+//! debug and release and at any `SPTX_NUM_THREADS`. The SpDistMult block pins
+//! the semiring score op from the commit that introduced it (its counters are
+//! new there by definition), for the next change to that op to start from.
 //!
 //! The counters are process-global: this binary holds exactly one test.
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
-use sptransx::{KgeModel, SpTransE, SpTransH, SpTransR, TrainConfig, Trainer};
+use sptransx::{KgeModel, SpDistMult, SpTransE, SpTransH, SpTransR, TrainConfig, Trainer};
 
 /// `[calls, bytes, flops]` of one `tensor::profile` row (zeros if the op
 /// never ran).
 type Row = [u64; 3];
 
 /// What one epoch recorded: the `sparse::metrics` delta as `[flops,
-/// bytes_touched, spmm_calls]`, then the `op::spmm`, `op::spmm_backward`,
-/// `op::spmm_score` and `op::spmm_score_backward` rows.
-type Counters = ([u64; 3], [Row; 4]);
+/// bytes_touched, spmm_calls]`, then the rows of the ops asked for — for the
+/// SpMM arms `op::spmm`, `op::spmm_backward`, `op::spmm_score` and
+/// `op::spmm_score_backward`.
+type Counters<const N: usize = 4> = ([u64; 3], [Row; N]);
 
 const OPS: [&str; 4] = [
     "op::spmm",
@@ -32,11 +35,14 @@ const OPS: [&str; 4] = [
     "op::spmm_score_backward",
 ];
 
-fn epoch<M: KgeModel>(
+const SEMIRING_OPS: [&str; 2] = ["op::semiring_score", "op::semiring_score_backward"];
+
+fn epoch<M: KgeModel, const N: usize>(
     ds: &Dataset,
     cfg: &TrainConfig,
     ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
-) -> Counters {
+    ops: [&str; N],
+) -> Counters<N> {
     let mut trainer = Trainer::new(ctor(ds, cfg).unwrap(), ds, cfg).unwrap();
     tensor::profile::reset();
     let before = sparse::metrics::snapshot();
@@ -51,7 +57,7 @@ fn epoch<M: KgeModel>(
     };
     (
         [delta.flops, delta.bytes_touched, delta.spmm_calls],
-        OPS.map(row),
+        ops.map(row),
     )
 }
 
@@ -84,21 +90,29 @@ fn spmm_counters_match_pre_unification_kernels() {
     };
     #[rustfmt::skip]
     let golden: [(&str, Counters, Counters); 6] = [
-        ("SpTransE fused", epoch(&ds, &base, SpTransE::from_config), ([1_388_880, 5_754_240, 272], [[0; 3], [0; 3], [136, 1_157_760, 345_600], [136, 4_596_480, 1_036_800]])),
-        ("SpTransE unfused", epoch(&ds, &unfused, SpTransE::from_config), ([965_520, 4_700_160, 272], [[136, 1_486_080, 172_800], [136, 3_214_080, 259_200], [0; 3], [0; 3]])),
-        ("SpTransH", epoch(&ds, &base, SpTransH::from_config), ([2_607_120, 6_704_640, 272], [[136, 1_105_920, 86_400], [136, 2_142_720, 172_800], [0; 3], [0; 3]])),
-        ("SpTransR", epoch(&ds, &base, SpTransR::from_config), ([7_281_360, 9_976_320, 272], [[136, 1_105_920, 86_400], [136, 2_142_720, 172_800], [0; 3], [0; 3]])),
-        ("SpTransE dense_grads", epoch(&ds, &dense, SpTransE::from_config), ([1_388_880, 5_754_240, 272], [[0; 3], [0; 3], [136, 1_157_760, 345_600], [136, 4_596_480, 1_036_800]])),
-        ("SpTransE unfused dense_grads", epoch(&ds, &unfused_dense, SpTransE::from_config), ([965_520, 4_700_160, 272], [[136, 1_486_080, 172_800], [136, 3_214_080, 259_200], [0; 3], [0; 3]])),
+        ("SpTransE fused", epoch(&ds, &base, SpTransE::from_config, OPS), ([1_388_880, 5_754_240, 272], [[0; 3], [0; 3], [136, 1_157_760, 345_600], [136, 4_596_480, 1_036_800]])),
+        ("SpTransE unfused", epoch(&ds, &unfused, SpTransE::from_config, OPS), ([965_520, 4_700_160, 272], [[136, 1_486_080, 172_800], [136, 3_214_080, 259_200], [0; 3], [0; 3]])),
+        ("SpTransH", epoch(&ds, &base, SpTransH::from_config, OPS), ([2_607_120, 6_704_640, 272], [[136, 1_105_920, 86_400], [136, 2_142_720, 172_800], [0; 3], [0; 3]])),
+        ("SpTransR", epoch(&ds, &base, SpTransR::from_config, OPS), ([7_281_360, 9_976_320, 272], [[136, 1_105_920, 86_400], [136, 2_142_720, 172_800], [0; 3], [0; 3]])),
+        ("SpTransE dense_grads", epoch(&ds, &dense, SpTransE::from_config, OPS), ([1_388_880, 5_754_240, 272], [[0; 3], [0; 3], [136, 1_157_760, 345_600], [136, 4_596_480, 1_036_800]])),
+        ("SpTransE unfused dense_grads", epoch(&ds, &unfused_dense, SpTransE::from_config, OPS), ([965_520, 4_700_160, 272], [[136, 1_486_080, 172_800], [136, 3_214_080, 259_200], [0; 3], [0; 3]])),
     ];
-    let moved: Vec<String> = golden
+    let mut moved: Vec<String> = golden
         .iter()
         .filter(|(_, got, want)| got != want)
         .map(|(what, got, want)| format!("{what}: {got:?}, 73cdeec had {want:?}"))
         .collect();
+    let got = epoch(&ds, &base, SpDistMult::from_config, SEMIRING_OPS);
+    #[rustfmt::skip]
+    let want: Counters<2> = ([1_056_240, 5_460_480, 272], [[136, 1_157_760, 259_200], [136, 4_302_720, 777_600]]);
+    if got != want {
+        moved.push(format!(
+            "SpDistMult {SEMIRING_OPS:?}: {got:?}, pinned {want:?}"
+        ));
+    }
     assert!(
         moved.is_empty(),
-        "([flops, bytes, spmm_calls], [calls, bytes, flops] of {OPS:?}) moved — an SpMM op's \
+        "([flops, bytes, spmm_calls], [calls, bytes, flops] of {OPS:?}) moved — a tape op's \
          accounting changed:\n{}",
         moved.join("\n")
     );

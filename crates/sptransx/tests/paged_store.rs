@@ -22,8 +22,8 @@ use std::sync::Arc;
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
 use sptransx::{
-    FileRowStorage, KgeModel, SpTorusE, SpTransC, SpTransE, SpTransH, SpTransM, SpTransR,
-    TrainConfig, Trainer,
+    FileRowStorage, KgeModel, SpComplEx, SpDistMult, SpRotatE, SpTorusE, SpTransC, SpTransE,
+    SpTransH, SpTransM, SpTransR, TrainConfig, Trainer,
 };
 use tensor::paged::Schedule;
 use tensor::{PageStats, RowStorage, VecStorage};
@@ -438,7 +438,7 @@ fn assert_paged_matches_resident<M: KgeModel>(
 
 #[test]
 fn paged_training_is_bit_identical_across_model_families() {
-    // Paged ≡ resident for all six paged model families, over both storage
+    // Paged ≡ resident for all nine sparse model families, over both storage
     // back ends — every parameter, not only the paged table. The whole suite
     // reruns under SPTX_NUM_THREADS ∈ {1, 4} in CI, covering the thread-count
     // leg.
@@ -460,6 +460,9 @@ fn paged_training_is_bit_identical_across_model_families() {
     family("transr", SpTransR::from_config);
     family("transc", SpTransC::from_config);
     family("transm", SpTransM::from_config);
+    family("distmult", SpDistMult::from_config);
+    family("complex", SpComplEx::from_config);
+    family("rotate", SpRotatE::from_config);
 }
 
 #[test]

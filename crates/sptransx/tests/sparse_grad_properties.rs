@@ -84,8 +84,8 @@ where
 /// Sparse vs dense gradient path must agree bit-for-bit after multi-epoch
 /// training, at every pool width — for every kernel family on the tape:
 /// TransE/TorusE (SpMM + norms), TransR (projections + scatter-outer),
-/// TransH (gathers + hyperplane algebra), DistMult (semiring triple
-/// product), RotatE/ComplEx (complex kernels), and the dense gather/scatter
+/// TransH (gathers + hyperplane algebra), DistMult/RotatE/ComplEx (the
+/// semiring score under its three kinds), and the dense gather/scatter
 /// baselines.
 macro_rules! sparse_matches_dense_test {
     ($name:ident, $model:ty) => {

@@ -81,7 +81,7 @@ fn assert_bitwise_equal(a: &(Vec<f32>, Vec<Vec<f32>>), b: &(Vec<f32>, Vec<Vec<f3
 
 /// One model family per kernel family: TransE (spmm + L2 norm), TransH
 /// (gather / row_dot / scale_rows), TransR (project_rows + scatter outer),
-/// DistMult (semiring triple product), RotatE and ComplEx (complex kernels).
+/// DistMult, RotatE and ComplEx (the semiring score under its three kinds).
 macro_rules! width_invariance_test {
     ($name:ident, $model:ty) => {
         #[test]

@@ -2,7 +2,9 @@
 //!
 //! Every backward rule on the tape (and, transitively, the Appendix G claim
 //! that SpMM backward is `Aᵀ`-SpMM) is validated by comparing analytic
-//! parameter gradients with central finite differences of the loss.
+//! parameter gradients with central finite differences of the loss. The
+//! Appendix D scores are one rule, [`crate::Graph::semiring_score`], checked
+//! under each of its three lane descriptions, self-loop rows included.
 
 use crate::{ParamId, ParamStore, Tensor, Var};
 
@@ -88,6 +90,7 @@ mod tests {
     use crate::{init, RowScore};
     use sparse::incidence::IncidencePair;
     use sparse::incidence::{hrt, ht, selection, TailSign};
+    use sparse::semiring::Semiring;
     use std::sync::Arc;
 
     fn small_store(rows: usize, cols: usize, seed: u64) -> (ParamStore, ParamId) {
@@ -173,48 +176,58 @@ mod tests {
         }
     }
 
+    /// Gradient of `mean(semiring_score)` under `kind` over a 3-entity,
+    /// 2-relation table `cols` floats wide.
+    fn semiring_gradcheck(
+        kind: Semiring,
+        cols: usize,
+        seed: u64,
+        (heads, rels, tails): (&[u32], &[u32], &[u32]),
+        sign: TailSign,
+    ) {
+        let (mut s, p) = small_store(5, cols, seed);
+        let pair = Arc::new(IncidencePair::new(
+            hrt(3, 2, heads, rels, tails, sign).unwrap(),
+        ));
+        let report = check_param(&mut s, p, 1e-3, move |g, store| {
+            let score = g.semiring_score(store, store.lookup("p").unwrap(), pair.clone(), kind);
+            g.mean(score)
+        });
+        assert!(report.passes(2e-2, 2e-2), "{kind:?} {sign:?}: {report:?}");
+    }
+
     #[test]
     fn triple_product_row_sum_gradcheck() {
         // DistMult scoring path: Σ_j h_j r_j t_j differentiated through the
-        // semiring SpMM forward and the transpose-traversal backward.
-        let (mut s, p) = small_store(5, 3, 21); // 3 entities + 2 relations
-        let pair = Arc::new(IncidencePair::new(
-            hrt(3, 2, &[0, 2], &[0, 1], &[1, 0], TailSign::Positive).unwrap(),
-        ));
-        let report = check_param(&mut s, p, 1e-3, move |g, store| {
-            let prod = g.triple_product(store, store.lookup("p").unwrap(), Arc::clone(&pair));
-            let score = g.row_sum(prod);
-            g.mean(score)
-        });
-        assert!(report.passes(2e-2, 2e-2), "{report:?}");
+        // semiring forward walk and the transpose-traversal backward.
+        let triples: (&[u32], &[u32], &[u32]) = (&[0, 2], &[0, 1], &[1, 0]);
+        semiring_gradcheck(Semiring::DistMult, 3, 21, triples, TailSign::Positive);
     }
 
     #[test]
     fn rotate_score_gradcheck() {
-        // Complex parameter: 3 entities + 2 relations, complex dim 2
-        // (4 interleaved floats per row).
-        let (mut s, p) = small_store(5, 4, 31);
-        let pair = Arc::new(IncidencePair::new(
-            hrt(3, 2, &[0, 2], &[0, 1], &[1, 0], TailSign::Negative).unwrap(),
-        ));
-        let report = check_param(&mut s, p, 1e-3, move |g, store| {
-            let score = g.rotate_score(store, store.lookup("p").unwrap(), Arc::clone(&pair));
-            g.mean(score)
-        });
-        assert!(report.passes(2e-2, 2e-2), "{report:?}");
+        // Complex parameter: complex dim 2 (4 interleaved floats per row).
+        let triples: (&[u32], &[u32], &[u32]) = (&[0, 2], &[0, 1], &[1, 0]);
+        semiring_gradcheck(Semiring::RotatE, 4, 31, triples, TailSign::Negative);
     }
 
     #[test]
     fn complex_score_gradcheck() {
-        let (mut s, p) = small_store(5, 4, 32);
-        let pair = Arc::new(IncidencePair::new(
-            hrt(3, 2, &[0, 1], &[1, 0], &[2, 0], TailSign::Negative).unwrap(),
-        ));
-        let report = check_param(&mut s, p, 1e-3, move |g, store| {
-            let score = g.complex_score(store, store.lookup("p").unwrap(), Arc::clone(&pair));
-            g.mean(score)
-        });
-        assert!(report.passes(2e-2, 2e-2), "{report:?}");
+        let triples: (&[u32], &[u32], &[u32]) = (&[0, 1], &[1, 0], &[2, 0]);
+        semiring_gradcheck(Semiring::ComplEx, 4, 32, triples, TailSign::Negative);
+    }
+
+    #[test]
+    fn semiring_score_gradcheck_with_a_self_loop_row() {
+        // Row 1 is `(e2, r1, e2)`: `hrt` merges it into two stored entries,
+        // and `e2`'s gradient row takes the head and the tail partial. `e2`
+        // is also an ordinary head (row 0) and tail (row 2).
+        let triples: (&[u32], &[u32], &[u32]) = (&[2, 2, 0], &[0, 1, 1], &[1, 2, 2]);
+        for kind in Semiring::ALL {
+            let cols = 2 * kind.lane_width();
+            semiring_gradcheck(kind, cols, 41, triples, TailSign::Negative);
+        }
+        semiring_gradcheck(Semiring::DistMult, 3, 42, triples, TailSign::Positive);
     }
 
     #[test]

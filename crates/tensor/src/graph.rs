@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use sparse::incidence::IncidencePair;
+use sparse::semiring::{semiring_spmm_into_with, Semiring};
 use sparse::spmm::{csr_spmm_into_with, spmm_row, spmm_row_acc};
 use sparse::{CsrMatrix, DenseView};
 use xparallel::{PoolHandle, Rows};
@@ -228,51 +229,11 @@ enum Op {
         margin: f32,
     },
     Mean(Var),
-    RowSum(Var),
-    TripleProduct {
+    SemiringScore {
         param: ParamId,
         pair: Arc<IncidencePair>,
+        kind: Semiring,
     },
-    RotateScore {
-        param: ParamId,
-        pair: Arc<IncidencePair>,
-    },
-    ComplexScore {
-        param: ParamId,
-        pair: Arc<IncidencePair>,
-    },
-}
-
-/// Decomposes one 3-nonzero incidence row into `(pos_a, pos_b, tail)` column
-/// indices: the negative coefficient marks the tail; the other two positive
-/// columns are interchangeable for the complex products (h ⊙ r commutes).
-#[inline]
-fn split_hrt_row(cols: &[u32], vals: &[f32]) -> (usize, usize, usize) {
-    debug_assert_eq!(cols.len(), 3);
-    let mut tail = usize::MAX;
-    let mut pos = [usize::MAX; 2];
-    let mut k = 0;
-    for (c, v) in cols.iter().zip(vals) {
-        if *v < 0.0 {
-            tail = *c as usize;
-        } else if k < 2 {
-            pos[k] = *c as usize;
-            k += 1;
-        }
-    }
-    debug_assert!(tail != usize::MAX && k == 2, "row is not a signed hrt row");
-    (pos[0], pos[1], tail)
-}
-
-#[inline]
-fn complex_at(buf: &[f32], row: usize, j: usize, d2: usize) -> (f32, f32) {
-    let base = row * d2 + 2 * j;
-    (buf[base], buf[base + 1])
-}
-
-#[inline]
-fn cmul(a: (f32, f32), b: (f32, f32)) -> (f32, f32) {
-    (a.0 * b.0 - a.1 * b.1, a.0 * b.1 + a.1 * b.0)
 }
 
 #[derive(Debug)]
@@ -651,27 +612,10 @@ impl Graph {
     /// Panics on shape mismatch.
     pub fn row_dot(&mut self, a: Var, b: Var) -> Var {
         let _t = profile::scope("op::row_dot");
-        let (m, n) = {
-            let (av, bv) = (self.value(a), self.value(b));
-            assert_eq!(av.shape(), bv.shape(), "row_dot shape mismatch");
-            av.shape()
-        };
-        let mut out = Tensor::uninit_in(&mut self.arena, m, 1);
-        let (ad, bd) = (
-            self.nodes[a.0].value.as_slice(),
-            self.nodes[b.0].value.as_slice(),
-        );
-        self.pool
-            .for_rows(out.as_mut_slice(), 1, 256, |first, chunk| {
-                for (k, dst) in chunk.iter_mut().enumerate() {
-                    let i = first + k;
-                    let mut acc = 0.0;
-                    for j in 0..n {
-                        acc += ad[i * n + j] * bd[i * n + j];
-                    }
-                    *dst = acc;
-                }
-            });
+        let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        assert_eq!(av.shape(), bv.shape(), "row_dot shape mismatch");
+        let (m, n) = av.shape();
+        let out = row_dot_tensor(&self.pool, &mut self.arena, av, bv);
         sparse::metrics::add_flops(2 * (m * n) as u64);
         self.push(out, Op::RowDot(a, b))
     }
@@ -684,26 +628,10 @@ impl Graph {
     /// Panics if `scale` is not `(mat.rows, 1)`.
     pub fn scale_rows(&mut self, mat: Var, scale: Var) -> Var {
         let _t = profile::scope("op::scale_rows");
-        let (m, n) = {
-            let (mv, sv) = (self.value(mat), self.value(scale));
-            assert_eq!(sv.shape(), (mv.rows(), 1), "scale must be a (m,1) column");
-            mv.shape()
-        };
-        let mut out = Tensor::uninit_in(&mut self.arena, m, n);
-        let (md, sd) = (
-            self.nodes[mat.0].value.as_slice(),
-            self.nodes[scale.0].value.as_slice(),
-        );
-        self.pool
-            .for_rows(out.as_mut_slice(), n.max(1), 64, |first, chunk| {
-                for (k, dst) in chunk.chunks_exact_mut(n.max(1)).enumerate() {
-                    let i = first + k;
-                    let s = sd[i];
-                    for (j, d) in dst.iter_mut().enumerate() {
-                        *d = md[i * n + j] * s;
-                    }
-                }
-            });
+        let (mv, sv) = (&self.nodes[mat.0].value, &self.nodes[scale.0].value);
+        assert_eq!(sv.shape(), (mv.rows(), 1), "scale must be a (m,1) column");
+        let (m, n) = mv.shape();
+        let out = scale_rows_tensor(&self.pool, &mut self.arena, mv, sv);
         sparse::metrics::add_flops((m * n) as u64);
         self.push(out, Op::ScaleRows { mat, scale })
     }
@@ -866,114 +794,40 @@ impl Graph {
         self.push(v, Op::Mean(a))
     }
 
-    /// Per-row sum: `out[i] = Σ_j a[i,j]`, shape `(m, 1)`.
-    pub fn row_sum(&mut self, a: Var) -> Var {
-        let _t = profile::scope("op::row_sum");
-        let (m, n) = self.value(a).shape();
-        let mut out = Tensor::uninit_in(&mut self.arena, m, 1);
-        let ad = self.nodes[a.0].value.as_slice();
-        self.pool
-            .for_rows(out.as_mut_slice(), 1, 256, |first, chunk| {
-                for (k, dst) in chunk.iter_mut().enumerate() {
-                    *dst = ad[(first + k) * n..(first + k + 1) * n].iter().sum();
-                }
-            });
-        sparse::metrics::add_flops(2 * (m * n) as u64);
-        self.push(out, Op::RowSum(a))
-    }
-
-    /// Semiring triple product (paper Appendix D, DistMult):
-    /// `out[i,:] = E[h_i,:] ⊙ E[r_i,:] ⊙ E[t_i,:]` computed with the
-    /// `(×, ×)` semiring SpMM over an **unsigned** `hrt` incidence matrix.
+    /// Semiring score (paper Appendix D): the `(m, 1)` column
+    /// `out[i] = Σⱼ term(hⱼ, rⱼ, tⱼ)` over the lanes of the three rows of
+    /// `param` that row `i` of the `hrt` incidence matrix names, under
+    /// `kind` — DistMult's `h·r·t` and ComplEx's `Re(h·r·t̄)` (similarities:
+    /// negate, e.g. [`Graph::scale`] by `−1`, before a distance-based loss)
+    /// or RotatE's `|h·r − t|` (a distance). The complex kinds read the
+    /// parameter's columns as interleaved `(re, im)` pairs and need the
+    /// signed matrix; a self-loop row (`h == t`, two stored entries) scores
+    /// its entity row in both roles.
     ///
-    /// Backward distributes `g_i ⊙ (product of the other two rows)` to each
-    /// incident row, traversing the cached transpose so updates stay
-    /// deterministic and lock-free.
+    /// Forward is [`semiring_spmm_into_with`] over the forward matrix.
+    /// Backward walks the cached transpose: each parameter gradient row is
+    /// owned by one worker and receives `g_i · ∂term/∂operand` from its
+    /// incident triples in tape order, operand rows read through the
+    /// store's table view — so the op is bit-identical at any pool width
+    /// and for a resident or a paged table.
     ///
     /// # Panics
     ///
-    /// Panics if the incidence matrix does not have exactly 3 nonzeros per
-    /// row or its width differs from the parameter's row count.
-    pub fn triple_product(
+    /// Panics if the incidence width differs from the parameter's row
+    /// count, the parameter is not a whole number of lanes wide, or a row
+    /// is not an `hrt` row ([`Semiring::decode`]).
+    pub fn semiring_score(
         &mut self,
         store: &ParamStore,
         param: ParamId,
         pair: Arc<IncidencePair>,
+        kind: Semiring,
     ) -> Var {
-        let _t = profile::scope("op::triple_product");
-        let p = store.value(param);
-        assert_eq!(pair.forward.cols(), p.rows(), "incidence width mismatch");
-        assert_eq!(
-            pair.forward.nnz(),
-            3 * pair.forward.rows(),
-            "triple_product requires exactly 3 nonzeros per row"
-        );
-        let mut t = Tensor::uninit_in(&mut self.arena, pair.forward.rows(), p.cols());
-        sparse::semiring::semiring_spmm_into_with::<sparse::semiring::TimesTimes>(
-            &self.pool,
-            &pair.forward,
-            p.as_slice(),
-            p.rows(),
-            p.cols(),
-            t.as_mut_slice(),
-        );
-        self.push(t, Op::TripleProduct { param, pair })
-    }
-
-    /// RotatE score rows (paper Appendix D): for each incidence triple,
-    /// `out[i] = Σ_j |h_j ⊙ r_j − t_j|` over **interleaved complex**
-    /// embeddings (the parameter has `2·d'` columns holding `d'` complex
-    /// values per row). Lower is better — a distance, directly usable with
-    /// the margin ranking loss.
-    ///
-    /// The incidence matrix must be the signed `hrt` form: `−1` marks the
-    /// tail, the two `+1` columns form the commuting product `h ⊙ r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameter width is odd, the incidence shape mismatches,
-    /// or any row does not have exactly 3 nonzeros.
-    pub fn rotate_score(
-        &mut self,
-        store: &ParamStore,
-        param: ParamId,
-        pair: Arc<IncidencePair>,
-    ) -> Var {
-        let _t = profile::scope("op::rotate_score");
-        let value = complex_score_forward(
-            &self.pool,
-            &mut self.arena,
-            store,
-            param,
-            &pair,
-            ComplexKernel::Rotate,
-        );
-        self.push(value, Op::RotateScore { param, pair })
-    }
-
-    /// ComplEx score rows (paper Appendix D): `out[i] = Σ_j Re(h_j r_j t̄_j)`
-    /// over interleaved complex embeddings. **Higher is better** — negate
-    /// (e.g. [`Graph::scale`] by `−1`) before a distance-based loss.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Graph::rotate_score`].
-    pub fn complex_score(
-        &mut self,
-        store: &ParamStore,
-        param: ParamId,
-        pair: Arc<IncidencePair>,
-    ) -> Var {
-        let _t = profile::scope("op::complex_score");
-        let value = complex_score_forward(
-            &self.pool,
-            &mut self.arena,
-            store,
-            param,
-            &pair,
-            ComplexKernel::ComplEx,
-        );
-        self.push(value, Op::ComplexScore { param, pair })
+        let _t = profile::scope("op::semiring_score");
+        let mut out = Tensor::uninit_in(&mut self.arena, pair.forward.rows(), 1);
+        let table = store.table(param);
+        semiring_spmm_into_with(&self.pool, kind, &pair.forward, table, out.as_mut_slice());
+        self.push(out, Op::SemiringScore { param, pair, kind })
     }
 
     /// Runs reverse-mode differentiation from scalar node `loss`.
@@ -1279,66 +1133,27 @@ impl Graph {
                 self.accum(a, &da, 1.0);
                 self.arena.reclaim(da);
             }
-            Op::RowSum(a) => {
-                let (m, n) = self.nodes[a.0].value.shape();
-                let mut da = Tensor::uninit_in(&mut self.arena, m, n);
-                let gd = g.as_slice();
-                self.pool
-                    .for_rows(da.as_mut_slice(), n.max(1), 64, |first, chunk| {
-                        for (k, dst) in chunk.chunks_exact_mut(n.max(1)).enumerate() {
-                            dst.fill(gd[first + k]);
-                        }
-                    });
-                sparse::metrics::add_flops((m * n) as u64);
-                self.accum(a, &da, 1.0);
-                self.arena.reclaim(da);
-            }
-            Op::RotateScore { param, pair } => {
-                let _t = profile::scope("op::rotate_score_backward");
-                complex_score_backward(&self.pool, store, param, &pair, g, ComplexKernel::Rotate);
-            }
-            Op::ComplexScore { param, pair } => {
-                let _t = profile::scope("op::complex_score_backward");
-                complex_score_backward(&self.pool, store, param, &pair, g, ComplexKernel::ComplEx);
-            }
-            Op::TripleProduct { param, pair } => {
-                let _t = profile::scope("op::triple_product_backward");
-                let d = g.cols();
-                let fwd = &pair.forward;
-                let tr = &pair.transpose;
-                // For entity/relation row `e`, each incident triple row `i`
-                // contributes g_i ⊙ Π_{c ≠ e} E[c]. Traverse Aᵀ so each
-                // parameter-gradient row is owned by exactly one worker.
+            Op::SemiringScore { param, pair, kind } => {
+                let _t = profile::scope("op::semiring_score_backward");
+                let (fwd, tr) = (&pair.forward, &pair.transpose);
                 store.touch(param, pair.touched_columns());
                 let gd = g.as_slice();
-                let indptr = fwd.indptr();
-                let indices = fwd.indices();
+                let (indices, values) = (fwd.indices(), fwd.values());
                 // Rows touched by other ops have empty Aᵀ rows here and cost
                 // one indptr lookup.
-                store.sweep(param, Sweep::Grads, &self.pool, 64, |e, dst, values| {
+                store.sweep(param, Sweep::Grads, &self.pool, 32, |e, dst, table| {
                     for (i, _) in tr.row(e) {
-                        let (s, epos) = (indptr[i] as usize, indptr[i + 1] as usize);
-                        debug_assert_eq!(epos - s, 3);
-                        // The two sibling columns of triple i (CSR column
-                        // indices are strictly ascending, so `e` appears
-                        // exactly once).
-                        let mut others = [0usize; 2];
-                        let mut k = 0;
-                        for &c in &indices[s..epos] {
-                            if c as usize != e && k < 2 {
-                                others[k] = c as usize;
-                                k += 1;
-                            }
-                        }
-                        debug_assert_eq!(k, 2);
-                        let (a, b) = (values.row(others[0]), values.row(others[1]));
-                        let gr = &gd[i * d..(i + 1) * d];
-                        for j in 0..d {
-                            dst[j] += gr[j] * a[j] * b[j];
+                        let (s, t) = fwd.row_bounds(i);
+                        let cols = kind.decode(&indices[s..t], &values[s..t]);
+                        let rows = cols.map(|c| table.row(c));
+                        // Row `e` is one operand of triple `i` — two, head
+                        // and tail, if the triple is a self-loop.
+                        for slot in (0..3).filter(|&slot| cols[slot] == e) {
+                            kind.grad_row_acc(slot, gd[i], rows, dst);
                         }
                     }
                 });
-                sparse::metrics::add_flops(3 * (fwd.nnz() * d) as u64);
+                kind.record_pass(fwd, store.param_shape(param).1, true);
             }
         }
     }
@@ -1391,8 +1206,9 @@ fn scale_rows_tensor(pool: &PoolHandle, arena: &mut Arena, mat: &Tensor, col: &T
     pool.for_rows(out.as_mut_slice(), n.max(1), 64, |first, chunk| {
         for (k, dst) in chunk.chunks_exact_mut(n.max(1)).enumerate() {
             let i = first + k;
+            let s = cd[i];
             for (j, d) in dst.iter_mut().enumerate() {
-                *d = md[i * n + j] * cd[i];
+                *d = md[i * n + j] * s;
             }
         }
     });
@@ -1593,137 +1409,6 @@ fn add_outer_products(
             }
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ComplexKernel {
-    Rotate,
-    ComplEx,
-}
-
-/// Shared forward of the complex-semiring score ops: one `(m, 1)` column of
-/// RotatE distances or ComplEx similarities, drawn from `arena`.
-fn complex_score_forward(
-    pool: &PoolHandle,
-    arena: &mut Arena,
-    store: &ParamStore,
-    param: ParamId,
-    pair: &IncidencePair,
-    kernel: ComplexKernel,
-) -> Tensor {
-    let p = store.value(param);
-    let d2 = p.cols();
-    assert!(
-        d2.is_multiple_of(2),
-        "complex ops need an even parameter width"
-    );
-    assert_eq!(pair.forward.cols(), p.rows(), "incidence width mismatch");
-    assert_eq!(
-        pair.forward.nnz(),
-        3 * pair.forward.rows(),
-        "complex score ops require exactly 3 nonzeros per row"
-    );
-    let half = d2 / 2;
-    let m = pair.forward.rows();
-    let pd = p.as_slice();
-    let indptr = pair.forward.indptr();
-    let indices = pair.forward.indices();
-    let values = pair.forward.values();
-    let mut out = Tensor::uninit_in(arena, m, 1);
-    pool.for_rows(out.as_mut_slice(), 1, 128, |first, chunk| {
-        for (k, dst) in chunk.iter_mut().enumerate() {
-            let i = first + k;
-            let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
-            let (a, b, t) = split_hrt_row(&indices[s..e], &values[s..e]);
-            let mut acc = 0.0f32;
-            for j in 0..half {
-                let hv = complex_at(pd, a, j, d2);
-                let rv = complex_at(pd, b, j, d2);
-                let tv = complex_at(pd, t, j, d2);
-                match kernel {
-                    ComplexKernel::Rotate => {
-                        let hr = cmul(hv, rv);
-                        let z = (hr.0 - tv.0, hr.1 - tv.1);
-                        acc += (z.0 * z.0 + z.1 * z.1).sqrt();
-                    }
-                    ComplexKernel::ComplEx => {
-                        let hr = cmul(hv, rv);
-                        // Re(hr · conj(t)) = hr.re·t.re + hr.im·t.im.
-                        acc += hr.0 * tv.0 + hr.1 * tv.1;
-                    }
-                }
-            }
-            *dst = acc;
-        }
-    });
-    sparse::metrics::add_flops(8 * (m * half) as u64);
-    out
-}
-
-/// Shared backward: distributes per-triple complex gradients to the three
-/// incident parameter rows via the cached transpose (deterministic, each
-/// gradient row owned by one worker).
-///
-/// Derivations (treating re/im as independent reals):
-/// * RotatE, `f = Σ|z|`, `z = h·r − t`: with `u = z/|z|`,
-///   `∇h = conj(r)·u`, `∇r = conj(h)·u`, `∇t = −u`.
-/// * ComplEx, `f = Σ Re(h·r·conj(t))`: `∇h = conj(r·conj(t)) = conj(r)·t`,
-///   `∇r = conj(h)·t`, `∇t = h·r`.
-fn complex_score_backward(
-    pool: &PoolHandle,
-    store: &mut ParamStore,
-    param: ParamId,
-    pair: &IncidencePair,
-    g: &Tensor,
-    kernel: ComplexKernel,
-) {
-    let fwd = &pair.forward;
-    let tr = &pair.transpose;
-    store.touch(param, pair.touched_columns());
-    let d2 = store.param_shape(param).1;
-    let half = d2 / 2;
-    let gd = g.as_slice();
-    let indptr = fwd.indptr();
-    let indices = fwd.indices();
-    let values = fwd.values();
-    store.sweep(param, Sweep::Grads, pool, 32, |e, dst, table| {
-        for (i, _) in tr.row(e) {
-            let (s, epos) = (indptr[i] as usize, indptr[i + 1] as usize);
-            let (a, b, t) = split_hrt_row(&indices[s..epos], &values[s..epos]);
-            let (h_row, r_row, t_row) = (table.row(a), table.row(b), table.row(t));
-            let gi = gd[i];
-            for j in 0..half {
-                let hv = complex_at(h_row, 0, j, d2);
-                let rv = complex_at(r_row, 0, j, d2);
-                let tv = complex_at(t_row, 0, j, d2);
-                // Per-component upstream direction.
-                let gz = match kernel {
-                    ComplexKernel::Rotate => {
-                        let hr = cmul(hv, rv);
-                        let z = (hr.0 - tv.0, hr.1 - tv.1);
-                        let norm = (z.0 * z.0 + z.1 * z.1).sqrt().max(1e-12);
-                        (z.0 / norm, z.1 / norm)
-                    }
-                    ComplexKernel::ComplEx => tv,
-                };
-                let delta = if e == t {
-                    match kernel {
-                        ComplexKernel::Rotate => (-gz.0, -gz.1),
-                        ComplexKernel::ComplEx => cmul(hv, rv),
-                    }
-                } else {
-                    // e is one of the two positive columns; the partner
-                    // is the other one. ∇e = conj(partner)·gz for both
-                    // kernels (ComplEx: gz = t).
-                    let partner = if e == a { rv } else { hv };
-                    cmul((partner.0, -partner.1), gz)
-                };
-                dst[2 * j] += gi * delta.0;
-                dst[2 * j + 1] += gi * delta.1;
-            }
-        }
-    });
-    sparse::metrics::add_flops(12 * (fwd.nnz() * half) as u64);
 }
 
 #[cfg(test)]
@@ -2143,6 +1828,56 @@ mod tests {
             backward.bytes_touched as usize,
             4 * (3 * groups * d_out * d_in + m * (2 * d_in + 2 * d_out))
         );
+    }
+
+    #[test]
+    fn semiring_score_reports_analytic_counters() {
+        // The counters are process-global and sibling tests run kernels.
+        if !crate::memory::tests::alone_in_process(
+            "graph::tests::semiring_score_reports_analytic_counters",
+        ) {
+            return;
+        }
+        // 6 triples over 5 entities + 2 relations, one of them a self-loop.
+        let (heads, rels, tails) = ([0, 1, 2, 3, 4, 2], [0, 1, 0, 1, 0, 1], [1, 2, 3, 4, 0, 2]);
+        let fwd = hrt(5, 2, &heads, &rels, &tails, TailSign::Negative).unwrap();
+        let (m, nnz) = (6u64, 17u64);
+        assert_eq!((fwd.rows() as u64, fwd.nnz() as u64), (m, nnz));
+        let pair = Arc::new(IncidencePair::new(fwd));
+        for (kind, flops) in [
+            (Semiring::DistMult, (3, 3)),
+            (Semiring::ComplEx, (10, 10)),
+            (Semiring::RotatE, (13, 24)),
+        ] {
+            let (lanes, d) = (9u64, 9 * kind.lane_width() as u64);
+            let (mut store, p) = store_with("emb", lcg_table(7, d as usize));
+            let mut g = Graph::new();
+            let before = sparse::metrics::snapshot();
+            let score = g.semiring_score(&store, p, pair.clone(), kind);
+            let forward = sparse::metrics::snapshot() - before;
+            // Index + value and one operand row per stored entry in, one
+            // float per batch row out.
+            let want = sparse::metrics::Snapshot {
+                flops: flops.0 * m * lanes,
+                spmm_calls: 1,
+                bytes_touched: nnz * 8 + nnz * d * 4 + m * 4,
+            };
+            assert_eq!(forward, want, "{kind:?} forward");
+            // Per stored entry: index + value, `g_i`, two sibling rows in,
+            // one gradient row read and written. The mean's own backward
+            // counts flops but no bytes.
+            let loss = g.mean(score);
+            let before = sparse::metrics::snapshot();
+            g.backward(loss, &mut store);
+            let backward = sparse::metrics::snapshot() - before;
+            assert_eq!(backward.spmm_calls, 1, "{kind:?}");
+            assert_eq!(
+                backward.bytes_touched,
+                nnz * (8 + 4) + 4 * nnz * d * 4,
+                "{kind:?}"
+            );
+            assert_eq!(backward.flops, flops.1 * nnz * lanes + 2 * m, "{kind:?}");
+        }
     }
 
     /// Mantissas at the rounding edges of every binade.

@@ -63,6 +63,7 @@ mod tensor;
 
 pub use arena::Arena;
 pub use graph::{Graph, RowScore, Var};
+pub use sparse::semiring::Semiring;
 
 /// Low-level kernels re-exported for benchmarks and cross-crate tests.
 pub mod kernels {

@@ -394,9 +394,8 @@ impl ParamStore {
     /// cache, not the full table, so any caller reaching for the whole
     /// matrix must [`ParamStore::unpage`] first (or use
     /// [`ParamStore::table`] if it reads row by row). This is also the
-    /// guard that stops ops without paged support (gathers, projections,
-    /// the semiring products) from silently reading slot bytes as absolute
-    /// rows.
+    /// guard that stops ops without paged support (gathers, projections)
+    /// from silently reading slot bytes as absolute rows.
     pub fn value(&self, id: ParamId) -> &Tensor {
         self.assert_resident(id);
         &self.values[id.0]

@@ -5,8 +5,9 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sparse::incidence::{selection, IncidencePair};
-use tensor::{Graph, ParamStore, RowScore, Tensor};
+use sparse::incidence::{hrt, selection, IncidencePair, TailSign};
+use sparse::semiring::Semiring;
+use tensor::{init, Graph, ParamStore, RowScore, Sweep, Tensor, VecStorage};
 use xparallel::PoolHandle;
 
 fn small_matrix() -> impl Strategy<Value = (usize, usize, Vec<f32>)> {
@@ -40,6 +41,132 @@ fn projection_problem() -> impl Strategy<
 
 fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// 24 entities and 3 relations. Every other batch row gets weight (so `g_i`)
+/// 0, row 0 among them: it is `(e20, r0, e21)`, two entities no other row
+/// reads (the rest stay below 20, and 22.. are never read). Rows 5, 11, …
+/// are self-loops.
+const SEMIRING_TABLE: (usize, usize) = (24, 3);
+const SEMIRING_BATCH: usize = 40;
+
+fn semiring_batch(sign: TailSign) -> (Arc<IncidencePair>, Vec<f32>) {
+    let (m, (n, r)) = (SEMIRING_BATCH, SEMIRING_TABLE);
+    let mut heads: Vec<u32> = (0..m).map(|i| (i * 7 % 20) as u32).collect();
+    let mut tails: Vec<u32> = (0..m)
+        .map(|i| {
+            if i % 6 == 5 {
+                heads[i]
+            } else {
+                ((i * 3 + 1) % 20) as u32
+            }
+        })
+        .collect();
+    (heads[0], tails[0]) = (20, 21);
+    let rels: Vec<u32> = (0..m).map(|i| (i % r) as u32).collect();
+    let a = hrt(n, r, &heads, &rels, &tails, sign).unwrap();
+    assert!(a.nnz() < 3 * m, "no self-loop row in the batch");
+    let weights = (0..m)
+        .map(|i| (i % 2) as f32 * (1.0 + i as f32 / 8.0))
+        .collect();
+    (Arc::new(IncidencePair::new(a)), weights)
+}
+
+/// One weighted forward + backward of `semiring_score`: the score column's
+/// bits, then the parameter gradient's by absolute row — NaNs as one class
+/// (their payloads are unspecified). `paged` runs it over a slot cache just
+/// big enough for the batch, so rows are read and written through the map.
+fn semiring_score_bits(
+    width: usize,
+    paged: bool,
+    kind: Semiring,
+    table: &Tensor,
+    (pair, weights): &(Arc<IncidencePair>, Vec<f32>),
+) -> Vec<u32> {
+    let (rows, cols) = table.shape();
+    let mut store = ParamStore::new();
+    let p = store.add_param("emb", table.clone());
+    if paged {
+        let budget = pair.touched_columns().len();
+        assert!(budget < rows, "the slot map would be the identity");
+        let backing = Box::new(VecStorage::new(rows, cols));
+        store.page_out(p, backing, budget).unwrap();
+        store.page_in(p, &[pair.touched_columns()]).unwrap();
+    }
+    let mut g = Graph::with_pool(PoolHandle::global().with_width(width));
+    let score = g.semiring_score(&store, p, pair.clone(), kind);
+    let w = g.input_from_slice(weights.len(), 1, weights);
+    let weighted = g.mul(score, w);
+    let loss = g.mean(weighted);
+    g.backward(loss, &mut store);
+    let mut out = g.value(score).as_slice().to_vec();
+    let mut grad = vec![0.0f32; rows * cols];
+    store.sweep_serial(p, Sweep::Grads, |row, g, _| {
+        grad[row * cols..(row + 1) * cols].copy_from_slice(g)
+    });
+    out.extend(grad);
+    let class = |x: &f32| if x.is_nan() { 0x7fc0_0000 } else { x.to_bits() };
+    out.iter().map(class).collect()
+}
+
+/// The semiring score and its gradient do not depend on the pool width or on
+/// where the table's rows live, for every kind on both sides of a SIMD width.
+#[test]
+fn semiring_score_is_bit_identical_at_any_width_and_paged() {
+    let (n, r) = SEMIRING_TABLE;
+    for kind in Semiring::ALL {
+        let batch = semiring_batch(TailSign::Negative);
+        for lanes in [1, 7, 33] {
+            let table = init::uniform(n + r, lanes * kind.lane_width(), 1.5, 3);
+            let want = semiring_score_bits(1, false, kind, &table, &batch);
+            assert!(want.iter().any(|&b| f32::from_bits(b) != 0.0));
+            for (width, paged) in [(4, false), (8, false), (1, true), (4, true)] {
+                let got = semiring_score_bits(width, paged, kind, &table, &batch);
+                assert_eq!(
+                    got, want,
+                    "{kind:?} × {lanes} lanes, width {width}, paged {paged}"
+                );
+            }
+        }
+    }
+}
+
+/// Nothing is skipped for a zero upstream gradient or a non-finite operand:
+/// `0 · inf` reaches the gradient as `NaN`, as the translational
+/// `spmm_score` is held to.
+#[test]
+fn semiring_score_keeps_non_finite_operands_and_zero_gradient_rows() {
+    let ((n, r), m) = (SEMIRING_TABLE, SEMIRING_BATCH);
+    for kind in Semiring::ALL {
+        let cols = 7 * kind.lane_width();
+        let mut table = init::uniform(n + r, cols, 1.5, 3);
+        // Rows that weighted batch rows read, and the head of batch row 0.
+        let poisons = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        for (row, poison) in poisons.into_iter().enumerate() {
+            for j in (row..cols).step_by(3) {
+                table.set(row, j, poison);
+            }
+        }
+        table.set(20, 0, f32::INFINITY);
+        let sign = if kind == Semiring::DistMult {
+            TailSign::Positive
+        } else {
+            TailSign::Negative
+        };
+        let batch = semiring_batch(sign);
+        let want = semiring_score_bits(1, false, kind, &table, &batch);
+        for (width, paged) in [(4, false), (8, false), (1, true)] {
+            let got = semiring_score_bits(width, paged, kind, &table, &batch);
+            assert_eq!(got, want, "{kind:?}, width {width}, paged {paged}");
+        }
+        // Batch row 0 has `g = 0` and an infinite head: its tail, which no
+        // other row reads, must receive `0 · inf = NaN`, not a skipped `0`.
+        let tail = &want[m + 21 * cols..m + 22 * cols];
+        assert!(
+            tail.contains(&0x7fc0_0000),
+            "{kind:?}: a zero-gradient row was skipped"
+        );
+    }
 }
 
 proptest! {

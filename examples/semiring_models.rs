@@ -1,8 +1,9 @@
-//! Appendix D in action: the same incidence-matrix SpMM computes
+//! Appendix D in action: the same incidence-matrix traversal computes
 //! non-translational scores when the semiring is swapped.
 //!
-//! Trains DistMult end-to-end through the `(×, ×)` semiring, then scores
-//! triples with the ComplEx and RotatE semiring kernels.
+//! Trains DistMult, RotatE and ComplEx end-to-end — one tape op,
+//! `Graph::semiring_score`, under three lane descriptions — then ranks with
+//! the complex models and calls the score kernel directly.
 //!
 //! ```sh
 //! cargo run --release --example semiring_models
@@ -10,6 +11,9 @@
 
 use kg::eval::{evaluate, EvalConfig, TripleScorer};
 use kg::synthetic::SyntheticKgBuilder;
+use sparse::incidence::{hrt, TailSign};
+use sparse::semiring::{semiring_spmm, Semiring};
+use sparse::DenseView;
 use sptransx::{KgeModel, SpComplEx, SpDistMult, SpRotatE, TrainConfig, Trainer};
 
 /// Overwrites a model's stacked `embeddings` table.
@@ -32,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
 
-    // --- DistMult: trainable via the (×,×) semiring SpMM -----------------
+    // --- DistMult: trainable via the (×,×) semiring score ----------------
     let model = SpDistMult::from_config(&dataset, &config)?;
     let mut trainer = Trainer::new(model, &dataset, &config)?;
     let report = trainer.run()?;
@@ -144,5 +148,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\ntoy RotatE distance(h, r, h∘r) = {:.2e} (exact rotation scores zero)",
         toy.score_tails(0, 0)[1]
     );
+    // The same triple through the walk the tape trains with.
+    let triple = hrt(2, 1, &[0], &[0], &[1], TailSign::Negative)?;
+    let table = [h.re, h.im, t.re, t.im, rel.re, rel.im];
+    let direct = semiring_spmm(Semiring::RotatE, &triple, DenseView::new(3, 2, &table));
+    println!("semiring_spmm(RotatE) on that triple  = {:.2e}", direct[0]);
     Ok(())
 }

@@ -1001,8 +1001,8 @@ cache (LRU, dirty rows written back on eviction and at epoch end). Paging
 moves bytes, never arithmetic — the run is bit-identical to --store ram —
 and the report's cache counters are cross-validated against a simcache LRU
 replay of the same row trace (any divergence prints a WARNING line).
-Requires --model transe|toruse|transh|transr (distmult still reads its whole
-table), SGD and sparse gradients.
+Every --model pages (transe|toruse|transh|transr|distmult). Requires SGD and
+sparse gradients.
 
 serve loads the stacked embedding matrix train saves (TransE/TorusE layout;
 --norm must match training), answers top-K completion queries through an
@@ -1253,7 +1253,7 @@ mod tests {
 
         // The stacked `embeddings` of an hrt model, the `entities` of an ht
         // one: either is the table the run pages and dumps.
-        for model in ["transe", "transh"] {
+        for model in ["transe", "transh", "distmult"] {
             let ram_out = dir.join("emb_ram.bin").to_string_lossy().to_string();
             let msg = run(&parse_args(&common(model, "ram", &ram_out)).unwrap()).unwrap();
             assert!(!msg.contains("paged store:"), "{msg}");
@@ -1281,11 +1281,45 @@ mod tests {
     }
 
     #[test]
+    fn train_distmult_accepts_a_self_loop_triple() {
+        // `hrt` merges the `h == t` column of `e3 r2 e3` into one stored
+        // entry; the semiring score used to demand three and panic.
+        let dir = std::env::temp_dir().join("sptx-cli-test-self-loop");
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.to_string_lossy().to_string();
+        let generate = ["generate", "--entities", "60", "--relations", "4"];
+        let mut argv = strs(&generate);
+        argv.extend(strs(&["--triples", "400", "--out", &out]));
+        run(&parse_args(&argv).unwrap()).unwrap();
+        let train_file = dir.join("train.tsv");
+        let mut tsv = std::fs::read_to_string(&train_file).unwrap();
+        tsv.push_str("e3\tr2\te3\n");
+        std::fs::write(&train_file, tsv).unwrap();
+
+        let dump = |threads: &str| {
+            let emb = dir.join(format!("emb_{threads}.bin"));
+            let mut argv = strs(&["train", "--train", &train_file.to_string_lossy()]);
+            argv.extend(strs(&[
+                "--model", "distmult", "--epochs", "2", "--dim", "8",
+            ]));
+            argv.extend(strs(&["--batch-size", "64", "--threads", threads]));
+            argv.extend(strs(&["--out", &emb.to_string_lossy()]));
+            let msg = run(&parse_args(&argv).unwrap()).unwrap();
+            assert!(msg.contains("SpDistMult"), "{msg}");
+            let mut store = EmbeddingStore::open(&emb).unwrap();
+            let table = store.read_rows(0, store.rows()).unwrap();
+            assert_eq!(table.len(), (60 + 4) * 8);
+            assert!(table.iter().all(|x| x.is_finite()), "non-finite embeddings");
+            std::fs::read(&emb).unwrap()
+        };
+        assert_eq!(dump("1"), dump("4"), "1 vs 4 threads");
+    }
+
+    #[test]
     fn train_store_disk_rejects_unsupported_configurations() {
         // Validation fires before the dataset loads, so no fixture needed.
         for extra in [
             &["--store", "disk", "--optimizer", "adam"][..],
-            &["--store", "disk", "--model", "distmult"],
             &["--store", "disk", "--dense-grads", "true"],
             &["--store", "disk", "--fused", "false"],
             &["--store", "disk", "--cache-rows", "0"],
