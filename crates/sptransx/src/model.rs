@@ -1,7 +1,6 @@
 //! The shared model interface and training configuration.
 
 use kg::BatchPlan;
-use tensor::kernels::floor;
 use tensor::{Graph, ParamStore, Var};
 
 use crate::distributed::Combine;
@@ -39,35 +38,11 @@ impl Norm {
         }
     }
 
-    /// Distance between two raw vectors under this norm (evaluation path).
+    /// Distance between two raw vectors: the tape's own row score of `a − b`,
+    /// so evaluation and serving rank with the arithmetic training optimized.
+    #[inline]
     pub fn distance(self, a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        match self {
-            Norm::L1 => a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum(),
-            Norm::L2 => a
-                .iter()
-                .zip(b)
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum::<f32>()
-                .sqrt(),
-            Norm::TorusL1 => a
-                .iter()
-                .zip(b)
-                .map(|(x, y)| {
-                    let f = (x - y) - floor(x - y);
-                    f.min(1.0 - f)
-                })
-                .sum(),
-            Norm::TorusL2 => a
-                .iter()
-                .zip(b)
-                .map(|(x, y)| {
-                    let f = (x - y) - floor(x - y);
-                    let d = f.min(1.0 - f);
-                    d * d
-                })
-                .sum(),
-        }
+        self.row_score().distance(a, b)
     }
 }
 

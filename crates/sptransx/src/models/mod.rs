@@ -450,8 +450,7 @@ impl Stacked {
         rel: usize,
         q: &mut [f32],
     ) {
-        q.copy_from_slice(self.entity(ev, ent));
-        dir.translate(q, self.relation(ev, rel));
+        dir.translated(self.entity(ev, ent), self.relation(ev, rel), q);
     }
 
     /// The `hrt` families' [`Family::WORKING_SET`]: the columns a side's

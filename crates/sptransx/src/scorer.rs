@@ -19,12 +19,11 @@
 //! `tests/batch_eval_properties.rs`); `tests/kernel_golden.rs` pins the
 //! closures themselves across builds.
 //!
-//! [`stacked_query_rows`] builds translational query vectors through the
-//! training SpMM kernel instead (`1·h + 1·r` and `1·t + (−1)·r` are bit-equal
-//! to the gathered `h + r` and `t − r`); the serving layer's ANN probe uses it.
+//! One score from tape to top-k: the distance is [`Norm::distance`] (the
+//! tape's own [`tensor::RowScore`] of `a − b`) and the translational query
+//! `h + r` / `t − r` is [`QueryDir::translated`], for models and serving alike.
 
-use sparse::spmm::csr_spmm_into;
-use sparse::{CooMatrix, CsrMatrix, DenseView};
+use xparallel::PoolHandle;
 
 use crate::model::Norm;
 
@@ -58,6 +57,13 @@ impl QueryDir {
             QueryDir::Tails => q.iter_mut().zip(r).for_each(|(q, r)| *q += r),
             QueryDir::Heads => q.iter_mut().zip(r).for_each(|(q, r)| *q -= r),
         }
+    }
+
+    /// The translational query vector: `q = ent + rel` for tail queries,
+    /// `q = ent − rel` for head queries, from the two table rows.
+    pub fn translated(self, ent: &[f32], rel: &[f32], q: &mut [f32]) {
+        q.copy_from_slice(ent);
+        self.translate(q, rel);
     }
 
     /// Distance between query vector `q` and a projected candidate `cand` in
@@ -132,7 +138,7 @@ pub(crate) fn batched_scores_into(
         );
         query(ent as usize, rel as usize, q);
     }
-    xparallel::parallel_for_mut(out, 256, |offset, chunk| {
+    PoolHandle::global().for_mut(out, 256, |offset, chunk| {
         let mut scratch = vec![0f32; k];
         let mut idx = offset;
         let mut remaining = chunk;
@@ -149,56 +155,6 @@ pub(crate) fn batched_scores_into(
             remaining = rest;
         }
     });
-}
-
-/// Builds the `chunk × (N + R)` query incidence matrix over the stacked
-/// `[entities; relations]` embedding layout: row `i` holds `+1` at the query
-/// entity and `rel_coeff` at `N + rel` — the evaluation-time analog of the
-/// training `hrt` incidence, with the unknown candidate column left open.
-pub(crate) fn stacked_query_incidence(
-    num_entities: usize,
-    num_relations: usize,
-    queries: &[(u32, u32)],
-    dir: QueryDir,
-    rel_coeff: f32,
-) -> CsrMatrix {
-    let m = queries.len();
-    let mut coo = CooMatrix::with_capacity(m, num_entities + num_relations, 2 * m);
-    for (i, &q) in queries.iter().enumerate() {
-        let (ent, rel) = dir.split(q);
-        assert!(
-            (ent as usize) < num_entities && (rel as usize) < num_relations,
-            "query ({ent}, {rel}) out of range for {num_entities} entities / {num_relations} relations"
-        );
-        coo.push_unchecked(i, ent as usize, 1.0);
-        coo.push_unchecked(i, num_entities + rel as usize, rel_coeff);
-    }
-    coo.to_csr()
-}
-
-/// Materializes a chunk's translational query vectors `q = h + r` (tails) or
-/// `q = t − r` (heads) with the training [`csr_spmm_into`] kernel over the
-/// stacked `(N + R) × d` embedding matrix.
-pub(crate) fn stacked_query_rows(
-    emb: &[f32],
-    num_entities: usize,
-    num_relations: usize,
-    d: usize,
-    queries: &[(u32, u32)],
-    dir: QueryDir,
-) -> Vec<f32> {
-    let rel_coeff = match dir {
-        QueryDir::Tails => 1.0,
-        QueryDir::Heads => -1.0,
-    };
-    let a = stacked_query_incidence(num_entities, num_relations, queries, dir, rel_coeff);
-    let mut q = vec![0f32; queries.len() * d];
-    csr_spmm_into(
-        &a,
-        DenseView::new(num_entities + num_relations, d, emb),
-        &mut q,
-    );
-    q
 }
 
 #[cfg(test)]
@@ -221,17 +177,6 @@ mod tests {
         assert!((d[1] - 5.0).abs() < 1e-6);
         let d = scores(Norm::L1);
         assert!((d[2] - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn query_incidence_has_two_sorted_nonzeros_per_row() {
-        let a = stacked_query_incidence(10, 3, &[(4, 2), (9, 0)], QueryDir::Tails, 1.0);
-        assert_eq!((a.rows(), a.cols()), (2, 13));
-        assert_eq!(a.row(0).collect::<Vec<_>>(), vec![(4, 1.0), (12, 1.0)]);
-        assert_eq!(a.row(1).collect::<Vec<_>>(), vec![(9, 1.0), (10, 1.0)]);
-        // Head queries are (rel, tail) with a −1 relation coefficient.
-        let a = stacked_query_incidence(10, 3, &[(2, 4)], QueryDir::Heads, -1.0);
-        assert_eq!(a.row(0).collect::<Vec<_>>(), vec![(4, 1.0), (12, -1.0)]);
     }
 
     #[test]
@@ -267,6 +212,8 @@ mod tests {
         assert_eq!(q, [1.5, 2.5]);
         QueryDir::Heads.translate(&mut q, &[0.5, 0.5]);
         assert_eq!(q, [1.0, 2.0]);
+        QueryDir::Heads.translated(&[3.0, 1.0], &[0.5, 0.25], &mut q);
+        assert_eq!(q, [2.5, 0.75]);
         // The torus metrics are symmetric only up to rounding; the operand
         // order is part of the contract.
         let (a, b) = ([0.3f32, 0.9], [0.7f32, 0.2]);

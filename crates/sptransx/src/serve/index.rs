@@ -325,9 +325,11 @@ fn read_u32s(r: &mut impl Read, out: &mut [u32]) -> Result<()> {
     Ok(())
 }
 
-/// Squared L2 distance (monotone in L2, cheaper — ranking is unaffected).
+/// Squared L2 distance (monotone in L2, cheaper — ranking is unaffected),
+/// through the one row score every other distance in the crate uses.
+#[inline]
 fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+    tensor::RowScore::SquaredL2.distance(a, b)
 }
 
 /// Parallel nearest-centroid assignment. Each entity's argmin is computed

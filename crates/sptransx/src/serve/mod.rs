@@ -9,16 +9,19 @@
 //!
 //! * [`ServeModel`] loads that matrix back and implements
 //!   [`kg::eval::BatchScorer`] through the **same** batched walk training
-//!   evaluation uses (the scorer module's `batched_scores_into`, with
-//!   TransE's two closures) — so the serving engine's exact arm is
-//!   bit-identical to `evaluate_batched`'s scoring by construction.
+//!   evaluation uses (the scorer module's `batched_scores_into`) — so the
+//!   serving engine's exact arm is bit-identical to `evaluate_batched`'s
+//!   scoring by construction.
 //! * [`IvfIndex`] clusters the entity embeddings (deterministic k-means on
 //!   the shared `xparallel` pool) into inverted lists; a query probes the
 //!   `nprobe` nearest centroids and rescores only those candidates. `nprobe`
-//!   is the cost/recall knob: candidate scores are computed with the same
-//!   `Norm::distance` arithmetic as the full scan, so `nprobe == clusters`
-//!   *is* the full scan, and recall@K against the exact arm is a pure
-//!   candidate-coverage measure.
+//!   is the cost/recall knob: `nprobe == clusters` *is* the full scan, and
+//!   recall@K against the exact arm is a pure candidate-coverage measure.
+//! * One score for every arm: [`Norm::distance`] (the tape's row score of
+//!   `q − candidate`) against [`QueryDir::translated`], rows read through
+//!   the [`DenseView`] training reads — resident or mapped onto
+//!   [`PagedRows`]. Both ANN arms share one probe → rescore → top-K scan;
+//!   the exact arm stays on evaluation's walk as the reference.
 //! * [`QueryCache`] absorbs the hot head of Zipf-skewed traffic
 //!   ([`ZipfWorkload`]); its exact-LRU policy is cross-validated against a
 //!   fully-associative `simcache` model in the serving tests.
@@ -40,9 +43,11 @@ use std::time::Duration;
 
 use kg::eval::BatchScorer;
 use kg::stream::EmbeddingStore;
+use sparse::DenseView;
+use xparallel::PoolHandle;
 
 use crate::model::Norm;
-use crate::scorer::{batched_scores_into, stacked_query_rows, QueryDir};
+use crate::scorer::{batched_scores_into, QueryDir};
 use crate::{Error, Result};
 
 /// Which slot of a triple a completion query asks for.
@@ -185,44 +190,51 @@ impl ServeModel {
     }
 
     /// Materializes the query vector `q = h + r` (tail queries) or
-    /// `q = t − r` (head queries) through the same SpMM kernel the batched
-    /// evaluation engine uses — the root of the exact/ANN bit-identity.
+    /// `q = t − r` (head queries) — [`QueryDir::translated`] over the two
+    /// table rows, the same call every arm and the training models make.
     ///
     /// # Panics
     ///
     /// Panics if the query's entity or relation is out of range.
     pub fn query_vector(&self, query: &Query) -> Vec<f32> {
-        stacked_query_rows(
-            &self.emb,
-            self.num_entities,
-            self.num_relations,
-            self.dim,
-            &[query.pair()],
-            query.query_dir(),
-        )
+        self.query_from(self.table(), query)
     }
-}
 
-impl ServeModel {
-    /// Row `i` of the stacked matrix.
-    fn row(&self, i: usize) -> &[f32] {
-        &self.emb[i * self.dim..(i + 1) * self.dim]
+    /// The resident matrix as the table view training's kernels read.
+    fn table(&self) -> DenseView<'_> {
+        DenseView::new(self.num_entities + self.num_relations, self.dim, &self.emb)
+    }
+
+    /// The two table rows a query reads: its entity's and its relation's.
+    fn rows_of(&self, query: &Query) -> [u32; 2] {
+        let (n, r) = (self.num_entities, self.num_relations);
+        assert!(
+            (query.entity as usize) < n && (query.rel as usize) < r,
+            "{query:?} out of range for {n} entities / {r} relations"
+        );
+        [query.entity, n as u32 + query.rel]
+    }
+
+    /// `query`'s vector from rows of `table` — this model's matrix, or a row
+    /// cache over a copy of it.
+    fn query_from(&self, table: DenseView<'_>, query: &Query) -> Vec<f32> {
+        let [ent, rel] = self.rows_of(query).map(|row| table.row(row as usize));
+        let mut q = vec![0f32; self.dim];
+        query.query_dir().translated(ent, rel, &mut q);
+        q
     }
 
     /// The exact arm: every candidate's distance through the batched walk
-    /// the training models evaluate on, with the gathered `h + r` / `t − r`
-    /// (bit-equal to [`ServeModel::query_vector`]'s SpMM).
+    /// the training models evaluate on.
     fn scores_into(&self, dir: QueryDir, queries: &[(u32, u32)], out: &mut [f32]) {
+        let (table, n) = (self.table(), self.num_entities);
         batched_scores_into(
-            (self.num_entities, self.dim),
+            (n, self.dim),
             queries,
             dir,
             out,
-            |ent, rel, q| {
-                q.copy_from_slice(self.row(ent));
-                dir.translate(q, self.row(self.num_entities + rel));
-            },
-            |_, q, cand, _| self.norm.distance(q, self.row(cand)),
+            |ent, rel, q| dir.translated(table.row(ent), table.row(n + rel), q),
+            |_, q, cand, _| self.norm.distance(q, table.row(cand)),
         );
     }
 }
@@ -366,23 +378,10 @@ impl ServeEngine {
     ///
     /// Panics if the query's entity or relation is out of range.
     pub fn answer_exact(&mut self, query: &Query, k: usize) -> Vec<(u32, f32)> {
-        let n = self.model.num_entities();
-        self.scan_buf.resize(n, 0.0);
-        match query.dir {
-            Direction::Tail => self
-                .model
-                .score_tails_into(&[query.pair()], &mut self.scan_buf),
-            Direction::Head => self
-                .model
-                .score_heads_into(&[query.pair()], &mut self.scan_buf),
-        }
-        top_k(
-            self.scan_buf
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| (i as u32, s)),
-            k,
-        )
+        self.scan_buf.resize(self.model.num_entities(), 0.0);
+        self.model
+            .scores_into(query.query_dir(), &[query.pair()], &mut self.scan_buf);
+        top_k((0u32..).zip(self.scan_buf.iter().copied()), k)
     }
 
     /// ANN arm: probes the `nprobe` nearest clusters and rescores only their
@@ -415,32 +414,88 @@ impl ServeEngine {
             }
         }
         let qv = self.model.query_vector(query);
-        self.index.probe(&qv, nprobe, &mut self.cand_buf);
-        let scored = self.cand_buf.len();
-        self.score_buf.resize(scored, 0.0);
-        let (emb, d) = (self.model.embeddings(), self.model.dim());
-        let (norm, cands) = (self.model.norm(), &self.cand_buf);
-        xparallel::parallel_for_mut(&mut self.score_buf, 256, |offset, chunk| {
-            for (i, dst) in chunk.iter_mut().enumerate() {
-                let e = cands[offset + i] as usize;
-                *dst = norm.distance(&qv, &emb[e * d..(e + 1) * d]);
+        let answer = self
+            .scan(None, &qv, k, nprobe)
+            .expect("a resident scan pages nothing in");
+        if let Some(cache) = &mut self.cache {
+            cache.insert(key, answer.hits.clone());
+        }
+        answer
+    }
+
+    /// ANN arm reading embedding rows **only** through a [`PagedRows`]
+    /// cache — the out-of-core serving path. The resident matrix inside the
+    /// engine's [`ServeModel`] is never touched; only its shape metadata and
+    /// norm are used.
+    ///
+    /// Bit-identical to [`ServeEngine::answer_ann`]: the resident arm's own
+    /// query vector and scan, over the same bytes seen through
+    /// [`PagedRows::table`]. The query cache is bypassed (the caller owns
+    /// caching policy for the paged tier).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Serve`] when `rows` disagrees with the model shape,
+    /// the working set (2 query rows, then the candidate set) exceeds the
+    /// cache budget, or the backing store fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query's entity or relation is out of range.
+    pub fn answer_ann_paged(
+        &mut self,
+        rows: &mut PagedRows,
+        query: &Query,
+        k: usize,
+        nprobe: usize,
+    ) -> Result<AnnAnswer> {
+        let table = self.model.table();
+        if (rows.rows(), rows.cols()) != (table.rows(), table.cols()) {
+            return Err(Error::serve(format!(
+                "paged store is {}x{} but the model needs {}x{}",
+                rows.rows(),
+                rows.cols(),
+                table.rows(),
+                table.cols()
+            )));
+        }
+        rows.ensure(self.model.rows_of(query))?;
+        let qv = self.model.query_from(rows.table(), query);
+        self.scan(Some(rows), &qv, k, nprobe)
+    }
+
+    /// The one candidate scan behind both ANN arms: probe the `nprobe`
+    /// nearest clusters, page their entities in if the table is `paged`,
+    /// rescore them against `qv` on the pool, keep the top `k`.
+    fn scan(
+        &mut self,
+        paged: Option<&mut PagedRows>,
+        qv: &[f32],
+        k: usize,
+        nprobe: usize,
+    ) -> Result<AnnAnswer> {
+        self.index.probe(qv, nprobe, &mut self.cand_buf);
+        let cands = &self.cand_buf;
+        let table = match paged {
+            Some(rows) => {
+                rows.ensure(cands.iter().copied())?;
+                rows.table()
+            }
+            None => self.model.table(),
+        };
+        let norm = self.model.norm();
+        self.score_buf.resize(cands.len(), 0.0);
+        PoolHandle::global().for_mut(&mut self.score_buf, 256, |offset, chunk| {
+            for (dst, &e) in chunk.iter_mut().zip(&cands[offset..]) {
+                *dst = norm.distance(qv, table.row(e as usize));
             }
         });
-        let hits = top_k(
-            self.cand_buf
-                .iter()
-                .zip(&self.score_buf)
-                .map(|(&id, &s)| (id, s)),
-            k,
-        );
-        if let Some(cache) = &mut self.cache {
-            cache.insert(key, hits.clone());
-        }
-        AnnAnswer {
-            hits,
-            scored,
+        let scores = self.score_buf.iter().copied();
+        Ok(AnnAnswer {
+            hits: top_k(cands.iter().copied().zip(scores), k),
+            scored: cands.len(),
             cache_hit: false,
-        }
+        })
     }
 }
 
@@ -533,101 +588,10 @@ impl PagedRows {
             .map_err(|e| Error::serve(e.to_string()))
     }
 
-    /// The cached copy of row `r`. The row must have been pinned by the most
-    /// recent [`PagedRows::ensure`] call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is not resident.
-    pub fn row(&self, r: usize) -> &[f32] {
-        let s = self.pager.slot(r);
-        let d = self.pager.cols();
-        &self.cache[s * d..(s + 1) * d]
-    }
-}
-
-impl ServeEngine {
-    /// ANN arm reading embedding rows **only** through a [`PagedRows`]
-    /// cache — the out-of-core serving path. The resident matrix inside the
-    /// engine's [`ServeModel`] is never touched; only its shape metadata and
-    /// norm are used.
-    ///
-    /// Bit-identity with [`ServeEngine::answer_ann`]: the query vector is
-    /// `1.0·ent[j] + (±1.0)·rel[j]` — exactly the 2-nonzero SpMM fast path
-    /// the resident arm runs — and candidates are rescored with the same
-    /// `Norm::distance` over the same bytes, so answers match the resident
-    /// ANN arm bit for bit. The query cache is bypassed (the caller owns
-    /// caching policy for the paged tier).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Serve`] when `rows` disagrees with the model shape,
-    /// the working set (2 query rows, then the candidate set) exceeds the
-    /// cache budget, or the backing store fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query's entity or relation is out of range.
-    pub fn answer_ann_paged(
-        &mut self,
-        rows: &mut PagedRows,
-        query: &Query,
-        k: usize,
-        nprobe: usize,
-    ) -> Result<AnnAnswer> {
-        let (n, r, d) = (
-            self.model.num_entities(),
-            self.model.num_relations(),
-            self.model.dim(),
-        );
-        if rows.rows() != n + r || rows.cols() != d {
-            return Err(Error::serve(format!(
-                "paged store is {}x{} but the model needs {}x{d}",
-                rows.rows(),
-                rows.cols(),
-                n + r
-            )));
-        }
-        assert!(
-            (query.entity as usize) < n && (query.rel as usize) < r,
-            "query ({}, {}) out of range for {n} entities / {r} relations",
-            query.entity,
-            query.rel
-        );
-        let ent_row = query.entity;
-        let rel_row = (n + query.rel as usize) as u32;
-        rows.ensure([ent_row, rel_row])?;
-        let (v0, v1) = match query.dir {
-            Direction::Tail => (1.0f32, 1.0f32),
-            Direction::Head => (1.0f32, -1.0f32),
-        };
-        let (ent, rel) = (rows.row(ent_row as usize), rows.row(rel_row as usize));
-        let qv: Vec<f32> = ent
-            .iter()
-            .zip(rel)
-            .map(|(&e, &rl)| v0 * e + v1 * rl)
-            .collect();
-
-        self.index.probe(&qv, nprobe, &mut self.cand_buf);
-        rows.ensure(self.cand_buf.iter().copied())?;
-        let scored = self.cand_buf.len();
-        self.score_buf.resize(scored, 0.0);
-        let norm = self.model.norm();
-        for (dst, &e) in self.score_buf.iter_mut().zip(&self.cand_buf) {
-            *dst = norm.distance(&qv, rows.row(e as usize));
-        }
-        let hits = top_k(
-            self.cand_buf
-                .iter()
-                .zip(&self.score_buf)
-                .map(|(&id, &s)| (id, s)),
-            k,
-        );
-        Ok(AnnAnswer {
-            hits,
-            scored,
-            cache_hit: false,
-        })
+    /// The store as the table view training's kernels read; only rows the
+    /// most recent [`PagedRows::ensure`] pinned are sure to be resident.
+    pub fn table(&self) -> DenseView<'_> {
+        DenseView::mapped(self.pager.cols(), &self.cache, self.pager.slot_of())
     }
 }
 

@@ -16,14 +16,18 @@
 //! (SpTransE, SpTorusE, SpTransC, SpTransM): embedding widths that end
 //! inside, on and past its 64-column tile, all five row scores, the paged
 //! arm (fused and unfused) against the resident one, and pool widths 1/4/8.
+//! The last test carries the contract past training: the distance evaluation
+//! and serving rank with *is* the tape's row score, and their query vector
+//! is the 2-nonzero incidence row it used to be built from.
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::{BatchPlan, Dataset, UniformSampler};
 use sptransx::{
-    DenseTorusE, DenseTransE, DenseTransH, DenseTransR, KgeModel, Norm, SpComplEx, SpDistMult,
-    SpRotatE, SpTorusE, SpTransC, SpTransE, SpTransH, SpTransM, SpTransR, TrainConfig, Trainer,
+    DenseTorusE, DenseTransE, DenseTransH, DenseTransR, KgeModel, Norm, QueryDir, SpComplEx,
+    SpDistMult, SpRotatE, SpTorusE, SpTransC, SpTransE, SpTransH, SpTransM, SpTransR, TrainConfig,
+    Trainer,
 };
-use tensor::{Graph, VecStorage};
+use tensor::{Graph, Tensor, VecStorage};
 use xparallel::PoolHandle;
 
 fn dataset() -> Dataset {
@@ -286,4 +290,54 @@ fn score_kernel_paged_matches_resident() {
     assert_paged_matches_resident("SpTransE/L2", Norm::L2, SpTransE::from_config);
     assert_paged_matches_resident("SpTorusE/L1", Norm::TorusL1, SpTorusE::from_config);
     assert_paged_matches_resident("SpTorusE/L2", Norm::TorusL2, SpTorusE::from_config);
+}
+
+/// `Norm::distance(a, b)` is `Graph::score_rows` of the materialized `a − b`
+/// and `QueryDir::translated` is the `1·e + (±1)·r` incidence row of the
+/// SpMM-built query it replaced, bit for bit — under all four norms, at
+/// widths on both sides of the score tile, with `±0.0`, `±inf` and `NaN`
+/// planted in either operand at the first column, the tile edge and the last
+/// column. (NaNs compare as a class: which operand's payload an addition of
+/// two NaNs keeps is the code generator's choice, not the arithmetic's.)
+#[test]
+fn evaluation_distance_and_query_vector_are_the_tape_arithmetic() {
+    const SPECIALS: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    let same =
+        |got: f32, want: f32| got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan();
+    for d in [1usize, 63, 64, 65, 130] {
+        let a = tensor::init::uniform(1, d, 1.5, 41).into_vec();
+        let b = tensor::init::uniform(1, d, 1.0, 43).into_vec();
+        let mut cases = vec![(a.clone(), b.clone())];
+        for (sa, sb) in SPECIALS.iter().flat_map(|&sa| SPECIALS.map(|sb| (sa, sb))) {
+            for pos in [0, 63.min(d - 1), d - 1] {
+                let (mut a, mut b) = (a.clone(), b.clone());
+                (a[pos], b[pos]) = (sa, sb);
+                cases.push((a, b));
+            }
+        }
+        for (a, b) in &cases {
+            let diff: Vec<f32> = a.iter().zip(b).map(|(x, y)| x - y).collect();
+            for norm in [Norm::L1, Norm::L2, Norm::TorusL1, Norm::TorusL2] {
+                let mut g = Graph::new();
+                let x = g.input(Tensor::from_vec(1, d, diff.clone()));
+                let score = g.score_rows(x, norm.row_score());
+                let (got, want) = (norm.distance(a, b), g.value(score).as_slice()[0]);
+                assert!(
+                    same(got, want),
+                    "{norm:?}, width {d}: distance {got:e} is not the tape's {want:e}"
+                );
+            }
+            for (dir, coeff) in [(QueryDir::Tails, 1.0f32), (QueryDir::Heads, -1.0)] {
+                let mut q = vec![0f32; d];
+                dir.translated(a, b, &mut q);
+                for ((&got, &e), &r) in q.iter().zip(a).zip(b) {
+                    let want = 1.0 * e + coeff * r;
+                    assert!(
+                        same(got, want),
+                        "{dir:?}, width {d}: {e:e} ∘ {r:e} gave {got:e}, the SpMM row {want:e}"
+                    );
+                }
+            }
+        }
+    }
 }

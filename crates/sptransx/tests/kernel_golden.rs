@@ -21,7 +21,12 @@
 //! hash is what sees an error common to the scalar and batched walks, which
 //! share their per-family transforms and so cannot check each other.
 //!
-//! The last test pins a *schedule*: the all-reduce rounds of
+//! `serving_arms_match_pre_unification_distance_and_query` pins what comes
+//! *after* training — the IVF index bytes and the exact / ANN / paged answers
+//! under all four norms — against aba0a40, the last commit where evaluation
+//! and serving re-derived the distance and the query vector themselves.
+//!
+//! `all_reduce_schedule_…` pins a *schedule*: the all-reduce rounds of
 //! `Trainer::replicated` against hashes captured from the free-standing
 //! data-parallel driver they replaced (481f5c4), whose loss summation order
 //! and reduction arithmetic they must reproduce.
@@ -29,8 +34,9 @@
 //! The KG uses `zipf_exponent(1.0)` so the builder's only libm call is
 //! `powf(x, 1.0)` (exact); everything downstream is `+ − × ÷ √` and
 //! compares, which IEEE 754 fixes bit-for-bit — `floor` included, which is
-//! neither libm's nor compiler-builtins' any more but `tensor::kernels::floor`,
-//! built from two adds and two compares — so the constants are portable.
+//! neither libm's nor compiler-builtins' any more but the tape's own `floor`
+//! (`tensor/src/graph.rs`), built from two adds and two compares — so the
+//! constants are portable.
 
 use kg::eval::BatchScorer;
 use kg::synthetic::SyntheticKgBuilder;
@@ -326,4 +332,88 @@ fn all_reduce_schedule_matches_pre_unification_driver() {
              from the data-parallel driver's at 481f5c4"
         );
     }
+}
+
+/// The serving stack after training: one fixed synthetic `(400 + 5) × 72`
+/// stacked model (exact binary fractions in `[-1, 1)`, 72 columns so a row
+/// spans more than one 64-wide score tile), its IVF index, and the three
+/// serving arms' answers to a 64-query Zipf(1.0) stream under every norm.
+/// Captured on aba0a40 — the last commit where `Norm::distance` was four
+/// hand-written loops, the ANN query vector came out of a COO → CSR → SpMM
+/// round trip, the paged arm formed `v0·e + v1·r` itself and each arm had its
+/// own rescoring loop. Each row is `[exact, ann (nprobe 3), paged]` hashes of
+/// the `(hit count, (id, score bits)…)` lists.
+#[test]
+fn serving_arms_match_pre_unification_distance_and_query() {
+    use sptransx::serve::{IvfConfig, IvfIndex, PagedRows, ServeEngine, ServeModel, ZipfWorkload};
+    use tensor::RowStorage;
+
+    const INDEX_BYTES: u64 = 0xda78_e615_b009_f1e6;
+    #[rustfmt::skip]
+    let golden: [(Norm, [u64; 3]); 4] = [
+        (Norm::L1, [0x9662_5196_36c1_96ec, 0x9ba9_f6b9_417a_23c9, 0x9ba9_f6b9_417a_23c9]),
+        (Norm::L2, [0x557a_0940_0fad_256c, 0x227a_b109_2d66_c626, 0x227a_b109_2d66_c626]),
+        (Norm::TorusL1, [0x29e0_0061_d75f_92d3, 0x921e_7d9f_e319_f449, 0x921e_7d9f_e319_f449]),
+        (Norm::TorusL2, [0x5a84_751a_9c88_eca6, 0xe07c_46d4_aa66_a3bc, 0xe07c_46d4_aa66_a3bc]),
+    ];
+
+    let (n, r, d) = (400usize, 5usize, 72usize);
+    let stack: Vec<f32> = (0..((n + r) * d) as u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 8) as f32 / 8_388_608.0 - 1.0)
+        .collect();
+    let cfg = IvfConfig {
+        clusters: 20,
+        iters: 4,
+        seed: 0x1DF,
+    };
+    let index = IvfIndex::build(&stack, n, d, &cfg, &xparallel::PoolHandle::global()).unwrap();
+    let path = std::env::temp_dir().join(format!("sptx-golden-ivf-{}.bin", std::process::id()));
+    index.save(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    // The format is all 4- and 8-byte words, so hashing words hashes bytes.
+    let words = bytes.chunks_exact(4);
+    assert!(words.remainder().is_empty());
+    let index_hash = fnv1a(words.map(|w| u32::from_le_bytes(w.try_into().unwrap())));
+    let mut moved = Vec::new();
+    if index_hash != INDEX_BYTES {
+        moved.push(format!(
+            "index bytes: {index_hash:#x}, aba0a40 had {INDEX_BYTES:#x}"
+        ));
+    }
+
+    let queries = ZipfWorkload::new(n, r, 1.0, 24).take(64);
+    let answers = |hits: &[(u32, f32)]| {
+        let mut words = vec![hits.len() as u32];
+        words.extend(hits.iter().flat_map(|&(id, s)| [id, s.to_bits()]));
+        words
+    };
+    for (norm, want) in golden {
+        let model = ServeModel::from_stacked(stack.clone(), n, r, d, norm).unwrap();
+        let mut engine = ServeEngine::new(model, index.clone()).unwrap();
+        let mut storage = tensor::VecStorage::new(n + r, d);
+        storage.write_rows(0, n + r, &stack).unwrap();
+        let mut rows = PagedRows::new(Box::new(storage), 200).unwrap();
+        let (mut exact, mut ann, mut paged) = (Vec::new(), Vec::new(), Vec::new());
+        for q in &queries {
+            exact.extend(answers(&engine.answer_exact(q, 10)));
+            ann.extend(answers(&engine.answer_ann(q, 10, 3).hits));
+            paged.extend(answers(
+                &engine.answer_ann_paged(&mut rows, q, 10, 3).unwrap().hits,
+            ));
+        }
+        assert!(rows.stats().evictions > 0, "a 200-row cache must evict");
+        let got = [exact, ann, paged].map(|w| fnv1a(w.into_iter()));
+        if got != want {
+            moved.push(
+                format!("{norm:?}: {got:#x?}, aba0a40 had {want:#x?}").replace(['\n', ' '], ""),
+            );
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "[exact, ann, paged] answer hashes moved — the distance, the query vector or the \
+         candidate scan changed arithmetic:\n{}",
+        moved.join("\n")
+    );
 }

@@ -52,7 +52,7 @@ pub enum RowScore {
 /// (every f32 from `2²³` up already is one); with the sign restored, that is
 /// `floor(x)` or one above it.
 #[inline(always)]
-pub fn floor(x: f32) -> f32 {
+fn floor(x: f32) -> f32 {
     const TWO_23: f32 = 8_388_608.0;
     let a = x.abs();
     let nearest = ((a + TWO_23) - TWO_23).copysign(x);
@@ -160,6 +160,21 @@ impl RowScore {
             }
         }
         self.finish(acc)
+    }
+
+    /// This score of `a − b` for two raw rows — the distance evaluation and
+    /// serving rank with. The difference is formed in the stack tile and
+    /// goes through the tape ops' own terms, fold and finish, so it bit-equals
+    /// [`Graph::score_rows`] of the materialized difference.
+    #[inline]
+    pub fn distance(self, a: &[f32], b: &[f32]) -> f32 {
+        debug_assert_eq!(a.len(), b.len());
+        let mut tile = [0.0f32; SCORE_TILE];
+        self.fold_row(a.len(), &mut tile, |t0, x| {
+            for (xj, (aj, bj)) in x.iter_mut().zip(a[t0..].iter().zip(&b[t0..])) {
+                *xj = aj - bj;
+            }
+        })
     }
 
     /// Replaces every element `x_j` of one row by `0.0 + g · score'(x_j)`.

@@ -67,7 +67,7 @@ pub use sparse::semiring::Semiring;
 
 /// Low-level kernels re-exported for benchmarks and cross-crate tests.
 pub mod kernels {
-    pub use crate::graph::{floor, scatter_add_rows};
+    pub use crate::graph::scatter_add_rows;
 }
 pub use hogwild::SharedTable;
 pub use paged::{PageStats, Pager, RowStorage, VecStorage};

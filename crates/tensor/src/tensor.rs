@@ -419,7 +419,8 @@ impl Tensor {
     /// `eps` are left untouched).
     pub fn normalize_rows_(&mut self, eps: f32) {
         let cols = self.cols;
-        xparallel::parallel_for_rows(self.buf_mut(), cols.max(1), 64, |_, chunk| {
+        let pool = xparallel::PoolHandle::global();
+        pool.for_rows(self.buf_mut(), cols.max(1), 64, |_, chunk| {
             for row in chunk.chunks_exact_mut(cols.max(1)) {
                 let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt();
                 if norm > eps {

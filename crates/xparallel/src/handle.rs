@@ -1,9 +1,8 @@
 //! An explicit, clonable handle onto a thread pool with a pinned fan-out.
 //!
-//! The free `parallel_*` functions in this crate always target the global
-//! pool and split work into `effective_parallelism()` chunks — good defaults
-//! for standalone kernels, but wrong for two situations the training loop
-//! hits:
+//! [`PoolHandle::global`] targets the global pool and splits work into
+//! `effective_parallelism()` chunks — a good default for standalone kernels,
+//! but wrong for two situations the training loop hits:
 //!
 //! * **Nested parallelism.** A task already running *on* a pool worker must
 //!   not fan out onto the same pool (the inner scope would wait on jobs
@@ -180,26 +179,6 @@ impl PoolHandle {
             PoolRef::Global => global_pool(),
             PoolRef::Shared(p) => p,
         }
-    }
-
-    /// Runs `body(range)` over disjoint chunks of `0..len`.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by any chunk body.
-    pub fn for_range<F>(&self, len: usize, min_chunk: usize, body: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        if len == 0 {
-            return;
-        }
-        let ranges = chunk_ranges(len, min_chunk, self.width());
-        if ranges.len() == 1 {
-            body(0..len);
-            return;
-        }
-        self.pool().scope_run(&ranges, &body);
     }
 
     /// Runs `body(offset, chunk)` over disjoint mutable sub-slices of `data`.
@@ -672,8 +651,8 @@ mod tests {
         let h = PoolHandle::sequential();
         let mut order = Vec::new();
         let cell = Mutex::new(&mut order);
-        h.for_range(10, 1, |r| {
-            cell.lock().extend(r);
+        h.for_mut(&mut [0u8; 10], 1, |offset, chunk| {
+            cell.lock().extend(offset..offset + chunk.len());
         });
         assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
@@ -694,7 +673,6 @@ mod tests {
     #[test]
     fn empty_inputs_are_noops() {
         let h = PoolHandle::global().with_width(4);
-        h.for_range(0, 1, |_| panic!("should not run"));
         let mut empty: Vec<u8> = Vec::new();
         h.for_mut(&mut empty, 1, |_, _| panic!("should not run"));
         h.for_each_mut(&mut empty, |_, _| panic!("should not run"));

@@ -3,8 +3,9 @@
 //! The SparseTransX paper relies on OpenMP-style parallel loops (via MKL and
 //! iSpLib) for its CPU SpMM kernels. This crate provides the Rust-native
 //! equivalent used throughout the reproduction: a small persistent
-//! [`ThreadPool`] plus [`parallel_for`] / [`parallel_map_reduce`] helpers that
-//! split an index range into contiguous chunks, one per worker.
+//! [`ThreadPool`] plus the loop primitives on [`PoolHandle`] (and
+//! [`parallel_map_reduce`]) that split an index range into contiguous chunks,
+//! one per worker.
 //!
 //! Design goals:
 //!
@@ -25,7 +26,7 @@
 //!
 //! ```
 //! let mut out = vec![0u64; 1024];
-//! xparallel::parallel_for_mut(&mut out, 64, |offset, chunk| {
+//! xparallel::PoolHandle::global().for_mut(&mut out, 64, |offset, chunk| {
 //!     for (i, v) in chunk.iter_mut().enumerate() {
 //!         *v = (offset + i) as u64 * 2;
 //!     }
@@ -145,55 +146,9 @@ pub fn chunk_ranges(len: usize, min_chunk: usize, max_chunks: usize) -> Vec<Rang
     out
 }
 
-/// Runs `body(range)` over disjoint chunks of `0..len` on the global pool.
-///
-/// `min_chunk` bounds how small a chunk may get; short loops run inline on the
-/// caller thread without touching the pool.
-///
-/// # Panics
-///
-/// Propagates the first panic raised by any chunk body.
-pub fn parallel_for<F>(len: usize, min_chunk: usize, body: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    PoolHandle::global().for_range(len, min_chunk, body);
-}
-
-/// Runs `body(offset, chunk)` over disjoint mutable sub-slices of `data`.
-///
-/// This is the mutable-output workhorse used by the SpMM kernels: each worker
-/// owns an exclusive window of the output buffer, so no synchronization is
-/// needed inside the loop body.
-pub fn parallel_for_mut<T, F>(data: &mut [T], min_chunk: usize, body: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    PoolHandle::global().for_mut(data, min_chunk, body);
-}
-
 /// Index ranges `i..i+1` for dispatching one pre-built work item per task.
 pub(crate) fn singleton_ranges(n: usize) -> Vec<Range<usize>> {
     (0..n).map(|i| i..i + 1).collect()
-}
-
-/// Runs `body(first_row, rows_chunk)` over row-aligned mutable windows of a
-/// row-major buffer.
-///
-/// `data.len()` must be a multiple of `stride` (the row width); chunk
-/// boundaries always fall on row boundaries, which is what the SpMM kernels
-/// need to hand each worker an exclusive set of output rows.
-///
-/// # Panics
-///
-/// Panics if `stride == 0` or `data.len() % stride != 0`.
-pub fn parallel_for_rows<T, F>(data: &mut [T], stride: usize, min_rows: usize, body: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    PoolHandle::global().for_rows(data, stride, min_rows, body);
 }
 
 /// Runs one **long-lived worker per slot** on dedicated scoped OS threads:
@@ -201,7 +156,7 @@ where
 /// return.
 ///
 /// This is deliberately *not* pool fan-out. The pool's primitives
-/// ([`parallel_for`], [`PoolHandle::for_each_mut`]) dispatch short tasks
+/// ([`PoolHandle::for_rows`], [`PoolHandle::for_each_mut`]) dispatch short tasks
 /// and rejoin at a barrier per call — the synchronous training step's
 /// shape. Hogwild-style asynchronous training instead needs W workers that
 /// each run an entire epoch's batch stream with **no barrier between
@@ -352,7 +307,6 @@ pub(crate) fn make_channel() -> (Sender<Job>, crossbeam::channel::Receiver<Job>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn chunk_ranges_cover_everything() {
@@ -381,20 +335,11 @@ mod tests {
         assert_eq!(ranges.len(), 1);
     }
 
-    #[test]
-    fn parallel_for_sums() {
-        let acc = AtomicU64::new(0);
-        parallel_for(10_000, 16, |r| {
-            let local: u64 = r.map(|i| i as u64).sum();
-            acc.fetch_add(local, Ordering::Relaxed);
-        });
-        assert_eq!(acc.load(Ordering::Relaxed), 10_000u64 * 9_999 / 2);
-    }
-
+    // The global handle at its default width (`handle::tests` pin theirs).
     #[test]
     fn parallel_for_mut_writes_all() {
         let mut data = vec![0usize; 4096];
-        parallel_for_mut(&mut data, 32, |offset, chunk| {
+        PoolHandle::global().for_mut(&mut data, 32, |offset, chunk| {
             for (i, v) in chunk.iter_mut().enumerate() {
                 *v = offset + i;
             }
@@ -409,7 +354,7 @@ mod tests {
         let stride = 7;
         let nrows = 1000;
         let mut data = vec![usize::MAX; stride * nrows];
-        parallel_for_rows(&mut data, stride, 4, |first_row, chunk| {
+        PoolHandle::global().for_rows(&mut data, stride, 4, |first_row, chunk| {
             assert_eq!(chunk.len() % stride, 0);
             for (k, v) in chunk.iter_mut().enumerate() {
                 *v = first_row + k / stride;
@@ -424,7 +369,7 @@ mod tests {
     #[should_panic(expected = "whole number of rows")]
     fn parallel_for_rows_validates_stride() {
         let mut data = vec![0u8; 10];
-        parallel_for_rows(&mut data, 3, 1, |_, _| {});
+        PoolHandle::global().for_rows(&mut data, 3, 1, |_, _| {});
     }
 
     #[test]
@@ -448,9 +393,8 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_noops() {
-        parallel_for(0, 1, |_| panic!("should not run"));
         let mut empty: Vec<u8> = Vec::new();
-        parallel_for_mut(&mut empty, 1, |_, _| panic!("should not run"));
+        PoolHandle::global().for_mut(&mut empty, 1, |_, _| panic!("should not run"));
         let v = parallel_map_reduce(0, 1, 42u32, |_| panic!("should not run"), |a, _b| a);
         assert_eq!(v, 42);
     }
@@ -462,7 +406,7 @@ mod tests {
             assert_eq!(effective_parallelism(), 1);
             // Work still completes correctly.
             let mut data = vec![0usize; 1000];
-            parallel_for_mut(&mut data, 1, |offset, chunk| {
+            PoolHandle::global().for_mut(&mut data, 1, |offset, chunk| {
                 for (i, v) in chunk.iter_mut().enumerate() {
                     *v = offset + i;
                 }
@@ -475,8 +419,9 @@ mod tests {
     #[test]
     fn panics_propagate() {
         let result = std::panic::catch_unwind(|| {
-            parallel_for(1000, 1, |r| {
-                if r.contains(&500) {
+            let mut data = vec![0u8; 1000];
+            PoolHandle::global().for_mut(&mut data, 1, |offset, chunk| {
+                if (offset..offset + chunk.len()).contains(&500) {
                     panic!("boom");
                 }
             });

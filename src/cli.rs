@@ -285,11 +285,7 @@ pub fn cmd_stats(args: &Args) -> Result<String, CliError> {
 pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let emb_path = args.required("emb")?;
     let train_path = args.required("train")?;
-    let norm = match args.str_or("norm", "l2").as_str() {
-        "l1" => Norm::L1,
-        "l2" => Norm::L2,
-        other => return Err(CliError::Usage(format!("unknown --norm {other:?} (l1|l2)"))),
-    };
+    let norm = parse_norm(args)?;
     // The embedding dump stores only the stacked matrix; the training TSV
     // recovers the entity/relation split of its rows.
     let mut vocab = Vocab::new();
@@ -358,15 +354,11 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         }
     };
 
-    // First-principles cache model: the same key stream replayed through a
-    // fully-associative simcache LRU (one distinct line per distinct key)
-    // must predict the real cache's hit count exactly.
-    let mut sim = simcache::Cache::new(simcache::CacheConfig {
-        size_bytes: cache_size * 64,
-        line_bytes: 64,
-        ways: cache_size,
-    });
-    let mut key_addrs: HashMap<QueryKey, u64> = HashMap::new();
+    // First-principles cache model: the same key stream (one distinct line
+    // per distinct key) replayed through `lru_replay` must predict the real
+    // cache's hit count exactly.
+    let mut key_lines: HashMap<QueryKey, u32> = HashMap::new();
+    let mut key_trace = Vec::with_capacity(num_queries);
 
     let mut ann_lat = Vec::with_capacity(num_queries);
     let mut exact_lat = Vec::with_capacity(num_queries);
@@ -378,8 +370,8 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     for _ in 0..num_queries {
         let q = workload.next_query();
         let key: QueryKey = (q.dir as u8, q.entity, q.rel, k as u32, nprobe as u32);
-        let next_addr = key_addrs.len() as u64 * 64;
-        sim.access(*key_addrs.entry(key).or_insert(next_addr));
+        let next_line = key_lines.len() as u32;
+        key_trace.push(*key_lines.entry(key).or_insert(next_line));
 
         let t = std::time::Instant::now();
         let ann = engine.answer_ann(&q, k, nprobe);
@@ -410,6 +402,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         scored_total as f64 / (computed * n) as f64
     };
     let cache_stats = engine.cache_stats().unwrap_or_default();
+    let (sim, _, cache_warning) = lru_replay(cache_size, &key_trace, "cache", cache_stats.hits);
     let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
     let arm = |name: &str, s: &LatencySummary| {
         format!(
@@ -436,17 +429,11 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         args.str_or("norm", "l2"),
         100.0 * scan_frac,
         100.0 * cache_stats.hit_rate(),
-        100.0 * (1.0 - sim.stats().miss_rate()),
+        100.0 * (1.0 - sim.miss_rate()),
         arm("ann  ", &ann_sum),
         arm("exact", &exact_sum),
     );
-    if cache_stats.hits != sim.stats().hits {
-        out.push_str(&format!(
-            "\nWARNING: simcache model predicted {} hits, cache saw {}",
-            sim.stats().hits,
-            cache_stats.hits
-        ));
-    }
+    out.push_str(&cache_warning);
     if let Some(rows) = &paged_rows {
         let stats = rows.stats();
         let accesses = stats.hits + stats.misses;
@@ -465,26 +452,9 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         if let Some(s) = LatencySummary::from_samples(&paged_lat) {
             out.push_str(&format!("\n{}", arm("paged", &s)));
         }
-        let mut row_sim = simcache::Cache::new(simcache::CacheConfig {
-            size_bytes: rows.budget() * 64,
-            line_bytes: 64,
-            ways: rows.budget(),
-        });
-        for &row in rows.trace().expect("tracing was enabled") {
-            row_sim.access(u64::from(row) * 64);
-        }
-        out.push_str(&format!(
-            "\nsimcache LRU replay: {} hits / {} misses",
-            row_sim.stats().hits,
-            row_sim.stats().misses
-        ));
-        if row_sim.stats().hits != stats.hits {
-            out.push_str(&format!(
-                "\nWARNING: simcache model predicted {} hits, row cache saw {}",
-                row_sim.stats().hits,
-                stats.hits
-            ));
-        }
+        let trace = rows.trace().expect("tracing was enabled");
+        let (_, replay, warning) = lru_replay(rows.budget(), trace, "row cache", stats.hits);
+        out.push_str(&(replay + &warning));
         if paged_divergences > 0 {
             out.push_str(&format!(
                 "\nWARNING: paged arm diverged from the resident ANN arm on \
@@ -539,11 +509,7 @@ fn load_dataset(train: &Path, args: &Args) -> Result<(Dataset, Vocab), CliError>
 }
 
 fn config_from_args(args: &Args) -> Result<TrainConfig, CliError> {
-    let norm = match args.str_or("norm", "l2").as_str() {
-        "l1" => Norm::L1,
-        "l2" => Norm::L2,
-        other => return Err(CliError::Usage(format!("unknown --norm {other:?} (l1|l2)"))),
-    };
+    let norm = parse_norm(args)?;
     let sampler = match args.str_or("sampler", "uniform").as_str() {
         "uniform" => SamplerKind::Uniform,
         "bernoulli" => SamplerKind::Bernoulli,
@@ -588,6 +554,20 @@ fn config_from_args(args: &Args) -> Result<TrainConfig, CliError> {
     // are refused here, before any dataset is opened.
     config.validate().map_err(config_is_usage)?;
     Ok(config)
+}
+
+/// `--norm` for both `train` (whose model coerces it to its own geometry)
+/// and `serve` (which has to be told the metric the dump was trained under).
+fn parse_norm(args: &Args) -> Result<Norm, CliError> {
+    match args.str_or("norm", "l2").as_str() {
+        "l1" => Ok(Norm::L1),
+        "l2" => Ok(Norm::L2),
+        "torus-l1" => Ok(Norm::TorusL1),
+        "torus-l2" => Ok(Norm::TorusL2),
+        other => Err(CliError::Usage(format!(
+            "unknown --norm {other:?} (l1|l2|torus-l1|torus-l2)"
+        ))),
+    }
 }
 
 /// Parses `STEP:GAMMA` (e.g. `10:0.5`) into a step-LR schedule.
@@ -763,40 +743,55 @@ fn unpage_and_validate<M: KgeModel>(
     let budget = pager.budget();
     store.unpage(id).map_err(sptransx::Error::from)?;
 
-    let mut sim = simcache::Cache::new(simcache::CacheConfig {
-        size_bytes: budget * 64,
-        line_bytes: 64,
-        ways: budget,
-    });
-    for &row in &trace {
-        sim.access(u64::from(row) * 64);
-    }
-    let sim_stats = sim.stats();
+    let (_, replay, warning) = lru_replay(budget, &trace, "cache", stats.hits);
     let accesses = stats.hits + stats.misses;
     let hit_rate = if accesses > 0 {
         100.0 * stats.hits as f64 / accesses as f64
     } else {
         0.0
     };
-    let mut out = format!(
+    Ok(format!(
         "\npaged store: budget {budget} rows, {} hits / {} misses / {} evictions / {} \
          write-backs / {read_calls} read calls / {write_calls} write calls \
-         (hit rate {hit_rate:.1}%)\n\
-         simcache LRU replay: {} hits / {} misses",
-        stats.hits,
-        stats.misses,
-        stats.evictions,
-        stats.write_backs,
-        sim_stats.hits,
-        sim_stats.misses,
-    );
-    if sim_stats.hits != stats.hits {
-        out.push_str(&format!(
-            "\nWARNING: simcache model predicted {} hits, cache saw {}",
-            sim_stats.hits, stats.hits
-        ));
+         (hit rate {hit_rate:.1}%){replay}{warning}",
+        stats.hits, stats.misses, stats.evictions, stats.write_backs,
+    ))
+}
+
+/// The first-principles model every cache in a report is checked against:
+/// replays `lines` (one id per distinct key or row, in access order) through
+/// a fully-associative simcache LRU of `capacity` lines. Returns the model's
+/// counters, the replay report line, and a `WARNING:` line (empty when the
+/// model's hit count equals the `hits` the real `what` counted) for CI to
+/// grep.
+fn lru_replay(
+    capacity: usize,
+    lines: &[u32],
+    what: &str,
+    hits: u64,
+) -> (simcache::CacheStats, String, String) {
+    let mut sim = simcache::Cache::new(simcache::CacheConfig {
+        size_bytes: capacity * 64,
+        line_bytes: 64,
+        ways: capacity,
+    });
+    for &line in lines {
+        sim.access(u64::from(line) * 64);
     }
-    Ok(out)
+    let sim = sim.stats();
+    let replay = format!(
+        "\nsimcache LRU replay: {} hits / {} misses",
+        sim.hits, sim.misses
+    );
+    let warning = if sim.hits == hits {
+        String::new()
+    } else {
+        format!(
+            "\nWARNING: simcache model predicted {} hits, {what} saw {hits}",
+            sim.hits
+        )
+    };
+    (sim, replay, warning)
 }
 
 /// The report's `arm:` line, which names the arm that produced the numbers
@@ -964,13 +959,15 @@ sptx — SparseTransX knowledge-graph embedding trainer
 USAGE:
   sptx generate --entities N --relations R --triples M --out DIR
   sptx train    --train FILE.tsv [--model transe|toruse|transr|transh|distmult]
-                [--epochs E] [--dim D] [--lr LR] [--margin M] [--norm l1|l2]
+                [--epochs E] [--dim D] [--lr LR] [--margin M]
+                [--norm l1|l2|torus-l1|torus-l2]
                 [--optimizer sgd|adagrad|adam] [--lr-decay STEP:GAMMA]
                 [--sampler uniform|bernoulli] [--dense-grads true|false]
                 [--store ram|disk] [--cache-rows N] [--async true] [--workers N]
                 [--out embeddings.bin]
   sptx stats    --train FILE.tsv
-  sptx serve    --emb FILE.bin --train FILE.tsv [--norm l1|l2] [--k K]
+  sptx serve    --emb FILE.bin --train FILE.tsv [--k K]
+                [--norm l1|l2|torus-l1|torus-l2]
                 [--clusters C] [--nprobe P] [--kmeans-iters I]
                 [--queries Q] [--zipf S] [--cache-size N] [--seed S]
                 [--store ram|disk] [--cache-rows N]
@@ -1005,9 +1002,11 @@ Every --model pages (transe|toruse|transh|transr|distmult). Requires SGD and
 sparse gradients.
 
 serve loads the stacked embedding matrix train saves (TransE/TorusE layout;
---norm must match training), answers top-K completion queries through an
-IVF candidate index (nprobe = cost/recall knob; nprobe = clusters is an
-exact full scan), measures recall@K against the exact full-scan arm, and
+--norm must match training: a toruse dump trained under l1|l2 is served with
+torus-l1|torus-l2), answers top-K completion queries through an IVF
+candidate index (nprobe = cost/recall knob; nprobe = clusters is an exact
+full scan; the clustering itself is squared-L2 under every --norm, only
+candidate scores use it), measures recall@K against the exact full-scan arm, and
 reports latency percentiles, QPS, scan fraction and cache hit rates.
 --min-recall / --max-scan-frac turn quality regressions into a nonzero
 exit status for CI. serve --store disk additionally answers every query

@@ -1,0 +1,145 @@
+//! The `sptx` binary as a process: what only an exit status, a pipe or a
+//! second invocation can see.
+
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
+
+use kg::eval::TripleScorer;
+use kg::stream::EmbeddingStore;
+use kg::synthetic::SyntheticKgBuilder;
+use sptransx::serve::{top_k, Direction, IvfConfig, IvfIndex, Query, ServeEngine, ServeModel};
+use sptransx::{KgeModel, Norm, SpTorusE, TrainConfig};
+use xparallel::PoolHandle;
+
+fn sptx() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_sptx"))
+}
+
+/// A fresh scratch directory holding a generated 300-entity KG.
+fn kg_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sptx-cli-binary-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = sptx()
+        .args(["generate", "--entities", "300", "--relations", "6"])
+        .args(["--triples", "3000", "--out"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    dir
+}
+
+/// `sptx … | head`: the reader hangs up before the report is written (the
+/// pipe is closed while the child still trains), every line of the report
+/// hits a broken pipe, and the run still exits 0 with nothing on stderr —
+/// it used to be `println!`'s panic, exit 101 and a backtrace.
+#[test]
+fn a_closed_stdout_pipe_is_a_quiet_exit_zero() {
+    let dir = kg_dir("pipe");
+    let mut child = sptx()
+        .args(["train", "--epochs", "3", "--threads", "1", "--train"])
+        .arg(dir.join("train.tsv"))
+        .arg("--out")
+        .arg(dir.join("e.bin"))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A TorusE dump is served under its own metric: `serve --norm torus-l1`
+/// answers (here: reports recall 1 at full probe against its exact arm, and
+/// names the norm), the exact arm under `Norm::TorusL1` ranks a training
+/// triple's tails exactly as `SpTorusE::score_tails` does on the same
+/// parameters, and an unknown `--norm` is a usage error naming all four.
+#[test]
+fn a_toruse_dump_is_served_under_the_torus_metric() {
+    let dir = kg_dir("torus");
+    let (train, emb) = (dir.join("train.tsv"), dir.join("torus.bin"));
+    let run = |args: &[&str]| {
+        let out = sptx()
+            .args(args)
+            .args(["--threads", "1", "--train"])
+            .arg(&train)
+            .output()
+            .unwrap();
+        let text = String::from_utf8_lossy(&out.stdout).into_owned()
+            + &String::from_utf8_lossy(&out.stderr);
+        (out.status.code(), text)
+    };
+    let emb_arg = emb.to_str().unwrap();
+    let (code, text) = run(&[
+        "train", "--model", "toruse", "--norm", "l1", "--epochs", "3", "--dim", "16", "--out",
+        emb_arg,
+    ]);
+    assert_eq!(code, Some(0), "{text}");
+
+    let serve = [
+        "serve",
+        "--queries",
+        "50",
+        "--clusters",
+        "8",
+        "--nprobe",
+        "8",
+        "--emb",
+        emb_arg,
+    ];
+    let (code, text) = run(&[&serve[..], &["--norm", "torus-l1", "--min-recall", "1"]].concat());
+    assert_eq!(code, Some(0), "{text}");
+    assert!(
+        text.contains("norm torus-l1") && !text.contains("WARNING"),
+        "{text}"
+    );
+    let (code, text) = run(&[&serve[..], &["--norm", "torus"]].concat());
+    assert_eq!(code, Some(2), "{text}");
+    assert!(text.contains("(l1|l2|torus-l1|torus-l2)"), "{text}");
+
+    // The exact arm's ranking is SpTorusE's own. Both get the dump's rows;
+    // the file's first triple is a training triple whose head and relation
+    // the vocabulary interned as entity 0 and relation 0.
+    let mut store = EmbeddingStore::open(&emb).unwrap();
+    let (rows, dim) = (store.rows(), store.cols());
+    let stack = store.read_rows(0, rows).unwrap();
+    let (n, r) = (rows - 6, 6);
+    let ds = SyntheticKgBuilder::new(n, r).triples(10).build();
+    let cfg = TrainConfig {
+        dim,
+        norm: Norm::L1,
+        ..Default::default()
+    };
+    let mut model = SpTorusE::from_config(&ds, &cfg).unwrap();
+    assert_eq!(model.metric(), Norm::TorusL1);
+    let id = model.store().lookup("embeddings").unwrap();
+    let table = model.store_mut().value_mut(id);
+    table.as_mut_slice().copy_from_slice(&stack);
+    let serve = ServeModel::from_stacked(stack, n, r, dim, Norm::TorusL1).unwrap();
+    let index = IvfIndex::build(
+        serve.embeddings(),
+        n,
+        dim,
+        &IvfConfig::default(),
+        &PoolHandle::global(),
+    )
+    .unwrap();
+    let query = Query {
+        dir: Direction::Tail,
+        entity: 0,
+        rel: 0,
+    };
+    let got = ServeEngine::new(serve, index)
+        .unwrap()
+        .answer_exact(&query, n);
+    assert_eq!(got, top_k((0u32..).zip(model.score_tails(0, 0)), n));
+    std::fs::remove_dir_all(&dir).ok();
+}
