@@ -73,9 +73,11 @@ impl Dataset {
     /// Splits a single store into train/valid/test by the given fractions
     /// (deterministic shuffle with `seed`); remainder goes to train.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `valid_frac + test_frac >= 1.0` or fractions are negative.
+    /// Returns [`crate::Error::InvalidSplit`] unless both fractions are
+    /// non-negative numbers summing below `1.0`, and
+    /// [`crate::Error::IndexOutOfBounds`] as [`Dataset::new`] does.
     pub fn from_single_store(
         name: impl Into<String>,
         num_entities: usize,
@@ -85,11 +87,15 @@ impl Dataset {
         test_frac: f64,
         seed: u64,
     ) -> Result<Self> {
-        assert!(
-            valid_frac >= 0.0 && test_frac >= 0.0,
-            "fractions must be non-negative"
-        );
-        assert!(valid_frac + test_frac < 1.0, "train split would be empty");
+        // Written so that a NaN fraction fails every comparison.
+        if !(valid_frac >= 0.0 && test_frac >= 0.0 && valid_frac + test_frac < 1.0) {
+            return Err(crate::Error::InvalidSplit {
+                context: format!(
+                    "valid {valid_frac} and test {test_frac} must be non-negative fractions \
+                     summing below 1 (train gets the rest)"
+                ),
+            });
+        }
         let shuffled = all.shuffled(seed);
         let n = shuffled.len();
         let n_valid = (n as f64 * valid_frac) as usize;
@@ -139,8 +145,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "train split would be empty")]
+    #[should_panic(expected = "InvalidSplit")]
     fn rejects_degenerate_split() {
-        let _ = Dataset::from_single_store("x", 5, 2, store(10), 0.5, 0.5, 7);
+        Dataset::from_single_store("x", 5, 2, store(10), 0.5, 0.5, 7).unwrap();
+    }
+
+    #[test]
+    fn rejects_negative_and_nan_fractions() {
+        for (valid, test) in [
+            (-0.1, 0.1),
+            (0.1, -0.1),
+            (0.0, f64::NAN),
+            (f64::NAN, 0.0),
+            (0.0, 1.5),
+        ] {
+            let split = Dataset::from_single_store("x", 5, 2, store(10), valid, test, 7);
+            assert!(
+                matches!(split, Err(crate::Error::InvalidSplit { .. })),
+                "{valid} / {test}"
+            );
+        }
     }
 }

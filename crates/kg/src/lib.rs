@@ -65,6 +65,12 @@ pub enum Error {
         /// Description of the offending value.
         context: String,
     },
+    /// Split fractions that are negative, not numbers, or leave no
+    /// training triples.
+    InvalidSplit {
+        /// Description of the offending fractions.
+        context: String,
+    },
 }
 
 impl std::fmt::Display for Error {
@@ -73,6 +79,7 @@ impl std::fmt::Display for Error {
             Error::Io(e) => write!(f, "I/O error: {e}"),
             Error::Parse { line, context } => write!(f, "parse error at line {line}: {context}"),
             Error::IndexOutOfBounds { context } => write!(f, "index out of bounds: {context}"),
+            Error::InvalidSplit { context } => write!(f, "invalid split: {context}"),
         }
     }
 }

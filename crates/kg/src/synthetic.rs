@@ -245,7 +245,7 @@ impl SyntheticKgBuilder {
             self.test_frac,
             self.seed.wrapping_add(1),
         )
-        .expect("generator produces in-range indices")
+        .expect("in-range indices and a valid split")
     }
 }
 

@@ -11,12 +11,17 @@
 //! debug and release and at any `SPTX_NUM_THREADS`. The SpDistMult block pins
 //! the semiring score op from the commit that introduced it (its counters are
 //! new there by definition), for the next change to that op to start from.
+//! The elementwise block pins the totals of the tapes that run the six
+//! generic elementwise ops, captured on f15cdb9 before they became one op.
 //!
 //! The counters are process-global: this binary holds exactly one test.
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
-use sptransx::{KgeModel, SpDistMult, SpTransE, SpTransH, SpTransR, TrainConfig, Trainer};
+use sptransx::{
+    DenseTransE, DenseTransH, KgeModel, SpComplEx, SpDistMult, SpTransE, SpTransH, SpTransM,
+    SpTransR, TrainConfig, Trainer,
+};
 
 /// `[calls, bytes, flops]` of one `tensor::profile` row (zeros if the op
 /// never ran).
@@ -110,6 +115,23 @@ fn spmm_counters_match_pre_unification_kernels() {
             "SpDistMult {SEMIRING_OPS:?}: {got:?}, pinned {want:?}"
         ));
     }
+    // The tapes that run the six generic elementwise ops (`mul`, `scale`,
+    // `add`/`sub`, `row_dot`/`scale_rows`), captured on f15cdb9 before they
+    // became one op. Totals only: the per-op rows gain `*_backward` scopes.
+    #[rustfmt::skip]
+    let elementwise: [(&str, [u64; 3], [u64; 3]); 5] = [
+        ("SpTransM", epoch(&ds, &base, SpTransM::from_config, []).0, [1_410_480, 5_754_240, 272]),
+        ("SpComplEx", epoch(&ds, &base, SpComplEx::from_config, []).0, [3_475_440, 10_644_480, 272]),
+        ("DenseTransE", epoch(&ds, &base, DenseTransE::from_config, []).0, [1_648_080, 5_184_000, 0]),
+        ("DenseTransH", epoch(&ds, &base, DenseTransH::from_config, []).0, [4_170_960, 6_912_000, 0]),
+        ("DenseTransH unfused", epoch(&ds, &unfused, DenseTransH::from_config, []).0, [4_179_600, 6_912_000, 0]),
+    ];
+    moved.extend(
+        elementwise
+            .iter()
+            .filter(|(_, got, want)| got != want)
+            .map(|(what, got, want)| format!("{what} totals: {got:?}, f15cdb9 had {want:?}")),
+    );
     assert!(
         moved.is_empty(),
         "([flops, bytes, spmm_calls], [calls, bytes, flops] of {OPS:?}) moved — a tape op's \

@@ -120,14 +120,15 @@ impl RowScore {
         }
     }
 
-    /// The profile scope [`Graph::score_rows`] reports under.
-    fn op_name(self) -> &'static str {
+    /// The profile scopes [`Graph::score_rows`] and its backward report
+    /// under.
+    fn op_names(self) -> [&'static str; 2] {
         match self {
-            RowScore::L1 => "op::l1_norm",
-            RowScore::L2 { .. } => "op::l2_norm",
-            RowScore::SquaredL2 => "op::sq_l2_norm",
-            RowScore::TorusL1 => "op::torus_l1",
-            RowScore::TorusL2Sq => "op::torus_l2",
+            RowScore::L1 => ["op::l1_norm", "op::l1_norm_backward"],
+            RowScore::L2 { .. } => ["op::l2_norm", "op::l2_norm_backward"],
+            RowScore::SquaredL2 => ["op::sq_l2_norm", "op::sq_l2_norm_backward"],
+            RowScore::TorusL1 => ["op::torus_l1", "op::torus_l1_backward"],
+            RowScore::TorusL2Sq => ["op::torus_l2", "op::torus_l2_backward"],
         }
     }
 
@@ -202,6 +203,125 @@ impl RowScore {
 /// folded into the row's accumulator strictly in column order.
 const SCORE_TILE: usize = 64;
 
+/// The six generic elementwise ops ([`Graph::add`] … [`Graph::scale_rows`])
+/// as one description of a batch row: what the forward writes and what each
+/// operand's derivative is. `a` is `(m, n)`; `b` is `(m, n)`, except the
+/// `(m, 1)` column of `ScaleRows` and `Scale`'s unused second operand (`a`
+/// again). The variant is matched once per chunk of rows, so each kind keeps
+/// its own branch-free element loop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Elementwise {
+    Add,
+    Sub,
+    Mul,
+    Scale(f32),
+    RowDot,
+    ScaleRows,
+}
+
+/// `f(&mut dst[k], x[k], y[k])` over `dst`. Each call site passes one
+/// closure, so each gets its own loop the compiler can vectorize.
+#[inline(always)]
+fn zip_each(dst: &mut [f32], x: &[f32], y: &[f32], f: impl Fn(&mut f32, f32, f32)) {
+    for (d, (&x, &y)) in dst.iter_mut().zip(x.iter().zip(y)) {
+        f(d, x, y);
+    }
+}
+
+/// `Σ_j x[j]·y[j]` over the first `n`, folded from `0.0` in column order.
+#[inline(always)]
+fn dot(n: usize, x: &[f32], y: &[f32]) -> f32 {
+    let mut acc = 0.0;
+    for (&x, &y) in x[..n].iter().zip(&y[..n]) {
+        acc += x * y;
+    }
+    acc
+}
+
+impl Elementwise {
+    /// The forward and backward profile scopes.
+    fn op_names(self) -> [&'static str; 2] {
+        match self {
+            Elementwise::Add => ["op::add", "op::add_backward"],
+            Elementwise::Sub => ["op::sub", "op::sub_backward"],
+            Elementwise::Mul => ["op::mul", "op::mul_backward"],
+            Elementwise::Scale(_) => ["op::scale", "op::scale_backward"],
+            Elementwise::RowDot => ["op::row_dot", "op::row_dot_backward"],
+            Elementwise::ScaleRows => ["op::scale_rows", "op::scale_rows_backward"],
+        }
+    }
+
+    /// Row widths of `b` and of the output for an `n`-wide `a`.
+    fn widths(self, n: usize) -> (usize, usize) {
+        match self {
+            Elementwise::RowDot => (n, 1),
+            Elementwise::ScaleRows => (1, n),
+            _ => (n, n),
+        }
+    }
+
+    /// Fills `out`, a chunk of output rows; `a` and `b` start at its first
+    /// row (`a` is `n` wide).
+    #[inline]
+    fn forward(self, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        match self {
+            Elementwise::Add => zip_each(out, a, b, |o, x, y| *o = x + y),
+            Elementwise::Sub => zip_each(out, a, b, |o, x, y| *o = x - y),
+            Elementwise::Mul => zip_each(out, a, b, |o, x, y| *o = x * y),
+            Elementwise::Scale(c) => zip_each(out, a, a, |o, x, _| *o = c * x),
+            Elementwise::RowDot => {
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = dot(n, &a[i * n..], &b[i * n..]);
+                }
+            }
+            Elementwise::ScaleRows => {
+                let rows = out.chunks_exact_mut(n.max(1)).zip(a.chunks(n.max(1)));
+                for ((o, x), &s) in rows.zip(b) {
+                    zip_each(o, x, x, |o, x, _| *o = x * s);
+                }
+            }
+        }
+    }
+
+    /// Adds operand `slot`'s derivative (`0`: `a`, `1`: `b`) to `dst`, a
+    /// chunk of that operand's gradient rows; `g`, `a` and `b` start at its
+    /// first row. The association is `grad += α · derivative`'s: linear
+    /// kinds add `α·g`, products `1·(g·other)` (the exact `1·` left out), the
+    /// row reduction folds from `0.0` in column order first.
+    #[inline]
+    fn backward(self, slot: usize, n: usize, g: &[f32], a: &[f32], b: &[f32], dst: &mut [f32]) {
+        let other = if slot == 0 { b } else { a };
+        match self {
+            Elementwise::Add | Elementwise::Sub | Elementwise::Scale(_) => {
+                let alpha = match self {
+                    Elementwise::Scale(c) => c,
+                    Elementwise::Sub if slot == 1 => -1.0,
+                    _ => 1.0,
+                };
+                zip_each(dst, g, g, |d, gx, _| *d += alpha * gx);
+            }
+            Elementwise::Mul => zip_each(dst, g, other, |d, gx, y| *d += gx * y),
+            Elementwise::RowDot => {
+                let rows = dst.chunks_exact_mut(n.max(1)).zip(other.chunks(n.max(1)));
+                for ((d, y), &gi) in rows.zip(g) {
+                    zip_each(d, y, y, |d, y, _| *d += y * gi);
+                }
+            }
+            Elementwise::ScaleRows if slot == 0 => {
+                let rows = dst.chunks_exact_mut(n.max(1)).zip(g.chunks(n.max(1)));
+                for ((d, gr), &s) in rows.zip(b) {
+                    zip_each(d, gr, gr, |d, gx, _| *d += gx * s);
+                }
+            }
+            Elementwise::ScaleRows => {
+                for (i, d) in dst.iter_mut().enumerate() {
+                    *d += dot(n, &g[i * n..], &a[i * n..]);
+                }
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Input,
@@ -218,14 +338,10 @@ enum Op {
         pair: Arc<IncidencePair>,
         score: RowScore,
     },
-    Add(Var, Var),
-    Sub(Var, Var),
-    Mul(Var, Var),
-    Scale(Var, f32),
-    RowDot(Var, Var),
-    ScaleRows {
-        mat: Var,
-        scale: Var,
+    Elementwise {
+        kind: Elementwise,
+        a: Var,
+        b: Var,
     },
     ScoreRows {
         input: Var,
@@ -272,9 +388,17 @@ struct Node {
 /// * [`Graph::spmm`] — incidence-matrix SpMM whose backward is a second SpMM
 ///   with `Aᵀ` (the SparseTransX path, paper §4.1 and Appendix G).
 ///
+/// The six elementwise ops ([`Graph::add`], [`Graph::sub`], [`Graph::mul`],
+/// [`Graph::scale`], [`Graph::row_dot`], [`Graph::scale_rows`]) are one op:
+/// one forward row walk, one backward arm landing each operand's derivative
+/// straight in its gradient. Every op records its analytic `sparse::metrics`
+/// counters inside its own [`profile`] scope (`op::<name>` forward,
+/// `op::<name>_backward` backward), so the per-kernel rows of a run sum to
+/// the run's totals.
+///
 /// # Parallelism and determinism
 ///
-/// Every forward kernel and backward closure dispatches on the tape's
+/// Every forward kernel and backward arm dispatches on the tape's
 /// [`PoolHandle`]: row-wise kernels partition their **output** rows across
 /// workers (each row computed by exactly one worker with a serial inner
 /// loop), and parameter-gradient accumulation is sharded by **destination**
@@ -550,112 +674,66 @@ impl Graph {
         self.push(out, Op::SpmmScore { param, pair, score })
     }
 
-    /// Elementwise sum of two same-shape nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
+    /// Elementwise sum of two same-shape nodes (panics on shape mismatch).
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let _t = profile::scope("op::add");
-        let (m, n) = self.value(a).shape();
-        let mut v = Tensor::uninit_in(&mut self.arena, m, n);
-        self.nodes[a.0].value.zip_map_into_with(
-            &self.pool,
-            &self.nodes[b.0].value,
-            |x, y| x + y,
-            &mut v,
-        );
-        sparse::metrics::add_flops(v.len() as u64);
-        self.push(v, Op::Add(a, b))
+        self.elementwise(Elementwise::Add, a, b)
     }
 
-    /// Elementwise difference of two same-shape nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
+    /// Elementwise difference of two same-shape nodes (panics on shape
+    /// mismatch).
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let _t = profile::scope("op::sub");
-        let (m, n) = self.value(a).shape();
-        let mut v = Tensor::uninit_in(&mut self.arena, m, n);
-        self.nodes[a.0].value.zip_map_into_with(
-            &self.pool,
-            &self.nodes[b.0].value,
-            |x, y| x - y,
-            &mut v,
-        );
-        sparse::metrics::add_flops(v.len() as u64);
-        self.push(v, Op::Sub(a, b))
+        self.elementwise(Elementwise::Sub, a, b)
     }
 
-    /// Elementwise product of two same-shape nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
+    /// Elementwise product of two same-shape nodes (panics on shape
+    /// mismatch).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let _t = profile::scope("op::mul");
-        let (m, n) = self.value(a).shape();
-        let mut v = Tensor::uninit_in(&mut self.arena, m, n);
-        self.nodes[a.0].value.zip_map_into_with(
-            &self.pool,
-            &self.nodes[b.0].value,
-            |x, y| x * y,
-            &mut v,
-        );
-        sparse::metrics::add_flops(v.len() as u64);
-        self.push(v, Op::Mul(a, b))
+        self.elementwise(Elementwise::Mul, a, b)
     }
 
     /// Scales a node by a constant.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let (m, n) = self.value(a).shape();
-        let mut v = Tensor::uninit_in(&mut self.arena, m, n);
-        self.nodes[a.0]
-            .value
-            .map_into_with(&self.pool, |x| c * x, &mut v);
-        sparse::metrics::add_flops(v.len() as u64);
-        self.push(v, Op::Scale(a, c))
+        self.elementwise(Elementwise::Scale(c), a, a)
     }
 
-    /// Per-row dot product: `out[i] = Σ_j a[i,j]·b[i,j]`, shape `(m, 1)`.
-    ///
-    /// TransH uses this for `wᵣᵀ·(h−t)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
+    /// Per-row dot product: `out[i] = Σ_j a[i,j]·b[i,j]`, shape `(m, 1)` —
+    /// TransH's `wᵣᵀ·(h−t)` (panics on shape mismatch).
     pub fn row_dot(&mut self, a: Var, b: Var) -> Var {
-        let _t = profile::scope("op::row_dot");
-        let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(av.shape(), bv.shape(), "row_dot shape mismatch");
-        let (m, n) = av.shape();
-        let out = row_dot_tensor(&self.pool, &mut self.arena, av, bv);
-        sparse::metrics::add_flops(2 * (m * n) as u64);
-        self.push(out, Op::RowDot(a, b))
+        self.elementwise(Elementwise::RowDot, a, b)
     }
 
-    /// Broadcast row scaling: `out[i,:] = mat[i,:] · scale[i]`, where `scale`
-    /// has shape `(m, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not `(mat.rows, 1)`.
+    /// Broadcast row scaling: `out[i,:] = mat[i,:] · scale[i]` (panics unless
+    /// `scale` is a `(mat.rows, 1)` column).
     pub fn scale_rows(&mut self, mat: Var, scale: Var) -> Var {
-        let _t = profile::scope("op::scale_rows");
-        let (mv, sv) = (&self.nodes[mat.0].value, &self.nodes[scale.0].value);
-        assert_eq!(sv.shape(), (mv.rows(), 1), "scale must be a (m,1) column");
-        let (m, n) = mv.shape();
-        let out = scale_rows_tensor(&self.pool, &mut self.arena, mv, sv);
-        sparse::metrics::add_flops((m * n) as u64);
-        self.push(out, Op::ScaleRows { mat, scale })
+        self.elementwise(Elementwise::ScaleRows, mat, scale)
+    }
+
+    /// The six methods above: one row walk over the output, each chunk of
+    /// rows handed to the kind's own loop. The grain, about 4096 elements,
+    /// is the one the per-op loops it replaced dispatched at.
+    fn elementwise(&mut self, kind: Elementwise, a: Var, b: Var) -> Var {
+        let _t = profile::scope(kind.op_names()[0]);
+        let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (m, n) = av.shape();
+        let ((bw, ow), grain) = (kind.widths(n), (4096 / n.max(1)).max(1));
+        assert_eq!(bv.shape(), (m, bw), "elementwise operands do not fit");
+        let mut out = Tensor::uninit_in(&mut self.arena, m, ow);
+        let (ad, bd) = (av.as_slice(), bv.as_slice());
+        let w = ow.max(1);
+        self.pool.for_rows(out.as_mut_slice(), w, grain, |i, out| {
+            kind.forward(n, &ad[i * n..], &bd[i * bw..], out);
+        });
+        // One flop per element; the row dot's add and multiply are two.
+        let per_element = if kind == Elementwise::RowDot { 2 } else { 1 };
+        sparse::metrics::add_flops(per_element * (m * n) as u64);
+        self.push(out, Op::Elementwise { kind, a, b })
     }
 
     /// Per-row score: `out[i] = score(a[i, :])`, shape `(m, 1)` — the norm
     /// on top of a materialized expression, and the second half of
     /// [`Graph::spmm_score`]'s unfused arm.
     pub fn score_rows(&mut self, a: Var, score: RowScore) -> Var {
-        let _t = profile::scope(score.op_name());
+        let _t = profile::scope(score.op_names()[0]);
         let (m, n) = self.value(a).shape();
         let mut out = Tensor::uninit_in(&mut self.arena, m, 1);
         let ad = self.nodes[a.0].value.as_slice();
@@ -948,63 +1026,36 @@ impl Graph {
                 sparse::metrics::add_flops(4 * nnz * d as u64);
                 sparse::metrics::add_bytes(nnz * 8 + 4 * nnz * lane + m as u64 * lane);
             }
-            Op::Add(a, b) => {
-                self.accum(a, g, 1.0);
-                self.accum(b, g, 1.0);
-            }
-            Op::Sub(a, b) => {
-                self.accum(a, g, 1.0);
-                self.accum(b, g, -1.0);
-            }
-            Op::Mul(a, b) => {
-                let (m, n) = g.shape();
-                let mut da = Tensor::uninit_in(&mut self.arena, m, n);
-                g.zip_map_into_with(
-                    &self.pool,
-                    &self.nodes[b.0].value,
-                    |gx, bx| gx * bx,
-                    &mut da,
-                );
-                let mut db = Tensor::uninit_in(&mut self.arena, m, n);
-                g.zip_map_into_with(
-                    &self.pool,
-                    &self.nodes[a.0].value,
-                    |gx, ax| gx * ax,
-                    &mut db,
-                );
-                self.accum(a, &da, 1.0);
-                self.accum(b, &db, 1.0);
-                self.arena.reclaim(da);
-                self.arena.reclaim(db);
-            }
-            Op::Scale(a, c) => {
-                self.accum(a, g, c);
-            }
-            Op::RowDot(a, b) => {
-                let da = scale_rows_tensor(&self.pool, &mut self.arena, &self.nodes[b.0].value, g);
-                let db = scale_rows_tensor(&self.pool, &mut self.arena, &self.nodes[a.0].value, g);
-                self.accum(a, &da, 1.0);
-                self.accum(b, &db, 1.0);
-                self.arena.reclaim(da);
-                self.arena.reclaim(db);
-            }
-            Op::ScaleRows { mat, scale } => {
-                let dm =
-                    scale_rows_tensor(&self.pool, &mut self.arena, g, &self.nodes[scale.0].value);
-                let ds = row_dot_tensor(&self.pool, &mut self.arena, g, &self.nodes[mat.0].value);
-                self.accum(mat, &dm, 1.0);
-                self.accum(scale, &ds, 1.0);
-                self.arena.reclaim(dm);
-                self.arena.reclaim(ds);
+            Op::Elementwise { kind, a, b } => {
+                let _t = profile::scope(kind.op_names()[1]);
+                let n = self.nodes[a.0].value.cols();
+                let ((bw, gw), grain) = (kind.widths(n), (4096 / n.max(1)).max(1));
+                // Operand by operand, straight into its gradient (`Scale`'s
+                // second operand is its first again). `a == b` gets both
+                // contributions in that order, as two accumulates land them.
+                let operands = if matches!(kind, Elementwise::Scale(_)) {
+                    1
+                } else {
+                    2
+                };
+                for (slot, v) in [a, b].into_iter().enumerate().take(operands) {
+                    let mut grad = self.take_grad(v);
+                    let w = grad.cols().max(1);
+                    let (ad, bd) = (self.value(a).as_slice(), self.value(b).as_slice());
+                    let gd = g.as_slice();
+                    self.pool.for_rows(grad.as_mut_slice(), w, grain, |i, dst| {
+                        kind.backward(slot, n, &gd[i * gw..], &ad[i * n..], &bd[i * bw..], dst);
+                    });
+                    sparse::metrics::add_flops(2 * grad.len() as u64);
+                    self.nodes[v.0].grad = Some(grad);
+                }
             }
             Op::ScoreRows { input, score } => {
+                let _t = profile::scope(score.op_names()[1]);
                 let (m, n) = self.nodes[input.0].value.shape();
                 let mut da = Tensor::uninit_in(&mut self.arena, m, n);
-                let (ad, nd, gd) = (
-                    self.nodes[input.0].value.as_slice(),
-                    self.nodes[i].value.as_slice(),
-                    g.as_slice(),
-                );
+                let (ad, gd) = (self.value(input).as_slice(), g.as_slice());
+                let nd = self.nodes[i].value.as_slice();
                 self.pool
                     .for_rows(da.as_mut_slice(), n.max(1), 64, |first, chunk| {
                         for (k, x) in chunk.chunks_exact_mut(n.max(1)).enumerate() {
@@ -1066,85 +1117,41 @@ impl Graph {
                 self.arena.reclaim(dv);
             }
             Op::MarginRankingLoss { pos, neg, margin } => {
+                let _t = profile::scope("op::margin_loss_backward");
                 let m = self.nodes[pos.0].value.rows();
                 let gscale = if m == 0 { 0.0 } else { g.get(0, 0) / m as f32 };
-                if self.fused
+                // `0.0 + ±gscale` is what accumulating into a fresh (zeroed)
+                // gradient writes (`-0.0` becomes `+0.0`), so installing the
+                // seeds (fused arm, both gradients fresh) is bit-identical.
+                let install = self.fused
                     && pos != neg
                     && self.nodes[pos.0].grad.is_none()
-                    && self.nodes[neg.0].grad.is_none()
-                {
-                    // Fused loss+backward-seed: the score gradients are
-                    // written once, directly into fresh node-gradient
-                    // buffers, skipping the dp/dn temporaries and the two
-                    // accumulate passes. `0.0 + ±gscale` replicates the
-                    // accumulate's float association (it canonicalizes
-                    // `-0.0` to `+0.0`), so both arms are bit-identical.
-                    let _t = profile::scope("op::margin_loss_backward_fused");
-                    let mut dp = Tensor::zeros_in(&mut self.arena, m, 1);
-                    let mut dn = Tensor::zeros_in(&mut self.arena, m, 1);
-                    {
-                        let (pd, nd) = (
-                            self.nodes[pos.0].value.as_slice(),
-                            self.nodes[neg.0].value.as_slice(),
-                        );
-                        let seed_p = 0.0 + gscale;
-                        let seed_n = 0.0 + (-gscale);
-                        self.pool.for_mut(dp.as_mut_slice(), 256, |offset, chunk| {
-                            for (k, d) in chunk.iter_mut().enumerate() {
-                                let r = offset + k;
-                                if margin + pd[r] - nd[r] > 0.0 {
-                                    *d = seed_p;
-                                }
+                    && self.nodes[neg.0].grad.is_none();
+                for (v, seed) in [(pos, 0.0 + gscale), (neg, 0.0 + (-gscale))] {
+                    // Only active rows are written: inactive ones stay 0.
+                    let mut d = Tensor::zeros_in(&mut self.arena, m, 1);
+                    let (pd, nd) = (self.value(pos).as_slice(), self.value(neg).as_slice());
+                    self.pool.for_mut(d.as_mut_slice(), 256, |offset, chunk| {
+                        for (k, d) in chunk.iter_mut().enumerate() {
+                            let r = offset + k;
+                            if margin + pd[r] - nd[r] > 0.0 {
+                                *d = seed;
                             }
-                        });
-                        self.pool.for_mut(dn.as_mut_slice(), 256, |offset, chunk| {
-                            for (k, d) in chunk.iter_mut().enumerate() {
-                                let r = offset + k;
-                                if margin + pd[r] - nd[r] > 0.0 {
-                                    *d = seed_n;
-                                }
-                            }
-                        });
+                        }
+                    });
+                    if install {
+                        self.nodes[v.0].grad = Some(d);
+                    } else {
+                        self.accum(v, &d, 1.0);
+                        self.arena.reclaim(d);
                     }
-                    self.nodes[pos.0].grad = Some(dp);
-                    self.nodes[neg.0].grad = Some(dn);
-                    return;
                 }
-                // Inactive rows keep gradient 0 — the buffers are only
-                // partially written, so they must come back zeroed.
-                let mut dp = Tensor::zeros_in(&mut self.arena, m, 1);
-                let mut dn = Tensor::zeros_in(&mut self.arena, m, 1);
-                let (pd, nd) = (
-                    self.nodes[pos.0].value.as_slice(),
-                    self.nodes[neg.0].value.as_slice(),
-                );
-                self.pool.for_mut(dp.as_mut_slice(), 256, |offset, chunk| {
-                    for (k, d) in chunk.iter_mut().enumerate() {
-                        let r = offset + k;
-                        if margin + pd[r] - nd[r] > 0.0 {
-                            *d = gscale;
-                        }
-                    }
-                });
-                self.pool.for_mut(dn.as_mut_slice(), 256, |offset, chunk| {
-                    for (k, d) in chunk.iter_mut().enumerate() {
-                        let r = offset + k;
-                        if margin + pd[r] - nd[r] > 0.0 {
-                            *d = -gscale;
-                        }
-                    }
-                });
-                self.accum(pos, &dp, 1.0);
-                self.accum(neg, &dn, 1.0);
-                self.arena.reclaim(dp);
-                self.arena.reclaim(dn);
             }
             Op::Mean(a) => {
-                let len = self.value(a).len().max(1);
-                let gv = g.get(0, 0) / len as f32;
+                let _t = profile::scope("op::mean_backward");
                 let (m, n) = self.value(a).shape();
                 let mut da = Tensor::uninit_in(&mut self.arena, m, n);
-                da.as_mut_slice().fill(gv);
+                da.as_mut_slice().fill(g.get(0, 0) / (m * n).max(1) as f32);
                 self.accum(a, &da, 1.0);
                 self.arena.reclaim(da);
             }
@@ -1173,21 +1180,22 @@ impl Graph {
         }
     }
 
-    /// `nodes[v].grad += alpha * delta`, drawing the grad buffer from the
-    /// arena on first touch.
+    /// `nodes[v].grad += alpha * delta`.
     fn accum(&mut self, v: Var, delta: &Tensor, alpha: f32) {
-        let (pool, arena) = (&self.pool, &mut self.arena);
-        let node = &mut self.nodes[v.0];
-        if node.grad.is_none() {
-            node.grad = Some(Tensor::zeros_in(
-                arena,
-                node.value.rows(),
-                node.value.cols(),
-            ));
-        }
-        let grad = node.grad.as_mut().expect("grad installed above");
-        grad.add_scaled_with(pool, delta, alpha);
+        let mut grad = self.take_grad(v);
+        grad.add_scaled_with(&self.pool, delta, alpha);
+        self.nodes[v.0].grad = Some(grad);
         sparse::metrics::add_flops(2 * delta.len() as u64);
+    }
+
+    /// Takes `nodes[v].grad` out to accumulate into, drawing a zeroed buffer
+    /// from the arena on first touch; the caller puts it back.
+    fn take_grad(&mut self, v: Var) -> Tensor {
+        let node = &mut self.nodes[v.0];
+        let (m, n) = node.value.shape();
+        node.grad
+            .take()
+            .unwrap_or_else(|| Tensor::zeros_in(&mut self.arena, m, n))
     }
 }
 
@@ -1210,43 +1218,6 @@ fn accumulate_transpose(
         let (s, t) = (indptr[e] as usize, indptr[e + 1] as usize);
         spmm_row_acc(&indices[s..t], &values[s..t], &g, 0, dst);
     });
-}
-
-/// `out[i,j] = mat[i,j] * col[i]` (col is `(m,1)`), drawn from `arena`.
-fn scale_rows_tensor(pool: &PoolHandle, arena: &mut Arena, mat: &Tensor, col: &Tensor) -> Tensor {
-    let (m, n) = mat.shape();
-    debug_assert_eq!(col.shape(), (m, 1));
-    let mut out = Tensor::uninit_in(arena, m, n);
-    let (md, cd) = (mat.as_slice(), col.as_slice());
-    pool.for_rows(out.as_mut_slice(), n.max(1), 64, |first, chunk| {
-        for (k, dst) in chunk.chunks_exact_mut(n.max(1)).enumerate() {
-            let i = first + k;
-            let s = cd[i];
-            for (j, d) in dst.iter_mut().enumerate() {
-                *d = md[i * n + j] * s;
-            }
-        }
-    });
-    out
-}
-
-/// `out[i] = Σ_j a[i,j]·b[i,j]` as an `(m,1)` tensor drawn from `arena`.
-fn row_dot_tensor(pool: &PoolHandle, arena: &mut Arena, a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, n) = a.shape();
-    debug_assert_eq!(b.shape(), (m, n));
-    let mut out = Tensor::uninit_in(arena, m, 1);
-    let (ad, bd) = (a.as_slice(), b.as_slice());
-    pool.for_rows(out.as_mut_slice(), 1, 256, |first, chunk| {
-        for (k, dst) in chunk.iter_mut().enumerate() {
-            let i = first + k;
-            let mut acc = 0.0;
-            for j in 0..n {
-                acc += ad[i * n + j] * bd[i * n + j];
-            }
-            *dst = acc;
-        }
-    });
-    out
 }
 
 /// `dst[indices[k], :] += src[k, :]` — the scatter of paper Figure 1(b).
@@ -2316,6 +2287,117 @@ mod tests {
                     tail_grad.iter().any(|&b| f32::from_bits(b).is_nan()),
                     "{score:?}: a zero-gradient row was skipped"
                 );
+            }
+        }
+    }
+
+    /// Row `i` of the per-op pipeline the elementwise walk replaced, from
+    /// rows of `a`, `b` and the upstream gradient `g`: the forward row and
+    /// each operand's derivative row as the old temporaries held it.
+    fn per_op_row(kind: Elementwise, a: &[f32], b: &[f32], g: &[f32]) -> [Vec<f32>; 3] {
+        let zip = |x: &[f32], y: &[f32], f: fn(f32, f32) -> f32| -> Vec<f32> {
+            x.iter().zip(y).map(|(&x, &y)| f(x, y)).collect()
+        };
+        let times = |x: &[f32], s: f32| -> Vec<f32> { x.iter().map(|&x| x * s).collect() };
+        let dot =
+            |x: &[f32], y: &[f32]| vec![zip(x, y, |x, y| x * y).iter().fold(0.0, |s, t| s + t)];
+        match kind {
+            Elementwise::Add => [zip(a, b, |x, y| x + y), times(g, 1.0), times(g, 1.0)],
+            Elementwise::Sub => [zip(a, b, |x, y| x - y), times(g, 1.0), times(g, -1.0)],
+            Elementwise::Mul => [
+                zip(a, b, |x, y| x * y),
+                zip(g, b, |g, y| g * y),
+                zip(g, a, |g, x| g * x),
+            ],
+            Elementwise::Scale(c) => [
+                a.iter().map(|&x| c * x).collect(),
+                g.iter().map(|&x| c * x).collect(),
+                vec![],
+            ],
+            Elementwise::RowDot => [dot(a, b), times(b, g[0]), times(a, g[0])],
+            Elementwise::ScaleRows => [times(a, b[0]), times(g, b[0]), dot(g, a)],
+        }
+    }
+
+    /// Every elementwise kind against the per-op pipeline it replaced, its
+    /// derivatives landed by `grad += 1·derivative` — onto a gradient `a`
+    /// already holds, and twice onto one gradient when `a == b`, at pool
+    /// widths 1 and 4. Non-finite and `-0.0` operands and a zero-gradient
+    /// row included; NaNs compare as a class.
+    #[test]
+    fn elementwise_kinds_match_the_per_op_pipeline() {
+        let (m, n) = (150, 7);
+        let mut data = lcg_table(m, n);
+        for (j, x) in [f32::NAN, f32::INFINITY, -0.0, f32::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            data.set(3 + j, j, x);
+        }
+        let col = lcg_table(m, 1);
+        for kind in [
+            Elementwise::Add,
+            Elementwise::Sub,
+            Elementwise::Mul,
+            Elementwise::Scale(-1.5),
+            Elementwise::RowDot,
+            Elementwise::ScaleRows,
+        ] {
+            for (aliased, width) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
+                let (a_val, b_val) = match (kind, aliased) {
+                    (Elementwise::ScaleRows, false) => (&data, &col),
+                    (Elementwise::ScaleRows, true) => (&col, &col),
+                    (_, false) => (&data, &lcg_table(m, n)),
+                    (_, true) => (&data, &data),
+                };
+                let mut g = Graph::with_pool(PoolHandle::global().with_width(width));
+                let a = g.input(a_val.clone());
+                let b = if aliased { a } else { g.input(b_val.clone()) };
+                let y = g.elementwise(kind, a, b);
+                // A zero-weight row, and a later consumer of `a` whose
+                // backward runs first, so `a`'s gradient exists by then.
+                let mut w = lcg_table(m, g.value(y).cols());
+                w.row_mut(3).fill(0.0);
+                let w = g.input(w);
+                let yw = g.mul(y, w);
+                let u = g.scale(a, 0.7);
+                let (my, mu) = (g.mean(yw), g.mean(u));
+                let loss = g.add(my, mu);
+                g.backward(loss, &mut ParamStore::new());
+
+                let up = g.grad(y).unwrap();
+                let mut want = [vec![], vec![], vec![0.0; b_val.len()]];
+                want[1] = g
+                    .grad(u)
+                    .unwrap()
+                    .as_slice()
+                    .iter()
+                    .map(|&x| 0.0 + 0.7 * x)
+                    .collect();
+                for i in 0..m {
+                    let [out, da, db] = per_op_row(kind, a_val.row(i), b_val.row(i), up.row(i));
+                    let (k, bw) = (a_val.cols(), db.len());
+                    want[0].extend(out);
+                    for (dst, d) in want[1][i * k..].iter_mut().zip(da) {
+                        *dst += 1.0 * d;
+                    }
+                    let b_grad = if aliased { 1 } else { 2 };
+                    for (dst, d) in want[b_grad][i * bw..].iter_mut().zip(db) {
+                        *dst += 1.0 * d;
+                    }
+                }
+                let mut got = vec![g.value(y).as_slice(), g.grad(a).unwrap().as_slice()];
+                if !aliased && !matches!(kind, Elementwise::Scale(_)) {
+                    got.push(g.grad(b).unwrap().as_slice());
+                }
+                for (what, (got, want)) in ["forward", "da", "db"].iter().zip(got.iter().zip(&want))
+                {
+                    assert_eq!(
+                        nan_classes(got),
+                        nan_classes(want),
+                        "{what}: {kind:?}, aliased {aliased}, width {width}"
+                    );
+                }
             }
         }
     }

@@ -4,8 +4,8 @@
 //! reproduction's PyTorch analog, scoped to exactly what translation-based
 //! KGE training needs:
 //!
-//! * [`Tensor`] — owned row-major `f32` matrices with parallel elementwise /
-//!   reduction / norm kernels and global **peak-memory accounting**
+//! * [`Tensor`] — owned row-major `f32` matrices with parallel reduction /
+//!   norm kernels and global **peak-memory accounting**
 //!   ([`memory`]), the stand-in for `torch.cuda.max_memory_allocated`.
 //! * [`Arena`] — a recycling buffer pool that makes the steady-state
 //!   training step allocation-free: every [`Graph`] owns one, draws node
@@ -20,7 +20,6 @@
 //!   framework uses) and [`Graph::spmm`] whose backward is a second SpMM with
 //!   the cached transpose (`∂L/∂X = Aᵀ · ∂L/∂C`, Appendix G).
 //! * [`optim`] — SGD / Adagrad / Adam and a step LR scheduler (Appendix E).
-//! * [`loss`] — margin ranking loss over positive/negative score vectors.
 //! * [`profile`] — lightweight named timers used to regenerate the paper's
 //!   forward/backward/step breakdowns (Table 1, Figure 8) and the
 //!   per-function attribution of Figure 2.
@@ -53,7 +52,6 @@ pub mod gradcheck;
 mod graph;
 pub mod hogwild;
 pub mod init;
-pub mod loss;
 pub mod memory;
 pub mod optim;
 pub mod paged;

@@ -227,13 +227,6 @@ impl Adam {
             moments: Vec::new(),
         }
     }
-
-    /// Overrides the exponential decay rates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
 }
 
 impl Optimizer for Adam {

@@ -41,8 +41,8 @@ enum Data {
 /// use tensor::Tensor;
 ///
 /// let a = Tensor::from_rows(&[[1.0, 2.0], [3.0, 4.0]]);
-/// let b = a.map(|x| x * 2.0);
-/// assert_eq!(b.row(1), &[6.0, 8.0]);
+/// assert_eq!(a.shape(), (2, 2));
+/// assert_eq!(a.row(1), &[3.0, 4.0]);
 /// ```
 #[derive(Debug)]
 pub struct Tensor {
@@ -258,110 +258,7 @@ impl Tensor {
         sparse::DenseView::new(self.rows, self.cols, self.buf())
     }
 
-    /// Applies `f` elementwise, returning a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-        self.map_with(&xparallel::PoolHandle::global(), f)
-    }
-
-    /// Like [`Tensor::map`] but dispatched on an explicit pool handle (the
-    /// autograd tape routes all its elementwise work through its own handle).
-    pub fn map_with(&self, pool: &xparallel::PoolHandle, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-        let mut out = Tensor::zeros(self.rows, self.cols);
-        let src = self.buf();
-        pool.for_mut(out.as_mut_slice(), 4096, |offset, chunk| {
-            for (k, d) in chunk.iter_mut().enumerate() {
-                *d = f(src[offset + k]);
-            }
-        });
-        out
-    }
-
-    /// Combines two same-shape tensors elementwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
-        self.zip_map_with(&xparallel::PoolHandle::global(), other, f)
-    }
-
-    /// Like [`Tensor::map_with`] but writing into a caller-provided tensor
-    /// (every element of `out` is overwritten) — the allocation-free variant
-    /// the autograd tape pairs with [`Tensor::uninit_in`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` does not share this tensor's shape.
-    pub fn map_into_with(
-        &self,
-        pool: &xparallel::PoolHandle,
-        f: impl Fn(f32) -> f32 + Sync,
-        out: &mut Tensor,
-    ) {
-        assert_eq!(self.shape(), out.shape(), "map_into shape mismatch");
-        let src = self.buf();
-        pool.for_mut(out.as_mut_slice(), 4096, |offset, chunk| {
-            for (k, d) in chunk.iter_mut().enumerate() {
-                *d = f(src[offset + k]);
-            }
-        });
-    }
-
-    /// Like [`Tensor::zip_map`] but dispatched on an explicit pool handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn zip_map_with(
-        &self,
-        pool: &xparallel::PoolHandle,
-        other: &Tensor,
-        f: impl Fn(f32, f32) -> f32 + Sync,
-    ) -> Tensor {
-        assert_eq!(self.shape(), other.shape(), "zip_map shape mismatch");
-        let mut out = Tensor::zeros(self.rows, self.cols);
-        let (a, b) = (self.buf(), other.buf());
-        pool.for_mut(out.as_mut_slice(), 4096, |offset, chunk| {
-            for (k, d) in chunk.iter_mut().enumerate() {
-                *d = f(a[offset + k], b[offset + k]);
-            }
-        });
-        out
-    }
-
-    /// Like [`Tensor::zip_map_with`] but writing into a caller-provided
-    /// tensor (every element of `out` is overwritten).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands or `out` differ in shape.
-    pub fn zip_map_into_with(
-        &self,
-        pool: &xparallel::PoolHandle,
-        other: &Tensor,
-        f: impl Fn(f32, f32) -> f32 + Sync,
-        out: &mut Tensor,
-    ) {
-        assert_eq!(self.shape(), other.shape(), "zip_map shape mismatch");
-        assert_eq!(self.shape(), out.shape(), "zip_map output shape mismatch");
-        let (a, b) = (self.buf(), other.buf());
-        pool.for_mut(out.as_mut_slice(), 4096, |offset, chunk| {
-            for (k, d) in chunk.iter_mut().enumerate() {
-                *d = f(a[offset + k], b[offset + k]);
-            }
-        });
-    }
-
-    /// In-place `self += alpha * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_scaled(&mut self, other: &Tensor, alpha: f32) {
-        self.add_scaled_with(&xparallel::PoolHandle::global(), other, alpha);
-    }
-
-    /// Like [`Tensor::add_scaled`] but dispatched on an explicit pool handle.
+    /// In-place `self += alpha * other`, dispatched on `pool`.
     ///
     /// # Panics
     ///
@@ -543,19 +440,10 @@ mod tests {
     }
 
     #[test]
-    fn map_and_zip_map() {
-        let a = Tensor::from_rows(&[[1.0, -2.0]]);
-        let b = a.map(f32::abs);
-        assert_eq!(b.as_slice(), &[1.0, 2.0]);
-        let c = a.zip_map(&b, |x, y| x + y);
-        assert_eq!(c.as_slice(), &[2.0, 0.0]);
-    }
-
-    #[test]
     fn add_scaled_accumulates() {
         let mut a = Tensor::zeros(1, 3);
         let b = Tensor::from_rows(&[[1.0, 2.0, 3.0]]);
-        a.add_scaled(&b, 0.5);
+        a.add_scaled_with(&xparallel::PoolHandle::global(), &b, 0.5);
         assert_eq!(a.as_slice(), &[0.5, 1.0, 1.5]);
     }
 
@@ -607,14 +495,6 @@ mod tests {
         let t = Tensor::zeros(0, 5);
         assert_eq!(t.mean(), 0.0);
         assert_eq!(t.sum(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn zip_map_validates_shapes() {
-        let a = Tensor::zeros(1, 2);
-        let b = Tensor::zeros(2, 1);
-        let _ = a.zip_map(&b, |x, _| x);
     }
 
     #[test]

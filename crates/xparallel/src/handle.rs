@@ -37,14 +37,10 @@
 //! ```
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::{
-    chunk_ranges, effective_parallelism, global_pool, parallelism_limit, singleton_ranges,
-    ThreadPool,
-};
+use crate::{chunk_ranges, effective_parallelism, global_pool, singleton_ranges};
 
 /// One-shot handoff slot carrying a worker's `(chunk_rows, window_first_row,
 /// window, scratch)` share of a row loop.
@@ -101,17 +97,7 @@ impl Rows<'_> {
     }
 }
 
-/// Which pool a [`PoolHandle`] dispatches onto.
-#[derive(Clone, Debug, Default)]
-enum PoolRef {
-    /// The process-wide pool from [`crate::global_pool`].
-    #[default]
-    Global,
-    /// An independently owned pool, shared by reference count.
-    Shared(Arc<ThreadPool>),
-}
-
-/// A clonable reference to a thread pool plus an optional pinned fan-out
+/// A clonable handle onto the global pool plus an optional pinned fan-out
 /// (see the crate docs for when to pin).
 ///
 /// `width` is the number of chunks loops split into — the handle's degree of
@@ -119,7 +105,6 @@ enum PoolRef {
 /// is what makes wide schedules reproducible on narrow machines.
 #[derive(Clone, Debug, Default)]
 pub struct PoolHandle {
-    pool: PoolRef,
     width: Option<usize>,
 }
 
@@ -127,10 +112,7 @@ impl PoolHandle {
     /// A handle onto the global pool with the default fan-out
     /// (`effective_parallelism()` at call time).
     pub fn global() -> Self {
-        Self {
-            pool: PoolRef::Global,
-            width: None,
-        }
+        Self { width: None }
     }
 
     /// A handle that runs every loop inline on the caller thread.
@@ -140,14 +122,6 @@ impl PoolHandle {
     /// the pool, so nested scheduling cannot deadlock.
     pub fn sequential() -> Self {
         Self::global().with_width(1)
-    }
-
-    /// A handle onto an independently owned pool.
-    pub fn shared(pool: Arc<ThreadPool>) -> Self {
-        Self {
-            pool: PoolRef::Shared(pool),
-            width: None,
-        }
     }
 
     /// Pins the fan-out to exactly `width` chunks (clamped to at least 1),
@@ -160,25 +134,12 @@ impl PoolHandle {
 
     /// The number of chunks loops on this handle split into.
     pub fn width(&self) -> usize {
-        match self.width {
-            Some(w) => w,
-            None => match &self.pool {
-                PoolRef::Global => effective_parallelism(),
-                PoolRef::Shared(p) => p.num_threads().min(parallelism_limit()),
-            },
-        }
+        self.width.unwrap_or_else(effective_parallelism)
     }
 
     /// Whether loops on this handle run inline on the caller thread.
     pub fn is_sequential(&self) -> bool {
         self.width() == 1
-    }
-
-    fn pool(&self) -> &ThreadPool {
-        match &self.pool {
-            PoolRef::Global => global_pool(),
-            PoolRef::Shared(p) => p,
-        }
     }
 
     /// Runs `body(offset, chunk)` over disjoint mutable sub-slices of `data`.
@@ -374,14 +335,13 @@ impl PoolHandle {
             rest = tail;
             scratch_rest = scratch_tail;
         }
-        self.pool()
-            .scope_run(&singleton_ranges(windows.len()), &|r: Range<usize>| {
-                for i in r {
-                    let (rows, first, window, scratch) =
-                        windows[i].lock().take().expect("window taken twice");
-                    body(rows, first, window, scratch);
-                }
-            });
+        global_pool().scope_run(&singleton_ranges(windows.len()), &|r: Range<usize>| {
+            for i in r {
+                let (rows, first, window, scratch) =
+                    windows[i].lock().take().expect("window taken twice");
+                body(rows, first, window, scratch);
+            }
+        });
     }
 
     /// Runs `body(index, item)` once per slice element, one task per item.
@@ -404,13 +364,12 @@ impl PoolHandle {
         }
         let slots: Vec<Mutex<Option<&mut T>>> =
             items.iter_mut().map(|t| Mutex::new(Some(t))).collect();
-        self.pool()
-            .scope_run(&singleton_ranges(slots.len()), &|r: Range<usize>| {
-                for i in r {
-                    let item = slots[i].lock().take().expect("item taken twice");
-                    body(i, item);
-                }
-            });
+        global_pool().scope_run(&singleton_ranges(slots.len()), &|r: Range<usize>| {
+            for i in r {
+                let item = slots[i].lock().take().expect("item taken twice");
+                body(i, item);
+            }
+        });
     }
 
     /// Maps **fixed-size** chunks of `0..len` to partials and folds them
@@ -449,7 +408,7 @@ impl PoolHandle {
             return acc;
         }
         let slots: Vec<Mutex<Option<T>>> = (0..ranges.len()).map(|_| Mutex::new(None)).collect();
-        self.pool().scope_run_indexed(&ranges, &|i, r| {
+        global_pool().scope_run_indexed(&ranges, &|i, r| {
             *slots[i].lock() = Some(map(r));
         });
         let mut acc = identity;
@@ -655,19 +614,6 @@ mod tests {
             cell.lock().extend(offset..offset + chunk.len());
         });
         assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shared_pool_handle_runs() {
-        let pool = Arc::new(ThreadPool::new(2));
-        let h = PoolHandle::shared(pool).with_width(3);
-        let mut out = vec![0usize; 100];
-        h.for_mut(&mut out, 1, |offset, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = offset + i;
-            }
-        });
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i));
     }
 
     #[test]

@@ -161,6 +161,12 @@ impl Args {
 pub fn cmd_generate(args: &Args) -> Result<String, CliError> {
     let entities: usize = args.parse_or("entities", 1_000)?;
     let relations: usize = args.parse_or("relations", 10)?;
+    if entities < 2 {
+        return Err(CliError::Usage("--entities must be at least 2".into()));
+    }
+    if relations == 0 {
+        return Err(CliError::Usage("--relations must be at least 1".into()));
+    }
     let triples: usize = args.parse_or("triples", entities * 5)?;
     let seed: u64 = args.parse_or("seed", 42)?;
     let out = PathBuf::from(args.str_or("out", "kg-out"));
@@ -286,6 +292,16 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let emb_path = args.required("emb")?;
     let train_path = args.required("train")?;
     let norm = parse_norm(args)?;
+    let zipf: f64 = args.parse_or("zipf", 1.1)?;
+    if !(zipf.is_finite() && zipf >= 0.0) {
+        return Err(CliError::Usage(format!(
+            "--zipf needs a finite exponent ≥ 0, got {zipf}"
+        )));
+    }
+    let cache_size: usize = args.parse_or("cache-size", 1_024)?;
+    if cache_size == 0 {
+        return Err(CliError::Usage("--cache-size must be at least 1".into()));
+    }
     // The embedding dump stores only the stacked matrix; the training TSV
     // recovers the entity/relation split of its rows.
     let mut vocab = Vocab::new();
@@ -314,8 +330,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let seed: u64 = args.parse_or("seed", 42)?;
     let k: usize = args.parse_or("k", 10)?;
     let num_queries: usize = args.parse_or("queries", 2_000)?;
-    let zipf: f64 = args.parse_or("zipf", 1.1)?;
-    let cache_size: usize = args.parse_or("cache-size", 1_024)?;
 
     let index = match args.options.get("index") {
         Some(path) => IvfIndex::load(path)?,
@@ -504,7 +518,13 @@ fn load_dataset(train: &Path, args: &Args) -> Result<(Dataset, Vocab), CliError>
         valid_frac,
         test_frac,
         seed,
-    )?;
+    )
+    .map_err(|e| match e {
+        kg::Error::InvalidSplit { context } => {
+            CliError::Usage(format!("--valid-frac / --test-frac: {context}"))
+        }
+        other => other.into(),
+    })?;
     Ok((ds, vocab))
 }
 

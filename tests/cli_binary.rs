@@ -143,3 +143,53 @@ fn a_toruse_dump_is_served_under_the_torus_metric() {
     assert_eq!(got, top_k((0u32..).zip(model.score_tails(0, 0)), n));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Out-of-range flag values are usage errors naming the flag (exit 2), not
+/// panics (exit 101) from the library asserts they used to reach: the query
+/// cache's simcache replay, the Zipf workload, the synthetic-KG builder and
+/// the dataset split. Every case gets files that work, so only the flag is
+/// wrong.
+#[test]
+fn out_of_range_flags_are_usage_errors_naming_the_flag() {
+    let dir = kg_dir("bad-flags");
+    let train = dir.join("train.tsv");
+    let (train, emb) = (train.to_str().unwrap(), dir.join("e.bin"));
+    let emb = emb.to_str().unwrap();
+    let trained = sptx()
+        .args([
+            "train", "--epochs", "1", "--dim", "8", "--train", train, "--out", emb,
+        ])
+        .output()
+        .unwrap();
+    assert!(trained.status.success());
+    let gen_out = dir.join("generated");
+    let gen_out = gen_out.to_str().unwrap();
+    let serve = ["serve", "--queries", "20", "--emb", emb, "--train", train];
+    let train_cmd = [
+        "train", "--epochs", "1", "--dim", "8", "--train", train, "--out", emb,
+    ];
+    let stats = ["stats", "--train", train];
+    #[rustfmt::skip]
+    let cases: [(&[&str], &[&str], &str); 11] = [
+        (&serve, &["--cache-size", "0"], "--cache-size"),
+        (&serve, &["--zipf", "-1"], "--zipf"),
+        (&serve, &["--zipf", "nan"], "--zipf"),
+        (&["generate", "--out", gen_out], &["--entities", "0"], "--entities"),
+        (&["generate", "--out", gen_out], &["--entities", "1"], "--entities"),
+        (&["generate", "--out", gen_out], &["--relations", "0"], "--relations"),
+        (&train_cmd, &["--test-frac", "1.0"], "--test-frac"),
+        (&train_cmd, &["--test-frac", "1.5"], "--test-frac"),
+        (&train_cmd, &["--test-frac", "nan"], "--test-frac"),
+        (&stats, &["--test-frac", "1.0"], "--test-frac"),
+        (&stats, &["--valid-frac", "0.6", "--test-frac", "0.5"], "--valid-frac"),
+    ];
+    for (command, flags, named) in cases {
+        let out = sptx().args(command).args(flags).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = format!("sptx {} {}: {stderr}", command[0], flags.join(" "));
+        assert_eq!(out.status.code(), Some(2), "{what}");
+        assert!(stderr.contains(named), "{what}");
+        assert!(!stderr.contains("panicked"), "{what}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
