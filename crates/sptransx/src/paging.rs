@@ -1,32 +1,17 @@
-//! File-backed [`RowStorage`] adapters: the glue between `kg::stream`'s
-//! on-disk embedding format and the tensor crate's demand pager.
-//!
-//! Two backends cover the two residency stories:
-//!
-//! * [`FileRowStorage`] — read-**write**, over [`kg::stream::RowFile`]. The
-//!   training path: [`tensor::ParamStore::page_out`] spills the table here
-//!   and the pager writes dirty rows back on eviction and flush.
-//! * [`ReadOnlyRowStorage`] — over [`kg::stream::EmbeddingStore`]. The
-//!   serving path: queries read rows from a finished embedding dump that
-//!   may be far larger than RAM; any write attempt is an error (serving
-//!   never dirties rows).
-//!
-//! Both adapters translate `kg::Error` into `std::io::Error`, the currency
-//! of the [`RowStorage`] trait.
+//! The one file-backed [`RowStorage`]: a [`kg::stream::RowFile`] — the
+//! read-write pagefile, or a read-only serving store — behind the demand
+//! pager. It exists for the orphan rule and to translate `kg::Error` into
+//! `std::io::Error`, the currency of [`RowStorage`].
 
 use std::io;
 use std::path::Path;
 
-use kg::stream::{EmbeddingStore, RowFile};
+use kg::stream::RowFile;
 use tensor::RowStorage;
 
 use crate::Result;
 
-fn to_io(e: kg::Error) -> io::Error {
-    io::Error::other(e.to_string())
-}
-
-/// Read-write file-backed row storage for out-of-core training.
+/// File-backed row storage over one [`RowFile`].
 ///
 /// # Examples
 ///
@@ -34,106 +19,70 @@ fn to_io(e: kg::Error) -> io::Error {
 /// use sptransx::FileRowStorage;
 /// use tensor::RowStorage;
 ///
-/// let dir = std::env::temp_dir().join("sptx-doc-filerowstorage");
-/// std::fs::create_dir_all(&dir)?;
-/// let mut s = FileRowStorage::create(dir.join("t.bin"), 4, 2)?;
+/// let path = std::env::temp_dir().join("sptx-doc-filerowstorage.bin");
+/// let mut s = FileRowStorage::create(&path, 4, 2)?;
 /// s.write_rows(1, 1, &[3.0, 4.0])?;
 /// let mut row = [0.0f32; 2];
-/// s.read_rows_into(1, 1, &mut row)?;
+/// FileRowStorage::open(&path)?.read_rows_into(1, 1, &mut row)?;
 /// assert_eq!(row, [3.0, 4.0]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
-pub struct FileRowStorage {
-    file: RowFile,
-}
+pub struct FileRowStorage(RowFile);
+
+/// The serving store's old name. It exists only for the surface
+/// `benchmark/` freezes and goes in the next benchmark PR.
+pub type ReadOnlyRowStorage = FileRowStorage;
 
 impl FileRowStorage {
-    /// Creates (or truncates) a zero-filled `rows × cols` backing file.
+    /// Creates (or truncates) a zero-filled read-write `rows × cols` file.
     ///
     /// # Errors
     ///
     /// Returns [`crate::Error::Kg`] on any filesystem failure.
     pub fn create(path: impl AsRef<Path>, rows: usize, cols: usize) -> Result<Self> {
-        Ok(Self {
-            file: RowFile::create(path, rows, cols)?,
-        })
+        Ok(Self(RowFile::create(path, rows, cols)?))
     }
 
-    /// Opens an existing backing file read-write.
+    /// Opens an existing `SPTXEMB1` file read-only.
     ///
     /// # Errors
     ///
     /// Returns [`crate::Error::Kg`] on I/O failure or a corrupt header.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Ok(Self {
-            file: RowFile::open(path)?,
-        })
+        Ok(Self(RowFile::open(path)?))
+    }
+}
+
+fn to_io(e: kg::Error) -> io::Error {
+    match e {
+        kg::Error::Io(e) => e,
+        e => io::Error::other(e.to_string()),
     }
 }
 
 impl RowStorage for FileRowStorage {
     fn rows(&self) -> usize {
-        self.file.rows()
+        self.0.rows()
     }
 
     fn cols(&self) -> usize {
-        self.file.cols()
+        self.0.cols()
     }
 
     fn read_rows_into(&mut self, first: usize, count: usize, out: &mut [f32]) -> io::Result<()> {
-        self.file.read_rows_into(first, count, out).map_err(to_io)
+        self.0.read_rows_into(first, count, out).map_err(to_io)
     }
 
     fn write_rows(&mut self, first: usize, count: usize, data: &[f32]) -> io::Result<()> {
-        self.file.write_rows(first, count, data).map_err(to_io)
+        self.0.write_rows(first, count, data).map_err(to_io)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.file.flush().map_err(to_io)
+        self.0.flush().map_err(to_io)
     }
 
     fn io_ops(&self) -> (u64, u64) {
-        self.file.io_ops()
-    }
-}
-
-/// Read-only row storage over a finished embedding dump, for serving.
-#[derive(Debug)]
-pub struct ReadOnlyRowStorage {
-    store: EmbeddingStore,
-}
-
-impl ReadOnlyRowStorage {
-    /// Opens an `SPTXEMB1` embedding file read-only.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Kg`] on I/O failure or a corrupt header.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Ok(Self {
-            store: EmbeddingStore::open(path)?,
-        })
-    }
-}
-
-impl RowStorage for ReadOnlyRowStorage {
-    fn rows(&self) -> usize {
-        self.store.rows()
-    }
-
-    fn cols(&self) -> usize {
-        self.store.cols()
-    }
-
-    fn read_rows_into(&mut self, first: usize, count: usize, out: &mut [f32]) -> io::Result<()> {
-        self.store.read_rows_into(first, count, out).map_err(to_io)
-    }
-
-    fn write_rows(&mut self, _first: usize, _count: usize, _data: &[f32]) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "embedding store opened read-only; serving never writes rows back",
-        ))
+        self.0.io_ops()
     }
 }

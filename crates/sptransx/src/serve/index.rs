@@ -17,9 +17,10 @@
 //! first.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
+use kg::stream;
 use xparallel::PoolHandle;
 
 use crate::{Error, Result};
@@ -223,106 +224,70 @@ impl IvfIndex {
         }
     }
 
-    /// Serializes the index: magic, `u64` dim / clusters / entity count,
-    /// centroids (`f32` LE), indptr and entity lists (`u32` LE).
+    /// Serializes the index through the row file's codecs: magic, `u64`
+    /// dim / clusters / entity count, centroids (`f32` LE), indptr and
+    /// entity lists (`u32` LE).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Serve`] on any I/O failure.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let io = |e: std::io::Error| Error::serve(format!("writing IVF index: {e}"));
-        let mut w = BufWriter::new(File::create(path).map_err(io)?);
-        w.write_all(MAGIC).map_err(io)?;
-        for v in [
-            self.dim as u64,
-            self.num_clusters() as u64,
-            self.entities.len() as u64,
-        ] {
-            w.write_all(&v.to_le_bytes()).map_err(io)?;
-        }
-        for &v in &self.centroids {
-            w.write_all(&v.to_le_bytes()).map_err(io)?;
-        }
-        for &v in &self.indptr {
-            w.write_all(&v.to_le_bytes()).map_err(io)?;
-        }
-        for &v in &self.entities {
-            w.write_all(&v.to_le_bytes()).map_err(io)?;
-        }
-        w.flush().map_err(io)?;
-        Ok(())
+        let write = || {
+            let mut w = BufWriter::new(File::create(path)?);
+            let words = [self.dim, self.num_clusters(), self.entities.len()];
+            stream::write_header(&mut w, MAGIC, &words.map(|v| v as u64))?;
+            let mut buf = Vec::new();
+            stream::write_le(&mut w, &mut buf, &self.centroids)?;
+            stream::write_le(&mut w, &mut buf, &self.indptr)?;
+            stream::write_le(&mut w, &mut buf, &self.entities)?;
+            w.flush()
+        };
+        write().map_err(|e| Error::serve(format!("writing IVF index: {e}")))
     }
 
     /// Deserializes an index written by [`IvfIndex::save`], validating the
-    /// magic, the exact file length, and inverted-list consistency — a
-    /// corrupt or truncated file is an error, never a panic.
+    /// magic, the exact file length and that the lists partition `0..n`: a
+    /// corrupt file is an error, never a panic here or in a later probe.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Serve`] on I/O failure or any consistency violation.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        let io = |e: std::io::Error| Error::serve(format!("reading IVF index: {e}"));
-        let file = File::open(&path).map_err(io)?;
-        let file_len = file.metadata().map_err(io)?.len();
-        let mut r = BufReader::new(file);
-        let mut header = [0u8; 8 + 3 * 8];
-        r.read_exact(&mut header)
-            .map_err(|_| Error::serve("truncated IVF index header"))?;
-        if &header[..8] != MAGIC {
-            return Err(Error::serve("not an SPTXIVF1 index file"));
-        }
-        let word = |i: usize| {
-            u64::from_le_bytes(header[8 + i * 8..16 + i * 8].try_into().expect("8 bytes"))
+        let read = || -> kg::Result<Self> {
+            let mut file = File::open(path)?;
+            let [dim, k, n] = stream::read_header(&mut file, MAGIC, |[dim, k, n]| {
+                (dim > 0 && k > 0).then_some(())?;
+                let words = k.checked_mul(dim)?.checked_add(k)?.checked_add(1)?;
+                words.checked_add(n)?.checked_mul(4)
+            })?
+            .map(|w| w as usize); // the codec checked each fits
+            let (centroids, indptr, entities) = (vec![0.0; k * dim], vec![0; k + 1], vec![0; n]);
+            let mut index = Self {
+                dim,
+                centroids,
+                indptr,
+                entities,
+            };
+            let mut buf = Vec::new();
+            stream::read_le(&mut file, &mut buf, &mut index.centroids)?;
+            stream::read_le(&mut file, &mut buf, &mut index.indptr)?;
+            stream::read_le(&mut file, &mut buf, &mut index.entities)?;
+            Ok(index)
         };
-        let (dim, k, n) = (word(0) as usize, word(1) as usize, word(2) as usize);
-        if dim == 0 || k == 0 {
-            return Err(Error::serve("IVF index with zero dim or clusters"));
+        let index = read().map_err(|e| Error::serve(format!("reading IVF index: {e}")))?;
+        // `probe` hands the ids to table rows: each of `0..n` exactly once.
+        let (ptr, mut ids) = (&index.indptr, index.entities.clone());
+        ids.sort_unstable();
+        let partition = ptr[0] == 0
+            && ptr[ptr.len() - 1] as usize == ids.len()
+            && ptr.windows(2).all(|w| w[0] <= w[1])
+            && ids.iter().enumerate().all(|(i, &e)| e as usize == i);
+        if !partition {
+            let msg = "IVF index inverted lists are not a partition of the entities";
+            return Err(Error::serve(msg));
         }
-        let expected = (header.len() as u64)
-            + 4 * (k as u64 * dim as u64)
-            + 4 * (k as u64 + 1)
-            + 4 * (n as u64);
-        if file_len != expected {
-            return Err(Error::serve(format!(
-                "IVF index file is {file_len} bytes, header implies {expected} (corrupt or truncated)"
-            )));
-        }
-        let mut centroids = vec![0f32; k * dim];
-        read_f32s(&mut r, &mut centroids)?;
-        let mut indptr = vec![0u32; k + 1];
-        read_u32s(&mut r, &mut indptr)?;
-        let mut entities = vec![0u32; n];
-        read_u32s(&mut r, &mut entities)?;
-        if indptr[0] != 0 || indptr[k] as usize != n || indptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(Error::serve("IVF index inverted lists are inconsistent"));
-        }
-        Ok(Self {
-            dim,
-            centroids,
-            indptr,
-            entities,
-        })
+        Ok(index)
     }
-}
-
-fn read_f32s(r: &mut impl Read, out: &mut [f32]) -> Result<()> {
-    let mut buf = [0u8; 4];
-    for v in out {
-        r.read_exact(&mut buf)
-            .map_err(|_| Error::serve("truncated IVF index body"))?;
-        *v = f32::from_le_bytes(buf);
-    }
-    Ok(())
-}
-
-fn read_u32s(r: &mut impl Read, out: &mut [u32]) -> Result<()> {
-    let mut buf = [0u8; 4];
-    for v in out {
-        r.read_exact(&mut buf)
-            .map_err(|_| Error::serve("truncated IVF index body"))?;
-        *v = u32::from_le_bytes(buf);
-    }
-    Ok(())
 }
 
 /// Squared L2 distance (monotone in L2, cheaper — ranking is unaffected),

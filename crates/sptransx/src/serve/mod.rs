@@ -42,7 +42,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use kg::eval::BatchScorer;
-use kg::stream::EmbeddingStore;
+use kg::stream::RowFile;
 use sparse::DenseView;
 use xparallel::PoolHandle;
 
@@ -151,7 +151,7 @@ impl ServeModel {
     /// when the stored shape cannot be a stacked `(N + R) × d` matrix for
     /// the given `num_entities`.
     pub fn load(path: impl AsRef<Path>, num_entities: usize, norm: Norm) -> Result<Self> {
-        let mut store = EmbeddingStore::open(path).map_err(Error::Kg)?;
+        let mut store = RowFile::open(path).map_err(Error::Kg)?;
         let rows = store.rows();
         let dim = store.cols();
         if rows <= num_entities {
@@ -459,7 +459,7 @@ impl ServeEngine {
                 table.cols()
             )));
         }
-        rows.ensure(self.model.rows_of(query))?;
+        rows.ensure(&[&self.model.rows_of(query)])?;
         let qv = self.model.query_from(rows.table(), query);
         self.scan(Some(rows), &qv, k, nprobe)
     }
@@ -478,7 +478,7 @@ impl ServeEngine {
         let cands = &self.cand_buf;
         let table = match paged {
             Some(rows) => {
-                rows.ensure(cands.iter().copied())?;
+                rows.ensure(&[cands])?;
                 rows.table()
             }
             None => self.model.table(),
@@ -506,14 +506,12 @@ impl ServeEngine {
 /// Wraps the same [`tensor::Pager`] (fully-associative LRU, exact
 /// hit/miss/evict counters, optional row trace for simcache
 /// cross-validation) around a read-only [`tensor::RowStorage`] backend —
-/// typically [`crate::ReadOnlyRowStorage`] over the `sptx train` embedding
-/// dump. Serving never dirties rows, so nothing is ever written back.
+/// typically a read-only [`crate::FileRowStorage`] over the `sptx train`
+/// embedding dump. Serving never dirties rows, so nothing is ever written back.
 #[derive(Debug)]
 pub struct PagedRows {
     pager: tensor::Pager,
     cache: Vec<f32>,
-    /// Scratch for the sorted/deduped row list `ensure` hands the pager.
-    list: Vec<u32>,
 }
 
 impl PagedRows {
@@ -534,11 +532,7 @@ impl PagedRows {
         let budget = budget.min(storage.rows());
         let pager = tensor::Pager::new(storage, budget);
         let cache = vec![0.0; budget * pager.cols()];
-        Ok(Self {
-            pager,
-            cache,
-            list: Vec::new(),
-        })
+        Ok(Self { pager, cache })
     }
 
     /// Total rows in the backing store.
@@ -571,20 +565,17 @@ impl PagedRows {
         self.pager.trace()
     }
 
-    /// Pages the given rows in (loading misses from the backing store) and
-    /// pins them until the next `ensure` call.
+    /// Pages the union of the given row lists in (loading misses from the
+    /// backing store) and pins it until the next `ensure` call — through
+    /// [`tensor::Pager::ensure_union`], training's own merge.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Serve`] when the distinct rows exceed the cache
     /// budget or on backing-store I/O failures.
-    pub fn ensure(&mut self, rows: impl IntoIterator<Item = u32>) -> Result<()> {
-        self.list.clear();
-        self.list.extend(rows);
-        self.list.sort_unstable();
-        self.list.dedup();
+    pub fn ensure(&mut self, lists: &[&[u32]]) -> Result<()> {
         self.pager
-            .ensure(&self.list, &mut self.cache)
+            .ensure_union(lists, &mut self.cache)
             .map_err(|e| Error::serve(e.to_string()))
     }
 

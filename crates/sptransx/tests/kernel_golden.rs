@@ -26,6 +26,10 @@
 //! under all four norms — against aba0a40, the last commit where evaluation
 //! and serving re-derived the distance and the query vector themselves.
 //!
+//! `row_files_match_two_handle_writers` pins the bytes on disk — the
+//! streaming dump and the pagefile after a paged epoch, with its storage
+//! calls — against 0c0bd16, the last commit with two `SPTXEMB1` handles.
+//!
 //! `all_reduce_schedule_…` pins a *schedule*: the all-reduce rounds of
 //! `Trainer::replicated` against hashes captured from the free-standing
 //! data-parallel driver they replaced (481f5c4), whose loss summation order
@@ -414,6 +418,97 @@ fn serving_arms_match_pre_unification_distance_and_query() {
         moved.is_empty(),
         "[exact, ann, paged] answer hashes moved — the distance, the query vector or the \
          candidate scan changed arithmetic:\n{}",
+        moved.join("\n")
+    );
+}
+
+/// FNV-1a of a file's bytes; every on-disk format here is whole 4-byte
+/// words, so hashing words hashes bytes.
+fn file_hash(path: &std::path::Path) -> u64 {
+    let bytes = std::fs::read(path).unwrap();
+    let words = bytes.chunks_exact(4);
+    assert!(words.remainder().is_empty(), "{} bytes", bytes.len());
+    fnv1a(words.map(|w| u32::from_le_bytes(w.try_into().unwrap())))
+}
+
+/// The bytes on disk of both `SPTXEMB1` writers, captured on 0c0bd16 — the
+/// last commit where the streaming dump (`EmbeddingStore`) and the pagefile
+/// (`RowFile`) were two handles with two write paths:
+///
+/// * the dump of three tables whose values are arbitrary bit
+///   patterns (NaN payloads, infinities, subnormals, `-0.0`): an odd width,
+///   a zero-row table and a table larger than one write chunk;
+/// * the pagefile after `flush_paged` of one paged SpTransE epoch over
+///   `FileRowStorage` on `kernel_counters`' fixture, with the storage calls
+///   it took and the pager's counters.
+#[test]
+fn row_files_match_two_handle_writers() {
+    use sptransx::FileRowStorage;
+
+    let dir = std::env::temp_dir().join(format!("sptx-golden-rowfile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    #[rustfmt::skip]
+    let dumps: [((usize, usize), u64); 3] = [
+        ((7, 5), 0x0f76_eb90_7e1f_baa5),
+        ((0, 8), 0x12a5_2148_4978_193d),
+        ((5000, 3), 0xe52b_bd8b_b8a9_90af),
+    ];
+    let mut moved = Vec::new();
+    for ((rows, cols), want) in dumps {
+        let path = dir.join(format!("dump_{rows}x{cols}.bin"));
+        kg::stream::RowFile::write(&path, rows, cols, |r, out| {
+            for (c, v) in out.iter_mut().enumerate() {
+                *v = f32::from_bits(((r * cols + c) as u32).wrapping_mul(2_654_435_761));
+            }
+        })
+        .unwrap();
+        let got = file_hash(&path);
+        if got != want {
+            moved.push(format!(
+                "{rows}x{cols} dump: {got:#x}, 0c0bd16 had {want:#x}"
+            ));
+        }
+    }
+
+    let ds = dataset();
+    let cfg = TrainConfig {
+        batch_size: 32,
+        dim: 20,
+        rel_dim: 12,
+        lr: 0.05,
+        seed: 11,
+        ..Default::default()
+    };
+    let model = SpTransE::from_config(&ds, &cfg).unwrap();
+    let emb = model.embedding_param();
+    let mut trainer = Trainer::new(model, &ds, &cfg).unwrap();
+    let store = trainer.model_mut().store_mut();
+    let (rows, cols) = store.param_shape(emb);
+    let path = dir.join("pagefile.bin");
+    let storage = FileRowStorage::create(&path, rows, cols).unwrap();
+    store.page_out(emb, Box::new(storage), rows / 4).unwrap();
+    trainer.run_epochs(1).unwrap();
+    let store = trainer.model_mut().store_mut();
+    store.flush_paged(emb).unwrap();
+    let pager = store.pager(emb).unwrap();
+    let s = pager.stats();
+    let got = (
+        file_hash(&path),
+        pager.storage_io_ops(),
+        [s.hits, s.misses, s.evictions, s.write_backs],
+    );
+    #[rustfmt::skip]
+    let want: (u64, (u64, u64), [u64; 4]) = (0x2a30_ac51_2030_ef35, (2357, 2467), [2704, 4138, 3936, 4126]);
+    if got != want {
+        moved.push(format!(
+            "pagefile (bytes, io_ops, [hits, misses, evictions, write_backs]): {got:x?}, \
+             0c0bd16 had {want:x?}"
+        ));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        moved.is_empty(),
+        "row-file bytes moved — the SPTXEMB1 writer or the pager's I/O changed:\n{}",
         moved.join("\n")
     );
 }

@@ -16,7 +16,7 @@
 //!   fully-associative `simcache` model replaying the same key stream.
 
 use kg::eval::{evaluate_batched, BatchScorer, EvalConfig};
-use kg::stream::EmbeddingStore;
+use kg::stream::RowFile;
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
 use rand::{Rng, SeedableRng};
@@ -24,7 +24,7 @@ use sptransx::serve::{
     recall_at_k, top_k, Direction, IvfConfig, IvfIndex, PagedRows, Query, QueryCache, QueryKey,
     ServeEngine, ServeModel, ZipfWorkload,
 };
-use sptransx::{KgeModel, Norm, ReadOnlyRowStorage, SpTransE, TrainConfig, Trainer};
+use sptransx::{FileRowStorage, KgeModel, Norm, SpTransE, TrainConfig, Trainer};
 use xparallel::PoolHandle;
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -141,7 +141,7 @@ fn paged_ann_arm_matches_resident_arm_bitwise_with_validated_counters() {
     let (dim, stack) = dump_stack(&trainer);
     let n = ds.num_entities;
     let path = temp_path(&format!("paged_arm_{}.bin", std::process::id()));
-    EmbeddingStore::write(&path, n + ds.num_relations, dim, |r, dst| {
+    RowFile::write(&path, n + ds.num_relations, dim, |r, dst| {
         dst.copy_from_slice(&stack[r * dim..(r + 1) * dim]);
     })
     .unwrap();
@@ -163,7 +163,7 @@ fn paged_ann_arm_matches_resident_arm_bitwise_with_validated_counters() {
     // Budget well under the 125-row store: queries touch ~n/clusters
     // candidates per probe, so 60 rows fits every working set while still
     // forcing eviction traffic across queries.
-    let storage = ReadOnlyRowStorage::open(&path).unwrap();
+    let storage = FileRowStorage::open(&path).unwrap();
     let mut rows = PagedRows::new(Box::new(storage), 60).unwrap();
     rows.set_tracing(true);
 
@@ -198,7 +198,7 @@ fn paged_ann_arm_matches_resident_arm_bitwise_with_validated_counters() {
     );
 
     // A budget below a single query's working set is a loud error.
-    let storage = ReadOnlyRowStorage::open(&path).unwrap();
+    let storage = FileRowStorage::open(&path).unwrap();
     let mut tiny = PagedRows::new(Box::new(storage), 2).unwrap();
     let q = Query {
         dir: Direction::Tail,
@@ -358,7 +358,7 @@ fn serve_model_load_round_trips_the_cli_dump_format() {
     let (dim, stack) = dump_stack(&trainer);
     let rows = ds.num_entities + ds.num_relations;
     let path = temp_path("emb_roundtrip.bin");
-    EmbeddingStore::write(&path, rows, dim, |r, dst| {
+    RowFile::write(&path, rows, dim, |r, dst| {
         dst.copy_from_slice(&stack[r * dim..(r + 1) * dim]);
     })
     .unwrap();
@@ -367,7 +367,7 @@ fn serve_model_load_round_trips_the_cli_dump_format() {
     assert_eq!(loaded.num_relations(), ds.num_relations);
     assert_eq!(loaded.dim(), dim);
 
-    // Truncated dump: error at load, not a panic (the EmbeddingStore length
+    // Truncated dump: error at load, not a panic (the RowFile length
     // check added alongside the serving layer).
     let bytes = std::fs::read(&path).unwrap();
     let p = temp_path("emb_truncated.bin");

@@ -4,8 +4,9 @@
 //! embedding rows, and the touched-row contract (see [`crate::ParamStore`])
 //! names that working set *in advance* from the batch's incidence index
 //! lists. That is exactly the precondition for demand paging: the full
-//! `(N + R) × d` table lives behind a [`RowStorage`] backend (a file, or an
-//! in-RAM vector for tests and the determinism baseline), and only a
+//! `(N + R) × d` table lives behind a [`RowStorage`] backend (a
+//! `kg::stream::RowFile` through `sptransx::FileRowStorage`, or an in-RAM
+//! vector for tests and the determinism baseline), and only a
 //! fixed-budget cache of rows is pinned in RAM. The pager translates
 //! absolute row indices to cache slots; kernels read and write the same
 //! bytes they would in the resident layout, so **paging moves bytes, never
@@ -79,9 +80,10 @@ pub(crate) const NOT_RESIDENT: u32 = sparse::DenseView::NOT_RESIDENT;
 /// Implementations move raw `f32` rows between the backing medium and
 /// caller-provided buffers; they never interpret the values. The in-crate
 /// [`VecStorage`] keeps rows in RAM (tests, benches, the determinism
-/// baseline); the file-backed implementation lives downstream (it wraps the
-/// `kg` crate's on-disk embedding format) so this crate stays free of
-/// format knowledge.
+/// baseline). The one file-backed implementation is `sptransx`'s
+/// `FileRowStorage` over `kg::stream::RowFile` — read-write for a pagefile,
+/// read-only for a serving store — so this crate stays free of format
+/// knowledge.
 pub trait RowStorage: Send + std::fmt::Debug {
     /// Total number of rows in the backing store.
     fn rows(&self) -> usize;
@@ -832,17 +834,14 @@ impl Pager {
     }
 
     /// Merges index lists into one sorted, deduplicated union and pages it
-    /// in via [`Pager::ensure`]. The union buffer is reused across calls,
-    /// so the steady-state merge is allocation-free.
+    /// in via [`Pager::ensure`] — the one merge behind a training batch's
+    /// working set and a served query's. The union buffer is reused across
+    /// calls, so the steady-state merge is allocation-free.
     ///
     /// # Errors
     ///
     /// See [`Pager::ensure`].
-    pub(crate) fn ensure_union(
-        &mut self,
-        lists: &[&[u32]],
-        cache: &mut [f32],
-    ) -> crate::Result<()> {
+    pub fn ensure_union(&mut self, lists: &[&[u32]], cache: &mut [f32]) -> crate::Result<()> {
         let mut rows = std::mem::take(&mut self.union_scratch);
         rows.clear();
         for l in lists {

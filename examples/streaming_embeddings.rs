@@ -10,7 +10,7 @@
 //! cargo run --release --example streaming_embeddings
 //! ```
 
-use kg::stream::EmbeddingStore;
+use kg::stream::RowFile;
 use kg::synthetic::SyntheticKgBuilder;
 use sptransx::{KgeModel, SpTransE, TrainConfig, Trainer};
 
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Simulate pre-trained (e.g. LLM-derived) embeddings on disk, written
     //    row-by-row with O(dim) memory.
     let seed_emb = tensor::init::xavier_translational(rows, config.dim, 123);
-    EmbeddingStore::write(&pretrained, rows, config.dim, |r, out| {
+    RowFile::write(&pretrained, rows, config.dim, |r, out| {
         out.copy_from_slice(seed_emb.row(r));
     })?;
     println!(
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut model = SpTransE::from_config(&dataset, &config)?;
     let emb_id = model.embedding_param();
     {
-        let mut store = EmbeddingStore::open(&pretrained)?;
+        let mut store = RowFile::open(&pretrained)?;
         let target = model.store_mut().value_mut(emb_id);
         let mut max_window = 0usize;
         store.for_each_chunk(256, |first, chunk| {
@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Persist the result, again row-streamed.
     let trained = trainer.into_model();
     let emb = trained.store().value(trained.embedding_param());
-    EmbeddingStore::write(&finetuned, rows, config.dim, |r, out| {
+    RowFile::write(&finetuned, rows, config.dim, |r, out| {
         out.copy_from_slice(emb.row(r));
     })?;
     println!("saved fine-tuned embeddings to {}", finetuned.display());

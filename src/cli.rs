@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use kg::eval::{BatchScorer, EvalConfig};
-use kg::stream::EmbeddingStore;
+use kg::stream::RowFile;
 use kg::{load_tsv, write_tsv, Dataset, Vocab};
 use sptransx::serve::{
     recall_at_k, IvfConfig, IvfIndex, LatencySummary, QueryKey, ServeEngine, ServeModel,
@@ -361,7 +361,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let mut paged_rows = match cache_rows_from_args(args)? {
         None => None,
         Some(cache_rows) => {
-            let storage = sptransx::ReadOnlyRowStorage::open(&emb_path)?;
+            let storage = sptransx::FileRowStorage::open(&emb_path)?;
             let mut rows = sptransx::serve::PagedRows::new(Box::new(storage), cache_rows)?;
             rows.set_tracing(true);
             Some(rows)
@@ -693,7 +693,7 @@ impl TrainJob<'_> {
         if let Some(id) = embedding_table(store) {
             let t = store.value(id);
             let (cols, data) = (t.cols(), t.as_slice());
-            EmbeddingStore::write(&self.out, t.rows(), cols, |r, dst| {
+            RowFile::write(&self.out, t.rows(), cols, |r, dst| {
                 dst.copy_from_slice(&data[r * cols..(r + 1) * cols]);
             })?;
         }
@@ -1325,7 +1325,7 @@ mod tests {
             argv.extend(strs(&["--out", &emb.to_string_lossy()]));
             let msg = run(&parse_args(&argv).unwrap()).unwrap();
             assert!(msg.contains("SpDistMult"), "{msg}");
-            let mut store = EmbeddingStore::open(&emb).unwrap();
+            let mut store = RowFile::open(&emb).unwrap();
             let table = store.read_rows(0, store.rows()).unwrap();
             assert_eq!(table.len(), (60 + 4) * 8);
             assert!(table.iter().all(|x| x.is_finite()), "non-finite embeddings");
@@ -1653,6 +1653,48 @@ mod tests {
         ]))
         .unwrap();
         assert!(matches!(run(&serve), Err(CliError::Library(_))));
+    }
+
+    #[test]
+    fn serve_rejects_an_index_with_an_out_of_range_entity_id() {
+        // On 0c0bd16 this index loaded (only `indptr` was checked) and the
+        // first probe of its cluster panicked indexing the table.
+        let dir = std::env::temp_dir().join("sptx-cli-test-serve-bad-ids");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.to_string_lossy().to_string();
+        let mut argv = strs(&["generate", "--entities", "60", "--relations", "3"]);
+        argv.extend(strs(&["--triples", "300", "--out", &out]));
+        run(&parse_args(&argv).unwrap()).unwrap();
+        let train_file = dir.join("train.tsv").to_string_lossy().to_string();
+        let emb = dir.join("emb.bin").to_string_lossy().to_string();
+        let mut argv = strs(&["train", "--train", &train_file, "--epochs", "1"]);
+        argv.extend(strs(&["--dim", "8", "--batch-size", "64", "--out", &emb]));
+        run(&parse_args(&argv).unwrap()).unwrap();
+        let index = dir.join("index.ivf").to_string_lossy().to_string();
+        let serve = strs(&["serve", "--emb", &emb, "--train", &train_file]);
+        let mut argv = serve.clone();
+        argv.extend(strs(&[
+            "--queries",
+            "20",
+            "--clusters",
+            "14",
+            "--index-out",
+            &index,
+        ]));
+        run(&parse_args(&argv).unwrap()).unwrap();
+
+        // The first entity id sits after the header, the 14 × 8 centroids
+        // and the 15 offsets.
+        let mut bytes = std::fs::read(&index).unwrap();
+        let at = 32 + 4 * 14 * 8 + 4 * 15;
+        bytes[at..at + 4].copy_from_slice(&0x7fff_0000u32.to_le_bytes());
+        std::fs::write(&index, &bytes).unwrap();
+        let mut argv = serve;
+        argv.extend(strs(&["--queries", "20", "--index", &index]));
+        let err = run(&parse_args(&argv).unwrap()).unwrap_err();
+        assert!(matches!(err, CliError::Library(_)), "{err}");
+        assert!(err.to_string().contains("partition"), "{err}");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
 use kg::eval::TripleScorer;
-use kg::stream::EmbeddingStore;
+use kg::stream::RowFile;
 use kg::synthetic::SyntheticKgBuilder;
 use sptransx::serve::{top_k, Direction, IvfConfig, IvfIndex, Query, ServeEngine, ServeModel};
 use sptransx::{KgeModel, Norm, SpTorusE, TrainConfig};
@@ -108,7 +108,7 @@ fn a_toruse_dump_is_served_under_the_torus_metric() {
     // The exact arm's ranking is SpTorusE's own. Both get the dump's rows;
     // the file's first triple is a training triple whose head and relation
     // the vocabulary interned as entity 0 and relation 0.
-    let mut store = EmbeddingStore::open(&emb).unwrap();
+    let mut store = RowFile::open(&emb).unwrap();
     let (rows, dim) = (store.rows(), store.cols());
     let stack = store.read_rows(0, rows).unwrap();
     let (n, r) = (rows - 6, 6);

@@ -1,7 +1,7 @@
 //! Integration tests of the data pipeline: text loading → dataset →
 //! training, and the streaming embedding store under a real model.
 
-use kg::stream::EmbeddingStore;
+use kg::stream::RowFile;
 use kg::{load_tsv, write_tsv, Dataset, Vocab};
 use sptransx::{KgeModel, SpTransE, TrainConfig, Trainer};
 
@@ -82,13 +82,13 @@ fn model_embeddings_round_trip_through_store() {
 
     // Save.
     let path = temp_dir().join("trained_emb.bin");
-    EmbeddingStore::write(&path, emb.rows(), emb.cols(), |r, out| {
+    RowFile::write(&path, emb.rows(), emb.cols(), |r, out| {
         out.copy_from_slice(emb.row(r));
     })
     .unwrap();
 
     // Reload in chunks and compare exactly.
-    let mut store = EmbeddingStore::open(&path).unwrap();
+    let mut store = RowFile::open(&path).unwrap();
     assert_eq!((store.rows(), store.cols()), emb.shape());
     let mut mismatch = 0usize;
     store
@@ -120,7 +120,7 @@ fn streamed_init_matches_in_memory_init() {
     let pretrained = tensor::init::uniform(rows, cfg.dim, 1.0, 9);
 
     let path = temp_dir().join("seed_emb.bin");
-    EmbeddingStore::write(&path, rows, cfg.dim, |r, out| {
+    RowFile::write(&path, rows, cfg.dim, |r, out| {
         out.copy_from_slice(pretrained.row(r));
     })
     .unwrap();
@@ -128,7 +128,7 @@ fn streamed_init_matches_in_memory_init() {
     let mut model = SpTransE::from_config(&ds, &cfg).unwrap();
     let emb_id = model.embedding_param();
     {
-        let mut store = EmbeddingStore::open(&path).unwrap();
+        let mut store = RowFile::open(&path).unwrap();
         let target = model.store_mut().value_mut(emb_id);
         store
             .for_each_chunk(13, |first, chunk| {
