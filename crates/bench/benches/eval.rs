@@ -15,23 +15,18 @@
 //! differentiates on a machine with that many physical cores; on a
 //! single-core container both arms collapse to one schedule and only the
 //! per-query allocation the batched arm saves remains visible.
+//!
+//! Run with `cargo bench -p sptx-bench --bench eval`.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use kg::eval::{evaluate, evaluate_batched, EvalConfig};
 use kg::synthetic::SyntheticKgBuilder;
 use sptransx::{SpTransE, TrainConfig};
+use sptx_bench::harness::time_arm;
 
 const NUM_ENTITIES: usize = 10_000;
 const EVAL_TRIPLES: usize = 64;
 
-fn bench_ranking_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("link_prediction_eval");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(3));
-    group.warm_up_time(Duration::from_secs(1));
-
+fn main() {
     let ds = SyntheticKgBuilder::new(NUM_ENTITIES, 20)
         .triples(NUM_ENTITIES * 4)
         .test_frac(0.01)
@@ -48,30 +43,16 @@ fn bench_ranking_throughput(c: &mut Criterion) {
         max_triples: Some(EVAL_TRIPLES),
         ..Default::default()
     };
+    let queries = Some(2 * EVAL_TRIPLES as u64);
 
-    for &threads in &[1usize, 2, 4, 8] {
-        group.throughput(Throughput::Elements(2 * EVAL_TRIPLES as u64));
-        group.bench_with_input(
-            BenchmarkId::new("scalar-adapter", format!("t{threads}")),
-            &threads,
-            |b, &t| {
-                xparallel::with_parallelism(t, || {
-                    b.iter(|| evaluate(&model, &ds.test, &known, &eval))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("batched", format!("t{threads}")),
-            &threads,
-            |b, &t| {
-                xparallel::with_parallelism(t, || {
-                    b.iter(|| evaluate_batched(&model, &ds.test, &known, &eval))
-                })
-            },
-        );
+    for threads in [1usize, 2, 4, 8] {
+        xparallel::with_parallelism(threads, || {
+            time_arm(&format!("scalar-adapter/t{threads}"), queries, || {
+                evaluate(&model, &ds.test, &known, &eval)
+            });
+            time_arm(&format!("batched/t{threads}"), queries, || {
+                evaluate_batched(&model, &ds.test, &known, &eval)
+            });
+        });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_ranking_throughput);
-criterion_main!(benches);

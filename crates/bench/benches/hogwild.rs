@@ -1,33 +1,29 @@
-//! Sync-vs-async (Hogwild) training: epoch throughput across a worker
-//! sweep, and an epochs-to-quality convergence comparison.
+//! Sync-vs-async (Hogwild) training → `BENCH_hogwild.json` (see
+//! `sptx_bench::json`): one record per measurement with `arm`, `workers`,
+//! `epochs`, `ms_per_epoch` and `mrr`.
 //!
 //! `Combine::Shared` removes the per-round all-reduce barrier of
-//! `Combine::AllReduce`; this bench quantifies both sides of that trade:
+//! `Combine::AllReduce`; two sweeps measure both sides of that trade:
 //!
-//! * `hogwild/{sync,async}/{1,2,4,8}` — wall time of one epoch under each
-//!   combine at each worker count. On a multicore machine the async arm's
-//!   epoch throughput meets or beats the sync arm at equal worker count (no
-//!   barrier, no gradient reduction); with fewer cores than workers both
-//!   arms serialize and the sweep measures pure schedule overhead.
-//! * the **convergence sweep** (JSON only) — filtered MRR after 2/4/8
-//!   epochs for the sync arm and the 4-worker async arm: staleness and
-//!   lost increments perturb the trajectory, so the async arm may need
-//!   more epochs to a given MRR; the records show how many.
+//! * **throughput** — three epochs under each combine at 1, 2, 4 and 8
+//!   workers. On a multicore machine the async arm meets or beats the sync
+//!   arm at equal worker count (no barrier, no gradient reduction); with
+//!   fewer cores than workers both arms serialize and the sweep measures
+//!   pure schedule overhead.
+//! * **convergence** — filtered MRR after 2/4/8 epochs for the sync arm and
+//!   the 4-worker async arm: staleness and lost increments perturb the
+//!   trajectory, so the async arm may need more epochs to a given MRR; the
+//!   records show how many.
 //!
-//! Besides the Criterion report, running this bench writes
-//! `BENCH_hogwild.json` (see `sptx_bench::json`): one record per
-//! measurement with `arm`, `workers`, `epochs`, `ms_per_epoch`, and `mrr`,
-//! to the directory named by `SPTX_BENCH_JSON_DIR` (default `.`). The
-//! JSON pass takes `ms_per_epoch` from the trainer's own wall clock —
-//! numbers, not Criterion's distribution estimates, so scripts can diff
-//! them.
+//! `ms_per_epoch` is the trainer's own wall clock over exactly the epochs
+//! the record's `mrr` was read after, not `sptx_bench::harness::time_arm`'s
+//! minimum: its seven runs would train the model on, and every `sync`
+//! record's MRR is deterministic.
 //!
-//! Run with `cargo bench -p sptx-bench --bench hogwild`. The async arm is
-//! nondeterministic at 2+ workers; MRR records are statistical.
+//! Run with `SPTX_NUM_THREADS=1 cargo bench -p sptx-bench --bench hogwild`.
+//! The async arm is nondeterministic at 2+ workers; its MRR records are
+//! statistical.
 
-use std::time::Duration;
-
-use criterion::{BenchmarkId, Criterion};
 use kg::eval::{EvalConfig, SampleStrategy};
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
@@ -66,27 +62,9 @@ fn trainer(ds: &Dataset, workers: usize, combine: Combine) -> Trainer<SpTransE> 
     }
 }
 
-fn bench_epoch_throughput(c: &mut Criterion) {
-    let ds = dataset();
-    let mut group = c.benchmark_group("hogwild");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(2));
-    group.warm_up_time(Duration::from_millis(300));
-
-    for &w in &WORKER_SWEEP {
-        for (arm, combine) in ARMS {
-            let mut trainer = trainer(&ds, w, combine);
-            group.bench_with_input(BenchmarkId::new(arm, w), &w, |b, _| {
-                b.iter(|| trainer.run_epochs(1).expect("epoch"));
-            });
-        }
-    }
-    group.finish();
-}
-
 /// One record per measurement: the worker sweep at fixed epochs (throughput
 /// view) plus the epochs sweep at fixed arms (convergence view).
-fn emit_json() {
+fn main() {
     let ds = dataset();
     let eval = EvalConfig {
         max_triples: Some(500),
@@ -131,10 +109,4 @@ fn emit_json() {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write BENCH_hogwild.json: {e}"),
     }
-}
-
-fn main() {
-    let mut c = Criterion::default();
-    bench_epoch_throughput(&mut c);
-    emit_json();
 }

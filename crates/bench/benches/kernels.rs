@@ -1,20 +1,23 @@
-//! Criterion comparison of the paper's central contrast at kernel grain:
-//! **gather + scatter-add** (the baseline's embedding access pattern) versus
-//! **SpMM + transpose-SpMM** (SpTransX's). Same embedding rows touched, same
-//! math — only the schedule differs.
+//! The paper's central contrast at kernel grain: **gather + scatter-add**
+//! (the baseline's embedding access pattern) versus **SpMM +
+//! transpose-SpMM** (SpTransX's). Same embedding rows touched, same math —
+//! only the schedule differs.
+//!
+//! Run with `cargo bench -p sptx-bench --bench kernels`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+
 use sparse::incidence::{hrt, IncidencePair, TailSign};
 use sparse::spmm::csr_spmm;
+use sptx_bench::harness::{random_triples, time_arm};
 use tensor::kernels::scatter_add_rows;
-use tensor::{Graph, ParamStore, Tensor};
+use tensor::{Graph, ParamId, ParamStore, Tensor};
 
 struct Setup {
     store: ParamStore,
-    emb: tensor::ParamId,
-    pair: std::sync::Arc<IncidencePair>,
+    emb: ParamId,
+    pair: Arc<IncidencePair>,
+    /// Heads, then `n_ent +` relations, then tails: the three gathers.
     gather_idx: Vec<u32>,
     upstream: Tensor,
     m: usize,
@@ -22,104 +25,60 @@ struct Setup {
 }
 
 fn setup(n_ent: usize, n_rel: usize, m: usize, d: usize, seed: u64) -> Setup {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let heads: Vec<u32> = (0..m).map(|_| rng.gen_range(0..n_ent as u32)).collect();
-    let tails: Vec<u32> = (0..m)
-        .map(|i| {
-            let mut t = rng.gen_range(0..n_ent as u32);
-            if t == heads[i] {
-                t = (t + 1) % n_ent as u32;
-            }
-            t
-        })
-        .collect();
-    let rels: Vec<u32> = (0..m).map(|_| rng.gen_range(0..n_rel as u32)).collect();
+    let (heads, rels, tails) = random_triples(n_ent, n_rel, m, seed);
     let a = hrt(n_ent, n_rel, &heads, &rels, &tails, TailSign::Negative).unwrap();
     let mut store = ParamStore::new();
     let emb = store.add_param("emb", tensor::init::uniform(n_ent + n_rel, d, 1.0, seed));
-    let mut gather_idx = Vec::with_capacity(3 * m);
-    gather_idx.extend(&heads);
+    let mut gather_idx = heads;
     gather_idx.extend(rels.iter().map(|&r| r + n_ent as u32));
     gather_idx.extend(&tails);
-    let upstream = tensor::init::uniform(m, d, 1.0, seed + 1);
     Setup {
         store,
         emb,
-        pair: std::sync::Arc::new(IncidencePair::new(a)),
+        pair: Arc::new(IncidencePair::new(a)),
         gather_idx,
-        upstream,
+        upstream: tensor::init::uniform(m, d, 1.0, seed + 1),
         m,
         d,
     }
 }
 
-fn bench_forward(c: &mut Criterion) {
-    let mut group = c.benchmark_group("forward_embedding_access");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    for &(m, d) in &[(4096usize, 128usize), (16384, 64)] {
+fn bench_forward() {
+    for (m, d) in [(4096usize, 128usize), (16384, 64)] {
         let s = setup(20_000, 200, m, d, 7);
-        group.bench_with_input(
-            BenchmarkId::new("spmm", format!("m{m}_d{d}")),
-            &s,
-            |b, s| {
-                b.iter(|| {
-                    let mut g = Graph::new();
-                    g.spmm(&s.store, s.emb, s.pair.clone())
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("gather_add_sub", format!("m{m}_d{d}")),
-            &s,
-            |b, s| {
-                b.iter(|| {
-                    let mut g = Graph::new();
-                    let h = g.gather(&s.store, s.emb, s.gather_idx[..s.m].to_vec());
-                    let r = g.gather(&s.store, s.emb, s.gather_idx[s.m..2 * s.m].to_vec());
-                    let t = g.gather(&s.store, s.emb, s.gather_idx[2 * s.m..].to_vec());
-                    let hr = g.add(h, r);
-                    g.sub(hr, t)
-                })
-            },
-        );
+        time_arm(&format!("forward/spmm/m{m}_d{d}"), None, || {
+            Graph::new().spmm(&s.store, s.emb, s.pair.clone())
+        });
+        time_arm(&format!("forward/gather_add_sub/m{m}_d{d}"), None, || {
+            let mut g = Graph::new();
+            let h = g.gather(&s.store, s.emb, s.gather_idx[..s.m].to_vec());
+            let r = g.gather(&s.store, s.emb, s.gather_idx[s.m..2 * s.m].to_vec());
+            let t = g.gather(&s.store, s.emb, s.gather_idx[2 * s.m..].to_vec());
+            let hr = g.add(h, r);
+            g.sub(hr, t)
+        });
     }
-    group.finish();
 }
 
-fn bench_backward(c: &mut Criterion) {
-    let mut group = c.benchmark_group("backward_gradient_distribution");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    {
-        let &(m, d) = &(4096usize, 128usize);
-        let s = setup(20_000, 200, m, d, 9);
-        // SpTransX: grad = Aᵀ · G, one SpMM against the cached transpose.
-        group.bench_with_input(
-            BenchmarkId::new("transpose_spmm", format!("m{m}_d{d}")),
-            &s,
-            |b, s| b.iter(|| csr_spmm(&s.pair.transpose, s.upstream.view())),
-        );
-        // Baseline: scatter-add one row per (h, r, t) occurrence.
-        group.bench_with_input(
-            BenchmarkId::new("scatter_add", format!("m{m}_d{d}")),
-            &s,
-            |b, s| {
-                b.iter(|| {
-                    let mut grad = Tensor::zeros(s.store.value(s.emb).rows(), s.d);
-                    // Three scatters (h, r, t), as three gathers in forward.
-                    scatter_add_rows(&mut grad, &s.gather_idx[..s.m], &s.upstream);
-                    scatter_add_rows(&mut grad, &s.gather_idx[s.m..2 * s.m], &s.upstream);
-                    scatter_add_rows(&mut grad, &s.gather_idx[2 * s.m..], &s.upstream);
-                    grad
-                })
-            },
-        );
-    }
-    group.finish();
+fn bench_backward() {
+    let (m, d) = (4096usize, 128usize);
+    let s = setup(20_000, 200, m, d, 9);
+    // SpTransX: grad = Aᵀ · G, one SpMM against the cached transpose.
+    time_arm(&format!("backward/transpose_spmm/m{m}_d{d}"), None, || {
+        csr_spmm(&s.pair.transpose, s.upstream.view())
+    });
+    // Baseline: scatter-add one row per (h, r, t) occurrence, as three
+    // gathers in forward.
+    time_arm(&format!("backward/scatter_add/m{m}_d{d}"), None, || {
+        let mut grad = Tensor::zeros(s.store.value(s.emb).rows(), s.d);
+        scatter_add_rows(&mut grad, &s.gather_idx[..s.m], &s.upstream);
+        scatter_add_rows(&mut grad, &s.gather_idx[s.m..2 * s.m], &s.upstream);
+        scatter_add_rows(&mut grad, &s.gather_idx[2 * s.m..], &s.upstream);
+        grad
+    });
 }
 
-criterion_group!(benches, bench_forward, bench_backward);
-criterion_main!(benches);
+fn main() {
+    bench_forward();
+    bench_backward();
+}

@@ -1,95 +1,71 @@
-//! Criterion micro-benchmarks of the core SpMM kernels: the incidence-row
-//! fast path vs the general CSR path vs COO, across batch sizes and
-//! embedding widths. This is the kernel-level ablation backing Figure 7.
+//! The `csr_spmm` design decisions, one arm pair each — the kernel-level
+//! ablation backing Figure 7:
+//!
+//! 1. **Incidence fast path**: `sparse::spmm::spmm_row`'s one-pass
+//!    2/3-nonzero arms vs its general arm (zero, then `spmm_row_acc` per
+//!    nonzero — `csr_spmm_into_general` sends every row there) on the same
+//!    matrix.
+//! 2. **CSR vs COO** on a general sparse matrix (~8 nonzeros per row, beyond
+//!    the fast path): row-parallel CSR against COO's entry-sharded scatter
+//!    (the paper selects COO for DGL's GPU kernel).
+//! 3. **Transpose caching**: the backward `Aᵀ · G` against the cached
+//!    transpose vs re-transposing per call, the `IncidencePair` decision.
+//! 4. **Width sweep** of the fast path on a pool pinned to 1, 2, 4 and 8
+//!    chunks (the paper's CPU-vs-GPU axis; informative only on multi-core
+//!    hosts — the bits are the same at every width).
+//!
+//! Run with `cargo bench -p sptx-bench --bench spmm`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparse::incidence::{hrt, TailSign};
-use sparse::spmm::{coo_spmm, csr_spmm};
-use sparse::{CooMatrix, CsrMatrix, DenseMatrix};
+use sparse::incidence::TailSign;
+use sparse::spmm::{coo_spmm, csr_spmm, csr_spmm_into, csr_spmm_into_general, csr_spmm_into_with};
+use sparse::CooMatrix;
+use sptx_bench::harness::{dense, incidence, time_arm};
+use xparallel::PoolHandle;
 
-fn incidence(n_ent: usize, n_rel: usize, m: usize, seed: u64) -> CsrMatrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let heads: Vec<u32> = (0..m).map(|_| rng.gen_range(0..n_ent as u32)).collect();
-    let tails: Vec<u32> = (0..m)
-        .map(|i| {
-            let mut t = rng.gen_range(0..n_ent as u32);
-            if t == heads[i] {
-                t = (t + 1) % n_ent as u32;
-            }
-            t
-        })
-        .collect();
-    let rels: Vec<u32> = (0..m).map(|_| rng.gen_range(0..n_rel as u32)).collect();
-    hrt(n_ent, n_rel, &heads, &rels, &tails, TailSign::Negative).unwrap()
-}
+fn main() {
+    let (n_ent, n_rel, d) = (20_000usize, 200usize, 128usize);
+    let a = incidence(n_ent, n_rel, 8192, TailSign::Negative, 1);
+    let b = dense(n_ent + n_rel, d, 2);
+    let mut out = vec![0f32; a.rows() * d];
+    let elements = Some(out.len() as u64);
+    time_arm("fastpath/fused_incidence_rows", elements, || {
+        csr_spmm_into(&a, b.view(), &mut out)
+    });
+    time_arm("fastpath/general_zero_then_accumulate", elements, || {
+        csr_spmm_into_general(&a, b.view(), &mut out)
+    });
 
-fn dense(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    DenseMatrix::from_vec(
-        rows,
-        cols,
-        (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-    )
-}
-
-fn bench_incidence_spmm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("incidence_spmm");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    let n_ent = 10_000;
-    let n_rel = 100;
-    for &m in &[1024usize, 8192] {
-        for &d in &[64usize, 256] {
-            let a = incidence(n_ent, n_rel, m, 1);
-            let b = dense(n_ent + n_rel, d, 2);
-            group.throughput(Throughput::Elements((m * d) as u64));
-            group.bench_with_input(
-                BenchmarkId::new("csr_fastpath", format!("m{m}_d{d}")),
-                &(a, b),
-                |bench, (a, b)| bench.iter(|| csr_spmm(a, b)),
-            );
-        }
-    }
-    group.finish();
-}
-
-fn bench_general_vs_coo(c: &mut Criterion) {
-    let mut group = c.benchmark_group("csr_vs_coo");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    let rows = 2048;
-    let cols = 4096;
-    let d = 128;
+    let (rows, cols) = (2048, 4096);
     let mut rng = StdRng::seed_from_u64(3);
-    // General sparse matrix with ~8 nnz per row (beyond the fast path).
     let mut coo = CooMatrix::new(rows, cols);
     for r in 0..rows {
         for _ in 0..8 {
-            coo.push(r, rng.gen_range(0..cols), rng.gen_range(-1.0..1.0))
-                .unwrap();
+            let c = rng.gen_range(0..cols);
+            coo.push(r, c, rng.gen_range(-1.0..1.0)).unwrap();
         }
     }
     let csr = coo.to_csr();
-    let b = dense(cols, d, 4);
-    group.bench_function("csr_general", |bench| bench.iter(|| csr_spmm(&csr, &b)));
-    group.bench_function("coo_scatter", |bench| bench.iter(|| coo_spmm(&coo, &b)));
-    group.finish();
-}
+    let b_general = dense(cols, d, 4);
+    time_arm("csr_vs_coo/csr_general", None, || {
+        csr_spmm(&csr, &b_general)
+    });
+    time_arm("csr_vs_coo/coo_scatter", None, || {
+        coo_spmm(&coo, &b_general)
+    });
 
-fn bench_transpose_build(c: &mut Criterion) {
-    // Building Aᵀ is a once-per-batch cost amortized over all epochs.
-    let a = incidence(50_000, 500, 32_768, 5);
-    c.bench_function("incidence_transpose", |bench| bench.iter(|| a.transpose()));
-}
+    let a_t = a.transpose();
+    let g = dense(a.rows(), 64, 6);
+    time_arm("transpose/cached", None, || csr_spmm(&a_t, &g));
+    time_arm("transpose/rebuilt_every_call", None, || {
+        csr_spmm(&a.transpose(), &g)
+    });
 
-criterion_group!(
-    benches,
-    bench_incidence_spmm,
-    bench_general_vs_coo,
-    bench_transpose_build
-);
-criterion_main!(benches);
+    for width in [1usize, 2, 4, 8] {
+        let pool = PoolHandle::global().with_width(width);
+        time_arm(&format!("width/t{width}"), elements, || {
+            csr_spmm_into_with(&pool, &a, b.view(), &mut out)
+        });
+    }
+}

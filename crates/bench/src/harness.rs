@@ -1,5 +1,6 @@
 //! Dataset preparation, model dispatch, and table formatting shared by the
-//! per-figure benchmark binaries.
+//! per-figure benchmark binaries, and the one estimator ([`time_arm`]) and
+//! fixtures every bench in `benches/` times through.
 //!
 //! Every binary accepts two environment knobs:
 //!
@@ -10,6 +11,10 @@
 
 use kg::synthetic::{PaperDatasetSpec, COVID19_SPEC, PAPER_DATASETS};
 use kg::Dataset;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sparse::incidence::{hrt, TailSign};
+use sparse::{CsrMatrix, DenseMatrix};
 use sptransx::{
     DenseTorusE, DenseTransE, DenseTransH, DenseTransR, KgeModel, SpTorusE, SpTransE, SpTransH,
     SpTransR, TrainConfig, TrainReport, Trainer,
@@ -38,25 +43,68 @@ pub fn epochs_from_env() -> usize {
         .unwrap_or(DEFAULT_EPOCHS)
 }
 
-/// Epochs in the timed window of [`steady_epoch_ms`].
-pub const TIMED_EPOCHS: u32 = 5;
+/// Individually timed runs behind every [`time_arm`] figure.
+pub const TIMED_RUNS: u32 = 5;
 
-/// Steady-state epoch time in milliseconds: two warm-up epochs, then the
-/// minimum over [`TIMED_EPOCHS`] individually timed ones. The first warm-up
-/// pays the first-touch renormalization (all rows start dirty — a full-table
-/// page-through when paged) and the arena growth; the second runs with the
-/// caches that sweep evicted refilled, so the timed epochs are the ones a
-/// long run repeats.
-pub fn steady_epoch_ms(mut epoch: impl FnMut()) -> f64 {
-    epoch();
-    epoch();
-    (0..TIMED_EPOCHS)
+/// The crate's one estimator and its one line printer: runs `run` twice
+/// untimed, then [`TIMED_RUNS`] times timed, prints
+/// `label: X ms (min of 5)` — plus `elements` per second when given — and
+/// returns the minimum in milliseconds.
+///
+/// For a training epoch the first warm-up pays the first-touch
+/// renormalization (all rows start dirty — a full-table page-through when
+/// paged) and the arena growth; the second runs with the caches that sweep
+/// evicted refilled, so the timed epochs are the ones a long run repeats.
+/// The minimum, not the mean: on a shared machine noise only adds time.
+pub fn time_arm<T>(label: &str, elements: Option<u64>, mut run: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(run());
+    std::hint::black_box(run());
+    let ms = (0..TIMED_RUNS)
         .map(|_| {
             let t = std::time::Instant::now();
-            epoch();
+            std::hint::black_box(run());
             t.elapsed().as_secs_f64() * 1e3
         })
-        .fold(f64::INFINITY, f64::min)
+        .fold(f64::INFINITY, f64::min);
+    let rate = elements.map_or(String::new(), |n| {
+        format!(", {:.3e} elem/s", n as f64 * 1e3 / ms)
+    });
+    println!("{label}: {ms:.3} ms (min of {TIMED_RUNS}){rate}");
+    ms
+}
+
+/// `m` random `(heads, rels, tails)` over `n_ent` entities and `n_rel`
+/// relations, with no self-loop: the index lists of one training batch.
+pub fn random_triples(
+    n_ent: usize,
+    n_rel: usize,
+    m: usize,
+    seed: u64,
+) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let heads: Vec<u32> = (0..m).map(|_| rng.gen_range(0..n_ent as u32)).collect();
+    let tails: Vec<u32> = (heads.iter())
+        .map(|&h| match rng.gen_range(0..n_ent as u32) {
+            t if t == h => (t + 1) % n_ent as u32,
+            t => t,
+        })
+        .collect();
+    let rels: Vec<u32> = (0..m).map(|_| rng.gen_range(0..n_rel as u32)).collect();
+    (heads, rels, tails)
+}
+
+/// The `hrt` incidence matrix of [`random_triples`]: one batch's SpMM
+/// operand over the stacked `(n_ent + n_rel)`-row table.
+pub fn incidence(n_ent: usize, n_rel: usize, m: usize, sign: TailSign, seed: u64) -> CsrMatrix {
+    let (heads, rels, tails) = random_triples(n_ent, n_rel, m, seed);
+    hrt(n_ent, n_rel, &heads, &rels, &tails, sign).expect("indices in range")
+}
+
+/// A `rows × cols` matrix of uniform values in `[-1, 1)`.
+pub fn dense(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let data = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    DenseMatrix::from_vec(rows, cols, data)
 }
 
 /// The four models of the paper's headline evaluation.
@@ -249,6 +297,24 @@ mod tests {
                 assert_eq!(report.epoch_losses.len(), 1, "{kind:?}/{variant:?}");
             }
         }
+    }
+
+    #[test]
+    fn time_arm_warms_up_twice_then_keeps_the_fastest_of_five() {
+        let mut runs = 0;
+        let ms = time_arm("count", Some(1), || runs += 1);
+        assert_eq!(runs, 2 + TIMED_RUNS);
+        assert!(ms.is_finite() && ms >= 0.0);
+    }
+
+    #[test]
+    fn fixtures_are_seeded_and_self_loop_free() {
+        let (heads, rels, tails) = random_triples(5, 2, 200, 3);
+        assert!(heads.iter().zip(&tails).all(|(h, t)| h != t));
+        assert!(rels.iter().all(|&r| r < 2));
+        let a = incidence(5, 2, 200, TailSign::Negative, 3);
+        assert_eq!((a.rows(), a.cols(), a.nnz()), (200, 7, 600));
+        assert_eq!(dense(3, 4, 9).as_slice(), dense(3, 4, 9).as_slice());
     }
 
     #[test]

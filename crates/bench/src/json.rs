@@ -1,10 +1,9 @@
 //! Machine-readable benchmark output: `BENCH_<name>.json` files.
 //!
-//! Criterion's reports live under `target/criterion/` in a layout that
-//! changes between versions and is awkward for scripts to consume. The
-//! benches that feed CI trend lines therefore *also* emit a flat JSON array
-//! of records — one object per (arm, configuration) measurement — via this
-//! hand-rolled writer (the workspace deliberately carries no serde).
+//! The benches whose numbers are committed (`BENCH_{scale,paged,hogwild,
+//! models}.json`) emit a flat JSON array of records — one object per (arm,
+//! configuration) measurement — via this hand-rolled writer (the workspace
+//! deliberately carries no serde), so scripts can diff them.
 //!
 //! Files land in the directory named by the `SPTX_BENCH_JSON_DIR`
 //! environment variable, or the current working directory when unset, as

@@ -109,10 +109,12 @@ pub fn load_tsv<R: Read>(reader: R, vocab: &mut Vocab) -> Result<TripleStore> {
             continue;
         }
         let sep = if trimmed.contains('\t') { '\t' } else { ',' };
-        let mut parts = trimmed.split(sep);
+        // Fields are trimmed before the emptiness check: a whitespace-only
+        // label would not survive `write_tsv`.
+        let mut parts = trimmed.split(sep).map(str::trim);
         let (h, r, t) = match (parts.next(), parts.next(), parts.next()) {
             (Some(h), Some(r), Some(t)) if !h.is_empty() && !r.is_empty() && !t.is_empty() => {
-                (h.trim(), r.trim(), t.trim())
+                (h, r, t)
             }
             _ => {
                 return Err(Error::Parse {
@@ -201,12 +203,15 @@ mod tests {
 
     #[test]
     fn malformed_lines_report_position() {
-        let input = "a\tr\tb\nbroken line\n";
-        let mut vocab = Vocab::new();
-        let err = load_tsv(input.as_bytes(), &mut vocab).unwrap_err();
-        match err {
-            Error::Parse { line, .. } => assert_eq!(line, 2),
-            other => panic!("unexpected error: {other:?}"),
+        // A whitespace-only field is empty: `write_tsv` could not round-trip
+        // it.
+        for input in ["a\tr\tb\nbroken line\n", "a\tr\tb\na\t \tb\n"] {
+            let mut vocab = Vocab::new();
+            let err = load_tsv(input.as_bytes(), &mut vocab).unwrap_err();
+            match err {
+                Error::Parse { line, .. } => assert_eq!(line, 2),
+                other => panic!("unexpected error: {other:?}"),
+            }
         }
     }
 

@@ -246,22 +246,19 @@ pub fn coo_spmm<'a>(a: &CooMatrix, b: impl Into<DenseView<'a>>) -> DenseMatrix {
     metrics::add_flops(2 * a.nnz() as u64 * n as u64);
     let mut out = DenseMatrix::zeros(a.rows(), n);
     // COO entries may hit any output row, so we shard the *entries* and give
-    // each worker a private output buffer, reduced deterministically at the
-    // end. This mirrors the scatter-side cost the paper attributes to
-    // gather/scatter training.
-    //
-    // The shards follow the pool width, so this is the one result in the
-    // workspace whose bits depend on `SPTX_NUM_THREADS`. Fixed-size shards
-    // (`PoolHandle::map_reduce_fixed`) would end that, but a shard's partial
-    // is a whole output buffer and `nnz / 4096` of them would be alive at
-    // once — too much for a kernel kept only for comparison.
+    // each shard a private output buffer, folded in shard order at the end.
+    // This mirrors the scatter-side cost the paper attributes to
+    // gather/scatter training. The shard size depends on `nnz` alone — at
+    // least 4096 entries, at most 8 shards, so at most 8 whole-output
+    // partials are alive — which keeps the bits independent of the width.
     let rows = a.row_indices();
     let cols = a.col_indices();
     let vals = a.values();
     let total = out.as_slice().len();
-    let partial = xparallel::parallel_map_reduce(
+    let shard = a.nnz().div_ceil(8).max(4096);
+    let partial = xparallel::PoolHandle::global().map_reduce_fixed(
         a.nnz(),
-        4096,
+        shard,
         vec![0f32; 0],
         |range| {
             let mut buf = vec![0f32; total];
@@ -485,6 +482,23 @@ mod tests {
         let via_csr = csr_spmm(&coo.to_csr(), &b);
         let via_coo = coo_spmm(&coo, &b);
         assert_close(&via_coo, &via_csr, 1e-4);
+    }
+
+    #[test]
+    fn coo_bits_do_not_depend_on_the_width() {
+        // 40 000 entries over 16 rows: every row's sum spans several shards.
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut coo = CooMatrix::new(16, 30);
+        for _ in 0..40_000 {
+            let (r, c) = (rng.gen_range(0..16), rng.gen_range(0..30));
+            coo.push(r, c, rng.gen_range(-1.0..1.0)).unwrap();
+        }
+        let b = random_dense(&mut rng, 30, 7);
+        let bits = |width: usize| {
+            let c = xparallel::with_parallelism(width, || coo_spmm(&coo, &b));
+            c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(1), bits(4));
     }
 
     #[test]

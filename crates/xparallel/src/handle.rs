@@ -375,9 +375,8 @@ impl PoolHandle {
     /// Maps **fixed-size** chunks of `0..len` to partials and folds them
     /// left-to-right in chunk order.
     ///
-    /// Unlike [`crate::parallel_map_reduce`], whose chunk boundaries depend
-    /// on the worker count, the boundaries here depend only on
-    /// `(len, chunk_size)` — so floating-point reductions are bit-identical
+    /// The chunk boundaries depend only on `(len, chunk_size)`, never on the
+    /// width or worker count — so floating-point reductions are bit-identical
     /// at **any** width and worker count. This is the reduction primitive
     /// behind the training determinism contract.
     pub fn map_reduce_fixed<T, M, R>(

@@ -3,9 +3,8 @@
 //! The SparseTransX paper relies on OpenMP-style parallel loops (via MKL and
 //! iSpLib) for its CPU SpMM kernels. This crate provides the Rust-native
 //! equivalent used throughout the reproduction: a small persistent
-//! [`ThreadPool`] plus the loop primitives on [`PoolHandle`] (and
-//! [`parallel_map_reduce`]) that split an index range into contiguous chunks,
-//! one per worker.
+//! [`ThreadPool`] plus the loop primitives on [`PoolHandle`] that split an
+//! index range into contiguous chunks, one per worker.
 //!
 //! Design goals:
 //!
@@ -193,44 +192,6 @@ where
     });
 }
 
-/// Maps chunks of `0..len` to partial values and folds them in chunk order.
-///
-/// `map(range)` produces one partial per chunk; `reduce` combines partials
-/// left-to-right starting from `identity`, so floating-point reductions are
-/// deterministic for a fixed thread count.
-pub fn parallel_map_reduce<T, M, R>(
-    len: usize,
-    min_chunk: usize,
-    identity: T,
-    map: M,
-    reduce: R,
-) -> T
-where
-    T: Send,
-    M: Fn(Range<usize>) -> T + Sync,
-    R: Fn(T, T) -> T,
-{
-    if len == 0 {
-        return identity;
-    }
-    let pool = global_pool();
-    let ranges = chunk_ranges(len, min_chunk, effective_parallelism());
-    if ranges.len() == 1 {
-        return reduce(identity, map(0..len));
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..ranges.len()).map(|_| Mutex::new(None)).collect();
-    let ranges_for_run = ranges.clone();
-    pool.scope_run_indexed(&ranges_for_run, &|i, r| {
-        *slots[i].lock() = Some(map(r));
-    });
-    let mut acc = identity;
-    for slot in slots {
-        let part = slot.into_inner().expect("missing reduction partial");
-        acc = reduce(acc, part);
-    }
-    acc
-}
-
 /// A latch that lets one thread wait for `n` completions.
 pub(crate) struct WaitGroup {
     remaining: Mutex<usize>,
@@ -373,29 +334,11 @@ mod tests {
     }
 
     #[test]
-    fn map_reduce_is_deterministic() {
-        let a = parallel_map_reduce(
-            100_000,
-            64,
-            0f64,
-            |r| r.map(|i| i as f64).sum(),
-            |a, b| a + b,
-        );
-        let b = parallel_map_reduce(
-            100_000,
-            64,
-            0f64,
-            |r| r.map(|i| i as f64).sum(),
-            |a, b| a + b,
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn empty_inputs_are_noops() {
         let mut empty: Vec<u8> = Vec::new();
         PoolHandle::global().for_mut(&mut empty, 1, |_, _| panic!("should not run"));
-        let v = parallel_map_reduce(0, 1, 42u32, |_| panic!("should not run"), |a, _b| a);
+        let pool = PoolHandle::global();
+        let v = pool.map_reduce_fixed(0, 1, 42u32, |_| panic!("should not run"), |a, _b| a);
         assert_eq!(v, 42);
     }
 

@@ -242,9 +242,13 @@ pub fn cmd_train(args: &Args) -> Result<String, CliError> {
 }
 
 /// Parses `--store {ram,disk}` + `--cache-rows N`: the row-cache budget of
-/// disk mode, `None` for the fully resident default.
+/// disk mode, `None` for the fully resident default. A budget without a
+/// disk store to apply it to is a usage error, not a silent no-op.
 fn cache_rows_from_args(args: &Args) -> Result<Option<usize>, CliError> {
     match args.str_or("store", "ram").as_str() {
+        "ram" if args.options.contains_key("cache-rows") => Err(CliError::Usage(
+            "--cache-rows only applies to --store disk".into(),
+        )),
         "ram" => Ok(None),
         "disk" => match args.parse_or("cache-rows", 4096)? {
             0 => Err(CliError::Usage("--cache-rows must be at least 1".into())),
@@ -302,6 +306,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     if cache_size == 0 {
         return Err(CliError::Usage("--cache-size must be at least 1".into()));
     }
+    let cache_rows = cache_rows_from_args(args)?;
     // The embedding dump stores only the stacked matrix; the training TSV
     // recovers the entity/relation split of its rows.
     let mut vocab = Vocab::new();
@@ -358,7 +363,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     // --store disk: additionally answer every query through a row cache over
     // the on-disk embedding file (the out-of-core arm), cross-checking each
     // answer against the resident ANN arm bit for bit.
-    let mut paged_rows = match cache_rows_from_args(args)? {
+    let mut paged_rows = match cache_rows {
         None => None,
         Some(cache_rows) => {
             let storage = sptransx::FileRowStorage::open(&emb_path)?;
@@ -1249,7 +1254,7 @@ mod tests {
         .unwrap();
         let train_file = dir.join("train.tsv").to_string_lossy().to_string();
         let common = |model: &str, store: &str, emb: &str| {
-            strs(&[
+            let mut argv = strs(&[
                 "train",
                 "--train",
                 &train_file,
@@ -1263,11 +1268,13 @@ mod tests {
                 "16",
                 "--store",
                 store,
-                "--cache-rows",
-                "96",
                 "--out",
                 emb,
-            ])
+            ]);
+            if store == "disk" {
+                argv.extend(strs(&["--cache-rows", "96"]));
+            }
+            argv
         };
 
         // The stacked `embeddings` of an hrt model, the `entities` of an ht

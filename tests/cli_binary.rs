@@ -170,8 +170,11 @@ fn out_of_range_flags_are_usage_errors_naming_the_flag() {
     ];
     let stats = ["stats", "--train", train];
     #[rustfmt::skip]
-    let cases: [(&[&str], &[&str], &str); 11] = [
+    let cases: [(&[&str], &[&str], &str); 14] = [
         (&serve, &["--cache-size", "0"], "--cache-size"),
+        (&serve, &["--cache-rows", "5"], "--cache-rows"),
+        (&train_cmd, &["--cache-rows", "7"], "--cache-rows"),
+        (&train_cmd, &["--store", "ram", "--cache-rows", "7"], "--cache-rows"),
         (&serve, &["--zipf", "-1"], "--zipf"),
         (&serve, &["--zipf", "nan"], "--zipf"),
         (&["generate", "--out", gen_out], &["--entities", "0"], "--entities"),
