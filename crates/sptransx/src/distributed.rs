@@ -3,19 +3,23 @@
 //! The paper wraps SpTransX in PyTorch DDP and scales TransE to 64 GPUs
 //! (Table 9). There is one training driver, [`crate::Trainer`]; what
 //! [`crate::Trainer::replicated`] adds is `workers` replicas of the model
-//! (same seed → identical initial parameters) over a **sharded** batch plan,
-//! and a [`Combine`] that says how their updates meet. This module holds
-//! what is specific to combining: the gradient all-reduce, the lock-step
-//! audit, and the epoch-edge dirty-row fold of the shared arm.
+//! over a **sharded** batch plan, and a [`Combine`] that says how their
+//! updates meet. DDP keeps one parameter copy per rank and proves them
+//! equal; here every replica's value tensors alias rank 0's
+//! ([`tensor::ParamStore::alias_values`]), so W replicas are W gradient
+//! workers over one table and the two combines differ only in when the step
+//! happens. This module holds what is specific to combining: the gradient
+//! all-reduce into rank 0, and the epoch-edge fold of every replica's dirty
+//! rows into rank 0, whose renormalization is then the renorm.
 //!
 //! # Pool discipline and determinism
 //!
-//! With two or more replicas, each replica's step runs *on* a pool task
-//! (all-reduce) or a dedicated thread (shared), so its tape replays on a
-//! [`xparallel::PoolHandle::sequential`] handle — fanning the inner kernels
-//! back onto the pool the task occupies could deadlock, and DDP ranks are
-//! single-threaded over their shard anyway. A single replica runs on the
-//! caller thread with the trainer's own handle.
+//! With two or more replicas, each replica's forward and backward run *on*
+//! a pool task (all-reduce) or a dedicated thread (shared), so its tape
+//! replays on a [`xparallel::PoolHandle::sequential`] handle — fanning the
+//! inner kernels back onto the pool the task occupies could deadlock, and
+//! DDP ranks are single-threaded over their shard anyway. A single replica
+//! runs on the caller thread with the trainer's own handle.
 
 use tensor::{ParamId, RowSet, Sweep};
 
@@ -27,26 +31,28 @@ use crate::train::Replica;
 /// [`crate::Trainer::new`] schedule, bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Combine {
-    /// DDP's algorithm: lock-step rounds in which every replica computes
-    /// gradients on its own batch (one pool task per replica), the gradients
-    /// are **all-reduced** (averaged) and every replica applies the identical
-    /// optimizer step through its own optimizer instance, so parameters and
-    /// optimizer state stay bit-identical across replicas. A round per
-    /// `ceil(batches / workers)`, so wall-clock shrinks with worker count
-    /// until synchronization dominates — the scaling curve of Table 9.
+    /// DDP's algorithm, on one table: rounds in which every replica computes
+    /// the gradient of its own batch (one pool task per replica), the
+    /// gradients are **all-reduced** (summed in rank order and averaged)
+    /// into rank 0, and rank 0 alone applies the step. Each round averages
+    /// up to `workers` batches into one step, so an epoch is
+    /// `ceil(batches / workers)` steps — a different trajectory from one
+    /// replica's, and the scaling curve of Table 9.
     ///
-    /// The all-reduce and the optimizer steps run on the caller thread with
-    /// full pool parallelism in fixed replica/parameter order: losses and
-    /// final embeddings are bit-identical at any `SPTX_NUM_THREADS`, and
-    /// repeated runs with the same seed are bit-identical full stop.
+    /// **Race-free and deterministic**, although the replicas' values alias
+    /// one buffer: the only concurrent phase (forward and backward) *reads*
+    /// the values and writes replica-private gradients; the reduction, the
+    /// step and the epoch-end renormalization run after the join, on the
+    /// caller thread with full pool parallelism, in fixed rank/parameter
+    /// order. Losses and final embeddings are bit-identical at any
+    /// `SPTX_NUM_THREADS`, and repeated runs with the same seed are
+    /// bit-identical full stop.
     AllReduce,
-    /// Hogwild: the replicas' *value* tensors alias one set of shared buffers
-    /// ([`tensor::ParamStore::share_values`] / `alias_values`; gradients,
-    /// tapes and row sets stay worker-private) and every worker sweeps its
-    /// shard on a dedicated thread, applying touched-row SGD steps to the
-    /// shared values with **no barriers and no locks**. Workers join at every
-    /// epoch edge; only then does rank 0 renormalize, over the union of all
-    /// workers' dirty rows.
+    /// Hogwild: the same aliased values (gradients, tapes and row sets stay
+    /// worker-private), but every worker sweeps its shard on a dedicated
+    /// thread, applying touched-row SGD steps to the shared values with **no
+    /// barriers and no locks**. Workers join at every epoch edge; only then
+    /// does rank 0 renormalize, over the union of all workers' dirty rows.
     ///
     /// **Nondeterministic** with 2+ workers — an ablation arm, not the
     /// determinism-contract path: update interleaving (and occasional lost
@@ -64,8 +70,7 @@ pub enum Combine {
 }
 
 /// The long-lived scratch of the gradient all-reduce: the parameter handles
-/// and one row-union set, so the steady-state lock-step round allocates
-/// nothing.
+/// and one row-union set, so the steady-state round allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct Reducer {
     param_ids: Vec<ParamId>,
@@ -74,17 +79,16 @@ pub(crate) struct Reducer {
 
 impl Reducer {
     /// Averages gradients over the `active` replicas (those with a batch this
-    /// round) and broadcasts the result, so every replica holds the same
-    /// (mean) gradient — the all-reduce of DDP. A no-op below two replicas.
+    /// round) into rank 0, the one replica that steps — the all-reduce of
+    /// DDP, reduced to its root. A no-op below two replicas.
     ///
     /// The reduction runs over the **union** of the replicas' touched sets —
-    /// `O(union · d)` per step instead of whole gradient tables — and each
-    /// replica's set is widened to that union (after the broadcast every
-    /// replica holds gradient exactly on the union rows). Rows outside the
-    /// union are `+0.0` on every replica, which is precisely what reducing
-    /// them would compute, so one replica in the all-rows state (which makes
-    /// the union all rows) changes the cost of the same loop, not a bit of
-    /// its result.
+    /// `O(union · d)` per step instead of whole gradient tables — and rank
+    /// 0's set is widened to that union, for the optimizer step and the next
+    /// `zero_grads`. Rows outside the union are `+0.0` on every replica,
+    /// which is precisely what reducing them would compute, so one replica in
+    /// the all-rows state (which makes the union all rows) changes the cost
+    /// of the same loop, not a bit of its result.
     pub(crate) fn all_reduce<M: KgeModel>(&mut self, replicas: &mut [Replica<M>], active: f32) {
         let Some((rank0, rest)) = replicas.split_first_mut() else {
             return;
@@ -99,19 +103,13 @@ impl Reducer {
         let union = &mut self.union;
         for &id in &self.param_ids {
             union.clear();
-            union.insert_set(rank0.model.store().touched(id));
             for r in rest.iter() {
                 union.insert_set(r.model.store().touched(id));
             }
-            // Rank 0's walk reduces each union row in place — its own bits,
-            // `+= 1.0 · g` per other replica in rank order, `*= 1/active` —
-            // and the other replicas' walks copy the mean out, as
-            // `0.0 + 1.0 · mean`: the association of a zeroed gradient
-            // accumulating the mean (it canonicalizes `-0.0`), and
-            // idempotent, so rank 0 can hold the mean the others copy. Every
-            // replica's gradient becomes the mean on exactly the union rows,
-            // which its touched set now covers for the optimizer step and
-            // the next `zero_grads`.
+            // Each union row, in place: rank 0's own bits, `+= 1.0 · g` per
+            // other replica in rank order, `*= 1/active`, then
+            // `0.0 + 1.0 · mean` — the association of a zeroed gradient
+            // accumulating the mean, which canonicalizes `-0.0`.
             let store = rank0.model.store_mut();
             store.touch_set(id, union);
             store.sweep_serial(id, Sweep::Grads, |row, mean, _| {
@@ -125,59 +123,13 @@ impl Reducer {
                     *m = 0.0 + 1.0 * *m;
                 }
             });
-            let mean = rank0.model.store().grad(id);
-            for r in rest.iter_mut() {
-                let store = r.model.store_mut();
-                store.touch_set(id, union);
-                store.sweep_serial(id, Sweep::Grads, |row, grad, _| {
-                    for (g, m) in grad.iter_mut().zip(mean.row(row)) {
-                        *g = 0.0 + 1.0 * m;
-                    }
-                });
-            }
         }
     }
 }
 
-/// Debug-build enforcement of the DDP contract: after each lock-step round,
-/// every replica must hold bit-identical parameters (they all applied the
-/// same mean gradient through identical optimizer state). A shared stateful
-/// optimizer, or a non-broadcast reduction, fails here on the first
-/// divergent step instead of silently leaving a rank-0 model that no longer
-/// represents "the" trained model.
-#[cfg(debug_assertions)]
-pub(crate) fn assert_replicas_in_lockstep<M: KgeModel>(replicas: &[Replica<M>]) {
-    let Some((rank0, rest)) = replicas.split_first() else {
-        return;
-    };
-    let rank0 = rank0.model.store();
-    let param_ids = rank0.param_ids();
-    for (w, other) in rest.iter().enumerate() {
-        let other = other.model.store();
-        for &id in &param_ids {
-            let (a, b) = (rank0.value(id).as_slice(), other.value(id).as_slice());
-            assert!(
-                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "replica {} desynchronized from rank 0 on parameter {id:?}",
-                w + 1
-            );
-            // The dirty sets drive the epoch renormalization sweeps: the
-            // all-reduce widens every replica's touched set to the union
-            // before the optimizer marks dirty rows, so the sets — and
-            // therefore the renorm walks — must be identical too.
-            assert_eq!(
-                rank0.dirty(id).as_slice(),
-                other.dirty(id).as_slice(),
-                "replica {} dirty set desynchronized from rank 0 on parameter {id:?}",
-                w + 1
-            );
-        }
-    }
-}
-
-/// The quiescent point of the shared arm, after every worker joined: folds
-/// the workers' dirty rows into rank 0 (clearing them locally) so its
-/// renormalization sweep covers everything any worker wrote this epoch. The
+/// The quiescent point of every schedule, after every replica joined: folds
+/// the other replicas' dirty rows into rank 0 (clearing them locally) so its
+/// renormalization sweep covers everything any replica wrote this epoch. The
 /// values are shared, so rank 0's renorm is the renorm.
 pub(crate) fn fold_dirty_rows<M: KgeModel>(replicas: &mut [Replica<M>]) {
     let Some((rank0, rest)) = replicas.split_first_mut() else {
@@ -247,12 +199,10 @@ mod tests {
 
     #[test]
     fn touched_row_renorm_stays_in_lockstep_at_2_and_3_workers() {
-        // The all-reduce widens every replica's touched set to the union, so
-        // the per-param dirty sets — and the epoch renormalization sweeps
-        // they drive — must stay identical across replicas, and the
-        // touched-row sweep must remain bit-identical to the dense ablation.
-        // Running under debug assertions this also exercises the dirty-set
-        // comparison inside `assert_replicas_in_lockstep`.
+        // The all-reduce widens rank 0's touched set to the union, so rank
+        // 0's dirty set — and the epoch renormalization sweep it drives —
+        // covers every row the one step wrote, and the touched-row sweep
+        // must remain bit-identical to the dense ablation.
         let ds = dataset();
         for workers in [2, 3] {
             let dense_cfg = TrainConfig {
@@ -273,9 +223,9 @@ mod tests {
     #[test]
     fn one_all_rows_replica_reduces_like_all_sparse_and_all_dense() {
         // Rank 1 in the all-rows state (an untracked `grad_mut` writer) makes
-        // the union all rows: the same loop then visits every row, and every
-        // gradient and post-step value bit matches the all-sparse and the
-        // all-dense reduction.
+        // the union all rows: the same loop then visits every row, and rank
+        // 0's mean gradient and post-step value bits match the all-sparse
+        // and the all-dense reduction.
         let (ds, cfg) = (dataset(), config());
         let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let run = |all_rows_ranks: &[usize]| {
@@ -293,30 +243,37 @@ mod tests {
             for &rank in all_rows_ranks {
                 t.replicas[rank].model.store_mut().grad_mut(id);
             }
+            let before: Vec<_> = (t.replicas.iter())
+                .map(|r| r.model.store().grad(id).clone())
+                .collect();
             Reducer::default().all_reduce(&mut t.replicas, 3.0);
-            for r in &t.replicas {
-                let touched = r.model.store().touched(id);
-                if all_rows_ranks.is_empty() {
-                    assert_eq!(touched.as_slice(), Some(&union[..]));
-                } else {
-                    assert!(touched.is_dense());
+            let rank0 = t.replicas[0].model.store();
+            let touched = rank0.touched(id);
+            if all_rows_ranks.is_empty() {
+                assert_eq!(touched.as_slice(), Some(&union[..]));
+            } else {
+                assert!(touched.is_dense());
+            }
+            let mean = rank0.grad(id);
+            for row in 0..mean.rows() {
+                for (j, &got) in mean.row(row).iter().enumerate() {
+                    let want = if union.binary_search(&(row as u32)).is_ok() {
+                        let mut m = before[0].get(row, j);
+                        m += 1.0 * before[1].get(row, j);
+                        m += 1.0 * before[2].get(row, j);
+                        0.0 + 1.0 * (m * (1.0 / 3.0))
+                    } else {
+                        0.0
+                    };
+                    assert_eq!(got.to_bits(), want.to_bits(), "row {row}, column {j}");
                 }
             }
-            let grads: Vec<_> = (t.replicas.iter())
-                .map(|r| bits(r.model.store().grad(id)))
-                .collect();
-            assert!(grads.iter().all(|g| *g == grads[0]), "broadcast mean");
-            t.replicas.iter_mut().for_each(|r| r.step());
-            let values: Vec<_> = (t.replicas.iter())
-                .map(|r| bits(r.model.store().value(id)))
-                .collect();
-            (grads, values)
+            let grads = bits(mean);
+            t.replicas[0].step();
+            (grads, bits(t.model().store().value(id)))
         };
         let sparse = run(&[]);
-        assert!(
-            sparse.0[0].iter().any(|&g| g != 0),
-            "the batch has gradient"
-        );
+        assert!(sparse.0.iter().any(|&g| g != 0), "the batch has gradient");
         assert_eq!(run(&[1]), sparse, "one all-rows replica");
         assert_eq!(run(&[0, 1, 2]), sparse, "all replicas all-rows");
     }
@@ -343,6 +300,26 @@ mod tests {
         let id = m.embedding_param();
         assert!(m.store().value(id).is_shared());
         assert!(m.store().value(id).as_slice().iter().all(|x| x.is_finite()));
+    }
+
+    #[test]
+    fn every_replica_aliases_rank0_values_under_either_combine() {
+        let (ds, cfg) = (dataset(), config());
+        for combine in [Combine::AllReduce, Combine::Shared] {
+            let t = Trainer::replicated(&ds, &cfg, 3, combine, SpTransE::from_config).unwrap();
+            let rank0 = t.model().store();
+            for (rank, r) in t.replicas.iter().enumerate() {
+                for id in rank0.param_ids() {
+                    let (value, canonical) = (r.model.store().value(id), rank0.value(id));
+                    assert!(value.is_shared(), "{combine:?} rank {rank}, {id:?}");
+                    assert_eq!(
+                        value.as_slice().as_ptr(),
+                        canonical.as_slice().as_ptr(),
+                        "{combine:?} rank {rank}, {id:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -63,16 +63,18 @@ pub struct TrainReport {
     /// Replicas that trained (1 for [`Trainer::new`]).
     pub workers: usize,
     /// Parameter updates applied: one per batch — under [`Combine::Shared`]
-    /// every worker's step lands in the shared tables — but one per lock-step
-    /// round under [`Combine::AllReduce`].
+    /// every worker's step lands in the shared tables — but one per round
+    /// under [`Combine::AllReduce`].
     pub steps: usize,
 }
 
-/// One copy of the model with everything its step mutates: tape, optimizer,
-/// shard size and the accumulators the trainer collects. Under
-/// [`Combine::Shared`] the replicas' value tensors alias rank 0's; everything
-/// else here is private to the replica, which is what lets a schedule hand
-/// each one to its own thread.
+/// One gradient worker: the model, its tape, optimizer, shard size and the
+/// accumulators the trainer collects. With two or more replicas every
+/// replica's value tensors alias rank 0's, whatever the [`Combine`];
+/// gradients, row sets and everything else here stay private to the replica,
+/// which is what lets a schedule hand each one to its own thread. Under
+/// [`Combine::AllReduce`] that is race-free: the concurrent phase only reads
+/// the values, and rank 0 writes them after the join.
 #[derive(Debug)]
 pub(crate) struct Replica<M> {
     pub(crate) model: M,
@@ -80,11 +82,9 @@ pub(crate) struct Replica<M> {
     /// every buffer of the steady-state step, so training performs zero
     /// tensor-buffer heap allocations after the first batch.
     graph: Graph,
-    /// One optimizer *instance per replica*, as DDP gives each rank its own:
-    /// every replica steps on the same averaged gradient, so per-replica
-    /// state (Adagrad accumulators, Adam moments) stays bit-identical. A
-    /// shared stateful optimizer would advance once per replica per round
-    /// and desynchronize them (SGD, being stateless, would mask the bug).
+    /// Steps the shared values: rank 0's alone under [`Combine::AllReduce`]
+    /// (so Adagrad and Adam keep one state, as on one replica), every
+    /// worker's own stateless SGD under [`Combine::Shared`].
     optimizer: Box<dyn Optimizer + Send>,
     num_batches: usize,
     loss_sum: f64,
@@ -207,8 +207,7 @@ fn build_plan(dataset: &Dataset, config: &TrainConfig) -> BatchPlan {
 /// ```
 #[derive(Debug)]
 pub struct Trainer<M: KgeModel> {
-    /// In rank order; rank 0 is *the* model (all-reduce keeps the others
-    /// bit-identical to it, shared aliases their values to its).
+    /// In rank order; rank 0 is *the* model, whose values the others alias.
     pub(crate) replicas: Vec<Replica<M>>,
     config: TrainConfig,
     combine: Combine,
@@ -260,9 +259,10 @@ impl<M: KgeModel> Trainer<M> {
     /// combined as `combine` says (see [`Combine`] for both algorithms, the
     /// determinism each keeps, and the Hogwild safety argument).
     ///
-    /// `make_model` is called once per worker and must construct identical
-    /// replicas (deterministic seeded init makes them bit-identical,
-    /// mirroring DDP's broadcast-from-rank-0). Afterwards
+    /// `make_model` is called once per worker. Every later replica's value
+    /// tensors are replaced by aliases of rank 0's — DDP's broadcast from
+    /// rank 0, without the copies — so the models must match parameter for
+    /// parameter in shape. Afterwards
     /// [`Trainer::model`] / [`Trainer::into_model`] give rank 0, which is
     /// *the* trained model under either combine. With `workers == 1` this is
     /// [`Trainer::new`] bit for bit.
@@ -302,19 +302,13 @@ impl<M: KgeModel> Trainer<M> {
     {
         config.validate()?;
         let shards = build_plan(dataset, config).shard(workers.max(1));
-        let mut replicas = Vec::with_capacity(shards.len());
-        let mut shared = None;
+        let mut replicas: Vec<Replica<M>> = Vec::with_capacity(shards.len());
         for shard in &shards {
             let mut replica = Replica::new(make_model(dataset, config)?, shard, config)?;
-            if combine == Combine::Shared && shards.len() > 1 {
-                // Rank 0 donates its (seeded, bit-identical-across-replicas)
-                // values as the canonical shared buffers; every later
-                // replica drops its own copy and aliases them.
+            // Every later replica drops its own values and aliases rank 0's.
+            if let Some(rank0) = replicas.first_mut() {
                 let store = replica.model.store_mut();
-                match &shared {
-                    None => shared = Some(store.share_values()?),
-                    Some(tables) => store.alias_values(tables)?,
-                }
+                store.alias_values(rank0.model.store_mut())?;
             }
             replicas.push(replica);
         }
@@ -439,26 +433,21 @@ impl<M: KgeModel> Trainer<M> {
 
         for _ in 0..epochs {
             if let Some(sched) = &self.scheduler {
-                // The same decayed rate on every replica's optimizer:
-                // identical state keeps all-reduce replicas in lock-step.
+                // The same decayed rate on every optimizer that steps.
                 for r in &mut self.replicas {
                     sched.apply(r.optimizer.as_mut(), self.epochs_done);
                 }
             }
             steps += (self.schedule)(self)?;
             self.collect_losses();
-            // Shared replicas own no values: their dirty rows were folded
-            // into rank 0 at the join, whose renormalization is the renorm.
-            let owners = match self.combine {
-                Combine::AllReduce => self.replicas.len(),
-                Combine::Shared => 1,
-            };
-            for r in &mut self.replicas[..owners] {
-                r.model.end_epoch();
-                // The hook has no error channel; a paged renormalization
-                // that hit a storage fault left it with the store.
-                r.model.store_mut().take_storage_error()?;
-            }
+            // One table: every replica's dirty rows fold into rank 0, whose
+            // renormalization is the renorm.
+            fold_dirty_rows(&mut self.replicas);
+            let rank0 = &mut self.replicas[0].model;
+            rank0.end_epoch();
+            // The hook has no error channel; a paged renormalization that
+            // hit a storage fault left it with the store.
+            rank0.store_mut().take_storage_error()?;
             epoch_losses.push((self.loss_sum / self.loss_count as f64) as f32);
             (self.loss_sum, self.loss_count) = (0.0, 0);
             self.epochs_done += 1;
@@ -549,44 +538,39 @@ fn single_epoch<M: KgeModel>(t: &mut Trainer<M>) -> Result<usize> {
     Ok(t.replicas[0].num_batches)
 }
 
-/// Lock-step rounds: every replica computes gradients on its own batch (one
-/// pool task each), the gradients are averaged into every replica, and each
-/// replica applies the identical step.
+/// Rounds: every replica computes the gradient of its own batch (one pool
+/// task each, reading the shared values and nothing else), the gradients
+/// are averaged into rank 0, and rank 0 alone steps, after the join.
 fn all_reduce_epoch<M: KgeModel + Send>(t: &mut Trainer<M>) -> Result<usize> {
     let margin = t.config.margin;
     let sizes = || t.replicas.iter().map(|r| r.num_batches);
     let rounds = sizes().max().unwrap_or(0);
     let active = sizes().filter(|&n| n > 0).count().max(1) as f32;
     for round in 0..rounds {
-        t.pool
-            .for_each_mut(&mut t.replicas, |_, r| match r.num_batches {
-                // An idle replica (more workers than batches) still holds the
-                // mean the last round broadcast; its share of this one is zero.
-                0 => r.model.store_mut().zero_grads(),
-                n => r.outcome = r.forward_backward(round % n, margin),
-            });
+        // An idle replica (more workers than batches) never writes a
+        // gradient, so its share of the mean is zero.
+        t.pool.for_each_mut(&mut t.replicas, |_, r| {
+            if r.num_batches > 0 {
+                r.outcome = r.forward_backward(round % r.num_batches, margin);
+            }
+        });
         t.outcome()?;
         // Per round, not per epoch: the epoch loss is an `f64` sum in round
         // order, then rank order, and its bits are pinned (`kernel_golden`).
         t.collect_losses();
         t.reducer.all_reduce(&mut t.replicas, active);
-        for r in &mut t.replicas {
-            r.step();
-        }
-        #[cfg(debug_assertions)]
-        crate::distributed::assert_replicas_in_lockstep(&t.replicas);
+        t.replicas[0].step();
     }
     Ok(rounds)
 }
 
 /// No rounds: every replica sweeps its shard on a dedicated thread (inline
 /// for one), stepping the shared values as it goes; the only
-/// synchronization is the join, where the dirty rows fold into rank 0.
+/// synchronization is the join.
 fn shared_epoch<M: KgeModel + Send>(t: &mut Trainer<M>) -> Result<usize> {
     let margin = t.config.margin;
     scope_workers(&mut t.replicas, |_, r| r.outcome = r.sweep(margin));
     t.outcome()?;
-    fold_dirty_rows(&mut t.replicas);
     Ok(t.num_batches())
 }
 

@@ -190,12 +190,10 @@ fn distributed_sparse_all_reduce_matches_dense() {
     }
 }
 
-/// Stateful optimizers under all-reduce: each replica owns its optimizer
-/// instance, all replicas step on the same averaged gradient, so their
-/// state — and therefore their parameters — stay in lock-step (the trainer
-/// bit-asserts this after every lock-step round in debug builds; a
-/// single shared Adagrad/Adam would advance its accumulators once per
-/// replica per step and fail that assertion on the first step).
+/// Stateful optimizers under all-reduce: the replicas share one table and
+/// rank 0's optimizer alone steps it, once per round on the averaged
+/// gradient, so Adagrad accumulators and Adam moments advance once per
+/// step, as on one replica.
 #[test]
 fn distributed_stateful_optimizers_keep_replicas_in_lockstep() {
     let ds = dataset();

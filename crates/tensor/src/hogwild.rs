@@ -1,22 +1,25 @@
-//! Hogwild shared parameter storage: interior-mutable value buffers that
-//! several model replicas alias across threads, updated **without locks or
-//! barriers** by the asynchronous training arm.
+//! Shared parameter storage: the interior-mutable value buffer that several
+//! model replicas alias across threads ([`crate::ParamStore::alias_values`]).
 //!
-//! The paper's sparsity premise — a batch touches only `O(batch)` embedding
-//! rows out of `N` — is exactly the precondition for Hogwild-style
-//! asynchronous SGD (Niu et al., 2011): concurrent workers draw disjoint
-//! batch streams, so the rows two workers step in the same instant are
-//! rarely the same, and the occasional collision merely loses one worker's
-//! tiny `-lr · g` increment. [`SharedTable`] is the primitive that makes
-//! this expressible: a `Sync` handle over an [`UnsafeCell`]-wrapped buffer
-//! through which every replica's value tensor reads and writes the *same*
-//! bytes.
+//! Every data-parallel replica's value tensors alias rank 0's, so W replicas
+//! hold one table. Two schedules use it:
+//!
+//! * **All-reduce** is race-free and deterministic. Its only concurrent
+//!   phase (every replica's forward and backward) *reads* the values; the
+//!   one writer, rank 0's optimizer step, runs after the join on the caller
+//!   thread, and so does the epoch-end renormalization.
+//! * **Hogwild** races on purpose. The paper's sparsity premise — a batch
+//!   touches only `O(batch)` embedding rows out of `N` — is exactly the
+//!   precondition for Hogwild-style asynchronous SGD (Niu et al., 2011):
+//!   concurrent workers draw disjoint batch streams, so the rows two workers
+//!   step in the same instant are rarely the same, and the occasional
+//!   collision merely loses one worker's tiny `-lr · g` increment.
 //!
 //! # Safety argument (why racy `f32` writes are acceptable here)
 //!
 //! Rust's memory model makes concurrent unsynchronized writes to the same
-//! location *undefined behavior*, so this module confines them behind
-//! `unsafe` APIs with a deliberately narrow contract:
+//! location *undefined behavior*, so this module confines them behind two
+//! crate-private `unsafe` accessors with a deliberately narrow contract:
 //!
 //! * **Word-sized, aligned stores.** Every write is a 4-byte aligned `f32`
 //!   store. On every platform this crate targets, such stores compile to
@@ -31,27 +34,25 @@
 //! * **No invariants ride on the bytes.** The buffer holds plain `f32`
 //!   data. Any bit pattern is a valid `f32` (NaNs included), so no torn
 //!   or stale read can forge an invalid value or dangling reference.
-//! * **Quiescence at epoch edges.** The async driver joins all workers
-//!   before renormalization, evaluation, or embedding dumps, so every
+//! * **Quiescence at epoch edges.** Both drivers join all workers before
+//!   renormalization, evaluation, or embedding dumps, so every
 //!   single-threaded consumer observes a fully settled table.
 //!
-//! The cost is determinism: two async runs interleave updates differently
-//! and produce different bits. The synchronous drivers remain the
-//! determinism-contract path; this arm exists as an explicitly
-//! nondeterministic throughput ablation, validated statistically (loss
-//! decreases; final quality within tolerance of the sync arm).
+//! The cost is determinism, for the Hogwild arm only: two async runs
+//! interleave updates differently and produce different bits. It exists as
+//! an explicitly nondeterministic throughput ablation, validated
+//! statistically (loss decreases; final quality within tolerance of the
+//! sync arm).
 
 use std::cell::UnsafeCell;
-use std::sync::Arc;
 
 use crate::memory;
 
-/// The interior-mutable buffer behind every [`SharedTable`] handle.
+/// The interior-mutable buffer behind every shared [`crate::Tensor`].
 ///
 /// Memory-accounting registration travels *into* this wrapper when a tensor
-/// is shared ([`crate::ParamStore::share_values`]) and is released exactly
-/// once, when the last handle drops — aliasing replicas add no accounted
-/// bytes.
+/// is first aliased and is released exactly once, when the last handle
+/// drops — aliasing replicas add no accounted bytes.
 pub(crate) struct SharedBuf {
     cell: UnsafeCell<Vec<f32>>,
     len: usize,
@@ -74,11 +75,6 @@ impl SharedBuf {
             len: data.len(),
             cell: UnsafeCell::new(data),
         }
-    }
-
-    /// Element count (fixed for the buffer's lifetime).
-    pub(crate) fn len(&self) -> usize {
-        self.len
     }
 
     /// The full buffer as a shared slice.
@@ -121,166 +117,5 @@ impl std::fmt::Debug for SharedBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Opaque: reading the contents here could race live writers.
         f.debug_struct("SharedBuf").field("len", &self.len).finish()
-    }
-}
-
-/// A `Sync` handle to a shared `rows × cols` parameter table whose rows
-/// several threads may read and write concurrently without synchronization.
-///
-/// Produced by [`crate::ParamStore::share_values`]; consumed by
-/// [`crate::ParamStore::alias_values`] to make replica stores alias the
-/// same bytes, and usable directly through the unsafe row-view API for
-/// code that wants raw Hogwild access. Cloning the handle is cheap
-/// (reference-counted) and never copies the table.
-///
-/// # Examples
-///
-/// ```
-/// use tensor::{ParamStore, Tensor};
-///
-/// let mut canonical = ParamStore::new();
-/// let w = canonical.add_param("w", Tensor::from_rows(&[[1.0, 2.0], [3.0, 4.0]]));
-/// let tables = canonical.share_values().unwrap();
-///
-/// let mut replica = ParamStore::new();
-/// replica.add_param("w", Tensor::zeros(2, 2));
-/// replica.alias_values(&tables).unwrap();
-///
-/// // The replica reads the canonical bytes...
-/// assert_eq!(replica.value(replica.lookup("w").unwrap()).row(1), &[3.0, 4.0]);
-/// // ...and its writes are visible through the canonical store.
-/// replica.value_mut(replica.lookup("w").unwrap()).set(0, 0, 9.0);
-/// assert_eq!(canonical.value(w).get(0, 0), 9.0);
-/// ```
-#[derive(Clone, Debug)]
-pub struct SharedTable {
-    buf: Arc<SharedBuf>,
-    rows: usize,
-    cols: usize,
-}
-
-impl SharedTable {
-    pub(crate) fn new(buf: Arc<SharedBuf>, rows: usize, cols: usize) -> Self {
-        debug_assert_eq!(buf.len(), rows * cols);
-        Self { buf, rows, cols }
-    }
-
-    pub(crate) fn buf_arc(&self) -> Arc<SharedBuf> {
-        Arc::clone(&self.buf)
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Row width.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Total element count.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the table has zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.buf.len() == 0
-    }
-
-    /// Number of live handles (tensors aliasing the buffer count too).
-    pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.buf)
-    }
-
-    /// Borrows row `r` for reading.
-    ///
-    /// # Safety
-    ///
-    /// Other threads may be writing this row concurrently; the caller must
-    /// accept old-or-new values per element (see the module-level safety
-    /// argument). Safe to call freely once all writers have quiesced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    #[inline]
-    pub unsafe fn row(&self, r: usize) -> &[f32] {
-        assert!(r < self.rows, "row {r} out of bounds ({} rows)", self.rows);
-        &self.buf.slice()[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Borrows row `r` for writing, through a shared handle — the raw
-    /// Hogwild row view.
-    ///
-    /// # Safety
-    ///
-    /// The returned slice may alias slices held by other threads. The
-    /// caller must keep writes to plain aligned `f32` stores and should
-    /// restrict itself to rows its own batch touched so collisions stay
-    /// rare (the module-level safety argument is the full contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    #[inline]
-    #[allow(clippy::mut_from_ref)] // interior mutability is this type's entire purpose
-    pub unsafe fn row_mut(&self, r: usize) -> &mut [f32] {
-        assert!(r < self.rows, "row {r} out of bounds ({} rows)", self.rows);
-        &mut self.buf.slice_mut()[r * self.cols..(r + 1) * self.cols]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shared_table_row_views_alias_one_buffer() {
-        let buf = Arc::new(SharedBuf::new(vec![0.0; 6]));
-        memory::register(6 * 4); // test owns the registration SharedBuf will release
-        let t = SharedTable::new(buf, 3, 2);
-        let t2 = t.clone();
-        unsafe {
-            t.row_mut(1)[0] = 5.0;
-            assert_eq!(t2.row(1), &[5.0, 0.0]);
-        }
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t.len(), 6);
-        assert!(!t.is_empty());
-        assert_eq!(t.handle_count(), 2);
-    }
-
-    #[test]
-    fn concurrent_disjoint_row_writes_land() {
-        let buf = Arc::new(SharedBuf::new(vec![0.0; 8 * 4]));
-        memory::register(8 * 4 * 4);
-        let t = SharedTable::new(buf, 8, 4);
-        std::thread::scope(|s| {
-            for w in 0..4usize {
-                let t = &t;
-                s.spawn(move || {
-                    for r in (w..8).step_by(4) {
-                        // SAFETY: each worker writes a disjoint set of rows.
-                        let row = unsafe { t.row_mut(r) };
-                        row.fill(r as f32);
-                    }
-                });
-            }
-        });
-        for r in 0..8 {
-            assert_eq!(unsafe { t.row(r) }, &[r as f32; 4]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn row_bounds_checked() {
-        let buf = Arc::new(SharedBuf::new(vec![0.0; 2]));
-        memory::register(2 * 4);
-        let t = SharedTable::new(buf, 1, 2);
-        let _ = unsafe { t.row(1) };
     }
 }

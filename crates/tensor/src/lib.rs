@@ -19,6 +19,8 @@
 //!   scatter-add backward (the *non-sparse* fine-grained path every baseline
 //!   framework uses) and [`Graph::spmm`] whose backward is a second SpMM with
 //!   the cached transpose (`∂L/∂X = Aᵀ · ∂L/∂C`, Appendix G).
+//! * [`hogwild`] — the one value table every data-parallel replica aliases
+//!   ([`ParamStore::alias_values`]), and why sharing it stays sound.
 //! * [`optim`] — SGD / Adagrad / Adam and a step LR scheduler (Appendix E).
 //! * [`profile`] — lightweight named timers used to regenerate the paper's
 //!   forward/backward/step breakdowns (Table 1, Figure 8) and the
@@ -67,7 +69,6 @@ pub use sparse::semiring::Semiring;
 pub mod kernels {
     pub use crate::graph::scatter_add_rows;
 }
-pub use hogwild::SharedTable;
 pub use paged::{PageStats, Pager, RowStorage, VecStorage};
 pub use store::{ParamId, ParamStore, RowSet, Sweep};
 pub use tensor::Tensor;

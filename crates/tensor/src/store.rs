@@ -12,7 +12,6 @@
 use sparse::DenseView;
 use xparallel::{PoolHandle, Rows};
 
-use crate::hogwild::SharedTable;
 use crate::paged::{placement, storage_error, Pager, RowStorage, Schedule};
 use crate::{Error, Result, Tensor};
 
@@ -456,7 +455,7 @@ impl ParamStore {
     }
 
     /// [`touch`](Self::touch) for a whole set, whichever state it is in —
-    /// how the all-reduce widens every replica to the union.
+    /// how the all-reduce widens rank 0 to the union of every replica's.
     pub fn touch_set(&mut self, id: ParamId, rows: &RowSet) {
         self.widen_touched(id.0, |set| set.insert_set(rows));
     }
@@ -810,75 +809,70 @@ impl ParamStore {
         self.values.iter().map(Tensor::len).sum()
     }
 
-    /// Converts every parameter's **value** tensor to Hogwild-shared
-    /// storage, returning one [`SharedTable`] handle per parameter (in
-    /// registration order) for replica stores to alias via
-    /// [`ParamStore::alias_values`].
+    /// Replaces this store's value tensors with aliases of `canonical`'s
+    /// (converting those to shared storage on first use), making this store
+    /// a replica of it: its forwards read — and its optimizer steps, if it
+    /// takes any, write — the canonical store's bytes, while its gradients
+    /// and row sets remain private (see [`crate::hogwild`] for when that is
+    /// race-free and when the races are benign).
     ///
-    /// Only values are shared: gradients, touched sets, and dirty sets stay
-    /// private to each store, so concurrent workers accumulate gradients
-    /// independently and only their optimizer *steps* race on the shared
-    /// bytes (see [`crate::hogwild`] for the safety argument).
+    /// Every parameter is conservatively marked all-dirty (its value now
+    /// changes under other stores' feet); the driver folds dirty sets into
+    /// the canonical store at epoch edges.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tensor::{ParamStore, Tensor};
+    ///
+    /// let mut canonical = ParamStore::new();
+    /// let w = canonical.add_param("w", Tensor::from_rows(&[[1.0, 2.0], [3.0, 4.0]]));
+    /// let mut replica = ParamStore::new();
+    /// let r = replica.add_param("w", Tensor::zeros(2, 2));
+    /// replica.alias_values(&mut canonical).unwrap();
+    ///
+    /// // The replica reads the canonical bytes...
+    /// assert_eq!(replica.value(r).row(1), &[3.0, 4.0]);
+    /// // ...and its writes are visible through the canonical store.
+    /// replica.value_mut(r).set(0, 0, 9.0);
+    /// assert_eq!(canonical.value(w).get(0, 0), 9.0);
+    /// ```
     ///
     /// # Errors
     ///
-    /// Fails if any parameter is paged out — the paged value tensor is a
-    /// slot cache, not the table, and Hogwild sharing of a demand-paged
-    /// cache is not supported.
-    pub fn share_values(&mut self) -> Result<Vec<SharedTable>> {
-        if self.has_paged() {
+    /// Fails if either store has a paged parameter (its value tensor is a
+    /// slot cache, not the table), or if the stores do not match
+    /// parameter-for-parameter in count and shape.
+    pub fn alias_values(&mut self, canonical: &mut ParamStore) -> Result<()> {
+        if self.has_paged() || canonical.has_paged() {
             return Err(storage_error(
-                "Hogwild value sharing is incompatible with paged parameters \
+                "value sharing is incompatible with paged parameters \
                  (the value tensor holds a slot cache, not the table)"
                     .into(),
             ));
         }
-        Ok(self.values.iter_mut().map(Tensor::share).collect())
-    }
-
-    /// Replaces this store's value tensors with aliases of `tables` (as
-    /// produced by another store's [`ParamStore::share_values`]), making
-    /// this store a Hogwild replica: its forwards read — and its optimizer
-    /// steps write — the canonical store's bytes, while its gradients and
-    /// row sets remain private.
-    ///
-    /// Every parameter is conservatively marked all-dirty (its value now
-    /// changes under other workers' feet); the async driver merges and
-    /// settles dirty sets at epoch edges.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any parameter is paged, or if `tables` does not match this
-    /// store parameter-for-parameter in count and shape.
-    pub fn alias_values(&mut self, tables: &[SharedTable]) -> Result<()> {
-        if self.has_paged() {
-            return Err(storage_error(
-                "Hogwild value sharing is incompatible with paged parameters".into(),
-            ));
-        }
-        if tables.len() != self.values.len() {
+        if canonical.values.len() != self.values.len() {
             return Err(Error::ShapeMismatch {
                 context: format!(
-                    "alias_values: {} shared tables for {} parameters",
-                    tables.len(),
+                    "alias_values: {} canonical parameters for {}",
+                    canonical.values.len(),
                     self.values.len()
                 ),
             });
         }
-        for (i, table) in tables.iter().enumerate() {
-            let have = self.values[i].shape();
-            let want = (table.rows(), table.cols());
+        for (i, (have, want)) in self.values.iter().zip(&canonical.values).enumerate() {
+            let (have, want) = (have.shape(), want.shape());
             if have != want {
                 return Err(Error::ShapeMismatch {
                     context: format!(
-                        "alias_values: parameter '{}' is {}x{} but the shared table is {}x{}",
+                        "alias_values: parameter '{}' is {}x{} but the canonical one is {}x{}",
                         self.names[i], have.0, have.1, want.0, want.1
                     ),
                 });
             }
         }
-        for (value, table) in self.values.iter_mut().zip(tables) {
-            *value = Tensor::from_shared(table);
+        for (value, shared) in self.values.iter_mut().zip(&mut canonical.values) {
+            *value = shared.alias();
         }
         for dirty in &mut self.dirty {
             dirty.mark_all();

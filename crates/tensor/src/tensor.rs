@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::hogwild::{SharedBuf, SharedTable};
+use crate::hogwild::SharedBuf;
 use crate::memory;
 use crate::Arena;
 
@@ -15,8 +15,8 @@ use crate::Arena;
 pub(crate) const REDUCE_CHUNK: usize = 8192;
 
 /// The backing storage of a [`Tensor`]: exclusively owned bytes (the
-/// default), or a Hogwild-shared buffer aliased by replica tensors across
-/// threads (see [`crate::hogwild`]).
+/// default), or a shared buffer aliased by replica tensors across threads
+/// (see [`crate::hogwild`]).
 #[derive(Debug)]
 enum Data {
     Owned(Vec<f32>),
@@ -29,11 +29,11 @@ enum Data {
 /// training is a matrix (embedding tables, batches of expression rows,
 /// per-triple score columns). Column vectors are `m × 1` tensors.
 ///
-/// Most tensors exclusively own their buffer. A tensor can instead alias a
-/// [`SharedTable`] (the Hogwild asynchronous-training arm;
-/// [`crate::ParamStore::share_values`]): its accessors then read and write
-/// the shared bytes in place, [`Tensor::clone`] snapshots to a private
-/// owned copy, and the arena-reclamation path rejects it.
+/// Most tensors exclusively own their buffer. A data-parallel replica's
+/// value tensor instead aliases rank 0's ([`crate::ParamStore::alias_values`]):
+/// its accessors then read and write the shared bytes in place,
+/// [`Tensor::clone`] snapshots to a private owned copy, and the
+/// arena-reclamation path rejects it.
 ///
 /// # Examples
 ///
@@ -189,8 +189,8 @@ impl Tensor {
         (self.rows, self.cols)
     }
 
-    /// Whether this tensor aliases a Hogwild [`SharedTable`] rather than
-    /// exclusively owning its buffer.
+    /// Whether this tensor aliases a shared buffer rather than exclusively
+    /// owning its buffer.
     #[inline]
     pub fn is_shared(&self) -> bool {
         matches!(self.data, Data::Shared(_))
@@ -370,27 +370,20 @@ impl Tensor {
         }
     }
 
-    /// Converts this tensor's storage to Hogwild-shared (a no-op returning
-    /// a fresh handle if it already is), moving memory-accounting ownership
-    /// of the bytes into the shared buffer. The tensor keeps aliasing the
-    /// same bytes; the returned handle lets other tensors alias them too.
-    pub(crate) fn share(&mut self) -> SharedTable {
-        let arc = match std::mem::replace(&mut self.data, Data::Owned(Vec::new())) {
+    /// A new tensor aliasing this one's bytes. An owned tensor first
+    /// converts to shared storage in place, moving memory-accounting
+    /// ownership of the bytes into the shared buffer; nothing is copied and
+    /// nothing new is registered.
+    pub(crate) fn alias(&mut self) -> Tensor {
+        let buf = match std::mem::replace(&mut self.data, Data::Owned(Vec::new())) {
             Data::Owned(data) => Arc::new(SharedBuf::new(data)),
-            Data::Shared(b) => b,
+            Data::Shared(buf) => buf,
         };
-        self.data = Data::Shared(Arc::clone(&arc));
-        SharedTable::new(arc, self.rows, self.cols)
-    }
-
-    /// Creates a tensor aliasing `table`'s shared buffer (no bytes copied,
-    /// no new memory registered — the shared buffer already owns the
-    /// registration).
-    pub(crate) fn from_shared(table: &SharedTable) -> Tensor {
+        self.data = Data::Shared(Arc::clone(&buf));
         Tensor {
-            rows: table.rows(),
-            cols: table.cols(),
-            data: Data::Shared(table.buf_arc()),
+            rows: self.rows,
+            cols: self.cols,
+            data: Data::Shared(buf),
         }
     }
 }
@@ -501,9 +494,8 @@ mod tests {
     fn shared_tensors_alias_and_clone_snapshots() {
         let mut a = Tensor::from_rows(&[[1.0, 2.0], [3.0, 4.0]]);
         assert!(!a.is_shared());
-        let table = a.share();
-        assert!(a.is_shared());
-        let mut b = Tensor::from_shared(&table);
+        let mut b = a.alias();
+        assert!(a.is_shared() && b.is_shared());
         b.set(0, 0, 9.0);
         assert_eq!(a.get(0, 0), 9.0, "aliases see each other's writes");
         assert_eq!(a, b);
@@ -519,9 +511,10 @@ mod tests {
     #[test]
     fn sharing_twice_returns_same_buffer() {
         let mut a = Tensor::zeros(2, 2);
-        let t1 = a.share();
-        let t2 = a.share();
-        unsafe { t1.row_mut(0)[0] = 5.0 };
-        assert_eq!(unsafe { t2.row(0) }[0], 5.0);
+        let mut t1 = a.alias();
+        let t2 = a.alias();
+        t1.row_mut(0)[0] = 5.0;
+        assert_eq!(t2.row(0)[0], 5.0);
+        assert_eq!(t1.as_slice().as_ptr(), t2.as_slice().as_ptr());
     }
 }

@@ -1,8 +1,9 @@
 //! Appendix F analog: data-parallel training with gradient all-reduce.
 //!
-//! Replicates SpTransE across worker threads, shards the batch plan, and
-//! synchronizes averaged gradients every step — the DDP algorithm the paper
-//! scales to 64 GPUs, here swept over in-process worker counts.
+//! Runs SpTransE gradient workers over one shared table, shards the batch
+//! plan, and averages the workers' gradients into one step per round — the
+//! DDP algorithm the paper scales to 64 GPUs, here swept over in-process
+//! worker counts.
 //!
 //! ```sh
 //! cargo run --release --example distributed_training
@@ -51,7 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.epoch_losses.last().copied().unwrap_or(0.0)
         );
     }
-    println!("\nGradients are averaged (all-reduce) each step, so every worker count");
-    println!("optimizes the same trajectory — only wall-clock time changes.");
+    println!("\nEach round all-reduces one batch per worker into one averaged step, so an");
+    println!("epoch takes ceil(batches / workers) steps: each worker count follows its own");
+    println!("trajectory, which is why the final losses differ.");
     Ok(())
 }

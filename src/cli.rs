@@ -306,6 +306,13 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     if cache_size == 0 {
         return Err(CliError::Usage("--cache-size must be at least 1".into()));
     }
+    let k: usize = args.parse_or("k", 10)?;
+    // `--nprobe`'s default depends on the index, loaded below.
+    for (flag, value) in [("k", k), ("nprobe", args.parse_or("nprobe", 1)?)] {
+        if value == 0 {
+            return Err(CliError::Usage(format!("--{flag} must be at least 1")));
+        }
+    }
     let cache_rows = cache_rows_from_args(args)?;
     // The embedding dump stores only the stacked matrix; the training TSV
     // recovers the entity/relation split of its rows.
@@ -333,7 +340,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let clusters: usize = args.parse_or("clusters", IvfConfig::sqrt_clusters(n).clusters)?;
     let kmeans_iters: usize = args.parse_or("kmeans-iters", 8)?;
     let seed: u64 = args.parse_or("seed", 42)?;
-    let k: usize = args.parse_or("k", 10)?;
     let num_queries: usize = args.parse_or("queries", 2_000)?;
 
     let index = match args.options.get("index") {
@@ -355,7 +361,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     }
     let num_clusters = index.num_clusters();
     let nprobe: usize = args.parse_or("nprobe", num_clusters.div_ceil(8))?;
-    let nprobe = nprobe.clamp(1, num_clusters);
+    let nprobe = nprobe.min(num_clusters);
 
     let mut engine = ServeEngine::new(model, index)?.with_cache(cache_size);
     let mut workload = ZipfWorkload::new(n, r, zipf, seed);

@@ -170,8 +170,10 @@ fn out_of_range_flags_are_usage_errors_naming_the_flag() {
     ];
     let stats = ["stats", "--train", train];
     #[rustfmt::skip]
-    let cases: [(&[&str], &[&str], &str); 14] = [
+    let cases: [(&[&str], &[&str], &str); 16] = [
         (&serve, &["--cache-size", "0"], "--cache-size"),
+        (&serve, &["--k", "0", "--min-recall", "0.99"], "--k"),
+        (&serve, &["--nprobe", "0"], "--nprobe"),
         (&serve, &["--cache-rows", "5"], "--cache-rows"),
         (&train_cmd, &["--cache-rows", "7"], "--cache-rows"),
         (&train_cmd, &["--store", "ram", "--cache-rows", "7"], "--cache-rows"),
