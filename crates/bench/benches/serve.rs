@@ -1,27 +1,40 @@
-//! Serving-path benchmark: full-scan vs ANN top-K completion latency.
+//! Serving-path benchmark: index build, probe, and full-scan vs ANN top-K
+//! completion latency.
 //!
-//! A latency report over a Zipf-skewed request stream of 2 000 queries:
-//! `p50/p95/p99`, mean and QPS for the exact full scan, the IVF arm at
-//! `nprobe` 1–32 (the cost axis of the recall/cost knob) with its recall@10
-//! and scan fraction, and the IVF arm behind the query cache with its hit
-//! rate. Serving SLOs are percentile-shaped, so every query is timed on its
-//! own and summarized by [`LatencySummary`] — the one place in the benches
-//! that reads the clock itself.
+//! The IVF index (128 clusters, 8 Lloyd iterations) is built only through
+//! [`time_arm`], and every arm serves a clone of its last build, the cached
+//! arm with a fresh query cache. Then a latency report over a Zipf-skewed
+//! request stream of 2 000 queries: `p50/p95/p99`, mean and QPS for the
+//! exact full scan, the IVF arm at `nprobe` 1–32 (the cost axis of the
+//! recall/cost knob) with its recall@10 and scan fraction, and the IVF arm
+//! behind the query cache with its hit rate. Serving SLOs are percentile-shaped, so every query is timed
+//! on its own and summarized by [`LatencySummary`] — the one place in the
+//! benches that reads the clock itself.
 //!
-//! Run with `cargo bench -p sptx-bench --bench serve`.
+//! The same numbers go to `BENCH_serve.json` (see `sptx_bench::json`):
+//! `build_ms`, the probe's µs per query, and per arm p50, p99 and QPS, with
+//! recall@10 and scan fraction per `nprobe` and the cached arm's hit rate.
+//! The committed file is one run of
+//! `SPTX_NUM_THREADS=1 cargo bench -p sptx-bench --bench serve`.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use kg::synthetic::SyntheticKgBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sptransx::serve::{
-    recall_at_k, IvfConfig, IvfIndex, LatencySummary, ServeEngine, ServeModel, ZipfWorkload,
+    recall_at_k, IvfConfig, IvfIndex, LatencySummary, Query, ServeEngine, ServeModel, ZipfWorkload,
 };
 use sptransx::Norm;
+use sptx_bench::harness::time_arm;
+use sptx_bench::json::{write_bench_json, JsonObject};
 use xparallel::PoolHandle;
 
 const K: usize = 10;
+const CLUSTERS: usize = 128;
+const KMEANS_ITERS: usize = 8;
+/// The `nprobe` of the probe timing and the cached arm.
+const NPROBE: usize = 8;
 
 /// A serving-scale stacked matrix: clustered entity embeddings (the regime
 /// IVF exploits) over a synthetic vocabulary, plus small relation vectors.
@@ -48,28 +61,12 @@ fn build_model(entities: usize, relations: usize, dim: usize) -> ServeModel {
     ServeModel::from_stacked(stack, ds.num_entities, ds.num_relations, dim, Norm::L2).unwrap()
 }
 
-fn build_engine(model: &ServeModel, clusters: usize) -> ServeEngine {
-    let index = IvfIndex::build(
-        model.embeddings(),
-        model.num_entities(),
-        model.dim(),
-        &IvfConfig {
-            clusters,
-            iters: 8,
-            seed: 3,
-        },
-        &PoolHandle::global(),
-    )
-    .unwrap();
-    ServeEngine::new(model.clone(), index).unwrap()
-}
-
 /// One measured serving run: replay `queries` through an arm, collecting
 /// per-query latency samples.
 fn run_arm(
     engine: &mut ServeEngine,
-    queries: &[sptransx::serve::Query],
-    mut answer: impl FnMut(&mut ServeEngine, &sptransx::serve::Query) -> usize,
+    queries: &[Query],
+    mut answer: impl FnMut(&mut ServeEngine, &Query) -> usize,
 ) -> (LatencySummary, usize) {
     let mut samples = Vec::with_capacity(queries.len());
     let mut scored = 0usize;
@@ -88,28 +85,84 @@ fn fmt(s: &LatencySummary) -> String {
     )
 }
 
+/// One arm's record: its latency percentiles in µs and its QPS.
+fn latency_record(arm: &str, s: &LatencySummary) -> JsonObject {
+    let us = |d: Duration| d.as_secs_f64() * 1e6;
+    JsonObject::new()
+        .str("bench", "serve")
+        .str("arm", arm)
+        .num("p50_us", us(s.p50))
+        .num("p99_us", us(s.p99))
+        .num("qps", s.qps)
+}
+
 fn main() {
     let model = build_model(20_000, 32, 64);
     let n = model.num_entities();
-    let clusters = 128usize;
     let mut wl = ZipfWorkload::new(n, model.num_relations(), 1.1, 33);
     let queries = wl.take(2_000);
 
     println!(
-        "\nserving latency report — {} entities, dim {}, {} clusters, {} Zipf(1.1) queries, k={}",
+        "\nserving latency report — {} entities, dim {}, {CLUSTERS} clusters, {} Zipf(1.1) queries, k={K}",
         n,
         model.dim(),
-        clusters,
         queries.len(),
-        K
     );
 
-    let mut exact_engine = build_engine(&model, clusters);
+    let cfg = IvfConfig {
+        clusters: CLUSTERS,
+        iters: KMEANS_ITERS,
+        seed: 3,
+    };
+    let build = || {
+        IvfIndex::build(
+            model.embeddings(),
+            n,
+            model.dim(),
+            &cfg,
+            &PoolHandle::global(),
+        )
+        .unwrap()
+    };
+    // Every arm serves the last timed build.
+    let mut index = None;
+    let build_ms = time_arm("ivf build", None, || index = Some(build()));
+    let index = index.expect("time_arm runs its closure");
+    let vectors: Vec<Vec<f32>> = queries.iter().map(|q| model.query_vector(q)).collect();
+    let mut candidates = Vec::new();
+    let probe_ms = time_arm(
+        &format!("ivf probe nprobe={NPROBE} ({} queries)", vectors.len()),
+        Some(vectors.len() as u64),
+        || {
+            for v in &vectors {
+                index.probe(v, NPROBE, &mut candidates);
+            }
+        },
+    );
+    let mut records = vec![
+        JsonObject::new()
+            .str("bench", "serve")
+            .str("arm", "build")
+            .int("entities", n as u64)
+            .int("dim", model.dim() as u64)
+            .int("clusters", CLUSTERS as u64)
+            .int("kmeans_iters", KMEANS_ITERS as u64)
+            .num("build_ms", build_ms),
+        JsonObject::new()
+            .str("bench", "serve")
+            .str("arm", "probe")
+            .int("nprobe", NPROBE as u64)
+            .num("us_per_query", probe_ms * 1e3 / vectors.len() as f64),
+    ];
+    let engine = || ServeEngine::new(model.clone(), index.clone()).unwrap();
+
+    let mut exact_engine = engine();
     let (exact_lat, _) = run_arm(&mut exact_engine, &queries, |e, q| {
         e.answer_exact(q, K);
         n
     });
     println!("  exact full scan       {}", fmt(&exact_lat));
+    records.push(latency_record("exact", &exact_lat));
 
     // Ground truth for recall: the exact answers.
     let truth: Vec<_> = queries
@@ -118,32 +171,49 @@ fn main() {
         .collect();
 
     for nprobe in [1usize, 2, 4, 8, 16, 32] {
-        let mut engine = build_engine(&model, clusters);
         let mut recall_sum = 0.0;
         let mut qi = 0usize;
-        let (lat, scored) = run_arm(&mut engine, &queries, |e, q| {
+        let (lat, scored) = run_arm(&mut engine(), &queries, |e, q| {
             let ans = e.answer_ann(q, K, nprobe);
             recall_sum += recall_at_k(&truth[qi], &ans.hits);
             qi += 1;
             ans.scored
         });
+        let recall = recall_sum / queries.len() as f64;
+        let scan = scored as f64 / (queries.len() * n) as f64;
         println!(
-            "  ivf nprobe={:<3}        {}  recall@{} {:.3}  scan {:>5.1}%",
+            "  ivf nprobe={:<3}        {}  recall@{K} {recall:.3}  scan {:>5.1}%",
             nprobe,
             fmt(&lat),
-            K,
-            recall_sum / queries.len() as f64,
-            100.0 * scored as f64 / (queries.len() * n) as f64
+            100.0 * scan
+        );
+        records.push(
+            latency_record("ivf", &lat)
+                .int("nprobe", nprobe as u64)
+                .num("recall_at_10", recall)
+                .num("scan_frac", scan),
         );
     }
 
     // Cached arm: same stream, hot head absorbed by the LRU.
-    let mut engine = build_engine(&model, clusters).with_cache(1024);
-    let (lat, _) = run_arm(&mut engine, &queries, |e, q| e.answer_ann(q, K, 8).scored);
-    let stats = engine.cache_stats().unwrap();
+    let mut cached = engine().with_cache(1024);
+    let (lat, _) = run_arm(&mut cached, &queries, |e, q| {
+        e.answer_ann(q, K, NPROBE).scored
+    });
+    let hit_rate = cached.cache_stats().unwrap().hit_rate();
     println!(
-        "  ivf nprobe=8 + cache  {}  cache hit rate {:.1}%\n",
+        "  ivf nprobe={NPROBE} + cache  {}  cache hit rate {:.1}%\n",
         fmt(&lat),
-        100.0 * stats.hit_rate()
+        100.0 * hit_rate
     );
+    records.push(
+        latency_record("ivf+cache", &lat)
+            .int("nprobe", NPROBE as u64)
+            .num("cache_hit_rate", hit_rate),
+    );
+
+    match write_bench_json("serve", &records) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_serve.json: {e}"),
+    }
 }

@@ -1,7 +1,7 @@
 //! Machine-readable benchmark output: `BENCH_<name>.json` files.
 //!
 //! The benches whose numbers are committed (`BENCH_{scale,paged,hogwild,
-//! models}.json`) emit a flat JSON array of records — one object per (arm,
+//! models,serve}.json`) emit a flat JSON array of records — one object per (arm,
 //! configuration) measurement — via this hand-rolled writer (the workspace
 //! deliberately carries no serde), so scripts can diff them.
 //!

@@ -3,9 +3,24 @@
 //! The serving engine must not score all `N` entities per query. Following
 //! the clustering/IVF recipe Helmsman applies at billion scale, the entity
 //! embeddings are partitioned by k-means into `K` clusters; a query probes
-//! the `nprobe` nearest cluster centroids and rescorest only the entities in
+//! the `nprobe` nearest cluster centroids and rescores only the entities in
 //! those clusters — `nprobe` is the cost/recall knob (`nprobe == K` degrades
 //! to an exact full scan).
+//!
+//! **One distance kernel.** Every centroid distance — the k-means
+//! assignment of the build and the cluster ranking of every probe — is one
+//! kernel over a *panel*: the centroids transposed into blocks of
+//! `LANES = 16`, column `j` of a block's centroids stored together.
+//! One entity (or query) row advances its 16 distances at once, one
+//! `[f32; 16]` accumulator, which vectorizes at the baseline target. Each
+//! lane computes `t = x_j − c_j; acc += t·t` from `0.0` in ascending column
+//! order: exactly the IEEE operations `RowScore::SquaredL2.distance` performs
+//! on one pair (Rust never contracts them into an FMA), so every distance is
+//! bit-equal to the row-at-a-time scan, and the argmin walks the lanes in
+//! ascending cluster order with a strict `<`. The index bytes are those of
+//! the row-major scan it replaced; `kernel_golden` pins them. The panel is
+//! derived from the row-major centroids at build and at load, and only the
+//! row-major centroids are written to disk.
 //!
 //! **Determinism contract:** [`IvfIndex::build`] produces a bit-identical
 //! index at any [`PoolHandle`] width (and therefore any `SPTX_NUM_THREADS`):
@@ -28,12 +43,15 @@ use crate::{Error, Result};
 /// On-disk magic of a serialized [`IvfIndex`].
 const MAGIC: &[u8; 8] = b"SPTXIVF1";
 
+/// Centroids per panel block: the distances one row advances together.
+const LANES: usize = 16;
+
 /// K-means build parameters for [`IvfIndex::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IvfConfig {
     /// Number of clusters `K` (clamped to the entity count).
     pub clusters: usize,
-    /// Lloyd iterations (assignment + centroid update rounds).
+    /// Lloyd iterations (assignment + centroid update rounds); at least 1.
     pub iters: usize,
     /// Seed for the initial centroid draw.
     pub seed: u64,
@@ -70,8 +88,10 @@ impl IvfConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IvfIndex {
     dim: usize,
-    /// `K × dim`, row-major.
+    /// `K × dim`, row-major: what [`IvfIndex::save`] writes.
     centroids: Vec<f32>,
+    /// The same centroids as the distance kernel reads them.
+    panel: Panel,
     /// `K + 1` offsets into `entities`.
     indptr: Vec<u32>,
     /// Concatenated per-cluster entity ids, ascending within each cluster.
@@ -89,7 +109,9 @@ impl IvfIndex {
     /// # Errors
     ///
     /// Returns [`Error::Config`] when `num_entities == 0`, `dim == 0`,
-    /// `cfg.clusters == 0`, or `emb` is shorter than `num_entities * dim`.
+    /// `cfg.clusters == 0`, `cfg.iters == 0`, `emb` is shorter than
+    /// `num_entities * dim`, or an entity row holds a NaN or an infinity
+    /// (the message names the first one's row and column).
     pub fn build(
         emb: &[f32],
         num_entities: usize,
@@ -103,6 +125,11 @@ impl IvfIndex {
         if cfg.clusters == 0 {
             return Err(Error::config("IVF cluster count must be positive"));
         }
+        if cfg.iters == 0 {
+            return Err(Error::config(
+                "IVF k-means iteration count must be positive",
+            ));
+        }
         if emb.len() < num_entities * dim {
             return Err(Error::config(format!(
                 "embedding buffer holds {} values, need {} for {num_entities} x {dim}",
@@ -112,6 +139,16 @@ impl IvfIndex {
         }
         let k = cfg.clusters.min(num_entities);
         let ent = &emb[..num_entities * dim];
+        // One NaN would become a NaN centroid that no distance is below,
+        // holding only its own row while another cluster empties.
+        if let Some(i) = ent.iter().position(|x| !x.is_finite()) {
+            return Err(Error::config(format!(
+                "entity row {} column {} is {}: an IVF index needs finite embeddings",
+                i / dim,
+                i % dim,
+                ent[i]
+            )));
+        }
 
         // Initial centroids: k distinct seeded-random entities (partial
         // Fisher–Yates over the id range).
@@ -131,13 +168,15 @@ impl IvfIndex {
         // Per-entity (nearest cluster, squared distance) pairs; one slice so
         // the parallel pass needs a single destination-sharded loop.
         let mut assign: Vec<(u32, f32)> = vec![(0, 0.0); num_entities];
-        for _ in 0..cfg.iters.max(1) {
-            assign_nearest(ent, dim, &centroids, k, handle, &mut assign);
+        for _ in 0..cfg.iters {
+            let panel = Panel::new(&centroids, dim);
+            assign_nearest(ent, &panel, handle, &mut assign);
             update_centroids(ent, dim, k, &assign, &mut centroids);
         }
         // Final assignment against the final centroids, so the inverted
         // lists match what `probe` will compute at query time.
-        assign_nearest(ent, dim, &centroids, k, handle, &mut assign);
+        let panel = Panel::new(&centroids, dim);
+        assign_nearest(ent, &panel, handle, &mut assign);
 
         // Inverted lists: one counting pass, one placement pass in entity
         // order — ascending ids within each cluster by construction.
@@ -159,6 +198,7 @@ impl IvfIndex {
         Ok(Self {
             dim,
             centroids,
+            panel,
             indptr,
             entities,
         })
@@ -188,7 +228,8 @@ impl IvfIndex {
         &self.entities[self.indptr[c] as usize..self.indptr[c + 1] as usize]
     }
 
-    /// Centroid `c` as a `dim`-length row.
+    /// Centroid `c` as a `dim`-length row — what the panel is derived from
+    /// and what [`IvfIndex::save`] writes.
     ///
     /// # Panics
     ///
@@ -206,9 +247,10 @@ impl IvfIndex {
     pub fn nearest_clusters(&self, q: &[f32], nprobe: usize) -> Vec<u32> {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
         let k = self.num_clusters();
-        let mut order: Vec<(u32, f32)> = (0..k as u32)
-            .map(|c| (c, l2_sq(q, self.centroid(c as usize))))
-            .collect();
+        let mut order: Vec<(u32, f32)> = Vec::with_capacity(k);
+        self.panel.for_each_block(q, |first, dists| {
+            order.extend((first as u32..).zip(dists.iter().copied()));
+        });
         order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         order.truncate(nprobe.clamp(1, k));
         order.into_iter().map(|(c, _)| c).collect()
@@ -261,18 +303,19 @@ impl IvfIndex {
                 words.checked_add(n)?.checked_mul(4)
             })?
             .map(|w| w as usize); // the codec checked each fits
-            let (centroids, indptr, entities) = (vec![0.0; k * dim], vec![0; k + 1], vec![0; n]);
-            let mut index = Self {
+            let (mut centroids, mut indptr, mut entities) =
+                (vec![0.0; k * dim], vec![0; k + 1], vec![0; n]);
+            let mut buf = Vec::new();
+            stream::read_le(&mut file, &mut buf, &mut centroids)?;
+            stream::read_le(&mut file, &mut buf, &mut indptr)?;
+            stream::read_le(&mut file, &mut buf, &mut entities)?;
+            Ok(Self {
                 dim,
+                panel: Panel::new(&centroids, dim),
                 centroids,
                 indptr,
                 entities,
-            };
-            let mut buf = Vec::new();
-            stream::read_le(&mut file, &mut buf, &mut index.centroids)?;
-            stream::read_le(&mut file, &mut buf, &mut index.indptr)?;
-            stream::read_le(&mut file, &mut buf, &mut index.entities)?;
-            Ok(index)
+            })
         };
         let index = read().map_err(|e| Error::serve(format!("reading IVF index: {e}")))?;
         // `probe` hands the ids to table rows: each of `0..n` exactly once.
@@ -290,39 +333,76 @@ impl IvfIndex {
     }
 }
 
-/// Squared L2 distance (monotone in L2, cheaper — ranking is unaffected),
-/// through the one row score every other distance in the crate uses.
-#[inline]
-fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-    tensor::RowScore::SquaredL2.distance(a, b)
+/// The centroids transposed for the distance kernel: block `b` holds
+/// centroids `16b .. 16b + 16`, column by column —
+/// `data[(b·dim + j)·LANES + l]` is column `j` of centroid `b·LANES + l`.
+/// The last block's lanes past `K` hold `0.0`; their distances are computed
+/// and never reported.
+#[derive(Debug, Clone, PartialEq)]
+struct Panel {
+    k: usize,
+    dim: usize,
+    data: Vec<f32>,
+}
+
+impl Panel {
+    /// Transposes `K × dim` row-major centroids.
+    fn new(centroids: &[f32], dim: usize) -> Self {
+        let k = centroids.len() / dim;
+        let mut data = vec![0.0; k.div_ceil(LANES) * dim * LANES];
+        for (c, row) in centroids.chunks_exact(dim).enumerate() {
+            let block = &mut data[c / LANES * dim * LANES..];
+            for (j, &v) in row.iter().enumerate() {
+                block[j * LANES + c % LANES] = v;
+            }
+        }
+        Self { k, dim, data }
+    }
+
+    /// Calls `f(first, distances)` for every block in ascending cluster
+    /// order: the squared L2 distances from `x` to centroids `first ..
+    /// first + distances.len()`, each bit-equal to
+    /// `RowScore::SquaredL2.distance(x, centroid)`.
+    #[inline]
+    fn for_each_block(&self, x: &[f32], mut f: impl FnMut(usize, &[f32])) {
+        debug_assert_eq!(x.len(), self.dim);
+        for (b, block) in self.data.chunks_exact(self.dim * LANES).enumerate() {
+            let mut acc = [0.0f32; LANES];
+            for (&xj, col) in x.iter().zip(block.chunks_exact(LANES)) {
+                for (a, &c) in acc.iter_mut().zip(col) {
+                    let t = xj - c;
+                    *a += t * t;
+                }
+            }
+            let first = b * LANES;
+            f(first, &acc[..LANES.min(self.k - first)]);
+        }
+    }
+
+    /// The nearest centroid to `x` and its squared distance; ties resolve to
+    /// the lowest cluster index.
+    #[inline]
+    fn nearest(&self, x: &[f32]) -> (u32, f32) {
+        let mut best = (0u32, f32::INFINITY);
+        self.for_each_block(x, |first, dists| {
+            for (c, &d) in (first as u32..).zip(dists) {
+                if d < best.1 {
+                    best = (c, d);
+                }
+            }
+        });
+        best
+    }
 }
 
 /// Parallel nearest-centroid assignment. Each entity's argmin is computed
-/// independently with a serial inner loop (ties → lowest cluster index) and
-/// written to exactly one destination slot, so the result is identical at
-/// any handle width.
-fn assign_nearest(
-    ent: &[f32],
-    dim: usize,
-    centroids: &[f32],
-    k: usize,
-    handle: &PoolHandle,
-    assign: &mut [(u32, f32)],
-) {
+/// independently (ties → lowest cluster index) and written to exactly one
+/// destination slot, so the result is identical at any handle width.
+fn assign_nearest(ent: &[f32], panel: &Panel, handle: &PoolHandle, assign: &mut [(u32, f32)]) {
+    let dim = panel.dim;
     handle.for_mut(assign, 64, |offset, chunk| {
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            let e = offset + i;
-            let row = &ent[e * dim..(e + 1) * dim];
-            let mut best_c = 0u32;
-            let mut best_d = f32::INFINITY;
-            for c in 0..k {
-                let d = l2_sq(row, &centroids[c * dim..(c + 1) * dim]);
-                if d < best_d {
-                    best_d = d;
-                    best_c = c as u32;
-                }
-            }
-            *slot = (best_c, best_d);
+        for (e, slot) in (offset..).zip(chunk.iter_mut()) {
+            *slot = panel.nearest(&ent[e * dim..(e + 1) * dim]);
         }
     });
 }

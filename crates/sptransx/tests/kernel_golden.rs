@@ -25,6 +25,10 @@
 //! *after* training — the IVF index bytes and the exact / ANN / paged answers
 //! under all four norms — against aba0a40, the last commit where evaluation
 //! and serving re-derived the distance and the query vector themselves.
+//! `ivf_index_bytes_match_row_major_assignment` adds the index bytes at the
+//! edges of the 16-lane centroid panel (one lane, whole blocks, ties, empty
+//! clusters) against 9295046, the last commit with a row-at-a-time
+//! assignment.
 //!
 //! `row_files_match_two_handle_writers` pins the bytes on disk — the
 //! streaming dump and the pagefile after a paged epoch, with its storage
@@ -418,6 +422,63 @@ fn serving_arms_match_pre_unification_distance_and_query() {
         moved.is_empty(),
         "[exact, ann, paged] answer hashes moved — the distance, the query vector or the \
          candidate scan changed arithmetic:\n{}",
+        moved.join("\n")
+    );
+}
+
+/// The IVF index bytes at the edges of the build's 16-lane centroid panel,
+/// captured on 9295046 — the last commit whose assignment scanned the
+/// centroids one row-major distance at a time. `INDEX_BYTES` above is one
+/// full block plus a 4-lane tail; these add a 1-lane block, exactly one
+/// block and exactly three at `d` 13 (no multiple of any vector width), a
+/// table of 25 distinct rows each repeated (equidistant centroids, so ties
+/// must go to the lowest cluster), and 16 clusters over 6 distinct rows (the
+/// empty-cluster re-seed runs every round).
+#[test]
+fn ivf_index_bytes_match_row_major_assignment() {
+    use sptransx::serve::{IvfConfig, IvfIndex};
+
+    let spread = |i: u32| (i.wrapping_mul(2_654_435_761) >> 8) as f32 / 8_388_608.0 - 1.0;
+    // Quarter steps in [-1, 1): distinct rows at equal distances are common.
+    let coarse = |i: u32| (i.wrapping_mul(2_654_435_761) >> 29) as f32 / 4.0 - 1.0;
+    let table = |n: usize, d: usize, distinct: usize, value: &dyn Fn(u32) -> f32| {
+        (0..n * d)
+            .map(|i| value(((i / d * 7 % distinct) * d + i % d) as u32))
+            .collect::<Vec<f32>>()
+    };
+    #[rustfmt::skip]
+    let golden: [(&str, Vec<f32>, usize, usize, u64); 5] = [
+        ("k 1", table(300, 13, 300, &spread), 1, 3, 0xfab5_f8ef_1022_14b1),
+        ("k 16", table(300, 13, 300, &spread), 16, 3, 0x4936_29c6_a33d_dc0d),
+        ("k 48", table(300, 13, 300, &spread), 48, 3, 0x4e4a_3aea_cd7c_fa7f),
+        ("duplicated rows", table(200, 13, 25, &coarse), 20, 4, 0x5a3c_1142_7832_3004),
+        ("more clusters than rows", table(100, 13, 6, &coarse), 16, 3, 0x08a1_c064_167e_6260),
+    ];
+    let path = std::env::temp_dir().join(format!("sptx-golden-panel-{}.ivf", std::process::id()));
+    let mut moved = Vec::new();
+    for (what, emb, clusters, iters, want) in golden {
+        let n = emb.len() / 13;
+        let cfg = IvfConfig {
+            clusters,
+            iters,
+            seed: 0x1DF,
+        };
+        for width in [1, 4] {
+            let handle = xparallel::PoolHandle::global().with_width(width);
+            let index = IvfIndex::build(&emb, n, 13, &cfg, &handle).unwrap();
+            index.save(&path).unwrap();
+            let got = file_hash(&path);
+            if got != want {
+                moved.push(format!(
+                    "{what} (width {width}): {got:#x}, 9295046 had {want:#x}"
+                ));
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
+    assert!(
+        moved.is_empty(),
+        "IVF index bytes moved — the assignment's distances or tie-breaks changed:\n{}",
         moved.join("\n")
     );
 }

@@ -13,7 +13,11 @@
 //! * at some nprobe the ANN arm reaches recall@10 ≥ 0.95 while scoring
 //!   < 25% of entities (the acceptance knob, pinned on clustered data);
 //! * the serving LRU cache's hit count is predicted exactly by a
-//!   fully-associative `simcache` model replaying the same key stream.
+//!   fully-associative `simcache` model replaying the same key stream;
+//! * the index's 16-lane centroid-panel kernel picks the argmin and the probe
+//!   order a row-at-a-time `RowScore::SquaredL2` scan picks, ties included;
+//! * a table with a non-finite entity coordinate, or zero k-means rounds,
+//!   is a configuration error rather than a silently poisoned index.
 
 use kg::eval::{evaluate_batched, BatchScorer, EvalConfig};
 use kg::stream::RowFile;
@@ -25,6 +29,7 @@ use sptransx::serve::{
     ServeEngine, ServeModel, ZipfWorkload,
 };
 use sptransx::{FileRowStorage, KgeModel, Norm, SpTransE, TrainConfig, Trainer};
+use tensor::RowScore;
 use xparallel::PoolHandle;
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -520,4 +525,116 @@ fn cached_answers_equal_uncached_answers() {
     assert!(saw_cache_hit, "the skewed stream should hit the cache");
     let stats = cached.cache_stats().unwrap();
     assert_eq!(stats.hits + stats.misses, 200);
+}
+
+/// The index's distance kernel against the row-at-a-time reference it
+/// replaced: `RowScore::SquaredL2.distance` to each centroid in cluster
+/// order. Random `K` in 1..=70 (one lane to five blocks, any tail) and `d` in
+/// 1..=80, tables drawn from a pool of fewer distinct rows than entities — so
+/// initial centroids repeat, equal distances are common and, with fewer
+/// distinct rows than clusters, the empty-cluster re-seed runs — with
+/// quarter-step values (exact sums, many ties) in odd cases and arbitrary
+/// floats in even ones. Every entity must sit in the lowest-index nearest
+/// centroid's list, and `nearest_clusters` must return the reference's
+/// `(distance, id)` order, at pool widths 1 and 4.
+#[test]
+fn panel_kernel_matches_row_at_a_time_reference() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    for case in 0..40u64 {
+        let k = rng.gen_range(1..=70usize);
+        let d = rng.gen_range(1..=80usize);
+        let distinct = rng.gen_range(1..=k + 4);
+        let pool: Vec<f32> = (0..distinct * d)
+            .map(|_| match case % 2 {
+                1 => rng.gen_range(-4i32..4) as f32 / 4.0,
+                _ => rng.gen_range(-1.0f32..1.0),
+            })
+            .collect();
+        let n = k + rng.gen_range(0..3 * k);
+        let mut emb = Vec::with_capacity(n * d);
+        for _ in 0..n {
+            let r = rng.gen_range(0..distinct);
+            emb.extend_from_slice(&pool[r * d..(r + 1) * d]);
+        }
+        let cfg = IvfConfig {
+            clusters: k,
+            iters: rng.gen_range(1..=3),
+            seed: case,
+        };
+        let build = |w| IvfIndex::build(&emb, n, d, &cfg, &PoolHandle::global().with_width(w));
+        let index = build(1).unwrap();
+        assert_eq!(build(4).unwrap(), index, "case {case}: width 4");
+        let what = format!("case {case}: k {k}, d {d}, {distinct} distinct rows");
+
+        let reference = |x: &[f32]| -> Vec<(u32, f32)> {
+            (0..index.num_clusters())
+                .map(|c| (c as u32, RowScore::SquaredL2.distance(x, index.centroid(c))))
+                .collect()
+        };
+        let mut home = vec![u32::MAX; n];
+        for c in 0..index.num_clusters() {
+            for &e in index.cluster(c) {
+                home[e as usize] = c as u32;
+            }
+        }
+        let mut queries: Vec<Vec<f32>> = emb.chunks_exact(d).map(<[f32]>::to_vec).collect();
+        for (e, row) in queries.iter().enumerate() {
+            let mut best = (0u32, f32::INFINITY);
+            for (c, dist) in reference(row) {
+                if dist < best.1 {
+                    best = (c, dist);
+                }
+            }
+            assert_eq!(home[e], best.0, "{what}: entity {e}");
+        }
+        queries.extend((0..8).map(|_| (0..d).map(|_| rng.gen_range(-1.5f32..1.5)).collect()));
+        for q in &queries {
+            let mut want = reference(q);
+            want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let want: Vec<u32> = want.into_iter().map(|(c, _)| c).collect();
+            let nprobe = rng.gen_range(1..=want.len());
+            assert_eq!(index.nearest_clusters(q, want.len()), want, "{what}");
+            assert_eq!(index.nearest_clusters(q, nprobe), want[..nprobe], "{what}");
+        }
+    }
+}
+
+/// One NaN among 8 000 coordinates used to become centroid 0, holding only
+/// its own row, while another cluster ended empty — and `build` returned
+/// `Ok`. Now it is refused, naming the first non-finite entity coordinate;
+/// relation rows past the entities are not clustered and not checked. Zero
+/// Lloyd rounds used to run one.
+#[test]
+fn build_refuses_non_finite_entities_and_zero_rounds() {
+    let (n, r, d) = (1000usize, 4usize, 8usize);
+    let mut stack = clustered_stack(n, r, 16, d, 3);
+    let cfg = IvfConfig {
+        clusters: 16,
+        iters: 4,
+        seed: 1,
+    };
+    let build = |stack: &[f32], cfg: &IvfConfig| {
+        IvfIndex::build(stack, n, d, cfg, &PoolHandle::global()).map_err(|e| e.to_string())
+    };
+    stack[n * d + 2] = f32::NAN;
+    assert!(
+        build(&stack, &cfg).is_ok(),
+        "relation rows are not clustered"
+    );
+    for (bad, shown) in [
+        (f32::NAN, "NaN"),
+        (f32::INFINITY, "inf"),
+        (f32::NEG_INFINITY, "-inf"),
+    ] {
+        let mut poisoned = stack.clone();
+        poisoned[5 * d + 3] = bad;
+        poisoned[700 * d] = bad;
+        let err = build(&poisoned, &cfg).unwrap_err();
+        assert!(
+            err.contains(&format!("entity row 5 column 3 is {shown}")),
+            "{err}"
+        );
+    }
+    let err = build(&stack, &IvfConfig { iters: 0, ..cfg }).unwrap_err();
+    assert!(err.contains("iteration count must be positive"), "{err}");
 }

@@ -307,8 +307,16 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         return Err(CliError::Usage("--cache-size must be at least 1".into()));
     }
     let k: usize = args.parse_or("k", 10)?;
-    // `--nprobe`'s default depends on the index, loaded below.
-    for (flag, value) in [("k", k), ("nprobe", args.parse_or("nprobe", 1)?)] {
+    let kmeans_iters: usize = args.parse_or("kmeans-iters", 8)?;
+    // `--nprobe`'s default depends on the index and `--clusters`' on the
+    // entity count, both loaded below; a given value is checked here.
+    let checked = [
+        ("k", k),
+        ("kmeans-iters", kmeans_iters),
+        ("nprobe", args.parse_or("nprobe", 1)?),
+        ("clusters", args.parse_or("clusters", 1)?),
+    ];
+    for (flag, value) in checked {
         if value == 0 {
             return Err(CliError::Usage(format!("--{flag} must be at least 1")));
         }
@@ -338,7 +346,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     }
 
     let clusters: usize = args.parse_or("clusters", IvfConfig::sqrt_clusters(n).clusters)?;
-    let kmeans_iters: usize = args.parse_or("kmeans-iters", 8)?;
     let seed: u64 = args.parse_or("seed", 42)?;
     let num_queries: usize = args.parse_or("queries", 2_000)?;
 

@@ -170,10 +170,12 @@ fn out_of_range_flags_are_usage_errors_naming_the_flag() {
     ];
     let stats = ["stats", "--train", train];
     #[rustfmt::skip]
-    let cases: [(&[&str], &[&str], &str); 16] = [
+    let cases: [(&[&str], &[&str], &str); 18] = [
         (&serve, &["--cache-size", "0"], "--cache-size"),
         (&serve, &["--k", "0", "--min-recall", "0.99"], "--k"),
         (&serve, &["--nprobe", "0"], "--nprobe"),
+        (&serve, &["--clusters", "0"], "--clusters"),
+        (&serve, &["--kmeans-iters", "0"], "--kmeans-iters"),
         (&serve, &["--cache-rows", "5"], "--cache-rows"),
         (&train_cmd, &["--cache-rows", "7"], "--cache-rows"),
         (&train_cmd, &["--store", "ram", "--cache-rows", "7"], "--cache-rows"),
@@ -196,5 +198,42 @@ fn out_of_range_flags_are_usage_errors_naming_the_flag() {
         assert!(stderr.contains(named), "{what}");
         assert!(!stderr.contains("panicked"), "{what}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A dump with one non-finite coordinate is refused with the row and column
+/// that hold it (exit 2), instead of being clustered into an index whose NaN
+/// centroid holds only that row while another cluster empties.
+#[test]
+fn a_non_finite_dump_is_refused_naming_its_row() {
+    let dir = kg_dir("nan-dump");
+    let (train, emb) = (dir.join("train.tsv"), dir.join("e.bin"));
+    let trained = sptx()
+        .args(["train", "--epochs", "1", "--dim", "8", "--train"])
+        .arg(&train)
+        .arg("--out")
+        .arg(&emb)
+        .output()
+        .unwrap();
+    assert!(trained.status.success());
+    let mut store = RowFile::open(&emb).unwrap();
+    let (rows, dim) = (store.rows(), store.cols());
+    let mut table = store.read_rows(0, rows).unwrap();
+    table[5 * dim + 3] = f32::NAN;
+    let bad = dir.join("nan.bin");
+    RowFile::write(&bad, rows, dim, |r, out| {
+        out.copy_from_slice(&table[r * dim..(r + 1) * dim]);
+    })
+    .unwrap();
+    let out = sptx()
+        .args(["serve", "--queries", "20", "--train"])
+        .arg(&train)
+        .arg("--emb")
+        .arg(&bad)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("entity row 5 column 3 is NaN"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
