@@ -1,7 +1,7 @@
 //! Ranking-throughput micro-benchmark: link-prediction evaluation through
 //! the batched, pool-parallel engine.
 //!
-//! Two arms, measured across worker counts on a ≥10k-entity synthetic KG:
+//! Two arms, measured at the pool's width on a ≥10k-entity synthetic KG:
 //!
 //! * `scalar-adapter` — scalar `TripleScorer` scoring through the engine via
 //!   `ScalarBatch` (one heap-allocated `Vec` per query; ranking is chunked,
@@ -11,12 +11,17 @@
 //!   pool-parallel ranking pass.
 //!
 //! Throughput is reported in ranking queries per second (2 queries — tail +
-//! head — per test triple). Note: the thread sweep (`t1`..`t8`) only
-//! differentiates on a machine with that many physical cores; on a
-//! single-core container both arms collapse to one schedule and only the
-//! per-query allocation the batched arm saves remains visible.
+//! head — per test triple); each label ends in the pool width (`/t2`). The
+//! evaluation engine runs on the global pool and takes no handle, so the
+//! width is swept one process per width:
 //!
-//! Run with `cargo bench -p sptx-bench --bench eval`.
+//! ```sh
+//! for t in 1 2 4; do SPTX_NUM_THREADS=$t cargo bench -p sptx-bench --bench eval; done
+//! ```
+//!
+//! A width only differentiates on a machine with that many physical cores;
+//! on a single-core container both arms collapse to one schedule and only
+//! the per-query allocation the batched arm saves remains visible.
 
 use kg::eval::{evaluate, evaluate_batched, EvalConfig};
 use kg::synthetic::SyntheticKgBuilder;
@@ -45,14 +50,11 @@ fn main() {
     };
     let queries = Some(2 * EVAL_TRIPLES as u64);
 
-    for threads in [1usize, 2, 4, 8] {
-        xparallel::with_parallelism(threads, || {
-            time_arm(&format!("scalar-adapter/t{threads}"), queries, || {
-                evaluate(&model, &ds.test, &known, &eval)
-            });
-            time_arm(&format!("batched/t{threads}"), queries, || {
-                evaluate_batched(&model, &ds.test, &known, &eval)
-            });
-        });
-    }
+    let threads = xparallel::current_num_threads();
+    time_arm(&format!("scalar-adapter/t{threads}"), queries, || {
+        evaluate(&model, &ds.test, &known, &eval)
+    });
+    time_arm(&format!("batched/t{threads}"), queries, || {
+        evaluate_batched(&model, &ds.test, &known, &eval)
+    });
 }

@@ -6,10 +6,9 @@
 //! `Combine::AllReduce`; two sweeps measure both sides of that trade:
 //!
 //! * **throughput** — three epochs under each combine at 1, 2, 4 and 8
-//!   workers. On a multicore machine the async arm meets or beats the sync
-//!   arm at equal worker count (no barrier, no gradient reduction); with
-//!   fewer cores than workers both arms serialize and the sweep measures
-//!   pure schedule overhead.
+//!   workers. Both arms fan their replicas out on the one pool, so at most
+//!   `SPTX_NUM_THREADS` replicas run at once; beyond that they queue, and
+//!   the sweep measures schedule overhead.
 //! * **convergence** — filtered MRR after 2/4/8 epochs for the sync arm and
 //!   the 4-worker async arm: staleness and lost increments perturb the
 //!   trajectory, so the async arm may need more epochs to a given MRR; the
@@ -20,9 +19,11 @@
 //! minimum: its seven runs would train the model on, and every `sync`
 //! record's MRR is deterministic.
 //!
-//! Run with `SPTX_NUM_THREADS=1 cargo bench -p sptx-bench --bench hogwild`.
-//! The async arm is nondeterministic at 2+ workers; its MRR records are
-//! statistical.
+//! Run with `SPTX_NUM_THREADS=2 cargo bench -p sptx-bench --bench hogwild`
+//! — the one bench run at two threads: at one, both arms run their
+//! replicas one after another and there is no parallelism to measure. The
+//! async arm is nondeterministic at 2+ workers on 2+ threads; its MRR
+//! records are statistical.
 
 use kg::eval::{EvalConfig, SampleStrategy};
 use kg::synthetic::SyntheticKgBuilder;

@@ -52,7 +52,7 @@ fn main() {
         csr_spmm(&csr, &b_general)
     });
     time_arm("csr_vs_coo/coo_scatter", None, || {
-        coo_spmm(&coo, &b_general)
+        coo_spmm(&PoolHandle::global(), &coo, &b_general)
     });
 
     let a_t = a.transpose();

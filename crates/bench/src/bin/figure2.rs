@@ -11,6 +11,7 @@ use sptx_bench::harness::{
     bench_config, epochs_from_env, print_table, run_model, scale_from_env, ModelKind, Variant,
 };
 use tensor::profile;
+use xparallel::PoolHandle;
 
 fn main() {
     let scale = scale_from_env();
@@ -24,7 +25,7 @@ fn main() {
         let ds = spec.generate(scale, 0xF16 + u64::from(ds_name.len() as u32));
         for kind in ModelKind::ALL {
             profile::reset();
-            let report = run_model(kind, Variant::Dense, &ds, &cfg);
+            let report = run_model(kind, Variant::Dense, &ds, &cfg, &PoolHandle::global());
             let total = report.breakdown.total().as_secs_f64().max(1e-9);
             let mut rows: Vec<Vec<String>> = profile::report()
                 .into_iter()

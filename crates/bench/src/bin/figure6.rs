@@ -9,6 +9,7 @@ use sptx_bench::harness::{
     bench_config, epochs_from_env, mib, print_table, run_model, scale_from_env, secs, ModelKind,
     Variant,
 };
+use xparallel::PoolHandle;
 
 fn main() {
     let scale = scale_from_env();
@@ -23,7 +24,7 @@ fn main() {
         for &bs in &batch_sizes {
             let cfg = bench_config(128, 8, bs, epochs);
             eprintln!("[figure6] {} bs={bs} ...", kind.name());
-            let report = run_model(kind, Variant::Sparse, &ds, &cfg);
+            let report = run_model(kind, Variant::Sparse, &ds, &cfg, &PoolHandle::global());
             rows.push(vec![
                 bs.to_string(),
                 secs(report.wall),

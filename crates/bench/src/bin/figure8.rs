@@ -9,6 +9,7 @@ use sptx_bench::harness::{
     bench_config, epochs_from_env, paper_datasets, print_table, run_model, scale_from_env, secs,
     ModelKind, Variant,
 };
+use xparallel::PoolHandle;
 
 fn main() {
     let scale = scale_from_env();
@@ -36,7 +37,7 @@ fn main() {
                     variant.name(),
                     spec.name
                 );
-                sum = sum + run_model(kind, variant, ds, &cfg).breakdown;
+                sum = sum + run_model(kind, variant, ds, &cfg, &PoolHandle::global()).breakdown;
             }
             rows.push(vec![
                 kind.name().to_string(),

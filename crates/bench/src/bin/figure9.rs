@@ -11,6 +11,7 @@ use sptx_bench::harness::bench_config;
 use sptx_bench::harness::{
     epochs_from_env, print_table, run_model, scale_from_env, ModelKind, Variant,
 };
+use xparallel::PoolHandle;
 
 fn main() {
     let scale = scale_from_env();
@@ -23,8 +24,8 @@ fn main() {
         let mut cfg = bench_config(16, 8, 2048, epochs);
         cfg.lr = 0.05; // visible convergence within few epochs
         eprintln!("[figure9] {} ...", kind.name());
-        let sp = run_model(kind, Variant::Sparse, &ds, &cfg);
-        let de = run_model(kind, Variant::Dense, &ds, &cfg);
+        let sp = run_model(kind, Variant::Sparse, &ds, &cfg, &PoolHandle::global());
+        let de = run_model(kind, Variant::Dense, &ds, &cfg, &PoolHandle::global());
         let rows: Vec<Vec<String>> = sp
             .epoch_losses
             .iter()

@@ -10,6 +10,7 @@ use sptx_bench::harness::{
     bench_config, epochs_from_env, paper_datasets, print_table, scale_from_env, secs, ModelKind,
     Variant,
 };
+use xparallel::PoolHandle;
 
 fn main() {
     let scale = scale_from_env();
@@ -18,20 +19,17 @@ fn main() {
     let datasets = paper_datasets(scale);
     let cfg = bench_config(64, 32, 4096, epochs);
 
-    for (mode_name, limit) in [
-        ("CPU (1 thread)", 1usize),
-        ("GPU analog (all cores)", usize::MAX),
+    for (mode_name, pool) in [
+        ("CPU (1 thread)", PoolHandle::sequential()),
+        ("GPU analog (all cores)", PoolHandle::global()),
     ] {
-        let (sparse_sum, dense_sum) = xparallel::with_parallelism(limit, || {
-            let mut sparse_sum = Breakdown::default();
-            let mut dense_sum = Breakdown::default();
-            for (spec, ds) in &datasets {
-                eprintln!("[table1/{mode_name}] {} ...", spec.name);
-                sparse_sum = sparse_sum + run(ModelKind::TransE, Variant::Sparse, ds, &cfg);
-                dense_sum = dense_sum + run(ModelKind::TransE, Variant::Dense, ds, &cfg);
-            }
-            (sparse_sum, dense_sum)
-        });
+        let mut sparse_sum = Breakdown::default();
+        let mut dense_sum = Breakdown::default();
+        for (spec, ds) in &datasets {
+            eprintln!("[table1/{mode_name}] {} ...", spec.name);
+            sparse_sum = sparse_sum + run(Variant::Sparse, ds, &cfg, &pool);
+            dense_sum = dense_sum + run(Variant::Dense, ds, &cfg, &pool);
+        }
         let n = datasets.len() as u32;
         let rows = vec![
             vec![
@@ -59,10 +57,10 @@ fn main() {
 }
 
 fn run(
-    kind: ModelKind,
     variant: Variant,
     ds: &kg::Dataset,
     cfg: &sptransx::TrainConfig,
+    pool: &PoolHandle,
 ) -> Breakdown {
-    sptx_bench::harness::run_model(kind, variant, ds, cfg).breakdown
+    sptx_bench::harness::run_model(ModelKind::TransE, variant, ds, cfg, pool).breakdown
 }

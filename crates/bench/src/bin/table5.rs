@@ -9,6 +9,7 @@ use sptx_bench::harness::{
     bench_config, epochs_from_env, factor, mib, paper_datasets, print_table, run_model,
     scale_from_env, ModelKind, Variant,
 };
+use xparallel::PoolHandle;
 
 fn main() {
     let scale = scale_from_env();
@@ -34,7 +35,8 @@ fn main() {
                     variant.name(),
                     spec.name
                 );
-                mem[vi] += run_model(kind, variant, ds, &cfg).peak_memory_bytes;
+                mem[vi] +=
+                    run_model(kind, variant, ds, &cfg, &PoolHandle::global()).peak_memory_bytes;
             }
             mem[vi] /= n;
         }

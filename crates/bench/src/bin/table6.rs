@@ -10,6 +10,7 @@ use sptx_bench::harness::{
     bench_config, epochs_from_env, factor, paper_datasets, print_table, run_model, scale_from_env,
     ModelKind, Variant,
 };
+use xparallel::PoolHandle;
 
 fn main() {
     let scale = scale_from_env();
@@ -35,7 +36,7 @@ fn main() {
                     variant.name(),
                     spec.name
                 );
-                flops[vi] += run_model(kind, variant, ds, &cfg).flops;
+                flops[vi] += run_model(kind, variant, ds, &cfg, &PoolHandle::global()).flops;
             }
             flops[vi] /= n;
         }

@@ -19,6 +19,7 @@ use sptransx::{
     DenseTorusE, DenseTransE, DenseTransH, DenseTransR, KgeModel, SpTorusE, SpTransE, SpTransH,
     SpTransR, TrainConfig, TrainReport, Trainer,
 };
+use xparallel::PoolHandle;
 
 /// Default dataset scale divisor.
 pub const DEFAULT_SCALE: usize = 200;
@@ -159,7 +160,9 @@ impl Variant {
     }
 }
 
-/// Trains `kind`/`variant` on `dataset` and returns the report.
+/// Trains `kind`/`variant` on `dataset` with every kernel on `pool` and
+/// returns the report (`PoolHandle::sequential()` is the paper's one-thread
+/// "CPU" arm, `PoolHandle::global()` every core).
 ///
 /// # Panics
 ///
@@ -169,43 +172,30 @@ pub fn run_model(
     variant: Variant,
     dataset: &Dataset,
     config: &TrainConfig,
+    pool: &PoolHandle,
 ) -> TrainReport {
+    let (ds, cfg) = (dataset, config);
     match (kind, variant) {
-        (ModelKind::TransE, Variant::Sparse) => {
-            train(SpTransE::from_config(dataset, config), dataset, config)
-        }
-        (ModelKind::TransE, Variant::Dense) => {
-            train(DenseTransE::from_config(dataset, config), dataset, config)
-        }
-        (ModelKind::TransR, Variant::Sparse) => {
-            train(SpTransR::from_config(dataset, config), dataset, config)
-        }
-        (ModelKind::TransR, Variant::Dense) => {
-            train(DenseTransR::from_config(dataset, config), dataset, config)
-        }
-        (ModelKind::TransH, Variant::Sparse) => {
-            train(SpTransH::from_config(dataset, config), dataset, config)
-        }
-        (ModelKind::TransH, Variant::Dense) => {
-            train(DenseTransH::from_config(dataset, config), dataset, config)
-        }
-        (ModelKind::TorusE, Variant::Sparse) => {
-            train(SpTorusE::from_config(dataset, config), dataset, config)
-        }
-        (ModelKind::TorusE, Variant::Dense) => {
-            train(DenseTorusE::from_config(dataset, config), dataset, config)
-        }
+        (ModelKind::TransE, Variant::Sparse) => train(SpTransE::from_config, ds, cfg, pool),
+        (ModelKind::TransE, Variant::Dense) => train(DenseTransE::from_config, ds, cfg, pool),
+        (ModelKind::TransR, Variant::Sparse) => train(SpTransR::from_config, ds, cfg, pool),
+        (ModelKind::TransR, Variant::Dense) => train(DenseTransR::from_config, ds, cfg, pool),
+        (ModelKind::TransH, Variant::Sparse) => train(SpTransH::from_config, ds, cfg, pool),
+        (ModelKind::TransH, Variant::Dense) => train(DenseTransH::from_config, ds, cfg, pool),
+        (ModelKind::TorusE, Variant::Sparse) => train(SpTorusE::from_config, ds, cfg, pool),
+        (ModelKind::TorusE, Variant::Dense) => train(DenseTorusE::from_config, ds, cfg, pool),
     }
 }
 
 fn train<M: KgeModel>(
-    model: sptransx::Result<M>,
+    make: impl Fn(&Dataset, &TrainConfig) -> sptransx::Result<M>,
     dataset: &Dataset,
     config: &TrainConfig,
+    pool: &PoolHandle,
 ) -> TrainReport {
-    let model = model.expect("benchmark config must be valid");
-    let mut trainer = Trainer::new(model, dataset, config).expect("plan construction");
-    trainer.run().expect("training")
+    let model = make(dataset, config).expect("benchmark config must be valid");
+    let trainer = Trainer::new(model, dataset, config).expect("plan construction");
+    trainer.with_pool(pool.clone()).run().expect("training")
 }
 
 /// Generates the scaled stand-ins for the paper's seven datasets (Table 3).
@@ -293,7 +283,7 @@ mod tests {
         let cfg = bench_config(8, 4, 64, 1);
         for kind in ModelKind::ALL {
             for variant in [Variant::Sparse, Variant::Dense] {
-                let report = run_model(kind, variant, &ds, &cfg);
+                let report = run_model(kind, variant, &ds, &cfg, &PoolHandle::global());
                 assert_eq!(report.epoch_losses.len(), 1, "{kind:?}/{variant:?}");
             }
         }

@@ -230,7 +230,8 @@ pub fn csr_spmm_into_general(a: &CsrMatrix, b: DenseView<'_>, out: &mut [f32]) {
     });
 }
 
-/// Computes `C = A · B` directly from COO with per-thread scatter buffers.
+/// Computes `C = A · B` directly from COO with per-thread scatter buffers,
+/// dispatched on `pool`.
 ///
 /// Kept for comparison benchmarks (the paper selects COO for DGL's GPU
 /// kernel); CSR is faster on CPU for incidence workloads.
@@ -238,7 +239,11 @@ pub fn csr_spmm_into_general(a: &CsrMatrix, b: DenseView<'_>, out: &mut [f32]) {
 /// # Panics
 ///
 /// Panics if `A.cols() != B.rows()`.
-pub fn coo_spmm<'a>(a: &CooMatrix, b: impl Into<DenseView<'a>>) -> DenseMatrix {
+pub fn coo_spmm<'a>(
+    pool: &xparallel::PoolHandle,
+    a: &CooMatrix,
+    b: impl Into<DenseView<'a>>,
+) -> DenseMatrix {
     let b = b.into();
     assert_eq!(a.cols(), b.rows(), "spmm shape mismatch");
     let n = b.cols();
@@ -256,7 +261,7 @@ pub fn coo_spmm<'a>(a: &CooMatrix, b: impl Into<DenseView<'a>>) -> DenseMatrix {
     let vals = a.values();
     let total = out.as_slice().len();
     let shard = a.nnz().div_ceil(8).max(4096);
-    let partial = xparallel::PoolHandle::global().map_reduce_fixed(
+    let partial = pool.map_reduce_fixed(
         a.nnz(),
         shard,
         vec![0f32; 0],
@@ -480,7 +485,7 @@ mod tests {
         };
         let b = random_dense(&mut rng, 30, 12);
         let via_csr = csr_spmm(&coo.to_csr(), &b);
-        let via_coo = coo_spmm(&coo, &b);
+        let via_coo = coo_spmm(&xparallel::PoolHandle::global(), &coo, &b);
         assert_close(&via_coo, &via_csr, 1e-4);
     }
 
@@ -495,7 +500,7 @@ mod tests {
         }
         let b = random_dense(&mut rng, 30, 7);
         let bits = |width: usize| {
-            let c = xparallel::with_parallelism(width, || coo_spmm(&coo, &b));
+            let c = coo_spmm(&xparallel::PoolHandle::global().with_width(width), &coo, &b);
             c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         };
         assert_eq!(bits(1), bits(4));

@@ -54,7 +54,7 @@ proptest! {
 
         let want = spmm_reference(&csr, b.view());
         let got_csr = csr_spmm(&csr, &b);
-        let got_coo = coo_spmm(&coo, &b);
+        let got_coo = coo_spmm(&xparallel::PoolHandle::global(), &coo, &b);
         let mut got_general = vec![0f32; rows * d];
         csr_spmm_into_general(&csr, b.view(), &mut got_general);
         let mut got_into = vec![0f32; rows * d];

@@ -14,12 +14,16 @@
 //!
 //! # Pool discipline and determinism
 //!
-//! With two or more replicas, each replica's forward and backward run *on*
-//! a pool task (all-reduce) or a dedicated thread (shared), so its tape
-//! replays on a [`xparallel::PoolHandle::sequential`] handle — fanning the
-//! inner kernels back onto the pool the task occupies could deadlock, and
-//! DDP ranks are single-threaded over their shard anyway. A single replica
-//! runs on the caller thread with the trainer's own handle.
+//! One pool runs every replica: with two or more, both combines hand each
+//! replica to its own task on the trainer's pool
+//! ([`xparallel::PoolHandle::for_each_mut`]) — one batch per task and round
+//! under all-reduce, a whole shard per task and epoch under shared. So each
+//! replica's tape replays on a [`xparallel::PoolHandle::sequential`] handle
+//! (fanning the inner kernels back onto the pool the task occupies could
+//! deadlock, and DDP ranks are single-threaded over their shard anyway), and
+//! the pool's width bounds how many replicas run at once: at width 1 they
+//! run one after another, in rank order. A single replica runs on the caller
+//! thread with the trainer's own handle.
 
 use tensor::{ParamId, RowSet, Sweep};
 
@@ -49,15 +53,18 @@ pub enum Combine {
     /// bit-identical full stop.
     AllReduce,
     /// Hogwild: the same aliased values (gradients, tapes and row sets stay
-    /// worker-private), but every worker sweeps its shard on a dedicated
-    /// thread, applying touched-row SGD steps to the shared values with **no
-    /// barriers and no locks**. Workers join at every epoch edge; only then
-    /// does rank 0 renormalize, over the union of all workers' dirty rows.
+    /// worker-private), but every worker sweeps its whole shard as one task
+    /// on the trainer's pool, applying touched-row SGD steps to the shared
+    /// values with **no barriers and no locks**. Workers join at every epoch
+    /// edge; only then does rank 0 renormalize, over the union of all
+    /// workers' dirty rows.
     ///
-    /// **Nondeterministic** with 2+ workers — an ablation arm, not the
-    /// determinism-contract path: update interleaving (and occasional lost
-    /// increments on row collisions) varies run to run, so validate results
-    /// statistically.
+    /// **Nondeterministic** when 2+ workers run at once (2+ workers on a
+    /// pool at least 2 wide) — an ablation arm, not the determinism-contract
+    /// path: update interleaving (and occasional lost increments on row
+    /// collisions) varies run to run, so validate results statistically. On
+    /// a width-1 pool the contiguous shards run back to back in plan order,
+    /// which is [`crate::Trainer::new`]'s sweep bit for bit.
     ///
     /// **Safety argument:** see [`tensor::hogwild`] for why the races are
     /// benign — word-sized aligned `f32` stores never tear, sparse batches

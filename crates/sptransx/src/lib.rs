@@ -91,6 +91,18 @@ pub enum Error {
     /// Propagated paged-storage error (cache budget exceeded, backing-store
     /// I/O, invalid paging configuration).
     Storage(tensor::Error),
+    /// Training diverged: a batch's loss was NaN or infinite (a learning
+    /// rate far too large, say). The run stops at that batch.
+    Diverged {
+        /// The epoch, counting from 1 over the trainer's lifetime.
+        epoch: usize,
+        /// The batch of the replica's shard, counting from 1.
+        batch: usize,
+        /// The replica that trained the batch, when two or more train.
+        rank: Option<usize>,
+        /// The non-finite loss.
+        loss: f32,
+    },
 }
 
 impl std::fmt::Display for Error {
@@ -101,6 +113,18 @@ impl std::fmt::Display for Error {
             Error::Kg(e) => write!(f, "dataset error: {e}"),
             Error::Serve { context } => write!(f, "serving error: {context}"),
             Error::Storage(e) => write!(f, "{e}"),
+            Error::Diverged {
+                epoch,
+                batch,
+                rank,
+                loss,
+            } => {
+                write!(
+                    f,
+                    "training diverged: loss {loss} at epoch {epoch}, batch {batch}"
+                )?;
+                rank.map_or(Ok(()), |rank| write!(f, " of rank {rank}"))
+            }
         }
     }
 }

@@ -8,7 +8,7 @@ use kg::eval::{
 use kg::{BatchPlan, BernoulliSampler, Dataset, NegativeSampler, UniformSampler};
 use tensor::optim::{Optimizer, StepLr};
 use tensor::{memory, Graph};
-use xparallel::{scope_workers, PoolHandle};
+use xparallel::PoolHandle;
 
 use crate::distributed::{fold_dirty_rows, Combine, Reducer};
 use crate::model::{Arm, KgeModel, SamplerKind, TrainConfig};
@@ -72,7 +72,7 @@ pub struct TrainReport {
 /// accumulators the trainer collects. With two or more replicas every
 /// replica's value tensors alias rank 0's, whatever the [`Combine`];
 /// gradients, row sets and everything else here stay private to the replica,
-/// which is what lets a schedule hand each one to its own thread. Under
+/// which is what lets a schedule hand each one to its own pool task. Under
 /// [`Combine::AllReduce`] that is race-free: the concurrent phase only reads
 /// the values, and rank 0 writes them after the join.
 #[derive(Debug)]
@@ -90,8 +90,11 @@ pub(crate) struct Replica<M> {
     loss_sum: f64,
     loss_count: usize,
     breakdown: Breakdown,
-    /// What this replica's last fan-out task returned (a pool task or worker
-    /// thread cannot return it directly).
+    /// This replica's place in rank order, when two or more train (it names
+    /// the replica in a divergence error).
+    rank: Option<usize>,
+    /// What this replica's last fan-out task returned (a pool task cannot
+    /// return it directly).
     outcome: Result<()>,
 }
 
@@ -114,6 +117,7 @@ impl<M: KgeModel> Replica<M> {
             loss_sum: 0.0,
             loss_count: 0,
             breakdown: Breakdown::default(),
+            rank: None,
             outcome: Ok(()),
         })
     }
@@ -134,7 +138,17 @@ impl<M: KgeModel> Replica<M> {
         let (pos, neg) = self.model.score_batch(&mut self.graph, batch);
         let loss = self.graph.margin_ranking_loss(pos, neg, margin);
         self.breakdown.forward += t0.elapsed();
-        self.loss_sum += f64::from(self.graph.value(loss).get(0, 0));
+        let value = self.graph.value(loss).get(0, 0);
+        if !value.is_finite() {
+            // The epoch is the trainer's to fill in (`Trainer::run_epochs`).
+            return Err(crate::Error::Diverged {
+                epoch: 0,
+                batch: batch + 1,
+                rank: self.rank,
+                loss: value,
+            });
+        }
+        self.loss_sum += f64::from(value);
         self.loss_count += 1;
 
         let t1 = Instant::now();
@@ -303,8 +317,9 @@ impl<M: KgeModel> Trainer<M> {
         config.validate()?;
         let shards = build_plan(dataset, config).shard(workers.max(1));
         let mut replicas: Vec<Replica<M>> = Vec::with_capacity(shards.len());
-        for shard in &shards {
+        for (rank, shard) in shards.iter().enumerate() {
             let mut replica = Replica::new(make_model(dataset, config)?, shard, config)?;
+            replica.rank = (shards.len() > 1).then_some(rank);
             // Every later replica drops its own values and aliases rank 0's.
             if let Some(rank0) = replicas.first_mut() {
                 let store = replica.model.store_mut();
@@ -412,7 +427,10 @@ impl<M: KgeModel> Trainer<M> {
     /// this trainer is in (checked here rather than at construction because
     /// a table can be paged out afterwards, through
     /// [`Trainer::model_mut`]), or if the attached plan has no batches (a
-    /// 0-batch epoch would otherwise silently report loss 0); propagates
+    /// 0-batch epoch would otherwise silently report loss 0); returns
+    /// [`crate::Error::Diverged`] at the first batch whose loss is NaN or
+    /// infinite, naming its epoch, batch and (with 2+ replicas) rank;
+    /// propagates
     /// paging errors from [`KgeModel::page_in_batch`] and from the
     /// end-of-epoch renormalization of a paged table.
     pub fn run_epochs(&mut self, epochs: usize) -> Result<TrainReport> {
@@ -438,7 +456,11 @@ impl<M: KgeModel> Trainer<M> {
                     sched.apply(r.optimizer.as_mut(), self.epochs_done);
                 }
             }
-            steps += (self.schedule)(self)?;
+            let mut updates = (self.schedule)(self);
+            if let Err(crate::Error::Diverged { epoch, .. }) = &mut updates {
+                *epoch = self.epochs_done as usize + 1;
+            }
+            steps += updates?;
             self.collect_losses();
             // One table: every replica's dirty rows fold into rank 0, whose
             // renormalization is the renorm.
@@ -564,12 +586,13 @@ fn all_reduce_epoch<M: KgeModel + Send>(t: &mut Trainer<M>) -> Result<usize> {
     Ok(rounds)
 }
 
-/// No rounds: every replica sweeps its shard on a dedicated thread (inline
-/// for one), stepping the shared values as it goes; the only
-/// synchronization is the join.
+/// No rounds: every replica sweeps its shard as one pool task, stepping the
+/// shared values as it goes; the only synchronization is the join. On a
+/// one-wide pool the shards run back to back in plan order.
 fn shared_epoch<M: KgeModel + Send>(t: &mut Trainer<M>) -> Result<usize> {
     let margin = t.config.margin;
-    scope_workers(&mut t.replicas, |_, r| r.outcome = r.sweep(margin));
+    t.pool
+        .for_each_mut(&mut t.replicas, |_, r| r.outcome = r.sweep(margin));
     t.outcome()?;
     Ok(t.num_batches())
 }
@@ -700,6 +723,41 @@ mod tests {
                 pieces.optimizer().learning_rate().to_bits(),
                 (cfg.lr * 0.25).to_bits()
             );
+        }
+    }
+
+    /// `f32::max(NaN, 0.0)` is `0.0`, so the hinge used to hide NaN scores
+    /// and a diverged run reported loss 0. It stops at the first
+    /// non-finite batch loss instead, and says where.
+    #[test]
+    fn a_diverged_run_is_an_error_naming_epoch_batch_and_rank() {
+        let ds = dataset();
+        let cfg = TrainConfig {
+            lr: 1e30,
+            ..fast_config()
+        };
+        let mut t = Trainer::new(SpTransH::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
+        match t.run() {
+            Err(crate::Error::Diverged {
+                epoch,
+                batch,
+                rank: None,
+                loss,
+            }) => {
+                assert!(!loss.is_finite());
+                assert!(epoch >= 1 && (1..=t.num_batches()).contains(&batch));
+            }
+            other => panic!("expected a divergence error, got {other:?}"),
+        }
+        for combine in [Combine::AllReduce, Combine::Shared] {
+            let mut t = Trainer::replicated(&ds, &cfg, 2, combine, SpTransH::from_config).unwrap();
+            let err = t.run().unwrap_err();
+            assert!(
+                matches!(err, crate::Error::Diverged { rank: Some(_), .. }),
+                "{combine:?}: {err}"
+            );
+            let msg = err.to_string();
+            assert!(msg.contains("epoch") && msg.contains("batch") && msg.contains("rank"));
         }
     }
 

@@ -5,16 +5,18 @@
 //! `Combine::Shared` is explicitly outside the bit-determinism contract at
 //! 2+ workers, so these tests split into two regimes:
 //!
-//! * `workers == 1` — the run must collapse to the synchronous
-//!   `Trainer` **bit-for-bit** (same losses, same embeddings): the single
-//!   worker runs inline on the caller thread, sweeps the identity shard in
-//!   order, and executes the exact `Trainer` step sequence.
-//! * `workers >= 2` — only statistical properties hold: parameters stay
-//!   finite under heavy deliberate row conflicts, loss decreases, and the
-//!   final filtered MRR lands within tolerance of the synchronous arm.
+//! * **one at a time** — one worker, or any number on a width-1 pool: the
+//!   run must collapse to the synchronous `Trainer` **bit-for-bit** (same
+//!   losses, same embeddings). The replicas are pool tasks, so a width-1
+//!   pool runs the contiguous shards back to back in plan order, which is
+//!   the exact `Trainer` step sequence.
+//! * **concurrent** — `workers >= 2` on a wider pool: only statistical
+//!   properties hold: parameters stay finite under heavy deliberate row
+//!   conflicts, loss decreases, and the final filtered MRR lands within
+//!   tolerance of the synchronous arm.
 //!
-//! CI re-runs this suite under `SPTX_NUM_THREADS=1` and `=4`; nothing here
-//! may depend on pool width.
+//! CI re-runs this suite under `SPTX_NUM_THREADS=1` and `=4`; the
+//! statistical tests must hold at either (at 1 their workers run in turn).
 
 use kg::eval::{EvalConfig, SampleStrategy};
 use kg::synthetic::SyntheticKgBuilder;
@@ -22,6 +24,7 @@ use kg::Dataset;
 use sptransx::{
     Combine, KgeModel, SamplerKind, SpRotatE, SpTransE, TrainConfig, TrainReport, Trainer,
 };
+use xparallel::PoolHandle;
 
 fn dataset() -> Dataset {
     SyntheticKgBuilder::new(60, 4).triples(600).seed(40).build()
@@ -126,6 +129,41 @@ fn single_worker_matches_trainer_for_rotate_epoch_hook() {
         &snapshot(&async_report.epoch_losses, &async_model),
         "SpRotatE sync vs async(1)",
     );
+}
+
+/// `Combine::Shared` at `workers` replicas on a width-1 pool against the
+/// synchronous `Trainer`, bit for bit.
+fn width_one_matches_trainer<M: KgeModel + Send>(
+    make: impl Fn(&Dataset, &TrainConfig) -> sptransx::Result<M> + Copy,
+    name: &str,
+) {
+    let (ds, cfg) = (dataset(), config());
+    let mut trainer = Trainer::new(make(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
+    let report = trainer.run().unwrap();
+    let want = snapshot(&report.epoch_losses, &trainer.into_model());
+    for workers in [2, 4, 8] {
+        let mut trainer = Trainer::replicated(&ds, &cfg, workers, Combine::Shared, make)
+            .unwrap()
+            .with_pool(PoolHandle::global().with_width(1));
+        let report = trainer.run().unwrap();
+        assert_eq!(report.workers, workers);
+        let got = snapshot(&report.epoch_losses, &trainer.into_model());
+        assert_bitwise_equal(
+            &want,
+            &got,
+            &format!("{name} sync vs Shared({workers}) at width 1"),
+        );
+    }
+}
+
+/// One pool runs every replica, so a width-1 pool runs the Hogwild workers
+/// one after another: at 2, 4 and 8 workers the run is the synchronous
+/// `Trainer`'s, with and without an epoch hook (SpRotatE reprojects its
+/// relations in `end_epoch`).
+#[test]
+fn shared_workers_on_a_width_one_pool_are_the_synchronous_trainer() {
+    width_one_matches_trainer(SpTransE::from_config, "SpTransE");
+    width_one_matches_trainer(SpRotatE::from_config, "SpRotatE");
 }
 
 /// Safety/liveness under forced contention: a vocabulary so small that

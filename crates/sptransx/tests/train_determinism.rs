@@ -118,19 +118,22 @@ width_invariance_test!(spcomplex_is_bit_identical_across_widths, SpComplEx);
 fn distributed_worker4_is_bit_identical_across_thread_limits() {
     let ds = dataset();
     let cfg = config();
-    let run = |limit: usize| {
-        xparallel::with_parallelism(limit, || {
-            let (report, model) = all_reduce(&ds, &cfg, 4);
-            let emb: Vec<u32> = model
-                .store()
-                .value(model.embedding_param())
-                .as_slice()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect();
-            let losses: Vec<u32> = report.epoch_losses.iter().map(|x| x.to_bits()).collect();
-            (losses, emb)
-        })
+    let run = |width: usize| {
+        let mut trainer =
+            Trainer::replicated(&ds, &cfg, 4, Combine::AllReduce, SpTransE::from_config)
+                .unwrap()
+                .with_pool(PoolHandle::global().with_width(width));
+        let report = trainer.run().unwrap();
+        let model = trainer.into_model();
+        let emb: Vec<u32> = model
+            .store()
+            .value(model.embedding_param())
+            .as_slice()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        let losses: Vec<u32> = report.epoch_losses.iter().map(|x| x.to_bits()).collect();
+        (losses, emb)
     };
     let narrow = run(1);
     let wide = run(4);

@@ -831,7 +831,8 @@ impl Graph {
     /// Margin ranking loss over `(m,1)` positive/negative score columns:
     /// `loss = mean(max(0, margin + pos − neg))`.
     ///
-    /// Distance scores: positives should be *smaller* than negatives.
+    /// Distance scores: positives should be *smaller* than negatives. A NaN
+    /// hinge term makes the loss NaN (a diverged batch must not read 0).
     ///
     /// # Panics
     ///
@@ -852,7 +853,10 @@ impl Graph {
             |r| {
                 let mut part = 0.0f64;
                 for i in r {
-                    part += f64::from((margin + pd[i] - nd[i]).max(0.0));
+                    // `f32::max` drops a NaN operand; a NaN score must
+                    // reach the loss instead of hinging to 0.
+                    let h = margin + pd[i] - nd[i];
+                    part += f64::from(if h.is_nan() { h } else { h.max(0.0) });
                 }
                 part
             },

@@ -13,7 +13,10 @@
 //!   precondition for Hogwild-style asynchronous SGD (Niu et al., 2011):
 //!   concurrent workers draw disjoint batch streams, so the rows two workers
 //!   step in the same instant are rarely the same, and the occasional
-//!   collision merely loses one worker's tiny `-lr · g` increment.
+//!   collision merely loses one worker's tiny `-lr · g` increment. The
+//!   workers are tasks on one thread pool, so at most as many race as the
+//!   pool has threads; on a one-thread pool they take turns and nothing
+//!   races.
 //!
 //! # Safety argument (why racy `f32` writes are acceptable here)
 //!
@@ -38,8 +41,9 @@
 //!   renormalization, evaluation, or embedding dumps, so every
 //!   single-threaded consumer observes a fully settled table.
 //!
-//! The cost is determinism, for the Hogwild arm only: two async runs
-//! interleave updates differently and produce different bits. It exists as
+//! The cost is determinism, for the Hogwild arm only: two async runs whose
+//! workers overlap interleave updates differently and produce different
+//! bits. It exists as
 //! an explicitly nondeterministic throughput ablation, validated
 //! statistically (loss decreases; final quality within tolerance of the
 //! sync arm).

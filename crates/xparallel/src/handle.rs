@@ -1,8 +1,8 @@
 //! An explicit, clonable handle onto a thread pool with a pinned fan-out.
 //!
-//! [`PoolHandle::global`] targets the global pool and splits work into
-//! `effective_parallelism()` chunks — a good default for standalone kernels,
-//! but wrong for two situations the training loop hits:
+//! [`PoolHandle::global`] targets the global pool and splits work into as
+//! many chunks as the pool has workers — a good default for standalone
+//! kernels, but wrong for two situations the training loop hits:
 //!
 //! * **Nested parallelism.** A task already running *on* a pool worker must
 //!   not fan out onto the same pool (the inner scope would wait on jobs
@@ -40,7 +40,7 @@ use std::ops::Range;
 
 use parking_lot::Mutex;
 
-use crate::{chunk_ranges, effective_parallelism, global_pool, singleton_ranges};
+use crate::{chunk_ranges, global_pool, singleton_ranges};
 
 /// One-shot handoff slot carrying a worker's `(chunk_rows, window_first_row,
 /// window, scratch)` share of a row loop.
@@ -109,8 +109,9 @@ pub struct PoolHandle {
 }
 
 impl PoolHandle {
-    /// A handle onto the global pool with the default fan-out
-    /// (`effective_parallelism()` at call time).
+    /// A handle onto the global pool, as wide as the pool: loops split into
+    /// one chunk per worker. A run that wants fewer passes
+    /// [`PoolHandle::with_width`] or [`PoolHandle::sequential`] instead.
     pub fn global() -> Self {
         Self { width: None }
     }
@@ -125,7 +126,7 @@ impl PoolHandle {
     }
 
     /// Pins the fan-out to exactly `width` chunks (clamped to at least 1),
-    /// regardless of worker count or the global parallelism limit.
+    /// regardless of worker count.
     #[must_use]
     pub fn with_width(mut self, width: usize) -> Self {
         self.width = Some(width.max(1));
@@ -134,7 +135,7 @@ impl PoolHandle {
 
     /// The number of chunks loops on this handle split into.
     pub fn width(&self) -> usize {
-        self.width.unwrap_or_else(effective_parallelism)
+        self.width.unwrap_or_else(|| global_pool().num_threads())
     }
 
     /// Whether loops on this handle run inline on the caller thread.

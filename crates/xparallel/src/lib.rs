@@ -16,10 +16,15 @@
 //! * **Determinism.** Chunk boundaries depend only on `(len, num_threads)`,
 //!   and reductions combine partial results in chunk order, so results are
 //!   reproducible run-to-run for a fixed thread count.
+//! * **One width.** The global pool's size (`SPTX_NUM_THREADS`,
+//!   [`set_num_threads`]) is the only process-wide knob; anything narrower
+//!   is an explicit [`PoolHandle`] passed to the code it drives.
 //!
 //! **Place in the workspace:** the bottom of the dependency graph — this
-//! crate depends on no other workspace crate, and every kernel in `sparse`,
-//! `tensor`, and `kg` runs on its global pool.
+//! crate depends on no other workspace crate. Every kernel in `sparse`,
+//! `tensor`, and `kg` runs on its global pool, and so does every training
+//! replica: the all-reduce rounds and the Hogwild sweeps both fan out with
+//! [`PoolHandle::for_each_mut`].
 //!
 //! # Examples
 //!
@@ -51,13 +56,15 @@ pub const NUM_THREADS_ENV: &str = "SPTX_NUM_THREADS";
 
 static GLOBAL_POOL: OnceLock<ThreadPool> = OnceLock::new();
 static OVERRIDE_THREADS: AtomicUsize = AtomicUsize::new(0);
-static PARALLELISM_LIMIT: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 /// Returns the process-wide shared pool, creating it on first use.
 ///
 /// The pool size is, in order of precedence: the value passed to
 /// [`set_num_threads`] before first use, the `SPTX_NUM_THREADS` environment
-/// variable, or the number of available CPUs.
+/// variable, or the number of available CPUs. It is the one process-wide
+/// width: [`PoolHandle::global`] fans out that wide, and a narrower run
+/// passes a [`PoolHandle::with_width`] or [`PoolHandle::sequential`] handle
+/// to what it drives.
 pub fn global_pool() -> &'static ThreadPool {
     GLOBAL_POOL.get_or_init(|| {
         let n = OVERRIDE_THREADS.load(Ordering::SeqCst);
@@ -78,34 +85,6 @@ pub fn set_num_threads(n: usize) -> bool {
 /// Number of workers in the global pool (forces pool creation).
 pub fn current_num_threads() -> usize {
     global_pool().num_threads()
-}
-
-/// Caps how many chunks the `parallel_*` helpers may split work into,
-/// without tearing down the pool. `1` forces sequential execution.
-///
-/// The SparseTransX benchmarks use this to emulate the paper's single-core
-/// "CPU" and all-core "GPU" configurations within one process. Returns the
-/// previous limit.
-pub fn set_parallelism_limit(n: usize) -> usize {
-    PARALLELISM_LIMIT.swap(n.max(1), Ordering::SeqCst)
-}
-
-/// The current chunk-count cap (defaults to unlimited).
-pub fn parallelism_limit() -> usize {
-    PARALLELISM_LIMIT.load(Ordering::SeqCst)
-}
-
-/// Effective worker count: pool size clamped by the parallelism limit.
-pub fn effective_parallelism() -> usize {
-    global_pool().num_threads().min(parallelism_limit())
-}
-
-/// Runs `f` with the parallelism limit set to `n`, restoring it afterwards.
-pub fn with_parallelism<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = set_parallelism_limit(n);
-    let result = f();
-    set_parallelism_limit(prev);
-    result
 }
 
 fn default_num_threads() -> usize {
@@ -148,48 +127,6 @@ pub fn chunk_ranges(len: usize, min_chunk: usize, max_chunks: usize) -> Vec<Rang
 /// Index ranges `i..i+1` for dispatching one pre-built work item per task.
 pub(crate) fn singleton_ranges(n: usize) -> Vec<Range<usize>> {
     (0..n).map(|i| i..i + 1).collect()
-}
-
-/// Runs one **long-lived worker per slot** on dedicated scoped OS threads:
-/// `body(i, &mut slots[i])` for every `i`, all concurrently, joining before
-/// return.
-///
-/// This is deliberately *not* pool fan-out. The pool's primitives
-/// ([`PoolHandle::for_rows`], [`PoolHandle::for_each_mut`]) dispatch short tasks
-/// and rejoin at a barrier per call — the synchronous training step's
-/// shape. Hogwild-style asynchronous training instead needs W workers that
-/// each run an entire epoch's batch stream with **no barrier between
-/// steps**; those workers would starve (or deadlock with
-/// `SPTX_NUM_THREADS=1`) if they occupied pool workers for a whole epoch
-/// while also dispatching their own kernels onto the same pool. Dedicated
-/// scoped threads sidestep both problems and leave the pool free for
-/// whatever parallelism each worker's kernels want.
-///
-/// A single slot runs inline on the caller thread — no thread is spawned,
-/// so a one-worker "async" run executes the exact instruction stream a
-/// plain sequential driver would (the degenerate-determinism contract).
-///
-/// # Panics
-///
-/// Propagates a panic raised by any worker after all workers have been
-/// joined.
-pub fn scope_workers<T, F>(slots: &mut [T], body: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    if slots.len() <= 1 {
-        if let Some(slot) = slots.first_mut() {
-            body(0, slot);
-        }
-        return;
-    }
-    std::thread::scope(|s| {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            let body = &body;
-            s.spawn(move || body(i, slot));
-        }
-    });
 }
 
 /// A latch that lets one thread wait for `n` completions.
@@ -343,69 +280,12 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_limit_forces_sequential() {
-        let before = parallelism_limit();
-        with_parallelism(1, || {
-            assert_eq!(effective_parallelism(), 1);
-            // Work still completes correctly.
-            let mut data = vec![0usize; 1000];
-            PoolHandle::global().for_mut(&mut data, 1, |offset, chunk| {
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v = offset + i;
-                }
-            });
-            assert!(data.iter().enumerate().all(|(i, &v)| v == i));
-        });
-        assert_eq!(parallelism_limit(), before);
-    }
-
-    #[test]
     fn panics_propagate() {
         let result = std::panic::catch_unwind(|| {
             let mut data = vec![0u8; 1000];
             PoolHandle::global().for_mut(&mut data, 1, |offset, chunk| {
                 if (offset..offset + chunk.len()).contains(&500) {
                     panic!("boom");
-                }
-            });
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn scope_workers_runs_every_slot_concurrently() {
-        let mut slots: Vec<(usize, std::thread::ThreadId)> =
-            vec![(0, std::thread::current().id()); 4];
-        scope_workers(&mut slots, |i, slot| {
-            slot.0 = i + 1;
-            slot.1 = std::thread::current().id();
-        });
-        for (i, (v, tid)) in slots.iter().enumerate() {
-            assert_eq!(*v, i + 1);
-            assert_ne!(
-                *tid,
-                std::thread::current().id(),
-                "multi-slot workers run on dedicated threads"
-            );
-        }
-    }
-
-    #[test]
-    fn scope_workers_single_slot_runs_inline() {
-        let mut slots = [std::thread::current().id()];
-        scope_workers(&mut slots, |_, slot| *slot = std::thread::current().id());
-        assert_eq!(slots[0], std::thread::current().id());
-        // Zero slots is a no-op.
-        scope_workers::<u8, _>(&mut [], |_, _| unreachable!());
-    }
-
-    #[test]
-    fn scope_workers_propagates_worker_panics() {
-        let result = std::panic::catch_unwind(|| {
-            let mut slots = [0u32; 3];
-            scope_workers(&mut slots, |i, _| {
-                if i == 2 {
-                    panic!("worker down");
                 }
             });
         });

@@ -24,7 +24,11 @@ fn main() {
         }
         Err(e) => {
             eprintln!("{e}");
-            std::process::exit(2);
+            // A run that started and diverged failed (1); every other error
+            // is the input's (2).
+            let diverged = matches!(&e, cli::CliError::Library(e)
+                if matches!(e.downcast_ref(), Some(sptransx::Error::Diverged { .. })));
+            std::process::exit(if diverged { 1 } else { 2 });
         }
     }
 }

@@ -14,11 +14,12 @@
 //!   arms, and report recall@K, latency percentiles, QPS, scan fraction and
 //!   cache hit rates (`--emb`, `--train`, `--clusters`, `--nprobe`, …).
 //!
-//! Every subcommand accepts `--threads N` to pin the worker-pool size. The
-//! training and evaluation engines are bit-identical at any thread count
-//! (the determinism contract CI enforces), so the knob only trades
+//! Every subcommand accepts `--threads N` to size the worker pool, the
+//! process's one width: every kernel and every `--workers` replica runs on
+//! it. The training and evaluation engines are bit-identical at any thread
+//! count (the determinism contract CI enforces), so the knob only trades
 //! wall-clock time. The one documented exception is `train --async true`
-//! with 2+ workers, which is nondeterministic by design.
+//! with 2+ workers on 2+ threads, which is nondeterministic by design.
 //!
 //! Parsing is deliberately dependency-free (`--key value` pairs); this
 //! module holds the testable core, `src/bin/sptx.rs` is a thin shell.
@@ -874,12 +875,14 @@ fn kernel_counter_table() -> String {
     out
 }
 
-/// Applies the global `--threads N` option: pins the pool size if the pool
-/// is not yet created, and caps the fan-out either way.
+/// Applies the global `--threads N` option: sizes the worker pool, which the
+/// `sptx` binary has not created yet when it parses its flags.
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Usage`] for a non-positive or unparsable value.
+/// Returns [`CliError::Usage`] for a non-positive or unparsable value, and
+/// for an in-process caller whose pool already runs another size (the pool
+/// cannot be resized, and ignoring the flag would be a silent no-op).
 fn apply_threads_option(args: &Args) -> Result<(), CliError> {
     let Some(raw) = args.options.get("threads") else {
         return Ok(());
@@ -887,10 +890,12 @@ fn apply_threads_option(args: &Args) -> Result<(), CliError> {
     let n: usize = raw.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
         CliError::Usage(format!("--threads needs a positive integer, got {raw:?}"))
     })?;
-    // `set_num_threads` sizes the pool when it has not been created yet; the
-    // parallelism limit also covers the already-created case (tests, REPLs).
-    xparallel::set_num_threads(n);
-    xparallel::set_parallelism_limit(n);
+    if !xparallel::set_num_threads(n) && xparallel::current_num_threads() != n {
+        return Err(CliError::Usage(format!(
+            "--threads {n}: this process's worker pool already runs {} threads",
+            xparallel::current_num_threads()
+        )));
+    }
     Ok(())
 }
 
@@ -1013,7 +1018,8 @@ USAGE:
                 [--min-recall R] [--max-scan-frac F]
   sptx help
 
-Any subcommand also accepts --threads N (worker-pool size; results are
+Any subcommand also accepts --threads N (worker-pool size, the one width of
+the process: kernels and --workers replicas all run on it; results are
 bit-identical at any N, only wall-clock changes). --dense-grads true disables
 the touched-row sparse gradient AND epoch-renormalization paths (an ablation
 switch: training is bit-identical, each batch and epoch-end sweep just walks
@@ -1021,13 +1027,15 @@ whole embedding tables). The train report names which arm ran and prints a
 per-kernel calls/bytes/flops counter table. --lr-decay multiplies the learning
 rate by GAMMA every STEP epochs.
 
---async true trains with the lock-free Hogwild arm: --workers N threads
-(default 4) share one set of parameter tensors and apply touched-row SGD
-updates with no barriers and no locks. Throughput scales with cores, but the
-run is nondeterministic at 2+ workers (update interleaving and occasional
-lost increments on row collisions) — validate results statistically, and use
-the synchronous default wherever the bit-determinism contract matters. At
---workers 1 the arm degenerates to the synchronous trainer bit-for-bit.
+--async true trains with the lock-free Hogwild arm: --workers N replicas
+(default 4) run as tasks on the --threads pool, share one set of parameter
+tensors and apply touched-row SGD updates with no barriers and no locks.
+Throughput scales with cores, but when 2+ workers run at once the run is
+nondeterministic (update interleaving and occasional lost increments on row
+collisions) — validate results statistically, and use the synchronous
+default wherever the bit-determinism contract matters. At --workers 1, or
+at --threads 1 (the workers then sweep their shards in turn), the arm
+degenerates to the synchronous trainer bit-for-bit.
 Requires SGD, sparse gradients and --store ram.
 
 --store disk trains out of core: the embedding table lives in {out}.pagefile
@@ -1335,23 +1343,24 @@ mod tests {
         tsv.push_str("e3\tr2\te3\n");
         std::fs::write(&train_file, tsv).unwrap();
 
-        let dump = |threads: &str| {
-            let emb = dir.join(format!("emb_{threads}.bin"));
-            let mut argv = strs(&["train", "--train", &train_file.to_string_lossy()]);
-            argv.extend(strs(&[
-                "--model", "distmult", "--epochs", "2", "--dim", "8",
-            ]));
-            argv.extend(strs(&["--batch-size", "64", "--threads", threads]));
-            argv.extend(strs(&["--out", &emb.to_string_lossy()]));
-            let msg = run(&parse_args(&argv).unwrap()).unwrap();
-            assert!(msg.contains("SpDistMult"), "{msg}");
-            let mut store = RowFile::open(&emb).unwrap();
-            let table = store.read_rows(0, store.rows()).unwrap();
-            assert_eq!(table.len(), (60 + 4) * 8);
-            assert!(table.iter().all(|x| x.is_finite()), "non-finite embeddings");
-            std::fs::read(&emb).unwrap()
-        };
-        assert_eq!(dump("1"), dump("4"), "1 vs 4 threads");
+        // `tests/cli_binary.rs` compares this run's dump at 1 and 4 threads.
+        let emb = dir.join("emb.bin");
+        let mut argv = strs(&["train", "--train", &train_file.to_string_lossy()]);
+        argv.extend(strs(&[
+            "--model", "distmult", "--epochs", "2", "--dim", "8",
+        ]));
+        argv.extend(strs(&[
+            "--batch-size",
+            "64",
+            "--out",
+            &emb.to_string_lossy(),
+        ]));
+        let msg = run(&parse_args(&argv).unwrap()).unwrap();
+        assert!(msg.contains("SpDistMult"), "{msg}");
+        let mut store = RowFile::open(&emb).unwrap();
+        let table = store.read_rows(0, store.rows()).unwrap();
+        assert_eq!(table.len(), (60 + 4) * 8);
+        assert!(table.iter().all(|x| x.is_finite()), "non-finite embeddings");
     }
 
     #[test]
@@ -1723,9 +1732,16 @@ mod tests {
         assert!(matches!(run(&bad), Err(CliError::Usage(_))));
         let bad = parse_args(&strs(&["help", "--threads", "0"])).unwrap();
         assert!(matches!(run(&bad), Err(CliError::Usage(_))));
-        // A generous cap is a no-op on any machine; the command still runs.
-        let ok = parse_args(&strs(&["help", "--threads", "8"])).unwrap();
+        // In process the pool already exists: its own size is accepted, and
+        // any other is a usage error rather than a silently ignored flag.
+        let n = xparallel::current_num_threads();
+        let ok = parse_args(&strs(&["help", "--threads", &n.to_string()])).unwrap();
         assert!(run(&ok).is_ok());
+        let other = parse_args(&strs(&["help", "--threads", &(n + 1).to_string()])).unwrap();
+        match run(&other) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("--threads"), "{msg}"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -201,6 +201,71 @@ fn out_of_range_flags_are_usage_errors_naming_the_flag() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--threads` sizes the pool of a fresh process, so a thread-count
+/// comparison needs two: DistMult on a graph with a self-loop triple (`e3 r2
+/// e3`, one merged entity column in its incidence row) dumps the same bytes
+/// at 1 and 4 threads.
+#[test]
+fn distmult_with_a_self_loop_dumps_the_same_bytes_at_1_and_4_threads() {
+    let dir = kg_dir("self-loop");
+    let train = dir.join("train.tsv");
+    let mut tsv = std::fs::read_to_string(&train).unwrap();
+    tsv.push_str("e3\tr2\te3\n");
+    std::fs::write(&train, tsv).unwrap();
+    let dump = |threads: &str| {
+        let emb = dir.join(format!("emb_{threads}.bin"));
+        let out = sptx()
+            .args([
+                "train", "--model", "distmult", "--epochs", "2", "--dim", "8",
+            ])
+            .args(["--batch-size", "64", "--threads", threads, "--train"])
+            .arg(&train)
+            .arg("--out")
+            .arg(&emb)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        std::fs::read(&emb).unwrap()
+    };
+    assert_eq!(dump("1"), dump("4"), "1 vs 4 threads");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `f32::max(NaN, 0.0)` is `0.0`: at `--lr 1e30` the hinge hid the NaN
+/// scores, the run printed `loss … -> 0.0000`, exited 0 and dumped a table
+/// of NaN. A diverged run is a failed run (exit 1) that says where.
+#[test]
+fn a_diverged_run_exits_1_naming_the_epoch_and_batch() {
+    let dir = std::env::temp_dir().join(format!("sptx-cli-binary-nan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = sptx()
+        .args(["generate", "--entities", "300", "--relations", "6"])
+        .args(["--triples", "3000", "--seed", "11", "--out"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = sptx()
+        .args(["train", "--model", "transh", "--epochs", "3", "--dim", "16"])
+        .args(["--batch-size", "256", "--lr", "1e30", "--train"])
+        .arg(dir.join("train.tsv"))
+        .arg("--out")
+        .arg(dir.join("e.bin"))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("training diverged")
+            && stderr.contains("epoch ")
+            && stderr.contains("batch "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A dump with one non-finite coordinate is refused with the row and column
 /// that hold it (exit 2), instead of being clustered into an index whose NaN
 /// centroid holds only that row while another cluster empties.

@@ -91,8 +91,7 @@ fn training_is_deterministic() {
         let mut t = Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
         t.run().unwrap().epoch_losses
     };
-    // Force a fixed chunking so float reduction order is identical.
-    let (a, b) = xparallel::with_parallelism(1, || (run(), run()));
+    let (a, b) = (run(), run());
     assert_eq!(
         a, b,
         "same seed + same threading must give identical losses"
