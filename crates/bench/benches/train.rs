@@ -24,7 +24,7 @@
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::{BatchPlan, Dataset, UniformSampler};
-use sptransx::{KgeModel, SpTorusE, SpTransE, SpTransH, SpTransR, TrainConfig, Trainer};
+use sptransx::{KgeModel, Registered, SpTransE, TrainConfig, Trainer};
 use sptx_bench::harness::{time_arm, TIMED_RUNS};
 use sptx_bench::json::{write_bench_json, JsonObject};
 use tensor::optim::{Optimizer, Sgd};
@@ -89,12 +89,9 @@ fn bench_training_step() {
 
 /// The record of one model's steady-state epoch under the shipped `Trainer`
 /// on a sequential pool.
-fn model_record<M: KgeModel>(
-    arm: &str,
-    model: sptransx::Result<M>,
-    ds: &Dataset,
-    cfg: &TrainConfig,
-) -> JsonObject {
+fn model_record(key: &str, ds: &Dataset, cfg: &TrainConfig) -> JsonObject {
+    let arm = &format!("models/{key}");
+    let model = (Registered::find(key).expect("registered").build)(ds, cfg);
     let mut trainer = Trainer::new(model.expect("model"), ds, cfg)
         .expect("trainer")
         .with_pool(PoolHandle::sequential());
@@ -125,12 +122,7 @@ fn emit_json_models() {
         seed: 1,
         ..Default::default()
     };
-    let records = [
-        model_record("models/transe", SpTransE::from_config(&ds, &cfg), &ds, &cfg),
-        model_record("models/transh", SpTransH::from_config(&ds, &cfg), &ds, &cfg),
-        model_record("models/transr", SpTransR::from_config(&ds, &cfg), &ds, &cfg),
-        model_record("models/toruse", SpTorusE::from_config(&ds, &cfg), &ds, &cfg),
-    ];
+    let records = ["transe", "transh", "transr", "toruse"].map(|key| model_record(key, &ds, &cfg));
     match write_bench_json("models", &records) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write BENCH_models.json: {e}"),

@@ -6,8 +6,11 @@
 
 use kg::eval::EvalConfig;
 use kg::synthetic::PaperDatasetSpec;
-use sptransx::{KgeModel, SpTorusE, SpTransE, SpTransH, SpTransR, TrainConfig, Trainer};
-use sptx_bench::harness::{epochs_from_env, print_table, scale_from_env};
+use sptransx::TrainConfig;
+use sptx_bench::harness::{
+    epochs_from_env, print_table, scale_from_env, trained, ModelKind, Variant,
+};
+use xparallel::PoolHandle;
 
 fn main() {
     let scale = scale_from_env();
@@ -32,37 +35,14 @@ fn main() {
             ..Default::default()
         };
         eprintln!("[figure5] dim={dim} ...");
-        let h_e = hits(
-            SpTransE::from_config(&ds, &cfg).unwrap(),
-            &ds,
-            &cfg,
-            &eval_cfg,
-        );
-        let h_r = hits(
-            SpTransR::from_config(&ds, &cfg).unwrap(),
-            &ds,
-            &cfg,
-            &eval_cfg,
-        );
-        let h_h = hits(
-            SpTransH::from_config(&ds, &cfg).unwrap(),
-            &ds,
-            &cfg,
-            &eval_cfg,
-        );
-        let h_t = hits(
-            SpTorusE::from_config(&ds, &cfg).unwrap(),
-            &ds,
-            &cfg,
-            &eval_cfg,
-        );
-        rows.push(vec![
-            dim.to_string(),
-            format!("{h_e:.3}"),
-            format!("{h_r:.3}"),
-            format!("{h_h:.3}"),
-            format!("{h_t:.3}"),
-        ]);
+        let mut row = vec![dim.to_string()];
+        for kind in ModelKind::ALL {
+            let model = kind.registered(Variant::Sparse);
+            let (trainer, _) = trained(model, &ds, &cfg, &PoolHandle::global());
+            let hits = trainer.evaluate_batched(&ds, &eval_cfg).hits(10);
+            row.push(format!("{:.3}", hits.unwrap_or(0.0)));
+        }
+        rows.push(row);
     }
     print_table(
         "Filtered Hits@10 by embedding size",
@@ -70,18 +50,4 @@ fn main() {
         &rows,
     );
     println!("\nExpected shape: monotone-increasing then saturating curves.");
-}
-
-fn hits<M: KgeModel + kg::eval::BatchScorer>(
-    model: M,
-    ds: &kg::Dataset,
-    cfg: &TrainConfig,
-    eval_cfg: &EvalConfig,
-) -> f32 {
-    let mut trainer = Trainer::new(model, ds, cfg).expect("trainer");
-    trainer.run().expect("train");
-    trainer
-        .evaluate_batched(ds, eval_cfg)
-        .hits(10)
-        .unwrap_or(0.0)
 }

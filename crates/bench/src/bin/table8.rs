@@ -7,11 +7,11 @@
 
 use kg::eval::EvalConfig;
 use kg::synthetic::PaperDatasetSpec;
-use sptransx::{
-    DenseTorusE, DenseTransE, DenseTransH, DenseTransR, KgeModel, SpTorusE, SpTransE, SpTransH,
-    SpTransR, TrainConfig, Trainer,
+use sptransx::TrainConfig;
+use sptx_bench::harness::{
+    epochs_from_env, print_table, scale_from_env, trained, ModelKind, Variant,
 };
-use sptx_bench::harness::{epochs_from_env, print_table, scale_from_env};
+use xparallel::PoolHandle;
 
 const SEEDS: [u64; 9] = [11, 22, 33, 44, 55, 66, 77, 88, 99];
 
@@ -40,25 +40,23 @@ fn main() {
     };
 
     let mut rows = Vec::new();
-    macro_rules! model_pair {
-        ($name:literal, $sp:ident, $de:ident) => {{
-            let sp = stats($name, "sparse", &ds, &base, &eval_cfg, |ds, cfg| {
-                run($sp::from_config(ds, cfg).unwrap(), ds, cfg, &eval_cfg)
-            });
-            let de = stats($name, "dense", &ds, &base, &eval_cfg, |ds, cfg| {
-                run($de::from_config(ds, cfg).unwrap(), ds, cfg, &eval_cfg)
-            });
-            rows.push(vec![
-                $name.to_string(),
-                format!("{:.3} ± {:.4}", de.0, de.1),
-                format!("{:.3} ± {:.4}", sp.0, sp.1),
-            ]);
-        }};
+    for kind in ModelKind::ALL {
+        let [sp, de] = [Variant::Sparse, Variant::Dense].map(|variant| {
+            stats(kind.name(), variant.name(), &base, |cfg| {
+                let model = kind.registered(variant);
+                let (trainer, _) = trained(model, &ds, cfg, &PoolHandle::global());
+                trainer
+                    .evaluate_batched(&ds, &eval_cfg)
+                    .hits(10)
+                    .unwrap_or(0.0)
+            })
+        });
+        rows.push(vec![
+            kind.name().to_string(),
+            format!("{:.3} ± {:.4}", de.0, de.1),
+            format!("{:.3} ± {:.4}", sp.0, sp.1),
+        ]);
     }
-    model_pair!("TransE", SpTransE, DenseTransE);
-    model_pair!("TransR", SpTransR, DenseTransR);
-    model_pair!("TransH", SpTransH, DenseTransH);
-    model_pair!("TorusE", SpTorusE, DenseTorusE);
 
     print_table(
         "Filtered Hits@10 (mean ± std over seeds)",
@@ -69,24 +67,11 @@ fn main() {
     println!("accuracy-neutral (paper reports equal or slightly better Hits@10).");
 }
 
-fn run<M: KgeModel + kg::eval::BatchScorer>(
-    model: M,
-    ds: &kg::Dataset,
-    cfg: &TrainConfig,
-    eval_cfg: &EvalConfig,
-) -> f32 {
-    let mut t = Trainer::new(model, ds, cfg).expect("trainer");
-    t.run().expect("train");
-    t.evaluate_batched(ds, eval_cfg).hits(10).unwrap_or(0.0)
-}
-
 fn stats(
     model: &str,
     variant: &str,
-    ds: &kg::Dataset,
     base: &TrainConfig,
-    _eval: &EvalConfig,
-    f: impl Fn(&kg::Dataset, &TrainConfig) -> f32,
+    f: impl Fn(&TrainConfig) -> f32,
 ) -> (f64, f64) {
     let mut values = Vec::with_capacity(SEEDS.len());
     for &seed in &SEEDS {
@@ -95,7 +80,7 @@ fn stats(
             seed,
             ..base.clone()
         };
-        values.push(f64::from(f(ds, &cfg)));
+        values.push(f64::from(f(&cfg)));
     }
     let mean = values.iter().sum::<f64>() / values.len() as f64;
     let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / values.len() as f64;

@@ -15,10 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparse::incidence::{hrt, TailSign};
 use sparse::{CsrMatrix, DenseMatrix};
-use sptransx::{
-    DenseTorusE, DenseTransE, DenseTransH, DenseTransR, KgeModel, SpTorusE, SpTransE, SpTransH,
-    SpTransR, TrainConfig, TrainReport, Trainer,
-};
+use sptransx::{AnyModel, Registered, TrainConfig, TrainReport, Trainer};
 use xparallel::PoolHandle;
 
 /// Default dataset scale divisor.
@@ -160,6 +157,18 @@ impl Variant {
     }
 }
 
+impl ModelKind {
+    /// The registered family of `kind` in `variant`.
+    pub fn registered(self, variant: Variant) -> &'static Registered {
+        let suffix = match variant {
+            Variant::Sparse => "",
+            Variant::Dense => "-dense",
+        };
+        let key = format!("{}{suffix}", self.name().to_ascii_lowercase());
+        Registered::find(&key).expect("every paper model is registered in both variants")
+    }
+}
+
 /// Trains `kind`/`variant` on `dataset` with every kernel on `pool` and
 /// returns the report (`PoolHandle::sequential()` is the paper's one-thread
 /// "CPU" arm, `PoolHandle::global()` every core).
@@ -174,28 +183,26 @@ pub fn run_model(
     config: &TrainConfig,
     pool: &PoolHandle,
 ) -> TrainReport {
-    let (ds, cfg) = (dataset, config);
-    match (kind, variant) {
-        (ModelKind::TransE, Variant::Sparse) => train(SpTransE::from_config, ds, cfg, pool),
-        (ModelKind::TransE, Variant::Dense) => train(DenseTransE::from_config, ds, cfg, pool),
-        (ModelKind::TransR, Variant::Sparse) => train(SpTransR::from_config, ds, cfg, pool),
-        (ModelKind::TransR, Variant::Dense) => train(DenseTransR::from_config, ds, cfg, pool),
-        (ModelKind::TransH, Variant::Sparse) => train(SpTransH::from_config, ds, cfg, pool),
-        (ModelKind::TransH, Variant::Dense) => train(DenseTransH::from_config, ds, cfg, pool),
-        (ModelKind::TorusE, Variant::Sparse) => train(SpTorusE::from_config, ds, cfg, pool),
-        (ModelKind::TorusE, Variant::Dense) => train(DenseTorusE::from_config, ds, cfg, pool),
-    }
+    trained(kind.registered(variant), dataset, config, pool).1
 }
 
-fn train<M: KgeModel>(
-    make: impl Fn(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+/// Trains `model` on `dataset` with every kernel on `pool`: the trainer,
+/// which holds the trained model, and its report.
+///
+/// # Panics
+///
+/// Panics on configuration errors (benchmark configs are controlled).
+pub fn trained(
+    model: &Registered,
     dataset: &Dataset,
     config: &TrainConfig,
     pool: &PoolHandle,
-) -> TrainReport {
-    let model = make(dataset, config).expect("benchmark config must be valid");
+) -> (Trainer<Box<dyn AnyModel>>, TrainReport) {
+    let model = (model.build)(dataset, config).expect("benchmark config must be valid");
     let trainer = Trainer::new(model, dataset, config).expect("plan construction");
-    trainer.with_pool(pool.clone()).run().expect("training")
+    let mut trainer = trainer.with_pool(pool.clone());
+    let report = trainer.run().expect("training");
+    (trainer, report)
 }
 
 /// Generates the scaled stand-ins for the paper's seven datasets (Table 3).

@@ -12,6 +12,12 @@
 //! | TransH (hyperplane) | [`SpTransH`] — one `ht` SpMM, shared sub-expressions | [`DenseTransH`] — 2 gathers + 2 projections |
 //! | DistMult (Appendix D) | [`SpDistMult`] — `(×,×)` semiring score | — |
 //!
+//! The table lists the paper's families; SpTransC, SpTransM, SpComplEx and
+//! SpRotatE complete the thirteen. [`MODELS`] registers every one under a
+//! key (`transe`, `transe-dense`, …) for callers that pick a family at run
+//! time — `sptx train --model`, the bench harness — and builds it as a
+//! `Box<dyn` [`AnyModel`]`>`, which trains like a concrete model.
+//!
 //! The sparse variants build each mini-batch's incidence matrix **once**
 //! (negatives are pre-generated, §5.3) and reuse it — with its cached
 //! transpose for the backward SpMM — every epoch.
@@ -62,7 +68,7 @@ pub use models::sptorus::SpTorusE;
 pub use models::sptranse::SpTransE;
 pub use models::sptransh::SpTransH;
 pub use models::sptransr::SpTransR;
-pub use models::{Family, Model};
+pub use models::{AnyModel, Family, Model, Registered, MODELS};
 pub use paging::{FileRowStorage, ReadOnlyRowStorage};
 pub use scorer::QueryDir;
 pub use train::{Breakdown, TrainReport, Trainer};

@@ -229,9 +229,9 @@ impl Arm {
             ),
             (
                 self.paged && !self.pages,
-                "--store disk supports every sparse model (--model \
-                 transe|toruse|transh|transr|distmult): the gather baselines read whole tables \
-                 by design — they are the scatter reference of the paper's Figure 1",
+                "--store disk supports every sparse model, not the -dense ones: the gather \
+                 baselines read whole tables by design — they are the scatter reference of the \
+                 paper's Figure 1",
             ),
             (
                 self.paged && replicated,
@@ -320,10 +320,7 @@ pub trait KgeModel {
     /// Whether this model overrides [`page_in_batch`](KgeModel::page_in_batch)
     /// and may therefore train with a table paged out (rule 3 of
     /// [`Arm::check`]). Override it next to that method. Default: `false`.
-    fn pages() -> bool
-    where
-        Self: Sized,
-    {
+    fn pages(&self) -> bool {
         false
     }
 

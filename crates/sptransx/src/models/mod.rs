@@ -7,7 +7,8 @@
 //! everything else, written once: validation and the norm coercion, the
 //! parameter store, `attach_plan`'s fan-out, the positive/negative doubling,
 //! paging, and both evaluation walks. Every public model name is an alias —
-//! `pub type SpTransE = Model<TransE>` — next to its family's description.
+//! `pub type SpTransE = Model<TransE>` — next to its family's description,
+//! and [`MODELS`] lists every family for callers that pick one by name.
 
 pub mod dense;
 pub mod extensions;
@@ -375,7 +376,7 @@ impl<F: Family> KgeModel for Model<F> {
         Ok(())
     }
 
-    fn pages() -> bool {
+    fn pages(&self) -> bool {
         F::WORKING_SET.is_some()
     }
 
@@ -409,6 +410,128 @@ impl<F: Family> BatchScorer for Model<F> {
 
     fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
         self.batched(QueryDir::Heads, queries, out);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The registry: every family, named once
+// ---------------------------------------------------------------------------
+
+/// A model of a family picked at run time, as [`Registered::build`] returns
+/// it. `Box<dyn AnyModel>` is itself a [`KgeModel`] and a [`BatchScorer`], so
+/// it trains and evaluates through [`crate::Trainer`] like a concrete model.
+pub trait AnyModel: KgeModel + BatchScorer + Send {}
+
+impl<T: KgeModel + BatchScorer + Send> AnyModel for T {}
+
+/// One family of [`MODELS`]: its name, and its constructor with the family's
+/// type erased.
+#[derive(Debug, Clone, Copy)]
+pub struct Registered {
+    /// [`KgeModel::name`] of the family's models (`"SpTransE"`,
+    /// `"TransE-dense"`).
+    pub name: &'static str,
+    /// [`KgeModel::pages`] of the family's models, known before one is built
+    /// (an arm is checked before any data is loaded).
+    pub pages: bool,
+    /// The family's `from_config`, boxed.
+    pub build: fn(&Dataset, &TrainConfig) -> Result<Box<dyn AnyModel>>,
+}
+
+impl Registered {
+    const fn of<F: Family>() -> Self {
+        Self {
+            name: F::NAME,
+            pages: F::WORKING_SET.is_some(),
+            build: boxed::<F>,
+        }
+    }
+
+    /// The family's `sptx train --model` key: its name in lower case without
+    /// the sparse families' `Sp` (`transe`, `complex`, `transe-dense`).
+    pub fn key(&self) -> String {
+        let name = self.name.strip_prefix("Sp").unwrap_or(self.name);
+        name.to_ascii_lowercase()
+    }
+
+    /// The family whose [`Registered::key`] is `key`.
+    pub fn find(key: &str) -> Option<&'static Registered> {
+        MODELS.iter().find(|m| m.key() == key)
+    }
+}
+
+fn boxed<F: Family>(dataset: &Dataset, config: &TrainConfig) -> Result<Box<dyn AnyModel>> {
+    Ok(Box::new(Model::<F>::from_config(dataset, config)?))
+}
+
+/// Every family: the paper's four, the other five sparse ones, then the four
+/// gather baselines. `sptx train --model`, the bench harness and the artifact
+/// binaries all pick from this list.
+pub const MODELS: &[Registered] = &[
+    Registered::of::<sptranse::TransE>(),
+    Registered::of::<sptorus::TorusE>(),
+    Registered::of::<sptransh::TransH>(),
+    Registered::of::<sptransr::TransR>(),
+    Registered::of::<spdistmult::DistMult>(),
+    Registered::of::<spcomplex::ComplEx>(),
+    Registered::of::<sprotate::RotatE>(),
+    Registered::of::<extensions::TransC>(),
+    Registered::of::<extensions::TransM>(),
+    Registered::of::<dense::GatherTransE>(),
+    Registered::of::<dense::GatherTorusE>(),
+    Registered::of::<dense::GatherTransH>(),
+    Registered::of::<dense::GatherTransR>(),
+];
+
+impl KgeModel for Box<dyn AnyModel> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn store(&self) -> &ParamStore {
+        (**self).store()
+    }
+
+    fn store_mut(&mut self) -> &mut ParamStore {
+        (**self).store_mut()
+    }
+
+    fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
+        (**self).attach_plan(plan)
+    }
+
+    fn num_batches(&self) -> usize {
+        (**self).num_batches()
+    }
+
+    fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var) {
+        (**self).score_batch(g, batch_idx)
+    }
+
+    fn page_in_batch(&mut self, batch_idx: usize) -> Result<()> {
+        (**self).page_in_batch(batch_idx)
+    }
+
+    fn pages(&self) -> bool {
+        (**self).pages()
+    }
+
+    fn end_epoch(&mut self) {
+        (**self).end_epoch();
+    }
+}
+
+impl BatchScorer for Box<dyn AnyModel> {
+    fn num_entities(&self) -> usize {
+        BatchScorer::num_entities(&**self)
+    }
+
+    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
+        (**self).score_tails_into(queries, out);
+    }
+
+    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
+        (**self).score_heads_into(queries, out);
     }
 }
 
@@ -708,6 +831,11 @@ mod tests {
             bits(twin.store()),
             "{what}: one seed, two inits"
         );
+        // The registry builds this family under this name.
+        let entry = MODELS.iter().find(|m| m.name == model.name()).unwrap();
+        let boxed = (entry.build)(&ds, &config).unwrap();
+        assert_eq!(bits(boxed.store()), bits(model.store()), "{what}: registry");
+        assert_eq!((entry.pages, boxed.pages()), (model.pages(), model.pages()));
 
         // A second plan replaces the first.
         assert_eq!(model.num_batches(), 0, "{what}");
@@ -736,7 +864,7 @@ mod tests {
 
         // Every sparse family pages and no gather baseline does, and with
         // nothing paged out paging a batch in changes nothing.
-        assert_eq!(M::pages(), what.starts_with("Sp"), "{what}");
+        assert_eq!(model.pages(), what.starts_with("Sp"), "{what}");
         let before = bits(model.store());
         model.page_in_batch(0).unwrap();
         assert_eq!(bits(model.store()), before, "{what}");
@@ -777,5 +905,57 @@ mod tests {
         for (what, check, params) in rows {
             check(what, params);
         }
+    }
+
+    #[test]
+    fn the_registry_names_every_family_once() {
+        let keys: Vec<String> = MODELS.iter().map(Registered::key).collect();
+        assert_eq!(keys.len(), 13);
+        let distinct: std::collections::BTreeSet<_> = keys.iter().collect();
+        assert_eq!(distinct.len(), 13, "{keys:?}");
+        for key in &keys {
+            assert_eq!(&Registered::find(key).unwrap().key(), key);
+        }
+        assert_eq!(
+            keys[..5],
+            ["transe", "toruse", "transh", "transr", "distmult"]
+        );
+        assert_eq!(keys[12], "transr-dense");
+        assert!(Registered::find("SpTransE").is_none());
+    }
+
+    /// A boxed model is its family behind one more pointer: two epochs
+    /// through the trainer give the concrete model's losses and parameters,
+    /// bit for bit (TransH and RotatE both have an end-of-epoch hook).
+    #[test]
+    fn a_boxed_model_trains_as_its_family_does() {
+        fn check<M: Constructible>(key: &str) {
+            let ds = dataset();
+            let config = TrainConfig {
+                epochs: 2,
+                dim: 8,
+                batch_size: 64,
+                lr: 0.05,
+                ..Default::default()
+            };
+            let mut concrete = crate::Trainer::new(M::build(&ds, &config), &ds, &config).unwrap();
+            let boxed = (Registered::find(key).unwrap().build)(&ds, &config).unwrap();
+            let mut boxed = crate::Trainer::new(boxed, &ds, &config).unwrap();
+            let losses = |r: crate::TrainReport| {
+                r.epoch_losses
+                    .iter()
+                    .map(|l| l.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                losses(concrete.run().unwrap()),
+                losses(boxed.run().unwrap()),
+                "{key}"
+            );
+            let (a, b) = (concrete.model().store(), boxed.model().store());
+            assert_eq!(bits(a), bits(b), "{key}");
+        }
+        check::<SpTransH>("transh");
+        check::<SpRotatE>("rotate");
     }
 }

@@ -49,7 +49,7 @@ fn family<M: KgeModel + Send>(
             for flags in 0..8 {
                 let (paged, dense_grads, fused) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
                 let arm = Arm {
-                    pages: M::pages(),
+                    pages: ctor(ds, &TrainConfig::default()).unwrap().pages(),
                     paged,
                     optimizer,
                     dense_grads,

@@ -2,32 +2,39 @@
 //!
 //! Subcommands:
 //!
-//! * `generate` — write a synthetic KG to TSV files
-//!   (`--entities`, `--relations`, `--triples`, `--out <dir>`).
-//! * `train` — train a model on a TSV file and save embeddings
-//!   (`--model`, `--train <file>`, `--epochs`, `--dim`, `--lr`, `--out`);
-//!   `--async true --workers N` switches to the lock-free Hogwild arm
-//!   (nondeterministic, SGD + sparse gradients + resident store only).
+//! * `generate` — write a synthetic KG to train/valid/test TSV files.
+//! * `train` — train any family of [`sptransx::MODELS`] on a TSV file, save
+//!   its embedding table and print a report; `--async true --workers N`
+//!   switches to the lock-free Hogwild arm (nondeterministic, SGD + sparse
+//!   gradients + resident store only).
 //! * `stats` — print dataset statistics (degrees, relation classes).
 //! * `serve` — load saved embeddings, build (or load) an IVF candidate
 //!   index, replay a Zipf-skewed query workload through the ANN and exact
 //!   arms, and report recall@K, latency percentiles, QPS, scan fraction and
-//!   cache hit rates (`--emb`, `--train`, `--clusters`, `--nprobe`, …).
+//!   cache hit rates.
 //!
-//! Every subcommand accepts `--threads N` to size the worker pool, the
-//! process's one width: every kernel and every `--workers` replica runs on
-//! it. The training and evaluation engines are bit-identical at any thread
-//! count (the determinism contract CI enforces), so the knob only trades
-//! wall-clock time. The one documented exception is `train --async true`
-//! with 2+ workers on 2+ threads, which is nondeterministic by design.
+//! Every flag is one row of [`FLAGS`]: the subcommands that read it, the
+//! kind of value it takes, what its absence means and its help line.
+//! Unknown-flag rejection, range checks, parsing, `sptx help` and the
+//! out-of-range cases of the binary's tests all derive from that table; the
+//! subcommands only read typed values out of it. No subcommand knows a model
+//! by name: `train --model` picks a [`sptransx::Registered`] family.
+//!
+//! `--threads N` sizes the worker pool, the process's one width: every
+//! kernel and every `--workers` replica runs on it. The training and
+//! evaluation engines are bit-identical at any thread count (the determinism
+//! contract CI enforces), so the knob only trades wall-clock time. The one
+//! documented exception is `train --async true` with 2+ workers on 2+
+//! threads, which is nondeterministic by design.
 //!
 //! Parsing is deliberately dependency-free (`--key value` pairs); this
 //! module holds the testable core, `src/bin/sptx.rs` is a thin shell.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
-use kg::eval::{BatchScorer, EvalConfig};
+use kg::eval::EvalConfig;
 use kg::stream::RowFile;
 use kg::{load_tsv, write_tsv, Dataset, Vocab};
 use sptransx::serve::{
@@ -35,8 +42,8 @@ use sptransx::serve::{
     ZipfWorkload,
 };
 use sptransx::{
-    Arm, Combine, KgeModel, Norm, OptimizerKind, SamplerKind, SpDistMult, SpTorusE, SpTransE,
-    SpTransH, SpTransR, TrainConfig, Trainer,
+    Arm, Combine, KgeModel, Norm, OptimizerKind, Registered, SamplerKind, TrainConfig, Trainer,
+    MODELS,
 };
 
 /// Parsed command line: subcommand plus `--key value` options.
@@ -89,6 +96,238 @@ fn config_is_usage(e: sptransx::Error) -> CliError {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The flag table
+// ---------------------------------------------------------------------------
+
+/// The subcommands, each with its line in `sptx help`.
+const COMMANDS: [(&str, &str); 4] = [
+    ("generate", "write a synthetic KG as train/valid/test TSVs"),
+    ("train", "train a model, save its embeddings, report"),
+    ("stats", "print degrees and relation classes"),
+    ("serve", "answer top-K completion queries from a dump"),
+];
+
+/// What a flag's value must be.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Kind {
+    /// A whole number no smaller than this.
+    Count(u64),
+    /// A finite number in `[min, below)`, or `(min, below)` when `open`.
+    Real {
+        /// The lower bound.
+        min: f64,
+        /// Whether `min` itself is refused.
+        open: bool,
+        /// The exclusive upper bound.
+        below: f64,
+    },
+    /// One of these names.
+    Choice(&'static [&'static str]),
+    /// A [`Registered::key`] of [`MODELS`].
+    Model,
+    /// `true` or `false`.
+    Switch,
+    /// `STEP:GAMMA`, with `STEP ≥ 1` and a finite `GAMMA > 0`.
+    Decay,
+    /// A path (its metavariable), checked where it is opened.
+    Path(&'static str),
+}
+
+const fn real(min: f64, open: bool, below: f64) -> Kind {
+    Kind::Real { min, open, below }
+}
+const POSITIVE: Kind = real(0.0, true, f64::INFINITY);
+const NON_NEGATIVE: Kind = real(0.0, false, f64::INFINITY);
+const FRACTION: Kind = real(0.0, false, 1.0);
+
+impl Kind {
+    /// Values of every shape this kind refuses (unparsable, below the
+    /// bound, at the upper one, not a name), for tests to feed the binary.
+    pub fn refused(&self) -> Vec<String> {
+        let values = match *self {
+            Kind::Count(min) => vec![Some(-1.0), (min > 0).then_some(min as f64 - 1.0)],
+            Kind::Real { min, open, below } => {
+                let low = if open { min } else { min - 1.0 };
+                vec![
+                    Some(f64::NAN),
+                    Some(low),
+                    below.is_finite().then_some(below),
+                ]
+            }
+            Kind::Choice(_) | Kind::Model => return vec!["bogus".into()],
+            Kind::Switch => return vec!["maybe".into()],
+            Kind::Decay => return ["0:0.5", "10", "10:-1"].map(String::from).to_vec(),
+            Kind::Path(_) => Vec::new(),
+        };
+        values
+            .into_iter()
+            .flatten()
+            .map(|x| x.to_string())
+            .collect()
+    }
+}
+
+/// What a flag's absence means.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Absent {
+    /// The subcommand cannot run without it.
+    Required,
+    /// This value.
+    Value(&'static str),
+    /// Off, or derived where it is read (the help line says from what).
+    Unset,
+}
+
+/// One `--flag` of one or more subcommands.
+#[derive(Debug, Clone, Copy)]
+pub struct Flag {
+    /// The name, without the dashes.
+    pub name: &'static str,
+    /// The subcommands that read it.
+    pub commands: &'static [&'static str],
+    /// What its value must be.
+    pub kind: Kind,
+    /// What its absence means.
+    pub absent: Absent,
+    /// Its line in `sptx help`.
+    pub help: &'static str,
+}
+
+#[rustfmt::skip]
+const fn flag(name: &'static str, commands: &'static [&'static str], kind: Kind, absent: Absent, help: &'static str) -> Flag {
+    Flag { name, commands, kind, absent, help }
+}
+
+const GENERATE: &[&str] = &["generate"];
+const TRAIN: &[&str] = &["train"];
+const SERVE: &[&str] = &["serve"];
+const SPLIT: &[&str] = &["train", "stats"];
+const TRAIN_SERVE: &[&str] = &["train", "serve"];
+const TSV: &[&str] = &["train", "stats", "serve"];
+const SEEDED: &[&str] = &["generate", "train", "stats", "serve"];
+const EVERY: &[&str] = &["generate", "train", "stats", "serve", "help"];
+
+/// Every flag of every subcommand; a name may have one row per subcommand.
+#[rustfmt::skip]
+pub const FLAGS: &[Flag] = &[
+    flag("entities", GENERATE, Kind::Count(2), Absent::Value("1000"), "entities"),
+    flag("relations", GENERATE, Kind::Count(1), Absent::Value("10"), "relations"),
+    flag("triples", GENERATE, Kind::Count(1), Absent::Unset, "triples before the split (default 5 × --entities)"),
+    flag("out", GENERATE, Kind::Path("DIR"), Absent::Value("kg-out"), "directory for train.tsv, valid.tsv and test.tsv"),
+    flag("train", TSV, Kind::Path("FILE.tsv"), Absent::Required, "triples, one tab-separated `head relation tail` per line"),
+    flag("valid-frac", SPLIT, FRACTION, Absent::Value("0"), "share of the triples held out for validation"),
+    flag("test-frac", SPLIT, FRACTION, Absent::Value("0.1"), "share of the triples held out for testing"),
+    flag("seed", SEEDED, Kind::Count(0), Absent::Value("42"), "RNG seed"),
+    flag("model", TRAIN, Kind::Model, Absent::Value("transe"), "model family; -dense are the gather baselines"),
+    flag("out", TRAIN, Kind::Path("FILE"), Absent::Value("embeddings.bin"), "where the trained embedding table is saved"),
+    flag("epochs", TRAIN, Kind::Count(1), Absent::Value("50"), "training epochs"),
+    flag("batch-size", TRAIN, Kind::Count(1), Absent::Value("1024"), "positive triples per mini-batch"),
+    flag("dim", TRAIN, Kind::Count(1), Absent::Value("64"), "entity embedding dimension"),
+    flag("rel-dim", TRAIN, Kind::Count(1), Absent::Value("32"), "relation-space dimension (TransR)"),
+    flag("lr", TRAIN, POSITIVE, Absent::Value("0.1"), "learning rate"),
+    flag("margin", TRAIN, NON_NEGATIVE, Absent::Value("0.5"), "margin of the ranking loss"),
+    flag("norm", TRAIN_SERVE, Kind::Choice(&["l1", "l2", "torus-l1", "torus-l2"]), Absent::Value("l2"), "distance; serve names the dump's own"),
+    flag("sampler", TRAIN, Kind::Choice(&["uniform", "bernoulli"]), Absent::Value("uniform"), "negative sampler"),
+    flag("optimizer", TRAIN, Kind::Choice(&["sgd", "adagrad", "adam"]), Absent::Value("sgd"), "optimizer"),
+    flag("lr-decay", TRAIN, Kind::Decay, Absent::Unset, "multiply the learning rate by GAMMA every STEP epochs"),
+    flag("dense-grads", TRAIN, Kind::Switch, Absent::Value("false"), "walk whole tables in every sweep (ablation)"),
+    flag("store", TRAIN_SERVE, Kind::Choice(&["ram", "disk"]), Absent::Value("ram"), "where the embedding table lives"),
+    flag("cache-rows", TRAIN_SERVE, Kind::Count(1), Absent::Value("4096"), "row-cache budget of --store disk"),
+    flag("async", TRAIN, Kind::Switch, Absent::Value("false"), "train with the lock-free Hogwild arm"),
+    flag("workers", TRAIN, Kind::Count(1), Absent::Value("4"), "replicas of --async true"),
+    flag("emb", SERVE, Kind::Path("FILE.bin"), Absent::Required, "embedding table saved by train"),
+    flag("k", SERVE, Kind::Count(1), Absent::Value("10"), "answers per query"),
+    flag("clusters", SERVE, Kind::Count(1), Absent::Unset, "IVF clusters (default √entities)"),
+    flag("nprobe", SERVE, Kind::Count(1), Absent::Unset, "clusters probed per query (default clusters / 8)"),
+    flag("kmeans-iters", SERVE, Kind::Count(1), Absent::Value("8"), "k-means rounds of the index build"),
+    flag("queries", SERVE, Kind::Count(1), Absent::Value("2000"), "queries in the workload"),
+    flag("zipf", SERVE, NON_NEGATIVE, Absent::Value("1.1"), "Zipf exponent of the query stream"),
+    flag("cache-size", SERVE, Kind::Count(1), Absent::Value("1024"), "query-cache entries"),
+    flag("index", SERVE, Kind::Path("FILE"), Absent::Unset, "load the IVF index instead of building it"),
+    flag("index-out", SERVE, Kind::Path("FILE"), Absent::Unset, "save the IVF index"),
+    flag("min-recall", SERVE, NON_NEGATIVE, Absent::Value("0"), "fail below this recall@K against the exact arm"),
+    flag("max-scan-frac", SERVE, NON_NEGATIVE, Absent::Value("1"), "fail above this share of entities scanned"),
+    flag("threads", EVERY, Kind::Count(1), Absent::Unset, "worker-pool size (default SPTX_NUM_THREADS, else every CPU)"),
+];
+
+/// `--model`'s choices: every registered family's key.
+fn model_keys() -> String {
+    let keys: Vec<String> = MODELS.iter().map(Registered::key).collect();
+    keys.join("|")
+}
+
+impl Flag {
+    /// The row of `--name` for `command` (`--help` and `-h` are `help`).
+    pub fn find(command: &str, name: &str) -> Option<&'static Flag> {
+        let command = if command.starts_with('-') {
+            "help"
+        } else {
+            command
+        };
+        (FLAGS.iter()).find(|f| f.name == name && f.commands.contains(&command))
+    }
+
+    /// Checks `raw` against this flag's [`Kind`].
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Usage`] naming the flag.
+    pub fn check(&self, raw: &str) -> Result<(), CliError> {
+        let name = self.name;
+        let usage = |msg: String| Err(CliError::Usage(msg));
+        let unparsable = || CliError::Usage(format!("could not parse --{name} value {raw:?}"));
+        match self.kind {
+            Kind::Count(min) if raw.parse::<u64>().map_err(|_| unparsable())? < min => {
+                usage(format!("--{name} must be at least {min}"))
+            }
+            Kind::Real { min, open, below } => {
+                let x: f64 = raw.parse().map_err(|_| unparsable())?;
+                let above = if open { x > min } else { x >= min };
+                if x.is_finite() && above && x < below {
+                    return Ok(());
+                }
+                let from = if open { '(' } else { '[' };
+                usage(format!(
+                    "--{name} needs a finite number in {from}{min}, {below}), got {raw}"
+                ))
+            }
+            Kind::Choice(names) if !names.contains(&raw) => {
+                usage(format!("unknown --{name} {raw:?} ({})", names.join("|")))
+            }
+            Kind::Model if Registered::find(raw).is_none() => {
+                usage(format!("unknown --{name} {raw:?} ({})", model_keys()))
+            }
+            Kind::Switch => raw.parse::<bool>().map(|_| ()).map_err(|_| unparsable()),
+            Kind::Decay => parse_lr_decay(raw).map(|_| ()),
+            _ => Ok(()),
+        }
+    }
+
+    /// The flag's lines in `sptx help`.
+    fn usage(&self) -> String {
+        let metavar = match self.kind {
+            Kind::Count(_) => "N".into(),
+            Kind::Real { .. } => "X".into(),
+            Kind::Choice(names) => names.join("|"),
+            Kind::Model => model_keys(),
+            Kind::Switch => "true|false".into(),
+            Kind::Decay => "STEP:GAMMA".into(),
+            Kind::Path(metavar) => metavar.to_string(),
+        };
+        let left = format!("  --{} {metavar}", self.name);
+        let help = match self.absent {
+            Absent::Required => format!("{} (required)", self.help),
+            Absent::Value(v) => format!("{} (default {v})", self.help),
+            Absent::Unset => self.help.to_string(),
+        };
+        match left.chars().count() {
+            ..26 => format!("{left:<26}{help}\n"),
+            _ => format!("{left}\n{:26}{help}\n", ""),
+        }
+    }
+}
+
 /// Splits raw arguments (without argv\[0\]) into a subcommand and options.
 ///
 /// # Errors
@@ -119,63 +358,174 @@ pub fn parse_args(raw: &[String]) -> Result<Args, CliError> {
 }
 
 impl Args {
-    /// A string option with a default.
-    pub fn str_or(&self, key: &str, default: &str) -> String {
-        self.options
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
-    }
-
-    /// A required string option.
+    /// `--name`'s value if given, checked against its [`FLAGS`] row (which
+    /// the subcommand must have: reading an undeclared flag panics).
     ///
     /// # Errors
     ///
-    /// Returns [`CliError::Usage`] if missing.
-    pub fn required(&self, key: &str) -> Result<String, CliError> {
-        self.options
-            .get(key)
-            .cloned()
-            .ok_or_else(|| CliError::Usage(format!("missing required flag --{key}")))
+    /// [`CliError::Usage`] for a value the row refuses.
+    pub fn given<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        let flag = Flag::find(&self.command, name).expect("a declared flag");
+        let Some(raw) = self.options.get(name) else {
+            return Ok(None);
+        };
+        flag.check(raw)?;
+        let bad = || CliError::Usage(format!("could not parse --{name} value {raw:?}"));
+        raw.parse().map(Some).map_err(|_| bad())
     }
 
-    /// A parsed numeric option with a default.
+    /// `--name`'s value: the given one, else its row's default (a flag
+    /// without one, [`Absent::Unset`], is read with [`Args::given`]).
     ///
     /// # Errors
     ///
-    /// Returns [`CliError::Usage`] when the value does not parse.
-    pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("could not parse --{key} value {v:?}"))),
+    /// [`CliError::Usage`] for a refused value or a missing required flag.
+    pub fn get<T: FromStr>(&self, name: &str) -> Result<T, CliError> {
+        if let Some(value) = self.given(name)? {
+            return Ok(value);
         }
+        match Flag::find(&self.command, name).map(|f| f.absent) {
+            Some(Absent::Value(raw)) => Ok(raw.parse().ok().expect("a default parses")),
+            _ => Err(CliError::Usage(format!("missing required flag --{name}"))),
+        }
+    }
+
+    /// The entry of `values` that `--name` picks: one per name of its
+    /// [`Kind::Choice`], in the same order.
+    fn pick<T: Copy>(&self, name: &str, values: &[T]) -> Result<T, CliError> {
+        let raw: String = self.get(name)?;
+        let names = match Flag::find(&self.command, name).map(|f| f.kind) {
+            Some(Kind::Choice(names)) if names.len() == values.len() => names,
+            _ => panic!("--{name} is not a choice of {} names", values.len()),
+        };
+        Ok(values[names.iter().position(|n| *n == raw).expect("checked")])
     }
 }
 
-/// The `generate` subcommand: synthesize a KG and write train/valid/test TSVs.
+/// Rejects, in name order, any `--flag` the subcommand has no [`FLAGS`] row
+/// for — a typo, or a flag that no longer exists, is a loud error instead of
+/// a silently ignored default — and any value its row refuses.
+fn check_flags(args: &Args) -> Result<(), CliError> {
+    let mut options: Vec<_> = args.options.iter().collect();
+    options.sort();
+    for (name, raw) in options {
+        let unknown = || {
+            let command = &args.command;
+            CliError::Usage(format!(
+                "unknown flag --{name} for `sptx {command}` (see `sptx help`)"
+            ))
+        };
+        Flag::find(&args.command, name)
+            .ok_or_else(unknown)?
+            .check(raw)?;
+    }
+    Ok(())
+}
+
+/// Applies `--threads N`: sizes the worker pool, which the `sptx` binary has
+/// not created yet when it parses its flags. An in-process caller whose pool
+/// already runs another size gets a usage error: the pool cannot be resized,
+/// and ignoring the flag would be a silent no-op.
+fn apply_threads_option(args: &Args) -> Result<(), CliError> {
+    let Some(n) = args.given::<usize>("threads")? else {
+        return Ok(());
+    };
+    if !xparallel::set_num_threads(n) && xparallel::current_num_threads() != n {
+        return Err(CliError::Usage(format!(
+            "--threads {n}: this process's worker pool already runs {} threads",
+            xparallel::current_num_threads()
+        )));
+    }
+    Ok(())
+}
+
+/// Dispatches a parsed command, returning the text to print.
 ///
 /// # Errors
 ///
-/// Propagates I/O and usage errors.
-pub fn cmd_generate(args: &Args) -> Result<String, CliError> {
-    let entities: usize = args.parse_or("entities", 1_000)?;
-    let relations: usize = args.parse_or("relations", 10)?;
-    if entities < 2 {
-        return Err(CliError::Usage("--entities must be at least 2".into()));
+/// Propagates all subcommand errors; a flag the subcommand does not know,
+/// or a value its [`FLAGS`] row refuses, is a [`CliError::Usage`] naming it.
+pub fn run(args: &Args) -> Result<String, CliError> {
+    let command: fn(&Args) -> Result<String, CliError> = match args.command.as_str() {
+        "generate" => cmd_generate,
+        "train" => cmd_train,
+        "stats" => cmd_stats,
+        "serve" => cmd_serve,
+        "help" | "--help" | "-h" => |_| Ok(usage()),
+        other => {
+            let usage = usage();
+            return Err(CliError::Usage(format!(
+                "unknown subcommand {other:?}\n{usage}"
+            )));
+        }
+    };
+    check_flags(args)?;
+    apply_threads_option(args)?;
+    command(args)
+}
+
+/// The usage text: the subcommands, each one's [`FLAGS`], then the notes.
+pub fn usage() -> String {
+    let mut out = String::from("sptx — SparseTransX knowledge-graph embedding trainer\n\nUSAGE:\n");
+    for (command, what) in COMMANDS {
+        out += &format!("  sptx {command:<8} [--flag value]…   {what}\n");
     }
-    if relations == 0 {
-        return Err(CliError::Usage("--relations must be at least 1".into()));
+    out += "  sptx help\n";
+    let sections = COMMANDS.map(|(command, _)| (command, command));
+    for (title, command) in sections.into_iter().chain([("every subcommand", "help")]) {
+        out += &format!("\n{title}:\n");
+        // A flag every subcommand reads is listed once, under the last title.
+        for f in FLAGS.iter().filter(|f| f.commands.contains(&command)) {
+            if (f.commands == EVERY) == (command == "help") {
+                out += &f.usage();
+            }
+        }
     }
-    let triples: usize = args.parse_or("triples", entities * 5)?;
-    let seed: u64 = args.parse_or("seed", 42)?;
-    let out = PathBuf::from(args.str_or("out", "kg-out"));
+    out + "\n" + NOTES
+}
+
+/// What `sptx help` says after the flags.
+const NOTES: &str = "\
+Results are bit-identical at any --threads N; only wall-clock changes. The
+train report names the arm that ran and prints per-kernel calls, bytes and
+flops; a run whose loss goes NaN or infinite stops, naming the epoch and
+batch, and exits 1.
+
+--async true: --workers N replicas run as tasks on the --threads pool and
+share one set of parameters, stepping touched rows with no barriers and no
+locks. With 2+ workers at once the run is nondeterministic; at --workers 1
+or --threads 1 it is the synchronous trainer bit for bit. Requires SGD,
+sparse gradients and --store ram.
+
+--store disk: the embedding table lives in {out}.pagefile (train) or the
+dump (serve), and each batch or query pages its rows into a --cache-rows
+LRU row cache. Paging moves bytes, never arithmetic: the run is
+bit-identical to --store ram. Every sparse --model pages; the -dense gather
+baselines do not. Requires SGD and sparse gradients.
+
+serve reads the stacked table of an hrt model (TransE/TorusE layout) under
+the --norm it was trained with (a toruse dump trained under l1 is served
+with torus-l1), answers each query through an IVF index (the clustering is
+squared-L2 under every --norm) and the exact full scan, and reports
+recall@K, latency, QPS, scan fraction and cache hit rates. Every cache
+count is checked against a simcache LRU replay of the same trace, and any
+divergence prints a WARNING line.";
+
+// ---------------------------------------------------------------------------
+// The subcommands
+// ---------------------------------------------------------------------------
+
+/// `sptx generate`: synthesize a KG and write train/valid/test TSVs.
+fn cmd_generate(args: &Args) -> Result<String, CliError> {
+    let entities: usize = args.get("entities")?;
+    let relations: usize = args.get("relations")?;
+    let triples = args.given("triples")?.unwrap_or(entities * 5);
+    let out: PathBuf = args.get("out")?;
     std::fs::create_dir_all(&out).map_err(kg::Error::from)?;
 
     let ds = kg::synthetic::SyntheticKgBuilder::new(entities, relations)
         .triples(triples)
-        .seed(seed)
+        .seed(args.get("seed")?)
         .build();
     let vocab = numeric_vocab(entities, relations);
     for (name, store) in [
@@ -195,80 +545,54 @@ pub fn cmd_generate(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// The `train` subcommand: load a TSV, train, save embeddings + report.
-///
-/// Everything is parsed, and the arm it adds up to checked against
-/// [`Arm::check`], before the dataset is opened.
-///
-/// # Errors
-///
-/// Propagates I/O, parse and training errors; an illegal arm is a
-/// [`CliError::Usage`].
-pub fn cmd_train(args: &Args) -> Result<String, CliError> {
+/// `sptx train`: everything is parsed, and the arm it adds up to checked
+/// against [`Arm::check`] (a refusal is a usage error), before the dataset
+/// is opened.
+fn cmd_train(args: &Args) -> Result<String, CliError> {
     // `--async true` selects the Hogwild arm; `--workers` is meaningless
     // (and therefore rejected) on the synchronous default.
-    let use_async: bool = args.parse_or("async", false)?;
+    let use_async: bool = args.get("async")?;
     if args.options.contains_key("workers") && !use_async {
         return Err(CliError::Usage(
             "--workers only applies to the asynchronous arm; add --async true".into(),
         ));
     }
     let (workers, combine) = if use_async {
-        (args.parse_or("workers", 4)?, Combine::Shared)
+        (args.get("workers")?, Combine::Shared)
     } else {
         (1, Combine::AllReduce)
     };
-    if workers == 0 {
-        return Err(CliError::Usage("--workers must be at least 1".into()));
-    }
-    let job = TrainJob {
+    let model = args.get::<String>("model")?;
+    TrainJob {
         args,
-        train_path: args.required("train")?,
+        train_path: args.get("train")?,
+        model: Registered::find(&model).expect("--model is checked against the registry"),
         config: config_from_args(args)?,
-        out: PathBuf::from(args.str_or("out", "embeddings.bin")),
+        out: args.get("out")?,
         cache_rows: cache_rows_from_args(args)?,
         workers,
         combine,
-    };
-    match args.str_or("model", "transe").as_str() {
-        "transe" => job.run(SpTransE::from_config),
-        "toruse" => job.run(SpTorusE::from_config),
-        "transr" => job.run(SpTransR::from_config),
-        "transh" => job.run(SpTransH::from_config),
-        "distmult" => job.run(SpDistMult::from_config),
-        other => Err(CliError::Usage(format!(
-            "unknown --model {other:?} (transe|toruse|transr|transh|distmult)"
-        ))),
     }
+    .run()
 }
 
 /// Parses `--store {ram,disk}` + `--cache-rows N`: the row-cache budget of
 /// disk mode, `None` for the fully resident default. A budget without a
 /// disk store to apply it to is a usage error, not a silent no-op.
 fn cache_rows_from_args(args: &Args) -> Result<Option<usize>, CliError> {
-    match args.str_or("store", "ram").as_str() {
-        "ram" if args.options.contains_key("cache-rows") => Err(CliError::Usage(
+    let disk = args.pick("store", &[false, true])?;
+    if !disk && args.options.contains_key("cache-rows") {
+        return Err(CliError::Usage(
             "--cache-rows only applies to --store disk".into(),
-        )),
-        "ram" => Ok(None),
-        "disk" => match args.parse_or("cache-rows", 4096)? {
-            0 => Err(CliError::Usage("--cache-rows must be at least 1".into())),
-            cache_rows => Ok(Some(cache_rows)),
-        },
-        other => Err(CliError::Usage(format!(
-            "unknown --store {other:?} (ram|disk)"
-        ))),
+        ));
     }
+    disk.then(|| args.get("cache-rows")).transpose()
 }
 
-/// The `stats` subcommand.
-///
-/// # Errors
-///
-/// Propagates I/O and parse errors.
-pub fn cmd_stats(args: &Args) -> Result<String, CliError> {
-    let path = args.required("train")?;
-    let (ds, _) = load_dataset(Path::new(&path), args)?;
+/// `sptx stats`.
+fn cmd_stats(args: &Args) -> Result<String, CliError> {
+    let path: PathBuf = args.get("train")?;
+    let (ds, _) = load_dataset(&path, args)?;
     let stats = kg::stats::GraphStats::compute(&ds.train, ds.num_entities);
     Ok(format!(
         "triples: {}\nactive entities: {}\nactive relations: {}\nmean degree: {:.2}\n\
@@ -283,232 +607,10 @@ pub fn cmd_stats(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// The `serve` subcommand: load embeddings, build/load the IVF index,
-/// replay a Zipf workload through the ANN (cached) and exact arms, report
-/// quality and latency, and optionally enforce `--min-recall` /
-/// `--max-scan-frac` thresholds (nonzero exit on violation — the CI smoke
-/// hook).
-///
-/// # Errors
-///
-/// Propagates I/O, parse and serving errors; threshold violations surface
-/// as [`CliError::Library`] serving errors.
-pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
-    let emb_path = args.required("emb")?;
-    let train_path = args.required("train")?;
-    let norm = parse_norm(args)?;
-    let zipf: f64 = args.parse_or("zipf", 1.1)?;
-    if !(zipf.is_finite() && zipf >= 0.0) {
-        return Err(CliError::Usage(format!(
-            "--zipf needs a finite exponent ≥ 0, got {zipf}"
-        )));
-    }
-    let cache_size: usize = args.parse_or("cache-size", 1_024)?;
-    if cache_size == 0 {
-        return Err(CliError::Usage("--cache-size must be at least 1".into()));
-    }
-    let k: usize = args.parse_or("k", 10)?;
-    let kmeans_iters: usize = args.parse_or("kmeans-iters", 8)?;
-    // `--nprobe`'s default depends on the index and `--clusters`' on the
-    // entity count, both loaded below; a given value is checked here.
-    let checked = [
-        ("k", k),
-        ("kmeans-iters", kmeans_iters),
-        ("nprobe", args.parse_or("nprobe", 1)?),
-        ("clusters", args.parse_or("clusters", 1)?),
-    ];
-    for (flag, value) in checked {
-        if value == 0 {
-            return Err(CliError::Usage(format!("--{flag} must be at least 1")));
-        }
-    }
-    let cache_rows = cache_rows_from_args(args)?;
-    // The embedding dump stores only the stacked matrix; the training TSV
-    // recovers the entity/relation split of its rows.
-    let mut vocab = Vocab::new();
-    let file = std::fs::File::open(&train_path).map_err(kg::Error::from)?;
-    load_tsv(file, &mut vocab)?;
-    let n = vocab.num_entities();
-    if n == 0 {
-        return Err(CliError::Usage(format!(
-            "training file {train_path:?} has no triples"
-        )));
-    }
-    let model = ServeModel::load(&emb_path, n, norm)?;
-    let r = model.num_relations();
-    if r != vocab.num_relations() {
-        return Err(CliError::Library(Box::new(sptransx::Error::serve(
-            format!(
-                "embedding file implies {r} relations but the training file has {} — \
-             wrong file pair, or a non-translational model dump",
-                vocab.num_relations()
-            ),
-        ))));
-    }
-
-    let clusters: usize = args.parse_or("clusters", IvfConfig::sqrt_clusters(n).clusters)?;
-    let seed: u64 = args.parse_or("seed", 42)?;
-    let num_queries: usize = args.parse_or("queries", 2_000)?;
-
-    let index = match args.options.get("index") {
-        Some(path) => IvfIndex::load(path)?,
-        None => IvfIndex::build(
-            model.embeddings(),
-            n,
-            model.dim(),
-            &IvfConfig {
-                clusters,
-                iters: kmeans_iters,
-                seed,
-            },
-            &xparallel::PoolHandle::global(),
-        )?,
-    };
-    if let Some(path) = args.options.get("index-out") {
-        index.save(path)?;
-    }
-    let num_clusters = index.num_clusters();
-    let nprobe: usize = args.parse_or("nprobe", num_clusters.div_ceil(8))?;
-    let nprobe = nprobe.min(num_clusters);
-
-    let mut engine = ServeEngine::new(model, index)?.with_cache(cache_size);
-    let mut workload = ZipfWorkload::new(n, r, zipf, seed);
-
-    // --store disk: additionally answer every query through a row cache over
-    // the on-disk embedding file (the out-of-core arm), cross-checking each
-    // answer against the resident ANN arm bit for bit.
-    let mut paged_rows = match cache_rows {
-        None => None,
-        Some(cache_rows) => {
-            let storage = sptransx::FileRowStorage::open(&emb_path)?;
-            let mut rows = sptransx::serve::PagedRows::new(Box::new(storage), cache_rows)?;
-            rows.set_tracing(true);
-            Some(rows)
-        }
-    };
-
-    // First-principles cache model: the same key stream (one distinct line
-    // per distinct key) replayed through `lru_replay` must predict the real
-    // cache's hit count exactly.
-    let mut key_lines: HashMap<QueryKey, u32> = HashMap::new();
-    let mut key_trace = Vec::with_capacity(num_queries);
-
-    let mut ann_lat = Vec::with_capacity(num_queries);
-    let mut exact_lat = Vec::with_capacity(num_queries);
-    let mut paged_lat = Vec::with_capacity(num_queries);
-    let mut recall_sum = 0.0f64;
-    let mut scored_total = 0usize;
-    let mut computed = 0usize;
-    let mut paged_divergences = 0usize;
-    for _ in 0..num_queries {
-        let q = workload.next_query();
-        let key: QueryKey = (q.dir as u8, q.entity, q.rel, k as u32, nprobe as u32);
-        let next_line = key_lines.len() as u32;
-        key_trace.push(*key_lines.entry(key).or_insert(next_line));
-
-        let t = std::time::Instant::now();
-        let ann = engine.answer_ann(&q, k, nprobe);
-        ann_lat.push(t.elapsed());
-        let t = std::time::Instant::now();
-        let exact = engine.answer_exact(&q, k);
-        exact_lat.push(t.elapsed());
-        if let Some(rows) = &mut paged_rows {
-            let t = std::time::Instant::now();
-            let paged = engine.answer_ann_paged(rows, &q, k, nprobe)?;
-            paged_lat.push(t.elapsed());
-            if paged.hits != ann.hits {
-                paged_divergences += 1;
-            }
-        }
-
-        recall_sum += recall_at_k(&exact, &ann.hits);
-        if !ann.cache_hit {
-            scored_total += ann.scored;
-            computed += 1;
-        }
-    }
-
-    let recall = recall_sum / num_queries.max(1) as f64;
-    let scan_frac = if computed == 0 {
-        0.0
-    } else {
-        scored_total as f64 / (computed * n) as f64
-    };
-    let cache_stats = engine.cache_stats().unwrap_or_default();
-    let (sim, _, cache_warning) = lru_replay(cache_size, &key_trace, "cache", cache_stats.hits);
-    let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
-    let arm = |name: &str, s: &LatencySummary| {
-        format!(
-            "{name} p50 {:.1}us p95 {:.1}us p99 {:.1}us, {:.0} qps",
-            us(s.p50),
-            us(s.p95),
-            us(s.p99),
-            s.qps
-        )
-    };
-    let ann_sum = LatencySummary::from_samples(&ann_lat)
-        .ok_or_else(|| CliError::Usage("--queries must be positive".into()))?;
-    let exact_sum = LatencySummary::from_samples(&exact_lat).expect("same sample count");
-    let mut out = format!(
-        "serving {n} entities / {r} relations, dim {}, norm {}\n\
-         index: {num_clusters} clusters, nprobe {nprobe}, kmeans iters {kmeans_iters}, seed {seed}\n\
-         workload: {num_queries} queries, zipf({zipf}), k {k}, cache {cache_size}\n\
-         recall@{k} vs exact arm: {recall:.4}\n\
-         scan fraction (cache misses): {:.1}% of entities\n\
-         cache hit rate: {:.1}% (simcache model: {:.1}%)\n\
-         {}\n\
-         {}",
-        engine.model().dim(),
-        args.str_or("norm", "l2"),
-        100.0 * scan_frac,
-        100.0 * cache_stats.hit_rate(),
-        100.0 * (1.0 - sim.miss_rate()),
-        arm("ann  ", &ann_sum),
-        arm("exact", &exact_sum),
-    );
-    out.push_str(&cache_warning);
-    if let Some(rows) = &paged_rows {
-        let stats = rows.stats();
-        let accesses = stats.hits + stats.misses;
-        let hit_rate = if accesses > 0 {
-            100.0 * stats.hits as f64 / accesses as f64
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "\npaged store: budget {} rows, {} hits / {} misses / {} evictions (hit rate {hit_rate:.1}%)",
-            rows.budget(),
-            stats.hits,
-            stats.misses,
-            stats.evictions,
-        ));
-        if let Some(s) = LatencySummary::from_samples(&paged_lat) {
-            out.push_str(&format!("\n{}", arm("paged", &s)));
-        }
-        let trace = rows.trace().expect("tracing was enabled");
-        let (_, replay, warning) = lru_replay(rows.budget(), trace, "row cache", stats.hits);
-        out.push_str(&(replay + &warning));
-        if paged_divergences > 0 {
-            out.push_str(&format!(
-                "\nWARNING: paged arm diverged from the resident ANN arm on \
-                 {paged_divergences} queries"
-            ));
-        }
-    }
-
-    let min_recall: f64 = args.parse_or("min-recall", 0.0)?;
-    if recall < min_recall {
-        return Err(CliError::Library(Box::new(sptransx::Error::serve(
-            format!("recall@{k} {recall:.4} is below --min-recall {min_recall} ({out})"),
-        ))));
-    }
-    let max_scan_frac: f64 = args.parse_or("max-scan-frac", 1.0)?;
-    if scan_frac > max_scan_frac {
-        return Err(CliError::Library(Box::new(sptransx::Error::serve(
-            format!("scan fraction {scan_frac:.4} exceeds --max-scan-frac {max_scan_frac} ({out})"),
-        ))));
-    }
-    Ok(out)
+/// `sptx serve`: a threshold violation (`--min-recall`, `--max-scan-frac`)
+/// is a serving error, so CI smoke runs fail on it.
+fn cmd_serve(args: &Args) -> Result<String, CliError> {
+    ServeJob::parse(args)?.run()
 }
 
 fn numeric_vocab(entities: usize, relations: usize) -> Vocab {
@@ -526,17 +628,14 @@ fn load_dataset(train: &Path, args: &Args) -> Result<(Dataset, Vocab), CliError>
     let mut vocab = Vocab::new();
     let file = std::fs::File::open(train).map_err(kg::Error::from)?;
     let store = load_tsv(file, &mut vocab)?;
-    let valid_frac: f64 = args.parse_or("valid-frac", 0.0)?;
-    let test_frac: f64 = args.parse_or("test-frac", 0.1)?;
-    let seed: u64 = args.parse_or("seed", 42)?;
     let ds = Dataset::from_single_store(
         train.display().to_string(),
         vocab.num_entities(),
         vocab.num_relations(),
         store,
-        valid_frac,
-        test_frac,
-        seed,
+        args.get("valid-frac")?,
+        args.get("test-frac")?,
+        args.get("seed")?,
     )
     .map_err(|e| match e {
         kg::Error::InvalidSplit { context } => {
@@ -548,49 +647,25 @@ fn load_dataset(train: &Path, args: &Args) -> Result<(Dataset, Vocab), CliError>
 }
 
 fn config_from_args(args: &Args) -> Result<TrainConfig, CliError> {
-    let norm = parse_norm(args)?;
-    let sampler = match args.str_or("sampler", "uniform").as_str() {
-        "uniform" => SamplerKind::Uniform,
-        "bernoulli" => SamplerKind::Bernoulli,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --sampler {other:?} (uniform|bernoulli)"
-            )))
-        }
-    };
-    let optimizer = match args.str_or("optimizer", "sgd").as_str() {
-        "sgd" => OptimizerKind::Sgd,
-        "adagrad" => OptimizerKind::Adagrad,
-        "adam" => OptimizerKind::Adam,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --optimizer {other:?} (sgd|adagrad|adam)"
-            )))
-        }
-    };
-    // `--lr-decay STEP:GAMMA` hooks the Appendix E step scheduler up:
-    // every STEP epochs the learning rate is multiplied by GAMMA.
-    let lr_schedule = match args.options.get("lr-decay") {
-        None => None,
-        Some(raw) => Some(parse_lr_decay(raw)?),
-    };
+    use OptimizerKind::{Adagrad, Adam, Sgd};
+    let lr_decay: Option<String> = args.given("lr-decay")?;
     let config = TrainConfig {
-        epochs: args.parse_or("epochs", 50)?,
-        batch_size: args.parse_or("batch-size", 1024)?,
-        dim: args.parse_or("dim", 64)?,
-        rel_dim: args.parse_or("rel-dim", 32)?,
-        lr: args.parse_or("lr", 0.1)?,
-        margin: args.parse_or("margin", 0.5)?,
-        norm,
-        sampler,
-        seed: args.parse_or("seed", 42)?,
-        lr_schedule,
-        optimizer,
-        dense_grads: args.parse_or("dense-grads", false)?,
+        epochs: args.get("epochs")?,
+        batch_size: args.get("batch-size")?,
+        dim: args.get("dim")?,
+        rel_dim: args.get("rel-dim")?,
+        lr: args.get("lr")?,
+        margin: args.get("margin")?,
+        norm: parse_norm(args)?,
+        sampler: args.pick("sampler", &[SamplerKind::Uniform, SamplerKind::Bernoulli])?,
+        seed: args.get("seed")?,
+        lr_schedule: lr_decay.as_deref().map(parse_lr_decay).transpose()?,
+        optimizer: args.pick("optimizer", &[Sgd, Adagrad, Adam])?,
+        dense_grads: args.get("dense-grads")?,
         ..TrainConfig::default()
     };
-    // `"nan".parse::<f32>()` succeeds; out-of-range and non-finite values
-    // are refused here, before any dataset is opened.
+    // The table's ranges are f64; an f32 that rounds out of range is the
+    // library's to refuse.
     config.validate().map_err(config_is_usage)?;
     Ok(config)
 }
@@ -598,15 +673,7 @@ fn config_from_args(args: &Args) -> Result<TrainConfig, CliError> {
 /// `--norm` for both `train` (whose model coerces it to its own geometry)
 /// and `serve` (which has to be told the metric the dump was trained under).
 fn parse_norm(args: &Args) -> Result<Norm, CliError> {
-    match args.str_or("norm", "l2").as_str() {
-        "l1" => Ok(Norm::L1),
-        "l2" => Ok(Norm::L2),
-        "torus-l1" => Ok(Norm::TorusL1),
-        "torus-l2" => Ok(Norm::TorusL2),
-        other => Err(CliError::Usage(format!(
-            "unknown --norm {other:?} (l1|l2|torus-l1|torus-l2)"
-        ))),
-    }
+    args.pick("norm", &[Norm::L1, Norm::L2, Norm::TorusL1, Norm::TorusL2])
 }
 
 /// Parses `STEP:GAMMA` (e.g. `10:0.5`) into a step-LR schedule.
@@ -645,7 +712,8 @@ impl Drop for Pagefile {
 /// What `sptx train` parsed, before any file is opened.
 struct TrainJob<'a> {
     args: &'a Args,
-    train_path: String,
+    train_path: PathBuf,
+    model: &'static Registered,
     config: TrainConfig,
     out: PathBuf,
     /// `--store disk`: the [`embedding_table`] pages to `{out}.pagefile`
@@ -659,13 +727,10 @@ impl TrainJob<'_> {
     /// Checks the arm, then loads, trains, evaluates, dumps and reports.
     /// One path for every model and every arm: the synchronous default is
     /// the one-worker run.
-    fn run<M: KgeModel + BatchScorer + Send>(
-        &self,
-        make_model: fn(&Dataset, &TrainConfig) -> sptransx::Result<M>,
-    ) -> Result<String, CliError> {
+    fn run(&self) -> Result<String, CliError> {
         let config = &self.config;
         let arm = Arm {
-            pages: M::pages(),
+            pages: self.model.pages,
             paged: self.cache_rows.is_some(),
             optimizer: config.optimizer,
             dense_grads: config.dense_grads,
@@ -675,15 +740,17 @@ impl TrainJob<'_> {
         };
         arm.check().map_err(config_is_usage)?;
 
-        let (ds, _vocab) = load_dataset(Path::new(&self.train_path), self.args)?;
-        let mut trainer = Trainer::replicated(&ds, config, self.workers, self.combine, make_model)?;
+        let (ds, _vocab) = load_dataset(&self.train_path, self.args)?;
+        let build = self.model.build;
+        let mut trainer = Trainer::replicated(&ds, config, self.workers, self.combine, build)?;
         let paged = match self.cache_rows {
             None => None,
             Some(budget) => {
                 let mut path = self.out.as_os_str().to_owned();
                 path.push(".pagefile");
                 let pagefile = Pagefile(path.into());
-                let id = page_out_embeddings(&mut trainer, &pagefile.0, budget)?;
+                let store = trainer.model_mut().store_mut();
+                let id = page_out_embeddings(store, &pagefile.0, budget)?;
                 Some((id, pagefile))
             }
         };
@@ -695,7 +762,7 @@ impl TrainJob<'_> {
         // Unpage (and cross-validate the cache counters) before the
         // paging-unaware evaluation and dump paths read the table.
         let paged_report = match &paged {
-            Some((id, _)) => unpage_and_validate(&mut trainer, *id)?,
+            Some((id, _)) => unpage_and_validate(trainer.model_mut().store_mut(), *id)?,
             None => String::new(),
         };
         // Batched, pool-parallel engine; strided subsampling avoids the
@@ -719,7 +786,7 @@ impl TrainJob<'_> {
         Ok(format!(
             "{}: {} epochs, loss {:.4} -> {:.4}, wall {:.2}s, Hits@10 {:.3}, MRR {:.3}\n\
              {}\n{kernel_table}{paged_report}\nembeddings saved to {}",
-            KgeModel::name(trainer.model()),
+            trainer.model().name(),
             report.epoch_losses.len(),
             report.epoch_losses.first().copied().unwrap_or(0.0),
             report.epoch_losses.last().copied().unwrap_or(0.0),
@@ -732,24 +799,22 @@ impl TrainJob<'_> {
     }
 }
 
-/// The table `sptx train` pages out and dumps: the stacked entity+relation
-/// `embeddings` where the model has one (what `sptx serve` reads), else its
-/// `entities` table (TransH, TransR).
+/// The table `sptx train` pages out and dumps: the first one the model
+/// registered, which is the stacked entity+relation `embeddings` of the
+/// `hrt` families (what `sptx serve` reads) and the `entities` of the
+/// others — the table every sparse family pages.
 fn embedding_table(store: &tensor::ParamStore) -> Option<tensor::ParamId> {
-    store
-        .lookup("embeddings")
-        .or_else(|| store.lookup("entities"))
+    store.param_ids().first().copied()
 }
 
-/// Pages the trainer's [`embedding_table`] out to a fresh `pagefile` with a
+/// Pages the [`embedding_table`] out to a fresh `pagefile` with a
 /// `budget`-row cache and turns row tracing on (the trace feeds the simcache
 /// cross-validation after the run). Returns the paged [`tensor::ParamId`].
-fn page_out_embeddings<M: KgeModel>(
-    trainer: &mut Trainer<M>,
+fn page_out_embeddings(
+    store: &mut tensor::ParamStore,
     pagefile: &Path,
     budget: usize,
 ) -> Result<tensor::ParamId, CliError> {
-    let store = trainer.model_mut().store_mut();
     let id = embedding_table(store).ok_or_else(|| {
         CliError::Usage("--store disk needs a model with an embedding table".into())
     })?;
@@ -770,11 +835,10 @@ fn page_out_embeddings<M: KgeModel>(
 /// trace through a fully-associative simcache LRU of the same budget, and
 /// renders the report lines — with the PR-6 `WARNING:` idiom on any
 /// hit-count divergence so CI can grep for it.
-fn unpage_and_validate<M: KgeModel>(
-    trainer: &mut Trainer<M>,
+fn unpage_and_validate(
+    store: &mut tensor::ParamStore,
     id: tensor::ParamId,
 ) -> Result<String, CliError> {
-    let store = trainer.model_mut().store_mut();
     let pager = store.pager(id).expect("paged parameter");
     let stats = pager.stats();
     let (read_calls, write_calls) = pager.storage_io_ops();
@@ -783,18 +847,259 @@ fn unpage_and_validate<M: KgeModel>(
     store.unpage(id).map_err(sptransx::Error::from)?;
 
     let (_, replay, warning) = lru_replay(budget, &trace, "cache", stats.hits);
-    let accesses = stats.hits + stats.misses;
-    let hit_rate = if accesses > 0 {
-        100.0 * stats.hits as f64 / accesses as f64
-    } else {
-        0.0
-    };
     Ok(format!(
         "\npaged store: budget {budget} rows, {} hits / {} misses / {} evictions / {} \
          write-backs / {read_calls} read calls / {write_calls} write calls \
-         (hit rate {hit_rate:.1}%){replay}{warning}",
-        stats.hits, stats.misses, stats.evictions, stats.write_backs,
+         (hit rate {:.1}%){replay}{warning}",
+        stats.hits,
+        stats.misses,
+        stats.evictions,
+        stats.write_backs,
+        hit_rate(stats.hits, stats.misses),
     ))
+}
+
+/// `hits` as a percentage of all accesses (0 when there were none).
+fn hit_rate(hits: u64, misses: u64) -> f64 {
+    match hits + misses {
+        0 => 0.0,
+        accesses => 100.0 * hits as f64 / accesses as f64,
+    }
+}
+
+/// What `sptx serve` parsed, before any file is opened.
+struct ServeJob {
+    emb: PathBuf,
+    train: PathBuf,
+    norm: Norm,
+    norm_name: String,
+    k: usize,
+    /// `None`: √entities and an eighth of the index's clusters.
+    clusters: Option<usize>,
+    nprobe: Option<usize>,
+    kmeans_iters: usize,
+    queries: usize,
+    zipf: f64,
+    cache_size: usize,
+    seed: u64,
+    cache_rows: Option<usize>,
+    index: Option<PathBuf>,
+    index_out: Option<PathBuf>,
+    min_recall: f64,
+    max_scan_frac: f64,
+}
+
+impl ServeJob {
+    fn parse(args: &Args) -> Result<Self, CliError> {
+        Ok(Self {
+            emb: args.get("emb")?,
+            train: args.get("train")?,
+            norm: parse_norm(args)?,
+            norm_name: args.get("norm")?,
+            k: args.get("k")?,
+            clusters: args.given("clusters")?,
+            nprobe: args.given("nprobe")?,
+            kmeans_iters: args.get("kmeans-iters")?,
+            queries: args.get("queries")?,
+            zipf: args.get("zipf")?,
+            cache_size: args.get("cache-size")?,
+            seed: args.get("seed")?,
+            cache_rows: cache_rows_from_args(args)?,
+            index: args.given("index")?,
+            index_out: args.given("index-out")?,
+            min_recall: args.get("min-recall")?,
+            max_scan_frac: args.get("max-scan-frac")?,
+        })
+    }
+
+    /// The dump, split into entity and relation rows by the training file:
+    /// the dump stores only the stacked matrix.
+    fn load(&self) -> Result<ServeModel, CliError> {
+        let mut vocab = Vocab::new();
+        let file = std::fs::File::open(&self.train).map_err(kg::Error::from)?;
+        load_tsv(file, &mut vocab)?;
+        let n = vocab.num_entities();
+        if n == 0 {
+            return Err(CliError::Usage(format!(
+                "training file {:?} has no triples",
+                self.train.display().to_string()
+            )));
+        }
+        let model = ServeModel::load(&self.emb, n, self.norm)?;
+        let r = model.num_relations();
+        if r != vocab.num_relations() {
+            return Err(serve_error(format!(
+                "embedding file implies {r} relations but the training file has {} — \
+                 wrong file pair, or a non-translational model dump",
+                vocab.num_relations()
+            )));
+        }
+        Ok(model)
+    }
+
+    /// `--index`, or an index built over `model`'s entity rows; saved to
+    /// `--index-out` if given.
+    fn index(&self, model: &ServeModel) -> Result<IvfIndex, CliError> {
+        let n = model.num_entities();
+        let index = match &self.index {
+            Some(path) => IvfIndex::load(path)?,
+            None => IvfIndex::build(
+                model.embeddings(),
+                n,
+                model.dim(),
+                &IvfConfig {
+                    clusters: (self.clusters).unwrap_or(IvfConfig::sqrt_clusters(n).clusters),
+                    iters: self.kmeans_iters,
+                    seed: self.seed,
+                },
+                &xparallel::PoolHandle::global(),
+            )?,
+        };
+        if let Some(path) = &self.index_out {
+            index.save(path)?;
+        }
+        Ok(index)
+    }
+
+    fn run(&self) -> Result<String, CliError> {
+        let model = self.load()?;
+        let index = self.index(&model)?;
+        let (n, r) = (model.num_entities(), model.num_relations());
+        let (k, num_clusters) = (self.k, index.num_clusters());
+        let nprobe = (self.nprobe)
+            .unwrap_or(num_clusters.div_ceil(8))
+            .min(num_clusters);
+        let mut engine = ServeEngine::new(model, index)?.with_cache(self.cache_size);
+        let mut workload = ZipfWorkload::new(n, r, self.zipf, self.seed);
+
+        // --store disk: additionally answer every query through a row cache
+        // over the on-disk embedding file (the out-of-core arm),
+        // cross-checking each answer against the resident ANN arm bit for bit.
+        let mut paged_rows = match self.cache_rows {
+            None => None,
+            Some(cache_rows) => {
+                let storage = sptransx::FileRowStorage::open(&self.emb)?;
+                let mut rows = sptransx::serve::PagedRows::new(Box::new(storage), cache_rows)?;
+                rows.set_tracing(true);
+                Some(rows)
+            }
+        };
+
+        // First-principles cache model: the same key stream (one distinct
+        // line per distinct key) replayed through `lru_replay` must predict
+        // the real cache's hit count exactly.
+        let mut key_lines: HashMap<QueryKey, u32> = HashMap::new();
+        let (mut ann_lat, mut exact_lat, mut paged_lat) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut recall_sum, mut scored, mut computed, mut diverged) = (0.0, 0, 0, 0);
+        let mut key_trace = Vec::with_capacity(self.queries);
+        for _ in 0..self.queries {
+            let q = workload.next_query();
+            let key: QueryKey = (q.dir as u8, q.entity, q.rel, k as u32, nprobe as u32);
+            let next_line = key_lines.len() as u32;
+            key_trace.push(*key_lines.entry(key).or_insert(next_line));
+
+            let t = std::time::Instant::now();
+            let ann = engine.answer_ann(&q, k, nprobe);
+            ann_lat.push(t.elapsed());
+            let t = std::time::Instant::now();
+            let exact = engine.answer_exact(&q, k);
+            exact_lat.push(t.elapsed());
+            if let Some(rows) = &mut paged_rows {
+                let t = std::time::Instant::now();
+                let paged = engine.answer_ann_paged(rows, &q, k, nprobe)?;
+                paged_lat.push(t.elapsed());
+                diverged += usize::from(paged.hits != ann.hits);
+            }
+            recall_sum += recall_at_k(&exact, &ann.hits);
+            if !ann.cache_hit {
+                scored += ann.scored;
+                computed += 1;
+            }
+        }
+
+        let recall = recall_sum / self.queries as f64;
+        let scan_frac = match computed {
+            0 => 0.0,
+            computed => scored as f64 / (computed * n) as f64,
+        };
+        let cache_stats = engine.cache_stats().unwrap_or_default();
+        let (sim, _, cache_warning) =
+            lru_replay(self.cache_size, &key_trace, "cache", cache_stats.hits);
+        let summary = |samples: &[std::time::Duration]| {
+            LatencySummary::from_samples(samples).expect("--queries is at least 1")
+        };
+        let mut out = format!(
+            "serving {n} entities / {r} relations, dim {}, norm {}\n\
+             index: {num_clusters} clusters, nprobe {nprobe}, kmeans iters {}, seed {}\n\
+             workload: {} queries, zipf({}), k {k}, cache {}\n\
+             recall@{k} vs exact arm: {recall:.4}\n\
+             scan fraction (cache misses): {:.1}% of entities\n\
+             cache hit rate: {:.1}% (simcache model: {:.1}%)\n\
+             {}\n\
+             {}",
+            engine.model().dim(),
+            self.norm_name,
+            self.kmeans_iters,
+            self.seed,
+            self.queries,
+            self.zipf,
+            self.cache_size,
+            100.0 * scan_frac,
+            100.0 * cache_stats.hit_rate(),
+            100.0 * (1.0 - sim.miss_rate()),
+            latency_line("ann  ", &summary(&ann_lat)),
+            latency_line("exact", &summary(&exact_lat)),
+        );
+        out.push_str(&cache_warning);
+        if let Some(rows) = &paged_rows {
+            let stats = rows.stats();
+            out.push_str(&format!(
+                "\npaged store: budget {} rows, {} hits / {} misses / {} evictions (hit rate {:.1}%)\n{}",
+                rows.budget(),
+                stats.hits,
+                stats.misses,
+                stats.evictions,
+                hit_rate(stats.hits, stats.misses),
+                latency_line("paged", &summary(&paged_lat)),
+            ));
+            let trace = rows.trace().expect("tracing was enabled");
+            let (_, replay, warning) = lru_replay(rows.budget(), trace, "row cache", stats.hits);
+            out.push_str(&(replay + &warning));
+            if diverged > 0 {
+                out += &format!(
+                    "\nWARNING: paged arm diverged from the resident ANN arm on {diverged} queries"
+                );
+            }
+        }
+
+        let (min_recall, max_scan_frac) = (self.min_recall, self.max_scan_frac);
+        if recall < min_recall {
+            let why = format!("recall@{k} {recall:.4} is below --min-recall {min_recall}");
+            return Err(serve_error(format!("{why} ({out})")));
+        }
+        if scan_frac > max_scan_frac {
+            let why =
+                format!("scan fraction {scan_frac:.4} exceeds --max-scan-frac {max_scan_frac}");
+            return Err(serve_error(format!("{why} ({out})")));
+        }
+        Ok(out)
+    }
+}
+
+fn serve_error(context: String) -> CliError {
+    CliError::Library(Box::new(sptransx::Error::serve(context)))
+}
+
+/// One arm's latency line of the serve report.
+fn latency_line(name: &str, s: &LatencySummary) -> String {
+    let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
+    format!(
+        "{name} p50 {:.1}us p95 {:.1}us p99 {:.1}us, {:.0} qps",
+        us(s.p50),
+        us(s.p95),
+        us(s.p99),
+        s.qps
+    )
 }
 
 /// The first-principles model every cache in a report is checked against:
@@ -875,261 +1180,125 @@ fn kernel_counter_table() -> String {
     out
 }
 
-/// Applies the global `--threads N` option: sizes the worker pool, which the
-/// `sptx` binary has not created yet when it parses its flags.
-///
-/// # Errors
-///
-/// Returns [`CliError::Usage`] for a non-positive or unparsable value, and
-/// for an in-process caller whose pool already runs another size (the pool
-/// cannot be resized, and ignoring the flag would be a silent no-op).
-fn apply_threads_option(args: &Args) -> Result<(), CliError> {
-    let Some(raw) = args.options.get("threads") else {
-        return Ok(());
-    };
-    let n: usize = raw.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-        CliError::Usage(format!("--threads needs a positive integer, got {raw:?}"))
-    })?;
-    if !xparallel::set_num_threads(n) && xparallel::current_num_threads() != n {
-        return Err(CliError::Usage(format!(
-            "--threads {n}: this process's worker pool already runs {} threads",
-            xparallel::current_num_threads()
-        )));
-    }
-    Ok(())
-}
-
-/// The flags each subcommand reads (`--threads` is global and not listed).
-/// `None` for an unknown subcommand, which [`run`] reports itself.
-fn known_flags(command: &str) -> Option<&'static [&'static str]> {
-    Some(match command {
-        "generate" => &["entities", "relations", "triples", "seed", "out"],
-        "train" => &[
-            "train",
-            "valid-frac",
-            "test-frac",
-            "seed",
-            "model",
-            "out",
-            "epochs",
-            "batch-size",
-            "dim",
-            "rel-dim",
-            "lr",
-            "margin",
-            "norm",
-            "sampler",
-            "optimizer",
-            "lr-decay",
-            "dense-grads",
-            "store",
-            "cache-rows",
-            "async",
-            "workers",
-        ],
-        "stats" => &["train", "valid-frac", "test-frac", "seed"],
-        "serve" => &[
-            "emb",
-            "train",
-            "norm",
-            "k",
-            "clusters",
-            "nprobe",
-            "kmeans-iters",
-            "queries",
-            "zipf",
-            "cache-size",
-            "seed",
-            "store",
-            "cache-rows",
-            "index",
-            "index-out",
-            "min-recall",
-            "max-scan-frac",
-        ],
-        "help" | "--help" | "-h" => &[],
-        _ => return None,
-    })
-}
-
-/// Rejects any `--flag` the subcommand does not read, so a typo (or a flag
-/// that no longer exists) is a loud error instead of a silently ignored
-/// default.
-fn check_known_flags(args: &Args) -> Result<(), CliError> {
-    let Some(known) = known_flags(&args.command) else {
-        return Ok(());
-    };
-    let unknown = args
-        .options
-        .keys()
-        .map(String::as_str)
-        .filter(|k| *k != "threads" && !known.contains(k))
-        .min();
-    match unknown {
-        None => Ok(()),
-        Some(flag) => Err(CliError::Usage(format!(
-            "unknown flag --{flag} for `sptx {}` (see `sptx help`)",
-            args.command
-        ))),
-    }
-}
-
-/// Dispatches a parsed command, returning the text to print.
-///
-/// # Errors
-///
-/// Propagates all subcommand errors; a flag the subcommand does not know is
-/// a [`CliError::Usage`] naming it.
-pub fn run(args: &Args) -> Result<String, CliError> {
-    check_known_flags(args)?;
-    apply_threads_option(args)?;
-    match args.command.as_str() {
-        "generate" => cmd_generate(args),
-        "train" => cmd_train(args),
-        "stats" => cmd_stats(args),
-        "serve" => cmd_serve(args),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(CliError::Usage(format!(
-            "unknown subcommand {other:?}\n{USAGE}"
-        ))),
-    }
-}
-
-/// The usage banner.
-pub const USAGE: &str = "\
-sptx — SparseTransX knowledge-graph embedding trainer
-
-USAGE:
-  sptx generate --entities N --relations R --triples M --out DIR
-  sptx train    --train FILE.tsv [--model transe|toruse|transr|transh|distmult]
-                [--epochs E] [--dim D] [--lr LR] [--margin M]
-                [--norm l1|l2|torus-l1|torus-l2]
-                [--optimizer sgd|adagrad|adam] [--lr-decay STEP:GAMMA]
-                [--sampler uniform|bernoulli] [--dense-grads true|false]
-                [--store ram|disk] [--cache-rows N] [--async true] [--workers N]
-                [--out embeddings.bin]
-  sptx stats    --train FILE.tsv
-  sptx serve    --emb FILE.bin --train FILE.tsv [--k K]
-                [--norm l1|l2|torus-l1|torus-l2]
-                [--clusters C] [--nprobe P] [--kmeans-iters I]
-                [--queries Q] [--zipf S] [--cache-size N] [--seed S]
-                [--store ram|disk] [--cache-rows N]
-                [--index FILE] [--index-out FILE]
-                [--min-recall R] [--max-scan-frac F]
-  sptx help
-
-Any subcommand also accepts --threads N (worker-pool size, the one width of
-the process: kernels and --workers replicas all run on it; results are
-bit-identical at any N, only wall-clock changes). --dense-grads true disables
-the touched-row sparse gradient AND epoch-renormalization paths (an ablation
-switch: training is bit-identical, each batch and epoch-end sweep just walks
-whole embedding tables). The train report names which arm ran and prints a
-per-kernel calls/bytes/flops counter table. --lr-decay multiplies the learning
-rate by GAMMA every STEP epochs.
-
---async true trains with the lock-free Hogwild arm: --workers N replicas
-(default 4) run as tasks on the --threads pool, share one set of parameter
-tensors and apply touched-row SGD updates with no barriers and no locks.
-Throughput scales with cores, but when 2+ workers run at once the run is
-nondeterministic (update interleaving and occasional lost increments on row
-collisions) — validate results statistically, and use the synchronous
-default wherever the bit-determinism contract matters. At --workers 1, or
-at --threads 1 (the workers then sweep their shards in turn), the arm
-degenerates to the synchronous trainer bit-for-bit.
-Requires SGD, sparse gradients and --store ram.
-
---store disk trains out of core: the embedding table lives in {out}.pagefile
-and only each batch's touched rows are paged into a --cache-rows row RAM
-cache (LRU, dirty rows written back on eviction and at epoch end). Paging
-moves bytes, never arithmetic — the run is bit-identical to --store ram —
-and the report's cache counters are cross-validated against a simcache LRU
-replay of the same row trace (any divergence prints a WARNING line).
-Every --model pages (transe|toruse|transh|transr|distmult). Requires SGD and
-sparse gradients.
-
-serve loads the stacked embedding matrix train saves (TransE/TorusE layout;
---norm must match training: a toruse dump trained under l1|l2 is served with
-torus-l1|torus-l2), answers top-K completion queries through an IVF
-candidate index (nprobe = cost/recall knob; nprobe = clusters is an exact
-full scan; the clustering itself is squared-L2 under every --norm, only
-candidate scores use it), measures recall@K against the exact full-scan arm, and
-reports latency percentiles, QPS, scan fraction and cache hit rates.
---min-recall / --max-scan-frac turn quality regressions into a nonzero
-exit status for CI. serve --store disk additionally answers every query
-through a --cache-rows row cache over the on-disk embedding file (queries a
-store bigger than RAM); answers are checked bitwise against the resident
-arm and the row-cache counters against a simcache LRU replay, with any
-divergence reported as a WARNING line.";
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn strs(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
+    /// Runs one command line; arguments are whitespace-separated (the
+    /// scratch paths below have no spaces).
+    fn cli(line: &str) -> Result<String, CliError> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        run(&parse_args(&argv)?)
+    }
+
+    fn args(line: &str) -> Args {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&argv).unwrap()
+    }
+
+    /// A fresh scratch directory `name` holding a generated KG; returns the
+    /// directory and its `train.tsv`.
+    fn kg(name: &str, entities: usize, relations: usize, triples: usize) -> (PathBuf, String) {
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        let (e, r, t, out) = (entities, relations, triples, dir.display());
+        let msg = cli(&format!(
+            "generate --entities {e} --relations {r} --triples {t} --out {out}"
+        ));
+        assert!(msg.unwrap().contains("train"));
+        let train = dir.join("train.tsv").display().to_string();
+        (dir, train)
+    }
+
+    fn is_usage(result: Result<String, CliError>) -> bool {
+        matches!(result, Err(CliError::Usage(_)))
     }
 
     #[test]
     fn parse_command_and_flags() {
-        let args = parse_args(&strs(&["train", "--epochs", "5", "--lr", "0.1"])).unwrap();
+        let args = args("train --epochs 5 --lr 0.1");
         assert_eq!(args.command, "train");
-        assert_eq!(args.parse_or("epochs", 0usize).unwrap(), 5);
-        assert!((args.parse_or("lr", 0.0f32).unwrap() - 0.1).abs() < 1e-6);
-        assert_eq!(args.parse_or("dim", 64usize).unwrap(), 64);
+        assert_eq!(args.get::<usize>("epochs").unwrap(), 5);
+        assert!((args.get::<f32>("lr").unwrap() - 0.1).abs() < 1e-6);
+        // Absent: the table's default.
+        assert_eq!(args.get::<usize>("dim").unwrap(), 64);
+        assert_eq!(args.given::<String>("lr-decay").unwrap(), None);
     }
 
     #[test]
     fn parse_rejects_bad_input() {
         assert!(parse_args(&[]).is_err());
-        assert!(parse_args(&strs(&["train", "positional"])).is_err());
-        assert!(parse_args(&strs(&["train", "--epochs"])).is_err());
-        let args = parse_args(&strs(&["train", "--epochs", "abc"])).unwrap();
-        assert!(args.parse_or("epochs", 0usize).is_err());
-        assert!(args.required("missing").is_err());
+        for line in ["train positional", "train --epochs"] {
+            let argv: Vec<String> = line.split(' ').map(String::from).collect();
+            assert!(parse_args(&argv).is_err(), "{line}");
+        }
+        let args = args("train --epochs abc");
+        assert!(args.get::<usize>("epochs").is_err());
+        match args.get::<String>("train") {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("missing required flag --train")),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    /// One row per (subcommand, name); every subcommand a row names exists;
+    /// every default passes its own row's check; `sptx help` shows every
+    /// flag; and every value a kind offers as refused is refused.
+    #[test]
+    fn the_flag_table_is_consistent() {
+        let mut seen = std::collections::BTreeSet::new();
+        let text = usage();
+        for f in FLAGS {
+            for command in f.commands {
+                let known = *command == "help" || COMMANDS.iter().any(|(c, _)| c == command);
+                assert!(known, "--{}: {command}", f.name);
+                assert!(seen.insert((*command, f.name)), "--{} twice", f.name);
+            }
+            if let Absent::Value(raw) = f.absent {
+                f.check(raw).unwrap();
+            }
+            for bad in f.kind.refused() {
+                assert!(f.check(&bad).is_err(), "--{} {bad}", f.name);
+            }
+            assert!(text.contains(&format!("  --{} ", f.name)), "--{}", f.name);
+        }
+        assert!(
+            text.contains(&format!("\n  --model {}\n", model_keys())),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn train_trains_every_registered_model() {
+        let (dir, train) = kg("sptx-cli-test-registry", 60, 3, 300);
+        for model in MODELS {
+            let key = model.key();
+            let emb = dir.join(format!("emb_{key}.bin"));
+            let msg = cli(&format!(
+                "train --train {train} --model {key} --epochs 1 --dim 8 --rel-dim 3 \
+                 --batch-size 64 --out {}",
+                emb.display()
+            ))
+            .unwrap();
+            assert!(
+                msg.starts_with(&format!("{}: 1 epochs", model.name)),
+                "{msg}"
+            );
+            let mut dump = RowFile::open(&emb).unwrap();
+            assert!(dump.rows() >= 60, "{key}: {} rows", dump.rows());
+            let table = dump.read_rows(0, dump.rows()).unwrap();
+            assert!(table.iter().all(|x| x.is_finite()), "{key}");
+        }
     }
 
     #[test]
     fn generate_then_stats_then_train() {
-        let dir = std::env::temp_dir().join("sptx-cli-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = dir.to_string_lossy().to_string();
-
-        let gen = parse_args(&strs(&[
-            "generate",
-            "--entities",
-            "80",
-            "--relations",
-            "4",
-            "--triples",
-            "500",
-            "--out",
-            &out,
-        ]))
-        .unwrap();
-        let msg = run(&gen).unwrap();
-        assert!(msg.contains("train"), "{msg}");
-
-        let train_file = dir.join("train.tsv").to_string_lossy().to_string();
-        let stats = parse_args(&strs(&["stats", "--train", &train_file])).unwrap();
-        let msg = run(&stats).unwrap();
+        let (dir, train) = kg("sptx-cli-test", 80, 4, 500);
+        let msg = cli(&format!("stats --train {train}")).unwrap();
         assert!(msg.contains("mean degree"), "{msg}");
 
-        let emb_out = dir.join("emb.bin").to_string_lossy().to_string();
-        let train = parse_args(&strs(&[
-            "train",
-            "--train",
-            &train_file,
-            "--epochs",
-            "3",
-            "--dim",
-            "8",
-            "--batch-size",
-            "64",
-            "--out",
-            &emb_out,
-        ]))
-        .unwrap();
-        let msg = run(&train).unwrap();
+        let emb = dir.join("emb.bin");
+        let line = format!("train --train {train} --epochs 3 --dim 8 --batch-size 64");
+        let msg = cli(&format!("{line} --out {}", emb.display())).unwrap();
         assert!(msg.contains("SpTransE"), "{msg}");
         assert!(
             msg.contains("arm: sparse touched-row gradients/renorm, fused kernels"),
@@ -1137,64 +1306,40 @@ mod tests {
         );
         assert!(msg.contains("per-kernel counters"), "{msg}");
         assert!(msg.contains("op::spmm_score"), "{msg}");
-        assert!(dir.join("emb.bin").exists());
+        assert!(emb.exists());
     }
 
     #[test]
     fn unknown_subcommand_and_model() {
-        let args = parse_args(&strs(&["frobnicate"])).unwrap();
-        assert!(matches!(run(&args), Err(CliError::Usage(_))));
-
-        let dir = std::env::temp_dir().join("sptx-cli-test2");
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = dir.to_string_lossy().to_string();
-        run(&parse_args(&strs(&[
-            "generate",
-            "--entities",
-            "30",
-            "--relations",
-            "2",
-            "--triples",
-            "100",
-            "--out",
-            &out,
-        ]))
-        .unwrap())
-        .unwrap();
-        let train_file = dir.join("train.tsv").to_string_lossy().to_string();
-        let bad = parse_args(&strs(&["train", "--train", &train_file, "--model", "nope"])).unwrap();
-        assert!(matches!(run(&bad), Err(CliError::Usage(_))));
+        assert!(is_usage(cli("frobnicate")));
+        let (_, train) = kg("sptx-cli-test2", 30, 2, 100);
+        assert!(is_usage(cli(&format!(
+            "train --train {train} --model nope"
+        ))));
     }
 
     #[test]
     fn optimizer_and_lr_decay_flags_parse() {
-        let args = parse_args(&strs(&[
-            "train",
-            "--optimizer",
-            "adagrad",
-            "--lr-decay",
-            "10:0.5",
-            "--dense-grads",
-            "true",
-        ]))
+        let cfg = config_from_args(&args(
+            "train --optimizer adagrad --lr-decay 10:0.5 --dense-grads true",
+        ))
         .unwrap();
-        let cfg = config_from_args(&args).unwrap();
         assert_eq!(cfg.optimizer, OptimizerKind::Adagrad);
         assert_eq!(cfg.lr_schedule, Some((10, 0.5)));
         assert!(cfg.dense_grads);
 
-        let defaults = config_from_args(&parse_args(&strs(&["train"])).unwrap()).unwrap();
+        let defaults = config_from_args(&args("train")).unwrap();
         assert_eq!(defaults.optimizer, OptimizerKind::Sgd);
         assert_eq!(defaults.lr_schedule, None);
         assert!(!defaults.dense_grads);
         assert!(defaults.fused);
 
-        let bad = parse_args(&strs(&["train", "--optimizer", "lbfgs"])).unwrap();
-        assert!(matches!(config_from_args(&bad), Err(CliError::Usage(_))));
+        let bad = config_from_args(&args("train --optimizer lbfgs"));
+        assert!(matches!(bad, Err(CliError::Usage(_))));
         for decay in ["0:0.5", "10", "10:-1", "x:0.5", "10:nan"] {
-            let bad = parse_args(&strs(&["train", "--lr-decay", decay])).unwrap();
+            let bad = config_from_args(&args(&format!("train --lr-decay {decay}")));
             assert!(
-                matches!(config_from_args(&bad), Err(CliError::Usage(_))),
+                matches!(bad, Err(CliError::Usage(_))),
                 "--lr-decay {decay} should be rejected"
             );
         }
@@ -1202,114 +1347,53 @@ mod tests {
 
     #[test]
     fn train_with_adam_and_decay_runs_end_to_end() {
-        let dir = std::env::temp_dir().join("sptx-cli-test-opt");
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = dir.to_string_lossy().to_string();
-        run(&parse_args(&strs(&[
-            "generate",
-            "--entities",
-            "60",
-            "--relations",
-            "3",
-            "--triples",
-            "300",
-            "--out",
-            &out,
-        ]))
-        .unwrap())
+        let (dir, train) = kg("sptx-cli-test-opt", 60, 3, 300);
+        let emb = dir.join("emb.bin").display().to_string();
+        let msg = cli(&format!(
+            "train --train {train} --epochs 2 --dim 8 --batch-size 64 --optimizer adam \
+             --lr-decay 1:0.5 --out {emb}"
+        ))
         .unwrap();
-        let train_file = dir.join("train.tsv").to_string_lossy().to_string();
-        let emb_out = dir.join("emb.bin").to_string_lossy().to_string();
-        let train = parse_args(&strs(&[
-            "train",
-            "--train",
-            &train_file,
-            "--epochs",
-            "2",
-            "--dim",
-            "8",
-            "--batch-size",
-            "64",
-            "--optimizer",
-            "adam",
-            "--lr-decay",
-            "1:0.5",
-            "--out",
-            &emb_out,
-        ]))
-        .unwrap();
-        let msg = run(&train).unwrap();
         assert!(msg.contains("SpTransE"), "{msg}");
 
         // Models without a stacked table dump their entity table: the
         // report's "embeddings saved to" names a file that exists.
         for (model, name) in [("transh", "SpTransH"), ("transr", "SpTransR")] {
-            let emb_out = dir.join(format!("emb_{model}.bin"));
-            let mut argv = strs(&["train", "--train", &train_file, "--model", model]);
-            argv.extend(strs(&["--epochs", "1", "--dim", "8", "--rel-dim", "3"]));
-            argv.extend(strs(&["--out", &emb_out.to_string_lossy()]));
-            let msg = run(&parse_args(&argv).unwrap()).unwrap();
+            let emb = dir.join(format!("emb_{model}.bin"));
+            let msg = cli(&format!(
+                "train --train {train} --model {model} --epochs 1 --dim 8 --rel-dim 3 --out {}",
+                emb.display()
+            ))
+            .unwrap();
             assert!(msg.contains(name), "{msg}");
-            let bytes = std::fs::metadata(&emb_out).expect("dump exists").len();
+            let bytes = std::fs::metadata(&emb).expect("dump exists").len();
             assert!(bytes >= 60 * 8 * 4, "{model}: {bytes} bytes");
         }
     }
 
     #[test]
     fn train_store_disk_matches_store_ram_bit_for_bit() {
-        let dir = std::env::temp_dir().join("sptx-cli-test-paged");
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = dir.to_string_lossy().to_string();
-        run(&parse_args(&strs(&[
-            "generate",
-            "--entities",
-            "150",
-            "--relations",
-            "4",
-            "--triples",
-            "700",
-            "--out",
-            &out,
-        ]))
-        .unwrap())
-        .unwrap();
-        let train_file = dir.join("train.tsv").to_string_lossy().to_string();
-        let common = |model: &str, store: &str, emb: &str| {
-            let mut argv = strs(&[
-                "train",
-                "--train",
-                &train_file,
-                "--model",
-                model,
-                "--epochs",
-                "2",
-                "--dim",
-                "8",
-                "--batch-size",
-                "16",
-                "--store",
-                store,
-                "--out",
-                emb,
-            ]);
-            if store == "disk" {
-                argv.extend(strs(&["--cache-rows", "96"]));
-            }
-            argv
-        };
-
+        let (dir, train) = kg("sptx-cli-test-paged", 150, 4, 700);
+        let common =
+            format!("train --train {train} --epochs 2 --dim 8 --batch-size 16 --rel-dim 4");
         // The stacked `embeddings` of an hrt model, the `entities` of an ht
-        // one: either is the table the run pages and dumps.
-        for model in ["transe", "transh", "distmult"] {
-            let ram_out = dir.join("emb_ram.bin").to_string_lossy().to_string();
-            let msg = run(&parse_args(&common(model, "ram", &ram_out)).unwrap()).unwrap();
+        // one: either is the table the run pages and dumps. Every family
+        // that pages is reachable by name.
+        for model in MODELS.iter().filter(|m| m.pages) {
+            let model = model.key();
+            let ram = dir.join("emb_ram.bin");
+            let msg = cli(&format!("{common} --model {model} --out {}", ram.display())).unwrap();
             assert!(!msg.contains("paged store:"), "{msg}");
 
             // 96 cache rows against a 150- or 154-row table: evictions and
             // write-backs all run, yet the dumped embeddings must be the
             // same bytes the resident run saved.
-            let disk_out = dir.join("emb_disk.bin").to_string_lossy().to_string();
-            let msg = run(&parse_args(&common(model, "disk", &disk_out)).unwrap()).unwrap();
+            let disk = dir.join("emb_disk.bin");
+            let msg = cli(&format!(
+                "{common} --model {model} --store disk --cache-rows 96 --out {}",
+                disk.display()
+            ))
+            .unwrap();
             assert!(msg.contains("paged store: budget 96 rows"), "{msg}");
             assert!(msg.contains("simcache LRU replay"), "{msg}");
             assert!(!msg.contains("WARNING"), "cache model diverged: {msg}");
@@ -1317,11 +1401,9 @@ mod tests {
                 !dir.join("emb_disk.bin.pagefile").exists(),
                 "the pagefile must be cleaned up after training"
             );
-
-            let ram_bytes = std::fs::read(dir.join("emb_ram.bin")).unwrap();
-            let disk_bytes = std::fs::read(dir.join("emb_disk.bin")).unwrap();
             assert_eq!(
-                ram_bytes, disk_bytes,
+                std::fs::read(&ram).unwrap(),
+                std::fs::read(&disk).unwrap(),
                 "{model}: paged embeddings diverged from resident"
             );
         }
@@ -1331,31 +1413,17 @@ mod tests {
     fn train_distmult_accepts_a_self_loop_triple() {
         // `hrt` merges the `h == t` column of `e3 r2 e3` into one stored
         // entry; the semiring score used to demand three and panic.
-        let dir = std::env::temp_dir().join("sptx-cli-test-self-loop");
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = dir.to_string_lossy().to_string();
-        let generate = ["generate", "--entities", "60", "--relations", "4"];
-        let mut argv = strs(&generate);
-        argv.extend(strs(&["--triples", "400", "--out", &out]));
-        run(&parse_args(&argv).unwrap()).unwrap();
-        let train_file = dir.join("train.tsv");
-        let mut tsv = std::fs::read_to_string(&train_file).unwrap();
-        tsv.push_str("e3\tr2\te3\n");
-        std::fs::write(&train_file, tsv).unwrap();
+        let (dir, train) = kg("sptx-cli-test-self-loop", 60, 4, 400);
+        let tsv = std::fs::read_to_string(&train).unwrap() + "e3\tr2\te3\n";
+        std::fs::write(&train, tsv).unwrap();
 
         // `tests/cli_binary.rs` compares this run's dump at 1 and 4 threads.
         let emb = dir.join("emb.bin");
-        let mut argv = strs(&["train", "--train", &train_file.to_string_lossy()]);
-        argv.extend(strs(&[
-            "--model", "distmult", "--epochs", "2", "--dim", "8",
-        ]));
-        argv.extend(strs(&[
-            "--batch-size",
-            "64",
-            "--out",
-            &emb.to_string_lossy(),
-        ]));
-        let msg = run(&parse_args(&argv).unwrap()).unwrap();
+        let msg = cli(&format!(
+            "train --train {train} --model distmult --epochs 2 --dim 8 --batch-size 64 --out {}",
+            emb.display()
+        ))
+        .unwrap();
         assert!(msg.contains("SpDistMult"), "{msg}");
         let mut store = RowFile::open(&emb).unwrap();
         let table = store.read_rows(0, store.rows()).unwrap();
@@ -1367,19 +1435,15 @@ mod tests {
     fn train_store_disk_rejects_unsupported_configurations() {
         // Validation fires before the dataset loads, so no fixture needed.
         for extra in [
-            &["--store", "disk", "--optimizer", "adam"][..],
-            &["--store", "disk", "--dense-grads", "true"],
-            &["--store", "disk", "--fused", "false"],
-            &["--store", "disk", "--cache-rows", "0"],
-            &["--store", "tape"],
+            "--store disk --optimizer adam",
+            "--store disk --dense-grads true",
+            "--store disk --fused false",
+            "--store disk --cache-rows 0",
+            "--store tape",
+            "--store disk --model transe-dense",
         ] {
-            let mut argv = strs(&["train", "--train", "missing.tsv"]);
-            argv.extend(strs(extra));
-            let args = parse_args(&argv).unwrap();
-            assert!(
-                matches!(run(&args), Err(CliError::Usage(_))),
-                "expected a usage error for {extra:?}"
-            );
+            let result = cli(&format!("train --train missing.tsv {extra}"));
+            assert!(is_usage(result), "expected a usage error for {extra:?}");
         }
     }
 
@@ -1396,8 +1460,7 @@ mod tests {
             ("--lr", "-inf"),
             ("--lr", "0"),
         ] {
-            let argv = strs(&["train", "--train", "missing.tsv", flag, value]);
-            match run(&parse_args(&argv).unwrap()) {
+            match cli(&format!("train --train missing.tsv {flag} {value}")) {
                 Err(CliError::Usage(msg)) => {
                     assert!(msg.contains(flag), "{flag} {value}: message {msg:?}")
                 }
@@ -1410,58 +1473,24 @@ mod tests {
     fn train_async_end_to_end_and_flag_validation() {
         // Flag validation fires before any dataset loads.
         for extra in [
-            &["--workers", "2"][..], // --workers without --async
-            &["--async", "true", "--workers", "0"],
-            &["--async", "true", "--store", "disk"],
-            &["--async", "true", "--optimizer", "adam"],
-            &["--async", "true", "--dense-grads", "true"],
+            "--workers 2", // --workers without --async
+            "--async true --workers 0",
+            "--async true --store disk",
+            "--async true --optimizer adam",
+            "--async true --dense-grads true",
         ] {
-            let mut argv = strs(&["train", "--train", "missing.tsv"]);
-            argv.extend(strs(extra));
-            let args = parse_args(&argv).unwrap();
-            assert!(
-                matches!(run(&args), Err(CliError::Usage(_))),
-                "expected a usage error for {extra:?}"
-            );
+            let result = cli(&format!("train --train missing.tsv {extra}"));
+            assert!(is_usage(result), "expected a usage error for {extra:?}");
         }
 
-        let dir = std::env::temp_dir().join("sptx-cli-test-async");
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = dir.to_string_lossy().to_string();
-        run(&parse_args(&strs(&[
-            "generate",
-            "--entities",
-            "80",
-            "--relations",
-            "4",
-            "--triples",
-            "500",
-            "--out",
-            &out,
-        ]))
-        .unwrap())
+        let (dir, train) = kg("sptx-cli-test-async", 80, 4, 500);
+        let emb = dir.join("emb.bin");
+        let msg = cli(&format!(
+            "train --train {train} --epochs 3 --dim 8 --batch-size 64 --async true --workers 2 \
+             --out {}",
+            emb.display()
+        ))
         .unwrap();
-        let train_file = dir.join("train.tsv").to_string_lossy().to_string();
-        let emb_out = dir.join("emb.bin").to_string_lossy().to_string();
-        let train = parse_args(&strs(&[
-            "train",
-            "--train",
-            &train_file,
-            "--epochs",
-            "3",
-            "--dim",
-            "8",
-            "--batch-size",
-            "64",
-            "--async",
-            "true",
-            "--workers",
-            "2",
-            "--out",
-            &emb_out,
-        ]))
-        .unwrap();
-        let msg = run(&train).unwrap();
         assert!(msg.contains("SpTransE"), "{msg}");
         assert!(
             msg.contains("arm: async hogwild (2 workers, nondeterministic)"),
@@ -1469,249 +1498,87 @@ mod tests {
         );
         assert!(msg.contains("MRR"), "{msg}");
         assert!(msg.contains("per-kernel counters"), "{msg}");
-        assert!(dir.join("emb.bin").exists());
+        assert!(emb.exists());
+    }
+
+    /// Trains a small TransE dump next to `train`; returns the serve prefix
+    /// `serve --emb … --train …`.
+    fn trained_dump(dir: &Path, train: &str) -> String {
+        let emb = dir.join("emb.bin").display().to_string();
+        let line = format!("train --train {train} --epochs 2 --dim 8 --batch-size 64");
+        cli(&format!("{line} --out {emb}")).unwrap();
+        format!("serve --emb {emb} --train {train}")
     }
 
     #[test]
     fn serve_end_to_end_with_index_roundtrip() {
-        let dir = std::env::temp_dir().join("sptx-cli-test-serve");
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = dir.to_string_lossy().to_string();
-        run(&parse_args(&strs(&[
-            "generate",
-            "--entities",
-            "120",
-            "--relations",
-            "4",
-            "--triples",
-            "600",
-            "--out",
-            &out,
-        ]))
-        .unwrap())
-        .unwrap();
-        let train_file = dir.join("train.tsv").to_string_lossy().to_string();
-        let emb_out = dir.join("emb.bin").to_string_lossy().to_string();
-        run(&parse_args(&strs(&[
-            "train",
-            "--train",
-            &train_file,
-            "--epochs",
-            "2",
-            "--dim",
-            "8",
-            "--batch-size",
-            "64",
-            "--out",
-            &emb_out,
-        ]))
-        .unwrap())
-        .unwrap();
+        let (dir, train) = kg("sptx-cli-test-serve", 120, 4, 600);
+        let serve = trained_dump(&dir, &train);
 
         // Build the index, serve a small workload, and persist the index.
-        let index_path = dir.join("index.ivf").to_string_lossy().to_string();
-        let serve = parse_args(&strs(&[
-            "serve",
-            "--emb",
-            &emb_out,
-            "--train",
-            &train_file,
-            "--queries",
-            "200",
-            "--clusters",
-            "12",
-            "--nprobe",
-            "12", // nprobe == clusters: the ANN arm IS the exact scan
-            "--min-recall",
-            "0.999",
-            "--index-out",
-            &index_path,
-        ]))
+        // nprobe == clusters: the ANN arm IS the exact scan.
+        let index = dir.join("index.ivf").display().to_string();
+        let msg = cli(&format!(
+            "{serve} --queries 200 --clusters 12 --nprobe 12 --min-recall 0.999 \
+             --index-out {index}"
+        ))
         .unwrap();
-        let msg = run(&serve).unwrap();
         assert!(msg.contains("recall@10 vs exact arm: 1.0000"), "{msg}");
         assert!(!msg.contains("WARNING"), "cache model diverged: {msg}");
 
         // Reload the saved index and serve again with a selective probe.
-        let serve = parse_args(&strs(&[
-            "serve",
-            "--emb",
-            &emb_out,
-            "--train",
-            &train_file,
-            "--queries",
-            "200",
-            "--nprobe",
-            "3",
-            "--index",
-            &index_path,
-        ]))
-        .unwrap();
-        let msg = run(&serve).unwrap();
+        let reload = format!("{serve} --queries 200 --nprobe 3 --index {index}");
+        let msg = cli(&reload).unwrap();
         assert!(msg.contains("index: 12 clusters, nprobe 3"), "{msg}");
 
         // The out-of-core arm: the same workload answered through a 48-row
         // cache over the on-disk dump must agree with the resident arm on
         // every query (any divergence or counter mismatch prints WARNING).
-        let serve = parse_args(&strs(&[
-            "serve",
-            "--emb",
-            &emb_out,
-            "--train",
-            &train_file,
-            "--queries",
-            "200",
-            "--nprobe",
-            "3",
-            "--index",
-            &index_path,
-            "--store",
-            "disk",
-            "--cache-rows",
-            "48",
-        ]))
-        .unwrap();
-        let msg = run(&serve).unwrap();
+        let msg = cli(&format!("{reload} --store disk --cache-rows 48")).unwrap();
         assert!(msg.contains("paged store: budget 48 rows"), "{msg}");
         assert!(msg.contains("simcache LRU replay"), "{msg}");
         assert!(!msg.contains("WARNING"), "paged arm diverged: {msg}");
 
-        let bad = parse_args(&strs(&[
-            "serve",
-            "--emb",
-            &emb_out,
-            "--train",
-            &train_file,
-            "--store",
-            "tape",
-        ]))
-        .unwrap();
-        assert!(matches!(run(&bad), Err(CliError::Usage(_))));
+        assert!(is_usage(cli(&format!("{serve} --store tape"))));
 
         // An impossible recall floor must fail the command.
-        let serve = parse_args(&strs(&[
-            "serve",
-            "--emb",
-            &emb_out,
-            "--train",
-            &train_file,
-            "--queries",
-            "50",
-            "--nprobe",
-            "1",
-            "--min-recall",
-            "1.1",
-        ]))
-        .unwrap();
-        assert!(matches!(run(&serve), Err(CliError::Library(_))));
+        let result = cli(&format!("{serve} --queries 50 --nprobe 1 --min-recall 1.1"));
+        assert!(matches!(result, Err(CliError::Library(_))));
     }
 
     #[test]
     fn serve_rejects_mismatched_and_corrupt_inputs() {
-        let dir = std::env::temp_dir().join("sptx-cli-test-serve-bad");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.to_string_lossy().to_string();
-        run(&parse_args(&strs(&[
-            "generate",
-            "--entities",
-            "50",
-            "--relations",
-            "3",
-            "--triples",
-            "200",
-            "--out",
-            &out,
-        ]))
-        .unwrap())
-        .unwrap();
-        let train_file = dir.join("train.tsv").to_string_lossy().to_string();
+        let (dir, train) = kg("sptx-cli-test-serve-bad", 50, 3, 200);
 
         // Missing embedding file.
-        let serve = parse_args(&strs(&[
-            "serve",
-            "--emb",
-            "/nonexistent.bin",
-            "--train",
-            &train_file,
-        ]))
-        .unwrap();
-        assert!(run(&serve).is_err());
+        assert!(cli(&format!("serve --emb /nonexistent.bin --train {train}")).is_err());
 
         // Truncated embedding file: rejected at open, not a panic.
-        let emb_out = dir.join("emb.bin").to_string_lossy().to_string();
-        run(&parse_args(&strs(&[
-            "train",
-            "--train",
-            &train_file,
-            "--epochs",
-            "1",
-            "--dim",
-            "8",
-            "--batch-size",
-            "64",
-            "--out",
-            &emb_out,
-        ]))
-        .unwrap())
-        .unwrap();
-        let bytes = std::fs::read(&emb_out).unwrap();
+        let serve = trained_dump(&dir, &train);
+        let bytes = std::fs::read(dir.join("emb.bin")).unwrap();
         let cut = dir.join("cut.bin");
         std::fs::write(&cut, &bytes[..bytes.len() / 2]).unwrap();
-        let serve = parse_args(&strs(&[
-            "serve",
-            "--emb",
-            &cut.to_string_lossy(),
-            "--train",
-            &train_file,
-        ]))
-        .unwrap();
-        assert!(matches!(run(&serve), Err(CliError::Library(_))));
+        let result = cli(&format!("serve --emb {} --train {train}", cut.display()));
+        assert!(matches!(result, Err(CliError::Library(_))));
 
         // Corrupt index file.
         let bad_index = dir.join("bad.ivf");
         std::fs::write(&bad_index, b"SPTXIVF1 not really").unwrap();
-        let serve = parse_args(&strs(&[
-            "serve",
-            "--emb",
-            &emb_out,
-            "--train",
-            &train_file,
-            "--index",
-            &bad_index.to_string_lossy(),
-        ]))
-        .unwrap();
-        assert!(matches!(run(&serve), Err(CliError::Library(_))));
+        let result = cli(&format!("{serve} --index {}", bad_index.display()));
+        assert!(matches!(result, Err(CliError::Library(_))));
     }
 
     #[test]
     fn serve_rejects_an_index_with_an_out_of_range_entity_id() {
         // On 0c0bd16 this index loaded (only `indptr` was checked) and the
         // first probe of its cluster panicked indexing the table.
-        let dir = std::env::temp_dir().join("sptx-cli-test-serve-bad-ids");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.to_string_lossy().to_string();
-        let mut argv = strs(&["generate", "--entities", "60", "--relations", "3"]);
-        argv.extend(strs(&["--triples", "300", "--out", &out]));
-        run(&parse_args(&argv).unwrap()).unwrap();
-        let train_file = dir.join("train.tsv").to_string_lossy().to_string();
-        let emb = dir.join("emb.bin").to_string_lossy().to_string();
-        let mut argv = strs(&["train", "--train", &train_file, "--epochs", "1"]);
-        argv.extend(strs(&["--dim", "8", "--batch-size", "64", "--out", &emb]));
-        run(&parse_args(&argv).unwrap()).unwrap();
-        let index = dir.join("index.ivf").to_string_lossy().to_string();
-        let serve = strs(&["serve", "--emb", &emb, "--train", &train_file]);
-        let mut argv = serve.clone();
-        argv.extend(strs(&[
-            "--queries",
-            "20",
-            "--clusters",
-            "14",
-            "--index-out",
-            &index,
-        ]));
-        run(&parse_args(&argv).unwrap()).unwrap();
+        let (dir, train) = kg("sptx-cli-test-serve-bad-ids", 60, 3, 300);
+        let serve = trained_dump(&dir, &train);
+        let index = dir.join("index.ivf").display().to_string();
+        cli(&format!(
+            "{serve} --queries 20 --clusters 14 --index-out {index}"
+        ))
+        .unwrap();
 
         // The first entity id sits after the header, the 14 × 8 centroids
         // and the 15 offsets.
@@ -1719,26 +1586,20 @@ mod tests {
         let at = 32 + 4 * 14 * 8 + 4 * 15;
         bytes[at..at + 4].copy_from_slice(&0x7fff_0000u32.to_le_bytes());
         std::fs::write(&index, &bytes).unwrap();
-        let mut argv = serve;
-        argv.extend(strs(&["--queries", "20", "--index", &index]));
-        let err = run(&parse_args(&argv).unwrap()).unwrap_err();
+        let err = cli(&format!("{serve} --queries 20 --index {index}")).unwrap_err();
         assert!(matches!(err, CliError::Library(_)), "{err}");
         assert!(err.to_string().contains("partition"), "{err}");
     }
 
     #[test]
     fn threads_option_is_validated_and_accepted() {
-        let bad = parse_args(&strs(&["help", "--threads", "zero"])).unwrap();
-        assert!(matches!(run(&bad), Err(CliError::Usage(_))));
-        let bad = parse_args(&strs(&["help", "--threads", "0"])).unwrap();
-        assert!(matches!(run(&bad), Err(CliError::Usage(_))));
+        assert!(is_usage(cli("help --threads zero")));
+        assert!(is_usage(cli("help --threads 0")));
         // In process the pool already exists: its own size is accepted, and
         // any other is a usage error rather than a silently ignored flag.
         let n = xparallel::current_num_threads();
-        let ok = parse_args(&strs(&["help", "--threads", &n.to_string()])).unwrap();
-        assert!(run(&ok).is_ok());
-        let other = parse_args(&strs(&["help", "--threads", &(n + 1).to_string()])).unwrap();
-        match run(&other) {
+        assert!(cli(&format!("help --threads {n}")).is_ok());
+        match cli(&format!("help --threads {}", n + 1)) {
             Err(CliError::Usage(msg)) => assert!(msg.contains("--threads"), "{msg}"),
             other => panic!("expected a usage error, got {other:?}"),
         }
@@ -1747,54 +1608,31 @@ mod tests {
     #[test]
     fn unknown_flags_are_usage_errors_naming_flag_and_subcommand() {
         // One typo per subcommand; validation fires before any file is read.
-        for (argv, flag) in [
-            (&["generate", "--bogus-flag", "7"][..], "--bogus-flag"),
+        // `--prefetch` is rejected like any flag `train` does not read.
+        for (line, flag) in [
+            ("generate --bogus-flag 7", "--bogus-flag"),
+            ("train --train missing.tsv --batchsize 3", "--batchsize"),
             (
-                &["train", "--train", "missing.tsv", "--batchsize", "3"],
-                "--batchsize",
-            ),
-            // `--prefetch` is rejected like any flag `train` does not read.
-            (
-                &[
-                    "train",
-                    "--train",
-                    "missing.tsv",
-                    "--store",
-                    "disk",
-                    "--prefetch",
-                    "true",
-                ],
+                "train --train missing.tsv --store disk --prefetch true",
                 "--prefetch",
             ),
-            (&["stats", "--train", "missing.tsv", "--sed", "1"], "--sed"),
-            (
-                &[
-                    "serve",
-                    "--emb",
-                    "e.bin",
-                    "--train",
-                    "t.tsv",
-                    "--n-probe",
-                    "2",
-                ],
-                "--n-probe",
-            ),
-            (&["help", "--verbose", "true"], "--verbose"),
+            ("stats --train missing.tsv --sed 1", "--sed"),
+            ("serve --emb e.bin --train t.tsv --n-probe 2", "--n-probe"),
+            ("help --verbose true", "--verbose"),
         ] {
-            let args = parse_args(&strs(argv)).unwrap();
-            match run(&args) {
+            match cli(line) {
                 Err(CliError::Usage(msg)) => {
                     assert!(msg.contains(flag), "{msg}");
-                    assert!(msg.contains(&format!("sptx {}", argv[0])), "{msg}");
+                    let command = line.split(' ').next().unwrap();
+                    assert!(msg.contains(&format!("sptx {command}")), "{msg}");
                 }
-                other => panic!("expected a usage error for {argv:?}, got {other:?}"),
+                other => panic!("expected a usage error for {line:?}, got {other:?}"),
             }
         }
     }
 
     #[test]
     fn help_prints_usage() {
-        let args = parse_args(&strs(&["help"])).unwrap();
-        assert_eq!(run(&args).unwrap(), USAGE);
+        assert_eq!(cli("help").unwrap(), usage());
     }
 }

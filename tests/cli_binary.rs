@@ -9,6 +9,7 @@ use kg::stream::RowFile;
 use kg::synthetic::SyntheticKgBuilder;
 use sptransx::serve::{top_k, Direction, IvfConfig, IvfIndex, Query, ServeEngine, ServeModel};
 use sptransx::{KgeModel, Norm, SpTorusE, TrainConfig};
+use sptransx_repro::cli::FLAGS;
 use xparallel::PoolHandle;
 
 fn sptx() -> Command {
@@ -145,10 +146,12 @@ fn a_toruse_dump_is_served_under_the_torus_metric() {
 }
 
 /// Out-of-range flag values are usage errors naming the flag (exit 2), not
-/// panics (exit 101) from the library asserts they used to reach: the query
-/// cache's simcache replay, the Zipf workload, the synthetic-KG builder and
-/// the dataset split. Every case gets files that work, so only the flag is
-/// wrong.
+/// panics (exit 101) from the library asserts they used to reach (the query
+/// cache's simcache replay, the Zipf workload, the synthetic-KG builder, the
+/// dataset split). The cases are generated: every value `Kind::refused`
+/// offers, for every row of [`FLAGS`], under every subcommand that reads it
+/// — so no flag ships without one — plus the rules that span two flags.
+/// Every case gets files that work, so only the flag is wrong.
 #[test]
 fn out_of_range_flags_are_usage_errors_naming_the_flag() {
     let dir = kg_dir("bad-flags");
@@ -169,33 +172,44 @@ fn out_of_range_flags_are_usage_errors_naming_the_flag() {
         "train", "--epochs", "1", "--dim", "8", "--train", train, "--out", emb,
     ];
     let stats = ["stats", "--train", train];
+    let generate = ["generate", "--out", gen_out];
+    let working = |command: &str| -> &[&str] {
+        match command {
+            "serve" => &serve,
+            "train" => &train_cmd,
+            "stats" => &stats,
+            "generate" => &generate,
+            _ => &["help"],
+        }
+    };
+    let mut cases: Vec<(&[&str], Vec<String>, String)> = Vec::new();
+    for flag in FLAGS {
+        for command in flag.commands {
+            for bad in flag.kind.refused() {
+                let named = format!("--{}", flag.name);
+                cases.push((working(command), vec![named.clone(), bad], named));
+            }
+        }
+    }
+    assert!(cases.len() >= 80, "{} generated cases", cases.len());
     #[rustfmt::skip]
-    let cases: [(&[&str], &[&str], &str); 18] = [
-        (&serve, &["--cache-size", "0"], "--cache-size"),
-        (&serve, &["--k", "0", "--min-recall", "0.99"], "--k"),
-        (&serve, &["--nprobe", "0"], "--nprobe"),
-        (&serve, &["--clusters", "0"], "--clusters"),
-        (&serve, &["--kmeans-iters", "0"], "--kmeans-iters"),
+    let rules: [(&[&str], &[&str], &str); 5] = [
         (&serve, &["--cache-rows", "5"], "--cache-rows"),
         (&train_cmd, &["--cache-rows", "7"], "--cache-rows"),
         (&train_cmd, &["--store", "ram", "--cache-rows", "7"], "--cache-rows"),
-        (&serve, &["--zipf", "-1"], "--zipf"),
-        (&serve, &["--zipf", "nan"], "--zipf"),
-        (&["generate", "--out", gen_out], &["--entities", "0"], "--entities"),
-        (&["generate", "--out", gen_out], &["--entities", "1"], "--entities"),
-        (&["generate", "--out", gen_out], &["--relations", "0"], "--relations"),
-        (&train_cmd, &["--test-frac", "1.0"], "--test-frac"),
-        (&train_cmd, &["--test-frac", "1.5"], "--test-frac"),
-        (&train_cmd, &["--test-frac", "nan"], "--test-frac"),
-        (&stats, &["--test-frac", "1.0"], "--test-frac"),
+        (&train_cmd, &["--workers", "2"], "--workers"),
         (&stats, &["--valid-frac", "0.6", "--test-frac", "0.5"], "--valid-frac"),
     ];
+    for (command, flags, named) in rules {
+        let flags = flags.iter().map(|s| s.to_string()).collect();
+        cases.push((command, flags, named.to_string()));
+    }
     for (command, flags, named) in cases {
-        let out = sptx().args(command).args(flags).output().unwrap();
+        let out = sptx().args(command).args(&flags).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         let what = format!("sptx {} {}: {stderr}", command[0], flags.join(" "));
         assert_eq!(out.status.code(), Some(2), "{what}");
-        assert!(stderr.contains(named), "{what}");
+        assert!(stderr.contains(&named), "{what}");
         assert!(!stderr.contains("panicked"), "{what}");
     }
     std::fs::remove_dir_all(&dir).ok();
