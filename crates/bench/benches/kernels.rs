@@ -8,10 +8,11 @@
 use std::sync::Arc;
 
 use sparse::incidence::{hrt, IncidencePair, TailSign};
-use sparse::spmm::csr_spmm;
+use sparse::spmm::spmm_row_acc;
 use sptx_bench::harness::{random_triples, time_arm};
 use tensor::kernels::scatter_add_rows;
 use tensor::{Graph, ParamId, ParamStore, Tensor};
+use xparallel::PoolHandle;
 
 struct Setup {
     store: ParamStore,
@@ -63,9 +64,18 @@ fn bench_forward() {
 fn bench_backward() {
     let (m, d) = (4096usize, 128usize);
     let s = setup(20_000, 200, m, d, 9);
-    // SpTransX: grad = Aᵀ · G, one SpMM against the cached transpose.
+    // SpTransX: grad = Aᵀ · G, one gradient row per column the pair keeps,
+    // as the tape's backward sweeps them.
     time_arm(&format!("backward/transpose_spmm/m{m}_d{d}"), None, || {
-        csr_spmm(&s.pair.transpose, s.upstream.view())
+        let (pair, g) = (&s.pair, s.upstream.view());
+        let mut grad = Tensor::zeros(pair.touched_columns().len(), s.d);
+        PoolHandle::global().for_rows(grad.as_mut_slice(), s.d, 64, |first, chunk| {
+            for (k, dst) in chunk.chunks_exact_mut(s.d).enumerate() {
+                let (rows, coeffs) = pair.column(first + k);
+                spmm_row_acc(rows, coeffs, &g, 0, dst);
+            }
+        });
+        grad
     });
     // Baseline: scatter-add one row per (h, r, t) occurrence, as three
     // gathers in forward.

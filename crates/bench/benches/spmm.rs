@@ -8,8 +8,9 @@
 //! 2. **CSR vs COO** on a general sparse matrix (~8 nonzeros per row, beyond
 //!    the fast path): row-parallel CSR against COO's entry-sharded scatter
 //!    (the paper selects COO for DGL's GPU kernel).
-//! 3. **Transpose caching**: the backward `Aᵀ · G` against the cached
-//!    transpose vs re-transposing per call, the `IncidencePair` decision.
+//! 3. **Transpose caching**: the backward `Aᵀ · G` against a kept
+//!    `CsrMatrix::transpose` vs re-transposing per call, the decision behind
+//!    `IncidencePair` keeping its columns.
 //! 4. **Width sweep** of the fast path on a pool pinned to 1, 2, 4 and 8
 //!    chunks (the paper's CPU-vs-GPU axis; informative only on multi-core
 //!    hosts — the bits are the same at every width).

@@ -6,6 +6,7 @@
 //! [`OUT_BASE`], and sparse-index arrays at [`IDX_BASE`], far enough apart
 //! that distinct structures never share a line.
 
+use sparse::incidence::IncidencePair;
 use sparse::CsrMatrix;
 
 use crate::Hierarchy;
@@ -68,28 +69,26 @@ pub fn replay_csr_spmm(h: &mut Hierarchy, a: &CsrMatrix, dim: usize) {
     }
 }
 
-/// Replays the **transpose-SpMM** backward (`Aᵀ · G`): the transpose is
-/// row-major over *columns* of `A`, so parameter-gradient rows are written
-/// sequentially while upstream-gradient rows are gathered.
-pub fn replay_csr_spmm_transpose(h: &mut Hierarchy, a_t: &CsrMatrix, dim: usize) {
+/// Replays the **transpose-SpMM** backward (`Aᵀ · G`) as the tape runs it:
+/// over the columns the incidence pair keeps, column `k` of `A` gathering
+/// its upstream-gradient rows and writing parameter-gradient row
+/// `touched_columns()[k]` once, in ascending row order.
+pub fn replay_csr_spmm_transpose(h: &mut Hierarchy, pair: &IncidencePair, dim: usize) {
     let row = dim as u64 * F32;
     let grad_base = EMB_BASE + (1u64 << 34);
     let indptr_base = IDX_BASE + (3u64 << 30);
     let indices_base = IDX_BASE + (4u64 << 30);
-    for i in 0..a_t.rows() {
-        h.access_range(indptr_base + i as u64 * U32, 2 * U32);
-        let (s, e) = a_t.row_bounds(i);
-        if e > s {
-            h.access_range(indices_base + s as u64 * U32, (e - s) as u64 * U32);
-        }
-        for (col, _) in a_t.row(i) {
+    let mut start = 0;
+    for (k, &e) in pair.touched_columns().iter().enumerate() {
+        h.access_range(indptr_base + k as u64 * U32, 2 * U32);
+        let (rows, _) = pair.column(k);
+        h.access_range(indices_base + start * U32, rows.len() as u64 * U32);
+        for &i in rows {
             // Gather the upstream gradient row (batch-sized buffer).
-            h.access_range(OUT_BASE + col as u64 * row, row);
+            h.access_range(OUT_BASE + u64::from(i) * row, row);
         }
-        if e > s {
-            // One sequential write of this parameter-gradient row.
-            h.access_range(grad_base + i as u64 * row, row);
-        }
+        h.access_range(grad_base + u64::from(e) * row, row);
+        start += rows.len() as u64;
     }
 }
 
@@ -118,9 +117,9 @@ pub fn compare_kernels(incidence: &CsrMatrix, dim: usize) -> KernelComparison {
     let gather_scatter = gs.overall_miss_rate();
 
     let mut sp = Hierarchy::epyc_like();
-    let a_t = incidence.transpose();
+    let pair = IncidencePair::new(incidence.clone());
     replay_csr_spmm(&mut sp, incidence, dim);
-    replay_csr_spmm_transpose(&mut sp, &a_t, dim);
+    replay_csr_spmm_transpose(&mut sp, &pair, dim);
     let spmm = sp.overall_miss_rate();
 
     KernelComparison {

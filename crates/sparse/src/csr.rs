@@ -206,36 +206,11 @@ impl CsrMatrix {
             .unwrap_or(0)
     }
 
-    /// Row indices with at least one stored nonzero, ascending.
-    ///
-    /// On a cached transpose this is the **nonzero-column list of the
-    /// forward matrix** — for an incidence matrix, exactly the embedding
-    /// rows the batch touches (the touched-row gradient contract reads it
-    /// from [`crate::incidence::IncidencePair::touched_columns`]). Runs in
-    /// `O(rows)` off `indptr` alone.
-    pub fn occupied_rows(&self) -> Vec<u32> {
-        (0..self.rows as u32)
-            .filter(|&r| self.indptr[r as usize + 1] > self.indptr[r as usize])
-            .collect()
-    }
-
-    /// Column indices with at least one stored nonzero, ascending and
-    /// deduplicated — the rows of the dense operand this matrix actually
-    /// reads in an SpMM (`O(nnz log nnz)`). Equal to
-    /// `self.transpose().occupied_rows()` without materializing the
-    /// transpose.
-    pub fn nonzero_columns(&self) -> Vec<u32> {
-        let mut cols = self.indices.clone();
-        cols.sort_unstable();
-        cols.dedup();
-        cols
-    }
-
     /// Returns the transpose in CSR form.
     ///
     /// Runs a counting-sort transpose in `O(nnz + rows + cols)`. This is the
-    /// backward-pass matrix of Appendix G: `∂L/∂X = Aᵀ · ∂L/∂C`. Models cache
-    /// the result alongside the forward matrix.
+    /// backward-pass matrix of Appendix G: `∂L/∂X = Aᵀ · ∂L/∂C` (an incidence
+    /// pair keeps its occupied rows, built without this `O(cols)` pass).
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0u32; self.cols + 1];
         for &c in &self.indices {
@@ -381,25 +356,6 @@ mod tests {
         let m = sample();
         assert_eq!(m.max_row_nnz(), 2);
         assert!(m.heap_bytes() > 0);
-    }
-
-    #[test]
-    fn occupied_rows_and_nonzero_columns_agree_through_transpose() {
-        let m = sample();
-        assert_eq!(m.occupied_rows(), vec![0, 1, 2]);
-        assert_eq!(m.nonzero_columns(), vec![0, 1, 2, 3]);
-        assert_eq!(m.transpose().occupied_rows(), m.nonzero_columns());
-        assert_eq!(m.transpose().nonzero_columns(), m.occupied_rows());
-
-        // A matrix with empty rows and untouched columns.
-        let sparse = CooMatrix::from_triplets(4, 6, vec![(1, 5, 1.0), (3, 2, -1.0), (3, 5, 1.0)])
-            .unwrap()
-            .to_csr();
-        assert_eq!(sparse.occupied_rows(), vec![1, 3]);
-        assert_eq!(sparse.nonzero_columns(), vec![2, 5]);
-        let empty = CooMatrix::new(3, 3).to_csr();
-        assert!(empty.occupied_rows().is_empty());
-        assert!(empty.nonzero_columns().is_empty());
     }
 
     #[test]

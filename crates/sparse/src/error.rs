@@ -20,6 +20,18 @@ pub enum Error {
         /// Declared number of columns.
         cols: usize,
     },
+    /// A row of an `hrt` incidence matrix names an entity past its
+    /// `entities` entity columns (which are not all of its columns).
+    EntityOutOfBounds {
+        /// Offending (batch) row.
+        row: usize,
+        /// Offending entity index.
+        entity: usize,
+        /// Number of entities.
+        entities: usize,
+        /// Rows (batch triples) of the matrix being built.
+        rows: usize,
+    },
     /// Matrix shapes are incompatible for the requested operation.
     ShapeMismatch {
         /// Human-readable description of the mismatch.
@@ -43,6 +55,15 @@ impl fmt::Display for Error {
             } => write!(
                 f,
                 "index ({row}, {col}) out of bounds for {rows}x{cols} matrix"
+            ),
+            Error::EntityOutOfBounds {
+                row,
+                entity,
+                entities,
+                rows,
+            } => write!(
+                f,
+                "entity {entity} in row {row} of {rows} out of bounds for {entities} entities"
             ),
             Error::ShapeMismatch { context } => write!(f, "shape mismatch: {context}"),
             Error::InvalidStructure { context } => write!(f, "invalid sparse structure: {context}"),

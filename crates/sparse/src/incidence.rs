@@ -17,6 +17,9 @@
 //! * **`selection` form** (`S ∈ {0,1}^{M×R}`): one `+1` per row at the
 //!   triplet's relation column. Its [`IncidencePair`] is the batch grouped by
 //!   relation, which is what TransR's per-relation projection walks.
+//!
+//! An [`IncidencePair`] keeps `A` and, for the backward pass, `Aᵀ` over the
+//! columns the batch touches: its size follows the batch, not the table.
 
 use std::sync::Arc;
 
@@ -62,11 +65,9 @@ pub fn ht(num_entities: usize, heads: &[u32], tails: &[u32]) -> Result<CsrMatrix
     let m = heads.len();
     let mut coo = CooMatrix::with_capacity(m, num_entities, 2 * m);
     for i in 0..m {
-        let (h, t) = (heads[i] as usize, tails[i] as usize);
-        check_entity(h, num_entities, i)?;
-        check_entity(t, num_entities, i)?;
-        coo.push_unchecked(i, h, 1.0);
-        coo.push_unchecked(i, t, -1.0);
+        // Checked: the entity columns are all of the matrix's columns.
+        coo.push(i, heads[i] as usize, 1.0)?;
+        coo.push(i, tails[i] as usize, -1.0)?;
     }
     Ok(coo.to_csr())
 }
@@ -79,8 +80,9 @@ pub fn ht(num_entities: usize, heads: &[u32], tails: &[u32]) -> Result<CsrMatrix
 ///
 /// # Errors
 ///
-/// Returns [`Error::IndexOutOfBounds`] on any out-of-range entity/relation
-/// index, or [`Error::ShapeMismatch`] on unequal slice lengths.
+/// Returns [`Error::EntityOutOfBounds`] on an entity `≥ num_entities`,
+/// [`Error::IndexOutOfBounds`] on a relation `≥ num_relations`, or
+/// [`Error::ShapeMismatch`] on unequal slice lengths.
 ///
 /// # Examples
 ///
@@ -116,18 +118,18 @@ pub fn hrt(
     let mut coo = CooMatrix::with_capacity(m, cols, 3 * m);
     for i in 0..m {
         let (h, r, t) = (heads[i] as usize, rels[i] as usize, tails[i] as usize);
-        check_entity(h, num_entities, i)?;
-        check_entity(t, num_entities, i)?;
-        if r >= num_relations {
-            return Err(Error::IndexOutOfBounds {
+        // An entity index below `cols` may still be past the entity columns.
+        if let Some(entity) = [h, t].into_iter().find(|&e| e >= num_entities) {
+            return Err(Error::EntityOutOfBounds {
                 row: i,
-                col: num_entities + r,
+                entity,
+                entities: num_entities,
                 rows: m,
-                cols,
             });
         }
         coo.push_unchecked(i, h, 1.0);
-        coo.push_unchecked(i, num_entities + r, 1.0);
+        // Checked: a relation past `num_relations` is a column past `cols`.
+        coo.push(i, num_entities + r, 1.0)?;
         coo.push_unchecked(i, t, tail_coeff);
     }
     Ok(coo.to_csr())
@@ -138,8 +140,8 @@ pub fn hrt(
 ///
 /// The [`IncidencePair`] of a batch's relation list is that batch grouped by
 /// relation, with no further type: `forward.indices()` is the list itself,
-/// `transpose.row(r)` lists relation `r`'s batch rows in ascending order, and
-/// `touched_columns()` is the sorted list of distinct relations.
+/// `touched_columns()` the sorted distinct relations, and `column(k)` the
+/// batch rows of relation `touched_columns()[k]` in ascending order.
 ///
 /// # Errors
 ///
@@ -152,8 +154,8 @@ pub fn hrt(
 ///
 /// let by_rel = IncidencePair::new(selection(4, &[2, 0, 2])?);
 /// assert_eq!(by_rel.forward.indices(), &[2, 0, 2]);
-/// assert_eq!(by_rel.transpose.row(2).map(|(i, _)| i).collect::<Vec<_>>(), vec![0, 2]);
-/// assert_eq!(by_rel.touched_columns(), &[0, 2]);
+/// assert_eq!(by_rel.touched_columns()[..], [0, 2]);
+/// assert_eq!(by_rel.column(1), (&[0, 2][..], &[1.0, 1.0][..]));
 /// # Ok::<(), sparse::Error>(())
 /// ```
 pub fn selection(num_cols: usize, picks: &[u32]) -> Result<CsrMatrix> {
@@ -175,69 +177,67 @@ pub fn selection(num_cols: usize, picks: &[u32]) -> Result<CsrMatrix> {
     ))
 }
 
-fn check_entity(idx: usize, num_entities: usize, row: usize) -> Result<()> {
-    if idx >= num_entities {
-        Err(Error::IndexOutOfBounds {
-            row,
-            col: idx,
-            rows: 0,
-            cols: num_entities,
-        })
-    } else {
-        Ok(())
-    }
-}
-
-/// A forward incidence matrix paired with its cached transpose.
+/// A forward incidence matrix and its columns, for the backward pass.
 ///
 /// SparseTransX training reuses each mini-batch's incidence matrix every
-/// epoch; the backward pass needs `Aᵀ` (Appendix G), so both are materialized
-/// once and kept together.
+/// epoch; the backward pass needs `Aᵀ` (Appendix G), so both are built once
+/// and kept together — `Aᵀ` over the touched columns only, read through
+/// [`column`](Self::column), so the pair's size follows the batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncidencePair {
     /// Forward matrix `A` (`M × cols`).
     pub forward: CsrMatrix,
-    /// Cached transpose `Aᵀ` (`cols × M`).
-    pub transpose: CsrMatrix,
-    /// Sorted, deduplicated nonzero columns of `A` — the embedding rows this
-    /// batch touches. Cached once per pair (the same `O(cols)` pass the
-    /// transpose construction already pays) so the backward pass and the
-    /// touched-row gradient contract never rescan the matrix — and shared,
-    /// so a consumer that keeps the list (a paging schedule) clones a
-    /// pointer.
+    /// `Aᵀ` over the touched columns only (`touched × M`).
+    columns: CsrMatrix,
+    /// Sorted, deduplicated nonzero columns of `A`.
     touched: Arc<[u32]>,
 }
 
 impl IncidencePair {
-    /// Builds the pair from a forward matrix.
+    /// Builds the pair from a forward matrix: one `O(nnz log nnz)` sort of
+    /// its entries by column, then by batch row.
     pub fn new(forward: CsrMatrix) -> Self {
-        let transpose = forward.transpose();
-        // Occupied rows of Aᵀ == nonzero columns of A, read in O(cols) off
-        // the transpose's indptr instead of an O(nnz log nnz) sort.
-        let touched = transpose.occupied_rows().into();
-        Self {
-            forward,
-            transpose,
-            touched,
+        // Keys `column << 32 | entry`: entries are stored row by row, so
+        // within a column the entry order is the batch-row order.
+        let (mut keys, mut row_of) = (Vec::with_capacity(forward.nnz()), Vec::new());
+        for i in 0..forward.rows() {
+            let (s, e) = forward.row_bounds(i);
+            keys.extend((s..e).map(|p| u64::from(forward.indices()[p]) << 32 | p as u64));
+            row_of.resize(e, i as u32);
         }
-    }
-
-    /// Number of triplets (rows of the forward matrix).
-    pub fn num_triples(&self) -> usize {
-        self.forward.rows()
+        keys.sort_unstable();
+        let column = |k: usize| (keys[k] >> 32) as u32;
+        let starts: Vec<usize> = (0..keys.len())
+            .filter(|&k| k == 0 || column(k) != column(k - 1))
+            .collect();
+        let indptr = starts.iter().map(|&k| k as u32).chain([keys.len() as u32]);
+        let entries = keys.iter().map(|&key| key as u32 as usize);
+        let indices = entries.clone().map(|p| row_of[p]).collect();
+        let values = entries.map(|p| forward.values()[p]).collect();
+        let (t, m) = (starts.len(), forward.rows());
+        let columns = CsrMatrix::from_raw_parts_unchecked(t, m, indptr.collect(), indices, values);
+        Self {
+            touched: starts.into_iter().map(column).collect(),
+            forward,
+            columns,
+        }
     }
 
     /// Sorted, deduplicated column indices of `forward` with at least one
     /// nonzero — exactly the parameter rows whose gradients a batch using
     /// this incidence matrix can touch. Consumers union it into their
-    /// `RowSet`s per batch.
-    pub fn touched_columns(&self) -> &[u32] {
+    /// `RowSet`s per batch; one that keeps it (a paging schedule) clones a
+    /// pointer.
+    pub fn touched_columns(&self) -> &Arc<[u32]> {
         &self.touched
     }
 
-    /// [`IncidencePair::touched_columns`] as the shared list itself.
-    pub fn touched_columns_shared(&self) -> &Arc<[u32]> {
-        &self.touched
+    /// Column `touched_columns()[k]` of `forward` (row `k` of the kept `Aᵀ`;
+    /// panics past the list): the batch rows that hold it, ascending, and
+    /// their coefficients, explicit self-loop zeros included.
+    pub fn column(&self, k: usize) -> (&[u32], &[f32]) {
+        let (s, e) = self.columns.row_bounds(k);
+        (&self.columns.indices()[s..e], &self.columns.values()[s..e])
     }
 }
 
@@ -325,6 +325,28 @@ mod tests {
     }
 
     #[test]
+    fn bound_errors_name_the_batch_shape_and_the_bound_crossed() {
+        let msg = |e: Error| e.to_string();
+        assert_eq!(
+            msg(ht(3, &[0, 1], &[1, 9]).unwrap_err()),
+            "index (1, 9) out of bounds for 2x3 matrix"
+        );
+        // An entity below the relation columns is still not an entity.
+        assert_eq!(
+            msg(hrt(3, 2, &[4], &[0], &[1], TailSign::Negative).unwrap_err()),
+            "entity 4 in row 0 of 1 out of bounds for 3 entities"
+        );
+        assert_eq!(
+            msg(hrt(3, 2, &[0, 1], &[0, 2], &[1, 2], TailSign::Negative).unwrap_err()),
+            "index (1, 5) out of bounds for 2x5 matrix"
+        );
+        assert_eq!(
+            msg(selection(3, &[0, 3, 1]).unwrap_err()),
+            "index (1, 3) out of bounds for 3x3 matrix"
+        );
+    }
+
+    #[test]
     fn selection_gathers_rows_and_validates_bounds() {
         let p = DenseMatrix::from_rows(&[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]);
         let s = selection(3, &[2, 0, 2]).unwrap();
@@ -344,12 +366,35 @@ mod tests {
         ));
     }
 
+    /// Row `k` of `a.transpose()`'s occupied rows, as `(batch rows, coefficients)`.
+    fn transposed_columns(a: &CsrMatrix) -> Vec<(u32, Vec<u32>, Vec<f32>)> {
+        let t = a.transpose();
+        (0..t.rows())
+            .filter(|&c| t.row(c).count() > 0)
+            .map(|c| {
+                let (rows, coeffs) = t.row(c).map(|(i, v)| (i as u32, v)).unzip();
+                (c as u32, rows, coeffs)
+            })
+            .collect()
+    }
+
     #[test]
     fn incidence_pair_caches_transpose() {
-        let a = hrt(5, 2, &[0, 1], &[0, 1], &[2, 3], TailSign::Negative).unwrap();
+        // A self-loop (explicit zero), a repeated relation and an untouched
+        // entity: every kept column is that row of the full transpose.
+        let a = hrt(6, 2, &[0, 1, 3], &[1, 1, 0], &[2, 1, 0], TailSign::Negative).unwrap();
         let pair = IncidencePair::new(a.clone());
-        assert_eq!(pair.num_triples(), 2);
-        assert_eq!(pair.transpose, a.transpose());
+        assert_eq!(pair.forward.rows(), 3);
+        let kept: Vec<_> = (0..pair.touched_columns().len())
+            .map(|k| {
+                let (rows, coeffs) = pair.column(k);
+                (pair.touched_columns()[k], rows.to_vec(), coeffs.to_vec())
+            })
+            .collect();
+        assert_eq!(kept, transposed_columns(&a));
+        assert_eq!(pair.column(1), (&[1u32][..], &[0.0f32][..]));
+        let empty = IncidencePair::new(ht(4, &[], &[]).unwrap());
+        assert!(empty.touched_columns().is_empty());
     }
 
     #[test]
@@ -357,8 +402,20 @@ mod tests {
         // Triples (0, r0, 2) and (1, r1, 3) over 5 entities + 2 relations:
         // columns 0..=3 plus relation columns 5 and 6; entity 4 untouched.
         let a = hrt(5, 2, &[0, 1], &[0, 1], &[2, 3], TailSign::Negative).unwrap();
-        let pair = IncidencePair::new(a.clone());
-        assert_eq!(pair.touched_columns(), &[0, 1, 2, 3, 5, 6]);
-        assert_eq!(pair.touched_columns(), a.nonzero_columns());
+        let pair = IncidencePair::new(a);
+        assert_eq!(pair.touched_columns()[..], [0, 1, 2, 3, 5, 6]);
+    }
+
+    #[test]
+    fn pair_bytes_do_not_depend_on_the_table() {
+        // One batch over a thousand and over a million entities.
+        let (heads, rels, tails) = ([0, 7, 7, 500], [0, 1, 1, 0], [3, 3, 999, 500]);
+        let bytes = |n: usize| {
+            let a = hrt(n, 2, &heads, &rels, &tails, TailSign::Negative).unwrap();
+            let pair = IncidencePair::new(a);
+            // Both matrices and the touched list.
+            pair.forward.heap_bytes() + pair.columns.heap_bytes() + 4 * pair.touched.len()
+        };
+        assert_eq!(bytes(1_000), bytes(1_000_000));
     }
 }

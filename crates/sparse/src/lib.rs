@@ -10,7 +10,8 @@
 //!
 //! It also hosts the paper's central data structure: the **triplet incidence
 //! matrix** ([`incidence`]), whose rows hold exactly two (`h − t`) or three
-//! (`h + r − t`) nonzeros drawn from `{−1, +1}`.
+//! (`h + r − t`) nonzeros drawn from `{−1, +1}`, kept with `Aᵀ` over the
+//! columns the batch touches ([`incidence::IncidencePair`]).
 //!
 //! **Place in the workspace:** sits directly on `xparallel`; consumed by
 //! `tensor` (the SpMM autograd op), `simcache` (kernel traces), and

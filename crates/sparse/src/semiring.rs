@@ -18,7 +18,7 @@
 //! ([`Semiring::lane_width`], the term and its three partials); which stored
 //! entry plays which role is decided once for all three, in
 //! [`Semiring::decode`]. The training tape runs the forward walk as is and
-//! applies the same lane function along the cached transpose for the
+//! applies the same lane function along the incidence pair's columns for the
 //! backward, so the kernel that is benchmarked is the kernel that trains.
 
 use crate::{metrics, Complex32, CsrMatrix, DenseView};

@@ -19,8 +19,8 @@
 //! `Box<dyn` [`AnyModel`]`>`, which trains like a concrete model.
 //!
 //! The sparse variants build each mini-batch's incidence matrix **once**
-//! (negatives are pre-generated, §5.3) and reuse it — with its cached
-//! transpose for the backward SpMM — every epoch.
+//! (negatives are pre-generated, §5.3) and reuse it — with its transpose over
+//! the rows the batch touches, for the backward SpMM — every epoch.
 //!
 //! [`Trainer`] is the one training driver — margin-ranking loss over a
 //! [`kg::BatchPlan`], one replica or several ([`Trainer::replicated`], Appendix

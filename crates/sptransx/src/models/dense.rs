@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use kg::{Batch, TripleStore};
+use kg::TripleStore;
 use sparse::incidence::IncidencePair;
 use tensor::{Graph, ParamId, ParamStore, Tensor, Var};
 
@@ -25,8 +25,8 @@ use crate::model::normalize_leading_rows;
 use crate::models::sptransh::Hyperplanes;
 use crate::models::sptransr::Projections;
 use crate::models::{
-    both, dense_side, rel_groups, stacked_torus_init, stacked_transe_init, Cx, DenseSide, Eval,
-    Family, Geometry, Model, RankQuery, Shape,
+    by_relation, dense_side, stacked_torus_init, stacked_transe_init, Cx, DenseSide, Eval, Family,
+    Geometry, Model, RankQuery, Shape,
 };
 use crate::scorer::QueryDir;
 use crate::Result;
@@ -112,8 +112,8 @@ impl Family for GatherTransE {
         ))
     }
 
-    fn cache(&self, _: &Shape, batch: &Batch) -> Result<[DenseSide; 2]> {
-        both(batch, |t| Ok(dense_side(t)))
+    fn cache(&self, _: &Shape, triples: &TripleStore) -> Result<DenseSide> {
+        Ok(dense_side(triples))
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &DenseSide) -> Var {
@@ -166,8 +166,8 @@ impl Family for GatherTorusE {
         ))
     }
 
-    fn cache(&self, _: &Shape, batch: &Batch) -> Result<[DenseSide; 2]> {
-        both(batch, |t| Ok(dense_side(t)))
+    fn cache(&self, _: &Shape, triples: &TripleStore) -> Result<DenseSide> {
+        Ok(dense_side(triples))
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &DenseSide) -> Var {
@@ -214,10 +214,8 @@ impl Family for GatherTransR {
         GatherTransR(Projections::register(store, shape, seed))
     }
 
-    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[Self::Side; 2]> {
-        let [pos, neg] = both(batch, |t| Ok(dense_side(t)))?;
-        let [pos_groups, neg_groups] = rel_groups(shape, batch)?;
-        Ok([(pos, pos_groups), (neg, neg_groups)])
+    fn cache(&self, shape: &Shape, triples: &TripleStore) -> Result<Self::Side> {
+        Ok((dense_side(triples), by_relation(shape, triples)?))
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, (side, by_rel): &Self::Side) -> Var {
@@ -280,8 +278,8 @@ impl Family for GatherTransH {
         GatherTransH(Hyperplanes::register(store, shape, seed))
     }
 
-    fn cache(&self, _: &Shape, batch: &Batch) -> Result<[DenseSide; 2]> {
-        both(batch, |t| Ok(dense_side(t)))
+    fn cache(&self, _: &Shape, triples: &TripleStore) -> Result<DenseSide> {
+        Ok(dense_side(triples))
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &DenseSide) -> Var {

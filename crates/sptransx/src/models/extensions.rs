@@ -2,14 +2,14 @@
 //! Table 2): TransC and TransM. Both reuse the `hrt` expression, so each is
 //! a different *reduction* over the same single SpMM.
 
-use kg::{Batch, TripleStore};
+use kg::TripleStore;
 use sparse::incidence::TailSign;
 use tensor::{Graph, ParamStore, RowScore, Var};
 
 use crate::model::normalize_leading_rows;
 use crate::models::{
-    both, hrt_side, stacked_transe_init, Cx, Eval, Family, Geometry, HrtSide, Model, RankQuery,
-    Shape, Stacked, WorkingSet,
+    hrt_side, stacked_transe_init, Cx, Eval, Family, Geometry, HrtSide, Model, RankQuery, Shape,
+    Stacked, WorkingSet,
 };
 use crate::scorer::QueryDir;
 use crate::Result;
@@ -45,8 +45,8 @@ impl Family for TransC {
         TransC(Stacked::register(store, stacked_transe_init(shape, seed)))
     }
 
-    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[HrtSide; 2]> {
-        both(batch, |t| hrt_side(shape, t, TailSign::Negative))
+    fn cache(&self, shape: &Shape, triples: &TripleStore) -> Result<HrtSide> {
+        hrt_side(shape, triples, TailSign::Negative)
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {
@@ -144,11 +144,10 @@ impl Family for TransM {
         }
     }
 
-    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[Self::Side; 2]> {
-        both(batch, |t| {
-            let weights = t.rels().iter().map(|&r| self.rel_weights[r as usize]);
-            Ok((hrt_side(shape, t, TailSign::Negative)?, weights.collect()))
-        })
+    fn cache(&self, shape: &Shape, triples: &TripleStore) -> Result<Self::Side> {
+        let weights = triples.rels().iter().map(|&r| self.rel_weights[r as usize]);
+        let pair = hrt_side(shape, triples, TailSign::Negative)?;
+        Ok((pair, weights.collect()))
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, (pair, w): &Self::Side) -> Var {

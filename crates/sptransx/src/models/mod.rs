@@ -24,7 +24,7 @@ use std::fmt::Debug;
 use std::sync::Arc;
 
 use kg::eval::{BatchScorer, TripleScorer};
-use kg::{Batch, BatchPlan, Dataset, TripleStore};
+use kg::{BatchPlan, Dataset, TripleStore};
 use sparse::incidence::{self, IncidencePair, TailSign};
 use tensor::{init, Graph, ParamId, ParamStore, Tensor, Var};
 
@@ -161,14 +161,14 @@ pub trait Family: Debug + Sized + Send + Sync + 'static {
     /// statistics of the training graph, not for sizes.
     fn init(store: &mut ParamStore, shape: &Shape, seed: u64, train: &TripleStore) -> Self;
 
-    /// Builds both sides' cached structures for one batch (positives first).
-    /// Called once per batch from `attach_plan`, batches fanned out on the
-    /// global pool; it may allocate freely.
+    /// Builds the cached structure of one side of a batch: its positives or
+    /// its negatives. Called twice per batch from `attach_plan` (positives
+    /// first), batches fanned out on the global pool; it may allocate freely.
     ///
     /// # Errors
     ///
-    /// Returns an error if the batch references out-of-range indices.
-    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[Self::Side; 2]>;
+    /// Returns an error if the triples reference out-of-range indices.
+    fn cache(&self, shape: &Shape, triples: &TripleStore) -> Result<Self::Side>;
 
     /// Records the tape expression for **one side** of a batch and returns
     /// its `(m, 1)` distance column (lower is better; a similarity is
@@ -327,14 +327,16 @@ impl<F: Family> KgeModel for Model<F> {
 
     fn attach_plan(&mut self, plan: &BatchPlan) -> Result<()> {
         // Batches are independent, so cache construction (CSR assembly plus
-        // the cached transpose) fans out one task per batch on the global
+        // the touched columns) fans out one task per batch on the global
         // pool; the first error by batch index wins, keeping this
         // deterministic.
         let (family, shape) = (&self.family, &self.shape);
         let mut slots: Vec<Option<Result<[F::Side; 2]>>> = Vec::new();
         slots.resize_with(plan.num_batches(), || None);
         xparallel::PoolHandle::global().for_each_mut(&mut slots, |i, slot| {
-            *slot = Some(family.cache(shape, plan.batch(i)));
+            let batch = plan.batch(i);
+            let pos = family.cache(shape, &batch.pos);
+            *slot = Some(pos.and_then(|pos| Ok([pos, family.cache(shape, &batch.neg)?])));
         });
         self.batches = slots
             .into_iter()
@@ -579,7 +581,7 @@ impl Stacked {
     /// The `hrt` families' [`Family::WORKING_SET`]: the columns a side's
     /// incidence matrix touches.
     pub(crate) fn working_set<'a>(&self, side: &'a HrtSide) -> (ParamId, &'a Arc<[u32]>) {
-        (self.emb, side.touched_columns_shared())
+        (self.emb, side.touched_columns())
     }
 }
 
@@ -607,11 +609,6 @@ pub(crate) fn stacked_torus_init(s: &Shape, seed: u64) -> Tensor {
         *x += 0.5;
     }
     emb
-}
-
-/// Both sides of a batch through one builder, positives first.
-pub(crate) fn both<T>(batch: &Batch, side: impl Fn(&TripleStore) -> Result<T>) -> Result<[T; 2]> {
-    Ok([side(&batch.pos)?, side(&batch.neg)?])
 }
 
 /// One side of an `hrt` family (TransE, TorusE, TransC, TransM and the
@@ -663,22 +660,12 @@ pub(crate) fn dense_side(t: &TripleStore) -> DenseSide {
     }
 }
 
-/// A batch grouped by relation, per side: the pair of the side's `m × R`
-/// relation selection matrix ([`incidence::selection`]), which is what
-/// `Graph::project_rows` walks. The built-in samplers corrupt heads and tails
-/// only, so both sides usually share one pair.
-pub(crate) fn rel_groups(s: &Shape, batch: &Batch) -> Result<[Arc<IncidencePair>; 2]> {
-    let group = |rels: &[u32]| -> Result<Arc<IncidencePair>> {
-        let selection = incidence::selection(s.relations, rels)?;
-        Ok(Arc::new(IncidencePair::new(selection)))
-    };
-    let pos = group(batch.pos.rels())?;
-    let neg = if batch.neg.rels() == batch.pos.rels() {
-        pos.clone()
-    } else {
-        group(batch.neg.rels())?
-    };
-    Ok([pos, neg])
+/// One side grouped by relation: the pair of its `m × R` relation selection
+/// matrix ([`incidence::selection`]), which is what `Graph::project_rows`
+/// walks.
+pub(crate) fn by_relation(s: &Shape, t: &TripleStore) -> Result<Arc<IncidencePair>> {
+    let selection = incidence::selection(s.relations, t.rels())?;
+    Ok(Arc::new(IncidencePair::new(selection)))
 }
 
 #[cfg(test)]

@@ -6,12 +6,12 @@
 //! complex-conjugate semiring of Appendix D; scores are negated on the tape
 //! for the margin-ranking trainer.
 
-use kg::{Batch, TripleStore};
+use kg::TripleStore;
 use sparse::incidence::TailSign;
 use sparse::Complex32;
 use tensor::{init, Graph, ParamStore, Semiring, Var};
 
-use crate::models::{both, hrt_side, Cx, Eval, Family, HrtSide, Model, RankQuery, Shape, Stacked};
+use crate::models::{hrt_side, Cx, Eval, Family, HrtSide, Model, RankQuery, Shape, Stacked};
 use crate::scorer::QueryDir;
 use crate::Result;
 
@@ -79,8 +79,8 @@ impl Family for ComplEx {
         ComplEx(Stacked::register(store, emb))
     }
 
-    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[HrtSide; 2]> {
-        both(batch, |t| hrt_side(shape, t, TailSign::Negative))
+    fn cache(&self, shape: &Shape, triples: &TripleStore) -> Result<HrtSide> {
+        hrt_side(shape, triples, TailSign::Negative)
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {

@@ -10,11 +10,11 @@
 //! To reuse the margin-ranking trainer (which minimizes positive
 //! *distances*), scores are negated on the tape.
 
-use kg::{Batch, TripleStore};
+use kg::TripleStore;
 use sparse::incidence::TailSign;
 use tensor::{init, Graph, ParamStore, Semiring, Var};
 
-use crate::models::{both, hrt_side, Cx, Eval, Family, HrtSide, Model, RankQuery, Shape, Stacked};
+use crate::models::{hrt_side, Cx, Eval, Family, HrtSide, Model, RankQuery, Shape, Stacked};
 use crate::scorer::QueryDir;
 use crate::Result;
 
@@ -49,10 +49,10 @@ impl Family for DistMult {
         DistMult(Stacked::register(store, emb))
     }
 
-    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[HrtSide; 2]> {
+    fn cache(&self, shape: &Shape, triples: &TripleStore) -> Result<HrtSide> {
         // Positive tail sign: the (×,×) semiring ignores signs, and an
         // all-+1 matrix keeps the formulation of Appendix D literal.
-        both(batch, |t| hrt_side(shape, t, TailSign::Positive))
+        hrt_side(shape, triples, TailSign::Positive)
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {

@@ -5,15 +5,15 @@
 //! Appendix D maps this onto the same incidence traversal with a "rotate"
 //! semiring: [`tensor::Graph::semiring_score`] under [`Semiring::RotatE`]
 //! computes the per-triple distance and backpropagates through the complex
-//! product via the cached transpose.
+//! product along the columns the batch's incidence pair keeps.
 
-use kg::{Batch, TripleStore};
+use kg::TripleStore;
 use sparse::incidence::TailSign;
 use tensor::{init, Graph, ParamStore, Semiring, Tensor, Var};
 
 use crate::model::UNIT_NORM_TOL;
 use crate::models::spcomplex::{complex, complex_query};
-use crate::models::{both, hrt_side, Cx, Eval, Family, HrtSide, Model, RankQuery, Shape, Stacked};
+use crate::models::{hrt_side, Cx, Eval, Family, HrtSide, Model, RankQuery, Shape, Stacked};
 use crate::scorer::QueryDir;
 use crate::Result;
 
@@ -55,8 +55,8 @@ impl Family for RotatE {
         RotatE(Stacked::register(store, emb))
     }
 
-    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[HrtSide; 2]> {
-        both(batch, |t| hrt_side(shape, t, TailSign::Negative))
+    fn cache(&self, shape: &Shape, triples: &TripleStore) -> Result<HrtSide> {
+        hrt_side(shape, triples, TailSign::Negative)
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {

@@ -4,13 +4,13 @@
 //! single `hrt` SpMM) but measures it with a wraparound (torus) metric over
 //! the fractional parts of the embeddings, and applies no norm constraints.
 
-use kg::{Batch, TripleStore};
+use kg::TripleStore;
 use sparse::incidence::TailSign;
 use tensor::{Graph, ParamStore, Var};
 
 use crate::models::{
-    both, hrt_side, stacked_torus_init, Cx, Eval, Family, Geometry, HrtSide, Model, RankQuery,
-    Shape, Stacked, WorkingSet,
+    hrt_side, stacked_torus_init, Cx, Eval, Family, Geometry, HrtSide, Model, RankQuery, Shape,
+    Stacked, WorkingSet,
 };
 use crate::scorer::QueryDir;
 use crate::Result;
@@ -48,8 +48,8 @@ impl Family for TorusE {
         TorusE(Stacked::register(store, stacked_torus_init(shape, seed)))
     }
 
-    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[HrtSide; 2]> {
-        both(batch, |t| hrt_side(shape, t, TailSign::Negative))
+    fn cache(&self, shape: &Shape, triples: &TripleStore) -> Result<HrtSide> {
+        hrt_side(shape, triples, TailSign::Negative)
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {

@@ -3,16 +3,16 @@
 //! TransE enforces `h + r ≈ t`. The sparse formulation stacks entity and
 //! relation embeddings in one `(N + R) × d` matrix and computes the whole
 //! batch's `h + r − t` expressions as a single SpMM with the `hrt` incidence
-//! matrix (§4.2.2); the backward pass is one SpMM with the cached transpose.
+//! matrix (§4.2.2); the backward pass is one SpMM with its kept columns.
 
-use kg::{Batch, TripleStore};
+use kg::TripleStore;
 use sparse::incidence::TailSign;
 use tensor::{Graph, ParamStore, Var};
 
 use crate::model::normalize_leading_rows;
 use crate::models::{
-    both, hrt_side, stacked_transe_init, Cx, Eval, Family, HrtSide, Model, RankQuery, Shape,
-    Stacked, WorkingSet,
+    hrt_side, stacked_transe_init, Cx, Eval, Family, HrtSide, Model, RankQuery, Shape, Stacked,
+    WorkingSet,
 };
 use crate::scorer::QueryDir;
 use crate::Result;
@@ -47,8 +47,8 @@ impl Family for TransE {
         TransE(Stacked::register(store, stacked_transe_init(shape, seed)))
     }
 
-    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[HrtSide; 2]> {
-        both(batch, |t| hrt_side(shape, t, TailSign::Negative))
+    fn cache(&self, shape: &Shape, triples: &TripleStore) -> Result<HrtSide> {
+        hrt_side(shape, triples, TailSign::Negative)
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HrtSide) -> Var {

@@ -13,11 +13,11 @@
 //! expression reuse is why the paper reports ~11× lower GPU memory for
 //! TransH (§6.2.2).
 
-use kg::{Batch, TripleStore};
+use kg::TripleStore;
 use tensor::{init, Graph, ParamId, ParamStore, Var};
 
 use crate::model::normalize_leading_rows;
-use crate::models::{both, ht_side, Cx, Eval, Family, HtSide, Model, RankQuery, Shape, WorkingSet};
+use crate::models::{ht_side, Cx, Eval, Family, HtSide, Model, RankQuery, Shape, WorkingSet};
 use crate::scorer::QueryDir;
 use crate::Result;
 
@@ -112,15 +112,15 @@ pub struct TransH(pub Hyperplanes);
 impl Family for TransH {
     const NAME: &'static str = "SpTransH";
     const WORKING_SET: Option<WorkingSet<Self>> =
-        Some(|f, side| (f.0.ent, side.pair.touched_columns_shared()));
+        Some(|f, side| (f.0.ent, side.pair.touched_columns()));
     type Side = HtSide;
 
     fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
         TransH(Hyperplanes::register(store, shape, seed))
     }
 
-    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[HtSide; 2]> {
-        both(batch, |t| ht_side(shape, t))
+    fn cache(&self, shape: &Shape, triples: &TripleStore) -> Result<HtSide> {
+        ht_side(shape, triples)
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HtSide) -> Var {

@@ -8,13 +8,13 @@
 
 use std::sync::Arc;
 
-use kg::{Batch, TripleStore};
+use kg::TripleStore;
 use sparse::incidence::IncidencePair;
 use tensor::{init, Graph, ParamId, ParamStore, Var};
 
 use crate::model::normalize_leading_rows;
 use crate::models::{
-    both, ht_side, rel_groups, Cx, Eval, Family, HtSide, Model, RankQuery, Shape, WorkingSet,
+    by_relation, ht_side, Cx, Eval, Family, HtSide, Model, RankQuery, Shape, WorkingSet,
 };
 use crate::scorer::QueryDir;
 use crate::Result;
@@ -110,7 +110,7 @@ pub struct TransR(pub Projections);
 impl Family for TransR {
     const NAME: &'static str = "SpTransR";
     const WORKING_SET: Option<WorkingSet<Self>> =
-        Some(|f, (side, _)| (f.0.ent, side.pair.touched_columns_shared()));
+        Some(|f, (side, _)| (f.0.ent, side.pair.touched_columns()));
     /// The `ht` side and the side's triples grouped by relation.
     type Side = (HtSide, Arc<IncidencePair>);
 
@@ -118,10 +118,8 @@ impl Family for TransR {
         TransR(Projections::register(store, shape, seed))
     }
 
-    fn cache(&self, shape: &Shape, batch: &Batch) -> Result<[Self::Side; 2]> {
-        let [pos, neg] = both(batch, |t| ht_side(shape, t))?;
-        let [pos_groups, neg_groups] = rel_groups(shape, batch)?;
-        Ok([(pos, pos_groups), (neg, neg_groups)])
+    fn cache(&self, shape: &Shape, triples: &TripleStore) -> Result<Self::Side> {
+        Ok((ht_side(shape, triples)?, by_relation(shape, triples)?))
     }
 
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, (side, by_rel): &Self::Side) -> Var {

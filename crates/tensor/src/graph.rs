@@ -5,7 +5,7 @@ use std::sync::Arc;
 use sparse::incidence::IncidencePair;
 use sparse::semiring::{semiring_spmm_into_with, Semiring};
 use sparse::spmm::{csr_spmm_into_with, spmm_row, spmm_row_acc};
-use sparse::{CsrMatrix, DenseView};
+use sparse::DenseView;
 use xparallel::{PoolHandle, Rows};
 
 use crate::profile;
@@ -430,16 +430,13 @@ pub struct Graph {
     /// the margin-loss backward seed). On by default; the unfused arm
     /// records the materialized op-by-op tape instead, bit-identical.
     fused: bool,
+    /// Where the backward sweeps find a parameter row's incidence column.
+    columns: ColumnIndex,
 }
 
 impl Default for Graph {
     fn default() -> Self {
-        Self {
-            nodes: Vec::new(),
-            pool: PoolHandle::default(),
-            arena: Arena::new(),
-            fused: true,
-        }
+        Self::with_pool(PoolHandle::default())
     }
 }
 
@@ -456,6 +453,7 @@ impl Graph {
             pool,
             arena: Arena::new(),
             fused: true,
+            columns: ColumnIndex::default(),
         }
     }
 
@@ -587,7 +585,7 @@ impl Graph {
         self.push(out, Op::Gather { param, indices })
     }
 
-    /// Multiplies a (cached-transpose) incidence matrix by parameter `param`:
+    /// Multiplies an incidence pair's matrix by parameter `param`:
     /// `out = A · P`. Backward: `P.grad += Aᵀ · out.grad` (Appendix G).
     ///
     /// # Panics
@@ -621,7 +619,7 @@ impl Graph {
     /// Backward (fused arm) is two passes. A batch-row-parallel pass
     /// re-derives each row's product once and stores the score derivative
     /// `g_i · score'(x_{i,j})` in one arena-recycled `m × d` buffer; then the
-    /// cached transpose is walked like the SpMM backward, each parameter
+    /// pair's columns are walked like the SpMM backward, each parameter
     /// gradient row owned by exactly one worker and accumulating
     /// `aval · dx[i, :]` in tape order, so training stays bit-identical at
     /// any pool width.
@@ -758,7 +756,7 @@ impl Graph {
     /// ([`sparse::incidence::selection`]): `r(i)` is row `i`'s one column.
     ///
     /// The kernels walk the batch **relation by relation** (the pair's
-    /// transpose), so each `Mᵣ` is brought into L1 once per group instead
+    /// columns), so each `Mᵣ` is brought into L1 once per group instead
     /// of once per batch row, and they vectorize *across* the outputs of a
     /// row. Every output element is still the sum of its products folded from
     /// `0.0` in ascending inner index — what a plain dot-product loop
@@ -902,7 +900,7 @@ impl Graph {
     /// its entity row in both roles.
     ///
     /// Forward is [`semiring_spmm_into_with`] over the forward matrix.
-    /// Backward walks the cached transpose: each parameter gradient row is
+    /// Backward walks the pair's columns: each parameter gradient row is
     /// owned by one worker and receives `g_i · ∂term/∂operand` from its
     /// incident triples in tape order, operand rows read through the
     /// store's table view — so the op is bit-identical at any pool width
@@ -974,21 +972,20 @@ impl Graph {
                 // grad += Aᵀ · g, accumulated in place: untouched parameter
                 // rows cost nothing (Appendix G, without the dense delta).
                 store.touch(param, pair.touched_columns());
-                let tr = &pair.transpose;
-                accumulate_transpose(&self.pool, store, param, tr, g.view());
+                let (cols, fwd) = (&mut self.columns, &pair.forward);
+                accumulate_transpose(&self.pool, store, (param, &pair), cols, g.view());
                 sparse::metrics::record_spmm_call();
                 // Accumulation makes every ±1 nonzero one add. Per nonzero:
                 // index+value, one gathered row of `g`, and the gradient row
                 // read *and* written.
-                let (nnz, n) = (tr.nnz() as u64, g.cols() as u64);
-                let per_nnz = if tr.has_unit_coefficients() { 1 } else { 2 };
+                let (nnz, n) = (fwd.nnz() as u64, g.cols() as u64);
+                let per_nnz = if fwd.has_unit_coefficients() { 1 } else { 2 };
                 sparse::metrics::add_flops(per_nnz * nnz * n);
                 sparse::metrics::add_bytes(nnz * 8 + 3 * nnz * n * 4);
             }
             Op::SpmmScore { param, pair, score } => {
                 let _t = profile::scope("op::spmm_score_backward");
                 let fwd = &pair.forward;
-                let tr = &pair.transpose;
                 store.touch(param, pair.touched_columns());
                 let (m, nnz) = (fwd.rows(), fwd.nnz() as u64);
                 let view = store.table(param);
@@ -1018,7 +1015,8 @@ impl Graph {
                             }
                         });
                     // Pass 2: the SpMM backward, over `dx`.
-                    accumulate_transpose(&self.pool, store, param, tr, dx.view());
+                    let cols = &mut self.columns;
+                    accumulate_transpose(&self.pool, store, (param, &pair), cols, dx.view());
                     self.arena.reclaim(dx);
                 }
                 // What the two passes move: the derivative pass reads one
@@ -1103,11 +1101,10 @@ impl Graph {
                 // d mats[r] += Σ_i g_i ⊗ vecs[i] over relation r's batch rows
                 // (none, for a row some other op touched).
                 let vd = self.nodes[vecs.0].value.as_slice();
-                let groups = &by_rel.transpose;
+                let group = self.columns.fill(&by_rel);
                 store.touch(mats, by_rel.touched_columns());
                 store.sweep(mats, Sweep::Grads, &self.pool, 8, |r, dm, _| {
-                    let (s, e) = groups.row_bounds(r);
-                    add_outer_products(&groups.indices()[s..e], gd, vd, d_out, d_in, dm);
+                    add_outer_products(group(r).0, gd, vd, d_out, d_in, dm);
                 });
                 let groups = by_rel.touched_columns().len();
                 sparse::metrics::add_flops(4 * (m * d_out * d_in) as u64);
@@ -1161,14 +1158,13 @@ impl Graph {
             }
             Op::SemiringScore { param, pair, kind } => {
                 let _t = profile::scope("op::semiring_score_backward");
-                let (fwd, tr) = (&pair.forward, &pair.transpose);
+                let fwd = &pair.forward;
                 store.touch(param, pair.touched_columns());
                 let gd = g.as_slice();
                 let (indices, values) = (fwd.indices(), fwd.values());
-                // Rows touched by other ops have empty Aᵀ rows here and cost
-                // one indptr lookup.
+                let column = self.columns.fill(&pair);
                 store.sweep(param, Sweep::Grads, &self.pool, 32, |e, dst, table| {
-                    for (i, _) in tr.row(e) {
+                    for i in column(e).0.iter().map(|&i| i as usize) {
                         let (s, t) = fwd.row_bounds(i);
                         let cols = kind.decode(&indices[s..t], &values[s..t]);
                         let rows = cols.map(|c| table.row(c));
@@ -1204,24 +1200,51 @@ impl Graph {
 }
 
 /// The SpMM backward, `P.grad += Aᵀ · G` (Appendix G), for both SpMM ops:
-/// each touched parameter row `e` accumulates `aval · G[i, :]` over row `e` of
-/// the cached transpose `tr`, in CSR (= batch) order, wherever the store
-/// keeps that row's gradient — resident table or pinned cache slot. Callers
-/// [`ParamStore::touch`] the pair's columns first; a touched row that is
-/// empty in `tr` costs nothing.
+/// each touched parameter row `e` accumulates `aval · G[i, :]` over column
+/// `e` of `A`, in batch order, wherever the store keeps that row's gradient —
+/// resident table or pinned cache slot. Callers [`ParamStore::touch`] the
+/// pair's columns first; a row only another op touched costs one lookup.
 fn accumulate_transpose(
     pool: &PoolHandle,
     store: &mut ParamStore,
-    param: ParamId,
-    tr: &CsrMatrix,
+    (param, pair): (ParamId, &IncidencePair),
+    columns: &mut ColumnIndex,
     g: DenseView<'_>,
 ) {
-    assert_eq!(tr.cols(), g.rows(), "spmm shape mismatch");
-    let (indptr, indices, values) = (tr.indptr(), tr.indices(), tr.values());
+    assert_eq!(pair.forward.rows(), g.rows(), "spmm shape mismatch");
+    let column = columns.fill(pair);
     store.sweep(param, Sweep::Grads, pool, 64, |e, dst, _| {
-        let (s, t) = (indptr[e] as usize, indptr[e + 1] as usize);
-        spmm_row_acc(&indices[s..t], &values[s..t], &g, 0, dst);
+        let (rows, coeffs) = column(e);
+        spmm_row_acc(rows, coeffs, &g, 0, dst);
     });
+}
+
+/// A sparse set over parameter rows: `pos[e] = k` where `e` is an incidence
+/// pair's `touched_columns()[k]`, so a backward sweeping the store's touched
+/// rows finds row `e`'s column of `A` in O(1). Filled per op in O(touched)
+/// and never cleared — an entry is trusted only if `touched[pos[e]] == e` —
+/// and grown once, to the widest pair's column count.
+#[derive(Debug, Default)]
+struct ColumnIndex(Vec<u32>);
+
+impl ColumnIndex {
+    /// Indexes `pair`'s columns and returns the lookup: column `e` of `A` as
+    /// `(batch rows, coefficients)`, empty for a row the pair does not touch.
+    fn fill<'a>(
+        &'a mut self,
+        pair: &'a IncidencePair,
+    ) -> impl Fn(usize) -> (&'a [u32], &'a [f32]) + Sync + Copy {
+        let touched = pair.touched_columns();
+        self.0.resize(self.0.len().max(pair.forward.cols()), 0);
+        for (k, &e) in touched.iter().enumerate() {
+            self.0[e as usize] = k as u32;
+        }
+        let pos = &self.0;
+        move |e| match touched.get(pos[e] as usize) {
+            Some(&c) if c as usize == e => pair.column(pos[e] as usize),
+            _ => (&[], &[]),
+        }
+    }
 }
 
 /// `dst[indices[k], :] += src[k, :]` — the scatter of paper Figure 1(b).
@@ -1323,11 +1346,9 @@ fn for_each_group(
     end: usize,
     mut body: impl FnMut(usize, &[u32]),
 ) {
-    let groups = &by_rel.transpose;
-    for &r in by_rel.touched_columns() {
+    for (k, &r) in by_rel.touched_columns().iter().enumerate() {
         // Relation r's batch rows are ascending: cut the run inside the range.
-        let (s, e) = groups.row_bounds(r as usize);
-        let rows = &groups.indices()[s..e];
+        let rows = by_rel.column(k).0;
         let rows = &rows[rows.partition_point(|&i| (i as usize) < first)..];
         let rows = &rows[..rows.partition_point(|&i| (i as usize) < end)];
         if !rows.is_empty() {

@@ -18,7 +18,7 @@
 //! * The two ops at the heart of the paper: [`Graph::gather`] +
 //!   scatter-add backward (the *non-sparse* fine-grained path every baseline
 //!   framework uses) and [`Graph::spmm`] whose backward is a second SpMM with
-//!   the cached transpose (`∂L/∂X = Aᵀ · ∂L/∂C`, Appendix G).
+//!   the transpose the incidence pair keeps (`∂L/∂X = Aᵀ · ∂L/∂C`, Appendix G).
 //! * [`hogwild`] — the one value table every data-parallel replica aliases
 //!   ([`ParamStore::alias_values`]), and why sharing it stays sound.
 //! * [`optim`] — SGD / Adagrad / Adam and a step LR scheduler (Appendix E).

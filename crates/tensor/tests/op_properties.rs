@@ -5,9 +5,11 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sparse::incidence::{hrt, selection, IncidencePair, TailSign};
+use sparse::incidence::{hrt, ht, selection, IncidencePair, TailSign};
 use sparse::semiring::Semiring;
-use tensor::{init, Graph, ParamStore, RowScore, Sweep, Tensor, VecStorage};
+use sparse::spmm::spmm_row_acc;
+use sparse::{CsrMatrix, DenseView};
+use tensor::{init, Graph, ParamId, ParamStore, RowScore, Sweep, Tensor, Var, VecStorage};
 use xparallel::PoolHandle;
 
 fn small_matrix() -> impl Strategy<Value = (usize, usize, Vec<f32>)> {
@@ -169,6 +171,119 @@ fn semiring_score_keeps_non_finite_operands_and_zero_gradient_rows() {
     }
 }
 
+/// A random incidence matrix: `(matrix, hrt sign)` — `Some` for an `hrt`
+/// matrix, `None` for an `ht` or a `selection` one. Picks come from the first
+/// `n − 2` of `n` entity columns, so at least two columns are untouched; a
+/// sixth of the triples are self-loops (an explicit zero, or `2` under a
+/// positive tail sign), column 0 is hot, and the batch may be empty.
+fn incidence_matrix() -> impl Strategy<Value = (CsrMatrix, Option<TailSign>)> {
+    (0usize..4, 4usize..14, 1usize..4, 0usize..40).prop_flat_map(|(form, n, r, m)| {
+        let e = 0..n as u32 - 2;
+        let triple = (e.clone(), 0..r as u32, e, 0u8..6).prop_map(|(h, rel, t, mode)| match mode {
+            0 => (h, rel, h),
+            1 => (0, rel, t),
+            2 => (h, rel, 0),
+            _ => (h, rel, t),
+        });
+        prop::collection::vec(triple, m).prop_map(move |triples| {
+            let heads: Vec<u32> = triples.iter().map(|t| t.0).collect();
+            let rels: Vec<u32> = triples.iter().map(|t| t.1).collect();
+            let tails: Vec<u32> = triples.iter().map(|t| t.2).collect();
+            let sign = [TailSign::Negative, TailSign::Positive];
+            match form {
+                0 | 1 => (
+                    hrt(n, r, &heads, &rels, &tails, sign[form]).unwrap(),
+                    Some(sign[form]),
+                ),
+                2 => (ht(n, &heads, &tails).unwrap(), None),
+                _ => (selection(n, &heads).unwrap(), None),
+            }
+        })
+    })
+}
+
+/// The backward walk over the full transpose: gradient row `e` accumulates
+/// `spmm_row_acc` over row `e` of `a.transpose()` (empty for a row the batch
+/// does not touch), the walk the incidence pair's kept columns replace.
+fn full_transpose_walk(a: &CsrMatrix, upstream: &[f32], d: usize) -> Vec<f32> {
+    let t = a.transpose();
+    let g = DenseView::new(a.rows(), d, upstream);
+    let mut grad = vec![0.0f32; t.rows() * d];
+    for (e, dst) in grad.chunks_exact_mut(d).enumerate() {
+        let (s, end) = t.row_bounds(e);
+        spmm_row_acc(&t.indices()[s..end], &t.values()[s..end], &g, 0, dst);
+    }
+    grad
+}
+
+/// The semiring backward over the full transpose, as [`full_transpose_walk`]
+/// for `semiring_score`.
+fn full_transpose_semiring_walk(
+    kind: Semiring,
+    a: &CsrMatrix,
+    table: &Tensor,
+    gd: &[f32],
+) -> Vec<f32> {
+    let (t, d) = (a.transpose(), table.cols());
+    let mut grad = vec![0.0f32; t.rows() * d];
+    for (e, dst) in grad.chunks_exact_mut(d).enumerate() {
+        for (i, _) in t.row(e) {
+            let (s, end) = a.row_bounds(i);
+            let cols = kind.decode(&a.indices()[s..end], &a.values()[s..end]);
+            let rows = cols.map(|c| table.row(c));
+            for slot in (0..3).filter(|&slot| cols[slot] == e) {
+                kind.grad_row_acc(slot, gd[i], rows, dst);
+            }
+        }
+    }
+    grad
+}
+
+/// Tape ops under test: records them and returns `(output, tap)`, the node
+/// the loss weights and the node whose gradient is wanted.
+type Record<'a> = &'a dyn Fn(&mut Graph, &ParamStore, ParamId) -> (Var, Var);
+
+/// Runs `record` on a copy of `table`, weights its output into the loss, and
+/// returns `(gradient of the tap, parameter gradient by absolute row)`.
+/// The store also touches the last row the pair does not (another op's row);
+/// `paged` runs over a slot cache of exactly the touched rows.
+fn through_tape(
+    width: usize,
+    paged: bool,
+    fused: bool,
+    pair: &Arc<IncidencePair>,
+    table: &Tensor,
+    record: Record<'_>,
+) -> (Vec<f32>, Vec<f32>) {
+    let (rows, cols) = table.shape();
+    let untouched = |e: &u32| pair.touched_columns().binary_search(e).is_err();
+    let extra = [(0..rows as u32).rev().find(untouched).unwrap()];
+    let mut store = ParamStore::new();
+    let p = store.add_param("emb", table.clone());
+    if paged {
+        let budget = pair.touched_columns().len() + 1;
+        store
+            .page_out(p, Box::new(VecStorage::new(rows, cols)), budget)
+            .unwrap();
+        store.page_in(p, &[pair.touched_columns(), &extra]).unwrap();
+    }
+    let mut g = Graph::with_pool(PoolHandle::global().with_width(width));
+    g.set_fused(fused);
+    let (out, tap) = record(&mut g, &store, p);
+    let (m, w) = g.value(out).shape();
+    let weights: Vec<f32> = (0..m * w).map(|k| (k % 5) as f32 * 0.5 - 1.0).collect();
+    let wv = g.input_from_slice(m, w, &weights);
+    let weighted = g.mul(out, wv);
+    let loss = g.mean(weighted);
+    store.touch(p, &extra);
+    g.backward(loss, &mut store);
+    let mut grad = vec![0.0f32; rows * cols];
+    store.sweep_serial(p, Sweep::Grads, |row, g, _| {
+        grad[row * cols..(row + 1) * cols].copy_from_slice(g)
+    });
+    (g.grad(tap).unwrap().as_slice().to_vec(), grad)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -327,6 +442,67 @@ proptest! {
             let b = g.value(l2).get(i, 0);
             prop_assert!(a + 1e-5 >= b, "L1 {} < L2 {}", a, b);
             prop_assert!(b >= 0.0);
+        }
+    }
+
+    /// An incidence pair keeps exactly the occupied rows of the full
+    /// transpose, and every backward that reads them — `spmm`, `spmm_score`
+    /// and `semiring_score` — equals the walk over the full transpose bit for
+    /// bit, through a store that touched a row the pair does not, resident or
+    /// paged, at pool widths 1 and 4.
+    #[test]
+    fn kept_columns_are_the_full_transpose_through_the_tape(
+        (a, sign) in incidence_matrix(),
+        d in 1usize..9,
+    ) {
+        let pair = Arc::new(IncidencePair::new(a.clone()));
+        let t = a.transpose();
+        let occupied: Vec<u32> = (0..t.rows() as u32).filter(|&e| t.row(e as usize).count() > 0).collect();
+        prop_assert_eq!(&pair.touched_columns()[..], &occupied[..]);
+        for (k, &e) in occupied.iter().enumerate() {
+            let (rows, coeffs) = t.row(e as usize).map(|(i, v)| (i as u32, v)).unzip::<_, _, Vec<_>, Vec<_>>();
+            prop_assert_eq!(pair.column(k), (&rows[..], &coeffs[..]), "column {}", e);
+        }
+
+        let table = init::uniform(a.cols(), 2 * d, 1.5, d as u64);
+        let score = RowScore::L2 { eps: 1e-9 };
+        let spmm: Record<'_> = &|g, store, p| {
+            let x = g.spmm(store, p, pair.clone());
+            (x, x)
+        };
+        // Unfused, `spmm_score` records these two ops; the spmm node's
+        // gradient is the fused backward's `dx`.
+        let spmm_then_score: Record<'_> = &|g, store, p| {
+            let x = g.spmm(store, p, pair.clone());
+            (g.score_rows(x, score), x)
+        };
+        let fused_score: Record<'_> = &|g, store, p| {
+            let s = g.spmm_score(store, p, pair.clone(), score);
+            (s, s)
+        };
+        for width in [1, 4] {
+            for paged in [false, true] {
+                let at = format!("width {width}, paged {paged}");
+                let (up, grad) = through_tape(width, paged, true, &pair, &table, spmm);
+                prop_assert_eq!(bits(&grad), bits(&full_transpose_walk(&a, &up, 2 * d)), "spmm, {}", at);
+                let (dx, unfused) = through_tape(width, paged, false, &pair, &table, spmm_then_score);
+                let want = bits(&full_transpose_walk(&a, &dx, 2 * d));
+                prop_assert_eq!(bits(&unfused), want.clone(), "unfused spmm_score, {}", at);
+                let (_, fused) = through_tape(width, paged, true, &pair, &table, fused_score);
+                prop_assert_eq!(bits(&fused), want, "spmm_score, {}", at);
+                if let Some(sign) = sign {
+                    let kinds = if sign == TailSign::Negative { &Semiring::ALL[..] } else { &Semiring::ALL[..1] };
+                    for &kind in kinds {
+                        let semiring: Record<'_> = &|g, store, p| {
+                            let s = g.semiring_score(store, p, pair.clone(), kind);
+                            (s, s)
+                        };
+                        let (up, grad) = through_tape(width, paged, true, &pair, &table, semiring);
+                        let want = full_transpose_semiring_walk(kind, &a, &table, &up);
+                        prop_assert_eq!(bits(&grad), bits(&want), "{:?}, {}", kind, at);
+                    }
+                }
+            }
         }
     }
 }
