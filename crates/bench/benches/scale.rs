@@ -17,7 +17,10 @@
 //! [`time_arm`]:
 //!
 //! * `BENCH_scale.json` — the `sparse` and `dense-grads` arms at each table
-//!   size;
+//!   size, with the gradient bytes the store holds after the timed epochs
+//!   (`ParamStore::grad_bytes`: flat for `sparse`, the sized-for-the-batch
+//!   slot buffer; linear in `N` for `dense-grads`, whose all-rows state gives
+//!   every row a slot);
 //! * `BENCH_paged.json` — the table paged out behind a row cache: a budget
 //!   sweep over in-RAM backing, which isolates pager cost from disk latency,
 //!   and two disk-backed (`FileRowStorage` pagefile) arms at the tightest
@@ -117,7 +120,8 @@ fn emit_json(sweep: &[(&str, Dataset, BatchPlan)]) {
                     .str("arm", arm)
                     .str("entities", label)
                     .int("entity_count", ds.num_entities as u64)
-                    .num("ms_per_epoch", ms),
+                    .num("ms_per_epoch", ms)
+                    .int("grad_bytes", t.model().store().grad_bytes()),
             );
         }
     }

@@ -251,7 +251,7 @@ mod tests {
                 t.replicas[rank].model.store_mut().grad_mut(id);
             }
             let before: Vec<_> = (t.replicas.iter())
-                .map(|r| r.model.store().grad(id).clone())
+                .map(|r| Tensor::from_view(r.model.store().grad(id)))
                 .collect();
             Reducer::default().all_reduce(&mut t.replicas, 3.0);
             let rank0 = t.replicas[0].model.store();
@@ -261,7 +261,7 @@ mod tests {
             } else {
                 assert!(touched.is_dense());
             }
-            let mean = rank0.grad(id);
+            let mean = Tensor::from_view(rank0.grad(id));
             for row in 0..mean.rows() {
                 for (j, &got) in mean.row(row).iter().enumerate() {
                     let want = if union.binary_search(&(row as u32)).is_ok() {
@@ -275,7 +275,7 @@ mod tests {
                     assert_eq!(got.to_bits(), want.to_bits(), "row {row}, column {j}");
                 }
             }
-            let grads = bits(mean);
+            let grads = bits(&mean);
             t.replicas[0].step();
             (grads, bits(t.model().store().value(id)))
         };

@@ -138,7 +138,10 @@ mod tests {
         let (pos, neg) = model.score_batch(&mut g, 0);
         let loss = g.margin_ranking_loss(pos, neg, 5.0);
         g.backward(loss, model.store_mut());
-        assert!(model.store().grad(model.embedding_param()).frobenius_norm() > 0.0);
+        assert!(
+            tensor::Tensor::from_view(model.store().grad(model.embedding_param())).frobenius_norm()
+                > 0.0
+        );
     }
 
     #[test]

@@ -216,7 +216,7 @@ mod tests {
         g.backward(loss, model.store_mut());
         let p = model.family().0;
         for id in [p.ent, p.normals, p.translations] {
-            assert!(model.store().grad(id).frobenius_norm() > 0.0);
+            assert!(tensor::Tensor::from_view(model.store().grad(id)).frobenius_norm() > 0.0);
         }
     }
 

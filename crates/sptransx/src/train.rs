@@ -542,6 +542,13 @@ impl<M: KgeModel> Trainer<M> {
         &mut self.replicas[0].model
     }
 
+    /// Every replica's parameter store, in rank order (one for
+    /// [`Trainer::new`]): with two or more replicas their values are rank
+    /// 0's, their gradients and row sets their own.
+    pub fn stores(&self) -> impl Iterator<Item = &tensor::ParamStore> {
+        self.replicas.iter().map(|r| r.model.store())
+    }
+
     /// Consumes the trainer, returning the trained model (rank 0).
     pub fn into_model(mut self) -> M {
         self.replicas.swap_remove(0).model

@@ -140,7 +140,7 @@ where
         .store()
         .param_ids()
         .into_iter()
-        .map(|id| bits(model.store().grad(id)))
+        .map(|id| bits(&tensor::Tensor::from_view(model.store().grad(id))))
         .collect();
     (pos_bits, neg_bits, loss_bits, grads)
 }

@@ -236,3 +236,42 @@ fn four_worker_mrr_is_within_tolerance_of_sync() {
         rel * 100.0
     );
 }
+
+/// Replicas hold working sets, not tables: at a 20 k-entity shape, four
+/// replicas under either combine hold one value table (every replica aliases
+/// rank 0's) and four gradients, each smaller than that table — rank 0's
+/// under `Combine::AllReduce` included, though it accumulates the union of
+/// four batches every round.
+#[test]
+fn four_replicas_hold_one_table_and_four_working_set_gradients() {
+    let ds = SyntheticKgBuilder::new(20_000, 50)
+        .triples(40_000)
+        .seed(42)
+        .build();
+    let cfg = TrainConfig {
+        epochs: 1,
+        batch_size: 1024,
+        dim: 8,
+        lr: 0.05,
+        ..Default::default()
+    };
+    for combine in [Combine::Shared, Combine::AllReduce] {
+        let mut trainer =
+            Trainer::replicated(&ds, &cfg, 4, combine, SpTransE::from_config).unwrap();
+        trainer.run().unwrap();
+        let id = trainer.model().embedding_param();
+        let table = trainer.model().store().value(id);
+        let table_bytes = (table.len() * std::mem::size_of::<f32>()) as u64;
+        let stores: Vec<_> = trainer.stores().collect();
+        assert_eq!(stores.len(), 4);
+        for (rank, store) in stores.iter().enumerate() {
+            let value = store.value(id).as_slice().as_ptr();
+            assert_eq!(value, table.as_slice().as_ptr(), "{combine:?} rank {rank}");
+            assert!(
+                store.grad_bytes() < table_bytes,
+                "{combine:?} rank {rank}: {} gradient bytes for a {table_bytes}-byte table",
+                store.grad_bytes()
+            );
+        }
+    }
+}

@@ -254,12 +254,9 @@ fn row_sets_cover_all_nonzero_gradient_rows() {
             for id in store.param_ids() {
                 let rows = store.touched(id);
                 let grad = store.grad(id);
-                let n = grad.cols();
                 let listed = rows.as_slice().expect("sparse mode must stay sparse");
                 for r in 0..grad.rows() {
-                    let nonzero = grad.as_slice()[r * n..(r + 1) * n]
-                        .iter()
-                        .any(|&x| x != 0.0);
+                    let nonzero = grad.row(r).iter().any(|&x| x != 0.0);
                     let in_set = listed.binary_search(&(r as u32)).is_ok();
                     assert!(
                         !nonzero || in_set,

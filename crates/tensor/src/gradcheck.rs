@@ -45,7 +45,7 @@ where
     let mut g = crate::Graph::new();
     let loss = build(&mut g, store);
     g.backward(loss, store);
-    let analytic = store.grad(param).clone();
+    let analytic = Tensor::from_view(store.grad(param));
 
     // Numeric gradient by central differences.
     let (rows, cols) = store.value(param).shape();

@@ -963,8 +963,9 @@ impl Graph {
             Op::Gather { param, indices } => {
                 let _t = profile::scope("op::gather_backward");
                 store.touch(param, &indices);
-                let (rows, grad) = store.touched_grads(param);
-                scatter_add_rows_with(&self.pool, grad, rows, &indices, g);
+                let (slot_of, grad) = store.touched_grads(param);
+                let slot = |r: u32| slot_of[r as usize] as usize - 1;
+                scatter_add_rows_with(&self.pool, grad, slot, &indices, g);
                 sparse::metrics::add_flops(g.len() as u64);
             }
             Op::Spmm { param, pair } => {
@@ -1255,22 +1256,22 @@ impl ColumnIndex {
 pub fn scatter_add_rows(dst: &mut Tensor, indices: &[u32], src: &Tensor) {
     debug_assert_eq!(src.cols(), dst.cols());
     let pool = PoolHandle::global();
-    scatter_add_rows_with(&pool, dst.as_mut_slice(), Rows::All, indices, src);
+    scatter_add_rows_with(&pool, dst.as_mut_slice(), |r| r as usize, indices, src);
 }
 
-/// [`scatter_add_rows`] on an explicit pool handle, restricted to the
-/// destination rows in `rows` — the gather backward.
+/// [`scatter_add_rows`] on an explicit pool handle into the rows of `dst`
+/// that `slot` names — the gather backward, where `dst` is the gradient's
+/// slots in use and `slot` the parameter's row → slot map.
 ///
-/// Every index in `indices` **must** be a row of the set (callers pass the
-/// parameter's touched set, a superset of the index list by construction);
-/// rows of the set that no index targets are never written. Contributions
-/// land in global index-scan order per destination row however the set is
-/// chunked, so the result is bit-identical at any pool width and for a
-/// listed or an all-rows set.
+/// Every index in `indices` **must** have a row of `dst` (callers touch the
+/// index list first). Workers own disjoint windows of `dst`, and each scans
+/// the whole list, so contributions land in global index-scan order per
+/// destination row however `dst` is chunked: the result is bit-identical at
+/// any pool width and wherever each row lives.
 fn scatter_add_rows_with(
     pool: &PoolHandle,
     dst: &mut [f32],
-    rows: Rows<'_>,
+    slot: impl Fn(u32) -> usize + Sync,
     indices: &[u32],
     src: &Tensor,
 ) {
@@ -1280,13 +1281,10 @@ fn scatter_add_rows_with(
         return;
     }
     let sd = src.as_slice();
-    pool.for_row_windows(dst, n, rows, 128, |first, window| {
-        // The window spans its chunk's first to last row contiguously; any
-        // index inside that span is a row of *this* chunk (the set is
-        // sorted and chunks partition it), so a range test suffices.
+    pool.for_row_windows(dst, n, Rows::All, 128, |first, window| {
         let end = first + window.len() / n;
         for (k, &idx) in indices.iter().enumerate() {
-            let r = idx as usize;
+            let r = slot(idx);
             if r >= first && r < end {
                 let dst_row = &mut window[(r - first) * n..(r - first + 1) * n];
                 for (d, s) in dst_row.iter_mut().zip(&sd[k * n..(k + 1) * n]) {
@@ -1447,9 +1445,9 @@ mod tests {
         g.backward(loss, &mut store);
         // d mean / d x = 1/6 per element; row 2 gathered twice.
         let grad = store.grad(emb);
-        assert!((grad.get(0, 0) - 1.0 / 6.0).abs() < 1e-6);
-        assert!((grad.get(1, 0) - 0.0).abs() < 1e-6);
-        assert!((grad.get(2, 0) - 2.0 / 6.0).abs() < 1e-6);
+        assert!((grad.row(0)[0] - 1.0 / 6.0).abs() < 1e-6);
+        assert!((grad.row(1)[0] - 0.0).abs() < 1e-6);
+        assert!((grad.row(2)[0] - 2.0 / 6.0).abs() < 1e-6);
     }
 
     #[test]
@@ -1467,9 +1465,9 @@ mod tests {
         g.backward(loss, &mut store);
         let grad = store.grad(emb);
         // d expr / d e0 = +1, e1 = -1, r0 = +1; mean scale 1/2 per column.
-        assert!((grad.get(0, 0) - 0.5).abs() < 1e-6);
-        assert!((grad.get(1, 0) + 0.5).abs() < 1e-6);
-        assert!((grad.get(2, 0) - 0.5).abs() < 1e-6);
+        assert!((grad.row(0)[0] - 0.5).abs() < 1e-6);
+        assert!((grad.row(1)[0] + 0.5).abs() < 1e-6);
+        assert!((grad.row(2)[0] - 0.5).abs() < 1e-6);
     }
 
     #[test]
@@ -1505,7 +1503,11 @@ mod tests {
         g2.backward(l2, &mut s2);
 
         assert!((g1.value(l1).get(0, 0) - g2.value(l2).get(0, 0)).abs() < 1e-6);
-        for (a, b) in s1.grad(p1).as_slice().iter().zip(s2.grad(p2).as_slice()) {
+        let (d1, d2) = (
+            Tensor::from_view(s1.grad(p1)),
+            Tensor::from_view(s2.grad(p2)),
+        );
+        for (a, b) in d1.as_slice().iter().zip(d2.as_slice()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
     }
@@ -1555,9 +1557,9 @@ mod tests {
         let score = g.score_rows(expr, RowScore::L2 { eps: 1e-9 });
         let loss = g.mean(score);
         g.backward(loss, &mut store);
-        assert!(store.grad(ent).frobenius_norm() > 0.0);
-        assert!(store.grad(w).frobenius_norm() > 0.0);
-        assert!(store.grad(d).frobenius_norm() > 0.0);
+        for p in [ent, w, d] {
+            assert!(Tensor::from_view(store.grad(p)).frobenius_norm() > 0.0);
+        }
     }
 
     #[test]
@@ -1669,7 +1671,7 @@ mod tests {
         let (mut store, p) = store_with("mats", mats.clone());
         let mut dm_ref = vec![0.0f32; mats.len()];
         if let Some(pre) = pre {
-            store.grad_mut(p).as_mut_slice().copy_from_slice(pre);
+            store.grad_mut(p).copy_from_slice(pre);
             dm_ref.copy_from_slice(pre);
         }
         let by_rel = Arc::new(IncidencePair::new(selection(mats.rows(), rels).unwrap()));
@@ -1691,7 +1693,7 @@ mod tests {
             [
                 nan_classes(g.value(out).as_slice()),
                 nan_classes(g.grad(x).unwrap().as_slice()),
-                nan_classes(store.grad(p).as_slice()),
+                nan_classes(Tensor::from_view(store.grad(p)).as_slice()),
             ],
             [
                 nan_classes(&naive_project(rels, mats.as_slice(), v, d_out, d_in)),
@@ -2000,8 +2002,7 @@ mod tests {
         g.backward(loss, store);
         (
             g.value(loss).get(0, 0).to_bits(),
-            store
-                .grad(p)
+            Tensor::from_view(store.grad(p))
                 .as_slice()
                 .iter()
                 .map(|x| x.to_bits())
@@ -2093,8 +2094,7 @@ mod tests {
             .chain(g.value(sn).as_slice())
             .map(|x| x.to_bits())
             .collect();
-        let grad_bits = store
-            .grad(p)
+        let grad_bits = Tensor::from_view(store.grad(p))
             .as_slice()
             .iter()
             .map(|x| x.to_bits())
@@ -2128,7 +2128,7 @@ mod tests {
                     .value(s)
                     .as_slice()
                     .iter()
-                    .chain(store.grad(p).as_slice())
+                    .chain(Tensor::from_view(store.grad(p)).as_slice())
                     .map(|x| x.to_bits())
                     .collect();
                 bits
@@ -2201,7 +2201,7 @@ mod tests {
             .as_slice()
             .iter()
             .chain(g.value(loss).as_slice())
-            .chain(store.grad(p).as_slice())
+            .chain(Tensor::from_view(store.grad(p)).as_slice())
             .map(|x| x.to_bits())
             .collect()
     }
@@ -2448,7 +2448,7 @@ mod tests {
                 .as_slice()
                 .iter()
                 .chain(g.grad(nn).unwrap().as_slice())
-                .chain(store.grad(p).as_slice())
+                .chain(Tensor::from_view(store.grad(p)).as_slice())
                 .map(|x| x.to_bits())
                 .collect();
             (g.value(loss).get(0, 0).to_bits(), bits)

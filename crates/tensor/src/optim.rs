@@ -20,8 +20,9 @@ use crate::{ParamId, ParamStore, Sweep, Tensor};
 /// A step is one [`ParamStore::sweep`] (or [`ParamStore::sweep_serial`],
 /// for bodies with state of their own) per parameter: the body gets an
 /// absolute row index, that row of the value and a view of the gradient
-/// table, and the store decides which rows that is — listed, all, or the
-/// cache slots of a paged table — and records them dirty for the epoch's
+/// (every row by absolute index, `+0.0` for a row the step did not touch),
+/// and the store decides which rows that is — listed, all, or the cache
+/// slots of a paged table — and records them dirty for the epoch's
 /// renormalization. Optimizers whose update is a fixed point on zero
 /// gradients (`SGD`: `x + (−lr · 0) = x`; `Adagrad`: the accumulator and
 /// value are both unchanged by `g = 0`, bit for bit under IEEE-754) sweep
@@ -63,7 +64,7 @@ pub trait Optimizer: std::fmt::Debug {
 ///
 /// let mut store = ParamStore::new();
 /// let p = store.add_param("w", Tensor::full(1, 1, 1.0));
-/// store.grad_mut(p).set(0, 0, 0.5);
+/// store.grad_mut(p)[0] = 0.5;
 /// Sgd::new(0.1).step(&mut store);
 /// assert!((store.value(p).get(0, 0) - 0.95).abs() < 1e-6);
 /// ```
@@ -197,14 +198,17 @@ impl Optimizer for Adagrad {
 
 /// Adam (Kingma & Ba) with bias correction.
 ///
-/// **Dense by design:** Adam's moments decay on every step (`m ← β₁·m`,
-/// `v ← β₂·v`) even where the gradient is zero, so a zero-gradient row is
-/// *not* a fixed point — skipping untouched rows would change results (the
-/// "dense Adam vs sparse Adam" semantics gap PyTorch exposes as
-/// `SparseAdam`). This implementation keeps the reference dense-Adam
-/// semantics and therefore ignores the touched-row sets: its step is
-/// `O(N · d)` regardless of batch sparsity. Use [`Sgd`] or [`Adagrad`] when
-/// the touched-row fast path matters.
+/// **A sweep over all rows:** Adam's moments decay on every step
+/// (`m ← β₁·m`, `v ← β₂·v`) even where the gradient is zero, so a
+/// zero-gradient row is *not* a fixed point — skipping untouched rows would
+/// change results (the "dense Adam vs sparse Adam" semantics gap PyTorch
+/// exposes as `SparseAdam`). This implementation keeps the reference
+/// dense-Adam semantics and therefore ignores the touched-row sets: its step
+/// visits every row, `O(N · d)` regardless of batch sparsity, and keeps two
+/// `N × d` moment tables. The gradient it reads is not a table: an untouched
+/// row reads the store's shared zero row, so the sweep costs the moments and
+/// the values, never a full gradient. Use [`Sgd`] or [`Adagrad`] when the
+/// touched-row fast path matters.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
@@ -237,7 +241,7 @@ impl Optimizer for Adam {
         let bias2 = 1.0 - b2.powi(t as i32);
         self.moments.resize_with(store.len(), || None);
         for id in (0..store.len()).map(ParamId) {
-            // Adam is dense by design (moments decay everywhere), which is
+            // Adam sweeps every row (moments decay everywhere), which is
             // exactly what paging out cold rows forbids.
             assert!(
                 !store.is_paged(id),
@@ -325,7 +329,7 @@ mod tests {
         for _ in 0..n {
             store.zero_grads();
             let x = store.value(p).get(0, 0);
-            store.grad_mut(p).set(0, 0, 2.0 * x);
+            store.grad_mut(p)[0] = 2.0 * x;
             opt.step(store);
         }
     }
@@ -386,11 +390,11 @@ mod tests {
             let mut opt = make();
             let mut s = ParamStore::new();
             let a = s.add_param("a", Tensor::full(1, 1, 2.0));
-            s.grad_mut(a).set(0, 0, 1.0);
+            s.grad_mut(a)[0] = 1.0;
             opt.step(&mut s);
             // Late registration: the state vector must grow.
             let b = s.add_param("b", Tensor::full(2, 3, 1.0));
-            s.grad_mut(b).row_mut(1).fill(0.5);
+            s.grad_mut(b)[3..6].fill(0.5);
             opt.step(&mut s);
             assert!(s.value(b).get(1, 0) < 1.0, "late param must train");
 
@@ -398,7 +402,7 @@ mod tests {
             // shape: stale state must be dropped, not indexed against.
             let mut other = ParamStore::new();
             let w = other.add_param("w", Tensor::full(4, 2, 1.0));
-            other.grad_mut(w).row_mut(0).fill(0.25);
+            other.grad_mut(w)[..2].fill(0.25);
             opt.step(&mut other);
             assert!(other.value(w).get(0, 0) < 1.0);
         }
@@ -447,8 +451,8 @@ mod tests {
                 let g = 0.5 + round as f32;
                 // Dense store: untracked write marks everything.
                 let gd = dense_store.grad_mut(pd);
-                gd.row_mut(1).fill(g);
-                gd.set(3, 0, -g);
+                gd[2..4].fill(g);
+                gd[6] = -g;
                 // Sparse store: tracked write on rows {1, 3} only.
                 sparse_store.touch(ps, &[1, 3]);
                 sparse_store.sweep_serial(ps, Sweep::Grads, |r, row, _| match r {

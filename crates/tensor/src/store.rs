@@ -2,12 +2,24 @@
 //! touched-row sets that make every downstream gradient sweep sparse, and
 //! the dirty-row sets that make per-epoch renormalization sparse too.
 //!
+//! A gradient is **the size of the working set**, not of the table: each
+//! parameter packs the rows a step touched into one compact slot buffer, in
+//! first-touch order, behind a permanent `+0.0` row (slot 0) that every
+//! untouched row maps to. The buffer is sized before the first step from the
+//! largest step of the parameter's declared access schedule
+//! ([`ParamStore::declare_schedule`]), or from its row count when none is
+//! declared; [`ParamStore::grad_bytes`] reports what it holds. Only the
+//! all-rows state (the `--dense-grads` ablation, an untracked
+//! [`ParamStore::grad_mut`] writer) gives every row a slot of its own.
+//!
 //! Parameters can additionally be **paged out** to a [`RowStorage`] backend
-//! ([`ParamStore::page_out`]): the full table then lives behind the
+//! ([`ParamStore::page_out`]): the full value table then lives behind the
 //! backend and only a fixed budget of rows — each batch's touched working
 //! set, known in advance from the incidence index lists — is resident in a
 //! pinned cache with LRU eviction and dirty-row write-back (see
-//! [`crate::paged`]).
+//! [`crate::paged`]). The gradient keeps the same slot buffer either way.
+
+use std::sync::OnceLock;
 
 use sparse::DenseView;
 use xparallel::{PoolHandle, Rows};
@@ -42,7 +54,10 @@ impl ParamId {
 ///   the fallback for writers without row structure (anything going through
 ///   [`ParamStore::grad_mut`]) and the explicit
 ///   [`ParamStore::set_dense_grads`] ablation mode; the *same* sweeps then
-///   visit every row, which is bit-identical to the sparse walk.
+///   visit every row, which is bit-identical to the sparse walk. It is also
+///   the one state in which a gradient is table-sized: every row gets a
+///   slot of its own (row `r` in slot `r + 1`), where a sparse set's rows
+///   share a buffer sized for the largest step.
 ///
 /// Nothing outside the store branches on the state: consumers hand
 /// [`ParamStore::sweep`] a per-row body and the store decides which rows
@@ -186,78 +201,232 @@ impl RowSet {
 /// read-only [`DenseView`].
 #[derive(Debug, Clone, Copy)]
 pub enum Sweep {
-    /// The touched rows of the **gradient**, with the value as the table —
-    /// what a backward kernel (or any writer that brings its own rows) runs
-    /// after [`ParamStore::touch`], and what [`ParamStore::zero_grads`] is.
+    /// The touched rows of the **gradient**, in slot (first-touch) order,
+    /// with the value as the table — what a backward kernel (or any writer
+    /// that brings its own rows) runs after [`ParamStore::touch`].
     Grads,
     /// The touched rows of the **value**, with the gradient as the table —
     /// the optimizer walk. The rows are recorded dirty for the next
     /// [`ParamStore::for_dirty_rows`].
     Values,
     /// Every row of the **value**, whatever the touched set says, with the
-    /// gradient as the table — for updates that are not a fixed point on a
-    /// zero gradient (`Adam`). Every row is recorded dirty.
+    /// gradient as the table (an untouched row reads the shared zero row) —
+    /// for updates that are not a fixed point on a zero gradient (`Adam`).
+    /// Every row is recorded dirty.
     AllValues,
 }
 
 /// One parameter table resolved for a sweep: where its rows live.
 struct Resolved<'a> {
     buf: &'a mut [f32],
-    /// Rows of `buf` to visit: absolute rows when resident, cache slots when
-    /// paged.
+    /// Rows of `buf` to visit: absolute rows of a resident value table,
+    /// cache slots of a paged one, gradient slots.
     rows: Rows<'a>,
-    /// Slot → absolute row, when paged.
+    /// Buffer row → absolute row, unless they coincide.
     names: Option<&'a [u32]>,
     other: DenseView<'a>,
 }
 
-/// Decides, once, which rows of which buffer a sweep visits: `set` names
-/// absolute rows of `table` (a parameter's gradient or value, `other` being
-/// its sibling); a resident table is swept as named, a paged one through the
-/// cache slots its pager last translated (the caller's `set`, by contract —
-/// the touched set after [`ParamStore::touch`], a dirty chunk in
-/// [`ParamStore::for_dirty_rows`]), each slot reported under the absolute row
-/// it holds.
+/// Decides, once, which rows of a parameter's value buffer a sweep over the
+/// absolute rows `set` visits: a resident table is swept as named, a paged
+/// one through the cache slots its pager last translated (the caller's
+/// `set`, by contract — the touched set after [`ParamStore::touch`], a dirty
+/// chunk in [`ParamStore::for_dirty_rows`]), each slot reported under the
+/// absolute row it holds.
 ///
 /// # Panics
 ///
 /// Panics for an all-rows sweep of a paged parameter — the one assertion
 /// behind every door that could ask for it (a dense touched set,
 /// dense-gradient mode, `Adam`).
-fn resolve<'a>(
+fn value_rows<'a>(
     name: &str,
-    table: &'a mut Tensor,
-    other: &'a Tensor,
     pager: Option<&'a Pager>,
     set: Rows<'a>,
-) -> Resolved<'a> {
-    let (rows, names) = match (pager, set) {
+) -> (Rows<'a>, Option<&'a [u32]>) {
+    match (pager, set) {
         (None, set) => (set, None),
         (Some(p), Rows::Listed(listed)) => {
             debug_assert_eq!(listed.len(), p.translation.len());
             (Rows::Listed(&p.translation), Some(p.row_of()))
         }
         (Some(_), Rows::All) => panic!(
-            "paged parameter '{name}' cannot be swept over all rows: its tables hold only \
+            "paged parameter '{name}' cannot be swept over all rows: its value holds only \
              the cache's slots (a dense touched set, dense-gradient mode and Adam all need \
              the resident table)"
         ),
-    };
-    Resolved {
-        buf: table.as_mut_slice(),
-        rows,
-        names,
-        other: view(other, pager),
     }
 }
 
-/// `table` (a parameter's value or gradient tensor) as the view kernels read
-/// rows through: the whole table when resident, its slot cache behind the
-/// pager's row → slot map when paged.
+/// `table` (a parameter's value tensor) as the view kernels read rows
+/// through: the whole table when resident, its slot cache behind the pager's
+/// row → slot map when paged.
 fn view<'a>(table: &'a Tensor, pager: Option<&'a Pager>) -> DenseView<'a> {
     match pager {
         None => table.view(),
         Some(p) => DenseView::mapped(p.cols(), table.as_slice(), p.slot_of()),
+    }
+}
+
+/// One parameter's gradient: the rows its step touched, packed into one
+/// slot buffer in first-touch order behind a shared zero row.
+///
+/// Slot 0 is a permanent `+0.0` row and every row without gradient maps to
+/// it, so reading any row through [`Grad::view`] is reading the gradient —
+/// the touched-row invariant holds by construction. Slot `s ≥ 1` holds row
+/// `row_of[s - 1]`; slots past `row_of.len()` are `+0.0` too, so a newly
+/// admitted row starts from zero. The slot of a row never moves while it
+/// holds gradient (a later touch of rows lying between accumulated ones
+/// appends, it does not insert), which is what lets every kernel accumulate
+/// into it across ops.
+#[derive(Debug)]
+struct Grad {
+    /// `1 + capacity` slots, `1 + row_of.len()` of them in use; a single
+    /// zero row until the first touch.
+    slots: Tensor,
+    /// Row → slot, `0` for a row without gradient: one entry per table row,
+    /// allocated on first use — a table built and paged out before it trains
+    /// never holds one, so it adds nothing to the set-up's peak.
+    slot_of: OnceLock<Vec<u32>>,
+    /// Slot `s` → row `row_of[s - 1]`, in first-touch order.
+    row_of: Vec<u32>,
+    /// The table's row count.
+    table_rows: usize,
+    /// Rows the buffer is sized for outside the all-rows state: the largest
+    /// step of the declared schedule, else the row count (a paged table's
+    /// budget, at most); raised if a step ever touches more.
+    capacity: usize,
+    /// Every row has a slot, row `r` in slot `r + 1`.
+    all_rows: bool,
+}
+
+impl Grad {
+    fn new(rows: usize, cols: usize) -> Self {
+        Self {
+            slots: Tensor::zeros(1, cols),
+            slot_of: OnceLock::new(),
+            row_of: Vec::new(),
+            table_rows: rows,
+            capacity: rows,
+            all_rows: false,
+        }
+    }
+
+    fn cols(&self) -> usize {
+        self.slots.cols()
+    }
+
+    fn slot_of(&self) -> &[u32] {
+        self.slot_of.get_or_init(|| vec![0; self.table_rows])
+    }
+
+    fn slot_of_mut(&mut self) -> &mut [u32] {
+        self.slot_of();
+        self.slot_of.get_mut().expect("initialized above")
+    }
+
+    /// Gives every row of `rows` not yet holding gradient the next slot;
+    /// `total` is how many rows hold one afterwards.
+    fn admit(&mut self, rows: &[u32], total: usize) {
+        self.reserve(total);
+        for &r in rows {
+            if self.slot_of()[r as usize] == 0 {
+                self.row_of.push(r);
+                let slot = self.row_of.len() as u32;
+                self.slot_of_mut()[r as usize] = slot;
+            }
+        }
+    }
+
+    /// Makes room for `total` slots past the zero row: the planned capacity
+    /// on the first touch, exactly `total` if a step is wider than planned.
+    fn reserve(&mut self, total: usize) {
+        if total < self.slots.rows() {
+            return;
+        }
+        self.capacity = total.max(self.capacity);
+        let cols = self.cols();
+        let used = (1 + self.row_of.len()) * cols;
+        let mut fresh = Tensor::zeros(1 + self.capacity, cols);
+        fresh.as_mut_slice()[..used].copy_from_slice(&self.slots.as_slice()[..used]);
+        self.slots = fresh;
+        self.row_of.reserve(self.capacity - self.row_of.len());
+    }
+
+    /// Sets the planned capacity; an idle buffer drops what it held, so the
+    /// next touch sizes it to the new plan.
+    fn plan(&mut self, capacity: usize) {
+        self.capacity = capacity;
+        if self.row_of.is_empty() && self.slots.rows() > 1 {
+            self.slots = Tensor::zeros(1, self.cols());
+        }
+    }
+
+    /// Switches to the all-rows state: row `r` in slot `r + 1`, carrying the
+    /// gradient rows already accumulated to their new slots — the one place
+    /// the buffer is table-sized.
+    fn mark_all(&mut self) {
+        if self.all_rows {
+            return;
+        }
+        let (n, cols) = (self.table_rows, self.cols());
+        let mut table = Tensor::zeros(1 + n, cols);
+        for (k, &r) in self.row_of.iter().enumerate() {
+            let r = r as usize;
+            table.row_mut(1 + r).copy_from_slice(self.slots.row(1 + k));
+        }
+        self.slots = table;
+        self.row_of.clear();
+        self.row_of.extend(0..n as u32);
+        for (r, s) in self.slot_of_mut().iter_mut().enumerate() {
+            *s = r as u32 + 1;
+        }
+        self.all_rows = true;
+    }
+
+    /// Zeroes every slot in use, one contiguous clear. Unless `stay_all_rows`,
+    /// the slots are then released: the map entries go back to the zero row,
+    /// and an all-rows buffer shrinks back to the planned capacity.
+    fn clear(&mut self, stay_all_rows: bool) {
+        let cols = self.cols();
+        let used = self.row_of.len();
+        if self.all_rows && stay_all_rows {
+            self.slots.as_mut_slice()[cols..].fill(0.0);
+            return;
+        }
+        let map = self.slot_of.get_mut().map_or(&mut [][..], |m| &mut m[..]);
+        if self.all_rows {
+            map.fill(0);
+            self.slots = Tensor::zeros(1, cols);
+            self.all_rows = false;
+        } else {
+            self.slots.as_mut_slice()[cols..(1 + used) * cols].fill(0.0);
+            for &r in &self.row_of {
+                map[r as usize] = 0;
+            }
+        }
+        self.row_of.clear();
+    }
+
+    /// Every row, through its slot: `+0.0` for a row without gradient.
+    fn view(&self) -> DenseView<'_> {
+        DenseView::mapped(self.cols(), self.slots.as_slice(), self.slot_of())
+    }
+
+    /// The slots in use, row-major, and the absolute row each one holds.
+    fn in_use(&mut self) -> (&[u32], &mut [f32]) {
+        let cols = self.cols();
+        let end = (1 + self.row_of.len()) * cols;
+        (&self.row_of, &mut self.slots.as_mut_slice()[cols..end])
+    }
+
+    /// The slots in use, row-major, and the row → slot map.
+    fn by_row(&mut self) -> (&[u32], &mut [f32]) {
+        self.slot_of();
+        let cols = self.cols();
+        let end = (1 + self.row_of.len()) * cols;
+        let map = self.slot_of.get().expect("initialized above");
+        (map, &mut self.slots.as_mut_slice()[cols..end])
     }
 }
 
@@ -271,13 +440,15 @@ fn view<'a>(table: &'a Tensor, pager: Option<&'a Pager>) -> DenseView<'a> {
 /// # Touched-row invariant
 ///
 /// Each parameter carries a [`RowSet`] of rows whose gradient may be
-/// nonzero. The invariant every writer upholds: **outside the set, gradient
-/// rows are exactly `+0.0`**. [`crate::Graph::backward`] records rows from
-/// the ops that know the sparsity (gather index lists, incidence nonzero
-/// columns, projection relation lists); [`ParamStore::grad_mut`] — the only
-/// untracked mutable entry point — conservatively marks the whole parameter
-/// dense. [`ParamStore::zero_grads`] clears only the set's rows and then
-/// resets the set.
+/// nonzero. **Outside the set, gradient rows are exactly `+0.0`** — by
+/// construction: only the set's rows have slots in the gradient buffer, and
+/// every other row reads the shared zero row (see the module docs).
+/// [`crate::Graph::backward`] records rows from the ops that know the
+/// sparsity (gather index lists, incidence nonzero columns, projection
+/// relation lists); [`ParamStore::grad_mut`] — the only untracked mutable
+/// entry point — conservatively marks the whole parameter dense.
+/// [`ParamStore::zero_grads`] clears only the slots in use and then resets
+/// the set.
 ///
 /// # Examples
 ///
@@ -294,7 +465,7 @@ fn view<'a>(table: &'a Tensor, pager: Option<&'a Pager>) -> DenseView<'a> {
 pub struct ParamStore {
     names: Vec<String>,
     values: Vec<Tensor>,
-    grads: Vec<Tensor>,
+    grads: Vec<Grad>,
     touched: Vec<RowSet>,
     /// Rows whose **value** may have changed since the last
     /// [`ParamStore::for_dirty_rows`] sweep — the epoch-renormalization
@@ -303,9 +474,9 @@ pub struct ParamStore {
     /// with retention by `for_dirty_rows`.
     dirty: Vec<RowSet>,
     /// `Some` for parameters paged out to backing storage
-    /// ([`ParamStore::page_out`]): the value/grad tensors then hold the
-    /// `budget × d` slot cache (slot-aligned, so one translation map serves
-    /// both) while the touched/dirty row sets keep **absolute** indices.
+    /// ([`ParamStore::page_out`]): the value tensor then holds the
+    /// `budget × d` slot cache while the touched/dirty row sets keep
+    /// **absolute** indices.
     pagers: Vec<Option<Pager>>,
     /// The access schedule declared for each parameter
     /// ([`ParamStore::declare_schedule`]; empty = none), kept until
@@ -334,10 +505,11 @@ impl ParamStore {
             !self.names.contains(&name),
             "duplicate parameter name: {name}"
         );
-        let grad = Tensor::zeros(value.rows(), value.cols());
+        let mut grad = Grad::new(value.rows(), value.cols());
         let mut rows = RowSet::new();
         if self.dense_grads {
             rows.mark_all();
+            grad.mark_all();
         }
         // A fresh parameter starts all-dirty: its initializer wrote every
         // row, so the first renormalization sweep must visit them all (the
@@ -413,28 +585,40 @@ impl ParamStore {
         &mut self.values[id.0]
     }
 
-    /// Borrows a parameter's gradient accumulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics for paged parameters (the accumulator is slot-addressed; see
-    /// [`ParamStore::value`]).
-    pub fn grad(&self, id: ParamId) -> &Tensor {
-        self.assert_resident(id);
-        &self.grads[id.0]
+    /// Reads a parameter's gradient: every row of the table by absolute
+    /// index, `+0.0` for a row without gradient (it reads the shared zero
+    /// row). Resident and paged parameters alike.
+    pub fn grad(&self, id: ParamId) -> DenseView<'_> {
+        self.grads[id.0].view()
     }
 
-    /// Mutably borrows a parameter's gradient accumulator.
+    /// Bytes of gradient rows the store holds, over every parameter: each
+    /// parameter's slot buffer, sized for its largest step (the whole table
+    /// only in the all-rows state). The row → slot maps, four bytes per
+    /// table row, are not gradient rows and are not counted.
+    pub fn grad_bytes(&self) -> u64 {
+        let floats: usize = self.grads.iter().map(|g| g.slots.len()).sum();
+        (floats * std::mem::size_of::<f32>()) as u64
+    }
+
+    /// Mutably borrows a parameter's whole gradient table, row-major
+    /// `rows × cols` (row `r` at `r * cols`).
     ///
     /// This entry point carries no row information, so it conservatively
     /// [`RowSet::mark_all`]s the parameter — the dense fallback of the
-    /// touched-row contract. Writers with row structure
+    /// touched-row contract, and the one state in which the gradient holds
+    /// a slot for every row. Writers with row structure
     /// [`touch`](Self::touch) their rows and [`sweep`](Self::sweep)
     /// [`Sweep::Grads`] instead.
-    pub fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
+    ///
+    /// # Panics
+    ///
+    /// Panics for paged parameters: an all-rows touched set would have the
+    /// optimizer step rows the cache does not hold.
+    pub fn grad_mut(&mut self, id: ParamId) -> &mut [f32] {
         self.assert_resident(id);
-        self.touched[id.0].mark_all();
-        &mut self.grads[id.0]
+        self.mark_all_touched(id.0);
+        self.grads[id.0].in_use().1
     }
 
     /// Borrows a parameter's touched-row set.
@@ -443,41 +627,54 @@ impl ParamStore {
     }
 
     /// Records that `rows` of `id`'s gradient may now be nonzero (any
-    /// order, duplicates fine). In dense-gradient mode this marks the whole
-    /// parameter instead.
+    /// order, duplicates fine), giving each row new to the set the next
+    /// gradient slot. In dense-gradient mode this marks the whole parameter
+    /// instead.
     ///
     /// # Panics
     ///
     /// Panics (paged parameters only) if a touched row is not resident — a
     /// kernel wrote outside the working set paged in for this batch.
     pub fn touch(&mut self, id: ParamId, rows: &[u32]) {
-        self.widen_touched(id.0, |set| set.insert_slice(rows));
+        self.widen_touched(id.0, Some(rows));
     }
 
     /// [`touch`](Self::touch) for a whole set, whichever state it is in —
     /// how the all-reduce widens rank 0 to the union of every replica's.
     pub fn touch_set(&mut self, id: ParamId, rows: &RowSet) {
-        self.widen_touched(id.0, |set| set.insert_set(rows));
+        self.widen_touched(id.0, rows.as_slice());
     }
 
-    fn widen_touched(&mut self, i: usize, insert: impl FnOnce(&mut RowSet)) {
-        let set = &mut self.touched[i];
-        let before = set.len();
-        if self.dense_grads {
-            set.mark_all();
-        } else {
-            insert(set);
+    /// Unions `rows` (`None`: every row) into parameter `i`'s touched set
+    /// and gradient slots.
+    fn widen_touched(&mut self, i: usize, rows: Option<&[u32]>) {
+        let before = self.touched[i].len();
+        match rows.filter(|_| !self.dense_grads) {
+            Some(rows) => {
+                let set = &mut self.touched[i];
+                set.insert_slice(rows);
+                let total = if set.is_dense() { 0 } else { set.len() };
+                self.grads[i].admit(rows, total);
+            }
+            None => self.mark_all_touched(i),
         }
         // A paged parameter keeps the sorted cache slots of its touched rows
         // next to the set (rows stay pinned until the set is cleared), so
-        // every sweep of the step reads one translation instead of redoing
-        // it; an all-rows set is left for `resolve` to refuse.
-        if let (Some(pager), Some(listed)) = (&mut self.pagers[i], set.as_slice()) {
+        // every value sweep of the step reads one translation instead of
+        // redoing it; an all-rows set is left for `value_rows` to refuse.
+        if let (Some(pager), Some(listed)) = (&mut self.pagers[i], self.touched[i].as_slice()) {
             if listed.len() != before {
                 pager.translate(listed);
                 pager.translation.sort_unstable();
             }
         }
+    }
+
+    /// Puts parameter `i` in the all-rows state: every row touched, every row
+    /// its own gradient slot.
+    fn mark_all_touched(&mut self, i: usize) {
+        self.touched[i].mark_all();
+        self.grads[i].mark_all();
     }
 
     /// Forces every parameter's row set dense, now and for all future
@@ -492,12 +689,12 @@ impl ParamStore {
         assert!(
             !dense || !self.has_paged(),
             "dense-gradient mode is incompatible with paged parameters (the \
-             accumulator only holds the cache's slots, not the full table)"
+             value only holds the cache's slots, not the full table)"
         );
         self.dense_grads = dense;
         if dense {
-            for rows in &mut self.touched {
-                rows.mark_all();
+            for i in 0..self.values.len() {
+                self.mark_all_touched(i);
             }
             // The ablation arm must measure the full O(N · d) baseline:
             // renormalization sweeps go dense too (and stay dense — see
@@ -513,18 +710,14 @@ impl ParamStore {
         self.dense_grads
     }
 
-    /// The gradient table and its touched rows, for a bulk kernel that takes
-    /// a row set whole (the gather baseline's index-scan scatter-add on
-    /// [`PoolHandle::for_row_windows`]) instead of a per-row body. Callers
-    /// [`touch`](Self::touch) first and pass the set on unopened.
-    ///
-    /// # Panics
-    ///
-    /// Panics for paged parameters (see [`ParamStore::value`]): such a
-    /// kernel addresses absolute rows.
-    pub fn touched_grads(&mut self, id: ParamId) -> (Rows<'_>, &mut [f32]) {
-        self.assert_resident(id);
-        (self.touched[id.0].rows(), self.grads[id.0].as_mut_slice())
+    /// The gradient slots in use, for a bulk kernel that takes them whole
+    /// (the gather baseline's index-scan scatter-add on
+    /// [`PoolHandle::for_row_windows`]) instead of a per-row body: the row →
+    /// slot map and the slots, row-major, where row `r`'s gradient is
+    /// buffer row `map[r] - 1`. Callers [`touch`](Self::touch) every row
+    /// they write first; the map of any other row is `0`.
+    pub fn touched_grads(&mut self, id: ParamId) -> (&[u32], &mut [f32]) {
+        self.grads[id.0].by_row()
     }
 
     /// Borrows a parameter's dirty-row set (rows whose value may have
@@ -580,8 +773,7 @@ impl ParamStore {
         let (num_rows, cols) = self.param_shape(id);
         let budget = self.pagers[i].as_ref().map(Pager::budget);
         if budget.is_some() {
-            // Eviction must never recycle a slot with stale gradient bytes
-            // or an unsaved value.
+            // Eviction must never recycle a slot with an unsaved value.
             self.settle(i);
         }
         let mut dirty = std::mem::take(&mut self.dirty[i]);
@@ -622,10 +814,10 @@ impl ParamStore {
                 pager.translate(chunk);
             }
             let first_kept = kept.len();
-            let (values, grads, pager) = (&mut self.values[i], &self.grads[i], &self.pagers[i]);
-            let at = resolve(&self.names[i], values, grads, pager.as_ref(), chunk);
-            at.rows.walk(0, at.buf, cols, |s, row| {
-                let r = at.names.map_or(s, |n| n[s] as usize);
+            let pager = self.pagers[i].as_ref();
+            let (rows, names) = value_rows(&self.names[i], pager, chunk);
+            rows.walk(0, self.values[i].as_mut_slice(), cols, |s, row| {
+                let r = names.map_or(s, |n| n[s] as usize);
                 if f(r, row) {
                     kept.push(r as u32);
                 }
@@ -669,8 +861,17 @@ impl ParamStore {
     fn begin_sweep(&mut self, id: ParamId, sweep: Sweep) -> Resolved<'_> {
         let i = id.0;
         let (touched, dirty) = (&self.touched[i], &mut self.dirty[i]);
+        let (grad, pager) = (&mut self.grads[i], self.pagers[i].as_ref());
         let set = match sweep {
-            Sweep::Grads => touched.rows(),
+            Sweep::Grads => {
+                let (names, buf) = grad.in_use();
+                return Resolved {
+                    buf,
+                    rows: Rows::All,
+                    names: Some(names),
+                    other: view(&self.values[i], pager),
+                };
+            }
             Sweep::Values => {
                 dirty.insert_set(touched);
                 touched.rows()
@@ -680,11 +881,13 @@ impl ParamStore {
                 Rows::All
             }
         };
-        let (table, other) = match sweep {
-            Sweep::Grads => (&mut self.grads[i], &self.values[i]),
-            Sweep::Values | Sweep::AllValues => (&mut self.values[i], &self.grads[i]),
-        };
-        resolve(&self.names[i], table, other, self.pagers[i].as_ref(), set)
+        let (rows, names) = value_rows(&self.names[i], pager, set);
+        Resolved {
+            buf: self.values[i].as_mut_slice(),
+            rows,
+            names,
+            other: grad.view(),
+        }
     }
 
     /// **The touched-row sweep**: runs `body(row, row_slice, table)` once for
@@ -696,12 +899,13 @@ impl ParamStore {
     /// parameter's other table ([`DenseView::row`] by absolute row) — the
     /// gradient row an optimizer steps with, the operand rows a backward
     /// kernel multiplies. The store alone decides what the set is (a sorted
-    /// list, every row, or a list translated to the pinned cache slots of a
-    /// paged parameter) and how it splits across workers; the body is the
-    /// same code in all three cases, each row is owned by exactly one
-    /// worker, and rows are visited in ascending buffer order, so results
-    /// are bit-identical for any state of the set and any pool width. See
-    /// [`Sweep`] for the three row sets and the bookkeeping each implies.
+    /// list, every row, a list translated to the pinned cache slots of a
+    /// paged parameter, or the gradient's slots in use) and how it splits
+    /// across workers; the body is the same code in every case, each row is
+    /// owned by exactly one worker and visited once, and rows are visited in
+    /// ascending buffer order, so results are bit-identical for any state of
+    /// the set and any pool width. See [`Sweep`] for the three row sets and
+    /// the bookkeeping each implies.
     ///
     /// # Panics
     ///
@@ -775,25 +979,25 @@ impl ParamStore {
 
     /// Zeroes gradient accumulators and resets the touched-row sets.
     ///
-    /// One [`Sweep::Grads`] per parameter: `O(touched · d)` for a sparse
-    /// set, the full table for a dense one. Because untouched rows are
-    /// already exact `+0.0` (the touched-row invariant), both leave
-    /// identical bits.
+    /// Per parameter, one contiguous clear of the gradient slots in use and
+    /// a reset of their map entries: `O(touched · d)` for a sparse set, the
+    /// full table for a dense one. Every other row already reads the shared
+    /// zero row, so both leave identical bits.
     pub fn zero_grads(&mut self) {
         for i in 0..self.grads.len() {
             self.settle(i);
         }
     }
 
-    /// Settles parameter `i`'s last step: zeroes the gradient rows of its
-    /// touched set and resets the set. For a paged parameter (whose touched
-    /// rows are still resident — rows stay pinned until this runs) it also
-    /// marks their value slots for write-back, the optimizer having
-    /// rewritten them. Idempotent; every paged operation that can evict
-    /// calls it first, so no slot is ever recycled with stale gradient bytes
-    /// or an unsaved value.
+    /// Settles parameter `i`'s last step: zeroes its gradient slots and
+    /// resets the touched set (a dense-gradient store keeps every row's
+    /// slot). For a paged parameter (whose touched rows are still resident
+    /// — rows stay pinned until this runs) it also marks their value slots
+    /// for write-back, the optimizer having rewritten them. Idempotent;
+    /// every paged operation that can evict calls it first, so no slot is
+    /// ever recycled with an unsaved value.
     fn settle(&mut self, i: usize) {
-        self.sweep_serial(ParamId(i), Sweep::Grads, |_, grad, _| grad.fill(0.0));
+        self.grads[i].clear(self.dense_grads);
         if let Some(pager) = &mut self.pagers[i] {
             pager.mark_translation_dirty();
         }
@@ -927,20 +1131,35 @@ impl ParamStore {
     }
 
     /// Declares the access schedule of `id`: for each step of the run, the
-    /// index lists that step will hand to [`ParamStore::page_in`]. It costs
-    /// a resident run nothing (the lists are shared, and nothing is computed
-    /// from them); the next [`ParamStore::page_out`] of `id` consumes it to
-    /// lay the pagefile out in schedule order (see [`crate::paged`]). A
-    /// later declaration replaces an earlier one.
+    /// index lists that step will hand to [`ParamStore::page_in`] — a
+    /// superset of the rows it touches. The widest step's union sizes the
+    /// gradient's slot buffer (allocated on the first touch, so a plan
+    /// declared before training never holds a table-sized gradient), and
+    /// the next [`ParamStore::page_out`] of `id` consumes the schedule to
+    /// lay the pagefile out in schedule order (see [`crate::paged`]). The
+    /// lists themselves are shared, not copied. A later declaration
+    /// replaces an earlier one.
     pub fn declare_schedule(&mut self, id: ParamId, steps: Schedule) {
+        let mut union = RowSet::new();
+        let mut widest = 0;
+        for step in &steps {
+            union.clear();
+            for list in step {
+                union.insert_slice(list);
+            }
+            widest = widest.max(union.len());
+        }
+        let budget = self.pagers[id.0].as_ref().map_or(usize::MAX, Pager::budget);
+        self.grads[id.0].plan(widest.min(budget));
         self.schedules[id.0] = steps;
     }
 
     /// Moves `id`'s full table into `storage` (writing the current values
     /// to it, in the row order its declared schedule asks for — the
-    /// identity if none was declared) and replaces the in-RAM tensors with a
-    /// `budget × d` slot cache. From here on, each batch must page its
-    /// working set in via
+    /// identity if none was declared) and replaces the in-RAM value with a
+    /// `budget × d` slot cache. The gradient keeps its slot buffer, planned
+    /// for at most `budget` rows (a step touches only pinned rows). From
+    /// here on, each batch must page its working set in via
     /// [`ParamStore::page_in`] before kernels touch the parameter, and
     /// reads/writes go through slot translation ([`ParamStore::table`],
     /// the pager-aware optimizer path). `budget` is clamped to the table's
@@ -998,7 +1217,8 @@ impl ParamStore {
         pager.write_all(value.as_slice())?;
         let (budget, cols) = (pager.budget(), value.cols());
         self.values[i] = Tensor::zeros(budget, cols);
-        self.grads[i] = Tensor::zeros(budget, cols);
+        let grad = &mut self.grads[i];
+        grad.plan(grad.capacity.min(budget));
         self.pagers[i] = Some(pager);
         Ok(())
     }
@@ -1009,10 +1229,9 @@ impl ParamStore {
     /// for resident parameters, so models can call it unconditionally.
     ///
     /// Before loading, the *previous* batch's bookkeeping is settled: its
-    /// touched rows (still resident by the pinning invariant) get their
-    /// gradient slots zeroed and their value slots marked for write-back —
-    /// the paged equivalent of [`ParamStore::zero_grads`], which delegates
-    /// here for paged parameters.
+    /// gradient slots are zeroed and its touched rows (still resident by the
+    /// pinning invariant) get their value slots marked for write-back — what
+    /// [`ParamStore::zero_grads`] does too.
     ///
     /// # Errors
     ///
@@ -1051,8 +1270,8 @@ impl ParamStore {
 
     /// Reverses [`ParamStore::page_out`]: flushes dirty rows, reads the
     /// full table back into a resident tensor, and drops the pager (and its
-    /// backing store). The gradient accumulator is reset to full-table
-    /// zeros. Residency is transiently `O(N · d)` again — this is for
+    /// backing store). The gradient, settled to zero, keeps its slot buffer:
+    /// only the value becomes table-sized again — this is for
     /// end-of-training evaluation and dumps, not for mid-training use.
     ///
     /// # Errors
@@ -1072,7 +1291,6 @@ impl ParamStore {
         let mut full = Tensor::zeros(rows, cols);
         pager.read_all(full.as_mut_slice())?;
         self.values[i] = full;
-        self.grads[i] = Tensor::zeros(rows, cols);
         self.pagers[i] = None;
         Ok(())
     }
@@ -1101,9 +1319,48 @@ mod tests {
     fn grads_zeroable() {
         let mut s = ParamStore::new();
         let a = s.add_param("a", Tensor::zeros(2, 2));
-        s.grad_mut(a).set(1, 1, 5.0);
+        s.grad_mut(a)[3] = 5.0;
         s.zero_grads();
-        assert_eq!(s.grad(a).get(1, 1), 0.0);
+        assert_eq!(s.grad(a).row(1)[1], 0.0);
+    }
+
+    /// One batch, one backward and one SGD step hold the same gradient bytes
+    /// over a thousand-row and a million-row table: the gradient follows the
+    /// batch's working set (plus the shared zero row), not the table.
+    #[test]
+    fn gradient_bytes_follow_the_batch_not_the_table() {
+        use crate::optim::{Optimizer, Sgd};
+        use crate::{Graph, RowScore};
+        use sparse::incidence::{hrt, IncidencePair, TailSign};
+        use std::sync::Arc;
+
+        let (relations, cols) = (3, 4);
+        let bytes = |entities: usize| {
+            let mut s = ParamStore::new();
+            let p = s.add_param("emb", Tensor::full(entities + relations, cols, 0.5));
+            let (heads, rels, tails) = ([0, 7, 7, 900], [0, 2, 1, 0], [5, 3, 900, 11]);
+            let a = hrt(
+                entities,
+                relations,
+                &heads,
+                &rels,
+                &tails,
+                TailSign::Negative,
+            );
+            let pair = Arc::new(IncidencePair::new(a.unwrap()));
+            s.declare_schedule(p, vec![vec![Arc::clone(pair.touched_columns())]]);
+            let mut g = Graph::new();
+            let x = g.spmm(&s, p, pair);
+            let n = g.score_rows(x, RowScore::L2 { eps: 1e-9 });
+            let loss = g.mean(n);
+            g.backward(loss, &mut s);
+            Sgd::new(0.1).step(&mut s);
+            assert_eq!(s.touched(p).len(), 9, "six entities, three relations");
+            s.grad_bytes()
+        };
+        let small = bytes(1_000);
+        assert_eq!(small, bytes(1_000_000));
+        assert_eq!(small, (1 + 9) * cols as u64 * 4);
     }
 
     #[test]
@@ -1161,7 +1418,8 @@ mod tests {
         assert_eq!(s.touched(a).as_slice(), Some(&[1, 3][..]));
         s.sweep_serial(a, Sweep::Grads, |r, g, _| g.fill(r as f32 - 2.0));
         s.zero_grads();
-        assert!(s.grad(a).as_slice().iter().all(|&x| x.to_bits() == 0));
+        let grad = Tensor::from_view(s.grad(a));
+        assert!(grad.as_slice().iter().all(|&x| x.to_bits() == 0));
         assert!(s.touched(a).is_empty());
     }
 
@@ -1345,7 +1603,7 @@ mod tests {
         let run = |dense: bool, width: usize| {
             let (mut s, p) = sweep_fixture(false);
             if dense {
-                s.grad_mut(p).as_mut_slice().fill(0.5);
+                s.grad_mut(p).fill(0.5);
             } else {
                 s.touch(p, &every);
                 s.sweep_serial(p, Sweep::Grads, |_, g, _| g.fill(0.5));

@@ -136,6 +136,17 @@ impl Tensor {
         Self::from_vec(rows.len(), N, data)
     }
 
+    /// Copies every row of `view` (a mapped view's logical rows, in order)
+    /// into an owned table — e.g. a gradient read whole through
+    /// [`crate::ParamStore::grad`].
+    pub fn from_view(view: sparse::DenseView<'_>) -> Self {
+        let data = (0..view.rows())
+            .flat_map(|r| view.row(r))
+            .copied()
+            .collect();
+        Self::from_vec(view.rows(), view.cols(), data)
+    }
+
     /// The backing buffer, whichever storage holds it.
     #[inline]
     fn buf(&self) -> &[f32] {

@@ -9,7 +9,8 @@ use sparse::incidence::{hrt, ht, selection, IncidencePair, TailSign};
 use sparse::semiring::Semiring;
 use sparse::spmm::spmm_row_acc;
 use sparse::{CsrMatrix, DenseView};
-use tensor::{init, Graph, ParamId, ParamStore, RowScore, Sweep, Tensor, Var, VecStorage};
+use tensor::optim::{Adagrad, Adam, Optimizer, Sgd};
+use tensor::{init, Graph, ParamId, ParamStore, RowScore, RowSet, Sweep, Tensor, Var, VecStorage};
 use xparallel::PoolHandle;
 
 fn small_matrix() -> impl Strategy<Value = (usize, usize, Vec<f32>)> {
@@ -206,14 +207,19 @@ fn incidence_matrix() -> impl Strategy<Value = (CsrMatrix, Option<TailSign>)> {
 /// `spmm_row_acc` over row `e` of `a.transpose()` (empty for a row the batch
 /// does not touch), the walk the incidence pair's kept columns replace.
 fn full_transpose_walk(a: &CsrMatrix, upstream: &[f32], d: usize) -> Vec<f32> {
+    let mut grad = vec![0.0f32; a.cols() * d];
+    accumulate_full_transpose(a, upstream, d, &mut grad);
+    grad
+}
+
+/// [`full_transpose_walk`] accumulated into an existing `grad`.
+fn accumulate_full_transpose(a: &CsrMatrix, upstream: &[f32], d: usize, grad: &mut [f32]) {
     let t = a.transpose();
     let g = DenseView::new(a.rows(), d, upstream);
-    let mut grad = vec![0.0f32; t.rows() * d];
     for (e, dst) in grad.chunks_exact_mut(d).enumerate() {
         let (s, end) = t.row_bounds(e);
         spmm_row_acc(&t.indices()[s..end], &t.values()[s..end], &g, 0, dst);
     }
-    grad
 }
 
 /// The semiring backward over the full transpose, as [`full_transpose_walk`]
@@ -284,6 +290,259 @@ fn through_tape(
     (g.grad(tap).unwrap().as_slice().to_vec(), grad)
 }
 
+/// One step of the working-set property test: gradient writers, each a
+/// kind and raw picks the test maps into the step's rows.
+type Writers = Vec<(u8, Vec<(u32, u32, u32)>)>;
+
+fn writers() -> impl Strategy<Value = Writers> {
+    let picks = prop::collection::vec((0u32..1000, 0u32..1000, 0u32..1000), 1..7);
+    prop::collection::vec((0u8..5, picks), 1..5)
+}
+
+/// The optimizers the working-set property test steps with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Update {
+    Sgd,
+    Adagrad,
+    Adam,
+}
+
+const LR: f32 = 0.1;
+
+impl Update {
+    fn build(self, pool: &PoolHandle) -> Box<dyn Optimizer> {
+        match self {
+            Update::Sgd => Box::new(Sgd::new(LR).with_pool(pool.clone())),
+            Update::Adagrad => Box::new(Adagrad::new(LR)),
+            Update::Adam => Box::new(Adam::new(LR)),
+        }
+    }
+}
+
+/// What the working-set store must equal: the full gradient table, the
+/// values and the optimizer state, kept dense and updated by the plain
+/// per-element formulas over every row.
+struct Reference {
+    grad: Vec<f32>,
+    value: Vec<f32>,
+    acc: Vec<f32>,
+    m: Vec<f32>,
+    v: Vec<f32>,
+    t: i32,
+}
+
+impl Reference {
+    fn new(table: &Tensor) -> Self {
+        let n = table.len();
+        Self {
+            grad: vec![0.0; n],
+            value: table.as_slice().to_vec(),
+            acc: vec![0.0; n],
+            m: vec![0.0; n],
+            v: vec![0.0; n],
+            t: 0,
+        }
+    }
+
+    fn step(&mut self, update: Update) {
+        let (value, grad) = (&mut self.value, &self.grad);
+        match update {
+            Update::Sgd => {
+                for (x, g) in value.iter_mut().zip(grad) {
+                    *x += -LR * *g;
+                }
+            }
+            Update::Adagrad => {
+                for ((x, a), g) in value.iter_mut().zip(&mut self.acc).zip(grad) {
+                    *a += g * g;
+                    *x -= LR * g / (a.sqrt() + 1e-10);
+                }
+            }
+            Update::Adam => {
+                self.t += 1;
+                let (b1, b2) = (0.9f32, 0.999f32);
+                let (bias1, bias2) = (1.0 - b1.powi(self.t), 1.0 - b2.powi(self.t));
+                let state = self.m.iter_mut().zip(&mut self.v);
+                for ((x, g), (m, s)) in value.iter_mut().zip(grad).zip(state) {
+                    *m = b1 * *m + (1.0 - b1) * g;
+                    *s = b2 * *s + (1.0 - b2) * g * g;
+                    *x -= LR * (*m / bias1) / ((*s / bias2).sqrt() + 1e-8);
+                }
+            }
+        }
+    }
+}
+
+/// The amount a hand-written writer adds at occurrence `k`, column `j`.
+fn written(k: usize, j: usize) -> f32 {
+    ((k * 3 + j) % 7) as f32 * 0.25 - 0.75
+}
+
+/// Weights the loss with a fixed non-uniform upstream gradient.
+fn weighted_mean(g: &mut Graph, out: Var) -> Var {
+    let (m, w) = g.value(out).shape();
+    let weights: Vec<f32> = (0..m * w).map(|k| (k % 5) as f32 * 0.5 - 1.0).collect();
+    let wv = g.input_from_slice(m, w, &weights);
+    let weighted = g.mul(out, wv);
+    g.mean(weighted)
+}
+
+/// Runs two steps of `writers` on a table of `n` entities and `r`
+/// relations — resident, or paged behind a cache of one step's working set
+/// (so the second step evicts) — and checks after every step's writers that
+/// every row of the store's gradient view, untouched ones included, is the
+/// dense reference's, and after every update (and the final unpage) that
+/// the values are.
+fn working_set_run(
+    (n, r): (usize, usize),
+    table: &Tensor,
+    steps: [&Writers; 2],
+    width: usize,
+    paged: bool,
+    update: Update,
+) {
+    let (rows, d) = table.shape();
+    let pool = PoolHandle::global().with_width(width);
+    // Step 0 reads the low entities, step 1 the high ones; they overlap in
+    // two, and share the relation rows.
+    let half = n / 2;
+    let span = [(0, half + 1), (half - 1, n - half + 1)];
+    let lists = |s: usize, picks: &[(u32, u32, u32)]| {
+        let (lo, len) = span[s];
+        let ent = |p: u32| lo as u32 + p % len as u32;
+        let heads: Vec<u32> = picks.iter().map(|t| ent(t.0)).collect();
+        let rels: Vec<u32> = picks.iter().map(|t| t.1 % r as u32).collect();
+        let tails: Vec<u32> = picks.iter().map(|t| ent(t.2)).collect();
+        let mut rows: Vec<u32> = heads
+            .iter()
+            .zip(&tails)
+            .flat_map(|(&h, &t)| [h, t])
+            .collect();
+        rows.extend(rels.iter().map(|&q| n as u32 + q));
+        (heads, rels, tails, rows)
+    };
+    let working_set = |s: usize| {
+        let mut ws = RowSet::new();
+        for (_, picks) in steps[s] {
+            ws.insert_slice(&lists(s, picks).3);
+        }
+        ws.as_slice().unwrap().to_vec()
+    };
+    let ws = [working_set(0), working_set(1)];
+    let budget = ws[0].len().max(ws[1].len());
+
+    let mut store = ParamStore::new();
+    let p = store.add_param("emb", table.clone());
+    if paged {
+        store
+            .page_out(p, Box::new(VecStorage::new(rows, d)), budget)
+            .unwrap();
+    }
+    let mut reference = Reference::new(table);
+    let mut opt = update.build(&pool);
+    let at = format!("width {width}, paged {paged}, {update:?}");
+    for (s, writers) in steps.iter().enumerate() {
+        store.zero_grads();
+        store.page_in(p, &[&ws[s]]).unwrap();
+        reference.grad.fill(0.0);
+        for (w, (kind, picks)) in writers.iter().enumerate() {
+            let (heads, rels, tails, list) = lists(s, picks);
+            // A paged table has no gather and no all-rows state: those
+            // writers write by hand instead.
+            let kind = match (*kind, paged) {
+                (1 | 4, true) => 2,
+                (kind, _) => kind,
+            };
+            let refg = &mut reference.grad;
+            match kind {
+                0 => {
+                    let a = hrt(n, r, &heads, &rels, &tails, TailSign::Negative).unwrap();
+                    let mut g = Graph::with_pool(pool.clone());
+                    let x = g.spmm(&store, p, Arc::new(IncidencePair::new(a.clone())));
+                    let loss = weighted_mean(&mut g, x);
+                    g.backward(loss, &mut store);
+                    accumulate_full_transpose(&a, g.grad(x).unwrap().as_slice(), d, refg);
+                }
+                1 => {
+                    let mut g = Graph::with_pool(pool.clone());
+                    let x = g.gather(&store, p, list.clone());
+                    let loss = weighted_mean(&mut g, x);
+                    g.backward(loss, &mut store);
+                    let src = g.grad(x).unwrap().as_slice();
+                    for (k, &row) in list.iter().enumerate() {
+                        let dst = &mut refg[row as usize * d..(row as usize + 1) * d];
+                        for (x, y) in dst.iter_mut().zip(&src[k * d..(k + 1) * d]) {
+                            *x += *y;
+                        }
+                    }
+                }
+                2 => {
+                    store.touch(p, &list);
+                    store.sweep(p, Sweep::Grads, &pool, 1, |row, grad, _| {
+                        for (k, _) in list.iter().enumerate().filter(|e| *e.1 as usize == row) {
+                            for (j, x) in grad.iter_mut().enumerate() {
+                                *x += written(k, j);
+                            }
+                        }
+                    });
+                    for (k, &row) in list.iter().enumerate() {
+                        for j in 0..d {
+                            refg[row as usize * d + j] += written(k, j);
+                        }
+                    }
+                }
+                3 => {
+                    let mut set = RowSet::new();
+                    set.insert_slice(&list);
+                    store.touch_set(p, &set);
+                }
+                _ => {
+                    let all = store.grad_mut(p);
+                    for (k, &row) in list.iter().enumerate() {
+                        for j in 0..d {
+                            all[row as usize * d + j] += written(k, j);
+                            refg[row as usize * d + j] += written(k, j);
+                        }
+                    }
+                    assert!(store.touched(p).is_dense());
+                }
+            }
+            let view = store.grad(p);
+            for row in 0..rows {
+                let want = &reference.grad[row * d..(row + 1) * d];
+                assert_eq!(
+                    bits(view.row(row)),
+                    bits(want),
+                    "step {s}, writer {w} (kind {kind}), row {row}, {at}"
+                );
+            }
+        }
+        opt.step(&mut store);
+        reference.step(update);
+        if !paged {
+            let value = store.value(p).as_slice();
+            assert_eq!(bits(value), bits(&reference.value), "step {s}, {at}");
+        }
+    }
+    store.zero_grads();
+    let view = store.grad(p);
+    assert!((0..rows).all(|row| view.row(row).iter().all(|x| x.to_bits() == 0)));
+    if paged {
+        let pager = store.pager(p).unwrap();
+        let union = ws[0]
+            .iter()
+            .chain(&ws[1])
+            .collect::<std::collections::BTreeSet<_>>();
+        assert!(union.len() <= budget || pager.stats().evictions > 0, "{at}");
+        store.unpage(p).unwrap();
+    }
+    assert_eq!(
+        bits(store.value(p).as_slice()),
+        bits(&reference.value),
+        "{at}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -341,7 +600,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(bits(g.grad(x).unwrap().as_slice()), bits(&dv), "dv, width {}", width);
-            prop_assert_eq!(bits(store.grad(p).as_slice()), bits(&dm), "dM, width {}", width);
+            prop_assert_eq!(bits(Tensor::from_view(store.grad(p)).as_slice()), bits(&dm), "dM, width {}", width);
         }
     }
 
@@ -382,7 +641,7 @@ proptest! {
         for r in 0..rows {
             let mult = picks.iter().filter(|&&i| i as usize == r).count() as f32;
             for j in 0..cols {
-                let got = store.grad(p).get(r, j);
+                let got = store.grad(p).row(r)[j];
                 prop_assert!((got - mult * scale).abs() < 1e-5,
                     "row {} mult {}: got {}", r, mult, got);
             }
@@ -400,7 +659,7 @@ proptest! {
             let y = g.scale(x, scale);
             let loss = g.mean(y);
             g.backward(loss, &mut store);
-            store.grad(p).as_slice().to_vec()
+            Tensor::from_view(store.grad(p)).into_vec()
         };
         let base = run(1.0);
         let scaled = run(c);
@@ -421,13 +680,13 @@ proptest! {
             g.backward(loss, store);
         };
         backward_once(&mut store);
-        let once = store.grad(p).as_slice().to_vec();
+        let once = Tensor::from_view(store.grad(p)).into_vec();
         backward_once(&mut store);
-        for (g2, g1) in store.grad(p).as_slice().iter().zip(&once) {
+        for (g2, g1) in Tensor::from_view(store.grad(p)).as_slice().iter().zip(&once) {
             prop_assert!((g2 - 2.0 * g1).abs() < 1e-5);
         }
         store.zero_grads();
-        prop_assert!(store.grad(p).as_slice().iter().all(|&x| x == 0.0));
+        prop_assert!(Tensor::from_view(store.grad(p)).as_slice().iter().all(|&x| x == 0.0));
     }
 
     /// Row norms: L1 ≥ L2 ≥ 0 and both are absolutely homogeneous.
@@ -501,6 +760,33 @@ proptest! {
                         let want = full_transpose_semiring_walk(kind, &a, &table, &up);
                         prop_assert_eq!(bits(&grad), bits(&want), "{:?}, {}", kind, at);
                     }
+                }
+            }
+        }
+    }
+
+    /// The working-set gradient is the full table: after every writer —
+    /// `spmm` and `gather` backwards and hand-written sweeps over unsorted
+    /// row lists with repeats, `touch_set` unions, a `grad_mut` switch to
+    /// the all-rows state after rows accumulated — every row read through
+    /// `ParamStore::grad`, untouched ones included, equals a dense reference
+    /// kept here, and `Sgd`, `Adagrad` and `Adam` steps leave the values the
+    /// reference's formulas do. Resident and paged with eviction (`Sgd`, the
+    /// one optimizer that pages), at pool widths 1 and 4.
+    #[test]
+    fn working_set_gradient_is_the_full_table_reference(
+        (n, r, d) in (4usize..16, 1usize..3, 1usize..5),
+        first in writers(),
+        second in writers(),
+    ) {
+        let table = init::uniform(n + r, d, 1.0, (n * 8 + d) as u64);
+        for width in [1, 4] {
+            for update in [Update::Sgd, Update::Adagrad, Update::Adam] {
+                for paged in [false, true] {
+                    if paged && update != Update::Sgd {
+                        continue;
+                    }
+                    working_set_run((n, r), &table, [&first, &second], width, paged, update);
                 }
             }
         }

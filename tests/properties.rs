@@ -102,8 +102,8 @@ proptest! {
                 want += ad.get(i, col) * gv;
             }
             for j in 0..d {
-                prop_assert!((grad.get(col, j) - want).abs() < 1e-4,
-                    "col {} j {}: {} vs {}", col, j, grad.get(col, j), want);
+                prop_assert!((grad.row(col)[j] - want).abs() < 1e-4,
+                    "col {} j {}: {} vs {}", col, j, grad.row(col)[j], want);
             }
         }
     }
