@@ -3,15 +3,21 @@
 //! transpose-SpMM** (SpTransX's). Same embedding rows touched, same math —
 //! only the schedule differs.
 //!
+//! The `row_read/*` arms time the fused score forward over a table far
+//! larger than the last-level cache and over one that fits in L2, and print
+//! what one random 256-B operand row costs in each: the row-read
+//! calibration a cost model needs, and the latency the forward's operand
+//! prefetch hides.
+//!
 //! Run with `cargo bench -p sptx-bench --bench kernels`.
 
 use std::sync::Arc;
 
-use sparse::incidence::{hrt, IncidencePair, TailSign};
+use sparse::incidence::{hrt, ht, IncidencePair, TailSign};
 use sparse::spmm::spmm_row_acc;
 use sptx_bench::harness::{random_triples, time_arm};
 use tensor::kernels::scatter_add_rows;
-use tensor::{Graph, ParamId, ParamStore, Tensor};
+use tensor::{Graph, ParamId, ParamStore, RowScore, Tensor};
 use xparallel::PoolHandle;
 
 struct Setup {
@@ -88,7 +94,38 @@ fn bench_backward() {
     });
 }
 
+/// Nanoseconds per operand row of one single-thread fused L1 score forward
+/// over `8 192` random `h − t` rows of a `rows × 64` table. Each of the
+/// seven runs `time_arm` makes reads a batch no earlier run read, so a row
+/// of the large table comes from memory, not from a cache a warm-up filled.
+fn bench_row_read() {
+    const D: usize = 64;
+    const M: usize = 8192;
+    // 1 MiB fits in L2; 512 MiB is above the largest last-level cache this
+    // was measured on (300 MiB, shared with the other tenants of the host).
+    for (label, rows) in [("l2_1mib", 1usize << 12), ("dram_512mib", 1 << 21)] {
+        let mut store = ParamStore::new();
+        let emb = store.add_param("emb", tensor::init::uniform(rows, D, 1.0, 5));
+        let pairs: Vec<_> = (0..7)
+            .map(|seed| {
+                let (heads, _, tails) = random_triples(rows, 1, M, 100 + seed);
+                Arc::new(IncidencePair::new(ht(rows, &heads, &tails).unwrap()))
+            })
+            .collect();
+        let mut next = pairs.iter().cycle();
+        let ms = time_arm(&format!("row_read/fused_score/{label}_d{D}"), None, || {
+            let pair = next.next().unwrap().clone();
+            Graph::with_pool(PoolHandle::sequential()).spmm_score(&store, emb, pair, RowScore::L1)
+        });
+        println!(
+            "row_read/{label}: {:.1} ns per operand row",
+            ms * 1e6 / (2 * M) as f64
+        );
+    }
+}
+
 fn main() {
     bench_forward();
     bench_backward();
+    bench_row_read();
 }

@@ -247,6 +247,27 @@ impl<'a> DenseView<'a> {
         };
         &self.data[slot * self.cols..(slot + 1) * self.cols]
     }
+
+    /// [`xparallel::prefetch`]es row `i` for a [`DenseView::row`] a few rows
+    /// from now, resolving a mapped row through its slot as `row` does.
+    ///
+    /// Never panics: a row past the table, a row no slot holds and a
+    /// zero-width row are no-ops, so a loop can hint a row it may never
+    /// read.
+    #[inline]
+    pub fn prefetch(&self, i: usize) {
+        let slot = match self.map {
+            None => Some(i),
+            Some(map) => map
+                .get(i)
+                .filter(|&&s| s != Self::NOT_RESIDENT)
+                .map(|&s| s as usize),
+        };
+        let row = slot.and_then(|s| self.data.get(s.checked_mul(self.cols)?..)?.get(..self.cols));
+        if let Some(row) = row {
+            xparallel::prefetch(row);
+        }
+    }
 }
 
 impl<'a> From<&'a DenseMatrix> for DenseView<'a> {
@@ -287,6 +308,27 @@ mod tests {
         let msg = *absent.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("row 1 not resident"), "{msg}");
         assert!(std::panic::catch_unwind(|| v.as_slice().len()).is_err());
+    }
+
+    #[test]
+    fn prefetch_never_panics_where_row_would() {
+        let data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let resident = DenseView::new(3, 2, &data);
+        // A map entry that is absent, and one naming a slot past the cache.
+        let map = [2, DenseView::NOT_RESIDENT, 7];
+        let mapped = DenseView::mapped(2, &data, &map);
+        let zero_width = DenseView::new(4, 0, &[]);
+        let empty = DenseView::new(0, 5, &[]);
+        let empty_mapped = DenseView::mapped(5, &[], &[]);
+        for v in [resident, mapped, zero_width, empty, empty_mapped] {
+            for i in [0, 1, 2, 3, 4, usize::MAX / 2, usize::MAX] {
+                v.prefetch(i);
+            }
+        }
+        assert_eq!((resident.row(2), mapped.row(0)), (&data[4..], &data[4..]));
+        assert!(std::panic::catch_unwind(|| mapped.row(1).len()).is_err());
+        assert!(std::panic::catch_unwind(|| mapped.row(2).len()).is_err());
+        assert!(std::panic::catch_unwind(|| resident.row(3).len()).is_err());
     }
 
     #[test]

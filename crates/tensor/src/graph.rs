@@ -4,9 +4,9 @@ use std::sync::Arc;
 
 use sparse::incidence::IncidencePair;
 use sparse::semiring::{semiring_spmm_into_with, Semiring};
-use sparse::spmm::{csr_spmm_into_with, spmm_row, spmm_row_acc};
+use sparse::spmm::{csr_spmm_into_with, prefetch_operands, spmm_row, spmm_row_acc};
 use sparse::DenseView;
-use xparallel::{PoolHandle, Rows};
+use xparallel::{PoolHandle, Rows, PREFETCH_DISTANCE};
 
 use crate::profile;
 use crate::tensor::REDUCE_CHUNK;
@@ -613,7 +613,10 @@ impl Graph {
     /// batch row's operand rows are read once, a stack tile of the product
     /// is evaluated by the same [`spmm_row`] kernel, and the terms are
     /// folded from `0.0` in column order — the same arithmetic the
-    /// materialized pipeline performs. When the tape's fused flag is off
+    /// materialized pipeline performs. Both the forward and the backward's
+    /// re-derive prefetch the operand rows of the batch row
+    /// [`xparallel::PREFETCH_DISTANCE`] ahead of the one they compute (a
+    /// hint: no bits move). When the tape's fused flag is off
     /// this *records* that two-op pipeline instead.
     ///
     /// Backward (fused arm) is two passes. A batch-row-parallel pass
@@ -652,6 +655,7 @@ impl Graph {
                 let mut tile = [0.0f32; SCORE_TILE];
                 for (k, dst) in chunk.iter_mut().enumerate() {
                     let i = first + k;
+                    prefetch_operands(&pair.forward, &view, i + PREFETCH_DISTANCE);
                     let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
                     let (cols, vals) = (&indices[s..e], &values[s..e]);
                     *dst = score.fold_row(d, &mut tile, |t0, x| spmm_row(cols, vals, &view, t0, x));
@@ -1010,6 +1014,7 @@ impl Graph {
                         .for_rows(dx.as_mut_slice(), d, 64, |first, chunk| {
                             for (k, x) in chunk.chunks_exact_mut(d).enumerate() {
                                 let ti = first + k;
+                                prefetch_operands(fwd, &view, ti + PREFETCH_DISTANCE);
                                 let (s, e) = (indptr[ti] as usize, indptr[ti + 1] as usize);
                                 spmm_row(&indices[s..e], &values[s..e], &view, 0, x);
                                 score.derivs(gd[ti], nd[ti], x);

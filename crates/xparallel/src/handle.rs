@@ -40,7 +40,7 @@ use std::ops::Range;
 
 use parking_lot::Mutex;
 
-use crate::{chunk_ranges, global_pool, singleton_ranges};
+use crate::{chunk_ranges, global_pool, prefetch, singleton_ranges, PREFETCH_DISTANCE};
 
 /// One-shot handoff slot carrying a worker's `(chunk_rows, window_first_row,
 /// window, scratch)` share of a row loop.
@@ -73,7 +73,9 @@ impl Rows<'_> {
     /// inside `window`, a row-major buffer of row width `stride` whose first
     /// row is row `first` (pass `0` and the whole buffer for a full sweep).
     /// Unlike the pool dispatch, a listed set only has to lie inside the
-    /// window, not be sorted.
+    /// window, not be sorted. A listed sweep [`prefetch`]es the row
+    /// [`PREFETCH_DISTANCE`] entries ahead of the one it hands `body`; rows,
+    /// slices and order are those of the plain loop.
     pub fn walk<T>(
         self,
         first: usize,
@@ -88,7 +90,16 @@ impl Rows<'_> {
                 }
             }
             Rows::Listed(rows) => {
-                for &r in rows {
+                for (k, &r) in rows.iter().enumerate() {
+                    // The row `PREFETCH_DISTANCE` ahead, if it is one of
+                    // the window's (a bad row panics below, not here).
+                    let ahead = rows.get(k + PREFETCH_DISTANCE).and_then(|&a| {
+                        let off = (a as usize).checked_sub(first)?.checked_mul(stride)?;
+                        window.get(off..off.checked_add(stride)?)
+                    });
+                    if let Some(ahead) = ahead {
+                        prefetch(ahead);
+                    }
                     let off = (r as usize - first) * stride;
                     body(r as usize, &mut window[off..off + stride]);
                 }
@@ -586,6 +597,32 @@ mod tests {
         let mut count = 0;
         Rows::All.for_each(nrows, |r| count += (r == count) as usize);
         assert_eq!(count, nrows);
+    }
+
+    /// The listed walk's lookahead changes nothing it hands out: on a set
+    /// shorter than the lookahead, and on one whose last listed rows are
+    /// the window's last, every visit is the plain loop's `(row, slice)`.
+    #[test]
+    fn listed_walk_visits_the_plain_loops_rows_and_slices() {
+        let (stride, first, nrows) = (3, 5, 70);
+        let short: Vec<u32> = vec![9, 6, 30];
+        let ending: Vec<u32> = (first as u32..(first + nrows) as u32)
+            .filter(|r| r % 3 == 0 || *r as usize >= first + nrows - 3)
+            .collect();
+        assert!(short.len() < PREFETCH_DISTANCE && ending.len() > 2 * PREFETCH_DISTANCE);
+        for rows in [&short, &ending] {
+            let mut window = vec![0u8; stride * nrows];
+            let base = window.as_ptr() as usize;
+            let plain: Vec<(usize, usize, usize)> = rows
+                .iter()
+                .map(|&r| (r as usize, base + (r as usize - first) * stride, stride))
+                .collect();
+            let mut walked = Vec::new();
+            Rows::Listed(rows).walk(first, &mut window, stride, |r, row| {
+                walked.push((r, row.as_ptr() as usize, row.len()));
+            });
+            assert_eq!(walked, plain, "rows {rows:?}");
+        }
     }
 
     #[test]

@@ -124,6 +124,45 @@ pub fn chunk_ranges(len: usize, min_chunk: usize, max_chunks: usize) -> Vec<Rang
     out
 }
 
+/// How many rows ahead of the row it is computing a loop over a known list
+/// of table rows calls [`prefetch`]: the fused score and its backward's
+/// re-derive, the SpMM row driver and [`Rows::walk`]'s listed sweep. Picked
+/// from a sweep of 4, 8 and 16 rows on the training benchmark (see
+/// `CHANGES.md`); it is a constant, not a knob.
+pub const PREFETCH_DISTANCE: usize = 8;
+
+/// Asks the CPU to start pulling every cache line of `data` toward L1, so a
+/// read of it a few rows from now does not wait on memory.
+///
+/// A hint only: it reads and writes nothing, cannot fault, and changes no
+/// result, counter or panic — the bits of every loop that calls it are those
+/// of the same loop without it. A Hogwild replica's shared table is only
+/// ever prefetched through here, never read, so the hint adds no access to
+/// the race its workers already tolerate. A no-op on targets other than
+/// x86-64 and for an empty slice.
+#[inline]
+pub fn prefetch<T>(data: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let (base, bytes) = (data.as_ptr().cast::<i8>(), std::mem::size_of_val(data));
+        // One hint per line the slice touches: its first byte's, then each
+        // line boundary inside it (an unaligned 256-B row touches five).
+        let (mut off, mut next) = (0, LINE - base.addr() % LINE);
+        while off < bytes {
+            // SAFETY: `_mm_prefetch` needs SSE, which every x86-64 CPU has,
+            // and its pointer is never dereferenced: a prefetch is a hint
+            // that cannot fault or change memory. `off < bytes`, so the
+            // pointer stays inside `data`'s allocation.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(base.add(off)) };
+            (off, next) = (next, next + LINE);
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = data;
+}
+
 /// Index ranges `i..i+1` for dispatching one pre-built work item per task.
 pub(crate) fn singleton_ranges(n: usize) -> Vec<Range<usize>> {
     (0..n).map(|i| i..i + 1).collect()
