@@ -1,7 +1,9 @@
 //! The paper's central contrast at kernel grain: **gather + scatter-add**
 //! (the baseline's embedding access pattern) versus **SpMM +
 //! transpose-SpMM** (SpTransX's). Same embedding rows touched, same math —
-//! only the schedule differs.
+//! only the schedule differs. Both backward arms run the tape's one
+//! scatter: the sparse arm fed from the forward CSR, the baseline from its
+//! three index lists.
 //!
 //! The `row_read/*` arms time the fused score forward over a table far
 //! larger than the last-level cache and over one that fits in L2, and print
@@ -14,9 +16,8 @@
 use std::sync::Arc;
 
 use sparse::incidence::{hrt, ht, IncidencePair, TailSign};
-use sparse::spmm::spmm_row_acc;
 use sptx_bench::harness::{random_triples, time_arm};
-use tensor::kernels::scatter_add_rows;
+use tensor::kernels::{scatter_add_csr, scatter_add_rows};
 use tensor::{Graph, ParamId, ParamStore, RowScore, Tensor};
 use xparallel::PoolHandle;
 
@@ -70,27 +71,19 @@ fn bench_forward() {
 fn bench_backward() {
     let (m, d) = (4096usize, 128usize);
     let s = setup(20_000, 200, m, d, 9);
-    // SpTransX: grad = Aᵀ · G, one gradient row per column the pair keeps,
-    // as the tape's backward sweeps them.
+    // Both arms are the tape's one scatter into a table-sized gradient,
+    // accumulated run after run; they differ only in the rows they
+    // scatter. SpTransX: grad += Aᵀ · G, pushed through the forward CSR.
+    let mut grad = Tensor::zeros(s.store.value(s.emb).rows(), s.d);
     time_arm(&format!("backward/transpose_spmm/m{m}_d{d}"), None, || {
-        let (pair, g) = (&s.pair, s.upstream.view());
-        let mut grad = Tensor::zeros(pair.touched_columns().len(), s.d);
-        PoolHandle::global().for_rows(grad.as_mut_slice(), s.d, 64, |first, chunk| {
-            for (k, dst) in chunk.chunks_exact_mut(s.d).enumerate() {
-                let (rows, coeffs) = pair.column(first + k);
-                spmm_row_acc(rows, coeffs, &g, 0, dst);
-            }
-        });
-        grad
+        scatter_add_csr(&mut grad, &s.pair.forward, &s.upstream)
     });
     // Baseline: scatter-add one row per (h, r, t) occurrence, as three
     // gathers in forward.
     time_arm(&format!("backward/scatter_add/m{m}_d{d}"), None, || {
-        let mut grad = Tensor::zeros(s.store.value(s.emb).rows(), s.d);
         scatter_add_rows(&mut grad, &s.gather_idx[..s.m], &s.upstream);
         scatter_add_rows(&mut grad, &s.gather_idx[s.m..2 * s.m], &s.upstream);
         scatter_add_rows(&mut grad, &s.gather_idx[2 * s.m..], &s.upstream);
-        grad
     });
 }
 

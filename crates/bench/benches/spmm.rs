@@ -8,10 +8,7 @@
 //! 2. **CSR vs COO** on a general sparse matrix (~8 nonzeros per row, beyond
 //!    the fast path): row-parallel CSR against COO's entry-sharded scatter
 //!    (the paper selects COO for DGL's GPU kernel).
-//! 3. **Transpose caching**: the backward `Aᵀ · G` against a kept
-//!    `CsrMatrix::transpose` vs re-transposing per call, the decision behind
-//!    `IncidencePair` keeping its columns.
-//! 4. **Width sweep** of the fast path on a pool pinned to 1, 2, 4 and 8
+//! 3. **Width sweep** of the fast path on a pool pinned to 1, 2, 4 and 8
 //!    chunks (the paper's CPU-vs-GPU axis; informative only on multi-core
 //!    hosts — the bits are the same at every width).
 //!
@@ -54,13 +51,6 @@ fn main() {
     });
     time_arm("csr_vs_coo/coo_scatter", None, || {
         coo_spmm(&PoolHandle::global(), &coo, &b_general)
-    });
-
-    let a_t = a.transpose();
-    let g = dense(a.rows(), 64, 6);
-    time_arm("transpose/cached", None, || csr_spmm(&a_t, &g));
-    time_arm("transpose/rebuilt_every_call", None, || {
-        csr_spmm(&a.transpose(), &g)
     });
 
     for width in [1usize, 2, 4, 8] {

@@ -52,16 +52,8 @@ pub fn replay_scatter(h: &mut Hierarchy, indices: &[u32], dim: usize) {
 /// `values`, gather the 2–3 source rows per output row, write the output row.
 pub fn replay_csr_spmm(h: &mut Hierarchy, a: &CsrMatrix, dim: usize) {
     let row = dim as u64 * F32;
-    let indptr_base = IDX_BASE;
-    let indices_base = IDX_BASE + (1 << 30);
-    let values_base = IDX_BASE + (2 << 30);
     for i in 0..a.rows() {
-        h.access_range(indptr_base + i as u64 * U32, 2 * U32);
-        let (s, e) = a.row_bounds(i);
-        if e > s {
-            h.access_range(indices_base + s as u64 * U32, (e - s) as u64 * U32);
-            h.access_range(values_base + s as u64 * F32, (e - s) as u64 * F32);
-        }
+        replay_csr_row_entries(h, a, i);
         for (col, _) in a.row(i) {
             h.access_range(EMB_BASE + col as u64 * row, row);
         }
@@ -69,26 +61,36 @@ pub fn replay_csr_spmm(h: &mut Hierarchy, a: &CsrMatrix, dim: usize) {
     }
 }
 
-/// Replays the **transpose-SpMM** backward (`Aᵀ · G`) as the tape runs it:
-/// over the columns the incidence pair keeps, column `k` of `A` gathering
-/// its upstream-gradient rows and writing parameter-gradient row
-/// `touched_columns()[k]` once, in ascending row order.
-pub fn replay_csr_spmm_transpose(h: &mut Hierarchy, pair: &IncidencePair, dim: usize) {
+/// Replays the **transpose-SpMM** backward (`Aᵀ · G`) as the tape pushes
+/// it through the forward matrix: the CSR rows in order, each batch row's
+/// upstream-gradient row read once, and per nonzero a read-modify-write of
+/// its column's gradient slot. The slots are the pair's touched columns in
+/// order, packed into a buffer the size of the batch's working set, as the
+/// parameter store assigns them on a step's first touch.
+pub fn replay_csr_spmm_push(h: &mut Hierarchy, pair: &IncidencePair, dim: usize) {
     let row = dim as u64 * F32;
     let grad_base = EMB_BASE + (1u64 << 34);
-    let indptr_base = IDX_BASE + (3u64 << 30);
-    let indices_base = IDX_BASE + (4u64 << 30);
-    let mut start = 0;
-    for (k, &e) in pair.touched_columns().iter().enumerate() {
-        h.access_range(indptr_base + k as u64 * U32, 2 * U32);
-        let (rows, _) = pair.column(k);
-        h.access_range(indices_base + start * U32, rows.len() as u64 * U32);
-        for &i in rows {
-            // Gather the upstream gradient row (batch-sized buffer).
-            h.access_range(OUT_BASE + u64::from(i) * row, row);
+    let (a, touched) = (&pair.forward, pair.touched_columns());
+    for i in 0..a.rows() {
+        replay_csr_row_entries(h, a, i);
+        h.access_range(OUT_BASE + i as u64 * row, row);
+        for (col, _) in a.row(i) {
+            let slot = touched.partition_point(|&c| (c as usize) < col);
+            h.access_range(grad_base + slot as u64 * row, row);
         }
-        h.access_range(grad_base + u64::from(e) * row, row);
-        start += rows.len() as u64;
+    }
+}
+
+/// Streams row `i`'s `indptr` pair and its `indices` and `values` runs.
+fn replay_csr_row_entries(h: &mut Hierarchy, a: &CsrMatrix, i: usize) {
+    let indptr_base = IDX_BASE;
+    let indices_base = IDX_BASE + (1 << 30);
+    let values_base = IDX_BASE + (2 << 30);
+    h.access_range(indptr_base + i as u64 * U32, 2 * U32);
+    let (s, e) = a.row_bounds(i);
+    if e > s {
+        h.access_range(indices_base + s as u64 * U32, (e - s) as u64 * U32);
+        h.access_range(values_base + s as u64 * F32, (e - s) as u64 * F32);
     }
 }
 
@@ -98,7 +100,7 @@ pub fn replay_csr_spmm_transpose(h: &mut Hierarchy, pair: &IncidencePair, dim: u
 pub struct KernelComparison {
     /// Overall miss rate of gather (fwd) + scatter (bwd).
     pub gather_scatter_miss_rate: f64,
-    /// Overall miss rate of SpMM (fwd) + transpose SpMM (bwd).
+    /// Overall miss rate of SpMM (fwd) + pushed transpose SpMM (bwd).
     pub spmm_miss_rate: f64,
 }
 
@@ -119,7 +121,7 @@ pub fn compare_kernels(incidence: &CsrMatrix, dim: usize) -> KernelComparison {
     let mut sp = Hierarchy::epyc_like();
     let pair = IncidencePair::new(incidence.clone());
     replay_csr_spmm(&mut sp, incidence, dim);
-    replay_csr_spmm_transpose(&mut sp, &pair, dim);
+    replay_csr_spmm_push(&mut sp, &pair, dim);
     let spmm = sp.overall_miss_rate();
 
     KernelComparison {

@@ -195,6 +195,17 @@ impl CsrMatrix {
         (self.indptr[i] as usize, self.indptr[i + 1] as usize)
     }
 
+    /// Row `i`'s stored entries: its column indices and their coefficients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= rows`.
+    #[inline]
+    pub fn row_entries(&self, i: usize) -> (&[u32], &[f32]) {
+        let (s, e) = self.row_bounds(i);
+        (&self.indices[s..e], &self.values[s..e])
+    }
+
     /// The maximum number of nonzeros in any row.
     pub fn max_row_nnz(&self) -> usize {
         (0..self.rows)
@@ -209,8 +220,9 @@ impl CsrMatrix {
     /// Returns the transpose in CSR form.
     ///
     /// Runs a counting-sort transpose in `O(nnz + rows + cols)`. This is the
-    /// backward-pass matrix of Appendix G: `∂L/∂X = Aᵀ · ∂L/∂C` (an incidence
-    /// pair keeps its occupied rows, built without this `O(cols)` pass).
+    /// backward-pass matrix of Appendix G, `∂L/∂X = Aᵀ · ∂L/∂C`, which the
+    /// training tape never builds: it pushes `∂L/∂C` through the rows of `A`
+    /// instead. Tests use it as the reference.
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0u32; self.cols + 1];
         for &c in &self.indices {

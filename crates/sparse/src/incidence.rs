@@ -14,12 +14,13 @@
 //! * **`hrt_unsigned` form** (Appendix D): all three coefficients `+1`; the
 //!   sign carries no meaning under product semirings (DistMult), or flags
 //!   conjugation/subtraction (ComplEx, RotatE) where the tail keeps `−1`.
-//! * **`selection` form** (`S ∈ {0,1}^{M×R}`): one `+1` per row at the
-//!   triplet's relation column. Its [`IncidencePair`] is the batch grouped by
-//!   relation, which is what TransR's per-relation projection walks.
 //!
-//! An [`IncidencePair`] keeps `A` and, for the backward pass, `Aᵀ` over the
-//! columns the batch touches: its size follows the batch, not the table.
+//! An [`IncidencePair`] keeps `A` and the sorted columns it touches. The
+//! backward pass `Aᵀ · G` (Appendix G) needs no second copy: it walks the
+//! forward rows in batch order and pushes each row's contribution into the
+//! gradient rows of its columns, so a pair's size follows the batch, not the
+//! table. [`RelationGroups`] is the one other batch index: the batch grouped
+//! by relation, which TransR's per-relation projection walks.
 
 use std::sync::Arc;
 
@@ -135,91 +136,120 @@ pub fn hrt(
     Ok(coo.to_csr())
 }
 
-/// Builds the `M × num_cols` selection matrix of an index list: row `i` holds
-/// one `+1` at column `picks[i]`, so `S · P` gathers rows of `P`.
+/// A batch grouped by relation: the sorted distinct relations of a
+/// per-row relation list and, for each, the batch rows that hold it in
+/// ascending order — what TransR's per-relation projection walks, so that
+/// each relation's matrix stays in L1 for its whole group.
 ///
-/// The [`IncidencePair`] of a batch's relation list is that batch grouped by
-/// relation, with no further type: `forward.indices()` is the list itself,
-/// `touched_columns()` the sorted distinct relations, and `column(k)` the
-/// batch rows of relation `touched_columns()[k]` in ascending order.
-///
-/// # Errors
-///
-/// Returns [`Error::IndexOutOfBounds`] if any pick is `≥ num_cols`.
+/// Built with one sort of `m` keys; its size follows the batch.
 ///
 /// # Examples
 ///
 /// ```
-/// use sparse::incidence::{selection, IncidencePair};
+/// use sparse::incidence::RelationGroups;
 ///
-/// let by_rel = IncidencePair::new(selection(4, &[2, 0, 2])?);
-/// assert_eq!(by_rel.forward.indices(), &[2, 0, 2]);
-/// assert_eq!(by_rel.touched_columns()[..], [0, 2]);
-/// assert_eq!(by_rel.column(1), (&[0, 2][..], &[1.0, 1.0][..]));
+/// let by_rel = RelationGroups::new(4, &[2, 0, 2])?;
+/// assert_eq!(by_rel.rows(), &[1, 0, 2]);
+/// assert_eq!(by_rel.relations(), &[0, 2]);
+/// let groups: Vec<_> = by_rel.iter().collect();
+/// assert_eq!(groups, [(0, &[1][..]), (2, &[0, 2][..])]);
 /// # Ok::<(), sparse::Error>(())
 /// ```
-pub fn selection(num_cols: usize, picks: &[u32]) -> Result<CsrMatrix> {
-    let m = picks.len();
-    if let Some(row) = picks.iter().position(|&c| c as usize >= num_cols) {
-        return Err(Error::IndexOutOfBounds {
-            row,
-            col: picks[row] as usize,
-            rows: m,
-            cols: num_cols,
-        });
-    }
-    Ok(CsrMatrix::from_raw_parts_unchecked(
-        m,
-        num_cols,
-        (0..=m as u32).collect(),
-        picks.to_vec(),
-        vec![1.0; m],
-    ))
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RelationGroups {
+    /// Sorted, deduplicated relations of the batch.
+    relations: Vec<u32>,
+    /// Group `k`'s batch rows are `rows[starts[k]..starts[k + 1]]`.
+    starts: Vec<u32>,
+    /// Batch rows, grouped by relation, ascending within a group.
+    rows: Vec<u32>,
 }
 
-/// A forward incidence matrix and its columns, for the backward pass.
+impl RelationGroups {
+    /// Groups the batch rows of `rels` (row `i` holds relation `rels[i]`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::IndexOutOfBounds`] naming the first row whose
+    /// relation is `≥ num_relations`, in the shape of the `M × R` matrix
+    /// with one `+1` per row at its relation's column.
+    pub fn new(num_relations: usize, rels: &[u32]) -> Result<Self> {
+        let (rows, cols) = (rels.len(), num_relations);
+        if let Some(row) = rels.iter().position(|&r| r as usize >= cols) {
+            let col = rels[row] as usize;
+            return Err(Error::IndexOutOfBounds {
+                row,
+                col,
+                rows,
+                cols,
+            });
+        }
+        let mut keys: Vec<u64> = (0..rows)
+            .map(|i| u64::from(rels[i]) << 32 | i as u64)
+            .collect();
+        keys.sort_unstable();
+        let (mut relations, mut starts) = (Vec::new(), Vec::new());
+        for (k, r) in keys.iter().map(|&key| (key >> 32) as u32).enumerate() {
+            if relations.last() != Some(&r) {
+                relations.push(r);
+                starts.push(k as u32);
+            }
+        }
+        starts.push(rows as u32);
+        let rows = keys.iter().map(|&key| key as u32).collect();
+        Ok(Self {
+            relations,
+            starts,
+            rows,
+        })
+    }
+
+    /// The batch rows, grouped by relation (ascending within a group).
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// Sorted, deduplicated relations of the batch — the rows of a
+    /// per-relation parameter whose gradients the batch can touch.
+    pub fn relations(&self) -> &[u32] {
+        &self.relations
+    }
+
+    /// Every group as `(relation, its batch rows ascending)`, relations
+    /// ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+        let bounds = self.starts.windows(2);
+        let groups = bounds.map(|w| &self.rows[w[0] as usize..w[1] as usize]);
+        self.relations.iter().copied().zip(groups)
+    }
+}
+
+/// A forward incidence matrix and the columns it touches.
 ///
 /// SparseTransX training reuses each mini-batch's incidence matrix every
-/// epoch; the backward pass needs `Aᵀ` (Appendix G), so both are built once
-/// and kept together — `Aᵀ` over the touched columns only, read through
-/// [`column`](Self::column), so the pair's size follows the batch.
+/// epoch, so it is built once and kept with the sorted list of its nonzero
+/// columns. That is all the backward pass needs: `Aᵀ · G` (Appendix G) is
+/// pushed through the forward rows, each batch row adding into the gradient
+/// rows of its columns, so no transpose is kept and the pair's size follows
+/// the batch, not the table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncidencePair {
     /// Forward matrix `A` (`M × cols`).
     pub forward: CsrMatrix,
-    /// `Aᵀ` over the touched columns only (`touched × M`).
-    columns: CsrMatrix,
     /// Sorted, deduplicated nonzero columns of `A`.
     touched: Arc<[u32]>,
 }
 
 impl IncidencePair {
-    /// Builds the pair from a forward matrix: one `O(nnz log nnz)` sort of
-    /// its entries by column, then by batch row.
+    /// Builds the pair from a forward matrix: one sort and deduplication of
+    /// its column indices.
     pub fn new(forward: CsrMatrix) -> Self {
-        // Keys `column << 32 | entry`: entries are stored row by row, so
-        // within a column the entry order is the batch-row order.
-        let (mut keys, mut row_of) = (Vec::with_capacity(forward.nnz()), Vec::new());
-        for i in 0..forward.rows() {
-            let (s, e) = forward.row_bounds(i);
-            keys.extend((s..e).map(|p| u64::from(forward.indices()[p]) << 32 | p as u64));
-            row_of.resize(e, i as u32);
-        }
-        keys.sort_unstable();
-        let column = |k: usize| (keys[k] >> 32) as u32;
-        let starts: Vec<usize> = (0..keys.len())
-            .filter(|&k| k == 0 || column(k) != column(k - 1))
-            .collect();
-        let indptr = starts.iter().map(|&k| k as u32).chain([keys.len() as u32]);
-        let entries = keys.iter().map(|&key| key as u32 as usize);
-        let indices = entries.clone().map(|p| row_of[p]).collect();
-        let values = entries.map(|p| forward.values()[p]).collect();
-        let (t, m) = (starts.len(), forward.rows());
-        let columns = CsrMatrix::from_raw_parts_unchecked(t, m, indptr.collect(), indices, values);
+        let mut touched = forward.indices().to_vec();
+        touched.sort_unstable();
+        touched.dedup();
         Self {
-            touched: starts.into_iter().map(column).collect(),
+            touched: touched.into(),
             forward,
-            columns,
         }
     }
 
@@ -232,12 +262,9 @@ impl IncidencePair {
         &self.touched
     }
 
-    /// Column `touched_columns()[k]` of `forward` (row `k` of the kept `Aᵀ`;
-    /// panics past the list): the batch rows that hold it, ascending, and
-    /// their coefficients, explicit self-loop zeros included.
-    pub fn column(&self, k: usize) -> (&[u32], &[f32]) {
-        let (s, e) = self.columns.row_bounds(k);
-        (&self.columns.indices()[s..e], &self.columns.values()[s..e])
+    /// Heap bytes the pair owns: the forward matrix and the touched list.
+    pub fn heap_bytes(&self) -> usize {
+        self.forward.heap_bytes() + std::mem::size_of_val(&self.touched[..])
     }
 }
 
@@ -341,60 +368,26 @@ mod tests {
             "index (1, 5) out of bounds for 2x5 matrix"
         );
         assert_eq!(
-            msg(selection(3, &[0, 3, 1]).unwrap_err()),
+            msg(RelationGroups::new(3, &[0, 3, 1]).unwrap_err()),
             "index (1, 3) out of bounds for 3x3 matrix"
         );
     }
 
     #[test]
-    fn selection_gathers_rows_and_validates_bounds() {
-        let p = DenseMatrix::from_rows(&[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]);
-        let s = selection(3, &[2, 0, 2]).unwrap();
-        let c = csr_spmm(&s, &p);
-        assert_eq!(
-            (c.row(0), c.row(1), c.row(2)),
-            (p.row(2), p.row(0), p.row(2))
-        );
-        assert_eq!(
-            s,
-            CsrMatrix::from_raw_parts(3, 3, vec![0, 1, 2, 3], vec![2, 0, 2], vec![1.0; 3]).unwrap()
-        );
-        assert_eq!(selection(3, &[]).unwrap().rows(), 0);
+    fn relation_groups_list_each_relations_rows_and_validate_bounds() {
+        // Relation 1 first and last, relation 0 between, relation 2 unused.
+        let by_rel = RelationGroups::new(4, &[1, 0, 3, 1, 0, 1]).unwrap();
+        assert_eq!(by_rel.rows(), &[1, 4, 0, 3, 5, 2]);
+        assert_eq!(by_rel.relations(), &[0, 1, 3]);
+        let groups: Vec<(u32, Vec<u32>)> = by_rel.iter().map(|(r, i)| (r, i.to_vec())).collect();
+        assert_eq!(groups, [(0, vec![1, 4]), (1, vec![0, 3, 5]), (3, vec![2])]);
+        let empty = RelationGroups::new(3, &[]).unwrap();
+        assert!(empty.rows().is_empty() && empty.relations().is_empty());
+        assert_eq!(empty.iter().count(), 0);
         assert!(matches!(
-            selection(3, &[0, 3]),
+            RelationGroups::new(3, &[0, 3]),
             Err(Error::IndexOutOfBounds { row: 1, col: 3, .. })
         ));
-    }
-
-    /// Row `k` of `a.transpose()`'s occupied rows, as `(batch rows, coefficients)`.
-    fn transposed_columns(a: &CsrMatrix) -> Vec<(u32, Vec<u32>, Vec<f32>)> {
-        let t = a.transpose();
-        (0..t.rows())
-            .filter(|&c| t.row(c).count() > 0)
-            .map(|c| {
-                let (rows, coeffs) = t.row(c).map(|(i, v)| (i as u32, v)).unzip();
-                (c as u32, rows, coeffs)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn incidence_pair_caches_transpose() {
-        // A self-loop (explicit zero), a repeated relation and an untouched
-        // entity: every kept column is that row of the full transpose.
-        let a = hrt(6, 2, &[0, 1, 3], &[1, 1, 0], &[2, 1, 0], TailSign::Negative).unwrap();
-        let pair = IncidencePair::new(a.clone());
-        assert_eq!(pair.forward.rows(), 3);
-        let kept: Vec<_> = (0..pair.touched_columns().len())
-            .map(|k| {
-                let (rows, coeffs) = pair.column(k);
-                (pair.touched_columns()[k], rows.to_vec(), coeffs.to_vec())
-            })
-            .collect();
-        assert_eq!(kept, transposed_columns(&a));
-        assert_eq!(pair.column(1), (&[1u32][..], &[0.0f32][..]));
-        let empty = IncidencePair::new(ht(4, &[], &[]).unwrap());
-        assert!(empty.touched_columns().is_empty());
     }
 
     #[test]
@@ -404,6 +397,18 @@ mod tests {
         let a = hrt(5, 2, &[0, 1], &[0, 1], &[2, 3], TailSign::Negative).unwrap();
         let pair = IncidencePair::new(a);
         assert_eq!(pair.touched_columns()[..], [0, 1, 2, 3, 5, 6]);
+        // A self-loop (explicit zero), a repeated relation and an untouched
+        // entity: the touched columns are the occupied rows of `Aᵀ`.
+        let a = hrt(6, 2, &[0, 1, 3], &[1, 1, 0], &[2, 1, 0], TailSign::Negative).unwrap();
+        let t = a.transpose();
+        let occupied: Vec<u32> = (0..t.rows() as u32)
+            .filter(|&c| t.row(c as usize).count() > 0)
+            .collect();
+        let pair = IncidencePair::new(a.clone());
+        assert_eq!(pair.touched_columns()[..], occupied[..]);
+        assert_eq!(pair.forward, a);
+        let empty = IncidencePair::new(ht(4, &[], &[]).unwrap());
+        assert!(empty.touched_columns().is_empty());
     }
 
     #[test]
@@ -412,10 +417,21 @@ mod tests {
         let (heads, rels, tails) = ([0, 7, 7, 500], [0, 1, 1, 0], [3, 3, 999, 500]);
         let bytes = |n: usize| {
             let a = hrt(n, 2, &heads, &rels, &tails, TailSign::Negative).unwrap();
-            let pair = IncidencePair::new(a);
-            // Both matrices and the touched list.
-            pair.forward.heap_bytes() + pair.columns.heap_bytes() + 4 * pair.touched.len()
+            IncidencePair::new(a).heap_bytes()
         };
         assert_eq!(bytes(1_000), bytes(1_000_000));
+    }
+
+    #[test]
+    fn pair_heap_is_the_forward_matrix_and_the_touched_list() {
+        let (heads, rels, tails) = ([0, 7, 7, 500], [0, 1, 1, 0], [3, 3, 999, 500]);
+        let a = hrt(1_000, 2, &heads, &rels, &tails, TailSign::Negative).unwrap();
+        let pair = IncidencePair::new(a);
+        // Every field, named: a new one fails to compile here.
+        let IncidencePair { forward, touched } = &pair;
+        assert_eq!(pair.heap_bytes(), forward.heap_bytes() + 4 * touched.len());
+        // Four triples, one self-loop: 11 stored entries over 7 columns.
+        assert_eq!((forward.nnz(), touched.len()), (11, 7));
+        assert_eq!(pair.heap_bytes(), 4 * (5 + 11 + 11) + 4 * 7);
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! It also hosts the paper's central data structure: the **triplet incidence
 //! matrix** ([`incidence`]), whose rows hold exactly two (`h − t`) or three
-//! (`h + r − t`) nonzeros drawn from `{−1, +1}`, kept with `Aᵀ` over the
-//! columns the batch touches ([`incidence::IncidencePair`]).
+//! (`h + r − t`) nonzeros drawn from `{−1, +1}`, kept with the sorted columns
+//! the batch touches ([`incidence::IncidencePair`]). The backward `Aᵀ · G`
+//! walks the same rows, so no transpose is kept.
 //!
 //! **Place in the workspace:** sits directly on `xparallel`; consumed by
 //! `tensor` (the SpMM autograd op), `simcache` (kernel traces), and

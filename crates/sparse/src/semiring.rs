@@ -17,9 +17,10 @@
 //! A description is what one *lane* of a row costs and computes
 //! ([`Semiring::lane_width`], the term and its three partials); which stored
 //! entry plays which role is decided once for all three, in
-//! [`Semiring::decode`]. The training tape runs the forward walk as is and
-//! applies the same lane function along the incidence pair's columns for the
-//! backward, so the kernel that is benchmarked is the kernel that trains.
+//! [`Semiring::decode`]. The training tape runs the forward walk as is and,
+//! for the backward, walks the same rows again applying the lane function's
+//! partials to each triple's three operands, so the kernel that is
+//! benchmarked is the kernel that trains.
 
 use crate::{metrics, Complex32, CsrMatrix, DenseView};
 
@@ -189,6 +190,12 @@ impl Semiring {
     /// sibling rows in, and one gradient row read and written (RotatE's
     /// partials also re-read the operand's own row, which is left out so
     /// that the kinds differ in lane width and flops per lane only).
+    ///
+    /// The backward formula models a pull, which visited each stored entry
+    /// from its gradient row and read the triple's rows there. The tape's
+    /// push decodes each triple once and reads its three rows and `g_i` once
+    /// per triple, so these bytes over-count what it moves; the formula is
+    /// kept unchanged until the counters' next versioned redefinition.
     pub fn record_pass(self, a: &CsrMatrix, d: usize, backward: bool) {
         let (m, nnz, row) = (a.rows() as u64, a.nnz() as u64, 4 * d as u64);
         let lanes = (d / self.lane_width()) as u64;

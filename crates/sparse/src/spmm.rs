@@ -12,10 +12,12 @@
 //!   [`csr_spmm`] and its `_into`/`_with` forms, and the tape's `spmm` and
 //!   fused `spmm_score` ops in `tensor`, all call it and nothing else.
 //! * [`spmm_row_acc`] is **the** row kernel of `Aᵀ · G` (Appendix G): one
-//!   destination row accumulating `val · G[col, :]` over one CSR row of the
-//!   transpose. Both SpMM backward passes on the tape run it inside the
-//!   parameter store's touched-row sweep; it is also [`spmm_row`]'s general
-//!   arm and all of [`csr_spmm_into_general`].
+//!   destination row accumulating `val · G[col, :]` over a list of entries,
+//!   one [`axpy`] per entry. The tape's backward pushes `G` through the rows
+//!   of `A` and runs that same [`axpy`] once per nonzero (`dst` the gradient
+//!   row of the nonzero's column, `G`'s row its batch row, resolved once per
+//!   batch row); [`spmm_row_acc`] is also [`spmm_row`]'s general arm and all
+//!   of [`csr_spmm_into_general`].
 //!
 //! The entry points around them are **row-parallel**: output rows are sharded
 //! over the [`xparallel`] pool, each computed by exactly one worker, so no
@@ -210,11 +212,7 @@ pub fn spmm_row(cols: &[u32], vals: &[f32], b: &DenseView<'_>, t0: usize, x: &mu
 }
 
 /// **The row kernel of `Aᵀ · G`**: `dst[j] += vals[k] · G[cols[k], t0 + j]`
-/// for every nonzero `k`, in order. With `cols`/`vals` one row of the
-/// transposed incidence matrix and `dst` that parameter row's gradient, this
-/// is the whole backward pass of an SpMM for one destination row: the row is
-/// owned by whoever calls this, its contributions land in CSR order, and an
-/// empty row costs nothing.
+/// for every entry `k`, in order, one [`axpy`] per entry.
 ///
 /// # Panics
 ///
@@ -222,10 +220,21 @@ pub fn spmm_row(cols: &[u32], vals: &[f32], b: &DenseView<'_>, t0: usize, x: &mu
 #[inline]
 pub fn spmm_row_acc(cols: &[u32], vals: &[f32], g: &DenseView<'_>, t0: usize, dst: &mut [f32]) {
     let t1 = t0 + dst.len();
-    for (v, &c) in vals.iter().zip(cols) {
-        for (dj, x) in dst.iter_mut().zip(&g.row(c as usize)[t0..t1]) {
-            *dj += v * x;
-        }
+    for (&v, &c) in vals.iter().zip(cols) {
+        axpy(v, &g.row(c as usize)[t0..t1], dst);
+    }
+}
+
+/// `dst[j] += v · x[j]` over `dst` — the one accumulate of `Aᵀ · G`. The
+/// tape's backward pushes `G` through the forward matrix and runs it once
+/// per nonzero `(i, c, v)` of `A`, with `x` row `i` of `G` and `dst`
+/// parameter row `c`'s gradient: every destination row's contributions
+/// then land in ascending batch row, exactly as [`spmm_row_acc`] over
+/// column `c` of `A` would add them.
+#[inline]
+pub fn axpy(v: f32, x: &[f32], dst: &mut [f32]) {
+    for (dj, x) in dst.iter_mut().zip(x) {
+        *dj += v * x;
     }
 }
 

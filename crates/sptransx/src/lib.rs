@@ -19,8 +19,9 @@
 //! `Box<dyn` [`AnyModel`]`>`, which trains like a concrete model.
 //!
 //! The sparse variants build each mini-batch's incidence matrix **once**
-//! (negatives are pre-generated, §5.3) and reuse it — with its transpose over
-//! the rows the batch touches, for the backward SpMM — every epoch.
+//! (negatives are pre-generated, §5.3) and reuse it — with the sorted list of
+//! the columns it touches — every epoch. The backward `Aᵀ · G` is pushed
+//! through the same matrix's rows, so no transpose is built or kept.
 //!
 //! [`Trainer`] is the one training driver — margin-ranking loss over a
 //! [`kg::BatchPlan`], one replica or several ([`Trainer::replicated`], Appendix

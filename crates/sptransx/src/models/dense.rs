@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use kg::TripleStore;
-use sparse::incidence::IncidencePair;
+use sparse::incidence::RelationGroups;
 use tensor::{Graph, ParamId, ParamStore, Tensor, Var};
 
 use crate::model::normalize_leading_rows;
@@ -208,7 +208,7 @@ pub struct GatherTransR(pub Projections);
 impl Family for GatherTransR {
     const NAME: &'static str = "TransR-dense";
     /// The gather lists and the side's triples grouped by relation.
-    type Side = (DenseSide, Arc<IncidencePair>);
+    type Side = (DenseSide, Arc<RelationGroups>);
 
     fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
         GatherTransR(Projections::register(store, shape, seed))

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use kg::eval::{BatchScorer, TripleScorer};
 use kg::{BatchPlan, Dataset, TripleStore};
-use sparse::incidence::{self, IncidencePair, TailSign};
+use sparse::incidence::{self, IncidencePair, RelationGroups, TailSign};
 use tensor::{init, Graph, ParamId, ParamStore, Tensor, Var};
 
 use crate::model::{KgeModel, Norm, TrainConfig};
@@ -660,12 +660,9 @@ pub(crate) fn dense_side(t: &TripleStore) -> DenseSide {
     }
 }
 
-/// One side grouped by relation: the pair of its `m × R` relation selection
-/// matrix ([`incidence::selection`]), which is what `Graph::project_rows`
-/// walks.
-pub(crate) fn by_relation(s: &Shape, t: &TripleStore) -> Result<Arc<IncidencePair>> {
-    let selection = incidence::selection(s.relations, t.rels())?;
-    Ok(Arc::new(IncidencePair::new(selection)))
+/// One side grouped by relation, which is what `Graph::project_rows` walks.
+pub(crate) fn by_relation(s: &Shape, t: &TripleStore) -> Result<Arc<RelationGroups>> {
+    Ok(Arc::new(RelationGroups::new(s.relations, t.rels())?))
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! Appendix D maps this onto the same incidence traversal with a "rotate"
 //! semiring: [`tensor::Graph::semiring_score`] under [`Semiring::RotatE`]
 //! computes the per-triple distance and backpropagates through the complex
-//! product along the columns the batch's incidence pair keeps.
+//! product, pushing each triple through its row of the batch's incidence
+//! matrix.
 
 use kg::TripleStore;
 use sparse::incidence::TailSign;

@@ -3,7 +3,8 @@
 //! TransE enforces `h + r ≈ t`. The sparse formulation stacks entity and
 //! relation embeddings in one `(N + R) × d` matrix and computes the whole
 //! batch's `h + r − t` expressions as a single SpMM with the `hrt` incidence
-//! matrix (§4.2.2); the backward pass is one SpMM with its kept columns.
+//! matrix (§4.2.2); the backward pass is that matrix's transpose product,
+//! pushed through its rows.
 
 use kg::TripleStore;
 use sparse::incidence::TailSign;

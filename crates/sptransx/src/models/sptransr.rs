@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use kg::TripleStore;
-use sparse::incidence::IncidencePair;
+use sparse::incidence::RelationGroups;
 use tensor::{init, Graph, ParamId, ParamStore, Var};
 
 use crate::model::normalize_leading_rows;
@@ -112,7 +112,7 @@ impl Family for TransR {
     const WORKING_SET: Option<WorkingSet<Self>> =
         Some(|f, (side, _)| (f.0.ent, side.pair.touched_columns()));
     /// The `ht` side and the side's triples grouped by relation.
-    type Side = (HtSide, Arc<IncidencePair>);
+    type Side = (HtSide, Arc<RelationGroups>);
 
     fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
         TransR(Projections::register(store, shape, seed))

@@ -89,7 +89,7 @@ mod tests {
     use super::*;
     use crate::{init, RowScore};
     use sparse::incidence::IncidencePair;
-    use sparse::incidence::{hrt, ht, selection, TailSign};
+    use sparse::incidence::{hrt, ht, RelationGroups, TailSign};
     use sparse::semiring::Semiring;
     use std::sync::Arc;
 
@@ -160,7 +160,7 @@ mod tests {
         let _ent = s.add_param("ent", init::uniform(4, 2, 0.9, 6));
         let _mats = s.add_param("mats", init::uniform(2, 3 * 2, 0.7, 7)); // 2 rels, 3x2 mats
         let pair = Arc::new(IncidencePair::new(ht(4, &[0, 1], &[2, 3]).unwrap()));
-        let by_rel = Arc::new(IncidencePair::new(selection(2, &[1, 0]).unwrap()));
+        let by_rel = Arc::new(RelationGroups::new(2, &[1, 0]).unwrap());
         let build = move |g: &mut crate::Graph, store: &ParamStore| {
             let ent = store.lookup("ent").unwrap();
             let mats = store.lookup("mats").unwrap();

@@ -2,15 +2,16 @@
 
 use std::sync::Arc;
 
-use sparse::incidence::IncidencePair;
+use sparse::incidence::{IncidencePair, RelationGroups};
 use sparse::semiring::{semiring_spmm_into_with, Semiring};
-use sparse::spmm::{csr_spmm_into_with, prefetch_operands, spmm_row, spmm_row_acc};
+use sparse::spmm::{axpy, csr_spmm_into_with, prefetch_operands, spmm_row};
+use sparse::CsrMatrix;
 use sparse::DenseView;
 use xparallel::{PoolHandle, Rows, PREFETCH_DISTANCE};
 
 use crate::profile;
 use crate::tensor::REDUCE_CHUNK;
-use crate::{Arena, ParamId, ParamStore, Sweep, Tensor};
+use crate::{Arena, ParamId, ParamStore, Tensor};
 
 /// Handle to a node on a [`Graph`] tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -350,7 +351,7 @@ enum Op {
     ProjectRows {
         mats: ParamId,
         vecs: Var,
-        by_rel: Arc<IncidencePair>,
+        by_rel: Arc<RelationGroups>,
         d_out: usize,
         d_in: usize,
     },
@@ -385,8 +386,12 @@ struct Node {
 ///
 /// * [`Graph::gather`] — fine-grained row gather whose backward is a
 ///   **scatter-add** (the non-sparse baseline path, paper Figure 1);
-/// * [`Graph::spmm`] — incidence-matrix SpMM whose backward is a second SpMM
-///   with `Aᵀ` (the SparseTransX path, paper §4.1 and Appendix G).
+/// * [`Graph::spmm`] — incidence-matrix SpMM whose backward is `Aᵀ · G`
+///   pushed through the forward rows (the SparseTransX path, paper §4.1 and
+///   Appendix G).
+///
+/// Both backwards are one scatter: each batch row adds `coefficient · G[i]`
+/// into the gradient rows it names, with coefficient `1` for a gather.
 ///
 /// The six elementwise ops ([`Graph::add`], [`Graph::sub`], [`Graph::mul`],
 /// [`Graph::scale`], [`Graph::row_dot`], [`Graph::scale_rows`]) are one op:
@@ -430,8 +435,6 @@ pub struct Graph {
     /// the margin-loss backward seed). On by default; the unfused arm
     /// records the materialized op-by-op tape instead, bit-identical.
     fused: bool,
-    /// Where the backward sweeps find a parameter row's incidence column.
-    columns: ColumnIndex,
 }
 
 impl Default for Graph {
@@ -453,7 +456,6 @@ impl Graph {
             pool,
             arena: Arena::new(),
             fused: true,
-            columns: ColumnIndex::default(),
         }
     }
 
@@ -621,11 +623,11 @@ impl Graph {
     ///
     /// Backward (fused arm) is two passes. A batch-row-parallel pass
     /// re-derives each row's product once and stores the score derivative
-    /// `g_i · score'(x_{i,j})` in one arena-recycled `m × d` buffer; then the
-    /// pair's columns are walked like the SpMM backward, each parameter
-    /// gradient row owned by exactly one worker and accumulating
-    /// `aval · dx[i, :]` in tape order, so training stays bit-identical at
-    /// any pool width.
+    /// `g_i · score'(x_{i,j})` in one arena-recycled `m × d` buffer; then
+    /// that buffer is pushed through the forward rows like the SpMM
+    /// backward, each parameter gradient row owned by exactly one worker and
+    /// accumulating `aval · dx[i, :]` in batch order, so training stays
+    /// bit-identical at any pool width.
     ///
     /// # Panics
     ///
@@ -644,11 +646,7 @@ impl Graph {
         let _t = profile::scope("op::spmm_score");
         let view = store.table(param);
         assert_eq!(pair.forward.cols(), view.rows(), "incidence width mismatch");
-        let d = view.cols();
-        let m = pair.forward.rows();
-        let indptr = pair.forward.indptr();
-        let indices = pair.forward.indices();
-        let values = pair.forward.values();
+        let (d, m) = (view.cols(), pair.forward.rows());
         let mut out = Tensor::uninit_in(&mut self.arena, m, 1);
         self.pool
             .for_rows(out.as_mut_slice(), 1, 128, |first, chunk| {
@@ -656,8 +654,7 @@ impl Graph {
                 for (k, dst) in chunk.iter_mut().enumerate() {
                     let i = first + k;
                     prefetch_operands(&pair.forward, &view, i + PREFETCH_DISTANCE);
-                    let (s, e) = (indptr[i] as usize, indptr[i + 1] as usize);
-                    let (cols, vals) = (&indices[s..e], &values[s..e]);
+                    let (cols, vals) = pair.forward.row_entries(i);
                     *dst = score.fold_row(d, &mut tile, |t0, x| spmm_row(cols, vals, &view, t0, x));
                 }
             });
@@ -756,11 +753,10 @@ impl Graph {
     /// Per-row relation-specific projection (TransR):
     /// `out[i] = M_{r(i)} · vecs[i]`, where parameter `mats` has shape
     /// `(R, d_out·d_in)` storing each `d_out × d_in` matrix row-major and
-    /// `by_rel` is the pair of the batch's `m × R` relation selection matrix
-    /// ([`sparse::incidence::selection`]): `r(i)` is row `i`'s one column.
+    /// `by_rel` is the batch grouped by relation ([`RelationGroups`]).
     ///
-    /// The kernels walk the batch **relation by relation** (the pair's
-    /// columns), so each `Mᵣ` is brought into L1 once per group instead
+    /// The kernels walk the batch **relation by relation**, so each `Mᵣ`
+    /// is brought into L1 once per group instead
     /// of once per batch row, and they vectorize *across* the outputs of a
     /// row. Every output element is still the sum of its products folded from
     /// `0.0` in ascending inner index — what a plain dot-product loop
@@ -770,23 +766,22 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics if shapes are inconsistent or `by_rel` is not a selection over
-    /// the parameter's rows.
+    /// Panics if shapes are inconsistent or `by_rel` does not group the
+    /// parameter's rows.
     pub fn project_rows(
         &mut self,
         store: &ParamStore,
         mats: ParamId,
         vecs: Var,
-        by_rel: Arc<IncidencePair>,
+        by_rel: Arc<RelationGroups>,
         d_out: usize,
     ) -> Var {
         let _t = profile::scope("op::project_rows");
         let mv = store.value(mats);
         let (m, d_in) = self.value(vecs).shape();
-        assert_eq!(by_rel.forward.rows(), m, "one relation per row required");
-        assert_eq!(by_rel.forward.nnz(), m, "one relation per row required");
-        assert_eq!(by_rel.forward.cols(), mv.rows(), "selection width mismatch");
-        debug_assert_eq!(by_rel.forward.max_row_nnz(), usize::from(m > 0));
+        assert_eq!(by_rel.rows().len(), m, "one relation per row required");
+        let in_range = by_rel.relations().iter().all(|&r| (r as usize) < mv.rows());
+        assert!(in_range, "a relation past the parameter's rows");
         assert_eq!(
             mv.cols(),
             d_out * d_in,
@@ -814,7 +809,7 @@ impl Graph {
             },
         );
         self.arena.reclaim(mt);
-        let groups = by_rel.touched_columns().len();
+        let groups = by_rel.relations().len();
         sparse::metrics::add_flops(2 * (m * d_out * d_in) as u64);
         // Each group's matrix once, each row's vector in and projection out.
         sparse::metrics::add_bytes(4 * (groups * d_out * d_in + m * (d_in + d_out)) as u64);
@@ -904,11 +899,12 @@ impl Graph {
     /// its entity row in both roles.
     ///
     /// Forward is [`semiring_spmm_into_with`] over the forward matrix.
-    /// Backward walks the pair's columns: each parameter gradient row is
-    /// owned by one worker and receives `g_i · ∂term/∂operand` from its
-    /// incident triples in tape order, operand rows read through the
-    /// store's table view — so the op is bit-identical at any pool width
-    /// and for a resident or a paged table.
+    /// Backward pushes each triple through its forward row: decoded once,
+    /// its three operand rows read once through the store's table view,
+    /// then `g_i · ∂term/∂operand` added into each operand's gradient row,
+    /// lanes in `[head, relation, tail]` order. Each gradient row is owned
+    /// by one worker and receives its triples in batch order — so the op is
+    /// bit-identical at any pool width and for a resident or a paged table.
     ///
     /// # Panics
     ///
@@ -966,23 +962,24 @@ impl Graph {
             Op::Input => {}
             Op::Gather { param, indices } => {
                 let _t = profile::scope("op::gather_backward");
-                store.touch(param, &indices);
-                let (slot_of, grad) = store.touched_grads(param);
-                let slot = |r: u32| slot_of[r as usize] as usize - 1;
-                scatter_add_rows_with(&self.pool, grad, slot, &indices, g);
+                let (slot, grad, _) = store.touched_grads(param, &indices);
+                scatter(&self.pool, grad, slot, g.view(), index_rows(&indices));
+                sparse::metrics::add_bytes(3 * (indices.len() * g.cols() * 4) as u64);
                 sparse::metrics::add_flops(g.len() as u64);
             }
             Op::Spmm { param, pair } => {
                 let _t = profile::scope("op::spmm_backward");
                 // grad += Aᵀ · g, accumulated in place: untouched parameter
                 // rows cost nothing (Appendix G, without the dense delta).
-                store.touch(param, pair.touched_columns());
-                let (cols, fwd) = (&mut self.columns, &pair.forward);
-                accumulate_transpose(&self.pool, store, (param, &pair), cols, g.view());
+                let fwd = &pair.forward;
+                let (slot, grad, _) = store.touched_grads(param, pair.touched_columns());
+                scatter(&self.pool, grad, slot, g.view(), |i| fwd.row_entries(i));
                 sparse::metrics::record_spmm_call();
                 // Accumulation makes every ±1 nonzero one add. Per nonzero:
-                // index+value, one gathered row of `g`, and the gradient row
-                // read *and* written.
+                // index+value, one row of `g`, and the gradient row read
+                // *and* written. The formula is the pull's, which gathered a
+                // row of `g` per nonzero; the push reads each row of `g` once
+                // per batch row, `(nnz − m) · n · 4` bytes fewer.
                 let (nnz, n) = (fwd.nnz() as u64, g.cols() as u64);
                 let per_nnz = if fwd.has_unit_coefficients() { 1 } else { 2 };
                 sparse::metrics::add_flops(per_nnz * nnz * n);
@@ -991,10 +988,8 @@ impl Graph {
             Op::SpmmScore { param, pair, score } => {
                 let _t = profile::scope("op::spmm_score_backward");
                 let fwd = &pair.forward;
-                store.touch(param, pair.touched_columns());
-                let (m, nnz) = (fwd.rows(), fwd.nnz() as u64);
-                let view = store.table(param);
-                let d = view.cols();
+                let (m, nnz, d) = (fwd.rows(), fwd.nnz() as u64, store.param_shape(param).1);
+                let mut dx = Tensor::uninit_in(&mut self.arena, m, d);
                 if d > 0 {
                     // Pass 1, batch-row-parallel: `dx[i, j] = g_i ·
                     // score'(x_{i,j})` with `x_i = A[i,:] · P` re-derived
@@ -1004,31 +999,31 @@ impl Graph {
                     // accumulate (which canonicalizes `-0.0` to `+0.0`),
                     // keeping the arms bit-identical. Rows with `g_i == 0`
                     // are not skipped: `0 · inf` must stay `NaN`.
-                    let mut dx = Tensor::uninit_in(&mut self.arena, m, d);
-                    let gd = g.as_slice();
-                    // The stored (m,1) score column feeds the L2 backward's
-                    // division, exactly like the standalone norm op.
-                    let nd = self.nodes[i].value.as_slice();
-                    let (indptr, indices, values) = (fwd.indptr(), fwd.indices(), fwd.values());
+                    // The stored (m,1) score column `nd` feeds the L2
+                    // backward's division, exactly like the standalone norm op.
+                    let (gd, nd) = (g.as_slice(), self.nodes[i].value.as_slice());
+                    let view = store.table(param);
                     self.pool
                         .for_rows(dx.as_mut_slice(), d, 64, |first, chunk| {
                             for (k, x) in chunk.chunks_exact_mut(d).enumerate() {
                                 let ti = first + k;
                                 prefetch_operands(fwd, &view, ti + PREFETCH_DISTANCE);
-                                let (s, e) = (indptr[ti] as usize, indptr[ti + 1] as usize);
-                                spmm_row(&indices[s..e], &values[s..e], &view, 0, x);
+                                let (cols, vals) = fwd.row_entries(ti);
+                                spmm_row(cols, vals, &view, 0, x);
                                 score.derivs(gd[ti], nd[ti], x);
                             }
                         });
-                    // Pass 2: the SpMM backward, over `dx`.
-                    let cols = &mut self.columns;
-                    accumulate_transpose(&self.pool, store, (param, &pair), cols, dx.view());
-                    self.arena.reclaim(dx);
                 }
+                // Pass 2: the SpMM backward, over `dx`.
+                let (slot, grad, _) = store.touched_grads(param, pair.touched_columns());
+                scatter(&self.pool, grad, slot, dx.view(), |i| fwd.row_entries(i));
+                self.arena.reclaim(dx);
                 // What the two passes move: the derivative pass reads one
                 // operand lane per nonzero and writes `dx`; the scatter
                 // reads index+value and one `dx` lane per nonzero and
-                // read-modify-writes one gradient lane per nonzero.
+                // read-modify-writes one gradient lane per nonzero (the
+                // pull's count: the push reads each `dx` row once per batch
+                // row, as the SpMM backward's note says).
                 sparse::metrics::record_spmm_call();
                 let lane = d as u64 * 4;
                 sparse::metrics::add_flops(4 * nnz * d as u64);
@@ -1090,29 +1085,30 @@ impl Graph {
                 d_in,
             } => {
                 let _t = profile::scope("op::project_backward");
-                let m = g.rows();
-                let gd = g.as_slice();
+                let (m, gd, pool) = (g.rows(), g.as_slice(), &self.pool);
                 // d vecs[i] = M_{r}ᵀ · g_i: `g_i` times `Mᵣ` as stored, so no
                 // transposed copy — computed against the parameter value
                 // before its gradient is borrowed mutably.
                 let mut dv = Tensor::uninit_in(&mut self.arena, m, d_in);
                 let md = store.value(mats).as_slice();
-                self.pool
-                    .for_rows(dv.as_mut_slice(), d_in.max(1), 32, |first, chunk| {
-                        for_each_group(&by_rel, first, first + chunk.len() / d_in, |r, rows| {
-                            let mat = &md[r * d_out * d_in..(r + 1) * d_out * d_in];
-                            project_group(rows, gd, mat, first, chunk, d_in);
-                        });
+                pool.for_rows(dv.as_mut_slice(), d_in.max(1), 32, |first, chunk| {
+                    for_each_group(&by_rel, first, first + chunk.len() / d_in, |r, rows| {
+                        let mat = &md[r * d_out * d_in..(r + 1) * d_out * d_in];
+                        project_group(rows, gd, mat, first, chunk, d_in);
                     });
-                // d mats[r] += Σ_i g_i ⊗ vecs[i] over relation r's batch rows
-                // (none, for a row some other op touched).
-                let vd = self.nodes[vecs.0].value.as_slice();
-                let group = self.columns.fill(&by_rel);
-                store.touch(mats, by_rel.touched_columns());
-                store.sweep(mats, Sweep::Grads, &self.pool, 8, |r, dm, _| {
-                    add_outer_products(group(r).0, gd, vd, d_out, d_in, dm);
                 });
-                let groups = by_rel.touched_columns().len();
+                // d mats[r] += Σ_i g_i ⊗ vecs[i], each relation group pushed
+                // into its matrix's gradient slot.
+                let (vd, n) = (self.nodes[vecs.0].value.as_slice(), d_out * d_in);
+                let (slot, grad, _) = store.touched_grads(mats, by_rel.relations());
+                pool.for_row_windows(grad, n.max(1), Rows::All, 8, |first, window| {
+                    for (r, rows) in by_rel.iter() {
+                        if let Some(dm) = row_in(window, first, n, slot(r as usize)) {
+                            add_outer_products(rows, gd, vd, d_out, d_in, dm);
+                        }
+                    }
+                });
+                let groups = by_rel.relations().len();
                 sparse::metrics::add_flops(4 * (m * d_out * d_in) as u64);
                 // Per group: Mᵣ read, dMᵣ read and written. Per row: `g` and
                 // `v` read by the outer product, `g` read and `dv` written by
@@ -1164,24 +1160,28 @@ impl Graph {
             }
             Op::SemiringScore { param, pair, kind } => {
                 let _t = profile::scope("op::semiring_score_backward");
-                let fwd = &pair.forward;
-                store.touch(param, pair.touched_columns());
-                let gd = g.as_slice();
-                let (indices, values) = (fwd.indices(), fwd.values());
-                let column = self.columns.fill(&pair);
-                store.sweep(param, Sweep::Grads, &self.pool, 32, |e, dst, table| {
-                    for i in column(e).0.iter().map(|&i| i as usize) {
-                        let (s, t) = fwd.row_bounds(i);
-                        let cols = kind.decode(&indices[s..t], &values[s..t]);
+                let (fwd, gd, d) = (&pair.forward, g.as_slice(), store.param_shape(param).1);
+                let (slot, grad, table) = store.touched_grads(param, pair.touched_columns());
+                let pool = &self.pool;
+                pool.for_row_windows(grad, d.max(1), Rows::All, 32, |first, window| {
+                    for (i, &gi) in gd.iter().enumerate() {
+                        let (cols, vals) = fwd.row_entries(i);
+                        let cols = kind.decode(cols, vals);
+                        let slots = cols.map(&slot);
+                        if slots.iter().all(|&s| row_in(window, first, d, s).is_none()) {
+                            continue;
+                        }
                         let rows = cols.map(|c| table.row(c));
-                        // Row `e` is one operand of triple `i` — two, head
-                        // and tail, if the triple is a self-loop.
-                        for slot in (0..3).filter(|&slot| cols[slot] == e) {
-                            kind.grad_row_acc(slot, gd[i], rows, dst);
+                        // A self-loop's entity row is the operand of lanes 0
+                        // and 2, and takes both, in that order.
+                        for (lane, s) in slots.into_iter().enumerate() {
+                            if let Some(dst) = row_in(window, first, d, s) {
+                                kind.grad_row_acc(lane, gi, rows, dst);
+                            }
                         }
                     }
                 });
-                kind.record_pass(fwd, store.param_shape(param).1, true);
+                kind.record_pass(fwd, d, true);
             }
         }
     }
@@ -1205,100 +1205,99 @@ impl Graph {
     }
 }
 
-/// The SpMM backward, `P.grad += Aᵀ · G` (Appendix G), for both SpMM ops:
-/// each touched parameter row `e` accumulates `aval · G[i, :]` over column
-/// `e` of `A`, in batch order, wherever the store keeps that row's gradient —
-/// resident table or pinned cache slot. Callers [`ParamStore::touch`] the
-/// pair's columns first; a row only another op touched costs one lookup.
-fn accumulate_transpose(
-    pool: &PoolHandle,
-    store: &mut ParamStore,
-    (param, pair): (ParamId, &IncidencePair),
-    columns: &mut ColumnIndex,
-    g: DenseView<'_>,
-) {
-    assert_eq!(pair.forward.rows(), g.rows(), "spmm shape mismatch");
-    let column = columns.fill(pair);
-    store.sweep(param, Sweep::Grads, pool, 64, |e, dst, _| {
-        let (rows, coeffs) = column(e);
-        spmm_row_acc(rows, coeffs, &g, 0, dst);
-    });
-}
-
-/// A sparse set over parameter rows: `pos[e] = k` where `e` is an incidence
-/// pair's `touched_columns()[k]`, so a backward sweeping the store's touched
-/// rows finds row `e`'s column of `A` in O(1). Filled per op in O(touched)
-/// and never cleared — an entry is trusted only if `touched[pos[e]] == e` —
-/// and grown once, to the widest pair's column count.
-#[derive(Debug, Default)]
-struct ColumnIndex(Vec<u32>);
-
-impl ColumnIndex {
-    /// Indexes `pair`'s columns and returns the lookup: column `e` of `A` as
-    /// `(batch rows, coefficients)`, empty for a row the pair does not touch.
-    fn fill<'a>(
-        &'a mut self,
-        pair: &'a IncidencePair,
-    ) -> impl Fn(usize) -> (&'a [u32], &'a [f32]) + Sync + Copy {
-        let touched = pair.touched_columns();
-        self.0.resize(self.0.len().max(pair.forward.cols()), 0);
-        for (k, &e) in touched.iter().enumerate() {
-            self.0[e as usize] = k as u32;
-        }
-        let pos = &self.0;
-        move |e| match touched.get(pos[e] as usize) {
-            Some(&c) if c as usize == e => pair.column(pos[e] as usize),
-            _ => (&[], &[]),
-        }
-    }
+/// Entry `k` of an index list as a row of one coefficient-`1` entry: what
+/// the gather backward pushes source row `k` through.
+fn index_rows<'a>(indices: &'a [u32]) -> impl Fn(usize) -> (&'a [u32], &'a [f32]) + Sync {
+    |k| (std::slice::from_ref(&indices[k]), &[1.0][..])
 }
 
 /// `dst[indices[k], :] += src[k, :]` — the scatter of paper Figure 1(b).
 ///
-/// Parallelized by destination row range: each worker scans the whole index
-/// list and applies only the updates landing in its range, which is
-/// deterministic and lock-free.
+/// It runs the tape's one scatter with coefficient `1` on the global pool,
+/// so each destination row receives its updates in index-scan order and
+/// the result is bit-identical at any pool width.
+///
+/// # Panics
+///
+/// Panics if `src` is not `indices.len()` rows as wide as `dst`, or an
+/// index is not a row of `dst`.
 pub fn scatter_add_rows(dst: &mut Tensor, indices: &[u32], src: &Tensor) {
-    debug_assert_eq!(src.cols(), dst.cols());
-    let pool = PoolHandle::global();
-    scatter_add_rows_with(&pool, dst.as_mut_slice(), |r| r as usize, indices, src);
+    check_scatter(dst, indices, src, indices.len());
+    sparse::metrics::add_bytes(3 * (indices.len() * src.cols() * 4) as u64);
+    let (pool, dst) = (PoolHandle::global(), dst.as_mut_slice());
+    scatter(&pool, dst, |r| r, src.view(), index_rows(indices));
 }
 
-/// [`scatter_add_rows`] on an explicit pool handle into the rows of `dst`
-/// that `slot` names — the gather backward, where `dst` is the gradient's
-/// slots in use and `slot` the parameter's row → slot map.
+/// `dst += Aᵀ · src` (Appendix G): the tape's one scatter fed from the rows
+/// of `a`, on the global pool — row `i` of `src`, times each coefficient,
+/// added into the rows of `dst` that row `i` of `a` names, so each
+/// destination row receives its updates in ascending `i` at any pool width.
 ///
-/// Every index in `indices` **must** have a row of `dst` (callers touch the
-/// index list first). Workers own disjoint windows of `dst`, and each scans
-/// the whole list, so contributions land in global index-scan order per
-/// destination row however `dst` is chunked: the result is bit-identical at
-/// any pool width and wherever each row lives.
-fn scatter_add_rows_with(
+/// # Panics
+///
+/// Panics if `src` is not `a.rows()` rows as wide as `dst`, or `a` has a
+/// column that is not a row of `dst`.
+pub fn scatter_add_csr(dst: &mut Tensor, a: &CsrMatrix, src: &Tensor) {
+    check_scatter(dst, a.indices(), src, a.rows());
+    let (pool, dst) = (PoolHandle::global(), dst.as_mut_slice());
+    scatter(&pool, dst, |r| r, src.view(), |i| a.row_entries(i));
+}
+
+/// The public scatters' checks: `src` is `src_rows` rows as wide as `dst`,
+/// and every index is a row of `dst`.
+fn check_scatter(dst: &Tensor, indices: &[u32], src: &Tensor, src_rows: usize) {
+    let (rows, cols) = dst.shape();
+    assert_eq!(src.shape(), (src_rows, cols), "scatter source shape");
+    if let Some(r) = indices.iter().find(|&&r| r as usize >= rows) {
+        panic!("scatter index {r} out of bounds for {rows} rows");
+    }
+}
+
+/// **The scatter** of paper Figure 1(b), with a coefficient: for every row
+/// `i` of `src`, ascending, resolved once, and every entry `(c, v)` of
+/// `entries(i)`, `dst[slot(c), :] += v · src[i, :]` through the accumulate
+/// of `Aᵀ · G`, [`axpy`]. With `entries` the rows of a forward incidence matrix
+/// this is the SpMM backward pushed through `A`; with one `1.0` per row it
+/// is the gather baseline's scatter-add, exactly (`1.0 · x == x`). The two
+/// arms differ only in the rows they scatter.
+///
+/// Every entry's slot must be a row of `dst` (callers touch their columns
+/// first). It is a push ([`row_in`]): each destination row receives its
+/// contributions in ascending `i` at any pool width.
+fn scatter<'e>(
     pool: &PoolHandle,
     dst: &mut [f32],
-    slot: impl Fn(u32) -> usize + Sync,
-    indices: &[u32],
-    src: &Tensor,
+    slot: impl Fn(usize) -> usize + Sync,
+    src: DenseView<'_>,
+    entries: impl Fn(usize) -> (&'e [u32], &'e [f32]) + Sync,
 ) {
     let n = src.cols();
-    debug_assert_eq!(src.rows(), indices.len());
-    if n == 0 {
-        return;
-    }
-    let sd = src.as_slice();
-    pool.for_row_windows(dst, n, Rows::All, 128, |first, window| {
-        let end = first + window.len() / n;
-        for (k, &idx) in indices.iter().enumerate() {
-            let r = slot(idx);
-            if r >= first && r < end {
-                let dst_row = &mut window[(r - first) * n..(r - first + 1) * n];
-                for (d, s) in dst_row.iter_mut().zip(&sd[k * n..(k + 1) * n]) {
-                    *d += *s;
+    pool.for_row_windows(dst, n.max(1), Rows::All, 128, |first, window| {
+        for i in 0..src.rows() {
+            let ((cols, vals), row) = (entries(i), src.row(i));
+            for (&c, &v) in cols.iter().zip(vals) {
+                if let Some(dst) = row_in(window, first, n, slot(c as usize)) {
+                    axpy(v, row, dst);
                 }
             }
         }
     });
-    sparse::metrics::add_bytes(3 * (indices.len() * n * 4) as u64);
+}
+
+/// Row `s` of the `n`-wide rows that `window` holds from row `first` on,
+/// if it holds it — how **the push** every sparse backward runs finds its
+/// destination rows.
+///
+/// A push splits the gradient slots into disjoint windows, one per worker
+/// ([`PoolHandle::for_row_windows`]); every worker scans the whole batch in
+/// order and writes only the rows its window holds. Each destination row is
+/// therefore written by one worker and receives its contributions in the
+/// scan's order, at any pool width. A zero-width buffer (`n == 0`) is
+/// walked with stride 1, and every row it "holds" is empty.
+fn row_in(window: &mut [f32], first: usize, n: usize, s: usize) -> Option<&mut [f32]> {
+    window
+        .get_mut(s.wrapping_sub(first).checked_mul(n)?..)?
+        .get_mut(..n)
 }
 
 /// Outputs the projection kernels accumulate at a time: a stack array this
@@ -1344,14 +1343,13 @@ fn row_times_matrix(a: &[f32], b: &[f32], out: &mut [f32]) {
 /// one worker's chunk of it) visited relation by relation, so that whatever
 /// `body` reads of relation `r` stays in L1 for the whole group.
 fn for_each_group(
-    by_rel: &IncidencePair,
+    by_rel: &RelationGroups,
     first: usize,
     end: usize,
     mut body: impl FnMut(usize, &[u32]),
 ) {
-    for (k, &r) in by_rel.touched_columns().iter().enumerate() {
+    for (r, rows) in by_rel.iter() {
         // Relation r's batch rows are ascending: cut the run inside the range.
-        let rows = by_rel.column(k).0;
         let rows = &rows[rows.partition_point(|&i| (i as usize) < first)..];
         let rows = &rows[..rows.partition_point(|&i| (i as usize) < end)];
         if !rows.is_empty() {
@@ -1428,7 +1426,7 @@ fn add_outer_products(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparse::incidence::{hrt, ht, selection, TailSign};
+    use sparse::incidence::{hrt, ht, RelationGroups, TailSign};
 
     fn store_with(name: &str, t: Tensor) -> (ParamStore, ParamId) {
         let mut s = ParamStore::new();
@@ -1575,7 +1573,7 @@ mod tests {
         let mats = s.add_param("m", Tensor::from_rows(&[[2.0, 3.0]]));
         let mut g = Graph::new();
         let v = g.input(Tensor::from_rows(&[[1.0, 1.0], [0.5, -1.0]]));
-        let by_rel = Arc::new(IncidencePair::new(selection(1, &[0, 0]).unwrap()));
+        let by_rel = Arc::new(RelationGroups::new(1, &[0, 0]).unwrap());
         let p = g.project_rows(&s, mats, v, by_rel, 1);
         assert_eq!(g.value(p).get(0, 0), 5.0);
         assert_eq!(g.value(p).get(1, 0), -2.0);
@@ -1679,7 +1677,7 @@ mod tests {
             store.grad_mut(p).copy_from_slice(pre);
             dm_ref.copy_from_slice(pre);
         }
-        let by_rel = Arc::new(IncidencePair::new(selection(mats.rows(), rels).unwrap()));
+        let by_rel = Arc::new(RelationGroups::new(mats.rows(), rels).unwrap());
         let mut g = Graph::with_pool(pool);
         let x = g.input_from_slice(m, d_in, v);
         let out = g.project_rows(&store, p, x, by_rel, d_out);
@@ -1824,7 +1822,7 @@ mod tests {
         let (m, d_out, d_in, groups) = (9usize, 4usize, 6usize, 3usize);
         let rels: Vec<u32> = (0..m).map(|i| [0, 2, 4][i % 3]).collect();
         let (mut store, p) = store_with("mats", lcg_table(5, d_out * d_in));
-        let by_rel = Arc::new(IncidencePair::new(selection(5, &rels).unwrap()));
+        let by_rel = Arc::new(RelationGroups::new(5, &rels).unwrap());
         let mut g = Graph::new();
         let x = g.input(lcg_table(m, d_in));
         let before = sparse::metrics::snapshot();
@@ -1984,6 +1982,43 @@ mod tests {
         assert_eq!(dst.row(1), &[3.0, 3.0]);
         assert_eq!(dst.row(3), &[4.0, 4.0]);
         assert_eq!(dst.row(0), &[0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter index 7 out of bounds for 3 rows")]
+    fn scatter_add_rows_rejects_an_index_past_the_destination() {
+        scatter_add_rows(&mut Tensor::zeros(3, 2), &[1, 7], &Tensor::full(2, 2, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter source shape")]
+    fn scatter_add_rows_rejects_a_source_of_another_width() {
+        scatter_add_rows(&mut Tensor::zeros(3, 2), &[1], &Tensor::full(1, 3, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter source shape")]
+    fn scatter_add_rows_rejects_a_source_row_count_other_than_the_index_count() {
+        scatter_add_rows(&mut Tensor::zeros(3, 2), &[0, 2], &Tensor::full(3, 2, 1.0));
+    }
+
+    #[test]
+    fn scatter_add_csr_is_the_transpose_product() {
+        // h − t rows (0, 1) and (2, 0), and a self-loop's explicit zero.
+        let a = ht(3, &[0, 2, 1], &[1, 0, 1]).unwrap();
+        let src = Tensor::from_rows(&[[1.0, 2.0], [4.0, 8.0], [16.0, 32.0]]);
+        let mut dst = Tensor::full(3, 2, 0.5);
+        scatter_add_csr(&mut dst, &a, &src);
+        assert_eq!(dst.row(0), &[0.5 + 1.0 - 4.0, 0.5 + 2.0 - 8.0]);
+        assert_eq!(dst.row(1), &[0.5 - 1.0 + 0.0, 0.5 - 2.0 + 0.0]);
+        assert_eq!(dst.row(2), &[0.5 + 4.0, 0.5 + 8.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter index 3 out of bounds for 3 rows")]
+    fn scatter_add_csr_rejects_a_column_past_the_destination() {
+        let a = ht(4, &[0], &[3]).unwrap();
+        scatter_add_csr(&mut Tensor::zeros(3, 2), &a, &Tensor::full(1, 2, 1.0));
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //!   the (large) parameter matrices are never copied per batch.
 //! * The two ops at the heart of the paper: [`Graph::gather`] +
 //!   scatter-add backward (the *non-sparse* fine-grained path every baseline
-//!   framework uses) and [`Graph::spmm`] whose backward is a second SpMM with
-//!   the transpose the incidence pair keeps (`∂L/∂X = Aᵀ · ∂L/∂C`, Appendix G).
+//!   framework uses) and [`Graph::spmm`] whose backward `∂L/∂X = Aᵀ · ∂L/∂C`
+//!   (Appendix G) is pushed through the rows of `A`. Both backwards are one
+//!   scatter with a coefficient ([`kernels`]): the arms differ only in the
+//!   rows they scatter.
 //! * [`hogwild`] — the one value table every data-parallel replica aliases
 //!   ([`ParamStore::alias_values`]), and why sharing it stays sound.
 //! * [`optim`] — SGD / Adagrad / Adam and a step LR scheduler (Appendix E).
@@ -67,7 +69,7 @@ pub use sparse::semiring::Semiring;
 
 /// Low-level kernels re-exported for benchmarks and cross-crate tests.
 pub mod kernels {
-    pub use crate::graph::scatter_add_rows;
+    pub use crate::graph::{scatter_add_csr, scatter_add_rows};
 }
 pub use paged::{PageStats, Pager, RowStorage, VecStorage};
 pub use store::{ParamId, ParamStore, RowSet, Sweep};

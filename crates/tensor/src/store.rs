@@ -202,8 +202,9 @@ impl RowSet {
 #[derive(Debug, Clone, Copy)]
 pub enum Sweep {
     /// The touched rows of the **gradient**, in slot (first-touch) order,
-    /// with the value as the table — what a backward kernel (or any writer
-    /// that brings its own rows) runs after [`ParamStore::touch`].
+    /// with the value as the table — what a writer with a body per row (the
+    /// all-reduce's averaging) runs after [`ParamStore::touch`]. The tape's
+    /// backwards push into [`ParamStore::touched_grads`] instead.
     Grads,
     /// The touched rows of the **value**, with the gradient as the table —
     /// the optimizer walk. The rows are recorded dirty for the next
@@ -710,14 +711,31 @@ impl ParamStore {
         self.dense_grads
     }
 
-    /// The gradient slots in use, for a bulk kernel that takes them whole
-    /// (the gather baseline's index-scan scatter-add on
-    /// [`PoolHandle::for_row_windows`]) instead of a per-row body: the row →
-    /// slot map and the slots, row-major, where row `r`'s gradient is
-    /// buffer row `map[r] - 1`. Callers [`touch`](Self::touch) every row
-    /// they write first; the map of any other row is `0`.
-    pub fn touched_grads(&mut self, id: ParamId) -> (&[u32], &mut [f32]) {
-        self.grads[id.0].by_row()
+    /// [`Touches`](Self::touch) `rows` and returns the gradient slots in
+    /// use whole, for a kernel that writes them itself — the tape's backward
+    /// pushes, which walk their batch rows and add into the slots of the
+    /// columns each row names (on [`PoolHandle::for_row_windows`]) instead
+    /// of running a per-row body: the row → slot map (row `r`'s gradient is
+    /// buffer row `slot(r)`; `r` must be touched), the slots, row-major, and
+    /// the value table as kernels read it ([`ParamStore::table`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`touch`](Self::touch) does.
+    pub fn touched_grads(
+        &mut self,
+        id: ParamId,
+        rows: &[u32],
+    ) -> (
+        impl Fn(usize) -> usize + Sync + '_,
+        &mut [f32],
+        DenseView<'_>,
+    ) {
+        self.touch(id, rows);
+        let i = id.0;
+        let (map, slots) = self.grads[i].by_row();
+        let slot = move |r: usize| map[r] as usize - 1;
+        (slot, slots, view(&self.values[i], self.pagers[i].as_ref()))
     }
 
     /// Borrows a parameter's dirty-row set (rows whose value may have

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sparse::incidence::{hrt, ht, selection, IncidencePair, TailSign};
+use sparse::incidence::{hrt, ht, IncidencePair, RelationGroups, TailSign};
 use sparse::semiring::Semiring;
 use sparse::spmm::spmm_row_acc;
 use sparse::{CsrMatrix, DenseView};
@@ -172,12 +172,21 @@ fn semiring_score_keeps_non_finite_operands_and_zero_gradient_rows() {
     }
 }
 
-/// A random incidence matrix: `(matrix, hrt sign)` — `Some` for an `hrt`
-/// matrix, `None` for an `ht` or a `selection` one. Picks come from the first
+/// Which incidence matrix [`incidence_matrix`] built.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Form {
+    Hrt(TailSign),
+    Ht,
+    /// One `+1` per row at the head's column: the batch's relation list,
+    /// as [`RelationGroups`] groups it.
+    Selection,
+}
+
+/// A random incidence matrix and its [`Form`]. Picks come from the first
 /// `n − 2` of `n` entity columns, so at least two columns are untouched; a
 /// sixth of the triples are self-loops (an explicit zero, or `2` under a
 /// positive tail sign), column 0 is hot, and the batch may be empty.
-fn incidence_matrix() -> impl Strategy<Value = (CsrMatrix, Option<TailSign>)> {
+fn incidence_matrix() -> impl Strategy<Value = (CsrMatrix, Form)> {
     (0usize..4, 4usize..14, 1usize..4, 0usize..40).prop_flat_map(|(form, n, r, m)| {
         let e = 0..n as u32 - 2;
         let triple = (e.clone(), 0..r as u32, e, 0u8..6).prop_map(|(h, rel, t, mode)| match mode {
@@ -194,10 +203,15 @@ fn incidence_matrix() -> impl Strategy<Value = (CsrMatrix, Option<TailSign>)> {
             match form {
                 0 | 1 => (
                     hrt(n, r, &heads, &rels, &tails, sign[form]).unwrap(),
-                    Some(sign[form]),
+                    Form::Hrt(sign[form]),
                 ),
-                2 => (ht(n, &heads, &tails).unwrap(), None),
-                _ => (selection(n, &heads).unwrap(), None),
+                2 => (ht(n, &heads, &tails).unwrap(), Form::Ht),
+                _ => {
+                    let (m, ones) = (heads.len(), vec![1.0; heads.len()]);
+                    let indptr = (0..=m as u32).collect();
+                    let a = CsrMatrix::from_raw_parts(m, n, indptr, heads, ones).unwrap();
+                    (a, Form::Selection)
+                }
             }
         })
     })
@@ -205,7 +219,7 @@ fn incidence_matrix() -> impl Strategy<Value = (CsrMatrix, Option<TailSign>)> {
 
 /// The backward walk over the full transpose: gradient row `e` accumulates
 /// `spmm_row_acc` over row `e` of `a.transpose()` (empty for a row the batch
-/// does not touch), the walk the incidence pair's kept columns replace.
+/// does not touch) — the pull the tape's push through `a` replaced.
 fn full_transpose_walk(a: &CsrMatrix, upstream: &[f32], d: usize) -> Vec<f32> {
     let mut grad = vec![0.0f32; a.cols() * d];
     accumulate_full_transpose(a, upstream, d, &mut grad);
@@ -245,14 +259,48 @@ fn full_transpose_semiring_walk(
     grad
 }
 
+/// The `project_rows` backward as plain loops over the batch in order, for
+/// the relation list `a.indices()` (one per row) and `d_out = up.len() / m`:
+/// `dv[i] = 0.0 + 1.0 · Mᵣᵀ · up[i]` (the node-gradient accumulate on a
+/// fresh buffer) and `dM[r] += up[i] ⊗ v[i]`, every sum in ascending index.
+fn plain_projection_backward(
+    a: &CsrMatrix,
+    mats: &Tensor,
+    vecs: &[f32],
+    up: &[f32],
+) -> (Vec<f32>, Vec<f32>) {
+    let m = a.rows();
+    let (d_out, d_in) = (up.len() / m.max(1), vecs.len() / m.max(1));
+    let mut dv = vec![0.0f32; m * d_in];
+    let mut dm = vec![0.0f32; mats.len()];
+    for (i, &r) in a.indices().iter().enumerate() {
+        let mat = mats.row(r as usize);
+        for j in 0..d_in {
+            let mut acc = 0.0;
+            for o in 0..d_out {
+                acc += mat[o * d_in + j] * up[i * d_out + o];
+            }
+            dv[i * d_in + j] = 0.0 + 1.0 * acc;
+        }
+        let dmat = &mut dm[r as usize * d_out * d_in..][..d_out * d_in];
+        for o in 0..d_out {
+            for j in 0..d_in {
+                dmat[o * d_in + j] += up[i * d_out + o] * vecs[i * d_in + j];
+            }
+        }
+    }
+    (dv, dm)
+}
+
 /// Tape ops under test: records them and returns `(output, tap)`, the node
 /// the loss weights and the node whose gradient is wanted.
 type Record<'a> = &'a dyn Fn(&mut Graph, &ParamStore, ParamId) -> (Var, Var);
 
 /// Runs `record` on a copy of `table`, weights its output into the loss, and
-/// returns `(gradient of the tap, parameter gradient by absolute row)`.
-/// The store also touches the last row the pair does not (another op's row);
-/// `paged` runs over a slot cache of exactly the touched rows.
+/// returns `[gradient of the output, gradient of the tap, parameter gradient
+/// by absolute row]`. The store also touches the last row the pair does not
+/// (another op's row); `paged` runs over a slot cache of exactly the touched
+/// rows.
 fn through_tape(
     width: usize,
     paged: bool,
@@ -260,7 +308,7 @@ fn through_tape(
     pair: &Arc<IncidencePair>,
     table: &Tensor,
     record: Record<'_>,
-) -> (Vec<f32>, Vec<f32>) {
+) -> [Vec<f32>; 3] {
     let (rows, cols) = table.shape();
     let untouched = |e: &u32| pair.touched_columns().binary_search(e).is_err();
     let extra = [(0..rows as u32).rev().find(untouched).unwrap()];
@@ -287,7 +335,8 @@ fn through_tape(
     store.sweep_serial(p, Sweep::Grads, |row, g, _| {
         grad[row * cols..(row + 1) * cols].copy_from_slice(g)
     });
-    (g.grad(tap).unwrap().as_slice().to_vec(), grad)
+    let grad_of = |v: Var| g.grad(v).unwrap().as_slice().to_vec();
+    [grad_of(out), grad_of(tap), grad]
 }
 
 /// One step of the working-set property test: gradient writers, each a
@@ -556,7 +605,7 @@ proptest! {
     ) {
         let m = rels.len();
         let mat = |i: usize| &mats[rels[i] as usize * d_out * d_in..][..d_out * d_in];
-        let by_rel = Arc::new(IncidencePair::new(selection(r, &rels).unwrap()));
+        let by_rel = Arc::new(RelationGroups::new(r, &rels).unwrap());
         for width in [1, 4, 8] {
             let mut store = ParamStore::new();
             let p = store.add_param("mats", Tensor::from_vec(r, d_out * d_in, mats.clone()));
@@ -704,24 +753,22 @@ proptest! {
         }
     }
 
-    /// An incidence pair keeps exactly the occupied rows of the full
-    /// transpose, and every backward that reads them — `spmm`, `spmm_score`
-    /// and `semiring_score` — equals the walk over the full transpose bit for
-    /// bit, through a store that touched a row the pair does not, resident or
-    /// paged, at pool widths 1 and 4.
+    /// An incidence pair's touched columns are exactly the occupied rows of
+    /// the full transpose, and every backward pushed through its forward
+    /// rows — `spmm`, `spmm_score` and `semiring_score` (both tail signs,
+    /// self-loops) — equals the walk over the full transpose bit for bit, as
+    /// `project_rows`' does the plain loops over a selection batch, through
+    /// a store that touched a row the batch does not, resident or paged (the
+    /// projection resident only), at pool widths 1 and 4.
     #[test]
     fn kept_columns_are_the_full_transpose_through_the_tape(
-        (a, sign) in incidence_matrix(),
+        (a, form) in incidence_matrix(),
         d in 1usize..9,
     ) {
         let pair = Arc::new(IncidencePair::new(a.clone()));
         let t = a.transpose();
         let occupied: Vec<u32> = (0..t.rows() as u32).filter(|&e| t.row(e as usize).count() > 0).collect();
         prop_assert_eq!(&pair.touched_columns()[..], &occupied[..]);
-        for (k, &e) in occupied.iter().enumerate() {
-            let (rows, coeffs) = t.row(e as usize).map(|(i, v)| (i as u32, v)).unzip::<_, _, Vec<_>, Vec<_>>();
-            prop_assert_eq!(pair.column(k), (&rows[..], &coeffs[..]), "column {}", e);
-        }
 
         let table = init::uniform(a.cols(), 2 * d, 1.5, d as u64);
         let score = RowScore::L2 { eps: 1e-9 };
@@ -739,27 +786,45 @@ proptest! {
             let s = g.spmm_score(store, p, pair.clone(), score);
             (s, s)
         };
+        // `d` outputs from `d_in` inputs per batch row, relation = column.
+        let (m, d_in) = (a.rows(), 3);
+        let vecs: Vec<f32> = (0..m * d_in).map(|k| (k % 7) as f32 * 0.375 - 1.0).collect();
+        let mats = init::uniform(a.cols(), d * d_in, 1.5, d as u64 + 1);
+        let project: Record<'_> = &|g, store, p| {
+            let by_rel = Arc::new(RelationGroups::new(a.cols(), a.indices()).unwrap());
+            let x = g.input_from_slice(m, d_in, &vecs);
+            (g.project_rows(store, p, x, by_rel, d), x)
+        };
         for width in [1, 4] {
             for paged in [false, true] {
                 let at = format!("width {width}, paged {paged}");
-                let (up, grad) = through_tape(width, paged, true, &pair, &table, spmm);
+                let [up, _, grad] = through_tape(width, paged, true, &pair, &table, spmm);
                 prop_assert_eq!(bits(&grad), bits(&full_transpose_walk(&a, &up, 2 * d)), "spmm, {}", at);
-                let (dx, unfused) = through_tape(width, paged, false, &pair, &table, spmm_then_score);
+                let [_, dx, unfused] = through_tape(width, paged, false, &pair, &table, spmm_then_score);
                 let want = bits(&full_transpose_walk(&a, &dx, 2 * d));
                 prop_assert_eq!(bits(&unfused), want.clone(), "unfused spmm_score, {}", at);
-                let (_, fused) = through_tape(width, paged, true, &pair, &table, fused_score);
+                let [_, _, fused] = through_tape(width, paged, true, &pair, &table, fused_score);
                 prop_assert_eq!(bits(&fused), want, "spmm_score, {}", at);
-                if let Some(sign) = sign {
-                    let kinds = if sign == TailSign::Negative { &Semiring::ALL[..] } else { &Semiring::ALL[..1] };
-                    for &kind in kinds {
-                        let semiring: Record<'_> = &|g, store, p| {
-                            let s = g.semiring_score(store, p, pair.clone(), kind);
-                            (s, s)
-                        };
-                        let (up, grad) = through_tape(width, paged, true, &pair, &table, semiring);
-                        let want = full_transpose_semiring_walk(kind, &a, &table, &up);
-                        prop_assert_eq!(bits(&grad), bits(&want), "{:?}, {}", kind, at);
+                match form {
+                    Form::Hrt(sign) => {
+                        let kinds = if sign == TailSign::Negative { &Semiring::ALL[..] } else { &Semiring::ALL[..1] };
+                        for &kind in kinds {
+                            let semiring: Record<'_> = &|g, store, p| {
+                                let s = g.semiring_score(store, p, pair.clone(), kind);
+                                (s, s)
+                            };
+                            let [up, _, grad] = through_tape(width, paged, true, &pair, &table, semiring);
+                            let want = full_transpose_semiring_walk(kind, &a, &table, &up);
+                            prop_assert_eq!(bits(&grad), bits(&want), "{:?}, {}", kind, at);
+                        }
                     }
+                    Form::Selection if !paged => {
+                        let [up, dv, dm] = through_tape(width, paged, true, &pair, &mats, project);
+                        let (want_dv, want_dm) = plain_projection_backward(&a, &mats, &vecs, &up);
+                        prop_assert_eq!(bits(&dv), bits(&want_dv), "project dv, {}", at);
+                        prop_assert_eq!(bits(&dm), bits(&want_dm), "project dM, {}", at);
+                    }
+                    _ => {}
                 }
             }
         }

@@ -38,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // 3. One SpMM per batch side computes every h + r - t expression; the
-    //    backward pass is a second SpMM with the transpose, kept over the
-    //    embedding rows the batch touches.
+    //    backward pass is the transpose product, pushed back through the
+    //    same matrix's rows into the embedding rows the batch touches.
     let model = SpTransE::from_config(&dataset, &config)?;
     let mut trainer = Trainer::new(model, &dataset, &config)?;
     let report = trainer.run()?;
