@@ -397,8 +397,13 @@ mod tests {
         let a = hrt(5, 2, &[0, 1], &[0, 1], &[2, 3], TailSign::Negative).unwrap();
         let pair = IncidencePair::new(a);
         assert_eq!(pair.touched_columns()[..], [0, 1, 2, 3, 5, 6]);
-        // A self-loop (explicit zero), a repeated relation and an untouched
-        // entity: the touched columns are the occupied rows of `Aᵀ`.
+    }
+
+    #[test]
+    fn incidence_pair_caches_transpose() {
+        // The pair keeps no `Aᵀ`, only its occupied rows. A self-loop
+        // (explicit zero), a repeated relation and an untouched entity: the
+        // touched columns are exactly the occupied rows of the full `Aᵀ`.
         let a = hrt(6, 2, &[0, 1, 3], &[1, 1, 0], &[2, 1, 0], TailSign::Negative).unwrap();
         let t = a.transpose();
         let occupied: Vec<u32> = (0..t.rows() as u32)
