@@ -2,23 +2,23 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{CooMatrix, Error, Result};
+use crate::{Error, Result};
 
-/// A sparse matrix in compressed-sparse-row format.
+/// A sparse matrix in compressed-sparse-row format — the crate's one
+/// sparse format.
 ///
-/// CSR is the kernel format: row `i`'s nonzeros occupy
-/// `indices[indptr[i]..indptr[i+1]]` / `values[...]`, with column indices
-/// sorted ascending within each row. This is the layout the paper's CPU SpMM
-/// (iSpLib) consumes; the incidence matrices built per mini-batch are
-/// converted to CSR once and reused across epochs.
+/// Row `i`'s nonzeros occupy `indices[indptr[i]..indptr[i+1]]` /
+/// `values[...]`, with column indices sorted ascending within each row. This
+/// is the layout the paper's CPU SpMM (iSpLib) consumes; the incidence
+/// builders write each mini-batch's matrix in it directly, and training
+/// reuses it across epochs.
 ///
 /// # Examples
 ///
 /// ```
-/// use sparse::{CooMatrix, CsrMatrix};
+/// use sparse::CsrMatrix;
 ///
-/// let coo = CooMatrix::from_triplets(2, 3, vec![(0, 0, 1.0), (1, 2, -1.0)])?;
-/// let csr: CsrMatrix = coo.to_csr();
+/// let csr = CsrMatrix::from_triplets(2, 3, vec![(1, 2, -1.0), (0, 0, 1.0)])?;
 /// assert_eq!(csr.nnz(), 2);
 /// assert_eq!(csr.row(1).next(), Some((2, -1.0)));
 /// # Ok::<(), sparse::Error>(())
@@ -43,6 +43,70 @@ fn all_unit_coeffs(values: &[f32]) -> bool {
 }
 
 impl CsrMatrix {
+    /// Builds a matrix from `(row, col, value)` triplets in any order,
+    /// summing the values of a repeated coordinate in input order.
+    ///
+    /// Runs a counting sort on the row index, then a stable sort of each row
+    /// by column, in `O(nnz + rows)` for rows of bounded length.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::IndexOutOfBounds`] naming the first triplet, in input
+    /// order, whose coordinate exceeds the shape.
+    pub fn from_triplets(
+        rows: usize,
+        cols: usize,
+        triplets: impl IntoIterator<Item = (usize, usize, f32)>,
+    ) -> Result<Self> {
+        let mut entries = Vec::new();
+        for (row, col, v) in triplets {
+            if row >= rows || col >= cols {
+                return Err(Error::IndexOutOfBounds {
+                    row,
+                    col,
+                    rows,
+                    cols,
+                });
+            }
+            entries.push((row, col as u32, v));
+        }
+        let mut indptr = vec![0u32; rows + 1];
+        for &(r, ..) in &entries {
+            indptr[r + 1] += 1;
+        }
+        for i in 0..rows {
+            indptr[i + 1] += indptr[i];
+        }
+        let mut by_row = vec![(0u32, 0f32); entries.len()];
+        let mut cursor = indptr.clone();
+        for (r, c, v) in entries {
+            by_row[cursor[r] as usize] = (c, v);
+            cursor[r] += 1;
+        }
+        let nnz = by_row.len();
+        let (mut indices, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        let mut start = 0;
+        for r in 0..rows {
+            let end = indptr[r + 1] as usize;
+            let row = &mut by_row[start..end];
+            row.sort_by_key(|&(c, _)| c);
+            let first = indices.len();
+            for &(c, v) in row.iter() {
+                if indices.len() > first && indices.last() == Some(&c) {
+                    *values.last_mut().expect("parallel arrays") += v;
+                } else {
+                    indices.push(c);
+                    values.push(v);
+                }
+            }
+            indptr[r + 1] = indices.len() as u32;
+            start = end;
+        }
+        Ok(Self::from_raw_parts_unchecked(
+            rows, cols, indptr, indices, values,
+        ))
+    }
+
     /// Builds a CSR matrix from raw arrays, validating all invariants.
     ///
     /// # Errors
@@ -206,17 +270,6 @@ impl CsrMatrix {
         (&self.indices[s..e], &self.values[s..e])
     }
 
-    /// The maximum number of nonzeros in any row.
-    pub fn max_row_nnz(&self) -> usize {
-        (0..self.rows)
-            .map(|i| {
-                let (s, e) = self.row_bounds(i);
-                e - s
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Returns the transpose in CSR form.
     ///
     /// Runs a counting-sort transpose in `O(nnz + rows + cols)`. This is the
@@ -263,23 +316,12 @@ impl CsrMatrix {
         }
     }
 
-    /// Converts back to COO (entries in row-major order).
-    pub fn to_coo(&self) -> CooMatrix {
-        let mut coo = CooMatrix::with_capacity(self.rows, self.cols, self.nnz());
-        for r in 0..self.rows {
-            for (c, v) in self.row(r) {
-                coo.push_unchecked(r, c, v);
-            }
-        }
-        coo
-    }
-
     /// Materializes the matrix densely (row-major); for tests and references.
-    pub fn to_dense(&self) -> crate::DenseMatrix {
-        let mut m = crate::DenseMatrix::zeros(self.rows, self.cols);
+    pub fn to_dense(&self) -> Vec<f32> {
+        let mut m = vec![0.0; self.rows * self.cols];
         for r in 0..self.rows {
             for (c, v) in self.row(r) {
-                m.set(r, c, v);
+                m[r * self.cols + c] = v;
             }
         }
         m
@@ -296,7 +338,7 @@ mod tests {
     use super::*;
 
     fn sample() -> CsrMatrix {
-        CooMatrix::from_triplets(
+        CsrMatrix::from_triplets(
             3,
             4,
             vec![
@@ -308,7 +350,66 @@ mod tests {
             ],
         )
         .unwrap()
-        .to_csr()
+    }
+
+    #[test]
+    fn from_triplets_validates_bounds_in_input_order() {
+        assert!(CsrMatrix::from_triplets(2, 2, [(1, 1, 1.0)]).is_ok());
+        let err = CsrMatrix::from_triplets(2, 2, [(0, 0, 1.0), (2, 0, 1.0), (0, 5, 1.0)]);
+        assert_eq!(
+            err.unwrap_err(),
+            Error::IndexOutOfBounds {
+                row: 2,
+                col: 0,
+                rows: 2,
+                cols: 2
+            }
+        );
+        let err = CsrMatrix::from_triplets(2, 2, [(0, 5, 1.0), (2, 0, 1.0)]);
+        assert!(matches!(err, Err(Error::IndexOutOfBounds { col: 5, .. })));
+    }
+
+    #[test]
+    fn from_triplets_sums_duplicates_in_input_order() {
+        // Rows and columns out of order, and a coordinate given three times.
+        // Summed left to right, 1e8 + 1 rounds back to 1e8 in f32 and the
+        // entry is 0; adding 1e8 and −1e8 first would leave 1.
+        let m = CsrMatrix::from_triplets(
+            2,
+            3,
+            [
+                (1, 2, -1.0),
+                (0, 1, 1e8),
+                (1, 0, 0.5),
+                (0, 1, 1.0),
+                (0, 0, 2.0),
+                (0, 1, -1e8),
+            ],
+        )
+        .unwrap();
+        assert_eq!(m.row(0).collect::<Vec<_>>(), [(0, 2.0), (1, 0.0)]);
+        assert_eq!(m.row(1).collect::<Vec<_>>(), [(0, 0.5), (2, -1.0)]);
+        assert_eq!(m.nnz(), 4);
+    }
+
+    #[test]
+    fn from_triplets_leaves_empty_rows_empty() {
+        let m = CsrMatrix::from_triplets(4, 4, [(3, 0, 1.0)]).unwrap();
+        assert_eq!(m.indptr(), [0, 0, 0, 0, 1]);
+        assert_eq!(m.row(3).collect::<Vec<_>>(), [(0, 1.0)]);
+        let empty = CsrMatrix::from_triplets(0, 3, []).unwrap();
+        assert_eq!(
+            (empty.rows(), empty.cols(), empty.indptr()),
+            (0, 3, &[0][..])
+        );
+    }
+
+    #[test]
+    fn to_dense_matches_entries() {
+        let d = sample().to_dense();
+        assert_eq!(d.len(), 12);
+        assert_eq!((d[3], d[5], d[8], d[10]), (-1.0, 2.0, 3.0, 4.0));
+        assert_eq!(d.iter().filter(|&&v| v != 0.0).count(), 5);
     }
 
     #[test]
@@ -358,16 +459,9 @@ mod tests {
     }
 
     #[test]
-    fn to_coo_round_trips() {
-        let m = sample();
-        assert_eq!(m.to_coo().to_csr(), m);
-    }
-
-    #[test]
-    fn max_row_nnz_and_bytes() {
-        let m = sample();
-        assert_eq!(m.max_row_nnz(), 2);
-        assert!(m.heap_bytes() > 0);
+    fn heap_bytes_are_the_three_arrays() {
+        // indptr of 3 + 1 entries, 5 indices, 5 values.
+        assert_eq!(sample().heap_bytes(), 4 * (4 + 5 + 5));
     }
 
     #[test]
@@ -377,15 +471,15 @@ mod tests {
         assert!(!m.has_unit_coefficients());
         assert!(!m.transpose().has_unit_coefficients());
 
-        let inc = CooMatrix::from_triplets(2, 3, vec![(0, 0, 1.0), (0, 2, -1.0), (1, 1, 1.0)])
-            .unwrap()
-            .to_csr();
+        let inc =
+            CsrMatrix::from_triplets(2, 3, vec![(0, 0, 1.0), (0, 2, -1.0), (1, 1, 1.0)]).unwrap();
         assert!(inc.has_unit_coefficients());
         assert!(inc.transpose().has_unit_coefficients());
 
         // Empty matrices are vacuously ±1, matching the per-call scan the
         // kernels used to do.
-        assert!(CooMatrix::new(3, 3).to_csr().has_unit_coefficients());
+        let empty = CsrMatrix::from_triplets(3, 3, []).unwrap();
+        assert!(empty.has_unit_coefficients());
 
         let raw = CsrMatrix::from_raw_parts(1, 2, vec![0, 1], vec![0], vec![0.5]).unwrap();
         assert!(!raw.has_unit_coefficients());

@@ -1,135 +1,8 @@
-//! Row-major dense matrices used as SpMM operands.
+//! The borrowed dense operand every sparse kernel reads.
 //!
-//! The autograd crate (`tensor`) has its own tensor type; these are the
-//! minimal owned/borrowed dense-matrix views the sparse kernels operate on so
-//! that `sparse` stays dependency-free in that direction.
-
-use serde::{Deserialize, Serialize};
-
-/// An owned row-major `rows × cols` matrix of `f32`.
-///
-/// # Examples
-///
-/// ```
-/// use sparse::DenseMatrix;
-///
-/// let m = DenseMatrix::from_rows(&[[1.0, 2.0], [3.0, 4.0]]);
-/// assert_eq!(m.rows(), 2);
-/// assert_eq!(m.get(1, 0), 3.0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DenseMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<f32>,
-}
-
-impl DenseMatrix {
-    /// Creates a zero-filled matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Creates a matrix from an existing row-major buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "buffer length {} does not match {rows}x{cols}",
-            data.len()
-        );
-        Self { rows, cols, data }
-    }
-
-    /// Creates a matrix from fixed-size row arrays.
-    pub fn from_rows<const N: usize>(rows: &[[f32; N]]) -> Self {
-        let mut data = Vec::with_capacity(rows.len() * N);
-        for row in rows {
-            data.extend_from_slice(row);
-        }
-        Self {
-            rows: rows.len(),
-            cols: N,
-            data,
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The underlying row-major buffer.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Mutable access to the underlying row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
-    /// Borrows row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows`.
-    pub fn row(&self, i: usize) -> &[f32] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutably borrows row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    pub fn get(&self, i: usize, j: usize) -> f32 {
-        assert!(i < self.rows && j < self.cols, "({i},{j}) out of bounds");
-        self.data[i * self.cols + j]
-    }
-
-    /// Sets one element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    pub fn set(&mut self, i: usize, j: usize, v: f32) {
-        assert!(i < self.rows && j < self.cols, "({i},{j}) out of bounds");
-        self.data[i * self.cols + j] = v;
-    }
-
-    /// Borrowed view of the whole matrix.
-    pub fn view(&self) -> DenseView<'_> {
-        DenseView::new(self.rows, self.cols, &self.data)
-    }
-}
+//! The autograd crate (`tensor`) owns the tables; the kernels here read them
+//! through [`DenseView`] and write caller-owned `&mut [f32]` buffers, so
+//! `sparse` stays dependency-free in that direction.
 
 /// A borrowed read view of a `rows × cols` table — what every row kernel
 /// reads its operand through.
@@ -270,28 +143,18 @@ impl<'a> DenseView<'a> {
     }
 }
 
-impl<'a> From<&'a DenseMatrix> for DenseView<'a> {
-    fn from(m: &'a DenseMatrix) -> Self {
-        m.view()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn round_trip_and_accessors() {
-        let mut m = DenseMatrix::zeros(3, 2);
-        m.set(2, 1, 5.5);
-        assert_eq!(m.get(2, 1), 5.5);
-        assert_eq!(m.row(2), &[0.0, 5.5]);
-        m.row_mut(0)[0] = 1.0;
-        assert_eq!(m.as_slice()[0], 1.0);
-        let v: DenseView = (&m).into();
+        let data = [1.0, 0.0, 0.0, 0.0, 0.0, 5.5];
+        let v = DenseView::new(3, 2, &data);
+        assert_eq!((v.rows(), v.cols()), (3, 2));
+        assert_eq!(v.row(0), &[1.0, 0.0]);
         assert_eq!(v.row(2), &[0.0, 5.5]);
-        assert_eq!(v.rows(), 3);
-        assert_eq!(v.cols(), 2);
+        assert_eq!(v.as_slice(), &data);
     }
 
     #[test]
@@ -333,14 +196,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "does not match")]
-    fn from_vec_validates_length() {
-        let _ = DenseMatrix::from_vec(2, 2, vec![0.0; 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn get_bounds_checked() {
-        let m = DenseMatrix::zeros(1, 1);
-        let _ = m.get(1, 0);
+    fn new_validates_length() {
+        let _ = DenseView::new(2, 2, &[0.0; 3]);
     }
 }

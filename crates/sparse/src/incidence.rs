@@ -22,9 +22,10 @@
 //! table. [`RelationGroups`] is the one other batch index: the batch grouped
 //! by relation, which TransR's per-relation projection walks.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-use crate::{CooMatrix, CsrMatrix, Error, Result};
+use crate::{CsrMatrix, Error, Result};
 
 /// Coefficient convention for the tail (and, per semiring, its meaning).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,14 +64,7 @@ pub fn ht(num_entities: usize, heads: &[u32], tails: &[u32]) -> Result<CsrMatrix
             tails.len()
         )));
     }
-    let m = heads.len();
-    let mut coo = CooMatrix::with_capacity(m, num_entities, 2 * m);
-    for i in 0..m {
-        // Checked: the entity columns are all of the matrix's columns.
-        coo.push(i, heads[i] as usize, 1.0)?;
-        coo.push(i, tails[i] as usize, -1.0)?;
-    }
-    Ok(coo.to_csr())
+    write_rows(num_entities, None, heads, tails, -1.0)
 }
 
 /// Builds the `M × (N + R)` `hrt` incidence matrix for `head + relation −
@@ -110,30 +104,92 @@ pub fn hrt(
             tails.len()
         )));
     }
-    let m = heads.len();
-    let cols = num_entities + num_relations;
-    let tail_coeff = match tail_sign {
+    let tail = match tail_sign {
         TailSign::Negative => -1.0,
         TailSign::Positive => 1.0,
     };
-    let mut coo = CooMatrix::with_capacity(m, cols, 3 * m);
+    write_rows(
+        num_entities,
+        Some((num_relations, rels)),
+        heads,
+        tails,
+        tail,
+    )
+}
+
+/// Writes the `ht` (`rels` is `None`) or `hrt` matrix straight into CSR.
+/// Row `i` holds the head's `+1` and the tail's `tail` in column order — a
+/// self-loop one entry, `1 + tail`: the explicit `0` or `2` that
+/// [`CsrMatrix::from_triplets`] sums the repeated coordinate to — then the
+/// relation's `+1`, whose column follows every entity column. Rows are
+/// checked in order, the head, then the tail, then the relation.
+fn write_rows(
+    num_entities: usize,
+    rels: Option<(usize, &[u32])>,
+    heads: &[u32],
+    tails: &[u32],
+    tail: f32,
+) -> Result<CsrMatrix> {
+    let (m, n) = (heads.len(), num_entities);
+    let (cols, per_row) = rels.map_or((n, 2), |(r, _)| (n + r, 3));
+    let mut indptr = Vec::with_capacity(m + 1);
+    indptr.push(0);
+    let mut indices = Vec::with_capacity(per_row * m);
+    let mut values = Vec::with_capacity(per_row * m);
     for i in 0..m {
-        let (h, r, t) = (heads[i] as usize, rels[i] as usize, tails[i] as usize);
-        // An entity index below `cols` may still be past the entity columns.
-        if let Some(entity) = [h, t].into_iter().find(|&e| e >= num_entities) {
-            return Err(Error::EntityOutOfBounds {
-                row: i,
-                entity,
-                entities: num_entities,
-                rows: m,
+        let (h, t) = (heads[i] as usize, tails[i] as usize);
+        if let Some(e) = [h, t].into_iter().find(|&e| e >= n) {
+            return Err(match rels {
+                // The entity columns are all of `ht`'s columns.
+                None => Error::IndexOutOfBounds {
+                    row: i,
+                    col: e,
+                    rows: m,
+                    cols,
+                },
+                // An entity below `cols` may still be past the entity columns.
+                Some(_) => Error::EntityOutOfBounds {
+                    row: i,
+                    entity: e,
+                    entities: n,
+                    rows: m,
+                },
             });
         }
-        coo.push_unchecked(i, h, 1.0);
-        // Checked: a relation past `num_relations` is a column past `cols`.
-        coo.push(i, num_entities + r, 1.0)?;
-        coo.push_unchecked(i, t, tail_coeff);
+        let (h32, t32) = (h as u32, t as u32);
+        match h.cmp(&t) {
+            Ordering::Less => {
+                indices.extend([h32, t32]);
+                values.extend([1.0, tail]);
+            }
+            Ordering::Greater => {
+                indices.extend([t32, h32]);
+                values.extend([tail, 1.0]);
+            }
+            Ordering::Equal => {
+                indices.push(h32);
+                values.push(1.0 + tail);
+            }
+        }
+        if let Some((_, rels)) = rels {
+            // A relation past `num_relations` is a column past `cols`.
+            let col = n + rels[i] as usize;
+            if col >= cols {
+                return Err(Error::IndexOutOfBounds {
+                    row: i,
+                    col,
+                    rows: m,
+                    cols,
+                });
+            }
+            indices.push(col as u32);
+            values.push(1.0);
+        }
+        indptr.push(indices.len() as u32);
     }
-    Ok(coo.to_csr())
+    Ok(CsrMatrix::from_raw_parts_unchecked(
+        m, cols, indptr, indices, values,
+    ))
 }
 
 /// A batch grouped by relation: the sorted distinct relations of a
@@ -272,32 +328,32 @@ impl IncidencePair {
 mod tests {
     use super::*;
     use crate::spmm::csr_spmm;
-    use crate::DenseMatrix;
+    use crate::DenseView;
 
     #[test]
     fn ht_computes_head_minus_tail() {
         // 4 entities, embeddings are rows of E.
-        let e = DenseMatrix::from_rows(&[[1.0, 0.0], [2.0, 1.0], [4.0, 4.0], [8.0, -1.0]]);
+        let e = [1.0, 0.0, 2.0, 1.0, 4.0, 4.0, 8.0, -1.0];
         let a = ht(4, &[0, 2], &[1, 3]).unwrap();
-        let c = csr_spmm(&a, &e);
-        assert_eq!(c.row(0), &[-1.0, -1.0]); // e0 - e1
-        assert_eq!(c.row(1), &[-4.0, 5.0]); // e2 - e3
+        let c = csr_spmm(&a, DenseView::new(4, 2, &e));
+        assert_eq!(c[..2], [-1.0, -1.0]); // e0 - e1
+        assert_eq!(c[2..], [-4.0, 5.0]); // e2 - e3
     }
 
     #[test]
     fn hrt_computes_head_plus_rel_minus_tail() {
         // 3 entities, 2 relations; stacked embedding matrix is 5 x 2.
-        let stacked = DenseMatrix::from_rows(&[
-            [1.0, 0.0],  // e0
-            [0.0, 1.0],  // e1
-            [2.0, 2.0],  // e2
-            [10.0, 0.0], // r0
-            [0.0, 10.0], // r1
-        ]);
+        let stacked = [
+            1.0, 0.0, // e0
+            0.0, 1.0, // e1
+            2.0, 2.0, // e2
+            10.0, 0.0, // r0
+            0.0, 10.0, // r1
+        ];
         let a = hrt(3, 2, &[0, 2], &[1, 0], &[1, 0], TailSign::Negative).unwrap();
-        let c = csr_spmm(&a, &stacked);
-        assert_eq!(c.row(0), &[1.0, 9.0]); // e0 + r1 - e1
-        assert_eq!(c.row(1), &[11.0, 2.0]); // e2 + r0 - e0
+        let c = csr_spmm(&a, DenseView::new(5, 2, &stacked));
+        assert_eq!(c[..2], [1.0, 9.0]); // e0 + r1 - e1
+        assert_eq!(c[2..], [11.0, 2.0]); // e2 + r0 - e0
     }
 
     #[test]
@@ -315,9 +371,8 @@ mod tests {
     fn self_loop_collapses_exactly() {
         // head == tail: +1 and -1 on the same column sum to zero.
         let a = ht(5, &[2], &[2]).unwrap();
-        let e = DenseMatrix::from_rows(&[[1.0], [2.0], [3.0], [4.0], [5.0]]);
-        let c = csr_spmm(&a, &e);
-        assert_eq!(c.row(0), &[0.0]);
+        let c = csr_spmm(&a, DenseView::new(5, 1, &[1.0, 2.0, 3.0, 4.0, 5.0]));
+        assert_eq!(c, [0.0]);
     }
 
     #[test]

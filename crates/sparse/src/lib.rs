@@ -1,12 +1,14 @@
 //! Sparse matrix formats and SpMM kernels.
 //!
 //! This crate is the Rust analog of the SpMM substrate the SparseTransX paper
-//! takes from iSpLib (CPU) and DGL g-SpMM (GPU): coordinate ([`CooMatrix`])
-//! and compressed-sparse-row ([`CsrMatrix`]) matrices over `f32`, a parallel
-//! cache-friendly sparse × dense multiplication ([`spmm::csr_spmm`]), its
-//! transpose form used for backpropagation (`∂L/∂X = Aᵀ · ∂L/∂C`, Appendix G
-//! of the paper), and the *semiring* generalization of Appendix D that turns
-//! the same traversal into DistMult / ComplEx / RotatE scoring.
+//! takes from iSpLib (CPU): one sparse format, compressed sparse row
+//! ([`CsrMatrix`]) over `f32`; one borrowed dense operand ([`DenseView`]),
+//! with results written to caller-owned `&mut [f32]` buffers; a parallel,
+//! cache-friendly sparse × dense multiplication
+//! ([`spmm::csr_spmm_into_with`]) and the row kernel of its transpose form
+//! used for backpropagation (`∂L/∂X = Aᵀ · ∂L/∂C`, Appendix G of the paper);
+//! and the *semiring* generalization of Appendix D that turns the same
+//! traversal into DistMult / ComplEx / RotatE scoring.
 //!
 //! It also hosts the paper's central data structure: the **triplet incidence
 //! matrix** ([`incidence`]), whose rows hold exactly two (`h − t`) or three
@@ -21,21 +23,18 @@
 //! # Examples
 //!
 //! ```
-//! use sparse::{CooMatrix, DenseMatrix};
+//! use sparse::{CsrMatrix, DenseView};
 //!
 //! // A 2×3 sparse matrix times a 3×2 dense matrix.
-//! let a = CooMatrix::from_triplets(2, 3, vec![(0, 0, 1.0), (0, 2, -1.0), (1, 1, 2.0)])?;
-//! let csr = a.to_csr();
-//! let b = DenseMatrix::from_rows(&[[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]);
-//! let c = sparse::spmm::csr_spmm(&csr, &b);
-//! assert_eq!(c.row(0), &[-2.0, -20.0]);
-//! assert_eq!(c.row(1), &[4.0, 40.0]);
+//! let a = CsrMatrix::from_triplets(2, 3, vec![(0, 0, 1.0), (0, 2, -1.0), (1, 1, 2.0)])?;
+//! let b = [1.0, 10.0, 2.0, 20.0, 3.0, 30.0];
+//! let c = sparse::spmm::csr_spmm(&a, DenseView::new(3, 2, &b));
+//! assert_eq!(c, [-2.0, -20.0, 4.0, 40.0]);
 //! # Ok::<(), sparse::Error>(())
 //! ```
 
 #![deny(missing_docs)]
 
-mod coo;
 mod csr;
 mod dense;
 mod error;
@@ -45,8 +44,7 @@ pub mod num;
 pub mod semiring;
 pub mod spmm;
 
-pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
-pub use dense::{DenseMatrix, DenseView};
+pub use dense::DenseView;
 pub use error::{Error, Result};
 pub use num::Complex32;

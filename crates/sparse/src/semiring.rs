@@ -413,9 +413,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not an hrt row")]
     fn rows_that_are_not_triples_are_rejected() {
-        let a = crate::CooMatrix::from_triplets(1, 3, vec![(0, 0, 1.0)])
-            .unwrap()
-            .to_csr();
+        let a = crate::CsrMatrix::from_triplets(1, 3, vec![(0, 0, 1.0)]).unwrap();
         let b = [0.0f32; 3];
         let _ = semiring_spmm(Semiring::DistMult, &a, DenseView::new(3, 1, &b));
     }

@@ -9,8 +9,9 @@
 //!   [`DenseView::row`] so a resident table and a paged one are the same
 //!   code. Rows with ≤ 3 nonzeros — every `ht`/`hrt` incidence row — take a
 //!   branch-free fused arm; longer rows fold from `0.0` in nonzero order.
-//!   [`csr_spmm`] and its `_into`/`_with` forms, and the tape's `spmm` and
-//!   fused `spmm_score` ops in `tensor`, all call it and nothing else.
+//!   [`csr_spmm_into_with`] (the tape's `spmm` op in `tensor`), [`csr_spmm`]
+//!   (the same product into a new buffer) and the fused `spmm_score` op all
+//!   call it and nothing else.
 //! * [`spmm_row_acc`] is **the** row kernel of `Aᵀ · G` (Appendix G): one
 //!   destination row accumulating `val · G[col, :]` over a list of entries,
 //!   one [`axpy`] per entry. The tape's backward pushes `G` through the rows
@@ -19,10 +20,13 @@
 //!   batch row); [`spmm_row_acc`] is also [`spmm_row`]'s general arm and all
 //!   of [`csr_spmm_into_general`].
 //!
-//! The entry points around them are **row-parallel**: output rows are sharded
-//! over the [`xparallel`] pool, each computed by exactly one worker, so no
-//! synchronization is needed on the output and the bits do not depend on the
-//! pool width. Every element is an independent expression of its column, so
+//! The entry points are [`csr_spmm_into_with`], [`csr_spmm`],
+//! [`csr_spmm_into_general`] (every row through the general arm, the
+//! ablation of the fused arms) and [`spmm_reference`] (a naive loop, the
+//! tests' reference). The first three are **row-parallel**: output rows are
+//! sharded over the [`xparallel`] pool, each computed by exactly one worker,
+//! so no synchronization is needed on the output and the bits do not depend
+//! on the pool width. Every element is an independent expression of its column, so
 //! the inner loops vectorize. Before computing row `i`, a driver
 //! [`prefetch_operands`] the operand rows of row `i + PREFETCH_DISTANCE`,
 //! so a random row of a table larger than the cache is on its way by the
@@ -35,12 +39,13 @@
 
 use xparallel::PREFETCH_DISTANCE;
 
-use crate::{metrics, CooMatrix, CsrMatrix, DenseMatrix, DenseView};
+use crate::{metrics, CsrMatrix, DenseView};
 
 /// Minimum rows per parallel chunk; below this the kernel runs sequentially.
 pub const MIN_ROWS_PER_CHUNK: usize = 16;
 
-/// Computes `C = A · B` where `A` is sparse CSR and `B` is dense row-major.
+/// Computes `C = A · B`, `A` sparse CSR and `B` dense, into a new
+/// row-major `A.rows() × B.cols()` buffer, on the global pool.
 ///
 /// # Panics
 ///
@@ -49,47 +54,29 @@ pub const MIN_ROWS_PER_CHUNK: usize = 16;
 /// # Examples
 ///
 /// ```
-/// use sparse::{CooMatrix, DenseMatrix};
+/// use sparse::{CsrMatrix, DenseView};
 ///
-/// let a = CooMatrix::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, -1.0)])?.to_csr();
-/// let b = DenseMatrix::from_rows(&[[5.0, 6.0], [1.0, 2.0]]);
-/// let c = sparse::spmm::csr_spmm(&a, &b);
-/// assert_eq!(c.row(0), &[4.0, 4.0]); // head - tail
+/// let a = CsrMatrix::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, -1.0)])?;
+/// let b = [5.0, 6.0, 1.0, 2.0];
+/// let c = sparse::spmm::csr_spmm(&a, DenseView::new(2, 2, &b));
+/// assert_eq!(c, [4.0, 4.0]); // head - tail
 /// # Ok::<(), sparse::Error>(())
 /// ```
-pub fn csr_spmm<'a>(a: &CsrMatrix, b: impl Into<DenseView<'a>>) -> DenseMatrix {
-    csr_spmm_with(&xparallel::PoolHandle::global(), a, b)
-}
-
-/// Like [`csr_spmm`] but dispatched on an explicit [`xparallel::PoolHandle`]
-/// — the training tape threads its handle through here so the whole step
-/// shares one schedule (and can run inline inside data-parallel workers).
-pub fn csr_spmm_with<'a>(
-    pool: &xparallel::PoolHandle,
-    a: &CsrMatrix,
-    b: impl Into<DenseView<'a>>,
-) -> DenseMatrix {
-    let b = b.into();
-    let mut out = DenseMatrix::zeros(a.rows(), b.cols());
-    csr_spmm_into_with(pool, a, b, out.as_mut_slice());
+pub fn csr_spmm(a: &CsrMatrix, b: DenseView<'_>) -> Vec<f32> {
+    let mut out = vec![0.0; a.rows() * b.cols()];
+    csr_spmm_into_with(&xparallel::PoolHandle::global(), a, b, &mut out);
     out
 }
 
-/// Computes `C = A · B` into a caller-provided buffer (overwritten).
+/// Computes `C = A · B` into a caller-provided buffer (overwritten),
+/// dispatched on an explicit [`xparallel::PoolHandle`] — the training
+/// tape's SpMM forward, which threads its handle through here so the whole
+/// step shares one schedule (and can run inline inside data-parallel
+/// workers).
 ///
 /// # Panics
 ///
 /// Panics if `A.cols() != B.rows()` or `out.len() != A.rows() * B.cols()`.
-pub fn csr_spmm_into(a: &CsrMatrix, b: DenseView<'_>, out: &mut [f32]) {
-    csr_spmm_into_with(&xparallel::PoolHandle::global(), a, b, out);
-}
-
-/// Like [`csr_spmm_into`] but dispatched on an explicit
-/// [`xparallel::PoolHandle`].
-///
-/// # Panics
-///
-/// Same conditions as [`csr_spmm_into`].
 pub fn csr_spmm_into_with(
     pool: &xparallel::PoolHandle,
     a: &CsrMatrix,
@@ -238,13 +225,14 @@ pub fn axpy(v: f32, x: &[f32], dst: &mut [f32]) {
     }
 }
 
-/// Like [`csr_spmm_into`] but every row takes [`spmm_row`]'s general arm —
-/// zero, then [`spmm_row_acc`] — whatever its length: the ablation benchmarks
-/// use it to quantify what the 1/2/3-nonzero incidence arms contribute.
+/// Like [`csr_spmm_into_with`] on the global pool, but every row takes
+/// [`spmm_row`]'s general arm — zero, then [`spmm_row_acc`] — whatever its
+/// length: the ablation benchmarks use it to quantify what the
+/// 1/2/3-nonzero incidence arms contribute.
 ///
 /// # Panics
 ///
-/// Same conditions as [`csr_spmm_into`].
+/// Same conditions as [`csr_spmm_into_with`].
 pub fn csr_spmm_into_general(a: &CsrMatrix, b: DenseView<'_>, out: &mut [f32]) {
     assert_eq!(a.cols(), b.rows(), "spmm shape mismatch");
     let n = b.cols();
@@ -261,81 +249,16 @@ pub fn csr_spmm_into_general(a: &CsrMatrix, b: DenseView<'_>, out: &mut [f32]) {
     });
 }
 
-/// Computes `C = A · B` directly from COO with per-thread scatter buffers,
-/// dispatched on `pool`.
-///
-/// Kept for comparison benchmarks (the paper selects COO for DGL's GPU
-/// kernel); CSR is faster on CPU for incidence workloads.
-///
-/// # Panics
-///
-/// Panics if `A.cols() != B.rows()`.
-pub fn coo_spmm<'a>(
-    pool: &xparallel::PoolHandle,
-    a: &CooMatrix,
-    b: impl Into<DenseView<'a>>,
-) -> DenseMatrix {
-    let b = b.into();
+/// Naive, single-threaded reference SpMM for testing: the row-major
+/// `A.rows() × B.cols()` product.
+pub fn spmm_reference(a: &CsrMatrix, b: DenseView<'_>) -> Vec<f32> {
     assert_eq!(a.cols(), b.rows(), "spmm shape mismatch");
     let n = b.cols();
-    metrics::record_spmm_call();
-    metrics::add_flops(2 * a.nnz() as u64 * n as u64);
-    let mut out = DenseMatrix::zeros(a.rows(), n);
-    // COO entries may hit any output row, so we shard the *entries* and give
-    // each shard a private output buffer, folded in shard order at the end.
-    // This mirrors the scatter-side cost the paper attributes to
-    // gather/scatter training. The shard size depends on `nnz` alone — at
-    // least 4096 entries, at most 8 shards, so at most 8 whole-output
-    // partials are alive — which keeps the bits independent of the width.
-    let rows = a.row_indices();
-    let cols = a.col_indices();
-    let vals = a.values();
-    let total = out.as_slice().len();
-    let shard = a.nnz().div_ceil(8).max(4096);
-    let partial = pool.map_reduce_fixed(
-        a.nnz(),
-        shard,
-        vec![0f32; 0],
-        |range| {
-            let mut buf = vec![0f32; total];
-            for k in range {
-                let r = rows[k] as usize;
-                spmm_row_acc(
-                    &cols[k..=k],
-                    &vals[k..=k],
-                    &b,
-                    0,
-                    &mut buf[r * n..(r + 1) * n],
-                );
-            }
-            buf
-        },
-        |mut acc, part| {
-            if acc.is_empty() {
-                return part;
-            }
-            for (d, s) in acc.iter_mut().zip(&part) {
-                *d += *s;
-            }
-            acc
-        },
-    );
-    if !partial.is_empty() {
-        out.as_mut_slice().copy_from_slice(&partial);
-    }
-    out
-}
-
-/// Naive, single-threaded reference SpMM for testing.
-pub fn spmm_reference(a: &CsrMatrix, b: DenseView<'_>) -> DenseMatrix {
-    assert_eq!(a.cols(), b.rows(), "spmm shape mismatch");
-    let n = b.cols();
-    let mut out = DenseMatrix::zeros(a.rows(), n);
+    let mut out = vec![0.0; a.rows() * n];
     for i in 0..a.rows() {
         for (c, v) in a.row(i) {
             for j in 0..n {
-                let cur = out.get(i, j);
-                out.set(i, j, cur + v * b.row(c)[j]);
+                out[i * n + j] += v * b.row(c)[j];
             }
         }
     }
@@ -350,19 +273,18 @@ mod tests {
     use xparallel::{PoolHandle, Rows};
 
     fn random_csr(rng: &mut StdRng, rows: usize, cols: usize, nnz_per_row: usize) -> CsrMatrix {
-        let mut coo = CooMatrix::new(rows, cols);
+        let mut entries = Vec::new();
         for r in 0..rows {
             for _ in 0..rng.gen_range(0..=nnz_per_row) {
                 let c = rng.gen_range(0..cols);
-                coo.push(r, c, rng.gen_range(-2.0..2.0)).unwrap();
+                entries.push((r, c, rng.gen_range(-2.0..2.0)));
             }
         }
-        coo.to_csr()
+        CsrMatrix::from_triplets(rows, cols, entries).unwrap()
     }
 
-    fn random_dense(rng: &mut StdRng, rows: usize, cols: usize) -> DenseMatrix {
-        let data = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        DenseMatrix::from_vec(rows, cols, data)
+    fn random_dense(rng: &mut StdRng, rows: usize, cols: usize) -> Vec<f32> {
+        (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect()
     }
 
     /// `out[r, :] += A[r, :] · B` for the rows of `rows`: one [`spmm_row_acc`]
@@ -376,9 +298,9 @@ mod tests {
         });
     }
 
-    fn assert_close(a: &DenseMatrix, b: &DenseMatrix, tol: f32) {
-        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+    fn assert_close(a: &[f32], b: &[f32], tol: f32) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
             assert!((x - y).abs() <= tol, "{x} vs {y}");
         }
     }
@@ -395,9 +317,8 @@ mod tests {
         ] {
             let a = random_csr(&mut rng, rows, cols, per_row);
             let b = random_dense(&mut rng, cols, n);
-            let got = csr_spmm(&a, &b);
-            let want = spmm_reference(&a, b.view());
-            assert_close(&got, &want, 1e-4);
+            let b = DenseView::new(cols, n, &b);
+            assert_close(&csr_spmm(&a, b), &spmm_reference(&a, b), 1e-4);
         }
     }
 
@@ -410,9 +331,10 @@ mod tests {
         let a = random_csr(&mut rng, 3, 6, 3);
         let b = random_dense(&mut rng, 6, 4);
         let (short, map) = (random_dense(&mut rng, 2, 4), [DenseView::NOT_RESIDENT; 6]);
+        let b = DenseView::new(6, 4, &b);
         for v in [
-            b.view(),
-            short.view(),
+            b,
+            DenseView::new(2, 4, &short),
             DenseView::mapped(4, b.as_slice(), &map),
         ] {
             for i in [0, 2, 3, PREFETCH_DISTANCE, usize::MAX] {
@@ -420,7 +342,7 @@ mod tests {
             }
         }
         assert!(a.rows() < PREFETCH_DISTANCE);
-        assert_eq!(csr_spmm(&a, &b), spmm_reference(&a, b.view()));
+        assert_eq!(csr_spmm(&a, b), spmm_reference(&a, b));
     }
 
     #[test]
@@ -430,7 +352,7 @@ mod tests {
         for nnz in [2usize, 3] {
             let rows = 128;
             let cols = 64;
-            let mut coo = CooMatrix::new(rows, cols);
+            let mut entries = Vec::new();
             for r in 0..rows {
                 let mut seen = std::collections::HashSet::new();
                 while seen.len() < nnz {
@@ -438,12 +360,13 @@ mod tests {
                 }
                 for (k, c) in seen.into_iter().enumerate() {
                     let v = if k == nnz - 1 { -1.0 } else { 1.0 };
-                    coo.push(r, c, v).unwrap();
+                    entries.push((r, c, v));
                 }
             }
-            let a = coo.to_csr();
+            let a = CsrMatrix::from_triplets(rows, cols, entries).unwrap();
             let b = random_dense(&mut rng, cols, 33);
-            assert_close(&csr_spmm(&a, &b), &spmm_reference(&a, b.view()), 1e-4);
+            let b = DenseView::new(cols, 33, &b);
+            assert_close(&csr_spmm(&a, b), &spmm_reference(&a, b), 1e-4);
         }
     }
 
@@ -452,7 +375,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let a = random_csr(&mut rng, 20, 40, 8);
         let b = random_dense(&mut rng, 40, 1124);
-        assert_close(&csr_spmm(&a, &b), &spmm_reference(&a, b.view()), 1e-3);
+        let b = DenseView::new(40, 1124, &b);
+        assert_close(&csr_spmm(&a, b), &spmm_reference(&a, b), 1e-3);
     }
 
     #[test]
@@ -460,11 +384,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         let a = random_csr(&mut rng, 40, 25, 4);
         let b = random_dense(&mut rng, 25, 9);
+        let b = DenseView::new(25, 9, &b);
         // Start from a nonzero buffer; acc must add on top.
         let mut out = vec![0.5f32; 40 * 9];
-        acc(&PoolHandle::global(), &a, Rows::All, b.view(), &mut out);
-        let want = csr_spmm(&a, &b);
-        for (x, w) in out.iter().zip(want.as_slice()) {
+        acc(&PoolHandle::global(), &a, Rows::All, b, &mut out);
+        let want = csr_spmm(&a, b);
+        for (x, w) in out.iter().zip(&want) {
             assert!((x - (w + 0.5)).abs() < 1e-4, "{x} vs {}", w + 0.5);
         }
     }
@@ -474,10 +399,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(19);
         let a = random_csr(&mut rng, 120, 25, 4);
         let b = random_dense(&mut rng, 25, 9);
+        let b = DenseView::new(25, 9, &b);
         let run = |width: usize, rows: Rows<'_>| {
             let mut out = vec![0.25f32; 120 * 9];
             let pool = PoolHandle::global().with_width(width);
-            acc(&pool, &a, rows, b.view(), &mut out);
+            acc(&pool, &a, rows, b, &mut out);
             out
         };
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -514,51 +440,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let a = random_csr(&mut rng, 60, 40, 3);
         let b = random_dense(&mut rng, 40, 19);
-        let mut fast = vec![0f32; 60 * 19];
+        let b = DenseView::new(40, 19, &b);
         let mut general = vec![0f32; 60 * 19];
-        csr_spmm_into(&a, b.view(), &mut fast);
-        csr_spmm_into_general(&a, b.view(), &mut general);
-        for (x, y) in fast.iter().zip(&general) {
-            assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn coo_matches_csr() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let coo = {
-            let mut m = CooMatrix::new(50, 30);
-            for _ in 0..200 {
-                m.push(
-                    rng.gen_range(0..50),
-                    rng.gen_range(0..30),
-                    rng.gen_range(-1.0..1.0),
-                )
-                .unwrap();
-            }
-            m
-        };
-        let b = random_dense(&mut rng, 30, 12);
-        let via_csr = csr_spmm(&coo.to_csr(), &b);
-        let via_coo = coo_spmm(&xparallel::PoolHandle::global(), &coo, &b);
-        assert_close(&via_coo, &via_csr, 1e-4);
-    }
-
-    #[test]
-    fn coo_bits_do_not_depend_on_the_width() {
-        // 40 000 entries over 16 rows: every row's sum spans several shards.
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut coo = CooMatrix::new(16, 30);
-        for _ in 0..40_000 {
-            let (r, c) = (rng.gen_range(0..16), rng.gen_range(0..30));
-            coo.push(r, c, rng.gen_range(-1.0..1.0)).unwrap();
-        }
-        let b = random_dense(&mut rng, 30, 7);
-        let bits = |width: usize| {
-            let c = coo_spmm(&xparallel::PoolHandle::global().with_width(width), &coo, &b);
-            c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        };
-        assert_eq!(bits(1), bits(4));
+        csr_spmm_into_general(&a, b, &mut general);
+        assert_close(&csr_spmm(&a, b), &general, 1e-4);
     }
 
     #[test]
@@ -567,17 +452,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let a = random_csr(&mut rng, 12, 9, 4);
         let g = random_dense(&mut rng, 12, 7); // upstream gradient, shape of C
-        let grad = csr_spmm(&a.transpose(), &g);
+        let grad = csr_spmm(&a.transpose(), DenseView::new(12, 7, &g));
         // Dense check: Aᵀ(9x12) · G(12x7) = 9x7.
         let ad = a.to_dense();
-        let mut want = DenseMatrix::zeros(9, 7);
+        let mut want = vec![0.0f32; 9 * 7];
         for i in 0..9 {
             for j in 0..7 {
-                let mut acc = 0.0;
                 for k in 0..12 {
-                    acc += ad.get(k, i) * g.get(k, j);
+                    want[i * 7 + j] += ad[k * 9 + i] * g[k * 7 + j];
                 }
-                want.set(i, j, acc);
             }
         }
         assert_close(&grad, &want, 1e-4);
@@ -585,33 +468,25 @@ mod tests {
 
     #[test]
     fn zero_sized_operands() {
-        let a = CooMatrix::new(0, 5).to_csr();
-        let b = DenseMatrix::zeros(5, 3);
-        let c = csr_spmm(&a, &b);
-        assert_eq!((c.rows(), c.cols()), (0, 3));
+        let a = CsrMatrix::from_triplets(0, 5, []).unwrap();
+        assert!(csr_spmm(&a, DenseView::new(5, 3, &[0.0; 15])).is_empty());
 
-        let a = CooMatrix::new(4, 5).to_csr();
-        let b = DenseMatrix::zeros(5, 0);
-        let c = csr_spmm(&a, &b);
-        assert_eq!((c.rows(), c.cols()), (4, 0));
+        let a = CsrMatrix::from_triplets(4, 5, []).unwrap();
+        assert!(csr_spmm(&a, DenseView::new(5, 0, &[])).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn shape_mismatch_panics() {
-        let a = CooMatrix::new(2, 3).to_csr();
-        let b = DenseMatrix::zeros(4, 2);
-        let _ = csr_spmm(&a, &b);
+        let a = CsrMatrix::from_triplets(2, 3, []).unwrap();
+        let _ = csr_spmm(&a, DenseView::new(4, 2, &[0.0; 8]));
     }
 
     #[test]
     fn flop_counter_increments() {
         let before = metrics::snapshot();
-        let a = CooMatrix::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, -1.0)])
-            .unwrap()
-            .to_csr();
-        let b = DenseMatrix::zeros(2, 8);
-        let _ = csr_spmm(&a, &b);
+        let a = CsrMatrix::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, -1.0)]).unwrap();
+        let _ = csr_spmm(&a, DenseView::new(2, 8, &[0.0; 16]));
         let delta = metrics::snapshot() - before;
         // ±1 incidence row: (nnz - rows) * n = (2 - 1) * 8 additions.
         assert!(delta.flops >= 8);

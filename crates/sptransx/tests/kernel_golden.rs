@@ -39,6 +39,10 @@
 //! data-parallel driver they replaced (481f5c4), whose loss summation order
 //! and reduction arithmetic they must reproduce.
 //!
+//! `self_loops_match_coo_staged_incidence` pins the incidence builders where
+//! they merge a repeated column, on self-loop triples, against a45757d, the
+//! last commit that staged every row in COO; the golden graph has none.
+//!
 //! The KG uses `zipf_exponent(1.0)` so the builder's only libm call is
 //! `powf(x, 1.0)` (exact); everything downstream is `+ − × ÷ √` and
 //! compares, which IEEE 754 fixes bit-for-bit — `floor` included, which is
@@ -197,12 +201,20 @@ fn run_every_param<M: KgeModel + BatchScorer>(
     norm: Norm,
     ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
 ) -> [u64; 3] {
-    let ds = dataset();
+    run_every_param_on(&dataset(), norm, ctor)
+}
+
+/// [`run_every_param`] on the graph `ds`.
+fn run_every_param_on<M: KgeModel + BatchScorer>(
+    ds: &Dataset,
+    norm: Norm,
+    ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
+) -> [u64; 3] {
     let cfg = TrainConfig {
         rel_dim: 12,
         ..config(norm)
     };
-    let mut trainer = Trainer::new(ctor(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
+    let mut trainer = Trainer::new(ctor(ds, &cfg).unwrap(), ds, &cfg).unwrap();
     let report = trainer.run().unwrap();
     let store = trainer.model().store();
     let params = store.param_ids();
@@ -238,6 +250,68 @@ fn projection_models_match_pre_blocking_kernels() {
              — a generic tape op's or a projection kernel's arithmetic changed"
         );
     }
+}
+
+/// A self-loop triple `(e, r, e)` is one merged entity entry in its
+/// incidence row: `0` in `ht` and the signed `hrt`, `2` in the unsigned
+/// `hrt`. Up to a45757d the builders staged every row in COO and merged the
+/// repeated coordinate in the COO → CSR conversion; since, they write CSR
+/// directly. This pins the matrices of a batch with self-loops in all three
+/// forms, and the families that build each form trained on the golden graph
+/// with self-loop triples added, against a45757d.
+#[test]
+fn self_loops_match_coo_staged_incidence() {
+    use sparse::incidence::{hrt, ht, TailSign};
+    let (heads, rels, tails) = ([3, 5, 5, 0, 7, 2], [1, 0, 2, 2, 1, 0], [3, 1, 5, 0, 2, 7]);
+    let words = |a: sparse::CsrMatrix| {
+        let bits = a.values().iter().map(|v| v.to_bits());
+        fnv1a(a.indptr().iter().chain(a.indices()).copied().chain(bits))
+    };
+    let matrices = [
+        words(ht(8, &heads, &tails).unwrap()),
+        words(hrt(8, 3, &heads, &rels, &tails, TailSign::Negative).unwrap()),
+        words(hrt(8, 3, &heads, &rels, &tails, TailSign::Positive).unwrap()),
+    ];
+    let golden_matrices = [
+        0xd6df_c9f0_8763_365a_u64,
+        0xd7f3_9eeb_af61_4eed,
+        0x6c70_e9e3_4262_92ad,
+    ];
+    assert_eq!(
+        matrices, golden_matrices,
+        "[ht, hrt, unsigned hrt] hashes {matrices:#018x?} differ from a45757d's \
+         {golden_matrices:#018x?} — an incidence builder's entries changed"
+    );
+
+    let mut ds = dataset();
+    for i in 0..48 {
+        let e = (i * 97 % ENTITIES) as u32;
+        ds.train
+            .push(kg::Triple::new(e, i as u32 % RELATIONS as u32, e));
+    }
+    type Run = fn(&Dataset) -> [u64; 3];
+    #[rustfmt::skip]
+    let golden: [(&str, Run, [u64; 3]); 5] = [
+        ("SpTransE", |ds| run_every_param_on(ds, Norm::L2, SpTransE::from_config), [0xcf1a_5630_01a3_bf6e, 0x3199_ff84_837c_37f5, 0x7954_89f6_d417_ad94]),
+        ("SpTorusE", |ds| run_every_param_on(ds, Norm::L2, SpTorusE::from_config), [0x5818_3f2b_c1ef_0ddd, 0xaca1_4c3f_d79c_6c79, 0x26a2_f3bc_05e6_54a8]),
+        ("SpTransH", |ds| run_every_param_on(ds, Norm::L2, SpTransH::from_config), [0xaa12_ef4b_3053_39a9, 0x9ac0_fe56_cae3_4bd0, 0x3328_2742_2fd0_0e69]),
+        ("SpDistMult", |ds| run_every_param_on(ds, Norm::L2, SpDistMult::from_config), [0xc232_7f83_4213_a68e, 0x240e_dab3_c83d_3386, 0x124f_22eb_e2f2_ed25]),
+        ("SpComplEx", |ds| run_every_param_on(ds, Norm::L2, SpComplEx::from_config), [0x3dfd_d7e3_c1ae_c6a2, 0xbdb7_5770_868f_27e3, 0xd234_6116_9b3a_9bcb]),
+    ];
+    let moved: Vec<String> = golden
+        .iter()
+        .filter_map(|&(what, run, want)| {
+            let got = run(&ds);
+            (got != want).then(|| {
+                format!("{what}: {got:#x?}, a45757d had {want:#x?}").replace(['\n', ' '], "")
+            })
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "[parameter, loss, score] hashes on a graph with self-loops moved:\n{}",
+        moved.join("\n")
+    );
 }
 
 /// `SpRotatE` with its table overwritten by exact binary fractions (odd

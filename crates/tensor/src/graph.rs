@@ -7,7 +7,7 @@ use sparse::semiring::{semiring_spmm_into_with, Semiring};
 use sparse::spmm::{axpy, csr_spmm_into_with, prefetch_operands, spmm_row};
 use sparse::CsrMatrix;
 use sparse::DenseView;
-use xparallel::{PoolHandle, Rows, PREFETCH_DISTANCE};
+use xparallel::{PoolHandle, PREFETCH_DISTANCE};
 
 use crate::profile;
 use crate::tensor::REDUCE_CHUNK;
@@ -1101,7 +1101,7 @@ impl Graph {
                 // into its matrix's gradient slot.
                 let (vd, n) = (self.nodes[vecs.0].value.as_slice(), d_out * d_in);
                 let (slot, grad, _) = store.touched_grads(mats, by_rel.relations());
-                pool.for_row_windows(grad, n.max(1), Rows::All, 8, |first, window| {
+                pool.for_rows(grad, n.max(1), 8, |first, window| {
                     for (r, rows) in by_rel.iter() {
                         if let Some(dm) = row_in(window, first, n, slot(r as usize)) {
                             add_outer_products(rows, gd, vd, d_out, d_in, dm);
@@ -1163,7 +1163,7 @@ impl Graph {
                 let (fwd, gd, d) = (&pair.forward, g.as_slice(), store.param_shape(param).1);
                 let (slot, grad, table) = store.touched_grads(param, pair.touched_columns());
                 let pool = &self.pool;
-                pool.for_row_windows(grad, d.max(1), Rows::All, 32, |first, window| {
+                pool.for_rows(grad, d.max(1), 32, |first, window| {
                     for (i, &gi) in gd.iter().enumerate() {
                         let (cols, vals) = fwd.row_entries(i);
                         let cols = kind.decode(cols, vals);
@@ -1272,7 +1272,7 @@ fn scatter<'e>(
     entries: impl Fn(usize) -> (&'e [u32], &'e [f32]) + Sync,
 ) {
     let n = src.cols();
-    pool.for_row_windows(dst, n.max(1), Rows::All, 128, |first, window| {
+    pool.for_rows(dst, n.max(1), 128, |first, window| {
         for i in 0..src.rows() {
             let ((cols, vals), row) = (entries(i), src.row(i));
             for (&c, &v) in cols.iter().zip(vals) {
@@ -1289,7 +1289,7 @@ fn scatter<'e>(
 /// destination rows.
 ///
 /// A push splits the gradient slots into disjoint windows, one per worker
-/// ([`PoolHandle::for_row_windows`]); every worker scans the whole batch in
+/// ([`PoolHandle::for_rows`]); every worker scans the whole batch in
 /// order and writes only the rows its window holds. Each destination row is
 /// therefore written by one worker and receives its contributions in the
 /// scan's order, at any pool width. A zero-width buffer (`n == 0`) is

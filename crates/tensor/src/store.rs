@@ -714,7 +714,7 @@ impl ParamStore {
     /// [`Touches`](Self::touch) `rows` and returns the gradient slots in
     /// use whole, for a kernel that writes them itself — the tape's backward
     /// pushes, which walk their batch rows and add into the slots of the
-    /// columns each row names (on [`PoolHandle::for_row_windows`]) instead
+    /// columns each row names (on [`PoolHandle::for_rows`]) instead
     /// of running a per-row body: the row → slot map (row `r`'s gradient is
     /// buffer row `slot(r)`; `r` must be touched), the slots, row-major, and
     /// the value table as kernels read it ([`ParamStore::table`]).

@@ -49,8 +49,8 @@ type RowWindowSlot<'a, T> = Mutex<Option<(Rows<'a>, usize, &'a mut [T], &'a mut 
 /// Which rows of a row-major buffer a sweep visits: every row, or a strictly
 /// ascending list of them. This is the currency a row-set owner (the
 /// parameter store's touched-row sets) hands to kernels, which pass it on to
-/// [`PoolHandle::for_row_set`] / [`PoolHandle::for_row_windows`] or walk it
-/// serially with [`Rows::walk`] instead of forking on its shape themselves.
+/// [`PoolHandle::for_row_set`] or walk it serially with [`Rows::walk`]
+/// instead of forking on its shape themselves.
 #[derive(Clone, Copy, Debug)]
 pub enum Rows<'a> {
     /// Every row of the buffer.
@@ -176,7 +176,14 @@ impl PoolHandle {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        self.for_row_windows(data, stride, Rows::All, min_rows, body);
+        self.split_rows(
+            data,
+            stride,
+            Rows::All,
+            min_rows,
+            &mut [],
+            |_, first, window, _| body(first, window),
+        );
     }
 
     /// [`PoolHandle::for_rows`] with a private scratch slice per chunk:
@@ -210,44 +217,6 @@ impl PoolHandle {
         );
     }
 
-    /// [`PoolHandle::for_rows`] over a row set: runs `body(first_row,
-    /// window)` over disjoint row-aligned windows that together cover every
-    /// row of `rows`. A [`Rows::Listed`] set is split into at most `width()`
-    /// chunks of at least `min_rows` listed rows, each handed the smallest
-    /// contiguous window covering its rows (`first_row ..=` its last listed
-    /// row, gaps included).
-    ///
-    /// A body may read the unlisted rows inside its window but should write
-    /// only rows it knows to be in the set — the index-scan scatters do so by
-    /// construction (every index they scatter to is a member), and "does
-    /// this index fall in my window" is all the membership test they need,
-    /// because windows never overlap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride == 0`, `data.len() % stride != 0`, or (debug only)
-    /// a listed set is not strictly ascending / indexes past the last row.
-    pub fn for_row_windows<T, F>(
-        &self,
-        data: &mut [T],
-        stride: usize,
-        rows: Rows<'_>,
-        min_rows: usize,
-        body: F,
-    ) where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        self.split_rows(
-            data,
-            stride,
-            rows,
-            min_rows,
-            &mut [],
-            |_, first, window, _| body(first, window),
-        );
-    }
-
     /// Runs `body(row, row_slice)` once for every row of `rows` — the
     /// destination-sharded sweep over a row set. Each row is owned by exactly
     /// one chunk and visited by a serial inner loop in ascending order, so
@@ -257,7 +226,8 @@ impl PoolHandle {
     ///
     /// # Panics
     ///
-    /// Same conditions as [`PoolHandle::for_row_windows`].
+    /// Panics if `stride == 0`, `data.len() % stride != 0`, or (debug only)
+    /// a listed set is not strictly ascending / indexes past the last row.
     pub fn for_row_set<T, F>(
         &self,
         data: &mut [T],
@@ -552,15 +522,12 @@ mod tests {
         h.for_row_set(&mut data, 3, Rows::Listed(&[]), 1, |_, _| {
             panic!("should not run")
         });
-        h.for_row_windows(&mut data, 3, Rows::Listed(&[]), 1, |_, _| {
-            panic!("should not run")
-        });
         assert!(data.iter().all(|&x| x == 1.0));
     }
 
-    /// Both shapes of a row set, both faces of the dispatch: a listed `0..n`
-    /// and `All` visit the same rows with the same slices; windows are
-    /// disjoint, start at their first listed row and end with their last.
+    /// Both shapes of a row set: a listed `0..n` and `All` visit the same
+    /// rows with the same slices, and a gappy list visits each of its rows
+    /// once and no other row.
     #[test]
     fn row_set_shapes_agree_and_windows_cover_their_rows() {
         let (stride, nrows) = (2, 57);
@@ -577,19 +544,14 @@ mod tests {
                 data
             };
             assert_eq!(sweep(Rows::All), sweep(Rows::Listed(&every)));
-            let mut seen = vec![0u8; nrows];
-            let cell = Mutex::new(&mut seen);
-            let mut data = vec![0u8; stride * nrows];
-            h.for_row_windows(&mut data, stride, Rows::Listed(&gappy), 1, |first, w| {
-                let last = first + w.len() / stride - 1;
-                assert!(gappy.contains(&(first as u32)) && gappy.contains(&(last as u32)));
-                let mut seen = cell.lock();
-                for r in first..=last {
-                    seen[r] += 1;
-                }
+            let mut visits = vec![0u8; stride * nrows];
+            h.for_row_set(&mut visits, stride, Rows::Listed(&gappy), 1, |_, row| {
+                row[0] += 1;
             });
-            assert!(seen.iter().all(|&n| n <= 1), "windows overlap");
-            assert!(gappy.iter().all(|&r| seen[r as usize] == 1));
+            for r in 0..nrows {
+                let listed = gappy.contains(&(r as u32));
+                assert_eq!(visits[r * stride], listed as u8, "row {r}");
+            }
         }
         let mut order = Vec::new();
         Rows::Listed(&gappy).for_each(nrows, |r| order.push(r as u32));

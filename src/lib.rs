@@ -43,7 +43,7 @@ pub mod cli;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use kg::{self, Dataset, TripleStore};
-    pub use sparse::{CooMatrix, CsrMatrix};
+    pub use sparse::CsrMatrix;
     pub use sptransx::{
         DenseTorusE, DenseTransE, DenseTransH, DenseTransR, KgeModel, SpComplEx, SpDistMult,
         SpRotatE, SpTorusE, SpTransC, SpTransE, SpTransH, SpTransM, SpTransR, TrainConfig, Trainer,

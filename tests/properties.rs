@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use sparse::incidence::{hrt, ht, IncidencePair, TailSign};
 use sparse::spmm::{csr_spmm, spmm_reference};
-use sparse::{CooMatrix, DenseMatrix};
+use sparse::{CsrMatrix, DenseView};
 use tensor::{ParamStore, Tensor};
 
 /// Generated batch: `(n_entities, n_relations, triples, embeddings, dim)`.
@@ -41,14 +41,13 @@ proptest! {
         let rels: Vec<u32> = triples.iter().map(|t| t.1).collect();
         let tails: Vec<u32> = triples.iter().map(|t| t.2).collect();
         let a = hrt(n, r, &heads, &rels, &tails, TailSign::Negative).unwrap();
-        let b = DenseMatrix::from_vec(n + r, d, emb.clone());
-        let c = csr_spmm(&a, &b);
+        let c = csr_spmm(&a, DenseView::new(n + r, d, &emb));
         for (i, &(h, rel, t)) in triples.iter().enumerate() {
             for j in 0..d {
                 let want = emb[h as usize * d + j]
                     + emb[(n + rel as usize) * d + j]
                     - emb[t as usize * d + j];
-                prop_assert!((c.get(i, j) - want).abs() < 1e-4);
+                prop_assert!((c[i * d + j] - want).abs() < 1e-4);
             }
         }
     }
@@ -61,12 +60,11 @@ proptest! {
         let heads: Vec<u32> = triples.iter().map(|t| t.0).collect();
         let tails: Vec<u32> = triples.iter().map(|t| t.2).collect();
         let a = ht(n, &heads, &tails).unwrap();
-        let b = DenseMatrix::from_vec(n, d, emb[..n * d].to_vec());
-        let c = csr_spmm(&a, &b);
+        let c = csr_spmm(&a, DenseView::new(n, d, &emb[..n * d]));
         for (i, &(h, _, t)) in triples.iter().enumerate() {
             for j in 0..d {
                 let want = emb[h as usize * d + j] - emb[t as usize * d + j];
-                prop_assert!((c.get(i, j) - want).abs() < 1e-4);
+                prop_assert!((c[i * d + j] - want).abs() < 1e-4);
             }
         }
     }
@@ -99,7 +97,7 @@ proptest! {
             // (Aᵀ · G)[col][j] = Σ_i A[i][col] · gv — same for every j.
             let mut want = 0.0f32;
             for i in 0..m {
-                want += ad.get(i, col) * gv;
+                want += ad[i * (n + r) + col] * gv;
             }
             for j in 0..d {
                 prop_assert!((grad.row(col)[j] - want).abs() < 1e-4,
@@ -113,15 +111,15 @@ proptest! {
     fn transpose_involution(
         entries in prop::collection::vec((0usize..20, 0usize..15, -3.0f32..3.0), 0..60)
     ) {
-        let coo = CooMatrix::from_triplets(20, 15, entries).unwrap();
-        let csr = coo.to_csr();
+        let csr = CsrMatrix::from_triplets(20, 15, entries).unwrap();
         prop_assert_eq!(csr.transpose().transpose(), csr.clone());
         // And SpMM with the transpose matches the reference on the transpose.
-        let b = DenseMatrix::from_vec(20, 3, (0..60).map(|i| i as f32 * 0.1).collect());
+        let b: Vec<f32> = (0..60).map(|i| i as f32 * 0.1).collect();
+        let b = DenseView::new(20, 3, &b);
         let t = csr.transpose();
-        let got = csr_spmm(&t, &b);
-        let want = spmm_reference(&t, b.view());
-        for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
+        let got = csr_spmm(&t, b);
+        let want = spmm_reference(&t, b);
+        for (x, y) in got.iter().zip(&want) {
             prop_assert!((x - y).abs() < 1e-3);
         }
     }
