@@ -647,3 +647,125 @@ fn row_files_match_two_handle_writers() {
         moved.join("\n")
     );
 }
+
+/// The benchmark's two graph shapes, `(name, entities, relations, triples,
+/// batch size)`: its `KG_LARGE` and `KG_SMALL`.
+const SETUP_SHAPES: [(&str, usize, usize, usize, usize); 2] = [
+    ("KG_LARGE", 200_000, 200, 120_000, 4096),
+    ("KG_SMALL", 20_000, 100, 60_000, 1024),
+];
+
+/// The graph of shape `shape` at Zipf exponent `exponent`, seed 1.
+fn setup_graph(shape: &str, exponent: f64) -> (Dataset, usize) {
+    let &(_, n, r, triples, batch) = SETUP_SHAPES.iter().find(|s| s.0 == shape).unwrap();
+    let ds = SyntheticKgBuilder::new(n, r)
+        .triples(triples)
+        .zipf_exponent(exponent)
+        .seed(1)
+        .build();
+    (ds, batch)
+}
+
+fn store_words(s: &kg::TripleStore) -> impl Iterator<Item = u32> + '_ {
+    s.heads().iter().chain(s.rels()).chain(s.tails()).copied()
+}
+
+/// Everything set-up builds before a model, on the benchmark's two shapes
+/// at the default Zipf exponent 0.9, at 0 (uniform) and at 3.0 (nearly all
+/// mass on the first rows): `[dataset, sorted known set, batch plan]`
+/// hashes. Captured on 75c083b — the last commit whose `rand` shim drew
+/// through `&mut dyn RngCore` with a `u128` modulus, whose Zipf sampler
+/// binary-searched its CDF and whose triple sets hashed with SipHash. Unlike
+/// the golden graph's exponent 1.0, these call libm's `pow`, so they pin
+/// the platform's `pow` too.
+#[test]
+fn setup_matches_pre_monomorphic_sampling() {
+    use kg::{BatchPlan, UniformSampler};
+    #[rustfmt::skip]
+    let golden: [(&str, f64, [u64; 3]); 6] = [
+        ("KG_LARGE", 0.9, [0xb610_9cbb_983d_0a72, 0xaf5b_5dc5_1c92_a27a, 0x4432_1b89_9675_951e]),
+        ("KG_LARGE", 0.0, [0x5113_812f_7eff_e2eb, 0xd7de_61bd_475c_7db7, 0xa8b1_8dfe_70b0_5a27]),
+        ("KG_LARGE", 3.0, [0x0b55_560b_5b58_c697, 0xebdf_22ec_306e_9367, 0xd60c_b174_6144_e7d4]),
+        ("KG_SMALL", 0.9, [0x363a_6924_df71_4725, 0x3b25_6076_11c2_ee15, 0x0ad9_8c86_5b23_d5b8]),
+        ("KG_SMALL", 0.0, [0x4585_eea4_ca26_4f47, 0x999b_3325_4833_b93b, 0xc99b_e5e4_0136_b565]),
+        ("KG_SMALL", 3.0, [0x3ff4_a5dd_7245_817b, 0x41bf_01e7_779f_249f, 0xbec7_eb0c_4d04_308d]),
+    ];
+    let moved: Vec<String> = golden
+        .iter()
+        .filter_map(|&(shape, exponent, want)| {
+            let (ds, batch) = setup_graph(shape, exponent);
+            let splits = [&ds.train, &ds.valid, &ds.test];
+            let known = ds.all_known();
+            let mut sorted: Vec<kg::Triple> = known.iter().collect();
+            sorted.sort_unstable();
+            let sampler = UniformSampler::new(ds.num_entities);
+            let plan = BatchPlan::build(&ds.train, &known, &sampler, batch, 1);
+            let got = [
+                fnv1a(splits.into_iter().flat_map(store_words)),
+                fnv1a(sorted.iter().flat_map(|t| [t.head, t.rel, t.tail])),
+                fnv1a(
+                    plan.iter()
+                        .flat_map(|b| store_words(&b.pos).chain(store_words(&b.neg))),
+                ),
+            ];
+            (got != want).then(|| {
+                format!("{shape} at {exponent}: {got:#x?}, 75c083b had {want:#x?}")
+                    .replace(['\n', ' '], "")
+            })
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "[dataset, known, plan] hashes moved — a sampler's stream, the Zipf search or the \
+         known-set membership changed:\n{}",
+        moved.join("\n")
+    );
+}
+
+/// The initial parameters of every registered family at the default
+/// `TrainConfig`, on the `KG_LARGE` graph, hashed in store order: entity
+/// tables of 25.6 MB, large enough for `tensor::init`'s huge-page hint.
+/// Captured on 75c083b, like the set-up hashes above. (`SpRotatE`'s phases
+/// go through libm's `sin`/`cos` and `SpTransM`'s weights through `ln`.)
+#[test]
+fn initial_parameters_match_pre_monomorphic_sampling() {
+    #[rustfmt::skip]
+    let golden: [(&str, u64); 13] = [
+        ("SpTransE", 0x0f19_5953_8579_8c5a),
+        ("SpTorusE", 0xa570_f90c_fb6f_a1bc),
+        ("SpTransH", 0x7662_94c9_ca9c_e8bf),
+        ("SpTransR", 0xcf96_840b_f58d_79b6),
+        ("SpDistMult", 0xa69a_2486_2e0c_034e),
+        ("SpComplEx", 0x494e_06bd_bacd_3600),
+        ("SpRotatE", 0x4e1c_dccb_ed9c_bc31),
+        ("SpTransC", 0x0f19_5953_8579_8c5a),
+        ("SpTransM", 0x0f19_5953_8579_8c5a),
+        ("TransE-dense", 0x0f19_5953_8579_8c5a),
+        ("TorusE-dense", 0xa570_f90c_fb6f_a1bc),
+        ("TransH-dense", 0x7662_94c9_ca9c_e8bf),
+        ("TransR-dense", 0xcf96_840b_f58d_79b6),
+    ];
+    assert_eq!(golden.len(), sptransx::MODELS.len());
+    let (ds, _) = setup_graph("KG_LARGE", 0.9);
+    let cfg = TrainConfig::default();
+    let moved: Vec<String> = golden
+        .iter()
+        .zip(sptransx::MODELS)
+        .filter_map(|(&(what, want), family)| {
+            assert_eq!(what, family.name);
+            let model = (family.build)(&ds, &cfg).unwrap();
+            let store = model.store();
+            let words = store
+                .param_ids()
+                .into_iter()
+                .flat_map(|id| store.value(id).as_slice().iter().map(|x| x.to_bits()));
+            let got = fnv1a(words);
+            (got != want).then(|| format!("{what}: {got:#x}, 75c083b had {want:#x}"))
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "initial parameter hashes moved — an init stream changed:\n{}",
+        moved.join("\n")
+    );
+}
