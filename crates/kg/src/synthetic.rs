@@ -14,11 +14,10 @@
 //!   ranking difficulty (TransE struggles with 1-N, the motivation for
 //!   TransH/TransR).
 
-use std::collections::HashSet;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::triple::TripleHashSet;
 use crate::{Dataset, Triple, TripleStore};
 
 /// Relation cardinality class.
@@ -35,19 +34,40 @@ pub enum Cardinality {
 }
 
 /// A Zipf sampler over `0..n` with exponent `s` (cumulative-table based).
+///
+/// A draw `u ∈ [0, 1)` maps to the index `binary_search_by` over the
+/// cumulative table returns: the first entry above `u`, or one equal to it
+/// (the first, unless a run of entries equals `u`). It is found through a
+/// guide table: `guide[k]` is the first index whose cumulative
+/// weight reaches `k / n`, so a draw starts a forward scan at most a bucket
+/// or two short of its answer. Each of the `n` buckets is equally likely, so
+/// the scan takes O(1) steps on average, against the binary search's
+/// `log₂ n` cache misses.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
 }
 
+/// Entries a draw scans from its guide before deferring to the binary
+/// search: a bucket of a steep tail can hold thousands of entries.
+const MAX_SCAN: usize = 32;
+
 impl ZipfSampler {
-    /// Builds the sampler.
+    /// Builds the sampler. A negative exponent is legal: it favours the
+    /// large indices.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0`, if `n` exceeds `u32::MAX`, if `s` is not finite,
+    /// or if the weights `(i + 1)^-s` overflow when summed.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "domain must be non-empty");
+        assert!(
+            u32::try_from(n).is_ok(),
+            "domain of {n} exceeds u32 indices"
+        );
+        assert!(s.is_finite(), "Zipf exponent must be finite, got {s}");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for i in 0..n {
@@ -55,15 +75,61 @@ impl ZipfSampler {
             cdf.push(acc);
         }
         let total = acc;
+        assert!(
+            total.is_finite(),
+            "Zipf weights over {n} indices overflow at exponent {s}"
+        );
         for c in &mut cdf {
             *c /= total;
         }
-        Self { cdf }
+        Self::from_cdf(cdf)
+    }
+
+    /// The sampler over a non-decreasing cumulative table ending in `1.0`.
+    fn from_cdf(cdf: Vec<f64>) -> Self {
+        let n = cdf.len();
+        let mut guide = Vec::with_capacity(n);
+        let mut i = 0;
+        for k in 0..n {
+            let step = k as f64 / n as f64;
+            while i < n - 1 && cdf[i] < step {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        Self { cdf, guide }
     }
 
     /// Draws one index.
     pub fn sample(&self, rng: &mut StdRng) -> usize {
-        let u: f64 = rng.gen();
+        self.index_of(rng.gen())
+    }
+
+    /// The index a uniform draw `u ∈ [0, 1)` maps to: the same index as
+    /// `binary_search_by` over the cumulative table, clamped to `n - 1`.
+    fn index_of(&self, u: f64) -> usize {
+        let n = self.cdf.len();
+        // `u·n` can round up to the next integer `k` while `u < k / n`; one
+        // bucket back keeps the start at or before the answer, since every
+        // entry before `guide[k]` is below `k / n`.
+        let k = ((u * n as f64) as usize).min(n).saturating_sub(1);
+        let mut i = self.guide[k] as usize;
+        let stop = (i + MAX_SCAN).min(n - 1);
+        while i < stop && self.cdf[i] < u {
+            i += 1;
+        }
+        // Every entry before `i` is below `u`, so an entry above it is the
+        // answer. Anything else — an entry equal to `u` (a run of equal
+        // entries may end anywhere the binary search lands) or a scan cut
+        // short — is the binary search's to answer.
+        if self.cdf[i] > u {
+            i
+        } else {
+            self.binary_search(u)
+        }
+    }
+
+    fn binary_search(&self, u: f64) -> usize {
         match self
             .cdf
             .binary_search_by(|c| c.partial_cmp(&u).expect("finite cdf"))
@@ -165,6 +231,11 @@ impl SyntheticKgBuilder {
     /// Duplicate triples are rejected during generation, so the result may
     /// contain slightly fewer triples than requested on tiny graphs where
     /// the space is nearly exhausted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the Zipf exponent is not finite, or so negative that the
+    /// entity weights overflow (see [`ZipfSampler::new`]).
     pub fn build(&self) -> Dataset {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let head_sampler = ZipfSampler::new(self.num_entities, self.zipf_exponent);
@@ -184,7 +255,8 @@ impl SyntheticKgBuilder {
             })
             .collect();
 
-        let mut seen: HashSet<Triple> = HashSet::with_capacity(self.num_triples * 2);
+        let mut seen =
+            TripleHashSet::with_capacity_and_hasher(self.num_triples * 2, Default::default());
         let mut store = TripleStore::with_capacity(self.num_triples);
         let max_attempts = self.num_triples.saturating_mul(20).max(1000);
         let mut attempts = 0;
@@ -382,6 +454,90 @@ mod tests {
         let max = *counts.iter().max().unwrap();
         let min = *counts.iter().min().unwrap();
         assert!(max < min * 3, "uniform-ish expected: {min}..{max}");
+    }
+
+    /// `index_of` against `binary_search` at random draws, at every
+    /// distinct stored value and its two neighbours, at 0 and at or above
+    /// the last entry.
+    fn assert_search_agrees(z: &ZipfSampler, rng: &mut StdRng, what: &str) {
+        let random: Vec<f64> = (0..10_000).map(|_| rng.gen()).collect();
+        let mut values = z.cdf.clone();
+        values.dedup();
+        let stored = values
+            .into_iter()
+            .flat_map(|c| [c, c.next_up(), c.next_down()]);
+        let last = z.cdf[z.cdf.len() - 1];
+        let edges = [0.0, last, last.next_up(), 1.0, 1.5, f64::INFINITY];
+        for u in random.into_iter().chain(stored).chain(edges) {
+            assert_eq!(z.index_of(u), z.binary_search(u), "{what}, u {u:e}");
+        }
+    }
+
+    /// The guide-table search returns `binary_search_by`'s index (clamped
+    /// to `n - 1`) on Zipf tables. Exponent 6.0 adds a flat tail: from
+    /// `n ≈ 500` on its weights vanish against the sum, so the table ends
+    /// in a run of equal entries.
+    #[test]
+    fn indexed_search_matches_binary_search() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for n in [1, 2, 3, 1_000, 200_000] {
+            for s in [0.0, 0.9, 1.0, 1.5, 3.0, 6.0] {
+                let z = ZipfSampler::new(n, s);
+                assert_search_agrees(&z, &mut rng, &format!("n {n}, exponent {s}"));
+            }
+        }
+    }
+
+    /// Tables whose entries sit one ulp below the bucket edges `k / n`:
+    /// there a draw's `u·n` rounds up to `k` while `u < k / n`, which is
+    /// what the guide's one bucket back is for.
+    #[test]
+    fn indexed_search_matches_binary_search_at_bucket_edges() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for n in (1..=64).chain([100, 1_000, 4_099]) {
+            let mut cdf: Vec<f64> = (1..n).map(|k| (k as f64 / n as f64).next_down()).collect();
+            cdf.push(1.0);
+            let z = ZipfSampler::from_cdf(cdf);
+            assert_search_agrees(&z, &mut rng, &format!("edge table of {n}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Zipf exponent must be finite, got NaN")]
+    fn nan_exponent_is_refused_up_front() {
+        SyntheticKgBuilder::new(50, 2)
+            .zipf_exponent(f64::NAN)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "Zipf exponent must be finite, got inf")]
+    fn infinite_exponent_is_refused_up_front() {
+        SyntheticKgBuilder::new(50, 2)
+            .zipf_exponent(f64::INFINITY)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "Zipf exponent must be finite, got -inf")]
+    fn negative_infinite_exponent_is_refused_up_front() {
+        SyntheticKgBuilder::new(50, 2)
+            .zipf_exponent(f64::NEG_INFINITY)
+            .build();
+    }
+
+    #[test]
+    fn negative_exponent_favours_large_indices() {
+        let ds = SyntheticKgBuilder::new(100, 2)
+            .triples(300)
+            .zipf_exponent(-1.0)
+            .seed(6)
+            .build();
+        ds.train.validate(100, 2).unwrap();
+        let z = ZipfSampler::new(100, -1.0);
+        let mut rng = StdRng::seed_from_u64(6);
+        let high = (0..10_000).filter(|_| z.sample(&mut rng) >= 50).count();
+        assert!(high > 7_000, "got {high}");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! seed)` tuple replays the identical query stream — which is what lets the
 //! cache cross-validation replay the same trace through `simcache`.
 
+use kg::synthetic::ZipfSampler;
 use rand::{Rng, SeedableRng};
 
 use super::{Direction, Query};
@@ -18,8 +19,8 @@ use super::{Direction, Query};
 /// Seeded Zipf query stream over a fixed entity/relation vocabulary.
 #[derive(Debug, Clone)]
 pub struct ZipfWorkload {
-    /// Cumulative distribution over ranks; `cdf[i]` = P(rank <= i).
-    cdf: Vec<f64>,
+    /// Zipf distribution over ranks — the training graphs' sampler.
+    ranks: ZipfSampler,
     /// Rank -> entity id permutation.
     perm: Vec<u32>,
     num_relations: u32,
@@ -43,20 +44,12 @@ impl ZipfWorkload {
             "Zipf exponent must be finite and non-negative"
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut cdf = Vec::with_capacity(num_entities);
-        let mut total = 0f64;
-        for i in 0..num_entities {
-            total += 1.0 / ((i + 1) as f64).powf(exponent);
-            cdf.push(total);
-        }
-        for v in &mut cdf {
-            *v /= total;
-        }
+        let ranks = ZipfSampler::new(num_entities, exponent);
         let mut perm: Vec<u32> = (0..num_entities as u32).collect();
         use rand::seq::SliceRandom;
         perm.shuffle(&mut rng);
         Self {
-            cdf,
+            ranks,
             perm,
             num_relations: num_relations as u32,
             rng,
@@ -71,9 +64,7 @@ impl ZipfWorkload {
         } else {
             Direction::Head
         };
-        let u: f64 = self.rng.gen();
-        let rank = self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1);
-        let entity = self.perm[rank];
+        let entity = self.perm[self.ranks.sample(&mut self.rng)];
         let rel = self.rng.gen_range(0..self.num_relations);
         Query { dir, entity, rel }
     }

@@ -43,6 +43,12 @@
 //! they merge a repeated column, on self-loop triples, against a45757d, the
 //! last commit that staged every row in COO; the golden graph has none.
 //!
+//! `setup_matches_pre_monomorphic_sampling` and
+//! `initial_parameters_match_pre_monomorphic_sampling` pin what set-up builds
+//! before the first step — the benchmark-shaped graphs, their known sets and
+//! batch plans, and every family's initial parameters — against 75c083b, the
+//! last commit whose `rand` shim drew through `&mut dyn RngCore`.
+//!
 //! The KG uses `zipf_exponent(1.0)` so the builder's only libm call is
 //! `powf(x, 1.0)` (exact); everything downstream is `+ − × ÷ √` and
 //! compares, which IEEE 754 fixes bit-for-bit — `floor` included, which is
