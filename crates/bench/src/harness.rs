@@ -1,15 +1,17 @@
 //! Dataset preparation, model dispatch, and table formatting shared by the
-//! per-figure benchmark binaries, and the one estimator ([`time_arm`]) and
-//! fixtures every bench in `benches/` times through.
+//! paper's artifacts ([`crate::paper`]), and the one estimator
+//! ([`time_arm`]) and fixtures every bench in `benches/` times through.
 //!
-//! Every binary accepts two environment knobs:
+//! The artifacts read two environment knobs, each a positive integer:
 //!
 //! * `SPTX_SCALE` — divisor applied to the paper's dataset sizes
 //!   (default 200; `1` reproduces full-size graphs, which takes hours);
 //! * `SPTX_EPOCHS` — training epochs per measurement (default 5; the paper
 //!   uses 200).
 
-use kg::synthetic::{PaperDatasetSpec, COVID19_SPEC, PAPER_DATASETS};
+use std::env::var_os;
+use std::ffi::OsString;
+
 use kg::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,22 +25,35 @@ pub const DEFAULT_SCALE: usize = 200;
 /// Default epochs per measurement.
 pub const DEFAULT_EPOCHS: usize = 5;
 
-/// Reads `SPTX_SCALE`.
-pub fn scale_from_env() -> usize {
-    std::env::var("SPTX_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(DEFAULT_SCALE)
+/// Reads `SPTX_SCALE`, [`DEFAULT_SCALE`] when unset.
+///
+/// # Errors
+///
+/// A message naming the variable and its value when that is not a positive
+/// integer.
+pub fn scale_from_env() -> Result<usize, String> {
+    parse_knob("SPTX_SCALE", var_os("SPTX_SCALE"), DEFAULT_SCALE)
 }
 
-/// Reads `SPTX_EPOCHS`.
-pub fn epochs_from_env() -> usize {
-    std::env::var("SPTX_EPOCHS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&e| e >= 1)
-        .unwrap_or(DEFAULT_EPOCHS)
+/// Reads `SPTX_EPOCHS`, [`DEFAULT_EPOCHS`] when unset.
+///
+/// # Errors
+///
+/// As [`scale_from_env`].
+pub fn epochs_from_env() -> Result<usize, String> {
+    parse_knob("SPTX_EPOCHS", var_os("SPTX_EPOCHS"), DEFAULT_EPOCHS)
+}
+
+/// The positive integer `value` of the knob `var`, `default` when unset.
+fn parse_knob(var: &str, value: Option<OsString>, default: usize) -> Result<usize, String> {
+    let Some(value) = value else {
+        return Ok(default);
+    };
+    let value = value.to_string_lossy();
+    match value.parse() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("{var}={value:?}: expected a positive integer")),
+    }
 }
 
 /// Individually timed runs behind every [`time_arm`] figure.
@@ -105,7 +120,7 @@ pub fn dense(rows: usize, cols: usize, seed: u64) -> Vec<f32> {
 }
 
 /// The four models of the paper's headline evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// TransE (`h + r − t`).
     TransE,
@@ -135,10 +150,31 @@ impl ModelKind {
             ModelKind::TorusE => "TorusE",
         }
     }
+
+    /// The registered family of `kind` in `variant`.
+    pub fn registered(self, variant: Variant) -> &'static Registered {
+        let suffix = match variant {
+            Variant::Sparse => "",
+            Variant::Dense => "-dense",
+        };
+        let key = format!("{}{suffix}", self.name().to_ascii_lowercase());
+        Registered::find(&key).expect("every paper model is registered in both variants")
+    }
+
+    /// The paper's Table 4 configuration of `kind`, scaled: TransE and
+    /// TorusE run wide, TransR and TransH narrower for memory.
+    pub fn table4(self, epochs: usize) -> TrainConfig {
+        let (dim, rel_dim, batch_size) = match self {
+            ModelKind::TransE | ModelKind::TorusE => (128, 8, 4096),
+            ModelKind::TransR => (32, 16, 2048),
+            ModelKind::TransH => (32, 32, 1024),
+        };
+        bench_config(dim, rel_dim, batch_size, epochs)
+    }
 }
 
 /// Sparse (SpTransX) or dense-baseline implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// The paper's contribution.
     Sparse,
@@ -156,21 +192,10 @@ impl Variant {
     }
 }
 
-impl ModelKind {
-    /// The registered family of `kind` in `variant`.
-    pub fn registered(self, variant: Variant) -> &'static Registered {
-        let suffix = match variant {
-            Variant::Sparse => "",
-            Variant::Dense => "-dense",
-        };
-        let key = format!("{}{suffix}", self.name().to_ascii_lowercase());
-        Registered::find(&key).expect("every paper model is registered in both variants")
-    }
-}
-
-/// Trains `kind`/`variant` on `dataset` with every kernel on `pool` and
-/// returns the report (`PoolHandle::sequential()` is the paper's one-thread
-/// "CPU" arm, `PoolHandle::global()` every core).
+/// Trains `kind`/`variant` on `dataset` with every kernel on `pool`: the
+/// trainer, which holds the trained model, and its report
+/// (`PoolHandle::sequential()` is the paper's one-thread "CPU" arm,
+/// `PoolHandle::global()` every core).
 ///
 /// # Panics
 ///
@@ -181,44 +206,17 @@ pub fn run_model(
     dataset: &Dataset,
     config: &TrainConfig,
     pool: &PoolHandle,
-) -> TrainReport {
-    trained(kind.registered(variant), dataset, config, pool).1
-}
-
-/// Trains `model` on `dataset` with every kernel on `pool`: the trainer,
-/// which holds the trained model, and its report.
-///
-/// # Panics
-///
-/// Panics on configuration errors (benchmark configs are controlled).
-pub fn trained(
-    model: &Registered,
-    dataset: &Dataset,
-    config: &TrainConfig,
-    pool: &PoolHandle,
 ) -> (Trainer<Box<dyn AnyModel>>, TrainReport) {
-    let model = (model.build)(dataset, config).expect("benchmark config must be valid");
+    let model = (kind.registered(variant).build)(dataset, config);
+    let model = model.expect("benchmark config must be valid");
     let trainer = Trainer::new(model, dataset, config).expect("plan construction");
     let mut trainer = trainer.with_pool(pool.clone());
     let report = trainer.run().expect("training");
     (trainer, report)
 }
 
-/// Generates the scaled stand-ins for the paper's seven datasets (Table 3).
-pub fn paper_datasets(scale: usize) -> Vec<(PaperDatasetSpec, Dataset)> {
-    PAPER_DATASETS
-        .iter()
-        .map(|spec| (*spec, spec.generate(scale, 0xBEEF)))
-        .collect()
-}
-
-/// Generates the scaled COVID-19 graph of Appendix F.
-pub fn covid_dataset(scale: usize) -> Dataset {
-    COVID19_SPEC.generate(scale, 0xC0FFEE)
-}
-
 /// A benchmark TrainConfig with the paper's optimizer settings (§5.3) and a
-/// per-run dimension/batch override.
+/// per-run dimension/batch override; the rest is `TrainConfig::default()`.
 pub fn bench_config(dim: usize, rel_dim: usize, batch_size: usize, epochs: usize) -> TrainConfig {
     TrainConfig {
         epochs,
@@ -236,27 +234,21 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n## {title}\n");
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
         }
     }
-    let line: Vec<String> = header
-        .iter()
-        .enumerate()
-        .map(|(i, h)| format!("{:<w$}", h, w = widths[i]))
-        .collect();
-    println!("| {} |", line.join(" | "));
+    let print_row = |cells: &[&str]| {
+        let cells: Vec<String> = (cells.iter().enumerate())
+            .map(|(i, c)| format!("{c:<w$}", w = widths.get(i).copied().unwrap_or(0)))
+            .collect();
+        println!("| {} |", cells.join(" | "));
+    };
+    print_row(header);
     let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
     println!("|-{}-|", sep.join("-|-"));
     for row in rows {
-        let cells: Vec<String> = row
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:<w$}", c, w = widths.get(i).copied().unwrap_or(0)))
-            .collect();
-        println!("| {} |", cells.join(" | "));
+        print_row(&row.iter().map(String::as_str).collect::<Vec<_>>());
     }
 }
 
@@ -284,12 +276,12 @@ mod tests {
 
     #[test]
     fn model_dispatch_trains_every_pair() {
-        let spec = PaperDatasetSpec::by_name("WN18RR").unwrap();
+        let spec = kg::synthetic::PaperDatasetSpec::by_name("WN18RR").unwrap();
         let ds = spec.generate(2000, 1);
         let cfg = bench_config(8, 4, 64, 1);
         for kind in ModelKind::ALL {
             for variant in [Variant::Sparse, Variant::Dense] {
-                let report = run_model(kind, variant, &ds, &cfg, &PoolHandle::global());
+                let (_, report) = run_model(kind, variant, &ds, &cfg, &PoolHandle::global());
                 assert_eq!(report.epoch_losses.len(), 1, "{kind:?}/{variant:?}");
             }
         }
@@ -324,8 +316,9 @@ mod tests {
 
     #[test]
     fn env_knob_defaults() {
-        // Not set in the test environment.
-        assert!(scale_from_env() >= 1);
-        assert!(epochs_from_env() >= 1);
+        // An unset knob reads its default, a set one its value.
+        let scale = |value: Option<&str>| parse_knob("SPTX_SCALE", value.map(Into::into), 7);
+        assert_eq!(scale(None), Ok(7));
+        assert_eq!(scale(Some("2000")), Ok(2000));
     }
 }

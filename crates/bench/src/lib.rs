@@ -1,7 +1,7 @@
-//! Shared harness utilities for the benchmark binaries that regenerate the
-//! paper's tables and figures. See `src/bin/` for one binary per artifact
-//! and `benches/` for the micro-benchmarks and the `BENCH_*.json` passes,
-//! all timed by [`harness::time_arm`].
+//! The paper's twelve figures and tables ([`paper`], run by the `paper`
+//! binary), the shared harness they and the benches use, and the one
+//! estimator every bench in `benches/` — the micro-benchmarks and the
+//! `BENCH_*.json` passes — times through ([`harness::time_arm`]).
 //!
 //! **Place in the workspace:** the top of the dependency graph — it drives
 //! every other crate (`sptransx` models over `kg` datasets, with `simcache`
@@ -11,3 +11,4 @@
 
 pub mod harness;
 pub mod json;
+pub mod paper;

@@ -121,6 +121,63 @@ impl<S: TripleScorer + ?Sized> BatchScorer for ScalarBatch<'_, S> {
     }
 }
 
+/// The popularity baseline: every candidate scored by its training-set
+/// degree ([`crate::stats::degrees`]), whatever the query. A model that does
+/// not beat it under the same protocol has learned nothing the graph's
+/// degree skew does not already give away. Scores are negated degrees, so
+/// the most frequent entity is the nearest.
+pub struct Popularity {
+    scores: Vec<f32>,
+}
+
+impl Popularity {
+    /// The baseline of a graph with `num_entities` entities trained on
+    /// `train`.
+    pub fn new(train: &TripleStore, num_entities: usize) -> Self {
+        let degrees = crate::stats::degrees(train, num_entities);
+        Self {
+            scores: degrees.iter().map(|&d| -(d as f32)).collect(),
+        }
+    }
+
+    /// Writes the degree scores into each of the `queries` rows of `out`.
+    fn fill(&self, queries: usize, out: &mut [f32]) {
+        let n = self.scores.len();
+        assert_eq!(out.len(), queries * n, "score buffer has wrong length");
+        for row in out.chunks_exact_mut(n.max(1)) {
+            row.copy_from_slice(&self.scores);
+        }
+    }
+}
+
+impl TripleScorer for Popularity {
+    fn score_tails(&self, _head: u32, _rel: u32) -> Vec<f32> {
+        self.scores.clone()
+    }
+
+    fn score_heads(&self, _rel: u32, _tail: u32) -> Vec<f32> {
+        self.scores.clone()
+    }
+
+    fn num_entities(&self) -> usize {
+        self.scores.len()
+    }
+}
+
+impl BatchScorer for Popularity {
+    fn num_entities(&self) -> usize {
+        self.scores.len()
+    }
+
+    fn score_tails_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
+        self.fill(queries.len(), out);
+    }
+
+    fn score_heads_into(&self, queries: &[(u32, u32)], out: &mut [f32]) {
+        self.fill(queries.len(), out);
+    }
+}
+
 /// Aggregate link-prediction metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkPredictionReport {
@@ -718,6 +775,31 @@ mod tests {
         let r = evaluate(&scorer, &test, &known, &EvalConfig::default());
         assert_eq!(r.queries, 0);
         assert_eq!(r.mrr, 0.0);
+    }
+
+    #[test]
+    fn popularity_ranks_the_hub_first_on_both_paths() {
+        // A star: hub 0 linked to leaves 1..=5, so its degree is 5 and each
+        // leaf's is 1.
+        let train: TripleStore = (1..=5).map(|leaf| Triple::new(0, 0, leaf)).collect();
+        let pop = Popularity::new(&train, 6);
+        let tails = pop.score_tails(3, 0);
+        let best = (0..6).min_by(|&a, &b| tails[a].total_cmp(&tails[b]));
+        assert_eq!(best, Some(0));
+
+        // Each test triple asks once for the hub (rank 1) and once for a
+        // leaf, which trails the hub and ties with the four other leaves:
+        // rank 1 + 1 + 4/2 = 4.
+        let test: TripleStore = [Triple::new(0, 0, 2), Triple::new(4, 1, 0)]
+            .into_iter()
+            .collect();
+        let known = TripleSet::from_stores([&test]);
+        let scalar = evaluate(&pop, &test, &known, &EvalConfig::default());
+        let batched = evaluate_batched(&pop, &test, &known, &EvalConfig::default());
+        assert_eq!(scalar, batched);
+        assert_eq!(scalar.queries, 4);
+        assert_eq!(scalar.hits(1), Some(0.5));
+        assert!((scalar.mrr - 0.625).abs() < 1e-6, "{scalar:?}");
     }
 
     #[test]

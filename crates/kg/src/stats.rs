@@ -52,11 +52,7 @@ pub struct GraphStats {
 impl GraphStats {
     /// Computes statistics over `store` for a graph with `num_entities`.
     pub fn compute(store: &TripleStore, num_entities: usize) -> GraphStats {
-        let mut degree = vec![0usize; num_entities];
-        for t in store.iter() {
-            degree[t.head as usize] += 1;
-            degree[t.tail as usize] += 1;
-        }
+        let degree = degrees(store, num_entities);
         let active_entities = degree.iter().filter(|&&d| d > 0).count();
         let total_degree: usize = degree.iter().sum();
         let max_degree = degree.iter().copied().max().unwrap_or(0);
@@ -96,6 +92,17 @@ impl GraphStats {
             class_counts,
         }
     }
+}
+
+/// Degree (in + out) of each of `num_entities` entities over `store`: a
+/// self-loop counts twice.
+pub fn degrees(store: &TripleStore, num_entities: usize) -> Vec<usize> {
+    let mut degree = vec![0usize; num_entities];
+    for t in store.iter() {
+        degree[t.head as usize] += 1;
+        degree[t.tail as usize] += 1;
+    }
+    degree
 }
 
 /// Classifies every relation appearing in `store`.

@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-use kg::eval::EvalConfig;
+use kg::eval::{evaluate_batched, EvalConfig, Popularity};
 use kg::stream::RowFile;
 use kg::{load_tsv, write_tsv, Dataset, Vocab};
 use sptransx::serve::{
@@ -766,15 +766,16 @@ impl TrainJob<'_> {
             None => String::new(),
         };
         // Batched, pool-parallel engine; strided subsampling avoids the
-        // dataset-order bias of a plain prefix truncation.
-        let eval = trainer.evaluate_batched(
-            &ds,
-            &EvalConfig {
-                max_triples: Some(500),
-                sample: kg::eval::SampleStrategy::Strided,
-                ..Default::default()
-            },
-        );
+        // dataset-order bias of a plain prefix truncation. The popularity
+        // baseline is ranked under the same protocol.
+        let eval_config = EvalConfig {
+            max_triples: Some(500),
+            sample: kg::eval::SampleStrategy::Strided,
+            ..Default::default()
+        };
+        let eval = trainer.evaluate_batched(&ds, &eval_config);
+        let popularity = Popularity::new(&ds.train, ds.num_entities);
+        let baseline = evaluate_batched(&popularity, &ds.test, &ds.all_known(), &eval_config);
         let store = trainer.model().store();
         if let Some(id) = embedding_table(store) {
             let t = store.value(id);
@@ -784,7 +785,8 @@ impl TrainJob<'_> {
             })?;
         }
         Ok(format!(
-            "{}: {} epochs, loss {:.4} -> {:.4}, wall {:.2}s, Hits@10 {:.3}, MRR {:.3}\n\
+            "{}: {} epochs, loss {:.4} -> {:.4}, wall {:.2}s, Hits@10 {:.3} (popularity {:.3}), \
+             MRR {:.3} (popularity {:.3})\n\
              {}\n{kernel_table}{paged_report}\nembeddings saved to {}",
             trainer.model().name(),
             report.epoch_losses.len(),
@@ -792,7 +794,9 @@ impl TrainJob<'_> {
             report.epoch_losses.last().copied().unwrap_or(0.0),
             report.wall.as_secs_f64(),
             eval.hits(10).unwrap_or(0.0),
+            baseline.hits(10).unwrap_or(0.0),
             eval.mrr,
+            baseline.mrr,
             arm_line(&arm),
             self.out.display()
         ))
