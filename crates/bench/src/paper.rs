@@ -23,7 +23,6 @@ use kg::{BatchPlan, Dataset, UniformSampler};
 use simcache::trace::compare_kernels;
 use sparse::incidence::{hrt, TailSign};
 use sptransx::{Breakdown, Combine::AllReduce, SpTransE, TrainConfig, TrainReport, Trainer};
-use tensor::profile;
 use xparallel::PoolHandle;
 
 use crate::harness::{
@@ -176,22 +175,19 @@ fn figure2(sweep: &mut Sweep) {
     for ds_name in ["FB13", "FB15K"] {
         let ds = sweep.stand_in(ds_name, 0xF16 + ds_name.len() as u64);
         for kind in ModelKind::ALL {
-            profile::reset();
-            let (_, report) = run_model(kind, Variant::Dense, &ds, &cfg, &PoolHandle::global());
+            let (_, mut report) = run_model(kind, Variant::Dense, &ds, &cfg, &PoolHandle::global());
             let total = report.breakdown.total().as_secs_f64().max(1e-9);
-            let rows: Vec<Vec<String>> = profile::report()
-                .into_iter()
-                .filter(|e| e.name.starts_with("op::"))
-                .take(5)
+            report.ops.sort_by_key(|e| std::cmp::Reverse(e.time));
+            let rows: Vec<Vec<String>> = (report.ops.iter())
                 .map(|e| {
-                    let share = format!("{:.1}%", 100.0 * e.total.as_secs_f64() / total);
+                    let share = format!("{:.1}%", 100.0 * e.time.as_secs_f64() / total);
                     vec![e.name.to_string(), share, e.calls.to_string()]
                 })
                 .collect();
             let model = kind.name();
             print_table(
-                &format!("{model} ({ds_name}) — top ops by share of training time"),
-                &["Function (op scope)", "Share", "Calls"],
+                &format!("{model} ({ds_name}) — ops by share of training time"),
+                &["Function (op)", "Share", "Calls"],
                 &rows,
             );
         }
@@ -428,7 +424,7 @@ fn table6(sweep: &mut Sweep) {
     print_variant_means(
         sweep,
         "Mean GFLOPs per training run",
-        |r| r.flops,
+        TrainReport::flops,
         |flops| format!("{:.2}", flops as f64 / 1e9),
     );
     println!("\nExpected shape: SpTransX ≤ Baseline for every model.");

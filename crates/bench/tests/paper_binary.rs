@@ -54,3 +54,31 @@ fn a_bad_setting_exits_2_naming_the_variable_and_the_value() {
         assert!(out.stdout.is_empty(), "{var}={value} ran");
     }
 }
+
+/// Figure 2 lists every op of each model's run, ordered by share of time:
+/// the order may change between runs, the set of `(op, calls)` pairs may
+/// not.
+#[test]
+fn figure2_lists_the_same_ops_on_every_run() {
+    let ops = || {
+        let out = paper("figure2", &[("SPTX_SCALE", "2000"), ("SPTX_EPOCHS", "1")]);
+        assert_eq!(out.status.code(), Some(0));
+        let (mut table, mut rows) = (String::new(), Vec::new());
+        for line in String::from_utf8(out.stdout).unwrap().lines() {
+            if let Some(title) = line.strip_prefix("## ") {
+                table = title.to_string();
+            }
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            if let [_, op, _, calls, _] = cells[..] {
+                if op.starts_with("op::") {
+                    rows.push((table.clone(), op.to_string(), calls.to_string()));
+                }
+            }
+        }
+        rows.sort();
+        rows
+    };
+    let first = ops();
+    assert!(first.len() > 8 * 5, "{first:?}");
+    assert_eq!(first, ops());
+}

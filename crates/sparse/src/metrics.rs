@@ -1,16 +1,19 @@
 //! Global kernel instrumentation counters.
 //!
 //! The paper reports FLOP counts measured with Linux `perf` (Table 6). We
-//! instead instrument the kernels themselves: every SpMM (and the dense
-//! gather/scatter baselines in `sptransx`) adds its analytic floating-point
-//! operation count to a process-wide counter. Counters use relaxed atomics
-//! and are bumped once per kernel call, so the overhead is negligible.
+//! instead instrument the kernels themselves: every kernel computes its
+//! analytic [`Cost`] (floating-point operations, estimated bytes moved, SpMM
+//! invocations), and recording it adds it to process-wide counters. The
+//! training tape records each op's cost once, into these totals and into its
+//! own per-op table; the standalone kernel wrappers record into the totals
+//! only. Counters use relaxed atomics and are bumped once per kernel call,
+//! so the overhead is negligible.
 //!
 //! # Examples
 //!
 //! ```
 //! sparse::metrics::reset();
-//! sparse::metrics::add_flops(128);
+//! sparse::metrics::Cost { flops: 128, ..Default::default() }.record();
 //! assert_eq!(sparse::metrics::flops(), 128);
 //! ```
 
@@ -20,22 +23,26 @@ static FLOPS: AtomicU64 = AtomicU64::new(0);
 static SPMM_CALLS: AtomicU64 = AtomicU64::new(0);
 static BYTES_TOUCHED: AtomicU64 = AtomicU64::new(0);
 
-/// Adds `n` floating-point operations to the global counter.
-#[inline]
-pub fn add_flops(n: u64) {
-    FLOPS.fetch_add(n, Ordering::Relaxed);
+/// The analytic cost of one kernel call.
+#[must_use = "a cost counts nowhere until it is recorded"]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Cost {
+    /// Floating-point operations.
+    pub flops: u64,
+    /// Estimated bytes moved.
+    pub bytes: u64,
+    /// SpMM kernel invocations.
+    pub spmm_calls: u64,
 }
 
-/// Adds `n` bytes of estimated memory traffic to the global counter.
-#[inline]
-pub fn add_bytes(n: u64) {
-    BYTES_TOUCHED.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Records one SpMM kernel invocation.
-#[inline]
-pub fn record_spmm_call() {
-    SPMM_CALLS.fetch_add(1, Ordering::Relaxed);
+impl Cost {
+    /// Adds this cost to the global counters.
+    #[inline]
+    pub fn record(self) {
+        FLOPS.fetch_add(self.flops, Ordering::Relaxed);
+        BYTES_TOUCHED.fetch_add(self.bytes, Ordering::Relaxed);
+        SPMM_CALLS.fetch_add(self.spmm_calls, Ordering::Relaxed);
+    }
 }
 
 /// Total floating-point operations recorded since the last [`reset`].
@@ -98,10 +105,13 @@ mod tests {
     #[test]
     fn counters_accumulate_and_reset() {
         reset();
-        add_flops(10);
-        add_flops(5);
-        record_spmm_call();
-        add_bytes(100);
+        let cost = |flops, bytes, spmm_calls| Cost {
+            flops,
+            bytes,
+            spmm_calls,
+        };
+        cost(10, 0, 0).record();
+        cost(5, 100, 1).record();
         let snap = snapshot();
         assert!(snap.flops >= 15);
         assert!(snap.spmm_calls >= 1);
@@ -110,7 +120,7 @@ mod tests {
         // Other tests may run concurrently and bump counters; we only check
         // the reset is observable through a fresh delta.
         let before = snapshot();
-        add_flops(1);
+        cost(1, 0, 0).record();
         let delta = snapshot() - before;
         assert!(delta.flops >= 1);
     }

@@ -22,7 +22,8 @@
 //! partials to each triple's three operands, so the kernel that is
 //! benchmarked is the kernel that trains.
 
-use crate::{metrics, Complex32, CsrMatrix, DenseView};
+use crate::metrics::Cost;
+use crate::{Complex32, CsrMatrix, DenseView};
 
 /// How one `hrt` incidence row combines its head, relation and tail rows
 /// into a score: the semiring of Appendix D, as a description of one lane.
@@ -182,9 +183,9 @@ impl Semiring {
         }
     }
 
-    /// Adds one pass over incidence matrix `a` and a `d`-float-wide table to
-    /// the global counters — **the** analytic cost of the score kernel, in
-    /// the shape of the translational `spmm_score`'s. Forward: index + value
+    /// One pass over incidence matrix `a` and a `d`-float-wide table —
+    /// **the** analytic cost of the score kernel, in the shape of the
+    /// translational `spmm_score`'s. Forward: index + value
     /// and one operand row per stored entry in, one float per row out.
     /// Backward: per stored entry its index + value, `g_i` and the two
     /// sibling rows in, and one gradient row read and written (RotatE's
@@ -196,17 +197,19 @@ impl Semiring {
     /// push decodes each triple once and reads its three rows and `g_i` once
     /// per triple, so these bytes over-count what it moves; the formula is
     /// kept unchanged until the counters' next versioned redefinition.
-    pub fn record_pass(self, a: &CsrMatrix, d: usize, backward: bool) {
+    pub fn pass_cost(self, a: &CsrMatrix, d: usize, backward: bool) -> Cost {
         let (m, nnz, row) = (a.rows() as u64, a.nnz() as u64, 4 * d as u64);
         let lanes = (d / self.lane_width()) as u64;
         let (forward_flops, backward_flops) = self.lane_flops();
-        metrics::record_spmm_call();
-        if backward {
-            metrics::add_flops(backward_flops * nnz * lanes);
-            metrics::add_bytes(nnz * (8 + 4 + 4 * row));
+        let (flops, bytes) = if backward {
+            (backward_flops * nnz * lanes, nnz * (8 + 4 + 4 * row))
         } else {
-            metrics::add_flops(forward_flops * m * lanes);
-            metrics::add_bytes(nnz * (8 + row) + 4 * m);
+            (forward_flops * m * lanes, nnz * (8 + row) + 4 * m)
+        };
+        Cost {
+            flops,
+            bytes,
+            spmm_calls: 1,
         }
     }
 }
@@ -236,14 +239,15 @@ impl Semiring {
 /// ```
 pub fn semiring_spmm(kind: Semiring, a: &CsrMatrix, b: DenseView<'_>) -> Vec<f32> {
     let mut out = vec![0.0f32; a.rows()];
-    semiring_spmm_into_with(&xparallel::PoolHandle::global(), kind, a, b, &mut out);
+    semiring_spmm_into_with(&xparallel::PoolHandle::global(), kind, a, b, &mut out).record();
     out
 }
 
 /// [`semiring_spmm`] into a caller-provided buffer (overwritten), dispatched
 /// on an explicit [`xparallel::PoolHandle`] — the forward of the training
 /// tape's score op, which passes the store's table view so that a resident
-/// and a paged table read the same bytes.
+/// and a paged table read the same bytes. Returns the pass's [`Cost`],
+/// unrecorded, for the tape to record.
 ///
 /// # Panics
 ///
@@ -254,7 +258,7 @@ pub fn semiring_spmm_into_with(
     a: &CsrMatrix,
     b: DenseView<'_>,
     out: &mut [f32],
-) {
+) -> Cost {
     assert_eq!(a.cols(), b.rows(), "semiring spmm shape mismatch");
     assert!(
         b.cols().is_multiple_of(kind.lane_width()),
@@ -262,7 +266,6 @@ pub fn semiring_spmm_into_with(
         b.cols()
     );
     assert_eq!(out.len(), a.rows(), "output buffer has wrong length");
-    kind.record_pass(a, b.cols(), false);
     let (indices, values) = (a.indices(), a.values());
     pool.for_rows(out, 1, 128, |first, chunk| {
         for (k, dst) in chunk.iter_mut().enumerate() {
@@ -271,6 +274,7 @@ pub fn semiring_spmm_into_with(
             *dst = kind.score_row(cols.map(|c| b.row(c)));
         }
     });
+    kind.pass_cost(a, b.cols(), false)
 }
 
 #[cfg(test)]
@@ -299,7 +303,7 @@ mod tests {
         // Dirty buffer: the into-variant must fully overwrite it.
         let mut out = vec![123.0f32; 3];
         let pool = xparallel::PoolHandle::sequential();
-        semiring_spmm_into_with(&pool, Semiring::DistMult, &a, view, &mut out);
+        let _ = semiring_spmm_into_with(&pool, Semiring::DistMult, &a, view, &mut out);
         assert_eq!(out, want);
     }
 
@@ -309,7 +313,7 @@ mod tests {
         let a = hrt(3, 1, &[0], &[0], &[1], TailSign::Positive).unwrap();
         let b = vec![0.0f32; 4 * 2];
         let mut out = vec![0.0f32; 3];
-        semiring_spmm_into_with(
+        let _ = semiring_spmm_into_with(
             &xparallel::PoolHandle::sequential(),
             Semiring::DistMult,
             &a,

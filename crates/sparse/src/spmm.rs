@@ -32,14 +32,16 @@
 //! so a random row of a table larger than the cache is on its way by the
 //! time it is read; the hint changes no bits and no counters.
 //!
-//! Each entry point records its analytic cost in [`crate::metrics`]: for
-//! `A · B` with `n` output columns, `(nnz − rows) · n` additions when `A`
-//! holds only ±1 (an incidence matrix), `2 · nnz · n` multiply-adds
-//! otherwise.
+//! Each entry point counts its analytic [`Cost`]: for `A · B` with `n`
+//! output columns, `(nnz − rows) · n` additions when `A` holds only ±1 (an
+//! incidence matrix), `2 · nnz · n` multiply-adds otherwise.
+//! [`csr_spmm_into_with`] returns it for its caller (the tape) to record;
+//! the other entry points record it in [`crate::metrics`] themselves.
 
 use xparallel::PREFETCH_DISTANCE;
 
-use crate::{metrics, CsrMatrix, DenseView};
+use crate::metrics::Cost;
+use crate::{CsrMatrix, DenseView};
 
 /// Minimum rows per parallel chunk; below this the kernel runs sequentially.
 pub const MIN_ROWS_PER_CHUNK: usize = 16;
@@ -64,7 +66,7 @@ pub const MIN_ROWS_PER_CHUNK: usize = 16;
 /// ```
 pub fn csr_spmm(a: &CsrMatrix, b: DenseView<'_>) -> Vec<f32> {
     let mut out = vec![0.0; a.rows() * b.cols()];
-    csr_spmm_into_with(&xparallel::PoolHandle::global(), a, b, &mut out);
+    csr_spmm_into_with(&xparallel::PoolHandle::global(), a, b, &mut out).record();
     out
 }
 
@@ -72,7 +74,8 @@ pub fn csr_spmm(a: &CsrMatrix, b: DenseView<'_>) -> Vec<f32> {
 /// dispatched on an explicit [`xparallel::PoolHandle`] — the training
 /// tape's SpMM forward, which threads its handle through here so the whole
 /// step shares one schedule (and can run inline inside data-parallel
-/// workers).
+/// workers). Returns the product's [`Cost`], unrecorded: the tape records
+/// it once, in its op table and the global totals.
 ///
 /// # Panics
 ///
@@ -82,7 +85,7 @@ pub fn csr_spmm_into_with(
     a: &CsrMatrix,
     b: DenseView<'_>,
     out: &mut [f32],
-) {
+) -> Cost {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -94,7 +97,6 @@ pub fn csr_spmm_into_with(
     );
     let n = b.cols();
     assert_eq!(out.len(), a.rows() * n, "output buffer has wrong length");
-    metrics::record_spmm_call();
     // Incidence matrices carry only ±1 coefficients, so each output element
     // costs (row_nnz - 1) additions, not 2·nnz multiply-adds. Count what the
     // kernel actually has to execute (the paper measures FLOPs with perf).
@@ -104,16 +106,19 @@ pub fn csr_spmm_into_with(
     } else {
         2 * a.nnz() as u64 * n as u64
     };
-    metrics::add_flops(flops);
-    metrics::add_bytes(
-        (a.nnz() as u64 * (4 + 4)) + (a.nnz() as u64 * n as u64 * 4) + (out.len() as u64 * 4),
-    );
-    if n == 0 || a.rows() == 0 {
-        return;
+    let cost = Cost {
+        flops,
+        bytes: (a.nnz() as u64 * (4 + 4))
+            + (a.nnz() as u64 * n as u64 * 4)
+            + (out.len() as u64 * 4),
+        spmm_calls: 1,
+    };
+    if n > 0 && a.rows() > 0 {
+        for_each_output_row(pool, a, &b, out, |cols, vals, dst| {
+            spmm_row(cols, vals, &b, 0, dst)
+        });
     }
-    for_each_output_row(pool, a, &b, out, |cols, vals, dst| {
-        spmm_row(cols, vals, &b, 0, dst)
-    });
+    cost
 }
 
 /// Runs `row(cols, vals, dst)` for every CSR row of `a` and its
@@ -237,8 +242,12 @@ pub fn csr_spmm_into_general(a: &CsrMatrix, b: DenseView<'_>, out: &mut [f32]) {
     assert_eq!(a.cols(), b.rows(), "spmm shape mismatch");
     let n = b.cols();
     assert_eq!(out.len(), a.rows() * n, "output buffer has wrong length");
-    metrics::record_spmm_call();
-    metrics::add_flops(2 * a.nnz() as u64 * n as u64);
+    Cost {
+        flops: 2 * a.nnz() as u64 * n as u64,
+        spmm_calls: 1,
+        ..Cost::default()
+    }
+    .record();
     if n == 0 || a.rows() == 0 {
         return;
     }
@@ -484,12 +493,18 @@ mod tests {
 
     #[test]
     fn flop_counter_increments() {
-        let before = metrics::snapshot();
         let a = CsrMatrix::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, -1.0)]).unwrap();
-        let _ = csr_spmm(&a, DenseView::new(2, 8, &[0.0; 16]));
-        let delta = metrics::snapshot() - before;
-        // ±1 incidence row: (nnz - rows) * n = (2 - 1) * 8 additions.
-        assert!(delta.flops >= 8);
-        assert!(delta.spmm_calls >= 1);
+        let pool = xparallel::PoolHandle::sequential();
+        let cost = csr_spmm_into_with(&pool, &a, DenseView::new(2, 8, &[0.0; 16]), &mut [0.0; 8]);
+        // ±1 incidence row: (nnz - rows) * n = (2 - 1) * 8 additions. Bytes:
+        // index + value per nonzero, one 8-float operand row per nonzero,
+        // the 8-float output row.
+        let (nnz, n) = (2, 8);
+        let want = Cost {
+            flops: 8,
+            bytes: nnz * (4 + 4) + nnz * n * 4 + n * 4,
+            spmm_calls: 1,
+        };
+        assert_eq!(cost, want);
     }
 }

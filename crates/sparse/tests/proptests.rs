@@ -170,7 +170,7 @@ proptest! {
         csr_spmm_into_general(&csr, b, &mut got_general);
         let mut got_into = vec![0f32; rows * d];
         let pool = xparallel::PoolHandle::global().with_width(3);
-        csr_spmm_into_with(&pool, &csr, b, &mut got_into);
+        let _ = csr_spmm_into_with(&pool, &csr, b, &mut got_into);
 
         for i in 0..rows * d {
             let w = want[i];

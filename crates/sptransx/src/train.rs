@@ -7,7 +7,7 @@ use kg::eval::{
 };
 use kg::{BatchPlan, BernoulliSampler, Dataset, NegativeSampler, UniformSampler};
 use tensor::optim::{Optimizer, StepLr};
-use tensor::{memory, Graph};
+use tensor::{memory, Graph, OpRow};
 use xparallel::PoolHandle;
 
 use crate::distributed::{fold_dirty_rows, Combine, Reducer};
@@ -56,16 +56,27 @@ pub struct TrainReport {
     /// Peak tensor memory (bytes) above the pre-training baseline — the
     /// paper's CUDA-memory analog (Table 5).
     pub peak_memory_bytes: u64,
-    /// FLOPs recorded by instrumented kernels during the run (Table 6).
-    pub flops: u64,
-    /// SpMM kernel invocations during the run.
-    pub spmm_calls: u64,
+    /// The run's per-op table (Figure 2, Table 6): every replica's tape
+    /// rows, summed in rank order, in the order the ops first ran.
+    pub ops: Vec<OpRow>,
     /// Replicas that trained (1 for [`Trainer::new`]).
     pub workers: usize,
     /// Parameter updates applied: one per batch — under [`Combine::Shared`]
     /// every worker's step lands in the shared tables — but one per round
     /// under [`Combine::AllReduce`].
     pub steps: usize,
+}
+
+impl TrainReport {
+    /// Floating-point operations the run's ops executed (Table 6).
+    pub fn flops(&self) -> u64 {
+        self.ops.iter().map(|r| r.flops).sum()
+    }
+
+    /// SpMM kernel invocations during the run.
+    pub fn spmm_calls(&self) -> u64 {
+        self.ops.iter().map(|r| r.spmm_calls).sum()
+    }
 }
 
 /// One gradient worker: the model, its tape, optimizer, shard size and the
@@ -442,9 +453,9 @@ impl<M: KgeModel> Trainer<M> {
         }
         let wall_start = Instant::now();
         let mem_scope = memory::MemoryScope::start();
-        let metrics_before = sparse::metrics::snapshot();
         for r in &mut self.replicas {
             r.breakdown = Breakdown::default();
+            r.graph.clear_ops();
         }
         let mut epoch_losses = Vec::with_capacity(epochs);
         let mut steps = 0;
@@ -475,14 +486,16 @@ impl<M: KgeModel> Trainer<M> {
             self.epochs_done += 1;
         }
 
-        let delta = sparse::metrics::snapshot() - metrics_before;
+        let mut ops = Vec::new();
+        for row in self.replicas.iter().flat_map(|r| r.graph.ops()) {
+            OpRow::tally(&mut ops, row);
+        }
         Ok(TrainReport {
             epoch_losses,
             breakdown: self.replicas[0].breakdown,
             wall: wall_start.elapsed(),
             peak_memory_bytes: mem_scope.peak_delta_bytes(),
-            flops: delta.flops,
-            spmm_calls: delta.spmm_calls,
+            ops,
             workers: self.replicas.len(),
             steps,
         })
@@ -632,9 +645,30 @@ mod tests {
         let mut t = Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
         let report = t.run().unwrap();
         assert!(report.epoch_losses.last().unwrap() < report.epoch_losses.first().unwrap());
-        assert!(report.flops > 0);
-        assert!(report.spmm_calls > 0);
+        assert!(report.flops() > 0);
+        assert!(report.spmm_calls() > 0);
         assert!(report.breakdown.total() <= report.wall + Duration::from_millis(50));
+    }
+
+    #[test]
+    fn each_run_reports_its_own_epochs_rows() {
+        let ds = dataset();
+        let cfg = fast_config();
+        let mut t = Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
+        let counts = |r: &TrainReport| -> Vec<_> {
+            (r.ops.iter())
+                .map(|o| (o.name, o.calls, o.bytes, o.flops, o.spmm_calls))
+                .collect()
+        };
+        let (first, second) = (t.run_epochs(1).unwrap(), t.run_epochs(1).unwrap());
+        assert_eq!(counts(&first), counts(&second));
+        let batches = t.num_batches() as u64;
+        let loss = first.ops.iter().find(|o| o.name == "op::margin_loss");
+        assert_eq!(loss.map(|o| o.calls), Some(batches), "one epoch's calls");
+        // Every batch scores both sides through one SpMM and pushes both back.
+        assert_eq!(first.spmm_calls(), 4 * batches);
+        let doubled = t.run_epochs(2).unwrap();
+        assert_eq!(doubled.flops(), 2 * first.flops());
     }
 
     #[test]

@@ -237,6 +237,26 @@ fn four_worker_mrr_is_within_tolerance_of_sync() {
     );
 }
 
+/// Each replica counts on its own tape, so racing workers do not charge each
+/// other's ops: the four shards together run the sync epoch's batches, and
+/// the summed per-op table counts exactly what the sync run's does.
+#[test]
+fn four_workers_count_exactly_the_sync_runs_ops() {
+    let ds = dataset();
+    let cfg = config();
+    let counts = |r: &TrainReport| {
+        let mut rows: Vec<_> = (r.ops.iter())
+            .map(|o| (o.name, o.calls, o.bytes, o.flops, o.spmm_calls))
+            .collect();
+        rows.sort();
+        rows
+    };
+    let mut trainer = Trainer::new(SpTransE::from_config(&ds, &cfg).unwrap(), &ds, &cfg).unwrap();
+    let sync = trainer.run().unwrap();
+    let (shared, _) = hogwild(&ds, &cfg, 4, SpTransE::from_config);
+    assert_eq!(counts(&shared), counts(&sync));
+}
+
 /// Replicas hold working sets, not tables: at a 20 k-entity shape, four
 /// replicas under either combine hold one value table (every replica aliases
 /// rank 0's) and four gradients, each smaller than that table — rank 0's

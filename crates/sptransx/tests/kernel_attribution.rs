@@ -1,14 +1,16 @@
 //! The per-kernel table accounts for every flop and byte it counts.
 //!
-//! `sptx train` ends its report with one row per `op::*` profile scope; the
-//! run's totals are the `sparse::metrics` delta. Every counted unit of work
-//! is recorded inside exactly one `op::*` scope, forward or backward, so for
-//! one epoch of every model family (and the unfused tapes of SpTransE and
-//! SpTransH) the rows sum to the totals — no counter is kept twice and none
-//! is left outside the table. Analytic counters depend on shapes only, so
-//! this holds in debug and release and at any `SPTX_NUM_THREADS`.
+//! `sptx train` ends its report with one row per `op::*` row of the run's
+//! per-op table (`TrainReport::ops`); the global totals the benchmark reads
+//! are the `sparse::metrics` delta. Every counted unit of work is recorded
+//! by exactly one op, forward or backward, in one call that feeds both, so
+//! for one epoch of every model family (and the unfused tapes of SpTransE
+//! and SpTransH) the rows sum to the totals — no counter is kept twice and
+//! none is left outside the table. Analytic counters depend on shapes only,
+//! so this holds in debug and release and at any `SPTX_NUM_THREADS`.
 //!
-//! The counters are process-global: this binary holds exactly one test.
+//! The `sparse::metrics` totals are process-global: this binary holds
+//! exactly one test.
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
@@ -18,19 +20,17 @@ use sptransx::{
 };
 
 /// One epoch's `[flops, bytes]`: the `sparse::metrics` delta, then the sum
-/// over the `op::*` rows of the profile.
+/// over the report's `op::*` rows.
 fn totals_and_rows<M: KgeModel>(
     ds: &Dataset,
     cfg: &TrainConfig,
     ctor: impl FnOnce(&Dataset, &TrainConfig) -> sptransx::Result<M>,
 ) -> ([u64; 2], [u64; 2]) {
     let mut trainer = Trainer::new(ctor(ds, cfg).unwrap(), ds, cfg).unwrap();
-    tensor::profile::reset();
     let before = sparse::metrics::snapshot();
-    trainer.run_epochs(1).unwrap();
+    let report = trainer.run_epochs(1).unwrap();
     let delta = sparse::metrics::snapshot() - before;
-    let rows = tensor::profile::report()
-        .into_iter()
+    let rows = (report.ops.iter())
         .filter(|e| e.name.starts_with("op::"))
         .fold([0, 0], |[f, b], e| [f + e.flops, b + e.bytes]);
     ([delta.flops, delta.bytes_touched], rows)
@@ -92,7 +92,7 @@ fn op_rows_sum_to_the_epoch_totals() {
     );
     assert!(
         unexplained.is_empty(),
-        "counted work outside every op::* scope:\n{}",
+        "counted work outside every op::* row:\n{}",
         unexplained.join("\n")
     );
 }

@@ -2,9 +2,10 @@
 //!
 //! `kernel_golden` pins what the kernels compute; this pins what they say it
 //! cost. One fixed epoch per arm, and for each the `sparse::metrics` delta
-//! plus the four SpMM rows of `tensor::profile` — the numbers behind
-//! `TrainReport::{flops, spmm_calls}`, the per-kernel table `sptx train`
-//! prints and CI diffs, and the benchmark's `sparse.*` layer metrics.
+//! plus the four SpMM rows of the run's per-op table (`TrainReport::ops`) —
+//! the numbers behind `TrainReport::{flops, spmm_calls}`, the per-kernel
+//! table `sptx train` prints and CI diffs, and the benchmark's `sparse.*`
+//! layer metrics.
 //! Captured on 73cdeec, the last commit where the tape's forward and
 //! backward SpMM each had a second implementation with an accounting site of
 //! its own. Analytic counters depend on shapes only, so they are the same in
@@ -14,7 +15,8 @@
 //! The elementwise block pins the totals of the tapes that run the six
 //! generic elementwise ops, captured on f15cdb9 before they became one op.
 //!
-//! The counters are process-global: this binary holds exactly one test.
+//! The `sparse::metrics` totals are process-global: this binary holds
+//! exactly one test.
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
@@ -23,7 +25,7 @@ use sptransx::{
     SpTransR, TrainConfig, Trainer,
 };
 
-/// `[calls, bytes, flops]` of one `tensor::profile` row (zeros if the op
+/// `[calls, bytes, flops]` of one `TrainReport::ops` row (zeros if the op
 /// never ran).
 type Row = [u64; 3];
 
@@ -49,14 +51,11 @@ fn epoch<M: KgeModel, const N: usize>(
     ops: [&str; N],
 ) -> Counters<N> {
     let mut trainer = Trainer::new(ctor(ds, cfg).unwrap(), ds, cfg).unwrap();
-    tensor::profile::reset();
     let before = sparse::metrics::snapshot();
-    trainer.run_epochs(1).unwrap();
+    let report = trainer.run_epochs(1).unwrap();
     let delta = sparse::metrics::snapshot() - before;
-    let report = tensor::profile::report();
     let row = |name: &str| {
-        report
-            .iter()
+        (report.ops.iter())
             .find(|e| e.name == name)
             .map_or([0; 3], |e| [e.calls, e.bytes, e.flops])
     };

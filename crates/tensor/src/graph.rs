@@ -1,15 +1,16 @@
 //! The define-by-run autograd tape.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use sparse::incidence::{IncidencePair, RelationGroups};
+use sparse::metrics::Cost;
 use sparse::semiring::{semiring_spmm_into_with, Semiring};
 use sparse::spmm::{axpy, csr_spmm_into_with, prefetch_operands, spmm_row};
 use sparse::CsrMatrix;
 use sparse::DenseView;
 use xparallel::{PoolHandle, PREFETCH_DISTANCE};
 
-use crate::profile;
 use crate::tensor::REDUCE_CHUNK;
 use crate::{Arena, ParamId, ParamStore, Tensor};
 
@@ -121,8 +122,7 @@ impl RowScore {
         }
     }
 
-    /// The profile scopes [`Graph::score_rows`] and its backward report
-    /// under.
+    /// The op-table rows of [`Graph::score_rows`] and its backward.
     fn op_names(self) -> [&'static str; 2] {
         match self {
             RowScore::L1 => ["op::l1_norm", "op::l1_norm_backward"],
@@ -240,7 +240,7 @@ fn dot(n: usize, x: &[f32], y: &[f32]) -> f32 {
 }
 
 impl Elementwise {
-    /// The forward and backward profile scopes.
+    /// The op-table rows of the forward and the backward.
     fn op_names(self) -> [&'static str; 2] {
         match self {
             Elementwise::Add => ["op::add", "op::add_backward"],
@@ -375,6 +375,51 @@ struct Node {
     op: Op,
 }
 
+/// One row of a tape's per-op table ([`Graph::ops`]): every call of one op,
+/// forward (`op::<name>`) or backward (`op::<name>_backward`), and what the
+/// calls cost together.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpRow {
+    /// The op, e.g. `op::spmm_score_backward`.
+    pub name: &'static str,
+    /// Times it ran.
+    pub calls: u64,
+    /// Estimated bytes its kernels moved.
+    pub bytes: u64,
+    /// Floating-point operations its kernels executed.
+    pub flops: u64,
+    /// SpMM kernel invocations among its calls.
+    pub spmm_calls: u64,
+    /// Wall-clock time spent in it.
+    pub time: Duration,
+}
+
+impl OpRow {
+    /// Adds `row` into the row of the same op in `table`, or appends it —
+    /// how a tape tallies each call, and how a trainer sums its replicas'
+    /// tables.
+    pub fn tally(table: &mut Vec<OpRow>, row: &OpRow) {
+        match table.iter_mut().find(|r| r.name == row.name) {
+            Some(r) => {
+                r.calls += row.calls;
+                r.bytes += row.bytes;
+                r.flops += row.flops;
+                r.spmm_calls += row.spmm_calls;
+                r.time += row.time;
+            }
+            None => table.push(*row),
+        }
+    }
+}
+
+/// A cost of `n` flops and nothing else.
+fn flops(n: u64) -> Cost {
+    Cost {
+        flops: n,
+        ..Cost::default()
+    }
+}
+
 /// A tape of eagerly-evaluated operations supporting reverse-mode autodiff.
 ///
 /// A fresh `Graph` is built per mini-batch (define-by-run, as in PyTorch).
@@ -396,10 +441,10 @@ struct Node {
 /// The six elementwise ops ([`Graph::add`], [`Graph::sub`], [`Graph::mul`],
 /// [`Graph::scale`], [`Graph::row_dot`], [`Graph::scale_rows`]) are one op:
 /// one forward row walk, one backward arm landing each operand's derivative
-/// straight in its gradient. Every op records its analytic `sparse::metrics`
-/// counters inside its own [`profile`] scope (`op::<name>` forward,
-/// `op::<name>_backward` backward), so the per-kernel rows of a run sum to
-/// the run's totals.
+/// straight in its gradient. Every op records its analytic cost with one
+/// call, into the `sparse::metrics` totals and into its own row of the tape's
+/// per-op table ([`Graph::ops`]: `op::<name>` forward, `op::<name>_backward`
+/// backward), so the rows sum to what the tape counted.
 ///
 /// # Parallelism and determinism
 ///
@@ -435,6 +480,8 @@ pub struct Graph {
     /// the margin-loss backward seed). On by default; the unfused arm
     /// records the materialized op-by-op tape instead, bit-identical.
     fused: bool,
+    /// One row per op run since the tape was made or last cleared.
+    ops: Vec<OpRow>,
 }
 
 impl Default for Graph {
@@ -456,6 +503,7 @@ impl Graph {
             pool,
             arena: Arena::new(),
             fused: true,
+            ops: Vec::new(),
         }
     }
 
@@ -483,8 +531,55 @@ impl Graph {
         &self.arena
     }
 
+    /// The per-op table: one row per op this tape ran since it was made or
+    /// last [cleared](Graph::clear_ops), in the order the ops first ran.
+    /// Each op charges its own row once per call, so the rows are exact
+    /// whatever other tapes run at the same time, and they sum to what this
+    /// tape added to the `sparse::metrics` totals.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tensor::{Graph, ParamStore, RowScore, Tensor};
+    ///
+    /// let mut store = ParamStore::new();
+    /// let emb = store.add_param("emb", Tensor::from_rows(&[[1.0, 2.0], [0.5, 0.0]]));
+    /// let mut g = Graph::new();
+    /// for _ in 0..3 {
+    ///     g.reset();
+    ///     let rows = g.gather(&store, emb, vec![0, 1, 1]);
+    ///     let _ = g.score_rows(rows, RowScore::L1);
+    /// }
+    /// let gather = g.ops().iter().find(|r| r.name == "op::gather").unwrap();
+    /// assert_eq!((gather.calls, gather.bytes), (3, 3 * 2 * (3 * 2 * 4)));
+    /// ```
+    pub fn ops(&self) -> &[OpRow] {
+        &self.ops
+    }
+
+    /// Empties the per-op table, keeping its capacity (so the next batch
+    /// allocates nothing for it).
+    pub fn clear_ops(&mut self) {
+        self.ops.clear();
+    }
+
+    /// Records one call of op `name`, begun at `start`, that cost `cost`:
+    /// into the global `sparse::metrics` totals and into the op's row.
+    fn record(&mut self, name: &'static str, start: Instant, cost: Cost) {
+        cost.record();
+        let row = OpRow {
+            name,
+            calls: 1,
+            bytes: cost.bytes,
+            flops: cost.flops,
+            spmm_calls: cost.spmm_calls,
+            time: start.elapsed(),
+        };
+        OpRow::tally(&mut self.ops, &row);
+    }
+
     /// Clears the tape, recycling every node's value and gradient buffer
-    /// into the arena.
+    /// into the arena. The per-op table stays.
     ///
     /// This is the steady-state entry point: call it at the top of each
     /// mini-batch instead of constructing a fresh `Graph`, and the batch's
@@ -569,7 +664,7 @@ impl Graph {
         param: ParamId,
         indices: impl Into<Arc<Vec<u32>>>,
     ) -> Var {
-        let _t = profile::scope("op::gather");
+        let start = Instant::now();
         let indices: Arc<Vec<u32>> = indices.into();
         let p = store.value(param);
         let d = p.cols();
@@ -583,7 +678,12 @@ impl Graph {
                     dst.copy_from_slice(&src[r * d..(r + 1) * d]);
                 }
             });
-        sparse::metrics::add_bytes(2 * (indices.len() * d * 4) as u64);
+        let bytes = 2 * (indices.len() * d * 4) as u64;
+        let cost = Cost {
+            bytes,
+            ..Cost::default()
+        };
+        self.record("op::gather", start, cost);
         self.push(out, Op::Gather { param, indices })
     }
 
@@ -594,7 +694,7 @@ impl Graph {
     ///
     /// Panics if `A.cols() != P.rows()`.
     pub fn spmm(&mut self, store: &ParamStore, param: ParamId, pair: Arc<IncidencePair>) -> Var {
-        let _t = profile::scope("op::spmm");
+        let start = Instant::now();
         // `table` serves both residency modes: a resident parameter reads
         // rows directly, a paged one reads its pinned cache through the
         // row→slot map (every incidence column was paged in up front).
@@ -602,7 +702,8 @@ impl Graph {
         // The kernel overwrites every output row, so the buffer can come
         // back from the arena unscrubbed (no redundant zero-fill).
         let mut out = Tensor::uninit_in(&mut self.arena, pair.forward.rows(), table.cols());
-        csr_spmm_into_with(&self.pool, &pair.forward, table, out.as_mut_slice());
+        let cost = csr_spmm_into_with(&self.pool, &pair.forward, table, out.as_mut_slice());
+        self.record("op::spmm", start, cost);
         self.push(out, Op::Spmm { param, pair })
     }
 
@@ -643,7 +744,7 @@ impl Graph {
             let x = self.spmm(store, param, pair);
             return self.score_rows(x, score);
         }
-        let _t = profile::scope("op::spmm_score");
+        let start = Instant::now();
         let view = store.table(param);
         assert_eq!(pair.forward.cols(), view.rows(), "incidence width mismatch");
         let (d, m) = (view.cols(), pair.forward.rows());
@@ -661,15 +762,18 @@ impl Graph {
         // One SpMM's worth of reads plus the reduction's flops, but the
         // output write shrinks from m·d to m — the traffic the fusion
         // eliminates, visible in the per-kernel counter report.
-        sparse::metrics::record_spmm_call();
         let nnz = pair.forward.nnz() as u64;
         let spmm_flops = if pair.forward.has_unit_coefficients() {
             nnz.saturating_sub(m as u64) * d as u64
         } else {
             2 * nnz * d as u64
         };
-        sparse::metrics::add_flops(spmm_flops + 2 * (m * d) as u64);
-        sparse::metrics::add_bytes(nnz * 8 + nnz * d as u64 * 4 + m as u64 * 4);
+        let cost = Cost {
+            flops: spmm_flops + 2 * (m * d) as u64,
+            bytes: nnz * 8 + nnz * d as u64 * 4 + m as u64 * 4,
+            spmm_calls: 1,
+        };
+        self.record("op::spmm_score", start, cost);
         self.push(out, Op::SpmmScore { param, pair, score })
     }
 
@@ -711,7 +815,7 @@ impl Graph {
     /// rows handed to the kind's own loop. The grain, about 4096 elements,
     /// is the one the per-op loops it replaced dispatched at.
     fn elementwise(&mut self, kind: Elementwise, a: Var, b: Var) -> Var {
-        let _t = profile::scope(kind.op_names()[0]);
+        let start = Instant::now();
         let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         let (m, n) = av.shape();
         let ((bw, ow), grain) = (kind.widths(n), (4096 / n.max(1)).max(1));
@@ -724,7 +828,8 @@ impl Graph {
         });
         // One flop per element; the row dot's add and multiply are two.
         let per_element = if kind == Elementwise::RowDot { 2 } else { 1 };
-        sparse::metrics::add_flops(per_element * (m * n) as u64);
+        let cost = flops(per_element * (m * n) as u64);
+        self.record(kind.op_names()[0], start, cost);
         self.push(out, Op::Elementwise { kind, a, b })
     }
 
@@ -732,7 +837,7 @@ impl Graph {
     /// on top of a materialized expression, and the second half of
     /// [`Graph::spmm_score`]'s unfused arm.
     pub fn score_rows(&mut self, a: Var, score: RowScore) -> Var {
-        let _t = profile::scope(score.op_names()[0]);
+        let start = Instant::now();
         let (m, n) = self.value(a).shape();
         let mut out = Tensor::uninit_in(&mut self.arena, m, 1);
         let ad = self.nodes[a.0].value.as_slice();
@@ -746,7 +851,7 @@ impl Graph {
                     });
                 }
             });
-        sparse::metrics::add_flops(2 * (m * n) as u64);
+        self.record(score.op_names()[0], start, flops(2 * (m * n) as u64));
         self.push(out, Op::ScoreRows { input: a, score })
     }
 
@@ -776,7 +881,7 @@ impl Graph {
         by_rel: Arc<RelationGroups>,
         d_out: usize,
     ) -> Var {
-        let _t = profile::scope("op::project_rows");
+        let start = Instant::now();
         let mv = store.value(mats);
         let (m, d_in) = self.value(vecs).shape();
         assert_eq!(by_rel.rows().len(), m, "one relation per row required");
@@ -810,9 +915,14 @@ impl Graph {
         );
         self.arena.reclaim(mt);
         let groups = by_rel.relations().len();
-        sparse::metrics::add_flops(2 * (m * d_out * d_in) as u64);
-        // Each group's matrix once, each row's vector in and projection out.
-        sparse::metrics::add_bytes(4 * (groups * d_out * d_in + m * (d_in + d_out)) as u64);
+        let cost = Cost {
+            flops: 2 * (m * d_out * d_in) as u64,
+            // Each group's matrix once, each row's vector in and projection
+            // out.
+            bytes: 4 * (groups * d_out * d_in + m * (d_in + d_out)) as u64,
+            spmm_calls: 0,
+        };
+        self.record("op::project_rows", start, cost);
         self.push(
             out,
             Op::ProjectRows {
@@ -835,7 +945,7 @@ impl Graph {
     ///
     /// Panics if shapes differ or are not columns.
     pub fn margin_ranking_loss(&mut self, pos: Var, neg: Var, margin: f32) -> Var {
-        let _t = profile::scope("op::margin_loss");
+        let start = Instant::now();
         let (pv, nv) = (self.value(pos), self.value(neg));
         assert_eq!(pv.shape(), nv.shape(), "margin loss operands must match");
         assert_eq!(pv.cols(), 1, "scores must be (m,1) columns");
@@ -860,7 +970,7 @@ impl Graph {
             |x, y| x + y,
         );
         let loss = if m == 0 { 0.0 } else { (acc / m as f64) as f32 };
-        sparse::metrics::add_flops(3 * m as u64);
+        self.record("op::margin_loss", start, flops(3 * m as u64));
         let mut t = Tensor::uninit_in(&mut self.arena, 1, 1);
         t.set(0, 0, loss);
         self.push(t, Op::MarginRankingLoss { pos, neg, margin })
@@ -918,10 +1028,12 @@ impl Graph {
         pair: Arc<IncidencePair>,
         kind: Semiring,
     ) -> Var {
-        let _t = profile::scope("op::semiring_score");
+        let start = Instant::now();
         let mut out = Tensor::uninit_in(&mut self.arena, pair.forward.rows(), 1);
         let table = store.table(param);
-        semiring_spmm_into_with(&self.pool, kind, &pair.forward, table, out.as_mut_slice());
+        let cost =
+            semiring_spmm_into_with(&self.pool, kind, &pair.forward, table, out.as_mut_slice());
+        self.record("op::semiring_score", start, cost);
         self.push(out, Op::SemiringScore { param, pair, kind })
     }
 
@@ -934,7 +1046,6 @@ impl Graph {
     ///
     /// Panics if `loss` is not a `(1,1)` scalar node.
     pub fn backward(&mut self, loss: Var, store: &mut ParamStore) {
-        let _t = profile::scope("backward");
         assert_eq!(
             self.nodes[loss.0].value.shape(),
             (1, 1),
@@ -953,28 +1064,32 @@ impl Graph {
         }
     }
 
+    /// Runs node `i`'s backward arm and records it as one call of the op's
+    /// `_backward` row.
     fn backward_node(&mut self, i: usize, g: &Tensor, store: &mut ParamStore) {
+        let start = Instant::now();
         // Compute input deltas immutably, then accumulate. All input nodes
         // have indices < i by construction. The op is cloned out of the node
         // (cheap: `Copy` fields plus `Arc`s) so `self` stays borrowable.
         let op = self.nodes[i].op.clone();
-        match op {
-            Op::Input => {}
+        let (name, cost) = match op {
+            Op::Input => return,
             Op::Gather { param, indices } => {
-                let _t = profile::scope("op::gather_backward");
                 let (slot, grad, _) = store.touched_grads(param, &indices);
                 scatter(&self.pool, grad, slot, g.view(), index_rows(&indices));
-                sparse::metrics::add_bytes(3 * (indices.len() * g.cols() * 4) as u64);
-                sparse::metrics::add_flops(g.len() as u64);
+                let cost = Cost {
+                    flops: g.len() as u64,
+                    bytes: 3 * (indices.len() * g.cols() * 4) as u64,
+                    spmm_calls: 0,
+                };
+                ("op::gather_backward", cost)
             }
             Op::Spmm { param, pair } => {
-                let _t = profile::scope("op::spmm_backward");
                 // grad += Aᵀ · g, accumulated in place: untouched parameter
                 // rows cost nothing (Appendix G, without the dense delta).
                 let fwd = &pair.forward;
                 let (slot, grad, _) = store.touched_grads(param, pair.touched_columns());
                 scatter(&self.pool, grad, slot, g.view(), |i| fwd.row_entries(i));
-                sparse::metrics::record_spmm_call();
                 // Accumulation makes every ±1 nonzero one add. Per nonzero:
                 // index+value, one row of `g`, and the gradient row read
                 // *and* written. The formula is the pull's, which gathered a
@@ -982,11 +1097,14 @@ impl Graph {
                 // per batch row, `(nnz − m) · n · 4` bytes fewer.
                 let (nnz, n) = (fwd.nnz() as u64, g.cols() as u64);
                 let per_nnz = if fwd.has_unit_coefficients() { 1 } else { 2 };
-                sparse::metrics::add_flops(per_nnz * nnz * n);
-                sparse::metrics::add_bytes(nnz * 8 + 3 * nnz * n * 4);
+                let cost = Cost {
+                    flops: per_nnz * nnz * n,
+                    bytes: nnz * 8 + 3 * nnz * n * 4,
+                    spmm_calls: 1,
+                };
+                ("op::spmm_backward", cost)
             }
             Op::SpmmScore { param, pair, score } => {
-                let _t = profile::scope("op::spmm_score_backward");
                 let fwd = &pair.forward;
                 let (m, nnz, d) = (fwd.rows(), fwd.nnz() as u64, store.param_shape(param).1);
                 let mut dx = Tensor::uninit_in(&mut self.arena, m, d);
@@ -1024,13 +1142,15 @@ impl Graph {
                 // read-modify-writes one gradient lane per nonzero (the
                 // pull's count: the push reads each `dx` row once per batch
                 // row, as the SpMM backward's note says).
-                sparse::metrics::record_spmm_call();
                 let lane = d as u64 * 4;
-                sparse::metrics::add_flops(4 * nnz * d as u64);
-                sparse::metrics::add_bytes(nnz * 8 + 4 * nnz * lane + m as u64 * lane);
+                let cost = Cost {
+                    flops: 4 * nnz * d as u64,
+                    bytes: nnz * 8 + 4 * nnz * lane + m as u64 * lane,
+                    spmm_calls: 1,
+                };
+                ("op::spmm_score_backward", cost)
             }
             Op::Elementwise { kind, a, b } => {
-                let _t = profile::scope(kind.op_names()[1]);
                 let n = self.nodes[a.0].value.cols();
                 let ((bw, gw), grain) = (kind.widths(n), (4096 / n.max(1)).max(1));
                 // Operand by operand, straight into its gradient (`Scale`'s
@@ -1041,6 +1161,7 @@ impl Graph {
                 } else {
                     2
                 };
+                let mut n_flops = 0;
                 for (slot, v) in [a, b].into_iter().enumerate().take(operands) {
                     let mut grad = self.take_grad(v);
                     let w = grad.cols().max(1);
@@ -1049,12 +1170,12 @@ impl Graph {
                     self.pool.for_rows(grad.as_mut_slice(), w, grain, |i, dst| {
                         kind.backward(slot, n, &gd[i * gw..], &ad[i * n..], &bd[i * bw..], dst);
                     });
-                    sparse::metrics::add_flops(2 * grad.len() as u64);
+                    n_flops += 2 * grad.len() as u64;
                     self.nodes[v.0].grad = Some(grad);
                 }
+                (kind.op_names()[1], flops(n_flops))
             }
             Op::ScoreRows { input, score } => {
-                let _t = profile::scope(score.op_names()[1]);
                 let (m, n) = self.nodes[input.0].value.shape();
                 let mut da = Tensor::uninit_in(&mut self.arena, m, n);
                 let (ad, gd) = (self.value(input).as_slice(), g.as_slice());
@@ -1073,9 +1194,10 @@ impl Graph {
                 } else {
                     1
                 };
-                sparse::metrics::add_flops(per_element * (m * n) as u64);
-                self.accum(input, &da, 1.0);
+                let accum_flops = self.accum(input, &da, 1.0);
                 self.arena.reclaim(da);
+                let n_flops = per_element * (m * n) as u64 + accum_flops;
+                (score.op_names()[1], flops(n_flops))
             }
             Op::ProjectRows {
                 mats,
@@ -1084,7 +1206,6 @@ impl Graph {
                 d_out,
                 d_in,
             } => {
-                let _t = profile::scope("op::project_backward");
                 let (m, gd, pool) = (g.rows(), g.as_slice(), &self.pool);
                 // d vecs[i] = M_{r}ᵀ · g_i: `g_i` times `Mᵣ` as stored, so no
                 // transposed copy — computed against the parameter value
@@ -1109,18 +1230,19 @@ impl Graph {
                     }
                 });
                 let groups = by_rel.relations().len();
-                sparse::metrics::add_flops(4 * (m * d_out * d_in) as u64);
-                // Per group: Mᵣ read, dMᵣ read and written. Per row: `g` and
-                // `v` read by the outer product, `g` read and `dv` written by
-                // the transposed projection.
-                sparse::metrics::add_bytes(
-                    4 * (3 * groups * d_out * d_in + m * (2 * d_in + 2 * d_out)) as u64,
-                );
-                self.accum(vecs, &dv, 1.0);
+                let accum_flops = self.accum(vecs, &dv, 1.0);
                 self.arena.reclaim(dv);
+                let cost = Cost {
+                    flops: 4 * (m * d_out * d_in) as u64 + accum_flops,
+                    // Per group: Mᵣ read, dMᵣ read and written. Per row: `g`
+                    // and `v` read by the outer product, `g` read and `dv`
+                    // written by the transposed projection.
+                    bytes: 4 * (3 * groups * d_out * d_in + m * (2 * d_in + 2 * d_out)) as u64,
+                    spmm_calls: 0,
+                };
+                ("op::project_backward", cost)
             }
             Op::MarginRankingLoss { pos, neg, margin } => {
-                let _t = profile::scope("op::margin_loss_backward");
                 let m = self.nodes[pos.0].value.rows();
                 let gscale = if m == 0 { 0.0 } else { g.get(0, 0) / m as f32 };
                 // `0.0 + ±gscale` is what accumulating into a fresh (zeroed)
@@ -1130,6 +1252,7 @@ impl Graph {
                     && pos != neg
                     && self.nodes[pos.0].grad.is_none()
                     && self.nodes[neg.0].grad.is_none();
+                let mut n_flops = 0;
                 for (v, seed) in [(pos, 0.0 + gscale), (neg, 0.0 + (-gscale))] {
                     // Only active rows are written: inactive ones stay 0.
                     let mut d = Tensor::zeros_in(&mut self.arena, m, 1);
@@ -1145,21 +1268,21 @@ impl Graph {
                     if install {
                         self.nodes[v.0].grad = Some(d);
                     } else {
-                        self.accum(v, &d, 1.0);
+                        n_flops += self.accum(v, &d, 1.0);
                         self.arena.reclaim(d);
                     }
                 }
+                ("op::margin_loss_backward", flops(n_flops))
             }
             Op::Mean(a) => {
-                let _t = profile::scope("op::mean_backward");
                 let (m, n) = self.value(a).shape();
                 let mut da = Tensor::uninit_in(&mut self.arena, m, n);
                 da.as_mut_slice().fill(g.get(0, 0) / (m * n).max(1) as f32);
-                self.accum(a, &da, 1.0);
+                let accum_flops = self.accum(a, &da, 1.0);
                 self.arena.reclaim(da);
+                ("op::mean_backward", flops(accum_flops))
             }
             Op::SemiringScore { param, pair, kind } => {
-                let _t = profile::scope("op::semiring_score_backward");
                 let (fwd, gd, d) = (&pair.forward, g.as_slice(), store.param_shape(param).1);
                 let (slot, grad, table) = store.touched_grads(param, pair.touched_columns());
                 let pool = &self.pool;
@@ -1181,17 +1304,18 @@ impl Graph {
                         }
                     }
                 });
-                kind.record_pass(fwd, d, true);
+                ("op::semiring_score_backward", kind.pass_cost(fwd, d, true))
             }
-        }
+        };
+        self.record(name, start, cost);
     }
 
-    /// `nodes[v].grad += alpha * delta`.
-    fn accum(&mut self, v: Var, delta: &Tensor, alpha: f32) {
+    /// `nodes[v].grad += alpha * delta`; returns the flops that took.
+    fn accum(&mut self, v: Var, delta: &Tensor, alpha: f32) -> u64 {
         let mut grad = self.take_grad(v);
         grad.add_scaled_with(&self.pool, delta, alpha);
         self.nodes[v.0].grad = Some(grad);
-        sparse::metrics::add_flops(2 * delta.len() as u64);
+        2 * delta.len() as u64
     }
 
     /// Takes `nodes[v].grad` out to accumulate into, drawing a zeroed buffer
@@ -1223,7 +1347,12 @@ fn index_rows<'a>(indices: &'a [u32]) -> impl Fn(usize) -> (&'a [u32], &'a [f32]
 /// index is not a row of `dst`.
 pub fn scatter_add_rows(dst: &mut Tensor, indices: &[u32], src: &Tensor) {
     check_scatter(dst, indices, src, indices.len());
-    sparse::metrics::add_bytes(3 * (indices.len() * src.cols() * 4) as u64);
+    let bytes = 3 * (indices.len() * src.cols() * 4) as u64;
+    Cost {
+        bytes,
+        ..Cost::default()
+    }
+    .record();
     let (pool, dst) = (PoolHandle::global(), dst.as_mut_slice());
     scatter(&pool, dst, |r| r, src.view(), index_rows(indices));
 }
@@ -1810,14 +1939,17 @@ mod tests {
         }
     }
 
+    /// The counters of `rows`, summed.
+    fn cost_of(rows: &[OpRow]) -> Cost {
+        rows.iter().fold(Cost::default(), |c, r| Cost {
+            flops: c.flops + r.flops,
+            bytes: c.bytes + r.bytes,
+            spmm_calls: c.spmm_calls + r.spmm_calls,
+        })
+    }
+
     #[test]
     fn projection_ops_report_analytic_bytes() {
-        // The byte counter is process-global and sibling tests run kernels.
-        if !crate::memory::tests::alone_in_process(
-            "graph::tests::projection_ops_report_analytic_bytes",
-        ) {
-            return;
-        }
         // 9 batch rows over 3 of 5 relations, 4 × 6 matrices.
         let (m, d_out, d_in, groups) = (9usize, 4usize, 6usize, 3usize);
         let rels: Vec<u32> = (0..m).map(|i| [0, 2, 4][i % 3]).collect();
@@ -1825,35 +1957,28 @@ mod tests {
         let by_rel = Arc::new(RelationGroups::new(5, &rels).unwrap());
         let mut g = Graph::new();
         let x = g.input(lcg_table(m, d_in));
-        let before = sparse::metrics::snapshot();
         let out = g.project_rows(&store, p, x, by_rel, d_out);
-        let forward = sparse::metrics::snapshot() - before;
+        let forward = cost_of(g.ops());
         // Each group's matrix once; each row's vector in, projection out.
         assert_eq!(
-            forward.bytes_touched as usize,
+            forward.bytes as usize,
             4 * (groups * d_out * d_in + m * (d_in + d_out))
         );
         assert_eq!(forward.flops as usize, 2 * m * d_out * d_in);
         // Mᵣ read, dMᵣ read and written per group; `g` twice, `v` and `dv`
         // once per row. The mean's own backward moves no counted bytes.
         let loss = g.mean(out);
-        let before = sparse::metrics::snapshot();
+        g.clear_ops();
         g.backward(loss, &mut store);
-        let backward = sparse::metrics::snapshot() - before;
+        let backward = cost_of(g.ops());
         assert_eq!(
-            backward.bytes_touched as usize,
+            backward.bytes as usize,
             4 * (3 * groups * d_out * d_in + m * (2 * d_in + 2 * d_out))
         );
     }
 
     #[test]
     fn semiring_score_reports_analytic_counters() {
-        // The counters are process-global and sibling tests run kernels.
-        if !crate::memory::tests::alone_in_process(
-            "graph::tests::semiring_score_reports_analytic_counters",
-        ) {
-            return;
-        }
         // 6 triples over 5 entities + 2 relations, one of them a self-loop.
         let (heads, rels, tails) = ([0, 1, 2, 3, 4, 2], [0, 1, 0, 1, 0, 1], [1, 2, 3, 4, 0, 2]);
         let fwd = hrt(5, 2, &heads, &rels, &tails, TailSign::Negative).unwrap();
@@ -1868,30 +1993,24 @@ mod tests {
             let (lanes, d) = (9u64, 9 * kind.lane_width() as u64);
             let (mut store, p) = store_with("emb", lcg_table(7, d as usize));
             let mut g = Graph::new();
-            let before = sparse::metrics::snapshot();
             let score = g.semiring_score(&store, p, pair.clone(), kind);
-            let forward = sparse::metrics::snapshot() - before;
             // Index + value and one operand row per stored entry in, one
             // float per batch row out.
-            let want = sparse::metrics::Snapshot {
+            let want = Cost {
                 flops: flops.0 * m * lanes,
+                bytes: nnz * 8 + nnz * d * 4 + m * 4,
                 spmm_calls: 1,
-                bytes_touched: nnz * 8 + nnz * d * 4 + m * 4,
             };
-            assert_eq!(forward, want, "{kind:?} forward");
+            assert_eq!(cost_of(g.ops()), want, "{kind:?} forward");
             // Per stored entry: index + value, `g_i`, two sibling rows in,
             // one gradient row read and written. The mean's own backward
             // counts flops but no bytes.
             let loss = g.mean(score);
-            let before = sparse::metrics::snapshot();
+            g.clear_ops();
             g.backward(loss, &mut store);
-            let backward = sparse::metrics::snapshot() - before;
+            let backward = cost_of(g.ops());
             assert_eq!(backward.spmm_calls, 1, "{kind:?}");
-            assert_eq!(
-                backward.bytes_touched,
-                nnz * (8 + 4) + 4 * nnz * d * 4,
-                "{kind:?}"
-            );
+            assert_eq!(backward.bytes, nnz * (8 + 4) + 4 * nnz * d * 4, "{kind:?}");
             assert_eq!(backward.flops, flops.1 * nnz * lanes + 2 * m, "{kind:?}");
         }
     }
@@ -2520,12 +2639,6 @@ mod tests {
 
     #[test]
     fn spmm_score_reports_fewer_bytes_than_materialized_pipeline() {
-        // The byte counter is process-global and sibling tests run kernels.
-        if !crate::memory::tests::alone_in_process(
-            "graph::tests::spmm_score_reports_fewer_bytes_than_materialized_pipeline",
-        ) {
-            return;
-        }
         let data = Tensor::from_rows(&[
             [0.3, -0.2, 1.1, 0.5],
             [1.5, 0.7, -0.6, -0.1],
@@ -2540,16 +2653,12 @@ mod tests {
             let (mut store, p) = store_with("emb", data.clone());
             let mut g = Graph::new();
             g.set_fused(fused);
-            let before = sparse::metrics::snapshot();
             let s = g.spmm_score(&store, p, pair.clone(), RowScore::L2 { eps: 1e-9 });
-            let forward = (sparse::metrics::snapshot() - before).bytes_touched;
+            let forward = cost_of(g.ops()).bytes;
             let loss = g.mean(s);
-            let before = sparse::metrics::snapshot();
+            g.clear_ops();
             g.backward(loss, &mut store);
-            (
-                forward,
-                (sparse::metrics::snapshot() - before).bytes_touched,
-            )
+            (forward, cost_of(g.ops()).bytes)
         };
         let (fused, fused_backward) = bytes(true);
         let (unfused, _) = bytes(false);
@@ -2562,5 +2671,135 @@ mod tests {
         // (operand read, dx read, gradient read+write) and the m × d
         // derivative write.
         assert_eq!(fused_backward, 6 * 8 + 4 * 6 * 16 + 2 * 16);
+    }
+
+    /// One scored batch of both sides through the fused SpMM score, the
+    /// margin loss and its backward, on `g` — every row kind the sparse
+    /// trainer's tape records.
+    fn scored_batch(g: &mut Graph, store: &mut ParamStore, p: ParamId, pair: &Arc<IncidencePair>) {
+        g.reset();
+        let pos = g.spmm_score(store, p, pair.clone(), RowScore::L1);
+        let neg = g.spmm_score(store, p, pair.clone(), RowScore::L2 { eps: 1e-9 });
+        let loss = g.margin_ranking_loss(pos, neg, 1.0);
+        g.backward(loss, store);
+    }
+
+    /// Every row's name and counters, without its time.
+    fn counts(rows: &[OpRow]) -> Vec<(&'static str, u64, u64, u64, u64)> {
+        (rows.iter())
+            .map(|r| (r.name, r.calls, r.bytes, r.flops, r.spmm_calls))
+            .collect()
+    }
+
+    fn score_pair() -> Arc<IncidencePair> {
+        let heads: Vec<u32> = (0..40).map(|i| i % 7).collect();
+        let tails: Vec<u32> = (0..40).map(|i| (i * 3 + 1) % 7).collect();
+        let rels: Vec<u32> = (0..40).map(|i| i % 2).collect();
+        let fwd = hrt(7, 2, &heads, &rels, &tails, TailSign::Negative).unwrap();
+        Arc::new(IncidencePair::new(fwd))
+    }
+
+    #[test]
+    fn op_rows_accumulate_calls_across_resets() {
+        let pair = score_pair();
+        let (mut store, p) = store_with("emb", lcg_table(9, 6));
+        let mut g = Graph::with_pool(PoolHandle::sequential());
+        scored_batch(&mut g, &mut store, p, &pair);
+        let once = counts(g.ops());
+        // `reset` recycles the nodes and keeps the table.
+        scored_batch(&mut g, &mut store, p, &pair);
+        scored_batch(&mut g, &mut store, p, &pair);
+        let thrice: Vec<_> = (once.iter())
+            .map(|&(name, calls, bytes, flops, spmm)| {
+                (name, 3 * calls, 3 * bytes, 3 * flops, 3 * spmm)
+            })
+            .collect();
+        assert_eq!(counts(g.ops()), thrice);
+        let names: Vec<_> = once.iter().map(|r| r.0).collect();
+        let want = [
+            "op::spmm_score",
+            "op::margin_loss",
+            "op::margin_loss_backward",
+            "op::spmm_score_backward",
+        ];
+        assert_eq!(names, want, "one row per op, in first-run order");
+        assert_eq!(once[0].1, 2, "both sides charge the one spmm_score row");
+    }
+
+    #[test]
+    fn clear_ops_empties_the_table_and_rows_restart() {
+        let pair = score_pair();
+        let (mut store, p) = store_with("emb", lcg_table(9, 6));
+        let mut g = Graph::with_pool(PoolHandle::sequential());
+        scored_batch(&mut g, &mut store, p, &pair);
+        let once = counts(g.ops());
+        scored_batch(&mut g, &mut store, p, &pair);
+        g.clear_ops();
+        assert!(g.ops().is_empty());
+        scored_batch(&mut g, &mut store, p, &pair);
+        assert_eq!(counts(g.ops()), once);
+    }
+
+    #[test]
+    fn a_fresh_tape_has_no_op_rows_and_inputs_add_none() {
+        let mut g = Graph::new();
+        assert!(g.ops().is_empty());
+        // Inputs and the mean's forward count nothing and get no row.
+        let x = g.input(lcg_table(4, 3));
+        let _ = g.mean(x);
+        assert!(g.ops().is_empty(), "{:?}", g.ops());
+    }
+
+    #[test]
+    fn op_rows_record_the_cost_the_kernel_returns() {
+        let pair = score_pair();
+        let table = lcg_table(9, 6);
+        let (store, p) = store_with("emb", table.clone());
+        let mut g = Graph::with_pool(PoolHandle::sequential());
+        let _ = g.spmm(&store, p, pair.clone());
+        let mut out = vec![0.0; pair.forward.rows() * 6];
+        let (pool, b) = (PoolHandle::sequential(), table.view());
+        let want = csr_spmm_into_with(&pool, &pair.forward, b, &mut out);
+        let row = &g.ops()[0];
+        assert_eq!((row.name, row.calls), ("op::spmm", 1));
+        assert_eq!(cost_of(g.ops()), want);
+    }
+
+    #[test]
+    fn unfused_spmm_score_records_its_two_ops() {
+        let pair = score_pair();
+        let (store, p) = store_with("emb", lcg_table(9, 6));
+        let mut g = Graph::with_pool(PoolHandle::sequential());
+        g.set_fused(false);
+        let _ = g.spmm_score(&store, p, pair, RowScore::L2 { eps: 1e-9 });
+        let names: Vec<_> = counts(g.ops()).iter().map(|r| (r.0, r.1)).collect();
+        assert_eq!(names, [("op::spmm", 1), ("op::l2_norm", 1)]);
+    }
+
+    #[test]
+    fn concurrent_tapes_keep_exact_tables() {
+        let pair = score_pair();
+        // The barrier makes every batch of one tape run while the other
+        // tape runs the same batch.
+        let run = |batches: usize, step: Option<&std::sync::Barrier>| {
+            let (mut store, p) = store_with("emb", lcg_table(9, 6));
+            let mut g = Graph::with_pool(PoolHandle::sequential());
+            for _ in 0..batches {
+                step.map(std::sync::Barrier::wait);
+                scored_batch(&mut g, &mut store, p, &pair);
+            }
+            counts(g.ops())
+        };
+        let alone = run(50, None);
+        let step = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|s| {
+            let (a, b) = (
+                s.spawn(|| run(50, Some(&step))),
+                s.spawn(|| run(50, Some(&step))),
+            );
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        assert_eq!(a, alone);
+        assert_eq!(b, alone);
     }
 }

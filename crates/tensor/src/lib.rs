@@ -14,7 +14,10 @@
 //! * [`Graph`] / [`Var`] — a define-by-run tape. Forward values are computed
 //!   eagerly as ops are recorded; [`Graph::backward`] replays the tape in
 //!   reverse. Embedding tables live outside the tape in a [`ParamStore`] so
-//!   the (large) parameter matrices are never copied per batch.
+//!   the (large) parameter matrices are never copied per batch. Each tape
+//!   keeps its own per-op table ([`Graph::ops`], one [`OpRow`] per op: calls,
+//!   bytes, flops, SpMM calls, time), which regenerates the per-function
+//!   attribution of the paper's Figure 2 and Table 6.
 //! * The two ops at the heart of the paper: [`Graph::gather`] +
 //!   scatter-add backward (the *non-sparse* fine-grained path every baseline
 //!   framework uses) and [`Graph::spmm`] whose backward `∂L/∂X = Aᵀ · ∂L/∂C`
@@ -24,9 +27,6 @@
 //! * [`hogwild`] — the one value table every data-parallel replica aliases
 //!   ([`ParamStore::alias_values`]), and why sharing it stays sound.
 //! * [`optim`] — SGD / Adagrad / Adam and a step LR scheduler (Appendix E).
-//! * [`profile`] — lightweight named timers used to regenerate the paper's
-//!   forward/backward/step breakdowns (Table 1, Figure 8) and the
-//!   per-function attribution of Figure 2.
 //!
 //! **Place in the workspace:** builds on `sparse` (SpMM kernels) and
 //! `xparallel` (elementwise parallelism); `sptransx` drives every model's
@@ -59,12 +59,11 @@ pub mod init;
 pub mod memory;
 pub mod optim;
 pub mod paged;
-pub mod profile;
 mod store;
 mod tensor;
 
 pub use arena::Arena;
-pub use graph::{Graph, RowScore, Var};
+pub use graph::{Graph, OpRow, RowScore, Var};
 pub use sparse::semiring::Semiring;
 
 /// Low-level kernels re-exported for benchmarks and cross-crate tests.

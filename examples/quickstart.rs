@@ -59,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "peak tensor memory: {:.2} MiB, SpMM calls: {}, GFLOPs: {:.3}",
         report.peak_memory_bytes as f64 / (1024.0 * 1024.0),
-        report.spmm_calls,
-        report.flops as f64 / 1e9
+        report.spmm_calls(),
+        report.flops() as f64 / 1e9
     );
 
     // 4. Filtered link prediction (Hits@K / MRR / mean rank).

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.breakdown.backward.as_secs_f64(),
             r.breakdown.step.as_secs_f64(),
             r.peak_memory_bytes as f64 / (1024.0 * 1024.0),
-            r.flops as f64 / 1e9,
+            r.flops() as f64 / 1e9,
         );
     }
 

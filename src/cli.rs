@@ -42,8 +42,8 @@ use sptransx::serve::{
     ZipfWorkload,
 };
 use sptransx::{
-    Arm, Combine, KgeModel, Norm, OptimizerKind, Registered, SamplerKind, TrainConfig, Trainer,
-    MODELS,
+    Arm, Combine, KgeModel, Norm, OptimizerKind, Registered, SamplerKind, TrainConfig, TrainReport,
+    Trainer, MODELS,
 };
 
 /// Parsed command line: subcommand plus `--key value` options.
@@ -755,10 +755,7 @@ impl TrainJob<'_> {
             }
         };
 
-        tensor::profile::reset();
         let report = trainer.run()?;
-        // Snapshot kernel counters before evaluation pollutes them.
-        let kernel_table = kernel_counter_table();
         // Unpage (and cross-validate the cache counters) before the
         // paging-unaware evaluation and dump paths read the table.
         let paged_report = match &paged {
@@ -787,7 +784,7 @@ impl TrainJob<'_> {
         Ok(format!(
             "{}: {} epochs, loss {:.4} -> {:.4}, wall {:.2}s, Hits@10 {:.3} (popularity {:.3}), \
              MRR {:.3} (popularity {:.3})\n\
-             {}\n{kernel_table}{paged_report}\nembeddings saved to {}",
+             {}\n{}{paged_report}\nembeddings saved to {}",
             trainer.model().name(),
             report.epoch_losses.len(),
             report.epoch_losses.first().copied().unwrap_or(0.0),
@@ -798,6 +795,7 @@ impl TrainJob<'_> {
             eval.mrr,
             baseline.mrr,
             arm_line(&arm),
+            kernel_counter_table(&report),
             self.out.display()
         ))
     }
@@ -1162,17 +1160,14 @@ fn arm_line(arm: &Arm) -> String {
 }
 
 /// Renders the Table-5-style per-kernel counter report for the training run:
-/// one row per autograd kernel (`op::*` scope) with call counts and the
-/// analytic bytes-moved / flop totals from `sparse::metrics`.
+/// one row per autograd kernel (`op::*` row of the report) with call counts
+/// and the analytic bytes-moved / flop totals.
 ///
 /// Wall-clock times are deliberately omitted and rows are sorted by name,
 /// so the table is bit-identical across thread counts and machines — CI
 /// diffs the full report between runs.
-fn kernel_counter_table() -> String {
-    let mut rows: Vec<_> = tensor::profile::report()
-        .into_iter()
-        .filter(|e| e.name.starts_with("op::"))
-        .collect();
+fn kernel_counter_table(report: &TrainReport) -> String {
+    let mut rows = report.ops.clone();
     rows.sort_by_key(|e| e.name);
     let mut out = String::from("per-kernel counters (analytic bytes/flops, thread-independent):");
     for e in &rows {

@@ -7,7 +7,7 @@
 //! The individual subsystems live in dedicated crates:
 //!
 //! * [`xparallel`] — persistent thread pool and parallel loops.
-//! * [`sparse`] — COO/CSR matrices, (semiring) SpMM kernels, incidence builders.
+//! * [`sparse`] — CSR matrices, (semiring) SpMM kernels, incidence builders.
 //! * [`tensor`] — dense tensors, tape autograd, optimizers, losses.
 //! * [`kg`] — triple stores, dataset loaders/generators, sampling, evaluation.
 //! * [`simcache`] — cache simulator used for the Table 7 analog.
