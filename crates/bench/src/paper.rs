@@ -386,18 +386,21 @@ fn table1(sweep: &mut Sweep) {
 
 /// Tables 5 and 6: per model, the mean over the seven datasets of one
 /// counter of the all-core Table-4 reports, in each variant, and the
-/// baseline's overhead.
+/// baseline's overhead. Returns each model's two means, sparse first.
 fn print_variant_means(
     sweep: &mut Sweep,
     title: &str,
     counter: fn(&TrainReport) -> u64,
     format: fn(u64) -> String,
-) {
-    let rows = ModelKind::ALL.map(|kind| {
-        let [sp, de] = [Variant::Sparse, Variant::Dense].map(|variant| {
+) -> [(ModelKind, [u64; 2]); 4] {
+    let means = ModelKind::ALL.map(|kind| {
+        let mut mean = |variant| {
             let reports = sweep.table4(Pool::AllCores, kind, variant);
             reports.iter().map(counter).sum::<u64>() / reports.len() as u64
-        });
+        };
+        (kind, [mean(Variant::Sparse), mean(Variant::Dense)])
+    });
+    let rows = means.map(|(kind, [sp, de])| {
         let overhead = factor(sp as f64, de as f64);
         vec![kind.name().to_string(), format(sp), format(de), overhead]
     });
@@ -406,17 +409,28 @@ fn print_variant_means(
         &["Model", "SpTransX", "Baseline", "Baseline overhead"],
         &rows,
     );
+    means
 }
 
 fn table5(sweep: &mut Sweep) {
     sweep.heading("Table 5 — average peak tensor memory");
-    print_variant_means(
+    let means = print_variant_means(
         sweep,
         "Mean peak memory (MiB)",
         |r| r.peak_memory_bytes,
         mib,
     );
-    println!("\nExpected shape: SpTransX < Baseline for every model; largest factor on TransH.");
+    let overhead = |(_, [sp, de]): &(ModelKind, [u64; 2])| *de as f64 / (*sp).max(1) as f64;
+    let top = means.iter().map(overhead).fold(0.0, f64::max);
+    let largest = means.iter().filter(|m| overhead(m) == top);
+    let largest: Vec<&str> = largest.map(|(kind, _)| kind.name()).collect();
+    println!(
+        "\nPaper's expectation: SpTransX < Baseline for every model; largest factor on TransH."
+    );
+    println!(
+        "Largest factor in this run: {} ({top:.1}x).",
+        largest.join(", ")
+    );
 }
 
 fn table6(sweep: &mut Sweep) {

@@ -187,8 +187,6 @@ impl TrainConfig {
 /// batch; `sptx train` checks the arm it parsed before loading any data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arm {
-    /// The model pages its batches in ([`KgeModel::pages`]).
-    pub pages: bool,
     /// A parameter table is paged out to backing storage (`--store disk`).
     pub paged: bool,
     /// [`TrainConfig::optimizer`].
@@ -205,7 +203,7 @@ pub struct Arm {
 }
 
 impl Arm {
-    /// The one place that knows which combinations train correctly: six
+    /// The one place that knows which combinations train correctly: five
     /// rules, in order. Below it are only the tensor layer's last-resort
     /// asserts.
     ///
@@ -226,12 +224,6 @@ impl Arm {
                 self.paged && self.dense_grads,
                 "--store disk needs the sparse touched-row gradient path (a paged table keeps \
                  gradients for its cached rows only); drop --dense-grads true",
-            ),
-            (
-                self.paged && !self.pages,
-                "--store disk supports every sparse model, not the -dense ones: the gather \
-                 baselines read whole tables by design — they are the scatter reference of the \
-                 paper's Figure 1",
             ),
             (
                 self.paged && replicated,
@@ -302,27 +294,19 @@ pub trait KgeModel {
     /// Panics if `batch_idx >= num_batches()`.
     fn score_batch(&self, g: &mut Graph, batch_idx: usize) -> (Var, Var);
 
-    /// Pages in the rows batch `batch_idx` will touch, for models whose
-    /// parameters live behind [`tensor::RowStorage`]. The batch's working
-    /// set is known up front from its cached incidence/index lists — the
-    /// sparsity premise that makes demand paging possible — so the trainer
-    /// calls this before [`score_batch`](KgeModel::score_batch). Default:
-    /// no-op (everything resident).
+    /// Pages in the rows batch `batch_idx` will touch. The contract: a model
+    /// whose table is paged out to a [`tensor::RowStorage`] pages each
+    /// batch's rows in here. The batch's working set is known up front from
+    /// its cached incidence/index lists — the sparsity premise that makes
+    /// demand paging possible — so the trainer calls this before
+    /// [`score_batch`](KgeModel::score_batch). With every table resident it
+    /// changes nothing.
     ///
     /// # Errors
     ///
     /// Returns an error if the working set exceeds the cache budget or the
     /// backing store fails.
-    fn page_in_batch(&mut self, _batch_idx: usize) -> Result<()> {
-        Ok(())
-    }
-
-    /// Whether this model overrides [`page_in_batch`](KgeModel::page_in_batch)
-    /// and may therefore train with a table paged out (rule 3 of
-    /// [`Arm::check`]). Override it next to that method. Default: `false`.
-    fn pages(&self) -> bool {
-        false
-    }
+    fn page_in_batch(&mut self, batch_idx: usize) -> Result<()>;
 
     /// Applies per-epoch parameter constraints. Default: none.
     fn end_epoch(&mut self) {}

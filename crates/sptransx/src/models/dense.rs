@@ -5,7 +5,8 @@
 //! the score expression is assembled with elementwise tensor ops, and the
 //! backward pass **scatter-adds** gradients into the embedding tables
 //! (Figure 1b). Mathematically identical to the sparse variants — the paper's
-//! point is that only the *computation schedule* differs.
+//! point is that only the *computation schedule* differs. They page like the
+//! sparse families too: a side's working set is the entities it gathers.
 //!
 //! Two fidelity details copied from the baselines the paper profiles:
 //!
@@ -26,7 +27,7 @@ use crate::models::sptransh::Hyperplanes;
 use crate::models::sptransr::Projections;
 use crate::models::{
     by_relation, dense_side, stacked_torus_init, stacked_transe_init, Cx, DenseSide, Eval, Family,
-    Geometry, Model, RankQuery, Shape,
+    Geometry, Model, RankQuery, Shape, WorkingSet,
 };
 use crate::scorer::QueryDir;
 use crate::Result;
@@ -102,6 +103,7 @@ pub struct GatherTransE(pub Split);
 
 impl Family for GatherTransE {
     const NAME: &'static str = "TransE-dense";
+    const WORKING_SET: WorkingSet<Self> = |f, side| (f.0.ent, &side.entities);
     type Side = DenseSide;
 
     fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
@@ -156,6 +158,7 @@ pub struct GatherTorusE(pub Split);
 impl Family for GatherTorusE {
     const NAME: &'static str = "TorusE-dense";
     const GEOMETRY: Geometry = Geometry::Torus;
+    const WORKING_SET: WorkingSet<Self> = |f, side| (f.0.ent, &side.entities);
     type Side = DenseSide;
 
     fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
@@ -207,6 +210,7 @@ pub struct GatherTransR(pub Projections);
 
 impl Family for GatherTransR {
     const NAME: &'static str = "TransR-dense";
+    const WORKING_SET: WorkingSet<Self> = |f, (side, _)| (f.0.ent, &side.entities);
     /// The gather lists and the side's triples grouped by relation.
     type Side = (DenseSide, Arc<RelationGroups>);
 
@@ -272,6 +276,7 @@ pub struct GatherTransH(pub Hyperplanes);
 
 impl Family for GatherTransH {
     const NAME: &'static str = "TransH-dense";
+    const WORKING_SET: WorkingSet<Self> = |f, side| (f.0.ent, &side.entities);
     type Side = DenseSide;
 
     fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
@@ -454,6 +459,37 @@ mod tests {
         for (a, c) in g1.value(sp).as_slice().iter().zip(g2.value(dp).as_slice()) {
             assert!((a - c).abs() < 1e-3, "{a} vs {c}");
         }
+    }
+
+    /// A gather baseline's entity gradient is its working set: after one
+    /// step on a table far wider than a batch touches, the store holds fewer
+    /// gradient bytes than the entity table alone.
+    #[test]
+    fn the_gradient_is_the_working_set_not_the_table() {
+        fn step<F: Family>(what: &str) {
+            let ds = SyntheticKgBuilder::new(5000, 5)
+                .triples(2000)
+                .seed(3)
+                .build();
+            let mut model = Model::<F>::from_config(&ds, &config()).unwrap();
+            model.attach_plan(&plan(&ds, 64)).unwrap();
+            let mut g = Graph::new();
+            let (pos, neg) = model.score_batch(&mut g, 0);
+            let loss = g.margin_ranking_loss(pos, neg, 0.5);
+            g.backward(loss, model.store_mut());
+            let store = model.store();
+            let (rows, cols) = store.param_shape(store.lookup("entities").unwrap());
+            let table_bytes = (rows * cols * std::mem::size_of::<f32>()) as u64;
+            assert!(
+                store.grad_bytes() < table_bytes,
+                "{what}: {} gradient bytes for a {table_bytes}-byte entity table",
+                store.grad_bytes()
+            );
+        }
+        step::<GatherTransE>("TransE-dense");
+        step::<GatherTorusE>("TorusE-dense");
+        step::<GatherTransH>("TransH-dense");
+        step::<GatherTransR>("TransR-dense");
     }
 
     #[test]

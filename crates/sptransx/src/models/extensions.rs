@@ -38,7 +38,7 @@ pub struct TransC(pub Stacked);
 impl Family for TransC {
     const NAME: &'static str = "SpTransC";
     const GEOMETRY: Geometry = Geometry::L2Only;
-    const WORKING_SET: Option<WorkingSet<Self>> = Some(|f, side| f.0.working_set(side));
+    const WORKING_SET: WorkingSet<Self> = |f, side| f.0.working_set(side);
     type Side = HrtSide;
 
     fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {
@@ -133,7 +133,7 @@ fn relation_weights(train: &TripleStore, num_relations: usize) -> Vec<f32> {
 
 impl Family for TransM {
     const NAME: &'static str = "SpTransM";
-    const WORKING_SET: Option<WorkingSet<Self>> = Some(|f, (pair, _)| f.table.working_set(pair));
+    const WORKING_SET: WorkingSet<Self> = |f, (pair, _)| f.table.working_set(pair);
     /// The side's incidence pair and its per-triple weights.
     type Side = (HrtSide, Vec<f32>);
 

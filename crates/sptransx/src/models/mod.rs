@@ -3,7 +3,7 @@
 //! A model is three things: its **parameters**, the tape expression for
 //! **one side** of a batch, and its **evaluation transforms**. A [`Family`]
 //! says those (plus which structure it caches per batch, its end-of-epoch
-//! constraint and whether it has a paged working set); [`Model`] is
+//! constraint and the working set it pages); [`Model`] is
 //! everything else, written once: validation and the norm coercion, the
 //! parameter store, `attach_plan`'s fan-out, the positive/negative doubling,
 //! paging, and both evaluation walks. Every public model name is an alias —
@@ -136,18 +136,16 @@ pub trait Family: Debug + Sized + Send + Sync + 'static {
     /// The metrics this family trains with.
     const GEOMETRY: Geometry = Geometry::Euclidean;
 
-    /// `Some` if the family can train with its table paged out: the table,
-    /// and the rows of it one side touches — known before any kernel runs,
-    /// which is the sparsity premise that makes demand paging possible.
-    /// [`KgeModel::pages`] and [`KgeModel::page_in_batch`] are both derived
-    /// from this one declaration. Declare it only if every tape op
-    /// [`Family::side`] records that reads the *paged* table reads it through
-    /// [`ParamStore::table`] — `Graph::spmm`, `Graph::spmm_score` and
-    /// `Graph::semiring_score` do; `gather` and `project_rows` read
-    /// [`ParamStore::value`] and do not, which is fine for the small relation
-    /// tables that stay resident beside it. All nine sparse families declare
-    /// one; the four gather baselines, by design, do not.
-    const WORKING_SET: Option<WorkingSet<Self>> = None;
+    /// The table the family pages, and the rows of it one side touches —
+    /// known before any kernel runs, which is the sparsity premise that makes
+    /// demand paging possible: the columns of a side's incidence matrix, or
+    /// the entities a gather baseline's side names. The table's access
+    /// schedule ([`KgeModel::attach_plan`]) and each batch's page-in
+    /// ([`KgeModel::page_in_batch`]) are both derived from this one
+    /// declaration. Every tape op reads parameters through
+    /// [`ParamStore::table`], so whichever table this names may be paged out;
+    /// the other tables stay resident.
+    const WORKING_SET: WorkingSet<Self>;
 
     /// The structure cached for one side of one batch. It is built once per
     /// plan and kept for the whole run, so it should hold what the side's
@@ -342,13 +340,13 @@ impl<F: Family> KgeModel for Model<F> {
             .into_iter()
             .map(|s| s.expect("cache slot filled by its task"))
             .collect::<Result<_>>()?;
-        if let (Some(working_set), Some(first)) = (F::WORKING_SET, self.batches.first()) {
+        if let Some(first) = self.batches.first() {
             // The plan is fixed for the run, so the table's whole access
             // schedule is known here: declare it (pointer clones), and a
             // later page-out lays the pagefile out to match.
-            let (table, _) = working_set(&self.family, &first[0]);
+            let (table, _) = F::WORKING_SET(&self.family, &first[0]);
             let lists = |sides: &[F::Side; 2]| {
-                let list = |side| working_set(&self.family, side).1.clone();
+                let list = |side| F::WORKING_SET(&self.family, side).1.clone();
                 sides.iter().map(list).collect()
             };
             let schedule = self.batches.iter().map(lists).collect();
@@ -368,18 +366,12 @@ impl<F: Family> KgeModel for Model<F> {
     }
 
     fn page_in_batch(&mut self, batch_idx: usize) -> Result<()> {
-        if let Some(working_set) = F::WORKING_SET {
-            // Every row the step will touch is pinned resident up front.
-            let [pos, neg] = &self.batches[batch_idx];
-            let (table, pos) = working_set(&self.family, pos);
-            let (_, neg) = working_set(&self.family, neg);
-            self.store.page_in(table, &[pos, neg])?;
-        }
+        // Every row the step will touch is pinned resident up front.
+        let [pos, neg] = &self.batches[batch_idx];
+        let (table, pos) = F::WORKING_SET(&self.family, pos);
+        let (_, neg) = F::WORKING_SET(&self.family, neg);
+        self.store.page_in(table, &[pos, neg])?;
         Ok(())
-    }
-
-    fn pages(&self) -> bool {
-        F::WORKING_SET.is_some()
     }
 
     fn end_epoch(&mut self) {
@@ -433,9 +425,6 @@ pub struct Registered {
     /// [`KgeModel::name`] of the family's models (`"SpTransE"`,
     /// `"TransE-dense"`).
     pub name: &'static str,
-    /// [`KgeModel::pages`] of the family's models, known before one is built
-    /// (an arm is checked before any data is loaded).
-    pub pages: bool,
     /// The family's `from_config`, boxed.
     pub build: fn(&Dataset, &TrainConfig) -> Result<Box<dyn AnyModel>>,
 }
@@ -444,7 +433,6 @@ impl Registered {
     const fn of<F: Family>() -> Self {
         Self {
             name: F::NAME,
-            pages: F::WORKING_SET.is_some(),
             build: boxed::<F>,
         }
     }
@@ -512,10 +500,6 @@ impl KgeModel for Box<dyn AnyModel> {
 
     fn page_in_batch(&mut self, batch_idx: usize) -> Result<()> {
         (**self).page_in_batch(batch_idx)
-    }
-
-    fn pages(&self) -> bool {
-        (**self).pages()
     }
 
     fn end_epoch(&mut self) {
@@ -644,19 +628,26 @@ pub(crate) fn ht_side(s: &Shape, t: &TripleStore) -> Result<HtSide> {
 }
 
 /// One side of a dense (gather/scatter) baseline: its three index lists,
-/// shared with the tape.
+/// shared with the tape, and the entity rows they gather.
 #[derive(Debug, Clone)]
 pub struct DenseSide {
     pub(crate) heads: Arc<Vec<u32>>,
     pub(crate) rels: Arc<Vec<u32>>,
     pub(crate) tails: Arc<Vec<u32>>,
+    /// The sorted, deduplicated union of `heads` and `tails`: the gather
+    /// baselines' [`Family::WORKING_SET`] in their entity table.
+    pub(crate) entities: Arc<[u32]>,
 }
 
 pub(crate) fn dense_side(t: &TripleStore) -> DenseSide {
+    let mut entities: Vec<u32> = t.heads().iter().chain(t.tails()).copied().collect();
+    entities.sort_unstable();
+    entities.dedup();
     DenseSide {
         heads: Arc::new(t.heads().to_vec()),
         rels: Arc::new(t.rels().to_vec()),
         tails: Arc::new(t.tails().to_vec()),
+        entities: entities.into(),
     }
 }
 
@@ -819,7 +810,6 @@ mod tests {
         let entry = MODELS.iter().find(|m| m.name == model.name()).unwrap();
         let boxed = (entry.build)(&ds, &config).unwrap();
         assert_eq!(bits(boxed.store()), bits(model.store()), "{what}: registry");
-        assert_eq!((entry.pages, boxed.pages()), (model.pages(), model.pages()));
 
         // A second plan replaces the first.
         assert_eq!(model.num_batches(), 0, "{what}");
@@ -846,9 +836,7 @@ mod tests {
             assert_eq!(first, second, "{what}: one batch, two forwards");
         }
 
-        // Every sparse family pages and no gather baseline does, and with
-        // nothing paged out paging a batch in changes nothing.
-        assert_eq!(model.pages(), what.starts_with("Sp"), "{what}");
+        // With nothing paged out, paging a batch in changes nothing.
         let before = bits(model.store());
         model.page_in_batch(0).unwrap();
         assert_eq!(bits(model.store()), before, "{what}");

@@ -71,7 +71,7 @@ pub(crate) fn complex_query(
 
 impl Family for ComplEx {
     const NAME: &'static str = "SpComplEx";
-    const WORKING_SET: Option<super::WorkingSet<Self>> = Some(|f, side| f.0.working_set(side));
+    const WORKING_SET: super::WorkingSet<Self> = |f, side| f.0.working_set(side);
     type Side = HrtSide;
 
     fn init(store: &mut ParamStore, s: &Shape, seed: u64, _: &TripleStore) -> Self {

@@ -40,7 +40,7 @@ pub struct DistMult(pub Stacked);
 
 impl Family for DistMult {
     const NAME: &'static str = "SpDistMult";
-    const WORKING_SET: Option<super::WorkingSet<Self>> = Some(|f, side| f.0.working_set(side));
+    const WORKING_SET: super::WorkingSet<Self> = |f, side| f.0.working_set(side);
     type Side = HrtSide;
 
     fn init(store: &mut ParamStore, s: &Shape, seed: u64, _: &TripleStore) -> Self {

@@ -44,7 +44,7 @@ pub struct RotatE(pub Stacked);
 
 impl Family for RotatE {
     const NAME: &'static str = "SpRotatE";
-    const WORKING_SET: Option<super::WorkingSet<Self>> = Some(|f, side| f.0.working_set(side));
+    const WORKING_SET: super::WorkingSet<Self> = |f, side| f.0.working_set(side);
     type Side = HrtSide;
 
     fn init(store: &mut ParamStore, s: &Shape, seed: u64, _: &TripleStore) -> Self {

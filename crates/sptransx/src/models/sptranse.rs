@@ -41,7 +41,7 @@ pub struct TransE(pub Stacked);
 
 impl Family for TransE {
     const NAME: &'static str = "SpTransE";
-    const WORKING_SET: Option<WorkingSet<Self>> = Some(|f, side| f.0.working_set(side));
+    const WORKING_SET: WorkingSet<Self> = |f, side| f.0.working_set(side);
     type Side = HrtSide;
 
     fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {

@@ -111,8 +111,7 @@ pub struct TransH(pub Hyperplanes);
 
 impl Family for TransH {
     const NAME: &'static str = "SpTransH";
-    const WORKING_SET: Option<WorkingSet<Self>> =
-        Some(|f, side| (f.0.ent, side.pair.touched_columns()));
+    const WORKING_SET: WorkingSet<Self> = |f, side| (f.0.ent, side.pair.touched_columns());
     type Side = HtSide;
 
     fn init(store: &mut ParamStore, shape: &Shape, seed: u64, _: &TripleStore) -> Self {

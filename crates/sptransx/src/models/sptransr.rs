@@ -109,8 +109,7 @@ pub struct TransR(pub Projections);
 
 impl Family for TransR {
     const NAME: &'static str = "SpTransR";
-    const WORKING_SET: Option<WorkingSet<Self>> =
-        Some(|f, (side, _)| (f.0.ent, side.pair.touched_columns()));
+    const WORKING_SET: WorkingSet<Self> = |f, (side, _)| (f.0.ent, side.pair.touched_columns());
     /// The `ht` side and the side's triples grouped by relation.
     type Side = (HtSide, Arc<RelationGroups>);
 

@@ -409,7 +409,6 @@ impl<M: KgeModel> Trainer<M> {
     /// observes it (paging included, which can change between runs).
     pub fn arm(&self) -> Arm {
         Arm {
-            pages: self.model().pages(),
             paged: (self.replicas.iter()).any(|r| r.model.store().has_paged()),
             optimizer: self.config.optimizer,
             dense_grads: self.config.dense_grads,

@@ -49,7 +49,6 @@ fn family<M: KgeModel + Send>(
             for flags in 0..8 {
                 let (paged, dense_grads, fused) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
                 let arm = Arm {
-                    pages: ctor(ds, &TrainConfig::default()).unwrap().pages(),
                     paged,
                     optimizer,
                     dense_grads,
@@ -125,15 +124,12 @@ fn check_agrees_with_run_epochs_on_every_arm() {
     family(&ds, SpTransH::from_config, &mut refusals);
     family(&ds, SpTransR::from_config, &mut refusals);
     family(&ds, SpDistMult::from_config, &mut refusals);
-    // Every sparse family pages; a gather baseline is what still reaches
-    // rule 3.
     family(&ds, DenseTransE::from_config, &mut refusals);
 
     // Every rule was reached through `run_epochs`, and says what it is about.
     for rule in [
         "--store disk requires --optimizer sgd: Adagrad and Adam do not support paged parameters",
         "--store disk needs the sparse touched-row gradient path",
-        "--store disk supports every sparse model",
         "(data-parallel, or --async true workers) are incompatible with --store disk",
         "--async true with 2+ workers supports only --optimizer sgd",
         "--async true with 2+ workers requires sparse (touched-row) gradients",

@@ -9,15 +9,23 @@
 //! none is left outside the table. Analytic counters depend on shapes only,
 //! so this holds in debug and release and at any `SPTX_NUM_THREADS`.
 //!
+//! The public scatters outside the tape (`tensor::kernels`) add to the
+//! totals exactly what the tape's backward row charges for the same scatter.
+//!
 //! The `sparse::metrics` totals are process-global: this binary holds
 //! exactly one test.
 
+use std::sync::Arc;
+
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
+use sparse::incidence::{hrt, IncidencePair, TailSign};
 use sptransx::{
     DenseTorusE, DenseTransE, DenseTransH, DenseTransR, KgeModel, SpComplEx, SpDistMult, SpRotatE,
     SpTorusE, SpTransC, SpTransE, SpTransH, SpTransM, SpTransR, TrainConfig, Trainer,
 };
+use tensor::kernels::{scatter_add_csr, scatter_add_rows};
+use tensor::{Graph, ParamStore, Tensor, Var};
 
 /// One epoch's `[flops, bytes]`: the `sparse::metrics` delta, then the sum
 /// over the report's `op::*` rows.
@@ -34,6 +42,30 @@ fn totals_and_rows<M: KgeModel>(
         .filter(|e| e.name.starts_with("op::"))
         .fold([0, 0], |[f, b], e| [f + e.flops, b + e.bytes]);
     ([delta.flops, delta.bytes_touched], rows)
+}
+
+/// Row `name` of a tape that ran `forward` and then backward through its
+/// mean, as `[flops, bytes, spmm_calls]`.
+fn backward_row(
+    store: &mut ParamStore,
+    forward: impl FnOnce(&mut Graph, &ParamStore) -> Var,
+    name: &str,
+) -> [u64; 3] {
+    let mut g = Graph::new();
+    let x = forward(&mut g, store);
+    let loss = g.mean(x);
+    g.backward(loss, store);
+    let row = g.ops().iter().find(|r| r.name == name).unwrap();
+    assert_eq!(row.calls, 1, "{name}");
+    [row.flops, row.bytes, row.spmm_calls]
+}
+
+/// The `sparse::metrics` delta across `f`, as `[flops, bytes, spmm_calls]`.
+fn totals_across(f: impl FnOnce()) -> [u64; 3] {
+    let before = sparse::metrics::snapshot();
+    f();
+    let delta = sparse::metrics::snapshot() - before;
+    [delta.flops, delta.bytes_touched, delta.spmm_calls]
 }
 
 #[test]
@@ -95,4 +127,36 @@ fn op_rows_sum_to_the_epoch_totals() {
         "counted work outside every op::* row:\n{}",
         unexplained.join("\n")
     );
+
+    // Each public scatter against the backward row of the op whose scatter
+    // it is: a gather of 12 rows, and one hrt SpMM over the same triples.
+    let (entities, relations, d) = (20, 3, 5);
+    let heads: Vec<u32> = (0..12).map(|i| i * 7 % 20).collect();
+    let rels: Vec<u32> = (0..12).map(|i| i % 3).collect();
+    let tails: Vec<u32> = (0..12).map(|i| (i * 3 + 1) % 20).collect();
+    let mut store = ParamStore::new();
+    let table = store.add_param("table", Tensor::full(entities + relations, d, 0.25));
+    let src = Tensor::full(heads.len(), d, 0.5);
+    let mut dst = Tensor::zeros(entities + relations, d);
+
+    let indices = Arc::new(heads.clone());
+    let gather = |g: &mut Graph, s: &ParamStore| g.gather(s, table, indices.clone());
+    let row = backward_row(&mut store, gather, "op::gather_backward");
+    let wrapper = totals_across(|| scatter_add_rows(&mut dst, &heads, &src));
+    assert_eq!(wrapper, row, "scatter_add_rows against op::gather_backward");
+
+    let a = hrt(
+        entities,
+        relations,
+        &heads,
+        &rels,
+        &tails,
+        TailSign::Negative,
+    )
+    .unwrap();
+    let pair = Arc::new(IncidencePair::new(a));
+    let spmm = |g: &mut Graph, s: &ParamStore| g.spmm(s, table, pair.clone());
+    let row = backward_row(&mut store, spmm, "op::spmm_backward");
+    let wrapper = totals_across(|| scatter_add_csr(&mut dst, &pair.forward, &src));
+    assert_eq!(wrapper, row, "scatter_add_csr against op::spmm_backward");
 }

@@ -22,8 +22,9 @@ use std::sync::Arc;
 use kg::synthetic::SyntheticKgBuilder;
 use kg::Dataset;
 use sptransx::{
-    FileRowStorage, KgeModel, SpComplEx, SpDistMult, SpRotatE, SpTorusE, SpTransC, SpTransE,
-    SpTransH, SpTransM, SpTransR, TrainConfig, Trainer,
+    DenseTorusE, DenseTransE, DenseTransH, DenseTransR, FileRowStorage, KgeModel, SpComplEx,
+    SpDistMult, SpRotatE, SpTorusE, SpTransC, SpTransE, SpTransH, SpTransM, SpTransR, TrainConfig,
+    Trainer,
 };
 use tensor::paged::Schedule;
 use tensor::{PageStats, RowStorage, VecStorage};
@@ -47,8 +48,8 @@ fn config() -> TrainConfig {
 }
 
 /// A cache budget safely above any batch's working set (≤ 3 rows per triple
-/// × 2 incidence matrices × 16 triples) but well below the 204-row table,
-/// so every epoch exercises eviction and write-back.
+/// × 2 sides × 16 triples) but well below the 200- or 204-row table, so
+/// every epoch exercises eviction and write-back.
 const BUDGET: usize = 96;
 
 struct Run {
@@ -87,8 +88,8 @@ fn train_resident(ds: &Dataset, cfg: &TrainConfig) -> Run {
 }
 
 /// Trains any model family with its first table (the stacked `embeddings`,
-/// or the `entities` of TransH/TransR) paged out to `storage`, returning the run plus the pager's counters and row trace
-/// (collected before unpaging). The pagefile is laid out by the schedule
+/// or the `entities` of the others) paged out to `storage`, returning the
+/// run plus the pager's counters and row trace (collected before unpaging). The pagefile is laid out by the schedule
 /// the model declared from its batch plan.
 fn train_paged_model<M: KgeModel>(
     ds: &Dataset,
@@ -438,8 +439,9 @@ fn assert_paged_matches_resident<M: KgeModel>(
 
 #[test]
 fn paged_training_is_bit_identical_across_model_families() {
-    // Paged ≡ resident for all nine sparse model families, over both storage
-    // back ends — every parameter, not only the paged table. The whole suite
+    // Paged ≡ resident for all thirteen model families, the four gather
+    // baselines included, over both storage back ends — every parameter, not
+    // only the paged table. The whole suite
     // reruns under SPTX_NUM_THREADS ∈ {1, 4} in CI, covering the thread-count
     // leg.
     fn family<M: KgeModel>(
@@ -463,6 +465,10 @@ fn paged_training_is_bit_identical_across_model_families() {
     family("distmult", SpDistMult::from_config);
     family("complex", SpComplEx::from_config);
     family("rotate", SpRotatE::from_config);
+    family("transe-dense", DenseTransE::from_config);
+    family("toruse-dense", DenseTorusE::from_config);
+    family("transh-dense", DenseTransH::from_config);
+    family("transr-dense", DenseTransR::from_config);
 }
 
 #[test]

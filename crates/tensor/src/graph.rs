@@ -666,16 +666,16 @@ impl Graph {
     ) -> Var {
         let start = Instant::now();
         let indices: Arc<Vec<u32>> = indices.into();
-        let p = store.value(param);
-        let d = p.cols();
+        // Resident or paged alike: a paged table was paged in for this
+        // batch's index lists up front.
+        let table = store.table(param);
+        let d = table.cols();
         let mut out = Tensor::uninit_in(&mut self.arena, indices.len(), d);
-        let src = p.as_slice();
         let idx = &indices;
         self.pool
             .for_rows(out.as_mut_slice(), d.max(1), 64, |first, chunk| {
                 for (k, dst) in chunk.chunks_exact_mut(d.max(1)).enumerate() {
-                    let r = idx[first + k] as usize;
-                    dst.copy_from_slice(&src[r * d..(r + 1) * d]);
+                    dst.copy_from_slice(table.row(idx[first + k] as usize));
                 }
             });
         let bytes = 2 * (indices.len() * d * 4) as u64;
@@ -882,7 +882,7 @@ impl Graph {
         d_out: usize,
     ) -> Var {
         let start = Instant::now();
-        let mv = store.value(mats);
+        let mv = store.table(mats);
         let (m, d_in) = self.value(vecs).shape();
         assert_eq!(by_rel.rows().len(), m, "one relation per row required");
         let in_range = by_rel.relations().iter().all(|&r| (r as usize) < mv.rows());
@@ -895,7 +895,7 @@ impl Graph {
         let mut out = Tensor::uninit_in(&mut self.arena, m, d_out);
         // One `Mᵣᵀ` per chunk of batch rows, rewritten per relation group.
         let mut mt = Tensor::uninit_in(&mut self.arena, self.pool.width(), d_out * d_in);
-        let (md, vd) = (mv.as_slice(), self.nodes[vecs.0].value.as_slice());
+        let vd = self.nodes[vecs.0].value.as_slice();
         self.pool.for_rows_with_scratch(
             out.as_mut_slice(),
             d_out.max(1),
@@ -903,8 +903,7 @@ impl Graph {
             mt.as_mut_slice(),
             |first, chunk, mt| {
                 for_each_group(&by_rel, first, first + chunk.len() / d_out, |r, rows| {
-                    let mat = &md[r * d_out * d_in..(r + 1) * d_out * d_in];
-                    for (o, mrow) in mat.chunks_exact(d_in.max(1)).enumerate() {
+                    for (o, mrow) in mv.row(r).chunks_exact(d_in.max(1)).enumerate() {
                         for (j, &x) in mrow.iter().enumerate() {
                             mt[j * d_out + o] = x;
                         }
@@ -1077,12 +1076,10 @@ impl Graph {
             Op::Gather { param, indices } => {
                 let (slot, grad, _) = store.touched_grads(param, &indices);
                 scatter(&self.pool, grad, slot, g.view(), index_rows(&indices));
-                let cost = Cost {
-                    flops: g.len() as u64,
-                    bytes: 3 * (indices.len() * g.cols() * 4) as u64,
-                    spmm_calls: 0,
-                };
-                ("op::gather_backward", cost)
+                (
+                    "op::gather_backward",
+                    rows_scatter_cost(indices.len(), g.cols()),
+                )
             }
             Op::Spmm { param, pair } => {
                 // grad += Aᵀ · g, accumulated in place: untouched parameter
@@ -1090,19 +1087,7 @@ impl Graph {
                 let fwd = &pair.forward;
                 let (slot, grad, _) = store.touched_grads(param, pair.touched_columns());
                 scatter(&self.pool, grad, slot, g.view(), |i| fwd.row_entries(i));
-                // Accumulation makes every ±1 nonzero one add. Per nonzero:
-                // index+value, one row of `g`, and the gradient row read
-                // *and* written. The formula is the pull's, which gathered a
-                // row of `g` per nonzero; the push reads each row of `g` once
-                // per batch row, `(nnz − m) · n · 4` bytes fewer.
-                let (nnz, n) = (fwd.nnz() as u64, g.cols() as u64);
-                let per_nnz = if fwd.has_unit_coefficients() { 1 } else { 2 };
-                let cost = Cost {
-                    flops: per_nnz * nnz * n,
-                    bytes: nnz * 8 + 3 * nnz * n * 4,
-                    spmm_calls: 1,
-                };
-                ("op::spmm_backward", cost)
+                ("op::spmm_backward", csr_scatter_cost(fwd, g.cols()))
             }
             Op::SpmmScore { param, pair, score } => {
                 let fwd = &pair.forward;
@@ -1208,14 +1193,13 @@ impl Graph {
             } => {
                 let (m, gd, pool) = (g.rows(), g.as_slice(), &self.pool);
                 // d vecs[i] = M_{r}ᵀ · g_i: `g_i` times `Mᵣ` as stored, so no
-                // transposed copy — computed against the parameter value
+                // transposed copy — computed against the parameter table
                 // before its gradient is borrowed mutably.
                 let mut dv = Tensor::uninit_in(&mut self.arena, m, d_in);
-                let md = store.value(mats).as_slice();
+                let mv = store.table(mats);
                 pool.for_rows(dv.as_mut_slice(), d_in.max(1), 32, |first, chunk| {
                     for_each_group(&by_rel, first, first + chunk.len() / d_in, |r, rows| {
-                        let mat = &md[r * d_out * d_in..(r + 1) * d_out * d_in];
-                        project_group(rows, gd, mat, first, chunk, d_in);
+                        project_group(rows, gd, mv.row(r), first, chunk, d_in);
                     });
                 });
                 // d mats[r] += Σ_i g_i ⊗ vecs[i], each relation group pushed
@@ -1339,7 +1323,9 @@ fn index_rows<'a>(indices: &'a [u32]) -> impl Fn(usize) -> (&'a [u32], &'a [f32]
 ///
 /// It runs the tape's one scatter with coefficient `1` on the global pool,
 /// so each destination row receives its updates in index-scan order and
-/// the result is bit-identical at any pool width.
+/// the result is bit-identical at any pool width. It adds to the
+/// `sparse::metrics` totals what the tape's `op::gather_backward` row
+/// charges for the same scatter.
 ///
 /// # Panics
 ///
@@ -1347,12 +1333,7 @@ fn index_rows<'a>(indices: &'a [u32]) -> impl Fn(usize) -> (&'a [u32], &'a [f32]
 /// index is not a row of `dst`.
 pub fn scatter_add_rows(dst: &mut Tensor, indices: &[u32], src: &Tensor) {
     check_scatter(dst, indices, src, indices.len());
-    let bytes = 3 * (indices.len() * src.cols() * 4) as u64;
-    Cost {
-        bytes,
-        ..Cost::default()
-    }
-    .record();
+    rows_scatter_cost(indices.len(), src.cols()).record();
     let (pool, dst) = (PoolHandle::global(), dst.as_mut_slice());
     scatter(&pool, dst, |r| r, src.view(), index_rows(indices));
 }
@@ -1361,6 +1342,8 @@ pub fn scatter_add_rows(dst: &mut Tensor, indices: &[u32], src: &Tensor) {
 /// of `a`, on the global pool — row `i` of `src`, times each coefficient,
 /// added into the rows of `dst` that row `i` of `a` names, so each
 /// destination row receives its updates in ascending `i` at any pool width.
+/// It adds to the `sparse::metrics` totals what the tape's
+/// `op::spmm_backward` row charges for the same scatter.
 ///
 /// # Panics
 ///
@@ -1368,6 +1351,7 @@ pub fn scatter_add_rows(dst: &mut Tensor, indices: &[u32], src: &Tensor) {
 /// column that is not a row of `dst`.
 pub fn scatter_add_csr(dst: &mut Tensor, a: &CsrMatrix, src: &Tensor) {
     check_scatter(dst, a.indices(), src, a.rows());
+    csr_scatter_cost(a, src.cols()).record();
     let (pool, dst) = (PoolHandle::global(), dst.as_mut_slice());
     scatter(&pool, dst, |r| r, src.view(), |i| a.row_entries(i));
 }
@@ -1411,6 +1395,34 @@ fn scatter<'e>(
             }
         }
     });
+}
+
+/// What [`scatter`] costs with one coefficient-`1` entry per source row
+/// (the gather backward, [`scatter_add_rows`]): per element of the `rows × n`
+/// source, one add, and the source lane read plus the gradient lane read and
+/// written.
+fn rows_scatter_cost(rows: usize, n: usize) -> Cost {
+    Cost {
+        flops: (rows * n) as u64,
+        bytes: 3 * (rows * n * 4) as u64,
+        spmm_calls: 0,
+    }
+}
+
+/// What [`scatter`] costs fed from the rows of `a` with `n`-wide source rows
+/// (the SpMM backward, [`scatter_add_csr`]). Accumulation makes every ±1
+/// nonzero one add. Per nonzero: index+value, one row of the source, and the
+/// gradient row read *and* written. The formula is the pull's, which
+/// gathered a source row per nonzero; the push reads each source row once
+/// per row of `a`, `(nnz − m) · n · 4` bytes fewer.
+fn csr_scatter_cost(a: &CsrMatrix, n: usize) -> Cost {
+    let (nnz, n) = (a.nnz() as u64, n as u64);
+    let per_nnz = if a.has_unit_coefficients() { 1 } else { 2 };
+    Cost {
+        flops: per_nnz * nnz * n,
+        bytes: nnz * 8 + 3 * nnz * n * 4,
+        spmm_calls: 1,
+    }
 }
 
 /// Row `s` of the `n`-wide rows that `window` holds from row `first` on,

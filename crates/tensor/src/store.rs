@@ -565,9 +565,9 @@ impl ParamStore {
     /// Panics for paged parameters: their value tensor holds the slot
     /// cache, not the full table, so any caller reaching for the whole
     /// matrix must [`ParamStore::unpage`] first (or use
-    /// [`ParamStore::table`] if it reads row by row). This is also the
-    /// guard that stops ops without paged support (gathers, projections)
-    /// from silently reading slot bytes as absolute rows.
+    /// [`ParamStore::table`] if it reads row by row, as every tape op
+    /// does). This is the guard that stops any other reader from silently
+    /// taking slot bytes for absolute rows.
     pub fn value(&self, id: ParamId) -> &Tensor {
         self.assert_resident(id);
         &self.values[id.0]

@@ -500,8 +500,8 @@ sparse gradients and --store ram.
 --store disk: the embedding table lives in {out}.pagefile (train) or the
 dump (serve), and each batch or query pages its rows into a --cache-rows
 LRU row cache. Paging moves bytes, never arithmetic: the run is
-bit-identical to --store ram. Every sparse --model pages; the -dense gather
-baselines do not. Requires SGD and sparse gradients.
+bit-identical to --store ram. Every --model pages, the -dense gather
+baselines included. Requires SGD and sparse gradients.
 
 serve reads the stacked table of an hrt model (TransE/TorusE layout) under
 the --norm it was trained with (a toruse dump trained under l1 is served
@@ -730,7 +730,6 @@ impl TrainJob<'_> {
     fn run(&self) -> Result<String, CliError> {
         let config = &self.config;
         let arm = Arm {
-            pages: self.model.pages,
             paged: self.cache_rows.is_some(),
             optimizer: config.optimizer,
             dense_grads: config.dense_grads,
@@ -804,7 +803,7 @@ impl TrainJob<'_> {
 /// The table `sptx train` pages out and dumps: the first one the model
 /// registered, which is the stacked entity+relation `embeddings` of the
 /// `hrt` families (what `sptx serve` reads) and the `entities` of the
-/// others — the table every sparse family pages.
+/// others — the table every family pages.
 fn embedding_table(store: &tensor::ParamStore) -> Option<tensor::ParamId> {
     store.param_ids().first().copied()
 }
@@ -1375,10 +1374,10 @@ mod tests {
         let (dir, train) = kg("sptx-cli-test-paged", 150, 4, 700);
         let common =
             format!("train --train {train} --epochs 2 --dim 8 --batch-size 16 --rel-dim 4");
-        // The stacked `embeddings` of an hrt model, the `entities` of an ht
-        // one: either is the table the run pages and dumps. Every family
-        // that pages is reachable by name.
-        for model in MODELS.iter().filter(|m| m.pages) {
+        // The stacked `embeddings` of an hrt model, the `entities` of the
+        // others: either is the table the run pages and dumps. Every family
+        // pages.
+        for model in MODELS {
             let model = model.key();
             let ram = dir.join("emb_ram.bin");
             let msg = cli(&format!("{common} --model {model} --out {}", ram.display())).unwrap();
@@ -1439,7 +1438,6 @@ mod tests {
             "--store disk --fused false",
             "--store disk --cache-rows 0",
             "--store tape",
-            "--store disk --model transe-dense",
         ] {
             let result = cli(&format!("train --train missing.tsv {extra}"));
             assert!(is_usage(result), "expected a usage error for {extra:?}");
