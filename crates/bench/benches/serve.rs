@@ -11,9 +11,18 @@
 //! on its own and summarized by [`LatencySummary`] — the one place in the
 //! benches that reads the clock itself.
 //!
+//! It ends with a calibration of the scan's cost model at the end-to-end
+//! `serve_ann` workload's shape (50 000 × 64 clustered entities, 224
+//! clusters, `nprobe` 8): ns per candidate of `Norm::distance` when each
+//! probed list is read by entity id from the id-ordered table (rows a stride
+//! apart) and when it is one contiguous run of a list-ordered table, plus
+//! µs per probe and per `top_k` over one query's candidates. A cache miss
+//! costs about probe + candidates × ns per row + `top_k`.
+//!
 //! The same numbers go to `BENCH_serve.json` (see `sptx_bench::json`):
 //! `build_ms`, the probe's µs per query, and per arm p50, p99 and QPS, with
-//! recall@10 and scan fraction per `nprobe` and the cached arm's hit rate.
+//! recall@10 and scan fraction per `nprobe`, the cached arm's hit rate, and
+//! the calibration record.
 //! The committed file is one run of
 //! `SPTX_NUM_THREADS=1 cargo bench -p sptx-bench --bench serve`.
 
@@ -23,7 +32,8 @@ use kg::synthetic::SyntheticKgBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sptransx::serve::{
-    recall_at_k, IvfConfig, IvfIndex, LatencySummary, Query, ServeEngine, ServeModel, ZipfWorkload,
+    recall_at_k, top_k, IvfConfig, IvfIndex, LatencySummary, Query, ServeEngine, ServeModel,
+    ZipfWorkload,
 };
 use sptransx::Norm;
 use sptx_bench::harness::time_arm;
@@ -94,6 +104,123 @@ fn latency_record(arm: &str, s: &LatencySummary) -> JsonObject {
         .num("p50_us", us(s.p50))
         .num("p99_us", us(s.p99))
         .num("qps", s.qps)
+}
+
+/// The scan's cost model at the `serve_ann` shape: the ns per candidate of
+/// the rescore over list-strided rows (read by id) and over one contiguous
+/// run (read by list position), µs per probe and µs per `top_k`.
+fn calibrate() -> JsonObject {
+    const N: usize = 50_000;
+    const DIM: usize = 64;
+    const CLUSTERS: usize = 224;
+    const NPROBE: usize = 8;
+    const QUERIES: usize = 400;
+    let mut rng = StdRng::seed_from_u64(17);
+    let centres: Vec<f32> = (0..64 * DIM).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
+    let by_id: Vec<f32> = (0..N * DIM)
+        .map(|i| centres[(i / DIM % 64) * DIM + i % DIM] + rng.gen_range(-0.3f32..0.3))
+        .collect();
+    let cfg = IvfConfig {
+        clusters: CLUSTERS,
+        iters: 4,
+        seed: 0x5EED,
+    };
+    let index = IvfIndex::build(&by_id, N, DIM, &cfg, &PoolHandle::global()).unwrap();
+    let id_row = |e: u32| &by_id[e as usize * DIM..][..DIM];
+    let listed: Vec<f32> = (0..CLUSTERS)
+        .flat_map(|c| index.cluster(c).iter().flat_map(|&e| id_row(e)))
+        .copied()
+        .collect();
+    let mut start = vec![0usize; CLUSTERS + 1];
+    for c in 0..CLUSTERS {
+        start[c + 1] = start[c] + index.cluster(c).len();
+    }
+    // Query vectors as `serve_ann` forms them: an entity row plus a small
+    // relation row.
+    let queries: Vec<Vec<f32>> = (0..QUERIES)
+        .map(|_| {
+            let e = rng.gen_range(0..N as u32);
+            id_row(e)
+                .iter()
+                .map(|x| x + rng.gen_range(-0.05f32..0.05))
+                .collect()
+        })
+        .collect();
+    let probes: Vec<Vec<u32>> = queries
+        .iter()
+        .map(|q| index.nearest_clusters(q, NPROBE))
+        .collect();
+    let candidates: usize = probes
+        .iter()
+        .flatten()
+        .map(|&c| index.cluster(c as usize).len())
+        .sum();
+    let label = |what: &str| format!("calibration: {what} ({candidates} candidates)");
+    let norm = Norm::L2;
+    let strided_ms = time_arm(&label("strided rows"), Some(candidates as u64), || {
+        let mut acc = 0f32;
+        for (q, probe) in queries.iter().zip(&probes) {
+            for &c in probe {
+                for &e in index.cluster(c as usize) {
+                    acc += norm.distance(q, id_row(e));
+                }
+            }
+        }
+        acc
+    });
+    let contiguous_ms = time_arm(&label("contiguous run"), Some(candidates as u64), || {
+        let mut acc = 0f32;
+        for (q, probe) in queries.iter().zip(&probes) {
+            for &c in probe {
+                let run = &listed[start[c as usize] * DIM..start[c as usize + 1] * DIM];
+                for row in run.chunks_exact(DIM) {
+                    acc += norm.distance(q, row);
+                }
+            }
+        }
+        acc
+    });
+    let probe_ms = time_arm("calibration: probe", Some(QUERIES as u64), || {
+        queries
+            .iter()
+            .map(|q| index.nearest_clusters(q, NPROBE).len())
+            .sum::<usize>()
+    });
+    let pairs: Vec<Vec<(u32, f32)>> = queries
+        .iter()
+        .zip(&probes)
+        .map(|(q, probe)| {
+            let ids = probe.iter().flat_map(|&c| index.cluster(c as usize));
+            ids.map(|&e| (e, norm.distance(q, id_row(e)))).collect()
+        })
+        .collect();
+    let top_k_ms = time_arm("calibration: top_k", Some(QUERIES as u64), || {
+        pairs
+            .iter()
+            .map(|p| top_k(p.iter().copied(), K).len())
+            .sum::<usize>()
+    });
+    let per_query = |ms: f64| ms * 1e3 / QUERIES as f64;
+    let per_row = |ms: f64| ms * 1e6 / candidates as f64;
+    println!(
+        "  calibration at the serve_ann shape: {:.1} candidates/query, {:.2} ns/row strided, {:.2} ns/row contiguous, probe {:.2} us, top_k {:.2} us",
+        candidates as f64 / QUERIES as f64,
+        per_row(strided_ms),
+        per_row(contiguous_ms),
+        per_query(probe_ms),
+        per_query(top_k_ms),
+    );
+    JsonObject::new()
+        .str("bench", "serve")
+        .str("arm", "calibration")
+        .int("entities", N as u64)
+        .int("clusters", CLUSTERS as u64)
+        .int("nprobe", NPROBE as u64)
+        .num("candidates_per_query", candidates as f64 / QUERIES as f64)
+        .num("ns_per_row_strided", per_row(strided_ms))
+        .num("ns_per_row_contiguous", per_row(contiguous_ms))
+        .num("probe_us", per_query(probe_ms))
+        .num("top_k_us", per_query(top_k_ms))
 }
 
 fn main() {
@@ -211,6 +338,8 @@ fn main() {
             .int("nprobe", NPROBE as u64)
             .num("cache_hit_rate", hit_rate),
     );
+
+    records.push(calibrate());
 
     match write_bench_json("serve", &records) {
         Ok(path) => println!("wrote {}", path.display()),

@@ -225,7 +225,7 @@ impl IvfIndex {
     ///
     /// Panics if `c >= num_clusters()`.
     pub fn cluster(&self, c: usize) -> &[u32] {
-        &self.entities[self.indptr[c] as usize..self.indptr[c + 1] as usize]
+        &self.entities[self.range(c)]
     }
 
     /// Centroid `c` as a `dim`-length row — what the panel is derived from
@@ -238,8 +238,22 @@ impl IvfIndex {
         &self.centroids[c * self.dim..(c + 1) * self.dim]
     }
 
+    /// The list positions of cluster `c`: `entities[range(c)]` is
+    /// [`IvfIndex::cluster`]`(c)`, and a table stored in list order holds
+    /// those entities' rows at exactly these rows.
+    pub(crate) fn range(&self, c: usize) -> std::ops::Range<usize> {
+        self.indptr[c] as usize..self.indptr[c + 1] as usize
+    }
+
+    /// The concatenated lists: position `p` holds entity `list_order()[p]`.
+    /// A permutation of `0..num_entities()`.
+    pub(crate) fn list_order(&self) -> &[u32] {
+        &self.entities
+    }
+
     /// The `nprobe` clusters nearest to `q` under squared L2 distance,
     /// nearest first; equidistant centroids resolve to the lower index.
+    /// `nprobe` is clamped to `1..=num_clusters()`.
     ///
     /// # Panics
     ///
@@ -251,9 +265,12 @@ impl IvfIndex {
         self.panel.for_each_block(q, |first, dists| {
             order.extend((first as u32..).zip(dists.iter().copied()));
         });
-        order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        order.truncate(nprobe.clamp(1, k));
-        order.into_iter().map(|(c, _)| c).collect()
+        // Selection, then a sort of the kept prefix: `(distance, id)` is a
+        // strict total order, so this is the full sort's prefix.
+        super::top_k(order, nprobe.clamp(1, k))
+            .into_iter()
+            .map(|(c, _)| c)
+            .collect()
     }
 
     /// Appends the candidate entities of the `nprobe` clusters nearest to

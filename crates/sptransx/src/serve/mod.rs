@@ -9,19 +9,28 @@
 //!
 //! * [`ServeModel`] loads that matrix back and implements
 //!   [`kg::eval::BatchScorer`] through the **same** batched walk training
-//!   evaluation uses (the scorer module's `batched_scores_into`) — so the
-//!   serving engine's exact arm is bit-identical to `evaluate_batched`'s
+//!   evaluation uses (the scorer module's `batched_scores_into`) — so
+//!   ranking through a loaded model is bit-identical to `evaluate_batched`'s
 //!   scoring by construction.
 //! * [`IvfIndex`] clusters the entity embeddings (deterministic k-means on
 //!   the shared `xparallel` pool) into inverted lists; a query probes the
 //!   `nprobe` nearest centroids and rescores only those candidates. `nprobe`
 //!   is the cost/recall knob: `nprobe == clusters` *is* the full scan, and
 //!   recall@K against the exact arm is a pure candidate-coverage measure.
+//! * **List-order storage.** [`ServeEngine::new`] moves the model's entity
+//!   rows, in place, into the index's list order (the concatenated inverted
+//!   lists), as an IVF-Flat index stores its vectors. Each probed cluster is
+//!   then one contiguous run of rows rather than one scattered fetch per
+//!   candidate; the model keeps an id → row map, through which every read of
+//!   an entity row by id goes.
 //! * One score for every arm: [`Norm::distance`] (the tape's row score of
 //!   `q − candidate`) against [`QueryDir::translated`], rows read through
 //!   the [`DenseView`] training reads — resident or mapped onto
-//!   [`PagedRows`]. Both ANN arms share one probe → rescore → top-K scan;
-//!   the exact arm stays on evaluation's walk as the reference.
+//!   [`PagedRows`]. Both ANN arms share one scan over the probed clusters'
+//!   list positions (the resident arm reads storage row `p`, the paged arm
+//!   the id-ordered row of the entity at `p`); the exact arm scans every
+//!   storage row in order. Answers name entity ids and depend only on the
+//!   set of `(id, score)` pairs, so the layout never shows in them.
 //! * [`QueryCache`] absorbs the hot head of Zipf-skewed traffic
 //!   ([`ZipfWorkload`]); its exact-LRU policy is cross-validated against a
 //!   fully-associative `simcache` model in the serving tests.
@@ -72,15 +81,6 @@ pub struct Query {
 }
 
 impl Query {
-    /// The `(u32, u32)` pair in the order the [`BatchScorer`] API expects:
-    /// `(head, rel)` for tail queries, `(rel, tail)` for head queries.
-    fn pair(&self) -> (u32, u32) {
-        match self.dir {
-            Direction::Tail => (self.entity, self.rel),
-            Direction::Head => (self.rel, self.entity),
-        }
-    }
-
     fn query_dir(&self) -> QueryDir {
         match self.dir {
             Direction::Tail => QueryDir::Tails,
@@ -95,9 +95,15 @@ impl Query {
 /// Holds the `(N + R) × d` matrix `sptx train` saves — entity rows first,
 /// relation rows below — plus the distance norm, which the save format does
 /// not record and must therefore match the training configuration.
+///
+/// The entity rows may be stored in any order: entity `e` sits at storage
+/// row `row_of[e]`. A loaded model stores them by id; [`ServeEngine::new`]
+/// moves them into its index's list order.
 #[derive(Debug, Clone)]
 pub struct ServeModel {
     emb: Vec<f32>,
+    /// Entity id → storage row.
+    row_of: Vec<u32>,
     num_entities: usize,
     num_relations: usize,
     dim: usize,
@@ -132,6 +138,7 @@ impl ServeModel {
         }
         Ok(Self {
             emb,
+            row_of: (0..num_entities as u32).collect(),
             num_entities,
             num_relations,
             dim,
@@ -184,7 +191,11 @@ impl ServeModel {
         self.norm
     }
 
-    /// The stacked `(N + R) × d` matrix, row-major (entities first).
+    /// The stacked `(N + R) × d` matrix, row-major, in **storage order**:
+    /// the entity rows first, the relation rows below. A model
+    /// [`ServeModel::load`] or [`ServeModel::from_stacked`] returns stores
+    /// its entity rows by id, so this is the dump `sptx train` wrote; the
+    /// model a [`ServeEngine`] holds stores them in its index's list order.
     pub fn embeddings(&self) -> &[f32] {
         &self.emb
     }
@@ -197,15 +208,25 @@ impl ServeModel {
     ///
     /// Panics if the query's entity or relation is out of range.
     pub fn query_vector(&self, query: &Query) -> Vec<f32> {
-        self.query_from(self.table(), query)
+        let [ent, rel] = self.rows_of(query);
+        let rel = self.table().row(rel as usize);
+        translate(query, self.entity(ent as usize), rel)
     }
 
-    /// The resident matrix as the table view training's kernels read.
+    /// The resident matrix as the table view training's kernels read,
+    /// in storage order.
     fn table(&self) -> DenseView<'_> {
         DenseView::new(self.num_entities + self.num_relations, self.dim, &self.emb)
     }
 
-    /// The two table rows a query reads: its entity's and its relation's.
+    /// Entity `id`'s resident row: every read of an entity row by id goes
+    /// through here.
+    fn entity(&self, id: usize) -> &[f32] {
+        self.table().row(self.row_of[id] as usize)
+    }
+
+    /// The two rows a query reads in the id-ordered table `sptx train`
+    /// dumps: its entity's and its relation's.
     fn rows_of(&self, query: &Query) -> [u32; 2] {
         let (n, r) = (self.num_entities, self.num_relations);
         assert!(
@@ -215,16 +236,19 @@ impl ServeModel {
         [query.entity, n as u32 + query.rel]
     }
 
-    /// `query`'s vector from rows of `table` — this model's matrix, or a row
-    /// cache over a copy of it.
-    fn query_from(&self, table: DenseView<'_>, query: &Query) -> Vec<f32> {
-        let [ent, rel] = self.rows_of(query).map(|row| table.row(row as usize));
-        let mut q = vec![0f32; self.dim];
-        query.query_dir().translated(ent, rel, &mut q);
-        q
+    /// Moves the entity rows so that storage row `i` holds entity `order[i]`
+    /// (`order` a permutation of the ids), in place; relation rows stay.
+    fn place(&mut self, order: &[u32]) {
+        let n = self.num_entities;
+        assert_eq!(order.len(), n, "placement must cover every entity");
+        let src: Vec<u32> = order.iter().map(|&e| self.row_of[e as usize]).collect();
+        permute_rows(&mut self.emb[..n * self.dim], self.dim, &src);
+        for (row, &e) in (0u32..).zip(order) {
+            self.row_of[e as usize] = row;
+        }
     }
 
-    /// The exact arm: every candidate's distance through the batched walk
+    /// Every candidate's distance, in id order, through the batched walk
     /// the training models evaluate on.
     fn scores_into(&self, dir: QueryDir, queries: &[(u32, u32)], out: &mut [f32]) {
         let (table, n) = (self.table(), self.num_entities);
@@ -233,9 +257,43 @@ impl ServeModel {
             queries,
             dir,
             out,
-            |ent, rel, q| dir.translated(table.row(ent), table.row(n + rel), q),
-            |_, q, cand, _| self.norm.distance(q, table.row(cand)),
+            |ent, rel, q| dir.translated(self.entity(ent), table.row(n + rel), q),
+            |_, q, cand, _| self.norm.distance(q, self.entity(cand)),
         );
+    }
+}
+
+/// `query`'s vector from its entity's row and its relation's.
+fn translate(query: &Query, ent: &[f32], rel: &[f32]) -> Vec<f32> {
+    let mut q = vec![0f32; ent.len()];
+    query.query_dir().translated(ent, rel, &mut q);
+    q
+}
+
+/// Reorders the `dim`-wide rows of `data` in place so that row `i` ends up
+/// holding what row `src[i]` held (`src` a permutation of the row indices):
+/// each cycle of `src` is followed once, through one row of scratch, so no
+/// second table is ever allocated.
+fn permute_rows(data: &mut [f32], dim: usize, src: &[u32]) {
+    debug_assert_eq!(data.len(), src.len() * dim);
+    let mut done = vec![false; src.len()];
+    let mut scratch = vec![0f32; dim];
+    for start in 0..src.len() {
+        if std::mem::replace(&mut done[start], true) || src[start] as usize == start {
+            continue;
+        }
+        scratch.copy_from_slice(&data[start * dim..(start + 1) * dim]);
+        let mut i = start;
+        loop {
+            let from = src[i] as usize;
+            if from == start {
+                data[i * dim..(i + 1) * dim].copy_from_slice(&scratch);
+                break;
+            }
+            data.copy_within(from * dim..(from + 1) * dim, i * dim);
+            done[from] = true;
+            i = from;
+        }
     }
 }
 
@@ -301,30 +359,35 @@ pub struct AnnAnswer {
     pub cache_hit: bool,
 }
 
-/// The serving engine: a [`ServeModel`], its [`IvfIndex`], and an optional
+/// The serving engine: a [`ServeModel`] whose entity rows it stores in
+/// its [`IvfIndex`]'s list order, that index, and an optional
 /// [`QueryCache`], with reusable scratch buffers so steady-state queries
-/// allocate only their answer vectors.
+/// allocate little beyond their answer vectors.
 #[derive(Debug)]
 pub struct ServeEngine {
     model: ServeModel,
     index: IvfIndex,
     cache: Option<QueryCache>,
-    /// Full-scan score buffer (`N` entries).
-    scan_buf: Vec<f32>,
-    /// ANN candidate ids.
+    /// ANN candidate list positions, probed cluster by probed cluster.
     cand_buf: Vec<u32>,
-    /// ANN candidate scores.
+    /// Candidate scores: one per list position of the ANN scan, one per
+    /// storage row of the full scan.
     score_buf: Vec<f32>,
 }
 
 impl ServeEngine {
-    /// Couples a model with an index built over its entity embeddings.
+    /// Couples a model with an index built over its entity embeddings, and
+    /// moves the model's entity rows into the index's list order, in place:
+    /// afterwards storage row `i` holds entity `i` of the concatenated
+    /// inverted lists, so each probed cluster is one contiguous run of rows.
+    /// The move costs one row of scratch plus one `u32` per entity, never a
+    /// second table; relation rows do not move.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Serve`] when the index disagrees with the model on
     /// dimension or entity count.
-    pub fn new(model: ServeModel, index: IvfIndex) -> Result<Self> {
+    pub fn new(mut model: ServeModel, index: IvfIndex) -> Result<Self> {
         if index.dim() != model.dim() {
             return Err(Error::serve(format!(
                 "index dimension {} does not match model dimension {}",
@@ -339,11 +402,11 @@ impl ServeEngine {
                 model.num_entities()
             )));
         }
+        model.place(index.list_order());
         Ok(Self {
             model,
             index,
             cache: None,
-            scan_buf: Vec::new(),
             cand_buf: Vec::new(),
             score_buf: Vec::new(),
         })
@@ -371,17 +434,21 @@ impl ServeEngine {
         self.cache.as_ref().map(|c| c.stats())
     }
 
-    /// Ground-truth arm: scores **all** `N` entities through the
-    /// [`BatchScorer`] kernels and returns the top-K, best first.
+    /// Ground-truth arm: scores **all** `N` entities — the [`BatchScorer`]
+    /// kernels' distances, bit for bit — and returns the top-K, best first.
+    /// The scan walks the storage rows in order and names each score by the
+    /// entity its row holds.
     ///
     /// # Panics
     ///
     /// Panics if the query's entity or relation is out of range.
     pub fn answer_exact(&mut self, query: &Query, k: usize) -> Vec<(u32, f32)> {
-        self.scan_buf.resize(self.model.num_entities(), 0.0);
-        self.model
-            .scores_into(query.query_dir(), &[query.pair()], &mut self.scan_buf);
-        top_k((0u32..).zip(self.scan_buf.iter().copied()), k)
+        let qv = self.model.query_vector(query);
+        let scores = &mut self.score_buf;
+        scores.resize(self.model.num_entities(), 0.0);
+        rescore(scores, &qv, self.model.norm(), self.model.table(), |s| s);
+        let ids = self.index.list_order().iter().copied();
+        top_k(ids.zip(scores.iter().copied()), k)
     }
 
     /// ANN arm: probes the `nprobe` nearest clusters and rescores only their
@@ -428,10 +495,11 @@ impl ServeEngine {
     /// engine's [`ServeModel`] is never touched; only its shape metadata and
     /// norm are used.
     ///
-    /// Bit-identical to [`ServeEngine::answer_ann`]: the resident arm's own
-    /// query vector and scan, over the same bytes seen through
-    /// [`PagedRows::table`]. The query cache is bypassed (the caller owns
-    /// caching policy for the paged tier).
+    /// Bit-identical to [`ServeEngine::answer_ann`]: the same query vector
+    /// and the same scan over the same bytes, read by entity id from the
+    /// id-ordered store through [`PagedRows::table`] where the resident arm
+    /// reads its list-ordered rows by position. The query cache is bypassed
+    /// (the caller owns caching policy for the paged tier).
     ///
     /// # Errors
     ///
@@ -459,14 +527,19 @@ impl ServeEngine {
                 table.cols()
             )));
         }
-        rows.ensure(&[&self.model.rows_of(query)])?;
-        let qv = self.model.query_from(rows.table(), query);
+        let [ent, rel] = self.model.rows_of(query);
+        rows.ensure(&[&[ent, rel]])?;
+        let table = rows.table();
+        let qv = translate(query, table.row(ent as usize), table.row(rel as usize));
         self.scan(Some(rows), &qv, k, nprobe)
     }
 
     /// The one candidate scan behind both ANN arms: probe the `nprobe`
-    /// nearest clusters, page their entities in if the table is `paged`,
-    /// rescore them against `qv` on the pool, keep the top `k`.
+    /// nearest clusters and walk their list positions. The resident table
+    /// holds position `p` at storage row `p`, so each cluster is one
+    /// contiguous run; the id-ordered `paged` table is paged in and read at
+    /// row `list_order()[p]`. Rescore against `qv` on the pool, keep the top
+    /// `k` under the entity ids.
     fn scan(
         &mut self,
         paged: Option<&mut PagedRows>,
@@ -474,29 +547,53 @@ impl ServeEngine {
         k: usize,
         nprobe: usize,
     ) -> Result<AnnAnswer> {
-        self.index.probe(qv, nprobe, &mut self.cand_buf);
-        let cands = &self.cand_buf;
-        let table = match paged {
-            Some(rows) => {
-                rows.ensure(&[cands])?;
-                rows.table()
-            }
-            None => self.model.table(),
-        };
-        let norm = self.model.norm();
+        let index = &self.index;
+        let clusters = index.nearest_clusters(qv, nprobe);
+        self.cand_buf.clear();
+        for &c in &clusters {
+            self.cand_buf
+                .extend(index.range(c as usize).map(|p| p as u32));
+        }
+        let (cands, ids, norm) = (&self.cand_buf, index.list_order(), self.model.norm());
         self.score_buf.resize(cands.len(), 0.0);
-        PoolHandle::global().for_mut(&mut self.score_buf, 256, |offset, chunk| {
-            for (dst, &e) in chunk.iter_mut().zip(&cands[offset..]) {
-                *dst = norm.distance(qv, table.row(e as usize));
+        match paged {
+            Some(rows) => {
+                let lists: Vec<&[u32]> = clusters
+                    .iter()
+                    .map(|&c| index.cluster(c as usize))
+                    .collect();
+                rows.ensure(&lists)?;
+                let at = |i: usize| ids[cands[i] as usize] as usize;
+                rescore(&mut self.score_buf, qv, norm, rows.table(), at);
             }
-        });
-        let scores = self.score_buf.iter().copied();
+            None => {
+                let at = |i: usize| cands[i] as usize;
+                rescore(&mut self.score_buf, qv, norm, self.model.table(), at);
+            }
+        }
+        let hits = cands.iter().map(|&p| ids[p as usize]);
         Ok(AnnAnswer {
-            hits: top_k(cands.iter().copied().zip(scores), k),
+            hits: top_k(hits.zip(self.score_buf.iter().copied()), k),
             scored: cands.len(),
             cache_hit: false,
         })
     }
+}
+
+/// `out[i] = norm.distance(qv, table.row(row(i)))` for every `i`, on the
+/// pool.
+fn rescore(
+    out: &mut [f32],
+    qv: &[f32],
+    norm: Norm,
+    table: DenseView<'_>,
+    row: impl Fn(usize) -> usize + Sync,
+) {
+    PoolHandle::global().for_mut(out, 256, |offset, chunk| {
+        for (i, dst) in (offset..).zip(chunk) {
+            *dst = norm.distance(qv, table.row(row(i)));
+        }
+    });
 }
 
 /// A fixed-budget row cache over a file-backed stacked embedding matrix:
@@ -672,6 +769,45 @@ mod tests {
         assert!(ServeModel::from_stacked(vec![0.0; 10], 3, 2, 2, Norm::L2).is_ok());
         assert!(ServeModel::from_stacked(vec![0.0; 9], 3, 2, 2, Norm::L2).is_err());
         assert!(ServeModel::from_stacked(vec![], 0, 2, 2, Norm::L2).is_err());
+    }
+
+    #[test]
+    fn permute_rows_matches_a_gathered_copy() {
+        let dim = 3;
+        let cases: [(&str, Vec<u32>); 5] = [
+            ("identity", (0..7).collect()),
+            ("one 7-cycle", (1..7).chain([0]).collect()),
+            ("all 2-cycles", vec![1, 0, 3, 2, 5, 4]),
+            ("n = 1", vec![0]),
+            ("mixed", vec![2, 0, 1, 3, 6, 5, 4]),
+        ];
+        for (what, src) in cases {
+            let table: Vec<f32> = (0..src.len() * dim).map(|v| v as f32).collect();
+            let gathered: Vec<f32> = src
+                .iter()
+                .flat_map(|&s| table[s as usize * dim..][..dim].to_vec())
+                .collect();
+            let mut permuted = table.clone();
+            permute_rows(&mut permuted, dim, &src);
+            assert_eq!(permuted, gathered, "{what}");
+        }
+    }
+
+    #[test]
+    fn placement_maps_every_id_to_its_row() {
+        let (n, r, dim) = (5, 2, 2);
+        let stack: Vec<f32> = (0..(n + r) * dim).map(|v| v as f32).collect();
+        let mut model = ServeModel::from_stacked(stack.clone(), n, r, dim, Norm::L2).unwrap();
+        // Placing twice composes: the second order is relative to the ids.
+        for order in [[3u32, 0, 4, 1, 2], [1, 2, 0, 4, 3]] {
+            model.place(&order);
+            for (row, &e) in order.iter().enumerate() {
+                let want = &stack[e as usize * dim..][..dim];
+                assert_eq!(model.entity(e as usize), want);
+                assert_eq!(&model.embeddings()[row * dim..][..dim], want);
+            }
+            assert_eq!(model.embeddings()[n * dim..], stack[n * dim..]);
+        }
     }
 
     #[test]

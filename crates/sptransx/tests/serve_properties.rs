@@ -17,7 +17,11 @@
 //! * the index's 16-lane centroid-panel kernel picks the argmin and the probe
 //!   order a row-at-a-time `RowScore::SquaredL2` scan picks, ties included;
 //! * a table with a non-finite entity coordinate, or zero k-means rounds,
-//!   is a configuration error rather than a silently poisoned index.
+//!   is a configuration error rather than a silently poisoned index;
+//! * `nearest_clusters`' selection returns the prefix of a full sort, ties
+//!   and NaN queries included;
+//! * the engine stores entity rows in list order, yet every arm answers
+//!   bit for bit as a brute force over the id-ordered dump does.
 
 use kg::eval::{evaluate_batched, BatchScorer, EvalConfig};
 use kg::stream::RowFile;
@@ -28,8 +32,8 @@ use sptransx::serve::{
     recall_at_k, top_k, Direction, IvfConfig, IvfIndex, PagedRows, Query, QueryCache, QueryKey,
     ServeEngine, ServeModel, ZipfWorkload,
 };
-use sptransx::{FileRowStorage, KgeModel, Norm, SpTransE, TrainConfig, Trainer};
-use tensor::RowScore;
+use sptransx::{FileRowStorage, KgeModel, Norm, QueryDir, SpTransE, TrainConfig, Trainer};
+use tensor::{RowScore, RowStorage};
 use xparallel::PoolHandle;
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -637,4 +641,150 @@ fn build_refuses_non_finite_entities_and_zero_rounds() {
     }
     let err = build(&stack, &IvfConfig { iters: 0, ..cfg }).unwrap_err();
     assert!(err.contains("iteration count must be positive"), "{err}");
+}
+
+/// `nearest_clusters` selects the `nprobe` nearest centroids and sorts only
+/// those. It must return the prefix of a full `(distance, id)` sort of every
+/// centroid: over tables whose repeated rows duplicate centroids (ties), for
+/// a query with one NaN coordinate (every distance NaN), and at `nprobe` 1,
+/// K − 1, K and K + 5.
+#[test]
+fn nearest_clusters_selection_equals_full_sort() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+    let mut duplicated = 0;
+    for case in 0..24u64 {
+        let d = rng.gen_range(1..=20usize);
+        let k = rng.gen_range(2..=40usize);
+        let distinct = rng.gen_range(1..=k);
+        let pool: Vec<f32> = (0..distinct * d)
+            .map(|_| rng.gen_range(-4i32..4) as f32 / 4.0)
+            .collect();
+        let n = k + rng.gen_range(0..2 * k);
+        let emb: Vec<f32> = (0..n)
+            .flat_map(|_| {
+                let r = rng.gen_range(0..distinct);
+                pool[r * d..(r + 1) * d].to_vec()
+            })
+            .collect();
+        let cfg = IvfConfig {
+            clusters: k,
+            iters: 2,
+            seed: case,
+        };
+        let index = IvfIndex::build(&emb, n, d, &cfg, &PoolHandle::global()).unwrap();
+        let kk = index.num_clusters();
+        duplicated += (0..kk)
+            .filter(|&a| (0..a).any(|b| index.centroid(a) == index.centroid(b)))
+            .count();
+
+        let mut queries: Vec<Vec<f32>> = (0..6)
+            .map(|_| (0..d).map(|_| rng.gen_range(-1.5f32..1.5)).collect())
+            .collect();
+        queries.extend(emb.chunks_exact(d).take(4).map(<[f32]>::to_vec));
+        let mut nan = queries[0].clone();
+        nan[d / 2] = f32::NAN;
+        queries.push(nan);
+        for q in &queries {
+            let mut full: Vec<(u32, f32)> = (0..kk)
+                .map(|c| (c as u32, RowScore::SquaredL2.distance(q, index.centroid(c))))
+                .collect();
+            full.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let full: Vec<u32> = full.into_iter().map(|(c, _)| c).collect();
+            for nprobe in [1, kk - 1, kk, kk + 5] {
+                let want = &full[..nprobe.clamp(1, kk)];
+                assert_eq!(
+                    index.nearest_clusters(q, nprobe),
+                    want,
+                    "case {case}: k {kk}, d {d}, nprobe {nprobe}, query {q:?}"
+                );
+            }
+        }
+    }
+    assert!(duplicated > 0, "no case produced tied centroids");
+}
+
+fn bits(hits: &[(u32, f32)]) -> Vec<(u32, u32)> {
+    hits.iter().map(|&(e, s)| (e, s.to_bits())).collect()
+}
+
+/// The engine stores entity rows in its index's list order; the answers must
+/// not show it. On random clustered tables under every norm, the exact arm,
+/// the ANN arm at `nprobe` 1, 3 and K, and the paged arm (which reads the
+/// id-ordered dump) all bit-equal a brute-force top-k over the original
+/// id-ordered rows (over the probed candidates for ANN). The engine's query
+/// vector is `QueryDir::translated` of the original rows, and an engine over
+/// the saved and reloaded index answers as the built one does.
+#[test]
+fn list_order_placement_answers_from_the_id_ordered_rows() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(47);
+    let norms = [Norm::L1, Norm::L2, Norm::TorusL1, Norm::TorusL2];
+    for case in 0..12u64 {
+        let norm = norms[case as usize % norms.len()];
+        let n = rng.gen_range(30..200usize);
+        let r = rng.gen_range(1..5usize);
+        let dim = rng.gen_range(2..12usize);
+        let stack = clustered_stack(n, r, rng.gen_range(2..9), dim, case);
+        let row = |i: usize| &stack[i * dim..(i + 1) * dim];
+        let cfg = IvfConfig {
+            clusters: rng.gen_range(3..14),
+            iters: 3,
+            seed: case,
+        };
+        let index = IvfIndex::build(&stack, n, dim, &cfg, &PoolHandle::global()).unwrap();
+        let k_all = index.num_clusters();
+        let path = temp_path(&format!("placement_{case}_{}.ivf", std::process::id()));
+        index.save(&path).unwrap();
+        let loaded = IvfIndex::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+
+        let model = || ServeModel::from_stacked(stack.clone(), n, r, dim, norm).unwrap();
+        let mut engine = ServeEngine::new(model(), index.clone()).unwrap();
+        let mut reloaded = ServeEngine::new(model(), loaded).unwrap();
+        let mut storage = tensor::VecStorage::new(n + r, dim);
+        storage.write_rows(0, n + r, &stack).unwrap();
+        let mut rows = PagedRows::new(Box::new(storage), n + r).unwrap();
+        let what = format!("case {case}: {norm:?}, n {n}, dim {dim}, {k_all} clusters");
+
+        for q in ZipfWorkload::new(n, r, 1.0, case).take(24) {
+            let dir = match q.dir {
+                Direction::Tail => QueryDir::Tails,
+                Direction::Head => QueryDir::Heads,
+            };
+            let mut qv = vec![0f32; dim];
+            dir.translated(row(q.entity as usize), row(n + q.rel as usize), &mut qv);
+            let got = engine.model().query_vector(&q);
+            assert_eq!(bits_of(&got), bits_of(&qv), "{what}: query vector of {q:?}");
+            let brute = |cands: &[u32]| {
+                let scored = cands
+                    .iter()
+                    .map(|&e| (e, norm.distance(&qv, row(e as usize))));
+                bits(&top_k(scored, 10))
+            };
+
+            let all: Vec<u32> = (0..n as u32).collect();
+            let exact = bits(&engine.answer_exact(&q, 10));
+            assert_eq!(exact, brute(&all), "{what}: exact arm, {q:?}");
+            assert_eq!(bits(&reloaded.answer_exact(&q, 10)), exact, "{what}");
+            for nprobe in [1, 3, k_all] {
+                let mut cands = Vec::new();
+                index.probe(&qv, nprobe, &mut cands);
+                let want = brute(&cands);
+                let ann = engine.answer_ann(&q, 10, nprobe);
+                assert_eq!(ann.scored, cands.len(), "{what}: nprobe {nprobe}");
+                assert_eq!(bits(&ann.hits), want, "{what}: ANN nprobe {nprobe}, {q:?}");
+                let paged = engine.answer_ann_paged(&mut rows, &q, 10, nprobe).unwrap();
+                assert_eq!(bits(&paged.hits), want, "{what}: paged nprobe {nprobe}");
+                let again = reloaded.answer_ann(&q, 10, nprobe);
+                assert_eq!(
+                    bits(&again.hits),
+                    want,
+                    "{what}: loaded index, nprobe {nprobe}"
+                );
+            }
+        }
+    }
+}
+
+fn bits_of(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }

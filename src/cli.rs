@@ -1432,15 +1432,24 @@ mod tests {
     #[test]
     fn train_store_disk_rejects_unsupported_configurations() {
         // Validation fires before the dataset loads, so no fixture needed.
-        for extra in [
-            "--store disk --optimizer adam",
-            "--store disk --dense-grads true",
-            "--store disk --fused false",
-            "--store disk --cache-rows 0",
-            "--store tape",
+        // Each line must be refused for its own reason, not as an unknown
+        // flag, so the message fragment is part of the case.
+        for (extra, why) in [
+            (
+                "--store disk --optimizer adam",
+                "--store disk requires --optimizer sgd",
+            ),
+            ("--store disk --dense-grads true", "drop --dense-grads true"),
+            (
+                "--store disk --cache-rows 0",
+                "--cache-rows must be at least 1",
+            ),
+            ("--store tape", "unknown --store \"tape\""),
         ] {
-            let result = cli(&format!("train --train missing.tsv {extra}"));
-            assert!(is_usage(result), "expected a usage error for {extra:?}");
+            match cli(&format!("train --train missing.tsv {extra}")) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains(why), "{extra}: message {msg:?}"),
+                other => panic!("{extra}: expected a usage error, got {other:?}"),
+            }
         }
     }
 
