@@ -15,9 +15,13 @@
 //! `serve_ann` workload's shape (50 000 × 64 clustered entities, 224
 //! clusters, `nprobe` 8): ns per candidate of `Norm::distance` when each
 //! probed list is read by entity id from the id-ordered table (rows a stride
-//! apart) and when it is one contiguous run of a list-ordered table, plus
-//! µs per probe and per `top_k` over one query's candidates. A cache miss
-//! costs about probe + candidates × ns per row + `top_k`.
+//! apart) and when it is one contiguous run of a list-ordered table, ns per
+//! candidate of the panel kernel over the same runs stored as 16-row
+//! column-major panels (the engine's layout), the bytes per ns a plain
+//! streaming read of the probed runs reaches (the bandwidth bound a scan
+//! cannot beat), plus µs per probe and per `top_k` over one query's
+//! candidates. A cache miss costs about probe + candidates × ns per row +
+//! `top_k`.
 //!
 //! The same numbers go to `BENCH_serve.json` (see `sptx_bench::json`):
 //! `build_ms`, the probe's µs per query, and per arm p50, p99 and QPS, with
@@ -38,6 +42,7 @@ use sptransx::serve::{
 use sptransx::Norm;
 use sptx_bench::harness::time_arm;
 use sptx_bench::json::{write_bench_json, JsonObject};
+use tensor::PANEL_LANES;
 use xparallel::PoolHandle;
 
 const K: usize = 10;
@@ -107,8 +112,10 @@ fn latency_record(arm: &str, s: &LatencySummary) -> JsonObject {
 }
 
 /// The scan's cost model at the `serve_ann` shape: the ns per candidate of
-/// the rescore over list-strided rows (read by id) and over one contiguous
-/// run (read by list position), µs per probe and µs per `top_k`.
+/// the rescore over list-strided rows (read by id), over one contiguous run
+/// (read by list position) and through the panel kernel over the run's
+/// panels, the bytes per ns of a streaming read of the runs, µs per probe
+/// and µs per `top_k`.
 fn calibrate() -> JsonObject {
     const N: usize = 50_000;
     const DIM: usize = 64;
@@ -180,6 +187,49 @@ fn calibrate() -> JsonObject {
         }
         acc
     });
+    // The list-ordered rows as the engine stores them: 16-row column-major
+    // panels, column `j` of row `l` at `[j·w + l]` (`w` < 16 only at the end).
+    let mut panels = listed.clone();
+    for block in panels.chunks_mut(PANEL_LANES * DIM) {
+        let (rows, w) = (block.to_vec(), block.len() / DIM);
+        for (l, row) in rows.chunks_exact(DIM).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                block[j * w + l] = v;
+            }
+        }
+    }
+    let panel_ms = time_arm(&label("16-row panels"), Some(candidates as u64), || {
+        let (score, mut dists) = (norm.row_score(), [0f32; PANEL_LANES]);
+        let mut acc = 0f32;
+        for (q, probe) in queries.iter().zip(&probes) {
+            for &c in probe {
+                let (first, end) = (start[c as usize], start[c as usize + 1]);
+                for b in first / PANEL_LANES..end.div_ceil(PANEL_LANES) {
+                    let lo = b * PANEL_LANES;
+                    let w = PANEL_LANES.min(N - lo);
+                    let panel = &panels[lo * DIM..(lo + w) * DIM];
+                    score.panel_distances(q, panel, &mut dists[..w]);
+                    let lanes = first.max(lo) - lo..end.min(lo + w) - lo;
+                    acc += dists[lanes].iter().sum::<f32>();
+                }
+            }
+        }
+        acc
+    });
+    let stream_ms = time_arm(&label("streaming read"), Some(candidates as u64), || {
+        let mut acc = [0f32; PANEL_LANES];
+        for probe in &probes {
+            for &c in probe {
+                let run = &listed[start[c as usize] * DIM..start[c as usize + 1] * DIM];
+                for chunk in run.chunks_exact(PANEL_LANES) {
+                    for (a, &v) in acc.iter_mut().zip(chunk) {
+                        *a += v;
+                    }
+                }
+            }
+        }
+        acc
+    });
     let probe_ms = time_arm("calibration: probe", Some(QUERIES as u64), || {
         queries
             .iter()
@@ -202,11 +252,14 @@ fn calibrate() -> JsonObject {
     });
     let per_query = |ms: f64| ms * 1e3 / QUERIES as f64;
     let per_row = |ms: f64| ms * 1e6 / candidates as f64;
+    let bytes_per_ns = (candidates * DIM * 4) as f64 / (stream_ms * 1e6);
     println!(
-        "  calibration at the serve_ann shape: {:.1} candidates/query, {:.2} ns/row strided, {:.2} ns/row contiguous, probe {:.2} us, top_k {:.2} us",
+        "  calibration at the serve_ann shape: {:.1} candidates/query, {:.2} ns/row strided, {:.2} ns/row contiguous, {:.2} ns/row panels, stream {:.2} B/ns, probe {:.2} us, top_k {:.2} us",
         candidates as f64 / QUERIES as f64,
         per_row(strided_ms),
         per_row(contiguous_ms),
+        per_row(panel_ms),
+        bytes_per_ns,
         per_query(probe_ms),
         per_query(top_k_ms),
     );
@@ -219,6 +272,8 @@ fn calibrate() -> JsonObject {
         .num("candidates_per_query", candidates as f64 / QUERIES as f64)
         .num("ns_per_row_strided", per_row(strided_ms))
         .num("ns_per_row_contiguous", per_row(contiguous_ms))
+        .num("ns_per_row_panel", per_row(panel_ms))
+        .num("stream_bytes_per_ns", bytes_per_ns)
         .num("probe_us", per_query(probe_ms))
         .num("top_k_us", per_query(top_k_ms))
 }

@@ -8,17 +8,16 @@
 //! to an exact full scan).
 //!
 //! **One distance kernel.** Every centroid distance — the k-means
-//! assignment of the build and the cluster ranking of every probe — is one
-//! kernel over a *panel*: the centroids transposed into blocks of
-//! `LANES = 16`, column `j` of a block's centroids stored together.
-//! One entity (or query) row advances its 16 distances at once, one
-//! `[f32; 16]` accumulator, which vectorizes at the baseline target. Each
-//! lane computes `t = x_j − c_j; acc += t·t` from `0.0` in ascending column
-//! order: exactly the IEEE operations `RowScore::SquaredL2.distance` performs
-//! on one pair (Rust never contracts them into an FMA), so every distance is
-//! bit-equal to the row-at-a-time scan, and the argmin walks the lanes in
-//! ascending cluster order with a strict `<`. The index bytes are those of
-//! the row-major scan it replaced; `kernel_golden` pins them. The panel is
+//! assignment of the build and the cluster ranking of every probe — is
+//! [`tensor::RowScore::panel_distances`] under `SquaredL2` over a *panel*:
+//! the centroids transposed into blocks of [`PANEL_LANES`] = 16, column `j`
+//! of a block's centroids stored together. One entity (or query) row
+//! advances its 16 distances at once, and each lane is bit-equal to
+//! `RowScore::SquaredL2.distance` on its pair, so the argmin walks the lanes
+//! in ascending cluster order with a strict `<` and picks what the
+//! row-at-a-time scan picked. The serving engine's candidate rescore is the
+//! same kernel over its entity panels. The index bytes are those of the
+//! row-major scan the panel replaced; `kernel_golden` pins them. The panel is
 //! derived from the row-major centroids at build and at load, and only the
 //! row-major centroids are written to disk.
 //!
@@ -36,15 +35,13 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use kg::stream;
+use tensor::{RowScore, PANEL_LANES};
 use xparallel::PoolHandle;
 
 use crate::{Error, Result};
 
 /// On-disk magic of a serialized [`IvfIndex`].
 const MAGIC: &[u8; 8] = b"SPTXIVF1";
-
-/// Centroids per panel block: the distances one row advances together.
-const LANES: usize = 16;
 
 /// K-means build parameters for [`IvfIndex::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -352,7 +349,8 @@ impl IvfIndex {
 
 /// The centroids transposed for the distance kernel: block `b` holds
 /// centroids `16b .. 16b + 16`, column by column —
-/// `data[(b·dim + j)·LANES + l]` is column `j` of centroid `b·LANES + l`.
+/// `data[(b·dim + j)·PANEL_LANES + l]` is column `j` of centroid
+/// `b·PANEL_LANES + l`.
 /// The last block's lanes past `K` hold `0.0`; their distances are computed
 /// and never reported.
 #[derive(Debug, Clone, PartialEq)]
@@ -366,11 +364,11 @@ impl Panel {
     /// Transposes `K × dim` row-major centroids.
     fn new(centroids: &[f32], dim: usize) -> Self {
         let k = centroids.len() / dim;
-        let mut data = vec![0.0; k.div_ceil(LANES) * dim * LANES];
+        let mut data = vec![0.0; k.div_ceil(PANEL_LANES) * dim * PANEL_LANES];
         for (c, row) in centroids.chunks_exact(dim).enumerate() {
-            let block = &mut data[c / LANES * dim * LANES..];
+            let block = &mut data[c / PANEL_LANES * dim * PANEL_LANES..];
             for (j, &v) in row.iter().enumerate() {
-                block[j * LANES + c % LANES] = v;
+                block[j * PANEL_LANES + c % PANEL_LANES] = v;
             }
         }
         Self { k, dim, data }
@@ -382,17 +380,11 @@ impl Panel {
     /// `RowScore::SquaredL2.distance(x, centroid)`.
     #[inline]
     fn for_each_block(&self, x: &[f32], mut f: impl FnMut(usize, &[f32])) {
-        debug_assert_eq!(x.len(), self.dim);
-        for (b, block) in self.data.chunks_exact(self.dim * LANES).enumerate() {
-            let mut acc = [0.0f32; LANES];
-            for (&xj, col) in x.iter().zip(block.chunks_exact(LANES)) {
-                for (a, &c) in acc.iter_mut().zip(col) {
-                    let t = xj - c;
-                    *a += t * t;
-                }
-            }
-            let first = b * LANES;
-            f(first, &acc[..LANES.min(self.k - first)]);
+        let mut dists = [0.0f32; PANEL_LANES];
+        for (b, block) in self.data.chunks_exact(self.dim * PANEL_LANES).enumerate() {
+            RowScore::SquaredL2.panel_distances(x, block, &mut dists);
+            let first = b * PANEL_LANES;
+            f(first, &dists[..PANEL_LANES.min(self.k - first)]);
         }
     }
 

@@ -17,20 +17,26 @@
 //!   `nprobe` nearest centroids and rescores only those candidates. `nprobe`
 //!   is the cost/recall knob: `nprobe == clusters` *is* the full scan, and
 //!   recall@K against the exact arm is a pure candidate-coverage measure.
-//! * **List-order storage.** [`ServeEngine::new`] moves the model's entity
-//!   rows, in place, into the index's list order (the concatenated inverted
-//!   lists), as an IVF-Flat index stores its vectors. Each probed cluster is
-//!   then one contiguous run of rows rather than one scattered fetch per
-//!   candidate; the model keeps an id → row map, through which every read of
-//!   an entity row by id goes.
+//! * **Panel storage.** [`ServeEngine::new`] moves the model's entity rows,
+//!   in place, into the index's list order (the concatenated inverted
+//!   lists), as an IVF-Flat index stores its vectors, and transposes each
+//!   block of [`PANEL_LANES`] = 16 storage rows into a column-major panel:
+//!   column `j` of the block's rows stored together (the last panel is
+//!   `N mod 16` rows wide). Each probed cluster is then a run of consecutive
+//!   panels; the model keeps an id → row map, through which every read of an
+//!   entity row by id goes, copying the row out of its panel.
 //! * One score for every arm: [`Norm::distance`] (the tape's row score of
-//!   `q − candidate`) against [`QueryDir::translated`], rows read through
-//!   the [`DenseView`] training reads — resident or mapped onto
-//!   [`PagedRows`]. Both ANN arms share one scan over the probed clusters'
-//!   list positions (the resident arm reads storage row `p`, the paged arm
-//!   the id-ordered row of the entity at `p`); the exact arm scans every
-//!   storage row in order. Answers name entity ids and depend only on the
-//!   set of `(id, score)` pairs, so the layout never shows in them.
+//!   `q − candidate`) against [`QueryDir::translated`]. The resident arms
+//!   score 16 candidates per pass through
+//!   [`tensor::RowScore::panel_distances`], whose every lane is that
+//!   distance bit for bit; the paged arm reads one row at a time through the
+//!   [`DenseView`] training reads, mapped onto [`PagedRows`]. Both ANN arms
+//!   share one scan over the probed clusters' list positions (the resident
+//!   arm scores the panels each cluster overlaps and keeps its lanes, the
+//!   paged arm reads the id-ordered row of the entity at `p`); the exact arm
+//!   is the same panel scan over every storage row. Answers name entity ids
+//!   and depend only on the set of `(id, score)` pairs, so the layout never
+//!   shows in them.
 //! * [`QueryCache`] absorbs the hot head of Zipf-skewed traffic
 //!   ([`ZipfWorkload`]); its exact-LRU policy is cross-validated against a
 //!   fully-associative `simcache` model in the serving tests.
@@ -53,6 +59,7 @@ use std::time::Duration;
 use kg::eval::BatchScorer;
 use kg::stream::RowFile;
 use sparse::DenseView;
+use tensor::{RowScore, PANEL_LANES};
 use xparallel::PoolHandle;
 
 use crate::model::Norm;
@@ -96,14 +103,18 @@ impl Query {
 /// relation rows below — plus the distance norm, which the save format does
 /// not record and must therefore match the training configuration.
 ///
-/// The entity rows may be stored in any order: entity `e` sits at storage
-/// row `row_of[e]`. A loaded model stores them by id; [`ServeEngine::new`]
-/// moves them into its index's list order.
+/// The entity rows may be stored in any order and in panels: entity `e`
+/// sits at storage row `row_of[e]`, and storage rows are grouped into
+/// column-major panels of `lanes` rows. A loaded model stores them by id, one
+/// row per panel (plain row-major rows); [`ServeEngine::new`] moves them into
+/// its index's list order, in panels of [`PANEL_LANES`].
 #[derive(Debug, Clone)]
 pub struct ServeModel {
     emb: Vec<f32>,
     /// Entity id → storage row.
     row_of: Vec<u32>,
+    /// Storage rows per panel: 1 (row-major) or [`PANEL_LANES`].
+    lanes: usize,
     num_entities: usize,
     num_relations: usize,
     dim: usize,
@@ -139,6 +150,7 @@ impl ServeModel {
         Ok(Self {
             emb,
             row_of: (0..num_entities as u32).collect(),
+            lanes: 1,
             num_entities,
             num_relations,
             dim,
@@ -191,11 +203,15 @@ impl ServeModel {
         self.norm
     }
 
-    /// The stacked `(N + R) × d` matrix, row-major, in **storage order**:
-    /// the entity rows first, the relation rows below. A model
+    /// The stacked `(N + R) × d` matrix in **storage order**: the `N × d`
+    /// entity region first, the relation rows below, row-major. A model
     /// [`ServeModel::load`] or [`ServeModel::from_stacked`] returns stores
-    /// its entity rows by id, so this is the dump `sptx train` wrote; the
-    /// model a [`ServeEngine`] holds stores them in its index's list order.
+    /// its entity rows by id, row-major, so this is the dump `sptx train`
+    /// wrote. The model a [`ServeEngine`] holds stores them in its index's
+    /// list order, as column-major panels of [`PANEL_LANES`] rows: panel `b`
+    /// starts at `b·16·d`, and column `j` of storage row `16b + l` is at
+    /// `b·16·d + j·w + l`, where `w` is 16 except in the last panel, which
+    /// is `N mod 16` rows wide when that is not zero.
     pub fn embeddings(&self) -> &[f32] {
         &self.emb
     }
@@ -209,20 +225,38 @@ impl ServeModel {
     /// Panics if the query's entity or relation is out of range.
     pub fn query_vector(&self, query: &Query) -> Vec<f32> {
         let [ent, rel] = self.rows_of(query);
-        let rel = self.table().row(rel as usize);
-        translate(query, self.entity(ent as usize), rel)
+        let mut q = vec![0f32; self.dim];
+        self.entity_into(ent as usize, &mut q);
+        query
+            .query_dir()
+            .translate(&mut q, self.relation_row(rel as usize));
+        q
     }
 
-    /// The resident matrix as the table view training's kernels read,
-    /// in storage order.
-    fn table(&self) -> DenseView<'_> {
-        DenseView::new(self.num_entities + self.num_relations, self.dim, &self.emb)
+    /// Stacked row `row ≥ N`: a relation row, row-major wherever the entity
+    /// rows are.
+    fn relation_row(&self, row: usize) -> &[f32] {
+        &self.emb[row * self.dim..(row + 1) * self.dim]
     }
 
-    /// Entity `id`'s resident row: every read of an entity row by id goes
-    /// through here.
-    fn entity(&self, id: usize) -> &[f32] {
-        self.table().row(self.row_of[id] as usize)
+    /// Storage rows `b·lanes ..` of the entity region as one column-major
+    /// panel, and its width `w` (`lanes`, or fewer in the last panel):
+    /// column `j` of row `l` at `[j·w + l]`.
+    fn panel(&self, b: usize) -> (&[f32], usize) {
+        let first = b * self.lanes;
+        let w = self.lanes.min(self.num_entities - first);
+        (&self.emb[first * self.dim..(first + w) * self.dim], w)
+    }
+
+    /// Copies entity `id`'s row out of its panel into `out`: every read of
+    /// an entity row by id goes through here.
+    fn entity_into(&self, id: usize, out: &mut [f32]) {
+        let row = self.row_of[id] as usize;
+        let (panel, w) = self.panel(row / self.lanes);
+        let lane = row % self.lanes;
+        for (o, col) in out.iter_mut().zip(panel.chunks_exact(w)) {
+            *o = col[lane];
+        }
     }
 
     /// The two rows a query reads in the id-ordered table `sptx train`
@@ -237,28 +271,42 @@ impl ServeModel {
     }
 
     /// Moves the entity rows so that storage row `i` holds entity `order[i]`
-    /// (`order` a permutation of the ids), in place; relation rows stay.
+    /// (`order` a permutation of the ids), stored as panels of
+    /// [`PANEL_LANES`] rows, in place; relation rows stay. A model already in
+    /// panels (one taken out of an engine) is first transposed back into
+    /// rows, and the order composes with its current placement.
     fn place(&mut self, order: &[u32]) {
-        let n = self.num_entities;
+        let (n, dim) = (self.num_entities, self.dim);
         assert_eq!(order.len(), n, "placement must cover every entity");
+        let ent = &mut self.emb[..n * dim];
+        transpose_blocks(ent, dim, self.lanes, Transpose::ToRows);
         let src: Vec<u32> = order.iter().map(|&e| self.row_of[e as usize]).collect();
-        permute_rows(&mut self.emb[..n * self.dim], self.dim, &src);
+        permute_rows(ent, dim, &src);
+        transpose_blocks(ent, dim, PANEL_LANES, Transpose::ToPanels);
+        self.lanes = PANEL_LANES;
         for (row, &e) in (0u32..).zip(order) {
             self.row_of[e as usize] = row;
         }
     }
 
     /// Every candidate's distance, in id order, through the batched walk
-    /// the training models evaluate on.
+    /// the training models evaluate on; each row is copied out of its panel
+    /// into the walk's scratch.
     fn scores_into(&self, dir: QueryDir, queries: &[(u32, u32)], out: &mut [f32]) {
-        let (table, n) = (self.table(), self.num_entities);
+        let n = self.num_entities;
         batched_scores_into(
             (n, self.dim),
             queries,
             dir,
             out,
-            |ent, rel, q| dir.translated(self.entity(ent), table.row(n + rel), q),
-            |_, q, cand, _| self.norm.distance(q, self.entity(cand)),
+            |ent, rel, q| {
+                self.entity_into(ent, q);
+                dir.translate(q, self.relation_row(n + rel));
+            },
+            |_, q, cand, row| {
+                self.entity_into(cand, row);
+                self.norm.distance(q, row)
+            },
         );
     }
 }
@@ -268,6 +316,49 @@ fn translate(query: &Query, ent: &[f32], rel: &[f32]) -> Vec<f32> {
     let mut q = vec![0f32; ent.len()];
     query.query_dir().translated(ent, rel, &mut q);
     q
+}
+
+/// Which way [`transpose_blocks`] turns each block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Transpose {
+    /// Row-major rows into a column-major panel.
+    ToPanels,
+    /// A column-major panel back into row-major rows.
+    ToRows,
+}
+
+/// Transposes every `lanes`-row block of the `dim`-wide rows of `data` in
+/// place, through one block of scratch. Block `b` covers rows
+/// `b·lanes ..`; the last block holds what is left, `w` rows. In panel form
+/// column `j` of the block's row `l` sits at `[j·w + l]`, in row form at
+/// `[l·dim + j]`. One-row blocks are the same in both forms.
+fn transpose_blocks(data: &mut [f32], dim: usize, lanes: usize, to: Transpose) {
+    if lanes == 1 {
+        return;
+    }
+    let mut scratch = vec![0f32; lanes * dim];
+    for block in data.chunks_mut(lanes * dim) {
+        let w = block.len() / dim;
+        let src = &mut scratch[..block.len()];
+        src.copy_from_slice(block);
+        // Each form is written in order, gathering from the other.
+        match to {
+            Transpose::ToPanels => {
+                for (j, col) in block.chunks_exact_mut(w).enumerate() {
+                    for (v, row) in col.iter_mut().zip(src.chunks_exact(dim)) {
+                        *v = row[j];
+                    }
+                }
+            }
+            Transpose::ToRows => {
+                for (l, row) in block.chunks_exact_mut(dim).enumerate() {
+                    for (v, col) in row.iter_mut().zip(src.chunks_exact(w)) {
+                        *v = col[l];
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Reorders the `dim`-wide rows of `data` in place so that row `i` ends up
@@ -379,9 +470,14 @@ impl ServeEngine {
     /// Couples a model with an index built over its entity embeddings, and
     /// moves the model's entity rows into the index's list order, in place:
     /// afterwards storage row `i` holds entity `i` of the concatenated
-    /// inverted lists, so each probed cluster is one contiguous run of rows.
-    /// The move costs one row of scratch plus one `u32` per entity, never a
-    /// second table; relation rows do not move.
+    /// inverted lists, and each block of [`PANEL_LANES`] storage rows is a
+    /// column-major panel (see [`ServeModel::embeddings`]), so each probed
+    /// cluster is a run of consecutive panels the panel kernel scores 16
+    /// rows at a time. The move costs one row of scratch, one 16-row block
+    /// of scratch for the transposition and one `u32` per entity, never a
+    /// second table; relation rows do not move. A model taken out of another
+    /// engine ([`ServeEngine::model`]) is transposed back into rows and
+    /// placed again.
     ///
     /// # Errors
     ///
@@ -436,8 +532,8 @@ impl ServeEngine {
 
     /// Ground-truth arm: scores **all** `N` entities — the [`BatchScorer`]
     /// kernels' distances, bit for bit — and returns the top-K, best first.
-    /// The scan walks the storage rows in order and names each score by the
-    /// entity its row holds.
+    /// The scan is the ANN arm's panel scan over every storage row, in
+    /// order, and names each score by the entity its row holds.
     ///
     /// # Panics
     ///
@@ -446,7 +542,7 @@ impl ServeEngine {
         let qv = self.model.query_vector(query);
         let scores = &mut self.score_buf;
         scores.resize(self.model.num_entities(), 0.0);
-        rescore(scores, &qv, self.model.norm(), self.model.table(), |s| s);
+        scan_panels(scores, &qv, &self.model, |s| s);
         let ids = self.index.list_order().iter().copied();
         top_k(ids.zip(scores.iter().copied()), k)
     }
@@ -497,9 +593,10 @@ impl ServeEngine {
     ///
     /// Bit-identical to [`ServeEngine::answer_ann`]: the same query vector
     /// and the same scan over the same bytes, read by entity id from the
-    /// id-ordered store through [`PagedRows::table`] where the resident arm
-    /// reads its list-ordered rows by position. The query cache is bypassed
-    /// (the caller owns caching policy for the paged tier).
+    /// id-ordered store through [`PagedRows::table`] and scored one row at a
+    /// time, where the resident arm scores its list-ordered panels 16 rows
+    /// at a time. The query cache is bypassed (the caller owns caching policy
+    /// for the paged tier).
     ///
     /// # Errors
     ///
@@ -517,14 +614,15 @@ impl ServeEngine {
         k: usize,
         nprobe: usize,
     ) -> Result<AnnAnswer> {
-        let table = self.model.table();
-        if (rows.rows(), rows.cols()) != (table.rows(), table.cols()) {
+        let m = &self.model;
+        let shape = (m.num_entities() + m.num_relations(), m.dim());
+        if (rows.rows(), rows.cols()) != shape {
             return Err(Error::serve(format!(
                 "paged store is {}x{} but the model needs {}x{}",
                 rows.rows(),
                 rows.cols(),
-                table.rows(),
-                table.cols()
+                shape.0,
+                shape.1
             )));
         }
         let [ent, rel] = self.model.rows_of(query);
@@ -536,10 +634,11 @@ impl ServeEngine {
 
     /// The one candidate scan behind both ANN arms: probe the `nprobe`
     /// nearest clusters and walk their list positions. The resident table
-    /// holds position `p` at storage row `p`, so each cluster is one
-    /// contiguous run; the id-ordered `paged` table is paged in and read at
-    /// row `list_order()[p]`. Rescore against `qv` on the pool, keep the top
-    /// `k` under the entity ids.
+    /// holds position `p` at storage row `p`, so each cluster is a run of
+    /// consecutive panels, scored through the panel kernel; the id-ordered
+    /// `paged` table is paged in and read one row at a time at row
+    /// `list_order()[p]`. Rescore against `qv` on the pool, keep the top `k`
+    /// under the entity ids.
     fn scan(
         &mut self,
         paged: Option<&mut PagedRows>,
@@ -566,10 +665,7 @@ impl ServeEngine {
                 let at = |i: usize| ids[cands[i] as usize] as usize;
                 rescore(&mut self.score_buf, qv, norm, rows.table(), at);
             }
-            None => {
-                let at = |i: usize| cands[i] as usize;
-                rescore(&mut self.score_buf, qv, norm, self.model.table(), at);
-            }
+            None => scan_panels(&mut self.score_buf, qv, &self.model, |i| cands[i] as usize),
         }
         let hits = cands.iter().map(|&p| ids[p as usize]);
         Ok(AnnAnswer {
@@ -580,8 +676,46 @@ impl ServeEngine {
     }
 }
 
+/// `out[i]` = the distance from `qv` to the placed model's storage row
+/// `row(i)`, for every `i`, on the pool. Each panel is scored whole through
+/// [`tensor::RowScore::panel_distances`] when the walk enters it, and the
+/// lanes the walk visits are read from it: a run of consecutive rows (one
+/// probed cluster, or the full scan) scores each of its panels once. Every
+/// lane bit-equals `norm.distance(qv, row)`, so neither the panel edges nor
+/// the pool's chunking can move a score.
+fn scan_panels(
+    out: &mut [f32],
+    qv: &[f32],
+    model: &ServeModel,
+    row: impl Fn(usize) -> usize + Sync,
+) {
+    debug_assert_eq!(model.lanes, PANEL_LANES, "a placed model is in panels");
+    let score = model.norm.row_score();
+    PoolHandle::global().for_mut(out, 256, |offset, chunk| {
+        let mut dists = [0f32; PANEL_LANES];
+        let mut held = usize::MAX;
+        for (i, dst) in (offset..).zip(chunk) {
+            let r = row(i);
+            if r / PANEL_LANES != held {
+                held = r / PANEL_LANES;
+                let (panel, w) = model.panel(held);
+                score_panel(score, qv, panel, &mut dists[..w]);
+            }
+            *dst = dists[r % PANEL_LANES];
+        }
+    });
+}
+
+/// One panel's distances, as a call of its own: the kernel inlined into the
+/// scan's per-row loop, with the score matched at run time, made a miss's
+/// scan ≈ 1.6× slower.
+#[inline(never)]
+fn score_panel(score: RowScore, qv: &[f32], panel: &[f32], out: &mut [f32]) {
+    score.panel_distances(qv, panel, out);
+}
+
 /// `out[i] = norm.distance(qv, table.row(row(i)))` for every `i`, on the
-/// pool.
+/// pool: the paged arm's one-row scan.
 fn rescore(
     out: &mut [f32],
     qv: &[f32],
@@ -794,17 +928,44 @@ mod tests {
     }
 
     #[test]
+    fn transpose_blocks_round_trips_through_panels() {
+        // 37 rows: two full 16-row panels and a 5-row tail.
+        let (rows, dim) = (37, 3);
+        let table: Vec<f32> = (0..rows * dim).map(|v| v as f32).collect();
+        let mut panels = table.clone();
+        transpose_blocks(&mut panels, dim, 16, Transpose::ToPanels);
+        for row in 0..rows {
+            let (b, l) = (row / 16, row % 16);
+            let w = 16.min(rows - 16 * b);
+            for j in 0..dim {
+                assert_eq!(panels[b * 16 * dim + j * w + l], table[row * dim + j]);
+            }
+        }
+        transpose_blocks(&mut panels, dim, 16, Transpose::ToRows);
+        assert_eq!(panels, table);
+        transpose_blocks(&mut panels, dim, 1, Transpose::ToPanels);
+        assert_eq!(panels, table, "one-row panels are rows");
+    }
+
+    #[test]
     fn placement_maps_every_id_to_its_row() {
-        let (n, r, dim) = (5, 2, 2);
+        // 21 entities: one full panel and a 5-row tail.
+        let (n, r, dim) = (21, 2, 3);
         let stack: Vec<f32> = (0..(n + r) * dim).map(|v| v as f32).collect();
         let mut model = ServeModel::from_stacked(stack.clone(), n, r, dim, Norm::L2).unwrap();
+        let reversed: Vec<u32> = (0..n as u32).rev().collect();
+        let shuffled: Vec<u32> = (0..n as u32).map(|i| i * 8 % n as u32).collect();
         // Placing twice composes: the second order is relative to the ids.
-        for order in [[3u32, 0, 4, 1, 2], [1, 2, 0, 4, 3]] {
+        for order in [reversed, shuffled] {
             model.place(&order);
+            let mut rows = model.embeddings()[..n * dim].to_vec();
+            transpose_blocks(&mut rows, dim, PANEL_LANES, Transpose::ToRows);
+            let mut got = vec![0f32; dim];
             for (row, &e) in order.iter().enumerate() {
                 let want = &stack[e as usize * dim..][..dim];
-                assert_eq!(model.entity(e as usize), want);
-                assert_eq!(&model.embeddings()[row * dim..][..dim], want);
+                model.entity_into(e as usize, &mut got);
+                assert_eq!(got, want);
+                assert_eq!(&rows[row * dim..][..dim], want);
             }
             assert_eq!(model.embeddings()[n * dim..], stack[n * dim..]);
         }

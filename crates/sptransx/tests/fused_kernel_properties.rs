@@ -17,8 +17,9 @@
 //! inside, on and past its 64-column tile, all five row scores, the paged
 //! arm (fused and unfused) against the resident one, and pool widths 1/4/8.
 //! The last test carries the contract past training: the distance evaluation
-//! and serving rank with *is* the tape's row score, and their query vector
-//! is the 2-nonzero incidence row it used to be built from.
+//! and serving rank with *is* the tape's row score, every lane of the panel
+//! kernel serving scans candidates with is that distance, and their query
+//! vector is the 2-nonzero incidence row it used to be built from.
 
 use kg::synthetic::SyntheticKgBuilder;
 use kg::{BatchPlan, Dataset, UniformSampler};
@@ -297,8 +298,10 @@ fn score_kernel_paged_matches_resident() {
 /// SpMM-built query it replaced, bit for bit — under all four norms, at
 /// widths on both sides of the score tile, with `±0.0`, `±inf` and `NaN`
 /// planted in either operand at the first column, the tile edge and the last
-/// column. (NaNs compare as a class: which operand's payload an addition of
-/// two NaNs keeps is the code generator's choice, not the arithmetic's.)
+/// column. Every lane of `RowScore::panel_distances` over 1-, 7- and 16-row
+/// panels of those rows bit-equals `Norm::distance` of its row. (NaNs compare
+/// as a class: which operand's payload an addition of two NaNs keeps is the
+/// code generator's choice, not the arithmetic's.)
 #[test]
 fn evaluation_distance_and_query_vector_are_the_tape_arithmetic() {
     const SPECIALS: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
@@ -313,6 +316,30 @@ fn evaluation_distance_and_query_vector_are_the_tape_arithmetic() {
                 let (mut a, mut b) = (a.clone(), b.clone());
                 (a[pos], b[pos]) = (sa, sb);
                 cases.push((a, b));
+            }
+        }
+        // The panel kernel: case `i`'s `a` against a `w`-row column-major
+        // panel of the `b`s of cases `i ..= i + w − 1`, so the plants sit
+        // in the query and in every lane.
+        for w in [1usize, 7, tensor::PANEL_LANES] {
+            for (i, (a, _)) in cases.iter().enumerate() {
+                let rows: Vec<&[f32]> = (0..w)
+                    .map(|l| cases[(i + l) % cases.len()].1.as_slice())
+                    .collect();
+                let panel: Vec<f32> = (0..d)
+                    .flat_map(|j| rows.iter().map(move |r| r[j]))
+                    .collect();
+                for norm in [Norm::L1, Norm::L2, Norm::TorusL1, Norm::TorusL2] {
+                    let mut got = vec![0f32; w];
+                    norm.row_score().panel_distances(a, &panel, &mut got);
+                    for (l, (&got, row)) in got.iter().zip(&rows).enumerate() {
+                        let want = norm.distance(a, row);
+                        assert!(
+                            same(got, want),
+                            "{norm:?}, width {d}, panel of {w}, lane {l}: {got:e} is not the row's {want:e}"
+                        );
+                    }
+                }
             }
         }
         for (a, b) in &cases {

@@ -20,8 +20,9 @@
 //!   is a configuration error rather than a silently poisoned index;
 //! * `nearest_clusters`' selection returns the prefix of a full sort, ties
 //!   and NaN queries included;
-//! * the engine stores entity rows in list order, yet every arm answers
-//!   bit for bit as a brute force over the id-ordered dump does.
+//! * the engine stores entity rows in list order as 16-row panels, yet every
+//!   arm, its model's `BatchScorer` and an engine built from its model
+//!   again answer bit for bit as the id-ordered dump does.
 
 use kg::eval::{evaluate_batched, BatchScorer, EvalConfig};
 use kg::stream::RowFile;
@@ -707,22 +708,35 @@ fn bits(hits: &[(u32, f32)]) -> Vec<(u32, u32)> {
     hits.iter().map(|&(e, s)| (e, s.to_bits())).collect()
 }
 
-/// The engine stores entity rows in its index's list order; the answers must
-/// not show it. On random clustered tables under every norm, the exact arm,
-/// the ANN arm at `nprobe` 1, 3 and K, and the paged arm (which reads the
-/// id-ordered dump) all bit-equal a brute-force top-k over the original
-/// id-ordered rows (over the probed candidates for ANN). The engine's query
-/// vector is `QueryDir::translated` of the original rows, and an engine over
-/// the saved and reloaded index answers as the built one does.
+/// The engine stores entity rows in its index's list order, as 16-row
+/// column-major panels; the answers must not show it. On random clustered
+/// tables under every norm, the exact arm, the ANN arm at `nprobe` 1, 3 and
+/// K, and the paged arm (which reads the id-ordered dump) all bit-equal a
+/// brute-force top-k over the original id-ordered rows (over the probed
+/// candidates for ANN). The engine's query vector is `QueryDir::translated`
+/// of the original rows, and an engine over the saved and reloaded index
+/// answers as the built one does. The engine's model scores and evaluates
+/// as the fresh model does (`BatchScorer` reads its rows out of the panels),
+/// and an engine built from it again answers as the first. Twelve random
+/// shapes, then `dim` 64 with `n mod 16` at 0, 1 and 15 (no tail panel, a
+/// one-row tail, the widest tail).
 #[test]
 fn list_order_placement_answers_from_the_id_ordered_rows() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(47);
     let norms = [Norm::L1, Norm::L2, Norm::TorusL1, Norm::TorusL2];
-    for case in 0..12u64 {
+    for case in 0..15u64 {
         let norm = norms[case as usize % norms.len()];
-        let n = rng.gen_range(30..200usize);
-        let r = rng.gen_range(1..5usize);
-        let dim = rng.gen_range(2..12usize);
+        let (n, r, dim) = match case {
+            0..12 => (
+                rng.gen_range(30..200usize),
+                rng.gen_range(1..5usize),
+                rng.gen_range(2..12usize),
+            ),
+            _ => {
+                let tail = [0, 1, 15][case as usize - 12];
+                (16 * rng.gen_range(4..12usize) + tail, 3, 64)
+            }
+        };
         let stack = clustered_stack(n, r, rng.gen_range(2..9), dim, case);
         let row = |i: usize| &stack[i * dim..(i + 1) * dim];
         let cfg = IvfConfig {
@@ -745,6 +759,32 @@ fn list_order_placement_answers_from_the_id_ordered_rows() {
         let mut rows = PagedRows::new(Box::new(storage), n + r).unwrap();
         let what = format!("case {case}: {norm:?}, n {n}, dim {dim}, {k_all} clusters");
 
+        let (fresh, held) = (model(), engine.model());
+        let tails: Vec<(u32, u32)> = (0..12).map(|i| (i * 7 % n as u32, i % r as u32)).collect();
+        let heads: Vec<(u32, u32)> = (0..12).map(|i| (i % r as u32, i * 5 % n as u32)).collect();
+        let (mut got, mut want) = (vec![0f32; 12 * n], vec![0f32; 12 * n]);
+        held.score_tails_into(&tails, &mut got);
+        fresh.score_tails_into(&tails, &mut want);
+        assert_eq!(bits_of(&got), bits_of(&want), "{what}: tail scores");
+        held.score_heads_into(&heads, &mut got);
+        fresh.score_heads_into(&heads, &mut want);
+        assert_eq!(bits_of(&got), bits_of(&want), "{what}: head scores");
+        let ds = SyntheticKgBuilder::new(n, r).seed(case).build();
+        assert!(!ds.test.is_empty(), "{what}: nothing to evaluate");
+        let (known, cfg) = (ds.all_known(), EvalConfig::default());
+        let report = |m: &ServeModel| {
+            let rep = evaluate_batched(m, &ds.test, &known, &cfg);
+            let hits: Vec<u32> = rep.hits_at.iter().map(|h| h.to_bits()).collect();
+            (
+                rep.mrr.to_bits(),
+                rep.mean_rank.to_bits(),
+                hits,
+                rep.queries,
+            )
+        };
+        assert_eq!(report(held), report(&fresh), "{what}: evaluate_batched");
+        let mut again = ServeEngine::new(held.clone(), index.clone()).unwrap();
+
         for q in ZipfWorkload::new(n, r, 1.0, case).take(24) {
             let dir = match q.dir {
                 Direction::Tail => QueryDir::Tails,
@@ -765,6 +805,13 @@ fn list_order_placement_answers_from_the_id_ordered_rows() {
             let exact = bits(&engine.answer_exact(&q, 10));
             assert_eq!(exact, brute(&all), "{what}: exact arm, {q:?}");
             assert_eq!(bits(&reloaded.answer_exact(&q, 10)), exact, "{what}");
+            assert_eq!(
+                bits(&again.answer_exact(&q, 10)),
+                exact,
+                "{what}: placed again"
+            );
+            let again_qv = again.model().query_vector(&q);
+            assert_eq!(bits_of(&again_qv), bits_of(&qv), "{what}: placed again");
             for nprobe in [1, 3, k_all] {
                 let mut cands = Vec::new();
                 index.probe(&qv, nprobe, &mut cands);
@@ -774,11 +821,17 @@ fn list_order_placement_answers_from_the_id_ordered_rows() {
                 assert_eq!(bits(&ann.hits), want, "{what}: ANN nprobe {nprobe}, {q:?}");
                 let paged = engine.answer_ann_paged(&mut rows, &q, 10, nprobe).unwrap();
                 assert_eq!(bits(&paged.hits), want, "{what}: paged nprobe {nprobe}");
-                let again = reloaded.answer_ann(&q, 10, nprobe);
+                let loaded = reloaded.answer_ann(&q, 10, nprobe);
                 assert_eq!(
-                    bits(&again.hits),
+                    bits(&loaded.hits),
                     want,
                     "{what}: loaded index, nprobe {nprobe}"
+                );
+                let placed = again.answer_ann(&q, 10, nprobe);
+                assert_eq!(
+                    bits(&placed.hits),
+                    want,
+                    "{what}: placed again, nprobe {nprobe}"
                 );
             }
         }
