@@ -21,7 +21,11 @@
 //! streaming read of the probed runs reaches (the bandwidth bound a scan
 //! cannot beat), plus µs per probe and per `top_k` over one query's
 //! candidates. A cache miss costs about probe + candidates × ns per row +
-//! `top_k`.
+//! `top_k`. For the index build it times the k-means assignment (every
+//! entity against the final centroids' 16-lane panel, two entities per pass
+//! as the build runs it, and one) at each instruction set the CPU runs, in
+//! one process: ns per (entity × 16-centroid block), so a build costs about
+//! `(iters + 1) × N × ⌈K/16⌉ × ns_per_block`.
 //!
 //! The same numbers go to `BENCH_serve.json` (see `sptx_bench::json`):
 //! `build_ms`, the probe's µs per query, and per arm p50, p99 and QPS, with
@@ -42,8 +46,8 @@ use sptransx::serve::{
 use sptransx::Norm;
 use sptx_bench::harness::time_arm;
 use sptx_bench::json::{write_bench_json, JsonObject};
-use tensor::PANEL_LANES;
-use xparallel::PoolHandle;
+use tensor::{RowScore, PANEL_LANES};
+use xparallel::{Isa, PoolHandle};
 
 const K: usize = 10;
 const CLUSTERS: usize = 128;
@@ -115,7 +119,8 @@ fn latency_record(arm: &str, s: &LatencySummary) -> JsonObject {
 /// the rescore over list-strided rows (read by id), over one contiguous run
 /// (read by list position) and through the panel kernel over the run's
 /// panels, the bytes per ns of a streaming read of the runs, µs per probe
-/// and µs per `top_k`.
+/// and µs per `top_k`, and ns per entity × centroid block of the k-means
+/// assignment at each instruction set.
 fn calibrate() -> JsonObject {
     const N: usize = 50_000;
     const DIM: usize = 64;
@@ -250,6 +255,41 @@ fn calibrate() -> JsonObject {
             .map(|p| top_k(p.iter().copied(), K).len())
             .sum::<usize>()
     });
+    // The k-means assignment as the build runs it, against the final
+    // centroids transposed into zero-padded 16-lane blocks: each entity's
+    // nearest centroid, one dispatch per pass over the entities, two
+    // entities per pass over a block (the build's form) or one.
+    let blocks = CLUSTERS.div_ceil(PANEL_LANES);
+    let mut centroid_panel = vec![0f32; blocks * DIM * PANEL_LANES];
+    for c in 0..CLUSTERS {
+        for (j, &v) in index.centroid(c).iter().enumerate() {
+            centroid_panel[(c / PANEL_LANES * DIM + j) * PANEL_LANES + c % PANEL_LANES] = v;
+        }
+    }
+    let assign = |isa: Isa, pairs: bool| {
+        let form = if pairs { "two rows" } else { "one row" };
+        let what = format!(
+            "calibration: k-means assignment, {form}, {} ({N} x {blocks} blocks)",
+            isa.name()
+        );
+        let ms = time_arm(&what, Some((N * blocks) as u64), || {
+            if pairs {
+                isa.run(
+                    #[inline(always)]
+                    || nearest_sum::<2>(&by_id, &centroid_panel, CLUSTERS),
+                )
+            } else {
+                isa.run(
+                    #[inline(always)]
+                    || nearest_sum::<1>(&by_id, &centroid_panel, CLUSTERS),
+                )
+            }
+        });
+        ms * 1e6 / (N * blocks) as f64
+    };
+    let isas = [Some(Isa::BASELINE), Isa::avx2()];
+    let [baseline_ns, avx2_ns] = isas.map(|isa| isa.map(|isa| assign(isa, true)));
+    let [baseline_one_ns, avx2_one_ns] = isas.map(|isa| isa.map(|isa| assign(isa, false)));
     let per_query = |ms: f64| ms * 1e3 / QUERIES as f64;
     let per_row = |ms: f64| ms * 1e6 / candidates as f64;
     let bytes_per_ns = (candidates * DIM * 4) as f64 / (stream_ms * 1e6);
@@ -263,7 +303,15 @@ fn calibrate() -> JsonObject {
         per_query(probe_ms),
         per_query(top_k_ms),
     );
-    JsonObject::new()
+    let ns = |v: Option<f64>| v.map_or("no AVX2 on this CPU".into(), |ns| format!("{ns:.2} ns"));
+    println!(
+        "  k-means assignment per entity x 16-centroid block: two rows {} baseline, {} avx2; one row {} baseline, {} avx2",
+        ns(baseline_ns),
+        ns(avx2_ns),
+        ns(baseline_one_ns),
+        ns(avx2_one_ns),
+    );
+    let record = JsonObject::new()
         .str("bench", "serve")
         .str("arm", "calibration")
         .int("entities", N as u64)
@@ -276,6 +324,46 @@ fn calibrate() -> JsonObject {
         .num("stream_bytes_per_ns", bytes_per_ns)
         .num("probe_us", per_query(probe_ms))
         .num("top_k_us", per_query(top_k_ms))
+        .int("assign_blocks", blocks as u64);
+    let arms = [
+        ("ns_per_assign_block_baseline", baseline_ns),
+        ("ns_per_assign_block_avx2", avx2_ns),
+        ("ns_per_assign_block_one_row_baseline", baseline_one_ns),
+        ("ns_per_assign_block_one_row_avx2", avx2_one_ns),
+    ];
+    arms.into_iter().fold(record, |record, (key, ns)| match ns {
+        Some(ns) => record.num(key, ns),
+        None => record,
+    })
+}
+
+/// The sum of every row's nearest centroid index, `R` rows per pass over
+/// each 16-centroid block of `panel` (the first `k` lanes are centroids):
+/// the build's assignment loop. Plain loops, always inlined, so the whole
+/// pass is compiled into its caller's [`Isa::run`] trampoline (an iterator
+/// adapter the compiler does not inline would run at the baseline width).
+#[inline(always)]
+fn nearest_sum<const R: usize>(rows: &[f32], panel: &[f32], k: usize) -> usize {
+    let dim = panel.len() / k.div_ceil(PANEL_LANES) / PANEL_LANES;
+    let mut dists = [[0f32; PANEL_LANES]; R];
+    let mut sum = 0;
+    for group in rows.chunks_exact(R * dim) {
+        let x: [&[f32]; R] = std::array::from_fn(|r| &group[r * dim..(r + 1) * dim]);
+        let mut best = [(0, f32::INFINITY); R];
+        for (b, block) in panel.chunks_exact(dim * PANEL_LANES).enumerate() {
+            RowScore::SquaredL2.panel_distances_rows(x, block, &mut dists);
+            let lanes = PANEL_LANES.min(k - b * PANEL_LANES);
+            for (best, dists) in best.iter_mut().zip(&dists) {
+                for (c, &d) in (b * PANEL_LANES..).zip(&dists[..lanes]) {
+                    if d < best.1 {
+                        *best = (c, d);
+                    }
+                }
+            }
+        }
+        sum += best.iter().map(|b| b.0).sum::<usize>();
+    }
+    sum
 }
 
 fn main() {

@@ -21,6 +21,20 @@
 //! derived from the row-major centroids at build and at load, and only the
 //! row-major centroids are written to disk.
 //!
+//! **Eight lanes where the CPU has them.** The assignment (one dispatch per
+//! pool chunk) and each probe's block scan run through
+//! [`xparallel::Isa::run`]: on a CPU with AVX2 the same loop is compiled
+//! 8 lanes wide (two registers per 16-lane accumulator instead of four),
+//! with the same IEEE operations in the same order per lane and no FMA, so
+//! the assignments, the index bytes and every probe order are the baseline
+//! loop's. At 8 lanes one entity's 16 sums are two dependent add chains,
+//! so the assignment walks each block with two entities at once
+//! ([`tensor::RowScore::panel_distances_rows`], each entity's lanes bit-equal
+//! to its own pass): four chains, bound by the adder ports instead of the
+//! add latency. The k-means is ≈ 98 % of building an index; its assignment
+//! costs about `(iters + 1) × N × ⌈K/16⌉` entity × block passes, which
+//! `benches/serve.rs` times at each instruction set.
+//!
 //! **Determinism contract:** [`IvfIndex::build`] produces a bit-identical
 //! index at any [`PoolHandle`] width (and therefore any `SPTX_NUM_THREADS`):
 //! the parallel assignment step computes each entity's nearest centroid
@@ -36,7 +50,7 @@ use std::path::Path;
 
 use kg::stream;
 use tensor::{RowScore, PANEL_LANES};
-use xparallel::PoolHandle;
+use xparallel::{Isa, PoolHandle};
 
 use crate::{Error, Result};
 
@@ -165,15 +179,16 @@ impl IvfIndex {
         // Per-entity (nearest cluster, squared distance) pairs; one slice so
         // the parallel pass needs a single destination-sharded loop.
         let mut assign: Vec<(u32, f32)> = vec![(0, 0.0); num_entities];
+        let isa = Isa::detected();
         for _ in 0..cfg.iters {
             let panel = Panel::new(&centroids, dim);
-            assign_nearest(ent, &panel, handle, &mut assign);
+            assign_nearest(isa, ent, &panel, handle, &mut assign);
             update_centroids(ent, dim, k, &assign, &mut centroids);
         }
         // Final assignment against the final centroids, so the inverted
         // lists match what `probe` will compute at query time.
         let panel = Panel::new(&centroids, dim);
-        assign_nearest(ent, &panel, handle, &mut assign);
+        assign_nearest(isa, ent, &panel, handle, &mut assign);
 
         // Inverted lists: one counting pass, one placement pass in entity
         // order — ascending ids within each cluster by construction.
@@ -259,9 +274,14 @@ impl IvfIndex {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
         let k = self.num_clusters();
         let mut order: Vec<(u32, f32)> = Vec::with_capacity(k);
-        self.panel.for_each_block(q, |first, dists| {
-            order.extend((first as u32..).zip(dists.iter().copied()));
-        });
+        Isa::detected().run(
+            #[inline(always)]
+            || {
+                self.panel.for_each_block(q, |first, dists| {
+                    order.extend((first as u32..).zip(dists.iter().copied()));
+                })
+            },
+        );
         // Selection, then a sort of the kept prefix: `(distance, id)` is a
         // strict total order, so this is the full sort's prefix.
         super::top_k(order, nprobe.clamp(1, k))
@@ -377,8 +397,9 @@ impl Panel {
     /// Calls `f(first, distances)` for every block in ascending cluster
     /// order: the squared L2 distances from `x` to centroids `first ..
     /// first + distances.len()`, each bit-equal to
-    /// `RowScore::SquaredL2.distance(x, centroid)`.
-    #[inline]
+    /// `RowScore::SquaredL2.distance(x, centroid)`. Always inlined, so it is
+    /// compiled into whichever [`Isa::run`] trampoline its caller runs.
+    #[inline(always)]
     fn for_each_block(&self, x: &[f32], mut f: impl FnMut(usize, &[f32])) {
         let mut dists = [0.0f32; PANEL_LANES];
         for (b, block) in self.data.chunks_exact(self.dim * PANEL_LANES).enumerate() {
@@ -388,31 +409,60 @@ impl Panel {
         }
     }
 
-    /// The nearest centroid to `x` and its squared distance; ties resolve to
-    /// the lowest cluster index.
-    #[inline]
-    fn nearest(&self, x: &[f32]) -> (u32, f32) {
-        let mut best = (0u32, f32::INFINITY);
-        self.for_each_block(x, |first, dists| {
-            for (c, &d) in (first as u32..).zip(dists) {
-                if d < best.1 {
-                    best = (c, d);
+    /// The nearest centroid to each of the rows `x` and its squared
+    /// distance; ties resolve to the lowest cluster index. One pass over a
+    /// block's columns advances all `R` rows' 16 distances, each bit-equal to
+    /// `RowScore::SquaredL2.distance(x[r], centroid)`.
+    #[inline(always)]
+    fn nearest<const R: usize>(&self, x: [&[f32]; R]) -> [(u32, f32); R] {
+        let mut best = [(0u32, f32::INFINITY); R];
+        let mut dists = [[0.0f32; PANEL_LANES]; R];
+        for (b, block) in self.data.chunks_exact(self.dim * PANEL_LANES).enumerate() {
+            RowScore::SquaredL2.panel_distances_rows(x, block, &mut dists);
+            let first = b * PANEL_LANES;
+            let lanes = PANEL_LANES.min(self.k - first);
+            for (best, dists) in best.iter_mut().zip(&dists) {
+                for (c, &d) in (first as u32..).zip(&dists[..lanes]) {
+                    if d < best.1 {
+                        *best = (c, d);
+                    }
                 }
             }
-        });
+        }
         best
     }
 }
 
 /// Parallel nearest-centroid assignment. Each entity's argmin is computed
 /// independently (ties → lowest cluster index) and written to exactly one
-/// destination slot, so the result is identical at any handle width.
-fn assign_nearest(ent: &[f32], panel: &Panel, handle: &PoolHandle, assign: &mut [(u32, f32)]) {
+/// destination slot, so the result is identical at any handle width. Each
+/// pool chunk's loop runs through one `isa` dispatch; either twin gives the
+/// same bits.
+fn assign_nearest(
+    isa: Isa,
+    ent: &[f32],
+    panel: &Panel,
+    handle: &PoolHandle,
+    assign: &mut [(u32, f32)],
+) {
     let dim = panel.dim;
     handle.for_mut(assign, 64, |offset, chunk| {
-        for (e, slot) in (offset..).zip(chunk.iter_mut()) {
-            *slot = panel.nearest(&ent[e * dim..(e + 1) * dim]);
-        }
+        isa.run(
+            #[inline(always)]
+            || {
+                // Two entities per pass over a block: at 8 lanes one
+                // entity's 16 sums are only two dependent add chains.
+                let row = |e: usize| &ent[e * dim..(e + 1) * dim];
+                let end = offset + chunk.len();
+                let mut pairs = chunk.chunks_exact_mut(2);
+                for (e, slots) in (offset..).step_by(2).zip(&mut pairs) {
+                    [slots[0], slots[1]] = panel.nearest([row(e), row(e + 1)]);
+                }
+                if let [slot] = pairs.into_remainder() {
+                    [*slot] = panel.nearest([row(end - 1)]);
+                }
+            },
+        )
     });
 }
 

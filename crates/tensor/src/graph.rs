@@ -9,7 +9,7 @@ use sparse::semiring::{semiring_spmm_into_with, Semiring};
 use sparse::spmm::{axpy, csr_spmm_into_with, prefetch_operands, spmm_row};
 use sparse::CsrMatrix;
 use sparse::DenseView;
-use xparallel::{PoolHandle, PREFETCH_DISTANCE};
+use xparallel::{Isa, PoolHandle, PREFETCH_DISTANCE};
 
 use crate::tensor::REDUCE_CHUNK;
 use crate::{Arena, ParamId, ParamStore, Tensor};
@@ -239,10 +239,11 @@ impl RowScore {
     ///
     /// Panics if `out` is empty or wider than [`PANEL_LANES`], or if
     /// `panel.len() != a.len() * out.len()`.
-    // Always inlined: the IVF build calls it once per entity and centroid
-    // block with a constant score, and as a call it made the k-means 13–25 %
-    // slower. A caller that scores with a runtime score wraps it in a
-    // function of its own (see the serving scan).
+    // Always inlined: the IVF probe calls it once per centroid block with a
+    // constant score (as a call it made the k-means 13–25 % slower when the
+    // build used it too), and an `Isa::run` trampoline only widens what is
+    // inlined into it. A caller that scores with a runtime score wraps it in
+    // a function of its own (see the serving scan).
     #[inline(always)]
     pub fn panel_distances(self, a: &[f32], panel: &[f32], out: &mut [f32]) {
         let w = out.len();
@@ -261,6 +262,44 @@ impl RowScore {
         }
         for (o, &al) in out.iter_mut().zip(&acc) {
             *o = self.finish(al);
+        }
+    }
+
+    /// [`RowScore::panel_distances`] for `R` rows at once against one full
+    /// panel of [`PANEL_LANES`] rows: `out[r][l]` is bit-equal to lane `l` of
+    /// `self.panel_distances(a[r], panel, ..)`. Each panel column is read once
+    /// for all `R` rows, and `R × 16` independent sums advance together, so
+    /// the adds are `R` times as many independent chains as one row's lanes
+    /// give: at 8 lanes one row's 16 sums are two chains, bound by the add
+    /// latency, and two rows are four.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row of `a` is not `panel.len() / PANEL_LANES` long.
+    #[inline(always)]
+    pub fn panel_distances_rows<const R: usize>(
+        self,
+        a: [&[f32]; R],
+        panel: &[f32],
+        out: &mut [[f32; PANEL_LANES]; R],
+    ) {
+        let d = panel.len() / PANEL_LANES;
+        assert!(a.iter().all(|row| row.len() == d), "rows are not {d} wide");
+        let mut acc = [[0.0f32; PANEL_LANES]; R];
+        with_term!(self, term => {
+            for (j, col) in panel.chunks_exact(PANEL_LANES).enumerate() {
+                for (acc, row) in acc.iter_mut().zip(&a) {
+                    let aj = row[j];
+                    for (al, &c) in acc.iter_mut().zip(col) {
+                        *al += term(aj - c);
+                    }
+                }
+            }
+        });
+        for (out, acc) in out.iter_mut().zip(&acc) {
+            for (o, &al) in out.iter_mut().zip(acc) {
+                *o = self.finish(al);
+            }
         }
     }
 
@@ -980,7 +1019,7 @@ impl Graph {
         let mut out = Tensor::uninit_in(&mut self.arena, m, d_out);
         // One `Mᵣᵀ` per chunk of batch rows, rewritten per relation group.
         let mut mt = Tensor::uninit_in(&mut self.arena, self.pool.width(), d_out * d_in);
-        let vd = self.nodes[vecs.0].value.as_slice();
+        let (vd, isa) = (self.nodes[vecs.0].value.as_slice(), Isa::detected());
         self.pool.for_rows_with_scratch(
             out.as_mut_slice(),
             d_out.max(1),
@@ -993,7 +1032,7 @@ impl Graph {
                             mt[j * d_out + o] = x;
                         }
                     }
-                    project_group(rows, vd, mt, first, chunk, d_out);
+                    project_group(isa, rows, vd, mt, first, chunk, d_out);
                 });
             },
         );
@@ -1277,6 +1316,7 @@ impl Graph {
                 d_in,
             } => {
                 let (m, gd, pool) = (g.rows(), g.as_slice(), &self.pool);
+                let isa = Isa::detected();
                 // d vecs[i] = M_{r}ᵀ · g_i: `g_i` times `Mᵣ` as stored, so no
                 // transposed copy — computed against the parameter table
                 // before its gradient is borrowed mutably.
@@ -1284,7 +1324,7 @@ impl Graph {
                 let mv = store.table(mats);
                 pool.for_rows(dv.as_mut_slice(), d_in.max(1), 32, |first, chunk| {
                     for_each_group(&by_rel, first, first + chunk.len() / d_in, |r, rows| {
-                        project_group(rows, gd, mv.row(r), first, chunk, d_in);
+                        project_group(isa, rows, gd, mv.row(r), first, chunk, d_in);
                     });
                 });
                 // d mats[r] += Σ_i g_i ⊗ vecs[i], each relation group pushed
@@ -1294,7 +1334,7 @@ impl Graph {
                 pool.for_rows(grad, n.max(1), 8, |first, window| {
                     for (r, rows) in by_rel.iter() {
                         if let Some(dm) = row_in(window, first, n, slot(r as usize)) {
-                            add_outer_products(rows, gd, vd, d_out, d_in, dm);
+                            add_outer_products(isa, rows, gd, vd, d_out, d_in, dm);
                         }
                     }
                 });
@@ -1536,7 +1576,9 @@ const PROJ_TILE: usize = 16;
 /// the dot-product loop `acc = 0.0; for p { acc += b[p, c] * a[p] }`. The
 /// loops are interchanged so that the `p`-th step is one contiguous row of
 /// `b` scaled by a scalar: `PROJ_TILE` independent sums advance together.
-#[inline]
+/// Always inlined, so it is compiled into its caller's [`Isa::run`]
+/// trampoline.
+#[inline(always)]
 fn row_times_matrix(a: &[f32], b: &[f32], out: &mut [f32]) {
     let n = out.len();
     debug_assert_eq!(b.len(), a.len() * n);
@@ -1587,17 +1629,31 @@ fn for_each_group(
 /// `out[i − first, :] = a[i, :] · b` for each batch row `i` of one relation
 /// group, where `b` is that relation's matrix with `n` columns, the width of
 /// an `out` row: `Mᵣᵀ` for the forward projection of `v`, `Mᵣ` as stored for
-/// the backward projection of `g`.
-fn project_group(rows: &[u32], a: &[f32], b: &[f32], first: usize, out: &mut [f32], n: usize) {
+/// the backward projection of `g`. The group is one `isa` dispatch; either
+/// twin gives the same bits.
+fn project_group(
+    isa: Isa,
+    rows: &[u32],
+    a: &[f32],
+    b: &[f32],
+    first: usize,
+    out: &mut [f32],
+    n: usize,
+) {
     let depth = b.len() / n;
-    for &i in rows {
-        let i = i as usize;
-        row_times_matrix(
-            &a[i * depth..(i + 1) * depth],
-            b,
-            &mut out[(i - first) * n..(i - first + 1) * n],
-        );
-    }
+    isa.run(
+        #[inline(always)]
+        || {
+            for &i in rows {
+                let i = i as usize;
+                row_times_matrix(
+                    &a[i * depth..(i + 1) * depth],
+                    b,
+                    &mut out[(i - first) * n..(i - first + 1) * n],
+                );
+            }
+        },
+    )
 }
 
 /// `dm[o, j] += Σ_i g[i, o] · v[i, j]` over the batch rows `rows` of one
@@ -1605,8 +1661,10 @@ fn project_group(rows: &[u32], a: &[f32], b: &[f32], first: usize, out: &mut [f3
 /// continues from the stored value in the order of `rows` (ascending `i`,
 /// the order a scan over the batch meets them). A tile of `dm` is loaded
 /// once, accumulated over the whole group in registers and stored once,
-/// instead of the matrix being read and rewritten per batch row.
+/// instead of the matrix being read and rewritten per batch row. The group
+/// is one `isa` dispatch; either twin gives the same bits.
 fn add_outer_products(
+    isa: Isa,
     rows: &[u32],
     g: &[f32],
     v: &[f32],
@@ -1617,36 +1675,41 @@ fn add_outer_products(
     if rows.is_empty() || d_in == 0 {
         return;
     }
-    let full = d_in - d_in % PROJ_TILE;
-    for (o, drow) in dm.chunks_exact_mut(d_in).enumerate() {
-        for j0 in (0..full).step_by(PROJ_TILE) {
-            let tile: &mut [f32; PROJ_TILE] = (&mut drow[j0..j0 + PROJ_TILE])
-                .try_into()
-                .expect("tile is PROJ_TILE wide");
-            let mut acc = *tile;
-            for &i in rows {
-                let i = i as usize;
-                let go = g[i * d_out + o];
-                let vtile: &[f32; PROJ_TILE] = v[i * d_in + j0..i * d_in + j0 + PROJ_TILE]
-                    .try_into()
-                    .expect("tile is PROJ_TILE wide");
-                for (s, &x) in acc.iter_mut().zip(vtile) {
-                    *s += go * x;
+    isa.run(
+        #[inline(always)]
+        || {
+            let full = d_in - d_in % PROJ_TILE;
+            for (o, drow) in dm.chunks_exact_mut(d_in).enumerate() {
+                for j0 in (0..full).step_by(PROJ_TILE) {
+                    let tile: &mut [f32; PROJ_TILE] = (&mut drow[j0..j0 + PROJ_TILE])
+                        .try_into()
+                        .expect("tile is PROJ_TILE wide");
+                    let mut acc = *tile;
+                    for &i in rows {
+                        let i = i as usize;
+                        let go = g[i * d_out + o];
+                        let vtile: &[f32; PROJ_TILE] = v[i * d_in + j0..i * d_in + j0 + PROJ_TILE]
+                            .try_into()
+                            .expect("tile is PROJ_TILE wide");
+                        for (s, &x) in acc.iter_mut().zip(vtile) {
+                            *s += go * x;
+                        }
+                    }
+                    *tile = acc;
+                }
+                if full < d_in {
+                    for &i in rows {
+                        let i = i as usize;
+                        let go = g[i * d_out + o];
+                        let vtail = &v[i * d_in + full..(i + 1) * d_in];
+                        for (s, &x) in drow[full..].iter_mut().zip(vtail) {
+                            *s += go * x;
+                        }
+                    }
                 }
             }
-            *tile = acc;
-        }
-        if full < d_in {
-            for &i in rows {
-                let i = i as usize;
-                let go = g[i * d_out + o];
-                let vtail = &v[i * d_in + full..(i + 1) * d_in];
-                for (s, &x) in drow[full..].iter_mut().zip(vtail) {
-                    *s += go * x;
-                }
-            }
-        }
-    }
+        },
+    )
 }
 
 #[cfg(test)]
@@ -2033,6 +2096,167 @@ mod tests {
             // a skipped zero: batch row 21 (relation 1, `+inf`) has `g = 0`.
             let dv_row = &got[1][21 * d_in..22 * d_in];
             assert!(dv_row.contains(&0x7fc0_0000), "zero-gradient row skipped");
+        }
+    }
+
+    /// The widths every twin test sweeps: under, at and over the 4-, 8- and
+    /// 16-lane edges, and two whole-tile-plus-tail widths.
+    const TWIN_WIDTHS: [usize; 9] = [1, 7, 15, 16, 17, 63, 64, 65, 130];
+
+    /// The AVX2 twin to compare with the baseline, or `None` after a skip
+    /// line on a CPU without AVX2.
+    fn avx2_twin(test: &str) -> Option<Isa> {
+        let isa = Isa::avx2();
+        if isa.is_none() {
+            println!("{test}: skipped the AVX2 half, this CPU has no AVX2");
+        }
+        isa
+    }
+
+    /// `n` values in about ±2.5 from a fixed LCG. With `plant`, every
+    /// eleventh one is `±0.0`, a subnormal, `±inf` or NaN, in turn.
+    fn planted(n: usize, seed: u32, plant: bool) -> Vec<f32> {
+        const SPECIAL: [f32; 7] = [
+            0.0,
+            -0.0,
+            1.0e-40,
+            -3.0e-39,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut state = seed;
+        (0..n)
+            .map(|i| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                match i % 11 {
+                    5 if plant => SPECIAL[i / 11 % SPECIAL.len()],
+                    _ => (state >> 8) as f32 / (1u32 << 24) as f32 * 5.0 - 2.5,
+                }
+            })
+            .collect()
+    }
+
+    /// The panel kernel's AVX2 twin is the baseline bit for bit (NaN as a
+    /// class) under every score, at every column count and panel width.
+    #[test]
+    fn panel_distances_twin_matches_baseline() {
+        let Some(avx2) = avx2_twin("panel_distances_twin_matches_baseline") else {
+            return;
+        };
+        let scores = [
+            RowScore::L1,
+            RowScore::L2 { eps: 1e-12 },
+            RowScore::SquaredL2,
+            RowScore::TorusL1,
+            RowScore::TorusL2Sq,
+        ];
+        for d in TWIN_WIDTHS {
+            for w in [1, 7, PANEL_LANES] {
+                for plant in [false, true] {
+                    let a = planted(d, 3 + d as u32, plant);
+                    let panel = planted(d * w, 7 + w as u32, plant);
+                    for score in scores {
+                        let run = |isa: Isa| {
+                            let mut out = vec![0.0; w];
+                            isa.run(
+                                #[inline(always)]
+                                || score.panel_distances(&a, &panel, &mut out),
+                            );
+                            nan_classes(&out)
+                        };
+                        let what = format!("{score:?}, {d} columns, {w} lanes, planted {plant}");
+                        assert_eq!(run(avx2), run(Isa::BASELINE), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Two rows at once against a full panel are each row's
+    /// `panel_distances` bit for bit, in the baseline loop and in the AVX2
+    /// twin, under every score.
+    #[test]
+    fn panel_distances_rows_is_each_row_at_either_width() {
+        let twins = [Some(Isa::BASELINE), avx2_twin("panel_distances_rows")];
+        for d in TWIN_WIDTHS {
+            for plant in [false, true] {
+                let rows = [planted(d, 29 + d as u32, plant), planted(d, 31, plant)];
+                let panel = planted(d * PANEL_LANES, 37, plant);
+                for score in [
+                    RowScore::L1,
+                    RowScore::L2 { eps: 1e-12 },
+                    RowScore::SquaredL2,
+                    RowScore::TorusL1,
+                    RowScore::TorusL2Sq,
+                ] {
+                    let one_at_a_time = rows.each_ref().map(|a| {
+                        let mut out = [0.0; PANEL_LANES];
+                        score.panel_distances(a, &panel, &mut out);
+                        nan_classes(&out)
+                    });
+                    for isa in twins.into_iter().flatten() {
+                        let mut out = [[0.0; PANEL_LANES]; 2];
+                        isa.run(
+                            #[inline(always)]
+                            || score.panel_distances_rows([&rows[0], &rows[1]], &panel, &mut out),
+                        );
+                        let what = format!("{score:?}, {d} columns, planted {plant}, {isa:?}");
+                        assert_eq!(out.map(|o| nan_classes(&o)), one_at_a_time, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `row_times_matrix`, through the relation group's dispatch: the AVX2
+    /// twin is the baseline bit for bit at every output width and depth.
+    #[test]
+    fn projection_twin_matches_baseline() {
+        let Some(avx2) = avx2_twin("projection_twin_matches_baseline") else {
+            return;
+        };
+        let rows: Vec<u32> = vec![0, 2, 3];
+        for n in TWIN_WIDTHS {
+            for depth in [1, 5, 33] {
+                for plant in [false, true] {
+                    let a = planted(4 * depth, 11 + n as u32, plant);
+                    let b = planted(depth * n, 13 + depth as u32, plant);
+                    let run = |isa: Isa| {
+                        let mut out = vec![0.0; 4 * n];
+                        project_group(isa, &rows, &a, &b, 0, &mut out, n);
+                        nan_classes(&out)
+                    };
+                    let what = format!("{n} outputs, depth {depth}, planted {plant}");
+                    assert_eq!(run(avx2), run(Isa::BASELINE), "{what}");
+                }
+            }
+        }
+    }
+
+    /// `add_outer_products`: the AVX2 twin continues every stored sum with
+    /// the baseline's bits at every input width.
+    #[test]
+    fn outer_product_twin_matches_baseline() {
+        let Some(avx2) = avx2_twin("outer_product_twin_matches_baseline") else {
+            return;
+        };
+        let rows: Vec<u32> = vec![1, 2, 4, 5];
+        for d_in in TWIN_WIDTHS {
+            for d_out in [1, 3] {
+                for plant in [false, true] {
+                    let g = planted(6 * d_out, 17 + d_in as u32, plant);
+                    let v = planted(6 * d_in, 19 + d_out as u32, plant);
+                    let dm = planted(d_out * d_in, 23, plant);
+                    let run = |isa: Isa| {
+                        let mut dm = dm.clone();
+                        add_outer_products(isa, &rows, &g, &v, d_out, d_in, &mut dm);
+                        nan_classes(&dm)
+                    };
+                    let what = format!("{d_out}x{d_in}, planted {plant}");
+                    assert_eq!(run(avx2), run(Isa::BASELINE), "{what}");
+                }
+            }
         }
     }
 

@@ -163,6 +163,88 @@ pub fn prefetch<T>(data: &[T]) {
     let _ = data;
 }
 
+/// The instruction set a lane-parallel kernel loop runs with: one dispatch,
+/// same bits.
+///
+/// The kernels whose independent outputs advance together (the IVF
+/// k-means assignment and probe, TransR's projections) are written once,
+/// as plain loops. [`Isa::run`] runs such a
+/// loop as compiled for the baseline target (x86-64's SSE2, 4 lanes) or, on
+/// a CPU that has AVX2, through a trampoline compiled with AVX2 enabled
+/// (8 lanes). The source is the same, so each output element performs the
+/// same IEEE operations in the same order at either width: wider registers
+/// hold more independent outputs, never a different fold. FMA is never
+/// enabled (Rust does not contract `a * b + c` into one either), so no
+/// multiply-add changes its rounding.
+///
+/// Dispatch once per loop — a pool chunk, a relation group, a query's block
+/// scan — never per element: the closure handed to [`Isa::run`] and the
+/// kernels it calls are `#[inline(always)]`, so they are compiled into
+/// whichever trampoline runs them (a call the compiler leaves out of line
+/// runs at the baseline width, with the same bits). An `Isa` naming AVX2 exists
+/// only on a CPU that has it ([`Isa::avx2`]), so shipped code passes
+/// [`Isa::detected`] and tests run both twins in one process. A CPU without
+/// AVX2, and any target other than x86-64, runs the baseline loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Isa {
+    avx2: bool,
+}
+
+impl Isa {
+    /// The loop as compiled for the target, on every CPU.
+    pub const BASELINE: Isa = Isa { avx2: false };
+
+    /// The AVX2 twin, when this CPU has AVX2 (std detects it once per
+    /// process and caches the answer).
+    pub fn avx2() -> Option<Isa> {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return Some(Isa { avx2: true });
+        }
+        None
+    }
+
+    /// The widest twin this CPU runs: what every shipped kernel loop uses.
+    pub fn detected() -> Isa {
+        Isa::avx2().unwrap_or(Isa::BASELINE)
+    }
+
+    /// `"avx2"` or `"baseline"`, as `sptx help` prints it.
+    pub fn name(self) -> &'static str {
+        if self.avx2 {
+            "avx2"
+        } else {
+            "baseline"
+        }
+    }
+
+    /// Runs `body` as compiled for this instruction set and returns its
+    /// value. For AVX2, `body` is inlined into a function compiled with
+    /// AVX2 enabled, and the `#[inline(always)]` kernels it calls with it.
+    #[inline(always)]
+    pub fn run<R>(self, body: impl FnOnce() -> R) -> R {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            // SAFETY: `avx2` is only `true` in an `Isa` built by
+            // `Isa::avx2`, which checked at run time that this CPU (and its
+            // OS) supports AVX2 — the one precondition of calling a
+            // `#[target_feature(enable = "avx2")]` function.
+            return unsafe { run_avx2(body) };
+        }
+        body()
+    }
+}
+
+/// `body()`, compiled with AVX2 enabled: LLVM inlines the closure (and the
+/// `#[inline(always)]` kernels inside it) here, so its loops get 8-lane
+/// vectors. AVX2 only — not FMA — so every multiply and add rounds as in
+/// the baseline loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
 /// Index ranges `i..i+1` for dispatching one pre-built work item per task.
 pub(crate) fn singleton_ranges(n: usize) -> Vec<Range<usize>> {
     (0..n).map(|i| i..i + 1).collect()
@@ -316,6 +398,40 @@ mod tests {
         let pool = PoolHandle::global();
         let v = pool.map_reduce_fixed(0, 1, 42u32, |_| panic!("should not run"), |a, _b| a);
         assert_eq!(v, 42);
+    }
+
+    /// Both branches of `Isa::run`: the same loop, with the same bits, at
+    /// the baseline width and through the AVX2 trampoline.
+    #[test]
+    fn isa_run_takes_both_branches_with_the_same_bits() {
+        let x: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.37).sin()).collect();
+        let sums = |isa: Isa| {
+            isa.run(
+                #[inline(always)]
+                || {
+                    let mut acc = [0.0f32; 16];
+                    for row in x.chunks_exact(16) {
+                        for (a, &v) in acc.iter_mut().zip(row) {
+                            *a += v * v;
+                        }
+                    }
+                    acc.map(f32::to_bits)
+                },
+            )
+        };
+        assert_eq!(Isa::BASELINE.name(), "baseline");
+        let baseline = sums(Isa::BASELINE);
+        match Isa::avx2() {
+            Some(isa) => {
+                assert_eq!(isa.name(), "avx2");
+                assert_eq!(Isa::detected(), isa);
+                assert_eq!(sums(isa), baseline);
+            }
+            None => {
+                assert_eq!(Isa::detected(), Isa::BASELINE);
+                println!("skipped: this CPU has no AVX2, so only the baseline branch ran");
+            }
+        }
     }
 
     #[test]

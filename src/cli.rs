@@ -481,7 +481,8 @@ pub fn usage() -> String {
             }
         }
     }
-    out + "\n" + NOTES
+    let kernels = xparallel::Isa::detected().name();
+    format!("{out}\n{NOTES}\n\nkernels: {kernels}")
 }
 
 /// What `sptx help` says after the flags.
@@ -509,7 +510,11 @@ with torus-l1), answers each query through an IVF index (the clustering is
 squared-L2 under every --norm) and the exact full scan, and reports
 recall@K, latency, QPS, scan fraction and cache hit rates. Every cache
 count is checked against a simcache LRU replay of the same trace, and any
-divergence prints a WARNING line.";
+divergence prints a WARNING line.
+
+The IVF k-means and probe and TransR's projections run 8 lanes wide on a
+CPU with AVX2, with the bits of the 4-lane baseline loop (never FMA). The
+last line names the kernels this CPU runs.";
 
 // ---------------------------------------------------------------------------
 // The subcommands
@@ -1637,8 +1642,15 @@ mod tests {
         }
     }
 
+    /// `sptx help` is the usage text, which ends with the one line naming
+    /// the kernels this CPU runs.
     #[test]
     fn help_prints_usage() {
-        assert_eq!(cli("help").unwrap(), usage());
+        let text = cli("help").unwrap();
+        assert_eq!(text, usage());
+        let kernels: Vec<&str> = text.lines().filter(|l| l.starts_with("kernels:")).collect();
+        let want = format!("kernels: {}", xparallel::Isa::detected().name());
+        assert_eq!(kernels, [want.as_str()], "{text}");
+        assert_eq!(text.lines().last(), Some(want.as_str()));
     }
 }

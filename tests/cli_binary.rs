@@ -34,6 +34,19 @@ fn kg_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// `sptx help` names the kernels this CPU runs on one line, `kernels: avx2`
+/// or `kernels: baseline`, and it is the dispatch's own answer.
+#[test]
+fn help_names_the_kernels_this_cpu_runs() {
+    let out = sptx().arg("help").output().unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    let kernels: Vec<&str> = text.lines().filter(|l| l.starts_with("kernels:")).collect();
+    let name = xparallel::Isa::detected().name();
+    assert_eq!(kernels, [format!("kernels: {name}")], "{text}");
+    assert!(["avx2", "baseline"].contains(&name));
+}
+
 /// `sptx … | head`: the reader hangs up before the report is written (the
 /// pipe is closed while the child still trains), every line of the report
 /// hits a broken pipe, and the run still exits 0 with nothing on stderr —
