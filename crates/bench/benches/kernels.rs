@@ -11,15 +11,24 @@
 //! calibration a cost model needs, and the latency the forward's operand
 //! prefetch hides.
 //!
+//! The `calibration: projection` arms time TransR's two projection ops at
+//! `train_models`' shape (1 024 batch rows over 100 relations, `k` 32,
+//! `d` 64) at each ISA in one process, read from the tape's own
+//! `OpRow::time`, and print ns per multiply-add of each op and ns per
+//! element of the `Mᵣᵀ` transpose the forward makes once per relation group:
+//! the constants of the projection's cost model.
+//!
 //! Run with `cargo bench -p sptx-bench --bench kernels`.
 
 use std::sync::Arc;
 
-use sparse::incidence::{hrt, ht, IncidencePair, TailSign};
-use sptx_bench::harness::{random_triples, time_arm};
-use tensor::kernels::{scatter_add_csr, scatter_add_rows};
+use std::time::Duration;
+
+use sparse::incidence::{hrt, ht, IncidencePair, RelationGroups, TailSign};
+use sptx_bench::harness::{random_triples, time_arm, TIMED_RUNS};
+use tensor::kernels::{scatter_add_csr, scatter_add_rows, transpose};
 use tensor::{Graph, ParamId, ParamStore, RowScore, Tensor};
-use xparallel::PoolHandle;
+use xparallel::{Isa, PoolHandle};
 
 struct Setup {
     store: ParamStore,
@@ -117,8 +126,87 @@ fn bench_row_read() {
     }
 }
 
+/// TransR's projection at `train_models`' shape, one thread, at each ISA:
+/// the cost model's constants. `ns_T` is ns per transposed element of one
+/// relation's `k × d` matrix. Each op's ns per multiply-add is its op row's
+/// time (the minimum over [`TIMED_RUNS`] tapes after two warm-ups) over its
+/// own `flops / 2`; the forward's is also printed net of its transposes
+/// (`groups · k·d · ns_T`), the term a per-epoch prediction
+/// `flops/2 × ns + transposes × k·d × ns_T` adds back.
+fn bench_projection_calibration() {
+    const M: usize = 1024;
+    const RELS: usize = 100;
+    const K: usize = 32;
+    const D: usize = 64;
+    let (_, rels, _) = random_triples(2, RELS, M, 13);
+    let by_rel = Arc::new(RelationGroups::new(RELS, &rels).unwrap());
+    let groups = by_rel.relations().len();
+    let mut store = ParamStore::new();
+    let mats = store.add_param("mats", tensor::init::uniform(RELS, K * D, 0.2, 3));
+    let v = tensor::init::uniform(M, D, 1.0, 4);
+    for isa in [Some(Isa::BASELINE), Isa::avx2()].into_iter().flatten() {
+        let table = store.value(mats).as_slice().to_vec();
+        let mut mt = vec![0.0f32; K * D];
+        let label = format!(
+            "calibration: projection, transpose {RELS} x {K}x{D}, {}",
+            isa.name()
+        );
+        // One dispatch around all of them: the forward runs each group's
+        // transpose inside its group's dispatch.
+        let ms = time_arm(&label, Some((RELS * K * D) as u64), || {
+            isa.run(
+                #[inline(always)]
+                || {
+                    for mat in table.chunks_exact(K * D) {
+                        transpose(mat, K, D, &mut mt);
+                    }
+                    mt[0]
+                },
+            )
+        });
+        let ns_t = ms * 1e6 / (RELS * K * D) as f64;
+        let mut g = Graph::with_pool(PoolHandle::sequential());
+        g.set_isa(isa);
+        let mut best = [(Duration::MAX, 0); 2];
+        for run in 0..2 + TIMED_RUNS {
+            g.reset();
+            g.clear_ops();
+            store.zero_grads();
+            let x = g.input(v.clone());
+            let out = g.project_rows(&store, mats, x, by_rel.clone(), K);
+            let loss = g.mean(out);
+            g.backward(loss, &mut store);
+            for (best, op) in best
+                .iter_mut()
+                .zip(["op::project_rows", "op::project_backward"])
+            {
+                let row = g.ops().iter().find(|r| r.name == op).expect("op ran");
+                if run >= 2 && row.time < best.0 {
+                    *best = (row.time, row.flops);
+                }
+            }
+        }
+        let [(fwd, fwd_flops), (bwd, bwd_flops)] =
+            best.map(|(t, flops)| (t.as_secs_f64() * 1e9, flops as f64 / 2.0));
+        let transposes_ns = (groups * K * D) as f64 * ns_t;
+        println!(
+            "calibration: projection at m {M}, {groups} groups, k {K}, d {D}, {}: \
+             project_rows {:.3} ms = {:.4} ns/madd ({:.4} net of transposes), \
+             project_backward {:.3} ms = {:.4} ns/madd, transpose {:.3} ns/element",
+            isa.name(),
+            fwd * 1e-6,
+            fwd / fwd_flops,
+            (fwd - transposes_ns) / fwd_flops,
+            bwd * 1e-6,
+            bwd / bwd_flops,
+            ns_t,
+        );
+    }
+}
+
 fn main() {
     bench_forward();
     bench_backward();
     bench_row_read();
+    bench_projection_calibration();
 }

@@ -1,4 +1,12 @@
 //! The define-by-run autograd tape.
+//!
+//! Besides the ops, this module holds the kernels that run them and whose
+//! bits the pins hold: the row score's terms and folds ([`RowScore`]: one
+//! row at a time in the fused forward, four at a time in
+//! [`Graph::score_rows`], sixteen lanes in a panel), the one push every
+//! sparse backward runs, and TransR's projection kernels (a blocked
+//! transpose, then two rows per pass over each relation's matrix), the
+//! lane-parallel ones dispatched through [`Isa::run`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -206,6 +214,36 @@ impl RowScore {
             }
         }
         self.finish(acc)
+    }
+
+    /// [`RowScore::fold_row`] for `R` rows at once: `fill(r, t0, x)` writes
+    /// elements `t0 .. t0 + x.len()` of row `r` into its own stack tile `x`.
+    /// Each row's terms are added from `0.0` in column order into its own
+    /// accumulator, so `out[r]` is bit-equal to row `r`'s `fold_row`; the
+    /// adds are `R` independent chains where one row is one chain, bound by
+    /// the add latency.
+    #[inline(always)]
+    fn fold_rows<const R: usize>(
+        self,
+        d: usize,
+        tiles: &mut [[f32; SCORE_TILE]; R],
+        fill: impl Fn(usize, usize, &mut [f32]),
+    ) -> [f32; R] {
+        let mut acc = [0.0f32; R];
+        for t0 in (0..d).step_by(SCORE_TILE) {
+            let w = SCORE_TILE.min(d - t0);
+            for (r, tile) in tiles.iter_mut().enumerate() {
+                let x = &mut tile[..w];
+                fill(r, t0, x);
+                self.terms(x);
+            }
+            for j in 0..w {
+                for (a, tile) in acc.iter_mut().zip(tiles.iter()) {
+                    *a += tile[j];
+                }
+            }
+        }
+        acc.map(|a| self.finish(a))
     }
 
     /// This score of `a − b` for two raw rows — the distance evaluation and
@@ -604,6 +642,9 @@ pub struct Graph {
     /// the margin-loss backward seed). On by default; the unfused arm
     /// records the materialized op-by-op tape instead, bit-identical.
     fused: bool,
+    /// The lane width TransR's projection kernels run at; both give the
+    /// same bits.
+    isa: Isa,
     /// One row per op run since the tape was made or last cleared.
     ops: Vec<OpRow>,
 }
@@ -627,6 +668,7 @@ impl Graph {
             pool,
             arena: Arena::new(),
             fused: true,
+            isa: Isa::detected(),
             ops: Vec::new(),
         }
     }
@@ -643,6 +685,15 @@ impl Graph {
     /// Whether fused hot-path kernels are enabled.
     pub fn fused(&self) -> bool {
         self.fused
+    }
+
+    /// Runs the dispatched projection kernels ([`Graph::project_rows`] and
+    /// its backward) at `isa` instead of [`Isa::detected`]. Every output
+    /// element performs the same IEEE operations in the same order at either
+    /// width, so this changes timing only: it lets one process time both
+    /// twins and tests compare them.
+    pub fn set_isa(&mut self, isa: Isa) {
+        self.isa = isa;
     }
 
     /// The pool handle this tape dispatches kernels on.
@@ -967,10 +1018,19 @@ impl Graph {
         let ad = self.nodes[a.0].value.as_slice();
         self.pool
             .for_rows(out.as_mut_slice(), 1, 256, |first, chunk| {
-                let mut tile = [0.0f32; SCORE_TILE];
-                for (k, dst) in chunk.iter_mut().enumerate() {
-                    let row = &ad[(first + k) * n..(first + k + 1) * n];
-                    *dst = score.fold_row(n, &mut tile, |t0, x| {
+                let row = |k: usize| &ad[(first + k) * n..(first + k + 1) * n];
+                // Four rows per fold, the last one to three one at a time.
+                let mut tiles = [[0.0f32; SCORE_TILE]; 4];
+                let done = chunk.len() - chunk.len() % 4;
+                let mut quads = chunk.chunks_exact_mut(4);
+                for (k0, dst) in (0..).step_by(4).zip(&mut quads) {
+                    dst.copy_from_slice(&score.fold_rows(n, &mut tiles, |r, t0, x| {
+                        x.copy_from_slice(&row(k0 + r)[t0..t0 + x.len()])
+                    }));
+                }
+                for (k, dst) in (done..).zip(quads.into_remainder()) {
+                    let row = row(k);
+                    *dst = score.fold_row(n, &mut tiles[0], |t0, x| {
                         x.copy_from_slice(&row[t0..t0 + x.len()])
                     });
                 }
@@ -985,13 +1045,15 @@ impl Graph {
     /// `by_rel` is the batch grouped by relation ([`RelationGroups`]).
     ///
     /// The kernels walk the batch **relation by relation**, so each `Mᵣ`
-    /// is brought into L1 once per group instead
+    /// is brought into L1 (and, forward, transposed) once per group instead
     /// of once per batch row, and they vectorize *across* the outputs of a
-    /// row. Every output element is still the sum of its products folded from
-    /// `0.0` in ascending inner index — what a plain dot-product loop
-    /// computes — so results do not depend on the grouping, the tiling or
-    /// the pool width. Backward accumulates `dMᵣ += Σᵢ gᵢ ⊗ vᵢ` over each
-    /// group in ascending `i`, sharded by destination relation.
+    /// row, two batch rows per pass over the matrix. Every output element is
+    /// still the sum of its products folded from `0.0` in ascending inner
+    /// index — what a plain dot-product loop computes — so results do not
+    /// depend on the grouping, the tiling, the pairing, the ISA
+    /// ([`Graph::set_isa`]) or the pool width. Backward accumulates
+    /// `dMᵣ += Σᵢ gᵢ ⊗ vᵢ` over each group in ascending `i`, two outputs per
+    /// pass, sharded by destination relation.
     ///
     /// # Panics
     ///
@@ -1019,7 +1081,7 @@ impl Graph {
         let mut out = Tensor::uninit_in(&mut self.arena, m, d_out);
         // One `Mᵣᵀ` per chunk of batch rows, rewritten per relation group.
         let mut mt = Tensor::uninit_in(&mut self.arena, self.pool.width(), d_out * d_in);
-        let (vd, isa) = (self.nodes[vecs.0].value.as_slice(), Isa::detected());
+        let (vd, isa) = (self.nodes[vecs.0].value.as_slice(), self.isa);
         self.pool.for_rows_with_scratch(
             out.as_mut_slice(),
             d_out.max(1),
@@ -1027,12 +1089,15 @@ impl Graph {
             mt.as_mut_slice(),
             |first, chunk, mt| {
                 for_each_group(&by_rel, first, first + chunk.len() / d_out, |r, rows| {
-                    for (o, mrow) in mv.row(r).chunks_exact(d_in.max(1)).enumerate() {
-                        for (j, &x) in mrow.iter().enumerate() {
-                            mt[j * d_out + o] = x;
-                        }
-                    }
-                    project_group(isa, rows, vd, mt, first, chunk, d_out);
+                    // `Mᵣᵀ`, then the group's products against it, in one
+                    // dispatch.
+                    isa.run(
+                        #[inline(always)]
+                        || {
+                            transpose(mv.row(r), d_out, d_in, mt);
+                            group_times_matrix(rows, vd, mt, first, chunk, d_out);
+                        },
+                    );
                 });
             },
         );
@@ -1315,8 +1380,7 @@ impl Graph {
                 d_out,
                 d_in,
             } => {
-                let (m, gd, pool) = (g.rows(), g.as_slice(), &self.pool);
-                let isa = Isa::detected();
+                let (m, gd, pool, isa) = (g.rows(), g.as_slice(), &self.pool, self.isa);
                 // d vecs[i] = M_{r}ᵀ · g_i: `g_i` times `Mᵣ` as stored, so no
                 // transposed copy — computed against the parameter table
                 // before its gradient is borrowed mutably.
@@ -1566,10 +1630,34 @@ fn row_in(window: &mut [f32], first: usize, n: usize, s: usize) -> Option<&mut [
         .get_mut(..n)
 }
 
-/// Outputs the projection kernels accumulate at a time: a stack array this
-/// small stays in vector registers across the whole inner loop (four SSE
-/// registers; the baseline x86-64 target has sixteen).
-const PROJ_TILE: usize = 16;
+/// Outputs the projection kernels accumulate at a time, per row: two rows'
+/// tiles are eight AVX2 registers (eight independent add chains, enough to
+/// keep both FP ports busy through the add latency) or sixteen SSE ones.
+const PROJ_TILE: usize = 32;
+
+/// The tile of `out` that starts at column `c0`, as an array.
+#[inline(always)]
+fn tile_mut(out: &mut [f32], c0: usize) -> &mut [f32; PROJ_TILE] {
+    (&mut out[c0..c0 + PROJ_TILE])
+        .try_into()
+        .expect("tile is PROJ_TILE wide")
+}
+
+/// The tile of `x` that starts at column `c0`, as an array.
+#[inline(always)]
+fn tile(x: &[f32], c0: usize) -> &[f32; PROJ_TILE] {
+    x[c0..c0 + PROJ_TILE]
+        .try_into()
+        .expect("tile is PROJ_TILE wide")
+}
+
+/// `acc[c] += x · b[c]` for one tile: `PROJ_TILE` independent sums.
+#[inline(always)]
+fn add_scaled(acc: &mut [f32; PROJ_TILE], b: &[f32; PROJ_TILE], x: f32) {
+    for (s, &bv) in acc.iter_mut().zip(b) {
+        *s += bv * x;
+    }
+}
 
 /// `out[c] = Σ_p a[p] · b[p, c]` for a row-major `a.len() × out.len()` matrix
 /// `b`, every sum folded from `0.0` in ascending `p` — per element, exactly
@@ -1586,15 +1674,43 @@ fn row_times_matrix(a: &[f32], b: &[f32], out: &mut [f32]) {
     for c0 in (0..full).step_by(PROJ_TILE) {
         let mut acc = [0.0f32; PROJ_TILE];
         for (&ap, brow) in a.iter().zip(b.chunks_exact(n)) {
-            let btile: &[f32; PROJ_TILE] = brow[c0..c0 + PROJ_TILE]
-                .try_into()
-                .expect("tile is PROJ_TILE wide");
-            for (s, &bv) in acc.iter_mut().zip(btile) {
-                *s += bv * ap;
-            }
+            add_scaled(&mut acc, tile(brow, c0), ap);
         }
-        out[c0..c0 + PROJ_TILE].copy_from_slice(&acc);
+        *tile_mut(out, c0) = acc;
     }
+    tail_times_matrix(a, b, out, full);
+}
+
+/// [`row_times_matrix`] of two rows at once, bit for bit: each tile of `b`
+/// is loaded once for both rows, and `2 × PROJ_TILE` independent sums
+/// advance together. The two accumulators are two named tiles, not one
+/// `[[f32; PROJ_TILE]; 2]`: the compiler keeps named tiles in registers
+/// through the trampoline, but left the array's tiles on the stack.
+#[inline(always)]
+fn two_rows_times_matrix(a: [&[f32]; 2], b: &[f32], out: [&mut [f32]; 2]) {
+    let ([a0, a1], [o0, o1]) = (a, out);
+    let n = o0.len();
+    debug_assert!(b.len() == a0.len() * n && a1.len() == a0.len() && o1.len() == n);
+    let full = n - n % PROJ_TILE;
+    for c0 in (0..full).step_by(PROJ_TILE) {
+        let (mut acc0, mut acc1) = ([0.0f32; PROJ_TILE], [0.0f32; PROJ_TILE]);
+        for ((&x0, &x1), brow) in a0.iter().zip(a1).zip(b.chunks_exact(n)) {
+            let btile = tile(brow, c0);
+            add_scaled(&mut acc0, btile, x0);
+            add_scaled(&mut acc1, btile, x1);
+        }
+        *tile_mut(o0, c0) = acc0;
+        *tile_mut(o1, c0) = acc1;
+    }
+    tail_times_matrix(a0, b, o0, full);
+    tail_times_matrix(a1, b, o1, full);
+}
+
+/// The columns `full..` of [`row_times_matrix`]: the same folds, one
+/// element wide.
+#[inline(always)]
+fn tail_times_matrix(a: &[f32], b: &[f32], out: &mut [f32], full: usize) {
+    let n = out.len();
     if full < n {
         let tail = &mut out[full..];
         tail.fill(0.0);
@@ -1628,9 +1744,8 @@ fn for_each_group(
 
 /// `out[i − first, :] = a[i, :] · b` for each batch row `i` of one relation
 /// group, where `b` is that relation's matrix with `n` columns, the width of
-/// an `out` row: `Mᵣᵀ` for the forward projection of `v`, `Mᵣ` as stored for
-/// the backward projection of `g`. The group is one `isa` dispatch; either
-/// twin gives the same bits.
+/// an `out` row: `Mᵣ` as stored, for the backward projection of `g`. The
+/// group is one `isa` dispatch; either twin gives the same bits.
 fn project_group(
     isa: Isa,
     rows: &[u32],
@@ -1640,29 +1755,46 @@ fn project_group(
     out: &mut [f32],
     n: usize,
 ) {
-    let depth = b.len() / n;
     isa.run(
         #[inline(always)]
-        || {
-            for &i in rows {
-                let i = i as usize;
-                row_times_matrix(
-                    &a[i * depth..(i + 1) * depth],
-                    b,
-                    &mut out[(i - first) * n..(i - first + 1) * n],
-                );
-            }
-        },
+        || group_times_matrix(rows, a, b, first, out, n),
     )
+}
+
+/// `out[i − first, :] = a[i, :] · b` for each batch row `i` in `rows`, `b`
+/// a row-major matrix with `n` columns. The rows go two per pass over `b`,
+/// an odd last row alone. Always inlined, so it is compiled into its
+/// caller's [`Isa::run`] trampoline.
+#[inline(always)]
+fn group_times_matrix(rows: &[u32], a: &[f32], b: &[f32], first: usize, out: &mut [f32], n: usize) {
+    let depth = b.len() / n;
+    let a_row = |i: usize| &a[i * depth..(i + 1) * depth];
+    let mut pairs = rows.chunks_exact(2);
+    for pair in &mut pairs {
+        let (i, k) = (pair[0] as usize, pair[1] as usize);
+        // Ascending rows: `k`'s output row lies past `i`'s.
+        let (lo, hi) = out.split_at_mut((k - first) * n);
+        two_rows_times_matrix(
+            [a_row(i), a_row(k)],
+            b,
+            [&mut lo[(i - first) * n..][..n], &mut hi[..n]],
+        );
+    }
+    if let [i] = *pairs.remainder() {
+        let i = i as usize;
+        row_times_matrix(a_row(i), b, &mut out[(i - first) * n..(i - first + 1) * n]);
+    }
 }
 
 /// `dm[o, j] += Σ_i g[i, o] · v[i, j]` over the batch rows `rows` of one
 /// relation, `dm` its `d_out × d_in` gradient matrix: every element's sum
 /// continues from the stored value in the order of `rows` (ascending `i`,
-/// the order a scan over the batch meets them). A tile of `dm` is loaded
-/// once, accumulated over the whole group in registers and stored once,
-/// instead of the matrix being read and rewritten per batch row. The group
-/// is one `isa` dispatch; either twin gives the same bits.
+/// the order a scan over the batch meets them). Two outputs `o` share each
+/// pass over the group's rows (an odd last `o` goes alone), so each tile of
+/// `v` is loaded once for both; a tile of `dm` is loaded once, accumulated
+/// over the whole group in registers and stored once, instead of the matrix
+/// being read and rewritten per batch row. The group is one `isa` dispatch;
+/// either twin gives the same bits.
 fn add_outer_products(
     isa: Isa,
     rows: &[u32],
@@ -1679,37 +1811,116 @@ fn add_outer_products(
         #[inline(always)]
         || {
             let full = d_in - d_in % PROJ_TILE;
-            for (o, drow) in dm.chunks_exact_mut(d_in).enumerate() {
+            let mut pairs = dm.chunks_exact_mut(2 * d_in);
+            for (o, drows) in (0..d_out).step_by(2).zip(&mut pairs) {
+                let (d0, d1) = drows.split_at_mut(d_in);
                 for j0 in (0..full).step_by(PROJ_TILE) {
-                    let tile: &mut [f32; PROJ_TILE] = (&mut drow[j0..j0 + PROJ_TILE])
-                        .try_into()
-                        .expect("tile is PROJ_TILE wide");
-                    let mut acc = *tile;
+                    let (t0, t1) = (tile_mut(d0, j0), tile_mut(d1, j0));
+                    let (mut acc0, mut acc1) = (*t0, *t1);
                     for &i in rows {
                         let i = i as usize;
-                        let go = g[i * d_out + o];
-                        let vtile: &[f32; PROJ_TILE] = v[i * d_in + j0..i * d_in + j0 + PROJ_TILE]
+                        let [g0, g1]: [f32; 2] = g[i * d_out + o..i * d_out + o + 2]
                             .try_into()
-                            .expect("tile is PROJ_TILE wide");
-                        for (s, &x) in acc.iter_mut().zip(vtile) {
-                            *s += go * x;
-                        }
+                            .expect("two outputs");
+                        let vtile = tile(v, i * d_in + j0);
+                        add_scaled(&mut acc0, vtile, g0);
+                        add_scaled(&mut acc1, vtile, g1);
                     }
-                    *tile = acc;
+                    (*t0, *t1) = (acc0, acc1);
                 }
-                if full < d_in {
+                add_outer_tail(d0, o, rows, g, v, d_out, full);
+                add_outer_tail(d1, o + 1, rows, g, v, d_out, full);
+            }
+            let last = pairs.into_remainder();
+            if !last.is_empty() {
+                let o = d_out - 1;
+                for j0 in (0..full).step_by(PROJ_TILE) {
+                    let t = tile_mut(last, j0);
+                    let mut acc = *t;
                     for &i in rows {
                         let i = i as usize;
-                        let go = g[i * d_out + o];
-                        let vtail = &v[i * d_in + full..(i + 1) * d_in];
-                        for (s, &x) in drow[full..].iter_mut().zip(vtail) {
-                            *s += go * x;
-                        }
+                        add_scaled(&mut acc, tile(v, i * d_in + j0), g[i * d_out + o]);
                     }
+                    *t = acc;
                 }
+                add_outer_tail(last, o, rows, g, v, d_out, full);
             }
         },
     )
+}
+
+/// The columns `full..` of row `o` of [`add_outer_products`]: the same
+/// sums, one element wide.
+#[inline(always)]
+fn add_outer_tail(
+    drow: &mut [f32],
+    o: usize,
+    rows: &[u32],
+    g: &[f32],
+    v: &[f32],
+    d_out: usize,
+    full: usize,
+) {
+    let d_in = drow.len();
+    if full < d_in {
+        for &i in rows {
+            let i = i as usize;
+            let go = g[i * d_out + o];
+            let vtail = &v[i * d_in + full..(i + 1) * d_in];
+            for (s, &x) in drow[full..].iter_mut().zip(vtail) {
+                *s += go * x;
+            }
+        }
+    }
+}
+
+/// Source rows per block of [`transpose`]: each column writes a 32-byte run.
+const TRANSPOSE_BLOCK: usize = 8;
+
+/// `mt[j·rows + o] = m[o·cols + j]`: the first `rows · cols` floats of `mt`
+/// become the transpose of the row-major `rows × cols` matrix `m` — how
+/// TransR's forward gets `Mᵣᵀ` for contiguous loads, once per relation
+/// group. It takes `TRANSPOSE_BLOCK` source rows at a time, so that each
+/// column `j` writes one contiguous run and each block's bounds are checked
+/// once; the rows past the last whole block go one at a time. A copy, so
+/// no bit depends on where it runs. Always inlined, so the forward compiles
+/// it into its group's [`Isa::run`] trampoline; it is eight scalar loads
+/// and stores per run at either width, so the store port bounds it, not
+/// the lanes.
+///
+/// # Panics
+///
+/// Panics if `m` is not `rows · cols` long or `mt` is shorter.
+#[inline(always)]
+pub fn transpose(m: &[f32], rows: usize, cols: usize, mt: &mut [f32]) {
+    assert_eq!(m.len(), rows * cols, "m is not {rows} x {cols}");
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    let mt = &mut mt[..rows * cols];
+    let full = rows - rows % TRANSPOSE_BLOCK;
+    let blocks = m.chunks_exact(TRANSPOSE_BLOCK * cols);
+    for (o0, block) in (0..full).step_by(TRANSPOSE_BLOCK).zip(blocks) {
+        // Split, not `array::map`: a call the trampoline does not inline
+        // would hide each row's length from the loop below.
+        let (mut src, mut rest) = ([block; TRANSPOSE_BLOCK], block);
+        for row in &mut src {
+            (*row, rest) = rest.split_at(cols);
+        }
+        for (dst, j) in mt.chunks_exact_mut(rows).zip(0..cols) {
+            let run: &mut [f32; TRANSPOSE_BLOCK] = (&mut dst[o0..o0 + TRANSPOSE_BLOCK])
+                .try_into()
+                .expect("run is TRANSPOSE_BLOCK wide");
+            for (x, row) in run.iter_mut().zip(&src) {
+                *x = row[j];
+            }
+        }
+    }
+    for (o, row) in m.chunks_exact(cols).enumerate().skip(full) {
+        for (dst, &x) in mt.chunks_exact_mut(rows).zip(row) {
+            dst[o] = x;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1944,14 +2155,15 @@ mod tests {
             .collect()
     }
 
-    /// `(out, dv, dM)` of `mean(w ⊙ project_rows(v))` on the tape, and the
-    /// same three from the naive loops fed the tape's own upstream gradient.
+    /// `(out, dv, dM)` of `mean(w ⊙ project_rows(v))` on the fresh tape `g`,
+    /// and the same three from the naive loops fed the tape's own upstream
+    /// gradient.
     /// `pre` is the gradient already stored in `dM` (written through
     /// `grad_mut`, so the parameter sweeps all rows; `None` leaves a fresh
     /// listed set).
     #[allow(clippy::type_complexity)]
     fn projection_case(
-        pool: PoolHandle,
+        mut g: Graph,
         rels: &[u32],
         mats: &Tensor,
         v: &[f32],
@@ -1967,7 +2179,6 @@ mod tests {
             dm_ref.copy_from_slice(pre);
         }
         let by_rel = Arc::new(RelationGroups::new(mats.rows(), rels).unwrap());
-        let mut g = Graph::with_pool(pool);
         let x = g.input_from_slice(m, d_in, v);
         let out = g.project_rows(&store, p, x, by_rel, d_out);
         let weights = g.input_from_slice(m, d_out, w);
@@ -2014,11 +2225,19 @@ mod tests {
         ]
     }
 
+    /// A tape at pool width `width` whose projection kernels run at `isa`.
+    fn tape_at(width: usize, isa: Isa) -> Graph {
+        let mut g = Graph::with_pool(PoolHandle::global().with_width(width));
+        g.set_isa(isa);
+        g
+    }
+
     #[test]
     fn blocked_projection_matches_naive_loops_bitwise() {
         // 150 batch rows: four 32-row-minimum chunks on a wide pool, so
         // relation groups straddle chunk boundaries.
         let m = 150;
+        let twins = both_twins("blocked_projection_matches_naive_loops_bitwise");
         for (d_out, d_in) in [(1, 1), (3, 7), (16, 16), (31, 33), (32, 64), (65, 17)] {
             let v = lcg_table(m, d_in);
             // Every fourth batch row has zero weight: its `g_i` is all zero.
@@ -2030,9 +2249,9 @@ mod tests {
                 let mats = lcg_table(num_rels, d_out * d_in);
                 let pre = lcg_table(num_rels, d_out * d_in);
                 for pre in [None, Some(pre.as_slice())] {
-                    for width in [1, 4, 8] {
+                    for (width, &isa) in [1, 4, 8].into_iter().zip(twins.iter().cycle()) {
                         let (got, want) = projection_case(
-                            PoolHandle::global().with_width(width),
+                            tape_at(width, isa),
                             &rels,
                             &mats,
                             v.as_slice(),
@@ -2047,7 +2266,7 @@ mod tests {
                             assert_eq!(
                                 got,
                                 want,
-                                "{what}: {d_out}x{d_in}, {name}, accumulate {}, width {width}",
+                                "{what}: {d_out}x{d_in}, {name}, accumulate {}, width {width}, {isa:?}",
                                 pre.is_some()
                             );
                         }
@@ -2081,9 +2300,14 @@ mod tests {
             w.row_mut(i).fill(0.0);
         }
         let pre = lcg_table(num_rels, d_out * d_in);
-        for width in [1, 4] {
+        let twins =
+            both_twins("blocked_projection_keeps_non_finite_operands_and_zero_gradient_rows");
+        for (width, isa) in [1, 4]
+            .into_iter()
+            .flat_map(|w| twins.iter().map(move |&i| (w, i)))
+        {
             let (got, want) = projection_case(
-                PoolHandle::global().with_width(width),
+                tape_at(width, isa),
                 &rels,
                 &mats,
                 v.as_slice(),
@@ -2091,7 +2315,7 @@ mod tests {
                 d_out,
                 Some(pre.as_slice()),
             );
-            assert_eq!(got, want, "width {width}");
+            assert_eq!(got, want, "width {width}, {isa:?}");
             // A zero-gradient row times an infinite matrix entry is NaN, not
             // a skipped zero: batch row 21 (relation 1, `+inf`) has `g = 0`.
             let dv_row = &got[1][21 * d_in..22 * d_in];
@@ -2209,52 +2433,161 @@ mod tests {
         }
     }
 
-    /// `row_times_matrix`, through the relation group's dispatch: the AVX2
-    /// twin is the baseline bit for bit at every output width and depth.
+    /// Output widths the projection twin tests sweep: under, at and over the
+    /// 32-wide tile and two tiles, and two whole-tile-plus-tail widths.
+    const PROJ_WIDTHS: [usize; 9] = [1, 7, 31, 32, 33, 63, 64, 65, 130];
+
+    /// The twins to run: the baseline loop, and the AVX2 one where the CPU
+    /// has it.
+    fn both_twins(test: &str) -> Vec<Isa> {
+        [Some(Isa::BASELINE), avx2_twin(test)]
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    /// `project_group`, through the relation group's dispatch, for groups of
+    /// 1, 2, 3 and 5 rows (so the two-row pass and the odd last row both
+    /// run) at every output width and depth: each twin is the plain
+    /// dot-product loop `acc = 0.0; for p { acc += b[p, c] * a[p] }` bit for
+    /// bit, and rows outside the group are left as they were.
     #[test]
     fn projection_twin_matches_baseline() {
-        let Some(avx2) = avx2_twin("projection_twin_matches_baseline") else {
-            return;
-        };
-        let rows: Vec<u32> = vec![0, 2, 3];
-        for n in TWIN_WIDTHS {
-            for depth in [1, 5, 33] {
-                for plant in [false, true] {
-                    let a = planted(4 * depth, 11 + n as u32, plant);
-                    let b = planted(depth * n, 13 + depth as u32, plant);
-                    let run = |isa: Isa| {
-                        let mut out = vec![0.0; 4 * n];
-                        project_group(isa, &rows, &a, &b, 0, &mut out, n);
-                        nan_classes(&out)
-                    };
-                    let what = format!("{n} outputs, depth {depth}, planted {plant}");
-                    assert_eq!(run(avx2), run(Isa::BASELINE), "{what}");
+        let twins = both_twins("projection_twin_matches_baseline");
+        // Batch rows 1..=9, the group's first batch row at `first = 1`.
+        let (first, m) = (1, 10);
+        for size in [1, 2, 3, 5] {
+            let rows = &[1u32, 3, 4, 7, 8][..size];
+            for n in PROJ_WIDTHS {
+                for depth in [1, 5, 33] {
+                    for plant in [false, true] {
+                        let a = planted(m * depth, 11 + n as u32, plant);
+                        let b = planted(depth * n, 13 + depth as u32, plant);
+                        let before = planted((m - first) * n, 17, plant);
+                        let mut want = before.clone();
+                        for &i in rows {
+                            let i = i as usize;
+                            for (c, w) in want[(i - first) * n..][..n].iter_mut().enumerate() {
+                                let mut acc = 0.0;
+                                for p in 0..depth {
+                                    acc += b[p * n + c] * a[i * depth + p];
+                                }
+                                *w = acc;
+                            }
+                        }
+                        for &isa in &twins {
+                            let mut out = before.clone();
+                            project_group(isa, rows, &a, &b, first, &mut out, n);
+                            let what = format!(
+                                "{isa:?}: {size} rows, {n} outputs, depth {depth}, planted {plant}"
+                            );
+                            assert_eq!(nan_classes(&out), nan_classes(&want), "{what}");
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// `add_outer_products`: the AVX2 twin continues every stored sum with
-    /// the baseline's bits at every input width.
+    /// `add_outer_products` for `d_out` 1, 2, 3 and 5 (so the two-output
+    /// pass and the odd last output both run) at every input width: each
+    /// twin continues every stored sum over the group's rows in ascending
+    /// order, bit for bit the one-product-at-a-time loop.
     #[test]
     fn outer_product_twin_matches_baseline() {
-        let Some(avx2) = avx2_twin("outer_product_twin_matches_baseline") else {
-            return;
-        };
+        let twins = both_twins("outer_product_twin_matches_baseline");
         let rows: Vec<u32> = vec![1, 2, 4, 5];
-        for d_in in TWIN_WIDTHS {
-            for d_out in [1, 3] {
+        for d_in in PROJ_WIDTHS {
+            for d_out in [1, 2, 3, 5] {
                 for plant in [false, true] {
                     let g = planted(6 * d_out, 17 + d_in as u32, plant);
                     let v = planted(6 * d_in, 19 + d_out as u32, plant);
                     let dm = planted(d_out * d_in, 23, plant);
-                    let run = |isa: Isa| {
-                        let mut dm = dm.clone();
-                        add_outer_products(isa, &rows, &g, &v, d_out, d_in, &mut dm);
-                        nan_classes(&dm)
-                    };
-                    let what = format!("{d_out}x{d_in}, planted {plant}");
-                    assert_eq!(run(avx2), run(Isa::BASELINE), "{what}");
+                    let mut want = dm.clone();
+                    for &i in &rows {
+                        let i = i as usize;
+                        for (o, drow) in want.chunks_exact_mut(d_in).enumerate() {
+                            for (j, d) in drow.iter_mut().enumerate() {
+                                *d += g[i * d_out + o] * v[i * d_in + j];
+                            }
+                        }
+                    }
+                    for &isa in &twins {
+                        let mut got = dm.clone();
+                        add_outer_products(isa, &rows, &g, &v, d_out, d_in, &mut got);
+                        let what = format!("{isa:?}: {d_out}x{d_in}, planted {plant}");
+                        assert_eq!(nan_classes(&got), nan_classes(&want), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The blocked transpose is the element-by-element one, bit for bit, in
+    /// both twins: under, at and over the 8-row block, and past the end of
+    /// a longer scratch buffer nothing is written.
+    #[test]
+    fn transpose_matches_naive_loop() {
+        let twins = both_twins("transpose_matches_naive_loop");
+        for rows in [1, 7, 8, 9, 32, 33] {
+            for cols in [1, 5, 64, 65] {
+                let m = planted(rows * cols, 29 + rows as u32, true);
+                let mut want = vec![7.0f32; rows * cols + 3];
+                for o in 0..rows {
+                    for j in 0..cols {
+                        want[j * rows + o] = m[o * cols + j];
+                    }
+                }
+                let bits = |x: &[f32]| x.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for &isa in &twins {
+                    let mut mt = vec![7.0f32; rows * cols + 3];
+                    isa.run(
+                        #[inline(always)]
+                        || transpose(&m, rows, cols, &mut mt),
+                    );
+                    assert_eq!(bits(&mt), bits(&want), "{isa:?}: {rows} x {cols}");
+                }
+            }
+        }
+    }
+
+    /// `Graph::score_rows`, four rows per fold, is each row's one-row fold
+    /// bit for bit (NaN as a class) — `RowScore::distance(row, 0)` — under
+    /// every score, at every width and for 1–9 rows (whole four-row folds
+    /// and every tail), on one worker and on four.
+    #[test]
+    fn score_rows_folds_each_row_as_one_row() {
+        let scores = [
+            RowScore::L1,
+            RowScore::L2 { eps: 1e-12 },
+            RowScore::SquaredL2,
+            RowScore::TorusL1,
+            RowScore::TorusL2Sq,
+        ];
+        for n in [1, 7, 63, 64, 65, 130] {
+            let zeros = vec![0.0f32; n];
+            for m in 1..=9 {
+                for plant in [false, true] {
+                    let x = planted(m * n, 31 + (m * n) as u32, plant);
+                    for score in scores {
+                        let want: Vec<f32> = x
+                            .chunks_exact(n)
+                            .map(|row| score.distance(row, &zeros))
+                            .collect();
+                        for width in [1, 4] {
+                            let mut g = Graph::with_pool(PoolHandle::global().with_width(width));
+                            let rows = g.input_from_slice(m, n, &x);
+                            let out = g.score_rows(rows, score);
+                            let what = format!(
+                                "{score:?}, {m} rows of {n}, planted {plant}, width {width}"
+                            );
+                            assert_eq!(
+                                nan_classes(g.value(out).as_slice()),
+                                nan_classes(&want),
+                                "{what}"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -68,7 +68,7 @@ pub use sparse::semiring::Semiring;
 
 /// Low-level kernels re-exported for benchmarks and cross-crate tests.
 pub mod kernels {
-    pub use crate::graph::{scatter_add_csr, scatter_add_rows};
+    pub use crate::graph::{scatter_add_csr, scatter_add_rows, transpose};
 }
 pub use paged::{PageStats, Pager, RowStorage, VecStorage};
 pub use store::{ParamId, ParamStore, RowSet, Sweep};
