@@ -1,7 +1,5 @@
 //! A complete dataset: entity/relation counts plus train/valid/test splits.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, TripleSet, TripleStore};
 
 /// A knowledge-graph dataset with standard splits.
@@ -16,7 +14,7 @@ use crate::{Result, TripleSet, TripleStore};
 /// assert_eq!(ds.total_triples(), 1);
 /// # Ok::<(), kg::Error>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Dataset name (e.g. `"FB15K"` or `"synth-fb15k"`).
     pub name: String,

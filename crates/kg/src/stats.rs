@@ -10,14 +10,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::TripleStore;
 
 /// Cardinality class of a relation, following Bordes et al. (2013): a
 /// relation is "1-to-N" in the tail direction if heads average more than 1.5
 /// distinct tails, etc.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RelationClass {
     /// ≤ 1.5 tails per head and ≤ 1.5 heads per tail.
     OneToOne,
@@ -30,7 +28,7 @@ pub enum RelationClass {
 }
 
 /// Aggregate statistics of a triple store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Number of triples measured.
     pub triples: usize,

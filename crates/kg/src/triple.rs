@@ -3,8 +3,6 @@
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Error, Result};
 
 /// One knowledge-graph fact: `(head, relation, tail)` as dense indices.
@@ -17,7 +15,7 @@ use crate::{Error, Result};
 /// assert_eq!(t.rel, 2);
 /// assert_eq!(t.tail, 5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Triple {
     /// Head (subject) entity index.
     pub head: u32,
@@ -38,7 +36,7 @@ impl Triple {
 ///
 /// Columnar storage is what the incidence builders and batch iterators
 /// consume directly, avoiding a transpose per mini-batch.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TripleStore {
     heads: Vec<u32>,
     rels: Vec<u32>,

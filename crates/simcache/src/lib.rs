@@ -14,8 +14,9 @@
 //!   `sparse` and `tensor`.
 //!
 //! **Place in the workspace:** a leaf analysis crate over `sparse` (whose
-//! matrices drive the traces); only the bench harness (`table7`) depends on
-//! it.
+//! matrices drive the traces). The paper artifact `table7`, the CLI's LRU
+//! replay of the pager's and the serving cache's row traces, and the
+//! `sptransx` tests depend on it.
 //!
 //! # Examples
 //!
@@ -33,10 +34,8 @@
 
 pub mod trace;
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,
@@ -72,7 +71,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that hit.
     pub hits: u64,

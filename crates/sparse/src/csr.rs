@@ -1,7 +1,5 @@
 //! Compressed sparse row matrices.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Error, Result};
 
 /// A sparse matrix in compressed-sparse-row format — the crate's one
@@ -23,7 +21,7 @@ use crate::{Error, Result};
 /// assert_eq!(csr.row(1).next(), Some((2, -1.0)));
 /// # Ok::<(), sparse::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,

@@ -1,7 +1,5 @@
 //! Minimal complex-number support for the Appendix D semiring models.
 
-use serde::{Deserialize, Serialize};
-
 /// A 32-bit complex number, stored `(re, im)`.
 ///
 /// ComplEx and RotatE embeddings (paper Appendix D) are complex-valued; dense
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a * b, Complex32::new(5.0, 5.0));
 /// assert_eq!(a.conj(), Complex32::new(1.0, -2.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex32 {
     /// Real part.
     pub re: f32,

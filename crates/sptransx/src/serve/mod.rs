@@ -59,6 +59,7 @@ use std::time::Duration;
 use kg::eval::BatchScorer;
 use kg::stream::RowFile;
 use sparse::DenseView;
+use tensor::kernels::transpose;
 use tensor::{RowScore, PANEL_LANES};
 use xparallel::PoolHandle;
 
@@ -341,22 +342,9 @@ fn transpose_blocks(data: &mut [f32], dim: usize, lanes: usize, to: Transpose) {
         let w = block.len() / dim;
         let src = &mut scratch[..block.len()];
         src.copy_from_slice(block);
-        // Each form is written in order, gathering from the other.
         match to {
-            Transpose::ToPanels => {
-                for (j, col) in block.chunks_exact_mut(w).enumerate() {
-                    for (v, row) in col.iter_mut().zip(src.chunks_exact(dim)) {
-                        *v = row[j];
-                    }
-                }
-            }
-            Transpose::ToRows => {
-                for (l, row) in block.chunks_exact_mut(dim).enumerate() {
-                    for (v, col) in row.iter_mut().zip(src.chunks_exact(w)) {
-                        *v = col[l];
-                    }
-                }
-            }
+            Transpose::ToPanels => transpose(src, w, dim, block),
+            Transpose::ToRows => transpose(src, dim, w, block),
         }
     }
 }

@@ -90,11 +90,13 @@ impl Arena {
     ///
     /// The buffer's bytes **stay registered** with [`crate::memory`] — a
     /// pooled buffer is part of the live working set, so `current_bytes`
-    /// and `peak_bytes` are unaffected by recycling round-trips.
+    /// and `peak_bytes` are unaffected by recycling round-trips. A shared
+    /// tensor is dropped instead; its bytes stay with the other handles.
     pub fn reclaim(&mut self, t: Tensor) {
-        let data = t.into_raw_registered();
-        self.held_bytes += (data.len() * 4) as u64;
-        self.buckets.entry(data.len()).or_default().push(data);
+        if let Some(data) = t.into_raw_registered() {
+            self.held_bytes += (data.len() * 4) as u64;
+            self.buckets.entry(data.len()).or_default().push(data);
+        }
     }
 
     /// Frees every pooled buffer (deregistering their bytes).

@@ -2823,6 +2823,22 @@ mod tests {
         )
     }
 
+    /// Public calls alone feed a replica's aliased value to a tape: `reset`
+    /// drops it instead of pooling a buffer the canonical store still uses.
+    #[test]
+    fn reset_drops_a_shared_input() {
+        let (mut canonical, w) = store_with("w", Tensor::from_rows(&[[1.0, 2.0], [3.0, 4.0]]));
+        let (mut replica, r) = store_with("w", Tensor::zeros(2, 2));
+        replica.alias_values(&mut canonical).unwrap();
+        let shared = std::mem::replace(replica.value_mut(r), Tensor::zeros(2, 2));
+        assert!(shared.is_shared());
+        let mut g = Graph::new();
+        g.input(shared);
+        g.reset();
+        assert_eq!(g.arena().pooled_buffers(), 0);
+        assert_eq!(canonical.value(w).row(1), &[3.0, 4.0]);
+    }
+
     #[test]
     fn reset_makes_repeat_passes_allocation_free_and_bit_identical() {
         let data = Tensor::from_rows(&[[0.3, -0.2], [1.5, 0.7], [-0.4, 0.9], [0.1, 0.2]]);

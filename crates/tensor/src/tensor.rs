@@ -33,7 +33,7 @@ enum Data {
 /// value tensor instead aliases rank 0's ([`crate::ParamStore::alias_values`]):
 /// its accessors then read and write the shared bytes in place,
 /// [`Tensor::clone`] snapshots to a private owned copy, and the
-/// arena-reclamation path rejects it.
+/// arena-reclamation path drops it instead of pooling its buffer.
 ///
 /// # Examples
 ///
@@ -344,20 +344,16 @@ impl Tensor {
     /// Consumes the tensor, returning the buffer.
     ///
     /// An owned buffer is moved out (deregistering its bytes); a
-    /// Hogwild-shared tensor returns a **snapshot copy**, leaving the
-    /// shared buffer (and its registration) with the surviving handles.
+    /// Hogwild-shared tensor returns a **snapshot copy** (its callers, dumps
+    /// and evaluation, run after the async workers have quiesced), leaving
+    /// the shared buffer (and its registration) with the surviving handles.
     pub fn into_vec(mut self) -> Vec<f32> {
-        match std::mem::replace(&mut self.data, Data::Owned(Vec::new())) {
-            Data::Owned(data) => {
-                // The Drop impl will see an empty buffer, so deregister here.
-                memory::deregister((data.len() * 4) as u64);
-                data
-            }
-            // SAFETY: snapshot read under the Hogwild contract; callers of
-            // into_vec on a shared tensor (dumps, evaluation) run after the
-            // async workers have quiesced.
-            Data::Shared(b) => unsafe { b.slice() }.to_vec(),
+        if let Data::Owned(data) = &mut self.data {
+            // The Drop impl will see an empty buffer, so deregister here.
+            memory::deregister((data.len() * 4) as u64);
+            return std::mem::take(data);
         }
+        self.buf().to_vec()
     }
 
     /// Consumes the tensor, returning the buffer **without** deregistering:
@@ -365,19 +361,14 @@ impl Tensor {
     /// path — registration ownership moves to the pool (and back out again
     /// on the next [`Tensor::zeros_in`] / [`Tensor::uninit_in`] hit).
     ///
-    /// # Panics
-    ///
-    /// Panics for Hogwild-shared tensors: their buffer belongs to every
-    /// aliasing replica and can never be recycled into a graph arena.
-    /// (Unreachable in practice — graphs only ever reclaim their own
-    /// owned node tensors.)
-    pub(crate) fn into_raw_registered(mut self) -> Vec<f32> {
-        match std::mem::replace(&mut self.data, Data::Owned(Vec::new())) {
-            Data::Owned(data) => {
-                // The Drop impl sees an empty buffer and deregisters nothing.
-                data
-            }
-            Data::Shared(_) => panic!("shared tensors cannot be reclaimed into an arena"),
+    /// A Hogwild-shared tensor returns `None` and is dropped: its buffer
+    /// belongs to every aliasing replica, so it is never recycled, and its
+    /// bytes stay registered until the last handle drops.
+    pub(crate) fn into_raw_registered(mut self) -> Option<Vec<f32>> {
+        match &mut self.data {
+            // The Drop impl sees an empty buffer and deregisters nothing.
+            Data::Owned(data) => Some(std::mem::take(data)),
+            Data::Shared(_) => None,
         }
     }
 

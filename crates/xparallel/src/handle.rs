@@ -37,10 +37,9 @@
 //! ```
 
 use std::ops::Range;
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
-
-use crate::{chunk_ranges, global_pool, prefetch, singleton_ranges, PREFETCH_DISTANCE};
+use crate::{chunk_ranges, global_pool, lock, prefetch, singleton_ranges, PREFETCH_DISTANCE};
 
 /// One-shot handoff slot carrying a worker's `(chunk_rows, window_first_row,
 /// window, scratch)` share of a row loop.
@@ -320,7 +319,7 @@ impl PoolHandle {
         global_pool().scope_run(&singleton_ranges(windows.len()), &|r: Range<usize>| {
             for i in r {
                 let (rows, first, window, scratch) =
-                    windows[i].lock().take().expect("window taken twice");
+                    lock(&windows[i]).take().expect("window taken twice");
                 body(rows, first, window, scratch);
             }
         });
@@ -348,7 +347,7 @@ impl PoolHandle {
             items.iter_mut().map(|t| Mutex::new(Some(t))).collect();
         global_pool().scope_run(&singleton_ranges(slots.len()), &|r: Range<usize>| {
             for i in r {
-                let item = slots[i].lock().take().expect("item taken twice");
+                let item = lock(&slots[i]).take().expect("item taken twice");
                 body(i, item);
             }
         });
@@ -390,11 +389,11 @@ impl PoolHandle {
         }
         let slots: Vec<Mutex<Option<T>>> = (0..ranges.len()).map(|_| Mutex::new(None)).collect();
         global_pool().scope_run_indexed(&ranges, &|i, r| {
-            *slots[i].lock() = Some(map(r));
+            *lock(&slots[i]) = Some(map(r));
         });
         let mut acc = identity;
         for slot in slots {
-            let part = slot.into_inner().expect("missing reduction partial");
+            let part = lock(&slot).take().expect("missing reduction partial");
             acc = reduce(acc, part);
         }
         acc
@@ -610,7 +609,7 @@ mod tests {
         let mut order = Vec::new();
         let cell = Mutex::new(&mut order);
         h.for_mut(&mut [0u8; 10], 1, |offset, chunk| {
-            cell.lock().extend(offset..offset + chunk.len());
+            lock(&cell).extend(offset..offset + chunk.len());
         });
         assert_eq!(order, (0..10).collect::<Vec<_>>());
     }

@@ -41,10 +41,7 @@
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 mod handle;
 mod pool;
@@ -250,6 +247,12 @@ pub(crate) fn singleton_ranges(n: usize) -> Vec<Range<usize>> {
     (0..n).map(|i| i..i + 1).collect()
 }
 
+/// Locks `m`, taking the guard even if a panic poisoned it: each update under
+/// this crate's locks is one store, and none is held across user code.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A latch that lets one thread wait for `n` completions.
 pub(crate) struct WaitGroup {
     remaining: Mutex<usize>,
@@ -267,7 +270,7 @@ impl WaitGroup {
     }
 
     pub(crate) fn done(&self) {
-        let mut rem = self.remaining.lock();
+        let mut rem = lock(&self.remaining);
         *rem -= 1;
         if *rem == 0 {
             self.cond.notify_all();
@@ -275,21 +278,22 @@ impl WaitGroup {
     }
 
     pub(crate) fn record_panic(&self, msg: String) {
-        let mut p = self.panicked.lock();
+        let mut p = lock(&self.panicked);
         if p.is_none() {
             *p = Some(msg);
         }
     }
 
-    pub(crate) fn wait(&self) {
-        let mut rem = self.remaining.lock();
+    /// Blocks until all `n` completions, then returns the first task panic.
+    /// Not `Condvar::wait_while`: on a poisoned lock it returns early, and
+    /// `scope_run`'s erased borrow needs every task finished.
+    pub(crate) fn wait(&self) -> Option<String> {
+        let mut rem = lock(&self.remaining);
         while *rem > 0 {
-            self.cond.wait(&mut rem);
+            rem = self.cond.wait(rem).unwrap_or_else(PoisonError::into_inner);
         }
         drop(rem);
-        if let Some(msg) = self.panicked.lock().take() {
-            panic!("worker task panicked: {msg}");
-        }
+        lock(&self.panicked).take()
     }
 }
 
@@ -308,7 +312,7 @@ pub(crate) fn run_catching(wg: &WaitGroup, f: impl FnOnce()) {
     wg.done();
 }
 
-pub(crate) fn spawn_worker(rx: crossbeam::channel::Receiver<Job>) -> std::thread::JoinHandle<()> {
+pub(crate) fn spawn_worker(rx: std::sync::mpsc::Receiver<Job>) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("xparallel-worker".into())
         .spawn(move || {
@@ -317,10 +321,6 @@ pub(crate) fn spawn_worker(rx: crossbeam::channel::Receiver<Job>) -> std::thread
             }
         })
         .expect("failed to spawn worker thread")
-}
-
-pub(crate) fn make_channel() -> (Sender<Job>, crossbeam::channel::Receiver<Job>) {
-    unbounded()
 }
 
 #[cfg(test)]
@@ -445,5 +445,15 @@ mod tests {
             });
         });
         assert!(result.is_err());
+        // The same pool still runs `for_mut` and `scope_run` to completion.
+        let visits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
+        let visit = |r: Range<usize>| {
+            for v in &visits[r] {
+                v.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        PoolHandle::global().for_mut(&mut [0u8; 1000], 1, |at, chunk| visit(at..at + chunk.len()));
+        global_pool().scope_run(&chunk_ranges(1000, 1, 8), &visit);
+        assert!(visits.iter().all(|v| v.load(Ordering::Relaxed) == 2));
     }
 }

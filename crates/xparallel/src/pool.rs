@@ -2,10 +2,10 @@
 
 use std::mem;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Sender};
 
-use crossbeam::channel::Sender;
-
-use crate::{make_channel, run_catching, spawn_worker, Job, WaitGroup};
+use crate::{run_catching, spawn_worker, Job, WaitGroup};
 
 /// A fixed-size pool of parked worker threads.
 ///
@@ -47,7 +47,7 @@ impl ThreadPool {
         let mut senders = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = make_channel();
+            let (tx, rx) = channel();
             senders.push(tx);
             handles.push(spawn_worker(rx));
         }
@@ -71,7 +71,8 @@ impl ThreadPool {
     ///
     /// # Panics
     ///
-    /// Propagates the first panic raised by any invocation.
+    /// Propagates the first panic raised by any invocation (the calling
+    /// thread's own first), once every invocation has finished.
     pub fn scope_run(&self, ranges: &[Range<usize>], body: &(dyn Fn(Range<usize>) + Sync)) {
         self.scope_run_indexed(ranges, &|_, r| body(r));
     }
@@ -91,8 +92,9 @@ impl ThreadPool {
         }
         let wg = WaitGroup::new(ranges.len() - 1);
         // SAFETY: every task sent below is joined via `wg.wait()` before this
-        // function returns, so the erased borrow of `body` never outlives the
-        // caller's frame. Workers never store jobs beyond a single `recv`.
+        // function returns or unwinds (the caller's chunk is caught), so the
+        // erased borrow of `body` never outlives the caller's frame. Workers
+        // never store jobs beyond a single `recv`.
         let body_static: &'static (dyn Fn(usize, Range<usize>) + Sync) =
             unsafe { mem::transmute(body) };
         let start = self
@@ -107,8 +109,14 @@ impl ThreadPool {
             let sender = &self.senders[(start + i) % self.senders.len()];
             sender.send(job).expect("worker channel closed");
         }
-        body(0, ranges[0].clone());
-        wg.wait();
+        let first = panic::catch_unwind(AssertUnwindSafe(|| body(0, ranges[0].clone())));
+        let task_panic = wg.wait();
+        if let Err(payload) = first {
+            panic::resume_unwind(payload);
+        }
+        if let Some(msg) = task_panic {
+            panic!("worker task panicked: {msg}");
+        }
     }
 }
 
@@ -154,13 +162,32 @@ mod tests {
     #[test]
     fn indexed_variant_passes_indices() {
         let pool = ThreadPool::new(3);
-        let seen = parking_lot::Mutex::new(vec![false; 8]);
+        let seen = std::sync::Mutex::new(vec![false; 8]);
         let ranges: Vec<Range<usize>> = (0..8).map(|i| i..i + 1).collect();
         pool.scope_run_indexed(&ranges, &|i, r| {
             assert_eq!(r.start, i);
-            seen.lock()[i] = true;
+            crate::lock(&seen)[i] = true;
         });
-        assert!(seen.into_inner().into_iter().all(|b| b));
+        assert!(seen.into_inner().unwrap().into_iter().all(|b| b));
+    }
+
+    /// A panic in the caller's own chunk unwinds out of `scope_run` only
+    /// after the worker's task, which borrows the caller's frame, finished.
+    #[test]
+    fn caller_panic_waits_for_worker_tasks() {
+        let finished = AtomicUsize::new(0);
+        let pool = ThreadPool::new(1);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.scope_run(&[0..1, 1..2], &|r| {
+                if r.start == 0 {
+                    panic!("caller chunk");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                finished.fetch_add(1, Ordering::SeqCst);
+            });
+        }));
+        assert!(result.is_err());
+        assert_eq!(finished.load(Ordering::SeqCst), 1);
     }
 
     #[test]
