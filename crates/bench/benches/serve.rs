@@ -20,9 +20,15 @@
 //! column-major panels (the engine's layout), the bytes per ns a plain
 //! streaming read of the probed runs reaches (the bandwidth bound a scan
 //! cannot beat), plus µs per probe and per `top_k` over one query's
-//! candidates. A cache miss costs about probe + candidates × ns per row +
-//! `top_k`. For the index build it times the k-means assignment (every
-//! entity against the final centroids' 16-lane panel, two entities per pass
+//! candidates. Then the engine's own resident miss at that shape: µs per
+//! miss, and per miss the candidate panels scored in full, those left
+//! early (once none of their rows could make the top 10) and the columns
+//! read. A miss costs about the probe, plus 16 rows at the ns per paneled
+//! row for every 64 columns read (a panel left after its first 8 columns
+//! costs 1/8 of a full one), plus the running top-k (`top_k`'s µs scaled to
+//! the rows full panels offer it); the record holds that prediction beside
+//! the timed miss. For the index build it times the k-means assignment
+//! (every entity against the final centroids' 16-lane panel, two entities per pass
 //! as the build runs it, and one) at each instruction set the CPU runs, in
 //! one process: ns per (entity × 16-centroid block), so a build costs about
 //! `(iters + 1) × N × ⌈K/16⌉ × ns_per_block`.
@@ -40,8 +46,8 @@ use kg::synthetic::SyntheticKgBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sptransx::serve::{
-    recall_at_k, top_k, IvfConfig, IvfIndex, LatencySummary, Query, ServeEngine, ServeModel,
-    ZipfWorkload,
+    recall_at_k, top_k, Direction, IvfConfig, IvfIndex, LatencySummary, Query, ServeEngine,
+    ServeModel, ZipfWorkload,
 };
 use sptransx::Norm;
 use sptx_bench::harness::time_arm;
@@ -255,6 +261,33 @@ fn calibrate() -> JsonObject {
             .map(|p| top_k(p.iter().copied(), K).len())
             .sum::<usize>()
     });
+    // The resident miss itself, through an engine over the same rows plus
+    // 64 small relation rows, on queries `q = h + r`: µs per miss, and the
+    // candidate panels it scores in full and stops early (after
+    // `PANEL_EXIT_COLUMNS`-column blocks), per miss.
+    const RELATIONS: usize = 64;
+    let mut stack = by_id.clone();
+    stack.extend((0..RELATIONS * DIM).map(|_| rng.gen_range(-0.05f32..0.05)));
+    let model = ServeModel::from_stacked(stack, N, RELATIONS, DIM, norm).unwrap();
+    let mut engine = ServeEngine::new(model, index.clone()).unwrap();
+    let misses: Vec<Query> = (0..QUERIES)
+        .map(|_| Query {
+            dir: Direction::Tail,
+            entity: rng.gen_range(0..N as u32),
+            rel: rng.gen_range(0..RELATIONS as u32),
+        })
+        .collect();
+    let before = engine.scan_stats();
+    for q in &misses {
+        engine.answer_ann(q, K, NPROBE);
+    }
+    let scan = engine.scan_stats() - before;
+    let miss_ms = time_arm("calibration: resident miss", Some(QUERIES as u64), || {
+        misses
+            .iter()
+            .map(|q| engine.answer_ann(q, K, NPROBE).hits.len())
+            .sum::<usize>()
+    });
     // The k-means assignment as the build runs it, against the final
     // centroids transposed into zero-padded 16-lane blocks: each entity's
     // nearest centroid, one dispatch per pass over the entities, two
@@ -293,6 +326,17 @@ fn calibrate() -> JsonObject {
     let per_query = |ms: f64| ms * 1e3 / QUERIES as f64;
     let per_row = |ms: f64| ms * 1e6 / candidates as f64;
     let bytes_per_ns = (candidates * DIM * 4) as f64 / (stream_ms * 1e6);
+    // A miss's cost model: the probe, each panel's 16 rows at the panel
+    // kernel's ns per row times the share of its columns read (1/8 for a
+    // panel left after its first block), and the running top-k: `top_k`
+    // over a query's candidates, scaled to the rows full panels offer it.
+    let per_miss = |count: u64| count as f64 / QUERIES as f64;
+    let (full, stopped) = (per_miss(scan.full_panels), per_miss(scan.stopped_panels));
+    let panels_read = per_miss(scan.columns_read) / DIM as f64;
+    let offered = full * PANEL_LANES as f64 / (candidates as f64 / QUERIES as f64);
+    let predicted_us = per_query(probe_ms)
+        + panels_read * PANEL_LANES as f64 * per_row(panel_ms) / 1e3
+        + per_query(top_k_ms) * offered;
     println!(
         "  calibration at the serve_ann shape: {:.1} candidates/query, {:.2} ns/row strided, {:.2} ns/row contiguous, {:.2} ns/row panels, stream {:.2} B/ns, probe {:.2} us, top_k {:.2} us",
         candidates as f64 / QUERIES as f64,
@@ -302,6 +346,14 @@ fn calibrate() -> JsonObject {
         bytes_per_ns,
         per_query(probe_ms),
         per_query(top_k_ms),
+    );
+    println!(
+        "  resident miss: {:.2} us ({:.1} full + {:.1} early-stopped panels, {:.1}% of their columns read); model {:.2} us",
+        per_query(miss_ms),
+        full,
+        stopped,
+        100.0 * scan.columns_frac(DIM),
+        predicted_us,
     );
     let ns = |v: Option<f64>| v.map_or("no AVX2 on this CPU".into(), |ns| format!("{ns:.2} ns"));
     println!(
@@ -324,6 +376,11 @@ fn calibrate() -> JsonObject {
         .num("stream_bytes_per_ns", bytes_per_ns)
         .num("probe_us", per_query(probe_ms))
         .num("top_k_us", per_query(top_k_ms))
+        .num("full_panels_per_miss", full)
+        .num("stopped_panels_per_miss", stopped)
+        .num("columns_read_per_miss", per_miss(scan.columns_read))
+        .num("miss_us", per_query(miss_ms))
+        .num("predicted_miss_us", predicted_us)
         .int("assign_blocks", blocks as u64);
     let arms = [
         ("ns_per_assign_block_baseline", baseline_ns),

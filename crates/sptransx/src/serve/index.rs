@@ -15,8 +15,9 @@
 //! advances its 16 distances at once, and each lane is bit-equal to
 //! `RowScore::SquaredL2.distance` on its pair, so the argmin walks the lanes
 //! in ascending cluster order with a strict `<` and picks what the
-//! row-at-a-time scan picked. The serving engine's candidate rescore is the
-//! same kernel over its entity panels. The index bytes are those of the
+//! row-at-a-time scan picked. The serving engine's resident walk folds its
+//! entity panels with the same terms and adds, through the kernel's
+//! early-exit form (`panel_distances_within`). The index bytes are those of the
 //! row-major scan the panel replaced; `kernel_golden` pins them. The panel is
 //! derived from the row-major centroids at build and at load, and only the
 //! row-major centroids are written to disk.
@@ -271,9 +272,22 @@ impl IvfIndex {
     ///
     /// Panics if `q.len() != dim()`.
     pub fn nearest_clusters(&self, q: &[f32], nprobe: usize) -> Vec<u32> {
+        let mut order = Vec::new();
+        self.nearest_clusters_into(q, nprobe, &mut order);
+        order.into_iter().map(|(c, _)| c).collect()
+    }
+
+    /// [`IvfIndex::nearest_clusters`] into `order`, each cluster with its
+    /// squared distance to `q`. The buffer is reused: a caller that keeps it
+    /// allocates nothing here once it holds every cluster.
+    pub(crate) fn nearest_clusters_into(
+        &self,
+        q: &[f32],
+        nprobe: usize,
+        order: &mut Vec<(u32, f32)>,
+    ) {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
-        let k = self.num_clusters();
-        let mut order: Vec<(u32, f32)> = Vec::with_capacity(k);
+        order.clear();
         Isa::detected().run(
             #[inline(always)]
             || {
@@ -284,10 +298,7 @@ impl IvfIndex {
         );
         // Selection, then a sort of the kept prefix: `(distance, id)` is a
         // strict total order, so this is the full sort's prefix.
-        super::top_k(order, nprobe.clamp(1, k))
-            .into_iter()
-            .map(|(c, _)| c)
-            .collect()
+        super::keep_top_k(order, nprobe.clamp(1, self.num_clusters()));
     }
 
     /// Appends the candidate entities of the `nprobe` clusters nearest to

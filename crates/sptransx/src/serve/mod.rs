@@ -28,15 +28,27 @@
 //! * One score for every arm: [`Norm::distance`] (the tape's row score of
 //!   `q − candidate`) against [`QueryDir::translated`]. The resident arms
 //!   score 16 candidates per pass through
-//!   [`tensor::RowScore::panel_distances`], whose every lane is that
-//!   distance bit for bit; the paged arm reads one row at a time through the
-//!   [`DenseView`] training reads, mapped onto [`PagedRows`]. Both ANN arms
-//!   share one scan over the probed clusters' list positions (the resident
-//!   arm scores the panels each cluster overlaps and keeps its lanes, the
-//!   paged arm reads the id-ordered row of the entity at `p`); the exact arm
-//!   is the same panel scan over every storage row. Answers name entity ids
-//!   and depend only on the set of `(id, score)` pairs, so the layout never
-//!   shows in them.
+//!   [`tensor::RowScore::panel_distances_within`], whose every lane is that
+//!   distance bit for bit when it scores the panel in full.
+//! * **One resident walk, with an early exit.** The ANN arm walks the
+//!   `nprobe` nearest clusters, nearest first; the exact arm is the same
+//!   walk over every cluster. Each cluster is a run of consecutive panels,
+//!   and the walk keeps a running top-k: after every 8 columns of a panel
+//!   it compares the lanes the cluster holds against the k-th best score so
+//!   far, and leaves the panel once every one of them is strictly above it.
+//!   Every term is `≥ 0`, so a partial score bounds the full one from below
+//!   and a lane left behind could not have entered the top k; a tie at a
+//!   lower id is never left. The walk prunes only when every entity and
+//!   query coordinate is within `±f32::MAX / 2`: beyond it a later column's
+//!   torus term of an overflowed difference can turn a hopeless partial
+//!   into a negative NaN, which the score order ranks first.
+//!   [`ServeEngine::scan_stats`] counts what it read.
+//! * The paged arm reads one id-ordered row at a time through the
+//!   [`DenseView`] training reads, mapped onto [`PagedRows`], scores every
+//!   probed candidate in full and ranks them with [`top_k`]: the
+//!   unpruned reference the resident arm is checked against, bit for bit.
+//!   Answers name entity ids and depend only on the set of `(id, score)`
+//!   pairs, so neither the layout nor the walk shows in them.
 //! * [`QueryCache`] absorbs the hot head of Zipf-skewed traffic
 //!   ([`ZipfWorkload`]); its exact-LRU policy is cross-validated against a
 //!   fully-associative `simcache` model in the serving tests.
@@ -53,6 +65,7 @@ pub use cache::{QueryCache, QueryCacheStats, QueryKey};
 pub use index::{IvfConfig, IvfIndex};
 pub use workload::ZipfWorkload;
 
+use std::collections::BinaryHeap;
 use std::path::Path;
 use std::time::Duration;
 
@@ -225,13 +238,18 @@ impl ServeModel {
     ///
     /// Panics if the query's entity or relation is out of range.
     pub fn query_vector(&self, query: &Query) -> Vec<f32> {
-        let [ent, rel] = self.rows_of(query);
         let mut q = vec![0f32; self.dim];
-        self.entity_into(ent as usize, &mut q);
+        self.query_vector_into(query, &mut q);
+        q
+    }
+
+    /// [`ServeModel::query_vector`] into `q` (`dim` long).
+    fn query_vector_into(&self, query: &Query, q: &mut [f32]) {
+        let [ent, rel] = self.rows_of(query);
+        self.entity_into(ent as usize, q);
         query
             .query_dir()
-            .translate(&mut q, self.relation_row(rel as usize));
-        q
+            .translate(q, self.relation_row(rel as usize));
     }
 
     /// Stacked row `row ≥ N`: a relation row, row-major wherever the entity
@@ -391,27 +409,57 @@ impl BatchScorer for ServeModel {
 }
 
 /// The deterministic score order used everywhere in this module: primary by
-/// score ascending (lower distance = better) under IEEE total order (NaN
-/// ranks worst among non-negative distances), ties by entity id ascending.
+/// score ascending (lower distance = better) under IEEE total order, ties by
+/// entity id ascending. A NaN with the sign bit clear ranks after `+∞`
+/// (worst); one with it set ranks before `−∞` (first). x86's default NaN,
+/// what `inf − inf` gives, has the sign bit set.
 fn score_order(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
     a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
 }
+
+/// An `(entity, score)` pair ordered by [`score_order`], for the running
+/// top-k heap of the resident walk: its greatest element is the k-th best.
+#[derive(Debug, Clone, Copy)]
+struct Ranked(u32, f32);
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        score_order(&(self.0, self.1), &(other.0, other.1))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Ranked {}
 
 /// The `k` best `(entity, score)` pairs under the deterministic score order,
 /// best first. The result depends only on the *set* of input pairs, never on
 /// their iteration order.
 pub fn top_k(pairs: impl IntoIterator<Item = (u32, f32)>, k: usize) -> Vec<(u32, f32)> {
     let mut v: Vec<(u32, f32)> = pairs.into_iter().collect();
-    if k == 0 || v.is_empty() {
-        return Vec::new();
-    }
-    let k = k.min(v.len());
-    if k < v.len() {
+    keep_top_k(&mut v, k);
+    v
+}
+
+/// [`top_k`] in place: truncates `v` to its `k` best pairs, best first.
+fn keep_top_k(v: &mut Vec<(u32, f32)>, k: usize) {
+    if k == 0 {
+        v.clear();
+    } else if k < v.len() {
         v.select_nth_unstable_by(k - 1, score_order);
         v.truncate(k);
     }
     v.sort_unstable_by(score_order);
-    v
 }
 
 /// Fraction of `exact`'s entity ids that `approx` also returned
@@ -432,25 +480,111 @@ pub fn recall_at_k(exact: &[(u32, f32)], approx: &[(u32, f32)]) -> f64 {
 pub struct AnnAnswer {
     /// The top-K `(entity, score)` pairs, best first.
     pub hits: Vec<(u32, f32)>,
-    /// How many candidate entities were scored (0 on a cache hit).
+    /// How many candidate entities the probed clusters hold (0 on a cache
+    /// hit): the scan's share of the table. The resident arm stops reading
+    /// a panel early once none of its candidates can make the top `k`;
+    /// those candidates count here too ([`ServeEngine::scan_stats`] counts
+    /// the columns read).
     pub scored: usize,
     /// Whether the answer came from the query cache.
     pub cache_hit: bool,
 }
 
+/// What the resident walks of a [`ServeEngine`] read, counted per
+/// *candidate panel*: one probed cluster's share of one 16-row panel (a
+/// panel two probed clusters overlap counts once for each).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanStats {
+    /// Candidate panels scored in full.
+    pub full_panels: u64,
+    /// Candidate panels stopped early: after some multiple of
+    /// [`tensor::PANEL_EXIT_COLUMNS`] columns, none of their candidates could
+    /// still make the top `k`.
+    pub stopped_panels: u64,
+    /// Columns read over all candidate panels (`dim` for a full one).
+    pub columns_read: u64,
+}
+
+impl ScanStats {
+    /// Share of the candidate panels stopped early (0 when none were read).
+    pub fn stopped_frac(&self) -> f64 {
+        let panels = self.full_panels + self.stopped_panels;
+        self.stopped_panels as f64 / panels.max(1) as f64
+    }
+
+    /// Share of the candidate panels' `dim` columns each that were read (0
+    /// when none were).
+    pub fn columns_frac(&self, dim: usize) -> f64 {
+        let panels = self.full_panels + self.stopped_panels;
+        self.columns_read as f64 / (panels * dim as u64).max(1) as f64
+    }
+}
+
+impl std::ops::Add for ScanStats {
+    type Output = Self;
+
+    fn add(self, rhs: Self) -> Self {
+        Self {
+            full_panels: self.full_panels + rhs.full_panels,
+            stopped_panels: self.stopped_panels + rhs.stopped_panels,
+            columns_read: self.columns_read + rhs.columns_read,
+        }
+    }
+}
+
+impl std::ops::Sub for ScanStats {
+    type Output = Self;
+
+    /// The counts between an earlier reading `rhs` and this one.
+    fn sub(self, rhs: Self) -> Self {
+        Self {
+            full_panels: self.full_panels - rhs.full_panels,
+            stopped_panels: self.stopped_panels - rhs.stopped_panels,
+            columns_read: self.columns_read - rhs.columns_read,
+        }
+    }
+}
+
+/// Largest coordinate magnitude under which the resident walk stops a panel
+/// early: no difference of two such values overflows, so no score is NaN,
+/// and a partial score is a lower bound of the full one in [`score_order`].
+const PRUNE_LIMIT: f32 = f32::MAX / 2.0;
+
+/// Whether every value is within `±PRUNE_LIMIT` (so finite).
+fn within_prune_limit(v: &[f32]) -> bool {
+    v.iter().fold(true, |ok, x| ok & (x.abs() <= PRUNE_LIMIT))
+}
+
+/// The resident walk's scratch, kept by the engine so that a miss allocates
+/// only its answer.
+#[derive(Debug, Default)]
+struct WalkScratch {
+    /// The query vector.
+    qv: Vec<f32>,
+    /// The probed clusters and their centroid distances, nearest first.
+    order: Vec<(u32, f32)>,
+    /// The running top `k`; its greatest element is the k-th best.
+    best: BinaryHeap<Ranked>,
+}
+
 /// The serving engine: a [`ServeModel`] whose entity rows it stores in
 /// its [`IvfIndex`]'s list order, that index, and an optional
-/// [`QueryCache`], with reusable scratch buffers so steady-state queries
-/// allocate little beyond their answer vectors.
+/// [`QueryCache`], with reusable scratch buffers so that a resident miss
+/// allocates only its answer vector.
 #[derive(Debug)]
 pub struct ServeEngine {
     model: ServeModel,
     index: IvfIndex,
     cache: Option<QueryCache>,
-    /// ANN candidate list positions, probed cluster by probed cluster.
+    /// Every entity coordinate is within `±PRUNE_LIMIT`: the resident walk
+    /// may stop panels early (for queries within it too).
+    prunable: bool,
+    walk: WalkScratch,
+    scan: ScanStats,
+    /// The paged arm's candidate entities, probed cluster by probed
+    /// cluster.
     cand_buf: Vec<u32>,
-    /// Candidate scores: one per list position of the ANN scan, one per
-    /// storage row of the full scan.
+    /// The paged arm's candidate scores, one per candidate.
     score_buf: Vec<f32>,
 }
 
@@ -465,7 +599,9 @@ impl ServeEngine {
     /// of scratch for the transposition and one `u32` per entity, never a
     /// second table; relation rows do not move. A model taken out of another
     /// engine ([`ServeEngine::model`]) is transposed back into rows and
-    /// placed again.
+    /// placed again. One pass over the entity rows decides whether the
+    /// resident walk may stop panels early (every coordinate within
+    /// `±f32::MAX / 2`).
     ///
     /// # Errors
     ///
@@ -487,10 +623,18 @@ impl ServeEngine {
             )));
         }
         model.place(index.list_order());
+        let prunable = within_prune_limit(&model.emb[..model.num_entities * model.dim]);
+        let walk = WalkScratch {
+            qv: vec![0.0; model.dim],
+            ..WalkScratch::default()
+        };
         Ok(Self {
             model,
             index,
             cache: None,
+            prunable,
+            walk,
+            scan: ScanStats::default(),
             cand_buf: Vec::new(),
             score_buf: Vec::new(),
         })
@@ -518,21 +662,25 @@ impl ServeEngine {
         self.cache.as_ref().map(|c| c.stats())
     }
 
-    /// Ground-truth arm: scores **all** `N` entities — the [`BatchScorer`]
-    /// kernels' distances, bit for bit — and returns the top-K, best first.
-    /// The scan is the ANN arm's panel scan over every storage row, in
-    /// order, and names each score by the entity its row holds.
+    /// What the resident walks ([`ServeEngine::answer_exact`] and the
+    /// misses of [`ServeEngine::answer_ann`]) have read since the engine was
+    /// made: candidate panels scored in full and stopped early, and columns
+    /// read.
+    pub fn scan_stats(&self) -> ScanStats {
+        self.scan
+    }
+
+    /// Ground-truth arm: the top-K over **all** `N` entities — the
+    /// [`BatchScorer`] kernels' distances, bit for bit — best first. It is
+    /// the ANN arm's walk over every cluster, nearest first, so its bound
+    /// on the k-th best score tightens within the first list and most
+    /// panels are left after a few columns.
     ///
     /// # Panics
     ///
     /// Panics if the query's entity or relation is out of range.
     pub fn answer_exact(&mut self, query: &Query, k: usize) -> Vec<(u32, f32)> {
-        let qv = self.model.query_vector(query);
-        let scores = &mut self.score_buf;
-        scores.resize(self.model.num_entities(), 0.0);
-        scan_panels(scores, &qv, &self.model, |s| s);
-        let ids = self.index.list_order().iter().copied();
-        top_k(ids.zip(scores.iter().copied()), k)
+        self.walk(query, k, self.index.num_clusters()).hits
     }
 
     /// ANN arm: probes the `nprobe` nearest clusters and rescores only their
@@ -564,10 +712,7 @@ impl ServeEngine {
                 };
             }
         }
-        let qv = self.model.query_vector(query);
-        let answer = self
-            .scan(None, &qv, k, nprobe)
-            .expect("a resident scan pages nothing in");
+        let answer = self.walk(query, k, nprobe);
         if let Some(cache) = &mut self.cache {
             cache.insert(key, answer.hits.clone());
         }
@@ -579,11 +724,13 @@ impl ServeEngine {
     /// engine's [`ServeModel`] is never touched; only its shape metadata and
     /// norm are used.
     ///
-    /// Bit-identical to [`ServeEngine::answer_ann`]: the same query vector
-    /// and the same scan over the same bytes, read by entity id from the
-    /// id-ordered store through [`PagedRows::table`] and scored one row at a
-    /// time, where the resident arm scores its list-ordered panels 16 rows
-    /// at a time. The query cache is bypassed (the caller owns caching policy
+    /// Bit-identical to [`ServeEngine::answer_ann`], by an independent
+    /// route: the same query vector and the same probe, but every candidate
+    /// is read by entity id from the id-ordered store through
+    /// [`PagedRows::table`], scored in full one row at a time and ranked by
+    /// [`top_k`], where the resident arm walks its list-ordered panels 16
+    /// rows at a time, stops those that cannot win and keeps a running
+    /// top-k. The query cache is bypassed (the caller owns caching policy
     /// for the paged tier).
     ///
     /// # Errors
@@ -617,89 +764,122 @@ impl ServeEngine {
         rows.ensure(&[&[ent, rel]])?;
         let table = rows.table();
         let qv = translate(query, table.row(ent as usize), table.row(rel as usize));
-        self.scan(Some(rows), &qv, k, nprobe)
-    }
-
-    /// The one candidate scan behind both ANN arms: probe the `nprobe`
-    /// nearest clusters and walk their list positions. The resident table
-    /// holds position `p` at storage row `p`, so each cluster is a run of
-    /// consecutive panels, scored through the panel kernel; the id-ordered
-    /// `paged` table is paged in and read one row at a time at row
-    /// `list_order()[p]`. Rescore against `qv` on the pool, keep the top `k`
-    /// under the entity ids.
-    fn scan(
-        &mut self,
-        paged: Option<&mut PagedRows>,
-        qv: &[f32],
-        k: usize,
-        nprobe: usize,
-    ) -> Result<AnnAnswer> {
         let index = &self.index;
-        let clusters = index.nearest_clusters(qv, nprobe);
+        let clusters = index.nearest_clusters(&qv, nprobe);
+        let lists: Vec<&[u32]> = clusters
+            .iter()
+            .map(|&c| index.cluster(c as usize))
+            .collect();
+        rows.ensure(&lists)?;
         self.cand_buf.clear();
-        for &c in &clusters {
-            self.cand_buf
-                .extend(index.range(c as usize).map(|p| p as u32));
+        for list in &lists {
+            self.cand_buf.extend_from_slice(list);
         }
-        let (cands, ids, norm) = (&self.cand_buf, index.list_order(), self.model.norm());
+        let cands = &self.cand_buf;
         self.score_buf.resize(cands.len(), 0.0);
-        match paged {
-            Some(rows) => {
-                let lists: Vec<&[u32]> = clusters
-                    .iter()
-                    .map(|&c| index.cluster(c as usize))
-                    .collect();
-                rows.ensure(&lists)?;
-                let at = |i: usize| ids[cands[i] as usize] as usize;
-                rescore(&mut self.score_buf, qv, norm, rows.table(), at);
-            }
-            None => scan_panels(&mut self.score_buf, qv, &self.model, |i| cands[i] as usize),
-        }
-        let hits = cands.iter().map(|&p| ids[p as usize]);
+        let norm = self.model.norm();
+        rescore(&mut self.score_buf, &qv, norm, rows.table(), |i| {
+            cands[i] as usize
+        });
+        let scores = self.score_buf.iter().copied();
         Ok(AnnAnswer {
-            hits: top_k(hits.zip(self.score_buf.iter().copied()), k),
+            hits: top_k(cands.iter().copied().zip(scores), k),
             scored: cands.len(),
             cache_hit: false,
         })
     }
-}
 
-/// `out[i]` = the distance from `qv` to the placed model's storage row
-/// `row(i)`, for every `i`, on the pool. Each panel is scored whole through
-/// [`tensor::RowScore::panel_distances`] when the walk enters it, and the
-/// lanes the walk visits are read from it: a run of consecutive rows (one
-/// probed cluster, or the full scan) scores each of its panels once. Every
-/// lane bit-equals `norm.distance(qv, row)`, so neither the panel edges nor
-/// the pool's chunking can move a score.
-fn scan_panels(
-    out: &mut [f32],
-    qv: &[f32],
-    model: &ServeModel,
-    row: impl Fn(usize) -> usize + Sync,
-) {
-    debug_assert_eq!(model.lanes, PANEL_LANES, "a placed model is in panels");
-    let score = model.norm.row_score();
-    PoolHandle::global().for_mut(out, 256, |offset, chunk| {
+    /// The resident scan behind [`ServeEngine::answer_exact`] and the
+    /// misses of [`ServeEngine::answer_ann`]: the `nprobe` clusters nearest
+    /// to the query vector, nearest first, each a run of consecutive panels
+    /// of the list-ordered table. Every panel a cluster overlaps goes
+    /// through [`RowScore::panel_distances_within`] with the k-th best score
+    /// so far as its bound; a panel scored in full offers its cluster's
+    /// lanes to the running top `k`, a stopped one held none that could
+    /// enter it. Only the scratch's buffers are written, so a walk
+    /// allocates its answer and nothing else.
+    ///
+    /// A lane is stopped only when its partial score is strictly above the
+    /// k-th best, so ties at a lower id still enter. The bound stays `+∞`
+    /// (every panel scored in full, the running top-k alone) unless every
+    /// entity coordinate and every query coordinate is within
+    /// `±f32::MAX / 2`: beyond that a later column's torus term of an
+    /// overflowed difference can turn a hopeless partial into a negative
+    /// NaN, which [`score_order`] ranks first.
+    fn walk(&mut self, query: &Query, k: usize, nprobe: usize) -> AnnAnswer {
+        let Self {
+            model,
+            index,
+            walk,
+            scan,
+            ..
+        } = self;
+        let WalkScratch { qv, order, best } = walk;
+        model.query_vector_into(query, qv);
+        index.nearest_clusters_into(qv, nprobe, order);
+        let prune = self.prunable && within_prune_limit(qv);
+        let (score, ids, dim) = (model.norm.row_score(), index.list_order(), model.dim);
+        debug_assert_eq!(model.lanes, PANEL_LANES, "a placed model is in panels");
         let mut dists = [0f32; PANEL_LANES];
-        let mut held = usize::MAX;
-        for (i, dst) in (offset..).zip(chunk) {
-            let r = row(i);
-            if r / PANEL_LANES != held {
-                held = r / PANEL_LANES;
-                let (panel, w) = model.panel(held);
-                score_panel(score, qv, panel, &mut dists[..w]);
+        let mut scored = 0;
+        best.clear();
+        for &(c, _) in order.iter() {
+            let run = index.range(c as usize);
+            scored += run.len();
+            if k == 0 || run.is_empty() {
+                continue;
             }
-            *dst = dists[r % PANEL_LANES];
+            for b in run.start / PANEL_LANES..run.end.div_ceil(PANEL_LANES) {
+                let (panel, w) = model.panel(b);
+                let first = b * PANEL_LANES;
+                let keep = run.start.max(first) - first..run.end.min(first + w) - first;
+                let bound = match best.peek() {
+                    Some(kth) if prune && best.len() == k => kth.1,
+                    _ => f32::INFINITY,
+                };
+                let dists = &mut dists[..w];
+                let read = score_panel_within(score, qv, panel, dists, keep.clone(), bound);
+                scan.columns_read += read as u64;
+                if read < dim {
+                    scan.stopped_panels += 1;
+                    continue;
+                }
+                scan.full_panels += 1;
+                for l in keep {
+                    let hit = Ranked(ids[first + l], dists[l]);
+                    if best.len() < k {
+                        best.push(hit);
+                    } else if let Some(mut kth) = best.peek_mut() {
+                        if hit < *kth {
+                            *kth = hit;
+                        }
+                    }
+                }
+            }
         }
-    });
+        let mut hits: Vec<(u32, f32)> = best.drain().map(|Ranked(e, s)| (e, s)).collect();
+        hits.sort_unstable_by(score_order);
+        AnnAnswer {
+            hits,
+            scored,
+            cache_hit: false,
+        }
+    }
 }
 
-/// One panel's distances, as a call of its own: the kernel inlined into the
-/// scan's per-row loop, with the score matched at run time, made a miss's
-/// scan ≈ 1.6× slower.
+/// One panel through [`RowScore::panel_distances_within`], as a call of its
+/// own: the panel kernel inlined into the scan's per-row loop, with the
+/// score matched at run time, made a miss's scan ≈ 1.6× slower.
 #[inline(never)]
-fn score_panel(score: RowScore, qv: &[f32], panel: &[f32], out: &mut [f32]) {
-    score.panel_distances(qv, panel, out);
+fn score_panel_within(
+    score: RowScore,
+    qv: &[f32],
+    panel: &[f32],
+    out: &mut [f32],
+    keep: std::ops::Range<usize>,
+    bound: f32,
+) -> usize {
+    score.panel_distances_within(qv, panel, out, keep, bound)
 }
 
 /// `out[i] = norm.distance(qv, table.row(row(i)))` for every `i`, on the

@@ -22,7 +22,12 @@
 //!   and NaN queries included;
 //! * the engine stores entity rows in list order as 16-row panels, yet every
 //!   arm, its model's `BatchScorer` and an engine built from its model
-//!   again answer bit for bit as the id-ordered dump does.
+//!   again answer bit for bit as the id-ordered dump does;
+//! * the resident walk, which leaves a panel once none of its candidates
+//!   can beat the k-th best and keeps a running top-k, answers as `top_k`
+//!   over every candidate's `Norm::distance` does: ties at the k-th score,
+//!   any `k` and `nprobe`, and non-finite or huge coordinates, where it must
+//!   not prune.
 
 use kg::eval::{evaluate_batched, BatchScorer, EvalConfig};
 use kg::stream::RowFile;
@@ -840,4 +845,154 @@ fn list_order_placement_answers_from_the_id_ordered_rows() {
 
 fn bits_of(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The resident walk against the plain reference, `top_k` over
+/// `Norm::distance` of every probed candidate (of every entity for the exact
+/// arm), under every serving norm, at `k` 1, 10 and more than the entities,
+/// and at every `nprobe`. Coordinates are quarter steps, so distances are
+/// exact and ties — a candidate in a later cluster, at a lower id, scoring
+/// exactly the k-th best — are common. Then the guard path: NaN, `±∞` and
+/// `±3e38` planted in entity rows (after the index is built) and in relation
+/// rows, where the walk must not prune. The index is built at pool widths 1
+/// and 4.
+#[test]
+fn early_exit_walk_equals_top_k_over_every_candidate() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(53);
+    let norms = [Norm::L1, Norm::L2, Norm::TorusL1, Norm::TorusL2];
+    let mut ties = 0;
+    for case in 0..24u64 {
+        let norm = norms[case as usize % norms.len()];
+        let n = rng.gen_range(20..240usize);
+        let r = rng.gen_range(1..4usize);
+        let dim = [3, 8, 9, 17, 64][case as usize % 5];
+        let mut stack: Vec<f32> = (0..(n + r) * dim)
+            .map(|_| rng.gen_range(-4i32..=4) as f32 / 4.0)
+            .collect();
+        let cfg = IvfConfig {
+            clusters: rng.gen_range(1..12),
+            iters: 2,
+            seed: case,
+        };
+        let build = |w| IvfIndex::build(&stack, n, dim, &cfg, &PoolHandle::global().with_width(w));
+        let index = build(1).unwrap();
+        assert_eq!(build(4).unwrap(), index, "case {case}: width 4");
+        let guarded = case >= 16;
+        if guarded {
+            let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e38, -3e38];
+            for _ in 0..rng.gen_range(1..6) {
+                let at = rng.gen_range(0..stack.len());
+                stack[at] = bad[rng.gen_range(0..bad.len())];
+            }
+        }
+        let model = ServeModel::from_stacked(stack.clone(), n, r, dim, norm).unwrap();
+        let mut engine = ServeEngine::new(model, index.clone()).unwrap();
+        let what = format!("case {case}: {norm:?}, n {n}, dim {dim}, guarded {guarded}");
+        let row = |e: u32| &stack[e as usize * dim..][..dim];
+        for q in ZipfWorkload::new(n, r, 1.0, case).take(12) {
+            let qv = engine.model().query_vector(&q);
+            let reference = |cands: &[u32], k: usize| {
+                let scored = cands.iter().map(|&e| (e, norm.distance(&qv, row(e))));
+                bits(&top_k(scored, k))
+            };
+            for k in [1, 10, n + 5] {
+                let all: Vec<u32> = (0..n as u32).collect();
+                let want = reference(&all, k);
+                assert_eq!(
+                    bits(&engine.answer_exact(&q, k)),
+                    want,
+                    "{what}: exact, k {k}"
+                );
+                if let Some(&(_, kth)) = want.get(k.saturating_sub(1)).filter(|_| k < n) {
+                    let later = all.iter().filter(|&&e| {
+                        !want.iter().any(|w| w.0 == e)
+                            && norm.distance(&qv, row(e)).to_bits() == kth
+                    });
+                    ties += later.count();
+                }
+                for nprobe in 1..=index.num_clusters() {
+                    let mut cands = Vec::new();
+                    index.probe(&qv, nprobe, &mut cands);
+                    let ann = engine.answer_ann(&q, k, nprobe);
+                    assert_eq!(ann.scored, cands.len(), "{what}: k {k}, nprobe {nprobe}");
+                    let want = reference(&cands, k);
+                    assert_eq!(
+                        bits(&ann.hits),
+                        want,
+                        "{what}: k {k}, nprobe {nprobe}, {q:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(ties > 0, "no query tied the k-th best score");
+    // The tables above are small for panels to stop; this one stops some
+    // under every norm: 800 rows around 8 centres at dim 64.
+    let (n, r, dim) = (800, 3, 64);
+    let stack = clustered_stack(n, r, 8, dim, 7);
+    for norm in norms {
+        let model = ServeModel::from_stacked(stack.clone(), n, r, dim, norm).unwrap();
+        let cfg = IvfConfig {
+            clusters: 16,
+            iters: 3,
+            seed: 2,
+        };
+        let index = IvfIndex::build(&stack, n, dim, &cfg, &PoolHandle::global()).unwrap();
+        let mut engine = ServeEngine::new(model, index.clone()).unwrap();
+        for q in ZipfWorkload::new(n, r, 1.0, 5).take(20) {
+            let qv = engine.model().query_vector(&q);
+            let scored =
+                (0..n as u32).map(|e| (e, norm.distance(&qv, &stack[e as usize * dim..][..dim])));
+            let want = bits(&top_k(scored, 10));
+            assert_eq!(bits(&engine.answer_exact(&q, 10)), want, "{norm:?}, {q:?}");
+        }
+        let stats = engine.scan_stats();
+        assert!(stats.stopped_panels > 0, "{norm:?}: {stats:?}");
+    }
+}
+
+/// A hopeless partial score can still become a NaN with its sign bit set,
+/// which `top_k`'s total order ranks first: the torus term of a difference
+/// that overflows (`−2e38 − 2e38 = −∞`, then `−∞ − floor(−∞)` is x86's
+/// default NaN). One cluster, so the walk visits ids in order: rows 0..32
+/// sit near the query; rows 32..64 are a torus half-step away in their
+/// first 8 columns, out of reach of the 4th best, and overflow in column 9.
+/// Rows beyond `±f32::MAX / 2` turn pruning off, so the walk scores them
+/// in full and answers as the reference does.
+#[test]
+fn overflowing_torus_rows_are_not_pruned() {
+    let (n, r, dim) = (64usize, 1usize, 16usize);
+    let mut stack = vec![0f32; (n + r) * dim];
+    for (e, row) in stack.chunks_exact_mut(dim).take(n).enumerate() {
+        let far = e >= 32;
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = match j {
+                9 if far => 2e38,
+                9 => -2e38,
+                0..=7 if far => 0.5,
+                _ => (e % 5) as f32 / 64.0,
+            };
+        }
+    }
+    let cfg = IvfConfig {
+        clusters: 1,
+        iters: 1,
+        seed: 0,
+    };
+    let index = IvfIndex::build(&stack, n, dim, &cfg, &PoolHandle::global()).unwrap();
+    for norm in [Norm::TorusL1, Norm::TorusL2] {
+        let model = ServeModel::from_stacked(stack.clone(), n, r, dim, norm).unwrap();
+        let mut engine = ServeEngine::new(model, index.clone()).unwrap();
+        let q = Query {
+            dir: Direction::Tail,
+            entity: 3,
+            rel: 0,
+        };
+        let qv = engine.model().query_vector(&q);
+        let scored =
+            (0..n as u32).map(|e| (e, norm.distance(&qv, &stack[e as usize * dim..][..dim])));
+        let want = bits(&top_k(scored, 4));
+        assert_eq!(bits(&engine.answer_exact(&q, 4)), want, "{norm:?}");
+        assert_eq!(bits(&engine.answer_ann(&q, 4, 1).hits), want, "{norm:?}");
+    }
 }

@@ -148,6 +148,10 @@ macro_rules! with_term {
 /// over the columns advances together, in one `[f32; 16]` accumulator.
 pub const PANEL_LANES: usize = 16;
 
+/// Columns [`RowScore::panel_distances_within`] folds between two looks at
+/// its bound. At 64 columns, 4 and 16 both scanned slower than 8.
+pub const PANEL_EXIT_COLUMNS: usize = 8;
+
 /// `acc[l] += term(a_j − panel[j·w + l])` for every column `j` in order and
 /// every lane `l < w`: each lane is one row's fold, from wherever `acc`
 /// starts, strictly in column order.
@@ -164,6 +168,31 @@ fn fold_panel(
             *al += term(aj - c);
         }
     }
+}
+
+/// [`fold_panel`] in blocks of [`PANEL_EXIT_COLUMNS`] columns, stopping
+/// before a block once `stop(acc)`; returns the columns folded.
+#[inline(always)]
+fn fold_panel_until(
+    a: &[f32],
+    panel: &[f32],
+    w: usize,
+    acc: &mut [f32; PANEL_LANES],
+    term: impl Fn(f32) -> f32 + Copy,
+    stop: impl Fn(&[f32; PANEL_LANES]) -> bool,
+) -> usize {
+    let blocks = a
+        .chunks(PANEL_EXIT_COLUMNS)
+        .zip(panel.chunks(PANEL_EXIT_COLUMNS * w));
+    let mut read = 0;
+    for (a, panel) in blocks {
+        if read > 0 && stop(acc) {
+            break;
+        }
+        fold_panel(a, panel, w, acc, term);
+        read += a.len();
+    }
+    read
 }
 
 impl RowScore {
@@ -300,6 +329,80 @@ impl RowScore {
         }
         for (o, &al) in out.iter_mut().zip(&acc) {
             *o = self.finish(al);
+        }
+    }
+
+    /// [`RowScore::panel_distances`] that gives up on a panel none of whose
+    /// `keep` lanes can score `≤ bound`. It folds the columns in blocks of
+    /// [`PANEL_EXIT_COLUMNS`]; after each block but the last, if
+    /// `finish(partial) > bound` for every lane in `keep`, it stops and
+    /// returns the columns folded so far (`out` is left as it was).
+    /// Otherwise it returns `a.len()` and `out` holds every lane's score,
+    /// bit-equal to [`RowScore::panel_distances`]: the same adds in the same
+    /// order, only interrupted by compares.
+    ///
+    /// Every term is `≥ 0` or NaN and `finish` never decreases, so a partial
+    /// score never exceeds the full one, and a stopped lane's full score is
+    /// `> bound` too — unless a later column makes it NaN. A NaN partial
+    /// never compares `> bound` and keeps its panel going, but a finite
+    /// partial can still become NaN: `inf − inf` in the torus term of an
+    /// overflowed difference. That NaN may have its sign bit set, and
+    /// `total_cmp` ranks a negative NaN first. A caller that prunes with a
+    /// finite bound must rule that out, for example by keeping every value
+    /// of `a` and of the panel within `±f32::MAX / 2`, where no difference
+    /// overflows; `bound = +∞` (or NaN) never stops.
+    ///
+    /// # Panics
+    ///
+    /// As [`RowScore::panel_distances`], and if `keep` does not lie within
+    /// `0..out.len()`.
+    // Not dispatched through `Isa::run`: the serving walk calls it through a
+    // function of its own with a runtime score, at the baseline width.
+    #[inline(always)]
+    pub fn panel_distances_within(
+        self,
+        a: &[f32],
+        panel: &[f32],
+        out: &mut [f32],
+        keep: std::ops::Range<usize>,
+        bound: f32,
+    ) -> usize {
+        let w = out.len();
+        assert!(
+            (1..=PANEL_LANES).contains(&w),
+            "a panel holds 1..={PANEL_LANES} rows, not {w}"
+        );
+        assert_eq!(panel.len(), a.len() * w, "panel is not {w} rows of a");
+        assert!(keep.end <= w, "lanes {keep:?} are not within {w}");
+        let ignored: [bool; PANEL_LANES] = std::array::from_fn(|l| !keep.contains(&l));
+        let mut acc = [0.0f32; PANEL_LANES];
+        let beyond = |acc: &[f32; PANEL_LANES]| self.beyond(acc, &ignored, bound);
+        // One loop per term and width, as in `panel_distances`.
+        let read = if w == PANEL_LANES {
+            with_term!(self, term => fold_panel_until(a, panel, PANEL_LANES, &mut acc, term, beyond))
+        } else {
+            with_term!(self, term => fold_panel_until(a, panel, w, &mut acc, term, beyond))
+        };
+        if read == a.len() {
+            for (o, &al) in out.iter_mut().zip(&acc) {
+                *o = self.finish(al);
+            }
+        }
+        read
+    }
+
+    /// Whether every lane not `ignored` finishes `> bound`: all sixteen
+    /// lanes are compared, branch-free, so the check vectorizes.
+    #[inline(always)]
+    fn beyond(self, acc: &[f32; PANEL_LANES], ignored: &[bool; PANEL_LANES], bound: f32) -> bool {
+        let all = |finish: fn(f32) -> f32| {
+            acc.iter()
+                .zip(ignored)
+                .fold(true, |all, (&s, &i)| all & (i | (finish(s) > bound)))
+        };
+        match self {
+            RowScore::L2 { .. } => all(f32::sqrt),
+            _ => all(|s| s),
         }
     }
 
@@ -2431,6 +2534,90 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `n` values in about ±2.5 from a fixed LCG with every eleventh one a
+    /// `±0.0`, a subnormal or a large finite value within `±f32::MAX / 2`,
+    /// in turn: what the serving walk prunes over.
+    fn planted_finite(n: usize, seed: u32) -> Vec<f32> {
+        const SPECIAL: [f32; 6] = [0.0, -0.0, 1.0e-40, -3.0e-39, 1.7e38, -1.7e38];
+        let mut v = planted(n, seed, false);
+        for (i, x) in v.iter_mut().enumerate().skip(5).step_by(11) {
+            *x = SPECIAL[i / 11 % SPECIAL.len()];
+        }
+        v
+    }
+
+    /// The early-exit panel kernel either scores the panel as
+    /// `panel_distances` does, bit for bit, or stops after a whole number of
+    /// 8-column blocks, and then only when every kept lane's full distance
+    /// is strictly above the bound. Every score, column counts around the
+    /// block size and the serving width, panel widths 1, 7 and 16, kept
+    /// lanes all, the upper half or one, and bounds 0, each lane's exact
+    /// distance and its neighbours `next_up` and `next_down`, `+∞` and NaN.
+    /// Besides planted values, a panel whose rows equal `a` after the first
+    /// block: its partial scores are already the full ones, so a bound equal
+    /// to one is a tie that must not stop the panel.
+    #[test]
+    fn panel_distances_within_is_exact_or_out_of_reach() {
+        let mut stopped = 0;
+        for d in [1, 7, 8, 9, 63, 64, 65, 130] {
+            for w in [1, 7, PANEL_LANES] {
+                let a = planted_finite(d, 41 + d as u32);
+                let planted = planted_finite(d * w, 43 + w as u32);
+                let mut settled = planted.clone();
+                for (j, col) in settled
+                    .chunks_exact_mut(w)
+                    .enumerate()
+                    .skip(PANEL_EXIT_COLUMNS)
+                {
+                    col.fill(a[j]);
+                }
+                for (panel, score) in [&planted, &settled].into_iter().flat_map(|p| {
+                    [
+                        RowScore::L1,
+                        RowScore::L2 { eps: 1e-12 },
+                        RowScore::SquaredL2,
+                        RowScore::TorusL1,
+                        RowScore::TorusL2Sq,
+                    ]
+                    .map(|score| (p, score))
+                }) {
+                    let mut full = vec![0.0; w];
+                    score.panel_distances(&a, panel, &mut full);
+                    let near = full.iter().flat_map(|&s| [s, s.next_up(), s.next_down()]);
+                    let bounds: Vec<f32> = [0.0, f32::INFINITY, f32::NAN]
+                        .into_iter()
+                        .chain(near)
+                        .collect();
+                    for keep in [0..w, w / 2..w, 0..1] {
+                        for &bound in &bounds {
+                            let mut out = vec![0.0; w];
+                            let read = score.panel_distances_within(
+                                &a,
+                                panel,
+                                &mut out,
+                                keep.clone(),
+                                bound,
+                            );
+                            let what = format!(
+                                "{score:?}, {d} columns, {w} lanes, keep {keep:?}, bound {bound}"
+                            );
+                            if read == d {
+                                assert_eq!(nan_classes(&out), nan_classes(&full), "{what}");
+                                continue;
+                            }
+                            stopped += 1;
+                            assert!(read > 0 && read % PANEL_EXIT_COLUMNS == 0, "{what}: {read}");
+                            for &s in &full[keep.clone()] {
+                                assert!(s > bound, "{what}: stopped a lane at {s}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(stopped > 0, "no panel stopped early");
     }
 
     /// Output widths the projection twin tests sweep: under, at and over the

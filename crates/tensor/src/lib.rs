@@ -63,7 +63,7 @@ mod store;
 mod tensor;
 
 pub use arena::Arena;
-pub use graph::{Graph, OpRow, RowScore, Var, PANEL_LANES};
+pub use graph::{Graph, OpRow, RowScore, Var, PANEL_EXIT_COLUMNS, PANEL_LANES};
 pub use sparse::semiring::Semiring;
 
 /// Low-level kernels re-exported for benchmarks and cross-crate tests.

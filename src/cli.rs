@@ -38,7 +38,7 @@ use kg::eval::{evaluate_batched, EvalConfig, Popularity};
 use kg::stream::RowFile;
 use kg::{load_tsv, write_tsv, Dataset, Vocab};
 use sptransx::serve::{
-    recall_at_k, IvfConfig, IvfIndex, LatencySummary, QueryKey, ServeEngine, ServeModel,
+    recall_at_k, IvfConfig, IvfIndex, LatencySummary, QueryKey, ScanStats, ServeEngine, ServeModel,
     ZipfWorkload,
 };
 use sptransx::{
@@ -998,6 +998,7 @@ impl ServeJob {
         let (mut ann_lat, mut exact_lat, mut paged_lat) = (Vec::new(), Vec::new(), Vec::new());
         let (mut recall_sum, mut scored, mut computed, mut diverged) = (0.0, 0, 0, 0);
         let mut key_trace = Vec::with_capacity(self.queries);
+        let mut exact_scan = ScanStats::default();
         for _ in 0..self.queries {
             let q = workload.next_query();
             let key: QueryKey = (q.dir as u8, q.entity, q.rel, k as u32, nprobe as u32);
@@ -1007,9 +1008,11 @@ impl ServeJob {
             let t = std::time::Instant::now();
             let ann = engine.answer_ann(&q, k, nprobe);
             ann_lat.push(t.elapsed());
+            let before = engine.scan_stats();
             let t = std::time::Instant::now();
             let exact = engine.answer_exact(&q, k);
             exact_lat.push(t.elapsed());
+            exact_scan = exact_scan + (engine.scan_stats() - before);
             if let Some(rows) = &mut paged_rows {
                 let t = std::time::Instant::now();
                 let paged = engine.answer_ann_paged(rows, &q, k, nprobe)?;
@@ -1028,6 +1031,15 @@ impl ServeJob {
             0 => 0.0,
             computed => scored as f64 / (computed * n) as f64,
         };
+        let dim = engine.model().dim();
+        let early_exit = |arm: &str, scan: ScanStats| {
+            format!(
+                "early exit ({arm}): {:.1}% of candidate panels stopped, {:.1}% of their columns read",
+                100.0 * scan.stopped_frac(),
+                100.0 * scan.columns_frac(dim),
+            )
+        };
+        let ann_scan = engine.scan_stats() - exact_scan;
         let cache_stats = engine.cache_stats().unwrap_or_default();
         let (sim, _, cache_warning) =
             lru_replay(self.cache_size, &key_trace, "cache", cache_stats.hits);
@@ -1040,6 +1052,8 @@ impl ServeJob {
              workload: {} queries, zipf({}), k {k}, cache {}\n\
              recall@{k} vs exact arm: {recall:.4}\n\
              scan fraction (cache misses): {:.1}% of entities\n\
+             {}\n\
+             {}\n\
              cache hit rate: {:.1}% (simcache model: {:.1}%)\n\
              {}\n\
              {}",
@@ -1051,6 +1065,8 @@ impl ServeJob {
             self.zipf,
             self.cache_size,
             100.0 * scan_frac,
+            early_exit("ann", ann_scan),
+            early_exit("exact", exact_scan),
             100.0 * cache_stats.hit_rate(),
             100.0 * (1.0 - sim.miss_rate()),
             latency_line("ann  ", &summary(&ann_lat)),
