@@ -18,6 +18,10 @@
 //! element of the `Mᵣᵀ` transpose the forward makes once per relation group:
 //! the constants of the projection's cost model.
 //!
+//! The `calibration: hyperplane_score` arm times TransH's fused score and
+//! its backward at `train_models`' shape, in ns per batch row: the
+//! constants of TransH's per-epoch prediction.
+//!
 //! Run with `cargo bench -p sptx-bench --bench kernels`.
 
 use std::sync::Arc;
@@ -165,27 +169,13 @@ fn bench_projection_calibration() {
             )
         });
         let ns_t = ms * 1e6 / (RELS * K * D) as f64;
-        let mut g = Graph::with_pool(PoolHandle::sequential());
-        g.set_isa(isa);
-        let mut best = [(Duration::MAX, 0); 2];
-        for run in 0..2 + TIMED_RUNS {
-            g.reset();
-            g.clear_ops();
-            store.zero_grads();
+        let ops = ["op::project_rows", "op::project_backward"];
+        let best = best_op_rows(isa, &mut store, ops, |g, store| {
             let x = g.input(v.clone());
-            let out = g.project_rows(&store, mats, x, by_rel.clone(), K);
+            let out = g.project_rows(store, mats, x, by_rel.clone(), K);
             let loss = g.mean(out);
-            g.backward(loss, &mut store);
-            for (best, op) in best
-                .iter_mut()
-                .zip(["op::project_rows", "op::project_backward"])
-            {
-                let row = g.ops().iter().find(|r| r.name == op).expect("op ran");
-                if run >= 2 && row.time < best.0 {
-                    *best = (row.time, row.flops);
-                }
-            }
-        }
+            g.backward(loss, store);
+        });
         let [(fwd, fwd_flops), (bwd, bwd_flops)] =
             best.map(|(t, flops)| (t.as_secs_f64() * 1e9, flops as f64 / 2.0));
         let transposes_ns = (groups * K * D) as f64 * ns_t;
@@ -204,9 +194,71 @@ fn bench_projection_calibration() {
     }
 }
 
+/// The fastest time of each op in `ops`, with its flops, over
+/// [`TIMED_RUNS`] tapes after two warm-ups, one thread at `isa`: `tape`
+/// records one forward and backward on a reset tape and zeroed gradients.
+fn best_op_rows<const N: usize>(
+    isa: Isa,
+    store: &mut ParamStore,
+    ops: [&str; N],
+    mut tape: impl FnMut(&mut Graph, &mut ParamStore),
+) -> [(Duration, u64); N] {
+    let mut g = Graph::with_pool(PoolHandle::sequential());
+    g.set_isa(isa);
+    let mut best = [(Duration::MAX, 0); N];
+    for run in 0..2 + TIMED_RUNS {
+        g.reset();
+        g.clear_ops();
+        store.zero_grads();
+        tape(&mut g, store);
+        for (best, op) in best.iter_mut().zip(ops) {
+            let row = g.ops().iter().find(|r| r.name == op).expect("op ran");
+            if run >= 2 && row.time < best.0 {
+                *best = (row.time, row.flops);
+            }
+        }
+    }
+    best
+}
+
+/// TransH's fused score at `train_models`' shape (1 024 `ht` rows over
+/// 20 000 entities and 100 relations, `d` 64, L2), one thread: ns per batch
+/// row of `op::hyperplane_score` and of its backward, read from the tape's
+/// own `OpRow::time`. An epoch there scores 2 × 54 000 rows, so
+/// `108 000 × (forward + backward)` ns is the cost model's prediction of
+/// TransH's op time per epoch. The op is not dispatched through
+/// [`Isa::run`], so one ISA is all there is to time.
+fn bench_hyperplane_calibration() {
+    const M: usize = 1024;
+    const ENT: usize = 20_000;
+    const RELS: usize = 100;
+    const D: usize = 64;
+    let (heads, rels, tails) = random_triples(ENT, RELS, M, 17);
+    let pair = Arc::new(IncidencePair::new(ht(ENT, &heads, &tails).unwrap()));
+    let rels = Arc::new(rels);
+    let mut store = ParamStore::new();
+    let ent = store.add_param("entities", tensor::init::uniform(ENT, D, 1.0, 5));
+    let planes = [("normals", 6), ("translations", 7)]
+        .map(|(name, seed)| store.add_param(name, tensor::init::uniform(RELS, D, 0.2, seed)));
+    let ops = ["op::hyperplane_score", "op::hyperplane_score_backward"];
+    let best = best_op_rows(Isa::BASELINE, &mut store, ops, |g, store| {
+        let score = RowScore::L2 { eps: 1e-9 };
+        let s = g.hyperplane_score(store, ent, pair.clone(), planes, rels.clone(), score);
+        let loss = g.mean(s);
+        g.backward(loss, store);
+    });
+    let [fwd, bwd] = best.map(|(t, _)| t.as_secs_f64() * 1e9 / M as f64);
+    println!(
+        "calibration: hyperplane_score at m {M}, d {D}: forward {fwd:.1} ns/row, \
+         backward {bwd:.1} ns/row, predicted {:.2} ms per train_models epoch",
+        108_000.0 * (fwd + bwd) * 1e-6,
+    );
+}
+
 fn main() {
     bench_forward();
     bench_backward();
     bench_row_read();
     bench_projection_calibration();
+    bench_hyperplane_calibration();
 }

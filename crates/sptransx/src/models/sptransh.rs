@@ -8,10 +8,14 @@
 //! ```
 //!
 //! contains the `ht` expression **twice**; the sparse variant computes it
-//! with one SpMM and reuses the node, where the dense baseline projects head
-//! and tail separately (two dot products, two rank-1 updates) — this
-//! expression reuse is why the paper reports ~11× lower GPU memory for
-//! TransH (§6.2.2).
+//! with one SpMM row per triple and reuses it, where the dense baseline
+//! projects head and tail separately (two dot products, two rank-1 updates)
+//! — this expression reuse is why the paper reports ~11× lower GPU memory
+//! for TransH (§6.2.2). Here the whole expression and its norm are one tape
+//! op, [`Graph::hyperplane_score`]: it re-derives `ht` per row in the
+//! forward and again in the backward, so the tape holds the `(m, 1)` score
+//! column per side and no `m × d` node; the backward's one `m × 3d`
+//! gradient buffer is a temporary.
 
 use kg::TripleStore;
 use tensor::{init, Graph, ParamId, ParamStore, Var};
@@ -122,17 +126,20 @@ impl Family for TransH {
         ht_side(shape, triples)
     }
 
+    /// `‖(h − t) + dᵣ − wᵣ(wᵣᵀ(h − t))‖` per batch row, one tape op:
+    /// [`Graph::hyperplane_score`] derives `ht` once per row and reuses it
+    /// in both places, storing only the score column. An unfused tape
+    /// records the op-by-op chain instead, bit for bit the same.
     fn side(&self, cx: &Cx<'_>, g: &mut Graph, side: &HtSide) -> Var {
         let p = &self.0;
-        // (h − t) + dᵣ − wᵣ(wᵣᵀ(h − t)): ht computed once and reused.
-        let ht = g.spmm(cx.store, p.ent, side.pair.clone());
-        let w = g.gather(cx.store, p.normals, side.rels.clone());
-        let dr = g.gather(cx.store, p.translations, side.rels.clone());
-        let dot = g.row_dot(w, ht);
-        let proj = g.scale_rows(w, dot);
-        let perp = g.sub(ht, proj);
-        let expr = g.add(perp, dr);
-        cx.norm.apply(g, expr)
+        g.hyperplane_score(
+            cx.store,
+            p.ent,
+            side.pair.clone(),
+            [p.normals, p.translations],
+            side.rels.clone(),
+            cx.norm.row_score(),
+        )
     }
 
     fn end_epoch(&self, store: &mut ParamStore, shape: &Shape) {

@@ -14,6 +14,9 @@
 //! new there by definition), for the next change to that op to start from.
 //! The elementwise block pins the totals of the tapes that run the six
 //! generic elementwise ops, captured on f15cdb9 before they became one op.
+//! SpTransH's chain of SpMM, gathers and elementwise ops is pinned on an
+//! unfused tape, where it still runs; the fused tape runs one
+//! `op::hyperplane_score`, pinned from the commit that introduced it.
 //!
 //! The `sparse::metrics` totals are process-global: this binary holds
 //! exactly one test.
@@ -43,6 +46,13 @@ const OPS: [&str; 4] = [
 ];
 
 const SEMIRING_OPS: [&str; 2] = ["op::semiring_score", "op::semiring_score_backward"];
+
+const HYPERPLANE_OPS: [&str; 2] = ["op::hyperplane_score", "op::hyperplane_score_backward"];
+
+/// What an unfused tape's margin-loss backward adds over the fused seed:
+/// two accumulates of `2` flops per triple, over the 2 160 training triples
+/// (the gap between `DenseTransH` and `DenseTransH unfused` below).
+const UNFUSED_MARGIN_FLOPS: u64 = 4 * 2_160;
 
 fn epoch<M: KgeModel, const N: usize>(
     ds: &Dataset,
@@ -96,7 +106,7 @@ fn spmm_counters_match_pre_unification_kernels() {
     let golden: [(&str, Counters, Counters); 6] = [
         ("SpTransE fused", epoch(&ds, &base, SpTransE::from_config, OPS), ([1_388_880, 5_754_240, 272], [[0; 3], [0; 3], [136, 1_157_760, 345_600], [136, 4_596_480, 1_036_800]])),
         ("SpTransE unfused", epoch(&ds, &unfused, SpTransE::from_config, OPS), ([965_520, 4_700_160, 272], [[136, 1_486_080, 172_800], [136, 3_214_080, 259_200], [0; 3], [0; 3]])),
-        ("SpTransH", epoch(&ds, &base, SpTransH::from_config, OPS), ([2_607_120, 6_704_640, 272], [[136, 1_105_920, 86_400], [136, 2_142_720, 172_800], [0; 3], [0; 3]])),
+        ("SpTransH unfused", epoch(&ds, &unfused, SpTransH::from_config, OPS), ([2_607_120 + UNFUSED_MARGIN_FLOPS, 6_704_640, 272], [[136, 1_105_920, 86_400], [136, 2_142_720, 172_800], [0; 3], [0; 3]])),
         ("SpTransR", epoch(&ds, &base, SpTransR::from_config, OPS), ([7_281_360, 9_976_320, 272], [[136, 1_105_920, 86_400], [136, 2_142_720, 172_800], [0; 3], [0; 3]])),
         ("SpTransE dense_grads", epoch(&ds, &dense, SpTransE::from_config, OPS), ([1_388_880, 5_754_240, 272], [[0; 3], [0; 3], [136, 1_157_760, 345_600], [136, 4_596_480, 1_036_800]])),
         ("SpTransE unfused dense_grads", epoch(&ds, &unfused_dense, SpTransE::from_config, OPS), ([965_520, 4_700_160, 272], [[136, 1_486_080, 172_800], [136, 3_214_080, 259_200], [0; 3], [0; 3]])),
@@ -106,6 +116,19 @@ fn spmm_counters_match_pre_unification_kernels() {
         .filter(|(_, got, want)| got != want)
         .map(|(what, got, want)| format!("{what}: {got:?}, 73cdeec had {want:?}"))
         .collect();
+    // The fused TransH op from the commit that introduced it, for the next
+    // change to it to start from. Forward `s + 7md` flops and
+    // `8·nnz + 4·nnz·d + 8md + 4m` bytes; backward `s + c + (15 + 2)md`
+    // flops (L2) and `8·nnz + 16·nnz·d + 44md` bytes, with `s` and `c` the
+    // SpMM's and its backward's flops (`Graph::hyperplane_score`).
+    let got = epoch(&ds, &base, SpTransH::from_config, HYPERPLANE_OPS);
+    #[rustfmt::skip]
+    let want: Counters<2> = ([2_425_680, 8_104_320, 272], [[136, 1_468_800, 691_200], [136, 6_635_520, 1_728_000]]);
+    if got != want {
+        moved.push(format!(
+            "SpTransH fused {HYPERPLANE_OPS:?}: {got:?}, pinned {want:?}"
+        ));
+    }
     let got = epoch(&ds, &base, SpDistMult::from_config, SEMIRING_OPS);
     #[rustfmt::skip]
     let want: Counters<2> = ([1_056_240, 5_460_480, 272], [[136, 1_157_760, 259_200], [136, 4_302_720, 777_600]]);

@@ -3,7 +3,9 @@
 //! Besides the ops, this module holds the kernels that run them and whose
 //! bits the pins hold: the row score's terms and folds ([`RowScore`]: one
 //! row at a time in the fused forward, four at a time in
-//! [`Graph::score_rows`], sixteen lanes in a panel), the one push every
+//! [`Graph::score_rows`] and TransH's fused score, sixteen lanes in a
+//! panel), TransH's hyperplane rows (the expression and the gradients of
+//! its eight-op chain, re-derived four rows at a time), the one push every
 //! sparse backward runs, and TransR's projection kernels (a blocked
 //! transpose, then two rows per pass over each relation's matrix), the
 //! lane-parallel ones dispatched through [`Isa::run`].
@@ -604,6 +606,13 @@ enum Op {
         pair: Arc<IncidencePair>,
         score: RowScore,
     },
+    HyperplaneScore {
+        ent: ParamId,
+        pair: Arc<IncidencePair>,
+        planes: [ParamId; 2],
+        rels: Arc<Vec<u32>>,
+        score: RowScore,
+    },
     Elementwise {
         kind: Elementwise,
         a: Var,
@@ -741,9 +750,10 @@ pub struct Graph {
     nodes: Vec<Node>,
     pool: PoolHandle,
     arena: Arena,
-    /// Whether fused hot-path kernels are used ([`Graph::spmm_score`] and
-    /// the margin-loss backward seed). On by default; the unfused arm
-    /// records the materialized op-by-op tape instead, bit-identical.
+    /// Whether fused hot-path kernels are used ([`Graph::spmm_score`],
+    /// [`Graph::hyperplane_score`] and the margin-loss backward seed). On by
+    /// default; the unfused arm records the materialized op-by-op tape
+    /// instead, bit-identical.
     fused: bool,
     /// The lane width TransR's projection kernels run at; both give the
     /// same bits.
@@ -1041,18 +1051,115 @@ impl Graph {
         // output write shrinks from m·d to m — the traffic the fusion
         // eliminates, visible in the per-kernel counter report.
         let nnz = pair.forward.nnz() as u64;
-        let spmm_flops = if pair.forward.has_unit_coefficients() {
-            nnz.saturating_sub(m as u64) * d as u64
-        } else {
-            2 * nnz * d as u64
-        };
         let cost = Cost {
-            flops: spmm_flops + 2 * (m * d) as u64,
+            flops: spmm_flops(&pair.forward, d) + 2 * (m * d) as u64,
             bytes: nnz * 8 + nnz * d as u64 * 4 + m as u64 * 4,
             spmm_calls: 1,
         };
         self.record("op::spmm_score", start, cost);
         self.push(out, Op::SpmmScore { param, pair, score })
+    }
+
+    /// Fused TransH score: the `(m, 1)` column
+    /// `out[i] = score(x − (wᵣ·x) wᵣ + dᵣ)` with `x = A[i,:] · E`, `r =
+    /// rels[i]` and `[normals, translations] = planes` the `(R, d)` tables of
+    /// `wᵣ` and `dᵣ` — the paper's rearranged hyperplane expression over one
+    /// `ht` SpMM (§4.5), in one pass that stores no `m × d` node.
+    ///
+    /// Bit-identical to the eight-op chain it replaces, which the tape
+    /// records instead when its fused flag is off: `spmm`, a `gather` of
+    /// `wᵣ` and of `dᵣ`, `row_dot`, `scale_rows`, `sub`, `add` and
+    /// [`Graph::score_rows`]. Per batch row the forward re-derives `x` with
+    /// [`spmm_row`], folds `dot = wᵣ·x` from `0.0` in column order (the row
+    /// dot's fold), forms each `(x_j − w_j·dot) + d_j` (the chain's
+    /// association) and folds its terms as the norm does, four rows at a
+    /// time. The relation rows are read through [`ParamStore::table`], so a
+    /// paged table works as it does for the gathers.
+    ///
+    /// Backward is two passes, as [`Graph::spmm_score`]'s. A
+    /// batch-row-parallel pass re-derives each row and writes the three
+    /// gradients the chain's backward arms would push — `x`'s, `wᵣ`'s and
+    /// `dᵣ`'s, each accumulated in the chain's order — into one
+    /// arena-recycled `m × 3d` buffer. Then `x`'s is pushed through the
+    /// forward rows into `E`'s gradient, and `wᵣ`'s and `dᵣ`'s are scattered
+    /// by `rels` in ascending batch row, as the gather backward does.
+    ///
+    /// Counters (`d` wide rows, `nnz` incidence entries, `s` the SpMM's
+    /// flops): forward `s + 7md` flops — the dot, the expression and the
+    /// norm, what the chain's ops count — and `8·nnz + 4·nnz·d + 8md + 4m`
+    /// bytes (index+value, operand lanes, the two relation rows, the score).
+    /// Backward: `s + c + (15 + k)md` flops, where `c` is the SpMM
+    /// backward's count and `k` the norm derivative's flops per element (2
+    /// for L2, else 1), and `8·nnz + 16·nnz·d + 44md` bytes (the re-derive's
+    /// operand and relation rows, the three gradients written, and the
+    /// three scatters' lanes). One SpMM call each way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `A.cols()` is not `E`'s row count, `rels` is not one
+    /// relation per batch row, a table is not `d` wide, or a relation is not
+    /// a row of `planes`.
+    pub fn hyperplane_score(
+        &mut self,
+        store: &ParamStore,
+        ent: ParamId,
+        pair: Arc<IncidencePair>,
+        planes: [ParamId; 2],
+        rels: Arc<Vec<u32>>,
+        score: RowScore,
+    ) -> Var {
+        let [normals, translations] = planes;
+        if !self.fused {
+            let ht = self.spmm(store, ent, pair);
+            let w = self.gather(store, normals, rels.clone());
+            let dr = self.gather(store, translations, rels);
+            let dot = self.row_dot(w, ht);
+            let proj = self.scale_rows(w, dot);
+            let perp = self.sub(ht, proj);
+            let expr = self.add(perp, dr);
+            return self.score_rows(expr, score);
+        }
+        let start = Instant::now();
+        let h = Hyperplane::new(store, ent, &pair, planes, &rels);
+        let (m, d) = (rels.len(), h.d);
+        let mut out = Tensor::uninit_in(&mut self.arena, m, 1);
+        // Each chunk re-derives its rows' `x` into rows of its own scratch.
+        let mut xs = Tensor::uninit_in(&mut self.arena, self.pool.width(), HYPERPLANE_ROWS * d);
+        self.pool.for_rows_with_scratch(
+            out.as_mut_slice(),
+            1,
+            128,
+            xs.as_mut_slice(),
+            |first, chunk, xs| {
+                let end = first + chunk.len();
+                let mut quads = chunk.chunks_exact_mut(HYPERPLANE_ROWS);
+                for (i, dst) in (first..).step_by(HYPERPLANE_ROWS).zip(&mut quads) {
+                    let rows = split_rows(xs, d);
+                    dst.copy_from_slice(&h.scores::<HYPERPLANE_ROWS>(i, rows, score));
+                }
+                let rest = quads.into_remainder();
+                for (i, dst) in (end - rest.len()..).zip(rest) {
+                    *dst = h.scores::<1>(i, split_rows(xs, d), score)[0];
+                }
+            },
+        );
+        self.arena.reclaim(xs);
+        let fwd = &pair.forward;
+        let (nnz, md) = (fwd.nnz() as u64, (m * d) as u64);
+        let cost = Cost {
+            flops: spmm_flops(fwd, d) + 7 * md,
+            bytes: nnz * 8 + nnz * d as u64 * 4 + 8 * md + m as u64 * 4,
+            spmm_calls: 1,
+        };
+        self.record("op::hyperplane_score", start, cost);
+        let op = Op::HyperplaneScore {
+            ent,
+            pair,
+            planes,
+            rels,
+            score,
+        };
+        self.push(out, op)
     }
 
     /// Elementwise sum of two same-shape nodes (panics on shape mismatch).
@@ -1427,6 +1534,70 @@ impl Graph {
                 };
                 ("op::spmm_score_backward", cost)
             }
+            Op::HyperplaneScore {
+                ent,
+                pair,
+                planes,
+                rels,
+                score,
+            } => {
+                let (fwd, [normals, translations]) = (&pair.forward, planes);
+                let (m, d) = (rels.len(), store.param_shape(ent).1);
+                // Row `i`: `[x's gradient | wᵣ's | dᵣ's]`.
+                let mut grads = Tensor::uninit_in(&mut self.arena, m, 3 * d);
+                if d > 0 {
+                    let (gd, nd) = (g.as_slice(), self.nodes[i].value.as_slice());
+                    let h = Hyperplane::new(store, ent, &pair, planes, &rels);
+                    self.pool
+                        .for_rows(grads.as_mut_slice(), 3 * d, 64, |first, chunk| {
+                            let end = first + chunk.len() / (3 * d);
+                            let mut quads = chunk.chunks_exact_mut(HYPERPLANE_ROWS * 3 * d);
+                            for (i, rows) in (first..).step_by(HYPERPLANE_ROWS).zip(&mut quads) {
+                                h.grads::<HYPERPLANE_ROWS>(
+                                    i,
+                                    split_rows(rows, 3 * d),
+                                    gd,
+                                    nd,
+                                    score,
+                                );
+                            }
+                            let rest = quads.into_remainder();
+                            for (i, row) in
+                                (end - rest.len() / (3 * d)..).zip(rest.chunks_exact_mut(3 * d))
+                            {
+                                h.grads::<1>(i, [row], gd, nd, score);
+                            }
+                        });
+                }
+                // The chain's gather backwards (`dᵣ`'s, then `wᵣ`'s), then
+                // its SpMM backward, each a push in ascending batch row.
+                let lanes = |k: usize| {
+                    let grads = grads.as_slice();
+                    move |i: usize| &grads[(3 * i + k) * d..(3 * i + k + 1) * d]
+                };
+                for (param, k) in [(translations, 2), (normals, 1)] {
+                    let (slot, grad, _) = store.touched_grads(param, &rels);
+                    scatter_rows(&self.pool, grad, slot, (m, d), lanes(k), index_rows(&rels));
+                }
+                let (slot, grad, _) = store.touched_grads(ent, pair.touched_columns());
+                scatter_rows(&self.pool, grad, slot, (m, d), lanes(0), |i| {
+                    fwd.row_entries(i)
+                });
+                self.arena.reclaim(grads);
+                let scatter = csr_scatter_cost(fwd, d);
+                let (nnz, md) = (fwd.nnz() as u64, (m * d) as u64);
+                let derivative = if matches!(score, RowScore::L2 { .. }) {
+                    2
+                } else {
+                    1
+                };
+                let cost = Cost {
+                    flops: spmm_flops(fwd, d) + scatter.flops + (15 + derivative) * md,
+                    bytes: scatter.bytes + nnz * d as u64 * 4 + 44 * md,
+                    spmm_calls: 1,
+                };
+                ("op::hyperplane_score_backward", cost)
+            }
             Op::Elementwise { kind, a, b } => {
                 let n = self.nodes[a.0].value.cols();
                 let ((bw, gw), grain) = (kind.widths(n), (4096 / n.max(1)).max(1));
@@ -1605,6 +1776,173 @@ impl Graph {
     }
 }
 
+/// The flops of `A · B` for a `d`-wide `B`: `(nnz − m)·d` additions when
+/// every coefficient is `±1`, a multiply and an add per nonzero and lane
+/// otherwise.
+fn spmm_flops(a: &CsrMatrix, d: usize) -> u64 {
+    let (nnz, d) = (a.nnz() as u64, d as u64);
+    if a.has_unit_coefficients() {
+        nnz.saturating_sub(a.rows() as u64) * d
+    } else {
+        2 * nnz * d
+    }
+}
+
+/// Batch rows [`Graph::hyperplane_score`] advances together: its two row
+/// folds (the dot and the norm; the dot and the gradient's dot backward)
+/// are chains of dependent adds, and four rows make four independent ones.
+const HYPERPLANE_ROWS: usize = 4;
+
+/// The first `R` rows, `n` wide, of `buf`.
+#[inline(always)]
+fn split_rows<const R: usize>(buf: &mut [f32], n: usize) -> [&mut [f32]; R] {
+    let mut rest = buf;
+    std::array::from_fn(|_| {
+        let (row, tail) = std::mem::take(&mut rest).split_at_mut(n);
+        rest = tail;
+        row
+    })
+}
+
+/// `Σ_j a[r][j] · b[r][j]` for each of `R` rows, each folded from `0.0` in
+/// column order — [`Graph::row_dot`]'s fold, `R` chains at a time.
+#[inline(always)]
+fn dot_rows<const R: usize>(a: [&[f32]; R], b: [&[f32]; R]) -> [f32; R] {
+    let mut acc = [0.0f32; R];
+    for j in 0..a[0].len() {
+        for ((acc, a), b) in acc.iter_mut().zip(&a).zip(&b) {
+            *acc += a[j] * b[j];
+        }
+    }
+    acc
+}
+
+/// The operands of [`Graph::hyperplane_score`] as its kernels read them:
+/// the incidence rows over the entity table, and each batch row's
+/// relation into the normal and translation tables.
+struct Hyperplane<'a> {
+    a: &'a CsrMatrix,
+    ent: DenseView<'a>,
+    normals: DenseView<'a>,
+    translations: DenseView<'a>,
+    rels: &'a [u32],
+    d: usize,
+}
+
+impl<'a> Hyperplane<'a> {
+    fn new(
+        store: &'a ParamStore,
+        ent: ParamId,
+        pair: &'a IncidencePair,
+        [normals, translations]: [ParamId; 2],
+        rels: &'a [u32],
+    ) -> Self {
+        let (a, ent) = (&pair.forward, store.table(ent));
+        let (normals, translations) = (store.table(normals), store.table(translations));
+        let d = ent.cols();
+        assert_eq!(a.cols(), ent.rows(), "incidence width mismatch");
+        assert_eq!(rels.len(), a.rows(), "one relation per row required");
+        assert!(
+            normals.cols() == d && translations.cols() == d,
+            "hyperplane rows are not {d} wide"
+        );
+        Self {
+            a,
+            ent,
+            normals,
+            translations,
+            rels,
+            d,
+        }
+    }
+
+    /// Writes batch row `i`'s `x = A[i,:] · E` into `x` and returns its
+    /// relation's `(wᵣ, dᵣ)`. The operand rows of the row
+    /// [`PREFETCH_DISTANCE`] ahead are prefetched (a hint: no bits move).
+    #[inline(always)]
+    fn derive(&self, i: usize, x: &mut [f32]) -> (&'a [f32], &'a [f32]) {
+        prefetch_operands(self.a, &self.ent, i + PREFETCH_DISTANCE);
+        let (cols, vals) = self.a.row_entries(i);
+        spmm_row(cols, vals, &self.ent, 0, x);
+        let r = self.rels[i] as usize;
+        (self.normals.row(r), self.translations.row(r))
+    }
+
+    /// The scores of batch rows `i .. i + R`, each row's `x` re-derived into
+    /// `xs[r]`: `dot = wᵣ·x`, then `score` folds `(x_j − w_j·dot) + d_j` —
+    /// `row_dot`, `scale_rows`, `sub` and `add`, then the norm.
+    #[inline(always)]
+    fn scores<const R: usize>(
+        &self,
+        i: usize,
+        mut xs: [&mut [f32]; R],
+        score: RowScore,
+    ) -> [f32; R] {
+        let planes: [_; R] = std::array::from_fn(|r| self.derive(i + r, xs[r]));
+        let (w, t) = (planes.map(|(w, _)| w), planes.map(|(_, t)| t));
+        let x = xs.each_ref().map(|x| &**x);
+        let dot = dot_rows(w, x);
+        let mut tiles = [[0.0f32; SCORE_TILE]; R];
+        score.fold_rows(self.d, &mut tiles, |r, t0, e| {
+            let operands = x[r][t0..].iter().zip(&w[r][t0..]).zip(&t[r][t0..]);
+            for (e, ((&x, &w), &t)) in e.iter_mut().zip(operands) {
+                *e = (x - w * dot[r]) + t;
+            }
+        })
+    }
+
+    /// The gradients of batch rows `i .. i + R` from their upstream `g` and
+    /// stored scores: `rows[r]` (`3d` wide) becomes `[x's | wᵣ's | dᵣ's]`,
+    /// element for element what the chain's backward arms leave in the
+    /// `ht`, `w` and `dr` node gradients. With `s = 0.0 + g·score'(e)` (the
+    /// expression's gradient, which `add` and `sub` pass on unchanged, since
+    /// `0.0 + 1.0·s` is `s`) and `p = 0.0 − s` (the projection's, as `sub`
+    /// writes it):
+    ///
+    /// * `dot' = Σ_j p_j·w_j` from `0.0` (`scale_rows`' second operand);
+    /// * `wᵣ`: `(0.0 + p_j·dot) + x_j·dot'` — `scale_rows`' contribution,
+    ///   then `row_dot`'s;
+    /// * `x`: `s_j + w_j·dot'` — `sub`'s, then `row_dot`'s;
+    /// * `dᵣ`: `s_j`.
+    #[inline(always)]
+    fn grads<const R: usize>(
+        &self,
+        i: usize,
+        rows: [&mut [f32]; R],
+        g: &[f32],
+        scores: &[f32],
+        score: RowScore,
+    ) {
+        let d = self.d;
+        let mut rows = rows.map(|row| {
+            let (x, rest) = row.split_at_mut(d);
+            let (w, t) = rest.split_at_mut(d);
+            [x, w, t]
+        });
+        let planes: [_; R] = std::array::from_fn(|r| self.derive(i + r, rows[r][0]));
+        let w = planes.map(|(w, _)| w);
+        let dot = dot_rows(w, rows.each_ref().map(|row| &*row[0]));
+        for (r, [x, p, s]) in rows.iter_mut().enumerate() {
+            let operands = x.iter().zip(w[r]).zip(planes[r].1);
+            for (e, ((&x, &w), &t)) in s.iter_mut().zip(operands) {
+                *e = (x - w * dot[r]) + t;
+            }
+            score.derivs(g[i + r], scores[i + r], s);
+            for (p, &s) in p.iter_mut().zip(s.iter()) {
+                *p = 0.0 - s;
+            }
+        }
+        let dot_grad = dot_rows(rows.each_ref().map(|row| &*row[1]), w);
+        for (r, [x, p, s]) in rows.iter_mut().enumerate() {
+            let (dot, dot_grad) = (dot[r], dot_grad[r]);
+            for (((x, p), &s), &w) in x.iter_mut().zip(p.iter_mut()).zip(s.iter()).zip(w[r]) {
+                *p = (0.0 + *p * dot) + *x * dot_grad;
+                *x = s + w * dot_grad;
+            }
+        }
+    }
+}
+
 /// Entry `k` of an index list as a row of one coefficient-`1` entry: what
 /// the gather backward pushes source row `k` through.
 fn index_rows<'a>(indices: &'a [u32]) -> impl Fn(usize) -> (&'a [u32], &'a [f32]) + Sync {
@@ -1676,10 +2014,23 @@ fn scatter<'e>(
     src: DenseView<'_>,
     entries: impl Fn(usize) -> (&'e [u32], &'e [f32]) + Sync,
 ) {
-    let n = src.cols();
+    let shape = (src.rows(), src.cols());
+    scatter_rows(pool, dst, slot, shape, |i| src.row(i), entries);
+}
+
+/// [`scatter`] from `rows` source rows `n` wide, row `i` being `src(i)`: a
+/// source that is not one row-major table (a strip of a wider buffer).
+fn scatter_rows<'e, 's>(
+    pool: &PoolHandle,
+    dst: &mut [f32],
+    slot: impl Fn(usize) -> usize + Sync,
+    (rows, n): (usize, usize),
+    src: impl Fn(usize) -> &'s [f32] + Sync,
+    entries: impl Fn(usize) -> (&'e [u32], &'e [f32]) + Sync,
+) {
     pool.for_rows(dst, n.max(1), 128, |first, window| {
-        for i in 0..src.rows() {
-            let ((cols, vals), row) = (entries(i), src.row(i));
+        for i in 0..rows {
+            let ((cols, vals), row) = (entries(i), src(i));
             for (&c, &v) in cols.iter().zip(vals) {
                 if let Some(dst) = row_in(window, first, n, slot(c as usize)) {
                     axpy(v, row, dst);

@@ -172,6 +172,150 @@ fn semiring_score_keeps_non_finite_operands_and_zero_gradient_rows() {
     }
 }
 
+/// Every row score.
+const ROW_SCORES: [RowScore; 5] = [
+    RowScore::L1,
+    RowScore::L2 { eps: 1e-9 },
+    RowScore::SquaredL2,
+    RowScore::TorusL1,
+    RowScore::TorusL2Sq,
+];
+
+/// TransH's tables `[entities (24 rows), normals (3), translations (3)]`,
+/// `d` wide, in about ±1.5, with special values planted: `±0.0`,
+/// subnormals, `±inf` and NaN in entity rows 0..7; normal row 0 and
+/// translation row 0 keep finite plants (`±0.0` and subnormals), normal row
+/// 1 gets `+inf` and translation row 1 `−inf`, and at widths above 6
+/// normal row 2 gets a NaN in column 6 and translation row 2 in its last.
+fn hyperplane_tables(d: usize) -> [Tensor; 3] {
+    const SUB: f32 = 1.0e-40;
+    let mut tables =
+        [(24, 1), (3, 2), (3, 3)].map(|(rows, seed)| init::uniform(rows, d, 1.5, seed));
+    let [ent, normals, translations] = &mut tables;
+    let entity_plants = [
+        -0.0,
+        0.0,
+        SUB,
+        -SUB,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    for (row, x) in entity_plants.into_iter().enumerate() {
+        for j in (row % 3..d).step_by(3) {
+            ent.set(row, j, x);
+        }
+    }
+    for (j, x) in (0..d).zip([-0.0, SUB, 0.0, -SUB].into_iter().cycle()) {
+        if j % 2 == 1 {
+            normals.set(0, j, x);
+        } else {
+            translations.set(0, j, x);
+        }
+    }
+    for j in (1..d).step_by(5) {
+        normals.set(1, j, f32::INFINITY);
+        translations.set(1, j, f32::NEG_INFINITY);
+    }
+    if d > 6 {
+        normals.set(2, 6, f32::NAN);
+        translations.set(2, d - 1, f32::NAN);
+    }
+    tables
+}
+
+/// `m` TransH triples over [`hyperplane_tables`]: heads and tails below 20
+/// (so entity rows 0..7 are read), a self-loop at every sixth row (its `ht`
+/// row is one explicit `0.0`), relation `i % 3`, and a weight (so `g_i`)
+/// of 0 on every relation-0 row: relation 0's gradient rows receive only
+/// zero contributions, so their sign of zero shows.
+fn hyperplane_batch(m: usize) -> (Arc<IncidencePair>, Arc<Vec<u32>>, Vec<f32>) {
+    let heads: Vec<u32> = (0..m).map(|i| ((i * 7 + 3) % 20) as u32).collect();
+    let tails: Vec<u32> = (0..m)
+        .map(|i| {
+            if i % 6 == 5 {
+                heads[i]
+            } else {
+                ((i * 5 + 1) % 20) as u32
+            }
+        })
+        .collect();
+    let rels: Vec<u32> = (0..m).map(|i| (i % 3) as u32).collect();
+    let weights = (0..m)
+        .map(|i| match i % 3 {
+            0 => 0.0,
+            _ => (i % 4) as f32 * 0.75 - 1.0,
+        })
+        .collect();
+    let a = ht(24, &heads, &tails).unwrap();
+    (Arc::new(IncidencePair::new(a)), Arc::new(rels), weights)
+}
+
+/// One weighted forward + backward of `hyperplane_score`, fused or as the
+/// eight-op chain: the score column's bits, then each parameter's gradient
+/// by absolute row — NaNs as one class. Every gradient row starts at `−0.0`
+/// (written through `grad_mut`), so a contribution's sign of zero survives
+/// into the sum where no other contribution lands.
+fn hyperplane_bits(
+    width: usize,
+    fused: bool,
+    score: RowScore,
+    tables: &[Tensor; 3],
+    (pair, rels, weights): &(Arc<IncidencePair>, Arc<Vec<u32>>, Vec<f32>),
+) -> Vec<u32> {
+    let mut store = ParamStore::new();
+    let [ent, normals, translations] = [("entities", 0), ("normals", 1), ("translations", 2)]
+        .map(|(name, k)| store.add_param(name, tables[k].clone()));
+    for p in [ent, normals, translations] {
+        store.grad_mut(p).fill(-0.0);
+    }
+    let mut g = Graph::with_pool(PoolHandle::global().with_width(width));
+    g.set_fused(fused);
+    let planes = [normals, translations];
+    let s = g.hyperplane_score(&store, ent, pair.clone(), planes, rels.clone(), score);
+    let w = g.input_from_slice(weights.len(), 1, weights);
+    let weighted = g.mul(s, w);
+    let loss = g.mean(weighted);
+    g.backward(loss, &mut store);
+    let mut out = g.value(s).as_slice().to_vec();
+    for p in [ent, normals, translations] {
+        out.extend_from_slice(Tensor::from_view(store.grad(p)).as_slice());
+    }
+    let class = |x: &f32| if x.is_nan() { 0x7fc0_0000 } else { x.to_bits() };
+    out.iter().map(class).collect()
+}
+
+/// The fused hyperplane score equals the chain it replaced (`spmm`, two
+/// gathers, `row_dot`, `scale_rows`, `sub`, `add`, the norm) bit for bit —
+/// the scores and all three parameter gradients, signs of zero included —
+/// for every row score, on both sides of the 64-wide score tile, for 1 to
+/// 17 batch rows (every remainder of its four-row folds) and a 150-row
+/// batch a wide pool splits, at pool widths 1 and 4.
+#[test]
+fn hyperplane_score_matches_the_eight_op_chain_bitwise() {
+    let mut signed_zeros = [false; 2];
+    for d in [1, 7, 63, 64, 65, 130] {
+        let tables = hyperplane_tables(d);
+        for m in (1..=17).chain([150]) {
+            let batch = hyperplane_batch(m);
+            for score in ROW_SCORES {
+                let want = hyperplane_bits(1, false, score, &tables, &batch);
+                for width in [1, 4] {
+                    let got = hyperplane_bits(width, true, score, &tables, &batch);
+                    assert_eq!(got, want, "d {d}, {m} rows, {score:?}, width {width}");
+                }
+                for (seen, zero) in signed_zeros.iter_mut().zip([0.0f32, -0.0]) {
+                    *seen |= want[m..].contains(&zero.to_bits());
+                }
+            }
+        }
+    }
+    assert_eq!(
+        signed_zeros, [true; 2],
+        "both signs of zero reach a gradient"
+    );
+}
+
 /// Which incidence matrix [`incidence_matrix`] built.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Form {
